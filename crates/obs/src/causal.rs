@@ -12,7 +12,8 @@
 //! cross-check flight-derived latencies bucket-for-bucket against the
 //! histograms in the observability artifact.
 
-use crate::flight::{EventRef, FlightLog, TraceKind, TraceRecord};
+use crate::flight::{find_sorted, EventRef, FlightLog, TraceKind, TraceRecord};
+use std::borrow::Cow;
 use std::collections::BTreeMap;
 
 /// One failover's reconstructed causal chain.
@@ -138,16 +139,23 @@ impl PostMortemReport {
 /// The walk is pure: it only reads the log, so running it on the merged
 /// log of a sharded world gives bit-identical reports at any thread
 /// count.
+///
+/// Cause refs resolve by binary search over the log's own `(time, seq,
+/// sub)` order; a hand-built log that is not in that order is searched
+/// through a sorted copy instead.
 #[must_use]
 pub fn build_post_mortems(log: &FlightLog) -> PostMortemReport {
-    let index: BTreeMap<EventRef, &TraceRecord> =
-        log.records.iter().map(|r| (r.self_ref(), r)).collect();
+    let mut sorted = Cow::Borrowed(log.records.as_slice());
+    let in_order = |w: &[TraceRecord]| w[0].sort_key() <= w[1].sort_key();
+    if !sorted.windows(2).all(in_order) {
+        sorted.to_mut().sort_by_key(TraceRecord::sort_key);
+    }
     // Reverse edges: probe send ref -> loss records blaming it.
     let mut losses_by_cause: BTreeMap<EventRef, Vec<&TraceRecord>> = BTreeMap::new();
     let mut orphan_refs = 0;
     for r in &log.records {
         if let Some(c) = r.cause {
-            if !index.contains_key(&c) {
+            if find_sorted(&sorted, c).is_none() {
                 orphan_refs += 1;
             }
             if r.kind == TraceKind::ProbeLoss {
@@ -165,9 +173,9 @@ pub fn build_post_mortems(log: &FlightLog) -> PostMortemReport {
         let mut complete = true;
         let mut cursor = r.cause;
         while let Some(c) = cursor {
-            match index.get(&c) {
+            match find_sorted(&sorted, c) {
                 Some(rec) => {
-                    chain.push(**rec);
+                    chain.push(*rec);
                     cursor = rec.cause;
                 }
                 None => {
@@ -318,6 +326,24 @@ mod tests {
         assert_eq!(pm.chain[0].kind, TraceKind::ProbeSend);
         assert_eq!(report.complete_count(), 0);
         assert_eq!(pm.decompose().detect_ns, None);
+    }
+
+    #[test]
+    fn a_log_out_of_sort_order_resolves_the_same_chains() {
+        let expected = build_post_mortems(&sample_log());
+        let mut log = sample_log();
+        log.records.reverse();
+        assert_eq!(build_post_mortems(&log), expected);
+        // Two shards' records under one `(time, seq, sub)` key: the cause
+        // ref names the second of the pair.
+        let mut log = sample_log();
+        let mut twin = log.records[0];
+        twin.host = 7;
+        log.records[1].cause = Some(twin.self_ref());
+        log.records.insert(1, twin);
+        let report = build_post_mortems(&log);
+        assert_eq!(report.orphan_refs, 0);
+        assert_eq!(report.failovers[0].chain[0], twin);
     }
 
     #[test]

@@ -253,6 +253,10 @@ pub struct FlightRecorder {
     /// Live chain head → the ancestor refs its pin protects.
     pins: BTreeMap<EventRef, Vec<EventRef>>,
     dropped: u64,
+    /// True until an append sorts below its predecessor. While it holds,
+    /// `ring` and `retained` (subsequences of the append order) are each
+    /// sorted by [`TraceRecord::sort_key`], so `lookup` may binary-search.
+    ordered: bool,
 }
 
 impl FlightRecorder {
@@ -270,12 +274,16 @@ impl FlightRecorder {
             protected: BTreeMap::new(),
             pins: BTreeMap::new(),
             dropped: 0,
+            ordered: true,
         }
     }
 
     /// Appends a record, evicting the oldest unprotected record if the
     /// ring is full.
     pub fn record(&mut self, rec: TraceRecord) {
+        // Before evicting: at capacity 1 the predecessor is about to leave.
+        let in_order = |last: &TraceRecord| last.sort_key() <= rec.sort_key();
+        self.ordered &= self.ring.back().is_none_or(in_order);
         while self.ring.len() >= self.capacity {
             // Unwrap is safe: capacity > 0 so the ring is non-empty.
             let oldest = self.ring.pop_front().unwrap();
@@ -291,6 +299,11 @@ impl FlightRecorder {
     /// Pins `head` and every ancestor reachable through `cause` links
     /// against eviction, until [`Self::release`]d. Ancestors already
     /// evicted are silently absent (walks stop at the first miss).
+    ///
+    /// The walk runs to a causeless root, not just to the last good reply:
+    /// a daemon's link-down chain alternates send ← recv ← send … back to
+    /// the pair's *first* probe, so the cost — one [`Self::lookup`] per
+    /// hop, O(chain · log n) — grows with how long the pair has probed.
     pub fn pin_chain(&mut self, head: EventRef) {
         if self.pins.contains_key(&head) {
             return;
@@ -346,14 +359,32 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Finds a held record by identity (linear scan; pinning is a
-    /// per-failover operation, not a hot path).
+    /// Records held in the retained side buffer, which is unbounded: it
+    /// grows while chains stay pinned across ring wraps and never shrinks.
+    #[must_use]
+    pub fn retained_len(&self) -> usize {
+        self.retained.len()
+    }
+
+    /// Finds a held record by identity (first match, retained buffer
+    /// before ring) in O(log n), which makes [`Self::pin_chain`]
+    /// O(chain · log n).
+    ///
+    /// Relies on appends arriving in non-decreasing
+    /// [`TraceRecord::sort_key`] order — the simulator's dispatch order —
+    /// which keeps the retained buffer and both halves of the ring sorted,
+    /// so each is binary-searched. [`Self::record`] detects an append that
+    /// breaks the order; from then on every lookup is a linear scan:
+    /// slower, never wrong.
     #[must_use]
     pub fn lookup(&self, r: EventRef) -> Option<&TraceRecord> {
-        self.retained
-            .iter()
-            .chain(self.ring.iter())
-            .find(|rec| rec.self_ref() == r)
+        let (front, back) = self.ring.as_slices();
+        let mut held = [self.retained.as_slice(), front, back].into_iter();
+        if self.ordered {
+            held.find_map(|sorted| find_sorted(sorted, r))
+        } else {
+            held.flatten().find(|rec| rec.self_ref() == r)
+        }
     }
 
     /// Drains the recorder into a [`FlightLog`], merging the retained
@@ -370,6 +401,18 @@ impl FlightRecorder {
     }
 }
 
+/// Finds the first record identified by `r` in a slice sorted by
+/// [`TraceRecord::sort_key`]. Merged logs hold equal keys from different
+/// shards side by side, so the equal-key run is scanned for the host.
+pub(crate) fn find_sorted(sorted: &[TraceRecord], r: EventRef) -> Option<&TraceRecord> {
+    let key = (r.time_ns, r.seq, r.sub);
+    let start = sorted.partition_point(|rec| rec.sort_key() < key);
+    sorted[start..]
+        .iter()
+        .take_while(|rec| rec.sort_key() == key)
+        .find(|rec| rec.host == r.host)
+}
+
 /// Renders a merged flight log as Chrome `trace_event` JSON for
 /// Perfetto / `chrome://tracing`.
 ///
@@ -383,7 +426,20 @@ impl FlightRecorder {
 /// time is exported — the clock rule holds.
 #[must_use]
 pub fn to_perfetto(log: &FlightLog) -> String {
-    use crate::jsonfmt::{json_f64, json_string};
+    // 175 B per record on the benchmark's `flight32` log; the headroom
+    // covers longer runs' wider timestamps without a second allocation.
+    let mut out = String::with_capacity(128 + log.records.len() * 192);
+    out.push_str("{\n  \"traceEvents\": [\n");
+    write_trace_events(&mut out, log).expect("fmt::Write for String never fails");
+    out.push_str("\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n");
+    out
+}
+
+/// The event lines of [`to_perfetto`], written straight into `out`: a
+/// `String` per record costs more than the formatting itself.
+fn write_trace_events(out: &mut String, log: &FlightLog) -> std::fmt::Result {
+    use crate::jsonfmt::{json_string, push_f64};
+    use std::fmt::Write as _;
 
     const KERNEL_PID: u32 = 0;
     fn pid_tid(rec: &TraceRecord) -> (u32, u32) {
@@ -417,64 +473,51 @@ pub fn to_perfetto(log: &FlightLog) -> String {
         tracks.insert(pid_tid(rec), ());
     }
 
-    let mut out = String::with_capacity(128 + log.records.len() * 160);
-    out.push_str("{\n  \"traceEvents\": [\n");
-    let mut first = true;
-    let mut push = |out: &mut String, line: String| {
-        if !first {
-            out.push_str(",\n");
-        }
-        first = false;
-        out.push_str("    ");
-        out.push_str(&line);
-    };
-
+    // Separator before each event line: none before the first.
+    let mut sep = "    ";
     for &(pid, tid) in tracks.keys() {
         let pname = if pid == KERNEL_PID {
             "kernel".to_string()
         } else {
             format!("host{}", pid - 1)
         };
-        push(
-            &mut out,
-            format!(
-                "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
+        for (meta, name) in [
+            ("process_name", pname),
+            ("thread_name", track_name(pid, tid)),
+        ] {
+            out.push_str(std::mem::replace(&mut sep, ",\n    "));
+            write!(
+                out,
+                "{{\"name\": \"{meta}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
                  \"args\": {{\"name\": {}}}}}",
-                json_string(&pname)
-            ),
-        );
-        push(
-            &mut out,
-            format!(
-                "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-                 \"args\": {{\"name\": {}}}}}",
-                json_string(&track_name(pid, tid))
-            ),
-        );
+                json_string(&name)
+            )?;
+        }
     }
 
+    // Kind labels and cause refs are ASCII with nothing to escape, so
+    // they are quoted directly instead of going through `json_string`.
     for rec in &log.records {
         let (pid, tid) = pid_tid(rec);
-        let ts = json_f64(rec.time_ns as f64 / 1e3);
-        let cause = rec.cause.map_or("null".to_string(), |c| {
-            json_string(&format!("{}:{}:{}:{}", c.time_ns, c.seq, c.host, c.sub))
-        });
-        push(
-            &mut out,
-            format!(
-                "{{\"name\": {}, \"ph\": \"i\", \"s\": \"t\", \"ts\": {ts}, \"pid\": {pid}, \
-                 \"tid\": {tid}, \"args\": {{\"seq\": {}, \"sub\": {}, \"arg\": {}, \
-                 \"cause\": {cause}}}}}",
-                json_string(rec.kind.label()),
-                rec.seq,
-                rec.sub,
-                rec.arg,
-            ),
-        );
+        out.push_str(std::mem::replace(&mut sep, ",\n    "));
+        write!(
+            out,
+            "{{\"name\": \"{}\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ",
+            rec.kind.label()
+        )?;
+        push_f64(out, rec.time_ns as f64 / 1e3);
+        write!(
+            out,
+            ", \"pid\": {pid}, \"tid\": {tid}, \"args\": {{\"seq\": {}, \"sub\": {}, \"arg\": {}, \
+             \"cause\": ",
+            rec.seq, rec.sub, rec.arg,
+        )?;
+        match rec.cause {
+            Some(c) => write!(out, "\"{}:{}:{}:{}\"}}}}", c.time_ns, c.seq, c.host, c.sub)?,
+            None => out.push_str("null}}"),
+        }
     }
-
-    out.push_str("\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n");
-    out
+    Ok(())
 }
 
 #[cfg(test)]
@@ -634,5 +677,456 @@ mod tests {
         assert!(a.contains("\"kernel\""));
         assert!(a.contains("\"host0\""));
         assert!(a.contains("\"cause\": \"1000:1:0:0\""));
+    }
+
+    /// SplitMix64: the repo's seed-expansion generator, inlined because
+    /// this crate keeps no dev-dependencies.
+    struct SplitMix64(u64);
+
+    impl SplitMix64 {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The recorder as it was before `lookup` was indexed: same ring,
+    /// eviction and pin bookkeeping, every lookup a linear scan. The
+    /// reference the indexed recorder must match operation for operation.
+    struct LinearRecorder {
+        capacity: usize,
+        ring: VecDeque<TraceRecord>,
+        retained: Vec<TraceRecord>,
+        protected: BTreeMap<EventRef, u32>,
+        pins: BTreeMap<EventRef, Vec<EventRef>>,
+        dropped: u64,
+    }
+
+    impl LinearRecorder {
+        fn new(capacity: usize) -> Self {
+            LinearRecorder {
+                capacity,
+                ring: VecDeque::new(),
+                retained: Vec::new(),
+                protected: BTreeMap::new(),
+                pins: BTreeMap::new(),
+                dropped: 0,
+            }
+        }
+
+        fn record(&mut self, rec: TraceRecord) {
+            while self.ring.len() >= self.capacity {
+                let oldest = self.ring.pop_front().unwrap();
+                if self.protected.contains_key(&oldest.self_ref()) {
+                    self.retained.push(oldest);
+                } else {
+                    self.dropped += 1;
+                }
+            }
+            self.ring.push_back(rec);
+        }
+
+        fn lookup(&self, r: EventRef) -> Option<&TraceRecord> {
+            self.retained
+                .iter()
+                .chain(self.ring.iter())
+                .find(|rec| rec.self_ref() == r)
+        }
+
+        fn pin_chain(&mut self, head: EventRef) {
+            if self.pins.contains_key(&head) {
+                return;
+            }
+            let mut refs = Vec::new();
+            let mut cursor = Some(head);
+            while let Some(r) = cursor {
+                *self.protected.entry(r).or_insert(0) += 1;
+                refs.push(r);
+                cursor = self.lookup(r).and_then(|rec| rec.cause);
+            }
+            self.pins.insert(head, refs);
+        }
+
+        fn release(&mut self, head: EventRef) {
+            for r in self.pins.remove(&head).unwrap_or_default() {
+                let count = self.protected.get_mut(&r).unwrap();
+                *count -= 1;
+                if *count == 0 {
+                    self.protected.remove(&r);
+                }
+            }
+        }
+
+        fn drain(&self) -> FlightLog {
+            let mut records: Vec<TraceRecord> = self
+                .retained
+                .iter()
+                .chain(self.ring.iter())
+                .copied()
+                .collect();
+            records.sort_by_key(TraceRecord::sort_key);
+            FlightLog {
+                records,
+                dropped: self.dropped,
+            }
+        }
+    }
+
+    /// Drives the indexed recorder and the linear reference through one
+    /// seeded sequence of record / pin / release and compares every
+    /// observable after every step. `disorder` makes one append in 16 go
+    /// back in time. Returns whether the recorder still trusts its order.
+    fn indexed_matches_linear(seed: u64, capacity: usize, steps: usize, disorder: bool) -> bool {
+        const HOSTS: [u32; 4] = [0, 1, 2, u32::MAX];
+        let mut rng = SplitMix64(seed);
+        let mut fr = FlightRecorder::new(capacity);
+        let mut reference = LinearRecorder::new(capacity);
+        // Every identity ever appended, evicted ones included, so causes,
+        // pins and queries keep naming records that are long gone.
+        let mut issued: Vec<EventRef> = Vec::new();
+        let (mut time_ns, mut seq, mut sub, mut host_ix) = (1_000u64, 1u64, 0u32, 0usize);
+        for step in 0..steps {
+            match rng.below(8) {
+                0 if !issued.is_empty() => {
+                    let head = issued[rng.below(issued.len() as u64) as usize];
+                    fr.pin_chain(head);
+                    reference.pin_chain(head);
+                }
+                1 => {
+                    // Mostly a pinned head, sometimes a ref never pinned.
+                    let head = match reference.pins.keys().nth(rng.below(4) as usize) {
+                        Some(&head) => head,
+                        None => EventRef {
+                            time_ns: 7,
+                            seq: step as u64,
+                            host: 9,
+                            sub: 0,
+                        },
+                    };
+                    fr.release(head);
+                    reference.release(head);
+                }
+                _ => {
+                    // Advance the dispatch identity: the same key on
+                    // another host (coordinator records share `(time,
+                    // seq, sub)` with a shard's), the next sub of the same
+                    // dispatch, the next dispatch of the same instant, or
+                    // a later instant.
+                    match rng.below(4) {
+                        0 if host_ix + 1 < HOSTS.len() => host_ix += 1,
+                        1 => (sub, host_ix) = (sub + 1, 0),
+                        2 => (seq, sub, host_ix) = (seq + 1, 0, 0),
+                        _ => {
+                            time_ns += 1 + rng.below(50);
+                            (seq, sub, host_ix) = (seq + 1, 0, 0);
+                        }
+                    }
+                    let mut r = rec(time_ns, seq, TraceKind::ALL[rng.below(13) as usize], None);
+                    r.sub = sub;
+                    r.host = HOSTS[host_ix];
+                    r.arg = step as u64;
+                    if disorder && rng.below(16) == 0 {
+                        r.time_ns -= 1 + rng.below(200);
+                        r.seq += 1_000_000 + step as u64; // keeps the identity unique
+                    }
+                    if !issued.is_empty() && rng.below(4) != 0 {
+                        // Recent causes build long chains; old ones are
+                        // refs to ancestors the ring has already evicted.
+                        let back = 1 + rng.below(issued.len().min(2 * capacity + 4) as u64);
+                        r.cause = Some(issued[issued.len() - back as usize]);
+                    }
+                    issued.push(r.self_ref());
+                    fr.record(r);
+                    reference.record(r);
+                }
+            }
+            for _ in 0..4 {
+                let q = issued.get(rng.below(issued.len() as u64 + 1) as usize);
+                let q = q.copied().unwrap_or(EventRef {
+                    time_ns,
+                    seq,
+                    host: 77,
+                    sub,
+                });
+                assert_eq!(
+                    fr.lookup(q),
+                    reference.lookup(q),
+                    "seed {seed} step {step} {q:?}"
+                );
+            }
+            assert_eq!(fr.protected, reference.protected, "seed {seed} step {step}");
+            assert_eq!(fr.retained, reference.retained, "seed {seed} step {step}");
+            assert_eq!(fr.dropped(), reference.dropped, "seed {seed} step {step}");
+        }
+        for &q in &issued {
+            assert_eq!(fr.lookup(q), reference.lookup(q), "seed {seed} final {q:?}");
+        }
+        assert_eq!(fr.drain(), reference.drain(), "seed {seed}");
+        assert_eq!(fr.ring, reference.ring, "seed {seed}");
+        fr.ordered
+    }
+
+    #[test]
+    fn indexed_lookup_equals_linear_scan_on_dispatch_ordered_appends() {
+        for capacity in [1, 2, 64] {
+            for seed in 0..24 {
+                let ordered = indexed_matches_linear(0xD125 ^ seed << 8, capacity, 600, false);
+                assert!(ordered, "in-order appends must keep the binary search on");
+            }
+        }
+    }
+
+    #[test]
+    fn out_of_order_appends_are_detected_and_lookup_stays_exact() {
+        for capacity in [1, 2, 64] {
+            for seed in 0..24 {
+                let ordered = indexed_matches_linear(0x0DD ^ seed << 8, capacity, 600, true);
+                assert!(
+                    !ordered,
+                    "a backwards append must turn the binary search off"
+                );
+            }
+        }
+        // The smallest case: the stale record sits *behind* a newer one, so
+        // a binary search that trusted the order would miss it.
+        let mut fr = FlightRecorder::new(4);
+        let late = rec(30, 3, TraceKind::ProbeSend, None);
+        let early = rec(10, 1, TraceKind::ProbeRecv, None);
+        fr.record(late);
+        fr.record(early);
+        fr.record(rec(40, 4, TraceKind::ProbeSend, Some(early.self_ref())));
+        assert_eq!(fr.lookup(early.self_ref()), Some(&early));
+        assert_eq!(fr.lookup(late.self_ref()), Some(&late));
+        assert_eq!(fr.drain().records[0], early, "drain still sorts");
+    }
+
+    #[test]
+    fn released_pins_leave_no_residue_on_a_wrapped_ring() {
+        let mut fr = FlightRecorder::new(64);
+        let mut appended = 0u64;
+        let mut heads = Vec::new();
+        let mut prev: Option<EventRef> = None;
+        // 40 blocks of a 10-record chain plus 15 causeless records: each
+        // chain is pinned at its head while the next blocks wrap the ring
+        // over its ancestors and drop the unpinned filler.
+        for i in 0..1_000u64 {
+            let cause = if i % 25 == 0 || i % 25 >= 10 {
+                None
+            } else {
+                prev
+            };
+            let r = rec(10 * i, i, TraceKind::ProbeSend, cause);
+            fr.record(r);
+            appended += 1;
+            prev = Some(r.self_ref());
+            if i % 25 == 9 {
+                fr.pin_chain(r.self_ref());
+                heads.push(r.self_ref());
+            }
+        }
+        assert!(fr.dropped() > 0, "the ring wrapped");
+        assert!(
+            fr.retained_len() > 0,
+            "pinned ancestors moved to the side buffer"
+        );
+        assert_eq!(fr.len(), fr.capacity() + fr.retained_len());
+        assert_eq!(fr.dropped() + fr.len() as u64, appended);
+
+        let unknown = EventRef {
+            time_ns: 5,
+            seq: 999_999,
+            host: 3,
+            sub: 0,
+        };
+        fr.release(unknown);
+        assert_eq!(
+            fr.pins.len(),
+            heads.len(),
+            "releasing an unknown head is a no-op"
+        );
+        for &head in &heads {
+            fr.release(head);
+        }
+        assert!(fr.pins.is_empty(), "every head released");
+        assert!(fr.protected.is_empty(), "no refcount outlives its pins");
+        let before = (fr.len(), fr.dropped(), fr.retained_len());
+        fr.release(heads[0]);
+        fr.release(unknown);
+        assert_eq!((fr.len(), fr.dropped(), fr.retained_len()), before);
+        assert!(
+            fr.protected.is_empty() && fr.pins.is_empty(),
+            "double release is a no-op"
+        );
+
+        // Released records evict normally; retained ones stay preserved.
+        for i in 0..64u64 {
+            fr.record(rec(100_000 + i, 10_000 + i, TraceKind::ProbeSend, None));
+            appended += 1;
+        }
+        assert_eq!(fr.retained_len(), before.2);
+        assert_eq!(fr.dropped() + fr.len() as u64, appended);
+    }
+
+    /// The `format!`-per-record writer `to_perfetto` replaced, kept as the
+    /// byte-for-byte reference: `BENCH_flight.json` pins `perfetto_bytes`.
+    fn to_perfetto_reference(log: &FlightLog) -> String {
+        use crate::jsonfmt::{json_f64, json_string};
+
+        const KERNEL_PID: u32 = 0;
+        fn pid_tid(rec: &TraceRecord) -> (u32, u32) {
+            match rec.kind {
+                TraceKind::Epoch => (KERNEL_PID, 1),
+                TraceKind::Merge => (KERNEL_PID, 2),
+                TraceKind::Stall => (KERNEL_PID, 3),
+                _ => {
+                    let pid = rec.host.saturating_add(1);
+                    let tid = rec.plane.map_or(0, |p| u32::from(p) + 1);
+                    (pid, tid)
+                }
+            }
+        }
+        fn track_name(pid: u32, tid: u32) -> String {
+            if pid == KERNEL_PID {
+                match tid {
+                    1 => "epochs".to_string(),
+                    2 => "merges".to_string(),
+                    _ => "stalls".to_string(),
+                }
+            } else if tid == 0 {
+                "host".to_string()
+            } else {
+                format!("plane{}", tid - 1)
+            }
+        }
+
+        let mut tracks: BTreeMap<(u32, u32), ()> = BTreeMap::new();
+        for rec in &log.records {
+            tracks.insert(pid_tid(rec), ());
+        }
+
+        let mut out = String::with_capacity(128 + log.records.len() * 160);
+        out.push_str("{\n  \"traceEvents\": [\n");
+        let mut first = true;
+        let mut push = |out: &mut String, line: String| {
+            if !first {
+                out.push_str(",\n");
+            }
+            first = false;
+            out.push_str("    ");
+            out.push_str(&line);
+        };
+
+        for &(pid, tid) in tracks.keys() {
+            let pname = if pid == KERNEL_PID {
+                "kernel".to_string()
+            } else {
+                format!("host{}", pid - 1)
+            };
+            push(
+                &mut out,
+                format!(
+                    "{{\"name\": \"process_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
+                     \"args\": {{\"name\": {}}}}}",
+                    json_string(&pname)
+                ),
+            );
+            push(
+                &mut out,
+                format!(
+                    "{{\"name\": \"thread_name\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
+                     \"args\": {{\"name\": {}}}}}",
+                    json_string(&track_name(pid, tid))
+                ),
+            );
+        }
+
+        for rec in &log.records {
+            let (pid, tid) = pid_tid(rec);
+            let ts = json_f64(rec.time_ns as f64 / 1e3);
+            let cause = rec.cause.map_or("null".to_string(), |c| {
+                json_string(&format!("{}:{}:{}:{}", c.time_ns, c.seq, c.host, c.sub))
+            });
+            push(
+                &mut out,
+                format!(
+                    "{{\"name\": {}, \"ph\": \"i\", \"s\": \"t\", \"ts\": {ts}, \"pid\": {pid}, \
+                     \"tid\": {tid}, \"args\": {{\"seq\": {}, \"sub\": {}, \"arg\": {}, \
+                     \"cause\": {cause}}}}}",
+                    json_string(rec.kind.label()),
+                    rec.seq,
+                    rec.sub,
+                    rec.arg,
+                ),
+            );
+        }
+
+        out.push_str("\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n");
+        out
+    }
+
+    #[test]
+    fn perfetto_writer_is_byte_identical_to_the_format_reference() {
+        let empty = FlightLog::default();
+        assert_eq!(to_perfetto(&empty), to_perfetto_reference(&empty));
+
+        let times = [
+            0,
+            1,
+            999,
+            1_000,
+            1_500,
+            51_000,
+            123_456_789,
+            9_999_999_999,
+            u64::MAX,
+        ];
+        let mut records = Vec::new();
+        for (i, &kind) in TraceKind::ALL.iter().enumerate() {
+            for (j, &time_ns) in times.iter().enumerate() {
+                let n = (i * times.len() + j) as u64;
+                records.push(TraceRecord {
+                    time_ns,
+                    seq: if n % 5 == 0 {
+                        u64::MAX - n
+                    } else {
+                        n << (n % 40)
+                    },
+                    sub: if n % 7 == 0 { 1 << 31 } else { n as u32 % 4 },
+                    kind,
+                    host: [0, 31, 1023, u32::MAX][(n % 4) as usize],
+                    plane: [None, Some(0), Some(1), Some(255)][(n / 4 % 4) as usize],
+                    arg: [0, n, 1_000_000, u64::MAX][(n / 2 % 4) as usize],
+                    cause: (n % 3 != 0).then(|| EventRef {
+                        time_ns: time_ns / 2,
+                        seq: n * 31,
+                        host: if n % 2 == 0 { u32::MAX } else { n as u32 },
+                        sub: n as u32 % 3,
+                    }),
+                });
+            }
+        }
+        let log = FlightLog {
+            records,
+            dropped: 3,
+        };
+        let text = to_perfetto(&log);
+        assert_eq!(text, to_perfetto_reference(&log));
+        for needle in [
+            "\"kernel\"",
+            "\"stalls\"",
+            "\"ts\": 1.5,",
+            "\"ts\": 51.0,",
+            "\"cause\": null",
+        ] {
+            assert!(text.contains(needle), "log does not cover {needle}");
+        }
+        assert!(text.contains(&format!("\"arg\": {}", u64::MAX)));
     }
 }

@@ -40,12 +40,21 @@ pub fn finish(out: &mut String) {
 /// non-finite values as `null`, everything else shortest-round-trip.
 #[must_use]
 pub fn json_f64(v: f64) -> String {
+    let mut out = String::new();
+    push_f64(&mut out, v);
+    out
+}
+
+/// [`json_f64`] appended to `out`, for writers with too many numbers to
+/// afford a `String` each.
+pub fn push_f64(out: &mut String, v: f64) {
+    use std::fmt::Write as _;
     if !v.is_finite() {
-        "null".to_string()
+        out.push_str("null");
     } else if v.fract() == 0.0 {
-        format!("{v:.1}")
+        write!(out, "{v:.1}").expect("fmt::Write for String never fails");
     } else {
-        format!("{v}")
+        write!(out, "{v}").expect("fmt::Write for String never fails");
     }
 }
 
