@@ -18,16 +18,10 @@
 //! (`i + (f−i) < N`) or one network is entirely intact (`i = 0` or
 //! `i = f`).
 
-use serde::{Deserialize, Serialize};
-
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
-use rayon::prelude::*;
-
 use crate::binom::shared_table;
 use crate::connectivity::all_pairs_connected_state;
 use crate::exact::{component_count, p_success};
-use crate::montecarlo::sample_failure_state;
+use crate::montecarlo::{chunked_successes, sample_failure_state};
 
 fn c(n: i64, k: i64) -> u128 {
     shared_table().c(n, k)
@@ -76,10 +70,10 @@ pub fn expected_disconnected_pairs(n: u64, f: u64) -> f64 {
     pairs * (1.0 - p_success(n, f))
 }
 
-/// Monte-Carlo estimate of the all-pairs survival probability (rayon-
-/// parallel, deterministic per seed) — the validation path for
+/// Monte-Carlo estimate of the all-pairs survival probability
+/// (parallel, deterministic per seed) — the validation path for
 /// [`p_all_pairs`], mirroring the paper's Figure 3 methodology.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AllPairsEstimate {
     /// Iterations performed.
     pub iterations: u64,
@@ -91,21 +85,11 @@ pub struct AllPairsEstimate {
 /// connectivity.
 #[must_use]
 pub fn estimate_all_pairs(n: usize, f: usize, iterations: u64, seed: u64) -> AllPairsEstimate {
-    const CHUNK: u64 = 1 << 12;
-    let chunks = iterations.div_ceil(CHUNK);
-    let successes: u64 = (0..chunks)
-        .into_par_iter()
-        .map(|chunk| {
-            let mut rng = SmallRng::seed_from_u64(seed ^ chunk.wrapping_mul(0x9E37_79B9_7F4A_7C15));
-            let count = CHUNK.min(iterations - chunk * CHUNK);
-            (0..count)
-                .filter(|_| {
-                    let st = sample_failure_state(n, f, &mut rng);
-                    all_pairs_connected_state(&st)
-                })
-                .count() as u64
-        })
-        .sum();
+    let successes = chunked_successes(seed, iterations, 1 << 12, |rng, count| {
+        (0..count)
+            .filter(|_| all_pairs_connected_state(&sample_failure_state(n, f, rng)))
+            .count() as u64
+    });
     AllPairsEstimate {
         iterations,
         p_hat: successes as f64 / iterations as f64,

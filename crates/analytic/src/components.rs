@@ -22,8 +22,6 @@
 //! `i`'s NIC on plane `p`). The `K = 2` layout is the general layout
 //! specialized, so two-plane failure sets index identically either way.
 
-use serde::{Deserialize, Serialize};
-
 /// Maximum number of nodes supported by the fixed-width [`FailureSet`]
 /// bitset (`2N + 2 ≤ 256`). The paper evaluates N < 64; the closed form in
 /// [`crate::exact`] has no such limit. Shared with every other
@@ -31,7 +29,7 @@ use serde::{Deserialize, Serialize};
 pub use drs_topology::limits::MAX_NODES;
 
 /// One failable component of the redundant-network cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Component {
     /// The shared backplane (hub) of one network plane (0 = A, 1 = B, …).
     Backplane(u8),

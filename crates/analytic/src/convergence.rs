@@ -7,8 +7,7 @@
 //! With 1 000 iterations the deviation is already small and it converges to
 //! zero as iterations grow.
 
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use drs_harness::par;
 
 use crate::exact::p_success;
 use crate::montecarlo::MonteCarlo;
@@ -17,7 +16,7 @@ use crate::montecarlo::MonteCarlo;
 pub const PAPER_N_LIMIT: usize = 64;
 
 /// One point of the Figure 3 convergence curves.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ConvergencePoint {
     /// Fixed number of simultaneous failures.
     pub failures: usize,
@@ -43,17 +42,15 @@ pub fn mean_abs_deviation(
     seed: u64,
 ) -> ConvergencePoint {
     assert!(n_limit > f + 1, "empty N range for f={f}");
-    let deviations: Vec<f64> = (f + 1..n_limit)
-        .into_par_iter()
-        .map(|n| {
-            let cell_seed = seed
-                .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                .wrapping_add((n as u64) << 8)
-                .wrapping_add(f as u64);
-            let est = MonteCarlo::new(n, f, cell_seed).estimate(iterations);
-            (est.p_hat - p_success(n as u64, f as u64)).abs()
-        })
-        .collect();
+    let deviations = par::map(n_limit - (f + 1), |i| {
+        let n = f + 1 + i;
+        let cell_seed = seed
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add((n as u64) << 8)
+            .wrapping_add(f as u64);
+        let est = MonteCarlo::new(n, f, cell_seed).estimate(iterations);
+        (est.p_hat - p_success(n as u64, f as u64)).abs()
+    });
     let mean = deviations.iter().sum::<f64>() / deviations.len() as f64;
     let max = deviations.iter().cloned().fold(0.0, f64::max);
     ConvergencePoint {
@@ -105,12 +102,19 @@ mod tests {
     #[test]
     fn thousand_iterations_is_tight() {
         // Paper: "With 1,000 iterations, the mean absolute difference is
-        // less than [~0.02] for each of the fixed f values".
-        for f in [2usize, 5, 10] {
-            let p = mean_abs_deviation(f, 1_000, PAPER_N_LIMIT, 7);
+        // less than [~0.02] for each of the fixed f values" — every
+        // f = 2..10 over f < N < 64, under the seed `fig3_validation`
+        // prints (EXPERIMENTS.md records the measured column). A cell's
+        // expected |deviation| is at most 0.8·sqrt(0.25/1000) ≈ 0.013,
+        // so the bound holds with margin for any healthy generator.
+        let failures: Vec<usize> = (2..=10).collect();
+        let points = figure3(&failures, &[1_000], 20_260_706);
+        assert_eq!(points.len(), failures.len());
+        for p in points {
             assert!(
                 p.mean_abs_deviation < 0.02,
-                "f={f}: {}",
+                "f={}: {}",
+                p.failures,
                 p.mean_abs_deviation
             );
         }

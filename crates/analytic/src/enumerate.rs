@@ -16,13 +16,13 @@
 //!   `f` failures per subset (amortized `O(1)` index flips per step);
 //! * **unranking** — [`unrank`] maps a lexicographic rank to its
 //!   combination in `O(n)`, which lets [`enumerate_pair_success_parallel`]
-//!   split the full walk into contiguous blocks and fan them across a
-//!   rayon pool, each block delta-walking independently.
+//!   split the full walk into contiguous blocks and fan them across
+//!   worker threads, each block delta-walking independently.
 //!
 //! For the symmetry-reduced counter that replaces the walk entirely with
 //! polynomially many weighted equivalence classes, see [`crate::orbit`].
 
-use rayon::prelude::*;
+use drs_harness::par;
 
 use crate::binom::shared_table;
 use crate::components::FailureSet;
@@ -305,7 +305,7 @@ pub fn enumerate_pair_success_block_k(
     (success, visited)
 }
 
-/// [`enumerate_pair_success`] fanned across a rayon pool: the rank space is
+/// [`enumerate_pair_success`] fanned across [`par`] workers: the rank space is
 /// split into contiguous blocks (a few per worker thread) and each block is
 /// delta-walked independently from its unranked starting combination.
 ///
@@ -324,21 +324,32 @@ pub fn enumerate_pair_success_parallel_k(n: usize, planes: u8, f: usize) -> (u12
     let total = shared_table()
         .get(m as u64, f as u64)
         .expect("combination count overflows u128");
+    sum_blocks(total, |start, count| {
+        enumerate_pair_success_block_k(n, planes, f, start, count)
+    })
+}
+
+/// Splits the rank space `0..total` into contiguous blocks, evaluates
+/// `block(start, count)` on [`par`] workers and sums the `(successes,
+/// visited)` pairs.
+pub(crate) fn sum_blocks(
+    total: u128,
+    block: impl Fn(u128, u128) -> (u128, u128) + Sync,
+) -> (u128, u128) {
     if total == 0 {
         return (0, 0);
     }
-    // A few blocks per thread keeps the pool busy even though block walk
+    // A few blocks per thread keeps the workers busy even though block walk
     // times vary slightly (later blocks have cheaper delta steps).
-    let blocks = (rayon::current_num_threads() as u128 * 4).clamp(1, total);
+    let blocks = (par::workers() as u128 * 4).clamp(1, total);
     let block_len = total.div_ceil(blocks);
-    let n_blocks = total.div_ceil(block_len) as u64;
-    (0..n_blocks)
-        .into_par_iter()
-        .map(|b| {
-            let start = u128::from(b) * block_len;
-            enumerate_pair_success_block_k(n, planes, f, start, block_len.min(total - start))
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    let n_blocks = total.div_ceil(block_len) as usize;
+    par::map(n_blocks, |b| {
+        let start = b as u128 * block_len;
+        block(start, block_len.min(total - start))
+    })
+    .into_iter()
+    .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
 }
 
 /// Counts failure sets preserving **all-pairs** connectivity. Returns

@@ -16,7 +16,7 @@
 //!   ([`exact`]),
 //! * an **exhaustive enumerator** over all failure sets, used to validate the
 //!   closed form ([`enumerate`]) — delta-updated, unrankable,
-//!   rayon-parallel, and available for any plane count via the `_k`
+//!   parallel, and available for any plane count via the `_k`
 //!   variants,
 //! * a **symmetry-reduced orbit counter** that collapses the subset walk to
 //!   polynomially many weighted equivalence classes, extending bit-exact
@@ -27,7 +27,7 @@
 //!   policies — the K-plane cluster is the degenerate case, reproduced
 //!   count-for-count and draw-for-draw,
 //! * a **parallel sweep engine** fanning `(N, f)` grids of
-//!   exact/enumerated/Monte-Carlo cells across a rayon pool with
+//!   exact/enumerated/Monte-Carlo cells across worker threads with
 //!   deterministic seeds and a machine-readable JSON artifact ([`sweep`]),
 //! * a **Monte-Carlo estimator** reproducing the paper's validation
 //!   simulation ([`montecarlo`]) and its convergence study, Figure 3

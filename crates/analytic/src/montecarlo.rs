@@ -12,16 +12,14 @@
 //! derives one independent stream per chunk with SplitMix64-style
 //! mixing, so results are reproducible regardless of thread scheduling.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use drs_harness::par;
+use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
 
 use crate::components::FailureSet;
 use crate::connectivity::{pair_connected_state, ClusterState};
 
 /// Result of a Monte-Carlo run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloEstimate {
     /// Number of iterations performed.
     pub iterations: u64,
@@ -102,7 +100,7 @@ impl MonteCarlo {
     /// Draws one random failure scenario and reports whether the pair
     /// survived it.
     #[must_use]
-    pub fn sample_once(&self, rng: &mut SmallRng) -> bool {
+    pub fn sample_once(&self, rng: &mut Rng) -> bool {
         let st = sample_failure_state_k(self.n, self.planes, self.f, rng);
         pair_connected_state(&st, 0, 1)
     }
@@ -110,7 +108,7 @@ impl MonteCarlo {
     /// Runs `iterations` sequential samples.
     #[must_use]
     pub fn estimate(&self, iterations: u64) -> MonteCarloEstimate {
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seed_from_u64(self.seed);
         let mut successes = 0u64;
         for _ in 0..iterations {
             if self.sample_once(&mut rng) {
@@ -120,31 +118,36 @@ impl MonteCarlo {
         MonteCarloEstimate::from_counts(successes, iterations)
     }
 
-    /// Runs `iterations` samples split into rayon-parallel chunks, each with
+    /// Runs `iterations` samples split into parallel chunks, each with
     /// its own derived RNG stream. Deterministic for a given `(seed,
     /// iterations)` regardless of the number of worker threads.
     #[must_use]
     pub fn estimate_parallel(&self, iterations: u64) -> MonteCarloEstimate {
-        const CHUNK: u64 = 1 << 14;
-        let chunks = iterations / CHUNK;
-        let remainder = iterations % CHUNK;
-        let body: u64 = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let mut rng = SmallRng::seed_from_u64(mix_stream(self.seed, c));
-                (0..CHUNK).filter(|_| self.sample_once(&mut rng)).count() as u64
-            })
-            .sum();
-        let tail = if remainder > 0 {
-            let mut rng = SmallRng::seed_from_u64(mix_stream(self.seed, chunks));
-            (0..remainder)
-                .filter(|_| self.sample_once(&mut rng))
-                .count() as u64
-        } else {
-            0
-        };
-        MonteCarloEstimate::from_counts(body + tail, iterations)
+        let successes = chunked_successes(self.seed, iterations, 1 << 14, |rng, count| {
+            (0..count).filter(|_| self.sample_once(rng)).count() as u64
+        });
+        MonteCarloEstimate::from_counts(successes, iterations)
     }
+}
+
+/// Sums `successes(rng, count)` over `iterations` samples cut into
+/// `chunk`-sized pieces fanned across [`par`] workers. Chunk `c` (the
+/// short tail included) draws from its own [`mix_stream`]`(seed, c)`
+/// generator, so the total is independent of the worker count.
+pub(crate) fn chunked_successes(
+    seed: u64,
+    iterations: u64,
+    chunk: u64,
+    successes: impl Fn(&mut Rng, u64) -> u64 + Sync,
+) -> u64 {
+    let chunks = usize::try_from(iterations.div_ceil(chunk)).expect("chunk count fits usize");
+    par::map(chunks, |c| {
+        let c = c as u64;
+        let mut rng = Rng::seed_from_u64(mix_stream(seed, c));
+        successes(&mut rng, chunk.min(iterations - c * chunk))
+    })
+    .into_iter()
+    .sum()
 }
 
 /// Draws `f` distinct failed components for an `n`-node cluster and returns
@@ -154,13 +157,13 @@ impl MonteCarlo {
 /// the expected number of redraws is small even in the worst case (`f = m`
 /// costs `O(m log m)` draws), and no allocation is performed.
 #[must_use]
-pub fn sample_failure_state(n: usize, f: usize, rng: &mut SmallRng) -> ClusterState {
+pub fn sample_failure_state(n: usize, f: usize, rng: &mut Rng) -> ClusterState {
     sample_failure_state_k(n, 2, f, rng)
 }
 
 /// [`sample_failure_state`] for a `planes`-plane cluster.
 #[must_use]
-pub fn sample_failure_state_k(n: usize, planes: u8, f: usize, rng: &mut SmallRng) -> ClusterState {
+pub fn sample_failure_state_k(n: usize, planes: u8, f: usize, rng: &mut Rng) -> ClusterState {
     let m = planes as usize * n + planes as usize;
     debug_assert!(f <= m);
     let mut st = ClusterState::fully_up_k(n, planes);
@@ -180,14 +183,14 @@ pub fn sample_failure_state_k(n: usize, planes: u8, f: usize, rng: &mut SmallRng
 /// Draws a random `f`-component failure set (indices form) for external use
 /// (e.g. injecting the same scenario into the packet-level simulator).
 #[must_use]
-pub fn sample_failure_set(n: usize, f: usize, rng: &mut SmallRng) -> FailureSet {
+pub fn sample_failure_set(n: usize, f: usize, rng: &mut Rng) -> FailureSet {
     sample_failure_set_k(n, 2, f, rng)
 }
 
 /// [`sample_failure_set`] for a `planes`-plane cluster (indices in the
 /// generalized `planes·n + planes` layout).
 #[must_use]
-pub fn sample_failure_set_k(n: usize, planes: u8, f: usize, rng: &mut SmallRng) -> FailureSet {
+pub fn sample_failure_set_k(n: usize, planes: u8, f: usize, rng: &mut Rng) -> FailureSet {
     let m = planes as usize * n + planes as usize;
     assert!(f <= m, "cannot fail {f} of {m} components");
     let mut drawn = FailureSet::new();
@@ -202,14 +205,10 @@ pub fn sample_failure_set_k(n: usize, planes: u8, f: usize, rng: &mut SmallRng) 
     drawn
 }
 
-/// SplitMix64 finalizer used to derive independent per-chunk seeds (shared
-/// with the topology-general estimator in [`crate::topo`]).
+/// The seed of chunk `stream` under `seed`: [`mix64`] over `seed ^ stream·γ`.
 #[must_use]
-pub(crate) fn mix_stream(seed: u64, stream: u64) -> u64 {
-    let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+fn mix_stream(seed: u64, stream: u64) -> u64 {
+    mix64(seed ^ stream.wrapping_mul(GOLDEN_GAMMA))
 }
 
 #[cfg(test)]
@@ -231,6 +230,40 @@ mod tests {
                 est.std_error
             );
         }
+    }
+
+    #[test]
+    fn mix_stream_equals_the_body_it_replaced() {
+        fn reference(seed: u64, stream: u64) -> u64 {
+            let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let mut corpus = Rng::seed_from_u64(0x57EA);
+        for stream in 0..2_000u64 {
+            let seed = corpus.next_u64();
+            assert_eq!(mix_stream(seed, stream), reference(seed, stream));
+            assert_eq!(mix_stream(seed, seed), reference(seed, seed));
+        }
+        assert_eq!(mix_stream(0, 0), reference(0, 0));
+    }
+
+    #[test]
+    fn parallel_estimate_is_the_sum_of_its_chunk_streams() {
+        // One full chunk plus a short tail, recomputed by hand from the
+        // per-chunk generators: pins chunk size, stream indices and the
+        // tail's stream, whatever the worker count.
+        let mc = MonteCarlo::new(10, 3, 77);
+        let iterations = (1u64 << 14) + 1_000;
+        let by_hand: u64 = [(0u64, 1u64 << 14), (1, 1_000)]
+            .into_iter()
+            .map(|(c, count)| {
+                let mut rng = Rng::seed_from_u64(mix_stream(77, c));
+                (0..count).filter(|_| mc.sample_once(&mut rng)).count() as u64
+            })
+            .sum();
+        assert_eq!(mc.estimate_parallel(iterations).successes, by_hand);
     }
 
     #[test]
@@ -258,7 +291,7 @@ mod tests {
 
     #[test]
     fn sample_draws_exactly_f_failures() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         for f in 0..=10 {
             let set = sample_failure_set(8, f, &mut rng);
             assert_eq!(set.len(), f);
@@ -267,7 +300,7 @@ mod tests {
 
     #[test]
     fn sample_all_components_possible() {
-        let mut rng = SmallRng::seed_from_u64(5);
+        let mut rng = Rng::seed_from_u64(5);
         let n = 4;
         let set = sample_failure_set(n, 2 * n + 2, &mut rng);
         assert_eq!(set.len(), 2 * n + 2);
@@ -329,7 +362,7 @@ mod tests {
 
     #[test]
     fn k_plane_sample_spans_whole_universe() {
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let (n, planes) = (4usize, 4u8);
         let m = planes as usize * n + planes as usize;
         let set = sample_failure_set_k(n, planes, m, &mut rng);

@@ -17,13 +17,11 @@
 //! and the resulting **unconditional survivability** obtained by mixing
 //! Equation 1 over the failure-count distribution.
 
-use serde::{Deserialize, Serialize};
-
 use crate::binom::binom_f64;
 use crate::exact::{component_count, p_success};
 
 /// How to weight the per-`f` conditional survivabilities.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FailureWeighting {
     /// The paper's `q^f` scaling, normalized over `f = 0..=2N+2`.
     Geometric,

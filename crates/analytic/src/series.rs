@@ -1,12 +1,10 @@
 //! Figure 2: the `P\[Success\]` curves — one per failure count — showing
 //! convergence to 1 as the cluster grows.
 
-use serde::{Deserialize, Serialize};
-
 use crate::exact::p_success;
 
 /// One curve of Figure 2: `P\[S\](N)` for a fixed failure count.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurvivabilitySeries {
     /// Fixed number of simultaneous failures.
     pub failures: u64,

@@ -1,5 +1,5 @@
 //! The survivability sweep engine: fan an `(N, f)` grid of evaluation
-//! cells across a rayon pool and collect machine-readable results.
+//! cells across worker threads and collect machine-readable results.
 //!
 //! Every experiment binary used to hand-roll its own nested loops over
 //! cluster sizes, failure counts and evaluation methods. This module gives
@@ -16,11 +16,10 @@
 //! in JSON: the values exceed what consumers can hold in a double);
 //! Monte-Carlo cells carry success/iteration counts. The committed
 //! benchmark grid ([`SweepConfig::bench_grid`]) uses only the
-//! counting methods, so the artifact is independent of the `rand` version.
+//! counting methods, so the artifact involves no random draw at all.
 
 use drs_harness::artifact::{finish, json_f64, preamble};
-use rayon::prelude::*;
-use serde::{Deserialize, Serialize};
+use drs_harness::par;
 
 use crate::binom::shared_table;
 use crate::enumerate::{enumerate_pair_success, enumerate_pair_success_parallel};
@@ -29,7 +28,7 @@ use crate::montecarlo::MonteCarlo;
 use crate::orbit::orbit_pair_success;
 
 /// How one `(N, f)` cell is evaluated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Method {
     /// Equation 1 closed form (`u128`-exact where possible, log-space
     /// `f64` beyond).
@@ -38,7 +37,7 @@ pub enum Method {
     Orbit,
     /// Raw sequential subset enumeration with delta updates.
     Enumerate,
-    /// Block-split rayon-parallel subset enumeration.
+    /// Block-split parallel subset enumeration.
     EnumerateParallel,
     /// Monte-Carlo estimation with this many iterations.
     MonteCarlo {
@@ -62,7 +61,7 @@ impl Method {
 }
 
 /// One cell of a sweep grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CellSpec {
     /// Cluster size.
     pub n: u64,
@@ -73,11 +72,7 @@ pub struct CellSpec {
 }
 
 /// The result of one evaluated cell.
-///
-/// Serialize-only: `method` is a `&'static str` label, which serde can
-/// serialize but not deserialize into (the derived `Deserialize` impl
-/// would require `'de: 'static`).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CellResult {
     /// Cluster size.
     pub n: u64,
@@ -98,7 +93,7 @@ pub struct CellResult {
 }
 
 /// A sweep to run: a master seed plus the grid of cells.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepConfig {
     /// Master seed; per-cell seeds are derived from it.
     pub seed: u64,
@@ -142,7 +137,7 @@ impl SweepConfig {
     /// by the closed form, cross-checked by orbit counting at every cell
     /// and by raw/parallel enumeration where the subset walk is feasible,
     /// plus the three milestone crossings. Counting methods only, so the
-    /// emitted artifact is reproducible independent of the `rand` crate.
+    /// emitted artifact involves no random draw.
     #[must_use]
     pub fn bench_grid(seed: u64) -> Self {
         let mut cfg = SweepConfig::new(seed);
@@ -170,8 +165,8 @@ pub fn cell_seed(master: u64, n: u64, f: u64) -> u64 {
     drs_harness::coord_seed(master, n, f)
 }
 
-/// A completed sweep. Serialize-only, like [`CellResult`].
-#[derive(Debug, Clone, PartialEq, Serialize)]
+/// A completed sweep.
+#[derive(Debug, Clone, PartialEq)]
 pub struct SweepResult {
     /// Master seed the sweep ran under.
     pub seed: u64,
@@ -287,7 +282,7 @@ pub fn run_cell(master_seed: u64, spec: &CellSpec) -> CellResult {
     }
 }
 
-/// Runs every cell of the sweep across the rayon pool. Results come back
+/// Runs every cell of the sweep across [`par`] workers. Results come back
 /// in grid order; the run is deterministic for a fixed config.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
@@ -303,20 +298,17 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
 /// entry point installs.
 #[must_use]
 pub fn run_sweep_profiled(cfg: &SweepConfig, profiler: &dyn drs_obs::Profiler) -> SweepResult {
-    let cells = cfg
-        .cells
-        .par_iter()
-        .map(|spec| {
-            if !profiler.enabled() {
-                return run_cell(cfg.seed, spec);
-            }
-            let start = std::time::Instant::now();
-            let cell = run_cell(cfg.seed, spec);
-            let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            profiler.record(spec.method.label(), dur);
-            cell
-        })
-        .collect();
+    let cells = par::map(cfg.cells.len(), |i| {
+        let spec = &cfg.cells[i];
+        if !profiler.enabled() {
+            return run_cell(cfg.seed, spec);
+        }
+        let start = std::time::Instant::now();
+        let cell = run_cell(cfg.seed, spec);
+        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        profiler.record(spec.method.label(), dur);
+        cell
+    });
     SweepResult {
         seed: cfg.seed,
         cells,

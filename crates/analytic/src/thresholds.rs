@@ -5,8 +5,6 @@
 //! 0.99 at 18 nodes. For f=3 the P\[S\] surpasses 0.99 at 32 nodes, and for
 //! f=4 the P\[S\] surpasses 0.99 at 45 nodes."*
 
-use serde::{Deserialize, Serialize};
-
 use crate::exact::{component_count, p_success, p_success_f64};
 
 /// Hard cap on the search range; P\[S\] → 1 as N → ∞ for every fixed f, so a
@@ -62,7 +60,7 @@ pub fn first_n_exceeding(f: u64, target: f64) -> Option<u64> {
 }
 
 /// A milestone row: the 0.99 crossing for one failure count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Milestone {
     /// Number of simultaneous component failures.
     pub failures: u64,

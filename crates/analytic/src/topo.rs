@@ -19,15 +19,13 @@
 //!
 //! [`ClusterState`]: crate::connectivity::ClusterState
 
+use drs_obs::rng::Rng;
 use drs_topology::limits::validate_components;
 use drs_topology::{ComponentSet, ReachEngine, Reachability, Topology};
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use rayon::prelude::*;
 
 use crate::binom::shared_table;
-use crate::enumerate::Combinations;
-use crate::montecarlo::{mix_stream, MonteCarloEstimate};
+use crate::enumerate::{sum_blocks, Combinations};
+use crate::montecarlo::{chunked_successes, MonteCarloEstimate};
 
 /// Validates `topo`'s component universe against the shared 256-bit
 /// failure-set capacity, panicking with the common [`drs_topology::limits`]
@@ -140,10 +138,10 @@ pub fn enumerate_pair_success_topo_block(
     (success, visited)
 }
 
-/// [`enumerate_pair_success_topo`] fanned across a rayon pool: the rank
-/// space splits into contiguous blocks (a few per worker thread) and each
-/// block delta-walks independently from its unranked starting combination.
-/// Bit-identical counts to the sequential walk.
+/// [`enumerate_pair_success_topo`] fanned across [`drs_harness::par`]
+/// workers: the rank space splits into contiguous blocks (a few per worker
+/// thread) and each block delta-walks independently from its unranked
+/// starting combination. Bit-identical counts to the sequential walk.
 #[must_use]
 pub fn enumerate_pair_success_topo_parallel(
     topo: &Topology,
@@ -157,27 +155,9 @@ pub fn enumerate_pair_success_topo_parallel(
     let total = shared_table()
         .get(m as u64, f as u64)
         .expect("combination count overflows u128");
-    if total == 0 {
-        return (0, 0);
-    }
-    let blocks = (rayon::current_num_threads() as u128 * 4).clamp(1, total);
-    let block_len = total.div_ceil(blocks);
-    let n_blocks = total.div_ceil(block_len) as u64;
-    (0..n_blocks)
-        .into_par_iter()
-        .map(|b| {
-            let start = u128::from(b) * block_len;
-            enumerate_pair_success_topo_block(
-                topo,
-                f,
-                s,
-                t,
-                policy,
-                start,
-                block_len.min(total - start),
-            )
-        })
-        .reduce(|| (0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+    sum_blocks(total, |start, count| {
+        enumerate_pair_success_topo_block(topo, f, s, t, policy, start, count)
+    })
 }
 
 /// Counts failure subsets preserving connectivity between **every** host
@@ -209,7 +189,7 @@ pub fn enumerate_all_pairs_success_topo(
 /// identical to [`crate::montecarlo::sample_failure_set_k`], so the
 /// K-plane estimators agree bit-for-bit, not just statistically.
 #[must_use]
-pub fn sample_failure_components(m: usize, f: usize, rng: &mut SmallRng) -> ComponentSet {
+pub fn sample_failure_components(m: usize, f: usize, rng: &mut Rng) -> ComponentSet {
     assert!(f <= m, "cannot fail {f} of {m} components");
     let mut drawn = ComponentSet::new();
     let mut remaining = f;
@@ -273,7 +253,7 @@ impl<'a> TopoMonteCarlo<'a> {
     /// Draws one random failure scenario and reports whether the pair
     /// survived it.
     #[must_use]
-    pub fn sample_once(&self, eng: &mut ReachEngine<'a>, rng: &mut SmallRng) -> bool {
+    pub fn sample_once(&self, eng: &mut ReachEngine<'a>, rng: &mut Rng) -> bool {
         let failed = sample_failure_components(self.topo.component_count(), self.f, rng);
         eng.pair_connected(&failed, self.s, self.t, self.policy)
     }
@@ -282,7 +262,7 @@ impl<'a> TopoMonteCarlo<'a> {
     #[must_use]
     pub fn estimate(&self, iterations: u64) -> MonteCarloEstimate {
         let mut eng = ReachEngine::new(self.topo);
-        let mut rng = SmallRng::seed_from_u64(self.seed);
+        let mut rng = Rng::seed_from_u64(self.seed);
         let mut successes = 0u64;
         for _ in 0..iterations {
             if self.sample_once(&mut eng, &mut rng) {
@@ -292,35 +272,19 @@ impl<'a> TopoMonteCarlo<'a> {
         MonteCarloEstimate::from_counts(successes, iterations)
     }
 
-    /// Runs `iterations` samples split into rayon-parallel chunks, each
+    /// Runs `iterations` samples split into parallel chunks, each
     /// with its own SplitMix64-derived RNG stream — deterministic for a
     /// given `(seed, iterations)` regardless of worker-thread scheduling,
     /// exactly like [`crate::montecarlo::MonteCarlo::estimate_parallel`].
     #[must_use]
     pub fn estimate_parallel(&self, iterations: u64) -> MonteCarloEstimate {
-        const CHUNK: u64 = 1 << 14;
-        let chunks = iterations / CHUNK;
-        let remainder = iterations % CHUNK;
-        let body: u64 = (0..chunks)
-            .into_par_iter()
-            .map(|c| {
-                let mut eng = ReachEngine::new(self.topo);
-                let mut rng = SmallRng::seed_from_u64(mix_stream(self.seed, c));
-                (0..CHUNK)
-                    .filter(|_| self.sample_once(&mut eng, &mut rng))
-                    .count() as u64
-            })
-            .sum();
-        let tail = if remainder > 0 {
+        let successes = chunked_successes(self.seed, iterations, 1 << 14, |rng, count| {
             let mut eng = ReachEngine::new(self.topo);
-            let mut rng = SmallRng::seed_from_u64(mix_stream(self.seed, chunks));
-            (0..remainder)
-                .filter(|_| self.sample_once(&mut eng, &mut rng))
+            (0..count)
+                .filter(|_| self.sample_once(&mut eng, rng))
                 .count() as u64
-        } else {
-            0
-        };
-        MonteCarloEstimate::from_counts(body + tail, iterations)
+        });
+        MonteCarloEstimate::from_counts(successes, iterations)
     }
 }
 

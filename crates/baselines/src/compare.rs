@@ -12,8 +12,6 @@
 //! well under the transport's first retransmission timeout — i.e. the
 //! application never noticed).
 
-use serde::{Deserialize, Serialize};
-
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind};
 use drs_harness::{
     Experiment, ExperimentRecord, Metric, RunMode, TraceEvent, TraceEventKind, TrialRecord,
@@ -34,7 +32,7 @@ use crate::rip::{RipConfig, RipDaemon};
 use crate::static_route::StaticRouting;
 
 /// Which protocol produced a result row.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ProtocolLabel {
     /// The Dynamic Routing System (proactive).
     Drs,
@@ -127,7 +125,7 @@ impl ScenarioSpec {
 }
 
 /// What the application experienced in one scenario run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Protocol under test.
     pub label: ProtocolLabel,
@@ -501,7 +499,7 @@ pub struct ShootoutRow {
 
 /// Runs the full scenario × protocol grid as one
 /// [`drs_harness::Experiment`]: each trial gets its own derived cluster
-/// seed, trials fan out across the rayon pool under
+/// seed, trials fan out across worker threads under
 /// [`RunMode::Parallel`], and rows come back in grid order (scenario-
 /// major) identically in both modes.
 #[must_use]

@@ -17,8 +17,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use drs_sim::ids::{NetId, NodeId};
 use drs_sim::routes::Route;
 use drs_sim::time::{SimDuration, SimTime};
@@ -27,7 +25,7 @@ use drs_sim::world::{Ctx, Protocol};
 const TICK_TOKEN: u64 = 1;
 
 /// OSPF daemon tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct OspfConfig {
     /// Hello broadcast period (RFC 2328: 10 s).
     pub hello_interval: SimDuration,
@@ -57,7 +55,7 @@ impl OspfConfig {
 }
 
 /// OSPF control messages.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OspfMsg {
     /// Periodic neighbour-liveness broadcast.
     Hello,

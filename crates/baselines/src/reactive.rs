@@ -12,8 +12,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use drs_sim::ids::{NetId, NodeId};
 use drs_sim::routes::Route;
 use drs_sim::time::{SimDuration, SimTime};
@@ -41,7 +39,7 @@ fn untoken(t: u64) -> (u64, NodeId, u64) {
 }
 
 /// Reactive daemon tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ReactiveConfig {
     /// How long to wait for repair-probe replies.
     pub probe_timeout: SimDuration,
@@ -59,7 +57,7 @@ impl Default for ReactiveConfig {
 }
 
 /// Control messages (same two-message discovery dialogue as DRS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ReactiveMsg {
     /// Broadcast: "who can relay to `target`?"
     RouteRequest {

@@ -15,8 +15,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use drs_sim::ids::{NetId, NodeId};
 use drs_sim::routes::Route;
 use drs_sim::time::{SimDuration, SimTime};
@@ -28,7 +26,7 @@ pub const INFINITY: u8 = 16;
 const TICK_TOKEN: u64 = 1;
 
 /// RIP daemon tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RipConfig {
     /// Advertisement period (RFC 1058: 30 s).
     pub update_interval: SimDuration,
@@ -60,7 +58,7 @@ impl RipConfig {
 }
 
 /// A RIP advertisement: `(destination, metric)` pairs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RipMsg {
     /// The advertised routes.
     pub entries: Vec<(NodeId, u8)>,

@@ -1,6 +1,5 @@
 //! Ablation study for the design choices DESIGN.md §7 calls out, as
-//! *outcome* tables (the criterion `ablation_benches` measure the same
-//! configurations' wall-clock cost).
+//! *outcome* tables.
 //!
 //! Run: `cargo run --release -p drs-bench --bin ablation_report`
 
@@ -181,7 +180,7 @@ fn probe_interval_sensitivity() {
 }
 
 fn main() {
-    println!("DRS design-choice ablations (outcome tables; see ablation_benches for cost)");
+    println!("DRS design-choice ablations (outcome tables)");
     stagger_ablation();
     miss_threshold_ablation();
     gateway_policy_ablation();

@@ -8,7 +8,7 @@
 //! years, which is the honest form of a field number like "13%". All
 //! replication loops run as [`drs_harness::Experiment`]s: per-year seeds
 //! come from the shared SplitMix64 stream and years fan out across the
-//! rayon pool.
+//! harness workers.
 //!
 //! Run: `cargo run --release -p drs-bench --bin deployment_study`
 

@@ -6,7 +6,7 @@
 //! replications (see [`drs_bench::e2e`]): the trial's failure set comes
 //! from combinadic unranking of its derived seed — uniform over the
 //! `C(2N+2, f)` subsets, like the paper's validation simulation, but with
-//! no random stream — and trials fan out across the rayon pool.
+//! no random stream — and trials fan out across the harness workers.
 //!
 //! Run: `cargo run --release -p drs-bench --bin e2e_survivability [trials]`
 

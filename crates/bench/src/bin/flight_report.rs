@@ -5,7 +5,7 @@
 //! flight-derived latency decomposition cross-checked against the
 //! daemons' probe-observability histograms.
 //!
-//! The committed artifact is sim-time only and rand-free, and the merged
+//! The committed artifact is sim-time only and draw-free, and the merged
 //! flight log it derives from is bit-identical at any `DRS_SIM_THREADS`
 //! — CI regenerates it at 1 and 4 worker threads and diffs both against
 //! the committed file.

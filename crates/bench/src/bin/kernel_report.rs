@@ -6,9 +6,8 @@
 //!
 //! Everything written to the file is a deterministic operation count
 //! from a seeded run — byte-identical across machines. Wall-clock
-//! timing of the wheel itself lives in the criterion bench
-//! (`cargo bench -p drs-bench --bench kernel_benches`) and is never
-//! committed.
+//! timing of the wheel itself is `benchmark/run.sh`'s
+//! `sim.wheel.replay_ns_per_op` and is never committed here.
 //!
 //! Run: `cargo run --release -p drs-bench --bin kernel_report [output.json]`
 //!

@@ -4,7 +4,7 @@
 //! harvested, plus the probe-overhead-vs-budget grid of Figure 1's cost
 //! model.
 //!
-//! The committed artifact is sim-time only and rand-free. Wall-clock
+//! The committed artifact is sim-time only and draw-free. Wall-clock
 //! profiling of the run itself is printed at the end — deliberately to
 //! the terminal and never into the file, since wall-clock numbers are
 //! not reproducible across machines.

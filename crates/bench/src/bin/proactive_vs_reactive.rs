@@ -6,7 +6,7 @@
 //! The whole grid — three failure scenarios × five protocols, identical
 //! traffic — runs as one [`drs_harness::Experiment`] via
 //! [`drs_baselines::compare::run_shootout`]: per-trial seeds come from
-//! the shared SplitMix64 stream and trials fan out across the rayon pool.
+//! the shared SplitMix64 stream and trials fan out across the harness workers.
 //! The application-visible outage column is the paper's claim, quantified.
 //!
 //! Run: `cargo run --release -p drs-bench --bin proactive_vs_reactive`

@@ -4,7 +4,7 @@
 //! the O(transitions) rate-scaling ladder, and the million-session
 //! closed-loop cell with its fixed kernel event budget.
 //!
-//! The committed artifact is sim-time only and rand-free, and the
+//! The committed artifact is sim-time only and draw-free, and the
 //! engine state it derives from is bit-identical at any
 //! `DRS_SIM_THREADS` — CI regenerates it at 1 and 4 worker threads and
 //! diffs both against the committed file.

@@ -3,14 +3,14 @@
 //! connectivity predicate behind Equation 1.
 //!
 //! Each trial selects an f-component failure set *deterministically* by
-//! combinadic unranking of the trial seed (no `rand` draw anywhere on the
+//! combinadic unranking of the trial seed (no random draw anywhere on the
 //! path), injects it into a live DRS cluster, waits for the protocol to
 //! converge, then sends one application message between the measurement
 //! pair. Delivery must succeed exactly when the analytic predicate says
 //! the pair is connected. Because neither the failure-set choice nor the
 //! simulation consumes a random stream, these trials are reproducible
-//! independent of the `rand` crate version — which is what lets them into
-//! the committed `BENCH_sim_survivability.json`.
+//! by arithmetic alone — which is what lets them into the committed
+//! `BENCH_sim_survivability.json`.
 
 use drs_analytic::binom::shared_table;
 use drs_analytic::components::FailureSet;
@@ -52,7 +52,7 @@ impl E2eTrial {
 
 /// The failure set trial `seed` examines: the seed's combinadic rank into
 /// the `C(2n+2, f)` subsets of the component space. Pure arithmetic — no
-/// random stream — so the choice is stable across `rand` versions.
+/// random stream.
 #[must_use]
 pub fn failure_set_for_seed(n: usize, f: usize, seed: u64) -> FailureSet {
     let components = 2 * n + 2;

@@ -19,7 +19,7 @@
 //!   histogram of `reroute_complete` args equals
 //!   `ProbeObs::reroute_complete`, on both drivers.
 //!
-//! Nothing on this path draws from `rand`: worlds are seeded by
+//! Nothing on this path draws a random number: worlds are seeded by
 //! [`coord_seed`] coordinate mixing and the fault schedule is fixed, so
 //! the committed `BENCH_flight.json` is byte-reproducible on any machine
 //! and thread count.

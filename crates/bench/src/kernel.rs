@@ -6,8 +6,8 @@
 //! packet-level run — no wall-clock timing, no sampling — so the
 //! artifact (`drs-bench-kernel/v1`, committed as `BENCH_kernel.json`)
 //! regenerates byte-for-byte on any machine. Wall-clock throughput of
-//! the wheel against the reference heap lives in the criterion bench
-//! (`benches/kernel_benches.rs`) and is never committed.
+//! the wheel is `benchmark/run.sh`'s `sim.wheel.replay_ns_per_op` and
+//! `sim.wheel.burst_ns_per_op`, never committed here.
 //!
 //! The headline claim the artifact pins down: with per-pair timers the
 //! monitor schedules `2·K·N·(N−1)` timer events per cycle cluster-wide

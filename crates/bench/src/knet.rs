@@ -11,10 +11,10 @@
 //! exactly the paper's cluster; `K ∈ {3, 4}` is the "beyond the paper"
 //! family the refactor opened up.
 //!
-//! Like the other committed benchmarks, nothing on this path draws from
-//! `rand`: failure sets come from combinadic unranking of the trial seed,
-//! so the committed `BENCH_knet_survivability.json` is byte-reproducible
-//! on any machine, thread count, and `rand` version.
+//! Like the other committed benchmarks, nothing on this path draws a
+//! random number: failure sets come from combinadic unranking of the
+//! trial seed, so the committed `BENCH_knet_survivability.json` is
+//! byte-reproducible on any machine and thread count.
 
 use drs_analytic::binom::shared_table;
 use drs_analytic::components::FailureSet;

@@ -1,7 +1,7 @@
 //! The committed observability benchmark: builds the
 //! `BENCH_observability.json` artifact ([`drs_obs::SCHEMA`]).
 //!
-//! Four sections, all regenerated from the same rand-free paths as the
+//! Four sections, all regenerated from the same draw-free paths as the
 //! other committed artifacts and therefore byte-reproducible on any
 //! machine, any thread count:
 //!
@@ -189,7 +189,7 @@ fn kind_index(kind: TraceEventKind) -> usize {
 ///
 /// The extra nanosecond absorbs the float rounding in the model's
 /// period computation, making "measured utilization ≤ budget" strict
-/// rather than knife-edge. The run is rand-free: no frame loss, no
+/// rather than knife-edge. The run is draw-free: no frame loss, no
 /// faults, first-offer gateway policy — the cluster's RNG is never
 /// consulted, so the measured counts are exact and reproducible.
 fn probe_overhead_section() -> Section {
@@ -268,7 +268,7 @@ pub const OBS_GOODPUT_BUDGETS_PCT: [u64; 3] = [5, 10, 25];
 /// the sessions actually experienced — stall windows, interruption
 /// percentiles, and the exact delivered/shortfall byte ledger.
 ///
-/// Everything is rand-free except the workload's own per-host streams
+/// Everything is draw-free except the workload's own per-host streams
 /// (deterministic SplitMix64, identical on both drivers), so the cells
 /// are byte-reproducible. The section asserts the monotone payoff:
 /// a bigger probe budget never lengthens the worst interruption.

@@ -10,12 +10,11 @@
 //! * the **end-to-end survivability grid** — [`crate::e2e::E2E_GRID`]
 //!   cells of DES-vs-Equation-1 cross-check trials.
 //!
-//! Everything on this path is free of `rand` draws: failure sets come
+//! Everything on this path is free of random draws: failure sets come
 //! from combinadic unranking, the DRS gateway policy defaults to
 //! first-offer, and the benchmark clusters run without frame loss. The
-//! artifact is therefore byte-reproducible on any machine, any thread
-//! count, and any `rand` version — the property CI enforces by
-//! regenerating and diffing it.
+//! artifact is therefore byte-reproducible on any machine and any thread
+//! count — the property CI enforces by regenerating and diffing it.
 
 use drs_baselines::compare::{
     run_shootout, shootout_record, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,

@@ -23,11 +23,11 @@
 //! ([`drs_cost::equipment`]), making the artifact a survivability-vs-cost
 //! frontier rather than a survivability table.
 //!
-//! Like the other committed benchmarks, nothing on this path draws from
-//! `rand` at artifact level: failure sets come from combinadic unranking
-//! of trial seeds, and the Monte Carlo estimator uses fixed per-chunk
-//! SplitMix64 streams — so the committed `BENCH_topology.json` is
-//! byte-reproducible on any machine and thread count.
+//! Failure sets come from combinadic unranking of trial seeds, and the
+//! one sampled cell's Monte Carlo estimator draws from fixed per-chunk
+//! streams of the in-tree generator ([`drs_obs::rng`]) — so the committed
+//! `BENCH_topology.json` is byte-reproducible on any machine and thread
+//! count.
 
 use drs_analytic::binom::shared_table;
 use drs_analytic::enumerate::{enumerate_pair_success_k, unrank};

@@ -1,7 +1,7 @@
 //! The committed fluid-workload benchmark: builds the
 //! `BENCH_workload.json` artifact (schema [`WORKLOAD_SCHEMA`]).
 //!
-//! Three sections, all rand-free and sim-time-only, so the committed
+//! Three sections, all draw-free and sim-time-only, so the committed
 //! file is byte-reproducible on any machine at any `DRS_SIM_THREADS`:
 //!
 //! * **`slo`** — the paper's hub-failure scenario with a heavy-tailed
@@ -20,8 +20,8 @@
 //!   event budget because events are one per session transition, not
 //!   per byte or per packet, and the ledger still balances exactly.
 //!
-//! Wall-clock numbers live in `benches/workload_benches.rs` (criterion,
-//! never committed); this module is virtual-time determinism only.
+//! Wall-clock numbers come from `benchmark/run.sh` (`fluid_million`,
+//! `sim.workload.*`); this module is virtual-time determinism only.
 
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::coord_seed;

@@ -5,12 +5,10 @@
 //! `(peer, network)` pair is probed once per cycle, so shorter cycles
 //! detect failures faster but consume more of the shared medium.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// How a requester chooses among gateway offers during route discovery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum GatewayPolicy {
     /// Install the first offer that arrives (fastest repair; the deployed
     /// behaviour).
@@ -24,7 +22,7 @@ pub enum GatewayPolicy {
 }
 
 /// Tunable parameters of one DRS daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrsConfig {
     /// Length of one full probe cycle: every monitored `(peer, net)` pair
     /// is probed once per cycle.

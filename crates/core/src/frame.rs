@@ -6,12 +6,11 @@
 //! application data segments carried by the reliable transport.
 
 use drs_obs::flight::EventRef;
-use serde::{Deserialize, Serialize};
 
 use crate::ids::{FlowId, NetId, NodeId};
 
 /// L2 destination of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Destination {
     /// Addressed to a single host's NIC on the segment.
     Node(NodeId),
@@ -21,7 +20,7 @@ pub enum Destination {
 }
 
 /// Whether a data segment carries payload or acknowledges one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SegmentKind {
     /// Payload segment travelling source → destination.
     Data,
@@ -33,7 +32,7 @@ pub enum SegmentKind {
 ///
 /// `src`/`dst` are the *end-to-end* endpoints; the enclosing [`Frame`]
 /// carries the L2 hop (which may be a gateway when the route is indirect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Segment {
     /// Originating host.
     pub src: NodeId,
@@ -57,7 +56,7 @@ pub struct Segment {
 }
 
 /// What a frame carries.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FrameKind<M> {
     /// ICMP echo request (kernel answers without daemon involvement).
     EchoRequest {
@@ -80,7 +79,7 @@ pub enum FrameKind<M> {
 }
 
 /// One frame in flight on one network segment.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<M> {
     /// Transmitting host.
     pub src: NodeId,

@@ -2,12 +2,8 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Index of a server host in the cluster (`0..n`).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct NodeId(pub u32);
 
 impl NodeId {
@@ -33,7 +29,7 @@ impl fmt::Display for NodeId {
 /// the named constants [`NetId::A`] (plane 0, the primary) and [`NetId::B`]
 /// (plane 1). Plane order is meaningful everywhere: default routes start on
 /// the primary, and failover walks planes in ascending index order.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NetId(pub u8);
 
 impl NetId {
@@ -89,9 +85,7 @@ impl fmt::Display for NetId {
 }
 
 /// Identifier of one application-level flow (one request/response exchange).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u64);
 
 impl fmt::Display for FlowId {

@@ -15,14 +15,12 @@
 //! [`crate::config::DrsConfig::record_journal`] and costs one `Vec` push
 //! per handler invocation; it is off by default.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{NetId, NodeId};
 use crate::messages::DrsMsg;
 use crate::time::SimTime;
 
 /// One daemon entry-point invocation, minus its timestamp.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DaemonInput {
     /// `handle_start`: the daemon booted on a host with `planes` planes.
     Start {
@@ -57,7 +55,7 @@ pub enum DaemonInput {
 }
 
 /// One journal entry: an input and the time the backend reported for it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct JournalRecord {
     /// What `DrsIo::now()` returned throughout the handler call.
     pub at: SimTime,
@@ -73,7 +71,7 @@ pub struct JournalRecord {
 /// [`crate::config::GatewayPolicy::Random`]). Together they are
 /// sufficient to re-drive the daemon: replay walks `records` front to
 /// back and hands back `picks` front to back.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DaemonJournal {
     /// Entry-point invocations in arrival order.
     pub records: Vec<JournalRecord>,

@@ -6,12 +6,10 @@
 //! unicast offers. Requests carry a per-requester id so stale offers from
 //! an earlier round cannot install an outdated gateway.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NodeId;
 
 /// A DRS control message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrsMsg {
     /// Broadcast: "can anyone act as a gateway between me and `target`?"
     RouteRequest {

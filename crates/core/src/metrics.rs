@@ -7,14 +7,12 @@
 //! benches can compute detection and repair latencies against known fault
 //! injection times.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{NetId, NodeId};
 use crate::routes::Route;
 use crate::time::SimTime;
 
 /// A state transition observed by one daemon.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DrsEventKind {
     /// A `(peer, net)` link was declared down.
     LinkDown {
@@ -50,7 +48,7 @@ pub enum DrsEventKind {
 }
 
 /// One timestamped daemon event.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DrsEvent {
     /// When it happened.
     pub at: SimTime,

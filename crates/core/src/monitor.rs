@@ -8,13 +8,11 @@
 //! This module is pure state-machine bookkeeping; the daemon drives it
 //! from probe timers and echo replies.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{NetId, NodeId};
 use crate::time::SimTime;
 
 /// The daemon's belief about one `(peer, network)` link.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LinkState {
     /// Probes are being answered.
     Up,

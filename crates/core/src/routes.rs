@@ -6,12 +6,10 @@
 //! one of the two networks or **via a gateway** host reachable on one of
 //! them.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::{NetId, NodeId};
 
 /// A route to one destination host.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Route {
     /// Send directly to the destination's NIC on the given network.
     Direct(NetId),

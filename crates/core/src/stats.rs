@@ -1,8 +1,6 @@
 //! Protocol-side measurement plumbing: latency histograms and the
 //! probe-path observability block every [`crate::io::DrsIo`] backend owns.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// A log₂-bucketed latency histogram over nanosecond durations.
@@ -10,7 +8,7 @@ use crate::time::SimDuration;
 /// Bucket `i` covers durations `d` with `floor(log2(d)) == i` (bucket 0
 /// additionally holds zero). 64 buckets cover the entire `u64` range, so
 /// recording never saturates.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LatencyHistogram {
     buckets: Vec<u64>,
     count: u64,
@@ -144,7 +142,7 @@ impl LatencyHistogram {
 /// without depending on any particular backend, and harvesting merges
 /// per-daemon histograms with the same exact, order-independent
 /// arithmetic the histograms themselves guarantee.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ProbeObs {
     /// Gap between consecutive probe transmissions to the same
     /// `(peer, net)` — the realized monitor cycle.

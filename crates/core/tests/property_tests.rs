@@ -1,10 +1,12 @@
-//! Property-based tests of the DRS daemon's protocol invariants under
+//! Property tests of the DRS daemon's protocol invariants under
 //! randomized fault scenarios: loop freedom, detection bounds, route
 //! sanity and determinism.
+//!
+//! Each property is a loop over [`CASES`] seeded parameter draws (every
+//! case runs whole simulated clusters, hence the small count); every
+//! assertion prints the failing case, and `case_rng(index)` reruns it.
 
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs_obs::rng::Rng;
 
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, LinkState, ProbeRecord};
 use drs_sim::fault::{FaultPlan, SimComponent};
@@ -20,18 +22,27 @@ fn cfg() -> DrsConfig {
         .probe_interval(SimDuration::from_millis(200))
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
+/// Draws per property.
+const CASES: u64 = 24;
 
-    /// Loop freedom: whatever combination of up to five simultaneous
-    /// component failures strikes, no forwarded frame ever dies of TTL
-    /// exhaustion — DRS's one-hop-gateway discipline cannot cycle.
-    #[test]
-    fn no_ttl_drops_under_random_faults(seed in any::<u64>(), f in 0usize..6) {
+fn case_rng(case: u64) -> Rng {
+    Rng::seed_from_u64(0xC02E_0DAE ^ case)
+}
+
+/// Loop freedom: whatever combination of up to five simultaneous
+/// component failures strikes, no forwarded frame ever dies of TTL
+/// exhaustion — DRS's one-hop-gateway discipline cannot cycle.
+#[test]
+fn no_ttl_drops_under_random_faults() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let f = rng.gen_range(0usize..6);
+        let ctx = format!("case {case}: seed={seed} f={f}");
         let n = 8;
         let spec = ClusterSpec::new(n).seed(seed);
         let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg()));
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let (plan, _) = FaultPlan::random_simultaneous(SimTime(1_000_000_000), n, 2, f, &mut rng);
         w.schedule_faults(plan);
         w.run_for(SimDuration::from_secs(4));
@@ -43,15 +54,22 @@ proptest! {
             }
         }
         w.run_for(SimDuration::from_secs(150));
-        let ttl_drops: u64 = (0..n as u32).map(|i| w.host(NodeId(i)).counters.dropped_ttl).sum();
-        prop_assert_eq!(ttl_drops, 0);
+        let ttl_drops: u64 = (0..n as u32)
+            .map(|i| w.host(NodeId(i)).counters.dropped_ttl)
+            .sum();
+        assert_eq!(ttl_drops, 0, "{ctx}");
     }
+}
 
-    /// Every surviving daemon detects a NIC failure within the
-    /// configured worst-case bound (plus scheduling slack), regardless of
-    /// when in the probe cycle the fault lands.
-    #[test]
-    fn detection_bound_holds_for_any_fault_phase(offset_ms in 0u64..400) {
+/// Every surviving daemon detects a NIC failure within the
+/// configured worst-case bound (plus scheduling slack), regardless of
+/// when in the probe cycle the fault lands.
+#[test]
+fn detection_bound_holds_for_any_fault_phase() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let offset_ms = rng.gen_range(0u64..400);
+        let ctx = format!("case {case}: offset_ms={offset_ms}");
         let n = 5;
         let c = cfg();
         let spec = ClusterSpec::new(n).seed(7);
@@ -65,22 +83,30 @@ proptest! {
                     if *peer == NodeId(2) && *net == NetId::B)
             });
             let det = det.unwrap_or_else(|| panic!("daemon {i} missed the fault"));
-            prop_assert!(
+            assert!(
                 det.at - t0 <= c.worst_case_detection() + SimDuration::from_millis(50),
-                "daemon {} took {}", i, det.at - t0
+                "{ctx}: daemon {} took {}",
+                i,
+                det.at - t0
             );
         }
     }
+}
 
-    /// Route-table sanity after convergence: every installed direct route
-    /// points at a link the daemon believes Up, and every Via route
-    /// points at a gateway link believed Up.
-    #[test]
-    fn routes_consistent_with_beliefs(seed in any::<u64>(), f in 0usize..5) {
+/// Route-table sanity after convergence: every installed direct route
+/// points at a link the daemon believes Up, and every Via route
+/// points at a gateway link believed Up.
+#[test]
+fn routes_consistent_with_beliefs() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let f = rng.gen_range(0usize..5);
+        let ctx = format!("case {case}: seed={seed} f={f}");
         let n = 7;
         let spec = ClusterSpec::new(n).seed(seed);
         let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg()));
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let (plan, _) = FaultPlan::random_simultaneous(SimTime(1_000_000_000), n, 2, f, &mut rng);
         w.schedule_faults(plan);
         w.run_for(SimDuration::from_secs(6));
@@ -94,20 +120,20 @@ proptest! {
                         // legitimate when *no* alternative exists (the
                         // daemon keeps the last route rather than none).
                         if daemon.peer_table().state(dst, net) == LinkState::Down {
-                            prop_assert!(
+                            assert!(
                                 daemon.peer_table().peer_unreachable_direct(dst),
-                                "n{i}->{dst}: direct route on a down link with an alternative"
+                                "{ctx}: n{i}->{dst}: direct route on a down link with an alternative"
                             );
                         }
                     }
                     Route::Via { gateway, net } => {
-                        prop_assert!(gateway != dst && gateway != node);
+                        assert!(gateway != dst && gateway != node, "{ctx}");
                         // Gateway link must be believed Up, unless the
                         // peer is wholly unreachable and this is a relic.
                         if daemon.peer_table().state(gateway, net) == LinkState::Down {
-                            prop_assert!(
+                            assert!(
                                 daemon.peer_table().peer_unreachable_direct(dst),
-                                "n{i}->{dst}: via {gateway} on a down link"
+                                "{ctx}: n{i}->{dst}: via {gateway} on a down link"
                             );
                         }
                     }
@@ -115,15 +141,20 @@ proptest! {
             }
         }
     }
+}
 
-    /// Full protocol determinism under randomized fault plans.
-    #[test]
-    fn deterministic_under_random_plans(seed in any::<u64>()) {
+/// Full protocol determinism under randomized fault plans.
+#[test]
+fn deterministic_under_random_plans() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: seed={seed}");
         let run = || {
             let n = 6;
             let spec = ClusterSpec::new(n).seed(seed);
             let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg()));
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let plan = FaultPlan::poisson_process(
                 SimDuration::from_secs(10),
                 SimDuration::from_secs(2),
@@ -137,11 +168,16 @@ proptest! {
             (0..n as u32)
                 .map(|i| {
                     let m = &w.protocol(NodeId(i)).metrics;
-                    (m.probes_sent, m.route_changes, m.link_down_events, m.link_up_events)
+                    (
+                        m.probes_sent,
+                        m.route_changes,
+                        m.link_down_events,
+                        m.link_up_events,
+                    )
                 })
                 .collect::<Vec<_>>()
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run(), "{ctx}");
     }
 }
 
@@ -254,30 +290,24 @@ fn batched_monitor_equivalent_through_hub_failure_and_repair() {
     );
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(24))]
-
-    /// Equivalence holds under arbitrary simultaneous component faults,
-    /// for any cluster size and redundancy degree the spec supports.
-    #[test]
-    fn batched_monitor_equivalent_under_random_faults(
-        seed in any::<u64>(),
-        n in 3usize..7,
-        planes in 2u8..4,
-        f in 0usize..5,
-    ) {
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let (plan, _) = FaultPlan::random_simultaneous(
-            SimTime(1_000_000_000),
-            n,
-            planes,
-            f,
-            &mut rng,
-        );
+/// Equivalence holds under arbitrary simultaneous component faults,
+/// for any cluster size and redundancy degree the spec supports.
+#[test]
+fn batched_monitor_equivalent_under_random_faults() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let n = rng.gen_range(3usize..7);
+        let planes = rng.gen_range(2u8..4);
+        let f = rng.gen_range(0usize..5);
+        let ctx = format!("case {case}: seed={seed} n={n} planes={planes} f={f}");
+        let mut rng = Rng::seed_from_u64(seed);
+        let (plan, _) =
+            FaultPlan::random_simultaneous(SimTime(1_000_000_000), n, planes, f, &mut rng);
         let (legacy, batched, lf, bf) = run_both_monitors(n, planes, &plan, 5);
-        prop_assert_eq!(&legacy, &batched);
-        prop_assert_eq!(lf, bf);
+        assert_eq!(&legacy, &batched, "{ctx}");
+        assert_eq!(lf, bf, "{ctx}");
         // The probe sequence is never empty: monitoring starts at t=0.
-        prop_assert!(legacy.iter().all(|s| !s.0.is_empty()));
+        assert!(legacy.iter().all(|s| !s.0.is_empty()), "{ctx}");
     }
 }

@@ -2,8 +2,6 @@
 //! packet-level simulator and measure what probing actually costs and how
 //! fast failures are actually detected.
 
-use serde::{Deserialize, Serialize};
-
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind};
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::ids::{NetId, NodeId};
@@ -12,7 +10,7 @@ use drs_sim::time::SimDuration;
 use drs_sim::world::World;
 
 /// Measured probe cost and detection latency for one configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmpiricalCost {
     /// Cluster size.
     pub n: usize,

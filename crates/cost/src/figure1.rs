@@ -1,8 +1,6 @@
 //! Figure 1 series generation: response time vs cluster size, one curve
 //! per bandwidth budget.
 
-use serde::{Deserialize, Serialize};
-
 use drs_sim::time::SimDuration;
 
 use crate::model::ProbeCostModel;
@@ -13,7 +11,7 @@ pub const PAPER_BUDGETS: [f64; 4] = [0.05, 0.10, 0.15, 0.25];
 
 /// One Figure 1 curve: error-resolution time as a function of N at a
 /// fixed bandwidth budget.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CostSeries {
     /// Bandwidth budget (fraction of segment rate).
     pub budget: f64,

@@ -1,7 +1,5 @@
 //! Closed-form probe-cost model.
 
-use serde::{Deserialize, Serialize};
-
 use drs_sim::time::SimDuration;
 
 /// Analytic model of DRS probe traffic on one shared network segment.
@@ -12,7 +10,7 @@ use drs_sim::time::SimDuration;
 /// response-time curves — is independent of `planes`; what scales with
 /// the redundancy degree is the *aggregate* traffic and per-host NIC
 /// work, exposed by the `total_*` accessors.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeCostModel {
     /// Segment data rate in bits per second (paper: 100 Mb/s).
     pub bandwidth_bps: u64,
@@ -22,12 +20,7 @@ pub struct ProbeCostModel {
     /// (multiplies the response time; 1 reproduces the paper's curves).
     pub miss_threshold: u32,
     /// Number of network planes being probed (paper: 2).
-    #[serde(default = "default_planes")]
     pub planes: u8,
-}
-
-fn default_planes() -> u8 {
-    2
 }
 
 impl Default for ProbeCostModel {

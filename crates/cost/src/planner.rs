@@ -9,15 +9,13 @@
 //! A deployment is feasible exactly when the interval between those two
 //! bounds is non-empty.
 
-use serde::{Deserialize, Serialize};
-
 use drs_analytic::thresholds::first_n_exceeding;
 use drs_sim::time::SimDuration;
 
 use crate::model::ProbeCostModel;
 
 /// What the deployment must achieve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PlanningRequirement {
     /// Simultaneous component failures the cluster must ride out…
     pub resilience_f: u64,
@@ -30,7 +28,7 @@ pub struct PlanningRequirement {
 }
 
 /// The planner's verdict.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterPlan {
     /// Smallest cluster meeting the survivability requirement.
     pub min_nodes: u64,

@@ -7,10 +7,8 @@
 //! vocabulary and the artifact form so the `failover_timeline` narrative
 //! and the shootout rows speak the same language.
 
-use serde::Serialize;
-
 /// What happened. Labels are the stable strings used in JSON artifacts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TraceEventKind {
     /// A fault plan took a component down.
     FaultInjected,
@@ -51,7 +49,7 @@ impl TraceEventKind {
 }
 
 /// One timestamped event in a trial's trace.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TraceEvent {
     /// Simulation time of the event, in nanoseconds since trial start.
     pub at_ns: u64,

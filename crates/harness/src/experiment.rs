@@ -1,7 +1,7 @@
 //! The trial lifecycle: an [`Experiment`] names a grid of trial
 //! specifications, derives one seed per trial from its master seed, and
-//! runs the trials either serially or across the rayon pool with
-//! bit-identical results.
+//! runs the trials either serially or across [`crate::par`] worker
+//! threads with bit-identical results.
 //!
 //! The runner is deliberately domain-free: a trial specification is any
 //! `S`, and the trial body is a closure `Fn(TrialCtx, &S) -> R`. Domain
@@ -13,8 +13,8 @@
 use std::time::Instant;
 
 use drs_obs::Profiler;
-use rayon::prelude::*;
 
+use crate::par;
 use crate::seed::stream_seed;
 
 /// Everything a trial body is given about its own identity.
@@ -32,7 +32,7 @@ pub struct TrialCtx {
     pub flight_cap: Option<usize>,
 }
 
-/// Whether to run trials on the calling thread or across the rayon pool.
+/// Whether to run trials on the calling thread or across worker threads.
 ///
 /// The two modes produce identical results for any deterministic trial
 /// body; [`RunMode::Parallel`] exists purely for wall-clock.
@@ -40,8 +40,8 @@ pub struct TrialCtx {
 pub enum RunMode {
     /// Evaluate trials one at a time, in order, on the calling thread.
     Serial,
-    /// Fan trials across the rayon pool; results still come back in
-    /// trial order.
+    /// Fan trials across [`par::workers`] threads; results still come
+    /// back in trial order.
     Parallel,
 }
 
@@ -154,8 +154,8 @@ impl<S> Experiment<S> {
             .collect()
     }
 
-    /// Runs every trial across the rayon pool. Results come back in trial
-    /// order, so for a deterministic body this equals
+    /// Runs every trial across [`par::workers`] threads. Results come
+    /// back in trial order, so for a deterministic body this equals
     /// [`Experiment::run_serial`] result-for-result regardless of thread
     /// count or scheduling.
     pub fn run_parallel<R>(&self, body: impl Fn(TrialCtx, &S) -> R + Sync) -> Vec<R>
@@ -163,11 +163,23 @@ impl<S> Experiment<S> {
         S: Sync,
         R: Send,
     {
-        self.trials
-            .par_iter()
-            .enumerate()
-            .map(|(i, spec)| body(self.trial_ctx(i), spec))
-            .collect()
+        self.run_parallel_on(par::workers(), body)
+    }
+
+    /// [`Experiment::run_parallel`] on an explicit worker count, so the
+    /// serial ≡ parallel oracles exercise real threads on any host.
+    pub fn run_parallel_on<R>(
+        &self,
+        workers: usize,
+        body: impl Fn(TrialCtx, &S) -> R + Sync,
+    ) -> Vec<R>
+    where
+        S: Sync,
+        R: Send,
+    {
+        par::map_on(workers, self.trials.len(), |i| {
+            body(self.trial_ctx(i), &self.trials[i])
+        })
     }
 
     /// Runs under an explicit [`RunMode`] — the entry point for callers

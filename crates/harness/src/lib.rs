@@ -5,10 +5,10 @@
 //! the same for the discrete-event side. An [`Experiment`] names a grid of
 //! trials, [`seed`] derives one SplitMix64 seed per trial (the same
 //! discipline `analytic::sweep` uses for its cells), and the runner fans
-//! trials across the rayon pool with results bit-identical to the serial
-//! path. Trials record structured [`events::TraceEvent`] logs and named
-//! [`record::Metric`]s into the versioned
-//! `drs-bench-sim-survivability/v1` JSON artifact ([`record::SCHEMA`]),
+//! trials across scoped worker threads ([`par`]) with results
+//! bit-identical to the serial path. Trials record structured
+//! [`events::TraceEvent`] logs and named [`record::Metric`]s into the
+//! versioned `drs-bench-sim-survivability/v1` JSON artifact ([`record::SCHEMA`]),
 //! the simulation-side sibling of `BENCH_survivability.json`.
 //!
 //! The crate is deliberately domain-free — it knows nothing about
@@ -25,6 +25,7 @@
 pub mod artifact;
 pub mod events;
 pub mod experiment;
+pub mod par;
 pub mod record;
 pub mod seed;
 pub mod summary;

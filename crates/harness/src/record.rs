@@ -8,8 +8,6 @@
 //! Every trial row carries its derived seed, named metrics, and an
 //! optional [`TraceEvent`] log.
 
-use serde::Serialize;
-
 use crate::artifact::{finish, json_f64, json_string, preamble};
 use crate::events::TraceEvent;
 
@@ -17,7 +15,7 @@ use crate::events::TraceEvent;
 pub const SCHEMA: &str = "drs-bench-sim-survivability/v1";
 
 /// One named measurement a trial produced.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum MetricValue {
     /// An exact event count.
     Count(u64),
@@ -29,7 +27,7 @@ pub enum MetricValue {
 }
 
 /// A named metric.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Metric {
     /// Stable metric name used as the JSON key.
     pub name: &'static str,
@@ -67,7 +65,7 @@ impl Metric {
 }
 
 /// The artifact row for one completed trial.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrialRecord {
     /// Human-readable trial identity (scenario × protocol, `(n, f)` cell,
     /// replication index, …). Unique within its experiment.
@@ -119,7 +117,7 @@ impl TrialRecord {
 }
 
 /// A completed experiment: its trials in trial order.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentRecord {
     /// Experiment name ([`crate::Experiment::name`]).
     pub name: String,
@@ -130,7 +128,7 @@ pub struct ExperimentRecord {
 }
 
 /// The whole artifact: every experiment of one benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimArtifact {
     /// The benchmark master seed the experiments derived theirs from.
     pub seed: u64,

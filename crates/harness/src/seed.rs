@@ -5,31 +5,19 @@
 //! finalizer, while `trace::study` used
 //! `seed.wrapping_add(i).wrapping_mul(0x9E37_79B9)`, whose outputs for
 //! consecutive `i` differ by a single constant and therefore feed highly
-//! correlated states into `SmallRng`. Everything now goes through
-//! [`mix64`]: grid-shaped experiments derive with [`coord_seed`] (the exact
-//! function `analytic::sweep` has always used, so committed artifacts are
-//! unchanged), and replication-shaped experiments derive with
-//! [`stream_seed`] or the [`SeedStream`] iterator.
+//! correlated states into the generator. Everything now goes through
+//! [`mix64`] (the finalizer in [`drs_obs::rng`]): grid-shaped experiments
+//! derive with [`coord_seed`] (the exact function `analytic::sweep` has
+//! always used, so committed artifacts are unchanged), and
+//! replication-shaped experiments derive with [`stream_seed`] or the
+//! [`SeedStream`] iterator.
 
-/// The golden-ratio increment used by SplitMix64 (`2^64 / φ`).
-pub const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+pub use drs_obs::rng::{mix64, GOLDEN_GAMMA};
 
 /// Second mixing constant for the `f` coordinate in [`coord_seed`]; kept
 /// byte-identical to the constant `analytic::sweep::cell_seed` shipped
 /// with so the committed `BENCH_survivability.json` never moves.
 pub const COORD_GAMMA: u64 = 0xD1B5_4A32_D192_ED03;
-
-/// The SplitMix64 output finalizer: a bijective avalanche over `u64`.
-///
-/// Adjacent inputs produce statistically independent outputs, which is what
-/// makes `master + i·γ` counter streams safe to feed into `SmallRng`.
-#[must_use]
-pub fn mix64(z: u64) -> u64 {
-    let mut z = z;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
-}
 
 /// The seed for trial `index` of a replication-shaped experiment:
 /// SplitMix64 over the counter `master + (index + 1)·γ`.

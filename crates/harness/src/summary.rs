@@ -9,10 +9,8 @@
 //! which serialize as honest `0.0`s instead of poisoning downstream
 //! arithmetic.
 
-use serde::Serialize;
-
 /// Count, mean, sample standard deviation, and range of a sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Summary {
     /// Number of observations.
     pub count: usize,

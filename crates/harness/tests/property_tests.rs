@@ -1,9 +1,12 @@
-//! Property-based tests for the experiment harness: the serial and
-//! parallel trial paths must be indistinguishable — result-for-result and
+//! Property tests for the experiment harness: the serial and parallel
+//! trial paths must be indistinguishable — result-for-result and
 //! artifact-byte-for-byte — for every experiment shape, and the seed
 //! stream must behave like an injective hash of `(master, index)`.
+//!
+//! Each property is a loop over [`CASES`] seeded parameter draws; every
+//! assertion prints the failing case, and `case_rng(index)` reruns it.
 
-use proptest::prelude::*;
+use drs_obs::rng::Rng;
 
 use drs_harness::{
     stream_seed, Experiment, ExperimentRecord, Metric, RunMode, SimArtifact, Summary, TraceEvent,
@@ -24,8 +27,18 @@ fn trial_record(ctx: TrialCtx, spec: &u64) -> TrialRecord {
         )])
 }
 
+/// Draws per property.
+const CASES: u64 = 256;
+
+fn case_rng(case: u64) -> Rng {
+    Rng::seed_from_u64(0x4A12_0E55 ^ case)
+}
+
 fn artifact(exp: &Experiment<u64>, mode: RunMode) -> SimArtifact {
-    let trials = exp.run(mode, trial_record);
+    artifact_of(exp, exp.run(mode, trial_record))
+}
+
+fn artifact_of(exp: &Experiment<u64>, trials: Vec<TrialRecord>) -> SimArtifact {
     let mut a = SimArtifact::new(exp.master_seed);
     a.push(ExperimentRecord {
         name: exp.name.clone(),
@@ -35,62 +48,95 @@ fn artifact(exp: &Experiment<u64>, mode: RunMode) -> SimArtifact {
     a
 }
 
-proptest! {
-    /// `Experiment::run` with the serial path and the rayon path produce
-    /// identical artifacts — the tentpole determinism guarantee.
-    #[test]
-    fn serial_and_parallel_artifacts_are_identical(
-        master in any::<u64>(),
-        specs in prop::collection::vec(any::<u64>(), 0..40),
-    ) {
+/// `Experiment::run` with the serial path and the threaded path produce
+/// identical artifacts — the tentpole determinism guarantee. The forced
+/// four-worker run keeps real threads in play on a one-CPU host, where
+/// `RunMode::Parallel` alone would run inline.
+#[test]
+fn serial_and_parallel_artifacts_are_identical() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let master = rng.next_u64();
+        let specs: Vec<_> = (0..rng.gen_range(0usize..40))
+            .map(|_| rng.next_u64())
+            .collect();
+        let ctx = format!("case {case}: master={master} specs={specs:?}");
         let exp = Experiment::with_trials("prop", master, specs);
         let serial = artifact(&exp, RunMode::Serial);
         let parallel = artifact(&exp, RunMode::Parallel);
-        prop_assert_eq!(&serial, &parallel);
-        prop_assert_eq!(serial.to_json(), parallel.to_json());
+        assert_eq!(&serial, &parallel, "{ctx}");
+        assert_eq!(serial.to_json(), parallel.to_json(), "{ctx}");
+        let forced = artifact_of(&exp, exp.run_parallel_on(4, trial_record));
+        assert_eq!(serial.to_json(), forced.to_json(), "{ctx}: 4 workers");
     }
+}
 
-    /// Per-trial seeds are reproducible, independent of sibling trials,
-    /// and collision-free within any experiment-sized index range.
-    #[test]
-    fn trial_seeds_are_stable_and_distinct(master in any::<u64>(), count in 1usize..200) {
+/// Per-trial seeds are reproducible, independent of sibling trials,
+/// and collision-free within any experiment-sized index range.
+#[test]
+fn trial_seeds_are_stable_and_distinct() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let master = rng.next_u64();
+        let count = rng.gen_range(1usize..200);
+        let ctx = format!("case {case}: master={master} count={count}");
         let exp = Experiment::replications("seeds", master, count);
         let seeds: Vec<u64> = exp.run_serial(|ctx, ()| ctx.seed);
         for (i, s) in seeds.iter().enumerate() {
-            prop_assert_eq!(*s, stream_seed(master, i as u64));
+            assert_eq!(*s, stream_seed(master, i as u64), "{ctx}");
         }
         let mut dedup = seeds.clone();
         dedup.sort_unstable();
         dedup.dedup();
-        prop_assert_eq!(dedup.len(), count, "seed collision under master {}", master);
+        assert_eq!(dedup.len(), count, "{ctx}: seed collision");
     }
+}
 
-    /// Artifact JSON is deterministic and structurally sane for any
-    /// experiment: one row per trial, no NaN/inf tokens.
-    #[test]
-    fn artifact_json_is_deterministic_and_well_formed(
-        master in any::<u64>(),
-        specs in prop::collection::vec(any::<u64>(), 0..20),
-    ) {
+/// Artifact JSON is deterministic and structurally sane for any
+/// experiment: one row per trial, no NaN/inf tokens.
+#[test]
+fn artifact_json_is_deterministic_and_well_formed() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let master = rng.next_u64();
+        let specs: Vec<_> = (0..rng.gen_range(0usize..20))
+            .map(|_| rng.next_u64())
+            .collect();
+        let ctx = format!("case {case}: master={master} specs={specs:?}");
         let exp = Experiment::with_trials("json", master, specs.clone());
         let a = artifact(&exp, RunMode::Parallel);
         let json = a.to_json();
-        prop_assert_eq!(json.clone(), artifact(&exp, RunMode::Parallel).to_json());
-        prop_assert_eq!(json.matches("\"id\": \"trial-").count(), specs.len());
-        prop_assert!(!json.contains("NaN") && !json.contains("inf"));
+        assert_eq!(
+            json.clone(),
+            artifact(&exp, RunMode::Parallel).to_json(),
+            "{ctx}"
+        );
+        assert_eq!(
+            json.matches("\"id\": \"trial-").count(),
+            specs.len(),
+            "{ctx}"
+        );
+        assert!(!json.contains("NaN") && !json.contains("inf"), "{ctx}");
     }
+}
 
-    /// Summaries never produce NaN or infinities from finite samples, and
-    /// the mean stays within the observed range.
-    #[test]
-    fn summary_is_finite_and_bounded(values in prop::collection::vec(-1e6f64..1e6, 0..50)) {
+/// Summaries never produce NaN or infinities from finite samples, and
+/// the mean stays within the observed range.
+#[test]
+fn summary_is_finite_and_bounded() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let values: Vec<_> = (0..rng.gen_range(0usize..50))
+            .map(|_| rng.gen_range(-1e6f64..1e6))
+            .collect();
+        let ctx = format!("case {case}: values={values:?}");
         let s = Summary::of(&values);
-        prop_assert!(s.mean.is_finite() && s.std.is_finite());
-        prop_assert!(s.min.is_finite() && s.max.is_finite());
-        prop_assert_eq!(s.count, values.len());
+        assert!(s.mean.is_finite() && s.std.is_finite(), "{ctx}");
+        assert!(s.min.is_finite() && s.max.is_finite(), "{ctx}");
+        assert_eq!(s.count, values.len(), "{ctx}");
         if !values.is_empty() {
-            prop_assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9);
-            prop_assert!(s.std >= 0.0);
+            assert!(s.min <= s.mean + 1e-9 && s.mean <= s.max + 1e-9, "{ctx}");
+            assert!(s.std >= 0.0, "{ctx}");
         }
     }
 }

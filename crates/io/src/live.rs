@@ -41,6 +41,7 @@ use drs_core::stats::ProbeObs;
 use drs_core::time::{SimDuration, SimTime};
 use drs_core::{DrsDaemon, NetId, NodeId};
 use drs_obs::flight::{EventRef, TraceKind};
+use drs_obs::rng::SplitMix64;
 
 use crate::wire::{self, Datagram, Payload, MAX_DATAGRAM};
 
@@ -216,7 +217,7 @@ pub struct LiveIo {
     obs: ProbeObs,
     /// SplitMix64 state for `pick` — seeded per node; live draws need no
     /// cross-run reproducibility, only uniformity.
-    rng: u64,
+    rng: SplitMix64,
 }
 
 impl LiveIo {
@@ -237,14 +238,6 @@ impl LiveIo {
         // built to survive.
         let _ = self.sockets[net.idx()].send_to(&buf[..len], self.addrs[dst.idx()][net.idx()]);
     }
-
-    fn splitmix(&mut self) -> u64 {
-        self.rng = self.rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.rng;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
 }
 
 impl DrsIo for LiveIo {
@@ -257,7 +250,7 @@ impl DrsIo for LiveIo {
     }
 
     fn pick(&mut self, n: usize) -> usize {
-        (self.splitmix() % n as u64) as usize
+        (self.rng.next_u64() % n as u64) as usize
     }
 
     fn send_echo_traced(
@@ -360,7 +353,7 @@ fn run_node(
         timers: BinaryHeap::new(),
         routes: RouteTable::new_default(node, spec.n),
         obs: ProbeObs::default(),
-        rng: 0x5EED ^ (u64::from(node.0) << 32),
+        rng: SplitMix64::new(0x5EED ^ (u64::from(node.0) << 32)),
     };
     let mut daemon = DrsDaemon::new(node, spec.n, spec.cfg);
     daemon.handle_start(&mut io);

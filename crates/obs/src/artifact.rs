@@ -11,8 +11,6 @@
 //! `Missing` is a first-class field value precisely so summaries can
 //! distinguish "no samples" (`null`) from a measured zero (`0`).
 
-use serde::Serialize;
-
 use crate::hist::Histogram;
 use crate::jsonfmt::{finish, json_f64, json_string, preamble};
 
@@ -20,7 +18,7 @@ use crate::jsonfmt::{finish, json_f64, json_string, preamble};
 pub const SCHEMA: &str = "drs-bench-observability/v2";
 
 /// One field value in an artifact row.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum FieldValue {
     /// An exact count.
     Count(u64),
@@ -34,7 +32,7 @@ pub enum FieldValue {
 }
 
 /// A named field.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Field {
     /// Stable field name used as the JSON key.
     pub name: &'static str,
@@ -43,7 +41,7 @@ pub struct Field {
 }
 
 /// One row of a section, e.g. one protocol or one `(n, budget)` cell.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Row {
     /// Row identity, unique within its section.
     pub id: String,
@@ -124,7 +122,7 @@ impl Row {
 }
 
 /// A named group of rows.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Section {
     /// Section name, e.g. `failover_latency`.
     pub name: String,
@@ -149,7 +147,7 @@ impl Section {
 }
 
 /// The whole observability artifact of one benchmark run.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ObsArtifact {
     /// The benchmark master seed the instrumented runs derived from.
     pub seed: u64,

@@ -40,15 +40,11 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use serde::{Deserialize, Serialize};
-
 /// Stable identity of one trace record: the sim-time and kernel event
 /// seq of the dispatch that produced it, the acting host, and the
 /// per-dispatch record sub-counter. Totally ordered by `(time, seq,
 /// host, sub)` — the same order the merged timeline is sorted in.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventRef {
     /// Simulation time of the producing dispatch, in nanoseconds.
     pub time_ns: u64,
@@ -64,9 +60,7 @@ pub struct EventRef {
 /// What a trace record describes. The daemon kinds mirror the paper's
 /// failover narrative; the kernel kinds give the Perfetto export its
 /// engine tracks.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceKind {
     /// A monitor probe left a host. `arg = (peer << 32) | probe_seq`;
     /// cause: the previous probe in the run, or the last good reply.
@@ -166,7 +160,7 @@ pub mod loss_site {
 }
 
 /// One entry in the flight log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TraceRecord {
     /// Simulation time, nanoseconds.
     pub time_ns: u64,

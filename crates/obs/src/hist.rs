@@ -9,13 +9,11 @@
 //! exact, commutative and associative — the property the parallel
 //! experiment harness relies on for byte-stable artifacts.
 
-use serde::{Deserialize, Serialize};
-
 /// Number of power-of-two buckets; covers the full `u64` range.
 pub const BUCKETS: usize = 64;
 
 /// A mergeable log2 histogram of `u64` samples with exact summary stats.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Histogram {
     /// `buckets[i]` counts samples `v` with `floor(log2(max(v,1))) == i`.
     buckets: [u64; BUCKETS],
@@ -203,7 +201,7 @@ impl Histogram {
 /// The standard summary of one histogram: exact count/mean/min/max and
 /// the `p50/p90/p99/p999` quantile upper bounds. All optional fields are
 /// `None` for an empty histogram.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HistogramSummary {
     /// Number of samples.
     pub count: u64,

@@ -5,11 +5,11 @@
 //! (Equation 1 / Figure 2) — are *measured* claims, so the repo needs
 //! one instrumentation vocabulary instead of the fragments that grew in
 //! `core::metrics`, `sim::stats` and the harness. This crate is that
-//! vocabulary, with nothing heavier than `serde` underneath:
+//! vocabulary, built on the standard library alone:
 //!
 //! * [`Histogram`] — log2-bucketed `u64` samples with exact
 //!   `count/sum/min/max` and `p50/p90/p99/p999` *upper bounds*; merges
-//!   across rayon workers are exact and order-independent ([`hist`]).
+//!   across worker threads are exact and order-independent ([`hist`]).
 //! * [`MetricsRegistry`] — named counters, gauges (high-water marks) and
 //!   histograms over `BTreeMap`s, so reports are deterministic
 //!   ([`registry`]).
@@ -30,6 +30,9 @@
 //!   other committed artifacts ([`artifact`]), built on the shared
 //!   artifact JSON dialect ([`jsonfmt`]) every committed `BENCH_*.json`
 //!   writer uses.
+//! * [`rng`] — not observability, but this is the crate every other one
+//!   already depends on: the SplitMix64 mixer and xoshiro256++ generator
+//!   behind every seed derivation and random draw in the tree.
 //!
 //! # The clock rule
 //!
@@ -64,6 +67,7 @@ pub mod hist;
 pub mod jsonfmt;
 pub mod profile;
 pub mod registry;
+pub mod rng;
 pub mod span;
 
 pub use artifact::{Field, FieldValue, ObsArtifact, Row, Section, SCHEMA};

@@ -15,7 +15,7 @@ use std::time::Instant;
 
 use crate::registry::MetricsRegistry;
 
-/// A sink for named phase durations. `Sync` because the rayon fan-out
+/// A sink for named phase durations. `Sync` because the harness fan-out
 /// reports from worker threads.
 pub trait Profiler: Sync {
     /// Whether recording does anything — lets hot paths skip building

@@ -14,10 +14,8 @@
 //! a span cannot secretly read wall time, so any nondeterminism has to
 //! arrive through an explicit `now` argument at the call site.
 
-use serde::{Deserialize, Serialize};
-
 /// A started timer in a caller-supplied nanosecond clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Span {
     start_ns: u64,
 }

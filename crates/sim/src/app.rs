@@ -7,15 +7,13 @@
 //! of servers; [`Workload::all_to_all`] models that, and
 //! [`Workload::uniform_random`] gives a Poisson-like background load.
 
-use rand::rngs::SmallRng;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use drs_obs::rng::Rng;
 
 use crate::ids::NodeId;
 use crate::time::{SimDuration, SimTime};
 
 /// One scheduled application message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AppMessage {
     /// When the application hands the message to the transport.
     pub at: SimTime,
@@ -28,7 +26,7 @@ pub struct AppMessage {
 }
 
 /// A deterministic schedule of application messages.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Workload {
     messages: Vec<AppMessage>,
 }
@@ -115,7 +113,7 @@ impl Workload {
         span: SimDuration,
         count: usize,
         payload_bytes: u32,
-        rng: &mut SmallRng,
+        rng: &mut Rng,
     ) -> Self {
         assert!(n >= 2, "need at least two hosts");
         assert!(span > SimDuration::ZERO, "need a positive span");
@@ -167,7 +165,6 @@ impl Workload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn periodic_pair_spacing() {
@@ -192,7 +189,7 @@ mod tests {
 
     #[test]
     fn uniform_random_no_self_messages_and_sorted() {
-        let mut rng = SmallRng::seed_from_u64(9);
+        let mut rng = Rng::seed_from_u64(9);
         let w = Workload::uniform_random(
             5,
             SimTime::ZERO,
@@ -212,7 +209,7 @@ mod tests {
     #[test]
     fn uniform_random_deterministic_per_seed() {
         let gen = |seed| {
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             Workload::uniform_random(
                 4,
                 SimTime::ZERO,

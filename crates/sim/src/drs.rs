@@ -12,8 +12,6 @@
 //! so seeded runs (and all committed BENCH artifacts) are byte-identical
 //! across the refactor.
 
-use rand::Rng;
-
 use drs_core::daemon::DrsDaemon;
 use drs_core::io::DrsIo;
 use drs_core::messages::DrsMsg;

@@ -9,15 +9,13 @@
 //! reality, where a failed hub does not announce itself and must be
 //! *detected* by probing.
 
-use rand::rngs::SmallRng;
-use rand::Rng;
-use serde::{Deserialize, Serialize};
+use drs_obs::rng::Rng;
 
 use crate::ids::{NetId, NodeId};
 use crate::time::{SimDuration, SimTime};
 
 /// A failable hardware component of the simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SimComponent {
     /// The shared hub/backplane of one network plane.
     Hub(NetId),
@@ -32,7 +30,7 @@ pub fn component_count(n: usize, planes: u8) -> usize {
 }
 
 /// A scheduled state change of one component.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultEvent {
     /// When the change takes effect.
     pub at: SimTime,
@@ -43,7 +41,7 @@ pub struct FaultEvent {
 }
 
 /// An ordered schedule of fault events.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     events: Vec<FaultEvent>,
 }
@@ -88,7 +86,7 @@ impl FaultPlan {
         n: usize,
         planes: u8,
         f: usize,
-        rng: &mut SmallRng,
+        rng: &mut Rng,
     ) -> (Self, Vec<SimComponent>) {
         let m = component_count(n, planes);
         assert!(f <= m, "cannot fail {f} of {m} components");
@@ -120,7 +118,7 @@ impl FaultPlan {
         mttr: SimDuration,
         n: usize,
         planes: u8,
-        rng: &mut SmallRng,
+        rng: &mut Rng,
     ) -> Self {
         assert!(mtbf > SimDuration::ZERO, "mtbf must be positive");
         let m = component_count(n, planes);
@@ -211,7 +209,6 @@ pub fn component_to_index(c: SimComponent, n: usize, planes: u8) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::SeedableRng;
 
     #[test]
     fn index_component_roundtrip() {
@@ -289,7 +286,7 @@ mod tests {
 
     #[test]
     fn random_simultaneous_draws_distinct() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         let (plan, comps) = FaultPlan::random_simultaneous(SimTime(100), 8, 2, 5, &mut rng);
         assert_eq!(plan.len(), 5);
         assert_eq!(comps.len(), 5);
@@ -303,7 +300,7 @@ mod tests {
 
     #[test]
     fn poisson_pairs_failures_with_repairs() {
-        let mut rng = SmallRng::seed_from_u64(2);
+        let mut rng = Rng::seed_from_u64(2);
         let plan = FaultPlan::poisson_process(
             SimDuration::from_secs(1000),
             SimDuration::from_secs(50),
@@ -332,7 +329,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "cannot fail")]
     fn too_many_simultaneous_failures_panics() {
-        let mut rng = SmallRng::seed_from_u64(3);
+        let mut rng = Rng::seed_from_u64(3);
         let _ = FaultPlan::random_simultaneous(SimTime::ZERO, 2, 2, 7, &mut rng);
     }
 }

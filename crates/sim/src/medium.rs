@@ -11,13 +11,11 @@
 //! A failed hub (backplane failure, the paper's shared-component fault)
 //! silently discards everything submitted to or in flight on it.
 
-use serde::{Deserialize, Serialize};
-
 use crate::ids::NetId;
 use crate::time::{SimDuration, SimTime};
 
 /// Traffic class, for overhead accounting.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum TrafficClass {
     /// ICMP echo probes (the DRS monitoring overhead).
     Probe,
@@ -28,7 +26,7 @@ pub enum TrafficClass {
 }
 
 /// Cumulative per-segment statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct MediumStats {
     /// Frames successfully admitted.
     pub frames: u64,

@@ -5,9 +5,9 @@
 //!
 //! 1. **Ground truth** for the wheel's ordering property tests — on any
 //!    schedule, the wheel must pop the exact sequence this heap pops.
-//! 2. **Baseline** for the criterion kernel benches, so the speedup of
-//!    the wheel stays measurable against the original implementation
-//!    instead of drifting into folklore.
+//! 2. **Baseline** for timing the wheel, so its speedup stays measurable
+//!    against the original implementation instead of drifting into
+//!    folklore.
 //!
 //! It is not used on any simulation path.
 

@@ -5,12 +5,10 @@
 //! frame), and a TCP-like transport whose first retransmission fires after
 //! one second.
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::SimDuration;
 
 /// Reliable-transport tuning (the stand-in for TCP).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
     /// First retransmission timeout.
     pub initial_rto: SimDuration,
@@ -31,7 +29,7 @@ impl Default for TransportConfig {
 }
 
 /// Full description of a simulated cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClusterSpec {
     /// Number of server hosts.
     pub n: usize,
@@ -39,7 +37,6 @@ pub struct ClusterSpec {
     /// segments) every host is attached to. The paper's cluster is exactly
     /// 2 — the default — and the committed artifacts all run at 2; larger
     /// values open the "beyond the paper" K-plane family.
-    #[serde(default = "default_planes")]
     pub planes: u8,
     /// Data rate of each shared segment, bits per second.
     pub bandwidth_bps: u64,
@@ -63,10 +60,6 @@ pub struct ClusterSpec {
     pub frame_loss_rate: f64,
     /// Master seed; all in-world randomness derives from it.
     pub seed: u64,
-}
-
-fn default_planes() -> u8 {
-    2
 }
 
 impl ClusterSpec {

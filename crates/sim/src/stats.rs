@@ -6,12 +6,10 @@
 //! paths keep working. The simulator-only pieces (per-host kernel
 //! counters, application-level statistics) stay in this module.
 
-use serde::{Deserialize, Serialize};
-
 pub use drs_core::stats::{LatencyHistogram, ProbeObs};
 
 /// Per-host event counters maintained by the simulator core.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct HostCounters {
     /// Echo requests this host answered.
     pub echo_answered: u64,
@@ -35,7 +33,7 @@ pub struct HostCounters {
 }
 
 /// Cluster-wide application-level statistics.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct AppStats {
     /// Application messages handed to the transport.
     pub sent: u64,

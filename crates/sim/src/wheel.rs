@@ -250,14 +250,13 @@ impl<T> TimerWheel<T> {
     /// Pushes an event due at `at` with tie-break `seq`.
     ///
     /// `at` must be no earlier than the last popped entry's time; the
-    /// simulator core guarantees this by clamping. `seq` must be unique
-    /// and increasing across pushes (the core's global counter).
+    /// simulator core guarantees this by clamping. It *may* precede the
+    /// cursor — [`peek`](Self::peek) stages the next occupied grain, which
+    /// can lie past the caller's clock — and then merges into the ready
+    /// buffer in `(at, seq)` order. `seq` must be unique and increasing
+    /// across pushes (the core's global counter).
     pub fn push(&mut self, at: SimTime, seq: u64, val: T) {
         let at = at.0;
-        debug_assert!(
-            at >> GRAIN_BITS >= self.cur,
-            "pushed before the wheel cursor"
-        );
         self.len += 1;
         self.stats.pushes += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.len as u64);
@@ -614,6 +613,22 @@ mod tests {
         // Schedule at the instant just popped: must come after seq 1.
         w.push(SimTime(1000), 2, 2);
         assert_eq!(drain(&mut w), vec![(1000, 1, 1), (1000, 2, 2)]);
+    }
+
+    #[test]
+    fn push_behind_a_peeked_cursor_pops_first() {
+        // `World::run_until` peeks past its deadline, then callers
+        // schedule at `now`: the entry lands behind the advanced cursor.
+        let mut w = TimerWheel::new();
+        let later = 500 << GRAIN_BITS;
+        w.push(SimTime(later), 0, 0);
+        assert_eq!(w.peek(), Some((SimTime(later), 0)));
+        w.push(SimTime(1000), 1, 1);
+        w.push(SimTime(later), 2, 2);
+        assert_eq!(
+            drain(&mut w),
+            vec![(1000, 1, 1), (later, 0, 0), (later, 2, 2)]
+        );
     }
 
     #[test]

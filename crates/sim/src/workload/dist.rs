@@ -6,7 +6,7 @@
 //! platform's `libm` (whose `ln`/`exp` are not bit-specified). This
 //! module therefore carries:
 //!
-//! * [`Stream`] — a SplitMix64 generator, one independent stream per
+//! * [`Stream`] — a [`SplitMix64`] generator, one independent stream per
 //!   host, seeded from the scenario seed by [`stream_seed`] exactly the
 //!   same way in the serial and the sharded kernel;
 //! * software [`ln`]/[`exp`] built from IEEE-754 add/mul/div only
@@ -21,8 +21,7 @@
 //! sampler domain, but the contract here is *determinism*, not
 //! faithfulness to libm — the samplers **define** the workload.
 
-/// Golden gamma of the SplitMix64 increment (Steele et al.).
-const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+use drs_obs::rng::{mix64, SplitMix64, GOLDEN_GAMMA};
 
 /// Domain-separation constant so workload streams never collide with the
 /// kernel's per-host protocol RNG streams derived from the same seed.
@@ -34,24 +33,21 @@ const WORKLOAD_SALT: u64 = 0x5E55_1011_F10D_F10A;
 /// shard of a `ShardedWorld` draw the exact same per-host sequences.
 #[must_use]
 pub fn stream_seed(seed: u64, node: u32) -> u64 {
-    let mut z = seed
-        ^ WORKLOAD_SALT.wrapping_add(u64::from(node).wrapping_add(1).wrapping_mul(GOLDEN_GAMMA));
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(
+        seed ^ WORKLOAD_SALT
+            .wrapping_add(u64::from(node).wrapping_add(1).wrapping_mul(GOLDEN_GAMMA)),
+    )
 }
 
 /// A SplitMix64 stream: the session layer's only randomness source.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Stream {
-    state: u64,
-}
+pub struct Stream(SplitMix64);
 
 impl Stream {
     /// A stream starting from `state`.
     #[must_use]
     pub fn new(state: u64) -> Self {
-        Stream { state }
+        Stream(SplitMix64::new(state))
     }
 
     /// Host `node`'s stream under scenario `seed` (see [`stream_seed`]).
@@ -62,11 +58,7 @@ impl Stream {
 
     /// The next raw 64-bit draw.
     pub fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(GOLDEN_GAMMA);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
+        self.0.next_u64()
     }
 
     /// A uniform draw in `(0, 1]` — never 0, so `ln` is always defined.
@@ -264,6 +256,31 @@ impl HoldingDist {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn stream_and_its_seed_equal_the_bodies_they_replaced() {
+        fn finalize(mut z: u64) -> u64 {
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let mut corpus = Stream::new(0xD157);
+        for node in 0..2_000u32 {
+            let seed = corpus.next_u64();
+            let salted = 0x5E55_1011_F10D_F10Au64.wrapping_add(
+                u64::from(node)
+                    .wrapping_add(1)
+                    .wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            );
+            assert_eq!(stream_seed(seed, node), finalize(seed ^ salted));
+            let mut state = seed;
+            let mut s = Stream::new(seed);
+            for _ in 0..3 {
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                assert_eq!(s.next_u64(), finalize(state));
+            }
+        }
+    }
 
     #[test]
     fn ln_and_exp_round_trip_to_high_precision() {

@@ -347,8 +347,7 @@ impl<P: Protocol> Engine<'_, P> {
             * (1.0 - self.core.link_loss(frame.src, frame.net))
             * (1.0 - self.core.link_loss(node, frame.net));
         if p_ok < 1.0 {
-            use rand::Rng;
-            if self.core.rng.for_node(node).gen::<f64>() >= p_ok {
+            if self.core.rng.for_node(node).gen_f64() >= p_ok {
                 self.core.hosts.counters_mut(node).rx_corrupt += 1;
                 self.core.flight_loss(frame, loss_site::CORRUPT);
                 return;

@@ -26,7 +26,7 @@ pub use shard::{threads_from_env, HubTimeline, ShardStats, ShardedWorld};
 pub use drs_obs::flight::{EventRef, FlightLog, TraceKind, TraceRecord};
 
 use drs_obs::flight::FlightRecorder;
-use rand::rngs::SmallRng;
+use drs_obs::rng::Rng;
 
 use crate::app::Workload;
 use crate::fault::FaultEvent;
@@ -195,7 +195,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     /// with other hosts', but the whole interleaving is seed-
     /// reproducible); under the sharded driver each host has its own
     /// seed-derived stream so draw order is thread-count-independent.
-    pub fn rng(&mut self) -> &mut SmallRng {
+    pub fn rng(&mut self) -> &mut Rng {
         self.core.rng.for_node(self.node)
     }
 
@@ -722,7 +722,6 @@ mod tests {
     use super::*;
     use crate::fault::{FaultPlan, SimComponent};
     use crate::scenario::TransportConfig;
-    use rand::SeedableRng;
 
     /// A protocol that does nothing: the kernel behaviours alone.
     struct Idle;
@@ -982,7 +981,7 @@ mod tests {
     fn determinism_same_seed_same_world() {
         let build = |seed| {
             let mut w = World::new(ClusterSpec::new(6).seed(seed), |_| Idle);
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let wl = Workload::uniform_random(
                 6,
                 SimTime::ZERO,

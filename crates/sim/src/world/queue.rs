@@ -19,8 +19,7 @@
 //! parallel schedule reproduce the single-threaded one.
 
 use drs_obs::flight::{EventRef, FlightRecorder, TraceKind, TraceRecord};
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
 
 use crate::fault::{FaultEvent, SimComponent};
 use crate::frame::{Destination, Frame, FrameKind};
@@ -116,12 +115,12 @@ pub(crate) enum Fabric<M> {
 /// event sequence, which the deterministic merge fixes independently of
 /// the thread count.
 pub(crate) enum RngBank {
-    Shared(SmallRng),
-    PerHost { base: u32, rngs: Vec<SmallRng> },
+    Shared(Rng),
+    PerHost { base: u32, rngs: Vec<Rng> },
 }
 
 impl RngBank {
-    pub(crate) fn for_node(&mut self, node: NodeId) -> &mut SmallRng {
+    pub(crate) fn for_node(&mut self, node: NodeId) -> &mut Rng {
         match self {
             RngBank::Shared(rng) => rng,
             RngBank::PerHost { base, rngs } => &mut rngs[(node.0 - *base) as usize],
@@ -129,13 +128,10 @@ impl RngBank {
     }
 }
 
-/// One SplitMix64 step keyed by the host id: cheap independent seeds for
-/// per-host streams, stable across shard layouts and thread counts.
+/// [`mix64`] keyed by the host id: cheap independent seeds for per-host
+/// streams, stable across shard layouts and thread counts.
 fn host_rng_seed(seed: u64, node: u32) -> u64 {
-    let mut z = seed ^ u64::from(node).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    mix64(seed ^ u64::from(node).wrapping_mul(GOLDEN_GAMMA))
 }
 
 /// What kind of event a popped [`EventRecord`] was.
@@ -247,7 +243,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             spec.planes as usize,
             "one medium per plane/segment"
         );
-        let rng = RngBank::Shared(SmallRng::seed_from_u64(spec.seed));
+        let rng = RngBank::Shared(Rng::seed_from_u64(spec.seed));
         Self::build(spec, 0, spec.n, media, Fabric::Direct, rng)
     }
 
@@ -256,7 +252,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// random streams.
     pub(crate) fn new_shard(spec: ClusterSpec, base: u32, len: usize, timeline: HubTimeline) -> Self {
         let rngs = (base..base + len as u32)
-            .map(|i| SmallRng::seed_from_u64(host_rng_seed(spec.seed, i)))
+            .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
             .collect();
         Self::build(
             spec,
@@ -482,5 +478,26 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             queue_depth: self.events.len() as u64,
             now_ns: self.now.0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn host_rng_seed_equals_the_body_it_replaced() {
+        fn reference(seed: u64, node: u32) -> u64 {
+            let mut z = seed ^ u64::from(node).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        }
+        let mut corpus = Rng::seed_from_u64(0x4057);
+        for node in (0..2_000u32).chain([u32::MAX]) {
+            let seed = corpus.next_u64();
+            assert_eq!(host_rng_seed(seed, node), reference(seed, node));
+        }
+        assert_eq!(host_rng_seed(0, 0), reference(0, 0));
     }
 }

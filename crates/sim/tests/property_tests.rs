@@ -1,10 +1,11 @@
-//! Property-based tests for the simulator substrate: medium timing
+//! Property tests for the simulator substrate: medium timing
 //! invariants, histogram correctness, workload structure, transport
 //! arithmetic, and whole-world conservation laws under random scenarios.
+//!
+//! Each property is a loop over [`CASES`] seeded parameter draws; every
+//! assertion prints the failing case, and `case_rng(index)` reruns it.
 
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs_obs::rng::Rng;
 
 use drs_sim::app::Workload;
 use drs_sim::fault::{component_count, component_to_index, index_to_component, FaultPlan};
@@ -17,68 +18,112 @@ use drs_sim::transport::{max_flow_lifetime, rto_for_attempt};
 use drs_sim::wheel::TimerWheel;
 use drs_sim::world::{Protocol, World};
 
+/// Draws per property.
+const CASES: u64 = 256;
+
+fn case_rng(case: u64) -> Rng {
+    Rng::seed_from_u64(0x51A1_C0DE ^ case)
+}
+
 struct Idle;
 impl Protocol for Idle {
     type Msg = ();
 }
 
-proptest! {
-    /// Frames on a shared medium never arrive out of admission order, and
-    /// each arrival respects serialization + propagation lower bounds.
-    #[test]
-    fn medium_is_fifo_and_causal(
-        sizes in proptest::collection::vec(1u32..2000, 1..40),
-        gaps in proptest::collection::vec(0u64..200_000, 1..40),
-    ) {
+/// Frames on a shared medium never arrive out of admission order, and
+/// each arrival respects serialization + propagation lower bounds.
+#[test]
+fn medium_is_fifo_and_causal() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let sizes: Vec<_> = (0..rng.gen_range(1usize..40))
+            .map(|_| rng.gen_range(1u32..2000))
+            .collect();
+        let gaps: Vec<_> = (0..rng.gen_range(1usize..40))
+            .map(|_| rng.gen_range(0u64..200_000))
+            .collect();
+        let ctx = format!("case {case}: sizes={sizes:?} gaps={gaps:?}");
         let mut m = SharedMedium::new(NetId::A, 100_000_000, SimDuration::from_micros(5));
         let mut now = SimTime::ZERO;
         let mut last_arrival = SimTime::ZERO;
         for (size, gap) in sizes.iter().zip(&gaps) {
             now += SimDuration::from_nanos(*gap);
             let arrive = m.admit(now, *size, TrafficClass::Data).unwrap();
-            prop_assert!(arrive >= last_arrival, "FIFO violated");
+            assert!(arrive >= last_arrival, "{ctx}: FIFO violated");
             let min = now + m.serialization(*size) + SimDuration::from_micros(5);
-            prop_assert!(arrive >= min, "faster than physics");
+            assert!(arrive >= min, "{ctx}: faster than physics");
             last_arrival = arrive;
         }
     }
+}
 
-    /// Medium busy time equals the sum of serialization times.
-    #[test]
-    fn medium_busy_accounting(sizes in proptest::collection::vec(1u32..5000, 0..50)) {
+/// Medium busy time equals the sum of serialization times.
+#[test]
+fn medium_busy_accounting() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let sizes: Vec<_> = (0..rng.gen_range(0usize..50))
+            .map(|_| rng.gen_range(1u32..5000))
+            .collect();
+        let ctx = format!("case {case}: sizes={sizes:?}");
         let mut m = SharedMedium::new(NetId::B, 10_000_000, SimDuration::ZERO);
         let mut expected = SimDuration::ZERO;
         for s in &sizes {
             expected = expected + m.serialization(*s);
             let _ = m.admit(SimTime::ZERO, *s, TrafficClass::Control);
         }
-        prop_assert_eq!(m.stats.busy, expected);
-        prop_assert_eq!(m.stats.frames, sizes.len() as u64);
+        assert_eq!(m.stats.busy, expected, "{ctx}");
+        assert_eq!(m.stats.frames, sizes.len() as u64, "{ctx}");
     }
+}
 
-    /// The histogram's mean/min/max always agree with a direct fold, and
-    /// quantile bounds bracket correctly.
-    #[test]
-    fn histogram_agrees_with_direct_fold(ns in proptest::collection::vec(0u64..10_000_000_000, 1..200)) {
+/// The histogram's mean/min/max always agree with a direct fold, and
+/// quantile bounds bracket correctly.
+#[test]
+fn histogram_agrees_with_direct_fold() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let ns: Vec<_> = (0..rng.gen_range(1usize..200))
+            .map(|_| rng.gen_range(0u64..10_000_000_000))
+            .collect();
+        let ctx = format!("case {case}: ns={ns:?}");
         let mut h = LatencyHistogram::new();
         for &x in &ns {
             h.record(SimDuration::from_nanos(x));
         }
-        prop_assert_eq!(h.count(), ns.len() as u64);
-        prop_assert_eq!(h.min().unwrap().as_nanos(), *ns.iter().min().unwrap());
-        prop_assert_eq!(h.max().unwrap().as_nanos(), *ns.iter().max().unwrap());
+        assert_eq!(h.count(), ns.len() as u64, "{ctx}");
+        assert_eq!(
+            h.min().unwrap().as_nanos(),
+            *ns.iter().min().unwrap(),
+            "{ctx}"
+        );
+        assert_eq!(
+            h.max().unwrap().as_nanos(),
+            *ns.iter().max().unwrap(),
+            "{ctx}"
+        );
         let mean = ns.iter().map(|&x| x as u128).sum::<u128>() / ns.len() as u128;
-        prop_assert_eq!(h.mean().unwrap().as_nanos() as u128, mean);
+        assert_eq!(h.mean().unwrap().as_nanos() as u128, mean, "{ctx}");
         let median_bound = h.quantile_upper_bound(0.5).unwrap().as_nanos();
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         let true_median = sorted[(sorted.len() - 1) / 2];
-        prop_assert!(median_bound >= true_median, "{median_bound} < {true_median}");
+        assert!(
+            median_bound >= true_median,
+            "{ctx}: {median_bound} < {true_median}"
+        );
     }
+}
 
-    /// RTO backoff is monotone and max_flow_lifetime really bounds the sum.
-    #[test]
-    fn transport_timing_identities(initial_ms in 1u64..5_000, factor in 1u32..5, retries in 0u32..10) {
+/// RTO backoff is monotone and max_flow_lifetime really bounds the sum.
+#[test]
+fn transport_timing_identities() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let initial_ms = rng.gen_range(1u64..5_000);
+        let factor = rng.gen_range(1u32..5);
+        let retries = rng.gen_range(0u32..10);
+        let ctx = format!("case {case}: initial_ms={initial_ms} factor={factor} retries={retries}");
         let cfg = TransportConfig {
             initial_rto: SimDuration::from_millis(initial_ms),
             backoff_factor: factor,
@@ -88,64 +133,103 @@ proptest! {
         let mut prev = SimDuration::ZERO;
         for attempt in 1..=retries + 1 {
             let rto = rto_for_attempt(&cfg, attempt);
-            prop_assert!(rto >= prev);
+            assert!(rto >= prev, "{ctx}");
             prev = rto;
             sum = sum + rto;
         }
-        prop_assert_eq!(sum, max_flow_lifetime(&cfg));
+        assert_eq!(sum, max_flow_lifetime(&cfg), "{ctx}");
     }
+}
 
-    /// Random workloads: all messages in window, no self-sends, sorted.
-    #[test]
-    fn workload_structure(n in 2usize..30, count in 0usize..300, seed in any::<u64>()) {
+/// Random workloads: all messages in window, no self-sends, sorted.
+#[test]
+fn workload_structure() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..30);
+        let count = rng.gen_range(0usize..300);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: n={n} count={count} seed={seed}");
         let span = SimDuration::from_secs(5);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let w = Workload::uniform_random(n, SimTime(1000), span, count, 64, &mut rng);
-        prop_assert_eq!(w.len(), count);
+        assert_eq!(w.len(), count, "{ctx}");
         for m in w.messages() {
-            prop_assert!(m.src != m.dst);
-            prop_assert!(m.src.idx() < n && m.dst.idx() < n);
-            prop_assert!(m.at >= SimTime(1000));
-            prop_assert!(m.at < SimTime(1000) + span);
+            assert!(m.src != m.dst, "{ctx}");
+            assert!(m.src.idx() < n && m.dst.idx() < n, "{ctx}");
+            assert!(m.at >= SimTime(1000), "{ctx}");
+            assert!(m.at < SimTime(1000) + span, "{ctx}");
         }
-        prop_assert!(w.messages().windows(2).all(|p| p[0].at <= p[1].at));
+        assert!(w.messages().windows(2).all(|p| p[0].at <= p[1].at), "{ctx}");
     }
+}
 
-    /// Fault component indexing is bijective for every cluster size and
-    /// redundancy degree.
-    #[test]
-    fn fault_index_bijection(n in 1usize..200, planes in 2u8..6) {
+/// Fault component indexing is bijective for every cluster size and
+/// redundancy degree.
+#[test]
+fn fault_index_bijection() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(1usize..200);
+        let planes = rng.gen_range(2u8..6);
+        let ctx = format!("case {case}: n={n} planes={planes}");
         for idx in 0..component_count(n, planes) {
-            prop_assert_eq!(
+            assert_eq!(
                 component_to_index(index_to_component(idx, n, planes), n, planes),
-                idx
+                idx,
+                "{ctx}",
             );
         }
     }
+}
 
-    /// Conservation under random healthy-cluster traffic: every message
-    /// is delivered exactly once, no retransmits, no drops, and both
-    /// networks carry only what the route tables send there.
-    #[test]
-    fn healthy_world_conserves_messages(n in 2usize..10, count in 1usize..60, seed in any::<u64>()) {
+/// Conservation under random healthy-cluster traffic: every message
+/// is delivered exactly once, no retransmits, no drops, and both
+/// networks carry only what the route tables send there.
+#[test]
+fn healthy_world_conserves_messages() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..10);
+        let count = rng.gen_range(1usize..60);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: n={n} count={count} seed={seed}");
         let spec = ClusterSpec::new(n).seed(seed);
         let mut w = World::new(spec, |_| Idle);
-        let mut rng = SmallRng::seed_from_u64(seed);
-        let wl = Workload::uniform_random(n, SimTime::ZERO, SimDuration::from_secs(2), count, 128, &mut rng);
+        let mut rng = Rng::seed_from_u64(seed);
+        let wl = Workload::uniform_random(
+            n,
+            SimTime::ZERO,
+            SimDuration::from_secs(2),
+            count,
+            128,
+            &mut rng,
+        );
         w.schedule_workload(&wl);
         w.run_for(SimDuration::from_secs(10));
-        prop_assert_eq!(w.app_stats().sent, count as u64);
-        prop_assert_eq!(w.app_stats().delivered, count as u64);
-        prop_assert_eq!(w.app_stats().retransmits, 0);
-        prop_assert_eq!(w.app_stats().gave_up, 0);
-        prop_assert_eq!(w.medium(NetId::B).stats.frames, 0, "default routes are net A");
-        prop_assert_eq!(w.flows_in_flight(), 0);
+        assert_eq!(w.app_stats().sent, count as u64, "{ctx}");
+        assert_eq!(w.app_stats().delivered, count as u64, "{ctx}");
+        assert_eq!(w.app_stats().retransmits, 0, "{ctx}");
+        assert_eq!(w.app_stats().gave_up, 0, "{ctx}");
+        assert_eq!(
+            w.medium(NetId::B).stats.frames,
+            0,
+            "{ctx}: default routes are net A"
+        );
+        assert_eq!(w.flows_in_flight(), 0, "{ctx}");
     }
+}
 
-    /// Whatever faults strike, flows always terminate: delivered+gave_up
-    /// accounts for every sent message once the horizon passes.
-    #[test]
-    fn flows_always_terminate(n in 2usize..8, f in 0usize..6, seed in any::<u64>()) {
+/// Whatever faults strike, flows always terminate: delivered+gave_up
+/// accounts for every sent message once the horizon passes.
+#[test]
+fn flows_always_terminate() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..8);
+        let f = rng.gen_range(0usize..6);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: n={n} f={f} seed={seed}");
         let f = f.min(2 * n + 2);
         let transport = TransportConfig {
             initial_rto: SimDuration::from_millis(50),
@@ -154,7 +238,7 @@ proptest! {
         };
         let spec = ClusterSpec::new(n).seed(seed).transport(transport);
         let mut w = World::new(spec, |_| Idle);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let (plan, _) = FaultPlan::random_simultaneous(SimTime(1000), n, 2, f, &mut rng);
         w.schedule_faults(plan);
         for i in 0..n as u32 {
@@ -163,8 +247,8 @@ proptest! {
         }
         w.run_for(SimDuration::from_secs(30));
         let s = w.app_stats();
-        prop_assert_eq!(s.delivered + s.gave_up, s.sent);
-        prop_assert_eq!(w.flows_in_flight(), 0);
+        assert_eq!(s.delivered + s.gave_up, s.sent, "{ctx}");
+        assert_eq!(w.flows_in_flight(), 0, "{ctx}");
     }
 }
 
@@ -179,8 +263,7 @@ proptest! {
 /// exact same-tick bursts, same-grain neighbours, low-level slots,
 /// cross-level deltas, and past-horizon timestamps that land in overflow.
 fn random_schedule(seed: u64, len: usize) -> Vec<SimTime> {
-    use rand::Rng;
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut out: Vec<SimTime> = Vec::with_capacity(len);
     for _ in 0..len {
         let at = match rng.gen_range(0u32..10) {
@@ -208,54 +291,61 @@ mod wheel_vs_heap {
 
     /// Pushes the schedule into both structures and checks the full drain
     /// agrees triple-for-triple.
-    fn assert_wheel_matches_heap(schedule: &[SimTime]) {
+    fn assert_wheel_matches_heap(schedule: &[SimTime], ctx: &str) {
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
         let mut heap: NaiveHeap<u64> = NaiveHeap::new();
         for (seq, &at) in schedule.iter().enumerate() {
             wheel.push(at, seq as u64, seq as u64);
             heap.push(at, seq as u64, seq as u64);
         }
-        assert_eq!(wheel.len(), heap.len());
+        assert_eq!(wheel.len(), heap.len(), "{ctx}");
         loop {
             let expect = heap.pop();
             let got = wheel.pop();
-            assert_eq!(got, expect, "wheel diverged from the reference heap");
+            assert_eq!(got, expect, "{ctx}: wheel diverged from the reference heap");
             if expect.is_none() {
                 break;
             }
         }
-        assert!(wheel.is_empty());
+        assert!(wheel.is_empty(), "{ctx}");
     }
 
     /// ISSUE acceptance: 1000+ seeded random schedules, including
     /// same-tick bursts, drain in exactly the reference `(at, seq)` order.
     #[test]
     fn wheel_matches_heap_on_1000_seeded_schedules() {
-        use rand::Rng;
         for seed in 0..1000u64 {
-            let mut rng = SmallRng::seed_from_u64(seed ^ 0x5EED);
+            let mut rng = Rng::seed_from_u64(seed ^ 0x5EED);
             let len = rng.gen_range(1usize..64);
-            assert_wheel_matches_heap(&random_schedule(seed, len));
+            assert_wheel_matches_heap(&random_schedule(seed, len), &format!("seed {seed}"));
         }
     }
 
-    proptest! {
-        /// Larger randomized schedules than the seeded sweep, full drain.
-        #[test]
-        fn wheel_pop_order_matches_heap(seed in any::<u64>(), len in 1usize..400) {
-            assert_wheel_matches_heap(&random_schedule(seed, len));
+    /// Larger randomized schedules than the seeded sweep, full drain.
+    #[test]
+    fn wheel_pop_order_matches_heap() {
+        for case in 0..CASES {
+            let mut rng = case_rng(case);
+            let seed = rng.next_u64();
+            let len = rng.gen_range(1usize..400);
+            let ctx = format!("case {case}: seed={seed} len={len}");
+            assert_wheel_matches_heap(&random_schedule(seed, len), &ctx);
         }
+    }
 
-        /// Interleaved push/pop: pops advance the wheel cursor between
-        /// pushes, exercising cascades and the ready-buffer merge paths
-        /// that a push-all-then-drain test never reaches.
-        #[test]
-        fn wheel_matches_heap_under_interleaved_ops(
-            seed in any::<u64>(),
-            ops in proptest::collection::vec(0u32..4, 1..300),
-        ) {
-            use rand::Rng;
-            let mut rng = SmallRng::seed_from_u64(seed);
+    /// Interleaved push/pop: pops advance the wheel cursor between
+    /// pushes, exercising cascades and the ready-buffer merge paths
+    /// that a push-all-then-drain test never reaches.
+    #[test]
+    fn wheel_matches_heap_under_interleaved_ops() {
+        for case in 0..CASES {
+            let mut rng = case_rng(case);
+            let seed = rng.next_u64();
+            let ops: Vec<_> = (0..rng.gen_range(1usize..300))
+                .map(|_| rng.gen_range(0u32..4))
+                .collect();
+            let ctx = format!("case {case}: seed={seed} ops={ops:?}");
+            let mut rng = Rng::seed_from_u64(seed);
             let mut wheel: TimerWheel<u64> = TimerWheel::new();
             let mut heap: NaiveHeap<u64> = NaiveHeap::new();
             let mut now = 0u64;
@@ -264,7 +354,7 @@ mod wheel_vs_heap {
                 if op == 0 && !heap.is_empty() {
                     let expect = heap.pop();
                     let got = wheel.pop();
-                    prop_assert_eq!(got, expect);
+                    assert_eq!(got, expect, "{ctx}");
                     now = expect.unwrap().0 .0;
                 } else {
                     // Schedules never go backwards past the last pop — the
@@ -276,10 +366,10 @@ mod wheel_vs_heap {
                 }
             }
             while let Some(expect) = heap.pop() {
-                prop_assert_eq!(wheel.pop(), Some(expect));
+                assert_eq!(wheel.pop(), Some(expect), "{ctx}");
             }
-            prop_assert!(wheel.is_empty());
-            prop_assert_eq!(wheel.peek(), None);
+            assert!(wheel.is_empty(), "{ctx}");
+            assert_eq!(wheel.peek(), None, "{ctx}");
         }
     }
 }
@@ -299,11 +389,15 @@ fn wheel_same_tick_burst_pops_in_seq_order() {
     assert!(wheel.is_empty());
 }
 
-proptest! {
-    /// The wheel's own accounting: pushes = pops after a full drain, and
-    /// the high-water depth equals the schedule length for push-all-first.
-    #[test]
-    fn wheel_stats_balance(seed in any::<u64>(), len in 1usize..200) {
+/// The wheel's own accounting: pushes = pops after a full drain, and
+/// the high-water depth equals the schedule length for push-all-first.
+#[test]
+fn wheel_stats_balance() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let len = rng.gen_range(1usize..200);
+        let ctx = format!("case {case}: seed={seed} len={len}");
         let schedule = random_schedule(seed, len);
         let mut wheel: TimerWheel<u64> = TimerWheel::new();
         for (seq, &at) in schedule.iter().enumerate() {
@@ -311,8 +405,8 @@ proptest! {
         }
         while wheel.pop().is_some() {}
         let s = wheel.stats();
-        prop_assert_eq!(s.pushes, len as u64);
-        prop_assert_eq!(s.pops, len as u64);
-        prop_assert_eq!(s.max_depth, len as u64);
+        assert_eq!(s.pushes, len as u64, "{ctx}");
+        assert_eq!(s.pops, len as u64, "{ctx}");
+        assert_eq!(s.max_depth, len as u64, "{ctx}");
     }
 }

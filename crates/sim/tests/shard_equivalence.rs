@@ -6,11 +6,10 @@
 //! worker-thread count, and (for loss-free, fault-free runs) matches the
 //! plain sequential [`World`] event-for-event.
 //!
-//! These are plain seeded loops rather than `proptest!` strategies so a
-//! failing seed prints directly and reruns exactly.
+//! These are plain seeded loops, so a failing seed prints directly and
+//! reruns exactly.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use drs_obs::rng::Rng;
 
 use drs_sim::fault::FaultPlan;
 use drs_sim::medium::MediumStats;
@@ -115,11 +114,11 @@ struct Scenario {
 }
 
 impl Scenario {
-    fn draw(seed: u64, rng: &mut SmallRng) -> Self {
-        let n = rng.gen_range(4usize..=20);
-        let planes = rng.gen_range(2u8..=4);
+    fn draw(seed: u64, rng: &mut Rng) -> Self {
+        let n = rng.gen_range(4usize..21);
+        let planes = rng.gen_range(2u8..5);
         let spec = ClusterSpec::new(n).seed(seed).planes(planes);
-        let shards = rng.gen_range(1usize..=8);
+        let shards = rng.gen_range(1usize..9);
         let period = SimDuration::from_micros(rng.gen_range(20_000u64..80_000));
         let run = SimDuration::from_micros(rng.gen_range(200_000u64..500_000));
         let sends = (0..rng.gen_range(0usize..6))
@@ -141,12 +140,12 @@ impl Scenario {
             let down = rng.gen_range(0u64..run.as_nanos() / 2);
             faults.push((SimTime(down), SimComponent::Hub(plane), false));
             if rng.gen_bool(0.7) {
-                let up = down + rng.gen_range(1..=run.as_nanos() / 2);
+                let up = down + rng.gen_range(1..run.as_nanos() / 2 + 1);
                 faults.push((SimTime(up), SimComponent::Hub(plane), true));
             }
         }
         if rng.gen_bool(0.35) {
-            for _ in 0..rng.gen_range(1usize..=3) {
+            for _ in 0..rng.gen_range(1usize..4) {
                 let nic = SimComponent::Nic(
                     NodeId(rng.gen_range(0..n as u32)),
                     NetId(rng.gen_range(0..planes)),
@@ -154,7 +153,7 @@ impl Scenario {
                 let down = rng.gen_range(0u64..run.as_nanos());
                 faults.push((SimTime(down), nic, false));
                 if rng.gen_bool(0.5) {
-                    let up = down + rng.gen_range(1..=run.as_nanos() / 4);
+                    let up = down + rng.gen_range(1..run.as_nanos() / 4 + 1);
                     faults.push((SimTime(up), nic, true));
                 }
             }
@@ -179,7 +178,7 @@ impl Scenario {
                 }
             } else {
                 ArrivalProcess::Closed {
-                    per_host: rng.gen_range(1u32..=5),
+                    per_host: rng.gen_range(1u32..6),
                     think_mean_ns: rng.gen_range(10_000_000u64..80_000_000),
                 }
             },
@@ -196,12 +195,12 @@ impl Scenario {
                     sigma_milli: rng.gen_range(500u32..1000),
                 },
             },
-            classes: (0..rng.gen_range(1usize..=2))
+            classes: (0..rng.gen_range(1usize..3))
                 .map(|_| ClassSpec {
                     rate_bps: rng.gen_range(100_000u64..5_000_000),
                 })
                 .collect(),
-            horizon: SimTime(rng.gen_range(1..=run.as_nanos() / 2)),
+            horizon: SimTime(rng.gen_range(1..run.as_nanos() / 2 + 1)),
         });
         Scenario {
             spec,
@@ -328,7 +327,7 @@ fn corpus_of_1000_schedules_is_thread_count_invariant() {
     let mut evicting = 0u32;
     let mut faulted_lossy = 0u32;
     for seed in 0..1000u64 {
-        let mut rng = SmallRng::seed_from_u64(0x5EED_C0DE ^ seed);
+        let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
         let oracle = run_sharded(&sc, 1);
         assert!(
@@ -395,7 +394,7 @@ fn pristine_schedules_match_the_plain_world_event_for_event() {
     // faulty runs because hub faults log differently under a timeline.)
     let mut matched = 0u32;
     for seed in 0..1000u64 {
-        let mut rng = SmallRng::seed_from_u64(0x5EED_C0DE ^ seed);
+        let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
         if !sc.pristine() {
             continue;

@@ -1,9 +1,7 @@
 //! Server hardware inventory and per-class annual failure rates.
 
-use serde::{Deserialize, Serialize};
-
 /// A failable hardware component class in a late-1990s server cluster.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ComponentClass {
     /// Network interface card (two per server).
     Nic,
@@ -72,7 +70,7 @@ impl ComponentClass {
 
 /// Annual failure rates per component *instance* (Poisson intensity,
 /// events per instance-year).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureRates {
     /// NIC failures per card-year.
     pub nic: f64,

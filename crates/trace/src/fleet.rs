@@ -6,14 +6,12 @@
 //! the synthetic stand-in for the operations database behind the paper's
 //! field study.
 
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
+use drs_obs::rng::Rng;
 
 use crate::components::{ComponentClass, FailureRates};
 
 /// Description of a deployed fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSpec {
     /// Number of clusters.
     pub clusters: usize,
@@ -58,7 +56,7 @@ impl FleetSpec {
 }
 
 /// One failure event in the trace.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FailureRecord {
     /// Days since the study began.
     pub at_days: f64,
@@ -80,7 +78,7 @@ impl FailureRecord {
 
 /// Samples event times of a Poisson process with `rate` events/year over
 /// `duration_days`, in days.
-fn poisson_times(rate_per_year: f64, duration_days: f64, rng: &mut SmallRng) -> Vec<f64> {
+fn poisson_times(rate_per_year: f64, duration_days: f64, rng: &mut Rng) -> Vec<f64> {
     debug_assert!(rate_per_year >= 0.0);
     let mut times = Vec::new();
     let daily = rate_per_year / 365.0;
@@ -103,7 +101,7 @@ fn poisson_times(rate_per_year: f64, duration_days: f64, rng: &mut SmallRng) -> 
 ///
 /// This replaces the old `master.wrapping_add(i).wrapping_mul(…)` scheme,
 /// whose consecutive outputs differed by a fixed constant and fed
-/// correlated states into the trace generator's `SmallRng` — a bias in
+/// correlated states into the trace generator's `Rng` — a bias in
 /// the replicated fleet study.
 #[must_use]
 pub fn replication_seed(master: u64, index: u64) -> u64 {
@@ -122,7 +120,7 @@ pub fn generate_replication(spec: &FleetSpec, master: u64, index: u64) -> Vec<Fa
 /// Generates a complete, time-sorted failure trace for a fleet.
 #[must_use]
 pub fn generate_trace(spec: &FleetSpec, seed: u64) -> Vec<FailureRecord> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut records = Vec::new();
     for cluster in 0..spec.clusters {
         // Shared components.
@@ -230,7 +228,7 @@ mod tests {
 
     #[test]
     fn zero_rate_means_no_events() {
-        let mut rng = SmallRng::seed_from_u64(1);
+        let mut rng = Rng::seed_from_u64(1);
         assert!(poisson_times(0.0, 365.0, &mut rng).is_empty());
     }
 }

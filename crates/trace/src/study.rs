@@ -2,7 +2,6 @@
 //! estimate how many network failures DRS masks.
 
 use drs_harness::{Experiment, NullProfiler, Profiler, RunMode, Summary};
-use serde::{Deserialize, Serialize};
 
 use crate::fleet::{generate_trace, FailureRecord, FleetSpec};
 
@@ -26,7 +25,7 @@ pub fn fmt_fraction_pct(fraction: Option<f64>) -> String {
 }
 
 /// Summary of the statistic over many independent replications.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StudySummary {
     /// Replications run.
     pub replications: usize,
@@ -50,8 +49,8 @@ pub struct StudySummary {
 /// trials of a [`drs_harness::Experiment`].
 ///
 /// Per-trial seeds come from the shared SplitMix64 stream
-/// ([`crate::fleet::replication_seed`]); trials fan out across the rayon
-/// pool, and because each replication is an independent function of its
+/// ([`crate::fleet::replication_seed`]); trials fan out across the harness
+/// workers, and because each replication is an independent function of its
 /// seed the result is identical to a serial run. A study in which every
 /// replication yields an empty trace (zeroed failure rates, tiny windows)
 /// reports zeroed fraction statistics with `classified == 0` rather than
@@ -111,7 +110,7 @@ pub fn replicate_study_profiled(
 /// network failure in the **same cluster** overlaps it in time in a
 /// disconnecting combination; as a conservative bound we count any
 /// same-cluster overlap as unmasked.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MaskingReport {
     /// Network failures in the trace.
     pub network_failures: usize,
@@ -166,7 +165,7 @@ pub fn masking_analysis(trace: &[FailureRecord], mttr_days: f64) -> MaskingRepor
 /// never masked; network failures are masked per [`masking_analysis`])
 /// takes the affected cluster's service down for `mttr_days`. Downtime is
 /// attributed per cluster and averaged over the fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AvailabilityReport {
     /// Mean per-cluster availability without DRS (network failures all
     /// cause outage).

@@ -11,8 +11,7 @@
 //! compare what the application experienced against the raw component
 //! failure count.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs::obs::rng::Rng;
 
 use drs::core::{DrsConfig, DrsDaemon};
 use drs::sim::app::Workload;
@@ -32,7 +31,7 @@ fn main() {
     // failure roughly every 40 seconds, repaired after 15 s (stand-ins
     // for MTBF-months and MTTR-hours).
     let horizon = SimDuration::from_secs(600);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let plan = FaultPlan::poisson_process(
         horizon,
         SimDuration::from_secs(40),

@@ -2,8 +2,7 @@
 //! failure/repair churn must stay correct (no loops, no lost bookkeeping,
 //! high delivery) for many simulated minutes.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs::obs::rng::Rng;
 
 use drs::core::{DrsConfig, DrsDaemon};
 use drs::sim::app::Workload;
@@ -18,7 +17,7 @@ fn churn_run(n: usize, seed: u64, minutes: u64) -> (f64, u64, u64) {
     let mut w = World::new(spec, move |id| DrsDaemon::new(id, n, cfg));
 
     let horizon = SimDuration::from_secs(60 * minutes);
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     // A fault roughly every 10 s, repaired after 5 s: constant churn, but
     // rarely more than one or two concurrent failures.
     let plan = FaultPlan::poisson_process(

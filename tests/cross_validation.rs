@@ -4,8 +4,7 @@
 //! They share nothing but the component model, so agreement pins each
 //! one down.
 
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs::obs::rng::Rng;
 
 use drs::analytic::connectivity::pair_connected;
 use drs::analytic::enumerate::{enumerate_pair_success, exhaustive_p_success};
@@ -59,7 +58,7 @@ fn packet_simulation_agrees_with_predicate_per_trial() {
     for &(n, f) in &[(6usize, 2usize), (8, 3), (10, 4)] {
         for t in 0..trials {
             let seed = 0xC05 ^ ((n as u64) << 32) ^ ((f as u64) << 16) ^ t;
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let failures = sample_failure_set(n, f, &mut rng);
             let predicted = pair_connected(n, &failures, 0, 1);
 

@@ -131,7 +131,7 @@ fn claim_no_routing_loops() {
             .probe_interval(SimDuration::from_millis(200));
         let spec = ClusterSpec::new(n).seed(seed);
         let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
-        let mut rng = <rand::rngs::SmallRng as rand::SeedableRng>::seed_from_u64(seed);
+        let mut rng = drs::obs::rng::Rng::seed_from_u64(seed);
         let (plan, _) = FaultPlan::random_simultaneous(SimTime(1_000_000_000), n, 2, 4, &mut rng);
         w.schedule_faults(plan);
         w.run_for(SimDuration::from_secs(5));

@@ -1,10 +1,11 @@
-//! Property-based tests (proptest) over the cross-crate invariants: the
-//! connectivity predicate's monotonicity, Equation 1's bounds, component
-//! index conventions, and simulator determinism under random scenarios.
+//! Property tests over the cross-crate invariants: the connectivity
+//! predicate's monotonicity, Equation 1's bounds, component index
+//! conventions, and simulator determinism under random scenarios.
+//!
+//! Each property is a loop over [`CASES`] seeded parameter draws; every
+//! assertion prints the failing case, and `case_rng(index)` reruns it.
 
-use proptest::prelude::*;
-use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use drs::obs::rng::Rng;
 
 use drs::analytic::components::FailureSet;
 use drs::analytic::connectivity::{all_pairs_connected, pair_connected};
@@ -16,109 +17,170 @@ use drs::sim::fault::{component_to_index, index_to_component, FaultPlan};
 use drs::sim::stats::LatencyHistogram;
 use drs::sim::{ClusterSpec, NodeId, SimDuration, SimTime, World};
 
-proptest! {
-    /// Removing a failure can never disconnect a connected pair
-    /// (the predicate is monotone in the failure set).
-    #[test]
-    fn predicate_is_monotone(n in 2usize..20, seed in any::<u64>(), f in 0usize..10) {
+/// Draws per property.
+const CASES: u64 = 256;
+
+fn case_rng(case: u64) -> Rng {
+    Rng::seed_from_u64(0x0D25_C0DE ^ case)
+}
+
+/// Removing a failure can never disconnect a connected pair
+/// (the predicate is monotone in the failure set).
+#[test]
+fn predicate_is_monotone() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..20);
+        let seed = rng.next_u64();
+        let f = rng.gen_range(0usize..10);
+        let ctx = format!("case {case}: n={n} seed={seed} f={f}");
         let m = 2 * n + 2;
         let f = f.min(m);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let failures = sample_failure_set(n, f, &mut rng);
         if !pair_connected(n, &failures, 0, 1) {
             // adding any failure keeps it disconnected
             for add in 0..m {
                 let mut worse = failures;
                 worse.insert(add);
-                prop_assert!(!pair_connected(n, &worse, 0, 1),
-                    "adding failure {add} reconnected the pair");
+                assert!(
+                    !pair_connected(n, &worse, 0, 1),
+                    "{ctx}: adding failure {add} reconnected the pair"
+                );
             }
         } else {
             // removing any failure keeps it connected
             for del in failures.iter().collect::<Vec<_>>() {
                 let mut better = failures;
                 better.remove(del);
-                prop_assert!(pair_connected(n, &better, 0, 1),
-                    "removing failure {del} disconnected the pair");
+                assert!(
+                    pair_connected(n, &better, 0, 1),
+                    "{ctx}: removing failure {del} disconnected the pair"
+                );
             }
         }
     }
+}
 
-    /// All-pairs connectivity implies every individual pair's connectivity.
-    #[test]
-    fn all_pairs_implies_each_pair(n in 2usize..12, seed in any::<u64>(), f in 0usize..8) {
+/// All-pairs connectivity implies every individual pair's connectivity.
+#[test]
+fn all_pairs_implies_each_pair() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..12);
+        let seed = rng.next_u64();
+        let f = rng.gen_range(0usize..8);
+        let ctx = format!("case {case}: n={n} seed={seed} f={f}");
         let f = f.min(2 * n + 2);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let failures = sample_failure_set(n, f, &mut rng);
         if all_pairs_connected(n, &failures) {
             for s in 0..n {
                 for t in 0..n {
                     if s != t {
-                        prop_assert!(pair_connected(n, &failures, s, t), "pair ({s},{t})");
+                        assert!(pair_connected(n, &failures, s, t), "{ctx}: pair ({s},{t})");
                     }
                 }
             }
         }
     }
+}
 
-    /// The predicate is symmetric in the pair.
-    #[test]
-    fn predicate_is_symmetric(n in 2usize..16, seed in any::<u64>(), f in 0usize..10) {
+/// The predicate is symmetric in the pair.
+#[test]
+fn predicate_is_symmetric() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..16);
+        let seed = rng.next_u64();
+        let f = rng.gen_range(0usize..10);
+        let ctx = format!("case {case}: n={n} seed={seed} f={f}");
         let f = f.min(2 * n + 2);
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let failures = sample_failure_set(n, f, &mut rng);
         let s = (seed as usize) % n;
         let mut t = (seed as usize / 7) % n;
-        if t == s { t = (t + 1) % n; }
-        prop_assert_eq!(
+        if t == s {
+            t = (t + 1) % n;
+        }
+        assert_eq!(
             pair_connected(n, &failures, s, t),
-            pair_connected(n, &failures, t, s)
+            pair_connected(n, &failures, t, s),
+            "{ctx}",
         );
     }
+}
 
-    /// By node symmetry of the component model, relabelling the pair does
-    /// not change the *probability*; spot-check that the count over a
-    /// random failure set matches for pair (0,1) and a random pair when
-    /// the set is symmetrized trivially (pure sanity, cheap).
-    #[test]
-    fn equation1_bounds_and_edges(n in 2u64..80, f_raw in 0u64..20) {
+/// By node symmetry of the component model, relabelling the pair does
+/// not change the *probability*; spot-check that the count over a
+/// random failure set matches for pair (0,1) and a random pair when
+/// the set is symmetrized trivially (pure sanity, cheap).
+#[test]
+fn equation1_bounds_and_edges() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2u64..80);
+        let f_raw = rng.gen_range(0u64..20);
+        let ctx = format!("case {case}: n={n} f_raw={f_raw}");
         let f = f_raw.min(component_count(n));
         let p = p_success(n, f);
-        prop_assert!((0.0..=1.0).contains(&p));
+        assert!((0.0..=1.0).contains(&p), "{ctx}");
         if f == 0 || f == 1 {
-            prop_assert_eq!(p, 1.0);
+            assert_eq!(p, 1.0, "{ctx}");
         }
         if f == component_count(n) {
-            prop_assert_eq!(p, 0.0);
+            assert_eq!(p, 0.0, "{ctx}");
         }
         // More failures never help.
         if f < component_count(n) {
-            prop_assert!(p_success(n, f + 1) <= p + 1e-12);
+            assert!(p_success(n, f + 1) <= p + 1e-12, "{ctx}");
         }
     }
+}
 
-    /// FailureSet insert/remove/iter behave like a set of indices.
-    #[test]
-    fn failure_set_is_a_set(mut indices in proptest::collection::vec(0usize..256, 0..40)) {
+/// FailureSet insert/remove/iter behave like a set of indices.
+#[test]
+fn failure_set_is_a_set() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let mut indices: Vec<_> = (0..rng.gen_range(0usize..40))
+            .map(|_| rng.gen_range(0usize..256))
+            .collect();
+        let ctx = format!("case {case}: indices={indices:?}");
         let set = FailureSet::from_indices(&indices);
         indices.sort_unstable();
         indices.dedup();
-        prop_assert_eq!(set.len(), indices.len());
+        assert_eq!(set.len(), indices.len(), "{ctx}");
         let got: Vec<usize> = set.iter().collect();
-        prop_assert_eq!(got, indices);
+        assert_eq!(got, indices, "{ctx}");
     }
+}
 
-    /// Component index mapping is a bijection shared by both crates.
-    #[test]
-    fn component_indexing_roundtrips(n in 2usize..100, idx_raw in 0usize..202) {
+/// Component index mapping is a bijection shared by both crates.
+#[test]
+fn component_indexing_roundtrips() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..100);
+        let idx_raw = rng.gen_range(0usize..202);
+        let ctx = format!("case {case}: n={n} idx_raw={idx_raw}");
         let idx = idx_raw % (2 * n + 2);
-        prop_assert_eq!(component_to_index(index_to_component(idx, n, 2), n, 2), idx);
+        assert_eq!(
+            component_to_index(index_to_component(idx, n, 2), n, 2),
+            idx,
+            "{ctx}"
+        );
     }
+}
 
-    /// The full simulator (DRS included) is deterministic: identical
-    /// seeds give identical statistics, bit for bit.
-    #[test]
-    fn simulator_is_deterministic(seed in any::<u64>()) {
+/// The full simulator (DRS included) is deterministic: identical
+/// seeds give identical statistics, bit for bit.
+#[test]
+fn simulator_is_deterministic() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: seed={seed}");
         let run = || {
             let n = 5;
             let cfg = DrsConfig::default()
@@ -126,7 +188,7 @@ proptest! {
                 .probe_interval(SimDuration::from_millis(250));
             let spec = ClusterSpec::new(n).seed(seed);
             let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
-            let mut rng = SmallRng::seed_from_u64(seed);
+            let mut rng = Rng::seed_from_u64(seed);
             let (plan, _) = FaultPlan::random_simultaneous(SimTime(500_000_000), n, 2, 3, &mut rng);
             w.schedule_faults(plan);
             w.send_app(SimTime(1_000_000_000), NodeId(0), NodeId(1), 128);
@@ -138,16 +200,16 @@ proptest! {
                 w.protocol(NodeId(0)).metrics.events.clone(),
             )
         };
-        prop_assert_eq!(run(), run());
+        assert_eq!(run(), run(), "{ctx}");
     }
 }
 
 /// Deterministic Fisher–Yates permutation of `0..k` driven by `seed`.
 fn permutation(k: usize, seed: u64) -> Vec<usize> {
-    let mut rng = SmallRng::seed_from_u64(seed);
+    let mut rng = Rng::seed_from_u64(seed);
     let mut order: Vec<usize> = (0..k).collect();
     for i in (1..k).rev() {
-        let j = rand::Rng::gen_range(&mut rng, 0..i + 1);
+        let j = rng.gen_range(0..i + 1);
         order.swap(i, j);
     }
     order
@@ -155,17 +217,20 @@ fn permutation(k: usize, seed: u64) -> Vec<usize> {
 
 const MERGE_QUANTILES: [f64; 6] = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0];
 
-proptest! {
-    /// Merging K per-worker histograms — in any order — is exactly the
-    /// histogram of all samples recorded serially: same count, sum,
-    /// min, max, and every quantile bound. This is what makes the
-    /// parallel and serial artifact paths byte-identical.
-    #[test]
-    fn histogram_merge_is_order_independent_and_exact(
-        samples in proptest::collection::vec(any::<u64>(), 1..200),
-        k in 1usize..6,
-        seed in any::<u64>(),
-    ) {
+/// Merging K per-worker histograms — in any order — is exactly the
+/// histogram of all samples recorded serially: same count, sum,
+/// min, max, and every quantile bound. This is what makes the
+/// parallel and serial artifact paths byte-identical.
+#[test]
+fn histogram_merge_is_order_independent_and_exact() {
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let samples: Vec<_> = (0..rng.gen_range(1usize..200))
+            .map(|_| rng.next_u64())
+            .collect();
+        let k = rng.gen_range(1usize..6);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: samples={samples:?} k={k} seed={seed}");
         let k = k.min(samples.len());
         let mut whole = Histogram::new();
         let mut whole_lat = LatencyHistogram::new();
@@ -183,35 +248,38 @@ proptest! {
             merged.merge(&parts[idx]);
             merged_lat.merge(&parts_lat[idx]);
         }
-        prop_assert_eq!(merged.count(), whole.count());
-        prop_assert_eq!(merged.sum(), whole.sum());
-        prop_assert_eq!(merged.min(), whole.min());
-        prop_assert_eq!(merged.max(), whole.max());
-        prop_assert_eq!(&merged_lat, &whole_lat);
+        assert_eq!(merged.count(), whole.count(), "{ctx}");
+        assert_eq!(merged.sum(), whole.sum(), "{ctx}");
+        assert_eq!(merged.min(), whole.min(), "{ctx}");
+        assert_eq!(merged.max(), whole.max(), "{ctx}");
+        assert_eq!(&merged_lat, &whole_lat, "{ctx}");
         for q in MERGE_QUANTILES {
-            prop_assert_eq!(
+            assert_eq!(
                 merged.quantile_upper_bound(q),
                 whole.quantile_upper_bound(q),
-                "obs quantile {} diverged after merge", q
+                "{ctx}: obs quantile {} diverged after merge",
+                q
             );
-            prop_assert_eq!(
+            assert_eq!(
                 merged_lat.quantile_upper_bound(q),
                 whole_lat.quantile_upper_bound(q),
-                "sim quantile {} diverged after merge", q
+                "{ctx}: sim quantile {} diverged after merge",
+                q
             );
         }
     }
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Under any random 2-failure scenario, DRS keeps every *connected*
-    /// pair deliverable (heavier: fewer cases).
-    #[test]
-    fn drs_delivers_whatever_the_model_says_is_deliverable(seed in any::<u64>()) {
+/// Under any random 2-failure scenario, DRS keeps every *connected*
+/// pair deliverable (heavier: fewer cases).
+#[test]
+fn drs_delivers_whatever_the_model_says_is_deliverable() {
+    for case in 0..16 {
+        let mut rng = case_rng(case);
+        let seed = rng.next_u64();
+        let ctx = format!("case {case}: seed={seed}");
         let n = 6;
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = Rng::seed_from_u64(seed);
         let failures = sample_failure_set(n, 2, &mut rng);
         let cfg = DrsConfig::default()
             .probe_timeout(SimDuration::from_millis(50))
@@ -235,6 +303,6 @@ proptest! {
             w.flow_outcome(flow),
             Some(drs::sim::world::FlowOutcome::Delivered(_))
         );
-        prop_assert_eq!(delivered, pair_connected(n, &failures, 0, 1));
+        assert_eq!(delivered, pair_connected(n, &failures, 0, 1), "{ctx}");
     }
 }
