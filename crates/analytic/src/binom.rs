@@ -269,9 +269,8 @@ mod tests {
         let t = BinomTable::new(140);
         for n in 0..=140u64 {
             for k in 0..=n + 2 {
-                match (t.get(n, k), binom(n, k)) {
-                    (got, Some(want)) => assert_eq!(got, Some(want), "C({n},{k})"),
-                    (_, None) => {}
+                if let Some(want) = binom(n, k) {
+                    assert_eq!(t.get(n, k), Some(want), "C({n},{k})");
                 }
             }
         }

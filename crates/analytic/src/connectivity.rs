@@ -254,14 +254,14 @@ pub fn all_pairs_connected_state(st: &ClusterState) -> bool {
     // (includes p itself whenever plane p has any attached node). Two
     // attachment profiles are connected iff one's reach meets the other.
     let mut reach = [0u8; MAX_PLANES];
-    for p in 0..k {
+    for (p, reach_p) in reach.iter_mut().enumerate().take(k) {
         let op = st.on(p);
         if op == 0 {
             continue;
         }
         for q in 0..k {
             if op & st.on(q) != 0 {
-                reach[p] |= 1u8 << q;
+                *reach_p |= 1u8 << q;
             }
         }
     }

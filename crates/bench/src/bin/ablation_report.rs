@@ -3,7 +3,7 @@
 //!
 //! Run: `cargo run --release -p drs-bench --bin ablation_report`
 
-use drs_bench::{fmt_dur, section};
+use drs_bench::section;
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, GatewayPolicy};
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::ids::{NetId, NodeId};
@@ -30,7 +30,7 @@ fn stagger_ablation() {
         println!(
             "  {:<10}  {:>24}   {:>12.0}",
             name,
-            fmt_dur(stats.max_queue_delay),
+            stats.max_queue_delay.to_string(),
             stats.probe_bytes as f64 / 5.0
         );
     }
@@ -54,7 +54,7 @@ fn miss_threshold_ablation() {
                 "  {:>4.1}%  {k}   {:>10}   {:>14}",
                 loss * 100.0,
                 flaps,
-                fmt_dur(cfg.worst_case_detection())
+                cfg.worst_case_detection().to_string()
             );
         }
     }
@@ -134,7 +134,7 @@ fn down_probe_backoff_ablation() {
             .map(|e| e.at - repair_at);
         println!(
             "  {k:>7}   {probes:>20}   {:>18}",
-            rec.map_or("never".to_string(), fmt_dur)
+            rec.map_or("never".to_string(), |d| d.to_string())
         );
     }
     println!("  -> probing a dead link less often is nearly free bandwidth back;");
@@ -173,7 +173,7 @@ fn probe_interval_sensitivity() {
         let mean = SimDuration(
             latencies.iter().map(|d| d.as_nanos()).sum::<u64>() / latencies.len() as u64,
         );
-        println!("  {:>6}ms   {:>14}   {:>12.5}", ms, fmt_dur(mean), util);
+        println!("  {:>6}ms   {:>14}   {:>12.5}", ms, mean.to_string(), util);
     }
     println!("  -> detection tracks ~2 sweeps (k=2), bandwidth tracks 1/sweep —");
     println!("     the Figure 1 trade-off, measured end to end.");

@@ -6,7 +6,7 @@
 //!
 //! Run: `cargo run --release -p drs-bench --bin fig1_proactive_cost`
 
-use drs_bench::{fmt_dur, row, section};
+use drs_bench::{row, section};
 use drs_core::DrsConfig;
 use drs_cost::empirical::{interval_for_budget, measure_probe_cost};
 use drs_cost::figure1::{figure1, PAPER_BUDGETS};
@@ -27,7 +27,7 @@ fn main() {
         let mut cells = vec![format!("{:.0}%", s.budget * 100.0)];
         for &n in &ns {
             let rt = s.points.iter().find(|(m, _)| *m == n).expect("in range").1;
-            cells.push(fmt_dur(rt));
+            cells.push(rt.to_string());
         }
         row(&cells, &vec![9; cells.len()]);
     }
@@ -52,7 +52,7 @@ fn main() {
     println!("paper anchor: 'ninety hosts are supported in less than 1 second with only");
     println!(
         "10% of the bandwidth usage' -> model: T(90, 10%) = {} ({})",
-        fmt_dur(model.response_time(90, 0.10)),
+        model.response_time(90, 0.10),
         if model.response_time(90, 0.10) < SimDuration::from_secs(1) {
             "REPRODUCED"
         } else {
@@ -74,10 +74,10 @@ fn main() {
             "  {:>2}  {:>5.0}%  {:>16}  {:>12.4}  {:>11}  {:>10}",
             n,
             beta * 100.0,
-            fmt_dur(interval),
+            interval.to_string(),
             r.probe_utilization,
-            fmt_dur(r.mean_detection),
-            fmt_dur(r.max_detection),
+            r.mean_detection.to_string(),
+            r.max_detection.to_string(),
         );
     }
     println!();

@@ -23,14 +23,7 @@ fn main() {
     }
     let result = run_sweep(&cfg);
 
-    let mismatches = result
-        .by_method("orbit")
-        .filter(|orbit| {
-            result
-                .get(orbit.n, orbit.f, "exact")
-                .is_some_and(|exact| exact.successes != orbit.successes)
-        })
-        .count();
+    let mismatches = result.disagreements().len();
 
     section("P[S](N, f), selected N");
     let ns: Vec<u64> = vec![4, 8, 12, 16, 18, 24, 32, 40, 45, 48, 56, 64];

@@ -62,49 +62,11 @@ fn main() {
     // enumeration must agree count-for-count wherever they overlap, and
     // the milestone crossings must hold by exact integer counting.
     let sweep = run_sweep(&SweepConfig::bench_grid(BENCH_SEED));
-    let orbit_disagreements = sweep
-        .by_method("orbit")
-        .filter(|orbit| {
-            sweep.get(orbit.n, orbit.f, "exact").is_some_and(|exact| {
-                exact.successes.is_some() && exact.successes != orbit.successes
-            })
-        })
-        .count();
+    let disagreements = sweep.disagreements();
     r.check(
-        "orbit counter == Equation 1 on the sweep grid",
-        orbit_disagreements == 0,
-        format!(
-            "{orbit_disagreements} disagreements / {} cells",
-            sweep.by_method("orbit").count()
-        ),
-    );
-    let enum_disagreements = sweep
-        .by_method("enumerate")
-        .filter(|en| {
-            sweep
-                .get(en.n, en.f, "orbit")
-                .is_some_and(|orbit| orbit.successes != en.successes)
-        })
-        .count();
-    r.check(
-        "raw enumeration == orbit counter (small cells)",
-        enum_disagreements == 0,
-        format!(
-            "{enum_disagreements} disagreements / {} cells",
-            sweep.by_method("enumerate").count()
-        ),
-    );
-    let par = sweep.get(8, 6, "enumerate_parallel");
-    let seq = sweep.get(8, 6, "enumerate");
-    r.check(
-        "parallel enumeration == sequential (N=8, f=6)",
-        matches!((par, seq), (Some(p), Some(s))
-            if p.successes == s.successes && p.total == s.total),
-        format!(
-            "{:?} vs {:?}",
-            par.and_then(|c| c.successes),
-            seq.and_then(|c| c.successes)
-        ),
+        "orbit == Equation 1, enumeration == orbit, parallel == sequential",
+        disagreements.is_empty(),
+        format!("{disagreements:?} over {} cells", sweep.cells.len()),
     );
     let milestones_exact = [(2u64, 18u64), (3, 32), (4, 45)].iter().all(|&(f, n)| {
         let at = sweep.get(n, f, "orbit").unwrap();

@@ -449,12 +449,6 @@ pub fn kernel_artifact(cells: &[KernelCell], scaling: &[ScalingCell]) -> ObsArti
     artifact
 }
 
-/// Runs both grids and serializes the committed artifact text.
-#[must_use]
-pub fn kernel_artifact_json() -> String {
-    kernel_artifact(&run_grid(), &run_scaling_grid()).to_json_with_schema(KERNEL_SCHEMA)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -4,30 +4,22 @@
 //! Every cell is a `(K, n, f)` triple. The analytic side counts the exact
 //! pair-survivability over the generalized universe of `K·N + K`
 //! components ([`drs_analytic::enumerate::enumerate_pair_success_k`]);
-//! the simulation side replays deterministically unranked failure sets
-//! against a live K-plane DRS cluster and checks delivery against the
-//! generalized connectivity predicate
-//! ([`drs_analytic::connectivity::pair_connected_k`]). At `K = 2` this is
-//! exactly the paper's cluster; `K ∈ {3, 4}` is the "beyond the paper"
-//! family the refactor opened up.
+//! the simulation side is [`crate::trial::run_trial`]: deterministically
+//! unranked failure sets replayed against a live K-plane DRS cluster,
+//! delivery checked against the generalized connectivity predicate. At
+//! `K = 2` this is exactly the paper's cluster; `K ∈ {3, 4}` is the
+//! "beyond the paper" family the refactor opened up.
 //!
 //! Like the other committed benchmarks, nothing on this path draws a
 //! random number: failure sets come from combinadic unranking of the
 //! trial seed, so the committed `BENCH_knet_survivability.json` is
 //! byte-reproducible on any machine and thread count.
 
-use drs_analytic::binom::shared_table;
-use drs_analytic::components::FailureSet;
-use drs_analytic::connectivity::pair_connected_k;
-use drs_analytic::enumerate::{enumerate_pair_success_k, unrank};
-use drs_core::{DrsConfig, DrsDaemon};
-use drs_harness::artifact::{finish, json_f64, preamble};
+use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
-use drs_sim::fault::{index_to_component, FaultPlan};
-use drs_sim::ids::NodeId;
-use drs_sim::scenario::{ClusterSpec, TransportConfig};
-use drs_sim::time::{SimDuration, SimTime};
-use drs_sim::world::{FlowOutcome, World};
+use drs_obs::jsonfmt::{finish, json_f64, preamble};
+
+use crate::trial::{run_trial, Trial};
 
 /// Schema tag written into every K-plane sweep artifact.
 pub const SCHEMA: &str = "drs-bench-knet-survivability/v1";
@@ -41,25 +33,6 @@ pub const KNET_GRID: [(usize, usize); 3] = [(5, 2), (6, 2), (6, 3)];
 
 /// Simulation replications per `(K, n, f)` cell.
 pub const KNET_TRIALS_PER_CELL: usize = 12;
-
-/// One completed K-plane trial.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct KnetTrial {
-    /// The trial seed (selects the failure set by combinadic rank).
-    pub seed: u64,
-    /// What the generalized connectivity predicate said.
-    pub predicted: bool,
-    /// What the packet-level K-plane simulation delivered.
-    pub delivered: bool,
-}
-
-impl KnetTrial {
-    /// Whether simulation and predicate agree — the cross-check invariant.
-    #[must_use]
-    pub fn agrees(&self) -> bool {
-        self.predicted == self.delivered
-    }
-}
 
 /// One artifact row: a `(K, n, f)` cell with its exact count and its
 /// simulation cross-check tallies.
@@ -106,7 +79,7 @@ impl KnetArtifact {
     }
 
     /// Serializes to the `drs-bench-knet-survivability/v1` schema in the
-    /// shared artifact dialect ([`drs_harness::artifact`]): `u128` counts
+    /// shared artifact dialect ([`drs_obs::jsonfmt`]): `u128` counts
     /// as decimal strings, floats shortest-round-trip — byte-identical
     /// across runs, thread counts and machines.
     #[must_use]
@@ -143,63 +116,6 @@ pub fn knet_cell_seed(master: u64, planes: u8, n: usize, f: usize) -> u64 {
     coord_seed(stream_seed(master, u64::from(planes)), n as u64, f as u64)
 }
 
-/// The failure set trial `seed` examines: the seed's combinadic rank into
-/// the `C(K·n + K, f)` subsets of the generalized component space. Pure
-/// arithmetic — no random stream.
-#[must_use]
-pub fn failure_set_for_seed(n: usize, planes: u8, f: usize, seed: u64) -> FailureSet {
-    let components = usize::from(planes) * n + usize::from(planes);
-    let total = shared_table()
-        .get(components as u64, f as u64)
-        .expect("knet grid cells stay within the shared binomial table");
-    let rank = u128::from(seed) % total;
-    let indices = unrank(components, f, rank).expect("rank is reduced modulo the subset count");
-    FailureSet::from_indices(&indices)
-}
-
-/// Runs one K-plane trial: unrank the failure set, predict connectivity
-/// with the generalized predicate, then replay it against a live K-plane
-/// DRS cluster. Mirrors [`crate::e2e::run_trial`] with `planes` threaded
-/// through the scenario, the fault plan, and the predicate.
-#[must_use]
-pub fn run_trial(n: usize, planes: u8, f: usize, seed: u64) -> KnetTrial {
-    let failures = failure_set_for_seed(n, planes, f, seed);
-    let predicted = pair_connected_k(n, planes, &failures, 0, 1);
-
-    let cfg = DrsConfig::default()
-        .probe_timeout(SimDuration::from_millis(50))
-        .probe_interval(SimDuration::from_millis(200));
-    let transport = TransportConfig {
-        initial_rto: SimDuration::from_millis(100),
-        backoff_factor: 2,
-        max_retries: 6,
-    };
-    let spec = ClusterSpec::new(n)
-        .seed(seed)
-        .planes(planes)
-        .transport(transport);
-    let mut world = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
-
-    let fault_at = SimTime(1_000_000_000);
-    let mut plan = FaultPlan::new();
-    for idx in failures.iter() {
-        plan = plan.fail_at(fault_at, index_to_component(idx, n, planes));
-    }
-    world.schedule_faults(plan);
-
-    world.run_for(SimDuration::from_secs(6));
-    let sent_at = world.now();
-    let flow = world.send_app(sent_at, NodeId(0), NodeId(1), 256);
-    world.run_for(SimDuration::from_secs(20));
-    let delivered = matches!(world.flow_outcome(flow), Some(FlowOutcome::Delivered(_)));
-
-    KnetTrial {
-        seed,
-        predicted,
-        delivered,
-    }
-}
-
 /// Runs one `(K, n, f)` cell's simulation trials under `master_seed`;
 /// trial order is stable across run modes.
 #[must_use]
@@ -210,7 +126,7 @@ pub fn run_cell(
     trials: usize,
     master_seed: u64,
     mode: RunMode,
-) -> Vec<KnetTrial> {
+) -> Vec<Trial> {
     let exp = Experiment::replications(&format!("knet/k{planes}_n{n}_f{f}"), master_seed, trials);
     exp.run(mode, |ctx, ()| run_trial(n, planes, f, ctx.seed))
 }
@@ -223,7 +139,7 @@ pub fn cell_result(
     planes: u8,
     f: usize,
     master_seed: u64,
-    rows: &[KnetTrial],
+    rows: &[Trial],
 ) -> KnetCellResult {
     let (successes, total) = enumerate_pair_success_k(n, planes, f);
     KnetCellResult {
@@ -243,8 +159,7 @@ pub fn cell_result(
 /// Builds the full K-plane sweep artifact under `mode`.
 ///
 /// [`RunMode::Serial`] and [`RunMode::Parallel`] produce identical
-/// artifacts; the `knet_sweep` binary asserts this on every run before
-/// writing the file.
+/// artifacts; `regen` asserts this on every run before writing the file.
 #[must_use]
 pub fn bench_artifact(master_seed: u64, mode: RunMode) -> KnetArtifact {
     let mut cells = Vec::with_capacity(KNET_PLANES.len() * KNET_GRID.len());
@@ -264,20 +179,6 @@ pub fn bench_artifact(master_seed: u64, mode: RunMode) -> KnetArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn failure_sets_are_deterministic_and_correctly_sized() {
-        for &planes in &KNET_PLANES {
-            for &(n, f) in &KNET_GRID {
-                let a = failure_set_for_seed(n, planes, f, 9999);
-                let b = failure_set_for_seed(n, planes, f, 9999);
-                assert_eq!(a, b);
-                assert_eq!(a.iter().count(), f);
-                let m = usize::from(planes) * n + usize::from(planes);
-                assert!(a.iter().all(|i| i < m));
-            }
-        }
-    }
 
     #[test]
     fn three_plane_trials_agree_with_the_predicate() {

@@ -1,15 +1,15 @@
 //! Shared plumbing for the experiment-regeneration binaries.
 //!
-//! Each binary under `src/bin/` regenerates one table or figure of the
-//! paper (see DESIGN.md §6 for the index); this library provides the
-//! little table-printing and formatting helpers they share, so the
-//! binaries read like experiment scripts.
+//! Each figure binary under `src/bin/` regenerates one table or figure of
+//! the paper (see DESIGN.md §6 for the index), and `regen` rewrites the
+//! committed `BENCH_*.json` artifacts listed in [`artifacts::ARTIFACTS`];
+//! this library provides the artifact generators plus the little
+//! table-printing and formatting helpers the binaries share, so they read
+//! like experiment scripts.
 
-use std::path::Path;
-
-use drs_analytic::sweep::SweepResult;
 use drs_sim::time::SimDuration;
 
+pub mod artifacts;
 pub mod e2e;
 pub mod flight;
 pub mod kernel;
@@ -17,6 +17,7 @@ pub mod knet;
 pub mod obs_artifact;
 pub mod sim_artifact;
 pub mod topology_zoo;
+pub mod trial;
 pub mod workload;
 
 /// The master seed every sweep-driven binary uses, so the committed
@@ -72,36 +73,6 @@ pub const FLIGHT_BENCH_JSON: &str = "BENCH_flight.json";
 /// cell with its fixed kernel event budget.
 pub const WORKLOAD_BENCH_JSON: &str = "BENCH_workload.json";
 
-/// Writes a sweep artifact (or any text) to `path`.
-///
-/// # Errors
-/// Propagates the underlying I/O error.
-pub fn write_artifact(path: &Path, contents: &str) -> std::io::Result<()> {
-    std::fs::write(path, contents)
-}
-
-/// Prints the per-method cell counts of a sweep — the quick summary the
-/// sweep-driven binaries share.
-pub fn print_sweep_summary(result: &SweepResult) {
-    println!(
-        "sweep: {} cells under master seed {}",
-        result.cells.len(),
-        result.seed
-    );
-    for method in [
-        "exact",
-        "orbit",
-        "enumerate",
-        "enumerate_parallel",
-        "monte_carlo",
-    ] {
-        let count = result.by_method(method).count();
-        if count > 0 {
-            println!("  {method:<19} {count:>4} cells");
-        }
-    }
-}
-
 /// Prints a section header in the style the binaries share.
 pub fn section(title: &str) {
     println!();
@@ -114,24 +85,10 @@ pub fn fmt_p(p: f64) -> String {
     format!("{p:.4}")
 }
 
-/// Formats a duration in adaptive units, right-aligned for tables.
-#[must_use]
-pub fn fmt_dur(d: SimDuration) -> String {
-    format!("{d}")
-}
-
 /// Formats an optional duration, with a dash for `None`.
 #[must_use]
 pub fn fmt_opt_dur(d: Option<SimDuration>) -> String {
     d.map_or_else(|| "—".to_string(), |d| d.to_string())
-}
-
-/// Formats an optional nanosecond count as an adaptive duration, with a
-/// dash for `None` — the terminal face of the observability layer's
-/// "no samples ≠ 0 ns" rule.
-#[must_use]
-pub fn fmt_opt_ns(ns: Option<u64>) -> String {
-    fmt_opt_dur(ns.map(SimDuration))
 }
 
 /// Renders one table row of fixed-width cells.
@@ -151,9 +108,10 @@ mod tests {
     #[test]
     fn formatting_helpers() {
         assert_eq!(fmt_p(0.99042), "0.9904");
-        assert_eq!(fmt_dur(SimDuration::from_millis(1500)), "1.500s");
         assert_eq!(fmt_opt_dur(None), "—");
-        assert_eq!(fmt_opt_ns(None), "—");
-        assert_eq!(fmt_opt_ns(Some(1_500_000)), "1.500ms");
+        assert_eq!(
+            fmt_opt_dur(Some(SimDuration::from_micros(1_500))),
+            "1.500ms"
+        );
     }
 }

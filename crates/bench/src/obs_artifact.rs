@@ -31,7 +31,7 @@
 //!
 //! Wall-clock profiling is deliberately absent here: profilers observe
 //! the same runs through [`drs_harness::Profiler`] hooks, but their
-//! nondeterministic timings go to the terminal (`obs_report`), never
+//! nondeterministic timings go to `benchmark/run.sh`'s report, never
 //! into this committed file.
 
 use drs_baselines::compare::{
@@ -78,8 +78,7 @@ pub fn obs_histogram(h: &LatencyHistogram) -> Histogram {
 /// Builds the full observability artifact under `mode`.
 ///
 /// [`RunMode::Serial`] and [`RunMode::Parallel`] produce identical
-/// artifacts; the `obs_report` binary asserts this on every run before
-/// writing the file.
+/// artifacts; `regen` asserts this on every run before writing the file.
 #[must_use]
 pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);

@@ -33,8 +33,7 @@ pub const E2E_TRIALS_PER_CELL: usize = 16;
 /// Builds the full simulation benchmark artifact under `mode`.
 ///
 /// [`RunMode::Serial`] and [`RunMode::Parallel`] produce identical
-/// artifacts; the `sim_sweep` binary asserts this on every run before
-/// writing the file.
+/// artifacts; `regen` asserts this on every run before writing the file.
 #[must_use]
 pub fn bench_artifact(mode: RunMode) -> SimArtifact {
     let mut artifact = SimArtifact::new(BENCH_SEED);
@@ -67,7 +66,7 @@ mod tests {
     #[test]
     fn artifact_has_every_experiment() {
         // Serial only (cheap): shape checks; mode equivalence is covered
-        // by the sim_sweep binary and the workspace integration test.
+        // by `regen` and the workspace integration test.
         let a = bench_artifact(RunMode::Serial);
         assert_eq!(a.seed, BENCH_SEED);
         assert!(a.get("protocol-shootout").is_some());

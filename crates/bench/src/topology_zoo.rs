@@ -12,7 +12,7 @@
 //! and checks what the DES observes against the reachability predicate:
 //!
 //! * **K-plane rows** run the real DRS daemon cluster through
-//!   [`crate::knet::run_trial`] and the one-hop-gateway predicate — the
+//!   [`crate::trial::run_trial`] and the one-hop-gateway predicate — the
 //!   paper's protocol on the paper's (generalized) hardware.
 //! * **Zoo rows** run a one-shot flooding protocol ([`FloodProtocol`])
 //!   over the graph world and compare delivery against transitive
@@ -30,18 +30,20 @@
 //! count.
 
 use drs_analytic::binom::shared_table;
-use drs_analytic::enumerate::{enumerate_pair_success_k, unrank};
+use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_analytic::topo::{
     enumerate_pair_success_topo, enumerate_pair_success_topo_parallel, TopoMonteCarlo,
 };
 use drs_cost::equipment::{cost_units, EquipmentCount};
-use drs_harness::artifact::{finish, json_f64, preamble};
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
+use drs_obs::jsonfmt::{finish, json_f64, preamble};
 use drs_sim::ids::{NetId, NodeId};
 use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::topology::TopologySpec;
 use drs_sim::world::{Ctx, Protocol, World};
 use drs_topology::{generators, pair_connected, ComponentSet, Reachability, Topology};
+
+use crate::trial::{run_trial, unrank_for_seed, Trial};
 
 /// Schema tag written into every topology-zoo artifact.
 pub const SCHEMA: &str = "drs-bench-topology/v1";
@@ -138,25 +140,6 @@ pub fn zoo() -> Vec<ZooEntry> {
     ]
 }
 
-/// One completed zoo trial.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ZooTrial {
-    /// The trial seed (selects the failure set by combinadic rank).
-    pub seed: u64,
-    /// What the reachability predicate said.
-    pub predicted: bool,
-    /// What the packet-level simulation observed.
-    pub delivered: bool,
-}
-
-impl ZooTrial {
-    /// Whether simulation and predicate agree — the cross-check invariant.
-    #[must_use]
-    pub fn agrees(&self) -> bool {
-        self.predicted == self.delivered
-    }
-}
-
 /// One artifact row: a `(topology, f)` cell with its equipment bill, its
 /// exact-or-sampled survival probability, and its DES cross-check tallies.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,7 +197,7 @@ impl ZooArtifact {
     }
 
     /// Serializes to the `drs-bench-topology/v1` schema in the shared
-    /// artifact dialect ([`drs_harness::artifact`]): `u128` counts as
+    /// artifact dialect ([`drs_obs::jsonfmt`]): `u128` counts as
     /// decimal strings, floats shortest-round-trip — byte-identical
     /// across runs, thread counts and machines.
     #[must_use]
@@ -263,18 +246,6 @@ pub fn zoo_cell_seed(master: u64, topo_index: usize, components: usize, f: usize
         components as u64,
         f as u64,
     )
-}
-
-/// The failure components trial `seed` examines: the seed's combinadic
-/// rank into the `C(m, f)` subsets of the topology's component universe.
-/// Pure arithmetic — no random stream.
-#[must_use]
-pub fn failure_components(m: usize, f: usize, seed: u64) -> Vec<usize> {
-    let total = shared_table()
-        .get(m as u64, f as u64)
-        .expect("zoo cells stay within the shared binomial table");
-    let rank = u128::from(seed) % total;
-    unrank(m, f, rank).expect("rank is reduced modulo the subset count")
 }
 
 /// A one-shot flooding protocol over a topology world: the origin
@@ -336,8 +307,8 @@ impl Protocol for FloodProtocol {
 /// packet-level world built from the same graph and check the token
 /// reached the destination host.
 #[must_use]
-pub fn run_flood_trial(topo: &Topology, f: usize, seed: u64) -> ZooTrial {
-    let failed = failure_components(topo.component_count(), f, seed);
+pub fn run_flood_trial(topo: &Topology, f: usize, seed: u64) -> Trial {
+    let failed = unrank_for_seed(topo.component_count(), f, seed);
     let set = ComponentSet::from_indices(&failed);
     let dst = topo.hosts() - 1;
     let predicted = pair_connected(topo, &set, 0, dst, Reachability::Transitive);
@@ -348,16 +319,17 @@ pub fn run_flood_trial(topo: &Topology, f: usize, seed: u64) -> ZooTrial {
     world.run_for(SimDuration::from_secs(1));
     let delivered = world.protocol(NodeId(dst as u32)).seen;
 
-    ZooTrial {
+    Trial {
         seed,
         predicted,
         delivered,
+        events: Vec::new(),
     }
 }
 
 /// Runs one cell's simulation trials under `master_seed`; trial order is
 /// stable across run modes. K-plane entries go through the DRS-daemon
-/// cluster ([`crate::knet::run_trial`]); zoo entries flood the graph
+/// cluster ([`crate::trial::run_trial`]); zoo entries flood the graph
 /// world.
 #[must_use]
 pub fn run_cell(
@@ -366,21 +338,10 @@ pub fn run_cell(
     trials: usize,
     master_seed: u64,
     mode: RunMode,
-) -> Vec<ZooTrial> {
-    let exp = Experiment::replications(
-        &format!("zoo/{}_f{f}", entry.label()),
-        master_seed,
-        trials,
-    );
+) -> Vec<Trial> {
+    let exp = Experiment::replications(&format!("zoo/{}_f{f}", entry.label()), master_seed, trials);
     match entry.kplane {
-        Some((n, planes)) => exp.run(mode, |ctx, ()| {
-            let t = crate::knet::run_trial(n, planes, f, ctx.seed);
-            ZooTrial {
-                seed: t.seed,
-                predicted: t.predicted,
-                delivered: t.delivered,
-            }
-        }),
+        Some((n, planes)) => exp.run(mode, |ctx, ()| run_trial(n, planes, f, ctx.seed)),
         None => exp.run(mode, |ctx, ()| run_flood_trial(&entry.topo, f, ctx.seed)),
     }
 }
@@ -458,7 +419,7 @@ pub fn cell_result(
     f: usize,
     master_seed: u64,
     mode: RunMode,
-    rows: &[ZooTrial],
+    rows: &[Trial],
 ) -> ZooCellResult {
     let count = EquipmentCount::of(&entry.topo);
     let (method, successes, total, p) = cell_probability(entry, f, master_seed, mode);
@@ -485,8 +446,7 @@ pub fn cell_result(
 /// Builds the full topology-zoo artifact under `mode`.
 ///
 /// [`RunMode::Serial`] and [`RunMode::Parallel`] produce identical
-/// artifacts; the `topology_zoo` binary asserts this on every run before
-/// writing the file.
+/// artifacts; `regen` asserts this on every run before writing the file.
 #[must_use]
 pub fn bench_artifact(master_seed: u64, mode: RunMode) -> ZooArtifact {
     let entries = zoo();
@@ -528,19 +488,6 @@ mod tests {
         // Every entry's universe fits the shared component space.
         for e in &entries {
             assert!(e.topo.component_count() <= 256);
-        }
-    }
-
-    #[test]
-    fn failure_components_are_deterministic_and_in_range() {
-        for e in zoo() {
-            let m = e.topo.component_count();
-            for &f in &ZOO_FAILURES {
-                let a = failure_components(m, f, 9999);
-                assert_eq!(a, failure_components(m, f, 9999));
-                assert_eq!(a.len(), f);
-                assert!(a.iter().all(|&i| i < m));
-            }
         }
     }
 

@@ -24,8 +24,8 @@ impl fmt::Display for NodeId {
 ///
 /// The paper's deployed cluster is exactly two non-meshed backplanes; this
 /// used to be a two-variant enum. It is now a dense plane index so a
-/// scenario can carry any redundancy degree `K` (see
-/// [`crate::scenario::ClusterSpec::planes`]), with the paper's networks as
+/// scenario can carry any redundancy degree `K` (see `drs-sim`'s
+/// `ClusterSpec::planes`), with the paper's networks as
 /// the named constants [`NetId::A`] (plane 0, the primary) and [`NetId::B`]
 /// (plane 1). Plane order is meaningful everywhere: default routes start on
 /// the primary, and failover walks planes in ascending index order.

@@ -270,7 +270,7 @@ mod tests {
         let exp = Experiment::replications("fold", 1, 5);
         let mut total = 0usize;
         exp.run_serial(|ctx, ()| total += ctx.index);
-        assert_eq!(total, 0 + 1 + 2 + 3 + 4);
+        assert_eq!(total, (0..5).sum::<usize>());
     }
 
     #[test]

@@ -22,7 +22,6 @@
 //! per-trial wall-clock timings to any [`Profiler`] (re-exported here so
 //! downstream study crates need no direct `drs-obs` dependency).
 
-pub mod artifact;
 pub mod events;
 pub mod experiment;
 pub mod par;

@@ -8,8 +8,8 @@
 //! Every trial row carries its derived seed, named metrics, and an
 //! optional [`TraceEvent`] log.
 
-use crate::artifact::{finish, json_f64, json_string, preamble};
 use crate::events::TraceEvent;
+use drs_obs::jsonfmt::{finish, json_f64, json_string, preamble};
 
 /// Schema tag written into every artifact.
 pub const SCHEMA: &str = "drs-bench-sim-survivability/v1";

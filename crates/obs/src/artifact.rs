@@ -119,6 +119,33 @@ impl Row {
             .opt_count("p99_ns", s.p99)
             .opt_count("p999_ns", s.p999)
     }
+
+    fn get(&self, name: &str) -> Option<&FieldValue> {
+        self.fields
+            .iter()
+            .find(|f| f.name == name)
+            .map(|f| &f.value)
+    }
+
+    /// The exact count stored under `name`; `None` when the field is
+    /// absent, [`FieldValue::Missing`], or not a count.
+    #[must_use]
+    pub fn get_count(&self, name: &str) -> Option<u64> {
+        match self.get(name) {
+            Some(&FieldValue::Count(c)) => Some(c),
+            _ => None,
+        }
+    }
+
+    /// The real value stored under `name`; `None` when the field is
+    /// absent, [`FieldValue::Missing`], or not a real.
+    #[must_use]
+    pub fn get_real(&self, name: &str) -> Option<f64> {
+        match self.get(name) {
+            Some(&FieldValue::Real(r)) => Some(r),
+            _ => None,
+        }
+    }
 }
 
 /// A named group of rows.
@@ -294,6 +321,24 @@ mod tests {
         assert_eq!(json_f64(f64::INFINITY), "null");
         assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(json_string("\u{2}"), "\"\\u0002\"");
+    }
+
+    #[test]
+    fn row_accessors_return_only_the_matching_kind() {
+        let row = Row::new("r")
+            .count("n", 8)
+            .real("utilization", 0.25)
+            .text("driver", "batched")
+            .opt_count("p50_ns", None);
+        assert_eq!(row.get_count("n"), Some(8));
+        assert_eq!(row.get_real("utilization"), Some(0.25));
+        // Wrong kind, `Missing` and absent fields are all `None`.
+        assert_eq!(row.get_real("n"), None);
+        assert_eq!(row.get_count("utilization"), None);
+        assert_eq!(row.get_count("driver"), None);
+        assert_eq!(row.get_count("p50_ns"), None);
+        assert_eq!(row.get_real("p50_ns"), None);
+        assert_eq!(row.get_count("absent"), None);
     }
 
     #[test]

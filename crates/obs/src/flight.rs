@@ -1087,20 +1087,28 @@ mod tests {
                 let n = (i * times.len() + j) as u64;
                 records.push(TraceRecord {
                     time_ns,
-                    seq: if n % 5 == 0 {
+                    seq: if n.is_multiple_of(5) {
                         u64::MAX - n
                     } else {
                         n << (n % 40)
                     },
-                    sub: if n % 7 == 0 { 1 << 31 } else { n as u32 % 4 },
+                    sub: if n.is_multiple_of(7) {
+                        1 << 31
+                    } else {
+                        n as u32 % 4
+                    },
                     kind,
                     host: [0, 31, 1023, u32::MAX][(n % 4) as usize],
                     plane: [None, Some(0), Some(1), Some(255)][(n / 4 % 4) as usize],
                     arg: [0, n, 1_000_000, u64::MAX][(n / 2 % 4) as usize],
-                    cause: (n % 3 != 0).then(|| EventRef {
+                    cause: (!n.is_multiple_of(3)).then(|| EventRef {
                         time_ns: time_ns / 2,
                         seq: n * 31,
-                        host: if n % 2 == 0 { u32::MAX } else { n as u32 },
+                        host: if n.is_multiple_of(2) {
+                            u32::MAX
+                        } else {
+                            n as u32
+                        },
                         sub: n as u32 % 3,
                     }),
                 });

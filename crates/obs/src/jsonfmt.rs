@@ -13,9 +13,9 @@
 //!   non-finite values as `null` (`NaN` is not a JSON token);
 //! * **string escaping**: quotes, backslashes and control characters.
 //!
-//! `drs_harness::artifact` re-exports this module for the writers that
-//! sit above the harness; [`crate::artifact`] (the observability artifact)
-//! uses it directly.
+//! Every writer — [`crate::artifact`] here, the harness's `SimArtifact`,
+//! `drs_analytic::sweep` and `drs-bench`'s K-plane and topology sweeps —
+//! imports this module directly.
 
 /// Opens an artifact object: schema tag, master seed, and the top-level
 /// list under `list_key`, leaving the list open for rows. `capacity` is a

@@ -336,8 +336,8 @@ impl<T> TimerWheel<T> {
     ///
     /// The sharded kernel opens epoch windows at the global minimum of
     /// these hints: a window opened on an undershot hint simply executes
-    /// zero events, and the coordinator escalates to [`next_exact`]
-    /// (Self::next_exact) for the following window — so the hint's
+    /// zero events, and the coordinator escalates to
+    /// [`next_exact`](Self::next_exact) for the following window — so the hint's
     /// looseness costs at most one empty epoch, never correctness.
     pub fn next_hint(&self) -> Option<SimTime> {
         if let Some(e) = self.ready.last() {
@@ -497,7 +497,7 @@ impl<T> TimerWheel<T> {
                     self.return_buffer(bucket);
                 }
                 self.ready
-                    .sort_unstable_by(|a, b| (b.at, b.seq).cmp(&(a.at, a.seq)));
+                    .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
                 continue;
             }
             // Higher-level slot: redistribute into the levels below (and

@@ -100,7 +100,7 @@ impl Stream {
 pub const MAX_SAMPLE_NS: u64 = 3_600_000_000_000;
 
 fn clamp_ns(v: f64) -> u64 {
-    if !(v > 1.0) {
+    if v.is_nan() || v <= 1.0 {
         return 1;
     }
     if v >= MAX_SAMPLE_NS as f64 {
@@ -117,8 +117,7 @@ fn clamp_ns(v: f64) -> u64 {
 #[must_use]
 pub fn ln(x: f64) -> f64 {
     debug_assert!(x > 0.0 && x.is_finite(), "ln domain: {x}");
-    const LN2: f64 = 0.693_147_180_559_945_3;
-    const SQRT2: f64 = 1.414_213_562_373_095_1;
+    use std::f64::consts::{LN_2 as LN2, SQRT_2 as SQRT2};
     let bits = x.to_bits();
     let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
     let mut m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
@@ -160,8 +159,8 @@ pub fn exp(x: f64) -> f64 {
     if x < -700.0 {
         return 0.0;
     }
-    const LOG2_E: f64 = 1.442_695_040_888_963_4;
-    const LN2_HI: f64 = 6.931_471_803_691_238_2e-1;
+    use std::f64::consts::LOG2_E;
+    const LN2_HI: f64 = 6.931_471_803_691_238e-1;
     const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
     let k = (x * LOG2_E + if x >= 0.0 { 0.5 } else { -0.5 }).trunc();
     let r = (x - k * LN2_HI) - k * LN2_LO;

@@ -346,12 +346,10 @@ impl<P: Protocol> Engine<'_, P> {
         let p_ok = (1.0 - self.core.spec.frame_loss_rate)
             * (1.0 - self.core.link_loss(frame.src, frame.net))
             * (1.0 - self.core.link_loss(node, frame.net));
-        if p_ok < 1.0 {
-            if self.core.rng.for_node(node).gen_f64() >= p_ok {
-                self.core.hosts.counters_mut(node).rx_corrupt += 1;
-                self.core.flight_loss(frame, loss_site::CORRUPT);
-                return;
-            }
+        if p_ok < 1.0 && self.core.rng.for_node(node).gen_f64() >= p_ok {
+            self.core.hosts.counters_mut(node).rx_corrupt += 1;
+            self.core.flight_loss(frame, loss_site::CORRUPT);
+            return;
         }
         match &frame.kind {
             FrameKind::EchoRequest { id, seq } => {

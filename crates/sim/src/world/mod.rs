@@ -3,11 +3,11 @@
 //!
 //! The engine is split by concern:
 //!
-//! * [`queue`] — the event queue and shared simulator state ([`Core`]):
+//! * `queue` — the event queue and shared simulator state (`Core`):
 //!   clock, pending events, hosts, one [`SharedMedium`] per network plane;
-//! * [`kernel`] — kernel-side stack behaviours: frame transmission and
+//! * `kernel` — kernel-side stack behaviours: frame transmission and
 //!   delivery, ICMP auto-reply, TTL forwarding, the reliable transport;
-//! * [`faults`] — applying scheduled component failures and repairs.
+//! * `faults` — applying scheduled component failures and repairs.
 //!
 //! The number of planes comes from [`ClusterSpec::planes`]; everything
 //! here is written against that `K`, with the paper's two-backplane
@@ -1248,7 +1248,7 @@ mod tests {
         let seen = flood_reachability(&t, &failed);
         let set = ComponentSet::from_indices(&failed);
         let mut expected_some_cut = false;
-        for v in 1..t.topology().hosts() {
+        for (v, &saw) in seen.iter().enumerate().take(t.topology().hosts()).skip(1) {
             let reach = drs_topology::pair_connected(
                 t.topology(),
                 &set,
@@ -1256,7 +1256,7 @@ mod tests {
                 v,
                 Reachability::Transitive,
             );
-            assert_eq!(seen[v], reach, "host {v} flood vs union-find");
+            assert_eq!(saw, reach, "host {v} flood vs union-find");
             expected_some_cut |= !reach;
         }
         // Sanity: dcell survives a single switch loss transitively.

@@ -17,8 +17,8 @@
 //!
 //! Each such window is an **epoch**. Workers run their shards' epochs in
 //! parallel; transmissions are not admitted onto the medium immediately
-//! but logged as [`Intent`]s in per-shard outboxes (see
-//! [`Fabric::Deferred`]). At the epoch barrier the coordinator merges
+//! but logged as `Intent`s in per-shard outboxes (see
+//! `Fabric::Deferred`). At the epoch barrier the coordinator merges
 //! all outboxes in global `(at, seq)` order, replays any hub fault due
 //! by each transmission instant, admits the frames onto the
 //! coordinator-owned media, and pushes the resulting arrivals directly
@@ -42,7 +42,7 @@
 //!   effect at the same virtual instant in every shard regardless of
 //!   which thread gets there first;
 //! * corruption rolls draw from per-host RNG streams
-//!   ([`super::queue::RngBank::PerHost`]), so draw order depends only on
+//!   (`RngBank::PerHost`), so draw order depends only on
 //!   the host's own event sequence.
 //!
 //! The result: `run_until` produces a bit-identical event schedule for
@@ -223,7 +223,8 @@ impl Coordinator {
     /// Appends a coordinator-side flight record, if recording is on.
     /// Coordinator phases run in the same order for every thread count,
     /// so the sub counter — and therefore the record identities — are
-    /// thread-invariant.
+    /// thread-invariant. (One argument per [`TraceRecord`] field.)
+    #[allow(clippy::too_many_arguments)]
     fn flight_record(
         &mut self,
         at: SimTime,

@@ -73,7 +73,7 @@ impl Protocol for Chatter {
             self.chain = sref;
         }
         ctx.send_echo_traced(net, peer, me, self.fired, sref);
-        if self.fired % 3 == 0 {
+        if self.fired.is_multiple_of(3) {
             ctx.send_control(net, peer, me ^ self.fired);
         }
         self.fired += 1;

@@ -47,7 +47,10 @@ pub fn kplane(n: usize, planes: usize) -> Topology {
 /// Panics unless `k` is even and at least 2.
 #[must_use]
 pub fn fat_tree(k: usize) -> Topology {
-    assert!(k >= 2 && k % 2 == 0, "fat-tree arity must be even and >= 2");
+    assert!(
+        k >= 2 && k.is_multiple_of(2),
+        "fat-tree arity must be even and >= 2"
+    );
     let half = k / 2;
     let hosts = k * half * half;
     let edge = k * half;

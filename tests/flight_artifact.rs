@@ -6,65 +6,46 @@
 //! failover-latency histogram samples 100% matched.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin flight_report`) and commit
+//! (`cargo run --release -p drs-bench --bin regen -- flight`) and commit
 //! it alongside the change; this test then documents the new ground
-//! truth. CI runs the same regenerate-and-diff check at 1 and 4 worker
-//! threads.
+//! truth. CI runs `regen` at 1 and 4 worker threads.
 
-use drs::obs::{FieldValue, Row};
-use drs_bench::flight::{flight_bench_artifact, flight_verdict, FLIGHT_SCHEMA};
-use drs_bench::{BENCH_SEED, FLIGHT_BENCH_JSON};
+use std::sync::LazyLock;
 
-fn committed() -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(FLIGHT_BENCH_JSON);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed artifact {}: {e}", path.display()))
-}
+use drs::obs::ObsArtifact;
+use drs_bench::artifacts::pin;
+use drs_bench::flight::{flight_bench_artifact, flight_verdict};
 
-fn count_field(row: &Row, name: &str) -> Option<u64> {
-    row.fields
-        .iter()
-        .find(|f| f.name == name)
-        .and_then(|f| match f.value {
-            FieldValue::Count(c) => Some(c),
-            _ => None,
-        })
-}
+/// Generated once per process and shared by the semantic tests.
+static ARTIFACT: LazyLock<ObsArtifact> = LazyLock::new(flight_bench_artifact);
 
 #[test]
 fn committed_artifact_regenerates_byte_for_byte() {
-    let regenerated = flight_bench_artifact().to_json_with_schema(FLIGHT_SCHEMA);
-    assert_eq!(
-        regenerated,
-        committed(),
-        "BENCH_flight.json drifted from what the flight recorder \
-         produces under master seed {BENCH_SEED}; regenerate it with \
-         `cargo run --release -p drs-bench --bin flight_report` if the \
-         change is intentional"
-    );
+    pin("flight");
 }
 
 #[test]
 fn every_cell_keeps_complete_causal_chains() {
-    let artifact = flight_bench_artifact();
-    let cells = artifact.get("flight_cells").expect("flight_cells section");
+    let cells = ARTIFACT.get("flight_cells").expect("flight_cells section");
     assert!(!cells.rows.is_empty());
     for row in &cells.rows {
         assert_eq!(
-            count_field(row, "dropped"),
+            row.get_count("dropped"),
             Some(0),
             "{}: the bounded ring evicted records",
             row.id
         );
     }
-    let chains = artifact.get("causal_chains").expect("causal_chains section");
+    let chains = ARTIFACT
+        .get("causal_chains")
+        .expect("causal_chains section");
     for row in &chains.rows {
-        let failovers = count_field(row, "failovers").expect("failovers");
+        let failovers = row.get_count("failovers").expect("failovers");
         assert!(failovers > 0, "{}: fault schedule must fail over", row.id);
-        assert_eq!(count_field(row, "orphan_refs"), Some(0), "{}", row.id);
-        assert_eq!(count_field(row, "complete"), Some(failovers), "{}", row.id);
+        assert_eq!(row.get_count("orphan_refs"), Some(0), "{}", row.id);
+        assert_eq!(row.get_count("complete"), Some(failovers), "{}", row.id);
         assert_eq!(
-            count_field(row, "matched_reroute"),
+            row.get_count("matched_reroute"),
             Some(failovers),
             "{}: every chain's reroute delta must equal the daemon's \
              recorded sample",
@@ -75,19 +56,18 @@ fn every_cell_keeps_complete_causal_chains() {
 
 #[test]
 fn decomposition_rows_match_probe_observability() {
-    let artifact = flight_bench_artifact();
-    let decomp = artifact
+    let decomp = ARTIFACT
         .get("latency_decomposition")
         .expect("latency_decomposition section");
     assert!(!decomp.rows.is_empty());
     for row in &decomp.rows {
         assert_eq!(
-            count_field(row, "matches_probe_obs"),
+            row.get_count("matches_probe_obs"),
             Some(1),
             "{}: flight-derived histogram != probe-obs histogram",
             row.id
         );
-        assert!(count_field(row, "count").expect("count") > 0, "{}", row.id);
+        assert!(row.get_count("count").expect("count") > 0, "{}", row.id);
     }
 }
 

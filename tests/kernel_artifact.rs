@@ -5,49 +5,22 @@
 //! driver's O(K·N²).
 //!
 //! If an intentional change shifts the counts, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin kernel_report`) and commit
-//! it alongside the change; CI runs the same regenerate-and-diff check.
+//! (`cargo run --release -p drs-bench --bin regen -- kernel`) and commit
+//! it alongside the change; CI runs the same `regen`.
 
-use drs::obs::{FieldValue, Row};
-use drs_bench::kernel::{kernel_artifact, kernel_artifact_json, run_grid, SCALING_THREADS};
-use drs_bench::{BENCH_SEED, KERNEL_BENCH_JSON};
+use drs_bench::artifacts::{find, pin};
+use drs_bench::kernel::{kernel_artifact, run_grid, SCALING_THREADS};
 
 fn committed() -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(KERNEL_BENCH_JSON);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed artifact {}: {e}", path.display()))
-}
-
-fn count_field(row: &Row, name: &str) -> Option<u64> {
-    row.fields
-        .iter()
-        .find(|f| f.name == name)
-        .and_then(|f| match f.value {
-            FieldValue::Count(c) => Some(c),
-            _ => None,
-        })
-}
-
-fn real_field(row: &Row, name: &str) -> Option<f64> {
-    row.fields
-        .iter()
-        .find(|f| f.name == name)
-        .and_then(|f| match f.value {
-            FieldValue::Real(r) => Some(r),
-            _ => None,
-        })
+    find("kernel")
+        .expect("table entry")
+        .committed()
+        .expect("committed file")
 }
 
 #[test]
 fn committed_artifact_regenerates_byte_for_byte() {
-    assert_eq!(
-        kernel_artifact_json(),
-        committed(),
-        "BENCH_kernel.json drifted from what the kernel grid produces \
-         under master seed {BENCH_SEED}; regenerate it with \
-         `cargo run --release -p drs-bench --bin kernel_report` if the \
-         change is intentional"
-    );
+    pin("kernel");
 }
 
 #[test]
@@ -58,10 +31,10 @@ fn batched_queue_traffic_is_linear_in_n_across_the_grid() {
         .expect("reduction section");
     assert!(!reduction.rows.is_empty());
     for row in &reduction.rows {
-        let n = count_field(row, "n").expect("n") as f64;
-        let k = count_field(row, "planes").expect("planes") as f64;
-        let batched = real_field(row, "timer_per_cycle_batched").expect("batched");
-        let per_pair = real_field(row, "timer_per_cycle_per_pair").expect("per_pair");
+        let n = row.get_count("n").expect("n") as f64;
+        let k = row.get_count("planes").expect("planes") as f64;
+        let batched = row.get_real("timer_per_cycle_batched").expect("batched");
+        let per_pair = row.get_real("timer_per_cycle_per_pair").expect("per_pair");
         // Steady state is 2 timer events per daemon per cycle for the
         // batched driver (fan-out + timeout sweep) — independent of K —
         // and 2 per (peer, plane) pair per daemon for the per-pair one.
@@ -75,7 +48,7 @@ fn batched_queue_traffic_is_linear_in_n_across_the_grid() {
             "{}: per-pair driver scheduled only {per_pair} timer events/cycle",
             row.id
         );
-        let factor = real_field(row, "reduction_factor").expect("factor");
+        let factor = row.get_real("reduction_factor").expect("factor");
         assert!(
             factor >= 0.25 * k * (n - 1.0),
             "{}: reduction factor {factor} is not O(K·N)",
@@ -110,9 +83,9 @@ fn committed_thread_scaling_is_thread_count_invariant() {
         let mut digests = Vec::new();
         for t in SCALING_THREADS {
             let id = format!("\"id\": \"n{n}_k{k}_t{t}\"");
-            let row_start = json.find(&id).unwrap_or_else(|| {
-                panic!("scaling cell n{n}_k{k}_t{t} missing from the artifact")
-            });
+            let row_start = json
+                .find(&id)
+                .unwrap_or_else(|| panic!("scaling cell n{n}_k{k}_t{t} missing from the artifact"));
             let row = &json[row_start..json[row_start..].find('}').unwrap() + row_start];
             let tag = "\"state_digest\": ";
             let at = row.find(tag).expect("state_digest field") + tag.len();

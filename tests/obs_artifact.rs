@@ -4,75 +4,51 @@
 //! Figure 1 bandwidth budget in every cell.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin obs_report`) and commit it
+//! (`cargo run --release -p drs-bench --bin regen -- obs`) and commit it
 //! alongside the change; this test then documents the new ground truth.
-//! CI runs the same regenerate-and-diff check.
+//! CI runs the same `regen`.
+
+use std::sync::LazyLock;
 
 use drs::harness::RunMode;
-use drs::obs::{FieldValue, Row};
+use drs::obs::ObsArtifact;
+use drs_bench::artifacts::{find, Artifact};
 use drs_bench::obs_artifact::obs_bench_artifact;
-use drs_bench::{BENCH_SEED, OBS_BENCH_JSON};
 
-fn committed() -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(OBS_BENCH_JSON);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed artifact {}: {e}", path.display()))
+fn entry() -> &'static Artifact {
+    find("obs").expect("table entry")
 }
 
-fn count_field(row: &Row, name: &str) -> Option<u64> {
-    row.fields
-        .iter()
-        .find(|f| f.name == name)
-        .and_then(|f| match f.value {
-            FieldValue::Count(c) => Some(c),
-            _ => None,
-        })
-}
-
-fn real_field(row: &Row, name: &str) -> Option<f64> {
-    row.fields
-        .iter()
-        .find(|f| f.name == name)
-        .and_then(|f| match f.value {
-            FieldValue::Real(r) => Some(r),
-            _ => None,
-        })
-}
+/// Each generated once per process: the table's text for the two pins,
+/// the typed value for the semantic tests.
+static PARALLEL: LazyLock<String> = LazyLock::new(|| entry().render(RunMode::Parallel));
+static ARTIFACT: LazyLock<ObsArtifact> = LazyLock::new(|| obs_bench_artifact(RunMode::Parallel));
 
 #[test]
 fn committed_artifact_regenerates_byte_for_byte() {
-    let regenerated = obs_bench_artifact(RunMode::Parallel).to_json();
-    assert_eq!(
-        regenerated,
-        committed(),
-        "BENCH_observability.json drifted from what the instrumented \
-         suite produces under master seed {BENCH_SEED}; regenerate it \
-         with `cargo run --release -p drs-bench --bin obs_report` if \
-         the change is intentional"
-    );
+    entry()
+        .check(&PARALLEL)
+        .unwrap_or_else(|why| panic!("{why}"));
 }
 
 #[test]
 fn serial_and_parallel_artifacts_are_byte_identical() {
-    let parallel = obs_bench_artifact(RunMode::Parallel);
-    let serial = obs_bench_artifact(RunMode::Serial);
-    assert_eq!(parallel.to_json(), serial.to_json());
+    assert!(*PARALLEL == entry().render(RunMode::Serial));
 }
 
 #[test]
 fn every_probe_overhead_cell_stays_within_budget() {
-    let artifact = obs_bench_artifact(RunMode::Parallel);
-    let overhead = artifact.get("probe_overhead").expect("overhead section");
+    let overhead = ARTIFACT.get("probe_overhead").expect("overhead section");
     assert!(!overhead.rows.is_empty());
     for row in &overhead.rows {
         assert_eq!(
-            count_field(row, "within_budget"),
+            row.get_count("within_budget"),
             Some(1),
             "{}: probe bytes exceeded the Figure 1 budget",
             row.id
         );
-        let bytes_a = count_field(row, "probe_bytes_a").expect("bytes_a");
-        let budget = real_field(row, "budget_bytes").expect("budget");
+        let bytes_a = row.get_count("probe_bytes_a").expect("bytes_a");
+        let budget = row.get_real("budget_bytes").expect("budget");
         assert!(bytes_a > 0, "{}: probes observed", row.id);
         assert!(bytes_a as f64 <= budget, "{}: measured ≤ budgeted", row.id);
     }
@@ -84,21 +60,24 @@ fn goodput_cells_show_monotone_probe_budget_payoff() {
     // every cell's fluid ledger balanced exactly, every failover both
     // stalled and resumed sessions, and a bigger probe budget never
     // lengthened the worst session interruption.
-    let artifact = obs_bench_artifact(RunMode::Parallel);
-    let sec = artifact
+    let sec = ARTIFACT
         .get("goodput_under_failover")
         .expect("goodput section");
     assert!(sec.rows.len() >= 2, "need a ladder to compare budgets");
     let mut prev_worst: Option<u64> = None;
     for row in &sec.rows {
-        assert_eq!(count_field(row, "conserved"), Some(1), "{}", row.id);
-        assert!(count_field(row, "stall_windows").unwrap_or(0) > 0, "{}", row.id);
+        assert_eq!(row.get_count("conserved"), Some(1), "{}", row.id);
         assert!(
-            count_field(row, "resumed_windows").unwrap_or(0) > 0,
+            row.get_count("stall_windows").unwrap_or(0) > 0,
             "{}",
             row.id
         );
-        let worst = count_field(row, "worst_interruption_ns").expect("worst");
+        assert!(
+            row.get_count("resumed_windows").unwrap_or(0) > 0,
+            "{}",
+            row.id
+        );
+        let worst = row.get_count("worst_interruption_ns").expect("worst");
         if let Some(p) = prev_worst {
             assert!(
                 worst <= p,
@@ -115,7 +94,7 @@ fn empty_histograms_serialize_as_null_not_zero() {
     // The static protocol never fails over, so its failover-latency
     // histogram is empty — the committed artifact must carry `null`
     // quantiles for it, never a fabricated 0 ns.
-    let json = committed();
+    let json = entry().committed().expect("committed file");
     let static_row = json
         .lines()
         .find(|l| l.contains("\"id\": \"static\""))

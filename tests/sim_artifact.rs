@@ -2,46 +2,42 @@
 //! exactly what the harness regenerates — same bytes, serial or parallel.
 //!
 //! If an intentional change shifts the simulation results, regenerate the
-//! artifact (`cargo run --release -p drs-bench --bin sim_sweep`) and
+//! artifact (`cargo run --release -p drs-bench --bin regen -- sim`) and
 //! commit it alongside the change; this test then documents the new
-//! ground truth. CI runs the same regenerate-and-diff check.
+//! ground truth. CI runs the same `regen`.
 
-use drs::harness::RunMode;
+use std::sync::LazyLock;
+
+use drs::harness::{RunMode, SimArtifact};
+use drs_bench::artifacts::{find, Artifact};
 use drs_bench::sim_artifact::bench_artifact;
-use drs_bench::{BENCH_SEED, SIM_BENCH_JSON};
 
-fn committed() -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(SIM_BENCH_JSON);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed artifact {}: {e}", path.display()))
+fn entry() -> &'static Artifact {
+    find("sim").expect("table entry")
 }
+
+/// Each generated once per process: the table's text for the two pins,
+/// the typed value for the semantic test.
+static PARALLEL: LazyLock<String> = LazyLock::new(|| entry().render(RunMode::Parallel));
+static ARTIFACT: LazyLock<SimArtifact> = LazyLock::new(|| bench_artifact(RunMode::Parallel));
 
 #[test]
 fn committed_artifact_regenerates_byte_for_byte() {
-    let regenerated = bench_artifact(RunMode::Parallel).to_json();
-    assert_eq!(
-        regenerated,
-        committed(),
-        "BENCH_sim_survivability.json drifted from what the harness \
-         produces under master seed {BENCH_SEED}; regenerate it with \
-         `cargo run --release -p drs-bench --bin sim_sweep` if the \
-         change is intentional"
-    );
+    entry()
+        .check(&PARALLEL)
+        .unwrap_or_else(|why| panic!("{why}"));
 }
 
 #[test]
 fn serial_and_parallel_artifacts_are_byte_identical() {
-    let parallel = bench_artifact(RunMode::Parallel);
-    let serial = bench_artifact(RunMode::Serial);
-    assert_eq!(parallel.to_json(), serial.to_json());
+    assert!(*PARALLEL == entry().render(RunMode::Serial));
 }
 
 #[test]
 fn artifact_traces_tell_a_complete_story() {
     // Every shootout trial accounts for each sent flow with a terminal
     // event, and every e2e trial records its fault injections.
-    let artifact = bench_artifact(RunMode::Parallel);
-    let shootout = artifact.get("protocol-shootout").expect("shootout runs");
+    let shootout = ARTIFACT.get("protocol-shootout").expect("shootout runs");
     for t in &shootout.trials {
         let sent = t
             .metrics
@@ -69,7 +65,7 @@ fn artifact_traces_tell_a_complete_story() {
             t.id
         );
     }
-    let e2e_experiments: Vec<_> = artifact
+    let e2e_experiments: Vec<_> = ARTIFACT
         .experiments
         .iter()
         .filter(|e| e.name.starts_with("e2e/"))

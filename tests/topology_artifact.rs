@@ -5,37 +5,37 @@
 //! the shape the graph layer predicts.
 //!
 //! If an intentional change shifts the cells, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin topology_zoo`) and commit it
-//! alongside the change; CI runs the same regenerate-and-diff check.
+//! (`cargo run --release -p drs-bench --bin regen -- topology`) and commit
+//! it alongside the change; CI runs the same `regen`.
 
-use drs_bench::topology_zoo::{bench_artifact, Method, SCHEMA, ZOO_FAILURES};
-use drs_bench::{BENCH_SEED, TOPOLOGY_BENCH_JSON};
+use std::sync::LazyLock;
+
+use drs_bench::artifacts::{find, Artifact};
+use drs_bench::topology_zoo::{bench_artifact, Method, ZooArtifact, SCHEMA, ZOO_FAILURES};
+use drs_bench::BENCH_SEED;
 use drs_harness::RunMode;
 
-fn committed() -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(TOPOLOGY_BENCH_JSON);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed artifact {}: {e}", path.display()))
+fn entry() -> &'static Artifact {
+    find("topology").expect("table entry")
 }
+
+/// Each generated once per process: the table's text for the two pins,
+/// the typed value for the semantic tests.
+static PARALLEL: LazyLock<String> = LazyLock::new(|| entry().render(RunMode::Parallel));
+static ARTIFACT: LazyLock<ZooArtifact> =
+    LazyLock::new(|| bench_artifact(BENCH_SEED, RunMode::Parallel));
 
 #[test]
 fn committed_artifact_regenerates_byte_for_byte() {
-    assert_eq!(
-        bench_artifact(BENCH_SEED, RunMode::Parallel).to_json(),
-        committed(),
-        "BENCH_topology.json drifted from what the zoo sweep produces \
-         under master seed {BENCH_SEED}; regenerate it with \
-         `cargo run --release -p drs-bench --bin topology_zoo` if the \
-         change is intentional"
-    );
+    entry()
+        .check(&PARALLEL)
+        .unwrap_or_else(|why| panic!("{why}"));
 }
 
 #[test]
 fn serial_and_parallel_runs_are_identical_and_fully_agree() {
-    let parallel = bench_artifact(BENCH_SEED, RunMode::Parallel);
-    let serial = bench_artifact(BENCH_SEED, RunMode::Serial);
-    assert_eq!(parallel.to_json(), serial.to_json());
-    for c in &parallel.cells {
+    assert!(*PARALLEL == entry().render(RunMode::Serial));
+    for c in &ARTIFACT.cells {
         assert_eq!(
             c.agree, c.trials,
             "cell ({}, f={}) has sim/predicate disagreements",
@@ -47,7 +47,7 @@ fn serial_and_parallel_runs_are_identical_and_fully_agree() {
 
 #[test]
 fn committed_artifact_covers_the_zoo_grid() {
-    let json = committed();
+    let json = entry().committed().expect("committed file");
     assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
     for label in [
         "kplane(n=16,k=2)",
@@ -70,10 +70,9 @@ fn committed_artifact_covers_the_zoo_grid() {
 
 #[test]
 fn frontier_has_the_shape_the_graph_layer_predicts() {
-    let artifact = bench_artifact(BENCH_SEED, RunMode::Parallel);
-    let k2 = artifact.get("kplane(n=16,k=2)", 2).expect("k2 cell");
-    let k3 = artifact.get("kplane(n=16,k=3)", 2).expect("k3 cell");
-    let ft = artifact.get("fat_tree(k=4)", 1).expect("fat-tree cell");
+    let k2 = ARTIFACT.get("kplane(n=16,k=2)", 2).expect("k2 cell");
+    let k3 = ARTIFACT.get("kplane(n=16,k=3)", 2).expect("k3 cell");
+    let ft = ARTIFACT.get("fat_tree(k=4)", 1).expect("fat-tree cell");
     // Buying a third plane buys survivability: K=3 dominates K=2 at
     // every swept f > 1, at higher equipment cost.
     assert!(k3.cost_units > k2.cost_units);
@@ -83,7 +82,7 @@ fn frontier_has_the_shape_the_graph_layer_predicts() {
     // cliff the K-plane design exists to avoid.
     assert!(ft.p < 1.0, "fat-tree f=1 should sit below the K-plane");
     assert_eq!(
-        artifact.get("bcube(n=4,l=1)", 1).expect("bcube cell").p,
+        ARTIFACT.get("bcube(n=4,l=1)", 1).expect("bcube cell").p,
         1.0,
         "BCube(4,1) hosts are dual-homed; one failure cannot sever the pair"
     );
@@ -93,9 +92,8 @@ fn frontier_has_the_shape_the_graph_layer_predicts() {
 fn monte_carlo_cell_sits_near_its_exact_neighbours() {
     // The sampled fat-tree f=4 estimate must be consistent with the
     // exact f=3 cell: survivability cannot increase with more failures.
-    let artifact = bench_artifact(BENCH_SEED, RunMode::Parallel);
-    let f3 = artifact.get("fat_tree(k=4)", 3).expect("exact f=3");
-    let f4 = artifact.get("fat_tree(k=4)", 4).expect("sampled f=4");
+    let f3 = ARTIFACT.get("fat_tree(k=4)", 3).expect("exact f=3");
+    let f4 = ARTIFACT.get("fat_tree(k=4)", 4).expect("sampled f=4");
     assert_eq!(f3.method, Method::Exact);
     assert_eq!(f4.method, Method::MonteCarlo);
     assert!(f4.p < f3.p, "P[S] must fall as f grows");

@@ -41,15 +41,15 @@ fn union_find_layer_reproduces_the_committed_knet_cells() {
 
 #[test]
 fn committed_knet_artifact_still_carries_the_pinned_counts() {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .join("BENCH_knet_survivability.json");
-    let json = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read {}: {e}", path.display()));
+    let json = drs_bench::artifacts::find("knet")
+        .expect("table entry")
+        .committed()
+        .expect("committed file");
     for &(k, n, f, successes, total) in &KNET_CELLS {
         let row = format!(
             "\"k\": {k}, \"n\": {n}, \"f\": {f}, \"p_exact\": {}, \
              \"successes\": \"{successes}\", \"total\": \"{total}\"",
-            drs::harness::artifact::json_f64(successes as f64 / total as f64),
+            drs::obs::jsonfmt::json_f64(successes as f64 / total as f64),
         );
         assert!(
             json.contains(&row),
@@ -102,7 +102,13 @@ fn one_hop_policy_is_strictly_stronger_beyond_k2() {
     ];
     let set = ComponentSet::from_indices(&failed);
     assert!(pair_connected(&topo, &set, 0, 1, Reachability::Transitive));
-    assert!(!pair_connected(&topo, &set, 0, 1, Reachability::OneHostRelay));
+    assert!(!pair_connected(
+        &topo,
+        &set,
+        0,
+        1,
+        Reachability::OneHostRelay
+    ));
     // The legacy K-plane predicate is the one-hop policy.
     let failures = FailureSet::from_indices(&failed);
     assert!(!pair_connected_k(n, k as u8, &failures, 0, 1));
@@ -119,13 +125,7 @@ fn orbit_closed_form_matches_the_graph_enumeration() {
         for f in 0..=m.min(6) {
             let (os, ot) = orbit_pair_success(n, f).expect("within the shared table");
             assert_eq!(
-                enumerate_pair_success_topo(
-                    &topo,
-                    f as usize,
-                    0,
-                    1,
-                    Reachability::OneHostRelay
-                ),
+                enumerate_pair_success_topo(&topo, f as usize, 0, 1, Reachability::OneHostRelay),
                 (os, ot),
                 "n={n} f={f}"
             );

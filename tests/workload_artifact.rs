@@ -6,68 +6,47 @@
 //! fixed event budget.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin workload_report`) and
+//! (`cargo run --release -p drs-bench --bin regen -- workload`) and
 //! commit it alongside the change; this test then documents the new
-//! ground truth. CI runs the same regenerate-and-diff check at 1 and 4
-//! worker threads.
+//! ground truth. CI runs `regen` at 1 and 4 worker threads.
 
-use drs::obs::{FieldValue, Row};
-use drs_bench::workload::{million_verdict, workload_bench_artifact, WORKLOAD_SCHEMA};
-use drs_bench::{BENCH_SEED, WORKLOAD_BENCH_JSON};
+use std::sync::LazyLock;
 
-fn committed() -> String {
-    let path = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join(WORKLOAD_BENCH_JSON);
-    std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("read committed artifact {}: {e}", path.display()))
-}
+use drs::obs::ObsArtifact;
+use drs_bench::artifacts::pin;
+use drs_bench::workload::{million_verdict, workload_bench_artifact};
 
-fn count_field(row: &Row, name: &str) -> Option<u64> {
-    row.fields
-        .iter()
-        .find(|f| f.name == name)
-        .and_then(|f| match f.value {
-            FieldValue::Count(c) => Some(c),
-            _ => None,
-        })
-}
+/// Generated once per process and shared by the semantic tests.
+static ARTIFACT: LazyLock<ObsArtifact> = LazyLock::new(workload_bench_artifact);
 
 #[test]
 fn committed_artifact_regenerates_byte_for_byte() {
-    let regenerated = workload_bench_artifact().to_json_with_schema(WORKLOAD_SCHEMA);
-    assert_eq!(
-        regenerated,
-        committed(),
-        "BENCH_workload.json drifted from what the fluid-workload \
-         benchmark produces under master seed {BENCH_SEED}; regenerate \
-         it with `cargo run --release -p drs-bench --bin \
-         workload_report` if the change is intentional"
-    );
+    pin("workload");
 }
 
 #[test]
 fn every_stats_row_pays_one_event_per_transition() {
-    let artifact = workload_bench_artifact();
     for section in ["slo", "million"] {
-        let sec = artifact.get(section).expect(section);
+        let sec = ARTIFACT.get(section).expect(section);
         for row in &sec.rows {
             // Histogram rows carry no counters; only check stats rows.
-            let Some(events) = count_field(row, "kernel_session_events") else {
+            let Some(events) = row.get_count("kernel_session_events") else {
                 continue;
             };
             assert_eq!(
                 Some(events),
-                count_field(row, "transitions"),
+                row.get_count("transitions"),
                 "{section}/{}: kernel events != engine transitions",
                 row.id
             );
             assert_eq!(
-                count_field(row, "events_equal_transitions"),
+                row.get_count("events_equal_transitions"),
                 Some(1),
                 "{section}/{}",
                 row.id
             );
             assert_eq!(
-                count_field(row, "conserved"),
+                row.get_count("conserved"),
                 Some(1),
                 "{section}/{}: offered != delivered + shortfall + \
                  dropped + in_flight",
@@ -79,27 +58,25 @@ fn every_stats_row_pays_one_event_per_transition() {
 
 #[test]
 fn scaling_ladder_leaves_event_count_invariant() {
-    let artifact = workload_bench_artifact();
-    let sec = artifact.get("scaling").expect("scaling section");
+    let sec = ARTIFACT.get("scaling").expect("scaling section");
     assert!(sec.rows.len() >= 3, "need the x1/x16/x256 ladder");
     for row in &sec.rows {
         assert_eq!(
-            count_field(row, "events_equal_base"),
+            row.get_count("events_equal_base"),
             Some(1),
             "{}: multiplying per-session rate changed the event count",
             row.id
         );
-        assert_eq!(count_field(row, "conserved"), Some(1), "{}", row.id);
+        assert_eq!(row.get_count("conserved"), Some(1), "{}", row.id);
     }
 }
 
 #[test]
 fn million_cell_holds_inside_its_event_budget() {
-    let artifact = workload_bench_artifact();
-    let sec = artifact.get("million").expect("million section");
+    let sec = ARTIFACT.get("million").expect("million section");
     let row = sec.rows.first().expect("million row");
-    assert!(count_field(row, "active").expect("active") >= 1_000_000);
-    assert_eq!(count_field(row, "within_budget"), Some(1));
+    assert!(row.get_count("active").expect("active") >= 1_000_000);
+    assert_eq!(row.get_count("within_budget"), Some(1));
     let v = million_verdict();
     assert!(v.holds(), "million verdict must hold: {v:?}");
 }
