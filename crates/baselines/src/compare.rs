@@ -12,19 +12,19 @@
 //! well under the transport's first retransmission timeout — i.e. the
 //! application never noticed).
 
+use drs_core::ids::FlowId;
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind};
+use drs_core::{LatencyHistogram, ProbeObs};
 use drs_harness::{
     Experiment, ExperimentRecord, Metric, RunMode, TraceEvent, TraceEventKind, TrialRecord,
     TrialTrace,
 };
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::{FlowId, NodeId};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::stats::{LatencyHistogram, ProbeObs};
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::transport::max_flow_lifetime;
 use drs_sim::world::{FlowOutcome, Protocol, World};
+use drs_sim::{NodeId, SimDuration, SimTime};
 
 use crate::ospf::{OspfConfig, OspfDaemon};
 use crate::reactive::{ReactiveConfig, ReactiveDaemon};
@@ -456,7 +456,7 @@ pub struct NamedScenario {
 /// failures that force gateway relaying.
 #[must_use]
 pub fn standard_shootout_scenarios(n: usize) -> Vec<NamedScenario> {
-    use drs_sim::ids::NetId;
+    use drs_sim::NetId;
     vec![
         NamedScenario {
             name: "hub_a",
@@ -572,7 +572,7 @@ mod tests {
     use crate::rip::{RipConfig, RipDaemon};
     use crate::static_route::StaticRouting;
     use drs_core::{DrsConfig, DrsDaemon};
-    use drs_sim::ids::NetId;
+    use drs_sim::NetId;
 
     fn hub_a_failure(n: usize, seed: u64) -> ScenarioSpec {
         ScenarioSpec::standard(n, seed, vec![SimComponent::Hub(NetId::A)])

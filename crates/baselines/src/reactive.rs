@@ -12,10 +12,8 @@
 
 use std::collections::HashMap;
 
-use drs_sim::ids::{NetId, NodeId};
-use drs_sim::routes::Route;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::{Ctx, Protocol, TransportEvent};
+use drs_sim::{NetId, NodeId, Route, SimDuration, SimTime};
 
 /// ICMP identifier of reactive repair probes.
 const ECHO_ID: u32 = 0x0EA;

@@ -15,10 +15,8 @@
 
 use std::collections::HashMap;
 
-use drs_sim::ids::{NetId, NodeId};
-use drs_sim::routes::Route;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::{Ctx, Protocol};
+use drs_sim::{NetId, NodeId, Route, SimDuration, SimTime};
 
 /// The RIP infinity metric: unreachable.
 pub const INFINITY: u8 = 16;

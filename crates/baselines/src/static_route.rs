@@ -16,10 +16,9 @@ impl Protocol for StaticRouting {
 mod tests {
     use super::*;
     use drs_sim::fault::{FaultPlan, SimComponent};
-    use drs_sim::ids::{NetId, NodeId};
     use drs_sim::scenario::ClusterSpec;
-    use drs_sim::time::{SimDuration, SimTime};
     use drs_sim::world::World;
+    use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
     #[test]
     fn healthy_cluster_delivers() {

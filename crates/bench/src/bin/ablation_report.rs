@@ -6,10 +6,9 @@
 use drs_bench::section;
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, GatewayPolicy};
 use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::{NetId, NodeId};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::World;
+use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
 fn base_cfg() -> DrsConfig {
     DrsConfig::default()

@@ -15,10 +15,9 @@ use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::{Experiment, Metric, TraceEvent, TrialRecord};
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::{NetId, NodeId};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::World;
+use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
 /// One line of the per-second state table.
 struct SecondRow {
@@ -74,8 +73,8 @@ fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, TrialRecord) {
         for i in 0..n as u32 {
             for (_, route) in w.host(NodeId(i)).routes.iter() {
                 match route {
-                    drs_sim::routes::Route::Direct(NetId::A) => on_a += 1,
-                    drs_sim::routes::Route::Direct(NetId::B) => on_b += 1,
+                    drs_sim::Route::Direct(NetId::A) => on_a += 1,
+                    drs_sim::Route::Direct(NetId::B) => on_b += 1,
                     _ => {}
                 }
             }

@@ -11,7 +11,7 @@ use drs_core::DrsConfig;
 use drs_cost::empirical::{interval_for_budget, measure_probe_cost};
 use drs_cost::figure1::{figure1, PAPER_BUDGETS};
 use drs_cost::model::ProbeCostModel;
-use drs_sim::time::SimDuration;
+use drs_sim::SimDuration;
 
 fn main() {
     println!("Figure 1 — error-resolution time vs cluster size on 100 Mb/s networks");

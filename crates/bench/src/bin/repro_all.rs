@@ -18,8 +18,7 @@ use drs_core::DrsConfig;
 use drs_cost::model::ProbeCostModel;
 use drs_harness::coord_seed;
 use drs_sim::fault::SimComponent;
-use drs_sim::ids::NetId;
-use drs_sim::time::SimDuration;
+use drs_sim::{NetId, SimDuration};
 use drs_trace::fleet::FleetSpec;
 use drs_trace::study::replicate_study;
 

@@ -3,11 +3,11 @@
 //! daemon's latency histograms.
 //!
 //! Every cell runs the same single-fault scenario — hub A dies at 1 s and
-//! recovers at 3 s — on both drivers with the flight recorder on: the
-//! sequential [`World`] and the sharded [`ShardedWorld`] (whose merged
-//! log is bit-identical at any `DRS_SIM_THREADS`, which is what lets the
-//! artifact into the repo). The cell then rebuilds every failover's
-//! causal chain ([`build_post_mortems`]) and proves, sample for sample:
+//! recovers at 3 s — with the flight recorder on, at one shard and at
+//! [`FLIGHT_SHARDS`] (whose merged log is bit-identical at any
+//! `DRS_SIM_THREADS`, which is what lets the artifact into the repo).
+//! The cell then rebuilds every failover's causal chain
+//! ([`build_post_mortems`]) and proves, sample for sample:
 //!
 //! * **chains are complete** — every `cause` ref resolves inside the log
 //!   (no orphans, nothing evicted out from under a live chain);
@@ -17,25 +17,22 @@
 //! * **flight == observability** — the histogram of `link_down` args
 //!   equals `ProbeObs::failover_detect` bucket-for-bucket, and the
 //!   histogram of `reroute_complete` args equals
-//!   `ProbeObs::reroute_complete`, on both drivers.
+//!   `ProbeObs::reroute_complete`, at both shard counts.
 //!
 //! Nothing on this path draws a random number: worlds are seeded by
 //! [`coord_seed`] coordinate mixing and the fault schedule is fixed, so
 //! the committed `BENCH_flight.json` is byte-reproducible on any machine
 //! and thread count.
 
-use drs_core::{DrsConfig, DrsDaemon};
+use drs_core::{DrsConfig, DrsDaemon, LatencyHistogram, ProbeObs};
 use drs_harness::coord_seed;
 use drs_obs::causal::{build_post_mortems, PostMortemReport};
 use drs_obs::flight::{to_perfetto, FlightLog, TraceKind};
 use drs_obs::{ObsArtifact, Row, Section};
-use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::NetId;
-use drs_sim::scenario::ClusterSpec;
-use drs_sim::stats::{LatencyHistogram, ProbeObs};
-use drs_sim::time::{SimDuration, SimTime};
-use drs_sim::world::{threads_from_env, World};
-use drs_sim::ShardedWorld;
+use drs_sim::{
+    threads_from_env, ClusterSpec, FaultPlan, NetId, ShardedWorld, SimComponent, SimDuration,
+    SimTime,
+};
 
 use crate::obs_artifact::obs_histogram;
 use crate::BENCH_SEED;
@@ -50,7 +47,7 @@ pub const FLIGHT_NS: [usize; 3] = [8, 16, 32];
 /// (every cell asserts `dropped == 0`, so chains stay complete).
 pub const FLIGHT_CAPACITY: usize = 1 << 18;
 
-/// Shard count for the sharded driver: fixed (not host-derived) so even
+/// Shard count of the sharded runs: fixed (not host-derived) so even
 /// the N = 8 cell exercises cross-shard merge records.
 pub const FLIGHT_SHARDS: usize = 4;
 
@@ -110,7 +107,7 @@ pub fn cell_seed(cell: &FlightCell) -> u64 {
     coord_seed(BENCH_SEED, cell.n as u64, u64::from(cell.planes))
 }
 
-/// One driver's complete take on a cell.
+/// One run's complete take on a cell.
 #[derive(Debug, Clone)]
 pub struct DriverRun {
     /// The merged flight log.
@@ -135,13 +132,18 @@ fn fault_plan() -> FaultPlan {
         .repair_at(REPAIR_AT, SimComponent::Hub(NetId::A))
 }
 
-/// Runs one cell on the sequential driver.
+/// Runs one cell at the given shard and worker-thread counts. The
+/// returned log is bit-identical for every `threads` — the invariant the
+/// shard-equivalence corpus pins and CI re-proves by regenerating the
+/// artifact at `DRS_SIM_THREADS` 1 and 4.
 #[must_use]
-pub fn run_serial(cell: &FlightCell) -> DriverRun {
+pub fn run(cell: &FlightCell, shards: usize, threads: usize) -> DriverRun {
     let n = cell.n;
     let cfg = daemon_config();
-    let spec = ClusterSpec::new(n).planes(cell.planes).seed(cell_seed(cell));
-    let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
+    let spec = ClusterSpec::new(n)
+        .planes(cell.planes)
+        .seed(cell_seed(cell));
+    let mut w = ShardedWorld::with_topology(spec, shards, threads, |id| DrsDaemon::new(id, n, cfg));
     w.enable_flight(FLIGHT_CAPACITY);
     w.schedule_faults(fault_plan());
     w.run_for(RUN_FOR);
@@ -151,35 +153,6 @@ pub fn run_serial(cell: &FlightCell) -> DriverRun {
         obs: w.merged_probe_obs(),
         log,
     }
-}
-
-/// Runs one cell on the sharded driver with an explicit worker-thread
-/// count. The returned log is bit-identical for every `threads` — the
-/// invariant the shard-equivalence corpus pins and CI re-proves by
-/// regenerating the artifact at `DRS_SIM_THREADS` 1 and 4.
-#[must_use]
-pub fn run_sharded_with_threads(cell: &FlightCell, threads: usize) -> DriverRun {
-    let n = cell.n;
-    let cfg = daemon_config();
-    let spec = ClusterSpec::new(n).planes(cell.planes).seed(cell_seed(cell));
-    let mut w = ShardedWorld::with_topology(spec, FLIGHT_SHARDS, threads, |id| {
-        DrsDaemon::new(id, n, cfg)
-    });
-    w.enable_flight(FLIGHT_CAPACITY);
-    w.schedule_faults(fault_plan());
-    w.run_for(RUN_FOR);
-    let log = w.flight_log().expect("flight recorder enabled");
-    DriverRun {
-        report: build_post_mortems(&log),
-        obs: w.merged_probe_obs(),
-        log,
-    }
-}
-
-/// Runs one cell on the sharded driver at the `DRS_SIM_THREADS` count.
-#[must_use]
-pub fn run_sharded(cell: &FlightCell) -> DriverRun {
-    run_sharded_with_threads(cell, threads_from_env())
 }
 
 /// Histogram of one record kind's `arg` values, skipping the `u64::MAX`
@@ -254,7 +227,7 @@ pub fn chain_stats(report: &PostMortemReport) -> ChainStats {
     s
 }
 
-/// Asserts one driver's full invariant set for a cell and returns its
+/// Asserts one run's full invariant set for a cell and returns its
 /// chain stats: nothing dropped, no orphaned refs, every chain complete,
 /// every decomposition exact, and the flight-derived histograms equal to
 /// the daemon's probe observability bucket-for-bucket.
@@ -295,9 +268,9 @@ fn kind_count(log: &FlightLog, kind: TraceKind) -> u64 {
     log.records.iter().filter(|r| r.kind == kind).count() as u64
 }
 
-/// Builds the full flight artifact, asserting every cell's invariants on
-/// both drivers and their agreement with each other along the way. Rows
-/// are taken from the sharded driver (the one with kernel-track records
+/// Builds the full flight artifact, asserting every cell's invariants at
+/// both shard counts and their agreement with each other along the way.
+/// Rows are taken from the sharded run (the one with kernel-track records
 /// and the thread-invariance guarantee CI regenerates under).
 #[must_use]
 pub fn flight_bench_artifact() -> ObsArtifact {
@@ -307,12 +280,12 @@ pub fn flight_bench_artifact() -> ObsArtifact {
     let mut decomp_sec = Section::new("latency_decomposition");
 
     for cell in flight_cells() {
-        let serial = run_serial(&cell);
-        let sharded = run_sharded(&cell);
+        let serial = run(&cell, 1, 1);
+        let sharded = run(&cell, FLIGHT_SHARDS, threads_from_env());
         let _ = check_driver(cell.label, "serial", &serial);
         let s = check_driver(cell.label, "sharded", &sharded);
-        // The two drivers run the same protocol schedule, so the daemons
-        // must have told the same failover story.
+        // Both shard counts run the same protocol schedule, so the
+        // daemons must have told the same failover story.
         assert_eq!(
             serial.obs.failover_detect, sharded.obs.failover_detect,
             "{}: serial and sharded detect histograms diverged",
@@ -326,7 +299,7 @@ pub fn flight_bench_artifact() -> ObsArtifact {
         assert_eq!(
             serial.report.failovers.len(),
             sharded.report.failovers.len(),
-            "{}: drivers reconstructed different failover counts",
+            "{}: shard counts reconstructed different failover counts",
             cell.label
         );
 
@@ -411,7 +384,7 @@ impl FlightVerdict {
     }
 }
 
-/// Runs the smallest matrix cell on the sharded driver and folds it into
+/// Runs the smallest matrix cell at [`FLIGHT_SHARDS`] and folds it into
 /// the [`FlightVerdict`].
 #[must_use]
 pub fn flight_verdict() -> FlightVerdict {
@@ -420,8 +393,7 @@ pub fn flight_verdict() -> FlightVerdict {
         n: 8,
         planes: 2,
     };
-    let run = run_sharded(&cell);
-    let s = chain_stats(&run.report);
+    let s = chain_stats(&run(&cell, FLIGHT_SHARDS, threads_from_env()).report);
     FlightVerdict {
         failovers: s.failovers,
         detect_chains: s.detect_chains,
@@ -445,8 +417,8 @@ mod tests {
 
     #[test]
     fn small_cell_passes_both_drivers_and_they_agree() {
-        let serial = run_serial(&small());
-        let sharded = run_sharded_with_threads(&small(), 1);
+        let serial = run(&small(), 1, 1);
+        let sharded = run(&small(), FLIGHT_SHARDS, 1);
         let a = check_driver("n8_k2", "serial", &serial);
         let b = check_driver("n8_k2", "sharded", &sharded);
         assert_eq!(a.failovers, b.failovers);
@@ -456,8 +428,8 @@ mod tests {
 
     #[test]
     fn sharded_flight_log_is_thread_invariant() {
-        let one = run_sharded_with_threads(&small(), 1);
-        let four = run_sharded_with_threads(&small(), 4);
+        let one = run(&small(), FLIGHT_SHARDS, 1);
+        let four = run(&small(), FLIGHT_SHARDS, 4);
         assert_eq!(one.log, four.log, "merged flight log depends on threads");
     }
 

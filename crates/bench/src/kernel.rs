@@ -18,11 +18,9 @@
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::coord_seed;
 use drs_obs::{ObsArtifact, Row, Section};
-use drs_sim::ids::{NetId, NodeId};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::time::SimDuration;
 use drs_sim::world::{KernelStats, World};
-use drs_sim::ShardedWorld;
+use drs_sim::{NetId, NodeId, ShardedWorld, SimDuration};
 
 use crate::BENCH_SEED;
 

@@ -7,7 +7,7 @@
 //! table-printing and formatting helpers the binaries share, so they read
 //! like experiment scripts.
 
-use drs_sim::time::SimDuration;
+use drs_sim::SimDuration;
 
 pub mod artifacts;
 pub mod e2e;

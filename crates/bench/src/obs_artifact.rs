@@ -37,15 +37,13 @@
 use drs_baselines::compare::{
     run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,
 };
-use drs_core::{DrsConfig, DrsDaemon};
+use drs_core::{DrsConfig, DrsDaemon, LatencyHistogram};
 use drs_cost::model::ProbeCostModel;
 use drs_harness::{coord_seed, RunMode, TraceEventKind};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
-use drs_sim::ids::{NetId, NodeId};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::stats::LatencyHistogram;
-use drs_sim::time::SimDuration;
 use drs_sim::world::World;
+use drs_sim::{NetId, NodeId, SimDuration};
 
 use crate::e2e::{run_cell, E2E_GRID};
 use crate::sim_artifact::{E2E_TRIALS_PER_CELL, SHOOTOUT_HOSTS};
@@ -111,7 +109,7 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
     }
     artifact.push(failover);
 
-    let mut drs_obs = drs_sim::stats::ProbeObs::default();
+    let mut drs_obs = drs_core::ProbeObs::default();
     for row in rows.iter().filter(|r| r.label == ProtocolLabel::Drs) {
         drs_obs.merge(&row.probe_obs);
     }
@@ -268,7 +266,7 @@ pub const OBS_GOODPUT_BUDGETS_PCT: [u64; 3] = [5, 10, 25];
 /// percentiles, and the exact delivered/shortfall byte ledger.
 ///
 /// Everything is draw-free except the workload's own per-host streams
-/// (deterministic SplitMix64, identical on both drivers), so the cells
+/// (deterministic SplitMix64, identical at every shard count), so the cells
 /// are byte-reproducible. The section asserts the monotone payoff:
 /// a bigger probe budget never lengthens the worst interruption.
 fn goodput_under_failover_section() -> Section {
@@ -286,15 +284,13 @@ fn goodput_under_failover_section() -> Section {
             .seed(coord_seed(BENCH_SEED, n as u64, pct ^ 0x60_0D))
             .bandwidth_bps(model.bandwidth_bps);
         let mut world = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
-        // Off-phase fault instants (…123 ns), like every committed
-        // workload scenario: no frame shares an instant with the toggle.
         world.schedule_faults(
             drs_sim::fault::FaultPlan::new()
-                .fail_at(drs_sim::time::SimTime(2_000_000_123), {
+                .fail_at(drs_sim::SimTime(2_000_000_123), {
                     drs_sim::fault::SimComponent::Hub(NetId::A)
                 })
                 .repair_at(
-                    drs_sim::time::SimTime(4_000_000_123),
+                    drs_sim::SimTime(4_000_000_123),
                     drs_sim::fault::SimComponent::Hub(NetId::A),
                 ),
         );
@@ -307,7 +303,7 @@ fn goodput_under_failover_section() -> Section {
                 alpha_milli: 1500,
             },
             classes: vec![drs_sim::ClassSpec { rate_bps: 500_000 }],
-            horizon: drs_sim::time::SimTime(5_000_000_000),
+            horizon: drs_sim::SimTime(5_000_000_000),
         });
         world.run_for(SimDuration::from_secs(6));
         let stats = world.workload_stats().expect("workload enabled").clone();

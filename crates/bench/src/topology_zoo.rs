@@ -37,10 +37,9 @@ use drs_analytic::topo::{
 use drs_cost::equipment::{cost_units, EquipmentCount};
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
 use drs_obs::jsonfmt::{finish, json_f64, preamble};
-use drs_sim::ids::{NetId, NodeId};
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::topology::TopologySpec;
 use drs_sim::world::{Ctx, Protocol, World};
+use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 use drs_topology::{generators, pair_connected, ComponentSet, Reachability, Topology};
 
 use crate::trial::{run_trial, unrank_for_seed, Trial};

@@ -19,10 +19,9 @@ use drs_analytic::enumerate::unrank;
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::{TraceEvent, TraceEventKind};
 use drs_sim::fault::{index_to_component, FaultPlan};
-use drs_sim::ids::NodeId;
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::{FlowOutcome, World};
+use drs_sim::{NodeId, SimDuration, SimTime};
 
 /// One completed cross-check trial.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -8,15 +8,15 @@
 //!   open-loop session workload riding on the DRS daemons: goodput,
 //!   interruption, stalled/dropped-per-failover histograms, the exact
 //!   conservation ledger, and the engine-vs-daemon reroute cross-check.
-//!   The cell runs on both drivers and asserts bit-identical statistics
-//!   before anything is written.
+//!   The cell runs at one shard and at [`WORKLOAD_SHARDS`] and asserts
+//!   bit-identical statistics before anything is written.
 //! * **`scaling`** — the O(transitions) pillar, measured: the same
 //!   arrival schedule at per-session rates ×1, ×16 and ×256 produces
 //!   *identical* kernel event and transition counts (the kernel never
 //!   touches a session between its transitions), while every fluid
 //!   ledger quantity scales exactly linearly.
 //! * **`million`** — a 1.04-million-user closed-loop population over a
-//!   hub failure, on the sharded driver: the run fits a fixed kernel
+//!   hub failure, at [`WORKLOAD_SHARDS`]: the run fits a fixed kernel
 //!   event budget because events are one per session transition, not
 //!   per byte or per packet, and the ledger still balances exactly.
 //!
@@ -26,14 +26,10 @@
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::coord_seed;
 use drs_obs::{ObsArtifact, Row, Section};
-use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::NetId;
-use drs_sim::scenario::ClusterSpec;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::workload::UNIT_PER_BYTE;
-use drs_sim::world::{threads_from_env, World};
 use drs_sim::{
-    ArrivalProcess, ClassSpec, HoldingDist, ShardedWorld, WorkloadSpec, WorkloadStats,
+    threads_from_env, ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId,
+    ShardedWorld, SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
 };
 
 use crate::BENCH_SEED;
@@ -68,9 +64,6 @@ fn daemon_config() -> DrsConfig {
         .probe_interval(SimDuration::from_millis(200))
 }
 
-/// Fault instants sit 123 ns off the second boundary so no frame
-/// transmission shares an instant with a hub toggle — the one ordering
-/// delta between the serial and sharded drivers.
 fn slo_plan() -> FaultPlan {
     FaultPlan::new()
         .fail_at(SimTime(5_000_000_123), SimComponent::Hub(NetId::A))
@@ -90,7 +83,9 @@ fn slo_spec() -> WorkloadSpec {
             alpha_milli: 1500,
         },
         classes: vec![
-            ClassSpec { rate_bps: 2_000_000 },
+            ClassSpec {
+                rate_bps: 2_000_000,
+            },
             ClassSpec { rate_bps: 250_000 },
         ],
         horizon: SimTime(10_000_000_000),
@@ -100,7 +95,7 @@ fn slo_spec() -> WorkloadSpec {
 const SLO_HOSTS: usize = 24;
 const SLO_RUN: SimDuration = SimDuration(12_000_000_000);
 
-/// One driver's outcome for a workload cell: the full statistics, the
+/// One run's outcome for a workload cell: the full statistics, the
 /// engine digest, the session-attributable kernel event count, and the
 /// daemons' reroute sample count (the cross-check target).
 #[derive(Debug, Clone, PartialEq)]
@@ -119,46 +114,34 @@ pub struct WorkloadRun {
     pub conserved: bool,
 }
 
-/// Runs the SLO cell on the serial driver.
-#[must_use]
-pub fn run_slo_serial() -> WorkloadRun {
-    let n = SLO_HOSTS;
-    let cfg = daemon_config();
-    let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 1));
-    let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
-    w.schedule_faults(slo_plan());
-    w.enable_workload(slo_spec());
-    w.run_for(SLO_RUN);
-    WorkloadRun {
-        stats: w.workload_stats().expect("workload enabled").clone(),
-        digest: w.workload_engine().expect("engine").digest(),
-        events: w.workload_events(),
-        daemon_reroutes: w.merged_probe_obs().reroute_complete.count(),
-        conserved: w.workload_engine().expect("engine").conservation().holds(),
+impl WorkloadRun {
+    /// Harvests a finished workload-enabled world.
+    fn harvest(w: &World<DrsDaemon>) -> Self {
+        let engine = w.workload_engine().expect("workload enabled");
+        WorkloadRun {
+            stats: engine.stats().clone(),
+            digest: engine.digest(),
+            events: w.workload_events(),
+            daemon_reroutes: w.merged_probe_obs().reroute_complete.count(),
+            conserved: engine.conservation().holds(),
+        }
     }
 }
 
-/// Runs the SLO cell on the sharded driver with an explicit thread
-/// count. Bit-identical for every `threads` — the invariant CI re-proves
-/// by regenerating the artifact at `DRS_SIM_THREADS` 1 and 4.
+/// Runs the SLO cell at the given shard and worker-thread counts.
+/// Bit-identical for every pair — across shard counts by the driver's
+/// construction, across `threads` the invariant CI re-proves by
+/// regenerating the artifact at `DRS_SIM_THREADS` 1 and 4.
 #[must_use]
-pub fn run_slo_sharded(threads: usize) -> WorkloadRun {
+pub fn run_slo(shards: usize, threads: usize) -> WorkloadRun {
     let n = SLO_HOSTS;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 1));
-    let mut w = ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, threads, |id| {
-        DrsDaemon::new(id, n, cfg)
-    });
+    let mut w = ShardedWorld::with_topology(spec, shards, threads, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(slo_plan());
     w.enable_workload(slo_spec());
     w.run_for(SLO_RUN);
-    WorkloadRun {
-        stats: w.workload_stats().expect("workload enabled").clone(),
-        digest: w.workload_engine().expect("engine").digest(),
-        events: w.workload_events(),
-        daemon_reroutes: w.merged_probe_obs().reroute_complete.count(),
-        conserved: w.workload_engine().expect("engine").conservation().holds(),
-    }
+    WorkloadRun::harvest(&w)
 }
 
 /// One scaling run: the SLO arrival schedule on 16 hosts with every
@@ -186,17 +169,14 @@ pub fn run_scaling(m: u64) -> WorkloadRun {
             xm_ns: 200_000_000,
             alpha_milli: 1500,
         },
-        classes: vec![ClassSpec { rate_bps: 8 * m }, ClassSpec { rate_bps: 16 * m }],
+        classes: vec![
+            ClassSpec { rate_bps: 8 * m },
+            ClassSpec { rate_bps: 16 * m },
+        ],
         horizon: SimTime(5_000_000_000),
     });
     w.run_for(SimDuration::from_secs(6));
-    WorkloadRun {
-        stats: w.workload_stats().expect("workload enabled").clone(),
-        digest: w.workload_engine().expect("engine").digest(),
-        events: w.workload_events(),
-        daemon_reroutes: w.merged_probe_obs().reroute_complete.count(),
-        conserved: w.workload_engine().expect("engine").conservation().holds(),
-    }
+    WorkloadRun::harvest(&w)
 }
 
 /// The million cell: a closed-loop population of
@@ -229,13 +209,7 @@ pub fn run_million() -> WorkloadRun {
         horizon: SimTime(2_000_000_000),
     });
     w.run_for(SimDuration::from_secs(2));
-    WorkloadRun {
-        stats: w.workload_stats().expect("workload enabled").clone(),
-        digest: w.workload_engine().expect("engine").digest(),
-        events: w.workload_events(),
-        daemon_reroutes: w.merged_probe_obs().reroute_complete.count(),
-        conserved: w.workload_engine().expect("engine").conservation().holds(),
-    }
+    WorkloadRun::harvest(&w)
 }
 
 /// Truncating byte view of an exact `byte·ns/s` ledger quantity — for
@@ -254,7 +228,10 @@ fn stats_row(id: &str, run: &WorkloadRun) -> Row {
         .count("dropped_arrivals", s.dropped_arrivals)
         .count("transitions", s.transitions)
         .count("kernel_session_events", run.events)
-        .count("events_equal_transitions", u64::from(run.events == s.transitions))
+        .count(
+            "events_equal_transitions",
+            u64::from(run.events == s.transitions),
+        )
         .count("route_transitions", s.route_transitions)
         .count("nic_transitions", s.nic_transitions)
         .count("hub_transitions", s.hub_transitions)
@@ -271,17 +248,17 @@ fn stats_row(id: &str, run: &WorkloadRun) -> Row {
 }
 
 /// Builds the full workload artifact, asserting every invariant on the
-/// way: driver equivalence on the SLO cell, exact linearity and
+/// way: shard-count equivalence on the SLO cell, exact linearity and
 /// transition invariance on the scaling ladder, and the million cell's
 /// population, budget and conservation bounds.
 #[must_use]
 pub fn workload_bench_artifact() -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
 
-    // SLO: both drivers, bit-identical, then one section of rows from
-    // the sharded run (the one CI regenerates at two thread counts).
-    let serial = run_slo_serial();
-    let sharded = run_slo_sharded(threads_from_env());
+    // SLO: both shard counts, bit-identical, then one section of rows
+    // from the sharded run (the one CI regenerates at two thread counts).
+    let serial = run_slo(1, 1);
+    let sharded = run_slo(WORKLOAD_SHARDS, threads_from_env());
     assert_eq!(serial, sharded, "slo: serial and sharded runs diverged");
     assert!(sharded.conserved, "slo: fluid ledger out of balance");
     assert!(sharded.stats.stall_windows > 0, "slo: no failover stalls");
@@ -377,7 +354,10 @@ pub fn workload_bench_artifact() -> ObsArtifact {
         stats_row("closed_loop_1m", &run)
             .count("population", population)
             .count("event_budget", MILLION_EVENT_BUDGET)
-            .count("within_budget", u64::from(run.events <= MILLION_EVENT_BUDGET)),
+            .count(
+                "within_budget",
+                u64::from(run.events <= MILLION_EVENT_BUDGET),
+            ),
     );
     artifact.push(million);
 
@@ -454,11 +434,11 @@ impl SloVerdict {
     }
 }
 
-/// Runs the SLO cell on the sharded driver and folds it into its
+/// Runs the SLO cell at [`WORKLOAD_SHARDS`] and folds it into its
 /// verdict.
 #[must_use]
 pub fn slo_verdict() -> SloVerdict {
-    let run = run_slo_sharded(threads_from_env());
+    let run = run_slo(WORKLOAD_SHARDS, threads_from_env());
     SloVerdict {
         conserved: run.conserved,
         stall_windows: run.stats.stall_windows,
@@ -474,10 +454,10 @@ mod tests {
 
     #[test]
     fn slo_cell_is_driver_and_thread_invariant() {
-        let serial = run_slo_serial();
-        let one = run_slo_sharded(1);
-        let four = run_slo_sharded(4);
-        assert_eq!(serial, one, "serial vs 1-thread sharded");
+        let serial = run_slo(1, 1);
+        let one = run_slo(WORKLOAD_SHARDS, 1);
+        let four = run_slo(WORKLOAD_SHARDS, 4);
+        assert_eq!(serial, one, "one shard vs 1-thread sharded");
         assert_eq!(one, four, "1-thread vs 4-thread sharded");
         assert!(one.conserved);
         assert_eq!(one.stats.reroute_notifications, one.daemon_reroutes);

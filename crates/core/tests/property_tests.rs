@@ -10,11 +10,9 @@ use drs_obs::rng::Rng;
 
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, LinkState, ProbeRecord};
 use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::{NetId, NodeId};
-use drs_sim::routes::Route;
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::World;
+use drs_sim::{NetId, NodeId, Route, SimDuration, SimTime};
 
 fn cfg() -> DrsConfig {
     DrsConfig::default()

@@ -4,10 +4,9 @@
 
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind};
 use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::ids::{NetId, NodeId};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::time::SimDuration;
 use drs_sim::world::World;
+use drs_sim::{NetId, NodeId, SimDuration};
 
 /// Measured probe cost and detection latency for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]

@@ -1,7 +1,7 @@
 //! Figure 1 series generation: response time vs cluster size, one curve
 //! per bandwidth budget.
 
-use drs_sim::time::SimDuration;
+use drs_sim::SimDuration;
 
 use crate::model::ProbeCostModel;
 

@@ -1,6 +1,6 @@
 //! Closed-form probe-cost model.
 
-use drs_sim::time::SimDuration;
+use drs_sim::SimDuration;
 
 /// Analytic model of DRS probe traffic on one shared network segment.
 ///

@@ -10,7 +10,7 @@
 //! bounds is non-empty.
 
 use drs_analytic::thresholds::first_n_exceeding;
-use drs_sim::time::SimDuration;
+use drs_sim::SimDuration;
 
 use crate::model::ProbeCostModel;
 

@@ -13,19 +13,16 @@
 //!
 //! Any divergence means the daemon read state outside the `DrsIo`
 //! boundary — exactly the regression this suite exists to catch. The
-//! same goldens are checked against both the single-threaded `World`
-//! and the sharded kernel, which is what lets CI assert the replay
-//! contract at `DRS_SIM_THREADS=1` and `=4` with one test binary.
+//! same goldens are checked at one shard and at two, which is what lets
+//! CI assert the replay contract at `DRS_SIM_THREADS=1` and `=4` with one
+//! test binary.
 
 use drs_core::{
-    DaemonJournal, DrsConfig, DrsDaemon, GatewayPolicy, NetId, NodeId, ProbeObs, Route,
-    RouteTable, SimDuration, SimTime,
+    DaemonJournal, DrsConfig, DrsDaemon, GatewayPolicy, NetId, NodeId, ProbeObs, Route, RouteTable,
+    SimDuration, SimTime,
 };
 use drs_io::replay_journal;
-use drs_sim::fault::{FaultPlan, SimComponent};
-use drs_sim::scenario::ClusterSpec;
-use drs_sim::world::World;
-use drs_sim::{threads_from_env, ShardedWorld};
+use drs_sim::{threads_from_env, ClusterSpec, FaultPlan, ShardedWorld, SimComponent};
 
 /// Everything the DES run leaves behind for one node.
 struct Golden {
@@ -42,36 +39,20 @@ fn fast_cfg() -> DrsConfig {
         .record_journal(true)
 }
 
-fn capture_world(n: usize, seed: u64, cfg: DrsConfig, plan: FaultPlan, secs: u64) -> Vec<Golden> {
-    let spec = ClusterSpec::new(n).seed(seed);
-    let mut w = World::new(spec, move |id| DrsDaemon::new(id, n, cfg));
-    w.schedule_faults(plan);
-    w.run_for(SimDuration::from_secs(secs));
-    (0..n as u32)
-        .map(|i| {
-            let d = w.protocol(NodeId(i));
-            Golden {
-                journal: d.journal().expect("journaling enabled").clone(),
-                metrics_dbg: format!("{:?}", d.metrics),
-                routes: w.host(NodeId(i)).routes.clone(),
-                obs: w.host(NodeId(i)).obs.clone(),
-            }
-        })
-        .collect()
-}
-
-fn capture_sharded(
+/// Runs the DES at `shards` (and `DRS_SIM_THREADS` workers) and captures
+/// every node's golden.
+fn capture(
     n: usize,
     seed: u64,
     cfg: DrsConfig,
     plan: FaultPlan,
     secs: u64,
+    shards: usize,
 ) -> Vec<Golden> {
     let spec = ClusterSpec::new(n).seed(seed);
-    let mut w =
-        ShardedWorld::with_topology(spec, 2, threads_from_env(), move |id| {
-            DrsDaemon::new(id, n, cfg)
-        });
+    let mut w = ShardedWorld::with_topology(spec, shards, threads_from_env(), move |id| {
+        DrsDaemon::new(id, n, cfg)
+    });
     w.schedule_faults(plan);
     w.run_for(SimDuration::from_secs(secs));
     (0..n as u32)
@@ -125,7 +106,7 @@ fn hub_fault() -> FaultPlan {
 fn golden_replay_four_nodes_hub_fault() {
     let n = 4;
     let cfg = fast_cfg();
-    let goldens = capture_world(n, 41, cfg, hub_fault(), 3);
+    let goldens = capture(n, 41, cfg, hub_fault(), 3, 1);
     assert!(goldens[0].journal.len() > 50, "a real run was captured");
     assert_replay_reproduces(n, cfg, &goldens);
 }
@@ -134,19 +115,18 @@ fn golden_replay_four_nodes_hub_fault() {
 fn golden_replay_eight_nodes_hub_fault() {
     let n = 8;
     let cfg = fast_cfg();
-    let goldens = capture_world(n, 42, cfg, hub_fault(), 3);
+    let goldens = capture(n, 42, cfg, hub_fault(), 3, 1);
     assert_replay_reproduces(n, cfg, &goldens);
 }
 
 #[test]
 fn golden_replay_matches_sharded_kernel() {
-    // The sharded kernel must hand every daemon the same input stream
-    // the single-threaded one does (that is its merge invariant), so its
-    // journals replay just as exactly — at whatever DRS_SIM_THREADS CI
-    // set for this process.
+    // Two shards must hand every daemon the same input stream one shard
+    // does (that is the merge invariant), so their journals replay just
+    // as exactly — at whatever DRS_SIM_THREADS CI set for this process.
     let n = 8;
     let cfg = fast_cfg();
-    let goldens = capture_sharded(n, 42, cfg, hub_fault(), 3);
+    let goldens = capture(n, 42, cfg, hub_fault(), 3, 2);
     assert_replay_reproduces(n, cfg, &goldens);
 }
 
@@ -158,14 +138,23 @@ fn golden_replay_reproduces_random_gateway_draws() {
     let n = 4;
     let cfg = fast_cfg().gateway_policy(GatewayPolicy::Random);
     let plan = FaultPlan::new()
-        .fail_at(SimTime(1_000_000_000), SimComponent::Nic(NodeId(0), NetId::B))
-        .fail_at(SimTime(1_000_000_000), SimComponent::Nic(NodeId(1), NetId::A));
-    let goldens = capture_world(n, 43, cfg, plan, 6);
+        .fail_at(
+            SimTime(1_000_000_000),
+            SimComponent::Nic(NodeId(0), NetId::B),
+        )
+        .fail_at(
+            SimTime(1_000_000_000),
+            SimComponent::Nic(NodeId(1), NetId::A),
+        );
+    let goldens = capture(n, 43, cfg, plan, 6, 1);
     assert!(
         goldens.iter().any(|g| !g.journal.picks.is_empty()),
         "discovery under Random policy must draw randomness"
     );
     // The discovery ended in a gateway route on both crossed nodes.
-    assert!(matches!(goldens[0].routes.get(NodeId(1)), Some(Route::Via { .. })));
+    assert!(matches!(
+        goldens[0].routes.get(NodeId(1)),
+        Some(Route::Via { .. })
+    ));
     assert_replay_reproduces(n, cfg, &goldens);
 }

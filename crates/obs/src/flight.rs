@@ -215,7 +215,11 @@ impl FlightLog {
     /// order; each shard's records must already be in dispatch order
     /// (which [`FlightRecorder::drain`] guarantees). Drop counters add.
     #[must_use]
-    pub fn merge(logs: Vec<FlightLog>) -> FlightLog {
+    pub fn merge(mut logs: Vec<FlightLog>) -> FlightLog {
+        if logs.len() == 1 {
+            // One shard's drained ring is already the whole timeline.
+            return logs.pop().expect("length checked");
+        }
         let mut dropped = 0;
         let mut records: Vec<TraceRecord> = Vec::new();
         for log in logs {
@@ -358,6 +362,14 @@ impl FlightRecorder {
     #[must_use]
     pub fn retained_len(&self) -> usize {
         self.retained.len()
+    }
+
+    /// Whether every append so far arrived in non-decreasing
+    /// [`TraceRecord::sort_key`] order, i.e. [`Self::lookup`] still
+    /// binary-searches.
+    #[must_use]
+    pub fn is_ordered(&self) -> bool {
+        self.ordered
     }
 
     /// Finds a held record by identity (first match, retained buffer

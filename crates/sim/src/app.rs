@@ -9,8 +9,7 @@
 
 use drs_obs::rng::Rng;
 
-use crate::ids::NodeId;
-use crate::time::{SimDuration, SimTime};
+use drs_core::{NodeId, SimDuration, SimTime};
 
 /// One scheduled application message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

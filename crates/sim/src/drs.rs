@@ -17,10 +17,9 @@ use drs_core::io::DrsIo;
 use drs_core::messages::DrsMsg;
 use drs_core::routes::{Route, RouteTable};
 use drs_core::stats::ProbeObs;
+use drs_core::{NetId, NodeId, SimDuration, SimTime};
 use drs_obs::flight::{EventRef, TraceKind};
 
-use crate::ids::{NetId, NodeId};
-use crate::time::{SimDuration, SimTime};
 use crate::world::{Ctx, Protocol};
 
 impl DrsIo for Ctx<'_, DrsMsg> {

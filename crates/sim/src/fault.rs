@@ -9,10 +9,8 @@
 //! reality, where a failed hub does not announce itself and must be
 //! *detected* by probing.
 
+use drs_core::{NetId, NodeId, SimDuration, SimTime};
 use drs_obs::rng::Rng;
-
-use crate::ids::{NetId, NodeId};
-use crate::time::{SimDuration, SimTime};
 
 /// A failable hardware component of the simulated cluster.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

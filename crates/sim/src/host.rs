@@ -19,16 +19,15 @@
 //! the same `.routes` / `.counters` / `.obs` fields the old per-host
 //! struct had.
 
-use crate::ids::{NetId, NodeId};
-use crate::routes::RouteTable;
-use crate::stats::{HostCounters, ProbeObs};
+use crate::stats::HostCounters;
 use crate::transport::TransportState;
+use drs_core::{NetId, NodeId, ProbeObs, RouteTable};
 
 /// Struct-of-arrays state for a contiguous block of hosts.
 ///
-/// A [`crate::world::World`] owns one full-cluster block (`base == 0`);
-/// each shard of a [`crate::world::ShardedWorld`] owns the block of
-/// hosts it simulates. All accessors take global [`NodeId`]s and
+/// Each shard of a [`crate::world::World`] owns the block of hosts it
+/// simulates — one full-cluster block (`base == 0`) when it is the only
+/// shard. All accessors take global [`NodeId`]s and
 /// translate to block-local rows internally.
 #[derive(Debug, Clone)]
 pub struct Hosts {
@@ -278,7 +277,7 @@ impl HostView<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::routes::Route;
+    use drs_core::Route;
 
     #[test]
     fn new_block_is_healthy_with_default_routes() {

@@ -1,86 +1,11 @@
-//! Bridges the simulator's event-kernel counters into the unified
-//! observability layer.
-//!
-//! The timer-wheel kernel ([`crate::wheel`]) counts its own operations
-//! deterministically — pushes, pops, cascades, pool hits, past-time
-//! clamps ([`KernelStats`]). This module folds one finished world's
-//! snapshot into a [`MetricsRegistry`] under stable `kernel.*` names, so
-//! kernel health (queue depth, events per virtual second, pool hit rate)
-//! travels through the same reporting pipeline as every protocol metric
-//! and lands in the committed kernel benchmark artifact.
-
-use drs_obs::MetricsRegistry;
+//! Ratios over the driver's deterministic counters — workload density,
+//! wheel-pool hit rate, shard balance — each a pure function of one
+//! [`KernelStats`] / [`ShardStats`] snapshot (no wall clock), so the
+//! kernel benchmark artifact and `benchmark/` can report kernel health
+//! from `World::kernel_stats()` / `World::shard_stats()` directly.
 
 use crate::world::KernelStats;
 use crate::ShardStats;
-
-/// Records a kernel-stats snapshot into `reg` under `kernel.*` names.
-///
-/// Counters: `kernel.events_scheduled`, `kernel.events_popped`,
-/// `kernel.overflow_pushes`, `kernel.overflow_migrations`,
-/// `kernel.cascades`, `kernel.slot_drains`, `kernel.ready_inserts`,
-/// `kernel.pool_hits`, `kernel.pool_misses`, `kernel.clamped_past`.
-/// Gauges (high-water / rate): `kernel.queue_depth_max`,
-/// `kernel.events_per_virtual_sec`, `kernel.pool_hit_rate`.
-///
-/// Everything recorded is a pure function of the snapshot — no wall
-/// clock — so registries built from the same run merge and serialize
-/// byte-identically on any machine.
-pub fn record_kernel_stats(reg: &mut MetricsRegistry, ks: &KernelStats) {
-    let w = &ks.wheel;
-    reg.inc("kernel.events_scheduled", w.pushes);
-    reg.inc("kernel.events_popped", w.pops);
-    reg.inc("kernel.overflow_pushes", w.overflow_pushes);
-    reg.inc("kernel.overflow_migrations", w.overflow_migrations);
-    reg.inc("kernel.cascades", w.cascades);
-    reg.inc("kernel.slot_drains", w.slot_drains);
-    reg.inc("kernel.ready_inserts", w.ready_inserts);
-    reg.inc("kernel.pool_hits", w.pool_hits);
-    reg.inc("kernel.pool_misses", w.pool_misses);
-    reg.inc("kernel.clamped_past", ks.clamped_past);
-    reg.gauge_max("kernel.queue_depth_max", w.max_depth as f64);
-    reg.gauge_max("kernel.events_per_virtual_sec", events_per_virtual_sec(ks));
-    reg.gauge_max("kernel.pool_hit_rate", pool_hit_rate(ks));
-}
-
-/// Records a sharded run's partition/merge counters under `kernel.shard.*`.
-///
-/// Counters: `kernel.shard.epochs`, `kernel.shard.merges`,
-/// `kernel.shard.intents`, `kernel.shard.cross_shard_frames`,
-/// `kernel.shard.zero_pop_epochs`, `kernel.shard.events`,
-/// `kernel.shard.stalls`, and per-shard `kernel.shard<i>.events` /
-/// `kernel.shard<i>.stalls`.
-/// Gauges: `kernel.shard.count`, `kernel.shard.lookahead_ns`, and
-/// `kernel.shard.balance` — busiest shard's event share of a perfectly
-/// even split (1.0 = balanced, S = everything on one shard).
-///
-/// `threads` and `barrier_wait_ns` are deliberately NOT recorded: the
-/// merged schedule is thread-count invariant and barrier wait is wall
-/// clock, so recording either would break the byte-identical-registry
-/// guarantee the rest of this module keeps.
-pub fn record_shard_stats(reg: &mut MetricsRegistry, ss: &ShardStats) {
-    let events: u64 = ss.events_per_shard.iter().sum();
-    let stalls: u64 = ss.stalls_per_shard.iter().sum();
-    reg.inc("kernel.shard.epochs", ss.epochs);
-    reg.inc("kernel.shard.merges", ss.merges);
-    reg.inc("kernel.shard.intents", ss.intents);
-    reg.inc("kernel.shard.cross_shard_frames", ss.cross_shard_frames);
-    reg.inc("kernel.shard.zero_pop_epochs", ss.zero_pop_epochs);
-    reg.inc("kernel.shard.events", events);
-    reg.inc("kernel.shard.stalls", stalls);
-    for (i, (&ev, &st)) in ss
-        .events_per_shard
-        .iter()
-        .zip(&ss.stalls_per_shard)
-        .enumerate()
-    {
-        reg.inc(&format!("kernel.shard{i}.events"), ev);
-        reg.inc(&format!("kernel.shard{i}.stalls"), st);
-    }
-    reg.gauge_max("kernel.shard.count", ss.shards as f64);
-    reg.gauge_max("kernel.shard.lookahead_ns", ss.lookahead_ns as f64);
-    reg.gauge_max("kernel.shard.balance", shard_balance(ss));
-}
 
 /// Busiest shard's event count over the per-shard mean. 1.0 is a perfect
 /// split; `shards` means one shard did all the work. Zero-event runs
@@ -119,39 +44,42 @@ pub fn pool_hit_rate(ks: &KernelStats) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ids::NodeId;
     use crate::scenario::ClusterSpec;
-    use crate::time::SimDuration;
-    use crate::world::World;
+    use crate::ShardedWorld;
     use drs_core::config::DrsConfig;
     use drs_core::daemon::DrsDaemon;
+    use drs_core::SimDuration;
 
     #[test]
-    fn drs_run_produces_live_kernel_metrics() {
-        let n = 4;
+    fn drs_run_produces_live_kernel_ratios_at_any_shard_count() {
+        let n = 12;
         let cfg = DrsConfig::default();
-        let mut w = World::new(ClusterSpec::new(n).seed(9), move |id| {
-            DrsDaemon::new(id, n, cfg)
-        });
-        w.run_for(SimDuration::from_secs(5));
-        let ks = w.kernel_stats();
-        let mut reg = MetricsRegistry::new();
-        record_kernel_stats(&mut reg, &ks);
-        assert!(reg.counter("kernel.events_scheduled") > 0);
-        assert_eq!(
-            reg.counter("kernel.events_popped") + ks.queue_depth,
-            reg.counter("kernel.events_scheduled"),
-            "every scheduled event is popped or still queued"
-        );
-        assert_eq!(reg.counter("kernel.clamped_past"), 0);
-        let rate = reg.gauge("kernel.events_per_virtual_sec").unwrap();
-        assert!(rate > 0.0, "5 virtual seconds of probing: {rate}");
-        let hit = reg.gauge("kernel.pool_hit_rate").unwrap();
-        assert!(
-            hit > 0.9,
-            "steady-state probing must recycle buffers: {hit}"
-        );
-        let _ = w.protocol(NodeId(0));
+        for shards in [1usize, 3] {
+            let mut w = ShardedWorld::with_topology(ClusterSpec::new(n).seed(9), shards, 1, |id| {
+                DrsDaemon::new(id, n, cfg)
+            });
+            w.run_for(SimDuration::from_secs(5));
+            let (ks, ss) = (w.kernel_stats(), w.shard_stats());
+            assert_eq!(
+                ks.wheel.pops + ks.queue_depth,
+                ks.wheel.pushes,
+                "every scheduled event is popped or still queued"
+            );
+            assert_eq!(ks.clamped_past, 0);
+            let rate = events_per_virtual_sec(&ks);
+            assert!(rate > 0.0, "5 virtual seconds of probing: {rate}");
+            let hit = pool_hit_rate(&ks);
+            assert!(
+                hit > 0.9,
+                "steady-state probing must recycle buffers: {hit}"
+            );
+            assert_eq!(ss.events_per_shard.iter().sum::<u64>(), ks.wheel.pops);
+            let bal = shard_balance(&ss);
+            assert!(
+                (1.0..=shards as f64).contains(&bal),
+                "balance out of range: {bal}"
+            );
+        }
     }
 
     #[test]
@@ -159,40 +87,6 @@ mod tests {
         let ks = KernelStats::default();
         assert_eq!(events_per_virtual_sec(&ks), 0.0);
         assert_eq!(pool_hit_rate(&ks), 0.0);
-    }
-
-    #[test]
-    fn sharded_drs_run_records_partition_metrics() {
-        use crate::ShardedWorld;
-        let n = 12;
-        let cfg = DrsConfig::default();
-        let mut w = ShardedWorld::new(ClusterSpec::new(n).seed(9), move |id| {
-            DrsDaemon::new(id, n, cfg)
-        });
-        w.run_for(SimDuration::from_secs(2));
-        let ss = w.shard_stats();
-        let mut reg = MetricsRegistry::new();
-        record_shard_stats(&mut reg, &ss);
-        assert!(reg.counter("kernel.shard.epochs") > 0);
-        assert!(reg.counter("kernel.shard.events") > 0);
-        assert_eq!(reg.gauge("kernel.shard.count"), Some(ss.shards as f64));
-        assert_eq!(
-            reg.counter("kernel.shard.cross_shard_frames"),
-            ss.cross_shard_frames
-        );
-        assert_eq!(
-            reg.counter("kernel.shard.zero_pop_epochs"),
-            ss.zero_pop_epochs
-        );
-        let bal = reg.gauge("kernel.shard.balance").unwrap();
-        assert!(
-            (1.0..=ss.shards as f64).contains(&bal),
-            "balance out of range: {bal}"
-        );
-        // Per-shard counters sum back to the total.
-        let sum: u64 = (0..ss.shards)
-            .map(|i| reg.counter(&format!("kernel.shard{i}.events")))
-            .sum();
-        assert_eq!(sum, reg.counter("kernel.shard.events"));
+        assert_eq!(shard_balance(&ShardStats::default()), 1.0);
     }
 }

@@ -12,7 +12,7 @@
 //!   delay, half-duplex contention and propagation delay — [`medium`]),
 //! * a minimal in-host network stack: L2 frames, kernel-style **ICMP echo**
 //!   auto-reply, a per-host **route table** (direct or via-gateway routes)
-//!   with TTL-guarded forwarding ([`host`], [`routes`]),
+//!   with TTL-guarded forwarding ([`host`], [`drs_core::routes`]),
 //! * a simple **reliable transport** with retransmission timeouts and
 //!   exponential backoff, standing in for TCP so that experiments can
 //!   observe whether applications notice failures ([`transport`]),
@@ -35,10 +35,8 @@
 //! # Example: an echo probe on a healthy cluster
 //!
 //! ```
-//! use drs_sim::scenario::ClusterSpec;
-//! use drs_sim::time::SimDuration;
-//! use drs_sim::world::{Ctx, Protocol, World};
-//! use drs_sim::ids::{NetId, NodeId};
+//! use drs_sim::world::{Ctx, Protocol};
+//! use drs_sim::{ClusterSpec, NetId, NodeId, SimDuration, World};
 //!
 //! #[derive(Default)]
 //! struct Pinger {
@@ -66,31 +64,24 @@
 pub mod app;
 pub mod drs;
 pub mod fault;
-pub mod frame;
 pub mod host;
-pub mod ids;
 pub mod kernel_obs;
 pub mod medium;
 /// Reference `BinaryHeap` event queue, kept only as a bench/equivalence
 /// oracle for the timer wheel. Enable with `--features bench-ref`.
 #[cfg(feature = "bench-ref")]
 pub mod naive_heap;
-pub mod routes;
 pub mod scenario;
 pub mod stats;
-pub mod time;
 pub mod topology;
 pub mod transport;
 pub mod wheel;
 pub mod workload;
 pub mod world;
 
+pub use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, Route, SimDuration, SimTime};
 pub use fault::{FaultEvent, FaultPlan, SimComponent};
-pub use frame::{Destination, Frame, FrameKind};
-pub use ids::{NetId, NodeId};
-pub use routes::Route;
 pub use scenario::ClusterSpec;
-pub use time::{SimDuration, SimTime};
 pub use topology::TopologySpec;
 pub use workload::{
     ArrivalProcess, ClassSpec, FluidEngine, HoldingDist, WorkloadSpec, WorkloadStats,

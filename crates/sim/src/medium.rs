@@ -11,8 +11,7 @@
 //! A failed hub (backplane failure, the paper's shared-component fault)
 //! silently discards everything submitted to or in flight on it.
 
-use crate::ids::NetId;
-use crate::time::{SimDuration, SimTime};
+use drs_core::{NetId, SimDuration, SimTime};
 
 /// Traffic class, for overhead accounting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]

@@ -14,7 +14,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use drs_core::SimTime;
 
 struct Entry<T> {
     at: SimTime,

@@ -5,7 +5,7 @@
 //! frame), and a TCP-like transport whose first retransmission fires after
 //! one second.
 
-use crate::time::SimDuration;
+use drs_core::SimDuration;
 
 /// Reliable-transport tuning (the stand-in for TCP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -1,12 +1,9 @@
-//! Measurement plumbing: latency histograms and per-host counters.
-//!
-//! The protocol-facing pieces — [`LatencyHistogram`] and [`ProbeObs`] —
-//! live in [`drs_core::stats`] so daemons can record observations through
-//! any I/O backend; they are re-exported here so `drs_sim::stats::*`
-//! paths keep working. The simulator-only pieces (per-host kernel
-//! counters, application-level statistics) stay in this module.
+//! Measurement plumbing: per-host kernel counters and application-level
+//! statistics. The protocol-facing pieces — [`LatencyHistogram`] and
+//! [`drs_core::ProbeObs`] — live in [`drs_core::stats`] so daemons can
+//! record observations through any I/O backend.
 
-pub use drs_core::stats::{LatencyHistogram, ProbeObs};
+use drs_core::LatencyHistogram;
 
 /// Per-host event counters maintained by the simulator core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

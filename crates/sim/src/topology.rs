@@ -31,15 +31,13 @@
 //! analytic engines apply, so a topology that builds here is guaranteed
 //! to enumerate there.
 
+use drs_core::{NetId, NodeId, RouteTable, SimDuration, SimTime};
 use drs_topology::{limits, TopoComponent, Topology};
 
 use crate::fault::{FaultPlan, SimComponent};
 use crate::host::Hosts;
-use crate::ids::{NetId, NodeId};
 use crate::medium::SharedMedium;
-use crate::routes::RouteTable;
 use crate::scenario::{ClusterSpec, TransportConfig};
-use crate::time::{SimDuration, SimTime};
 
 /// A simulation scenario over an explicit topology graph: the graph plus
 /// the physical-layer and transport knobs of [`ClusterSpec`].

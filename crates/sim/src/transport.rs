@@ -15,9 +15,11 @@
 
 use std::collections::HashMap;
 
-use crate::ids::{FlowId, NodeId};
+use drs_core::NodeId;
+
 use crate::scenario::TransportConfig;
-use crate::time::{SimDuration, SimTime};
+use drs_core::ids::FlowId;
+use drs_core::{SimDuration, SimTime};
 
 /// One in-flight (un-acknowledged) application message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -42,7 +42,7 @@
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
-use crate::time::SimTime;
+use drs_core::SimTime;
 
 /// log₂ of the level-0 grain in nanoseconds (4.096 µs).
 const GRAIN_BITS: u32 = 12;

@@ -8,7 +8,7 @@
 //!
 //! * [`Stream`] — a [`SplitMix64`] generator, one independent stream per
 //!   host, seeded from the scenario seed by [`stream_seed`] exactly the
-//!   same way in the serial and the sharded kernel;
+//!   same way at every shard count;
 //! * software [`ln`]/[`exp`] built from IEEE-754 add/mul/div only
 //!   (atanh series and range-reduced Taylor) — every operation is
 //!   exact-rounded and Rust never contracts to FMA, so results are
@@ -29,8 +29,8 @@ const WORKLOAD_SALT: u64 = 0x5E55_1011_F10D_F10A;
 
 /// Derives host `node`'s workload stream seed from the scenario seed.
 ///
-/// Both kernels call this identically — the serial `World` and every
-/// shard of a `ShardedWorld` draw the exact same per-host sequences.
+/// Every shard calls this identically, so a host draws the exact same
+/// sequence whichever shard owns it.
 #[must_use]
 pub fn stream_seed(seed: u64, node: u32) -> u64 {
     mix64(

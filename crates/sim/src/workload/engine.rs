@@ -51,12 +51,10 @@
 
 use std::collections::HashMap;
 
+use drs_core::{NodeId, Route, SimTime};
 use drs_obs::Histogram;
 
 use crate::fault::{FaultEvent, SimComponent};
-use crate::ids::NodeId;
-use crate::routes::Route;
-use crate::time::SimTime;
 
 use super::{Transition, TransitionRecord, WorkloadSpec};
 
@@ -177,8 +175,8 @@ struct Pair {
 const DROPPED: u32 = u32::MAX;
 
 /// The driver-level fluid engine. Constructed by
-/// `World::enable_workload` / `ShardedWorld::enable_workload`; fed the
-/// merged transition log at the end of every `run_until`.
+/// `World::enable_workload`; fed the merged transition log at the end of
+/// every `run_until`.
 pub struct FluidEngine {
     n: usize,
     planes: usize,
@@ -338,7 +336,7 @@ impl FluidEngine {
     }
 
     /// Applies any pending hub toggles and integrates the ledgers up to
-    /// `until`. Idempotent; both drivers call it at the end of every
+    /// `until`. Idempotent; the driver calls it at the end of every
     /// `run_until`.
     pub(crate) fn settle(&mut self, until: SimTime) {
         self.apply_hub_through(until.0);
@@ -983,9 +981,7 @@ impl Fnv {
 mod tests {
     use super::super::{ArrivalProcess, ClassSpec, HoldingDist};
     use super::*;
-    use crate::ids::NetId;
-    use crate::routes::RouteTable;
-    use crate::time::SimDuration;
+    use drs_core::{NetId, RouteTable, SimDuration};
 
     fn spec(classes: Vec<ClassSpec>) -> WorkloadSpec {
         WorkloadSpec {

@@ -23,9 +23,9 @@
 //!
 //! The split of responsibilities:
 //!
-//! * [`WorkloadCore`] lives inside each driver's [`Core`](crate::world):
+//! * [`WorkloadCore`] lives inside each shard's [`Core`](crate::world):
 //!   it draws arrivals/holding times from per-host [`dist::Stream`]s
-//!   (identical draws under the serial and sharded kernels), dispatches
+//!   (identical draws at every shard count), dispatches
 //!   `SessionOpen`/`SessionClose` events, and logs every
 //!   [`TransitionRecord`];
 //! * [`FluidEngine`] consumes the merged, `(at, seq)`-ordered transition
@@ -44,9 +44,7 @@ mod engine;
 pub use dist::{HoldingDist, Stream};
 pub use engine::{ConservationReport, FluidEngine, WorkloadStats, UNIT_PER_BYTE};
 
-use crate::ids::{NetId, NodeId};
-use crate::routes::Route;
-use crate::time::SimTime;
+use drs_core::{NetId, NodeId, Route, SimTime};
 
 /// One session traffic class: a nominal sustained transfer rate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -123,8 +121,8 @@ impl WorkloadSpec {
 
 /// One recorded workload transition, stamped with the dispatch identity
 /// `(at, seq)` of the event that produced it — the same identity the
-/// flight recorder uses, so the sharded driver's merged log orders
-/// transitions identically for every thread count.
+/// flight recorder uses, so the driver's merged log orders transitions
+/// identically for every thread count.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionRecord {
     /// Virtual instant of the transition.
@@ -136,10 +134,10 @@ pub struct TransitionRecord {
 }
 
 /// The transition vocabulary the fluid engine consumes. Hub toggles are
-/// deliberately absent: both drivers hand the engine the pre-compiled
-/// hub schedule out-of-band (the sharded kernel never dispatches them
-/// as events), and the engine applies toggles at `t` before any
-/// transition at `t` — matching [`crate::world::HubTimeline`] semantics.
+/// deliberately absent: the driver hands the engine its hub schedule
+/// out-of-band (hub toggles are never dispatched as events), and the
+/// engine applies toggles at `t` before any transition at `t` — matching
+/// [`crate::world::HubTimeline`] semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
     /// A session opened on `host`.
@@ -197,12 +195,12 @@ pub enum Transition {
     },
 }
 
-/// Kernel-side session generator: one per driver [`Core`](crate::world).
+/// Kernel-side session generator: one per shard [`Core`](crate::world).
 ///
-/// Owns the per-host arrival streams and the transition log. Under the
-/// sharded driver each shard's instance only ever touches the streams of
-/// the hosts that shard owns, so draw sequences per host are identical
-/// to the serial driver's.
+/// Owns the per-host arrival streams and the transition log. Each
+/// shard's instance only ever touches the streams of the hosts that
+/// shard owns, so draw sequences per host are identical at every shard
+/// count.
 pub struct WorkloadCore {
     pub(crate) spec: WorkloadSpec,
     streams: Vec<Stream>,
@@ -336,7 +334,7 @@ impl WorkloadCore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::time::SimDuration;
+    use drs_core::SimDuration;
 
     fn spec() -> WorkloadSpec {
         WorkloadSpec {

@@ -1,21 +1,20 @@
 //! Kernel-side stack behaviours: frame transmission and delivery, ICMP
-//! auto-reply, TTL forwarding, and the reliable transport (RTO timers,
-//! acknowledgements, flow completion).
+//! auto-reply, TTL forwarding, NIC faults, and the reliable transport
+//! (RTO timers, acknowledgements, flow completion).
 //!
 //! The behaviours are written once against [`Engine`] — a core plus the
-//! protocol instances of the hosts that core owns — and driven by both
-//! the single-threaded [`World`] and each shard of a
-//! [`super::ShardedWorld`]: the only difference between the two is how
-//! transmitted frames reach the medium (see
-//! [`super::queue::Fabric`]).
+//! protocol instances of the hosts that core owns — and every shard of
+//! the driver runs them; the only thing the shard count changes is how
+//! transmitted frames reach the medium (see [`super::queue::Fabric`]).
 
+use drs_core::frame::{Segment, SegmentKind};
+use drs_core::ids::FlowId;
+use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimDuration};
 use drs_obs::flight::{loss_site, TraceKind};
 
-use crate::frame::{Destination, Frame, FrameKind, Segment, SegmentKind};
-use crate::ids::{FlowId, NodeId};
 use crate::medium::TrafficClass;
-use crate::time::SimDuration;
 use crate::transport::{rto_for_attempt, OutstandingSend};
+use crate::workload::Transition;
 
 use super::queue::{Core, EventKind, Fabric, Intent};
 use super::{Ctx, FlowOutcome, Protocol, TransportEvent};
@@ -25,6 +24,17 @@ pub(crate) enum SendStatus {
     Sent,
     NoRoute,
     NicDown,
+}
+
+/// The medium accounting class of a frame.
+pub(crate) fn class_of<M>(frame: &Frame<M>) -> TrafficClass {
+    if frame.is_probe() {
+        TrafficClass::Probe
+    } else if frame.is_control() {
+        TrafficClass::Control
+    } else {
+        TrafficClass::Data
+    }
 }
 
 impl<M: Clone + std::fmt::Debug> Core<M> {
@@ -40,10 +50,10 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             return false;
         }
         if matches!(self.fabric, Fabric::Deferred { .. }) {
-            // Shard mode: record the intent; the coordinator admits it
-            // onto the medium at the next epoch barrier, in global
-            // (at, seq) order. Admission-time hub state is replayed
-            // there too, so nothing else is decided here.
+            // Record the intent; the coordinator admits it onto the
+            // medium at the next epoch barrier, in global (at, seq)
+            // order. Admission-time hub state is replayed there too, so
+            // nothing else is decided here.
             let at = self.now;
             let seq = self.next_seq();
             if let Fabric::Deferred { outbox, .. } = &mut self.fabric {
@@ -51,14 +61,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             }
             return true;
         }
-        let class = if frame.is_probe() {
-            TrafficClass::Probe
-        } else if frame.is_control() {
-            TrafficClass::Control
-        } else {
-            TrafficClass::Data
-        };
-        let now = self.now;
+        let (now, class) = (self.now, class_of(&frame));
         if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class) {
             self.schedule_at(arrive, EventKind::Arrive(frame));
         } else {
@@ -143,9 +146,9 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
 }
 
 /// One core plus the daemon instances of the hosts it owns: the unit of
-/// event execution shared by the single-threaded world (whose engine
-/// spans the whole cluster) and each shard of the parallel driver.
-/// Protocol instances are indexed block-locally, in host order.
+/// event execution of every shard (the only shard's engine spans the
+/// whole cluster). Protocol instances are indexed block-locally, in host
+/// order.
 pub(crate) struct Engine<'a, P: Protocol> {
     pub(crate) core: &'a mut Core<P::Msg>,
     pub(crate) protocols: &'a mut [P],
@@ -156,7 +159,7 @@ impl<P: Protocol> Engine<'_, P> {
     /// `core.now` to the event's instant and logged it.
     pub(crate) fn dispatch(&mut self, kind: EventKind<P::Msg>) {
         match kind {
-            EventKind::Fault(ev) => self.apply_fault(ev),
+            EventKind::NicFault { node, net, up } => self.apply_nic_fault(node, net, up),
             EventKind::ProtoTimer { node, token } => {
                 let idx = self.core.hosts.local(node);
                 let mut ctx = Ctx {
@@ -180,6 +183,17 @@ impl<P: Protocol> Engine<'_, P> {
             EventKind::SessionOpen { host } => self.handle_session_open(host),
             EventKind::SessionClose { host, local } => self.handle_session_close(host, local),
         }
+    }
+
+    fn apply_nic_fault(&mut self, node: NodeId, net: NetId, up: bool) {
+        let kind = if up {
+            TraceKind::Repair
+        } else {
+            TraceKind::Fault
+        };
+        self.core.flight_record(kind, node.0, Some(net.0), 1, None);
+        self.core.hosts.set_nic(node, net, up);
+        self.core.record_workload(Transition::Nic { node, net, up });
     }
 
     /// One fluid-session arrival: the host's stream draws destination,
@@ -318,10 +332,8 @@ impl<P: Protocol> Engine<'_, P> {
         match frame.dst {
             Destination::Node(dst) => self.deliver_to(dst, &frame),
             Destination::Broadcast => {
-                // Deliver across this engine's block only — under the
-                // sharded driver every shard receives its own copy of a
-                // broadcast frame; under the plain world the block is
-                // the whole cluster.
+                // Deliver across this engine's block only: every shard
+                // receives its own copy of a broadcast frame.
                 let base = self.core.hosts.base();
                 let end = base + self.core.hosts.len() as u32;
                 for i in base..end {
@@ -346,7 +358,7 @@ impl<P: Protocol> Engine<'_, P> {
         let p_ok = (1.0 - self.core.spec.frame_loss_rate)
             * (1.0 - self.core.link_loss(frame.src, frame.net))
             * (1.0 - self.core.link_loss(node, frame.net));
-        if p_ok < 1.0 && self.core.rng.for_node(node).gen_f64() >= p_ok {
+        if p_ok < 1.0 && self.core.rng_for(node).gen_f64() >= p_ok {
             self.core.hosts.counters_mut(node).rx_corrupt += 1;
             self.core.flight_loss(frame, loss_site::CORRUPT);
             return;

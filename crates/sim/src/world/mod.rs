@@ -3,43 +3,40 @@
 //!
 //! The engine is split by concern:
 //!
-//! * `queue` — the event queue and shared simulator state (`Core`):
-//!   clock, pending events, hosts, one [`SharedMedium`] per network plane;
+//! * `queue` — the event queue and per-shard simulator state (`Core`):
+//!   clock, pending events, hosts, one
+//!   [`SharedMedium`](crate::medium::SharedMedium) per network plane;
 //! * `kernel` — kernel-side stack behaviours: frame transmission and
-//!   delivery, ICMP auto-reply, TTL forwarding, the reliable transport;
-//! * `faults` — applying scheduled component failures and repairs.
+//!   delivery, ICMP auto-reply, TTL forwarding, NIC faults, the reliable
+//!   transport;
+//! * [`shard`] — the one driver: [`World`] over one shard (plain loop,
+//!   direct admission) or several (epoch loop, deferred admission).
 //!
 //! The number of planes comes from [`ClusterSpec::planes`]; everything
 //! here is written against that `K`, with the paper's two-backplane
 //! cluster as the `K = 2` default.
 
-mod faults;
 mod kernel;
 mod queue;
 pub mod shard;
 
 pub use queue::{Core, EventRecord, EventTag, KernelStats};
-pub use shard::{threads_from_env, HubTimeline, ShardStats, ShardedWorld};
+pub use shard::{threads_from_env, HubTimeline, ShardStats, ShardedWorld, World};
 
 /// The flight-recorder vocabulary, re-exported so protocols written
 /// against [`Ctx`] need not name `drs_obs` directly.
 pub use drs_obs::flight::{EventRef, FlightLog, TraceKind, TraceRecord};
 
-use drs_obs::flight::FlightRecorder;
+use drs_core::ids::FlowId;
+use drs_core::{
+    Destination, Frame, FrameKind, NetId, NodeId, ProbeObs, Route, RouteTable, SimDuration, SimTime,
+};
 use drs_obs::rng::Rng;
 
-use crate::app::Workload;
-use crate::fault::FaultEvent;
-use crate::host::HostView;
-use crate::ids::{FlowId, NetId, NodeId};
-use crate::medium::SharedMedium;
-use crate::routes::{Route, RouteTable};
 use crate::scenario::ClusterSpec;
-use crate::stats::{AppStats, HostCounters, ProbeObs};
-use crate::time::{SimDuration, SimTime};
-use crate::workload::{FluidEngine, Transition, WorkloadCore, WorkloadSpec, WorkloadStats};
+use crate::stats::HostCounters;
+use crate::workload::Transition;
 
-use kernel::Engine;
 use queue::EventKind;
 
 /// A routing daemon running on every host.
@@ -50,9 +47,10 @@ use queue::EventKind;
 /// table, ICMP, and control-message I/O. A daemon cannot touch other
 /// hosts' state except by sending frames, exactly like the real thing.
 #[allow(unused_variables)]
-pub trait Protocol: Sized {
+pub trait Protocol: Sized + Send {
     /// The protocol's control-message type, carried opaquely in frames.
-    type Msg: Clone + std::fmt::Debug;
+    /// `Send`, like the daemon itself: shards run on worker threads.
+    type Msg: Clone + std::fmt::Debug + Send;
 
     /// Called once per host at simulation start.
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {}
@@ -190,13 +188,11 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         &self.core.spec
     }
 
-    /// Deterministic RNG stream for this host's daemon. Under the plain
-    /// world this is the single shared per-world stream (draws interleave
-    /// with other hosts', but the whole interleaving is seed-
-    /// reproducible); under the sharded driver each host has its own
-    /// seed-derived stream so draw order is thread-count-independent.
+    /// Deterministic RNG stream for this host's daemon: every host has
+    /// its own seed-derived stream, so draw order depends only on the
+    /// host's own event sequence — never on shard layout or thread count.
     pub fn rng(&mut self) -> &mut Rng {
-        self.core.rng.for_node(self.node)
+        self.core.rng_for(self.node)
     }
 
     /// Sends an ICMP echo request to `dst` on `net`.
@@ -220,11 +216,11 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         self.core.hosts.counters_mut(self.node).echo_sent += 1;
         let wire = self.core.spec.icmp_wire_bytes;
         self.core.hosts.obs_mut(self.node).probe_bytes += u64::from(wire);
-        self.core.transmit(crate::frame::Frame {
+        self.core.transmit(Frame {
             src: self.node,
-            dst: crate::frame::Destination::Node(dst),
+            dst: Destination::Node(dst),
             net,
-            kind: crate::frame::FrameKind::EchoRequest { id, seq },
+            kind: FrameKind::EchoRequest { id, seq },
             wire_bytes: wire,
             flight,
         });
@@ -240,11 +236,11 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     /// table dump grows with the cluster).
     pub fn send_control_sized(&mut self, net: NetId, dst: NodeId, msg: M, wire_bytes: u32) {
         self.core.hosts.counters_mut(self.node).control_sent += 1;
-        self.core.transmit(crate::frame::Frame {
+        self.core.transmit(Frame {
             src: self.node,
-            dst: crate::frame::Destination::Node(dst),
+            dst: Destination::Node(dst),
             net,
-            kind: crate::frame::FrameKind::Control(msg),
+            kind: FrameKind::Control(msg),
             wire_bytes,
             flight: None,
         });
@@ -259,11 +255,11 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     /// Broadcast with an explicit wire size.
     pub fn broadcast_control_sized(&mut self, net: NetId, msg: M, wire_bytes: u32) {
         self.core.hosts.counters_mut(self.node).control_sent += 1;
-        self.core.transmit(crate::frame::Frame {
+        self.core.transmit(Frame {
             src: self.node,
-            dst: crate::frame::Destination::Broadcast,
+            dst: Destination::Broadcast,
             net,
-            kind: crate::frame::FrameKind::Control(msg),
+            kind: FrameKind::Control(msg),
             wire_bytes,
             flight: None,
         });
@@ -386,340 +382,10 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     }
 }
 
-/// The simulated cluster: the event engine plus one protocol instance per
-/// host.
-pub struct World<P: Protocol> {
-    pub(crate) core: Core<P::Msg>,
-    pub(crate) protocols: Vec<P>,
-    /// Hub toggles scheduled so far — handed to the fluid workload
-    /// engine out-of-band (hub faults never appear as workload
-    /// transitions; see [`crate::workload`]). Kept even while no
-    /// workload is enabled so `enable_workload` and `schedule_faults`
-    /// compose in either order.
-    pub(crate) hub_plan: Vec<FaultEvent>,
-    /// The fluid session accounting engine, when
-    /// [`Self::enable_workload`] was called.
-    pub(crate) workload_engine: Option<Box<FluidEngine>>,
-}
-
-impl<P: Protocol> World<P> {
-    /// Builds a cluster and starts every daemon (each gets `on_start` at
-    /// time zero, in host order).
-    pub fn new(spec: ClusterSpec, factory: impl FnMut(NodeId) -> P) -> Self {
-        Self::assemble(Core::new(spec), factory)
-    }
-
-    /// Builds a cluster over an explicit topology graph: one simulated
-    /// node per graph node (hosts *and* switches run the protocol), one
-    /// two-endpoint shared segment per link. NICs are masked down to
-    /// link membership and route tables start empty — both applied
-    /// before any `on_start`, so daemons observe the fabric from the
-    /// first instant. See [`crate::topology`] for the mapping.
-    pub fn from_topology(
-        tspec: &crate::topology::TopologySpec,
-        factory: impl FnMut(NodeId) -> P,
-    ) -> Self {
-        let mut core = Core::new_with_media(tspec.cluster_spec(), tspec.media());
-        tspec.apply_membership(&mut core.hosts);
-        Self::assemble(core, factory)
-    }
-
-    /// Instantiates one daemon per host and runs every `on_start` at
-    /// time zero, in host order, over an already-built core.
-    fn assemble(core: Core<P::Msg>, mut factory: impl FnMut(NodeId) -> P) -> Self {
-        let n = core.spec.n;
-        let protocols = (0..n).map(|i| factory(NodeId(i as u32))).collect();
-        let mut world = World {
-            core,
-            protocols,
-            hub_plan: Vec::new(),
-            workload_engine: None,
-        };
-        for i in 0..n {
-            let node = NodeId(i as u32);
-            let mut ctx = Ctx {
-                core: &mut world.core,
-                node,
-            };
-            world.protocols[i].on_start(&mut ctx);
-        }
-        world
-    }
-
-    /// Current virtual time.
-    #[must_use]
-    pub fn now(&self) -> SimTime {
-        self.core.now
-    }
-
-    /// The cluster configuration.
-    #[must_use]
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.core.spec
-    }
-
-    /// The daemon instance on `node`.
-    #[must_use]
-    pub fn protocol(&self, node: NodeId) -> &P {
-        &self.protocols[node.idx()]
-    }
-
-    /// Mutable access to the daemon on `node` (for test instrumentation).
-    pub fn protocol_mut(&mut self, node: NodeId) -> &mut P {
-        &mut self.protocols[node.idx()]
-    }
-
-    /// Read access to a host's simulated state.
-    #[must_use]
-    pub fn host(&self, node: NodeId) -> HostView<'_> {
-        self.core.hosts.view(node)
-    }
-
-    /// Read access to a network segment.
-    #[must_use]
-    pub fn medium(&self, net: NetId) -> &SharedMedium {
-        &self.core.media[net.idx()]
-    }
-
-    /// Cluster-wide application statistics.
-    #[must_use]
-    pub fn app_stats(&self) -> &AppStats {
-        &self.core.app_stats
-    }
-
-    /// Every host's probe-path observability record merged into one —
-    /// the cluster-wide view a finished run hands to the reporting
-    /// layer. Histogram merging is exact and order-independent, so this
-    /// equals recording every sample into a single [`ProbeObs`].
-    #[must_use]
-    pub fn merged_probe_obs(&self) -> ProbeObs {
-        let mut merged = ProbeObs::default();
-        for obs in self.core.hosts.obs_iter() {
-            merged.merge(obs);
-        }
-        merged
-    }
-
-    /// Outcome of a completed flow, if it has completed.
-    #[must_use]
-    pub fn flow_outcome(&self, flow: FlowId) -> Option<FlowOutcome> {
-        self.core
-            .flow_outcomes
-            .get(flow.0 as usize)
-            .copied()
-            .flatten()
-    }
-
-    /// All completed flow outcomes in ascending [`FlowId`] order — the
-    /// iteration order is structural (dense index), never hash-seeded.
-    pub fn flow_outcomes(&self) -> impl Iterator<Item = (FlowId, FlowOutcome)> + '_ {
-        self.core
-            .flow_outcomes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.map(|o| (FlowId(i as u64), o)))
-    }
-
-    /// Deterministic operation counters of the event kernel (timer-wheel
-    /// push/pop/cascade/pool counts, past-time clamps, queue depth).
-    #[must_use]
-    pub fn kernel_stats(&self) -> KernelStats {
-        self.core.kernel_stats()
-    }
-
-    /// Number of flows still outstanding across the cluster.
-    #[must_use]
-    pub fn flows_in_flight(&self) -> usize {
-        self.core.hosts.flows_in_flight()
-    }
-
-    /// Degrades (or restores) one host's cabling on one network: every
-    /// frame it sends or receives there is corrupted with probability `p`.
-    pub fn set_link_loss(&mut self, node: NodeId, net: NetId, p: f64) {
-        self.core.set_link_loss(node, net, p);
-    }
-
-    /// Starts recording every dispatched event (for equivalence tests).
-    pub fn enable_event_log(&mut self) {
-        self.core.event_log = Some(Vec::new());
-    }
-
-    /// The recorded event log, if [`Self::enable_event_log`] was called.
-    #[must_use]
-    pub fn event_log(&self) -> Option<&[EventRecord]> {
-        self.core.event_log.as_deref()
-    }
-
-    /// Starts the causal flight recorder with a ring of `capacity`
-    /// records. Protocol decision points ([`Ctx::flight_record`]) and
-    /// kernel loss sites append records from here on; enabling the
-    /// recorder never changes the event schedule.
-    pub fn enable_flight(&mut self, capacity: usize) {
-        self.core.flight = Some(FlightRecorder::new(capacity));
-    }
-
-    /// Drains the flight recorder into a sorted [`FlightLog`], if
-    /// [`Self::enable_flight`] was called. Records are already in
-    /// `(time, seq, sub)` dispatch order — the same order the sharded
-    /// driver's merged log uses.
-    #[must_use]
-    pub fn flight_log(&self) -> Option<FlightLog> {
-        self.core.flight.as_ref().map(FlightRecorder::drain)
-    }
-
-    /// Schedules one application message; returns its flow id.
-    pub fn send_app(
-        &mut self,
-        at: SimTime,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-    ) -> FlowId {
-        assert!(at >= self.core.now, "app send scheduled in the past");
-        assert_ne!(src, dst, "a host does not message itself");
-        let flow = FlowId(self.core.next_flow);
-        self.core.next_flow += 1;
-        self.core.schedule_at(
-            at,
-            EventKind::AppSend {
-                flow,
-                src,
-                dst,
-                payload_bytes,
-            },
-        );
-        flow
-    }
-
-    /// Schedules a whole workload; returns the flow ids in schedule order.
-    pub fn schedule_workload(&mut self, w: &Workload) -> Vec<FlowId> {
-        w.messages()
-            .iter()
-            .map(|m| self.send_app(m.at, m.src, m.dst, m.payload_bytes))
-            .collect()
-    }
-
-    /// Enables the fluid session workload (see [`crate::workload`]):
-    /// seeds the arrival processes, snapshots the current route tables
-    /// into the accounting engine, and pre-sizes the timer wheel's
-    /// slot-buffer pool from the expected transition rate. Must be
-    /// called before time advances; composes with
-    /// [`Self::schedule_faults`] in either order.
-    ///
-    /// # Panics
-    /// Panics if called after time has advanced, or twice.
-    pub fn enable_workload(&mut self, wspec: WorkloadSpec) {
-        assert_eq!(self.core.now, SimTime::ZERO, "enable before time advances");
-        assert!(self.core.workload.is_none(), "workload already enabled");
-        let n = self.core.spec.n;
-        let (buffers, capacity) = wspec.pool_hint(n);
-        self.core.events.reserve_spare(buffers, capacity);
-        let mut routes = Vec::with_capacity(n * n);
-        for src in 0..n {
-            let table = self.core.hosts.routes(NodeId(src as u32));
-            for dst in 0..n {
-                routes.push(table.get(NodeId(dst as u32)));
-            }
-        }
-        let mut engine = Box::new(FluidEngine::new(
-            &wspec,
-            n,
-            self.core.spec.planes,
-            self.core.spec.ttl,
-            self.core.spec.bandwidth_bps,
-            routes,
-        ));
-        engine.add_hub_toggles(&self.hub_plan);
-        let mut wl = Box::new(WorkloadCore::new(wspec, n, self.core.spec.seed));
-        for (host, at) in wl.initial_opens(0, n) {
-            self.core.schedule_at(at, EventKind::SessionOpen { host });
-        }
-        self.core.workload = Some(wl);
-        self.workload_engine = Some(engine);
-    }
-
-    /// Session-level workload statistics, settled to the end of the
-    /// last `run_until`. `None` unless [`Self::enable_workload`] ran.
-    #[must_use]
-    pub fn workload_stats(&self) -> Option<&WorkloadStats> {
-        self.workload_engine.as_ref().map(|e| e.stats())
-    }
-
-    /// The fluid accounting engine (digest, conservation report).
-    #[must_use]
-    pub fn workload_engine(&self) -> Option<&FluidEngine> {
-        self.workload_engine.as_deref()
-    }
-
-    /// Kernel events dispatched on behalf of the fluid workload — by
-    /// construction exactly the session open/close transition count
-    /// (the `O(transitions)` identity `repro_all` checks).
-    #[must_use]
-    pub fn workload_events(&self) -> u64 {
-        self.core.workload.as_ref().map_or(0, |w| w.events)
-    }
-
-    /// Runs until the queue is empty or virtual time reaches `until`;
-    /// afterwards `now() == until` (unless the queue emptied earlier with
-    /// a later `now`... it cannot — time only advances by events, so `now`
-    /// is clamped up to `until` on return).
-    pub fn run_until(&mut self, until: SimTime) {
-        while let Some((at, _)) = self.core.events.peek() {
-            if at > until {
-                break;
-            }
-            self.step();
-        }
-        if self.core.now < until {
-            self.core.now = until;
-        }
-        self.drain_workload();
-    }
-
-    /// Feeds the transitions logged since the last drain to the fluid
-    /// engine and settles its ledgers at `now`. Runs at the end of every
-    /// `run_until` (raw `step()` loops must call `run_until` — or simply
-    /// stop — before reading workload stats).
-    fn drain_workload(&mut self) {
-        let Some(engine) = self.workload_engine.as_mut() else {
-            return;
-        };
-        let Some(wl) = self.core.workload.as_mut() else {
-            return;
-        };
-        let log = std::mem::take(&mut wl.log);
-        engine.ingest(&log);
-        engine.settle(self.core.now);
-    }
-
-    /// Runs for a span of virtual time.
-    pub fn run_for(&mut self, d: SimDuration) {
-        let until = self.core.now + d;
-        self.run_until(until);
-    }
-
-    /// Processes one event. Returns `false` when the queue is empty.
-    pub fn step(&mut self) -> bool {
-        let Some((at, seq, kind)) = self.core.events.pop() else {
-            return false;
-        };
-        debug_assert!(at >= self.core.now);
-        self.core.now = at;
-        self.core.cur_ev_seq = seq;
-        self.core.cur_sub = 0;
-        self.core.log_event(at, seq, &kind);
-        Engine {
-            core: &mut self.core,
-            protocols: &mut self.protocols,
-        }
-        .dispatch(kind);
-        true
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::app::Workload;
     use crate::fault::{FaultPlan, SimComponent};
     use crate::scenario::TransportConfig;
 
@@ -731,6 +397,11 @@ mod tests {
 
     fn idle_world(n: usize) -> World<Idle> {
         World::new(ClusterSpec::new(n).seed(7), |_| Idle)
+    }
+
+    /// The only shard's host state, for the hand-routed scenarios.
+    fn hosts(w: &mut World<Idle>) -> &mut crate::host::Hosts {
+        &mut w.shard_mut(0).core.hosts
     }
 
     #[test]
@@ -778,12 +449,10 @@ mod tests {
         let flow = w.send_app(SimTime(1000), NodeId(0), NodeId(1), 100);
         w.run_for(SimDuration::from_millis(500));
         // Flip sender route (and receiver's route for the ack path).
-        w.core
-            .hosts
+        hosts(&mut w)
             .routes_mut(NodeId(0))
             .set(NodeId(1), Route::Direct(NetId::B));
-        w.core
-            .hosts
+        hosts(&mut w)
             .routes_mut(NodeId(1))
             .set(NodeId(0), Route::Direct(NetId::B));
         w.run_for(SimDuration::from_secs(10));
@@ -802,27 +471,25 @@ mod tests {
     fn gateway_forwarding_works() {
         // 0 -> 2 via gateway 1: 0 reaches 1 on net A, 1 reaches 2 on net B.
         let mut w = idle_world(3);
-        w.core.hosts.routes_mut(NodeId(0)).set(
+        hosts(&mut w).routes_mut(NodeId(0)).set(
             NodeId(2),
             Route::Via {
                 gateway: NodeId(1),
                 net: NetId::A,
             },
         );
-        w.core
-            .hosts
+        hosts(&mut w)
             .routes_mut(NodeId(1))
             .set(NodeId(2), Route::Direct(NetId::B));
         // Ack path: 2 -> 0 via 1 as well.
-        w.core.hosts.routes_mut(NodeId(2)).set(
+        hosts(&mut w).routes_mut(NodeId(2)).set(
             NodeId(0),
             Route::Via {
                 gateway: NodeId(1),
                 net: NetId::B,
             },
         );
-        w.core
-            .hosts
+        hosts(&mut w)
             .routes_mut(NodeId(1))
             .set(NodeId(0), Route::Direct(NetId::A));
         w.send_app(SimTime(0), NodeId(0), NodeId(2), 64);
@@ -835,14 +502,14 @@ mod tests {
     fn ttl_expiry_breaks_routing_loops() {
         // 0 and 1 point at each other as gateways for 2: a loop.
         let mut w = idle_world(3);
-        w.core.hosts.routes_mut(NodeId(0)).set(
+        hosts(&mut w).routes_mut(NodeId(0)).set(
             NodeId(2),
             Route::Via {
                 gateway: NodeId(1),
                 net: NetId::A,
             },
         );
-        w.core.hosts.routes_mut(NodeId(1)).set(
+        hosts(&mut w).routes_mut(NodeId(1)).set(
             NodeId(2),
             Route::Via {
                 gateway: NodeId(0),
@@ -997,7 +664,7 @@ mod tests {
             ));
             w.run_for(SimDuration::from_secs(100));
             (
-                w.app_stats().clone(),
+                w.app_stats(),
                 w.medium(NetId::A).stats,
                 w.medium(NetId::B).stats,
             )
@@ -1136,12 +803,10 @@ mod tests {
                 .fail_at(SimTime(0), SimComponent::Hub(NetId::A))
                 .fail_at(SimTime(0), SimComponent::Hub(NetId::B)),
         );
-        w.core
-            .hosts
+        hosts(&mut w)
             .routes_mut(NodeId(0))
             .set(NodeId(1), Route::Direct(NetId(2)));
-        w.core
-            .hosts
+        hosts(&mut w)
             .routes_mut(NodeId(1))
             .set(NodeId(0), Route::Direct(NetId(2)));
         let flow = w.send_app(SimTime(1000), NodeId(0), NodeId(1), 64);
@@ -1249,13 +914,8 @@ mod tests {
         let set = ComponentSet::from_indices(&failed);
         let mut expected_some_cut = false;
         for (v, &saw) in seen.iter().enumerate().take(t.topology().hosts()).skip(1) {
-            let reach = drs_topology::pair_connected(
-                t.topology(),
-                &set,
-                0,
-                v,
-                Reachability::Transitive,
-            );
+            let reach =
+                drs_topology::pair_connected(t.topology(), &set, 0, v, Reachability::Transitive);
             assert_eq!(saw, reach, "host {v} flood vs union-find");
             expected_some_cut |= !reach;
         }
@@ -1286,8 +946,7 @@ mod tests {
             if v == 1 {
                 continue;
             }
-            let reach =
-                drs_topology::pair_connected(topo, &set, 1, v, Reachability::Transitive);
+            let reach = drs_topology::pair_connected(topo, &set, 1, v, Reachability::Transitive);
             assert_eq!(w.protocol(NodeId(v as u32)).seen, reach, "host {v}");
         }
         assert!(!w.protocol(NodeId(0)).seen, "cut host misses the flood");

@@ -1,7 +1,6 @@
-//! The event queue and shared simulator core: virtual clock, pending
+//! The event queue and per-shard simulator core: virtual clock, pending
 //! events, host and medium state. Everything that is *state* lives here;
-//! the kernel-side behaviours that act on it live in
-//! [`super::kernel`] and [`super::faults`].
+//! the kernel-side behaviours that act on it live in [`super::kernel`].
 //!
 //! The queue itself is a hierarchical timer wheel ([`crate::wheel`]) —
 //! O(1) push against the former `BinaryHeap`'s O(log n) — with pop order
@@ -9,26 +8,25 @@
 //! as `crate::naive_heap` (behind the `bench-ref` feature) for benches
 //! and equivalence tests.
 //!
-//! One `Core` serves two drivers. Under [`super::World`] it owns the
-//! whole cluster and a [`Fabric::Direct`] medium: transmitted frames are
-//! admitted onto the shared segment immediately. Under
-//! [`super::ShardedWorld`] each shard owns a `Core` over a *block* of
-//! hosts with a [`Fabric::Deferred`]: transmissions are logged as
-//! [`Intent`]s and admitted by the coordinator at the next epoch
-//! barrier, in global `(at, seq)` order — which is what makes the
-//! parallel schedule reproduce the single-threaded one.
+//! There is one driver ([`super::World`]) and it owns one `Core` per
+//! shard. With a single shard the core spans the whole cluster and its
+//! [`Fabric::Direct`] admits transmitted frames onto the shared segments
+//! immediately. With several, each core owns a *block* of hosts and a
+//! [`Fabric::Deferred`]: transmissions are logged as [`Intent`]s and
+//! admitted by the coordinator at the next epoch barrier, in global
+//! `(at, seq)` order — which is what makes the parallel schedule
+//! reproduce the one-shard one.
 
 use drs_obs::flight::{EventRef, FlightRecorder, TraceKind, TraceRecord};
 use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
 
-use crate::fault::{FaultEvent, SimComponent};
-use crate::frame::{Destination, Frame, FrameKind};
+use drs_core::ids::FlowId;
+use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimTime};
+
 use crate::host::Hosts;
-use crate::ids::{FlowId, NetId, NodeId};
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
 use crate::stats::AppStats;
-use crate::time::SimTime;
 use crate::wheel::{TimerWheel, WheelStats, MAX_USEFUL_SPARE};
 use crate::workload::{Transition, WorkloadCore};
 
@@ -46,7 +44,13 @@ pub(crate) enum EventKind<M> {
         flow: FlowId,
         attempt: u32,
     },
-    Fault(FaultEvent),
+    /// A NIC failure or repair. Hub toggles never travel as events: the
+    /// driver applies them from its hub schedule (see [`super::shard`]).
+    NicFault {
+        node: NodeId,
+        net: NetId,
+        up: bool,
+    },
     AppSend {
         flow: FlowId,
         src: NodeId,
@@ -95,37 +99,17 @@ pub(crate) struct Intent<M> {
 
 /// How transmitted frames reach the shared medium.
 pub(crate) enum Fabric<M> {
-    /// Single-threaded world: admit onto `Core::media` immediately.
+    /// The only shard: admit onto `Core::media` immediately. The driver
+    /// flips those media before dispatching the first event at or after
+    /// each hub toggle, so live medium state *is* the hub timeline.
     Direct,
-    /// Shard of a [`super::ShardedWorld`]: log an [`Intent`]; the
-    /// coordinator admits at the next barrier. Hub liveness is read from
-    /// the precomputed timeline instead of live medium state.
+    /// One shard of several: log an [`Intent`]; the coordinator admits at
+    /// the next barrier. Hub liveness is read from the compiled timeline,
+    /// the media living at the coordinator.
     Deferred {
         outbox: Vec<Intent<M>>,
         timeline: HubTimeline,
     },
-}
-
-/// Seed-deterministic random streams for the corruption rolls.
-///
-/// The plain world keeps the historical single shared stream (draw order
-/// = event order, reproducible from the seed). Shards cannot share a
-/// stream without re-serializing, so each host gets its own SplitMix64-
-/// derived stream — draw order then depends only on that host's own
-/// event sequence, which the deterministic merge fixes independently of
-/// the thread count.
-pub(crate) enum RngBank {
-    Shared(Rng),
-    PerHost { base: u32, rngs: Vec<Rng> },
-}
-
-impl RngBank {
-    pub(crate) fn for_node(&mut self, node: NodeId) -> &mut Rng {
-        match self {
-            RngBank::Shared(rng) => rng,
-            RngBank::PerHost { base, rngs } => &mut rngs[(node.0 - *base) as usize],
-        }
-    }
 }
 
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host
@@ -143,7 +127,7 @@ pub enum EventTag {
     Timer,
     /// A retransmission timeout.
     Rto,
-    /// A component fault or repair.
+    /// A NIC fault or repair (hub toggles are not events).
     Fault,
     /// An application send.
     AppSend,
@@ -156,10 +140,10 @@ pub enum EventTag {
 /// One dispatched event, recorded at pop time when event logging is on
 /// (equivalence tests compare these across drivers and thread counts).
 ///
-/// `seq` is driver-specific (the plain world numbers events with one
-/// global counter, shards with epoch-packed counters), so cross-driver
-/// comparisons use the `(at, tag, node, net, aux)` projection while
-/// shard-vs-shard comparisons include `seq`.
+/// `seq` depends on the shard count (one shard numbers events with one
+/// global counter, several with epoch-packed counters), so comparisons
+/// across shard counts use the `(at, tag, node, net, aux)` projection
+/// while thread-count comparisons include `seq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventRecord {
     /// Virtual time the event fired.
@@ -168,8 +152,7 @@ pub struct EventRecord {
     pub seq: u64,
     /// Event kind.
     pub tag: EventTag,
-    /// The host the event concerns (frame source for arrivals; 0 for
-    /// hub faults).
+    /// The host the event concerns (frame source for arrivals).
     pub node: u32,
     /// The network plane, where meaningful (0 otherwise).
     pub net: u8,
@@ -177,24 +160,26 @@ pub struct EventRecord {
     pub aux: u64,
 }
 
-/// Shared simulator state (everything except the protocol instances).
+/// One shard's simulator state (everything except the protocol
+/// instances).
 pub struct Core<M> {
     pub(crate) spec: ClusterSpec,
     pub(crate) now: SimTime,
-    /// High bits of issued sequence numbers. Zero under the plain world
-    /// (whose events are numbered by one global counter); set per epoch
-    /// to `epoch << 32 | shard << 24` under the sharded driver so that
-    /// sequence numbers are globally unique and ordered identically for
-    /// every thread count.
+    /// High bits of issued sequence numbers. Zero with one shard (whose
+    /// events are numbered by one global counter); set per epoch to
+    /// `epoch << 32 | shard << 24` with several so that sequence numbers
+    /// are globally unique and ordered identically for every thread
+    /// count.
     pub(crate) seq_base: u64,
     /// Low bits: events numbered since `seq_base` was last set.
     pub(crate) seq_local: u64,
     pub(crate) events: TimerWheel<EventKind<M>>,
-    /// This driver's block of hosts (the whole cluster under the plain
-    /// world; a contiguous slice under a shard).
+    /// This shard's contiguous block of hosts (the whole cluster when
+    /// it is the only shard).
     pub(crate) hosts: Hosts,
-    /// One shared segment per network plane, indexed by [`NetId::idx`].
-    /// Empty under a shard — media live at the coordinator there.
+    /// One shared segment per network plane, indexed by [`NetId::idx`],
+    /// under [`Fabric::Direct`]. Empty under [`Fabric::Deferred`] — the
+    /// media live at the coordinator there.
     pub(crate) media: Vec<SharedMedium>,
     /// Per-frame corruption probability of each host's cabling,
     /// `[node][plane]` over the *whole cluster*: a receiver's roll
@@ -209,9 +194,11 @@ pub struct Core<M> {
     /// both the fastest and the only iteration-order-deterministic
     /// choice (no SipHash seeding anywhere near the summary path).
     pub(crate) flow_outcomes: Vec<Option<FlowOutcome>>,
-    pub(crate) next_flow: u64,
     pub(crate) clamped_past: u64,
-    pub(crate) rng: RngBank,
+    /// One seed-derived random stream per owned host (corruption rolls,
+    /// daemon draws), indexed block-locally: draw order depends only on
+    /// the host's own event sequence, never on shard layout or threads.
+    pub(crate) rngs: Vec<Rng>,
     /// When `Some`, every popped event is recorded here.
     pub(crate) event_log: Option<Vec<EventRecord>>,
     /// When `Some`, protocol decision points and kernel loss sites
@@ -228,52 +215,14 @@ pub struct Core<M> {
 }
 
 impl<M: Clone + std::fmt::Debug> Core<M> {
-    pub(crate) fn new(spec: ClusterSpec) -> Self {
-        let media = NetId::planes(spec.planes)
-            .map(|net| SharedMedium::new(net, spec.bandwidth_bps, spec.propagation))
-            .collect();
-        Self::new_with_media(spec, media)
-    }
-
-    /// A full-cluster core over explicitly built media (the topology
-    /// layer constructs per-link segments with per-link bandwidth).
-    pub(crate) fn new_with_media(spec: ClusterSpec, media: Vec<SharedMedium>) -> Self {
-        assert_eq!(
-            media.len(),
-            spec.planes as usize,
-            "one medium per plane/segment"
-        );
-        let rng = RngBank::Shared(Rng::seed_from_u64(spec.seed));
-        Self::build(spec, 0, spec.n, media, Fabric::Direct, rng)
-    }
-
-    /// A shard core owning hosts `[base, base + len)`, with deferred
-    /// medium admission against the given hub timeline and per-host
-    /// random streams.
-    pub(crate) fn new_shard(spec: ClusterSpec, base: u32, len: usize, timeline: HubTimeline) -> Self {
-        let rngs = (base..base + len as u32)
-            .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
-            .collect();
-        Self::build(
-            spec,
-            base,
-            len,
-            Vec::new(),
-            Fabric::Deferred {
-                outbox: Vec::new(),
-                timeline,
-            },
-            RngBank::PerHost { base, rngs },
-        )
-    }
-
-    fn build(
+    /// A core owning hosts `[base, base + len)`. `media` holds the
+    /// segments under [`Fabric::Direct`] and is empty otherwise.
+    pub(crate) fn new(
         spec: ClusterSpec,
         base: u32,
         len: usize,
         media: Vec<SharedMedium>,
         fabric: Fabric<M>,
-        rng: RngBank,
     ) -> Self {
         let planes = spec.planes as usize;
         // Pre-size the wheel's slot-buffer pool from the workload shape:
@@ -294,9 +243,10 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             fabric,
             app_stats: AppStats::default(),
             flow_outcomes: Vec::new(),
-            next_flow: 0,
             clamped_past: 0,
-            rng,
+            rngs: (base..base + len as u32)
+                .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
+                .collect(),
             event_log: None,
             flight: None,
             cur_ev_seq: 0,
@@ -315,13 +265,11 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         }
     }
 
-    /// Issues the next tie-break sequence number.
+    /// Issues the next tie-break sequence number. The packed layout's
+    /// 24-bit budget is checked once per shard-epoch by the driver, not
+    /// here per event.
     #[inline]
     pub(crate) fn next_seq(&mut self) -> u64 {
-        debug_assert!(
-            self.seq_base == 0 || self.seq_local < 1 << 24,
-            "epoch sequence space exhausted (>16.7M events in one shard epoch)"
-        );
         let seq = self.seq_base + self.seq_local;
         self.seq_local += 1;
         seq
@@ -343,14 +291,21 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         self.events.push(at, seq, kind);
     }
 
-    /// Whether the hub of `net` is currently operational — from live
-    /// medium state under the plain world, from the precomputed fault
-    /// timeline under a shard (whose media live at the coordinator).
+    /// Whether the hub of `net` is operational at `now` — live medium
+    /// state when this core admits directly, the compiled timeline when
+    /// the media live at the coordinator. Both answer the same rule: a
+    /// toggle at `t` precedes every event at `t`.
     pub(crate) fn hub_is_up(&self, net: NetId) -> bool {
         match &self.fabric {
             Fabric::Direct => self.media[net.idx()].is_up(),
             Fabric::Deferred { timeline, .. } => timeline.is_up(net, self.now),
         }
+    }
+
+    /// The random stream of `node`, which this core must own.
+    #[inline]
+    pub(crate) fn rng_for(&mut self, node: NodeId) -> &mut Rng {
+        &mut self.rngs[self.hosts.local(node)]
     }
 
     /// Per-frame corruption probability of `node`'s cabling on `net`.
@@ -394,7 +349,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
                     Destination::Broadcast => 0,
                     Destination::Node(n) => u64::from(n.0) + 1,
                 };
-                (EventTag::Arrive, f.src.0, f.net.idx() as u8, disc << 32 | dst)
+                (
+                    EventTag::Arrive,
+                    f.src.0,
+                    f.net.idx() as u8,
+                    disc << 32 | dst,
+                )
             }
             EventKind::ProtoTimer { node, token } => (EventTag::Timer, node.0, 0, *token),
             EventKind::Rto {
@@ -402,19 +362,14 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
                 flow,
                 attempt,
             } => (EventTag::Rto, node.0, 0, flow.0 << 32 | u64::from(*attempt)),
-            EventKind::Fault(ev) => match ev.component {
-                SimComponent::Hub(net) => (EventTag::Fault, 0, net.idx() as u8, u64::from(ev.up)),
-                SimComponent::Nic(node, net) => {
-                    (EventTag::Fault, node.0, net.idx() as u8, u64::from(ev.up))
-                }
-            },
-            EventKind::AppSend {
-                flow, src, dst, ..
-            } => (EventTag::AppSend, src.0, 0, flow.0 << 32 | u64::from(dst.0)),
-            EventKind::SessionOpen { host } => (EventTag::SessionOpen, host.0, 0, 0),
-            EventKind::SessionClose { host, local } => {
-                (EventTag::SessionClose, host.0, 0, *local)
+            EventKind::NicFault { node, net, up } => {
+                (EventTag::Fault, node.0, net.idx() as u8, u64::from(*up))
             }
+            EventKind::AppSend { flow, src, dst, .. } => {
+                (EventTag::AppSend, src.0, 0, flow.0 << 32 | u64::from(dst.0))
+            }
+            EventKind::SessionOpen { host } => (EventTag::SessionOpen, host.0, 0, 0),
+            EventKind::SessionClose { host, local } => (EventTag::SessionClose, host.0, 0, *local),
         };
         log.push(EventRecord {
             at,

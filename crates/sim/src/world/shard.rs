@@ -1,7 +1,16 @@
-//! The sharded multi-core driver: conservative-lookahead parallel DES
-//! with a seed-deterministic merge.
+//! The driver: one [`World`] over one or more shards, direct when there
+//! is one shard, conservative-lookahead epochs with a seed-deterministic
+//! merge when there are several.
 //!
-//! # How the parallelism works
+//! # One shard: the plain loop
+//!
+//! `World::new` builds a single shard that owns every host and the
+//! media. Transmissions are admitted onto the segments immediately
+//! (`Fabric::Direct`), events carry one global sequence counter, and
+//! `run_until` pops the wheel until the horizon — no epochs, no outbox,
+//! no merge, no barrier.
+//!
+//! # Several shards: how the parallelism works
 //!
 //! The cluster's hosts are partitioned into contiguous blocks (shards),
 //! each owning its own [`Core`] — timer wheel, host state, per-host RNG
@@ -19,75 +28,70 @@
 //! parallel; transmissions are not admitted onto the medium immediately
 //! but logged as `Intent`s in per-shard outboxes (see
 //! `Fabric::Deferred`). At the epoch barrier the coordinator merges
-//! all outboxes in global `(at, seq)` order, replays any hub fault due
+//! all outboxes in global `(at, seq)` order, applies any hub toggle due
 //! by each transmission instant, admits the frames onto the
 //! coordinator-owned media, and pushes the resulting arrivals directly
 //! into the destination shards' wheels. Arrivals land at
 //! `≥ T_start + L ≥` every shard's cursor, so the wheels never see a
 //! past-time push.
 //!
-//! # Why it is deterministic
+//! # Why every shard and thread count agrees
 //!
 //! Everything that orders events is derived from virtual time and
-//! sequence numbers, never from thread interleaving:
+//! sequence numbers, never from thread interleaving or shard layout:
 //!
+//! * hub liveness is a schedule, not an event: a toggle at `t` takes
+//!   effect before every other event at `t` and consumes no sequence
+//!   number. One shard flips its media before dispatching the first
+//!   event at or after `t`; several read a compiled [`HubTimeline`], so
+//!   the toggle lands at the same virtual instant in every shard
+//!   regardless of which thread gets there first. Hub faults may be
+//!   scheduled at any `at >= now()`, before or between runs;
+//! * corruption rolls and daemon draws come from per-host RNG streams,
+//!   so draw order depends only on the host's own event sequence;
 //! * within an epoch a shard numbers its events
 //!   `epoch << 32 | shard << 24 | local`, so sequence numbers are
 //!   globally unique and depend only on (epoch, shard, order-in-shard) —
-//!   all three identical for every thread count;
+//!   all three identical for every thread count (exhausting a field is a
+//!   panic, checked once per shard-epoch);
 //! * the merge admits intents in `(at, seq)` order, so medium queueing
-//!   (FIFO per segment) is resolved identically for every thread count;
-//! * hub liveness during an epoch is read from a precomputed
-//!   [`HubTimeline`] rather than live medium state, so a hub fault takes
-//!   effect at the same virtual instant in every shard regardless of
-//!   which thread gets there first;
-//! * corruption rolls draw from per-host RNG streams
-//!   (`RngBank::PerHost`), so draw order depends only on
-//!   the host's own event sequence.
+//!   (FIFO per segment) is resolved identically for every thread count.
 //!
 //! The result: `run_until` produces a bit-identical event schedule for
-//! any thread count — the equivalence oracle `tests/shard_equivalence.rs`
-//! checks against the single-threaded [`super::World`].
-//!
-//! # Semantic deltas vs. [`super::World`] (by design)
-//!
-//! * Hub faults must be scheduled before the run starts; they are
-//!   compiled into the timeline instead of travelling as events. A hub
-//!   toggle at instant `t` takes effect before any transmission at `t`.
-//! * Corruption rolls use per-host streams, so under `frame_loss_rate >
-//!   0` the two drivers make *statistically equivalent but not
-//!   draw-identical* decisions. Loss-free runs match the plain world
-//!   event-for-event.
+//! any thread count, and the same simulated results — event projection,
+//! medium totals, protocol history, workload ledger — for any shard
+//! count, which `tests/shard_equivalence.rs` checks on faulted, lossy
+//! and pristine schedules alike.
 
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::{Deref, DerefMut};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Barrier;
 use std::time::Instant;
 
+use drs_core::ids::FlowId;
+use drs_core::{Destination, NetId, NodeId, ProbeObs, SimDuration, SimTime};
 use drs_obs::flight::{loss_site, EventRef, FlightLog, FlightRecorder, TraceKind, TraceRecord};
 
 use crate::app::Workload;
 use crate::fault::{FaultEvent, FaultPlan, SimComponent};
-use crate::frame::{Destination, Frame};
 use crate::host::HostView;
-use crate::ids::{FlowId, NetId, NodeId};
-use crate::medium::{SharedMedium, TrafficClass};
+use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
-use crate::stats::{AppStats, ProbeObs};
-use crate::time::{SimDuration, SimTime};
-use crate::workload::{
-    FluidEngine, TransitionRecord, WorkloadCore, WorkloadSpec, WorkloadStats,
-};
+use crate::stats::AppStats;
+use crate::topology::TopologySpec;
+use crate::workload::{FluidEngine, TransitionRecord, WorkloadCore, WorkloadSpec, WorkloadStats};
 
-use super::kernel::Engine;
+use super::kernel::{class_of, Engine};
 use super::queue::{Core, EventKind, EventRecord, Fabric, Intent, KernelStats};
 use super::{Ctx, FlowOutcome, Protocol};
 
-/// Precomputed hub liveness: per plane, the sorted fault/repair
-/// transitions. Shards read this instead of live medium state so that a
-/// hub failure takes effect at the same virtual instant on every thread.
+/// Compiled hub liveness: per plane, the sorted fault/repair transitions.
+/// Shards that defer admission read this instead of live medium state so
+/// that a hub failure takes effect at the same virtual instant on every
+/// thread.
 #[derive(Debug, Clone, Default)]
 pub struct HubTimeline {
     /// Per plane (indexed by [`NetId::idx`]), `(instant, up)` transitions
@@ -116,9 +120,8 @@ impl HubTimeline {
     }
 
     /// Whether the hub of `net` is up at instant `at`. A transition *at*
-    /// `at` has already taken effect (hub toggles sort before same-
-    /// instant transmissions, matching the plain world's pre-run fault
-    /// sequence numbers).
+    /// `at` has already taken effect: hub toggles precede every other
+    /// event at their instant.
     #[must_use]
     pub fn is_up(&self, net: NetId, at: SimTime) -> bool {
         let v = &self.transitions[net.idx()];
@@ -129,15 +132,32 @@ impl HubTimeline {
 
 /// One shard: a core over a contiguous host block plus those hosts'
 /// daemon instances.
-struct Shard<P: Protocol> {
+pub(super) struct Shard<P: Protocol> {
     id: usize,
-    core: Core<P::Msg>,
+    pub(super) core: Core<P::Msg>,
     protocols: Vec<P>,
-    /// Events dispatched by this shard (over all epochs).
-    events: u64,
     /// Epochs in which this shard had nothing to do — lookahead stalls:
     /// the window opened but every local event lay beyond it.
     stalls: u64,
+}
+
+impl<P: Protocol> Shard<P> {
+    /// Pops and executes the next pending event, which the caller has
+    /// peeked.
+    #[inline]
+    fn step(&mut self) {
+        let (at, seq, kind) = self.core.events.pop().expect("peeked by the caller");
+        debug_assert!(at >= self.core.now);
+        self.core.now = at;
+        self.core.cur_ev_seq = seq;
+        self.core.cur_sub = 0;
+        self.core.log_event(at, seq, &kind);
+        Engine {
+            core: &mut self.core,
+            protocols: &mut self.protocols,
+        }
+        .dispatch(kind);
+    }
 }
 
 /// Interior-mutable shard slot, shared with worker threads.
@@ -147,23 +167,22 @@ struct ShardCell<P: Protocol>(UnsafeCell<Shard<P>>);
 // epoch, worker `w` accesses only the shards `i ≡ w (mod threads)` it
 // owns (a disjoint partition); between the `done` and `go` barriers only
 // the coordinator touches shards, with every worker parked. The barriers
-// provide the happens-before edges for the hand-offs.
-unsafe impl<P: Protocol> Sync for ShardCell<P>
-where
-    P: Send,
-    P::Msg: Send,
-{
-}
+// provide the happens-before edges for the hand-offs. Moving a shard's
+// daemons and frames between threads is sound because `Protocol` and
+// its `Msg` are `Send`.
+unsafe impl<P: Protocol> Sync for ShardCell<P> {}
 
-/// Coordinator-side state: the real media, the compiled hub schedule,
-/// and merge counters. Deliberately not generic so the borrow can be
-/// split from the shard cells.
+/// Coordinator-side state: the hub schedule, and — when admission is
+/// deferred — the real media and merge counters. Deliberately not
+/// generic so the borrow can be split from the shard cells.
 struct Coordinator {
+    /// The segments under deferred admission; empty when the only shard
+    /// owns them.
     media: Vec<SharedMedium>,
-    /// All hub toggles, time-sorted (stable: plan order at equal
+    /// All hub toggles, time-sorted (stable: scheduling order at equal
     /// instants).
     hub_events: Vec<FaultEvent>,
-    /// How many of `hub_events` have been applied to `media`.
+    /// How many of `hub_events` have been applied to the media.
     hub_applied: usize,
     intents: u64,
     merges: u64,
@@ -176,17 +195,18 @@ struct Coordinator {
     /// Epochs that popped at least one event — the denominator of the
     /// kernel-track sampling below.
     busy_epochs: u64,
-    /// Coordinator-side flight recorder: hub-admit losses, hub
-    /// fault/repair toggles, and the kernel tracks (epochs, merges,
-    /// stalls). Shard-side daemon records live in each shard's core.
+    /// Coordinator-side flight recorder under deferred admission:
+    /// hub-admit losses, hub toggles, and the kernel tracks (epochs,
+    /// merges, stalls). Daemon records live in each shard's core, and so
+    /// does everything when the only shard admits directly.
     flight: Option<FlightRecorder>,
-    /// Sub counter for coordinator records. Starts at [`COORD_SUB_BASE`]
-    /// so coordinator [`EventRef`]s never collide with a sender shard's
-    /// records carrying the same `(time, seq)`.
+    /// Sub counter for hub-toggle and coordinator records. Starts at
+    /// [`COORD_SUB_BASE`] so their [`EventRef`]s never collide with a
+    /// dispatch's records carrying the same `(time, seq)`.
     flight_sub: u32,
 }
 
-/// First `sub` value of coordinator-side flight records; shard-side
+/// First `sub` value of hub-toggle and coordinator-side flight records;
 /// per-dispatch sub counters stay far below it.
 const COORD_SUB_BASE: u32 = 1 << 31;
 
@@ -200,24 +220,80 @@ const COORD_SUB_BASE: u32 = 1 << 31;
 /// any `DRS_SIM_THREADS`.
 const KERNEL_TRACK_SAMPLE: u64 = 64;
 
+/// Appends `rec` under the next hub-toggle/coordinator sub number, if
+/// recording is on.
+fn record_coord(flight: &mut Option<FlightRecorder>, sub: &mut u32, rec: TraceRecord) {
+    if let Some(flight) = flight {
+        flight.record(TraceRecord { sub: *sub, ..rec });
+        *sub += 1;
+    }
+}
+
+/// Flips one hub and records its `Fault`/`Repair` into `flight`, stamped
+/// with the toggle's own instant and sequence number 0 — a toggle
+/// precedes every event at its instant and consumes no number.
+fn toggle_hub(
+    ev: FaultEvent,
+    media: &mut [SharedMedium],
+    flight: &mut Option<FlightRecorder>,
+    sub: &mut u32,
+) {
+    let SimComponent::Hub(net) = ev.component else {
+        return;
+    };
+    media[net.idx()].set_up(ev.up);
+    let kind = if ev.up {
+        TraceKind::Repair
+    } else {
+        TraceKind::Fault
+    };
+    let rec = TraceRecord {
+        time_ns: ev.at.0,
+        seq: 0,
+        sub: 0,
+        kind,
+        host: u32::MAX,
+        plane: Some(net.0),
+        arg: 0,
+        cause: None,
+    };
+    record_coord(flight, sub, rec);
+}
+
 impl Coordinator {
-    /// Applies every not-yet-applied hub toggle due at or before `t`.
-    fn apply_hub_through(&mut self, t: SimTime) {
-        while let Some(&ev) = self.hub_events.get(self.hub_applied) {
-            if ev.at > t {
-                break;
-            }
-            if let SimComponent::Hub(net) = ev.component {
-                self.media[net.idx()].set_up(ev.up);
-                let kind = if ev.up {
-                    TraceKind::Repair
-                } else {
-                    TraceKind::Fault
-                };
-                self.flight_record(ev.at, 0, kind, u32::MAX, Some(net.0), 0, None);
-            }
+    /// Instant of the earliest hub toggle not yet applied.
+    fn next_toggle(&self) -> SimTime {
+        self.hub_events
+            .get(self.hub_applied)
+            .map_or(SimTime(u64::MAX), |ev| ev.at)
+    }
+
+    /// Marks the earliest pending hub toggle applied and returns it, if
+    /// it is due at or before `t`.
+    fn pop_due_toggle(&mut self, t: SimTime) -> Option<FaultEvent> {
+        let ev = *self.hub_events.get(self.hub_applied)?;
+        (ev.at <= t).then(|| {
             self.hub_applied += 1;
+            ev
+        })
+    }
+
+    /// Deferred admission: applies every pending hub toggle due at or
+    /// before `t` to the coordinator's media.
+    fn apply_hub_through(&mut self, t: SimTime) {
+        while let Some(ev) = self.pop_due_toggle(t) {
+            toggle_hub(ev, &mut self.media, &mut self.flight, &mut self.flight_sub);
         }
+    }
+
+    /// Direct admission: applies every pending hub toggle due at or
+    /// before `t` to the media and flight ring of the only shard's
+    /// `core`, and returns the next pending toggle's instant.
+    fn apply_hub_direct<M>(&mut self, core: &mut Core<M>, t: SimTime) -> SimTime {
+        while let Some(ev) = self.pop_due_toggle(t) {
+            toggle_hub(ev, &mut core.media, &mut core.flight, &mut self.flight_sub);
+        }
+        self.next_toggle()
     }
 
     /// Appends a coordinator-side flight record, if recording is on.
@@ -235,26 +311,25 @@ impl Coordinator {
         arg: u64,
         cause: Option<EventRef>,
     ) {
-        let Some(flight) = self.flight.as_mut() else {
-            return;
-        };
-        flight.record(TraceRecord {
+        let rec = TraceRecord {
             time_ns: at.0,
             seq,
-            sub: self.flight_sub,
+            sub: 0,
             kind,
             host,
             plane,
             arg,
             cause,
-        });
-        self.flight_sub += 1;
+        };
+        record_coord(&mut self.flight, &mut self.flight_sub, rec);
     }
 }
 
-/// Deterministic counters of the sharded driver, complementing the
-/// merged [`KernelStats`]. Everything except `barrier_wait_ns` is
-/// thread-count-independent.
+/// Deterministic counters of the driver's partition and merge machinery,
+/// complementing the merged [`KernelStats`]. Everything except
+/// `barrier_wait_ns` is thread-count-independent; with one shard there
+/// are no epochs, so only `shards`, `threads`, `lookahead_ns` and the
+/// single `events_per_shard` entry are non-zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of shards.
@@ -296,17 +371,14 @@ pub fn threads_from_env() -> usize {
         .map_or(1, |t| t.clamp(1, 256))
 }
 
-/// The parallel cluster driver: same simulation as [`super::World`],
-/// executed epoch-by-epoch across shards.
-pub struct ShardedWorld<P: Protocol> {
+/// The simulated cluster: the event engine plus one protocol instance
+/// per host, partitioned into one or more shards.
+pub struct World<P: Protocol> {
     spec: ClusterSpec,
     shards: Vec<ShardCell<P>>,
     /// Host → shard index.
     owner: Vec<u32>,
     coord: Coordinator,
-    /// Master copy of the compiled hub schedule (each shard's fabric
-    /// holds a clone).
-    timeline: HubTimeline,
     now: SimTime,
     /// Epochs executed so far; epoch ids start at 1 so the pre-run
     /// sequence space (`seq_base == 0`) is never reused.
@@ -317,17 +389,20 @@ pub struct ShardedWorld<P: Protocol> {
     next_flow: u64,
     barrier_wait_ns: u64,
     /// The fluid session accounting engine, when
-    /// [`Self::enable_workload`] was called. Lives at the coordinator;
-    /// consumes the shards' merged transition logs at the end of every
-    /// `run_until`.
+    /// [`Self::enable_workload`] was called. Consumes the shards' merged
+    /// transition logs at the end of every `run_until`.
     workload_engine: Option<Box<FluidEngine>>,
 }
 
+/// A [`World`] built with explicit (or host-count-derived) shard and
+/// worker-thread counts; everything else is [`World`]'s, through
+/// `Deref`.
+pub struct ShardedWorld<P: Protocol>(World<P>);
+
 impl<P: Protocol> ShardedWorld<P> {
-    /// Builds a sharded cluster with an automatic shard count (one shard
-    /// per ~16 hosts, capped at 64) and the thread count from
-    /// [`threads_from_env`]. Every daemon gets `on_start` at time zero,
-    /// in global host order — exactly like [`super::World::new`].
+    /// Builds a cluster with an automatic shard count (one shard per ~16
+    /// hosts, capped at 64) and the thread count from
+    /// [`threads_from_env`].
     pub fn new(spec: ClusterSpec, factory: impl FnMut(NodeId) -> P) -> Self {
         let shards = (spec.n / 16).clamp(1, 64);
         Self::with_topology(spec, shards, threads_from_env(), factory)
@@ -343,29 +418,58 @@ impl<P: Protocol> ShardedWorld<P> {
         threads: usize,
         factory: impl FnMut(NodeId) -> P,
     ) -> Self {
-        Self::build(spec, shards, threads, None, factory)
+        ShardedWorld(World::build(spec, shards, threads, None, factory))
     }
 
-    /// Builds a sharded cluster over an explicit topology graph — the
-    /// parallel counterpart of [`super::World::from_topology`]: one
-    /// simulated node per graph node, one two-endpoint segment per link,
-    /// NICs masked to membership and empty route tables before any
-    /// `on_start`. The lookahead is the *minimum* over segments (the
-    /// fastest link bounds the earliest cross-shard interaction).
+    /// [`World::from_topology`] with explicit shard and worker-thread
+    /// counts. The lookahead is the *minimum* over segments (the fastest
+    /// link bounds the earliest cross-shard interaction).
     pub fn from_topology(
-        tspec: &crate::topology::TopologySpec,
+        tspec: &TopologySpec,
         shards: usize,
         threads: usize,
         factory: impl FnMut(NodeId) -> P,
     ) -> Self {
-        Self::build(tspec.cluster_spec(), shards, threads, Some(tspec), factory)
+        let spec = tspec.cluster_spec();
+        ShardedWorld(World::build(spec, shards, threads, Some(tspec), factory))
+    }
+}
+
+impl<P: Protocol> Deref for ShardedWorld<P> {
+    type Target = World<P>;
+    fn deref(&self) -> &World<P> {
+        &self.0
+    }
+}
+
+impl<P: Protocol> DerefMut for ShardedWorld<P> {
+    fn deref_mut(&mut self) -> &mut World<P> {
+        &mut self.0
+    }
+}
+
+impl<P: Protocol> World<P> {
+    /// Builds a one-shard, one-thread cluster and starts every daemon
+    /// (each gets `on_start` at time zero, in host order).
+    pub fn new(spec: ClusterSpec, factory: impl FnMut(NodeId) -> P) -> Self {
+        Self::build(spec, 1, 1, None, factory)
+    }
+
+    /// Builds a one-shard cluster over an explicit topology graph: one
+    /// simulated node per graph node (hosts *and* switches run the
+    /// protocol), one two-endpoint shared segment per link. NICs are
+    /// masked down to link membership and route tables start empty —
+    /// both applied before any `on_start`, so daemons observe the fabric
+    /// from the first instant. See [`crate::topology`] for the mapping.
+    pub fn from_topology(tspec: &TopologySpec, factory: impl FnMut(NodeId) -> P) -> Self {
+        Self::build(tspec.cluster_spec(), 1, 1, Some(tspec), factory)
     }
 
     fn build(
         spec: ClusterSpec,
         shards: usize,
         threads: usize,
-        tspec: Option<&crate::topology::TopologySpec>,
+        tspec: Option<&TopologySpec>,
         mut factory: impl FnMut(NodeId) -> P,
     ) -> Self {
         assert!(shards >= 1, "at least one shard");
@@ -373,39 +477,13 @@ impl<P: Protocol> ShardedWorld<P> {
         let shards = shards.min(spec.n).min(256);
         let threads = threads.min(256);
 
-        let timeline = HubTimeline::new(spec.planes);
-        let mut owner = vec![0u32; spec.n];
-        let mut cells = Vec::with_capacity(shards);
-        let (block, extra) = (spec.n / shards, spec.n % shards);
-        let mut base = 0u32;
-        for id in 0..shards {
-            let len = block + usize::from(id < extra);
-            for i in base..base + len as u32 {
-                owner[i as usize] = id as u32;
-            }
-            let mut core = Core::new_shard(spec, base, len, timeline.clone());
-            if let Some(t) = tspec {
-                t.apply_membership(&mut core.hosts);
-            }
-            let protocols = (base..base + len as u32)
-                .map(|i| factory(NodeId(i)))
-                .collect();
-            cells.push(ShardCell(UnsafeCell::new(Shard {
-                id,
-                core,
-                protocols,
-                events: 0,
-                stalls: 0,
-            })));
-            base += len as u32;
-        }
-
-        let media: Vec<SharedMedium> = match tspec {
+        let mut media: Vec<SharedMedium> = match tspec {
             Some(t) => t.media(),
             None => NetId::planes(spec.planes)
                 .map(|net| SharedMedium::new(net, spec.bandwidth_bps, spec.propagation))
                 .collect(),
         };
+        assert_eq!(media.len(), spec.planes as usize, "one medium per segment");
         // The minimum cross-host latency over all segments: 1-byte
         // serialization plus propagation. Queueing and real frame sizes
         // only add to it; the fastest segment bounds the window.
@@ -416,7 +494,38 @@ impl<P: Protocol> ShardedWorld<P> {
             .expect("at least one segment")
             .max(1);
 
-        let mut world = ShardedWorld {
+        let mut owner = vec![0u32; spec.n];
+        let mut cells = Vec::with_capacity(shards);
+        let (block, extra) = (spec.n / shards, spec.n % shards);
+        let mut base = 0u32;
+        for id in 0..shards {
+            let len = block + usize::from(id < extra);
+            owner[base as usize..base as usize + len].fill(id as u32);
+            // The only shard owns the media and admits directly; several
+            // defer to the coordinator, which keeps them.
+            let (own_media, fabric) = if shards == 1 {
+                (std::mem::take(&mut media), Fabric::Direct)
+            } else {
+                let (outbox, timeline) = (Vec::new(), HubTimeline::new(spec.planes));
+                (Vec::new(), Fabric::Deferred { outbox, timeline })
+            };
+            let mut core = Core::new(spec, base, len, own_media, fabric);
+            if let Some(t) = tspec {
+                t.apply_membership(&mut core.hosts);
+            }
+            let protocols = (base..base + len as u32)
+                .map(|i| factory(NodeId(i)))
+                .collect();
+            cells.push(ShardCell(UnsafeCell::new(Shard {
+                id,
+                core,
+                protocols,
+                stalls: 0,
+            })));
+            base += len as u32;
+        }
+
+        let mut world = World {
             spec,
             shards: cells,
             owner,
@@ -432,7 +541,6 @@ impl<P: Protocol> ShardedWorld<P> {
                 flight: None,
                 flight_sub: COORD_SUB_BASE,
             },
-            timeline,
             now: SimTime::ZERO,
             epoch: 0,
             lookahead,
@@ -443,13 +551,21 @@ impl<P: Protocol> ShardedWorld<P> {
         };
         for i in 0..spec.n {
             let node = NodeId(i as u32);
-            let shard = world.shards[world.owner[i] as usize].0.get_mut();
+            let s = world.owner_of(node);
+            let shard = world.shard_mut(s);
             let local = shard.core.hosts.local(node);
             let mut ctx = Ctx {
                 core: &mut shard.core,
                 node,
             };
             shard.protocols[local].on_start(&mut ctx);
+        }
+        if world.deferred() {
+            // Frames sent from `on_start` are admitted now, as direct
+            // admission has already done: construction precedes every
+            // fault plan at every shard count.
+            // SAFETY: no worker threads exist; access is exclusive.
+            unsafe { merge_and_min(&mut world.coord, &world.shards, &world.owner, false) };
         }
         world
     }
@@ -463,12 +579,20 @@ impl<P: Protocol> ShardedWorld<P> {
         unsafe { &*self.shards[i].0.get() }
     }
 
-    fn shard_mut(&mut self, i: usize) -> &mut Shard<P> {
+    pub(super) fn shard_mut(&mut self, i: usize) -> &mut Shard<P> {
         self.shards[i].0.get_mut()
     }
 
     fn owner_of(&self, node: NodeId) -> usize {
         self.owner[node.idx()] as usize
+    }
+
+    /// Whether transmissions are deferred to the coordinator's barrier
+    /// merge (several shards, epoch loop) rather than admitted directly
+    /// by the only shard (plain loop) — the one thing the shard count
+    /// decides.
+    fn deferred(&self) -> bool {
+        self.shards.len() > 1
     }
 
     /// Current virtual time.
@@ -517,11 +641,15 @@ impl<P: Protocol> ShardedWorld<P> {
     }
 
     /// Read access to a network segment. Medium state (busy horizon,
-    /// cumulative stats) is current through the last merge — i.e. exact
-    /// whenever the driver is not mid-`run_until`.
+    /// cumulative stats) is current through the last admission — i.e.
+    /// exact whenever the driver is not mid-`run_until`.
     #[must_use]
     pub fn medium(&self, net: NetId) -> &SharedMedium {
-        &self.coord.media[net.idx()]
+        if self.deferred() {
+            &self.coord.media[net.idx()]
+        } else {
+            &self.shard(0).core.media[net.idx()]
+        }
     }
 
     /// Cluster-wide application statistics, merged across shards.
@@ -534,9 +662,10 @@ impl<P: Protocol> ShardedWorld<P> {
         merged
     }
 
-    /// Every host's probe-path observability record merged into one.
-    /// Exactly equals the plain world's merge: histogram merging is
-    /// order-independent.
+    /// Every host's probe-path observability record merged into one —
+    /// the cluster-wide view a finished run hands to the reporting
+    /// layer. Histogram merging is exact and order-independent, so this
+    /// equals recording every sample into a single [`ProbeObs`].
     #[must_use]
     pub fn merged_probe_obs(&self) -> ProbeObs {
         let mut merged = ProbeObs::default();
@@ -557,25 +686,18 @@ impl<P: Protocol> ShardedWorld<P> {
             .find_map(|i| self.shard(i).core.flow_outcomes.get(idx).copied().flatten())
     }
 
-    /// All completed flow outcomes in ascending [`FlowId`] order.
+    /// All completed flow outcomes in ascending [`FlowId`] order — the
+    /// order is structural (dense index), never hash-seeded.
     #[must_use]
     pub fn flow_outcomes(&self) -> Vec<(FlowId, FlowOutcome)> {
-        let mut dense: Vec<Option<FlowOutcome>> = vec![None; self.next_flow as usize];
-        for i in 0..self.shards.len() {
-            for (idx, o) in self.shard(i).core.flow_outcomes.iter().enumerate() {
-                if o.is_some() {
-                    dense[idx] = *o;
-                }
-            }
-        }
-        dense
-            .into_iter()
-            .enumerate()
-            .filter_map(|(i, o)| o.map(|o| (FlowId(i as u64), o)))
+        (0..self.next_flow)
+            .filter_map(|i| Some((FlowId(i), self.flow_outcome(FlowId(i))?)))
             .collect()
     }
 
-    /// Merged deterministic kernel counters across all shard wheels.
+    /// Deterministic operation counters of the event kernel (timer-wheel
+    /// push/pop/cascade/pool counts, past-time clamps, queue depth),
+    /// merged across all shard wheels.
     #[must_use]
     pub fn kernel_stats(&self) -> KernelStats {
         let mut merged = KernelStats {
@@ -591,9 +713,12 @@ impl<P: Protocol> ShardedWorld<P> {
         merged
     }
 
-    /// The sharded driver's own counters.
+    /// The partition and merge counters.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
+        let per_shard = |f: fn(&Shard<P>) -> u64| -> Vec<u64> {
+            (0..self.shards.len()).map(|i| f(self.shard(i))).collect()
+        };
         ShardStats {
             shards: self.shards.len(),
             threads: self.threads,
@@ -603,12 +728,8 @@ impl<P: Protocol> ShardedWorld<P> {
             cross_shard_frames: self.coord.cross_shard,
             zero_pop_epochs: self.coord.zero_pop_epochs,
             lookahead_ns: self.lookahead,
-            events_per_shard: (0..self.shards.len())
-                .map(|i| self.shard(i).events)
-                .collect(),
-            stalls_per_shard: (0..self.shards.len())
-                .map(|i| self.shard(i).stalls)
-                .collect(),
+            events_per_shard: per_shard(|s| s.core.events.stats().pops),
+            stalls_per_shard: per_shard(|s| s.stalls),
             barrier_wait_ns: self.barrier_wait_ns,
         }
     }
@@ -621,10 +742,11 @@ impl<P: Protocol> ShardedWorld<P> {
             .sum()
     }
 
-    /// Degrades (or restores) one host's cabling on one network. The
-    /// table is replicated (receivers compound the *sender's* loss, and
-    /// the sender may live in another shard), so the change is broadcast
-    /// to every shard.
+    /// Degrades (or restores) one host's cabling on one network: every
+    /// frame it sends or receives there is corrupted with probability
+    /// `p`. The table is replicated (receivers compound the *sender's*
+    /// loss, and the sender may live in another shard), so the change is
+    /// broadcast to every shard.
     pub fn set_link_loss(&mut self, node: NodeId, net: NetId, p: f64) {
         for i in 0..self.shards.len() {
             self.shard_mut(i).core.set_link_loss(node, net, p);
@@ -640,7 +762,14 @@ impl<P: Protocol> ShardedWorld<P> {
         match c {
             SimComponent::Hub(net) => {
                 assert!(net.idx() < self.spec.planes as usize, "no such plane");
-                self.timeline.is_up(net, self.now)
+                // The schedule is time-sorted, so the hub's last toggle
+                // at or before `now` is its state.
+                let due = |ev: &&FaultEvent| ev.at <= self.now && ev.component == c;
+                self.coord
+                    .hub_events
+                    .iter()
+                    .rfind(due)
+                    .is_none_or(|ev| ev.up)
             }
             SimComponent::Nic(node, net) => self
                 .shard(self.owner_of(node))
@@ -653,12 +782,13 @@ impl<P: Protocol> ShardedWorld<P> {
     /// Schedules every event of a fault plan.
     ///
     /// NIC faults become ordinary events in the owning shard. Hub faults
-    /// are compiled into the [`HubTimeline`], which requires them to be
-    /// known before the run starts.
+    /// join the driver's hub schedule — a toggle at `t` takes effect
+    /// before every other event at `t` — and may be added before or
+    /// between runs like any other fault.
     ///
     /// # Panics
-    /// Panics if an event lies in the past, names a plane outside the
-    /// scenario, or is a hub fault scheduled after the run has started.
+    /// Panics if an event lies in the past or names a plane outside the
+    /// scenario's `planes`.
     pub fn schedule_faults(&mut self, plan: FaultPlan) {
         let planes = self.spec.planes as usize;
         let mut any_hub = false;
@@ -673,43 +803,42 @@ impl<P: Protocol> ShardedWorld<P> {
             );
             match ev.component {
                 SimComponent::Hub(_) => {
-                    assert!(
-                        self.epoch == 0 && self.now == SimTime::ZERO,
-                        "hub faults must be scheduled before the sharded run starts \
-                         (they compile into the hub timeline)"
-                    );
+                    // Hub toggles reach the fluid engine from this
+                    // schedule too, never as workload transitions.
                     self.coord.hub_events.push(ev);
                     if let Some(eng) = self.workload_engine.as_mut() {
                         eng.add_hub_toggles(std::slice::from_ref(&ev));
                     }
                     any_hub = true;
                 }
-                SimComponent::Nic(node, _) => {
+                SimComponent::Nic(node, net) => {
                     let s = self.owner_of(node);
-                    self.shard_mut(s)
-                        .core
-                        .schedule_at(ev.at, EventKind::Fault(ev));
+                    let fault = EventKind::NicFault {
+                        node,
+                        net,
+                        up: ev.up,
+                    };
+                    self.shard_mut(s).core.schedule_at(ev.at, fault);
                 }
             }
         }
         if any_hub {
             // Keep time-sorted across plans; the stable sort preserves
-            // scheduling order at equal instants, matching the plain
-            // world's sequence-number tie-break.
+            // scheduling order at equal instants and leaves the applied
+            // prefix (everything at or before `now`) in place.
             self.coord.hub_events.sort_by_key(|ev| ev.at);
-            self.timeline = HubTimeline::rebuild(self.spec.planes, &self.coord.hub_events);
-            let rebuilt = self.timeline.clone();
+            let compiled = HubTimeline::rebuild(self.spec.planes, &self.coord.hub_events);
             for i in 0..self.shards.len() {
                 if let Fabric::Deferred { timeline, .. } = &mut self.shard_mut(i).core.fabric {
-                    *timeline = rebuilt.clone();
+                    *timeline = compiled.clone();
                 }
             }
         }
     }
 
     /// Schedules one application message; returns its flow id. Flow ids
-    /// are allocated by the coordinator (globally sequential, like the
-    /// plain world); the send event lives in the source host's shard.
+    /// are globally sequential; the send event lives in the source
+    /// host's shard.
     pub fn send_app(
         &mut self,
         at: SimTime,
@@ -742,17 +871,19 @@ impl<P: Protocol> ShardedWorld<P> {
             .collect()
     }
 
-    /// Starts recording every dispatched event on every shard.
+    /// Starts recording every dispatched event (for equivalence tests).
     pub fn enable_event_log(&mut self) {
         for i in 0..self.shards.len() {
             self.shard_mut(i).core.event_log = Some(Vec::new());
         }
     }
 
-    /// Turns on the causal flight recorder: one bounded ring per shard
-    /// (daemon-side records) plus one on the coordinator (hub-admit
-    /// losses, hub toggles, and the kernel tracks). `capacity` bounds
-    /// each ring individually.
+    /// Starts the causal flight recorder: one bounded ring of `capacity`
+    /// records per shard (protocol decision points via
+    /// [`Ctx::flight_record`], kernel loss sites) plus, when admission is
+    /// deferred, one on the coordinator (hub-admit losses, hub toggles,
+    /// and the kernel tracks). Enabling the recorder never changes the
+    /// event schedule.
     ///
     /// # Panics
     /// Panics if `capacity` is zero.
@@ -760,31 +891,29 @@ impl<P: Protocol> ShardedWorld<P> {
         for i in 0..self.shards.len() {
             self.shard_mut(i).core.flight = Some(FlightRecorder::new(capacity));
         }
-        self.coord.flight = Some(FlightRecorder::new(capacity));
+        if self.deferred() {
+            self.coord.flight = Some(FlightRecorder::new(capacity));
+        }
     }
 
-    /// Attaches the fluid session workload: per-host arrival streams in
-    /// every shard (each host draws from its own seeded stream, so the
-    /// block partition never changes a draw) plus one accounting engine
-    /// at the coordinator that consumes the merged transition logs. Must
-    /// run before time advances; statistics are bit-identical to
-    /// [`super::World::enable_workload`] for every shard and thread
-    /// count.
+    /// Enables the fluid session workload (see [`crate::workload`]):
+    /// per-host arrival streams in every shard (each host draws from its
+    /// own seeded stream, so the partition never changes a draw), a
+    /// snapshot of the current route tables in one accounting engine
+    /// that consumes the merged transition logs, and a timer-wheel
+    /// slot-buffer pool pre-sized from the expected transition rate.
+    /// Must be called before time advances; composes with
+    /// [`Self::schedule_faults`] in either order.
     ///
     /// # Panics
-    /// Panics if the run has started or a workload is already attached.
+    /// Panics if called after time has advanced, or twice.
     pub fn enable_workload(&mut self, wspec: WorkloadSpec) {
-        assert!(
-            self.epoch == 0 && self.now == SimTime::ZERO,
-            "enable before the sharded run starts"
-        );
+        assert_eq!(self.now, SimTime::ZERO, "enable before time advances");
         assert!(self.workload_engine.is_none(), "workload already enabled");
         let n = self.spec.n;
         let mut routes = Vec::with_capacity(n * n);
         for src in 0..n {
-            let node = NodeId(src as u32);
-            let shard = self.shard(self.owner_of(node));
-            let table = shard.core.hosts.routes(node);
+            let table = self.host(NodeId(src as u32)).routes;
             for dst in 0..n {
                 routes.push(table.get(NodeId(dst as u32)));
             }
@@ -799,19 +928,16 @@ impl<P: Protocol> ShardedWorld<P> {
         ));
         engine.add_hub_toggles(&self.coord.hub_events);
         let seed = self.spec.seed;
-        let (block, extra) = (n / self.shards.len(), n % self.shards.len());
-        let mut base = 0u32;
-        for id in 0..self.shards.len() {
-            let len = block + usize::from(id < extra);
+        for i in 0..self.shards.len() {
+            let core = &mut self.shard_mut(i).core;
+            let (base, len) = (core.hosts.base(), core.hosts.len());
             let (buffers, capacity) = wspec.pool_hint(len);
-            let shard = self.shard_mut(id);
-            shard.core.events.reserve_spare(buffers, capacity);
+            core.events.reserve_spare(buffers, capacity);
             let mut wl = Box::new(WorkloadCore::new(wspec.clone(), n, seed));
             for (host, at) in wl.initial_opens(base, len) {
-                shard.core.schedule_at(at, EventKind::SessionOpen { host });
+                core.schedule_at(at, EventKind::SessionOpen { host });
             }
-            shard.core.workload = Some(wl);
-            base += len as u32;
+            core.workload = Some(wl);
         }
         self.workload_engine = Some(engine);
     }
@@ -830,7 +956,9 @@ impl<P: Protocol> ShardedWorld<P> {
     }
 
     /// Kernel events dispatched on behalf of the fluid workload, summed
-    /// across shards — exactly the session open/close transition count.
+    /// across shards — by construction exactly the session open/close
+    /// transition count (the `O(transitions)` identity `repro_all`
+    /// checks).
     #[must_use]
     pub fn workload_events(&self) -> u64 {
         (0..self.shards.len())
@@ -859,17 +987,18 @@ impl<P: Protocol> ShardedWorld<P> {
         engine.settle(until);
     }
 
-    /// The merged flight timeline, if [`Self::enable_flight`] was
-    /// called: per-shard logs plus the coordinator's, merged in
-    /// `(time, seq, sub)` order with shard index breaking ties
-    /// (coordinator last). Bit-identical for every thread count.
+    /// The flight timeline, if [`Self::enable_flight`] was called: the
+    /// per-shard logs plus the coordinator's, merged in `(time, seq,
+    /// sub)` order with shard index breaking ties (coordinator last) —
+    /// with one shard, simply its drained ring. Bit-identical for every
+    /// thread count.
     #[must_use]
     pub fn flight_log(&self) -> Option<FlightLog> {
         let mut logs = Vec::with_capacity(self.shards.len() + 1);
         for i in 0..self.shards.len() {
             logs.push(self.shard(i).core.flight.as_ref()?.drain());
         }
-        logs.push(self.coord.flight.as_ref()?.drain());
+        logs.extend(self.coord.flight.as_ref().map(FlightRecorder::drain));
         Some(FlightLog::merge(logs))
     }
 
@@ -889,100 +1018,54 @@ impl<P: Protocol> ShardedWorld<P> {
     }
 
     /// Runs for a span of virtual time.
-    pub fn run_for(&mut self, d: SimDuration)
-    where
-        P: Send,
-        P::Msg: Send,
-    {
+    pub fn run_for(&mut self, d: SimDuration) {
         let until = self.now + d;
         self.run_until(until);
     }
 
-    /// Runs until every shard's queue is drained or virtual time reaches
-    /// `until`; afterwards `now() == until`. Bit-identical to the same
-    /// calls on [`super::World`] (modulo the documented deltas) for
-    /// every shard count and thread count.
-    pub fn run_until(&mut self, until: SimTime)
-    where
-        P: Send,
-        P::Msg: Send,
-    {
-        let nthreads = self.threads.min(self.shards.len());
-        if nthreads <= 1 {
-            self.run_seq(until);
+    /// Runs until every queue is drained or virtual time reaches
+    /// `until`; afterwards `now() == until`. The simulated results are
+    /// the same for every shard count, and bit-identical (sequence
+    /// numbers included) for every thread count.
+    pub fn run_until(&mut self, until: SimTime) {
+        if self.deferred() {
+            self.run_epochs(until);
         } else {
-            self.run_par(until, nthreads);
+            self.run_direct(until);
         }
-        // Final outbox state is always empty (the loop merges before
-        // deciding to stop), so only the hub schedule and the clocks
-        // need settling to the horizon.
-        self.coord.apply_hub_through(until);
         for i in 0..self.shards.len() {
             let core = &mut self.shard_mut(i).core;
-            if core.now < until {
-                core.now = until;
-            }
+            core.now = core.now.max(until);
         }
-        if self.now < until {
-            self.now = until;
-        }
+        self.now = self.now.max(until);
         self.drain_workload(until);
     }
 
-    /// The epoch window upper bound for a window opening at `t_start`.
-    fn epoch_bound(&self, t_start: SimTime, until: SimTime) -> SimTime {
-        SimTime(
-            t_start
-                .0
-                .saturating_add(self.lookahead)
-                .min(until.0.saturating_add(1)),
-        )
-    }
-
-    /// Single-threaded epoch loop: identical schedule, no workers.
-    fn run_seq(&mut self, until: SimTime) {
-        let mut exact = false;
-        let mut prev_stalls: Vec<u64> = (0..self.shards.len()).map(|i| self.shard(i).stalls).collect();
-        loop {
-            // SAFETY: no worker threads exist; access is exclusive.
-            let next = unsafe { merge_and_min(&mut self.coord, &self.shards, &self.owner, exact) };
-            let Some(t_start) = next else { break };
-            if t_start > until {
+    /// The one-shard loop: pop and dispatch until the horizon, flipping
+    /// each hub toggle before the first event at or after its instant
+    /// (so its flight record lands in dispatch order, at one compare per
+    /// event).
+    fn run_direct(&mut self, until: SimTime) {
+        let shard = self.shards[0].0.get_mut();
+        let mut next_toggle = self.coord.next_toggle();
+        while let Some((at, _)) = shard.core.events.peek() {
+            if at > until {
                 break;
             }
-            let bound = self.epoch_bound(t_start, until);
-            self.epoch += 1;
-            let mut popped = 0u64;
-            for cell in &self.shards {
-                // SAFETY: as above — single-threaded.
-                let shard = unsafe { &mut *cell.0.get() };
-                popped += run_shard_epoch(shard, self.epoch, bound);
+            if at >= next_toggle {
+                next_toggle = self.coord.apply_hub_direct(&mut shard.core, at);
             }
-            // A window that executed nothing was opened on an undershot
-            // occupancy hint; reopen it from the exact global minimum.
-            exact = popped == 0;
-            // SAFETY: as above — single-threaded.
-            unsafe {
-                close_epoch(
-                    &mut self.coord,
-                    &self.shards,
-                    self.epoch,
-                    t_start,
-                    &mut prev_stalls,
-                    exact,
-                );
-            }
+            shard.step();
         }
+        self.coord.apply_hub_direct(&mut shard.core, until);
     }
 
-    /// Parallel epoch loop: persistent scoped workers, two barriers per
-    /// epoch (`go` / `done`), coordinator phase in between with all
-    /// workers parked.
-    fn run_par(&mut self, until: SimTime, nthreads: usize)
-    where
-        P: Send,
-        P::Msg: Send,
-    {
+    /// The epoch loop: persistent scoped workers, two barriers per epoch
+    /// (`go` / `done`), coordinator phase in between with all workers
+    /// parked. One thread runs the same loop with no workers and no
+    /// barriers.
+    fn run_epochs(&mut self, until: SimTime) {
+        let nthreads = self.threads.min(self.shards.len());
         let cells = &self.shards[..];
         let owner = &self.owner[..];
         let coord = &mut self.coord;
@@ -999,10 +1082,13 @@ impl<P: Protocol> ShardedWorld<P> {
         let stop = AtomicBool::new(false);
         let bound_ns = AtomicU64::new(0);
         let epoch_id = AtomicU64::new(0);
+        // Events the workers popped this epoch. A plain count, ordered
+        // by the `done` barrier, so `Relaxed` suffices.
+        let worker_pops = AtomicU64::new(0);
 
         std::thread::scope(|scope| {
             for w in 1..nthreads {
-                let (barrier, stop) = (&barrier, &stop);
+                let (barrier, stop, worker_pops) = (&barrier, &stop, &worker_pops);
                 let (bound_ns, epoch_id) = (&bound_ns, &epoch_id);
                 scope.spawn(move || loop {
                     barrier.wait(); // go
@@ -1011,12 +1097,14 @@ impl<P: Protocol> ShardedWorld<P> {
                     }
                     let bound = SimTime(bound_ns.load(Ordering::Acquire));
                     let e = epoch_id.load(Ordering::Acquire);
+                    let mut popped = 0u64;
                     for i in (w..cells.len()).step_by(nthreads) {
                         // SAFETY: worker `w` exclusively owns shards
                         // `i ≡ w (mod nthreads)` between the barriers.
                         let shard = unsafe { &mut *cells[i].0.get() };
-                        run_shard_epoch(shard, e, bound);
+                        popped += run_shard_epoch(shard, e, bound);
                     }
+                    worker_pops.fetch_add(popped, Ordering::Relaxed);
                     barrier.wait(); // done
                 });
             }
@@ -1029,8 +1117,10 @@ impl<P: Protocol> ShardedWorld<P> {
                 let t_start = match next {
                     Some(t) if t <= until => t,
                     _ => {
-                        stop.store(true, Ordering::Release);
-                        barrier.wait(); // release workers into the stop check
+                        if nthreads > 1 {
+                            stop.store(true, Ordering::Release);
+                            barrier.wait(); // release workers into the stop check
+                        }
                         break;
                     }
                 };
@@ -1041,31 +1131,38 @@ impl<P: Protocol> ShardedWorld<P> {
                         .min(until.0.saturating_add(1)),
                 );
                 epoch += 1;
-                // SAFETY: workers still parked — counters are stable.
-                let before: u64 = cells.iter().map(|c| unsafe { (*c.0.get()).events }).sum();
-                bound_ns.store(bound.0, Ordering::Release);
-                epoch_id.store(epoch, Ordering::Release);
-                barrier.wait(); // go
+                if nthreads > 1 {
+                    bound_ns.store(bound.0, Ordering::Release);
+                    epoch_id.store(epoch, Ordering::Release);
+                    barrier.wait(); // go
+                }
+                let mut popped = 0u64;
                 for i in (0..cells.len()).step_by(nthreads) {
                     // SAFETY: the coordinator thread is worker 0.
                     let shard = unsafe { &mut *cells[i].0.get() };
-                    run_shard_epoch(shard, epoch, bound);
+                    popped += run_shard_epoch(shard, epoch, bound);
                 }
-                let t0 = Instant::now();
-                barrier.wait(); // done — time here is waiting on stragglers
-                barrier_ns += t0.elapsed().as_nanos() as u64;
-                // SAFETY: workers parked again after `done`.
-                let after: u64 = cells.iter().map(|c| unsafe { (*c.0.get()).events }).sum();
-                // Same escalation rule as `run_seq`: a window that popped
-                // nothing reopens at the exact global minimum, so the
-                // seq/par epoch sequences stay identical.
-                exact = after == before;
-                // SAFETY: workers parked — same coordinator-phase order
-                // as `run_seq`, so the kernel-track records match.
+                if nthreads > 1 {
+                    let t0 = Instant::now();
+                    barrier.wait(); // done — time here is waiting on stragglers
+                    barrier_ns += t0.elapsed().as_nanos() as u64;
+                    popped += worker_pops.swap(0, Ordering::Relaxed);
+                }
+                // A window that executed nothing was opened on an
+                // undershot occupancy hint; reopen it from the exact
+                // global minimum.
+                exact = popped == 0;
+                // SAFETY: workers parked again after `done`; the
+                // coordinator phase runs in the same order for every
+                // thread count, so the kernel-track records match.
                 unsafe { close_epoch(coord, cells, epoch, t_start, &mut prev_stalls, exact) };
             }
         });
 
+        // Final outbox state is always empty (the loop merges before
+        // deciding to stop), so only the hub schedule needs settling to
+        // the horizon.
+        coord.apply_hub_through(until);
         self.epoch = epoch;
         self.barrier_wait_ns += barrier_ns;
     }
@@ -1079,11 +1176,17 @@ impl<P: Protocol> ShardedWorld<P> {
 /// after the bound, by the lookahead argument) then land ahead of the
 /// cursor in O(1) instead of degenerating into sorted-buffer inserts.
 /// Returns the number of events executed.
+///
+/// # Panics
+/// Panics when the packed `epoch << 32 | shard << 24 | local` layout is
+/// exhausted — the epoch or shard id does not fit its field on entry, or
+/// the shard issued more than 2²⁴ sequence numbers by exit. Past either
+/// limit events would reorder silently.
 fn run_shard_epoch<P: Protocol>(shard: &mut Shard<P>, epoch: u64, bound: SimTime) -> u64 {
-    debug_assert!(shard.id < 256, "shard id exceeds the 8-bit seq field");
-    debug_assert!(
-        epoch > 0 && epoch < 1 << 32,
-        "epoch outside the 32-bit seq field"
+    assert!(
+        shard.id < 1 << 8 && epoch > 0 && epoch < 1 << 32,
+        "sequence space exhausted: epoch {epoch} / shard {} outside the packed 32/8-bit fields",
+        shard.id
     );
     shard.core.seq_base = epoch << 32 | (shard.id as u64) << 24;
     shard.core.seq_local = 0;
@@ -1092,20 +1195,15 @@ fn run_shard_epoch<P: Protocol>(shard: &mut Shard<P>, epoch: u64, bound: SimTime
         if at >= bound {
             break;
         }
-        let (at, seq, kind) = shard.core.events.pop().expect("peeked above");
-        debug_assert!(at >= shard.core.now);
-        shard.core.now = at;
-        shard.core.cur_ev_seq = seq;
-        shard.core.cur_sub = 0;
-        shard.core.log_event(at, seq, &kind);
-        Engine {
-            core: &mut shard.core,
-            protocols: &mut shard.protocols,
-        }
-        .dispatch(kind);
+        shard.step();
         n += 1;
     }
-    shard.events += n;
+    assert!(
+        shard.core.seq_local <= 1 << 24,
+        "sequence space exhausted: shard {} issued {} numbers in epoch {epoch}, over the 24-bit field",
+        shard.id,
+        shard.core.seq_local
+    );
     if n == 0 {
         shard.stalls += 1;
     }
@@ -1173,18 +1271,8 @@ unsafe fn close_epoch<P: Protocol>(
     }
 }
 
-fn class_of<M>(frame: &Frame<M>) -> TrafficClass {
-    if frame.is_probe() {
-        TrafficClass::Probe
-    } else if frame.is_control() {
-        TrafficClass::Control
-    } else {
-        TrafficClass::Data
-    }
-}
-
 /// The barrier-time merge: drains every shard's outbox, admits the
-/// intents onto the media in global `(at, seq)` order (replaying hub
+/// intents onto the media in global `(at, seq)` order (applying hub
 /// toggles due by each instant first), distributes the arrivals into
 /// the destination shards' wheels, and returns a lower bound on the
 /// earliest pending event across all shards — exact when `exact` is
@@ -1208,7 +1296,7 @@ unsafe fn merge_and_min<P: Protocol>(
             let shard = &mut *cells[i].0.get();
             match &mut shard.core.fabric {
                 Fabric::Deferred { outbox, .. } => std::mem::take(outbox),
-                Fabric::Direct => unreachable!("shard cores always defer"),
+                Fabric::Direct => unreachable!("several shards always defer"),
             }
         })
         .collect();
@@ -1231,7 +1319,15 @@ unsafe fn merge_and_min<P: Protocol>(
         // invariant, so the sampled marks are too.
         if coord.merges % KERNEL_TRACK_SAMPLE == 1 {
             if let Some(&Reverse((at0, seq0, _))) = heap.peek() {
-                coord.flight_record(at0, seq0, TraceKind::Merge, u32::MAX, None, total as u64, None);
+                coord.flight_record(
+                    at0,
+                    seq0,
+                    TraceKind::Merge,
+                    u32::MAX,
+                    None,
+                    total as u64,
+                    None,
+                );
             }
         }
         while let Some(Reverse((at, _, i))) = heap.pop() {
@@ -1240,8 +1336,7 @@ unsafe fn merge_and_min<P: Protocol>(
                 heap.push(Reverse((next.at, next.seq, i)));
             }
             // Hub toggles due by the transmission instant take effect
-            // first — they sort below same-instant transmissions in the
-            // plain world (pre-run sequence numbers).
+            // first.
             coord.apply_hub_through(at);
             let seq = intent.seq;
             let frame = intent.frame;
@@ -1273,7 +1368,10 @@ unsafe fn merge_and_min<P: Protocol>(
                         coord.cross_shard += 1;
                     }
                     let shard = &mut *cells[dst_shard].0.get();
-                    shard.core.events.push(arrive, seq, EventKind::Arrive(frame));
+                    shard
+                        .core
+                        .events
+                        .push(arrive, seq, EventKind::Arrive(frame));
                 }
                 Destination::Broadcast => {
                     coord.cross_shard += (s - 1) as u64;
@@ -1320,8 +1418,6 @@ unsafe fn merge_and_min<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fault::FaultPlan;
-    use crate::world::World;
 
     struct Idle;
     impl Protocol for Idle {
@@ -1361,11 +1457,20 @@ mod tests {
         w.run_for(SimDuration::from_secs(2));
         sw.run_for(SimDuration::from_secs(2));
         assert_eq!(w.app_stats().delivered, 1);
-        assert_eq!(sw.app_stats().delivered, 1);
+        assert_eq!(w.app_stats(), sw.app_stats());
         assert_eq!(w.flow_outcome(f1), sw.flow_outcome(f2));
+        assert_eq!(w.flow_outcomes(), sw.flow_outcomes());
         assert_eq!(w.now(), sw.now());
         // Identical medium accounting, admitted in the same global order.
         assert_eq!(w.medium(NetId::A).stats, sw.medium(NetId::A).stats);
+        // One shard runs the plain loop: no epochs, no merges.
+        let (one, three) = (w.shard_stats(), sw.shard_stats());
+        assert_eq!((one.shards, one.epochs, one.intents), (1, 0, 0));
+        assert!(three.epochs > 0 && three.intents > 0);
+        assert_eq!(
+            one.events_per_shard.iter().sum::<u64>(),
+            three.events_per_shard.iter().sum::<u64>()
+        );
     }
 
     #[test]
@@ -1395,24 +1500,13 @@ mod tests {
         let spec = ClusterSpec::new(4).seed(5);
         let mut sw = ShardedWorld::with_topology(spec, 2, 1, |_| Idle);
         sw.schedule_faults(FaultPlan::new().fail_at(SimTime(0), SimComponent::Hub(NetId::A)));
+        assert!(!sw.component_is_up(SimComponent::Hub(NetId::A)));
         let flow = sw.send_app(SimTime(1000), NodeId(0), NodeId(3), 100);
         sw.run_for(SimDuration::from_secs(200));
         assert_eq!(sw.flow_outcome(flow), Some(FlowOutcome::GaveUp));
         assert!(!sw.component_is_up(SimComponent::Hub(NetId::A)));
+        assert!(sw.component_is_up(SimComponent::Hub(NetId::B)));
         assert!(sw.medium(NetId::A).stats.dropped_hub_down > 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "before the sharded run starts")]
-    fn late_hub_fault_rejected() {
-        let spec = ClusterSpec::new(4).seed(5);
-        let mut sw = ShardedWorld::with_topology(spec, 2, 1, |_| Idle);
-        sw.send_app(SimTime(0), NodeId(0), NodeId(1), 64);
-        sw.run_for(SimDuration::from_secs(1));
-        sw.schedule_faults(FaultPlan::new().fail_at(
-            sw.now() + SimDuration::from_secs(1),
-            SimComponent::Hub(NetId::A),
-        ));
     }
 
     #[test]
@@ -1420,10 +1514,8 @@ mod tests {
         let spec = ClusterSpec::new(6).seed(9);
         let mut sw = ShardedWorld::with_topology(spec, 3, 2, |_| Idle);
         sw.run_for(SimDuration::from_millis(10));
-        sw.schedule_faults(FaultPlan::new().fail_at(
-            sw.now() + SimDuration::from_millis(1),
-            SimComponent::Nic(NodeId(2), NetId::A),
-        ));
+        let at = sw.now() + SimDuration::from_millis(1);
+        sw.schedule_faults(FaultPlan::new().fail_at(at, SimComponent::Nic(NodeId(2), NetId::A)));
         sw.run_for(SimDuration::from_millis(10));
         assert!(!sw.component_is_up(SimComponent::Nic(NodeId(2), NetId::A)));
         assert!(sw.component_is_up(SimComponent::Nic(NodeId(1), NetId::A)));
@@ -1444,5 +1536,126 @@ mod tests {
             (sw.kernel_stats(), ss)
         };
         assert_eq!(run(1), run(4));
+    }
+
+    /// Broadcasts from `on_start` are admitted at construction at every
+    /// shard count, so a hub failure scheduled for time zero afterwards
+    /// catches them in flight, not at admission.
+    #[test]
+    fn on_start_frames_are_admitted_at_construction() {
+        struct Hello;
+        impl Protocol for Hello {
+            type Msg = u8;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+                ctx.broadcast_control(NetId::A, 1);
+            }
+        }
+        let run = |shards: usize| {
+            let spec = ClusterSpec::new(6).seed(2);
+            let mut w = ShardedWorld::with_topology(spec, shards, 1, |_| Hello);
+            w.schedule_faults(FaultPlan::new().fail_at(SimTime(0), SimComponent::Hub(NetId::A)));
+            w.run_for(SimDuration::from_millis(5));
+            let received: u64 = (0..6)
+                .map(|i| w.host(NodeId(i)).counters.control_received)
+                .sum();
+            (w.medium(NetId::A).stats, received)
+        };
+        let one = run(1);
+        assert_eq!((one.0.frames, one.0.dropped_hub_down, one.1), (6, 0, 0));
+        assert_eq!(one, run(3));
+    }
+
+    /// A traced prober: every period it records a send, probes the next
+    /// host on a rotating plane, and pins its chain the way the real
+    /// daemon does — so `lookup` runs against a live ring.
+    struct Prober {
+        n: u32,
+        fired: u32,
+        chain: Option<EventRef>,
+    }
+
+    impl Protocol for Prober {
+        type Msg = ();
+        fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+            ctx.set_timer(SimDuration::from_millis(10), 0);
+        }
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _token: u64) {
+            let peer = NodeId((ctx.self_id().0 + 1) % self.n);
+            let net = NetId((self.fired % 2) as u8);
+            let sent = ctx.flight_record(TraceKind::ProbeSend, Some(net), 0, self.chain);
+            if let Some(old) = self.chain.replace(sent.expect("recorder on")) {
+                ctx.flight_release(old);
+            }
+            ctx.flight_pin(self.chain.expect("just set"));
+            ctx.send_echo_traced(net, peer, 0, self.fired, sent);
+            self.fired += 1;
+            ctx.set_timer(SimDuration::from_millis(10), 0);
+        }
+    }
+
+    /// PR 12's indexed `lookup` needs the ring it searches in `(time,
+    /// seq, sub)` order. Hub `Fault`/`Repair` records are stamped with
+    /// the toggle instant, so one shard must append them before any
+    /// later-keyed record — including toggles sitting exactly on the
+    /// probers' timer instants and toggles in windows where nothing
+    /// transmits. (The coordinator's ring is exempt: daemons pin and look
+    /// up through their own shard's ring only, and its sampled
+    /// kernel-track marks are keyed for the merged log, not append order.)
+    #[test]
+    fn hub_toggles_keep_every_shard_flight_ring_ordered() {
+        for shards in [1usize, 4] {
+            let spec = ClusterSpec::new(8).seed(17);
+            let mut w = ShardedWorld::with_topology(spec, shards, 1, |_| Prober {
+                n: 8,
+                fired: 0,
+                chain: None,
+            });
+            w.enable_flight(1 << 12);
+            w.schedule_faults(
+                FaultPlan::new()
+                    .fail_at(SimTime(20_000_000), SimComponent::Hub(NetId::A))
+                    .repair_at(SimTime(40_000_000), SimComponent::Hub(NetId::A))
+                    .fail_at(SimTime(44_500_000), SimComponent::Hub(NetId::B))
+                    .repair_at(SimTime(46_500_000), SimComponent::Hub(NetId::B)),
+            );
+            w.run_for(SimDuration::from_millis(35));
+            w.run_for(SimDuration::from_millis(65));
+            let log = w.flight_log().expect("recorder on");
+            let toggles = |k| log.records.iter().filter(|r| r.kind == k).count();
+            assert_eq!(toggles(TraceKind::Fault), 2, "shards={shards}");
+            assert_eq!(toggles(TraceKind::Repair), 2, "shards={shards}");
+            assert!(toggles(TraceKind::ProbeLoss) > 0, "shards={shards}");
+            for i in 0..w.shard_count() {
+                let ring = w.shard(i).core.flight.as_ref().expect("recorder on");
+                assert!(ring.is_ordered(), "shards={shards}: shard {i} ring");
+            }
+            assert_eq!(w.coord.flight.is_some(), shards > 1);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence space exhausted: epoch 4294967296")]
+    fn epoch_id_past_its_field_is_a_hard_error() {
+        let mut w = ShardedWorld::with_topology(ClusterSpec::new(4).seed(1), 2, 1, |_| Idle);
+        run_shard_epoch(w.shard_mut(0), 1 << 32, SimTime(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "sequence space exhausted: shard 1 issued 16777217 numbers")]
+    fn a_shard_epoch_past_its_local_field_is_a_hard_error() {
+        /// Burns the epoch's whole 24-bit budget, then issues one more.
+        struct Burner;
+        impl Protocol for Burner {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _token: u64) {
+                ctx.core.seq_local = 1 << 24;
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+        }
+        let mut w = ShardedWorld::with_topology(ClusterSpec::new(4).seed(1), 2, 1, |_| Burner);
+        run_shard_epoch(w.shard_mut(1), 1, SimTime(2_000_000));
     }
 }

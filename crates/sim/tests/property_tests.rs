@@ -7,16 +7,15 @@
 
 use drs_obs::rng::Rng;
 
+use drs_core::LatencyHistogram;
 use drs_sim::app::Workload;
 use drs_sim::fault::{component_count, component_to_index, index_to_component, FaultPlan};
-use drs_sim::ids::{NetId, NodeId};
 use drs_sim::medium::{SharedMedium, TrafficClass};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
-use drs_sim::stats::LatencyHistogram;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::transport::{max_flow_lifetime, rto_for_attempt};
 use drs_sim::wheel::TimerWheel;
 use drs_sim::world::{Protocol, World};
+use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
 /// Draws per property.
 const CASES: u64 = 256;

@@ -1,10 +1,11 @@
-//! The sharded kernel's determinism contract, exercised in bulk: over a
-//! corpus of 1000 seeded random schedules — mixed cluster sizes, plane
-//! counts, shard counts, app traffic, hub failures and repairs, NIC
-//! fault plans, and lossy links — the parallel kernel's merged schedule
-//! is **byte-identical** to its own single-threaded execution at every
-//! worker-thread count, and (for loss-free, fault-free runs) matches the
-//! plain sequential [`World`] event-for-event.
+//! The driver's determinism contract, exercised in bulk: over a corpus
+//! of 1000 seeded random schedules — mixed cluster sizes, plane counts,
+//! shard counts, app traffic, hub failures and repairs, NIC fault plans,
+//! and lossy links — the merged schedule is **byte-identical** at every
+//! worker-thread count, and the one-shard [`World::new`] reproduces the
+//! drawn shard count's simulated results event-for-event on every draw,
+//! faulted and lossy ones included. A last test puts hub toggles exactly
+//! on transmission instants, before and between runs.
 //!
 //! These are plain seeded loops, so a failing seed prints directly and
 //! reruns exactly.
@@ -15,13 +16,12 @@ use drs_sim::fault::FaultPlan;
 use drs_sim::medium::MediumStats;
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::stats::AppStats;
-use drs_sim::time::{SimDuration, SimTime};
 use drs_sim::world::{
     Ctx, EventRecord, EventRef, FlightLog, KernelStats, Protocol, ShardStats, TraceKind, World,
 };
 use drs_sim::{
-    ArrivalProcess, ClassSpec, HoldingDist, NetId, NodeId, ShardedWorld, SimComponent,
-    WorkloadSpec, WorkloadStats,
+    ArrivalProcess, ClassSpec, HoldingDist, NetId, NodeId, ShardedWorld, SimComponent, SimDuration,
+    SimTime, WorkloadSpec, WorkloadStats,
 };
 
 /// A chatty protocol: every host runs a periodic timer and, on each
@@ -225,10 +225,6 @@ impl Scenario {
         }
         plan
     }
-
-    fn pristine(&self) -> bool {
-        self.faults.is_empty() && self.loss.is_empty()
-    }
 }
 
 /// Everything a run leaves behind that the contract pins byte-for-byte
@@ -257,25 +253,39 @@ struct Fingerprint {
 /// append path.
 const FLIGHT_CAP: usize = 1 << 6;
 
-fn run_sharded(sc: &Scenario, threads: usize) -> Fingerprint {
-    let n = sc.spec.n;
-    let (planes, period) = (sc.spec.planes, sc.period);
-    let mut w = ShardedWorld::with_topology(sc.spec, sc.shards, threads, move |_| {
-        Chatter::new(n as u32, planes, period)
-    });
-    w.enable_event_log();
-    w.enable_flight(FLIGHT_CAP);
-    if let Some(ws) = &sc.workload {
-        w.enable_workload(ws.clone());
+impl Scenario {
+    fn chatter(&self) -> impl FnMut(NodeId) -> Chatter {
+        let (n, planes, period) = (self.spec.n as u32, self.spec.planes, self.period);
+        move |_| Chatter::new(n, planes, period)
     }
-    w.schedule_faults(sc.plan());
-    for &(node, net, p) in &sc.loss {
-        w.set_link_loss(node, net, p);
+
+    /// The scenario at its drawn shard count.
+    fn sharded(&self, threads: usize, flight_cap: usize) -> Fingerprint {
+        let mut w = ShardedWorld::with_topology(self.spec, self.shards, threads, self.chatter());
+        self.run(&mut w, flight_cap)
     }
-    for &(at, src, dst, bytes) in &sc.sends {
-        w.send_app(at, src, dst, bytes);
+
+    /// Loads the scenario into a freshly built world, runs it, and
+    /// harvests the fingerprint.
+    fn run(&self, w: &mut World<Chatter>, flight_cap: usize) -> Fingerprint {
+        w.enable_event_log();
+        w.enable_flight(flight_cap);
+        if let Some(ws) = &self.workload {
+            w.enable_workload(ws.clone());
+        }
+        w.schedule_faults(self.plan());
+        for &(node, net, p) in &self.loss {
+            w.set_link_loss(node, net, p);
+        }
+        for &(at, src, dst, bytes) in &self.sends {
+            w.send_app(at, src, dst, bytes);
+        }
+        w.run_for(self.run);
+        fingerprint(w)
     }
-    w.run_for(sc.run);
+}
+
+fn fingerprint(w: &World<Chatter>) -> Fingerprint {
     let mut shard = w.shard_stats();
     shard.threads = 0; // the knob under test
     shard.barrier_wait_ns = 0; // the only wall-clock field
@@ -284,10 +294,10 @@ fn run_sharded(sc: &Scenario, threads: usize) -> Fingerprint {
         app: w.app_stats(),
         kernel: w.kernel_stats(),
         shard,
-        media: NetId::planes(planes)
+        media: NetId::planes(w.spec().planes)
             .map(|net| w.medium(net).stats)
             .collect(),
-        chatter: (0..n)
+        chatter: (0..w.spec().n)
             .map(|i| {
                 let c = w.protocol(NodeId(i as u32));
                 (c.fired, c.replies, c.controls)
@@ -306,7 +316,58 @@ fn run_sharded(sc: &Scenario, threads: usize) -> Fingerprint {
     }
 }
 
-/// Seq-free projection for comparing against the plain world, whose
+/// One flight record without its dispatch identity: `(time, kind, host,
+/// plane, arg, cause time and host)`.
+type FlightRow = (u64, TraceKind, u32, Option<u8>, u64, Option<(u64, u32)>);
+
+/// What must agree across *shard counts*: the fingerprint minus
+/// everything that names a sequence number, an epoch or a partition.
+#[derive(PartialEq, Debug)]
+struct Results {
+    events: Vec<(SimTime, u8, u32, u8, u64)>,
+    app: AppStats,
+    media: Vec<MediumStats>,
+    chatter: Vec<(u32, u32, u32)>,
+    workload: Option<(WorkloadStats, u64, u64)>,
+    flight: Vec<FlightRow>,
+}
+
+impl Fingerprint {
+    /// # Panics
+    /// Panics if a flight ring evicted: rings are per shard, so which
+    /// records survive would depend on the partition.
+    fn results(self) -> Results {
+        let log = self.flight.expect("flight enabled");
+        assert_eq!(log.dropped, 0, "ring too small to compare shard counts");
+        let mut flight: Vec<FlightRow> = log
+            .records
+            .iter()
+            // The kernel tracks describe epochs, which one shard does
+            // not have.
+            .filter(|r| {
+                !matches!(
+                    r.kind,
+                    TraceKind::Epoch | TraceKind::Merge | TraceKind::Stall
+                )
+            })
+            .map(|r| {
+                let cause = r.cause.map(|c| (c.time_ns, c.host));
+                (r.time_ns, r.kind, r.host, r.plane, r.arg, cause)
+            })
+            .collect();
+        flight.sort_unstable();
+        Results {
+            events: projected(&self.log),
+            app: self.app,
+            media: self.media,
+            chatter: self.chatter,
+            workload: self.workload,
+            flight,
+        }
+    }
+}
+
+/// Seq-free projection for comparing across shard counts: one shard's
 /// global event numbering necessarily differs from the packed epoch
 /// seqs. Sorted, so same-instant orderings may legally differ.
 fn projected(log: &[EventRecord]) -> Vec<(SimTime, u8, u32, u8, u64)> {
@@ -329,7 +390,7 @@ fn corpus_of_1000_schedules_is_thread_count_invariant() {
     for seed in 0..1000u64 {
         let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
-        let oracle = run_sharded(&sc, 1);
+        let oracle = sc.sharded(1, FLIGHT_CAP);
         assert!(
             !oracle.log.is_empty(),
             "seed {seed}: a chatty cluster cannot have an empty schedule"
@@ -350,7 +411,7 @@ fn corpus_of_1000_schedules_is_thread_count_invariant() {
             if !all && seed % 3 != i as u64 {
                 continue;
             }
-            let par = run_sharded(&sc, t);
+            let par = sc.sharded(t, FLIGHT_CAP);
             assert!(
                 oracle == par,
                 "seed {seed}: {t}-thread run diverged from the single-thread \
@@ -385,68 +446,98 @@ fn corpus_of_1000_schedules_is_thread_count_invariant() {
 }
 
 #[test]
-fn pristine_schedules_match_the_plain_world_event_for_event() {
-    // Loss-free, fault-free draws from the same corpus: the sharded
-    // schedule projects onto exactly the plain sequential world's —
-    // same events at the same instants on the same planes — and every
-    // cluster-visible statistic agrees. (Lossy runs are excluded
-    // because the two kernels partition the RNG streams differently;
-    // faulty runs because hub faults log differently under a timeline.)
-    let mut matched = 0u32;
+fn one_shard_matches_the_drawn_shard_count_on_every_schedule() {
+    // Every draw of the corpus — faulted, lossy, both, or neither — runs
+    // once on the one-shard `World::new` and once at its drawn shard
+    // count (thread count rotating over {1, 2, 4, 8}): same events at the
+    // same instants on the same planes, same application, medium,
+    // protocol and workload outcome, and the same flight records (rings
+    // sized so that none evicts).
+    const CAP: usize = 1 << 14;
+    let (mut faulted, mut lossy) = (0u32, 0u32);
     for seed in 0..1000u64 {
         let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
-        if !sc.pristine() {
-            continue;
-        }
-        let n = sc.spec.n;
-        let (planes, period) = (sc.spec.planes, sc.period);
-        let sharded = run_sharded(&sc, if seed % 2 == 0 { 4 } else { 1 });
-        let mut w = World::new(sc.spec, move |_| Chatter::new(n as u32, planes, period));
-        w.enable_event_log();
-        if let Some(ws) = &sc.workload {
-            w.enable_workload(ws.clone());
-        }
-        for &(at, src, dst, bytes) in &sc.sends {
-            w.send_app(at, src, dst, bytes);
-        }
-        w.run_for(sc.run);
-        assert_eq!(
-            projected(&sharded.log),
-            projected(w.event_log().expect("log enabled")),
-            "seed {seed}: sharded schedule diverged from the plain world \
-             (n={}, planes={}, shards={})",
+        let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
+        let one = sc
+            .run(&mut World::new(sc.spec, sc.chatter()), CAP)
+            .results();
+        let many = sc.sharded(threads, CAP).results();
+        assert!(
+            one == many,
+            "seed {seed}: one shard diverged from {} shards on {threads} threads \
+             (n={}, planes={}, faults={}, lossy={})\n one: {one:?}\nmany: {many:?}",
+            sc.shards,
             sc.spec.n,
             sc.spec.planes,
-            sc.shards,
+            sc.faults.len(),
+            !sc.loss.is_empty(),
         );
-        assert_eq!(&sharded.app, w.app_stats(), "seed {seed}: app stats");
-        let media: Vec<MediumStats> = NetId::planes(planes)
-            .map(|net| w.medium(net).stats)
-            .collect();
-        assert_eq!(sharded.media, media, "seed {seed}: per-plane medium stats");
-        let chatter: Vec<(u32, u32, u32)> = (0..n)
-            .map(|i| {
-                let c = w.protocol(NodeId(i as u32));
-                (c.fired, c.replies, c.controls)
-            })
-            .collect();
-        assert_eq!(sharded.chatter, chatter, "seed {seed}: protocol history");
-        let plain_wl = w.workload_stats().map(|s| {
-            (
-                s.clone(),
-                w.workload_engine().expect("engine").digest(),
-                w.workload_events(),
-            )
-        });
-        assert_eq!(
-            sharded.workload, plain_wl,
-            "seed {seed}: fluid workload outcome diverged between drivers"
-        );
-        matched += 1;
+        faulted += u32::from(!sc.faults.is_empty());
+        lossy += u32::from(!sc.loss.is_empty());
     }
-    assert!(
-        matched >= 250,
-        "too few pristine draws to trust the cross-check: {matched}"
-    );
+    assert!(faulted >= 400, "only {faulted} faulted draws compared");
+    assert!(lossy >= 200, "only {lossy} lossy draws compared");
+}
+
+/// Hub toggles exactly on transmission instants. Every chatter timer of
+/// an 8-host cluster fires at multiples of 10 ms, alternating planes:
+/// hub A fails on its first firing and is repaired on its second, hub B
+/// fails on its second firing for good. The plan is scheduled before the
+/// run, or half-way to the first toggle — either way a toggle at `t`
+/// precedes every event at `t`, so frames sent at a failure instant die
+/// at admission and frames sent at the repair instant go through, at
+/// every shard count.
+#[test]
+fn hub_toggles_on_timer_instants_agree_at_every_shard_count() {
+    const PERIOD: SimDuration = SimDuration(10_000_000);
+    let spec = ClusterSpec::new(8).seed(0xB0B);
+    let plan = || {
+        FaultPlan::new()
+            .fail_at(SimTime(PERIOD.0), SimComponent::Hub(NetId::A))
+            .repair_at(SimTime(3 * PERIOD.0), SimComponent::Hub(NetId::A))
+            .fail_at(SimTime(4 * PERIOD.0), SimComponent::Hub(NetId::B))
+    };
+    let run = |w: &mut World<Chatter>, mid_run: bool| {
+        w.enable_event_log();
+        w.enable_flight(1 << 12);
+        if mid_run {
+            w.run_for(SimDuration(PERIOD.0 / 2));
+        }
+        w.schedule_faults(plan());
+        w.run_until(SimTime(6 * PERIOD.0));
+        fingerprint(w)
+    };
+    let chatter = |_| Chatter::new(8, 2, PERIOD);
+    let mut per_schedule = Vec::new();
+    for mid_run in [false, true] {
+        let one = run(&mut World::new(spec, chatter), mid_run);
+        // Plane A: the 8 probes + 8 controls of firing 0 (10 ms) die at
+        // admission; the 8 probes of firings 2 and 4 (30 ms, 50 ms) are
+        // admitted and answered. Plane B: firing 1 (20 ms) is admitted
+        // and answered; the 8 + 8 frames of firing 3 (40 ms) and the 8
+        // probes of firing 5 (60 ms) die.
+        let (a, b) = (one.media[0], one.media[1]);
+        assert_eq!(
+            (a.dropped_hub_down, b.dropped_hub_down),
+            (16, 24),
+            "mid_run={mid_run}"
+        );
+        assert_eq!((a.frames, b.frames), (32, 16), "mid_run={mid_run}");
+        let one = one.results();
+        for shards in [2usize, 4] {
+            for threads in [1usize, 2] {
+                let mut w = ShardedWorld::with_topology(spec, shards, threads, chatter);
+                let many = run(&mut w, mid_run).results();
+                assert!(
+                    one == many,
+                    "mid_run={mid_run}: {shards} shards on {threads} threads diverged\n \
+                     one: {one:?}\nmany: {many:?}"
+                );
+            }
+        }
+        per_schedule.push(one);
+    }
+    // When the plan was scheduled is invisible too.
+    assert!(per_schedule[0] == per_schedule[1]);
 }

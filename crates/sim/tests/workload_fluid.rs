@@ -5,23 +5,17 @@
 //!   for *exactly* (no floating point, no epsilon): `offered ==
 //!   delivered + shortfall + dropped + in_flight`, across hub failures,
 //!   NIC faults, failover stalls, and mid-run settlement.
-//! * **Driver equivalence** — the serial [`World`] and the sharded
-//!   [`ShardedWorld`] produce bit-identical workload statistics and
-//!   engine digests at every worker-thread count, because transitions
-//!   carry the kernel's own `(at, seq)` dispatch identity and all draws
-//!   come from per-host streams.
-//!
-//! Fault instants are deliberately off-phase (`…_123` ns) so no frame
-//! transmission shares an instant with a hub toggle — the one documented
-//! ordering delta between the two drivers.
+//! * **Shard-count equivalence** — one shard and several produce
+//!   bit-identical workload statistics and engine digests at every
+//!   worker-thread count, because transitions carry the kernel's own
+//!   `(at, seq)` dispatch identity and all draws come from per-host
+//!   streams.
 
 use drs_core::config::DrsConfig;
 use drs_core::daemon::DrsDaemon;
-use drs_sim::fault::FaultPlan;
-use drs_sim::world::World;
 use drs_sim::{
-    ArrivalProcess, ClassSpec, ClusterSpec, HoldingDist, NetId, NodeId, ShardedWorld,
-    SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats,
+    ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId, NodeId, ShardedWorld,
+    SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
 };
 
 fn cfg() -> DrsConfig {
@@ -42,7 +36,9 @@ fn wspec(horizon_s: u64) -> WorkloadSpec {
             alpha_milli: 1500,
         },
         classes: vec![
-            ClassSpec { rate_bps: 2_000_000 },
+            ClassSpec {
+                rate_bps: 2_000_000,
+            },
             ClassSpec { rate_bps: 400_000 },
         ],
         horizon: SimTime(horizon_s * 1_000_000_000),
@@ -50,60 +46,59 @@ fn wspec(horizon_s: u64) -> WorkloadSpec {
 }
 
 /// Hub failure + repair on plane A, plus a NIC flap on one host — the
-/// survivability scenario of the paper, at off-phase instants.
+/// survivability scenario of the paper.
 fn plan() -> FaultPlan {
     FaultPlan::new()
         .fail_at(SimTime(1_000_000_123), SimComponent::Hub(NetId::A))
         .repair_at(SimTime(3_000_000_123), SimComponent::Hub(NetId::A))
-        .fail_at(SimTime(2_000_000_777), SimComponent::Nic(NodeId(2), NetId::B))
-        .repair_at(SimTime(4_500_000_777), SimComponent::Nic(NodeId(2), NetId::B))
+        .fail_at(
+            SimTime(2_000_000_777),
+            SimComponent::Nic(NodeId(2), NetId::B),
+        )
+        .repair_at(
+            SimTime(4_500_000_777),
+            SimComponent::Nic(NodeId(2), NetId::B),
+        )
 }
 
-fn run_serial(n: usize, secs: u64) -> (WorkloadStats, u64, u64, u64) {
-    let c = cfg();
-    let mut w = World::new(ClusterSpec::new(n).seed(71), move |id| {
-        DrsDaemon::new(id, n, c)
-    });
-    w.schedule_faults(plan());
-    w.enable_workload(wspec(secs.saturating_sub(2)));
-    w.run_for(SimDuration::from_secs(secs));
-    let stats = w.workload_stats().expect("workload enabled").clone();
-    let digest = w.workload_engine().expect("engine").digest();
-    let events = w.workload_events();
-    let reroutes = w.merged_probe_obs().reroute_complete.count();
-    assert!(
-        w.workload_engine().expect("engine").conservation().holds(),
-        "serial conservation"
-    );
-    (stats, digest, events, reroutes)
-}
+/// What a finished run leaves behind: statistics, engine digest, session
+/// kernel events, and the daemons' reroute sample count.
+type Outcome = (WorkloadStats, u64, u64, u64);
 
-fn run_sharded(n: usize, secs: u64, shards: usize, threads: usize) -> (WorkloadStats, u64, u64) {
+/// Runs the scenario at the given shard and thread counts, attaching the
+/// workload before or after the fault plan: the engine must pick up hub
+/// toggles whether they were scheduled before or after it existed.
+fn run(n: usize, secs: u64, shards: usize, threads: usize, faults_first: bool) -> Outcome {
     let c = cfg();
     let mut w = ShardedWorld::with_topology(ClusterSpec::new(n).seed(71), shards, threads, |id| {
         DrsDaemon::new(id, n, c)
     });
-    // Opposite call order from the serial run on purpose: the engine
-    // must pick up hub toggles whether they were scheduled before or
-    // after the workload was attached.
+    if faults_first {
+        w.schedule_faults(plan());
+    }
     w.enable_workload(wspec(secs.saturating_sub(2)));
-    w.schedule_faults(plan());
+    if !faults_first {
+        w.schedule_faults(plan());
+    }
     w.run_for(SimDuration::from_secs(secs));
-    let stats = w.workload_stats().expect("workload enabled").clone();
-    let digest = w.workload_engine().expect("engine").digest();
-    let events = w.workload_events();
+    let engine = w.workload_engine().expect("workload enabled");
     assert!(
-        w.workload_engine().expect("engine").conservation().holds(),
-        "sharded conservation (threads={threads})"
+        engine.conservation().holds(),
+        "conservation (shards={shards}, threads={threads})"
     );
-    (stats, digest, events)
+    (
+        engine.stats().clone(),
+        engine.digest(),
+        w.workload_events(),
+        w.merged_probe_obs().reroute_complete.count(),
+    )
 }
 
 /// Conservation is exact across a hub failover and a NIC flap, and the
 /// kernel touched exactly one event per session transition.
 #[test]
 fn conservation_is_exact_across_hub_and_nic_faults() {
-    let (stats, _, events, _) = run_serial(10, 8);
+    let (stats, _, events, _) = run(10, 8, 1, 1, true);
     assert!(stats.opened > 50, "a real workload ran: {}", stats.opened);
     assert!(stats.stall_windows >= 1, "the hub failure stalled sessions");
     assert!(
@@ -125,7 +120,7 @@ fn conservation_is_exact_across_hub_and_nic_faults() {
 /// observed: the count equals the probe-observability histogram's.
 #[test]
 fn reroute_credits_match_probe_observability() {
-    let (stats, _, _, reroutes) = run_serial(10, 8);
+    let (stats, _, _, reroutes) = run(10, 8, 1, 1, true);
     assert!(reroutes > 0, "the scenario exercised reroutes");
     assert_eq!(
         stats.reroute_notifications, reroutes,
@@ -133,19 +128,19 @@ fn reroute_credits_match_probe_observability() {
     );
 }
 
-/// The tentpole determinism claim: statistics, engine digest, and event
-/// counts are bit-identical between the serial world and the sharded
-/// world at 1, 2, 4, and 8 worker threads.
+/// The determinism claim: statistics, engine digest, event and reroute
+/// counts are bit-identical between one shard and three shards at 1, 2,
+/// 4, and 8 worker threads.
 #[test]
 fn serial_and_sharded_workloads_are_bit_identical() {
-    let n = 12;
-    let secs = 8;
-    let (stats, digest, events, _) = run_serial(n, secs);
+    let (n, secs) = (12, 8);
+    let one = run(n, secs, 1, 1, true);
     for threads in [1usize, 2, 4, 8] {
-        let (s, d, e) = run_sharded(n, secs, 3, threads);
-        assert_eq!(s, stats, "stats diverged at threads={threads}");
-        assert_eq!(d, digest, "digest diverged at threads={threads}");
-        assert_eq!(e, events, "event count diverged at threads={threads}");
+        assert_eq!(
+            run(n, secs, 3, threads, false),
+            one,
+            "diverged at threads={threads}"
+        );
     }
 }
 
@@ -173,7 +168,9 @@ fn closed_loop_population_conserves_bytes() {
             median_ns: 500_000_000,
             sigma_milli: 700,
         },
-        classes: vec![ClassSpec { rate_bps: 1_000_000 }],
+        classes: vec![ClassSpec {
+            rate_bps: 1_000_000,
+        }],
         horizon: SimTime(6_000_000_000),
     });
     w.run_for(SimDuration::from_secs(8));

@@ -11,11 +11,10 @@
 //! Figure 1 bandwidth budget, and a [`drs::obs::Span`] wraps the run in
 //! sim-time, so everything printed here is exactly reproducible.
 
-use drs::core::{DrsConfig, DrsDaemon};
+use drs::core::{DrsConfig, DrsDaemon, LatencyHistogram};
 use drs::cost::ProbeCostModel;
 use drs::obs::{MetricsRegistry, Span};
 use drs::sim::fault::{FaultPlan, SimComponent};
-use drs::sim::stats::LatencyHistogram;
 use drs::sim::{ClusterSpec, NetId, SimDuration, SimTime, World};
 
 fn print_hist(name: &str, h: &LatencyHistogram) {

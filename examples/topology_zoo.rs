@@ -7,10 +7,8 @@
 
 use drs::analytic::topo::enumerate_pair_success_topo;
 use drs::cost::equipment::{cost_units, EquipmentCount};
-use drs::sim::ids::{NetId, NodeId};
-use drs::sim::time::{SimDuration, SimTime};
 use drs::sim::world::{Ctx, Protocol, World};
-use drs::sim::TopologySpec;
+use drs::sim::{NetId, NodeId, SimDuration, SimTime, TopologySpec};
 use drs::topology::{generators, pair_connected, ComponentSet, Reachability};
 
 /// A one-shot flood: the origin broadcasts a token on every live NIC,

@@ -11,10 +11,9 @@ use drs::analytic::components::FailureSet;
 use drs::analytic::connectivity::{all_pairs_connected, pair_connected};
 use drs::analytic::exact::{component_count, p_success};
 use drs::analytic::montecarlo::sample_failure_set;
-use drs::core::{DrsConfig, DrsDaemon};
+use drs::core::{DrsConfig, DrsDaemon, LatencyHistogram};
 use drs::obs::Histogram;
 use drs::sim::fault::{component_to_index, index_to_component, FaultPlan};
-use drs::sim::stats::LatencyHistogram;
 use drs::sim::{ClusterSpec, NodeId, SimDuration, SimTime, World};
 
 /// Draws per property.
