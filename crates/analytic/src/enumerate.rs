@@ -532,10 +532,7 @@ mod tests {
                 for planes in 2u8..=4 {
                     let (s, t) = enumerate_pair_success_k(n, planes, f);
                     let p = s as f64 / t as f64;
-                    assert!(
-                        p >= prev - 1e-12,
-                        "n={n} f={f} K={planes}: {p} < {prev}"
-                    );
+                    assert!(p >= prev - 1e-12, "n={n} f={f} K={planes}: {p} < {prev}");
                     prev = p;
                 }
             }

@@ -70,12 +70,12 @@ pub mod topo;
 
 pub use allpairs::{expected_disconnected_pairs, p_all_pairs};
 pub use components::{Component, FailureSet};
-pub use connectivity::{all_pairs_connected, all_pairs_connected_k, pair_connected, pair_connected_k};
+pub use connectivity::{
+    all_pairs_connected, all_pairs_connected_k, pair_connected, pair_connected_k,
+};
 pub use exact::{disconnect_count, p_success, success_count};
 pub use montecarlo::{MonteCarlo, MonteCarloEstimate};
 pub use orbit::{orbit_p_success, orbit_pair_success};
 pub use sweep::{run_sweep, SweepConfig, SweepResult};
 pub use thresholds::first_n_exceeding;
-pub use topo::{
-    enumerate_pair_success_topo, enumerate_pair_success_topo_parallel, TopoMonteCarlo,
-};
+pub use topo::{enumerate_pair_success_topo, enumerate_pair_success_topo_parallel, TopoMonteCarlo};

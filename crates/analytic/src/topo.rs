@@ -175,8 +175,8 @@ pub fn enumerate_all_pairs_success_topo(
     assert!(hosts >= 2, "need a pair of hosts");
     let mut success: u128 = 0;
     let total = walk_subsets(topo, f, 0, None, &mut |failed| {
-        let all = (0..hosts)
-            .all(|s| (s + 1..hosts).all(|t| eng.pair_connected(failed, s, t, policy)));
+        let all =
+            (0..hosts).all(|s| (s + 1..hosts).all(|t| eng.pair_connected(failed, s, t, policy)));
         if all {
             success += 1;
         }
@@ -403,8 +403,10 @@ mod tests {
     fn all_pairs_is_at_most_pair_success() {
         let topo = kplane(3, 2);
         for f in 0..=4usize {
-            let (pair, total) = enumerate_pair_success_topo(&topo, f, 0, 1, Reachability::Transitive);
-            let (all, total2) = enumerate_all_pairs_success_topo(&topo, f, Reachability::Transitive);
+            let (pair, total) =
+                enumerate_pair_success_topo(&topo, f, 0, 1, Reachability::Transitive);
+            let (all, total2) =
+                enumerate_all_pairs_success_topo(&topo, f, Reachability::Transitive);
             assert_eq!(total, total2);
             assert!(all <= pair, "f={f}");
         }

@@ -114,7 +114,10 @@ fn main() -> ExitCode {
         .flat_map(|r| r.iter())
         .filter(|(_, route)| !matches!(route, drs_core::Route::Direct(NetId::A)))
         .count();
-    println!("routes off the dead plane after convergence: {moved}/{}", N * (N - 1));
+    println!(
+        "routes off the dead plane after convergence: {moved}/{}",
+        N * (N - 1)
+    );
 
     if ok && moved == N * (N - 1) {
         println!("\nlive run agrees with the DES prediction");

@@ -539,7 +539,10 @@ impl DrsDaemon {
             return;
         }
         if round.offers.is_empty() {
-            self.discovery[target.idx()].as_mut().expect("present").decided = true;
+            self.discovery[target.idx()]
+                .as_mut()
+                .expect("present")
+                .decided = true;
             self.metrics
                 .log(io.now(), DrsEventKind::DiscoveryFailed { target });
             return;
@@ -559,7 +562,10 @@ impl DrsDaemon {
                 round.offers[i]
             }
         };
-        self.discovery[target.idx()].as_mut().expect("present").decided = true;
+        self.discovery[target.idx()]
+            .as_mut()
+            .expect("present")
+            .decided = true;
         self.metrics.gateway_failovers += 1;
         self.install(
             io,
@@ -756,7 +762,14 @@ impl DrsDaemon {
 
     /// A DRS control message arrived from `from` on `net`.
     pub fn handle_control(&mut self, io: &mut impl DrsIo, from: NodeId, net: NetId, msg: &DrsMsg) {
-        self.journal_input(io.now(), DaemonInput::Control { from, net, msg: *msg });
+        self.journal_input(
+            io.now(),
+            DaemonInput::Control {
+                from,
+                net,
+                msg: *msg,
+            },
+        );
         match *msg {
             DrsMsg::RouteRequest { target, req_id } => {
                 self.handle_route_request(io, from, net, target, req_id);

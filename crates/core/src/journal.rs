@@ -117,10 +117,7 @@ mod tests {
         assert_eq!(j.len(), 2);
         assert!(!j.is_empty());
         assert_eq!(j.records[0].at, SimTime(5));
-        assert_eq!(
-            j.records[1].input,
-            DaemonInput::Timer { token: 0xAB }
-        );
+        assert_eq!(j.records[1].input, DaemonInput::Timer { token: 0xAB });
         assert_eq!(j.picks, vec![3]);
     }
 

@@ -370,12 +370,13 @@ fn run_node(
             io.now = SimTime(elapsed_ns(epoch));
             daemon.handle_timer(&mut io, token);
         }
-        let wait = io
-            .timers
-            .peek()
-            .map_or(Duration::from_millis(5), |&std::cmp::Reverse((d, _))| {
-                Duration::from_nanos(d.saturating_sub(elapsed_ns(epoch))).min(Duration::from_millis(5))
-            });
+        let wait =
+            io.timers
+                .peek()
+                .map_or(Duration::from_millis(5), |&std::cmp::Reverse((d, _))| {
+                    Duration::from_nanos(d.saturating_sub(elapsed_ns(epoch)))
+                        .min(Duration::from_millis(5))
+                });
         match rx.recv_timeout(wait) {
             Ok((from, net, payload)) => {
                 io.now = SimTime(elapsed_ns(epoch));

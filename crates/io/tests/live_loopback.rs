@@ -50,7 +50,10 @@ fn live_cluster_binds_or_skips_gracefully() {
         );
     }
     // Nothing failed, so the deployed default routes survive untouched.
-    assert_eq!(report.routes[0].get(NodeId(1)), Some(Route::Direct(NetId::A)));
+    assert_eq!(
+        report.routes[0].get(NodeId(1)),
+        Some(Route::Direct(NetId::A))
+    );
 }
 
 #[test]

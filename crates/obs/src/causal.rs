@@ -217,9 +217,7 @@ pub fn render_post_mortem(pm: &PostMortem) -> String {
     let mut out = String::new();
     let mut prev: Option<u64> = None;
     for hop in &pm.chain {
-        let delta = prev.map_or_else(String::new, |p| {
-            format!("  (+{} ns)", hop.time_ns - p)
-        });
+        let delta = prev.map_or_else(String::new, |p| format!("  (+{} ns)", hop.time_ns - p));
         out.push_str(&format!(
             "  {:>12} ns  {:<17} host{} {}{}\n",
             hop.time_ns,
@@ -247,12 +245,7 @@ mod tests {
     use super::*;
     use crate::flight::loss_site;
 
-    fn rec(
-        t: u64,
-        seq: u64,
-        kind: TraceKind,
-        cause: Option<EventRef>,
-    ) -> TraceRecord {
+    fn rec(t: u64, seq: u64, kind: TraceKind, cause: Option<EventRef>) -> TraceRecord {
         TraceRecord {
             time_ns: t,
             seq,
@@ -276,11 +269,14 @@ mod tests {
         let sweep = rec(5_000, 5, TraceKind::TimeoutSweep, Some(send2.self_ref()));
         let mut down = rec(5_000, 5, TraceKind::LinkDown, Some(sweep.self_ref()));
         down.sub = 1;
-        let mut decision =
-            rec(5_000, 5, TraceKind::FailoverDecision, Some(down.self_ref()));
+        let mut decision = rec(5_000, 5, TraceKind::FailoverDecision, Some(down.self_ref()));
         decision.sub = 2;
-        let mut reroute =
-            rec(6_000, 6, TraceKind::RerouteComplete, Some(decision.self_ref()));
+        let mut reroute = rec(
+            6_000,
+            6,
+            TraceKind::RerouteComplete,
+            Some(decision.self_ref()),
+        );
         reroute.arg = 1_000;
         FlightLog {
             records: vec![anchor, send1, send2, loss, sweep, down, decision, reroute],

@@ -397,8 +397,12 @@ impl FlightRecorder {
     /// buffer back into dispatch order.
     #[must_use]
     pub fn drain(&self) -> FlightLog {
-        let mut records: Vec<TraceRecord> =
-            self.retained.iter().chain(self.ring.iter()).copied().collect();
+        let mut records: Vec<TraceRecord> = self
+            .retained
+            .iter()
+            .chain(self.ring.iter())
+            .copied()
+            .collect();
         records.sort_by_key(TraceRecord::sort_key);
         FlightLog {
             records,

@@ -131,11 +131,11 @@ impl Protocol for DrsDaemon {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::{FaultPlan, SimComponent};
     use crate::scenario::ClusterSpec;
     use crate::world::World;
     use drs_core::config::{DrsConfig, GatewayPolicy};
     use drs_core::metrics::DrsEventKind;
-    use crate::fault::{FaultPlan, SimComponent};
 
     /// The adapter is a pure delegation layer: a daemon driven through
     /// `DrsIo` behaves exactly like one driven through `Ctx` directly

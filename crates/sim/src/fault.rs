@@ -266,10 +266,7 @@ mod tests {
             let m = component_count(n, planes);
             assert_eq!(
                 try_index_to_component(m - 1, n, planes),
-                Some(SimComponent::Nic(
-                    NodeId((n - 1) as u32),
-                    NetId(planes - 1)
-                ))
+                Some(SimComponent::Nic(NodeId((n - 1) as u32), NetId(planes - 1)))
             );
             assert_eq!(try_index_to_component(m, n, planes), None);
             assert_eq!(try_index_to_component(m + 1, n, planes), None);

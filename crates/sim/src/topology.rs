@@ -347,7 +347,9 @@ mod tests {
 
     #[test]
     fn per_link_bandwidth_overrides_apply() {
-        let t = kplane42().bandwidth_bps(10_000_000).link_bandwidth(3, 1_000_000_000);
+        let t = kplane42()
+            .bandwidth_bps(10_000_000)
+            .link_bandwidth(3, 1_000_000_000);
         assert_eq!(t.segment_bandwidth(0), 10_000_000);
         assert_eq!(t.segment_bandwidth(3), 1_000_000_000);
         let media = t.media();

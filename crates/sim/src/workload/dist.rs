@@ -362,10 +362,7 @@ mod tests {
         let mut v: Vec<u64> = (0..n).map(|_| d.sample(&mut s)).collect();
         v.sort_unstable();
         let med = v[n / 2] as f64;
-        assert!(
-            (med - 5e6).abs() / 5e6 < 0.05,
-            "sample median {med}"
-        );
+        assert!((med - 5e6).abs() / 5e6 < 0.05, "sample median {med}");
     }
 
     #[test]

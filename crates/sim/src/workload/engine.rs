@@ -238,7 +238,11 @@ impl FluidEngine {
         assert_eq!(routes.len(), n * n);
         let planes = planes as usize;
         let n_classes = spec.classes.len();
-        let rates: Vec<u64> = spec.classes.iter().map(|c| (c.rate_bps / 8).max(1)).collect();
+        let rates: Vec<u64> = spec
+            .classes
+            .iter()
+            .map(|c| (c.rate_bps / 8).max(1))
+            .collect();
         let mut class_order: Vec<u8> = (0..n_classes as u8).collect();
         class_order.sort_by_key(|&c| (rates[c as usize], c));
         let mut eng = FluidEngine {
@@ -265,7 +269,9 @@ impl FluidEngine {
             alive: Vec::new(),
             free: Vec::new(),
             index: HashMap::with_capacity(
-                usize::try_from(spec.expected_active(n)).unwrap_or(0).min(1 << 21),
+                usize::try_from(spec.expected_active(n))
+                    .unwrap_or(0)
+                    .min(1 << 21),
             ),
             resnap: Vec::new(),
             stats: WorkloadStats::default(),
@@ -545,8 +551,8 @@ impl FluidEngine {
     /// Keeps the multiplane watch list consistent with the pair's
     /// member/path state.
     fn update_multiplane(&mut self, pid: usize) {
-        let should = !self.pairs[pid].members.is_empty()
-            && self.pairs[pid].plane_mask.count_ones() >= 2;
+        let should =
+            !self.pairs[pid].members.is_empty() && self.pairs[pid].plane_mask.count_ones() >= 2;
         let pos = self.multiplane.iter().position(|&p| p == pid as u32);
         match (should, pos) {
             (true, None) => self.multiplane.push(pid as u32),
@@ -658,7 +664,15 @@ impl FluidEngine {
     // Transitions
     // ------------------------------------------------------------------
 
-    fn on_open(&mut self, t: u64, host: NodeId, local: u64, dst: NodeId, class: u8, holding_ns: u64) {
+    fn on_open(
+        &mut self,
+        t: u64,
+        host: NodeId,
+        local: u64,
+        dst: NodeId,
+        class: u8,
+        holding_ns: u64,
+    ) {
         self.stats.opened += 1;
         self.stats.transitions += 1;
         let key = (u64::from(host.0) << 32) | local;
@@ -1029,9 +1043,22 @@ mod tests {
     #[test]
     fn uncongested_session_delivers_its_full_demand() {
         // 8 Mb/s class on a 100 Mb/s plane: no contention.
-        let mut e = engine(4, vec![ClassSpec { rate_bps: 8_000_000 }], 100_000_000);
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 8_000_000,
+            }],
+            100_000_000,
+        );
         e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)));
-        e.apply(&rec(1_000_000_000, 1, Transition::Close { host: NodeId(0), local: 0 }));
+        e.apply(&rec(
+            1_000_000_000,
+            1,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.delivered_unit, 1_000_000 * 1_000_000_000u128);
         assert_eq!(st.shortfall_unit, 0);
@@ -1043,11 +1070,31 @@ mod tests {
     #[test]
     fn congestion_splits_capacity_max_min_fair() {
         // Two 80 Mb/s sessions on one 100 Mb/s plane: each gets half.
-        let mut e = engine(4, vec![ClassSpec { rate_bps: 80_000_000 }], 100_000_000);
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 80_000_000,
+            }],
+            100_000_000,
+        );
         e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)));
         e.apply(&rec(0, 1, open(2, 0, 3, 0, 1_000_000_000)));
-        e.apply(&rec(1_000_000_000, 2, Transition::Close { host: NodeId(0), local: 0 }));
-        e.apply(&rec(1_000_000_000, 3, Transition::Close { host: NodeId(2), local: 0 }));
+        e.apply(&rec(
+            1_000_000_000,
+            2,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
+        e.apply(&rec(
+            1_000_000_000,
+            3,
+            Transition::Close {
+                host: NodeId(2),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         // Each session: demand 10 MB/s, fair share 6.25 MB/s.
         assert_eq!(st.delivered_unit, 2 * 6_250_000 * 1_000_000_000u128);
@@ -1065,15 +1112,33 @@ mod tests {
         let mut e = engine(
             4,
             vec![
-                ClassSpec { rate_bps: 8_000_000 },
-                ClassSpec { rate_bps: 800_000_000 },
+                ClassSpec {
+                    rate_bps: 8_000_000,
+                },
+                ClassSpec {
+                    rate_bps: 800_000_000,
+                },
             ],
             100_000_000,
         );
         e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)));
         e.apply(&rec(0, 1, open(2, 0, 3, 1, 1_000_000_000)));
-        e.apply(&rec(1_000_000_000, 2, Transition::Close { host: NodeId(0), local: 0 }));
-        e.apply(&rec(1_000_000_000, 3, Transition::Close { host: NodeId(2), local: 0 }));
+        e.apply(&rec(
+            1_000_000_000,
+            2,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
+        e.apply(&rec(
+            1_000_000_000,
+            3,
+            Transition::Close {
+                host: NodeId(2),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(
             st.delivered_unit,
@@ -1084,7 +1149,13 @@ mod tests {
 
     #[test]
     fn hub_failure_stalls_and_failover_resumes() {
-        let mut e = engine(4, vec![ClassSpec { rate_bps: 8_000_000 }], 100_000_000);
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 8_000_000,
+            }],
+            100_000_000,
+        );
         e.add_hub_toggles(&[FaultEvent {
             at: SimTime(500),
             component: SimComponent::Hub(NetId::A),
@@ -1104,9 +1175,19 @@ mod tests {
         e.apply(&rec(
             1_500,
             2,
-            Transition::Reroute { host: NodeId(0), dst: NodeId(1) },
+            Transition::Reroute {
+                host: NodeId(0),
+                dst: NodeId(1),
+            },
         ));
-        e.apply(&rec(2_000, 3, Transition::Close { host: NodeId(0), local: 0 }));
+        e.apply(&rec(
+            2_000,
+            3,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.stall_windows, 1);
         assert_eq!(st.resumed_windows, 1);
@@ -1121,14 +1202,27 @@ mod tests {
 
     #[test]
     fn arrivals_on_a_dead_pair_are_dropped() {
-        let mut e = engine(4, vec![ClassSpec { rate_bps: 8_000_000 }], 100_000_000);
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 8_000_000,
+            }],
+            100_000_000,
+        );
         e.add_hub_toggles(&[FaultEvent {
             at: SimTime(100),
             component: SimComponent::Hub(NetId::A),
             up: false,
         }]);
         e.apply(&rec(200, 0, open(0, 0, 1, 0, 1_000)));
-        e.apply(&rec(1_200, 1, Transition::Close { host: NodeId(0), local: 0 }));
+        e.apply(&rec(
+            1_200,
+            1,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.dropped_arrivals, 1);
         assert_eq!(st.closed, 0);
@@ -1138,22 +1232,50 @@ mod tests {
 
     #[test]
     fn nic_failure_stalls_only_touching_pairs() {
-        let mut e = engine(4, vec![ClassSpec { rate_bps: 8_000_000 }], 100_000_000);
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 8_000_000,
+            }],
+            100_000_000,
+        );
         e.apply(&rec(0, 0, open(0, 0, 1, 0, 10_000)));
         e.apply(&rec(0, 1, open(2, 0, 3, 0, 10_000)));
         e.apply(&rec(
             100,
             2,
-            Transition::Nic { node: NodeId(1), net: NetId::A, up: false },
+            Transition::Nic {
+                node: NodeId(1),
+                net: NetId::A,
+                up: false,
+            },
         ));
         assert_eq!(e.stats().stall_windows, 1, "only the 0->1 pair stalls");
         e.apply(&rec(
             600,
             3,
-            Transition::Nic { node: NodeId(1), net: NetId::A, up: true },
+            Transition::Nic {
+                node: NodeId(1),
+                net: NetId::A,
+                up: true,
+            },
         ));
-        e.apply(&rec(10_000, 4, Transition::Close { host: NodeId(0), local: 0 }));
-        e.apply(&rec(10_000, 5, Transition::Close { host: NodeId(2), local: 0 }));
+        e.apply(&rec(
+            10_000,
+            4,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
+        e.apply(&rec(
+            10_000,
+            5,
+            Transition::Close {
+                host: NodeId(2),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.resumed_windows, 1);
         assert_eq!(st.nic_transitions, 2);
@@ -1164,7 +1286,13 @@ mod tests {
 
     #[test]
     fn in_flight_sessions_balance_the_ledger_mid_run() {
-        let mut e = engine(4, vec![ClassSpec { rate_bps: 80_000_000 }], 100_000_000);
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 80_000_000,
+            }],
+            100_000_000,
+        );
         e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000)));
         e.apply(&rec(100, 1, open(2, 0, 3, 0, 1_000_000)));
         e.settle(SimTime(5_000));
@@ -1177,9 +1305,22 @@ mod tests {
     #[test]
     fn digest_is_order_stable_and_state_sensitive() {
         let run = |close_at: u64| {
-            let mut e = engine(4, vec![ClassSpec { rate_bps: 8_000_000 }], 100_000_000);
+            let mut e = engine(
+                4,
+                vec![ClassSpec {
+                    rate_bps: 8_000_000,
+                }],
+                100_000_000,
+            );
             e.apply(&rec(0, 0, open(0, 0, 1, 0, close_at)));
-            e.apply(&rec(close_at, 1, Transition::Close { host: NodeId(0), local: 0 }));
+            e.apply(&rec(
+                close_at,
+                1,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ));
             e.settle(SimTime(10_000));
             e.digest()
         };

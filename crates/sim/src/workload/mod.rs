@@ -342,7 +342,9 @@ mod tests {
                 mean_gap_ns: 1_000_000,
             },
             holding: HoldingDist::Exponential { mean_ns: 5_000_000 },
-            classes: vec![ClassSpec { rate_bps: 1_000_000 }],
+            classes: vec![ClassSpec {
+                rate_bps: 1_000_000,
+            }],
             horizon: SimTime::ZERO + SimDuration::from_secs(1),
         }
     }

@@ -110,11 +110,7 @@ fn topology_component_layout_locks_all_three_layers() {
             let a = Component::try_from_index_k(idx, n, planes).expect("in range");
             let s = try_index_to_component(idx, n, planes).expect("in range");
             match (g, a, s) {
-                (
-                    TopoComponent::Switch(sw),
-                    Component::Backplane(net),
-                    SimComponent::Hub(hub),
-                ) => {
+                (TopoComponent::Switch(sw), Component::Backplane(net), SimComponent::Hub(hub)) => {
                     assert_eq!(sw, net as usize, "idx {idx}");
                     assert_eq!(sw, hub.idx(), "idx {idx}");
                 }
