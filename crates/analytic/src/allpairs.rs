@@ -19,9 +19,9 @@
 //! `i = f`).
 
 use crate::binom::shared_table;
-use crate::connectivity::all_pairs_connected_state;
+use crate::connectivity::{KPlane, Question};
 use crate::exact::{component_count, p_success};
-use crate::montecarlo::{chunked_successes, sample_failure_state};
+use crate::montecarlo::{Estimator, MonteCarloEstimate};
 
 fn c(n: i64, k: i64) -> u128 {
     shared_table().c(n, k)
@@ -73,27 +73,13 @@ pub fn expected_disconnected_pairs(n: u64, f: u64) -> f64 {
 /// Monte-Carlo estimate of the all-pairs survival probability
 /// (parallel, deterministic per seed) — the validation path for
 /// [`p_all_pairs`], mirroring the paper's Figure 3 methodology.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AllPairsEstimate {
-    /// Iterations performed.
-    pub iterations: u64,
-    /// Point estimate.
-    pub p_hat: f64,
-}
-
-/// Runs `iterations` random failure draws and tests all-pairs
-/// connectivity.
+///
+/// # Panics
+/// Panics if `f > 2n + 2` or `iterations` is 0.
 #[must_use]
-pub fn estimate_all_pairs(n: usize, f: usize, iterations: u64, seed: u64) -> AllPairsEstimate {
-    let successes = chunked_successes(seed, iterations, 1 << 12, |rng, count| {
-        (0..count)
-            .filter(|_| all_pairs_connected_state(&sample_failure_state(n, f, rng)))
-            .count() as u64
-    });
-    AllPairsEstimate {
-        iterations,
-        p_hat: successes as f64 / iterations as f64,
-    }
+pub fn estimate_all_pairs(n: usize, f: usize, iterations: u64, seed: u64) -> MonteCarloEstimate {
+    Estimator::over(KPlane::new(n, 2, Question::AllPairs), f, seed)
+        .estimate_chunked(iterations, 1 << 12)
 }
 
 #[cfg(test)]
@@ -167,6 +153,18 @@ mod tests {
                 est.p_hat
             );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fail 11 of 10 components")]
+    fn more_failures_than_components_panics_instead_of_spinning() {
+        let _ = estimate_all_pairs(4, 11, 10, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn zero_iterations_panic_instead_of_estimating_nan() {
+        let _ = estimate_all_pairs(4, 3, 0, 1);
     }
 
     #[test]

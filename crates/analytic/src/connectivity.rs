@@ -20,12 +20,18 @@
 //! The predicate is evaluated on a compact [`ClusterState`] (one 128-bit
 //! node mask per plane plus a backplane bitmask) so the Monte-Carlo
 //! estimator can test millions of failure draws per second without
-//! allocating.
+//! allocating. [`KPlane`] wraps a state and the [`Question`] asked of it
+//! as the bitmask [`FailureModel`] of the counting core; the union-find
+//! [`crate::topo::GraphModel`] is the other model, and on a
+//! [`drs_topology::generators::kplane`] topology each is the other's
+//! oracle.
 
-use crate::components::FailureSet;
+use drs_topology::ComponentSet;
+
+use crate::components::FailureModel;
 
 /// Maximum number of network planes the fixed-width [`ClusterState`]
-/// supports. Bounded well under the [`FailureSet`] bitset capacity
+/// supports. Bounded well under the [`ComponentSet`] bitset capacity
 /// (`K·N + K ≤ 256`) for any interesting `N`. Shared with every other
 /// bitset-backed engine via [`drs_topology::limits`].
 pub use drs_topology::limits::MAX_PLANES;
@@ -48,23 +54,14 @@ pub struct ClusterState {
 }
 
 impl ClusterState {
-    /// A fully-operational two-plane cluster of `n` nodes — the paper's
-    /// configuration.
-    ///
-    /// # Panics
-    /// Panics if `n` is 0 or exceeds [`crate::components::MAX_NODES`].
-    #[must_use]
-    pub fn fully_up(n: usize) -> Self {
-        ClusterState::fully_up_k(n, 2)
-    }
-
-    /// A fully-operational `planes`-plane cluster of `n` nodes.
+    /// A fully-operational `planes`-plane cluster of `n` nodes (`planes`
+    /// is 2 for the paper's configuration).
     ///
     /// # Panics
     /// Panics if `n` is 0 or exceeds [`crate::components::MAX_NODES`], if
     /// `planes` is outside
     /// `2..=MAX_PLANES`, or if the `planes·n + planes` components exceed
-    /// the [`FailureSet`] index space (256).
+    /// the [`ComponentSet`] index space (256).
     #[must_use]
     pub fn fully_up_k(n: usize, planes: u8) -> Self {
         let k = planes as usize;
@@ -90,18 +87,11 @@ impl ClusterState {
         }
     }
 
-    /// Applies a failure set (indexed per [`crate::components`]) to a
-    /// fully-up two-plane cluster of `n` nodes.
-    #[must_use]
-    pub fn from_failures(n: usize, failures: &FailureSet) -> Self {
-        ClusterState::from_failures_k(n, 2, failures)
-    }
-
-    /// Applies a failure set (indexed per the generalized layout:
+    /// Applies a failure set (indexed per [`crate::components`]:
     /// `0..planes` backplanes, then plane-0 NICs, plane-1 NICs, …) to a
     /// fully-up `planes`-plane cluster of `n` nodes.
     #[must_use]
-    pub fn from_failures_k(n: usize, planes: u8, failures: &FailureSet) -> Self {
+    pub fn from_failures_k(n: usize, planes: u8, failures: &ComponentSet) -> Self {
         let mut st = ClusterState::fully_up_k(n, planes);
         for idx in failures.iter() {
             st.fail_index(idx);
@@ -109,7 +99,8 @@ impl ClusterState {
         st
     }
 
-    /// Marks the component with dense index `idx` as failed.
+    /// Marks the component with dense index `idx` as failed — the
+    /// analytic layer's one spelling of the `K·N + K` layout.
     pub fn fail_index(&mut self, idx: usize) {
         let k = self.planes as usize;
         if idx < k {
@@ -146,20 +137,6 @@ impl ClusterState {
         }
     }
 
-    /// Mask of nodes attached to live network A (plane 0).
-    #[inline]
-    #[must_use]
-    pub fn on_a(&self) -> u128 {
-        self.on(0)
-    }
-
-    /// Mask of nodes attached to live network B (plane 1).
-    #[inline]
-    #[must_use]
-    pub fn on_b(&self) -> u128 {
-        self.on(1)
-    }
-
     /// Bitmask of planes node `i` is attached to.
     #[inline]
     #[must_use]
@@ -169,15 +146,6 @@ impl ClusterState {
             m |= (((self.on(p) >> i) & 1) as u8) << p;
         }
         m
-    }
-
-    /// Whether some node can bridge planes 0 and 1 (attached to both).
-    /// Two-plane convenience; the general relay test lives in
-    /// [`pair_connected_state`].
-    #[inline]
-    #[must_use]
-    pub fn has_bridge(&self) -> bool {
-        self.on(0) & self.on(1) != 0
     }
 }
 
@@ -217,16 +185,9 @@ pub fn pair_connected_state(st: &ClusterState, s: usize, t: usize) -> bool {
 }
 
 /// Can nodes `s` and `t` communicate, given a failure set over the
-/// `2n + 2` components of an `n`-node two-plane cluster?
+/// `planes·n + planes` components of an `n`-node, `planes`-plane cluster?
 #[must_use]
-pub fn pair_connected(n: usize, failures: &FailureSet, s: usize, t: usize) -> bool {
-    pair_connected_state(&ClusterState::from_failures(n, failures), s, t)
-}
-
-/// [`pair_connected`] for a `planes`-plane cluster (failure indices in the
-/// generalized layout).
-#[must_use]
-pub fn pair_connected_k(n: usize, planes: u8, failures: &FailureSet, s: usize, t: usize) -> bool {
+pub fn pair_connected_k(n: usize, planes: u8, failures: &ComponentSet, s: usize, t: usize) -> bool {
     pair_connected_state(&ClusterState::from_failures_k(n, planes, failures), s, t)
 }
 
@@ -290,39 +251,120 @@ pub fn all_pairs_connected_state(st: &ClusterState) -> bool {
 }
 
 /// [`all_pairs_connected_state`] evaluated from a failure set over a
-/// two-plane cluster.
+/// `planes`-plane cluster.
 #[must_use]
-pub fn all_pairs_connected(n: usize, failures: &FailureSet) -> bool {
-    all_pairs_connected_state(&ClusterState::from_failures(n, failures))
+pub fn all_pairs_connected_k(n: usize, planes: u8, failures: &ComponentSet) -> bool {
+    all_pairs_connected_state(&ClusterState::from_failures_k(n, planes, failures))
 }
 
-/// [`all_pairs_connected`] for a `planes`-plane cluster.
-#[must_use]
-pub fn all_pairs_connected_k(n: usize, planes: u8, failures: &FailureSet) -> bool {
-    all_pairs_connected_state(&ClusterState::from_failures_k(n, planes, failures))
+/// What a [`KPlane`] model asks of its cluster after each failure set.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Question {
+    /// Can the pair `(0, 1)` communicate? By symmetry of the component
+    /// model every pair has the same count, so the fixed pair loses no
+    /// generality.
+    Pair,
+    /// Can every pair communicate?
+    AllPairs,
+}
+
+/// The bitmask [`FailureModel`]: a K-plane [`ClusterState`] and the
+/// [`Question`] asked of it.
+#[derive(Debug, Clone)]
+pub struct KPlane {
+    pub(crate) state: ClusterState,
+    /// The fully-operational state [`FailureModel::reset`] copies back.
+    up: ClusterState,
+    question: Question,
+}
+
+impl KPlane {
+    /// A fully-operational `n`-node, `planes`-plane cluster under
+    /// `question`.
+    ///
+    /// # Panics
+    /// Panics if `n < 2` or the cluster is out of range (see
+    /// [`ClusterState::fully_up_k`]).
+    #[must_use]
+    pub fn new(n: usize, planes: u8, question: Question) -> Self {
+        assert!(n >= 2, "need a pair of nodes");
+        let up = ClusterState::fully_up_k(n, planes);
+        KPlane {
+            state: up,
+            up,
+            question,
+        }
+    }
+}
+
+impl FailureModel for KPlane {
+    fn universe(&self) -> usize {
+        let k = self.state.planes as usize;
+        k * self.state.n + k
+    }
+
+    #[inline]
+    fn fail(&mut self, idx: usize) {
+        self.state.fail_index(idx);
+    }
+
+    #[inline]
+    fn restore(&mut self, idx: usize) {
+        self.state.restore_index(idx);
+    }
+
+    #[inline]
+    fn reset(&mut self) {
+        self.state = self.up;
+    }
+
+    #[inline]
+    fn holds(&mut self) -> bool {
+        match self.question {
+            Question::Pair => pair_connected_state(&self.state, 0, 1),
+            Question::AllPairs => all_pairs_connected_state(&self.state),
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::components::Component;
 
-    fn fs(n: usize, comps: &[Component]) -> FailureSet {
-        FailureSet::from_components(comps, n)
+    /// Two-plane failure sets, spelled by component: backplane `net`, or
+    /// node `node`'s NIC on `net`.
+    fn bp(net: usize) -> usize {
+        net
+    }
+
+    fn nic(n: usize, node: usize, net: usize) -> usize {
+        2 + net * n + node
+    }
+
+    fn fs(indices: &[usize]) -> ComponentSet {
+        ComponentSet::from_indices(indices)
+    }
+
+    fn pair_connected(n: usize, failures: &ComponentSet, s: usize, t: usize) -> bool {
+        pair_connected_k(n, 2, failures, s, t)
+    }
+
+    fn all_pairs_connected(n: usize, failures: &ComponentSet) -> bool {
+        all_pairs_connected_k(n, 2, failures)
     }
 
     #[test]
     fn no_failures_everything_connected() {
         for n in 2..=10 {
-            assert!(all_pairs_connected(n, &FailureSet::new()));
-            assert!(pair_connected(n, &FailureSet::new(), 0, n - 1));
+            assert!(all_pairs_connected(n, &ComponentSet::new()));
+            assert!(pair_connected(n, &ComponentSet::new(), 0, n - 1));
         }
     }
 
     #[test]
     fn single_nic_failure_survivable() {
         let n = 4;
-        let f = fs(n, &[Component::Nic { node: 0, net: 0 }]);
+        let f = fs(&[nic(n, 0, 0)]);
         assert!(pair_connected(n, &f, 0, 1));
         assert!(all_pairs_connected(n, &f));
     }
@@ -330,27 +372,21 @@ mod tests {
     #[test]
     fn single_backplane_failure_survivable() {
         let n = 4;
-        let f = fs(n, &[Component::Backplane(0)]);
+        let f = fs(&[bp(0)]);
         assert!(all_pairs_connected(n, &f));
     }
 
     #[test]
     fn both_backplanes_down_disconnects() {
         let n = 4;
-        let f = fs(n, &[Component::Backplane(0), Component::Backplane(1)]);
+        let f = fs(&[bp(0), bp(1)]);
         assert!(!pair_connected(n, &f, 0, 1));
     }
 
     #[test]
     fn node_isolated_when_both_nics_fail() {
         let n = 4;
-        let f = fs(
-            n,
-            &[
-                Component::Nic { node: 2, net: 0 },
-                Component::Nic { node: 2, net: 1 },
-            ],
-        );
+        let f = fs(&[nic(n, 2, 0), nic(n, 2, 1)]);
         assert!(!pair_connected(n, &f, 2, 0));
         assert!(pair_connected(n, &f, 0, 1), "other pairs unaffected");
         assert!(!all_pairs_connected(n, &f));
@@ -360,10 +396,7 @@ mod tests {
     fn backplane_plus_opposite_nic_disconnects() {
         // Backplane A down and s's B NIC down: s unreachable.
         let n = 4;
-        let f = fs(
-            n,
-            &[Component::Backplane(0), Component::Nic { node: 0, net: 1 }],
-        );
+        let f = fs(&[bp(0), nic(n, 0, 1)]);
         assert!(!pair_connected(n, &f, 0, 1));
     }
 
@@ -372,13 +405,7 @@ mod tests {
         // s lost its B NIC, t lost its A NIC: no shared direct network, but
         // node 2 has both NICs and relays.
         let n = 3;
-        let f = fs(
-            n,
-            &[
-                Component::Nic { node: 0, net: 1 },
-                Component::Nic { node: 1, net: 0 },
-            ],
-        );
+        let f = fs(&[nic(n, 0, 1), nic(n, 1, 0)]);
         assert!(pair_connected(n, &f, 0, 1));
     }
 
@@ -387,14 +414,7 @@ mod tests {
         // Same as above but the only third node lost a NIC too, so no node
         // bridges both networks.
         let n = 3;
-        let f = fs(
-            n,
-            &[
-                Component::Nic { node: 0, net: 1 },
-                Component::Nic { node: 1, net: 0 },
-                Component::Nic { node: 2, net: 0 },
-            ],
-        );
+        let f = fs(&[nic(n, 0, 1), nic(n, 1, 0), nic(n, 2, 0)]);
         assert!(!pair_connected(n, &f, 0, 1));
         // ...though 1 and 2 still share network B.
         assert!(pair_connected(n, &f, 1, 2));
@@ -405,7 +425,7 @@ mod tests {
         // s has both NICs; t lost A. They share network B directly, and the
         // bridge formulation must agree.
         let n = 2;
-        let f = fs(n, &[Component::Nic { node: 1, net: 0 }]);
+        let f = fs(&[nic(n, 1, 0)]);
         assert!(pair_connected(n, &f, 0, 1));
     }
 
@@ -414,44 +434,53 @@ mod tests {
         // Node 0 on A only, node 1 on A+B, node 2 on B only -> no bridge
         // after also removing node 1's... keep node 1 intact: bridge exists.
         let n = 3;
-        let f = fs(
-            n,
-            &[
-                Component::Nic { node: 0, net: 1 },
-                Component::Nic { node: 2, net: 0 },
-            ],
-        );
+        let f = fs(&[nic(n, 0, 1), nic(n, 2, 0)]);
         assert!(all_pairs_connected(n, &f), "node 1 bridges");
         // Remove node 1's A NIC: node 0 (A only) vs node 2 (B only), and the
         // only potential bridge is gone.
-        let f2 = fs(
-            n,
-            &[
-                Component::Nic { node: 0, net: 1 },
-                Component::Nic { node: 2, net: 0 },
-                Component::Nic { node: 1, net: 0 },
-            ],
-        );
+        let f2 = fs(&[nic(n, 0, 1), nic(n, 2, 0), nic(n, 1, 0)]);
         assert!(!all_pairs_connected(n, &f2));
     }
 
     #[test]
     fn state_from_failures_matches_manual() {
         let n = 5;
-        let mut st = ClusterState::fully_up(n);
+        let mut st = ClusterState::fully_up_k(n, 2);
         st.fail_index(0);
         st.fail_index(2 + n + 3);
-        let f = fs(
-            n,
-            &[Component::Backplane(0), Component::Nic { node: 3, net: 1 }],
-        );
-        assert_eq!(st, ClusterState::from_failures(n, &f));
+        let f = fs(&[bp(0), nic(n, 3, 1)]);
+        assert_eq!(st, ClusterState::from_failures_k(n, 2, &f));
+    }
+
+    #[test]
+    fn fail_index_layout_matches_doc() {
+        // The table in `crate::components`, read off the state: backplanes
+        // first, then one block of `n` NICs per plane.
+        let n = 5;
+        let up = ClusterState::fully_up_k(n, 2);
+        let after = |idx: usize| {
+            let mut st = up;
+            st.fail_index(idx);
+            st
+        };
+        assert_eq!(after(0).bp, 0b10);
+        assert_eq!(after(1).bp, 0b01);
+        for i in 0..n {
+            assert_eq!(after(2 + i).nic[0], up.nic[0] & !(1 << i), "node {i} net A");
+            assert_eq!(
+                after(2 + n + i).nic[1],
+                up.nic[1] & !(1 << i),
+                "node {i} net B"
+            );
+            assert_eq!(after(2 + i).nic[1], up.nic[1]);
+            assert_eq!(after(2 + n + i).bp, up.bp);
+        }
     }
 
     #[test]
     #[should_panic(expected = "invalid pair")]
     fn same_node_pair_panics() {
-        let st = ClusterState::fully_up(4);
+        let st = ClusterState::fully_up_k(4, 2);
         let _ = pair_connected_state(&st, 1, 1);
     }
 
@@ -473,7 +502,7 @@ mod tests {
     #[test]
     fn max_nodes_cluster_works() {
         let n = crate::components::MAX_NODES;
-        let st = ClusterState::fully_up(n);
+        let st = ClusterState::fully_up_k(n, 2);
         assert!(pair_connected_state(&st, 0, n - 1));
         assert!(all_pairs_connected_state(&st));
     }
@@ -527,14 +556,14 @@ mod tests {
         let n = 3;
         let m = 2 * n + 2;
         for bits in 0u32..1 << m {
-            let mut st = ClusterState::fully_up(n);
+            let mut st = ClusterState::fully_up_k(n, 2);
             for idx in 0..m {
                 if bits >> idx & 1 != 0 {
                     st.fail_index(idx);
                 }
             }
             let full = (1u128 << n) - 1;
-            let (a, b) = (st.on_a(), st.on_b());
+            let (a, b) = (st.on(0), st.on(1));
             let legacy_pair = |s: usize, t: usize| {
                 let (sa, sb) = (a >> s & 1 != 0, b >> s & 1 != 0);
                 let (ta, tb) = (a >> t & 1 != 0, b >> t & 1 != 0);

@@ -1,23 +1,26 @@
 //! Exhaustive enumeration of failure combinations.
 //!
-//! For small clusters it is feasible to walk **every** `f`-subset of the
-//! `K·N + K` components (the paper's `2N + 2` at `K = 2`) and evaluate
-//! the connectivity predicate directly.
+//! For small universes it is feasible to walk **every** `f`-subset of the
+//! components (the paper's `2N + 2`, `K·N + K` in general, or a graph's
+//! switches and links) and evaluate the connectivity predicate directly.
 //! This is the ground truth the closed form ([`crate::exact`]) and the
-//! Monte-Carlo estimator ([`crate::montecarlo`]) are validated against: the
-//! three implementations share nothing but the component model, so
-//! agreement is strong evidence each is correct.
+//! Monte-Carlo estimator ([`crate::montecarlo`]) are validated against.
 //!
-//! Two things make the walk fast enough to be useful well beyond toy sizes:
+//! There is one walk. It drives any [`FailureModel`] — the bitmask
+//! [`KPlane`] behind the `enumerate_*` entry points here, the union-find
+//! [`crate::topo::GraphModel`] behind the `*_topo` ones — so a K-plane
+//! cluster and a fat-tree are counted by the same code and differ only in
+//! the predicate. Two things make it fast enough to be useful well beyond
+//! toy sizes:
 //!
 //! * **delta updates** — successive lexicographic combinations share a long
-//!   prefix, so the walker restores/fails only the indices that changed
-//!   instead of rebuilding [`ClusterState::fully_up`] and re-applying all
-//!   `f` failures per subset (amortized `O(1)` index flips per step);
+//!   prefix, so the walk restores/fails only the indices that changed
+//!   instead of rebuilding the model and re-applying all `f` failures per
+//!   subset (amortized `O(1)` index flips per step);
 //! * **unranking** — [`unrank`] maps a lexicographic rank to its
-//!   combination in `O(n)`, which lets [`enumerate_pair_success_parallel`]
-//!   split the full walk into contiguous blocks and fan them across
-//!   worker threads, each block delta-walking independently.
+//!   combination in `O(n)`, which lets [`count_parallel`] split the full
+//!   walk into contiguous blocks and fan them across worker threads, each
+//!   block delta-walking its own clone of the model.
 //!
 //! For the symmetry-reduced counter that replaces the walk entirely with
 //! polynomially many weighted equivalence classes, see [`crate::orbit`].
@@ -25,103 +28,43 @@
 use drs_harness::par;
 
 use crate::binom::shared_table;
-use crate::components::FailureSet;
-use crate::connectivity::{all_pairs_connected_state, pair_connected_state, ClusterState};
+use crate::components::FailureModel;
+use crate::connectivity::{KPlane, Question};
 
-/// Iterator over all `k`-subsets of `0..n` in lexicographic order, yielding
-/// each as a slice of indices into an internal buffer (no per-item
-/// allocation).
-pub struct Combinations {
+/// Cursor over the `k`-subsets of `0..n` in lexicographic order, stepped
+/// in place (no per-item allocation).
+struct Combinations {
     n: usize,
     k: usize,
     idx: Vec<usize>,
-    started: bool,
-    done: bool,
 }
 
 impl Combinations {
-    /// All `k`-subsets of `{0, 1, …, n-1}`.
-    #[must_use]
-    pub fn new(n: usize, k: usize) -> Self {
-        Combinations {
-            n,
-            k,
-            idx: (0..k).collect(),
-            started: false,
-            done: k > n,
-        }
+    /// A cursor on the combination of lexicographic rank `rank`, or `None`
+    /// if `rank` is out of range (`rank ≥ C(n, k)`; every rank when
+    /// `k > n`).
+    fn from_rank(n: usize, k: usize, rank: u128) -> Option<Self> {
+        unrank(n, k, rank).map(|idx| Combinations { n, k, idx })
     }
 
-    /// The combinations from lexicographic rank `rank` onward. Starts
-    /// exhausted if `rank` is out of range (`rank ≥ C(n, k)`).
-    #[must_use]
-    pub fn from_rank(n: usize, k: usize, rank: u128) -> Self {
-        match unrank(n, k, rank) {
-            Some(idx) => Combinations {
-                n,
-                k,
-                idx,
-                started: false,
-                done: false,
-            },
-            None => Combinations {
-                n,
-                k,
-                idx: (0..k).collect(),
-                started: false,
-                done: true,
-            },
-        }
-    }
-
-    /// The combination the iterator currently points at.
-    #[must_use]
-    pub fn current(&self) -> &[usize] {
+    /// The combination the cursor currently points at.
+    fn current(&self) -> &[usize] {
         &self.idx
     }
 
     /// Steps to the lexicographic successor in place, returning the
     /// leftmost position whose index changed (every position to its right
-    /// changed too), or `None` when the walk is exhausted.
-    pub fn advance(&mut self) -> Option<usize> {
-        if self.done {
-            return None;
-        }
+    /// changed too), or `None` — leaving the cursor on the last
+    /// combination — when there is no successor.
+    fn advance(&mut self) -> Option<usize> {
         // Find the rightmost index that can still be bumped.
         let k = self.k;
-        let mut i = k;
-        loop {
-            if i == 0 {
-                self.done = true;
-                return None;
-            }
-            i -= 1;
-            if self.idx[i] < self.n - (k - i) {
-                break;
-            }
-        }
+        let i = (0..k).rev().find(|&i| self.idx[i] < self.n - (k - i))?;
         self.idx[i] += 1;
         for j in i + 1..k {
             self.idx[j] = self.idx[j - 1] + 1;
         }
         Some(i)
-    }
-
-    /// Advances to the next combination, returning the current index slice,
-    /// or `None` when exhausted. (A lending iterator by hand: the standard
-    /// `Iterator` trait cannot return borrows of the iterator itself.)
-    pub fn next_combination(&mut self) -> Option<&[usize]> {
-        if self.done {
-            return None;
-        }
-        if !self.started {
-            self.started = true;
-            return Some(&self.idx);
-        }
-        match self.advance() {
-            Some(_) => Some(&self.idx),
-            None => None,
-        }
     }
 }
 
@@ -168,92 +111,112 @@ pub fn unrank(n: usize, k: usize, rank: u128) -> Option<Vec<usize>> {
     Some(idx)
 }
 
-/// Lexicographic rank of a strictly increasing `k`-subset of `{0, …, n-1}`
-/// — the inverse of [`unrank`].
-///
-/// # Panics
-/// Panics if `indices` is not strictly increasing within range, or if the
-/// rank overflows `u128`.
-#[must_use]
-pub fn rank_of(n: usize, indices: &[usize]) -> u128 {
-    let table = shared_table();
-    let k = indices.len();
-    let mut rank: u128 = 0;
-    let mut prev: usize = 0; // first eligible element at this position
-    for (i, &v) in indices.iter().enumerate() {
-        assert!(v < n && v >= prev, "indices must be strictly increasing");
-        for x in prev..v {
-            rank += table
-                .get((n - 1 - x) as u64, (k - 1 - i) as u64)
-                .expect("rank overflows u128");
-        }
-        prev = v + 1;
-    }
-    rank
-}
-
-/// Delta-update walk over the combinations `[start_rank, start_rank + limit)`
-/// (or to exhaustion when `limit` is `None`) of the `planes·n + planes`
-/// component universe, invoking `visit` with the cluster state and
-/// failed-index slice for each. Returns the number of combinations visited.
-fn walk_states(
-    n: usize,
-    planes: u8,
+/// Delta-update walk of `model` over the `f`-subsets of its universe with
+/// lexicographic ranks `[start_rank, start_rank + limit)` (to exhaustion
+/// when `limit` is `None`), invoking `visit` with the model — exactly the
+/// subset's components failed — and the subset's indices. `model` must
+/// come in with nothing failed. Returns the number of subsets visited.
+fn walk<M: FailureModel>(
+    model: &mut M,
     f: usize,
     start_rank: u128,
     limit: Option<u128>,
-    visit: &mut dyn FnMut(&ClusterState, &[usize]),
+    mut visit: impl FnMut(&mut M, &[usize]),
 ) -> u128 {
-    assert!(n >= 2, "need a pair of nodes");
     if limit == Some(0) {
         return 0;
     }
-    let m = planes as usize * n + planes as usize;
-    let mut combos = Combinations::from_rank(m, f, start_rank);
-    if combos.done {
+    let Some(mut combos) = Combinations::from_rank(model.universe(), f, start_rank) else {
         return 0;
-    }
-    let mut st = ClusterState::fully_up_k(n, planes);
-    for &i in combos.current() {
-        st.fail_index(i);
-    }
+    };
     let mut cur = combos.current().to_vec();
+    for &i in &cur {
+        model.fail(i);
+    }
     let mut visited: u128 = 0;
     loop {
-        visit(&st, &cur);
+        visit(model, &cur);
         visited += 1;
         if limit == Some(visited) {
             break;
         }
-        match combos.advance() {
-            None => break,
-            Some(pivot) => {
-                // Only the suffix from `pivot` changed: restore the old
-                // indices, fail the new ones (the two suffixes may overlap,
-                // so restore everything first).
-                for &old in &cur[pivot..] {
-                    st.restore_index(old);
-                }
-                for (slot, &new) in cur[pivot..f].iter_mut().zip(&combos.current()[pivot..f]) {
-                    st.fail_index(new);
-                    *slot = new;
-                }
-            }
+        let Some(pivot) = combos.advance() else {
+            break;
+        };
+        // Only the suffix from `pivot` changed: restore the old indices,
+        // fail the new ones (the two suffixes may overlap, so restore
+        // everything first).
+        for &old in &cur[pivot..] {
+            model.restore(old);
+        }
+        for (slot, &new) in cur[pivot..].iter_mut().zip(&combos.current()[pivot..]) {
+            model.fail(new);
+            *slot = new;
         }
     }
     visited
 }
 
+/// Counts, over the `f`-subsets of `model`'s universe with lexicographic
+/// ranks `[start_rank, start_rank + limit)` (all from `start_rank` on when
+/// `limit` is `None`), how many leave the model's question holding.
+/// Returns `(successes, visited)`; `visited` falls short of `limit` when
+/// the block runs past the end of the space, and is 0 for `f` beyond the
+/// universe.
+#[must_use]
+pub fn count_block<M: FailureModel>(
+    mut model: M,
+    f: usize,
+    start_rank: u128,
+    limit: Option<u128>,
+) -> (u128, u128) {
+    let mut success: u128 = 0;
+    let visited = walk(&mut model, f, start_rank, limit, |model, _| {
+        success += u128::from(model.holds());
+    });
+    (success, visited)
+}
+
+/// Counts over **all** `f`-subsets of `model`'s universe: `(successes,
+/// total)` with `total = C(universe, f)` predicate evaluations and
+/// amortized-`O(1)` model maintenance between them.
+#[must_use]
+pub fn count<M: FailureModel>(model: M, f: usize) -> (u128, u128) {
+    count_block(model, f, 0, None)
+}
+
+/// [`count`] fanned across [`par`] workers: the rank space is split into
+/// contiguous blocks (a few per worker thread) and each block delta-walks
+/// a clone of `model` from its unranked starting combination.
+/// Bit-identical counts to the sequential walk, in `~1/cores` the time for
+/// block counts ≫ thread count.
+///
+/// # Panics
+/// Panics if `C(universe, f)` overflows `u128`.
+#[must_use]
+pub fn count_parallel<M: FailureModel + Clone + Sync>(model: &M, f: usize) -> (u128, u128) {
+    let total = shared_table()
+        .get(model.universe() as u64, f as u64)
+        .expect("combination count overflows u128");
+    if total == 0 {
+        return (0, 0);
+    }
+    // A few blocks per thread keeps the workers busy even though block walk
+    // times vary slightly (later blocks have cheaper delta steps).
+    let blocks = (par::workers() as u128 * 4).clamp(1, total);
+    let block_len = total.div_ceil(blocks);
+    let n_blocks = total.div_ceil(block_len) as usize;
+    par::map(n_blocks, |b| {
+        count_block(model.clone(), f, b as u128 * block_len, Some(block_len))
+    })
+    .into_iter()
+    .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
+}
+
 /// Counts, over **all** `f`-subsets of the `2n + 2` components, how many
 /// leave the pair `(0, 1)` connected. Returns `(successes, total)`.
-///
-/// By symmetry of the component model, every pair has the same count, so
-/// the fixed pair loses no generality.
-///
-/// Complexity is `C(2n+2, f)` predicate evaluations with amortized-`O(1)`
-/// state maintenance between subsets. Practical to `n ≈ 10`; use
-/// [`enumerate_pair_success_parallel`] for mid sizes and
-/// [`crate::orbit::orbit_pair_success`] for the full range.
+/// Practical to `n ≈ 10`; [`count_parallel`] serves mid sizes and
+/// [`crate::orbit::orbit_pair_success`] the full range.
 #[must_use]
 pub fn enumerate_pair_success(n: usize, f: usize) -> (u128, u128) {
     enumerate_pair_success_k(n, 2, f)
@@ -264,111 +227,14 @@ pub fn enumerate_pair_success(n: usize, f: usize) -> (u128, u128) {
 /// the pair `(0, 1)` connected.
 #[must_use]
 pub fn enumerate_pair_success_k(n: usize, planes: u8, f: usize) -> (u128, u128) {
-    let mut success: u128 = 0;
-    let total = walk_states(n, planes, f, 0, None, &mut |st, _| {
-        if pair_connected_state(st, 0, 1) {
-            success += 1;
-        }
-    });
-    (success, total)
+    count(KPlane::new(n, planes, Question::Pair), f)
 }
 
-/// [`enumerate_pair_success`] restricted to the contiguous block of
-/// combinations `[start_rank, start_rank + count)` in lexicographic rank
-/// order. Returns `(successes, visited)`; `visited < count` when the block
-/// runs past the end of the space.
-#[must_use]
-pub fn enumerate_pair_success_block(
-    n: usize,
-    f: usize,
-    start_rank: u128,
-    count: u128,
-) -> (u128, u128) {
-    enumerate_pair_success_block_k(n, 2, f, start_rank, count)
-}
-
-/// [`enumerate_pair_success_block`] for a `planes`-plane cluster.
-#[must_use]
-pub fn enumerate_pair_success_block_k(
-    n: usize,
-    planes: u8,
-    f: usize,
-    start_rank: u128,
-    count: u128,
-) -> (u128, u128) {
-    let mut success: u128 = 0;
-    let visited = walk_states(n, planes, f, start_rank, Some(count), &mut |st, _| {
-        if pair_connected_state(st, 0, 1) {
-            success += 1;
-        }
-    });
-    (success, visited)
-}
-
-/// [`enumerate_pair_success`] fanned across [`par`] workers: the rank space is
-/// split into contiguous blocks (a few per worker thread) and each block is
-/// delta-walked independently from its unranked starting combination.
-///
-/// Bit-identical counts to the sequential walk, in `~1/cores` the time for
-/// block counts ≫ thread count.
-#[must_use]
-pub fn enumerate_pair_success_parallel(n: usize, f: usize) -> (u128, u128) {
-    enumerate_pair_success_parallel_k(n, 2, f)
-}
-
-/// [`enumerate_pair_success_parallel`] for a `planes`-plane cluster.
-#[must_use]
-pub fn enumerate_pair_success_parallel_k(n: usize, planes: u8, f: usize) -> (u128, u128) {
-    assert!(n >= 2, "need a pair of nodes");
-    let m = planes as usize * n + planes as usize;
-    let total = shared_table()
-        .get(m as u64, f as u64)
-        .expect("combination count overflows u128");
-    sum_blocks(total, |start, count| {
-        enumerate_pair_success_block_k(n, planes, f, start, count)
-    })
-}
-
-/// Splits the rank space `0..total` into contiguous blocks, evaluates
-/// `block(start, count)` on [`par`] workers and sums the `(successes,
-/// visited)` pairs.
-pub(crate) fn sum_blocks(
-    total: u128,
-    block: impl Fn(u128, u128) -> (u128, u128) + Sync,
-) -> (u128, u128) {
-    if total == 0 {
-        return (0, 0);
-    }
-    // A few blocks per thread keeps the workers busy even though block walk
-    // times vary slightly (later blocks have cheaper delta steps).
-    let blocks = (par::workers() as u128 * 4).clamp(1, total);
-    let block_len = total.div_ceil(blocks);
-    let n_blocks = total.div_ceil(block_len) as usize;
-    par::map(n_blocks, |b| {
-        let start = b as u128 * block_len;
-        block(start, block_len.min(total - start))
-    })
-    .into_iter()
-    .fold((0, 0), |a, b| (a.0 + b.0, a.1 + b.1))
-}
-
-/// Counts failure sets preserving **all-pairs** connectivity. Returns
-/// `(successes, total)`.
+/// Counts failure sets of the two-plane cluster preserving **all-pairs**
+/// connectivity. Returns `(successes, total)`.
 #[must_use]
 pub fn enumerate_all_pairs_success(n: usize, f: usize) -> (u128, u128) {
-    enumerate_all_pairs_success_k(n, 2, f)
-}
-
-/// [`enumerate_all_pairs_success`] for a `planes`-plane cluster.
-#[must_use]
-pub fn enumerate_all_pairs_success_k(n: usize, planes: u8, f: usize) -> (u128, u128) {
-    let mut success: u128 = 0;
-    let total = walk_states(n, planes, f, 0, None, &mut |st, _| {
-        if all_pairs_connected_state(st) {
-            success += 1;
-        }
-    });
-    (success, total)
+    count(KPlane::new(n, 2, Question::AllPairs), f)
 }
 
 /// Exhaustive `P\[Success\]` for the pair model, as a float.
@@ -378,33 +244,49 @@ pub fn exhaustive_p_success(n: usize, f: usize) -> f64 {
     s as f64 / t as f64
 }
 
-/// Collects every disconnecting `f`-subset as a [`FailureSet`] (useful for
-/// inspecting minimal cuts in tests and examples). Intended for tiny `n`.
-#[must_use]
-pub fn disconnecting_sets(n: usize, f: usize) -> Vec<FailureSet> {
-    let mut out = Vec::new();
-    walk_states(n, 2, f, 0, None, &mut |st, indices| {
-        if !pair_connected_state(st, 0, 1) {
-            out.push(FailureSet::from_indices(indices));
-        }
-    });
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::binom::binom;
+    use crate::topo::GraphModel;
+    use drs_topology::generators::{fat_tree, kplane};
+    use drs_topology::Reachability;
+
+    /// A universe with no state and no question: what the walk visits is
+    /// then exactly what [`Combinations`] yields.
+    #[derive(Clone)]
+    struct Universe(usize);
+
+    impl FailureModel for Universe {
+        fn universe(&self) -> usize {
+            self.0
+        }
+        fn fail(&mut self, _: usize) {}
+        fn restore(&mut self, _: usize) {}
+        fn reset(&mut self) {}
+        fn holds(&mut self) -> bool {
+            true
+        }
+    }
+
+    /// Every `k`-subset of `0..n` from rank `start` on, in walk order.
+    fn subsets_from(n: usize, k: usize, start: u128) -> Vec<Vec<usize>> {
+        let mut out = Vec::new();
+        walk(&mut Universe(n), k, start, None, |_, ix| {
+            out.push(ix.to_vec())
+        });
+        out
+    }
+
+    fn pair(n: usize, planes: u8) -> KPlane {
+        KPlane::new(n, planes, Question::Pair)
+    }
 
     #[test]
     fn combinations_count_matches_binomial() {
         for n in 0..=10usize {
             for k in 0..=n + 1 {
-                let mut c = Combinations::new(n, k);
-                let mut count = 0u128;
-                while c.next_combination().is_some() {
-                    count += 1;
-                }
+                let count = subsets_from(n, k, 0).len() as u128;
                 assert_eq!(Some(count), binom(n as u64, k as u64), "n={n} k={k}");
             }
         }
@@ -412,34 +294,29 @@ mod tests {
 
     #[test]
     fn combinations_are_sorted_and_unique() {
-        let mut c = Combinations::new(6, 3);
         let mut seen = std::collections::HashSet::new();
-        while let Some(ix) = c.next_combination() {
+        for ix in subsets_from(6, 3, 0) {
             assert!(ix.windows(2).all(|w| w[0] < w[1]), "not strictly sorted");
-            assert!(seen.insert(ix.to_vec()), "duplicate combination");
+            assert!(seen.insert(ix), "duplicate combination");
         }
         assert_eq!(seen.len(), 20);
     }
 
     #[test]
     fn zero_subset_is_the_empty_set() {
-        let mut c = Combinations::new(5, 0);
-        assert_eq!(c.next_combination(), Some(&[][..]));
-        assert_eq!(c.next_combination(), None);
+        assert_eq!(subsets_from(5, 0, 0), vec![Vec::<usize>::new()]);
     }
 
     #[test]
     fn unrank_matches_walk_order() {
         let (n, k) = (9, 4);
-        let mut c = Combinations::new(n, k);
-        let mut rank: u128 = 0;
-        while let Some(ix) = c.next_combination() {
-            assert_eq!(unrank(n, k, rank).as_deref(), Some(ix), "rank={rank}");
-            assert_eq!(rank_of(n, ix), rank);
-            rank += 1;
+        let all = subsets_from(n, k, 0);
+        for (rank, ix) in all.iter().enumerate() {
+            let rank = rank as u128;
+            assert_eq!(unrank(n, k, rank).as_ref(), Some(ix), "rank={rank}");
         }
-        assert_eq!(Some(rank), binom(n as u64, k as u64));
-        assert_eq!(unrank(n, k, rank), None, "one past the end");
+        assert_eq!(Some(all.len() as u128), binom(n as u64, k as u64));
+        assert_eq!(unrank(n, k, all.len() as u128), None, "one past the end");
     }
 
     #[test]
@@ -454,41 +331,46 @@ mod tests {
     #[test]
     fn from_rank_resumes_mid_walk() {
         let (n, k) = (8, 3);
-        let mut full = Combinations::new(n, k);
-        for _ in 0..40 {
-            full.next_combination();
-        }
-        let mut resumed = Combinations::from_rank(n, k, 40);
+        assert_eq!(subsets_from(n, k, 40), subsets_from(n, k, 0)[40..]);
+        assert!(
+            subsets_from(n, k, 56).is_empty(),
+            "C(8, 3) = 56 is out of range"
+        );
+    }
+
+    /// Sums `count_block` over consecutive `block`-sized rank ranges until
+    /// one comes back short.
+    fn sum_of_blocks<M: FailureModel + Clone>(model: &M, f: usize, block: u128) -> (u128, u128) {
+        let mut acc = (0u128, 0u128);
+        let mut start = 0u128;
         loop {
-            let a = full.next_combination().map(<[usize]>::to_vec);
-            let b = resumed.next_combination().map(<[usize]>::to_vec);
-            assert_eq!(a, b);
-            if a.is_none() {
-                break;
+            let (s, v) = count_block(model.clone(), f, start, Some(block));
+            acc = (acc.0 + s, acc.1 + v);
+            if v < block {
+                return acc;
             }
+            start += block;
         }
     }
 
     #[test]
     fn block_split_partitions_the_space() {
         // Odd-sized blocks must visit every subset exactly once: the
-        // per-block (successes, visited) sums match the full walk.
+        // per-block (successes, visited) sums match the full walk — under
+        // either model.
         let (n, f) = (5usize, 4usize);
         let full = enumerate_pair_success(n, f);
-        for block in [1u128, 3, 7, 64, 1000] {
-            let mut acc = (0u128, 0u128);
-            let mut start = 0u128;
-            loop {
-                let (s, v) = enumerate_pair_success_block(n, f, start, block);
-                acc = (acc.0 + s, acc.1 + v);
-                if v < block {
-                    break;
-                }
-                start += block;
-            }
-            assert_eq!(acc, full, "block={block}");
-        }
         assert_eq!(full.1, binom(12, 4).unwrap());
+        for block in [1u128, 3, 7, 64, 1000] {
+            assert_eq!(sum_of_blocks(&pair(n, 2), f, block), full, "block={block}");
+        }
+        let topo = kplane(4, 2);
+        let graph = GraphModel::new(&topo, 0, 1, Reachability::Transitive);
+        let full = count(graph.clone(), 3);
+        assert_eq!(full.1, binom(10, 3).unwrap());
+        for block in [1u128, 7, 64] {
+            assert_eq!(sum_of_blocks(&graph, 3, block), full, "graph block={block}");
+        }
     }
 
     #[test]
@@ -496,27 +378,9 @@ mod tests {
         for n in 2..=6usize {
             for f in 0..=6usize {
                 assert_eq!(
-                    enumerate_pair_success_parallel(n, f),
+                    count_parallel(&pair(n, 2), f),
                     enumerate_pair_success(n, f),
                     "n={n} f={f}"
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn k_general_walk_matches_legacy_at_two_planes() {
-        for n in 2..=5usize {
-            for f in 0..=5usize {
-                assert_eq!(
-                    enumerate_pair_success_k(n, 2, f),
-                    enumerate_pair_success(n, f),
-                    "pair n={n} f={f}"
-                );
-                assert_eq!(
-                    enumerate_all_pairs_success_k(n, 2, f),
-                    enumerate_all_pairs_success(n, f),
-                    "all-pairs n={n} f={f}"
                 );
             }
         }
@@ -554,7 +418,7 @@ mod tests {
         for planes in 2u8..=4 {
             for f in 0..=4usize {
                 assert_eq!(
-                    enumerate_pair_success_parallel_k(4, planes, f),
+                    count_parallel(&pair(4, planes), f),
                     enumerate_pair_success_k(4, planes, f),
                     "K={planes} f={f}"
                 );
@@ -562,20 +426,33 @@ mod tests {
         }
     }
 
+    /// At every step of the walk the delta-updated model must equal one
+    /// rebuilt from the subset's index list, compared through `state`.
+    fn assert_delta_matches_rebuild<M: FailureModel + Clone, S: PartialEq + std::fmt::Debug>(
+        pristine: &M,
+        f: usize,
+        state: impl Fn(&M) -> S,
+    ) {
+        let visited = walk(&mut pristine.clone(), f, 0, None, |model, indices| {
+            let mut rebuilt = pristine.clone();
+            for &i in indices {
+                rebuilt.fail(i);
+            }
+            assert_eq!(state(model), state(&rebuilt), "indices={indices:?}");
+        });
+        assert_eq!(Some(visited), binom(pristine.universe() as u64, f as u64));
+    }
+
     #[test]
     fn delta_state_matches_rebuild() {
-        // The delta-updated state must equal a from-scratch rebuild at
-        // every step of the walk.
         let (n, f) = (4usize, 3usize);
-        walk_states(n, 2, f, 0, None, &mut |st, indices| {
-            let rebuilt = ClusterState::from_failures(n, &FailureSet::from_indices(indices));
-            assert_eq!(*st, rebuilt, "indices={indices:?}");
-        });
-        // Same invariant on a three-plane universe.
-        walk_states(n, 3, f, 0, None, &mut |st, indices| {
-            let rebuilt = ClusterState::from_failures_k(n, 3, &FailureSet::from_indices(indices));
-            assert_eq!(*st, rebuilt, "K=3 indices={indices:?}");
-        });
+        for planes in [2u8, 3] {
+            assert_delta_matches_rebuild(&pair(n, planes), f, |m| m.state);
+        }
+        // Same invariant for the graph model's failed-component set.
+        let topo = fat_tree(2);
+        let graph = GraphModel::new(&topo, 0, 1, Reachability::Transitive);
+        assert_delta_matches_rebuild(&graph, f, |m| m.failed);
     }
 
     #[test]
@@ -585,13 +462,28 @@ mod tests {
     }
 
     #[test]
+    fn f_beyond_the_universe_counts_nothing() {
+        // The sweep relies on this: an `f > 2N + 2` cell is (0, 0), serial
+        // or parallel, not a panic.
+        assert_eq!(enumerate_pair_success(2, 7), (0, 0));
+        assert_eq!(count_parallel(&pair(2, 2), 7), (0, 0));
+    }
+
+    #[test]
     fn f2_disconnecting_sets_are_the_known_cuts() {
         // N=4: exactly the 7 two-cuts derived in exact.rs.
-        let cuts = disconnecting_sets(4, 2);
+        let mut cuts = Vec::new();
+        walk(&mut pair(4, 2), 2, 0, None, |model, indices| {
+            if !model.holds() {
+                cuts.push(indices.to_vec());
+            }
+        });
         assert_eq!(cuts.len(), 7);
-        for cut in &cuts {
-            assert_eq!(cut.len(), 2);
-        }
+        // Both backplanes, a backplane and an endpoint's opposite NIC (x4),
+        // both NICs of an endpoint (x2).
+        assert!(cuts.contains(&vec![0, 1]));
+        assert!(cuts.contains(&vec![0, 2 + 4]) && cuts.contains(&vec![1, 2 + 1]));
+        assert!(cuts.contains(&vec![2, 2 + 4]) && cuts.contains(&vec![3, 3 + 4]));
     }
 
     #[test]

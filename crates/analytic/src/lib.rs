@@ -7,31 +7,33 @@
 //! * the **component model**: a cluster of `N` nodes, each with one NIC
 //!   per network plane, plus the backplanes themselves — the paper's two
 //!   planes give `2N + 2` components, and the model generalizes to
-//!   `K·N + K` for a `K`-plane redundancy layer ([`components`]),
-//! * the **connectivity predicate**: given a set of failed components, can a
-//!   pair of servers still communicate under DRS routing (directly on either
-//!   network, or relayed through a one-hop gateway node)? ([`connectivity`]),
+//!   `K·N + K` for a `K`-plane redundancy layer — and [`FailureModel`],
+//!   the four-verb interface (fail, restore, reset, holds) through which
+//!   the counting core sees any universe ([`components`]),
+//! * **one counting core**: one delta-updated, unrankable, block-parallel
+//!   subset walk ([`enumerate`]) and one `f`-subset sampler and
+//!   Monte-Carlo loop ([`montecarlo`], the paper's validation simulation;
+//!   its convergence study, Figure 3, is [`convergence`]), written once
+//!   against [`FailureModel`],
+//! * **two predicates** that plug into it, kept as separate
+//!   implementations so each can be the other's oracle: the bitmask DRS
+//!   predicate over a K-plane cluster — can a pair of servers (or every
+//!   pair) still communicate, directly on a shared network or relayed
+//!   through a one-hop gateway node? ([`connectivity`]) — and union-find
+//!   reachability over arbitrary [`drs_topology::Topology`] graphs
+//!   (Fat-Tree, BCube, DCell, …), of which the K-plane cluster is the
+//!   degenerate case, reproduced count-for-count and draw-for-draw
+//!   ([`topo`]),
 //! * **Equation 1**: the exact closed-form probability of success
 //!   `P\[S\](N, f) = F(N, f) / C(2N+2, f)` conditioned on exactly `f` failures
-//!   ([`exact`]),
-//! * an **exhaustive enumerator** over all failure sets, used to validate the
-//!   closed form ([`enumerate`]) — delta-updated, unrankable,
-//!   parallel, and available for any plane count via the `_k`
-//!   variants,
-//! * a **symmetry-reduced orbit counter** that collapses the subset walk to
-//!   polynomially many weighted equivalence classes, extending bit-exact
-//!   ground truth to the full node range ([`orbit`]),
-//! * **topology-general engines** ([`topo`]): the enumeration walk and the
-//!   Monte-Carlo estimator lifted to arbitrary [`drs_topology::Topology`]
-//!   graphs (Fat-Tree, BCube, DCell, …) with union-find reachability
-//!   policies — the K-plane cluster is the degenerate case, reproduced
-//!   count-for-count and draw-for-draw,
+//!   ([`exact`]), and a **symmetry-reduced orbit counter** that collapses
+//!   the subset walk to polynomially many weighted equivalence classes,
+//!   extending bit-exact ground truth to the full node range ([`orbit`]) —
+//!   the two oracles that share no code with the core,
+//!   plus the all-pairs closed form ([`allpairs`]),
 //! * a **parallel sweep engine** fanning `(N, f)` grids of
 //!   exact/enumerated/Monte-Carlo cells across worker threads with
 //!   deterministic seeds and a machine-readable JSON artifact ([`sweep`]),
-//! * a **Monte-Carlo estimator** reproducing the paper's validation
-//!   simulation ([`montecarlo`]) and its convergence study, Figure 3
-//!   ([`convergence`]),
 //! * the **threshold finder** for the `P\[S\] > 0.99` milestones
 //!   ([`thresholds`]) and the Figure 2 **series generator** ([`series`]),
 //! * the paper's **`q^f` multiple-failure decay model** ([`qmodel`]).
@@ -69,10 +71,8 @@ pub mod thresholds;
 pub mod topo;
 
 pub use allpairs::{expected_disconnected_pairs, p_all_pairs};
-pub use components::{Component, FailureSet};
-pub use connectivity::{
-    all_pairs_connected, all_pairs_connected_k, pair_connected, pair_connected_k,
-};
+pub use components::FailureModel;
+pub use connectivity::{all_pairs_connected_k, pair_connected_k};
 pub use exact::{disconnect_count, p_success, success_count};
 pub use montecarlo::{MonteCarlo, MonteCarloEstimate};
 pub use orbit::{orbit_p_success, orbit_pair_success};

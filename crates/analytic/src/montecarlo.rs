@@ -1,12 +1,20 @@
 //! The paper's validation simulation: Monte-Carlo estimation of `P\[Success\]`.
 //!
-//! Each iteration draws `f` **distinct** components uniformly at random from
-//! the `K·N + K` (the paper's `2N + 2`), fails them, and tests whether the
-//! fixed pair `(0, 1)` can
-//! still communicate (by symmetry any pair gives the same distribution).
-//! The estimate is the success fraction. Figure 3 of the paper shows the
-//! mean absolute deviation of this estimator from Equation 1 shrinking as
-//! iterations grow; [`crate::convergence`] reproduces that study.
+//! Each iteration draws `f` **distinct** components uniformly at random
+//! from the universe (the paper's `2N + 2`), fails them, and tests whether
+//! the model's question still holds — for the paper, whether the fixed
+//! pair `(0, 1)` can still communicate (by symmetry any pair gives the
+//! same distribution). The estimate is the success fraction. Figure 3 of
+//! the paper shows the mean absolute deviation of this estimator from
+//! Equation 1 shrinking as iterations grow; [`crate::convergence`]
+//! reproduces that study.
+//!
+//! There is one sampler ([`sample_failures`]) and one loop, written
+//! against [`FailureModel`]: [`MonteCarlo`] runs them over the bitmask
+//! [`KPlane`] model, [`crate::topo::TopoMonteCarlo`] over the union-find
+//! graph model, and the draws depend only on the universe size — so on
+//! equal universes the two estimators see the same failure sets and any
+//! difference in their counts is a difference between the predicates.
 //!
 //! Determinism: every estimator takes an explicit seed. The parallel path
 //! derives one independent stream per chunk with SplitMix64-style
@@ -14,16 +22,18 @@
 
 use drs_harness::par;
 use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
+use drs_topology::ComponentSet;
 
-use crate::components::FailureSet;
-use crate::connectivity::{pair_connected_state, ClusterState};
+use crate::components::FailureModel;
+use crate::connectivity::{KPlane, Question};
 
 /// Result of a Monte-Carlo run.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonteCarloEstimate {
     /// Number of iterations performed.
     pub iterations: u64,
-    /// Iterations in which the pair stayed connected.
+    /// Iterations in which the model's question held (for the paper's
+    /// estimator: the pair stayed connected).
     pub successes: u64,
     /// Point estimate `successes / iterations`.
     pub p_hat: f64,
@@ -60,15 +70,18 @@ impl MonteCarloEstimate {
     }
 }
 
-/// Monte-Carlo estimator of pair survivability for an `(n, f)` scenario
-/// (optionally with more than the paper's two network planes).
+/// Monte-Carlo estimator of how often a [`FailureModel`]'s question
+/// survives exactly `f` uniformly drawn failures.
 #[derive(Debug, Clone)]
-pub struct MonteCarlo {
-    n: usize,
-    planes: u8,
+pub struct Estimator<M> {
+    model: M,
     f: usize,
     seed: u64,
 }
+
+/// The paper's estimator: pair survivability of an `(n, f)` K-plane
+/// scenario under the bitmask predicate.
+pub type MonteCarlo = Estimator<KPlane>;
 
 impl MonteCarlo {
     /// Creates an estimator for `n` nodes, two network planes, and exactly
@@ -89,33 +102,27 @@ impl MonteCarlo {
     /// `f > planes·n + planes`.
     #[must_use]
     pub fn new_k(n: usize, planes: u8, f: usize, seed: u64) -> Self {
-        assert!(n >= 2, "need a pair of nodes");
-        let m = planes as usize * n + planes as usize;
-        assert!(f <= m, "cannot fail {f} of {m} components");
-        // Constructing a state validates the n/planes bounds too.
-        let _ = ClusterState::fully_up_k(n, planes);
-        MonteCarlo { n, planes, f, seed }
+        Estimator::over(KPlane::new(n, planes, Question::Pair), f, seed)
     }
+}
 
-    /// Draws one random failure scenario and reports whether the pair
-    /// survived it.
-    #[must_use]
-    pub fn sample_once(&self, rng: &mut Rng) -> bool {
-        let st = sample_failure_state_k(self.n, self.planes, self.f, rng);
-        pair_connected_state(&st, 0, 1)
+impl<M: FailureModel + Clone + Sync> Estimator<M> {
+    /// An estimator for exactly `f` failures of `model`, which must come in
+    /// with nothing failed.
+    ///
+    /// # Panics
+    /// Panics if `f` exceeds the model's universe.
+    pub(crate) fn over(model: M, f: usize, seed: u64) -> Self {
+        let m = model.universe();
+        assert!(f <= m, "cannot fail {f} of {m} components");
+        Estimator { model, f, seed }
     }
 
     /// Runs `iterations` sequential samples.
     #[must_use]
     pub fn estimate(&self, iterations: u64) -> MonteCarloEstimate {
         let mut rng = Rng::seed_from_u64(self.seed);
-        let mut successes = 0u64;
-        for _ in 0..iterations {
-            if self.sample_once(&mut rng) {
-                successes += 1;
-            }
-        }
-        MonteCarloEstimate::from_counts(successes, iterations)
+        MonteCarloEstimate::from_counts(self.successes(&mut rng, iterations), iterations)
     }
 
     /// Runs `iterations` samples split into parallel chunks, each with
@@ -123,82 +130,69 @@ impl MonteCarlo {
     /// iterations)` regardless of the number of worker threads.
     #[must_use]
     pub fn estimate_parallel(&self, iterations: u64) -> MonteCarloEstimate {
-        let successes = chunked_successes(self.seed, iterations, 1 << 14, |rng, count| {
-            (0..count).filter(|_| self.sample_once(rng)).count() as u64
-        });
+        self.estimate_chunked(iterations, 1 << 14)
+    }
+
+    /// [`Estimator::estimate_parallel`] with an explicit chunk size: the
+    /// `iterations` samples are cut into `chunk`-sized pieces fanned across
+    /// [`par`] workers, and chunk `c` (the short tail included) draws from
+    /// its own [`mix_stream`]`(seed, c)` generator, so the total is
+    /// independent of the worker count — but not of `chunk`.
+    pub(crate) fn estimate_chunked(&self, iterations: u64, chunk: u64) -> MonteCarloEstimate {
+        let chunks = usize::try_from(iterations.div_ceil(chunk)).expect("chunk count fits usize");
+        let successes = par::map(chunks, |c| {
+            let c = c as u64;
+            let mut rng = Rng::seed_from_u64(mix_stream(self.seed, c));
+            self.successes(&mut rng, chunk.min(iterations - c * chunk))
+        })
+        .into_iter()
+        .sum();
         MonteCarloEstimate::from_counts(successes, iterations)
     }
-}
 
-/// Sums `successes(rng, count)` over `iterations` samples cut into
-/// `chunk`-sized pieces fanned across [`par`] workers. Chunk `c` (the
-/// short tail included) draws from its own [`mix_stream`]`(seed, c)`
-/// generator, so the total is independent of the worker count.
-pub(crate) fn chunked_successes(
-    seed: u64,
-    iterations: u64,
-    chunk: u64,
-    successes: impl Fn(&mut Rng, u64) -> u64 + Sync,
-) -> u64 {
-    let chunks = usize::try_from(iterations.div_ceil(chunk)).expect("chunk count fits usize");
-    par::map(chunks, |c| {
-        let c = c as u64;
-        let mut rng = Rng::seed_from_u64(mix_stream(seed, c));
-        successes(&mut rng, chunk.min(iterations - c * chunk))
-    })
-    .into_iter()
-    .sum()
-}
-
-/// Draws `f` distinct failed components for an `n`-node cluster and returns
-/// the resulting liveness state.
-///
-/// Uses rejection sampling against a bitset: with `f ≤ 2n + 2` components
-/// the expected number of redraws is small even in the worst case (`f = m`
-/// costs `O(m log m)` draws), and no allocation is performed.
-#[must_use]
-pub fn sample_failure_state(n: usize, f: usize, rng: &mut Rng) -> ClusterState {
-    sample_failure_state_k(n, 2, f, rng)
-}
-
-/// [`sample_failure_state`] for a `planes`-plane cluster.
-#[must_use]
-pub fn sample_failure_state_k(n: usize, planes: u8, f: usize, rng: &mut Rng) -> ClusterState {
-    let m = planes as usize * n + planes as usize;
-    debug_assert!(f <= m);
-    let mut st = ClusterState::fully_up_k(n, planes);
-    let mut drawn = FailureSet::new();
-    let mut remaining = f;
-    while remaining > 0 {
-        let idx = rng.gen_range(0..m);
-        if !drawn.contains(idx) {
-            drawn.insert(idx);
-            st.fail_index(idx);
-            remaining -= 1;
+    /// The Monte-Carlo loop: draws `count` failure scenarios from `rng`
+    /// and counts those the model's question survives.
+    fn successes(&self, rng: &mut Rng, count: u64) -> u64 {
+        let mut model = self.model.clone();
+        let m = model.universe();
+        let mut successes = 0u64;
+        for _ in 0..count {
+            draw_failures(m, self.f, rng, |idx| model.fail(idx));
+            successes += u64::from(model.holds());
+            model.reset();
         }
+        successes
     }
-    st
 }
 
-/// Draws a random `f`-component failure set (indices form) for external use
-/// (e.g. injecting the same scenario into the packet-level simulator).
+/// Draws `f` distinct components uniformly from a universe of `m` — every
+/// `f`-subset equally likely — and returns them as a set (e.g. to inject
+/// the same scenario into the packet-level simulator).
+///
+/// # Panics
+/// Panics if `f > m` or `m` exceeds the 256-component bitset.
 #[must_use]
-pub fn sample_failure_set(n: usize, f: usize, rng: &mut Rng) -> FailureSet {
-    sample_failure_set_k(n, 2, f, rng)
+pub fn sample_failures(m: usize, f: usize, rng: &mut Rng) -> ComponentSet {
+    draw_failures(m, f, rng, |_| {})
 }
 
-/// [`sample_failure_set`] for a `planes`-plane cluster (indices in the
-/// generalized `planes·n + planes` layout).
-#[must_use]
-pub fn sample_failure_set_k(n: usize, planes: u8, f: usize, rng: &mut Rng) -> FailureSet {
-    let m = planes as usize * n + planes as usize;
+/// The sampler behind [`sample_failures`] and the Monte-Carlo loop: hands
+/// each component to `fail` as it is drawn. Rejection sampling against a
+/// bitset — the expected number of redraws is small even in the worst
+/// case (`f = m` costs `O(m log m)` draws), and no allocation is
+/// performed.
+#[inline]
+fn draw_failures(m: usize, f: usize, rng: &mut Rng, mut fail: impl FnMut(usize)) -> ComponentSet {
+    // No such subset exists beyond the universe, and the loop below would
+    // never end.
     assert!(f <= m, "cannot fail {f} of {m} components");
-    let mut drawn = FailureSet::new();
+    let mut drawn = ComponentSet::new();
     let mut remaining = f;
     while remaining > 0 {
         let idx = rng.gen_range(0..m);
         if !drawn.contains(idx) {
             drawn.insert(idx);
+            fail(idx);
             remaining -= 1;
         }
     }
@@ -258,10 +252,7 @@ mod tests {
         let iterations = (1u64 << 14) + 1_000;
         let by_hand: u64 = [(0u64, 1u64 << 14), (1, 1_000)]
             .into_iter()
-            .map(|(c, count)| {
-                let mut rng = Rng::seed_from_u64(mix_stream(77, c));
-                (0..count).filter(|_| mc.sample_once(&mut rng)).count() as u64
-            })
+            .map(|(c, count)| mc.successes(&mut Rng::seed_from_u64(mix_stream(77, c)), count))
             .sum();
         assert_eq!(mc.estimate_parallel(iterations).successes, by_hand);
     }
@@ -290,10 +281,50 @@ mod tests {
     }
 
     #[test]
+    fn sampler_known_answers() {
+        // The committed Monte-Carlo bytes are a function of this exact
+        // draw sequence (`gen_range(0..m)`, reject if seen): the accepted
+        // draws in order, and the generator state they leave behind — the
+        // second case redraws until all ten components are hit.
+        let cases: [(usize, u64, &[usize], u64); 2] = [
+            (
+                34,
+                42,
+                &[27, 10, 33, 23, 26, 19, 4, 20],
+                0x352c_f3da_f095_ccc7,
+            ),
+            (
+                10,
+                7,
+                &[0, 1, 7, 4, 9, 3, 6, 5, 8, 2],
+                0xcd99_10de_6a7d_1f80,
+            ),
+        ];
+        for (m, seed, draws, next) in cases {
+            let mut rng = Rng::seed_from_u64(seed);
+            let mut order = Vec::new();
+            let set = draw_failures(m, draws.len(), &mut rng, |idx| order.push(idx));
+            assert_eq!(order, draws, "m={m} seed={seed}");
+            assert_eq!(set, ComponentSet::from_indices(draws));
+            assert_eq!(rng.next_u64(), next, "m={m} seed={seed}: draws consumed");
+            assert_eq!(
+                sample_failures(m, draws.len(), &mut Rng::seed_from_u64(seed)),
+                set
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "cannot fail 5 of 4 components")]
+    fn sampling_beyond_the_universe_panics() {
+        let _ = sample_failures(4, 5, &mut Rng::seed_from_u64(1));
+    }
+
+    #[test]
     fn sample_draws_exactly_f_failures() {
         let mut rng = Rng::seed_from_u64(3);
         for f in 0..=10 {
-            let set = sample_failure_set(8, f, &mut rng);
+            let set = sample_failures(18, f, &mut rng);
             assert_eq!(set.len(), f);
         }
     }
@@ -301,9 +332,8 @@ mod tests {
     #[test]
     fn sample_all_components_possible() {
         let mut rng = Rng::seed_from_u64(5);
-        let n = 4;
-        let set = sample_failure_set(n, 2 * n + 2, &mut rng);
-        assert_eq!(set.len(), 2 * n + 2);
+        let set = sample_failures(10, 10, &mut rng);
+        assert_eq!(set.len(), 10);
     }
 
     #[test]
@@ -338,15 +368,6 @@ mod tests {
     }
 
     #[test]
-    fn two_plane_constructor_is_the_k_constructor() {
-        // The K-general sampler at planes=2 draws from the same universe in
-        // the same order: estimates are bit-identical, not just close.
-        let legacy = MonteCarlo::new(12, 3, 7).estimate(20_000);
-        let general = MonteCarlo::new_k(12, 2, 3, 7).estimate(20_000);
-        assert_eq!(legacy, general);
-    }
-
-    #[test]
     fn three_plane_estimate_matches_enumeration() {
         use crate::enumerate::enumerate_pair_success_k;
         let (n, planes, f) = (5usize, 3u8, 3usize);
@@ -363,9 +384,8 @@ mod tests {
     #[test]
     fn k_plane_sample_spans_whole_universe() {
         let mut rng = Rng::seed_from_u64(9);
-        let (n, planes) = (4usize, 4u8);
-        let m = planes as usize * n + planes as usize;
-        let set = sample_failure_set_k(n, planes, m, &mut rng);
+        let m = 4 * 4 + 4;
+        let set = sample_failures(m, m, &mut rng);
         assert_eq!(set.len(), m);
         assert_eq!(set.iter().last(), Some(m - 1));
     }

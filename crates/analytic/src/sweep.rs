@@ -22,7 +22,8 @@ use drs_harness::par;
 use drs_obs::jsonfmt::{finish, json_f64, preamble};
 
 use crate::binom::shared_table;
-use crate::enumerate::{enumerate_pair_success, enumerate_pair_success_parallel};
+use crate::connectivity::{KPlane, Question};
+use crate::enumerate::{count_parallel, enumerate_pair_success};
 use crate::exact::{component_count, p_success_f64, success_count};
 use crate::montecarlo::MonteCarlo;
 use crate::orbit::orbit_pair_success;
@@ -285,7 +286,7 @@ pub fn run_cell(master_seed: u64, spec: &CellSpec) -> CellResult {
             (ratio(s, t), Some(s), Some(t))
         }
         Method::EnumerateParallel => {
-            let (s, t) = enumerate_pair_success_parallel(n as usize, f as usize);
+            let (s, t) = count_parallel(&KPlane::new(n as usize, 2, Question::Pair), f as usize);
             (ratio(s, t), Some(s), Some(t))
         }
         Method::MonteCarlo { iterations } => {

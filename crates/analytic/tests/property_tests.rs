@@ -10,15 +10,13 @@ use drs_obs::rng::Rng;
 
 use drs_analytic::allpairs::{all_pairs_success_count, p_all_pairs};
 use drs_analytic::binom::{binom, binom_f64, ln_binom, shared_table};
-use drs_analytic::components::{Component, FailureSet};
-use drs_analytic::connectivity::{pair_connected_state, ClusterState};
+use drs_analytic::connectivity::{pair_connected_state, ClusterState, KPlane, Question};
 use drs_analytic::enumerate::{
-    enumerate_all_pairs_success, enumerate_all_pairs_success_k, enumerate_pair_success,
-    enumerate_pair_success_block, enumerate_pair_success_k, enumerate_pair_success_parallel,
-    rank_of, unrank,
+    count_block, count_parallel, enumerate_all_pairs_success, enumerate_pair_success,
+    enumerate_pair_success_k, unrank,
 };
 use drs_analytic::exact::{component_count, disconnect_count, p_success, success_count};
-use drs_analytic::montecarlo::{sample_failure_set, MonteCarlo};
+use drs_analytic::montecarlo::{sample_failures, MonteCarlo};
 use drs_analytic::orbit::orbit_pair_success;
 use drs_analytic::qmodel::{binomial_failure_weight, geometric_failure_weight};
 
@@ -27,6 +25,11 @@ const CASES: u64 = 256;
 
 fn case_rng(case: u64) -> Rng {
     Rng::seed_from_u64(0xA7A1_171C ^ case)
+}
+
+/// The paper's model: the pair question on a two-plane cluster.
+fn pair(n: usize) -> KPlane {
+    KPlane::new(n, 2, Question::Pair)
 }
 
 /// Pascal's identity: C(n,k) = C(n-1,k-1) + C(n-1,k).
@@ -118,7 +121,7 @@ fn predicate_matches_reference_reachability() {
         let bp_b = rng.gen_bool(0.5);
         let nic_bits = rng.next_u64();
         let ctx = format!("case {case}: n={n} bp_a={bp_a} bp_b={bp_b} nic_bits={nic_bits}");
-        let mut st = ClusterState::fully_up(n);
+        let mut st = ClusterState::fully_up_k(n, 2);
         st.bp = u8::from(bp_a) | u8::from(bp_b) << 1;
         st.nic[0] = (nic_bits & 0xFFFF_FFFF) as u128 & ((1u128 << n) - 1);
         st.nic[1] = (nic_bits >> 32) as u128 & ((1u128 << n) - 1);
@@ -185,7 +188,7 @@ fn sampler_draws_valid_sets() {
         let m = 2 * n + 2;
         let f = f.min(m);
         let mut rng = Rng::seed_from_u64(seed);
-        let set = sample_failure_set(n, f, &mut rng);
+        let set = sample_failures(m, f, &mut rng);
         assert_eq!(set.len(), f, "{ctx}");
         for idx in set.iter() {
             assert!(idx < m, "{ctx}");
@@ -193,20 +196,30 @@ fn sampler_draws_valid_sets() {
     }
 }
 
-/// Component typed-index mapping is total and bijective.
+/// The dense component layout is total and bijective: every index of the
+/// `K·N + K` universe clears exactly one liveness bit of the state, no two
+/// indices clear the same one, and together they clear them all.
 #[test]
 fn component_index_bijection() {
     for case in 0..CASES {
         let mut rng = case_rng(case);
-        let n = rng.gen_range(1usize..120);
-        let ctx = format!("case {case}: n={n}");
-        let mut seen = FailureSet::new();
-        for idx in 0..2 * n + 2 {
-            let c = Component::from_index(idx, n);
-            assert_eq!(c.index(n), idx, "{ctx}");
-            assert!(!seen.contains(idx), "{ctx}");
-            seen.insert(idx);
+        let planes = rng.gen_range(2u8..4);
+        let k = planes as usize;
+        let n = rng.gen_range(1usize..256 / k);
+        let ctx = format!("case {case}: n={n} planes={planes}");
+        let bits = |st: &ClusterState| {
+            st.bp.count_ones() + st.nic.iter().map(|w| w.count_ones()).sum::<u32>()
+        };
+        let mut st = ClusterState::fully_up_k(n, planes);
+        for idx in 0..k * n + k {
+            let before = st;
+            st.fail_index(idx);
+            assert_eq!(bits(&st) + 1, bits(&before), "{ctx}: idx={idx}");
+            let mut back = st;
+            back.restore_index(idx);
+            assert_eq!(back, before, "{ctx}: idx={idx}");
         }
+        assert_eq!(bits(&st), 0, "{ctx}");
     }
 }
 
@@ -259,6 +272,25 @@ fn survivability_decreases_in_f() {
     }
 }
 
+/// Lexicographic rank of a strictly increasing `k`-subset of `{0, …, n-1}`
+/// — [`unrank`]'s inverse, kept here as its oracle.
+fn rank_of(n: usize, indices: &[usize]) -> u128 {
+    let table = shared_table();
+    let k = indices.len();
+    let mut rank: u128 = 0;
+    let mut prev: usize = 0; // first eligible element at this position
+    for (i, &v) in indices.iter().enumerate() {
+        assert!(v < n && v >= prev, "indices must be strictly increasing");
+        for x in prev..v {
+            rank += table
+                .get((n - 1 - x) as u64, (k - 1 - i) as u64)
+                .expect("rank overflows u128");
+        }
+        prev = v + 1;
+    }
+    rank
+}
+
 /// Combinadic unranking is the inverse of ranking for every rank in
 /// range, and produces strictly increasing in-range indices.
 #[test]
@@ -308,7 +340,7 @@ fn block_split_partitions_counts() {
         let mut start = 0u128;
         while start < total {
             let count = per.min(total - start);
-            let (s, t) = enumerate_pair_success_block(n as usize, f as usize, start, count);
+            let (s, t) = count_block(pair(n as usize), f as usize, start, Some(count));
             assert_eq!(t, count, "{ctx}");
             succ_sum += s;
             total_sum += t;
@@ -330,7 +362,7 @@ fn orbit_matches_enumeration() {
         let ctx = format!("case {case}: n={n} f={f}");
         let f = f.min(component_count(n));
         let seq = enumerate_pair_success(n as usize, f as usize);
-        let par = enumerate_pair_success_parallel(n as usize, f as usize);
+        let par = count_parallel(&pair(n as usize), f as usize);
         let orbit = orbit_pair_success(n, f).expect("no overflow at this size");
         assert_eq!(par, seq, "{ctx}");
         assert_eq!(orbit, seq, "{ctx}");
@@ -353,10 +385,8 @@ fn k_general_engines_at_two_planes_match_legacy_orbit() {
         let general = enumerate_pair_success_k(n as usize, 2, f as usize);
         let orbit = orbit_pair_success(n, f).expect("no overflow at this size");
         assert_eq!(general, orbit, "{ctx}");
-        let general_all = enumerate_all_pairs_success_k(n as usize, 2, f as usize);
-        let legacy_all = enumerate_all_pairs_success(n as usize, f as usize);
-        assert_eq!(general_all, legacy_all, "{ctx}");
-        assert_eq!(general_all.0, all_pairs_success_count(n, f), "{ctx}");
+        let all = enumerate_all_pairs_success(n as usize, f as usize);
+        assert_eq!(all.0, all_pairs_success_count(n, f), "{ctx}");
     }
 }
 

@@ -13,12 +13,12 @@
 //! application never noticed).
 
 use drs_core::ids::FlowId;
-use drs_core::{DrsConfig, DrsDaemon, DrsEventKind};
-use drs_core::{LatencyHistogram, ProbeObs};
+use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, ProbeObs};
 use drs_harness::{
     Experiment, ExperimentRecord, Metric, RunMode, TraceEvent, TraceEventKind, TrialRecord,
     TrialTrace,
 };
+use drs_obs::Histogram;
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
@@ -142,7 +142,7 @@ pub struct ScenarioResult {
     /// The full distribution of delivered end-to-end latencies (log₂
     /// buckets) behind `max_latency` — empty when nothing was delivered,
     /// in which case its quantiles report `None`.
-    pub latency: LatencyHistogram,
+    pub latency: Histogram,
     /// Application-visible outage: time from the fault until deliveries
     /// become (and remain) prompt. `None` when service never stabilized
     /// within the measurement window.
@@ -256,7 +256,7 @@ fn run_scenario_inner<P: Protocol>(
         delivered: stats.delivered,
         retransmits: stats.retransmits,
         gave_up: stats.gave_up,
-        max_latency: stats.latency.max(),
+        max_latency: stats.latency.max().map(SimDuration),
         latency: stats.latency.clone(),
         outage,
     };
@@ -696,7 +696,10 @@ mod tests {
             drs.result.delivered,
             "one latency sample per delivered message"
         );
-        assert_eq!(drs.result.latency.max(), drs.result.max_latency);
+        assert_eq!(
+            drs.result.latency.max().map(SimDuration),
+            drs.result.max_latency
+        );
         assert!(drs.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
 
         // Static routing probes nothing and (here) delivers nothing, so

@@ -24,17 +24,16 @@
 //! the committed `BENCH_flight.json` is byte-reproducible on any machine
 //! and thread count.
 
-use drs_core::{DrsConfig, DrsDaemon, LatencyHistogram, ProbeObs};
+use drs_core::{DrsConfig, DrsDaemon, ProbeObs};
 use drs_harness::coord_seed;
 use drs_obs::causal::{build_post_mortems, PostMortemReport};
 use drs_obs::flight::{to_perfetto, FlightLog, TraceKind};
-use drs_obs::{ObsArtifact, Row, Section};
+use drs_obs::{Histogram, ObsArtifact, Row, Section};
 use drs_sim::{
     threads_from_env, ClusterSpec, FaultPlan, NetId, ShardedWorld, SimComponent, SimDuration,
     SimTime,
 };
 
-use crate::obs_artifact::obs_histogram;
 use crate::BENCH_SEED;
 
 /// Schema tag written into every flight artifact.
@@ -160,11 +159,11 @@ pub fn run(cell: &FlightCell, shards: usize, threads: usize) -> DriverRun {
 /// the daemon put into `failover_detect`, for `reroute_complete` the
 /// `reroute_complete` samples.
 #[must_use]
-pub fn flight_histogram(log: &FlightLog, kind: TraceKind) -> LatencyHistogram {
-    let mut h = LatencyHistogram::new();
+pub fn flight_histogram(log: &FlightLog, kind: TraceKind) -> Histogram {
+    let mut h = Histogram::new();
     for r in &log.records {
         if r.kind == kind && r.arg != u64::MAX {
-            h.record(SimDuration(r.arg));
+            h.record(r.arg);
         }
     }
     h
@@ -341,12 +340,12 @@ pub fn flight_bench_artifact() -> ObsArtifact {
         decomp_sec.push(
             Row::new(format!("{}/detect", cell.label))
                 .count("matches_probe_obs", 1)
-                .hist(&obs_histogram(&sharded.obs.failover_detect)),
+                .hist(&sharded.obs.failover_detect),
         );
         decomp_sec.push(
             Row::new(format!("{}/reroute", cell.label))
                 .count("matches_probe_obs", 1)
-                .hist(&obs_histogram(&sharded.obs.reroute_complete)),
+                .hist(&sharded.obs.reroute_complete),
         );
     }
 

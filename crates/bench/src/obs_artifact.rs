@@ -37,7 +37,7 @@
 use drs_baselines::compare::{
     run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,
 };
-use drs_core::{DrsConfig, DrsDaemon, LatencyHistogram};
+use drs_core::{DrsConfig, DrsDaemon};
 use drs_cost::model::ProbeCostModel;
 use drs_harness::{coord_seed, RunMode, TraceEventKind};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
@@ -58,20 +58,6 @@ pub const OBS_OVERHEAD_BUDGETS_PCT: [u64; 4] = [5, 10, 15, 25];
 
 /// Measured sweeps per probe-overhead cell (after a two-period warmup).
 pub const OBS_OVERHEAD_SWEEPS: u64 = 8;
-
-/// Rebuilds an observability histogram from a simulator latency
-/// histogram — both use the same 64-bucket log₂ layout, so the copy is
-/// exact (identical counts, sum, min, max and quantile bounds).
-#[must_use]
-pub fn obs_histogram(h: &LatencyHistogram) -> Histogram {
-    Histogram::from_parts(
-        h.bucket_counts(),
-        h.count(),
-        h.sum_ns(),
-        h.min().map_or(u64::MAX, |d| d.0),
-        h.max().map_or(0, |d| d.0),
-    )
-}
 
 /// Builds the full observability artifact under `mode`.
 ///
@@ -99,7 +85,7 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
         let mut latency = Histogram::new();
         for row in rows.iter().filter(|r| r.label == label) {
             delivered += row.result.delivered;
-            latency.merge(&obs_histogram(&row.result.latency));
+            latency.merge(&row.result.latency);
         }
         failover.push(
             Row::new(label.key())
@@ -120,7 +106,7 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
         ("failover_detect", &drs_obs.failover_detect),
         ("reroute_complete", &drs_obs.reroute_complete),
     ] {
-        probe_path.push(Row::new(id).hist(&obs_histogram(h)));
+        probe_path.push(Row::new(id).hist(h));
     }
     probe_path.push(Row::new("probe_bytes").count("bytes", drs_obs.probe_bytes));
     artifact.push(probe_path);
@@ -349,20 +335,6 @@ fn goodput_under_failover_section() -> Section {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn obs_histogram_copy_is_exact() {
-        let mut sim = LatencyHistogram::new();
-        for us in [120u64, 450, 9_000, 31] {
-            sim.record(SimDuration::from_micros(us));
-        }
-        let obs = obs_histogram(&sim);
-        assert_eq!(obs.count(), sim.count());
-        assert_eq!(obs.sum(), sim.sum_ns());
-        assert_eq!(obs.min(), sim.min().map(|d| d.0));
-        assert_eq!(obs.max(), sim.max().map(|d| d.0));
-        assert_eq!(obs_histogram(&LatencyHistogram::new()), Histogram::new());
-    }
 
     #[test]
     fn probe_overhead_cells_stay_within_budget() {

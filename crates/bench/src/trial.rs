@@ -13,7 +13,6 @@
 //! artifacts.
 
 use drs_analytic::binom::shared_table;
-use drs_analytic::components::FailureSet;
 use drs_analytic::connectivity::pair_connected_k;
 use drs_analytic::enumerate::unrank;
 use drs_core::{DrsConfig, DrsDaemon};
@@ -22,6 +21,7 @@ use drs_sim::fault::{index_to_component, FaultPlan};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
 use drs_sim::world::{FlowOutcome, World};
 use drs_sim::{NodeId, SimDuration, SimTime};
+use drs_topology::ComponentSet;
 
 /// One completed cross-check trial.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -64,7 +64,7 @@ pub fn unrank_for_seed(m: usize, f: usize, seed: u64) -> Vec<usize> {
 #[must_use]
 pub fn run_trial(n: usize, planes: u8, f: usize, seed: u64) -> Trial {
     let k = usize::from(planes);
-    let failures = FailureSet::from_indices(&unrank_for_seed(k * n + k, f, seed));
+    let failures = ComponentSet::from_indices(&unrank_for_seed(k * n + k, f, seed));
     let predicted = pair_connected_k(n, planes, &failures, 0, 1);
 
     let cfg = DrsConfig::default()

@@ -238,7 +238,7 @@ impl DrsDaemon {
         let idx = self.pair_idx(peer, net);
         if let Some(prev) = self.probe_spans[idx].replace(span) {
             let gap = SimDuration(prev.elapsed_ns(span.start_ns()));
-            io.probe_obs_mut().probe_gap.record(gap);
+            io.probe_obs_mut().probe_gap.record(gap.as_nanos());
         }
         if self.cfg.record_probe_log {
             self.metrics.probe_log.push(ProbeRecord {
@@ -360,7 +360,9 @@ impl DrsDaemon {
         // whole outage.
         if let Some(span) = self.pending_reroute[dst.idx()].take() {
             let elapsed = SimDuration(span.elapsed_ns(io.now().0));
-            io.probe_obs_mut().reroute_complete.record(elapsed);
+            io.probe_obs_mut()
+                .reroute_complete
+                .record(elapsed.as_nanos());
             // Flight: exactly one completion per closed repair span, so
             // these records mirror the reroute_complete histogram 1:1.
             io.flight_record(
@@ -424,7 +426,7 @@ impl DrsDaemon {
         if let Some(ok) = self.last_ok[idx] {
             let detect = io.now().since(ok);
             detect_ns = detect.as_nanos();
-            io.probe_obs_mut().failover_detect.record(detect);
+            io.probe_obs_mut().failover_detect.record(detect.as_nanos());
         }
         // Flight: the down transition carries the detect latency and is
         // pinned as a live chain head, so its ancestry (losses, last good
@@ -740,7 +742,7 @@ impl DrsDaemon {
         let idx = self.pair_idx(from, net);
         if let Some(span) = self.probe_spans[idx].as_ref() {
             let rtt = SimDuration(span.elapsed_ns(now.0));
-            io.probe_obs_mut().probe_rtt.record(rtt);
+            io.probe_obs_mut().probe_rtt.record(rtt.as_nanos());
         }
         self.last_ok[idx] = Some(now);
         // Flight: a good reply answers the pair's outstanding send and

@@ -78,5 +78,5 @@ pub use messages::DrsMsg;
 pub use metrics::{DrsEvent, DrsEventKind, DrsMetrics, ProbeRecord};
 pub use monitor::{LinkState, PeerTable};
 pub use routes::{Route, RouteTable};
-pub use stats::{LatencyHistogram, ProbeObs};
+pub use stats::ProbeObs;
 pub use time::{SimDuration, SimTime};

@@ -84,34 +84,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Reconstructs a histogram from externally maintained parts — the
-    /// bridge from sibling log₂ histograms (the simulator keeps its own
-    /// per-host latency histograms with identical bucketing) into the
-    /// artifact layer. An empty source must pass `min = u64::MAX` and
-    /// `max = 0`, matching [`Histogram::default`].
-    ///
-    /// # Panics
-    /// Panics unless `buckets` has exactly [`BUCKETS`] entries summing
-    /// to `count`.
-    #[must_use]
-    pub fn from_parts(buckets: &[u64], count: u64, sum: u128, min: u64, max: u64) -> Self {
-        assert_eq!(buckets.len(), BUCKETS, "need one count per bucket");
-        assert_eq!(
-            buckets.iter().sum::<u64>(),
-            count,
-            "bucket counts must sum to the sample count"
-        );
-        let mut h = Histogram {
-            buckets: [0; BUCKETS],
-            count,
-            sum,
-            min,
-            max,
-        };
-        h.buckets.copy_from_slice(buckets);
-        h
-    }
-
     /// Folds another histogram into this one. Exact: the result is
     /// identical to having recorded both sample streams into one
     /// histogram, in any order.
@@ -352,26 +324,6 @@ mod tests {
         assert_eq!(h.sum(), 2 * u128::from(u64::MAX));
         assert_eq!(h.quantile_upper_bound(1.0), Some(u64::MAX));
         assert_eq!(h.min(), Some(u64::MAX));
-    }
-
-    #[test]
-    fn from_parts_round_trips_a_recorded_histogram() {
-        let mut h = Histogram::new();
-        for v in [3u64, 900, 12, 0] {
-            h.record(v);
-        }
-        let rebuilt = Histogram::from_parts(
-            &h.buckets,
-            h.count(),
-            h.sum(),
-            h.min().unwrap(),
-            h.max().unwrap(),
-        );
-        assert_eq!(rebuilt, h);
-        // Empty round-trip uses the sentinel min/max of the default state.
-        let empty = Histogram::from_parts(&[0; BUCKETS], 0, 0, u64::MAX, 0);
-        assert_eq!(empty, Histogram::new());
-        assert_eq!(empty.quantile_upper_bound(0.5), None);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Measurement plumbing: per-host kernel counters and application-level
-//! statistics. The protocol-facing pieces — [`LatencyHistogram`] and
-//! [`drs_core::ProbeObs`] — live in [`drs_core::stats`] so daemons can
-//! record observations through any I/O backend.
+//! statistics. The protocol-facing piece — [`drs_core::ProbeObs`] —
+//! lives in [`drs_core::stats`] so daemons can record observations
+//! through any I/O backend.
 
-use drs_core::LatencyHistogram;
+use drs_obs::Histogram;
 
 /// Per-host event counters maintained by the simulator core.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -42,8 +42,9 @@ pub struct AppStats {
     pub gave_up: u64,
     /// Messages that failed instantly for lack of any route.
     pub no_route: u64,
-    /// End-to-end latency of delivered messages (first send → ack).
-    pub latency: LatencyHistogram,
+    /// End-to-end latency of delivered messages (first send → ack), in
+    /// nanoseconds.
+    pub latency: Histogram,
 }
 
 impl AppStats {

@@ -444,7 +444,7 @@ impl<P: Protocol> Engine<'_, P> {
                     if let Some(os) = self.core.hosts.transport_mut(node).complete(segment.flow) {
                         let rtt = self.core.now - os.first_sent;
                         self.core.app_stats.delivered += 1;
-                        self.core.app_stats.latency.record(rtt);
+                        self.core.app_stats.latency.record(rtt.as_nanos());
                         self.core
                             .record_outcome(segment.flow, FlowOutcome::Delivered(rtt));
                         self.notify_transport(

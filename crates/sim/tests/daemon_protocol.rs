@@ -415,7 +415,7 @@ fn healthy_cluster_probe_observability() {
         let gap = &obs.probe_gap;
         assert!(gap.count() > 0, "node {i} recorded probe gaps");
         assert_eq!(
-            gap.min(),
+            gap.min().map(SimDuration),
             Some(cfg.probe_interval),
             "node {i}: healthy links re-arm at exactly the interval"
         );
@@ -423,7 +423,10 @@ fn healthy_cluster_probe_observability() {
         // the probe timeout.
         let rtt = &obs.probe_rtt;
         assert!(rtt.count() > 0, "node {i} recorded RTTs");
-        assert!(rtt.max().unwrap() < cfg.probe_timeout, "node {i}");
+        assert!(
+            SimDuration(rtt.max().unwrap()) < cfg.probe_timeout,
+            "node {i}"
+        );
         // Nothing failed, so failure channels must be *empty* — not
         // zero-valued.
         assert_eq!(obs.failover_detect.count(), 0, "node {i}");
@@ -444,7 +447,7 @@ fn failover_latency_lands_in_the_histograms() {
         assert_eq!(obs.failover_detect.count(), 1, "node {i}");
         // Measured from the last healthy reply, which precedes the
         // fault by up to one probe interval.
-        let detect = obs.failover_detect.max().unwrap();
+        let detect = SimDuration(obs.failover_detect.max().unwrap());
         assert!(
             detect <= cfg.worst_case_detection() + cfg.probe_interval,
             "node {i}: detection latency {detect}"
@@ -452,7 +455,7 @@ fn failover_latency_lands_in_the_histograms() {
         // The failed link carried this node's route to node 1, so a
         // repair span must have opened and closed.
         assert_eq!(obs.reroute_complete.count(), 1, "node {i}");
-        let reroute = obs.reroute_complete.max().unwrap();
+        let reroute = SimDuration(obs.reroute_complete.max().unwrap());
         assert!(reroute < SimDuration::from_millis(1), "repair is immediate");
     }
     // The failed host's own histograms see the probes *it* lost.

@@ -6,8 +6,8 @@
 //! assertion prints the failing case, and `case_rng(index)` reruns it.
 
 use drs_obs::rng::Rng;
+use drs_obs::Histogram;
 
-use drs_core::LatencyHistogram;
 use drs_sim::app::Workload;
 use drs_sim::fault::{component_count, component_to_index, index_to_component, FaultPlan};
 use drs_sim::medium::{SharedMedium, TrafficClass};
@@ -86,24 +86,17 @@ fn histogram_agrees_with_direct_fold() {
             .map(|_| rng.gen_range(0u64..10_000_000_000))
             .collect();
         let ctx = format!("case {case}: ns={ns:?}");
-        let mut h = LatencyHistogram::new();
+        let mut h = Histogram::new();
         for &x in &ns {
-            h.record(SimDuration::from_nanos(x));
+            h.record(x);
         }
         assert_eq!(h.count(), ns.len() as u64, "{ctx}");
-        assert_eq!(
-            h.min().unwrap().as_nanos(),
-            *ns.iter().min().unwrap(),
-            "{ctx}"
-        );
-        assert_eq!(
-            h.max().unwrap().as_nanos(),
-            *ns.iter().max().unwrap(),
-            "{ctx}"
-        );
-        let mean = ns.iter().map(|&x| x as u128).sum::<u128>() / ns.len() as u128;
-        assert_eq!(h.mean().unwrap().as_nanos() as u128, mean, "{ctx}");
-        let median_bound = h.quantile_upper_bound(0.5).unwrap().as_nanos();
+        assert_eq!(h.min(), ns.iter().min().copied(), "{ctx}");
+        assert_eq!(h.max(), ns.iter().max().copied(), "{ctx}");
+        let sum = ns.iter().map(|&x| x as u128).sum::<u128>();
+        assert_eq!(h.sum(), sum, "{ctx}");
+        assert_eq!(h.mean(), Some(sum as f64 / ns.len() as f64), "{ctx}");
+        let median_bound = h.quantile_upper_bound(0.5).unwrap();
         let mut sorted = ns.clone();
         sorted.sort_unstable();
         let true_median = sorted[(sorted.len() - 1) / 2];

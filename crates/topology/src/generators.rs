@@ -14,7 +14,7 @@ use crate::graph::{Link, Topology};
 /// universe is bit-compatible with the historical `K·n + K` indexing:
 /// component `p` is hub `p`, component `K + p·n + i` is host `i`'s NIC on
 /// plane `p` — exactly `index_to_component(idx, n, planes)` in the
-/// simulator and `Component::from_index_k` in the analytic layer.
+/// simulator and `ClusterState::fail_index` in the analytic layer.
 ///
 /// # Panics
 /// Panics unless `n ≥ 1` and `planes ≥ 2`.

@@ -192,9 +192,9 @@ impl fmt::Display for Topology {
     }
 }
 
-/// A set of failed components over a universe of at most 256 entries —
-/// the topology-layer sibling of the analytic crate's `FailureSet`,
-/// kept here so the reachability engine stays dependency-free.
+/// A set of failed components over a universe of at most 256 entries,
+/// stored as a 256-bit inline bitset: allocation-free and `Copy`, because
+/// the counting engines manipulate these millions of times per second.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct ComponentSet {
     words: [u64; 4],

@@ -37,6 +37,7 @@ pub enum Reachability {
 /// Reusable scratch for repeated pair queries over one topology —
 /// the enumeration engines call [`ReachEngine::pair_connected`] once per
 /// failure subset, so allocations must not be per-query.
+#[derive(Debug, Clone)]
 pub struct ReachEngine<'a> {
     topo: &'a Topology,
     /// Union-find parent, over all nodes (Transitive) or switches only

@@ -11,15 +11,16 @@
 //! Figure 1 bandwidth budget, and a [`drs::obs::Span`] wraps the run in
 //! sim-time, so everything printed here is exactly reproducible.
 
-use drs::core::{DrsConfig, DrsDaemon, LatencyHistogram};
+use drs::core::{DrsConfig, DrsDaemon};
 use drs::cost::ProbeCostModel;
-use drs::obs::{MetricsRegistry, Span};
+use drs::obs::{Histogram, MetricsRegistry, Span};
 use drs::sim::fault::{FaultPlan, SimComponent};
 use drs::sim::{ClusterSpec, NetId, SimDuration, SimTime, World};
 
-fn print_hist(name: &str, h: &LatencyHistogram) {
+fn print_hist(name: &str, h: &Histogram) {
     // The "no samples ≠ 0 ns" rule: empty histograms print a dash.
-    let fmt = |d: Option<SimDuration>| d.map_or_else(|| "—".to_string(), |d| d.to_string());
+    let fmt =
+        |ns: Option<u64>| ns.map_or_else(|| "—".to_string(), |ns| SimDuration(ns).to_string());
     println!(
         "  {name:<18} {:>6} samples  p50 ≤ {:>10}  p99 ≤ {:>10}  max {:>10}",
         h.count(),
@@ -69,13 +70,13 @@ fn main() {
         reg.inc("wire_probe_bytes", world.medium(d).stats.probe_bytes);
     }
     if let Some(d) = obs.failover_detect.max() {
-        reg.record("failover_detect_ns", d.0);
+        reg.record("failover_detect_ns", d);
     }
     println!("\nregistry counters:");
     for (name, v) in reg.counters() {
         println!("  {name:<18} {v}");
     }
 
-    let detect = obs.failover_detect.max().expect("hub failure was detected");
+    let detect = SimDuration(obs.failover_detect.max().expect("hub failure was detected"));
     println!("\nhub failure detected within {detect} — DRS saw everything, in sim-time.");
 }

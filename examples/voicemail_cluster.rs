@@ -72,6 +72,7 @@ fn main() {
     println!("  retransmissions: {}", stats.retransmits);
     println!("  abandoned messages: {}", stats.gave_up);
     if let (Some(mean), Some(max)) = (stats.latency.mean(), stats.latency.max()) {
+        let (mean, max) = (SimDuration(mean as u64), SimDuration(max));
         println!("  latency: mean {mean}, worst {max}");
     }
 

@@ -6,10 +6,11 @@
 
 use drs::obs::rng::Rng;
 
-use drs::analytic::connectivity::pair_connected;
+use drs::analytic::connectivity::{pair_connected_k, ClusterState, KPlane, Question};
 use drs::analytic::enumerate::{enumerate_pair_success, exhaustive_p_success};
 use drs::analytic::exact::{component_count, p_success, success_count};
-use drs::analytic::montecarlo::{sample_failure_set, MonteCarlo};
+use drs::analytic::montecarlo::{sample_failures, MonteCarlo};
+use drs::analytic::FailureModel;
 use drs::core::{DrsConfig, DrsDaemon};
 use drs::sim::fault::{index_to_component, FaultPlan};
 use drs::sim::scenario::TransportConfig;
@@ -59,8 +60,8 @@ fn packet_simulation_agrees_with_predicate_per_trial() {
         for t in 0..trials {
             let seed = 0xC05 ^ ((n as u64) << 32) ^ ((f as u64) << 16) ^ t;
             let mut rng = Rng::seed_from_u64(seed);
-            let failures = sample_failure_set(n, f, &mut rng);
-            let predicted = pair_connected(n, &failures, 0, 1);
+            let failures = sample_failures(2 * n + 2, f, &mut rng);
+            let predicted = pair_connected_k(n, 2, &failures, 0, 1);
 
             let cfg = DrsConfig::default()
                 .probe_timeout(SimDuration::from_millis(50))
@@ -91,13 +92,33 @@ fn packet_simulation_agrees_with_predicate_per_trial() {
     }
 }
 
+/// What failing dense index `idx` does to an analytic `n`-node,
+/// `planes`-plane cluster, read back from the state the engines execute
+/// on: `(None, p)` — backplane `p` went down — or `(Some(i), p)` — node
+/// `i`'s NIC on plane `p` did. Panics unless exactly one liveness bit
+/// cleared.
+fn analytic_component(idx: usize, n: usize, planes: u8) -> (Option<usize>, usize) {
+    let up = ClusterState::fully_up_k(n, planes);
+    let mut st = up;
+    st.fail_index(idx);
+    let bp = up.bp ^ st.bp;
+    let nics: Vec<(usize, u128)> = (0..planes as usize)
+        .map(|p| (p, up.nic[p] ^ st.nic[p]))
+        .filter(|&(_, diff)| diff != 0)
+        .collect();
+    match (bp.count_ones(), nics.as_slice()) {
+        (1, []) => (None, bp.trailing_zeros() as usize),
+        (0, [(p, diff)]) if diff.count_ones() == 1 => (Some(diff.trailing_zeros() as usize), *p),
+        other => panic!("idx {idx} did not clear exactly one bit: {other:?}"),
+    }
+}
+
 /// The component index layouts of `drs-analytic`, `drs-sim` and the
 /// `drs-topology` graph layer are three implementations of the same
 /// convention; they must never drift — including at the out-of-range
 /// boundary, where all three must refuse rather than wrap.
 #[test]
 fn topology_component_layout_locks_all_three_layers() {
-    use drs::analytic::components::Component;
     use drs::sim::fault::{try_index_to_component, SimComponent};
     use drs::topology::{generators, TopoComponent};
     for (n, planes) in [(9usize, 2u8), (5, 3), (4, 4)] {
@@ -107,24 +128,20 @@ fn topology_component_layout_locks_all_three_layers() {
         assert_eq!(topo.component_count(), m, "n={n} K={k}");
         for idx in 0..m {
             let g = topo.component(idx).expect("in range");
-            let a = Component::try_from_index_k(idx, n, planes).expect("in range");
+            let a = analytic_component(idx, n, planes);
             let s = try_index_to_component(idx, n, planes).expect("in range");
             match (g, a, s) {
-                (TopoComponent::Switch(sw), Component::Backplane(net), SimComponent::Hub(hub)) => {
-                    assert_eq!(sw, net as usize, "idx {idx}");
+                (TopoComponent::Switch(sw), (None, net), SimComponent::Hub(hub)) => {
+                    assert_eq!(sw, net, "idx {idx}");
                     assert_eq!(sw, hub.idx(), "idx {idx}");
                 }
-                (
-                    TopoComponent::Link(l),
-                    Component::Nic { node, net },
-                    SimComponent::Nic(snode, snet),
-                ) => {
-                    assert_eq!(node, snode.0, "idx {idx}");
-                    assert_eq!(net as usize, snet.idx(), "idx {idx}");
+                (TopoComponent::Link(l), (Some(node), net), SimComponent::Nic(snode, snet)) => {
+                    assert_eq!(node, snode.0 as usize, "idx {idx}");
+                    assert_eq!(net, snet.idx(), "idx {idx}");
                     // The graph link is that host's attachment to that
                     // plane's switch node.
                     let link = topo.links()[l];
-                    assert_eq!(link.a, node, "idx {idx}: host endpoint");
+                    assert_eq!(link.a, snode.0, "idx {idx}: host endpoint");
                     assert_eq!(
                         link.b as usize,
                         n + snet.idx(),
@@ -134,10 +151,15 @@ fn topology_component_layout_locks_all_three_layers() {
                 other => panic!("layout drift at idx {idx}: {other:?}"),
             }
         }
-        // Boundary: one past the universe is None in every layer.
+        // Boundary: one past the universe is None in the graph and the
+        // simulator; the analytic model's universe ends there too, and
+        // the index does not wrap onto a real component.
         assert_eq!(topo.component(m), None, "n={n} K={k}");
-        assert!(Component::try_from_index_k(m, n, planes).is_none());
         assert!(try_index_to_component(m, n, planes).is_none());
+        assert_eq!(KPlane::new(n, planes, Question::Pair).universe(), m);
+        let mut st = ClusterState::fully_up_k(n, planes);
+        st.fail_index(m);
+        assert_eq!(st, ClusterState::fully_up_k(n, planes), "n={n} K={k}");
     }
 }
 
@@ -145,23 +167,20 @@ fn topology_component_layout_locks_all_three_layers() {
 /// implementations of the same convention; they must never drift.
 #[test]
 fn component_index_conventions_agree() {
-    use drs::analytic::components::Component;
     use drs::sim::fault::SimComponent;
-    use drs::sim::NetId;
     let n = 9;
     for idx in 0..2 * n + 2 {
-        let a = Component::from_index(idx, n);
+        let a = analytic_component(idx, n, 2);
         let s = index_to_component(idx, n, 2);
         match (a, s) {
-            (Component::Backplane(an), SimComponent::Hub(sn)) => {
-                assert_eq!(an as usize, sn.idx(), "idx {idx}");
+            ((None, an), SimComponent::Hub(sn)) => {
+                assert_eq!(an, sn.idx(), "idx {idx}");
             }
-            (Component::Nic { node, net }, SimComponent::Nic(snode, snet)) => {
-                assert_eq!(node, snode.0, "idx {idx}");
-                assert_eq!(net as usize, snet.idx(), "idx {idx}");
+            ((Some(node), net), SimComponent::Nic(snode, snet)) => {
+                assert_eq!(node, snode.0 as usize, "idx {idx}");
+                assert_eq!(net, snet.idx(), "idx {idx}");
             }
             other => panic!("layout drift at idx {idx}: {other:?}"),
         }
-        let _ = NetId::A;
     }
 }

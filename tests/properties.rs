@@ -7,14 +7,14 @@
 
 use drs::obs::rng::Rng;
 
-use drs::analytic::components::FailureSet;
-use drs::analytic::connectivity::{all_pairs_connected, pair_connected};
+use drs::analytic::connectivity::{all_pairs_connected_k, pair_connected_k};
 use drs::analytic::exact::{component_count, p_success};
-use drs::analytic::montecarlo::sample_failure_set;
-use drs::core::{DrsConfig, DrsDaemon, LatencyHistogram};
+use drs::analytic::montecarlo::sample_failures;
+use drs::core::{DrsConfig, DrsDaemon, ProbeObs};
 use drs::obs::Histogram;
 use drs::sim::fault::{component_to_index, index_to_component, FaultPlan};
 use drs::sim::{ClusterSpec, NodeId, SimDuration, SimTime, World};
+use drs::topology::ComponentSet;
 
 /// Draws per property.
 const CASES: u64 = 256;
@@ -36,14 +36,14 @@ fn predicate_is_monotone() {
         let m = 2 * n + 2;
         let f = f.min(m);
         let mut rng = Rng::seed_from_u64(seed);
-        let failures = sample_failure_set(n, f, &mut rng);
-        if !pair_connected(n, &failures, 0, 1) {
+        let failures = sample_failures(2 * n + 2, f, &mut rng);
+        if !pair_connected_k(n, 2, &failures, 0, 1) {
             // adding any failure keeps it disconnected
             for add in 0..m {
                 let mut worse = failures;
                 worse.insert(add);
                 assert!(
-                    !pair_connected(n, &worse, 0, 1),
+                    !pair_connected_k(n, 2, &worse, 0, 1),
                     "{ctx}: adding failure {add} reconnected the pair"
                 );
             }
@@ -53,7 +53,7 @@ fn predicate_is_monotone() {
                 let mut better = failures;
                 better.remove(del);
                 assert!(
-                    pair_connected(n, &better, 0, 1),
+                    pair_connected_k(n, 2, &better, 0, 1),
                     "{ctx}: removing failure {del} disconnected the pair"
                 );
             }
@@ -72,12 +72,15 @@ fn all_pairs_implies_each_pair() {
         let ctx = format!("case {case}: n={n} seed={seed} f={f}");
         let f = f.min(2 * n + 2);
         let mut rng = Rng::seed_from_u64(seed);
-        let failures = sample_failure_set(n, f, &mut rng);
-        if all_pairs_connected(n, &failures) {
+        let failures = sample_failures(2 * n + 2, f, &mut rng);
+        if all_pairs_connected_k(n, 2, &failures) {
             for s in 0..n {
                 for t in 0..n {
                     if s != t {
-                        assert!(pair_connected(n, &failures, s, t), "{ctx}: pair ({s},{t})");
+                        assert!(
+                            pair_connected_k(n, 2, &failures, s, t),
+                            "{ctx}: pair ({s},{t})"
+                        );
                     }
                 }
             }
@@ -96,15 +99,15 @@ fn predicate_is_symmetric() {
         let ctx = format!("case {case}: n={n} seed={seed} f={f}");
         let f = f.min(2 * n + 2);
         let mut rng = Rng::seed_from_u64(seed);
-        let failures = sample_failure_set(n, f, &mut rng);
+        let failures = sample_failures(2 * n + 2, f, &mut rng);
         let s = (seed as usize) % n;
         let mut t = (seed as usize / 7) % n;
         if t == s {
             t = (t + 1) % n;
         }
         assert_eq!(
-            pair_connected(n, &failures, s, t),
-            pair_connected(n, &failures, t, s),
+            pair_connected_k(n, 2, &failures, s, t),
+            pair_connected_k(n, 2, &failures, t, s),
             "{ctx}",
         );
     }
@@ -137,7 +140,7 @@ fn equation1_bounds_and_edges() {
     }
 }
 
-/// FailureSet insert/remove/iter behave like a set of indices.
+/// ComponentSet insert/remove/iter behave like a set of indices.
 #[test]
 fn failure_set_is_a_set() {
     for case in 0..CASES {
@@ -146,7 +149,7 @@ fn failure_set_is_a_set() {
             .map(|_| rng.gen_range(0usize..256))
             .collect();
         let ctx = format!("case {case}: indices={indices:?}");
-        let set = FailureSet::from_indices(&indices);
+        let set = ComponentSet::from_indices(&indices);
         indices.sort_unstable();
         indices.dedup();
         assert_eq!(set.len(), indices.len(), "{ctx}");
@@ -218,8 +221,9 @@ const MERGE_QUANTILES: [f64; 6] = [0.0, 0.5, 0.9, 0.99, 0.999, 1.0];
 
 /// Merging K per-worker histograms — in any order — is exactly the
 /// histogram of all samples recorded serially: same count, sum,
-/// min, max, and every quantile bound. This is what makes the
-/// parallel and serial artifact paths byte-identical.
+/// min, max, and every quantile bound — directly, and through the
+/// per-daemon `ProbeObs` blocks the simulator harvests. This is what
+/// makes the parallel and serial artifact paths byte-identical.
 #[test]
 fn histogram_merge_is_order_independent_and_exact() {
     for case in 0..CASES {
@@ -232,26 +236,27 @@ fn histogram_merge_is_order_independent_and_exact() {
         let ctx = format!("case {case}: samples={samples:?} k={k} seed={seed}");
         let k = k.min(samples.len());
         let mut whole = Histogram::new();
-        let mut whole_lat = LatencyHistogram::new();
+        let mut whole_obs = ProbeObs::default();
         let mut parts = vec![Histogram::new(); k];
-        let mut parts_lat = vec![LatencyHistogram::new(); k];
+        let mut parts_obs = vec![ProbeObs::default(); k];
         for (i, &s) in samples.iter().enumerate() {
             whole.record(s);
-            whole_lat.record(SimDuration(s));
+            whole_obs.probe_rtt.record(s);
             parts[i % k].record(s);
-            parts_lat[i % k].record(SimDuration(s));
+            parts_obs[i % k].probe_rtt.record(s);
         }
         let mut merged = Histogram::new();
-        let mut merged_lat = LatencyHistogram::new();
+        let mut merged_obs = ProbeObs::default();
         for idx in permutation(k, seed) {
             merged.merge(&parts[idx]);
-            merged_lat.merge(&parts_lat[idx]);
+            merged_obs.merge(&parts_obs[idx]);
         }
         assert_eq!(merged.count(), whole.count(), "{ctx}");
         assert_eq!(merged.sum(), whole.sum(), "{ctx}");
         assert_eq!(merged.min(), whole.min(), "{ctx}");
         assert_eq!(merged.max(), whole.max(), "{ctx}");
-        assert_eq!(&merged_lat, &whole_lat, "{ctx}");
+        assert_eq!(&merged, &whole, "{ctx}");
+        assert_eq!(&merged_obs, &whole_obs, "{ctx}");
         for q in MERGE_QUANTILES {
             assert_eq!(
                 merged.quantile_upper_bound(q),
@@ -260,8 +265,8 @@ fn histogram_merge_is_order_independent_and_exact() {
                 q
             );
             assert_eq!(
-                merged_lat.quantile_upper_bound(q),
-                whole_lat.quantile_upper_bound(q),
+                merged_obs.probe_rtt.quantile_upper_bound(q),
+                whole.quantile_upper_bound(q),
                 "{ctx}: sim quantile {} diverged after merge",
                 q
             );
@@ -279,7 +284,7 @@ fn drs_delivers_whatever_the_model_says_is_deliverable() {
         let ctx = format!("case {case}: seed={seed}");
         let n = 6;
         let mut rng = Rng::seed_from_u64(seed);
-        let failures = sample_failure_set(n, 2, &mut rng);
+        let failures = sample_failures(2 * n + 2, 2, &mut rng);
         let cfg = DrsConfig::default()
             .probe_timeout(SimDuration::from_millis(50))
             .probe_interval(SimDuration::from_millis(200));
@@ -302,6 +307,6 @@ fn drs_delivers_whatever_the_model_says_is_deliverable() {
             w.flow_outcome(flow),
             Some(drs::sim::world::FlowOutcome::Delivered(_))
         );
-        assert_eq!(delivered, pair_connected(n, &failures, 0, 1), "{ctx}");
+        assert_eq!(delivered, pair_connected_k(n, 2, &failures, 0, 1), "{ctx}");
     }
 }

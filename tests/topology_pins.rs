@@ -4,7 +4,6 @@
 //! predicate — and the one-hop-gateway policy diverges from transitive
 //! reachability exactly where the DRS routing model says it must.
 
-use drs::analytic::components::FailureSet;
 use drs::analytic::connectivity::pair_connected_k;
 use drs::analytic::orbit::orbit_pair_success;
 use drs::analytic::topo::enumerate_pair_success_topo;
@@ -71,10 +70,9 @@ fn at_k2_all_three_predicates_agree_on_every_subset() {
         for mask in 0u32..(1 << m) {
             let indices: Vec<usize> = (0..m).filter(|&i| mask >> i & 1 == 1).collect();
             let set = ComponentSet::from_indices(&indices);
-            let failures = FailureSet::from_indices(&indices);
             let transitive = pair_connected(&topo, &set, 0, 1, Reachability::Transitive);
             let one_hop = pair_connected(&topo, &set, 0, 1, Reachability::OneHostRelay);
-            let legacy = pair_connected_k(n, 2, &failures, 0, 1);
+            let legacy = pair_connected_k(n, 2, &set, 0, 1);
             assert_eq!(transitive, one_hop, "n={n} mask={mask:#x}");
             assert_eq!(one_hop, legacy, "n={n} mask={mask:#x}");
         }
@@ -110,8 +108,7 @@ fn one_hop_policy_is_strictly_stronger_beyond_k2() {
         Reachability::OneHostRelay
     ));
     // The legacy K-plane predicate is the one-hop policy.
-    let failures = FailureSet::from_indices(&failed);
-    assert!(!pair_connected_k(n, k as u8, &failures, 0, 1));
+    assert!(!pair_connected_k(n, k as u8, &set, 0, 1));
 }
 
 #[test]
