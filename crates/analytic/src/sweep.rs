@@ -313,32 +313,9 @@ pub fn run_cell(master_seed: u64, spec: &CellSpec) -> CellResult {
 /// in grid order; the run is deterministic for a fixed config.
 #[must_use]
 pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
-    run_sweep_profiled(cfg, &drs_obs::NullProfiler)
-}
-
-/// [`run_sweep`] with per-phase wall-clock profiling: each cell's
-/// evaluation time is reported to `profiler` under its method label
-/// (`exact` vs `orbit` vs `enumerate` …), so a human can see where a
-/// grid spends its time. The profiler only observes — results (and
-/// therefore `BENCH_survivability.json`) are identical whether it is a
-/// [`drs_obs::WallProfiler`] or the [`drs_obs::NullProfiler`] the plain
-/// entry point installs.
-#[must_use]
-pub fn run_sweep_profiled(cfg: &SweepConfig, profiler: &dyn drs_obs::Profiler) -> SweepResult {
-    let cells = par::map(cfg.cells.len(), |i| {
-        let spec = &cfg.cells[i];
-        if !profiler.enabled() {
-            return run_cell(cfg.seed, spec);
-        }
-        let start = std::time::Instant::now();
-        let cell = run_cell(cfg.seed, spec);
-        let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        profiler.record(spec.method.label(), dur);
-        cell
-    });
     SweepResult {
         seed: cfg.seed,
-        cells,
+        cells: par::map(cfg.cells.len(), |i| run_cell(cfg.seed, &cfg.cells[i])),
     }
 }
 
@@ -354,27 +331,6 @@ mod tests {
         let b = run_sweep(&cfg);
         assert_eq!(a, b);
         assert_eq!(a.to_json(), b.to_json());
-    }
-
-    #[test]
-    fn profiled_sweep_matches_plain_and_groups_by_method() {
-        let cfg = SweepConfig::bench_grid(42);
-        let profiler = drs_obs::WallProfiler::new();
-        let profiled = run_sweep_profiled(&cfg, &profiler);
-        assert_eq!(profiled, run_sweep(&cfg));
-        let report = profiler.report();
-        for method in ["exact", "orbit", "enumerate", "enumerate_parallel"] {
-            let expected = cfg
-                .cells
-                .iter()
-                .filter(|c| c.method.label() == method)
-                .count();
-            assert_eq!(
-                report.histogram(method).map_or(0, |h| h.count()),
-                expected as u64,
-                "one wall-clock sample per {method} cell"
-            );
-        }
     }
 
     #[test]

@@ -29,10 +29,9 @@
 //! * **`event_counts`** — how many structured trace events of each
 //!   [`TraceEventKind`] the shootout and the end-to-end grid produced.
 //!
-//! Wall-clock profiling is deliberately absent here: profilers observe
-//! the same runs through [`drs_harness::Profiler`] hooks, but their
-//! nondeterministic timings go to `benchmark/run.sh`'s report, never
-//! into this committed file.
+//! Wall-clock is deliberately absent here: `benchmark/run.sh` times the
+//! same runs from outside, and its nondeterministic numbers go to its
+//! own report, never into this committed file.
 
 use drs_baselines::compare::{
     run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,

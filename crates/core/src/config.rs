@@ -61,11 +61,6 @@ pub struct DrsConfig {
     /// batching ignores `stagger` entirely). Defaults to the legacy
     /// per-pair timers so existing artifacts stay byte-reproducible.
     pub batched_monitor: bool,
-    /// Record every probe send into [`crate::metrics::DrsMetrics`]'s
-    /// `probe_log` (time, peer, net, seq). Off by default — the log grows
-    /// with the run — and exists so equivalence tests can compare the
-    /// exact probe sequence of the batched and per-pair monitors.
-    pub record_probe_log: bool,
     /// Record every daemon input (start / timer / echo reply / control,
     /// with its arrival time) and every random gateway pick into a
     /// [`crate::journal::DaemonJournal`]. Off by default — the journal
@@ -87,7 +82,6 @@ impl Default for DrsConfig {
             discovery_backoff: SimDuration::from_secs(1),
             down_probe_backoff: 1,
             batched_monitor: false,
-            record_probe_log: false,
             record_journal: false,
         }
     }
@@ -157,13 +151,6 @@ impl DrsConfig {
     #[must_use]
     pub fn batched_monitor(mut self, on: bool) -> Self {
         self.batched_monitor = on;
-        self
-    }
-
-    /// Enables or disables the probe-send log.
-    #[must_use]
-    pub fn record_probe_log(mut self, on: bool) -> Self {
-        self.record_probe_log = on;
         self
     }
 

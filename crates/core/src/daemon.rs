@@ -20,6 +20,12 @@
 //! application traffic — that is what makes DRS *proactive*: by the time
 //! an application sends, the route table has already been fixed.
 //!
+//! What the daemon knows lives in one table, [`crate::monitor::PeerTable`]
+//! — a link record per `(peer, net)` pair and a repair record per peer —
+//! allocated once, at boot, when the backend says how many planes there
+//! are. The handlers below look a record up once and work on it; an id
+//! that names no record is an ignored input, never an index.
+//!
 //! The daemon talks to the outside world only through
 //! [`crate::io::DrsIo`]: the four entry points ([`DrsDaemon::handle_start`],
 //! [`DrsDaemon::handle_timer`], [`DrsDaemon::handle_echo_reply`],
@@ -28,15 +34,14 @@
 //! and against a recorded trace.
 
 use drs_obs::flight::{EventRef, TraceKind};
-use drs_obs::Span;
 
 use crate::config::{DrsConfig, GatewayPolicy};
 use crate::ids::{NetId, NodeId};
 use crate::io::DrsIo;
 use crate::journal::{DaemonInput, DaemonJournal};
 use crate::messages::DrsMsg;
-use crate::metrics::{DrsEventKind, DrsMetrics, ProbeRecord};
-use crate::monitor::{LinkState, PeerTable, Transition};
+use crate::metrics::{DrsEventKind, DrsMetrics};
+use crate::monitor::{DiscoveryRound, LinkState, PeerTable, Transition};
 use crate::routes::Route;
 use crate::time::{SimDuration, SimTime};
 
@@ -64,77 +69,40 @@ fn untoken(t: u64) -> (u64, NodeId, NetId, u64) {
     )
 }
 
-#[derive(Debug, Clone)]
-struct DiscoveryRound {
-    req_id: u64,
-    offers: Vec<(NodeId, NetId)>,
-    decided: bool,
-}
-
 /// One host's DRS routing demon.
 ///
-/// All per-peer and per-`(peer, net)` state lives in dense vectors
-/// indexed by node id (and plane) — ids are small and sequential, so
-/// dense indexing is both the fastest lookup and, unlike the former
-/// `std::collections::HashMap`s, free of any SipHash seeding that could
-/// leak into iteration order.
+/// Every per-link and per-peer record lives in the daemon's one
+/// [`PeerTable`]; the daemon itself keeps only scalars, its
+/// configuration and what it reports (metrics, the optional journal).
+/// The latency histograms and flight records are clocked on
+/// [`DrsIo::now`] alone, and recording into them never arms a timer or
+/// draws randomness, so an observed daemon is event-for-event identical
+/// to an unobserved one.
 #[derive(Debug, Clone)]
 pub struct DrsDaemon {
     id: NodeId,
     n: usize,
     cfg: DrsConfig,
-    peers: PeerTable,
+    /// Monitors nothing until [`Self::handle_start`] sizes it.
+    table: PeerTable,
     next_seq: u32,
     next_req: u64,
-    /// Active discovery round per target, indexed by [`NodeId::idx`].
-    discovery: Vec<Option<DiscoveryRound>>,
-    /// Last discovery start per target, indexed by [`NodeId::idx`].
-    last_discovery: Vec<Option<SimTime>>,
     /// Counters and the timestamped event log.
     pub metrics: DrsMetrics,
     /// Input journal for trace replay, present when
     /// [`DrsConfig::record_journal`] is on. Recording never changes what
     /// the daemon does.
     journal: Option<DaemonJournal>,
-    // Observability spans, all clocked on simulation time. Recording
-    // into them never schedules events or draws randomness, so the
-    // instrumented daemon is event-for-event identical to PR-2's.
-    /// Open span per monitored `(peer, net)` pair ([`Self::pair_idx`]):
-    /// the in-flight monitor cycle. Closed into `probe_gap`/`probe_rtt`.
-    probe_spans: Vec<Option<Span>>,
-    /// Last time each `(peer, net)` pair answered a probe — the baseline
-    /// for failure-detection latency.
-    last_ok: Vec<Option<SimTime>>,
-    /// Open repair span per destination ([`NodeId::idx`]): failure
-    /// observed → new route installed. Closed into `reroute_complete`.
-    pending_reroute: Vec<Option<Span>>,
     /// Probes sent by the current batched monitor cycle, awaiting the
     /// cycle's single timeout sweep. Recycled between cycles: the batched
     /// probe path performs no steady-state heap allocation.
     cycle_probes: Vec<(NodeId, NetId, u32)>,
-    /// Batched-mode down-link backoff: cycles left to skip per pair.
-    probe_skip: Vec<u64>,
-    // Flight-recorder identities (all `None` while the recorder is off;
-    // recording never changes what the daemon *does*, only what it can
-    // explain afterwards).
-    /// Last `ProbeSend` record per `(peer, net)` pair.
-    probe_send_ref: Vec<Option<EventRef>>,
-    /// Causal-chain tail per pair: the previous probe send, or the last
-    /// good reply — so a chain walks send → … → send → last-good-recv.
-    probe_chain_ref: Vec<Option<EventRef>>,
-    /// Open `FailoverDecision` per destination, consumed by the
-    /// `RerouteComplete` that closes the repair span.
-    pending_reroute_ref: Vec<Option<EventRef>>,
-    /// Pinned `LinkDown` chain head per pair, released on link-up.
-    down_ref: Vec<Option<EventRef>>,
 }
 
 impl DrsDaemon {
-    /// A daemon for host `id` in an `n`-host cluster.
-    ///
-    /// The link table is sized for the paper's two planes here and
-    /// re-sized to the backend's actual redundancy degree in
-    /// [`Self::handle_start`], where the daemon first sees it.
+    /// A daemon for host `id` in an `n`-host cluster. Its link table is
+    /// sized in [`Self::handle_start`], where the daemon first sees the
+    /// backend's redundancy degree.
     ///
     /// # Panics
     /// Panics if the cluster has fewer than two hosts or more than the
@@ -147,38 +115,19 @@ impl DrsDaemon {
             id,
             n,
             cfg,
-            peers: PeerTable::new(id, n, 2),
+            table: PeerTable::default(),
             next_seq: 0,
             next_req: 0,
-            discovery: vec![None; n],
-            last_discovery: vec![None; n],
             metrics: DrsMetrics::default(),
-            journal: if cfg.record_journal {
-                Some(DaemonJournal::default())
-            } else {
-                None
-            },
-            probe_spans: vec![None; n * 2],
-            last_ok: vec![None; n * 2],
-            pending_reroute: vec![None; n],
+            journal: cfg.record_journal.then(DaemonJournal::default),
             cycle_probes: Vec::new(),
-            probe_skip: vec![0; n * 2],
-            probe_send_ref: vec![None; n * 2],
-            probe_chain_ref: vec![None; n * 2],
-            pending_reroute_ref: vec![None; n],
-            down_ref: vec![None; n * 2],
         }
-    }
-
-    /// Dense index of a `(peer, net)` pair into the per-pair vectors.
-    fn pair_idx(&self, peer: NodeId, net: NetId) -> usize {
-        peer.idx() * self.peers.planes() as usize + net.idx()
     }
 
     /// The daemon's view of its links.
     #[must_use]
     pub fn peer_table(&self) -> &PeerTable {
-        &self.peers
+        &self.table
     }
 
     /// The host this daemon runs on.
@@ -223,30 +172,18 @@ impl DrsDaemon {
         self.next_seq
     }
 
-    /// Transmits one monitor probe to `(peer, net)`: sequence allocation,
-    /// pending-probe bookkeeping, probe-gap span rotation and the echo
-    /// itself — everything except timeout arming, which differs between
-    /// the per-pair and batched monitor drivers. Returns the ICMP seq.
-    fn send_probe(&mut self, io: &mut impl DrsIo, peer: NodeId, net: NetId) -> u32 {
+    /// Transmits one monitor probe on the link in `slot` (that of
+    /// `(peer, net)`): sequence allocation, pending-probe bookkeeping,
+    /// the probe-gap sample and the echo itself — everything except
+    /// timeout arming, which differs between the per-pair and batched
+    /// monitor drivers. Returns the ICMP seq.
+    fn send_probe(&mut self, io: &mut impl DrsIo, peer: NodeId, net: NetId, slot: usize) -> u32 {
         let seq = self.alloc_seq();
-        self.peers.probe_sent(peer, net, seq);
         self.metrics.probes_sent += 1;
-        // One monitor-cycle span per (peer, net): opening the new one
-        // closes the old one into the probe-gap histogram — the realized
-        // sweep period, stagger and backoff included.
-        let span = Span::begin(io.now().0);
-        let idx = self.pair_idx(peer, net);
-        if let Some(prev) = self.probe_spans[idx].replace(span) {
-            let gap = SimDuration(prev.elapsed_ns(span.start_ns()));
+        // The gap to the pair's previous probe is the realized sweep
+        // period, stagger and backoff included.
+        if let Some(gap) = self.table.link_at(slot).probe_sent(seq, io.now()) {
             io.probe_obs_mut().probe_gap.record(gap.as_nanos());
-        }
-        if self.cfg.record_probe_log {
-            self.metrics.probe_log.push(ProbeRecord {
-                at: io.now(),
-                peer,
-                net,
-                seq,
-            });
         }
         // Flight: this send's cause is the pair's chain tail (the
         // previous send, or the last good reply), and the send ref rides
@@ -255,11 +192,12 @@ impl DrsDaemon {
             TraceKind::ProbeSend,
             Some(net),
             u64::from(peer.0) << 32 | u64::from(seq),
-            self.probe_chain_ref[idx],
+            self.table.refs(slot).chain,
         );
         if sref.is_some() {
-            self.probe_send_ref[idx] = sref;
-            self.probe_chain_ref[idx] = sref;
+            let refs = self.table.refs_mut(slot);
+            refs.send = sref;
+            refs.chain = sref;
         }
         io.send_echo_traced(net, peer, ECHO_ID, seq, sref);
         seq
@@ -272,28 +210,27 @@ impl DrsDaemon {
     /// daemon, against `2·K·(N-1)` for the per-pair driver.
     fn run_monitor_cycle(&mut self, io: &mut impl DrsIo) {
         self.cycle_probes.clear();
-        let planes = self.peers.planes();
-        for p in 0..self.n as u32 {
-            let peer = NodeId(p);
-            if peer == self.id {
-                continue;
-            }
-            for net in NetId::planes(planes) {
-                let idx = self.pair_idx(peer, net);
-                if self.probe_skip[idx] > 0 {
+        for peer in self.table.peers() {
+            for net in NetId::planes(self.table.planes()) {
+                let Some(slot) = self.table.slot(peer, net) else {
+                    continue;
+                };
+                let link = self.table.link_at(slot);
+                if link.skip > 0 {
                     // Down-link backoff: the per-pair driver stretches the
                     // re-arm delay; the batched driver skips whole cycles.
-                    self.probe_skip[idx] -= 1;
+                    link.skip -= 1;
                     continue;
                 }
-                let seq = self.send_probe(io, peer, net);
+                let seq = self.send_probe(io, peer, net, slot);
                 self.cycle_probes.push((peer, net, seq));
-                if self.peers.state(peer, net) == LinkState::Down {
-                    self.probe_skip[idx] = self.cfg.down_probe_backoff - 1;
+                let link = self.table.link_at(slot);
+                if link.state == LinkState::Down {
+                    link.skip = self.cfg.down_probe_backoff - 1;
                 }
                 // Same retry hook as the per-pair driver: once per cycle
                 // per peer, keyed to an actually-sent plane-A probe.
-                if net == NetId::A && self.peers.peer_unreachable_direct(peer) {
+                if net == NetId::A && self.table.peer_unreachable_direct(peer) {
                     self.start_discovery(io, peer);
                 }
             }
@@ -315,35 +252,30 @@ impl DrsDaemon {
     fn sweep_cycle_timeouts(&mut self, io: &mut impl DrsIo) {
         let probes = std::mem::take(&mut self.cycle_probes);
         for &(peer, net, seq) in &probes {
-            self.metrics.timeouts += 1;
-            let transition = self
-                .peers
-                .probe_timed_out(peer, net, seq, self.cfg.miss_threshold);
-            if transition == Transition::WentDown {
-                let sweep = self.record_timeout_sweep(io, peer, net);
-                self.handle_link_down(io, peer, net, sweep);
-            }
+            self.probe_timed_out(io, peer, net, seq);
         }
         self.cycle_probes = probes;
     }
 
-    /// Flight: the sweep record that declared `(peer, net)` overdue,
-    /// caused by the probe send it gave up on.
-    fn record_timeout_sweep(
-        &mut self,
-        io: &mut impl DrsIo,
-        peer: NodeId,
-        net: NetId,
-    ) -> Option<EventRef> {
-        let cause = self.probe_send_ref[self.pair_idx(peer, net)];
-        io.flight_record(TraceKind::TimeoutSweep, Some(net), u64::from(peer.0), cause)
-    }
-
-    /// The direct network this daemon would prefer for `peer` right now,
-    /// given its link beliefs: the lowest-numbered plane whose link is up
-    /// — primary first, then the next healthy plane in order.
-    fn best_direct(&self, peer: NodeId) -> Option<NetId> {
-        self.peers.first_up(peer)
+    /// The reply window of probe `seq` on `(peer, net)` closed — one
+    /// per-pair timeout timer, or one entry of the batched sweep.
+    fn probe_timed_out(&mut self, io: &mut impl DrsIo, peer: NodeId, net: NetId, seq: u32) {
+        self.metrics.timeouts += 1;
+        let Some(slot) = self.table.slot(peer, net) else {
+            return;
+        };
+        let link = self.table.link_at(slot);
+        if link.probe_timed_out(seq, self.cfg.miss_threshold) == Transition::WentDown {
+            // Flight: the sweep record that declared the pair overdue,
+            // caused by the probe send it gave up on.
+            let sweep = io.flight_record(
+                TraceKind::TimeoutSweep,
+                Some(net),
+                u64::from(peer.0),
+                self.table.refs(slot).send,
+            );
+            self.handle_link_down(io, peer, net, slot, sweep);
+        }
     }
 
     fn install(&mut self, io: &mut impl DrsIo, dst: NodeId, route: Route) {
@@ -354,43 +286,46 @@ impl DrsDaemon {
         self.metrics.route_changes += 1;
         self.metrics
             .log(io.now(), DrsEventKind::RouteChanged { dst, route });
-        // A repair span for this destination closes on the first actual
+        // The repair open for this destination closes on the first actual
         // route change after the failure — if discovery had to wait for
         // the peer to recover, the recorded latency honestly covers the
         // whole outage.
-        if let Some(span) = self.pending_reroute[dst.idx()].take() {
-            let elapsed = SimDuration(span.elapsed_ns(io.now().0));
-            io.probe_obs_mut()
-                .reroute_complete
-                .record(elapsed.as_nanos());
-            // Flight: exactly one completion per closed repair span, so
-            // these records mirror the reroute_complete histogram 1:1.
+        let Some(peer) = self.table.peer_mut(dst) else {
+            return;
+        };
+        if let Some(opened) = peer.repair_opened.take() {
+            let elapsed = io.now().since(opened).as_nanos();
+            io.probe_obs_mut().reroute_complete.record(elapsed);
+            // Flight: exactly one completion per closed repair, so these
+            // records mirror the reroute_complete histogram 1:1.
             io.flight_record(
                 TraceKind::RerouteComplete,
                 None,
-                elapsed.as_nanos(),
-                self.pending_reroute_ref[dst.idx()].take(),
+                elapsed,
+                peer.repair_ref.take(),
             );
-            // Session layer: exactly one notification per closed repair
-            // span, so the fluid workload engine can cross-check its
+            // Session layer: exactly one notification per closed repair,
+            // so the fluid workload engine can cross-check its
             // stall/resume accounting against `reroute_complete` 1:1.
             io.notify_reroute(dst);
         }
     }
 
     /// Repairs the route to `dst` after its current path broke: redundant
-    /// direct link first, gateway discovery second. `cause` is the
-    /// link-down record that forced the repair.
+    /// direct link first (the lowest-numbered plane believed up), gateway
+    /// discovery second. `cause` is the link-down record that forced the
+    /// repair.
     fn repair_route(&mut self, io: &mut impl DrsIo, dst: NodeId, cause: Option<EventRef>) {
-        let now = io.now();
-        let newly_opened = self.pending_reroute[dst.idx()].is_none();
-        self.pending_reroute[dst.idx()].get_or_insert_with(|| Span::begin(now.0));
-        let direct = self.best_direct(dst);
-        if newly_opened {
-            // Flight: one decision per repair span, at the instant it
-            // opens — mode says which repair path the daemon committed to.
+        let direct = self.table.first_up(dst);
+        let Some(peer) = self.table.peer_mut(dst) else {
+            return;
+        };
+        if peer.repair_opened.is_none() {
+            peer.repair_opened = Some(io.now());
+            // Flight: one decision per repair, at the instant it opens —
+            // mode says which repair path the daemon committed to.
             let mode = u64::from(direct.is_none());
-            self.pending_reroute_ref[dst.idx()] = io.flight_record(
+            peer.repair_ref = io.flight_record(
                 TraceKind::FailoverDecision,
                 None,
                 u64::from(dst.0) << 1 | mode,
@@ -413,6 +348,7 @@ impl DrsDaemon {
         io: &mut impl DrsIo,
         peer: NodeId,
         net: NetId,
+        slot: usize,
         sweep: Option<EventRef>,
     ) {
         self.metrics.link_down_events += 1;
@@ -421,19 +357,17 @@ impl DrsDaemon {
         // Failure-detection latency: last healthy reply → this event. A
         // link that never answered has no baseline and records nothing
         // (no samples, not a fake zero).
-        let idx = self.pair_idx(peer, net);
         let mut detect_ns = u64::MAX;
-        if let Some(ok) = self.last_ok[idx] {
-            let detect = io.now().since(ok);
-            detect_ns = detect.as_nanos();
-            io.probe_obs_mut().failover_detect.record(detect.as_nanos());
+        if let Some(ok) = self.table.link_at(slot).last_seen {
+            detect_ns = io.now().since(ok).as_nanos();
+            io.probe_obs_mut().failover_detect.record(detect_ns);
         }
         // Flight: the down transition carries the detect latency and is
         // pinned as a live chain head, so its ancestry (losses, last good
         // reply) survives ring eviction until the link recovers.
         let down = io.flight_record(TraceKind::LinkDown, Some(net), detect_ns, sweep);
         if let Some(head) = down {
-            if let Some(old) = self.down_ref[idx].replace(head) {
+            if let Some(old) = self.table.refs_mut(slot).down.replace(head) {
                 io.flight_release(old);
             }
             io.flight_pin(head);
@@ -462,6 +396,7 @@ impl DrsDaemon {
         io: &mut impl DrsIo,
         peer: NodeId,
         net: NetId,
+        slot: usize,
         reply: Option<EventRef>,
     ) {
         self.metrics.link_up_events += 1;
@@ -471,26 +406,28 @@ impl DrsDaemon {
         // the failure chain it ends is unpinned — its records may now be
         // evicted like any others.
         io.flight_record(TraceKind::LinkUp, Some(net), u64::from(peer.0), reply);
-        let idx = self.pair_idx(peer, net);
-        if let Some(head) = self.down_ref[idx].take() {
+        if let Some(head) = self.table.refs(slot).down {
+            self.table.refs_mut(slot).down = None;
             io.flight_release(head);
         }
 
         // Any running discovery for this peer is obsolete.
-        if let Some(round) = self.discovery[peer.idx()].as_mut() {
+        if let Some(round) = self.table.round_mut(peer) {
             round.decided = true;
         }
 
         let current = io.route(peer);
         let best = self
-            .best_direct(peer)
+            .table
+            .first_up(peer)
             .expect("a link just came up, so some direct net is up");
         let should_move = match current {
             None => true,
             Some(Route::Via { .. }) => true,
             Some(Route::Direct(cur)) => {
                 cur != best
-                    && (self.cfg.prefer_primary || self.peers.state(peer, cur) == LinkState::Down)
+                    && (self.cfg.prefer_primary
+                        || self.table.state(peer, cur) == Some(LinkState::Down))
             }
         };
         if should_move {
@@ -503,18 +440,19 @@ impl DrsDaemon {
 
     fn start_discovery(&mut self, io: &mut impl DrsIo, target: NodeId) {
         let now = io.now();
-        if let Some(last) = self.last_discovery[target.idx()] {
-            let round_active = self.discovery[target.idx()]
-                .as_ref()
-                .is_some_and(|r| !r.decided);
+        let Some(peer) = self.table.peer_mut(target) else {
+            return;
+        };
+        if let Some(last) = peer.last_discovery {
+            let round_active = peer.discovery.as_ref().is_some_and(|r| !r.decided);
             if round_active || now.since(last) < self.cfg.discovery_backoff {
                 return;
             }
         }
-        self.last_discovery[target.idx()] = Some(now);
+        peer.last_discovery = Some(now);
         self.next_req += 1;
         let req_id = self.next_req;
-        self.discovery[target.idx()] = Some(DiscoveryRound {
+        peer.discovery = Some(DiscoveryRound {
             req_id,
             offers: Vec::new(),
             decided: false,
@@ -523,7 +461,7 @@ impl DrsDaemon {
         self.metrics
             .log(now, DrsEventKind::DiscoveryStarted { target });
         let msg = DrsMsg::RouteRequest { target, req_id };
-        for net in NetId::planes(self.peers.planes()) {
+        for net in NetId::planes(self.table.planes()) {
             io.broadcast_control(net, msg);
         }
         // Arm the decision/failure-detection window.
@@ -534,22 +472,19 @@ impl DrsDaemon {
     }
 
     fn handle_offer_window(&mut self, io: &mut impl DrsIo, target: NodeId, req_low: u64) {
-        let Some(round) = self.discovery[target.idx()].as_ref() else {
+        let Some(round) = self.table.round_mut(target) else {
             return;
         };
         if round.decided || round.req_id & 0xFF_FFFF != req_low {
             return;
         }
+        round.decided = true;
         if round.offers.is_empty() {
-            self.discovery[target.idx()]
-                .as_mut()
-                .expect("present")
-                .decided = true;
             self.metrics
                 .log(io.now(), DrsEventKind::DiscoveryFailed { target });
             return;
         }
-        let pick = match self.cfg.gateway_policy {
+        let (gateway, net) = match self.cfg.gateway_policy {
             GatewayPolicy::FirstOffer => round.offers[0], // unreachable in practice
             GatewayPolicy::LowestId => *round
                 .offers
@@ -564,19 +499,8 @@ impl DrsDaemon {
                 round.offers[i]
             }
         };
-        self.discovery[target.idx()]
-            .as_mut()
-            .expect("present")
-            .decided = true;
         self.metrics.gateway_failovers += 1;
-        self.install(
-            io,
-            target,
-            Route::Via {
-                gateway: pick.0,
-                net: pick.1,
-            },
-        );
+        self.install(io, target, Route::Via { gateway, net });
     }
 
     fn handle_route_request(
@@ -587,13 +511,13 @@ impl DrsDaemon {
         target: NodeId,
         req_id: u64,
     ) {
-        if target == self.id || from == self.id {
+        if target == self.id {
             return; // cannot gateway to ourselves
         }
         // Offer only with a live *direct* route to the target: one-hop
         // relays cannot form loops.
         let usable = match io.route(target) {
-            Some(Route::Direct(tnet)) => self.peers.state(target, tnet) == LinkState::Up,
+            Some(Route::Direct(tnet)) => self.table.state(target, tnet) == Some(LinkState::Up),
             _ => false,
         };
         if !usable {
@@ -611,7 +535,7 @@ impl DrsDaemon {
         target: NodeId,
         req_id: u64,
     ) {
-        let Some(round) = self.discovery[target.idx()].as_mut() else {
+        let Some(round) = self.table.round_mut(target) else {
             return;
         };
         if round.decided || round.req_id != req_id {
@@ -632,23 +556,16 @@ impl DrsDaemon {
     // ---- Entry points -----------------------------------------------
     //
     // The backend (DES kernel, UDP event loop, trace replayer) calls
-    // exactly these four methods; everything above is internal.
+    // exactly these four methods; everything above is internal. Ids that
+    // arrive here may come off a real wire: one that names no record of
+    // the table is an ignored input — counted, never indexed with.
 
-    /// Boot: size the per-pair state to the backend's plane count and arm
-    /// the monitor timers.
+    /// Boot: size the table to the backend's plane count — the one time
+    /// it is allocated — and arm the monitor timers.
     pub fn handle_start(&mut self, io: &mut impl DrsIo) {
-        // First sight of the environment: size the link table (and the
-        // dense per-pair state) to the cluster's actual redundancy degree.
         let planes = io.planes();
         self.journal_input(io.now(), DaemonInput::Start { planes });
-        self.peers = PeerTable::new(self.id, self.n, planes);
-        let pairs = self.n * planes as usize;
-        self.probe_spans = vec![None; pairs];
-        self.last_ok = vec![None; pairs];
-        self.probe_skip = vec![0; pairs];
-        self.probe_send_ref = vec![None; pairs];
-        self.probe_chain_ref = vec![None; pairs];
-        self.down_ref = vec![None; pairs];
+        self.table = PeerTable::new(self.id, self.n, planes);
         if self.cfg.batched_monitor {
             // One cycle event drives the whole sweep (stagger does not
             // apply: the point of batching is the single timer).
@@ -658,9 +575,8 @@ impl DrsDaemon {
         // Arm one repeating probe timer per (peer, net) pair, staggered
         // across the first cycle so the shared medium never sees a burst.
         let pair_count = u64::from(planes) * (self.n - 1) as u64;
-        let peers: Vec<NodeId> = self.peers.peers().collect();
         let mut k = 0u64;
-        for peer in peers {
+        for peer in self.table.peers() {
             for net in NetId::planes(planes) {
                 let offset = if self.cfg.stagger {
                     SimDuration(self.cfg.probe_interval.as_nanos() * k / pair_count)
@@ -679,7 +595,10 @@ impl DrsDaemon {
         let (kind, peer, net, payload) = untoken(t);
         match kind {
             KIND_PROBE => {
-                let seq = self.send_probe(io, peer, net);
+                let Some(slot) = self.table.slot(peer, net) else {
+                    return;
+                };
+                let seq = self.send_probe(io, peer, net, slot);
                 io.set_timer(
                     self.cfg.probe_timeout,
                     token(KIND_TIMEOUT, peer, net, seq as u64),
@@ -687,7 +606,7 @@ impl DrsDaemon {
                 // Links believed down are re-probed at a (configurably)
                 // relaxed rate: the outage is already being routed
                 // around, so only recovery detection is at stake.
-                let interval = if self.peers.state(peer, net) == LinkState::Down {
+                let interval = if self.table.link_at(slot).state == LinkState::Down {
                     self.cfg
                         .probe_interval
                         .saturating_mul(self.cfg.down_probe_backoff)
@@ -700,20 +619,11 @@ impl DrsDaemon {
                 // direct links are down, keep re-discovering (rate-limited)
                 // so a newly viable gateway is eventually found. Hooked to
                 // the net-A probe only, to fire once per cycle per peer.
-                if net == NetId::A && self.peers.peer_unreachable_direct(peer) {
+                if net == NetId::A && self.table.peer_unreachable_direct(peer) {
                     self.start_discovery(io, peer);
                 }
             }
-            KIND_TIMEOUT => {
-                self.metrics.timeouts += 1;
-                let transition =
-                    self.peers
-                        .probe_timed_out(peer, net, payload as u32, self.cfg.miss_threshold);
-                if transition == Transition::WentDown {
-                    let sweep = self.record_timeout_sweep(io, peer, net);
-                    self.handle_link_down(io, peer, net, sweep);
-                }
-            }
+            KIND_TIMEOUT => self.probe_timed_out(io, peer, net, payload as u32),
             KIND_OFFER_WINDOW => self.handle_offer_window(io, peer, payload),
             KIND_CYCLE => self.run_monitor_cycle(io),
             KIND_CYCLE_TIMEOUT => self.sweep_cycle_timeouts(io),
@@ -734,17 +644,22 @@ impl DrsDaemon {
         if id != ECHO_ID {
             return; // someone else's ping
         }
+        let Some(slot) = self.table.slot(from, net) else {
+            self.metrics.ignored_inputs += 1;
+            return;
+        };
         self.metrics.replies_received += 1;
         let now = io.now();
+        let link = self.table.link_at(slot);
         // Round-trip of the monitor cycle's probe, measured against the
         // most recent request on this (peer, net) — probes never overlap
         // on a link because the timeout is armed under the interval.
-        let idx = self.pair_idx(from, net);
-        if let Some(span) = self.probe_spans[idx].as_ref() {
-            let rtt = SimDuration(span.elapsed_ns(now.0));
-            io.probe_obs_mut().probe_rtt.record(rtt.as_nanos());
+        if let Some(sent) = link.last_probe {
+            io.probe_obs_mut()
+                .probe_rtt
+                .record(now.since(sent).as_nanos());
         }
-        self.last_ok[idx] = Some(now);
+        let transition = link.reply_received(now);
         // Flight: a good reply answers the pair's outstanding send and
         // resets the chain tail — future failure chains walk back to
         // *this* record as their last-good anchor.
@@ -752,13 +667,13 @@ impl DrsDaemon {
             TraceKind::ProbeRecv,
             Some(net),
             u64::from(from.0) << 32 | u64::from(seq),
-            self.probe_send_ref[idx],
+            self.table.refs(slot).send,
         );
         if rref.is_some() {
-            self.probe_chain_ref[idx] = rref;
+            self.table.refs_mut(slot).chain = rref;
         }
-        if self.peers.reply_received(from, net, now) == Transition::WentUp {
-            self.handle_link_up(io, from, net, rref);
+        if transition == Transition::WentUp {
+            self.handle_link_up(io, from, net, slot, rref);
         }
     }
 
@@ -772,13 +687,17 @@ impl DrsDaemon {
                 msg: *msg,
             },
         );
-        match *msg {
-            DrsMsg::RouteRequest { target, req_id } => {
-                self.handle_route_request(io, from, net, target, req_id);
-            }
-            DrsMsg::RouteOffer { target, req_id } => {
-                self.handle_route_offer(io, from, net, target, req_id);
-            }
+        let (target, req_id) = (msg.target(), msg.req_id());
+        // The sender must be a monitored peer on a plane this cluster
+        // has, the target a host of the cluster other than the sender (a
+        // host cannot relay to itself).
+        if self.table.slot(from, net).is_none() || target.idx() >= self.n || target == from {
+            self.metrics.ignored_inputs += 1;
+            return;
+        }
+        match msg {
+            DrsMsg::RouteRequest { .. } => self.handle_route_request(io, from, net, target, req_id),
+            DrsMsg::RouteOffer { .. } => self.handle_route_offer(io, from, net, target, req_id),
         }
     }
 }

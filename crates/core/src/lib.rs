@@ -75,7 +75,7 @@ pub use ids::{NetId, NodeId};
 pub use io::DrsIo;
 pub use journal::{DaemonInput, DaemonJournal, JournalRecord};
 pub use messages::DrsMsg;
-pub use metrics::{DrsEvent, DrsEventKind, DrsMetrics, ProbeRecord};
+pub use metrics::{DrsEvent, DrsEventKind, DrsMetrics};
 pub use monitor::{LinkState, PeerTable};
 pub use routes::{Route, RouteTable};
 pub use stats::ProbeObs;

@@ -56,19 +56,6 @@ pub struct DrsEvent {
     pub kind: DrsEventKind,
 }
 
-/// One probe transmission, as recorded by the optional probe log.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ProbeRecord {
-    /// When the probe was sent.
-    pub at: SimTime,
-    /// The probed peer.
-    pub peer: NodeId,
-    /// The probed network plane.
-    pub net: NetId,
-    /// The ICMP sequence number used.
-    pub seq: u32,
-}
-
 /// Aggregate counters plus the event log of one daemon.
 #[derive(Debug, Clone, Default)]
 pub struct DrsMetrics {
@@ -94,12 +81,12 @@ pub struct DrsMetrics {
     pub discoveries: u64,
     /// Gateway offers this daemon sent to others.
     pub offers_sent: u64,
+    /// Echo replies and control messages dropped because they named a
+    /// sender, plane or target outside this daemon's table — possible
+    /// only off a real wire; the simulator's ids are always in range.
+    pub ignored_inputs: u64,
     /// Timestamped transition log, kept sorted by timestamp ([`DrsMetrics::log`]).
     pub events: Vec<DrsEvent>,
-    /// Every probe send, in transmission order. Empty unless
-    /// [`crate::config::DrsConfig::record_probe_log`] is on — it exists
-    /// for the monitor-equivalence tests, not for production runs.
-    pub probe_log: Vec<ProbeRecord>,
 }
 
 impl DrsMetrics {

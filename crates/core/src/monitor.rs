@@ -1,15 +1,34 @@
-//! Phase 1 of the DRS run process: the per-peer link state table.
+//! The DRS daemon's protocol state: one table, two records.
 //!
-//! For every monitored peer the daemon tracks one link per network plane
-//! (the paper's two; `K` in general), each either `Up` or `Down`. Probes
-//! that time out accumulate
-//! *consecutive misses*; crossing the configured threshold flips the link
-//! to `Down`. Any answered probe resets the count and flips it back `Up`.
-//! This module is pure state-machine bookkeeping; the daemon drives it
-//! from probe timers and echo replies.
+//! The daemon "continuously probes every monitored peer on every
+//! network", so the `(peer, network)` link is the protocol's unit of
+//! state and Figure 1's N² cost is this table. [`PeerTable`] owns all of
+//! it:
+//!
+//! * one [`Link`] per `(peer, net)` pair, flat and indexed `peer·K + net`
+//!   — phase 1 of the run process. A link is `Up` or `Down`; probes that
+//!   time out accumulate *consecutive misses*, crossing the configured
+//!   threshold flips the link `Down`, and any answered probe resets the
+//!   count and flips it back `Up`. The same record carries the instants
+//!   the latency histograms are measured from (last probe out, last
+//!   reply in) and the batched monitor's backoff counter;
+//! * one `Peer` per host — phase 2's repair state: the gateway-discovery
+//!   round, its rate limiter, and the open repair (failure observed, no
+//!   replacement route installed yet);
+//! * the three flight-recorder identities per link, in a side vector
+//!   that stays empty until a backend first hands back a record — a
+//!   daemon driven without a recorder pays nothing for them.
+//!
+//! Ids reach the daemon off a real wire in the live backend, so every
+//! lookup by id returns `Option`: the owner itself, a peer outside the
+//! cluster and a plane the cluster does not have are all "no such
+//! record", never an index panic. `PeerTable::slot` is the one place an
+//! id pair becomes an index.
+
+use drs_obs::flight::EventRef;
 
 use crate::ids::{NetId, NodeId};
-use crate::time::SimTime;
+use crate::time::{SimDuration, SimTime};
 
 /// The daemon's belief about one `(peer, network)` link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -18,30 +37,6 @@ pub enum LinkState {
     Up,
     /// `miss_threshold` consecutive probes went unanswered.
     Down,
-}
-
-/// Per-link bookkeeping.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct LinkInfo {
-    /// Current believed state.
-    pub state: LinkState,
-    /// Consecutive unanswered probes.
-    pub misses: u32,
-    /// Sequence number of the probe currently awaiting a reply, if any.
-    pub pending_seq: Option<u32>,
-    /// When the last reply was heard (`None` before the first).
-    pub last_seen: Option<SimTime>,
-}
-
-impl Default for LinkInfo {
-    fn default() -> Self {
-        LinkInfo {
-            state: LinkState::Up, // optimistic start, as deployed
-            misses: 0,
-            pending_seq: None,
-            last_seen: None,
-        }
-    }
 }
 
 /// What a probe result did to the link state.
@@ -55,13 +50,129 @@ pub enum Transition {
     WentUp,
 }
 
-/// The full link-state table of one daemon: `(peer, net) → LinkInfo`.
+/// Everything the protocol tracks about one `(peer, network)` link.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Link {
+    /// Current believed state.
+    pub state: LinkState,
+    /// Consecutive unanswered probes.
+    pub misses: u32,
+    /// Sequence number of the probe currently awaiting a reply, if any.
+    pub pending_seq: Option<u32>,
+    /// When the last reply was heard (`None` before the first) — the
+    /// baseline of failure-detection latency.
+    pub last_seen: Option<SimTime>,
+    /// When the last probe left (`None` before the first) — the baseline
+    /// of the probe-gap and round-trip histograms.
+    pub last_probe: Option<SimTime>,
+    /// Batched-monitor down-link backoff: cycles left to skip.
+    pub skip: u64,
+}
+
+impl Default for Link {
+    fn default() -> Self {
+        Link {
+            state: LinkState::Up, // optimistic start, as deployed
+            misses: 0,
+            pending_seq: None,
+            last_seen: None,
+            last_probe: None,
+            skip: 0,
+        }
+    }
+}
+
+impl Link {
+    /// Records that a probe with `seq` left at `now`. Returns the gap
+    /// since the previous probe on this link — the realized sweep period.
+    pub fn probe_sent(&mut self, seq: u32, now: SimTime) -> Option<SimDuration> {
+        self.pending_seq = Some(seq);
+        self.last_probe.replace(now).map(|prev| now.since(prev))
+    }
+
+    /// Processes an echo reply. Replies that match no pending probe
+    /// (stale or duplicate) still prove liveness and are treated as
+    /// successes — ICMP is idempotent evidence.
+    pub fn reply_received(&mut self, at: SimTime) -> Transition {
+        self.pending_seq = None;
+        self.misses = 0;
+        self.last_seen = Some(at);
+        if self.state == LinkState::Down {
+            self.state = LinkState::Up;
+            Transition::WentUp
+        } else {
+            Transition::None
+        }
+    }
+
+    /// Processes a probe timeout for `seq`. Returns the resulting
+    /// transition; a timeout for anything but the currently pending probe
+    /// is stale and ignored.
+    pub fn probe_timed_out(&mut self, seq: u32, miss_threshold: u32) -> Transition {
+        if self.pending_seq != Some(seq) {
+            return Transition::None; // answered in the meantime, or stale
+        }
+        self.pending_seq = None;
+        self.misses += 1;
+        if self.state == LinkState::Up && self.misses >= miss_threshold {
+            self.state = LinkState::Down;
+            Transition::WentDown
+        } else {
+            Transition::None
+        }
+    }
+}
+
+/// One gateway-discovery round for an unreachable peer.
 #[derive(Debug, Clone)]
+pub(crate) struct DiscoveryRound {
+    pub req_id: u64,
+    pub offers: Vec<(NodeId, NetId)>,
+    pub decided: bool,
+}
+
+/// Everything the protocol tracks about one peer beyond its links.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct Peer {
+    /// The latest discovery round for this peer, decided or not.
+    pub discovery: Option<DiscoveryRound>,
+    /// When that round's broadcast went out (the rate limiter's clock).
+    pub last_discovery: Option<SimTime>,
+    /// When the open repair began: failure observed, no replacement
+    /// route installed yet. The baseline of `reroute_complete`.
+    pub repair_opened: Option<SimTime>,
+    /// Flight: the open repair's `FailoverDecision`, consumed by the
+    /// `RerouteComplete` that closes it.
+    pub repair_ref: Option<EventRef>,
+}
+
+/// Flight-recorder identities of one link (all `None` while the recorder
+/// is off; recording never changes what the daemon *does*, only what it
+/// can explain afterwards).
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct LinkRefs {
+    /// The last `ProbeSend` record.
+    pub send: Option<EventRef>,
+    /// Causal-chain tail: the previous probe send, or the last good
+    /// reply — so a chain walks send → … → send → last-good-recv.
+    pub chain: Option<EventRef>,
+    /// The pinned `LinkDown` chain head, released on link-up.
+    pub down: Option<EventRef>,
+}
+
+/// The full protocol state of one daemon: a [`Link`] per `(peer, net)`
+/// and a repair record per peer. The default table monitors nothing —
+/// what a daemon holds until it boots and learns the plane count.
+#[derive(Debug, Clone, Default)]
 pub struct PeerTable {
     owner: NodeId,
-    n: usize,
     planes: u8,
-    links: Vec<Vec<LinkInfo>>,
+    /// Indexed by [`Self::slot`]. The owner's own row is never touched.
+    links: Vec<Link>,
+    /// Indexed by [`NodeId::idx`]; its length is the cluster size.
+    peers: Vec<Peer>,
+    /// Parallel to `links` once any flight identity exists, else empty.
+    refs: Vec<LinkRefs>,
 }
 
 impl PeerTable {
@@ -75,9 +186,10 @@ impl PeerTable {
         assert!(planes >= 2, "DRS monitors a redundant cluster (K >= 2)");
         PeerTable {
             owner,
-            n,
             planes,
-            links: vec![vec![LinkInfo::default(); planes as usize]; n],
+            links: vec![Link::default(); n * planes as usize],
+            peers: vec![Peer::default(); n],
+            refs: Vec::new(),
         }
     }
 
@@ -88,42 +200,56 @@ impl PeerTable {
     }
 
     /// The monitored peers, in id order (everyone but the owner).
-    pub fn peers(&self) -> impl Iterator<Item = NodeId> + '_ {
+    pub fn peers(&self) -> impl Iterator<Item = NodeId> {
         let owner = self.owner;
-        (0..self.n as u32).map(NodeId).filter(move |&p| p != owner)
+        (0..self.peers.len() as u32)
+            .map(NodeId)
+            .filter(move |&p| p != owner)
     }
 
     /// Number of monitored peers.
     #[must_use]
     pub fn peer_count(&self) -> usize {
-        self.n - 1
+        self.peers.len().saturating_sub(1)
     }
 
-    /// Link bookkeeping for `(peer, net)`.
-    ///
-    /// # Panics
-    /// Panics if `peer` is the owner or out of range.
+    /// Index of `(peer, net)` into the link records: `peer·K + net`.
+    /// `None` for the owner itself, a peer outside the cluster or a
+    /// plane the cluster does not have.
+    pub(crate) fn slot(&self, peer: NodeId, net: NetId) -> Option<usize> {
+        (peer != self.owner && peer.idx() < self.peers.len() && net.0 < self.planes)
+            .then(|| peer.idx() * self.planes as usize + net.idx())
+    }
+
+    /// The link record in `slot` (a value [`Self::slot`] returned).
+    pub(crate) fn link_at(&mut self, slot: usize) -> &mut Link {
+        &mut self.links[slot]
+    }
+
+    /// Link bookkeeping for `(peer, net)`, if this table monitors it.
     #[must_use]
-    pub fn link(&self, peer: NodeId, net: NetId) -> &LinkInfo {
-        assert_ne!(peer, self.owner, "no link to self");
-        &self.links[peer.idx()][net.idx()]
-    }
-
-    fn link_mut(&mut self, peer: NodeId, net: NetId) -> &mut LinkInfo {
-        assert_ne!(peer, self.owner, "no link to self");
-        &mut self.links[peer.idx()][net.idx()]
+    pub fn link(&self, peer: NodeId, net: NetId) -> Option<&Link> {
+        self.slot(peer, net).map(|i| &self.links[i])
     }
 
     /// Convenience: the believed state of `(peer, net)`.
     #[must_use]
-    pub fn state(&self, peer: NodeId, net: NetId) -> LinkState {
-        self.link(peer, net).state
+    pub fn state(&self, peer: NodeId, net: NetId) -> Option<LinkState> {
+        self.link(peer, net).map(|l| l.state)
     }
 
-    /// Whether every plane's link to `peer` is believed down.
+    /// Every plane's link to `peer`, primary first.
+    fn links_of(&self, peer: NodeId) -> Option<&[Link]> {
+        let first = self.slot(peer, NetId::A)?;
+        Some(&self.links[first..first + self.planes as usize])
+    }
+
+    /// Whether every plane's link to `peer` is believed down (`false`
+    /// for a peer this table does not monitor).
     #[must_use]
     pub fn peer_unreachable_direct(&self, peer: NodeId) -> bool {
-        NetId::planes(self.planes).all(|net| self.state(peer, net) == LinkState::Down)
+        self.links_of(peer)
+            .is_some_and(|links| links.iter().all(|l| l.state == LinkState::Down))
     }
 
     /// The lowest-numbered plane whose link to `peer` is believed up —
@@ -131,64 +257,54 @@ impl PeerTable {
     /// is directly unreachable on every plane.
     #[must_use]
     pub fn first_up(&self, peer: NodeId) -> Option<NetId> {
-        NetId::planes(self.planes).find(|&net| self.state(peer, net) == LinkState::Up)
-    }
-
-    /// Records that a probe with `seq` was sent on `(peer, net)`.
-    pub fn probe_sent(&mut self, peer: NodeId, net: NetId, seq: u32) {
-        self.link_mut(peer, net).pending_seq = Some(seq);
-    }
-
-    /// Processes an echo reply. Replies that match no pending probe
-    /// (stale or duplicate) still prove liveness and are treated as
-    /// successes — ICMP is idempotent evidence.
-    pub fn reply_received(&mut self, peer: NodeId, net: NetId, at: SimTime) -> Transition {
-        let link = self.link_mut(peer, net);
-        link.pending_seq = None;
-        link.misses = 0;
-        link.last_seen = Some(at);
-        if link.state == LinkState::Down {
-            link.state = LinkState::Up;
-            Transition::WentUp
-        } else {
-            Transition::None
-        }
-    }
-
-    /// Processes a probe timeout for `seq`. Returns the resulting
-    /// transition; a timeout for anything but the currently pending probe
-    /// is stale and ignored.
-    pub fn probe_timed_out(
-        &mut self,
-        peer: NodeId,
-        net: NetId,
-        seq: u32,
-        miss_threshold: u32,
-    ) -> Transition {
-        let link = self.link_mut(peer, net);
-        if link.pending_seq != Some(seq) {
-            return Transition::None; // answered in the meantime, or stale
-        }
-        link.pending_seq = None;
-        link.misses += 1;
-        if link.state == LinkState::Up && link.misses >= miss_threshold {
-            link.state = LinkState::Down;
-            Transition::WentDown
-        } else {
-            Transition::None
-        }
+        self.links_of(peer)?
+            .iter()
+            .position(|l| l.state == LinkState::Up)
+            .map(NetId::from_idx)
     }
 
     /// Number of links currently believed down.
     #[must_use]
     pub fn down_count(&self) -> usize {
-        self.peers()
-            .map(|p| {
-                NetId::planes(self.planes)
-                    .filter(|&net| self.state(p, net) == LinkState::Down)
-                    .count()
-            })
-            .sum()
+        self.links
+            .iter()
+            .filter(|l| l.state == LinkState::Down)
+            .count()
+    }
+
+    /// The repair record of `peer`, if this table monitors it.
+    pub(crate) fn peer_mut(&mut self, peer: NodeId) -> Option<&mut Peer> {
+        if peer == self.owner {
+            return None;
+        }
+        self.peers.get_mut(peer.idx())
+    }
+
+    /// The latest discovery round for `target`, if there ever was one.
+    pub(crate) fn round_mut(&mut self, target: NodeId) -> Option<&mut DiscoveryRound> {
+        self.peer_mut(target)?.discovery.as_mut()
+    }
+
+    /// The flight identities of the link in `slot` (all `None` until a
+    /// recorder handed one back).
+    pub(crate) fn refs(&self, slot: usize) -> LinkRefs {
+        self.refs.get(slot).copied().unwrap_or_default()
+    }
+
+    /// Mutable flight identities of the link in `slot`. The first call
+    /// allocates the side vector, so call it only with a record in hand.
+    pub(crate) fn refs_mut(&mut self, slot: usize) -> &mut LinkRefs {
+        if self.refs.is_empty() {
+            self.refs.resize(self.links.len(), LinkRefs::default());
+        }
+        &mut self.refs[slot]
+    }
+
+    /// How many links hold flight identities: zero for a daemon whose
+    /// backend never recorded, every link after the first record.
+    #[must_use]
+    pub fn flight_slots(&self) -> usize {
+        self.refs.len()
     }
 }
 
@@ -196,8 +312,15 @@ impl PeerTable {
 mod tests {
     use super::*;
 
+    const T0: SimTime = SimTime(0);
+
     fn table() -> PeerTable {
         PeerTable::new(NodeId(0), 4, 2)
+    }
+
+    fn link(t: &mut PeerTable, peer: u32, net: NetId) -> &mut Link {
+        let slot = t.slot(NodeId(peer), net).expect("a monitored pair");
+        t.link_at(slot)
     }
 
     #[test]
@@ -205,8 +328,8 @@ mod tests {
         let t = table();
         assert_eq!(t.peer_count(), 3);
         for p in t.peers() {
-            assert_eq!(t.state(p, NetId::A), LinkState::Up);
-            assert_eq!(t.state(p, NetId::B), LinkState::Up);
+            assert_eq!(t.state(p, NetId::A), Some(LinkState::Up));
+            assert_eq!(t.state(p, NetId::B), Some(LinkState::Up));
         }
         assert_eq!(t.down_count(), 0);
     }
@@ -221,88 +344,88 @@ mod tests {
     #[test]
     fn threshold_misses_flip_down_once() {
         let mut t = table();
-        t.probe_sent(NodeId(1), NetId::A, 1);
+        let l = link(&mut t, 1, NetId::A);
+        l.probe_sent(1, T0);
         assert_eq!(
-            t.probe_timed_out(NodeId(1), NetId::A, 1, 2),
+            l.probe_timed_out(1, 2),
             Transition::None,
             "first miss below threshold"
         );
-        t.probe_sent(NodeId(1), NetId::A, 2);
-        assert_eq!(
-            t.probe_timed_out(NodeId(1), NetId::A, 2, 2),
-            Transition::WentDown
-        );
-        t.probe_sent(NodeId(1), NetId::A, 3);
-        assert_eq!(
-            t.probe_timed_out(NodeId(1), NetId::A, 3, 2),
-            Transition::None,
-            "already down"
-        );
+        l.probe_sent(2, T0);
+        assert_eq!(l.probe_timed_out(2, 2), Transition::WentDown);
+        l.probe_sent(3, T0);
+        assert_eq!(l.probe_timed_out(3, 2), Transition::None, "already down");
         assert_eq!(t.down_count(), 1);
     }
 
     #[test]
     fn reply_resets_miss_count() {
         let mut t = table();
-        t.probe_sent(NodeId(1), NetId::A, 1);
-        let _ = t.probe_timed_out(NodeId(1), NetId::A, 1, 3);
-        t.probe_sent(NodeId(1), NetId::A, 2);
+        let l = link(&mut t, 1, NetId::A);
+        l.probe_sent(1, T0);
+        let _ = l.probe_timed_out(1, 3);
+        l.probe_sent(2, T0);
+        assert_eq!(l.reply_received(SimTime(5)), Transition::None);
+        let l = t.link(NodeId(1), NetId::A).unwrap();
+        assert_eq!(l.misses, 0);
+        assert_eq!(l.last_seen, Some(SimTime(5)));
+    }
+
+    #[test]
+    fn probe_gap_is_measured_send_to_send() {
+        let mut l = Link::default();
+        assert_eq!(l.probe_sent(1, SimTime(100)), None, "no previous send");
+        assert_eq!(l.probe_sent(2, SimTime(350)), Some(SimDuration(250)));
         assert_eq!(
-            t.reply_received(NodeId(1), NetId::A, SimTime(5)),
-            Transition::None
+            l.probe_sent(3, SimTime(300)),
+            Some(SimDuration::ZERO),
+            "a clock that stepped back saturates"
         );
-        assert_eq!(t.link(NodeId(1), NetId::A).misses, 0);
-        assert_eq!(t.link(NodeId(1), NetId::A).last_seen, Some(SimTime(5)));
+        assert_eq!(l.last_probe, Some(SimTime(300)));
     }
 
     #[test]
     fn recovery_transition() {
         let mut t = table();
+        let l = link(&mut t, 3, NetId::B);
         for seq in 1..=2 {
-            t.probe_sent(NodeId(3), NetId::B, seq);
-            let _ = t.probe_timed_out(NodeId(3), NetId::B, seq, 2);
+            l.probe_sent(seq, T0);
+            let _ = l.probe_timed_out(seq, 2);
         }
-        assert_eq!(t.state(NodeId(3), NetId::B), LinkState::Down);
-        assert_eq!(
-            t.reply_received(NodeId(3), NetId::B, SimTime(9)),
-            Transition::WentUp
-        );
-        assert_eq!(t.state(NodeId(3), NetId::B), LinkState::Up);
+        assert_eq!(l.state, LinkState::Down);
+        assert_eq!(l.reply_received(SimTime(9)), Transition::WentUp);
+        assert_eq!(t.state(NodeId(3), NetId::B), Some(LinkState::Up));
     }
 
     #[test]
     fn stale_timeout_ignored() {
-        let mut t = table();
-        t.probe_sent(NodeId(1), NetId::A, 7);
-        let _ = t.reply_received(NodeId(1), NetId::A, SimTime(1));
+        let mut l = Link::default();
+        l.probe_sent(7, T0);
+        let _ = l.reply_received(SimTime(1));
         // The timeout for seq 7 fires after the reply: no effect.
-        assert_eq!(
-            t.probe_timed_out(NodeId(1), NetId::A, 7, 1),
-            Transition::None
-        );
-        assert_eq!(t.link(NodeId(1), NetId::A).misses, 0);
+        assert_eq!(l.probe_timed_out(7, 1), Transition::None);
+        assert_eq!(l.misses, 0);
     }
 
     #[test]
     fn timeout_for_wrong_seq_ignored() {
-        let mut t = table();
-        t.probe_sent(NodeId(1), NetId::A, 8);
-        assert_eq!(
-            t.probe_timed_out(NodeId(1), NetId::A, 7, 1),
-            Transition::None
-        );
-        assert_eq!(t.link(NodeId(1), NetId::A).pending_seq, Some(8));
+        let mut l = Link::default();
+        l.probe_sent(8, T0);
+        assert_eq!(l.probe_timed_out(7, 1), Transition::None);
+        assert_eq!(l.pending_seq, Some(8));
     }
 
     #[test]
     fn unreachable_requires_both_nets_down() {
         let mut t = table();
-        t.probe_sent(NodeId(1), NetId::A, 1);
-        let _ = t.probe_timed_out(NodeId(1), NetId::A, 1, 1);
+        let a = link(&mut t, 1, NetId::A);
+        a.probe_sent(1, T0);
+        let _ = a.probe_timed_out(1, 1);
         assert!(!t.peer_unreachable_direct(NodeId(1)));
         assert_eq!(t.first_up(NodeId(1)), Some(NetId::B));
-        t.probe_sent(NodeId(1), NetId::B, 2);
-        let _ = t.probe_timed_out(NodeId(1), NetId::B, 2, 1);
+        let b = link(&mut t, 1, NetId::B);
+        b.probe_sent(2, T0);
+        let _ = b.probe_timed_out(2, 1);
         assert!(t.peer_unreachable_direct(NodeId(1)));
         assert_eq!(t.first_up(NodeId(1)), None);
     }
@@ -311,13 +434,15 @@ mod tests {
     fn three_plane_unreachable_requires_all_planes_down() {
         let mut t = PeerTable::new(NodeId(0), 3, 3);
         for (seq, net) in [(1, NetId::A), (2, NetId::B)] {
-            t.probe_sent(NodeId(1), net, seq);
-            let _ = t.probe_timed_out(NodeId(1), net, seq, 1);
+            let l = link(&mut t, 1, net);
+            l.probe_sent(seq, T0);
+            let _ = l.probe_timed_out(seq, 1);
         }
         assert!(!t.peer_unreachable_direct(NodeId(1)));
         assert_eq!(t.first_up(NodeId(1)), Some(NetId(2)), "next healthy plane");
-        t.probe_sent(NodeId(1), NetId(2), 3);
-        let _ = t.probe_timed_out(NodeId(1), NetId(2), 3, 1);
+        let l = link(&mut t, 1, NetId(2));
+        l.probe_sent(3, T0);
+        let _ = l.probe_timed_out(3, 1);
         assert!(t.peer_unreachable_direct(NodeId(1)));
         assert_eq!(t.down_count(), 3);
     }
@@ -329,9 +454,51 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "no link to self")]
     fn self_link_rejected() {
-        let t = table();
-        let _ = t.link(NodeId(0), NetId::A);
+        let mut t = table();
+        assert_eq!(t.link(NodeId(0), NetId::A), None, "no link to self");
+        assert!(t.peer_mut(NodeId(0)).is_none(), "no repair record either");
+    }
+
+    #[test]
+    fn ids_outside_the_cluster_name_no_record() {
+        let mut t = table();
+        for peer in [NodeId(4), NodeId(u32::MAX)] {
+            assert_eq!(t.link(peer, NetId::A), None);
+            assert_eq!(t.state(peer, NetId::B), None);
+            assert!(!t.peer_unreachable_direct(peer));
+            assert_eq!(t.first_up(peer), None);
+            assert!(t.peer_mut(peer).is_none());
+        }
+        assert_eq!(t.link(NodeId(1), NetId(2)), None, "plane >= K");
+        assert_eq!(t.link(NodeId(1), NetId(255)), None);
+        // The default table — a daemon before boot — monitors nothing.
+        let unbooted = PeerTable::default();
+        assert_eq!(unbooted.link(NodeId(1), NetId::A), None);
+        assert_eq!(unbooted.peers().count(), 0);
+        assert_eq!(unbooted.peer_count(), 0);
+    }
+
+    #[test]
+    fn link_record_fits_a_cache_line() {
+        assert!(std::mem::size_of::<Link>() <= 64);
+    }
+
+    #[test]
+    fn flight_identities_cost_nothing_until_first_used() {
+        let mut t = table();
+        let slot = t.slot(NodeId(1), NetId::B).unwrap();
+        assert!(t.refs(slot).send.is_none());
+        assert_eq!(t.flight_slots(), 0, "reading allocates nothing");
+        let r = EventRef {
+            time_ns: 1,
+            seq: 2,
+            host: 0,
+            sub: 0,
+        };
+        t.refs_mut(slot).send = Some(r);
+        assert_eq!(t.flight_slots(), 8, "one per link once recording");
+        assert_eq!(t.refs(slot).send, Some(r));
+        assert!(t.refs(slot).chain.is_none());
     }
 }

@@ -8,7 +8,8 @@
 
 use drs_obs::rng::Rng;
 
-use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, LinkState, ProbeRecord};
+use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, LinkState};
+use drs_obs::flight::TraceKind;
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::World;
@@ -111,13 +112,15 @@ fn routes_consistent_with_beliefs() {
         for i in 0..n as u32 {
             let node = NodeId(i);
             let daemon = w.protocol(node);
+            // The simulator never hands a daemon an id outside its table.
+            assert_eq!(daemon.metrics.ignored_inputs, 0, "{ctx}: n{i}");
             for (dst, route) in w.host(node).routes.iter() {
                 match route {
                     Route::Direct(net) => {
                         // A Direct route on a Down-believed link is only
                         // legitimate when *no* alternative exists (the
                         // daemon keeps the last route rather than none).
-                        if daemon.peer_table().state(dst, net) == LinkState::Down {
+                        if daemon.peer_table().state(dst, net) == Some(LinkState::Down) {
                             assert!(
                                 daemon.peer_table().peer_unreachable_direct(dst),
                                 "{ctx}: n{i}->{dst}: direct route on a down link with an alternative"
@@ -128,7 +131,7 @@ fn routes_consistent_with_beliefs() {
                         assert!(gateway != dst && gateway != node, "{ctx}");
                         // Gateway link must be believed Up, unless the
                         // peer is wholly unreachable and this is a relic.
-                        if daemon.peer_table().state(gateway, net) == LinkState::Down {
+                        if daemon.peer_table().state(gateway, net) == Some(LinkState::Down) {
                             assert!(
                                 daemon.peer_table().peer_unreachable_direct(dst),
                                 "{ctx}: n{i}->{dst}: via {gateway} on a down link"
@@ -179,6 +182,38 @@ fn deterministic_under_random_plans() {
     }
 }
 
+/// The flight identities are selected by what the daemon observes: a
+/// backend that never hands back a record costs a daemon nothing per
+/// link, however eventful the run; one that records sizes the side
+/// vector to the link table.
+#[test]
+fn flight_identities_exist_only_under_a_recorder() {
+    let n = 5;
+    let run = |record: bool| {
+        let spec = ClusterSpec::new(n).seed(3).planes(3);
+        let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg()));
+        if record {
+            w.enable_flight(1 << 12);
+        }
+        w.schedule_faults(
+            FaultPlan::new()
+                .fail_at(SimTime(1_000_000_000), SimComponent::Hub(NetId::A))
+                .repair_at(SimTime(2_000_000_000), SimComponent::Hub(NetId::A)),
+        );
+        w.run_for(SimDuration::from_secs(4));
+        (0..n as u32)
+            .map(|i| {
+                let d = w.protocol(NodeId(i));
+                assert!(d.metrics.link_down_events > 0 && d.metrics.link_up_events > 0);
+                assert_eq!(d.peer_table().planes(), 3);
+                d.peer_table().flight_slots()
+            })
+            .collect::<Vec<_>>()
+    };
+    assert_eq!(run(false), vec![0; n]);
+    assert_eq!(run(true), vec![n * 3; n]);
+}
+
 // ---------------------------------------------------------------------------
 // Batched monitor cycle ≡ per-pair timers: with staggering off and no
 // down-link backoff, one fanned-out cycle event must send the exact same
@@ -187,20 +222,30 @@ fn deterministic_under_random_plans() {
 // converge to identical state.
 // ---------------------------------------------------------------------------
 
+/// One probe send as the flight recorder saw it: `(time_ns, plane,
+/// peer << 32 | seq)`.
+type ProbeSend = (u64, Option<u8>, u64);
+
 /// The observable monitor state of one daemon at the end of a run.
 type MonitorSnapshot = (
-    Vec<ProbeRecord>,
+    Vec<ProbeSend>,
     (u64, u64, u64, u64, u64, u64),
     Vec<(NodeId, Route)>,
 );
 
 fn snapshot(w: &World<DrsDaemon>, n: usize) -> Vec<MonitorSnapshot> {
+    let log = w.flight_log().expect("flight recording is on");
+    assert_eq!(log.dropped, 0, "the ring held the whole run");
     (0..n as u32)
         .map(|i| {
             let node = NodeId(i);
             let m = &w.protocol(node).metrics;
             (
-                m.probe_log.clone(),
+                log.records
+                    .iter()
+                    .filter(|r| r.kind == TraceKind::ProbeSend && r.host == i)
+                    .map(|r| (r.time_ns, r.plane, r.arg))
+                    .collect(),
                 (
                     m.probes_sent,
                     m.replies_received,
@@ -230,12 +275,10 @@ fn run_both_monitors(
     Vec<u64>,
 ) {
     let run = |batched: bool| {
-        let c = cfg()
-            .stagger(false)
-            .record_probe_log(true)
-            .batched_monitor(batched);
+        let c = cfg().stagger(false).batched_monitor(batched);
         let spec = ClusterSpec::new(n).seed(11).planes(planes);
         let mut w = World::new(spec, |id| DrsDaemon::new(id, n, c));
+        w.enable_flight(1 << 16);
         w.schedule_faults(plan.clone());
         w.run_for(SimDuration::from_secs(secs));
         let frames: Vec<u64> = (0..planes)
@@ -258,12 +301,12 @@ fn batched_monitor_equivalent_on_healthy_three_plane_cluster() {
     let log = &legacy[0].0;
     assert!(log.len() >= 5 * 3 * 4, "n-1 peers × K planes × ≥4 cycles");
     for cycle in log.chunks(5 * 3) {
-        let order: Vec<(u32, usize)> = cycle.iter().map(|p| (p.peer.0, p.net.idx())).collect();
+        let order: Vec<(u64, Option<u8>)> = cycle.iter().map(|p| (p.2 >> 32, p.1)).collect();
         let mut expect = order.clone();
         expect.sort_unstable();
         assert_eq!(order, expect, "fan-out order is peer-major, plane-minor");
         assert!(
-            cycle.iter().all(|p| p.at == cycle[0].at),
+            cycle.iter().all(|p| p.0 == cycle[0].0),
             "burst at cycle start"
         );
     }

@@ -10,10 +10,6 @@
 //! path trivially equal to the serial one: trials share no mutable state,
 //! and results are collected back in trial order.
 
-use std::time::Instant;
-
-use drs_obs::Profiler;
-
 use crate::par;
 use crate::seed::stream_seed;
 
@@ -26,10 +22,6 @@ pub struct TrialCtx {
     pub seed: u64,
     /// The experiment's master seed, for bodies that derive sub-streams.
     pub master_seed: u64,
-    /// Flight-recorder ring capacity the trial body should enable on
-    /// its worlds, when the experiment asked for causal tracing
-    /// ([`Experiment::with_flight`]). `None` = tracing off.
-    pub flight_cap: Option<usize>,
 }
 
 /// Whether to run trials on the calling thread or across worker threads.
@@ -54,9 +46,6 @@ pub struct Experiment<S = ()> {
     pub master_seed: u64,
     /// Trial specifications, evaluated and reported in this order.
     pub trials: Vec<S>,
-    /// Flight-recorder capacity handed to every trial via
-    /// [`TrialCtx::flight_cap`]; `None` leaves tracing off.
-    pub flight_cap: Option<usize>,
 }
 
 impl Experiment<()> {
@@ -68,7 +57,6 @@ impl Experiment<()> {
             name: name.to_string(),
             master_seed,
             trials: vec![(); count],
-            flight_cap: None,
         }
     }
 }
@@ -81,7 +69,6 @@ impl<S> Experiment<S> {
             name: name.to_string(),
             master_seed,
             trials: Vec::new(),
-            flight_cap: None,
         }
     }
 
@@ -92,18 +79,7 @@ impl<S> Experiment<S> {
             name: name.to_string(),
             master_seed,
             trials,
-            flight_cap: None,
         }
-    }
-
-    /// Asks every trial to run with the causal flight recorder on, with
-    /// `capacity` records of ring per world. The capacity reaches trial
-    /// bodies through [`TrialCtx::flight_cap`]; bodies that ignore it
-    /// behave exactly as before (recording changes no simulation event).
-    #[must_use]
-    pub fn with_flight(mut self, capacity: usize) -> Self {
-        self.flight_cap = Some(capacity);
-        self
     }
 
     /// Adds one trial specification.
@@ -138,7 +114,6 @@ impl<S> Experiment<S> {
             index,
             seed: self.trial_seed(index),
             master_seed: self.master_seed,
-            flight_cap: self.flight_cap,
         }
     }
 
@@ -194,38 +169,6 @@ impl<S> Experiment<S> {
             RunMode::Parallel => self.run_parallel(body),
         }
     }
-
-    /// Like [`Experiment::run`], but reports each trial's wall-clock
-    /// duration to `profiler` under the experiment's name.
-    ///
-    /// The profiler observes; it cannot influence. Trial results are the
-    /// body's alone, so `run_profiled(mode, &NullProfiler, body)` is
-    /// result-for-result identical to `run(mode, body)` — which is what
-    /// lets instrumentation stay compiled in under committed-artifact
-    /// runs. Wall-clock numbers are inherently nondeterministic: print
-    /// them, never serialize them into a committed artifact.
-    pub fn run_profiled<R>(
-        &self,
-        mode: RunMode,
-        profiler: &dyn Profiler,
-        body: impl Fn(TrialCtx, &S) -> R + Sync,
-    ) -> Vec<R>
-    where
-        S: Sync,
-        R: Send,
-    {
-        if !profiler.enabled() {
-            return self.run(mode, body);
-        }
-        let timed = |ctx: TrialCtx, spec: &S| {
-            let start = Instant::now();
-            let out = body(ctx, spec);
-            let dur = u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX);
-            profiler.record(&self.name, dur);
-            out
-        };
-        self.run(mode, timed)
-    }
 }
 
 #[cfg(test)]
@@ -271,36 +214,6 @@ mod tests {
         let mut total = 0usize;
         exp.run_serial(|ctx, ()| total += ctx.index);
         assert_eq!(total, (0..5).sum::<usize>());
-    }
-
-    #[test]
-    fn run_profiled_matches_run_and_counts_trials() {
-        use drs_obs::{NullProfiler, WallProfiler};
-        let exp = Experiment::with_trials("profiled", 3, (0..8u64).collect());
-        let body = |ctx: TrialCtx, spec: &u64| ctx.seed ^ spec;
-        let plain = exp.run(RunMode::Serial, body);
-        assert_eq!(
-            exp.run_profiled(RunMode::Serial, &NullProfiler, body),
-            plain
-        );
-        let wall = WallProfiler::new();
-        assert_eq!(exp.run_profiled(RunMode::Parallel, &wall, body), plain);
-        let report = wall.report();
-        assert_eq!(
-            report.histogram("profiled").map(|h| h.count()),
-            Some(8),
-            "one wall-clock sample per trial"
-        );
-    }
-
-    #[test]
-    fn with_flight_reaches_every_trial_ctx() {
-        let exp = Experiment::replications("flight", 5, 3).with_flight(4096);
-        for ctx in exp.run_serial(|ctx, ()| ctx) {
-            assert_eq!(ctx.flight_cap, Some(4096));
-        }
-        let off = Experiment::replications("off", 5, 1);
-        assert_eq!(off.trial_ctx(0).flight_cap, None);
     }
 
     #[test]

@@ -17,10 +17,8 @@
 //! `drs-bench` its end-to-end survivability grid; see EXPERIMENTS.md for
 //! the trial lifecycle and artifact schema.
 //!
-//! Observability plugs in from `drs-obs`: traces are collected through a
-//! seal-once [`TrialTrace`], and [`Experiment::run_profiled`] reports
-//! per-trial wall-clock timings to any [`Profiler`] (re-exported here so
-//! downstream study crates need no direct `drs-obs` dependency).
+//! Traces are collected through a seal-once [`TrialTrace`]. The harness
+//! takes no wall-clock readings: timing a run is `benchmark/`'s job.
 
 pub mod events;
 pub mod experiment;
@@ -29,9 +27,8 @@ pub mod record;
 pub mod seed;
 pub mod summary;
 
-pub use drs_obs::{NullProfiler, Profiler, WallProfiler};
 pub use events::{sort_events, TraceEvent, TraceEventKind, TrialTrace};
 pub use experiment::{Experiment, RunMode, TrialCtx};
 pub use record::{ExperimentRecord, Metric, MetricValue, SimArtifact, TrialRecord, SCHEMA};
-pub use seed::{coord_seed, mix64, stream_seed, SeedStream};
+pub use seed::{coord_seed, mix64, stream_seed};
 pub use summary::Summary;

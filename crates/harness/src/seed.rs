@@ -9,8 +9,7 @@
 //! [`mix64`] (the finalizer in [`drs_obs::rng`]): grid-shaped experiments
 //! derive with [`coord_seed`] (the exact function `analytic::sweep` has
 //! always used, so committed artifacts are unchanged), and
-//! replication-shaped experiments derive with [`stream_seed`] or the
-//! [`SeedStream`] iterator.
+//! replication-shaped experiments derive with [`stream_seed`].
 
 pub use drs_obs::rng::{mix64, GOLDEN_GAMMA};
 
@@ -39,37 +38,6 @@ pub fn coord_seed(master: u64, a: u64, b: u64) -> u64 {
             .wrapping_add(a.wrapping_mul(GOLDEN_GAMMA))
             .wrapping_add(b.wrapping_mul(COORD_GAMMA)),
     )
-}
-
-/// An iterator over [`stream_seed`] values for one master seed.
-///
-/// `SeedStream::new(master).nth(i)` equals `stream_seed(master, i)`; the
-/// iterator form exists for callers that zip seeds against a trial list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SeedStream {
-    master: u64,
-    next_index: u64,
-}
-
-impl SeedStream {
-    /// A stream of per-trial seeds derived from `master`.
-    #[must_use]
-    pub fn new(master: u64) -> Self {
-        SeedStream {
-            master,
-            next_index: 0,
-        }
-    }
-}
-
-impl Iterator for SeedStream {
-    type Item = u64;
-
-    fn next(&mut self) -> Option<u64> {
-        let seed = stream_seed(self.master, self.next_index);
-        self.next_index = self.next_index.wrapping_add(1);
-        Some(seed)
-    }
 }
 
 #[cfg(test)]
@@ -123,12 +91,5 @@ mod tests {
         for (master, n, f) in [(42u64, 4u64, 2u64), (42, 64, 10), (7, 12, 3), (0, 0, 0)] {
             assert_eq!(coord_seed(master, n, f), reference(master, n, f));
         }
-    }
-
-    #[test]
-    fn seed_stream_iterator_matches_indexed_form() {
-        let collected: Vec<u64> = SeedStream::new(99).take(5).collect();
-        let indexed: Vec<u64> = (0..5).map(|i| stream_seed(99, i)).collect();
-        assert_eq!(collected, indexed);
     }
 }

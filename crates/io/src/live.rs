@@ -66,6 +66,10 @@ pub struct LiveReport {
     pub routes: Vec<RouteTable>,
     /// Per-node probe observations (RTTs, detection latencies).
     pub obs: Vec<ProbeObs>,
+    /// Per-node count of datagrams dropped at the socket because they
+    /// named a host outside the cluster (or the node itself) as sender,
+    /// or a host outside it as a control target.
+    pub rejected: Vec<u64>,
     /// Nanoseconds since cluster epoch at which the plane was killed
     /// (`None` when no failure was injected).
     pub fail_at: Option<SimTime>,
@@ -179,16 +183,19 @@ impl LiveCluster {
         let mut daemons = Vec::new();
         let mut routes = Vec::new();
         let mut obs = Vec::new();
+        let mut rejected = Vec::new();
         for h in handles {
-            let (d, r, o) = h.join().expect("node thread panicked");
+            let (d, r, o, x) = h.join().expect("node thread panicked");
             daemons.push(d);
             routes.push(r);
             obs.push(o);
+            rejected.push(x);
         }
         LiveReport {
             daemons,
             routes,
             obs,
+            rejected,
             fail_at,
         }
     }
@@ -325,7 +332,7 @@ fn run_node(
     plane_up: Arc<Vec<AtomicBool>>,
     epoch: Instant,
     stop: Arc<AtomicBool>,
-) -> (DrsDaemon, RouteTable, ProbeObs) {
+) -> (DrsDaemon, RouteTable, ProbeObs, u64) {
     let (tx, rx) = mpsc::channel::<(NodeId, NetId, Payload)>();
     let mut recv_handles = Vec::new();
     let mut send_halves = Vec::new();
@@ -338,7 +345,7 @@ fn run_node(
         let plane_up = Arc::clone(&plane_up);
         let stop = Arc::clone(&stop);
         recv_handles.push(thread::spawn(move || {
-            recv_loop(node, net, &sock, &reply_sock, &addrs, &plane_up, &stop, &tx);
+            recv_loop(node, net, &sock, &reply_sock, &addrs, &plane_up, &stop, &tx)
         }));
     }
     drop(tx);
@@ -394,15 +401,17 @@ fn run_node(
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
-    for h in recv_handles {
-        let _ = h.join();
-    }
-    (daemon, io.routes, io.obs)
+    let rejected = recv_handles
+        .into_iter()
+        .map(|h| h.join().expect("receiver thread panicked"))
+        .sum();
+    (daemon, io.routes, io.obs, rejected)
 }
 
 /// Per-plane receiver: drop datagrams on dead planes, answer echo
 /// requests in the stack (never waking the daemon), forward the rest.
-/// Exits on `stop`, a closed channel, or a hard socket error.
+/// Exits on `stop`, a closed channel, or a hard socket error, returning
+/// how many datagrams it rejected for the ids they carried.
 #[allow(clippy::too_many_arguments)]
 fn recv_loop(
     node: NodeId,
@@ -413,7 +422,8 @@ fn recv_loop(
     plane_up: &[AtomicBool],
     stop: &AtomicBool,
     tx: &mpsc::Sender<(NodeId, NetId, Payload)>,
-) {
+) -> u64 {
+    let mut rejected = 0;
     sock.set_read_timeout(Some(Duration::from_millis(20)))
         .expect("read timeout");
     let mut buf = [0u8; 64];
@@ -426,7 +436,7 @@ fn recv_loop(
             {
                 continue;
             }
-            Err(_) => return,
+            Err(_) => break,
         };
         if !plane_up[net.idx()].load(Ordering::Relaxed) {
             continue; // dead plane: the wire eats everything
@@ -436,6 +446,17 @@ fn recv_loop(
         };
         if d.net != net {
             continue; // mis-planed datagram: treat as corruption
+        }
+        // Anyone can send to a bound socket, and these ids index `addrs`
+        // below and the daemon's tables later: the sender must be another
+        // host of the cluster, a control target any host of it.
+        let target_known = match d.payload {
+            Payload::Control(msg) => msg.target().idx() < addrs.len(),
+            Payload::EchoRequest { .. } | Payload::EchoReply { .. } => true,
+        };
+        if d.src == node || d.src.idx() >= addrs.len() || !target_known {
+            rejected += 1;
+            continue;
         }
         match d.payload {
             Payload::EchoRequest { id, seq } => {
@@ -454,9 +475,108 @@ fn recv_loop(
             }
             other => {
                 if tx.send((d.src, net, other)).is_err() {
-                    return;
+                    break;
                 }
             }
+        }
+    }
+    rejected
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// The id the daemon's probes carry (`drs_core::daemon`'s `ECHO_ID`):
+    /// a hostile reply must carry it to get past the daemon's first check.
+    const ECHO_ID: u32 = 0x0D25;
+
+    /// Anyone can send to a bound socket. Every datagram kind, carrying
+    /// every id that indexes past (or onto) the receiver's tables, is
+    /// queued on node 0's sockets before the cluster starts; the run must
+    /// drop and count them at the socket, and otherwise behave as if they
+    /// had never arrived.
+    #[test]
+    fn stray_datagrams_are_dropped_and_counted_not_indexed_with() {
+        let n = 3;
+        let spec = LiveClusterSpec {
+            n,
+            planes: 2,
+            cfg: DrsConfig::default()
+                .probe_timeout(SimDuration::from_millis(25))
+                .probe_interval(SimDuration::from_millis(50)),
+        };
+        let cluster = match LiveCluster::bind(spec) {
+            Ok(c) => c,
+            Err(reason) => {
+                eprintln!("skipping hostile-datagram test: {reason}");
+                return;
+            }
+        };
+        let node = NodeId(0);
+        let strangers = [NodeId(n as u32), NodeId(u32::MAX), node];
+        let control = |target| {
+            [
+                Payload::Control(DrsMsg::RouteRequest { target, req_id: 1 }),
+                Payload::Control(DrsMsg::RouteOffer { target, req_id: 1 }),
+            ]
+        };
+        let mut hostile = Vec::new();
+        for src in strangers {
+            hostile.push((
+                src,
+                Payload::EchoRequest {
+                    id: ECHO_ID,
+                    seq: 1,
+                },
+            ));
+            hostile.push((
+                src,
+                Payload::EchoReply {
+                    id: ECHO_ID,
+                    seq: 1,
+                },
+            ));
+            hostile.extend(control(NodeId(1)).map(|p| (src, p)));
+        }
+        for target in [NodeId(n as u32), NodeId(u32::MAX)] {
+            hostile.extend(control(target).map(|p| (NodeId(1), p)));
+        }
+        // A target of the receiver itself is not hostile — a broadcast
+        // request for a route to it looks exactly so — and is let through
+        // to the daemon, which has nothing to do for either message.
+        let benign = control(node).map(|p| (NodeId(1), p));
+
+        let sender = UdpSocket::bind("127.0.0.1:0").expect("bound a moment ago");
+        let mut buf = [0u8; MAX_DATAGRAM];
+        for net in NetId::planes(2) {
+            for &(src, payload) in hostile.iter().chain(&benign) {
+                let len = wire::encode(&Datagram { src, net, payload }, &mut buf);
+                sender
+                    .send_to(&buf[..len], cluster.addrs[node.idx()][net.idx()])
+                    .expect("loopback send");
+            }
+        }
+
+        let report = cluster.run(Duration::from_millis(400), None, Duration::ZERO);
+        assert_eq!(
+            report.rejected,
+            [2 * hostile.len() as u64, 0, 0],
+            "every hostile datagram is counted, on the node it hit"
+        );
+        for (i, d) in report.daemons.iter().enumerate() {
+            assert_eq!(
+                d.metrics.ignored_inputs, 0,
+                "node {i}: the socket caught them"
+            );
+            assert!(d.metrics.replies_received > 0, "node {i}: receivers alive");
+            assert_eq!(d.metrics.link_down_events, 0, "node {i}");
+            assert_eq!(d.metrics.route_changes, 0, "node {i}");
+            assert_eq!(d.peer_table().down_count(), 0, "node {i}");
+            assert_eq!(
+                report.routes[i],
+                RouteTable::new_default(NodeId(i as u32), n)
+            );
         }
     }
 }

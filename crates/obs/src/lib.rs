@@ -10,15 +10,6 @@
 //! * [`Histogram`] — log2-bucketed `u64` samples with exact
 //!   `count/sum/min/max` and `p50/p90/p99/p999` *upper bounds*; merges
 //!   across worker threads are exact and order-independent ([`hist`]).
-//! * [`MetricsRegistry`] — named counters, gauges (high-water marks) and
-//!   histograms over `BTreeMap`s, so reports are deterministic
-//!   ([`registry`]).
-//! * [`Span`] — manual-clock timers: sim-time for in-world spans,
-//!   wall-clock only for engine profiling ([`span`]).
-//! * [`Profiler`] / [`NullProfiler`] / [`WallProfiler`] — the hook hot
-//!   paths accept; with the null profiler installed the instrumented
-//!   code is observationally identical to un-instrumented code, which is
-//!   what keeps the committed artifacts byte-stable ([`profile`]).
 //! * [`FlightRecorder`] / [`TraceRecord`] — the causal flight recorder:
 //!   a bounded ring of sim-time trace records where each record can name
 //!   the record that caused it, merged across shards bit-identically at
@@ -37,27 +28,27 @@
 //! # The clock rule
 //!
 //! Committed artifacts must be byte-reproducible, so only *simulation*
-//! time may reach them. Wall-clock durations ([`WallProfiler`]) exist
-//! for humans profiling the engine and stay in console output. [`Span`]
-//! enforces the split mechanically: it has no clock of its own, so every
-//! reading is injected at the call site where reviewers can see which
-//! clock it is.
+//! time may reach them. Nothing in this crate reads a clock: a
+//! [`Histogram`] holds whatever `u64` samples the call site hands it, and
+//! in-world durations are differences of sim-time instants
+//! (`SimTime::since` in `drs-core`, saturating), taken where reviewers can
+//! see which clock it is. Wall-clock timing is `benchmark/`'s job and
+//! stays in its git-ignored output.
 //!
 //! ```
-//! use drs_obs::{Histogram, MetricsRegistry, Span};
+//! use drs_obs::Histogram;
 //!
-//! // An in-world span, clocked by simulation time.
-//! let span = Span::begin(1_000_000); // t = 1 ms sim-time
-//! let mut registry = MetricsRegistry::new();
-//! registry.record("failover_detect_ns", span.elapsed_ns(1_450_000));
+//! // An in-world duration: two sim-time instants, in nanoseconds.
+//! let (failed_at, detected_at) = (1_000_000_u64, 1_450_000_u64);
+//! let mut detect = Histogram::new();
+//! detect.record(detected_at.saturating_sub(failed_at));
 //!
-//! // Worker registries merge deterministically.
-//! let mut other = MetricsRegistry::new();
-//! other.record("failover_detect_ns", 125_000);
-//! registry.merge(&other);
-//! let h: &Histogram = registry.histogram("failover_detect_ns").unwrap();
-//! assert_eq!(h.count(), 2);
-//! assert_eq!(h.max(), Some(450_000));
+//! // Worker histograms merge exactly, in any order.
+//! let mut other = Histogram::new();
+//! other.record(125_000);
+//! detect.merge(&other);
+//! assert_eq!(detect.count(), 2);
+//! assert_eq!(detect.max(), Some(450_000));
 //! ```
 
 pub mod artifact;
@@ -65,15 +56,9 @@ pub mod causal;
 pub mod flight;
 pub mod hist;
 pub mod jsonfmt;
-pub mod profile;
-pub mod registry;
 pub mod rng;
-pub mod span;
 
 pub use artifact::{Field, FieldValue, ObsArtifact, Row, Section, SCHEMA};
 pub use causal::{build_post_mortems, Decomposition, PostMortem, PostMortemReport};
 pub use flight::{to_perfetto, EventRef, FlightLog, FlightRecorder, TraceKind, TraceRecord};
 pub use hist::{Histogram, HistogramSummary};
-pub use profile::{NullProfiler, Profiler, WallProfiler};
-pub use registry::MetricsRegistry;
-pub use span::Span;

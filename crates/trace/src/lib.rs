@@ -30,5 +30,5 @@ pub use components::{ComponentClass, FailureRates};
 pub use fleet::{generate_trace, FailureRecord, FleetSpec};
 pub use study::{
     availability_gain, fmt_fraction_pct, masking_analysis, network_fraction, replicate_study,
-    replicate_study_profiled, AvailabilityReport, MaskingReport, StudySummary,
+    AvailabilityReport, MaskingReport, StudySummary,
 };

@@ -1,7 +1,7 @@
 //! The study pipeline: classify traces, replicate the 13 % statistic, and
 //! estimate how many network failures DRS masks.
 
-use drs_harness::{Experiment, NullProfiler, Profiler, RunMode, Summary};
+use drs_harness::{Experiment, RunMode, Summary};
 
 use crate::fleet::{generate_trace, FailureRecord, FleetSpec};
 
@@ -60,33 +60,12 @@ pub struct StudySummary {
 /// Panics if `replications == 0`.
 #[must_use]
 pub fn replicate_study(spec: &FleetSpec, replications: usize, seed: u64) -> StudySummary {
-    replicate_study_profiled(spec, replications, seed, &NullProfiler)
-}
-
-/// [`replicate_study`] with per-replication wall-clock timings reported to
-/// `profiler` under the experiment name `fleet-study`.
-///
-/// The profiler observes and cannot influence: with [`NullProfiler`] this
-/// is exactly [`replicate_study`], and any other profiler sees timings
-/// without changing a single statistic — wall-clock goes to the terminal,
-/// never into committed artifacts.
-///
-/// # Panics
-/// Panics if `replications == 0`.
-#[must_use]
-pub fn replicate_study_profiled(
-    spec: &FleetSpec,
-    replications: usize,
-    seed: u64,
-    profiler: &dyn Profiler,
-) -> StudySummary {
     assert!(replications > 0, "need at least one replication");
     let exp = Experiment::replications("fleet-study", seed, replications);
-    let per_trial: Vec<(usize, Option<f64>)> =
-        exp.run_profiled(RunMode::Parallel, profiler, |ctx, ()| {
-            let trace = generate_trace(spec, ctx.seed);
-            (trace.len(), network_fraction(&trace))
-        });
+    let per_trial: Vec<(usize, Option<f64>)> = exp.run(RunMode::Parallel, |ctx, ()| {
+        let trace = generate_trace(spec, ctx.seed);
+        (trace.len(), network_fraction(&trace))
+    });
     let total_failures: usize = per_trial.iter().map(|(len, _)| len).sum();
     let fractions: Vec<f64> = per_trial.iter().filter_map(|(_, frac)| *frac).collect();
     let stats = Summary::of(&fractions);
@@ -284,22 +263,6 @@ mod tests {
         assert!(
             s.mean_network_fraction.is_finite() && s.min_fraction.is_finite(),
             "summary must never carry NaN/inf"
-        );
-    }
-
-    #[test]
-    fn profiled_study_matches_plain_and_times_every_replication() {
-        use drs_harness::WallProfiler;
-        let spec = FleetSpec::hundred_servers_one_year();
-        let plain = replicate_study(&spec, 16, 7);
-        let wall = WallProfiler::new();
-        let profiled = replicate_study_profiled(&spec, 16, 7, &wall);
-        assert_eq!(profiled, plain, "profiling must not change statistics");
-        let report = wall.report();
-        assert_eq!(
-            report.histogram("fleet-study").map(|h| h.count()),
-            Some(16),
-            "one wall-clock sample per replication"
         );
     }
 

@@ -8,12 +8,13 @@
 //! latency) accumulate in sim-time as it happens; afterwards we merge
 //! them — merge order never changes a single bucket — and read the story
 //! off the percentiles. Probe bytes on the wire are checked against the
-//! Figure 1 bandwidth budget, and a [`drs::obs::Span`] wraps the run in
-//! sim-time, so everything printed here is exactly reproducible.
+//! Figure 1 bandwidth budget, and the run itself is timed in sim-time
+//! ([`SimTime::since`]), so everything printed here is exactly
+//! reproducible.
 
 use drs::core::{DrsConfig, DrsDaemon};
 use drs::cost::ProbeCostModel;
-use drs::obs::{Histogram, MetricsRegistry, Span};
+use drs::obs::Histogram;
 use drs::sim::fault::{FaultPlan, SimComponent};
 use drs::sim::{ClusterSpec, NetId, SimDuration, SimTime, World};
 
@@ -37,8 +38,8 @@ fn main() {
         .probe_interval(SimDuration::from_millis(500));
     let mut world = World::new(ClusterSpec::new(n).seed(7), |id| DrsDaemon::new(id, n, cfg));
 
-    // A sim-time span over the whole incident: begin at t0, read at the end.
-    let run_span = Span::begin(world.now().0);
+    // The whole incident is timed in sim-time: note t0, read at the end.
+    let t0: SimTime = world.now();
 
     // Two quiet seconds, then the primary hub dies, then recovery.
     world.run_for(SimDuration::from_secs(2));
@@ -54,28 +55,21 @@ fn main() {
 
     // Probe overhead against the paper's Figure 1 budget model.
     let model = ProbeCostModel::default();
-    let elapsed = SimTime(run_span.elapsed_ns(world.now().0));
-    let budget_bytes = 0.15 * model.bandwidth_bps as f64 * elapsed.0 as f64 / 1e9 / 8.0;
+    let elapsed = world.now().since(t0);
+    let budget_bytes = 0.15 * model.bandwidth_bps as f64 * elapsed.as_nanos() as f64 / 1e9 / 8.0;
     println!(
         "\nprobe traffic: {} bytes originated in {elapsed} (15% budget: {budget_bytes:.0} bytes)",
         obs.probe_bytes
     );
     assert!((obs.probe_bytes as f64) < budget_bytes, "within budget");
 
-    // The same numbers flow into a MetricsRegistry — the mergeable,
-    // deterministic store the bench artifacts are built from.
-    let mut reg = MetricsRegistry::new();
-    reg.inc("probe_bytes", obs.probe_bytes);
-    for d in [NetId::A, NetId::B] {
-        reg.inc("wire_probe_bytes", world.medium(d).stats.probe_bytes);
-    }
-    if let Some(d) = obs.failover_detect.max() {
-        reg.record("failover_detect_ns", d);
-    }
-    println!("\nregistry counters:");
-    for (name, v) in reg.counters() {
-        println!("  {name:<18} {v}");
-    }
+    // The segments carry the requests the daemons originated plus the
+    // stacks' echo replies.
+    let wire_bytes: u64 = [NetId::A, NetId::B]
+        .iter()
+        .map(|&net| world.medium(net).stats.probe_bytes)
+        .sum();
+    println!("  on the wire, replies included: {wire_bytes} bytes over both segments");
 
     let detect = SimDuration(obs.failover_detect.max().expect("hub failure was detected"));
     println!("\nhub failure detected within {detect} — DRS saw everything, in sim-time.");
