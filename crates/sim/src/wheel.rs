@@ -28,6 +28,14 @@
 //! * **cascade** redistributes a higher-level slot into the levels below
 //!   when the clock enters its window, exactly like a hardware timer
 //!   wheel.
+//! * **next_exact** — the sharded driver's idle-gap query, "when is the
+//!   next event, without moving the cursor" — is O(levels) amortized: it
+//!   remembers, per slot, how much of the bucket it has already examined
+//!   and the earliest due time found there, and looks only at what was
+//!   appended since. All exact queries of a wheel's lifetime together
+//!   examine each entry at most once per placement
+//!   ([`WheelStats::exact_scanned`] ≤ levels × pushes), so a far bucket
+//!   holding tens of thousands of session timers is never walked twice.
 //!
 //! # Allocation discipline
 //!
@@ -53,7 +61,7 @@ const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of wheel levels; beyond `64^LEVELS` grains lies the overflow.
-const LEVELS: usize = 6;
+pub(crate) const LEVELS: usize = 6;
 
 /// Grains the wheel proper can represent ahead of the cursor.
 const HORIZON_GRAINS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
@@ -122,6 +130,9 @@ pub struct WheelStats {
     pub pool_misses: u64,
     /// High-water mark of queued entries.
     pub max_depth: u64,
+    /// Entries [`TimerWheel::next_exact`] examined — each at most once
+    /// per placement, so never more than levels × `pushes`.
+    pub exact_scanned: u64,
 }
 
 impl WheelStats {
@@ -139,7 +150,28 @@ impl WheelStats {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.max_depth = self.max_depth.max(other.max_depth);
+        self.exact_scanned += other.exact_scanned;
     }
+}
+
+/// What [`TimerWheel::next_exact`] already knows about one slot: its
+/// bucket's first `seen` entries have been examined and the earliest of
+/// them is due at `min_at`. A bucket only grows at the back until it is
+/// taken whole, so the memo is extended over the appended tail and
+/// forgotten where the bucket is taken (one bit of `TimerWheel::memoized`
+/// cleared beside the occupancy bit) — never inferred from the length,
+/// which a slot drained and refilled one rotation later can exceed again.
+#[derive(Debug, Clone, Copy)]
+struct Scanned {
+    seen: usize,
+    min_at: u64,
+}
+
+impl Scanned {
+    const NONE: Scanned = Scanned {
+        seen: 0,
+        min_at: u64::MAX,
+    };
 }
 
 /// A hierarchical timer wheel over `(SimTime, seq)`-keyed events.
@@ -152,6 +184,12 @@ impl WheelStats {
 pub struct TimerWheel<T> {
     /// `levels[l][s]`: events due in slot `s` of level `l`.
     levels: Vec<Vec<Vec<Entry<T>>>>,
+    /// `scanned[l * SLOTS + s]`: the exact query's memo of that bucket,
+    /// meaningful only while the slot's bit in `memoized[l]` is set.
+    scanned: Vec<Scanned>,
+    /// One bit per slot, per level: the bucket has not been taken since
+    /// the exact query last wrote its memo.
+    memoized: [u64; LEVELS],
     /// One occupancy bit per slot, per level.
     occupancy: [u64; LEVELS],
     /// Cursor: the grain of the most recently popped entry.
@@ -203,6 +241,8 @@ impl<T> TimerWheel<T> {
             levels: (0..LEVELS)
                 .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
+            scanned: vec![Scanned::NONE; LEVELS * SLOTS],
+            memoized: [0; LEVELS],
             occupancy: [0; LEVELS],
             cur: 0,
             ready: Vec::new(),
@@ -363,31 +403,51 @@ impl<T> TimerWheel<T> {
     }
 
     /// The exact time of the next event, without staging anything or
-    /// moving the cursor. Scans the earliest occupied bucket of every
-    /// level (the global minimum always lives in one of those, the
-    /// ready buffer, or the overflow head), so it costs a bucket scan
-    /// rather than O(1) — the sharded coordinator only calls it after an
-    /// epoch executed nothing, to jump the clock over an idle gap.
-    pub fn next_exact(&self) -> Option<SimTime> {
-        let mut best: Option<(u64, u64)> = None;
-        if let Some(e) = self.ready.last() {
-            best = Some((e.at, e.seq));
+    /// moving the cursor: the minimum over the ready buffer, the overflow
+    /// head and the earliest occupied bucket of every level (the global
+    /// minimum always lives in one of those). Each bucket's minimum comes
+    /// from its `Scanned` memo, extended over the entries appended
+    /// since the last query, so a call costs O(levels) plus the new
+    /// entries — the sharded coordinator calls it after an epoch
+    /// executed nothing, to jump the clock over an idle gap.
+    pub fn next_exact(&mut self) -> Option<SimTime> {
+        if self.is_empty() {
+            return None;
         }
+        let mut best = self.ready.last().map_or(u64::MAX, |e| e.at);
         for level in 0..LEVELS {
             if let Some((_, slot)) = self.earliest_window(level) {
-                for e in &self.levels[level][slot] {
-                    if best.is_none_or(|b| (e.at, e.seq) < b) {
-                        best = Some((e.at, e.seq));
-                    }
+                let bucket = &self.levels[level][slot];
+                let memo = &mut self.scanned[level * SLOTS + slot];
+                if self.memoized[level] & (1 << slot) == 0 {
+                    self.memoized[level] |= 1 << slot;
+                    *memo = Scanned::NONE;
                 }
+                for e in &bucket[memo.seen..] {
+                    memo.min_at = memo.min_at.min(e.at);
+                }
+                self.stats.exact_scanned += (bucket.len() - memo.seen) as u64;
+                memo.seen = bucket.len();
+                best = best.min(memo.min_at);
             }
         }
         if let Some(head) = self.overflow.peek() {
-            if best.is_none_or(|b| (head.0.at, head.0.seq) < b) {
-                best = Some((head.0.at, head.0.seq));
-            }
+            best = best.min(head.0.at);
         }
-        best.map(|(at, _)| SimTime(at))
+        debug_assert_eq!(Some(best), self.scan_exact(), "stale next_exact memo");
+        Some(SimTime(best))
+    }
+
+    /// [`next_exact`](Self::next_exact) by walking every candidate bucket
+    /// in full — what the memo replaced, kept as its debug-build oracle.
+    fn scan_exact(&self) -> Option<u64> {
+        let buckets = (0..LEVELS).filter_map(|level| {
+            let (_, slot) = self.earliest_window(level)?;
+            self.levels[level][slot].iter().map(|e| e.at).min()
+        });
+        let staged = self.ready.last().map(|e| e.at);
+        let far = self.overflow.peek().map(|head| head.0.at);
+        buckets.chain(staged).chain(far).min()
     }
 
     /// Pops the earliest event as `(at, seq, payload)`.
@@ -484,6 +544,7 @@ impl<T> TimerWheel<T> {
             // that lands there adopts a spare buffer from the pool.
             let mut bucket = std::mem::take(&mut self.levels[level][slot]);
             self.occupancy[level] &= !(1 << slot);
+            self.memoized[level] &= !(1 << slot);
             if level == 0 {
                 // One grain's worth of entries: keep `ready` sorted
                 // descending so pops truncate from the back in ascending

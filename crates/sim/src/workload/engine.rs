@@ -29,6 +29,12 @@
 //! at a stall/resume edge of its pair — O(active transitions) total,
 //! independent of how many sessions sit in the background.
 //!
+//! Finding a session at its close is an array index, not a hash: every
+//! host hands out dense local ids (`WorkloadCore::next_local`), so the
+//! engine keeps one window per host over that counter — slab index by
+//! `local - base` — and retires the closed prefix, so memory follows the
+//! span of ids still open.
+//!
 //! # Stall semantics
 //!
 //! When a pair loses liveness (no route, a hop's NIC down, or a hub
@@ -49,7 +55,7 @@
 //! *exactly* (bit-for-bit) at any settled instant — it is a property
 //! test and a `repro_all` verdict, not an approximation.
 
-use std::collections::HashMap;
+use std::collections::VecDeque;
 
 use drs_core::{NodeId, Route, SimTime};
 use drs_obs::Histogram;
@@ -167,12 +173,48 @@ struct Pair {
     bottleneck: u8,
     /// Active session slab indices on this pair.
     members: Vec<u32>,
+    /// Whether the pair is on the engine's `multiplane` watch list.
+    watched: bool,
     stall_since: u64,
     dropped_in_window: u64,
 }
 
 /// Sentinel slab index for arrivals dropped at open.
 const DROPPED: u32 = u32::MAX;
+/// Sentinel slab index for a session that has closed.
+const RETIRED: u32 = u32::MAX - 1;
+
+/// One host's sessions by local id: `slots[local - base]` is the slab
+/// index (or [`DROPPED`], or [`RETIRED`] once closed). Local ids are a
+/// dense per-host counter, so opens append and the closed prefix pops.
+#[derive(Debug, Default)]
+struct IdWindow {
+    base: u64,
+    slots: VecDeque<u32>,
+}
+
+impl IdWindow {
+    fn open(&mut self, local: u64, idx: u32) {
+        assert_eq!(
+            local,
+            self.base + self.slots.len() as u64,
+            "local session ids are dense per host"
+        );
+        self.slots.push_back(idx);
+    }
+
+    /// Retires `local` and returns what it held; `None` when it was never
+    /// opened or has already closed.
+    fn close(&mut self, local: u64) -> Option<u32> {
+        let at = usize::try_from(local.checked_sub(self.base)?).ok()?;
+        let idx = std::mem::replace(self.slots.get_mut(at)?, RETIRED);
+        while self.slots.front() == Some(&RETIRED) {
+            self.slots.pop_front();
+            self.base += 1;
+        }
+        (idx != RETIRED).then_some(idx)
+    }
+}
 
 /// The driver-level fluid engine. Constructed by
 /// `World::enable_workload`; fed the merged transition log at the end of
@@ -214,8 +256,8 @@ pub struct FluidEngine {
     sessions: Vec<Session>,
     alive: Vec<bool>,
     free: Vec<u32>,
-    /// `(host << 32 | local)` → slab index (or [`DROPPED`]).
-    index: HashMap<u64, u32>,
+    /// Per host, local id → slab index.
+    index: Vec<IdWindow>,
     /// Scratch: pairs whose members need a fresh snapshot after the
     /// next water-fill recompute.
     resnap: Vec<u32>,
@@ -245,6 +287,10 @@ impl FluidEngine {
             .collect();
         let mut class_order: Vec<u8> = (0..n_classes as u8).collect();
         class_order.sort_by_key(|&c| (rates[c as usize], c));
+        // Sizing only: the slab and the windows grow past it if needed.
+        let expected = usize::try_from(spec.expected_active(n))
+            .unwrap_or(0)
+            .min(1 << 21);
         let mut eng = FluidEngine {
             n,
             planes,
@@ -265,14 +311,15 @@ impl FluidEngine {
             accrued_ns: 0,
             pairs: vec![Pair::default(); n * n],
             multiplane: Vec::new(),
-            sessions: Vec::new(),
-            alive: Vec::new(),
+            sessions: Vec::with_capacity(expected),
+            alive: Vec::with_capacity(expected),
             free: Vec::new(),
-            index: HashMap::with_capacity(
-                usize::try_from(spec.expected_active(n))
-                    .unwrap_or(0)
-                    .min(1 << 21),
-            ),
+            index: (0..n)
+                .map(|_| IdWindow {
+                    base: 0,
+                    slots: VecDeque::with_capacity(expected / n.max(1)),
+                })
+                .collect(),
             resnap: Vec::new(),
             stats: WorkloadStats::default(),
         };
@@ -305,15 +352,8 @@ impl FluidEngine {
         tail.sort_by_key(|e| e.at);
     }
 
-    /// Applies a batch of transition records (must be `(at, seq)`
-    /// ordered) and leaves the ledgers settled at the last record.
-    pub(crate) fn ingest(&mut self, records: &[TransitionRecord]) {
-        for rec in records {
-            self.apply(rec);
-        }
-    }
-
-    /// Applies one transition.
+    /// Applies one transition; records must arrive in `(at, seq)` order.
+    /// Leaves the ledgers settled at the record's instant.
     pub(crate) fn apply(&mut self, rec: &TransitionRecord) {
         let t = rec.at.0;
         self.apply_hub_through(t);
@@ -551,15 +591,18 @@ impl FluidEngine {
     /// Keeps the multiplane watch list consistent with the pair's
     /// member/path state.
     fn update_multiplane(&mut self, pid: usize) {
-        let should =
-            !self.pairs[pid].members.is_empty() && self.pairs[pid].plane_mask.count_ones() >= 2;
-        let pos = self.multiplane.iter().position(|&p| p == pid as u32);
-        match (should, pos) {
-            (true, None) => self.multiplane.push(pid as u32),
-            (false, Some(at)) => {
-                self.multiplane.swap_remove(at);
-            }
-            _ => {}
+        let pair = &mut self.pairs[pid];
+        let should = !pair.members.is_empty() && pair.plane_mask.count_ones() >= 2;
+        if should == pair.watched {
+            return;
+        }
+        pair.watched = should;
+        if should {
+            self.multiplane.push(pid as u32);
+        } else {
+            let at = self.multiplane.iter().position(|&p| p == pid as u32);
+            self.multiplane
+                .swap_remove(at.expect("a watched pair is listed"));
         }
     }
 
@@ -675,7 +718,6 @@ impl FluidEngine {
     ) {
         self.stats.opened += 1;
         self.stats.transitions += 1;
-        let key = (u64::from(host.0) << 32) | local;
         let rate = self.rates[class as usize];
         let offered = u128::from(rate) * u128::from(holding_ns);
         self.stats.offered_unit += offered;
@@ -684,7 +726,7 @@ impl FluidEngine {
             self.stats.dropped_arrivals += 1;
             self.stats.dropped_unit += offered;
             self.pairs[pid].dropped_in_window += 1;
-            self.index.insert(key, DROPPED);
+            self.index[host.idx()].open(local, DROPPED);
             return;
         }
         self.stats.active += 1;
@@ -719,7 +761,7 @@ impl FluidEngine {
                 (self.sessions.len() - 1) as u32
             }
         };
-        self.index.insert(key, idx);
+        self.index[host.idx()].open(local, idx);
         self.pairs[pid].members.push(idx);
         for h in 0..self.pairs[pid].hops.len() {
             let plane = self.pairs[pid].hops[h].plane as usize;
@@ -732,8 +774,7 @@ impl FluidEngine {
 
     fn on_close(&mut self, t: u64, host: NodeId, local: u64) {
         self.stats.transitions += 1;
-        let key = (u64::from(host.0) << 32) | local;
-        let Some(idx) = self.index.remove(&key) else {
+        let Some(idx) = self.index[host.idx()].close(local) else {
             debug_assert!(false, "close without open");
             return;
         };
@@ -1282,6 +1323,107 @@ mod tests {
         // Pair 0->1 lost 500ns x 1 MB/s; pair 2->3 lost nothing.
         assert_eq!(st.shortfall_unit, 1_000_000 * 500u128);
         assert!(e.conservation().holds());
+    }
+
+    #[test]
+    fn id_window_follows_the_span_of_open_ids() {
+        let mut w = IdWindow::default();
+        for local in 0..4u64 {
+            w.open(local, 10 + local as u32);
+        }
+        assert_eq!(w.close(1), Some(11));
+        assert_eq!((w.base, w.slots.len()), (0, 4), "id 0 is still open");
+        assert_eq!(w.close(0), Some(10));
+        assert_eq!((w.base, w.slots.len()), (2, 2), "the closed prefix is gone");
+        // Closed, never opened, and closed-but-still-inside-the-window.
+        assert_eq!(w.close(1), None);
+        assert_eq!(w.close(9), None);
+        w.open(4, DROPPED);
+        assert_eq!(w.close(4), Some(DROPPED));
+        assert_eq!(w.close(4), None);
+        assert_eq!((w.base, w.slots.len()), (2, 3));
+        assert_eq!(w.close(3), Some(13));
+        assert_eq!(w.close(2), Some(12));
+        assert_eq!((w.base, w.slots.len()), (5, 0));
+    }
+
+    /// The watch list holds exactly the member-bearing pairs whose path
+    /// crosses two planes, each once, and the ledger balances.
+    fn assert_watch_list_and_ledger(e: &FluidEngine, listed: &[u32]) {
+        assert_eq!(e.multiplane, listed, "watch list");
+        for (pid, pair) in e.pairs.iter().enumerate() {
+            assert_eq!(pair.watched, listed.contains(&(pid as u32)), "pair {pid}");
+        }
+        let c = e.conservation();
+        assert!(c.holds(), "{c:?}");
+    }
+
+    #[test]
+    fn two_plane_pair_is_watched_once_through_reroute_stall_and_close() {
+        let mut e = engine(
+            4,
+            vec![ClassSpec {
+                rate_bps: 80_000_000,
+            }],
+            100_000_000,
+        );
+        let route = |host: u32, dst: u32, route: Route| Transition::RouteSet {
+            host: NodeId(host),
+            dst: NodeId(dst),
+            route,
+        };
+        let via = |gateway: u32, net: NetId| Route::Via {
+            gateway: NodeId(gateway),
+            net,
+        };
+        let nic = |up: bool| Transition::Nic {
+            node: NodeId(3),
+            net: NetId::B,
+            up,
+        };
+        let close = |host: u32, local: u64| Transition::Close {
+            host: NodeId(host),
+            local,
+        };
+        let pid = 1; // pair 0 -> 1 of a 4-host table
+
+        // 0 -> 1 relays through host 2: plane A, then plane B.
+        e.apply(&rec(0, 0, route(2, 1, Route::Direct(NetId::B))));
+        e.apply(&rec(0, 1, route(0, 1, via(2, NetId::A))));
+        assert_watch_list_and_ledger(&e, &[]);
+        e.apply(&rec(0, 2, open(0, 0, 1, 0, 300)));
+        e.apply(&rec(0, 3, open(0, 1, 1, 0, 500)));
+        assert_watch_list_and_ledger(&e, &[pid]);
+        assert_eq!(e.pairs[pid as usize].bottleneck, 0, "tie goes to plane A");
+        // A third session on plane B alone moves the bottleneck there.
+        e.apply(&rec(50, 4, open(2, 0, 1, 0, 450)));
+        assert_eq!(e.pairs[pid as usize].bottleneck, 1);
+        assert_watch_list_and_ledger(&e, &[pid]);
+        // Rerouted onto one plane, then onto two again through host 3.
+        e.apply(&rec(100, 5, route(0, 1, Route::Direct(NetId::B))));
+        assert_watch_list_and_ledger(&e, &[]);
+        e.apply(&rec(150, 6, route(0, 1, via(3, NetId::B))));
+        assert_watch_list_and_ledger(&e, &[pid]);
+        // The gateway's NIC fails: the pair stalls, a member closes
+        // inside the window, the NIC returns and the rest resume.
+        e.apply(&rec(200, 7, nic(false)));
+        assert_eq!(e.stats().stall_windows, 1);
+        e.apply(&rec(300, 8, close(0, 0)));
+        assert_watch_list_and_ledger(&e, &[pid]);
+        e.apply(&rec(400, 9, nic(true)));
+        assert_eq!(e.stats().resumed_windows, 1);
+        assert_watch_list_and_ledger(&e, &[pid]);
+        e.apply(&rec(500, 10, close(0, 1)));
+        e.apply(&rec(500, 11, close(2, 0)));
+        assert_watch_list_and_ledger(&e, &[]);
+        let st = e.stats();
+        assert_eq!((st.opened, st.closed, st.active), (3, 3, 0));
+        assert_eq!(st.transitions, 6);
+        assert_eq!(
+            st.delivered_unit + st.shortfall_unit,
+            st.offered_unit,
+            "every session ran to its close"
+        );
     }
 
     #[test]

@@ -968,22 +968,28 @@ impl<P: Protocol> World<P> {
 
     /// Feeds the transitions each shard logged since the last drain to
     /// the fluid engine, in the same `(at, seq, shard)` merge order as
-    /// [`Self::event_log`], then settles the ledgers at `until`.
+    /// [`Self::event_log`], then settles the ledgers at `until`. The
+    /// shard logs are moved into one exactly-sized vector, sorted there
+    /// and applied from it — a million-record log is never copied again.
     fn drain_workload(&mut self, until: SimTime) {
         if self.workload_engine.is_none() {
             return;
         }
-        let mut tagged: Vec<(TransitionRecord, usize)> = Vec::new();
+        let total = (0..self.shards.len())
+            .filter_map(|i| self.shard(i).core.workload.as_ref())
+            .map(|w| w.log.len())
+            .sum();
+        let mut tagged: Vec<(TransitionRecord, usize)> = Vec::with_capacity(total);
         for i in 0..self.shards.len() {
             if let Some(w) = self.shard_mut(i).core.workload.as_mut() {
-                let log = std::mem::take(&mut w.log);
-                tagged.extend(log.into_iter().map(|r| (r, i)));
+                tagged.extend(std::mem::take(&mut w.log).into_iter().map(|r| (r, i)));
             }
         }
         tagged.sort_by_key(|&(r, s)| (r.at, r.seq, s));
-        let merged: Vec<TransitionRecord> = tagged.into_iter().map(|(r, _)| r).collect();
         let engine = self.workload_engine.as_mut().expect("checked above");
-        engine.ingest(&merged);
+        for (rec, _) in &tagged {
+            engine.apply(rec);
+        }
         engine.settle(until);
     }
 
@@ -1289,19 +1295,20 @@ unsafe fn merge_and_min<P: Protocol>(
     exact: bool,
 ) -> Option<SimTime> {
     let s = cells.len();
-    // Drain the outboxes (each sorted by (at, seq) by construction:
-    // `at` is the shard's non-decreasing clock, `seq` its counter).
-    let mut boxes: Vec<Vec<Intent<P::Msg>>> = (0..s)
-        .map(|i| {
-            let shard = &mut *cells[i].0.get();
-            match &mut shard.core.fabric {
-                Fabric::Deferred { outbox, .. } => std::mem::take(outbox),
-                Fabric::Direct => unreachable!("several shards always defer"),
-            }
-        })
-        .collect();
-    let total: usize = boxes.iter().map(Vec::len).sum();
+    // SAFETY: exclusive shard access is the function's contract; every
+    // borrow this hands out ends before the shard is touched again.
+    let outbox = |i: usize| match &mut (*cells[i].0.get()).core.fabric {
+        Fabric::Deferred { outbox, .. } => outbox,
+        Fabric::Direct => unreachable!("several shards always defer"),
+    };
+    // Most epochs of a session workload transmit nothing: count first,
+    // so an intent-free barrier allocates nothing.
+    let total: usize = (0..s).map(|i| outbox(i).len()).sum();
     if total > 0 {
+        // Drain the outboxes (each sorted by (at, seq) by construction:
+        // `at` is the shard's non-decreasing clock, `seq` its counter).
+        let mut boxes: Vec<Vec<Intent<P::Msg>>> =
+            (0..s).map(|i| std::mem::take(outbox(i))).collect();
         coord.merges += 1;
         coord.intents += total as u64;
         // K-way merge by (at, seq) through a min-heap of outbox heads.
@@ -1387,10 +1394,14 @@ unsafe fn merge_and_min<P: Protocol>(
         }
         // Hand the drained (capacity-preserving) buffers back for reuse.
         for (i, b) in boxes.into_iter().enumerate() {
-            let shard = &mut *cells[i].0.get();
-            if let Fabric::Deferred { outbox, .. } = &mut shard.core.fabric {
-                *outbox = b;
-            }
+            *outbox(i) = b;
+        }
+    } else {
+        // An idle barrier gives the storage back instead: the N=1024
+        // burst's outboxes hold 2.1 M intents (187 MB) for one epoch and
+        // must not keep that reserved while the arrivals are served.
+        for i in 0..s {
+            outbox(i).shrink_to_fit();
         }
     }
     // The next window's opening instant: a lower bound on the global
@@ -1631,6 +1642,51 @@ mod tests {
             }
             assert_eq!(w.coord.flight.is_some(), shards > 1);
         }
+    }
+
+    /// The million-user cell scaled down (8 hosts × 2 000 closed-loop
+    /// users holding Exp(60 s), 4 shards, a hub outage): the far buckets
+    /// hold thousands of close timers, and every zero-pop epoch asks
+    /// every shard for its exact minimum. All those queries together may
+    /// examine an entry once per level it is placed in on its way down —
+    /// not once per query, which is what the full bucket scan cost.
+    #[test]
+    fn exact_queries_examine_each_entry_at_most_once_per_level() {
+        use crate::wheel::LEVELS;
+        use crate::workload::{ArrivalProcess, ClassSpec, HoldingDist};
+        use drs_core::{DrsConfig, DrsDaemon};
+
+        let (n, end) = (8, SimTime(2_000_000_000));
+        let mut w = ShardedWorld::with_topology(ClusterSpec::new(n).seed(42), 4, 1, |id| {
+            DrsDaemon::new(id, n, DrsConfig::default())
+        });
+        w.schedule_faults(
+            FaultPlan::new()
+                .fail_at(SimTime(1_000_000_000), SimComponent::Hub(NetId::A))
+                .repair_at(SimTime(1_500_000_000), SimComponent::Hub(NetId::A)),
+        );
+        w.enable_workload(WorkloadSpec {
+            arrivals: ArrivalProcess::Closed {
+                per_host: 2_000,
+                think_mean_ns: 250_000_000,
+            },
+            holding: HoldingDist::Exponential {
+                mean_ns: 60_000_000_000,
+            },
+            classes: vec![ClassSpec { rate_bps: 64_000 }],
+            horizon: end,
+        });
+        w.run_until(end);
+        let (wheel, ss) = (w.kernel_stats().wheel, w.shard_stats());
+        assert!(ss.zero_pop_epochs > 0, "no exact query ran: {ss:?}");
+        assert!(wheel.exact_scanned > 0, "{wheel:?}");
+        assert!(
+            wheel.exact_scanned <= LEVELS as u64 * wheel.pushes,
+            "{} exact queries examined {} entries for {} pushes",
+            ss.zero_pop_epochs * ss.shards as u64,
+            wheel.exact_scanned,
+            wheel.pushes
+        );
     }
 
     #[test]
