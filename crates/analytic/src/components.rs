@@ -30,7 +30,7 @@
 //! Whatever the universe, the subset walk ([`crate::enumerate`]), the
 //! `f`-subset sampler and the Monte-Carlo loop ([`crate::montecarlo`])
 //! see it only through [`FailureModel`]. Two models plug in: the bitmask
-//! [`crate::connectivity::KPlane`] and the union-find
+//! [`crate::connectivity::KPlane`] and the graph-search
 //! [`crate::topo::GraphModel`].
 
 /// Maximum number of nodes the bitset-backed engines support

@@ -21,7 +21,7 @@
 //! node mask per plane plus a backplane bitmask) so the Monte-Carlo
 //! estimator can test millions of failure draws per second without
 //! allocating. [`KPlane`] wraps a state and the [`Question`] asked of it
-//! as the bitmask [`FailureModel`] of the counting core; the union-find
+//! as the bitmask [`FailureModel`] of the counting core; the graph-search
 //! [`crate::topo::GraphModel`] is the other model, and on a
 //! [`drs_topology::generators::kplane`] topology each is the other's
 //! oracle.

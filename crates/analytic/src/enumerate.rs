@@ -7,7 +7,7 @@
 //! Monte-Carlo estimator ([`crate::montecarlo`]) are validated against.
 //!
 //! There is one walk. It drives any [`FailureModel`] — the bitmask
-//! [`KPlane`] behind the `enumerate_*` entry points here, the union-find
+//! [`KPlane`] behind the `enumerate_*` entry points here, the graph-search
 //! [`crate::topo::GraphModel`] behind the `*_topo` ones — so a K-plane
 //! cluster and a fat-tree are counted by the same code and differ only in
 //! the predicate. Two things make it fast enough to be useful well beyond

@@ -19,8 +19,8 @@
 //!   implementations so each can be the other's oracle: the bitmask DRS
 //!   predicate over a K-plane cluster — can a pair of servers (or every
 //!   pair) still communicate, directly on a shared network or relayed
-//!   through a one-hop gateway node? ([`connectivity`]) — and union-find
-//!   reachability over arbitrary [`drs_topology::Topology`] graphs
+//!   through a one-hop gateway node? ([`connectivity`]) — and searched,
+//!   certificate-cached reachability over arbitrary [`drs_topology::Topology`] graphs
 //!   (Fat-Tree, BCube, DCell, …), of which the K-plane cluster is the
 //!   degenerate case, reproduced count-for-count and draw-for-draw
 //!   ([`topo`]),

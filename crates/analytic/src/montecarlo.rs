@@ -11,8 +11,8 @@
 //!
 //! There is one sampler ([`sample_failures`]) and one loop, written
 //! against [`FailureModel`]: [`MonteCarlo`] runs them over the bitmask
-//! [`KPlane`] model, [`crate::topo::TopoMonteCarlo`] over the union-find
-//! graph model, and the draws depend only on the universe size — so on
+//! [`KPlane`] model, [`crate::topo::TopoMonteCarlo`] over the graph-search
+//! model, and the draws depend only on the universe size — so on
 //! equal universes the two estimators see the same failure sets and any
 //! difference in their counts is a difference between the predicates.
 //!

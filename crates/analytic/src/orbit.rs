@@ -46,53 +46,73 @@ pub fn orbit_pair_success(n: u64, f: u64) -> Option<(u128, u128)> {
     let m = n - 2; // interchangeable gateway candidates
     let mut success: u128 = 0;
     let mut checked_total: u128 = 0;
+    // The gateway orbit sees the backplanes and endpoints only through how
+    // many of the `f` failures they used up — at most 6 — so its weights
+    // are summed once per budget, not once per combination below.
+    let mut gateway = [(0u128, 0u128); 7];
+    for (used, sums) in (0..=f.min(6)).zip(&mut gateway) {
+        *sums = gateway_weights(m, f - used)?;
+    }
     // Backplane orbit: which of the two hubs failed.
     for bp_bits in 0u64..4 {
         let (bpa_down, bpb_down) = (bp_bits & 1 != 0, bp_bits & 2 != 0);
         let bp_failures = u64::from(bpa_down) + u64::from(bpb_down);
         // Endpoint orbit: which of s's and t's NICs failed.
         for ep_bits in 0u64..16 {
-            let sa_down = ep_bits & 1 != 0;
-            let sb_down = ep_bits & 2 != 0;
-            let ta_down = ep_bits & 4 != 0;
-            let tb_down = ep_bits & 8 != 0;
-            let ep_failures =
-                u64::from(sa_down) + u64::from(sb_down) + u64::from(ta_down) + u64::from(tb_down);
-            let Some(rest) = f.checked_sub(bp_failures + ep_failures) else {
+            let s_down = (ep_bits & 1 != 0, ep_bits & 2 != 0);
+            let t_down = (ep_bits & 4 != 0, ep_bits & 8 != 0);
+            let used = bp_failures + u64::from(ep_bits.count_ones());
+            if used > f {
                 continue;
-            };
-            // Gateway orbit: k_a lost A only, k_b lost B only, k_ab lost
-            // both (2 failures each): k_a + k_b + 2·k_ab = rest.
-            for k_ab in 0..=(rest / 2).min(m) {
-                let nic_rest = rest - 2 * k_ab;
-                for k_a in 0..=nic_rest.min(m - k_ab) {
-                    let k_b = nic_rest - k_a;
-                    if k_a + k_b + k_ab > m {
-                        continue;
-                    }
-                    let weight = table
-                        .get(m, k_a)?
-                        .checked_mul(table.get(m - k_a, k_b)?)?
-                        .checked_mul(table.get(m - k_a - k_b, k_ab)?)?;
-                    if weight == 0 {
-                        continue;
-                    }
-                    checked_total = checked_total.checked_add(weight)?;
-                    if class_connected(
-                        bpa_down,
-                        bpb_down,
-                        (sa_down, sb_down),
-                        (ta_down, tb_down),
-                        m - k_a - k_b - k_ab > 0,
-                    ) {
-                        success = success.checked_add(weight)?;
-                    }
-                }
             }
+            let (all, with_intact_gateway) = gateway[used as usize];
+            checked_total = checked_total.checked_add(all)?;
+            // An intact gateway only ever helps: classes connected without
+            // one are connected with one.
+            let connected = |intact_gateway| {
+                class_connected(bpa_down, bpb_down, s_down, t_down, intact_gateway)
+            };
+            let weight = if connected(false) {
+                all
+            } else if connected(true) {
+                with_intact_gateway
+            } else {
+                0
+            };
+            success = success.checked_add(weight)?;
         }
     }
     debug_assert_eq!(checked_total, total, "orbit weights must tile the space");
     Some((success, total))
+}
+
+/// The gateway orbit's multinomial weights for `rest` failures among the
+/// NICs of `m` gateway candidates — `k_a` lost A only, `k_b` lost B only,
+/// `k_ab` lost both (2 failures each), `k_a + k_b + 2·k_ab = rest` —
+/// summed over every such orbit, and over those that leave at least one
+/// candidate with both NICs: `(all, with_intact_gateway)`. `None` on
+/// `u128` overflow; every term and partial sum is at most `C(2n+2, f)`.
+fn gateway_weights(m: u64, rest: u64) -> Option<(u128, u128)> {
+    let table = shared_table();
+    let (mut all, mut with_intact_gateway) = (0u128, 0u128);
+    for k_ab in 0..=(rest / 2).min(m) {
+        let nic_rest = rest - 2 * k_ab;
+        for k_a in 0..=nic_rest.min(m - k_ab) {
+            let k_b = nic_rest - k_a;
+            if k_a + k_b + k_ab > m {
+                continue;
+            }
+            let weight = table
+                .get(m, k_a)?
+                .checked_mul(table.get(m - k_a, k_b)?)?
+                .checked_mul(table.get(m - k_a - k_b, k_ab)?)?;
+            all = all.checked_add(weight)?;
+            if m - k_a - k_b - k_ab > 0 {
+                with_intact_gateway = with_intact_gateway.checked_add(weight)?;
+            }
+        }
+    }
+    Some((all, with_intact_gateway))
 }
 
 /// The connectivity predicate evaluated on orbit invariants — the same
@@ -215,6 +235,28 @@ mod tests {
             let (s0, t0) = orbit_pair_success(n, 0).unwrap();
             assert_eq!((s0, t0), (1, 1), "nothing failed");
         }
+    }
+
+    #[test]
+    fn none_exactly_when_the_total_overflows() {
+        // The corner of the benchmark's grid where `C(2n+2, f)` crosses
+        // `u128`: a cell is `None` iff its total is, and every other cell
+        // carries the closed form's count — no partial product or partial
+        // sum of the per-budget gateway weights overflows before the total
+        // does.
+        let (mut overflowed, mut counted) = (0, 0);
+        for n in 300..=400u64 {
+            for f in 12..=24u64 {
+                let expected = binom(component_count(n), f).map(|t| (success_count(n, f), t));
+                assert_eq!(orbit_pair_success(n, f), expected, "n={n} f={f}");
+                overflowed += usize::from(expected.is_none());
+                counted += usize::from(expected.is_some());
+            }
+        }
+        assert!(
+            overflowed > 100 && counted > 100,
+            "{overflowed} / {counted}"
+        );
     }
 
     #[test]

@@ -16,7 +16,7 @@
 //!   paper's protocol on the paper's (generalized) hardware.
 //! * **Zoo rows** run a one-shot flooding protocol ([`FloodProtocol`])
 //!   over the graph world and compare delivery against transitive
-//!   union-find reachability — the DES analogue of graph connectivity on
+//!   graph reachability — the DES analogue of graph connectivity on
 //!   fabrics where one-hop host relaying is not the routing model.
 //!
 //! Each row also carries the topology's equipment bill
@@ -302,7 +302,7 @@ impl Protocol for FloodProtocol {
 }
 
 /// Runs one zoo trial on a graph world: unrank the failure set, predict
-/// transitive connectivity with the union-find engine, then flood the
+/// transitive connectivity with the reachability engine, then flood the
 /// packet-level world built from the same graph and check the token
 /// reached the destination host.
 #[must_use]

@@ -254,6 +254,28 @@ impl ComponentSet {
         self.words.iter().all(|&w| w == 0)
     }
 
+    /// Whether the two sets share no index.
+    #[inline]
+    #[must_use]
+    pub fn is_disjoint(&self, other: &ComponentSet) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .fold(0, |acc, (a, b)| acc | (a & b))
+            == 0
+    }
+
+    /// Whether every index of this set is also in `other`.
+    #[inline]
+    #[must_use]
+    pub fn is_subset(&self, other: &ComponentSet) -> bool {
+        self.words
+            .iter()
+            .zip(&other.words)
+            .fold(0, |acc, (a, b)| acc | (a & !b))
+            == 0
+    }
+
     /// The failed indices in ascending order.
     pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words.iter().enumerate().flat_map(|(wi, &w)| {
@@ -342,5 +364,31 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![0, 63, 255]);
         assert!(!s.is_empty());
         assert!(ComponentSet::new().is_empty());
+    }
+
+    #[test]
+    fn disjoint_and_subset_see_every_word() {
+        let empty = ComponentSet::new();
+        assert!(empty.is_disjoint(&empty) && empty.is_subset(&empty));
+        // One index per word, on both sides of each word boundary.
+        for idx in [0usize, 63, 64, 127, 128, 191, 192, 255] {
+            let one = ComponentSet::from_indices(&[idx]);
+            let neighbour = ComponentSet::from_indices(&[idx ^ 1]);
+            let both = ComponentSet::from_indices(&[idx, idx ^ 1]);
+            assert!(!one.is_disjoint(&one), "idx={idx}");
+            assert!(one.is_disjoint(&neighbour), "idx={idx}");
+            assert!(one.is_disjoint(&empty) && empty.is_disjoint(&one));
+            assert!(one.is_subset(&both) && !both.is_subset(&one), "idx={idx}");
+            assert!(!one.is_subset(&neighbour), "idx={idx}");
+            assert!(empty.is_subset(&one) && !one.is_subset(&empty));
+        }
+        // A difference in the last word only must not be masked by
+        // agreement in the first three.
+        let low = ComponentSet::from_indices(&[0, 63, 64, 128]);
+        let high = ComponentSet::from_indices(&[0, 63, 64, 128, 255]);
+        assert!(low.is_subset(&high) && !high.is_subset(&low));
+        assert!(!low.is_disjoint(&high));
+        assert!(ComponentSet::from_indices(&[63, 255])
+            .is_disjoint(&ComponentSet::from_indices(&[64, 254])));
     }
 }

@@ -14,12 +14,14 @@
 //!   the `K·n + K` component indexing of the analytic and sim layers),
 //!   plus [`generators::fat_tree`], [`generators::bcube`] and
 //!   [`generators::dcell`] from Couto et al.
-//! * [`reach`] — the reachability predicates: union-find
-//!   [`Reachability::Transitive`] connectivity over the live subgraph for
-//!   general fabrics, and the DRS [`Reachability::OneHostRelay`]
-//!   specialization (direct shared segment, or a single gateway host) —
-//!   provably equal to the transitive predicate at `K = 2`, stricter for
-//!   `K ≥ 3`.
+//! * [`reach`] — the reachability predicates, one breadth-first search
+//!   under two edge rules: [`Reachability::Transitive`] connectivity over
+//!   the live subgraph for general fabrics, and the DRS
+//!   [`Reachability::OneHostRelay`] specialization (direct shared segment,
+//!   or a single gateway host) — provably equal to the transitive
+//!   predicate at `K = 2`, stricter for `K ≥ 3`. A search can return its
+//!   proof, a [`Certificate`] (the live path, or the failed cut), which
+//!   decides every other failure set it covers without searching.
 //! * [`limits`] — the one shared capacity validation (node, plane and
 //!   256-component caps) every bitset-backed engine rejects oversized
 //!   universes with, replacing the per-engine ad-hoc asserts.
@@ -35,4 +37,4 @@ pub mod reach;
 
 pub use graph::{ComponentSet, Link, TopoComponent, Topology};
 pub use limits::{LimitError, MAX_COMPONENTS, MAX_NODES, MAX_PLANES};
-pub use reach::{pair_connected, ReachEngine, Reachability};
+pub use reach::{pair_connected, Certificate, ReachEngine, Reachability};

@@ -70,7 +70,7 @@ fn main() {
     }
 
     // 2. Exact survivability over the full component universe, under the
-    //    reachability policy that matches the routing model: union-find
+    //    reachability policy that matches the routing model: plain
     //    transitive connectivity for switched fabrics, the DRS one-hop
     //    gateway rule for the K-plane cluster.
     let topo = generators::dcell(4, 1);
@@ -114,8 +114,8 @@ fn main() {
         assert_eq!(
             world.protocol(NodeId(h as u32)).seen,
             pair_connected(&topo, &set, 0, h, Reachability::Transitive),
-            "host {h}: DES and union-find disagree"
+            "host {h}: DES and the graph predicate disagree"
         );
     }
-    println!("every host matches the union-find predicate, host for host");
+    println!("every host matches the graph predicate, host for host");
 }
