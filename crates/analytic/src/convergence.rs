@@ -103,7 +103,7 @@ mod tests {
     fn thousand_iterations_is_tight() {
         // Paper: "With 1,000 iterations, the mean absolute difference is
         // less than [~0.02] for each of the fixed f values" — every
-        // f = 2..10 over f < N < 64, under the seed `fig3_validation`
+        // f = 2..10 over f < N < 64, under the seed the `fig3` report
         // prints (EXPERIMENTS.md records the measured column). A cell's
         // expected |deviation| is at most 0.8·sqrt(0.25/1000) ≈ 0.013,
         // so the bound holds with margin for any healthy generator.

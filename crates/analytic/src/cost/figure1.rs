@@ -1,9 +1,9 @@
 //! Figure 1 series generation: response time vs cluster size, one curve
 //! per bandwidth budget.
 
-use drs_sim::SimDuration;
+use drs_core::SimDuration;
 
-use crate::model::ProbeCostModel;
+use super::model::ProbeCostModel;
 
 /// The bandwidth budgets Figure 1 plots (fractions of the 100 Mb/s
 /// segment).

@@ -12,26 +12,24 @@
 //! segment, so a bandwidth budget `β` of a `B` bit/s network bounds the
 //! sweep period — and therefore the error-resolution time — from below by
 //! `T(N) = 2·N·(N−1)·L·8 / (β·B)`. The per-segment bound is independent
-//! of the redundancy degree `K` (each plane carries only its own probes);
-//! aggregate and per-host probe work scale linearly with `K` via the
-//! model's `total_*`/`host_*` accessors.
+//! of the redundancy degree `K` (each plane carries only its own probes).
 //!
 //! [`mod@figure1`] sweeps that model over the paper's budgets (5 %, 10 %,
-//! 15 %, 25 % of 100 Mb/s) and [`empirical`] *measures* the same
-//! quantities on the packet-level simulator with real [`drs_core`]
-//! daemons, closing the loop between formula and implementation.
+//! 15 %, 25 % of 100 Mb/s); `drs_bench::probe_cost` *measures* the same
+//! quantities on the packet-level simulator with real daemons, closing
+//! the loop between formula and implementation. [`planner`] joins the
+//! model with Equation 1 into a feasible cluster-size window.
 //!
 //! Beyond bandwidth, [`equipment`] prices the *hardware* a topology buys
 //! its redundancy with (switches, ports, cables) — the capital axis of
-//! the survivability-vs-cost frontier in the topology-zoo study.
+//! the survivability-vs-cost frontier in the topology-zoo study, next to
+//! the survivability ([`crate::topo`]) it is plotted against.
 
-pub mod empirical;
 pub mod equipment;
 pub mod figure1;
 pub mod model;
 pub mod planner;
 
-pub use empirical::{measure_probe_cost, EmpiricalCost};
 pub use equipment::{cost_units, EquipmentCount, EquipmentPrices};
 pub use figure1::{figure1, CostSeries, PAPER_BUDGETS};
 pub use model::ProbeCostModel;

@@ -1,15 +1,13 @@
 //! Closed-form probe-cost model.
 
-use drs_sim::SimDuration;
+use drs_core::SimDuration;
 
 /// Analytic model of DRS probe traffic on one shared network segment.
 ///
 /// Probing is per-plane: each host probes every peer on **each** of the
 /// cluster's `planes` networks, but each plane's probes ride on that
 /// plane's own segment. The per-segment load — and therefore Figure 1's
-/// response-time curves — is independent of `planes`; what scales with
-/// the redundancy degree is the *aggregate* traffic and per-host NIC
-/// work, exposed by the `total_*` accessors.
+/// response-time curves — is independent of `planes`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeCostModel {
     /// Segment data rate in bits per second (paper: 100 Mb/s).
@@ -47,29 +45,6 @@ impl ProbeCostModel {
     #[must_use]
     pub fn bytes_per_sweep(&self, n: u64) -> u64 {
         self.frames_per_sweep(n) * self.frame_bytes as u64
-    }
-
-    /// Echo frames one sweep puts on the cluster as a whole: every plane
-    /// carries its own copy of the per-segment sweep.
-    #[must_use]
-    pub fn total_frames_per_sweep(&self, n: u64) -> u64 {
-        self.planes as u64 * self.frames_per_sweep(n)
-    }
-
-    /// Bytes one sweep costs cluster-wide, across all planes.
-    #[must_use]
-    pub fn total_bytes_per_sweep(&self, n: u64) -> u64 {
-        self.planes as u64 * self.bytes_per_sweep(n)
-    }
-
-    /// Probe frames a single host sends and receives per sweep
-    /// (`2·(N−1)` per plane: a request out and a reply back for every
-    /// peer, on every plane) — the per-host CPU/NIC work that, unlike the
-    /// segment load, grows linearly with the redundancy degree.
-    #[must_use]
-    pub fn host_frames_per_sweep(&self, n: u64) -> u64 {
-        assert!(n >= 2, "need at least two hosts");
-        2 * self.planes as u64 * (n - 1)
     }
 
     /// The shortest sweep period that keeps probe traffic within a
@@ -143,15 +118,13 @@ mod tests {
         assert_eq!(m.frames_per_sweep(2), 4); // 2 requests + 2 replies
         assert_eq!(m.frames_per_sweep(90), 16_020);
         assert_eq!(m.bytes_per_sweep(90), 16_020 * 74);
-        assert_eq!(m.total_frames_per_sweep(90), 2 * 16_020);
-        assert_eq!(m.host_frames_per_sweep(90), 2 * 2 * 89);
     }
 
     #[test]
     fn extra_planes_leave_per_segment_cost_alone() {
         // Figure 1 is a per-segment statement: a K=4 cluster has the same
         // response-time curves, because each plane carries only its own
-        // probes. The aggregate and per-host costs scale with K instead.
+        // probes.
         let two = ProbeCostModel::default();
         let four = ProbeCostModel {
             planes: 4,
@@ -160,14 +133,6 @@ mod tests {
         for n in [2u64, 10, 90] {
             assert_eq!(two.response_time(n, 0.10), four.response_time(n, 0.10));
             assert_eq!(two.bytes_per_sweep(n), four.bytes_per_sweep(n));
-            assert_eq!(
-                four.total_bytes_per_sweep(n),
-                2 * two.total_bytes_per_sweep(n)
-            );
-            assert_eq!(
-                four.host_frames_per_sweep(n),
-                2 * two.host_frames_per_sweep(n)
-            );
         }
     }
 

@@ -9,10 +9,10 @@
 //! A deployment is feasible exactly when the interval between those two
 //! bounds is non-empty.
 
-use drs_analytic::thresholds::first_n_exceeding;
-use drs_sim::SimDuration;
+use crate::thresholds::first_n_exceeding;
+use drs_core::SimDuration;
 
-use crate::model::ProbeCostModel;
+use super::model::ProbeCostModel;
 
 /// What the deployment must achieve.
 #[derive(Debug, Clone, Copy, PartialEq)]

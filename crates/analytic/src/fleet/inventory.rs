@@ -93,7 +93,7 @@ pub struct FailureRates {
 }
 
 impl Default for FailureRates {
-    /// Rates calibrated (see crate docs) so a 10-servers-per-cluster
+    /// Rates calibrated (see [`crate::fleet`]) so a 10-servers-per-cluster
     /// fleet has an expected network-related failure share of ≈13 %.
     fn default() -> Self {
         FailureRates {

@@ -3,7 +3,7 @@
 
 use drs_harness::{Experiment, RunMode, Summary};
 
-use crate::fleet::{generate_trace, FailureRecord, FleetSpec};
+use super::{generate_trace, FailureRecord, FleetSpec};
 
 /// Network-related share of the failures in one trace (`None` for an
 /// empty trace — no failures, nothing to classify).
@@ -187,7 +187,7 @@ pub fn availability_gain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::components::ComponentClass;
+    use crate::fleet::ComponentClass;
 
     fn rec(at_days: f64, cluster: usize, class: ComponentClass) -> FailureRecord {
         FailureRecord {
@@ -243,7 +243,7 @@ mod tests {
         // old implementation divided 0/0 (NaN mean/std) and folded min
         // from +inf; the summary must now be finite and all-zero.
         let mut spec = FleetSpec::hundred_servers_one_year();
-        spec.rates = crate::components::FailureRates {
+        spec.rates = crate::fleet::FailureRates {
             nic: 0.0,
             cable: 0.0,
             hub: 0.0,

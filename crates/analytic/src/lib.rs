@@ -35,8 +35,14 @@
 //!   exact/enumerated/Monte-Carlo cells across worker threads with
 //!   deterministic seeds and a machine-readable JSON artifact ([`sweep`]),
 //! * the **threshold finder** for the `P\[S\] > 0.99` milestones
-//!   ([`thresholds`]) and the Figure 2 **series generator** ([`series`]),
-//! * the paper's **`q^f` multiple-failure decay model** ([`qmodel`]).
+//!   ([`thresholds`]),
+//! * the paper's **`q^f` multiple-failure decay model** ([`qmodel`]),
+//! * the **proactive-cost model** behind Figure 1 — probe bandwidth
+//!   against error-resolution time — with the cluster-size planner that
+//!   joins it to Equation 1 and the equipment bill of a topology
+//!   ([`cost`]),
+//! * the synthetic **deployment failure study** behind the "13 % of
+//!   hardware failures were network related" statistic ([`fleet`]).
 //!
 //! # Quick start
 //!
@@ -60,12 +66,13 @@ pub mod binom;
 pub mod components;
 pub mod connectivity;
 pub mod convergence;
+pub mod cost;
 pub mod enumerate;
 pub mod exact;
+pub mod fleet;
 pub mod montecarlo;
 pub mod orbit;
 pub mod qmodel;
-pub mod series;
 pub mod sweep;
 pub mod thresholds;
 pub mod topo;

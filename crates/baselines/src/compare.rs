@@ -313,23 +313,15 @@ impl ProtocolConfigs {
     }
 }
 
-/// Runs one scenario under the labelled protocol, dispatching to the
-/// right daemon from `cfgs` — the data-driven form of [`run_scenario`].
-#[must_use]
-pub fn run_protocol(
-    label: ProtocolLabel,
-    spec: &ScenarioSpec,
-    cfgs: &ProtocolConfigs,
-) -> ScenarioResult {
-    run_protocol_observed(label, spec, cfgs).result
-}
-
-/// Everything one observed protocol run hands to the reporting layer.
+/// Everything one protocol run hands to the reporting layer.
 #[derive(Debug, Clone)]
 pub struct ProtocolObservation {
     /// What the application saw.
     pub result: ScenarioResult,
-    /// The sealed (time-sorted) structured event trace.
+    /// The sealed (time-sorted) structured event trace: fault injections
+    /// and flow outcomes for every protocol, and for DRS also the source
+    /// daemon's internal transitions (link state, route changes,
+    /// discovery) translated into the harness vocabulary.
     pub events: Vec<TraceEvent>,
     /// The cluster-merged probe-path record: probe gaps, RTTs, detection
     /// and reroute latencies, and originated probe bytes. The world
@@ -340,72 +332,52 @@ pub struct ProtocolObservation {
     pub probe_obs: ProbeObs,
 }
 
-/// [`run_protocol`] plus the trial's structured event trace: fault
-/// injections and flow outcomes for every protocol, and for DRS also the
-/// source daemon's internal transitions (link state, route changes,
-/// discovery) translated into the harness vocabulary.
-#[must_use]
-pub fn run_protocol_traced(
-    label: ProtocolLabel,
-    spec: &ScenarioSpec,
-    cfgs: &ProtocolConfigs,
-) -> (ScenarioResult, Vec<TraceEvent>) {
-    let o = run_protocol_observed(label, spec, cfgs);
-    (o.result, o.events)
+impl<P: Protocol> ScenarioRun<P> {
+    /// Harvests the probe-path record and seals the trace. Event
+    /// producers append in whatever order is natural to them; the trace
+    /// is sorted exactly once, here.
+    fn observation(self) -> ProtocolObservation {
+        ProtocolObservation {
+            result: self.result,
+            events: self.trace.seal(),
+            probe_obs: self.world.merged_probe_obs(),
+        }
+    }
 }
 
-/// [`run_protocol_traced`] plus the probe-path observability harvest —
-/// the full form the shootout and the observability benchmark run.
-///
-/// Event producers append in whatever order is natural to them; the trace
-/// is sorted exactly once, when the [`TrialTrace`] is sealed here.
+/// Runs one scenario under the labelled protocol, dispatching to the
+/// right daemon from `cfgs` — the data-driven form of [`run_scenario`],
+/// and the full form the shootout and the observability benchmark run.
 #[must_use]
-pub fn run_protocol_observed(
+pub fn run_protocol(
     label: ProtocolLabel,
     spec: &ScenarioSpec,
     cfgs: &ProtocolConfigs,
 ) -> ProtocolObservation {
     let n = spec.cluster.n;
-    let (result, trace, probe_obs) = match label {
+    match label {
         ProtocolLabel::Drs => {
-            let cfg = cfgs.drs;
-            let run = run_scenario_inner(label, spec, |id| DrsDaemon::new(id, n, cfg));
-            let mut trace = run.trace;
-            trace.extend(
-                run.world
-                    .protocol(spec.src)
-                    .metrics
-                    .events
+            let mut run = run_scenario_inner(label, spec, |id| DrsDaemon::new(id, n, cfgs.drs));
+            let daemon_log = &run.world.protocol(spec.src).metrics.events;
+            run.trace.extend(
+                daemon_log
                     .iter()
                     .filter(|e| e.at >= run.t0)
                     .map(|e| drs_trace_event(e.at, &e.kind)),
             );
-            (run.result, trace, run.world.merged_probe_obs())
+            run.observation()
         }
         ProtocolLabel::Reactive => {
-            let cfg = cfgs.reactive;
-            let run = run_scenario_inner(label, spec, |id| ReactiveDaemon::new(id, cfg));
-            (run.result, run.trace, run.world.merged_probe_obs())
+            run_scenario_inner(label, spec, |id| ReactiveDaemon::new(id, cfgs.reactive))
+                .observation()
         }
         ProtocolLabel::Ospf => {
-            let cfg = cfgs.ospf;
-            let run = run_scenario_inner(label, spec, |id| OspfDaemon::new(id, cfg));
-            (run.result, run.trace, run.world.merged_probe_obs())
+            run_scenario_inner(label, spec, |id| OspfDaemon::new(id, cfgs.ospf)).observation()
         }
         ProtocolLabel::Rip => {
-            let cfg = cfgs.rip;
-            let run = run_scenario_inner(label, spec, |id| RipDaemon::new(id, cfg));
-            (run.result, run.trace, run.world.merged_probe_obs())
+            run_scenario_inner(label, spec, |id| RipDaemon::new(id, cfgs.rip)).observation()
         }
-        ProtocolLabel::Static => {
-            let run = run_scenario_inner(label, spec, |_| StaticRouting);
-            (run.result, run.trace, run.world.merged_probe_obs())
-        }
-    };
-    ProtocolObservation {
-        result,
-        events: trace.seal(),
-        probe_obs,
+        ProtocolLabel::Static => run_scenario_inner(label, spec, |_| StaticRouting).observation(),
     }
 }
 
@@ -519,7 +491,7 @@ pub fn run_shootout(
         let label = labels[l];
         let mut spec = scenario.spec.clone();
         spec.cluster = spec.cluster.seed(ctx.seed);
-        let o = run_protocol_observed(label, &spec, cfgs);
+        let o = run_protocol(label, &spec, cfgs);
         ShootoutRow {
             scenario: scenario.name,
             label,
@@ -644,7 +616,7 @@ mod tests {
             drs: fast_drs(),
             ..ProtocolConfigs::bench_defaults()
         };
-        let via_dispatch = run_protocol(ProtocolLabel::Drs, &spec, &cfgs);
+        let via_dispatch = run_protocol(ProtocolLabel::Drs, &spec, &cfgs).result;
         let via_factory = run_scenario(ProtocolLabel::Drs, &spec, |id| {
             DrsDaemon::new(id, n, fast_drs())
         });
@@ -660,7 +632,9 @@ mod tests {
             drs: fast_drs(),
             ..ProtocolConfigs::bench_defaults()
         };
-        let (r, events) = run_protocol_traced(ProtocolLabel::Drs, &spec, &cfgs);
+        let ProtocolObservation {
+            result: r, events, ..
+        } = run_protocol(ProtocolLabel::Drs, &spec, &cfgs);
         assert_eq!(r.delivery_ratio(), 1.0, "{r:?}");
         let kind_count =
             |k: drs_harness::TraceEventKind| events.iter().filter(|e| e.kind == k).count();
@@ -683,7 +657,7 @@ mod tests {
             drs: fast_drs(),
             ..ProtocolConfigs::bench_defaults()
         };
-        let drs = run_protocol_observed(ProtocolLabel::Drs, &spec, &cfgs);
+        let drs = run_protocol(ProtocolLabel::Drs, &spec, &cfgs);
         let obs = &drs.probe_obs;
         assert!(obs.probe_bytes > 0, "DRS must have originated probes");
         assert!(obs.probe_rtt.count() > 0);
@@ -704,7 +678,7 @@ mod tests {
 
         // Static routing probes nothing and (here) delivers nothing, so
         // every channel is empty and quantiles honestly report None.
-        let st = run_protocol_observed(ProtocolLabel::Static, &spec, &cfgs);
+        let st = run_protocol(ProtocolLabel::Static, &spec, &cfgs);
         assert_eq!(st.probe_obs.probe_bytes, 0);
         assert_eq!(st.probe_obs.probe_rtt.count(), 0);
         assert_eq!(st.result.latency.count(), 0);

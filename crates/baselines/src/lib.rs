@@ -33,9 +33,9 @@ pub mod rip;
 pub mod static_route;
 
 pub use compare::{
-    drs_trace_event, run_protocol, run_protocol_observed, run_protocol_traced, run_scenario,
-    run_shootout, shootout_record, standard_shootout_scenarios, NamedScenario, ProtocolConfigs,
-    ProtocolLabel, ProtocolObservation, ScenarioResult, ScenarioSpec, ShootoutRow,
+    drs_trace_event, run_protocol, run_scenario, run_shootout, shootout_record,
+    standard_shootout_scenarios, NamedScenario, ProtocolConfigs, ProtocolLabel,
+    ProtocolObservation, ScenarioResult, ScenarioSpec, ShootoutRow,
 };
 pub use ospf::{OspfConfig, OspfDaemon, OspfMsg};
 pub use reactive::{ReactiveConfig, ReactiveDaemon, ReactiveMsg};

@@ -2,7 +2,7 @@
 //!
 //! [`ARTIFACTS`] is the only place that knows which `BENCH_*.json` files
 //! the repo commits, how each is regenerated and serialized, and which of
-//! them run under a harness [`RunMode`]. The `regen` binary, the byte-pin
+//! them run under a harness [`RunMode`]. `drs-bench regen`, the byte-pin
 //! tests and CI all iterate or select from it by name, so a new artifact
 //! costs its generator module and one table line.
 
@@ -30,7 +30,7 @@ pub enum Generator {
 
 /// One committed artifact.
 pub struct Artifact {
-    /// Short name: the `regen` positional and the key of [`find`].
+    /// Short name: the `drs-bench regen` positional and the key of [`find`].
     pub name: &'static str,
     /// Committed file name, relative to the repository root.
     pub file: &'static str,
@@ -91,10 +91,12 @@ pub const ARTIFACTS: &[Artifact] = &[
     },
 ];
 
-/// The table entry called `name`, if any.
-#[must_use]
-pub fn find(name: &str) -> Option<&'static Artifact> {
-    ARTIFACTS.iter().find(|a| a.name == name)
+/// The table entry called `name`.
+///
+/// # Errors
+/// Names the unknown artifact and lists the known ones.
+pub fn find(name: &str) -> Result<&'static Artifact, String> {
+    crate::lookup(ARTIFACTS, |a| a.name, "artifact", name)
 }
 
 impl Artifact {
@@ -156,7 +158,7 @@ impl Artifact {
             None => Ok(()),
             Some(diff) => Err(format!(
                 "{} (`{}`): committed (-) and regenerated (+) text differ{diff}\n  \
-                 if intended: cargo run --release -p drs-bench --bin regen -- {}",
+                 if intended: cargo run --release -p drs-bench -- regen {}",
                 self.file, self.name, self.name
             )),
         }
@@ -170,7 +172,7 @@ impl Artifact {
 /// Panics with [`Artifact::check`]'s message if any byte moved, or if the
 /// table has no such entry.
 pub fn pin(name: &str) {
-    let artifact = find(name).unwrap_or_else(|| panic!("no artifact named `{name}`"));
+    let artifact = find(name).unwrap_or_else(|why| panic!("{why}"));
     if let Err(why) = artifact.check(&artifact.generate()) {
         panic!("{why}");
     }
@@ -211,7 +213,8 @@ mod tests {
                 assert_ne!(a.file, b.file);
             }
         }
-        assert!(find("absent").is_none());
+        let why = find("absent").err().expect("no such entry");
+        assert!(why.starts_with("unknown artifact `absent`; known: sweep sim "));
     }
 
     #[test]
@@ -242,6 +245,6 @@ mod tests {
             "{why}"
         );
         assert!(why.contains(" at line 3:\n  -   \"seed\": 42,\n  +   \"seed\": 43,"));
-        assert!(why.ends_with("--bin regen -- sweep"), "{why}");
+        assert!(why.ends_with("-p drs-bench -- regen sweep"), "{why}");
     }
 }

@@ -43,16 +43,6 @@ pub fn cell_record(n: usize, f: usize, master_seed: u64, rows: &[Trial]) -> Expe
     }
 }
 
-/// Count of simulation-vs-predicate disagreements over one cell — the
-/// compact form `repro_all` asserts to zero.
-#[must_use]
-pub fn mismatches(n: usize, f: usize, trials: usize, master_seed: u64) -> u64 {
-    run_cell(n, f, trials, master_seed, RunMode::Parallel)
-        .iter()
-        .filter(|t| !t.agrees())
-        .count() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -355,7 +355,7 @@ pub fn flight_bench_artifact() -> ObsArtifact {
     artifact
 }
 
-/// The compact verdict `repro_all` prints: every reconstructed failover
+/// The compact verdict `drs-bench repro` prints: every reconstructed failover
 /// chain must be complete and its timestamp-only decomposition must
 /// reproduce the daemon's histogram samples exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

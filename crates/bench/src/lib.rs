@@ -1,11 +1,15 @@
-//! Shared plumbing for the experiment-regeneration binaries.
+//! The library behind the `drs-bench` binary.
 //!
-//! Each figure binary under `src/bin/` regenerates one table or figure of
-//! the paper (see DESIGN.md §6 for the index), and `regen` rewrites the
-//! committed `BENCH_*.json` artifacts listed in [`artifacts::ARTIFACTS`];
-//! this library provides the artifact generators plus the little
-//! table-printing and formatting helpers the binaries share, so they read
-//! like experiment scripts.
+//! Two tables drive everything: [`reports::REPORTS`] — one entry per
+//! paper table or figure, each a function that prints the regenerated
+//! rows and returns a PASS/FAIL [`reports::Check`] per claim (DESIGN.md
+//! §6 has the index) — and [`artifacts::ARTIFACTS`], the committed
+//! `BENCH_*.json` files and their generators. `drs-bench report|repro`
+//! select from the first by name, `drs-bench regen` from the second, the
+//! byte-pin tests from the second too; `drs-bench live` ([`live`]) is the
+//! one wall-clock driver. The rest of this crate is the artifact
+//! generator modules plus the little table-printing and formatting
+//! helpers the reports share, so they read like experiment scripts.
 
 use drs_sim::SimDuration;
 
@@ -14,15 +18,18 @@ pub mod e2e;
 pub mod flight;
 pub mod kernel;
 pub mod knet;
+pub mod live;
 pub mod obs_artifact;
+pub mod probe_cost;
+pub mod reports;
 pub mod sim_artifact;
 pub mod topology_zoo;
 pub mod trial;
 pub mod workload;
 
-/// The master seed every sweep-driven binary uses, so the committed
-/// artifacts ([`BENCH_JSON`], [`SIM_BENCH_JSON`]) are reproducible from
-/// any of them.
+/// The master seed every sweep-driven report and generator uses, so the
+/// committed artifacts ([`BENCH_JSON`], [`SIM_BENCH_JSON`]) are
+/// reproducible from any of them.
 pub const BENCH_SEED: u64 = 42;
 
 /// File name of the machine-readable sweep artifact tracked in the repo
@@ -73,7 +80,25 @@ pub const FLIGHT_BENCH_JSON: &str = "BENCH_flight.json";
 /// cell with its fixed kernel event budget.
 pub const WORKLOAD_BENCH_JSON: &str = "BENCH_workload.json";
 
-/// Prints a section header in the style the binaries share.
+/// The entry of a name-keyed table (`what` says of what, for the message)
+/// called `name` — the one lookup behind every positional argument of
+/// `drs-bench`.
+///
+/// # Errors
+/// Names the unknown entry and lists the ones the table does have.
+pub fn lookup<'t, T>(
+    table: &'t [T],
+    name_of: fn(&T) -> &'static str,
+    what: &str,
+    name: &str,
+) -> Result<&'t T, String> {
+    table.iter().find(|e| name_of(e) == name).ok_or_else(|| {
+        let known: Vec<&str> = table.iter().map(name_of).collect();
+        format!("unknown {what} `{name}`; known: {}", known.join(" "))
+    })
+}
+
+/// Prints a section header in the style the reports share.
 pub fn section(title: &str) {
     println!();
     println!("== {title} ==");

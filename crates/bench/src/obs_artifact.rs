@@ -33,11 +33,9 @@
 //! same runs from outside, and its nondeterministic numbers go to its
 //! own report, never into this committed file.
 
-use drs_baselines::compare::{
-    run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,
-};
+use drs_analytic::cost::ProbeCostModel;
+use drs_baselines::compare::ProtocolLabel;
 use drs_core::{DrsConfig, DrsDaemon};
-use drs_cost::model::ProbeCostModel;
 use drs_harness::{coord_seed, RunMode, TraceEventKind};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
 use drs_sim::scenario::ClusterSpec;
@@ -45,7 +43,7 @@ use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration};
 
 use crate::e2e::{run_cell, E2E_GRID};
-use crate::sim_artifact::{E2E_TRIALS_PER_CELL, SHOOTOUT_HOSTS};
+use crate::sim_artifact::{bench_shootout, E2E_TRIALS_PER_CELL};
 use crate::BENCH_SEED;
 
 /// Cluster sizes of the probe-overhead grid.
@@ -69,14 +67,7 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
     // The instrumented shootout: same scenarios, seeds and configs as
     // the `BENCH_sim_survivability.json` shootout, so the latency
     // histograms here describe exactly the trials committed there.
-    let scenarios = standard_shootout_scenarios(SHOOTOUT_HOSTS);
-    let rows = run_shootout(
-        BENCH_SEED,
-        &scenarios,
-        &ProtocolLabel::ALL,
-        &ProtocolConfigs::bench_defaults(),
-        mode,
-    );
+    let rows = bench_shootout(mode);
 
     let mut failover = Section::new("failover_latency");
     for label in ProtocolLabel::ALL {

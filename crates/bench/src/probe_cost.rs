@@ -1,6 +1,9 @@
-//! Empirical validation of the cost model: run real DRS daemons on the
-//! packet-level simulator and measure what probing actually costs and how
-//! fast failures are actually detected.
+//! Empirical validation of the Figure 1 cost model
+//! ([`drs_analytic::cost`]): run real DRS daemons on the packet-level
+//! simulator and measure what probing actually costs and how fast
+//! failures are actually detected. One trial, shared by the `fig1`
+//! report's cross-check and the `ablation` report's interval-sensitivity
+//! table.
 
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind};
 use drs_sim::fault::{FaultPlan, SimComponent};
@@ -11,10 +14,6 @@ use drs_sim::{NetId, NodeId, SimDuration};
 /// Measured probe cost and detection latency for one configuration.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmpiricalCost {
-    /// Cluster size.
-    pub n: usize,
-    /// Probe sweep period used.
-    pub probe_interval: SimDuration,
     /// Measured probe-byte share of segment bandwidth (network A).
     pub probe_utilization: f64,
     /// Mean time from fault injection to a daemon declaring the link down.
@@ -24,8 +23,10 @@ pub struct EmpiricalCost {
 }
 
 /// Runs an `n`-host DRS cluster for `measure_for`, measuring probe
-/// bandwidth, then injects a NIC failure and measures every daemon's
-/// detection latency.
+/// bandwidth, then fails `victim`'s primary NIC and measures every other
+/// daemon's detection latency. Where the victim sits in the staggered
+/// sweep decides how long its next probe is away, so each caller fixes
+/// it.
 ///
 /// # Panics
 /// Panics if any daemon fails to detect the failure within ten worst-case
@@ -35,6 +36,7 @@ pub fn measure_probe_cost(
     n: usize,
     cfg: DrsConfig,
     measure_for: SimDuration,
+    victim: NodeId,
     seed: u64,
 ) -> EmpiricalCost {
     let spec = ClusterSpec::new(n).seed(seed);
@@ -43,14 +45,12 @@ pub fn measure_probe_cost(
     // Let one full sweep pass before measuring so the pipeline is warm.
     world.run_for(cfg.probe_interval);
     let snap = world.medium(NetId::A).stats;
-    let t_start = world.now();
     world.run_for(measure_for);
     let probe_bytes = world.medium(NetId::A).stats.probe_bytes - snap.probe_bytes;
     let probe_utilization =
         probe_bytes as f64 * 8.0 / (spec.bandwidth_bps as f64 * measure_for.as_secs_f64());
 
     // Fault: victim loses its primary NIC.
-    let victim = NodeId((n - 1) as u32);
     let t0 = world.now();
     world.schedule_faults(FaultPlan::new().fail_at(t0, SimComponent::Nic(victim, NetId::A)));
     world.run_for(cfg.worst_case_detection().saturating_mul(10));
@@ -74,29 +74,18 @@ pub fn measure_probe_cost(
     let sum: u64 = latencies.iter().map(|d| d.as_nanos()).sum();
     let mean_detection = SimDuration(sum / latencies.len() as u64);
     let max_detection = *latencies.iter().max().expect("non-empty");
-    let _ = t_start; // measurement window bookkeeping, kept for clarity
 
     EmpiricalCost {
-        n,
-        probe_interval: cfg.probe_interval,
         probe_utilization,
         mean_detection,
         max_detection,
     }
 }
 
-/// The probe interval the analytic model prescribes for an `n`-host
-/// cluster at bandwidth budget `beta` — used to configure daemons so the
-/// measured utilization can be compared against the budget.
-#[must_use]
-pub fn interval_for_budget(model: &crate::model::ProbeCostModel, n: u64, beta: f64) -> SimDuration {
-    model.min_sweep_period(n, beta)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ProbeCostModel;
+    use drs_analytic::cost::ProbeCostModel;
 
     #[test]
     fn measured_utilization_matches_model() {
@@ -105,13 +94,13 @@ mod tests {
         let model = ProbeCostModel::default();
         let n = 16u64;
         let beta = 0.10;
-        let interval = interval_for_budget(&model, n, beta);
+        let interval = model.min_sweep_period(n, beta);
         let cfg = DrsConfig::default()
             .probe_timeout(
                 SimDuration::from_nanos(interval.as_nanos() / 4).max(SimDuration::from_micros(100)),
             )
             .probe_interval(interval);
-        let r = measure_probe_cost(n as usize, cfg, SimDuration::from_secs(2), 3);
+        let r = measure_probe_cost(n as usize, cfg, SimDuration::from_secs(2), NodeId(15), 3);
         let err = (r.probe_utilization - beta).abs() / beta;
         assert!(
             err < 0.10,
@@ -126,7 +115,7 @@ mod tests {
         let cfg = DrsConfig::default()
             .probe_timeout(SimDuration::from_millis(20))
             .probe_interval(SimDuration::from_millis(100));
-        let r = measure_probe_cost(8, cfg, SimDuration::from_secs(1), 4);
+        let r = measure_probe_cost(8, cfg, SimDuration::from_secs(1), NodeId(7), 4);
         assert!(r.max_detection <= cfg.worst_case_detection() + SimDuration::from_millis(20));
         assert!(r.mean_detection <= r.max_detection);
         assert!(
@@ -139,8 +128,8 @@ mod tests {
     #[test]
     fn utilization_grows_with_cluster_size() {
         let cfg = DrsConfig::default();
-        let small = measure_probe_cost(4, cfg, SimDuration::from_secs(2), 5);
-        let large = measure_probe_cost(12, cfg, SimDuration::from_secs(2), 5);
+        let small = measure_probe_cost(4, cfg, SimDuration::from_secs(2), NodeId(3), 5);
+        let large = measure_probe_cost(12, cfg, SimDuration::from_secs(2), NodeId(11), 5);
         assert!(large.probe_utilization > small.probe_utilization);
     }
 }

@@ -1,14 +1,15 @@
 //! Ablation study for the design choices DESIGN.md §7 calls out, as
 //! *outcome* tables.
-//!
-//! Run: `cargo run --release -p drs-bench --bin ablation_report`
 
-use drs_bench::section;
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, GatewayPolicy};
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
+
+use super::Check;
+use crate::probe_cost::measure_probe_cost;
+use crate::section;
 
 fn base_cfg() -> DrsConfig {
     DrsConfig::default()
@@ -144,45 +145,27 @@ fn probe_interval_sensitivity() {
     section("probe interval sensitivity (n=12): detection vs bandwidth (measured)");
     println!("  sweep      mean detection   probe utilization (net A)");
     for &ms in &[100u64, 250, 500, 1000] {
-        let n = 12;
         let cfg = DrsConfig::default()
             .probe_timeout(SimDuration::from_millis(25))
             .probe_interval(SimDuration::from_millis(ms));
-        let spec = ClusterSpec::new(n).seed(5);
-        let mut w = World::new(spec, move |id| DrsDaemon::new(id, n, cfg));
-        w.run_for(SimDuration::from_secs(2));
-        let snap = w.medium(NetId::A).stats;
-        let t0 = w.now();
-        w.run_for(SimDuration::from_secs(4));
-        let util = w.medium(NetId::A).utilization_since(&snap, t0, w.now());
-        let t_fault = w.now();
-        w.schedule_faults(
-            FaultPlan::new().fail_at(t_fault, SimComponent::Nic(NodeId(1), NetId::A)),
+        let r = measure_probe_cost(12, cfg, SimDuration::from_secs(4), NodeId(1), 5);
+        println!(
+            "  {:>6}ms   {:>14}   {:>12.5}",
+            ms,
+            r.mean_detection.to_string(),
+            r.probe_utilization
         );
-        w.run_for(cfg.worst_case_detection().saturating_mul(4));
-        let mut latencies: Vec<SimDuration> = Vec::new();
-        for i in (0..n as u32).filter(|&i| i != 1) {
-            if let Some(e) = w.protocol(NodeId(i)).metrics.first_after(t_fault, |e| {
-                matches!(e, DrsEventKind::LinkDown { peer, net }
-                    if *peer == NodeId(1) && *net == NetId::A)
-            }) {
-                latencies.push(e.at - t_fault);
-            }
-        }
-        let mean = SimDuration(
-            latencies.iter().map(|d| d.as_nanos()).sum::<u64>() / latencies.len() as u64,
-        );
-        println!("  {:>6}ms   {:>14}   {:>12.5}", ms, mean.to_string(), util);
     }
     println!("  -> detection tracks ~2 sweeps (k=2), bandwidth tracks 1/sweep —");
     println!("     the Figure 1 trade-off, measured end to end.");
 }
 
-fn main() {
+pub(super) fn run() -> Vec<Check> {
     println!("DRS design-choice ablations (outcome tables)");
     stagger_ablation();
     miss_threshold_ablation();
     gateway_policy_ablation();
     down_probe_backoff_ablation();
     probe_interval_sensitivity();
+    Vec::new()
 }

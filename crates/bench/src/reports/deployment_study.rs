@@ -9,17 +9,17 @@
 //! replication loops run as [`drs_harness::Experiment`]s: per-year seeds
 //! come from the shared SplitMix64 stream and years fan out across the
 //! harness workers.
-//!
-//! Run: `cargo run --release -p drs-bench --bin deployment_study`
 
-use drs_bench::section;
-use drs_harness::Experiment;
-use drs_trace::fleet::{generate_trace, FleetSpec};
-use drs_trace::study::{
-    availability_gain, fmt_fraction_pct, masking_analysis, network_fraction, replicate_study,
+use drs_analytic::fleet::{
+    availability_gain, fmt_fraction_pct, generate_trace, masking_analysis, network_fraction,
+    replicate_study, FleetSpec,
 };
+use drs_harness::Experiment;
 
-fn main() {
+use super::Check;
+use crate::section;
+
+pub(super) fn run() -> Vec<Check> {
     println!("Deployment failure study (synthetic reproduction of the field data)");
 
     let spec = FleetSpec::hundred_servers_one_year();
@@ -99,4 +99,12 @@ fn main() {
         "  service downtime eliminated: {:.1} cluster-days per 100 deployment-years",
         saved
     );
+
+    vec![Check {
+        ok: (summary.mean_network_fraction - 0.13).abs() < 0.02,
+        detail: format!(
+            "mean network share {:.1}% over 1,000 study years",
+            summary.mean_network_fraction * 100.0
+        ),
+    }]
 }

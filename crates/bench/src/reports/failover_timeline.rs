@@ -6,11 +6,8 @@
 //! seed is the trial's derived seed, and the daemon's transition log
 //! comes back as a structured harness event trace — the same vocabulary
 //! the committed `BENCH_sim_survivability.json` rows use.
-//!
-//! Run: `cargo run --release -p drs-bench --bin failover_timeline`
 
 use drs_baselines::compare::drs_trace_event;
-use drs_bench::section;
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::{Experiment, Metric, TraceEvent, TrialRecord};
 use drs_sim::app::Workload;
@@ -18,6 +15,9 @@ use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
+
+use super::Check;
+use crate::section;
 
 /// One line of the per-second state table.
 struct SecondRow {
@@ -111,7 +111,7 @@ fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, TrialRecord) {
     (table, events, record)
 }
 
-fn main() {
+pub(super) fn run() -> Vec<Check> {
     let exp = Experiment::replications("failover-timeline", 1, 1);
     let (table, events, record) = exp.run_serial(|ctx, ()| timeline_trial(ctx.seed)).remove(0);
 
@@ -151,4 +151,5 @@ fn main() {
         "totals: {delivered}/{sent} delivered, {rtx} retransmits — the fault window is visible in"
     );
     println!("the utilization columns (traffic jumps from net A to net B and back).");
+    Vec::new()
 }

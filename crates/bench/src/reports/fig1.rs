@@ -3,17 +3,16 @@
 //! bandwidth budget (5/10/15/25 %), plus the paper's 90-hosts-under-a-
 //! second anchor, plus an empirical cross-check with real DRS daemons on
 //! the packet simulator.
-//!
-//! Run: `cargo run --release -p drs-bench --bin fig1_proactive_cost`
 
-use drs_bench::{row, section};
+use drs_analytic::cost::{figure1, ProbeCostModel, PAPER_BUDGETS};
 use drs_core::DrsConfig;
-use drs_cost::empirical::{interval_for_budget, measure_probe_cost};
-use drs_cost::figure1::{figure1, PAPER_BUDGETS};
-use drs_cost::model::ProbeCostModel;
-use drs_sim::SimDuration;
+use drs_sim::{NodeId, SimDuration};
 
-fn main() {
+use super::{reproduced, Check};
+use crate::probe_cost::measure_probe_cost;
+use crate::{row, section};
+
+pub(super) fn run() -> Vec<Check> {
     println!("Figure 1 — error-resolution time vs cluster size on 100 Mb/s networks");
     let model = ProbeCostModel::default();
 
@@ -49,27 +48,25 @@ fn main() {
         println!("  target {target}: {}", caps.join("   "));
     }
     println!();
+    let t90 = model.response_time(90, 0.10);
+    let under_a_second = t90 < SimDuration::from_secs(1);
     println!("paper anchor: 'ninety hosts are supported in less than 1 second with only");
     println!(
-        "10% of the bandwidth usage' -> model: T(90, 10%) = {} ({})",
-        model.response_time(90, 0.10),
-        if model.response_time(90, 0.10) < SimDuration::from_secs(1) {
-            "REPRODUCED"
-        } else {
-            "NOT reproduced"
-        }
+        "10% of the bandwidth usage' -> model: T(90, 10%) = {t90} ({})",
+        reproduced(under_a_second)
     );
 
     section("empirical cross-check (real DRS daemons on the packet simulator)");
     println!("  n  budget  prescribed-sweep  measured-util  mean-detect  max-detect");
     for &(n, beta) in &[(8usize, 0.05f64), (16, 0.10), (24, 0.10), (32, 0.15)] {
-        let interval = interval_for_budget(&model, n as u64, beta);
+        let interval = model.min_sweep_period(n as u64, beta);
         let timeout = SimDuration(interval.as_nanos() / 4).max(SimDuration::from_micros(100));
         let cfg = DrsConfig::default()
             .probe_timeout(timeout)
             .probe_interval(interval)
             .miss_threshold(1);
-        let r = measure_probe_cost(n, cfg, SimDuration::from_secs(3), 42);
+        let last_host = NodeId((n - 1) as u32);
+        let r = measure_probe_cost(n, cfg, SimDuration::from_secs(3), last_host, 42);
         println!(
             "  {:>2}  {:>5.0}%  {:>16}  {:>12.4}  {:>11}  {:>10}",
             n,
@@ -83,4 +80,9 @@ fn main() {
     println!();
     println!("(measured utilization should sit at ~the configured budget, and");
     println!(" detection within one sweep + timeout — the model's premise.)");
+
+    vec![Check {
+        ok: under_a_second,
+        detail: format!("T(90, 10%) = {t90}"),
+    }]
 }

@@ -1,14 +1,14 @@
 //! Regenerates **Figure 2**: convergence of P\[Success\] to 1 as the
 //! cluster grows, one curve per failure count f = 2..10, N up to 64 —
 //! driven through the parallel sweep engine, with the orbit counter
-//! cross-checking Equation 1 at every printed cell.
-//!
-//! Run: `cargo run --release -p drs-bench --bin fig2_convergence`
+//! cross-checking Equation 1 at every cell.
 
 use drs_analytic::sweep::{run_sweep, Method, SweepConfig};
-use drs_bench::{fmt_p, row, section, BENCH_SEED};
 
-fn main() {
+use super::Check;
+use crate::{fmt_p, row, section, BENCH_SEED};
+
+pub(super) fn run() -> Vec<Check> {
     println!("Figure 2 — P[Success] vs cluster size N, exact Equation 1");
     println!("(paper axes: f = 2..10 failures, N < 64; y in [0.40, 1.00])");
 
@@ -53,12 +53,13 @@ fn main() {
     }
     println!();
     println!("paper: f=2 -> 18 nodes, f=3 -> 32 nodes, f=4 -> 45 nodes");
+    let orbit_cells = result.by_method("orbit").count();
     println!(
-        "orbit counter cross-check: {} / {} cells disagree with Equation 1",
-        mismatches,
-        result.by_method("orbit").count()
+        "orbit counter cross-check: {mismatches} / {orbit_cells} cells disagree with Equation 1"
     );
-    if mismatches > 0 {
-        std::process::exit(1);
-    }
+
+    vec![Check {
+        ok: mismatches == 0,
+        detail: format!("{mismatches} / {orbit_cells} orbit cells disagree with Equation 1"),
+    }]
 }

@@ -3,19 +3,23 @@
 //! count, and the q^f multiple-failure decay argument. The crossings are
 //! additionally verified by **symmetry-reduced exact enumeration** (the
 //! orbit counter, via the sweep engine) — ground truth at cluster sizes the
-//! raw subset walk could never reach.
-//!
-//! Run: `cargo run --release -p drs-bench --bin milestones`
+//! raw subset walk could never reach — on the committed benchmark grid,
+//! whose independent counting methods must also agree cell for cell.
 
 use drs_analytic::exact::p_success;
 use drs_analytic::qmodel::{
     geometric_failure_weight, unconditional_survivability, FailureWeighting,
 };
-use drs_analytic::sweep::{run_sweep, Method, SweepConfig};
+use drs_analytic::sweep::{run_sweep, SweepConfig};
 use drs_analytic::thresholds::milestone_table;
-use drs_bench::{fmt_p, row, section, BENCH_SEED};
 
-fn main() {
+use super::Check;
+use crate::{fmt_p, row, section, BENCH_SEED};
+
+/// The paper's crossings: `(f, N*)` with P\[S\] first above 0.99 at `N*`.
+const PAPER_CROSSINGS: [(u64, u64); 3] = [(2, 18), (3, 32), (4, 45)];
+
+pub(super) fn run() -> Vec<Check> {
     println!("DRS survivability milestones (Equation 1, exact)");
 
     section("P[S] > 0.99 crossings");
@@ -28,7 +32,8 @@ fn main() {
         ],
         &[3, 5, 10, 11],
     );
-    for m in milestone_table(2..=10, 0.99) {
+    let table = milestone_table(2..=10, 0.99);
+    for m in &table {
         row(
             &[
                 m.failures.to_string(),
@@ -43,32 +48,31 @@ fn main() {
     println!("paper: f=2 -> 18, f=3 -> 32, f=4 -> 45");
 
     section("orbit-exact verification at the crossings (independent of Eq. 1)");
-    {
-        // Exhaustive ground truth by orbit counting: every failure set of
-        // the C(2N+2, f) space accounted for, in integer arithmetic.
-        let mut cfg = SweepConfig::new(BENCH_SEED);
-        for (f, n_star) in [(2u64, 18u64), (3, 32), (4, 45)] {
-            cfg.push(n_star - 1, f, Method::Orbit);
-            cfg.push(n_star, f, Method::Orbit);
-        }
-        let sweep = run_sweep(&cfg);
-        for (f, n_star) in [(2u64, 18u64), (3, 32), (4, 45)] {
-            let at = sweep.get(n_star, f, "orbit").expect("cell present");
-            let (s, t) = (at.successes.unwrap(), at.total.unwrap());
-            let before = sweep.get(n_star - 1, f, "orbit").expect("cell present");
-            let (sb, tb) = (before.successes.unwrap(), before.total.unwrap());
-            let verdict = s * 100 > t * 99 && sb * 100 <= tb * 99;
-            println!(
-                "  f={f}: F({n_star},{f}) = {s} of {t} sets survive ({}) — crossing {}",
-                fmt_p(at.p_success),
-                if verdict {
-                    "verified exactly"
-                } else {
-                    "VIOLATED"
-                },
-            );
-        }
+    // Exhaustive ground truth by orbit counting: every failure set of the
+    // C(2N+2, f) space accounted for, in integer arithmetic. The cells
+    // come from the full benchmark grid (`BENCH_survivability.json`),
+    // where Equation 1, orbit counting and raw enumeration must agree
+    // count-for-count wherever they overlap.
+    let sweep = run_sweep(&SweepConfig::bench_grid(BENCH_SEED));
+    let mut crossings_exact = true;
+    for (f, n_star) in PAPER_CROSSINGS {
+        let at = sweep.get(n_star, f, "orbit").expect("cell present");
+        let (s, t) = (at.successes.unwrap(), at.total.unwrap());
+        let before = sweep.get(n_star - 1, f, "orbit").expect("cell present");
+        let (sb, tb) = (before.successes.unwrap(), before.total.unwrap());
+        let verdict = s * 100 > t * 99 && sb * 100 <= tb * 99;
+        crossings_exact &= verdict;
+        println!(
+            "  f={f}: F({n_star},{f}) = {s} of {t} sets survive ({}) — crossing {}",
+            fmt_p(at.p_success),
+            if verdict {
+                "verified exactly"
+            } else {
+                "VIOLATED"
+            },
+        );
     }
+    let disagreements = sweep.disagreements();
 
     section("limit behaviour: P[S] -> 1 as N grows (f fixed)");
     for f in [2u64, 5, 10] {
@@ -116,4 +120,30 @@ fn main() {
             );
         }
     }
+
+    let crossings: Vec<u64> = table.iter().take(3).map(|m| m.n_crossing).collect();
+    let worst_limit = (2..=10).map(|f| p_success(500, f)).fold(1.0, f64::min);
+    vec![
+        Check {
+            ok: crossings == PAPER_CROSSINGS.map(|(_, n_star)| n_star),
+            detail: format!("P[S] > 0.99 first at N = {crossings:?} for f = 2/3/4"),
+        },
+        Check {
+            ok: disagreements.is_empty(),
+            detail: format!(
+                "orbit == Equation 1, enumeration == orbit, parallel == sequential: \
+                 {disagreements:?} over {} cells",
+                sweep.cells.len()
+            ),
+        },
+        Check {
+            ok: crossings_exact,
+            detail: "crossings by orbit-exact integer counting: s*100 > t*99 at N*, not at N*-1"
+                .to_string(),
+        },
+        Check {
+            ok: worst_limit > 0.998,
+            detail: format!("P[S] -> 1: min {worst_limit:.5} over f = 2..10 at N = 500"),
+        },
+    ]
 }

@@ -4,18 +4,18 @@
 //! before they effect application communication").
 //!
 //! The whole grid — three failure scenarios × five protocols, identical
-//! traffic — runs as one [`drs_harness::Experiment`] via
-//! [`drs_baselines::compare::run_shootout`]: per-trial seeds come from
-//! the shared SplitMix64 stream and trials fan out across the harness workers.
+//! traffic — is the committed benchmark shootout
+//! ([`crate::sim_artifact::bench_shootout`]), one
+//! [`drs_harness::Experiment`]: per-trial seeds come from the shared
+//! SplitMix64 stream and trials fan out across the harness workers.
 //! The application-visible outage column is the paper's claim, quantified.
-//!
-//! Run: `cargo run --release -p drs-bench --bin proactive_vs_reactive`
 
-use drs_baselines::compare::{
-    run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel, ShootoutRow,
-};
-use drs_bench::{fmt_opt_dur, section, BENCH_SEED};
+use drs_baselines::compare::{ProtocolLabel, ShootoutRow};
 use drs_harness::{RunMode, TraceEventKind};
+
+use super::Check;
+use crate::sim_artifact::bench_shootout;
+use crate::{fmt_opt_dur, section};
 
 fn print_row(r: &ShootoutRow) {
     let route_changes = r
@@ -39,34 +39,58 @@ fn print_row(r: &ShootoutRow) {
     );
 }
 
-fn main() {
+pub(super) fn run() -> Vec<Check> {
     println!("Proactive (DRS) vs reactive routing: application-visible impact");
     println!("(8-host clusters; measurement stream 0 -> 1, 40 msgs @ 4/s after the fault;");
     println!(" outage = time until deliveries become and remain prompt; — = never)");
 
-    let scenarios = standard_shootout_scenarios(8);
-    let rows = run_shootout(
-        BENCH_SEED,
-        &scenarios,
-        &ProtocolLabel::ALL,
-        &ProtocolConfigs::bench_defaults(),
-        RunMode::Parallel,
-    );
+    let rows = bench_shootout(RunMode::Parallel);
 
     let titles = [
         "scenario 1: primary hub (backplane A) fails",
         "scenario 2: destination server loses its primary NIC",
         "scenario 3: crossed NIC failures (no shared direct network; needs a gateway)",
     ];
-    for (scenario, title) in scenarios.iter().zip(titles) {
+    // Rows come back scenario-major in `ProtocolLabel::ALL` order: DRS,
+    // then the reactive protocols as the paper ranks them, static last.
+    let blocks = || rows.chunks(ProtocolLabel::ALL.len());
+    for (block, title) in blocks().zip(titles) {
         section(title);
-        for r in rows.iter().filter(|r| r.scenario == scenario.name) {
-            print_row(r);
-        }
+        block.iter().for_each(print_row);
     }
 
     println!();
     println!("expected shape (paper): DRS outage is sub-RTO (applications unaware);");
     println!("repair-on-RTO needs seconds (>= 1 RTO); OSPF needs its dead interval;");
     println!("RIP needs its (longer) route timeout; static routing never recovers.");
+
+    let ranked = ProtocolLabel::ALL.len() - 1;
+    let ordered = blocks().all(|block| {
+        block[..ranked].iter().all(|r| r.result.outage.is_some())
+            && block[..ranked]
+                .windows(2)
+                .all(|w| w[0].result.outage < w[1].result.outage)
+    });
+    let hub_chain: Vec<String> = rows[..ranked]
+        .iter()
+        .map(|r| fmt_opt_dur(r.result.outage))
+        .collect();
+    let drs = || blocks().map(|block| &block[0].result);
+    let (delivered, sent) = drs().fold((0, 0), |(d, s), r| (d + r.delivered, s + r.sent));
+    vec![
+        Check {
+            ok: ordered,
+            detail: format!(
+                "outage ordering DRS < RTO-repair < OSPF < RIP in every scenario; hub failure: {}",
+                hub_chain.join(" < ")
+            ),
+        },
+        Check {
+            ok: delivered == sent && drs().all(|r| r.gave_up == 0),
+            detail: format!(
+                "DRS delivered {delivered}/{sent} through the failures of {} scenarios",
+                titles.len()
+            ),
+        },
+    ]
 }

@@ -18,6 +18,7 @@
 
 use drs_baselines::compare::{
     run_shootout, shootout_record, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,
+    ShootoutRow,
 };
 use drs_harness::{coord_seed, RunMode, SimArtifact};
 
@@ -30,6 +31,22 @@ pub const SHOOTOUT_HOSTS: usize = 8;
 /// Replications per end-to-end grid cell.
 pub const E2E_TRIALS_PER_CELL: usize = 16;
 
+/// The committed protocol shootout: the three standard failure scenarios
+/// × every protocol on [`SHOOTOUT_HOSTS`]-host clusters at the benchmark
+/// daemon configurations, rows scenario-major in [`ProtocolLabel::ALL`]
+/// order. The simulation artifact, the observability artifact and the
+/// `proactive_vs_reactive` report all describe exactly these trials.
+#[must_use]
+pub fn bench_shootout(mode: RunMode) -> Vec<ShootoutRow> {
+    run_shootout(
+        BENCH_SEED,
+        &standard_shootout_scenarios(SHOOTOUT_HOSTS),
+        &ProtocolLabel::ALL,
+        &ProtocolConfigs::bench_defaults(),
+        mode,
+    )
+}
+
 /// Builds the full simulation benchmark artifact under `mode`.
 ///
 /// [`RunMode::Serial`] and [`RunMode::Parallel`] produce identical
@@ -38,15 +55,7 @@ pub const E2E_TRIALS_PER_CELL: usize = 16;
 pub fn bench_artifact(mode: RunMode) -> SimArtifact {
     let mut artifact = SimArtifact::new(BENCH_SEED);
 
-    let scenarios = standard_shootout_scenarios(SHOOTOUT_HOSTS);
-    let rows = run_shootout(
-        BENCH_SEED,
-        &scenarios,
-        &ProtocolLabel::ALL,
-        &ProtocolConfigs::bench_defaults(),
-        mode,
-    );
-    artifact.push(shootout_record(BENCH_SEED, &rows));
+    artifact.push(shootout_record(BENCH_SEED, &bench_shootout(mode)));
 
     for &(n, f) in &E2E_GRID {
         // Cell master seeds mix the coordinates exactly like the analytic

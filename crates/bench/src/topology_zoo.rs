@@ -20,7 +20,7 @@
 //!   fabrics where one-hop host relaying is not the routing model.
 //!
 //! Each row also carries the topology's equipment bill
-//! ([`drs_cost::equipment`]), making the artifact a survivability-vs-cost
+//! ([`drs_analytic::cost::equipment`]), making the artifact a survivability-vs-cost
 //! frontier rather than a survivability table.
 //!
 //! Failure sets come from combinadic unranking of trial seeds, and the
@@ -30,11 +30,11 @@
 //! count.
 
 use drs_analytic::binom::shared_table;
+use drs_analytic::cost::equipment::{cost_units, EquipmentCount};
 use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_analytic::topo::{
     enumerate_pair_success_topo, enumerate_pair_success_topo_parallel, TopoMonteCarlo,
 };
-use drs_cost::equipment::{cost_units, EquipmentCount};
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
 use drs_obs::jsonfmt::{finish, json_f64, preamble};
 use drs_sim::topology::TopologySpec;
@@ -153,7 +153,7 @@ pub struct ZooCellResult {
     pub links: usize,
     /// Failure-component universe size `m = switches + links`.
     pub components: usize,
-    /// Equipment bill at the default prices ([`drs_cost::equipment`]).
+    /// Equipment bill at the default prices ([`drs_analytic::cost::equipment`]).
     pub cost_units: f64,
     /// Simultaneous component failures.
     pub f: usize,

@@ -364,7 +364,7 @@ pub fn workload_bench_artifact() -> ObsArtifact {
     artifact
 }
 
-/// The million cell's pure-integer verdict for `repro_all`: the kernel
+/// The million cell's pure-integer verdict for `drs-bench repro`: the kernel
 /// dispatched exactly one event per session transition while holding a
 /// million-session population.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -405,7 +405,7 @@ pub fn million_verdict() -> MillionVerdict {
     }
 }
 
-/// The SLO cell's verdict for `repro_all`: conservation, failover
+/// The SLO cell's verdict for `drs-bench repro`: conservation, failover
 /// stall/resume coverage, and the reroute cross-check against the
 /// daemons' own observability.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -5,7 +5,7 @@
 //!
 //! The runner is deliberately domain-free: a trial specification is any
 //! `S`, and the trial body is a closure `Fn(TrialCtx, &S) -> R`. Domain
-//! crates (`drs-baselines`, `drs-trace`, `drs-bench`) build their worlds
+//! crates (`drs-baselines`, `drs-analytic`, `drs-bench`) build their worlds
 //! inside the closure from `ctx.seed`, which is what makes the parallel
 //! path trivially equal to the serial one: trials share no mutable state,
 //! and results are collected back in trial order.

@@ -13,7 +13,7 @@
 //!
 //! The crate is deliberately domain-free — it knows nothing about
 //! clusters, protocols, or fleets. `drs-baselines` runs its protocol
-//! shootout through it, `drs-trace` its fleet replications, and
+//! shootout through it, `drs-analytic` its fleet replications, and
 //! `drs-bench` its end-to-end survivability grid; see EXPERIMENTS.md for
 //! the trial lifecycle and artifact schema.
 //!

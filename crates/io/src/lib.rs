@@ -14,7 +14,7 @@
 //!   loopback, one socket per plane per node, with wall-clock timers and
 //!   thread-per-node event loops. Plane failures are injected at the
 //!   socket layer, so real failover latency can be measured and compared
-//!   against the DES prediction (`drs-bench --bin live_cluster`).
+//!   against the DES prediction (`drs-bench live`).
 //! * [`wire`] — the tiny datagram codec the live backend speaks.
 //!
 //! No async runtime, no external networking crates: the live backend is

@@ -18,7 +18,7 @@
 //! power. Probes stop flowing, daemons time out, declare links down and
 //! fail over, and their event logs (stamped in nanoseconds since the
 //! cluster epoch) yield a *real* failover latency to compare against the
-//! DES prediction (`drs-bench --bin live_cluster`).
+//! DES prediction (`drs-bench live`).
 //!
 //! Everything here is `std`: blocking sockets, threads, channels. In
 //! sandboxes that forbid even loopback sockets, [`LiveCluster::bind`]
@@ -70,6 +70,11 @@ pub struct LiveReport {
     /// named a host outside the cluster (or the node itself) as sender,
     /// or a host outside it as a control target.
     pub rejected: Vec<u64>,
+    /// Per-node count of socket errors that ended a plane's receive
+    /// thread early (timeouts and interrupted calls are retried and not
+    /// counted). Non-zero means that node went deaf on a plane for a
+    /// reason other than the injected failure.
+    pub recv_errors: Vec<u64>,
     /// Nanoseconds since cluster epoch at which the plane was killed
     /// (`None` when no failure was injected).
     pub fail_at: Option<SimTime>,
@@ -184,18 +189,21 @@ impl LiveCluster {
         let mut routes = Vec::new();
         let mut obs = Vec::new();
         let mut rejected = Vec::new();
+        let mut recv_errors = Vec::new();
         for h in handles {
-            let (d, r, o, x) = h.join().expect("node thread panicked");
+            let (d, r, o, counts) = h.join().expect("node thread panicked");
             daemons.push(d);
             routes.push(r);
             obs.push(o);
-            rejected.push(x);
+            rejected.push(counts.rejected);
+            recv_errors.push(counts.errors);
         }
         LiveReport {
             daemons,
             routes,
             obs,
             rejected,
+            recv_errors,
             fail_at,
         }
     }
@@ -332,7 +340,7 @@ fn run_node(
     plane_up: Arc<Vec<AtomicBool>>,
     epoch: Instant,
     stop: Arc<AtomicBool>,
-) -> (DrsDaemon, RouteTable, ProbeObs, u64) {
+) -> (DrsDaemon, RouteTable, ProbeObs, RecvCounts) {
     let (tx, rx) = mpsc::channel::<(NodeId, NetId, Payload)>();
     let mut recv_handles = Vec::new();
     let mut send_halves = Vec::new();
@@ -401,17 +409,38 @@ fn run_node(
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
         }
     }
-    let rejected = recv_handles
-        .into_iter()
-        .map(|h| h.join().expect("receiver thread panicked"))
-        .sum();
-    (daemon, io.routes, io.obs, rejected)
+    let mut counts = RecvCounts::default();
+    for h in recv_handles {
+        let plane = h.join().expect("receiver thread panicked");
+        counts.rejected += plane.rejected;
+        counts.errors += plane.errors;
+    }
+    (daemon, io.routes, io.obs, counts)
+}
+
+/// What a receive thread (or, summed, a node) reports at shutdown.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+struct RecvCounts {
+    /// Datagrams dropped for the ids they carried.
+    rejected: u64,
+    /// Socket errors that ended a receive thread.
+    errors: u64,
+}
+
+/// Whether a failed `recv_from` is the socket saying "nothing yet, call
+/// again" — the read timeout expiring under either of its names, or a
+/// signal interrupting the call — rather than an error to count and stop
+/// on.
+fn recv_should_retry(kind: std::io::ErrorKind) -> bool {
+    use std::io::ErrorKind::{Interrupted, TimedOut, WouldBlock};
+    matches!(kind, WouldBlock | TimedOut | Interrupted)
 }
 
 /// Per-plane receiver: drop datagrams on dead planes, answer echo
 /// requests in the stack (never waking the daemon), forward the rest.
 /// Exits on `stop`, a closed channel, or a hard socket error, returning
-/// how many datagrams it rejected for the ids they carried.
+/// how many datagrams it rejected for the ids they carried and whether
+/// such an error is why it stopped.
 #[allow(clippy::too_many_arguments)]
 fn recv_loop(
     node: NodeId,
@@ -422,21 +451,19 @@ fn recv_loop(
     plane_up: &[AtomicBool],
     stop: &AtomicBool,
     tx: &mpsc::Sender<(NodeId, NetId, Payload)>,
-) -> u64 {
-    let mut rejected = 0;
+) -> RecvCounts {
+    let mut counts = RecvCounts::default();
     sock.set_read_timeout(Some(Duration::from_millis(20)))
         .expect("read timeout");
     let mut buf = [0u8; 64];
     while !stop.load(Ordering::SeqCst) {
         let len = match sock.recv_from(&mut buf) {
             Ok((len, _)) => len,
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                continue;
+            Err(e) if recv_should_retry(e.kind()) => continue,
+            Err(_) => {
+                counts.errors += 1;
+                break;
             }
-            Err(_) => break,
         };
         if !plane_up[net.idx()].load(Ordering::Relaxed) {
             continue; // dead plane: the wire eats everything
@@ -455,7 +482,7 @@ fn recv_loop(
             Payload::EchoRequest { .. } | Payload::EchoReply { .. } => true,
         };
         if d.src == node || d.src.idx() >= addrs.len() || !target_known {
-            rejected += 1;
+            counts.rejected += 1;
             continue;
         }
         match d.payload {
@@ -480,12 +507,27 @@ fn recv_loop(
             }
         }
     }
-    rejected
+    counts
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn only_timeouts_and_interrupts_are_retried() {
+        use std::io::ErrorKind;
+        for retried in [
+            ErrorKind::Interrupted,
+            ErrorKind::WouldBlock,
+            ErrorKind::TimedOut,
+        ] {
+            assert!(recv_should_retry(retried), "{retried:?}");
+        }
+        for counted in [ErrorKind::ConnectionReset, ErrorKind::Other] {
+            assert!(!recv_should_retry(counted), "{counted:?}");
+        }
+    }
 
     /// The id the daemon's probes carry (`drs_core::daemon`'s `ECHO_ID`):
     /// a hostile reply must carry it to get past the daemon's first check.
@@ -564,6 +606,7 @@ mod tests {
             [2 * hostile.len() as u64, 0, 0],
             "every hostile datagram is counted, on the node it hit"
         );
+        assert_eq!(report.recv_errors, [0, 0, 0], "no receiver died");
         for (i, d) in report.daemons.iter().enumerate() {
             assert_eq!(
                 d.metrics.ignored_inputs, 0,

@@ -53,7 +53,7 @@
 //! `bytes × 10⁹`, accumulated in `u128`. The conservation identity
 //! `offered == delivered + shortfall + dropped + in_flight` holds
 //! *exactly* (bit-for-bit) at any settled instant — it is a property
-//! test and a `repro_all` verdict, not an approximation.
+//! test and a `drs-bench repro` verdict, not an approximation.
 
 use std::collections::VecDeque;
 

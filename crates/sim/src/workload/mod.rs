@@ -19,7 +19,7 @@
 //! rate integrals advance analytically, so a million concurrent sessions
 //! cost exactly as many kernel events as their open/close transitions —
 //! the identity `workload events == transitions` that
-//! `repro_all` checks as a pure integer comparison.
+//! `drs-bench repro` checks as a pure integer comparison.
 //!
 //! The split of responsibilities:
 //!

@@ -361,14 +361,32 @@ pub struct ShardStats {
     pub barrier_wait_ns: u64,
 }
 
+/// The worker thread count a `DRS_SIM_THREADS` value asks for: 1 when the
+/// variable is unset, otherwise its integer clamped to `[1, 256]`; an
+/// error naming the value when it is anything else.
+fn parse_threads(value: Option<&str>) -> Result<usize, String> {
+    let Some(value) = value else {
+        return Ok(1);
+    };
+    value
+        .trim()
+        .parse::<usize>()
+        .map(|t| t.clamp(1, 256))
+        .map_err(|e| format!("DRS_SIM_THREADS={value:?} is not a thread count: {e}"))
+}
+
 /// Worker thread count from the `DRS_SIM_THREADS` environment knob
 /// (default 1, clamped to `[1, 256]`).
+///
+/// # Panics
+/// Panics, naming the value, if the variable is set to anything but a
+/// non-negative integer — a mangled setting must not quietly mean one
+/// thread.
 #[must_use]
 pub fn threads_from_env() -> usize {
-    std::env::var("DRS_SIM_THREADS")
-        .ok()
-        .and_then(|v| v.trim().parse::<usize>().ok())
-        .map_or(1, |t| t.clamp(1, 256))
+    let value = std::env::var_os("DRS_SIM_THREADS");
+    let value = value.as_ref().map(|v| v.to_string_lossy());
+    parse_threads(value.as_deref()).unwrap_or_else(|why| panic!("{why}"))
 }
 
 /// The simulated cluster: the event engine plus one protocol instance
@@ -957,7 +975,7 @@ impl<P: Protocol> World<P> {
 
     /// Kernel events dispatched on behalf of the fluid workload, summed
     /// across shards — by construction exactly the session open/close
-    /// transition count (the `O(transitions)` identity `repro_all`
+    /// transition count (the `O(transitions)` identity `drs-bench repro`
     /// checks).
     #[must_use]
     pub fn workload_events(&self) -> u64 {
@@ -1433,6 +1451,19 @@ mod tests {
     struct Idle;
     impl Protocol for Idle {
         type Msg = ();
+    }
+
+    #[test]
+    fn thread_count_is_an_integer_or_an_error_never_a_silent_one() {
+        assert_eq!(parse_threads(None), Ok(1));
+        assert_eq!(parse_threads(Some("4")), Ok(4));
+        assert_eq!(parse_threads(Some(" 2\n")), Ok(2));
+        assert_eq!(parse_threads(Some("0")), Ok(1));
+        assert_eq!(parse_threads(Some("100000")), Ok(256));
+        for mangled in ["4x", "", "-1", "four"] {
+            let why = parse_threads(Some(mangled)).unwrap_err();
+            assert!(why.contains(&format!("{mangled:?}")), "{why}");
+        }
     }
 
     #[test]

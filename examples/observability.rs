@@ -12,8 +12,8 @@
 //! ([`SimTime::since`]), so everything printed here is exactly
 //! reproducible.
 
+use drs::analytic::cost::ProbeCostModel;
 use drs::core::{DrsConfig, DrsDaemon};
-use drs::cost::ProbeCostModel;
 use drs::obs::Histogram;
 use drs::sim::fault::{FaultPlan, SimComponent};
 use drs::sim::{ClusterSpec, NetId, SimDuration, SimTime, World};

@@ -20,7 +20,7 @@ fn main() {
     let cfgs = ProtocolConfigs::bench_defaults();
     let results: Vec<_> = ProtocolLabel::ALL
         .iter()
-        .map(|&label| run_protocol(label, &spec, &cfgs))
+        .map(|&label| run_protocol(label, &spec, &cfgs).result)
         .collect();
 
     println!(

@@ -4,13 +4,13 @@
 //!
 //! Run: `cargo run --release --example survivability_study`
 
+use drs::analytic::cost::planner::{plan_cluster, PlanningRequirement};
+use drs::analytic::cost::ProbeCostModel;
 use drs::analytic::enumerate::exhaustive_p_success;
 use drs::analytic::exact::p_success;
 use drs::analytic::montecarlo::MonteCarlo;
 use drs::analytic::qmodel::{unconditional_survivability, FailureWeighting};
 use drs::analytic::thresholds::first_n_exceeding;
-use drs::cost::planner::{plan_cluster, PlanningRequirement};
-use drs::cost::ProbeCostModel;
 use drs::sim::SimDuration;
 
 fn main() {

@@ -5,8 +5,8 @@
 //!
 //! Run: `cargo run --release --example topology_zoo`
 
+use drs::analytic::cost::equipment::{cost_units, EquipmentCount};
 use drs::analytic::topo::enumerate_pair_success_topo;
-use drs::cost::equipment::{cost_units, EquipmentCount};
 use drs::sim::world::{Ctx, Protocol, World};
 use drs::sim::{NetId, NodeId, SimDuration, SimTime, TopologySpec};
 use drs::topology::{generators, pair_connected, ComponentSet, Reachability};

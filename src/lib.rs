@@ -2,9 +2,9 @@
 //!
 //! Facade crate re-exporting the whole workspace: the Dynamic Routing
 //! System protocol ([`core`]), the discrete-event cluster simulator it
-//! runs on ([`sim`]), the survivability mathematics ([`analytic`]), the
-//! reactive baselines ([`baselines`]), the proactive-cost model
-//! ([`cost`]), the deployment failure-trace study ([`trace`]), the
+//! runs on ([`sim`]), the survivability mathematics with the
+//! proactive-cost model and the deployment failure-trace study
+//! ([`analytic`]), the reactive baselines ([`baselines`]), the
 //! experiment harness that orchestrates simulation trials ([`harness`]),
 //! the unified observability layer — metric registries, spans and
 //! the observability artifact ([`obs`]) — the first-class topology
@@ -18,10 +18,8 @@
 pub use drs_analytic as analytic;
 pub use drs_baselines as baselines;
 pub use drs_core as core;
-pub use drs_cost as cost;
 pub use drs_harness as harness;
 pub use drs_io as io;
 pub use drs_obs as obs;
 pub use drs_sim as sim;
 pub use drs_topology as topology;
-pub use drs_trace as trace;

@@ -1,22 +1,23 @@
 //! Integration: the analytic Figure 1 cost model and the packet-level
 //! simulator agree about what probing costs and how fast it detects.
 
+use drs::analytic::cost::figure1::{figure1, PAPER_BUDGETS};
+use drs::analytic::cost::model::ProbeCostModel;
 use drs::core::DrsConfig;
-use drs::cost::empirical::{interval_for_budget, measure_probe_cost};
-use drs::cost::figure1::{figure1, PAPER_BUDGETS};
-use drs::cost::model::ProbeCostModel;
-use drs::sim::SimDuration;
+use drs::sim::{NodeId, SimDuration};
+use drs_bench::probe_cost::measure_probe_cost;
 
 #[test]
 fn measured_probe_bandwidth_tracks_model_across_budgets() {
     let model = ProbeCostModel::default();
     for &(n, beta) in &[(8u64, 0.05f64), (12, 0.10), (16, 0.15)] {
-        let interval = interval_for_budget(&model, n, beta);
+        let interval = model.min_sweep_period(n, beta);
         let timeout = SimDuration(interval.as_nanos() / 4).max(SimDuration::from_micros(100));
         let cfg = DrsConfig::default()
             .probe_timeout(timeout)
             .probe_interval(interval);
-        let r = measure_probe_cost(n as usize, cfg, SimDuration::from_secs(2), 17);
+        let last_host = NodeId(n as u32 - 1);
+        let r = measure_probe_cost(n as usize, cfg, SimDuration::from_secs(2), last_host, 17);
         let err = (r.probe_utilization - beta).abs() / beta;
         assert!(
             err < 0.10,
@@ -42,7 +43,7 @@ fn detection_latency_bounded_by_model_response_time() {
         .probe_timeout(timeout)
         .probe_interval(interval)
         .miss_threshold(2);
-    let r = measure_probe_cost(n as usize, cfg, SimDuration::from_secs(1), 23);
+    let r = measure_probe_cost(n as usize, cfg, SimDuration::from_secs(1), NodeId(11), 23);
     let bound = model.response_time(n, 0.10) + timeout + interval;
     assert!(
         r.max_detection <= bound,

@@ -6,7 +6,7 @@
 //! failover-latency histogram samples 100% matched.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin regen -- flight`) and commit
+//! (`cargo run --release -p drs-bench -- regen flight`) and commit
 //! it alongside the change; this test then documents the new ground
 //! truth. CI runs `regen` at 1 and 4 worker threads.
 

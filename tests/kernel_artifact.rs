@@ -5,7 +5,7 @@
 //! driver's O(K·N²).
 //!
 //! If an intentional change shifts the counts, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin regen -- kernel`) and commit
+//! (`cargo run --release -p drs-bench -- regen kernel`) and commit
 //! it alongside the change; CI runs the same `regen`.
 
 use drs_bench::artifacts::{find, pin};

@@ -4,7 +4,7 @@
 //! Figure 1 bandwidth budget in every cell.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin regen -- obs`) and commit it
+//! (`cargo run --release -p drs-bench -- regen obs`) and commit it
 //! alongside the change; this test then documents the new ground truth.
 //! CI runs the same `regen`.
 

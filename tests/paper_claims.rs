@@ -2,14 +2,14 @@
 //! a test suite. Every assertion here traces to a sentence of the paper
 //! (quoted in the test).
 
+use drs::analytic::cost::model::ProbeCostModel;
 use drs::analytic::exact::p_success;
+use drs::analytic::fleet::study::replicate_study;
+use drs::analytic::fleet::FleetSpec;
 use drs::analytic::thresholds::first_n_exceeding;
 use drs::core::{DrsConfig, DrsDaemon};
-use drs::cost::model::ProbeCostModel;
 use drs::sim::fault::{FaultPlan, SimComponent};
 use drs::sim::{ClusterSpec, NetId, NodeId, SimDuration, SimTime, World};
-use drs::trace::fleet::FleetSpec;
-use drs::trace::study::replicate_study;
 
 /// "for f=2 the P[S] surpasses 0.99 at 18 nodes. For f=3 the P[S]
 /// surpasses 0.99 at 32 nodes, and for f=4 the P[S] surpasses 0.99 at 45

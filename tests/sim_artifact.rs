@@ -2,7 +2,7 @@
 //! exactly what the harness regenerates — same bytes, serial or parallel.
 //!
 //! If an intentional change shifts the simulation results, regenerate the
-//! artifact (`cargo run --release -p drs-bench --bin regen -- sim`) and
+//! artifact (`cargo run --release -p drs-bench -- regen sim`) and
 //! commit it alongside the change; this test then documents the new
 //! ground truth. CI runs the same `regen`.
 

@@ -5,7 +5,7 @@
 //! the shape the graph layer predicts.
 //!
 //! If an intentional change shifts the cells, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin regen -- topology`) and commit
+//! (`cargo run --release -p drs-bench -- regen topology`) and commit
 //! it alongside the change; CI runs the same `regen`.
 
 use std::sync::LazyLock;

@@ -6,7 +6,7 @@
 //! fixed event budget.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
-//! (`cargo run --release -p drs-bench --bin regen -- workload`) and
+//! (`cargo run --release -p drs-bench -- regen workload`) and
 //! commit it alongside the change; this test then documents the new
 //! ground truth. CI runs `regen` at 1 and 4 worker threads.
 
