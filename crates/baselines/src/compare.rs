@@ -204,7 +204,11 @@ fn run_scenario_inner<P: Protocol>(
     let send_times: Vec<SimTime> = wl.messages().iter().map(|m| m.at).collect();
 
     // Run until every flow has resolved (worst case: the last message
-    // exhausts its full retry budget).
+    // exhausts its full retry budget). A fixed horizon on purpose, not
+    // `run_until_settled`: the callers harvest probe histograms and the
+    // daemon event logs from the returned world, so what the cluster
+    // does after the last flow resolves is committed bytes, not idle
+    // time.
     let horizon = spec.interval.saturating_mul(spec.count as u64 + 1)
         + max_flow_lifetime(&spec.cluster.transport)
         + SimDuration::from_secs(1);

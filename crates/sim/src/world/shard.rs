@@ -62,6 +62,11 @@
 //! medium totals, protocol history, workload ledger — for any shard
 //! count, which `tests/shard_equivalence.rs` checks on faulted, lossy
 //! and pristine schedules alike.
+//!
+//! `run_until_settled` — stop once every application flow has its
+//! outcome — is built on top of that contract rather than into the
+//! loops: fixed strides of `run_until` with a look at the flow counters
+//! in between, so neither loop and no event pays for it.
 
 use std::cell::UnsafeCell;
 use std::cmp::Reverse;
@@ -219,6 +224,13 @@ const COORD_SUB_BASE: u32 = 1 << 31;
 /// non-empty merges), so the sampled timeline is still bit-identical at
 /// any `DRS_SIM_THREADS`.
 const KERNEL_TRACK_SAMPLE: u64 = 64;
+
+/// Virtual time [`World::run_until_settled`] advances between two looks
+/// at the flow table. Short against what the caller saves (a resolved
+/// flow stops the run at most this much later, against a retry budget of
+/// seconds), long against a `run_until` call's fixed cost (a few hundred
+/// calls cover that budget).
+const SETTLE_STRIDE: SimDuration = SimDuration::from_millis(20);
 
 /// Appends `rec` under the next hub-toggle/coordinator sub number, if
 /// recording is on.
@@ -1065,6 +1077,37 @@ impl<P: Protocol> World<P> {
         self.drain_workload(until);
     }
 
+    /// Runs until every flow handed to [`Self::send_app`] has its outcome
+    /// — none in flight ([`Self::flows_in_flight`] is zero) and none
+    /// still waiting for its send instant — or virtual time reaches
+    /// `deadline`, whichever is first; returns the instant it stopped at
+    /// (`now()`). For the driver that asks one question of a flow and
+    /// nothing of the cluster afterwards.
+    ///
+    /// Outcomes are terminal, so stopping here and running on to
+    /// `deadline` later leaves [`Self::flow_outcomes`] as it is. The stop
+    /// instant is the first multiple of a fixed stride past the entry
+    /// `now()` at which the cluster was settled: each stride is an
+    /// ordinary [`Self::run_until`] with the check in between, so the
+    /// shard- and thread-count contract is `run_until`'s own and the
+    /// event loops pay nothing for it.
+    pub fn run_until_settled(&mut self, deadline: SimTime) -> SimTime {
+        while self.now < deadline && self.flows_unresolved() > 0 {
+            self.run_until((self.now + SETTLE_STRIDE).min(deadline));
+        }
+        self.now
+    }
+
+    /// Flows issued by [`Self::send_app`] that have no outcome yet,
+    /// whether their send event has fired or not.
+    fn flows_unresolved(&self) -> u64 {
+        let resolved: u64 = (0..self.shards.len())
+            .map(|i| &self.shard(i).core.app_stats)
+            .map(|s| s.delivered + s.gave_up)
+            .sum();
+        self.next_flow - resolved
+    }
+
     /// The one-shard loop: pop and dispatch until the horizon, flipping
     /// each hub toggle before the first event at or after its instant
     /// (so its flight record lands in dispatch order, at one compare per
@@ -1549,6 +1592,38 @@ mod tests {
         assert!(!sw.component_is_up(SimComponent::Hub(NetId::A)));
         assert!(sw.component_is_up(SimComponent::Hub(NetId::B)));
         assert!(sw.medium(NetId::A).stats.dropped_hub_down > 0);
+    }
+
+    #[test]
+    fn settled_means_every_issued_flow_has_its_outcome() {
+        let spec = ClusterSpec::new(4).seed(5);
+        for shards in [1, 2] {
+            let mut w = ShardedWorld::with_topology(spec, shards, 1, |_| Idle);
+            // Nothing issued: nothing to wait for, time does not move.
+            assert_eq!(w.run_until_settled(SimTime(1_000_000_000)), SimTime::ZERO);
+            // A send still in the future is waited for, though no flow is
+            // in flight yet; the stop is the first stride boundary past
+            // its delivery.
+            let sent_at = SimTime(3 * SETTLE_STRIDE.0 + 1000);
+            let flow = w.send_app(sent_at, NodeId(0), NodeId(3), 100);
+            assert_eq!(w.flows_in_flight(), 0);
+            let stopped_at = w.run_until_settled(SimTime(1_000_000_000));
+            assert_eq!(stopped_at, SimTime(4 * SETTLE_STRIDE.0), "{shards} shards");
+            assert_eq!(stopped_at, w.now());
+            assert!(matches!(
+                w.flow_outcome(flow),
+                Some(FlowOutcome::Delivered(_))
+            ));
+            // A flow that cannot resolve by the deadline stops the run
+            // there, off the stride grid, with the flow still open.
+            let now = w.now();
+            w.schedule_faults(FaultPlan::new().fail_at(now, SimComponent::Hub(NetId::A)));
+            let stuck = w.send_app(now, NodeId(0), NodeId(3), 100);
+            let deadline = now + SimDuration(SETTLE_STRIDE.0 * 5 / 2);
+            assert_eq!(w.run_until_settled(deadline), deadline, "{shards} shards");
+            assert_eq!(w.flow_outcome(stuck), None);
+            assert_eq!(w.flows_in_flight(), 1);
+        }
     }
 
     #[test]

@@ -8,14 +8,15 @@
 use drs_obs::rng::Rng;
 use drs_obs::Histogram;
 
+use drs_core::{DrsConfig, DrsDaemon, Route};
 use drs_sim::app::Workload;
 use drs_sim::fault::{component_count, component_to_index, index_to_component, FaultPlan};
 use drs_sim::medium::{SharedMedium, TrafficClass};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
 use drs_sim::transport::{max_flow_lifetime, rto_for_attempt};
 use drs_sim::wheel::TimerWheel;
-use drs_sim::world::{Protocol, World};
-use drs_sim::{NetId, NodeId, SimDuration, SimTime};
+use drs_sim::world::{FlowOutcome, Protocol, World};
+use drs_sim::{NetId, NodeId, ShardedWorld, SimDuration, SimTime};
 
 /// Draws per property.
 const CASES: u64 = 256;
@@ -242,6 +243,100 @@ fn flows_always_terminate() {
         assert_eq!(s.delivered + s.gave_up, s.sent, "{ctx}");
         assert_eq!(w.flows_in_flight(), 0, "{ctx}");
     }
+}
+
+/// Outcomes are terminal, and stopping at resolution equals running the
+/// full horizon: over drawn DRS clusters (size, planes, shard count),
+/// simultaneous fault sets and `send_app` batches sent before, during
+/// and after the repair — so flows are delivered direct, delivered over a
+/// repaired route, and abandoned — `run_until_settled(d)` stops with
+/// every flow resolved, running on to `d` changes no outcome, and a twin
+/// world that only did `run_until(d)` reports the same outcomes.
+#[test]
+fn settled_stop_reports_the_outcomes_of_the_full_horizon() {
+    let transport = TransportConfig {
+        initial_rto: SimDuration::from_millis(50),
+        backoff_factor: 2,
+        max_retries: 4,
+    };
+    let cfg = DrsConfig::default()
+        .probe_timeout(SimDuration::from_millis(25))
+        .probe_interval(SimDuration::from_millis(100));
+    let fault_at = SimTime(500_000_000);
+    let last_send = SimDuration::from_secs(2);
+    let deadline = SimTime::ZERO + last_send + max_flow_lifetime(&transport);
+    let (mut direct, mut rerouted, mut gave_up, mut early) = (0u32, 0u32, 0u32, 0u32);
+    for case in 0..64 {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(3usize..9);
+        let planes = rng.gen_range(2u8..4);
+        let shards = rng.gen_range(1usize..4);
+        let f = rng.gen_range(0usize..5);
+        let seed = rng.next_u64();
+        let (plan, _) = FaultPlan::random_simultaneous(fault_at, n, planes, f, &mut rng);
+        let sends: Vec<_> = (0..rng.gen_range(1usize..6))
+            .map(|_| {
+                let src = rng.gen_range(0..n as u32);
+                let dst = (src + rng.gen_range(1..n as u32)) % n as u32;
+                let at = SimTime(rng.gen_range(0..last_send.as_nanos() + 1));
+                (at, NodeId(src), NodeId(dst))
+            })
+            .collect();
+        let ctx = format!("case {case}: n={n} planes={planes} shards={shards} f={f} seed={seed}");
+        let build = || {
+            let spec = ClusterSpec::new(n)
+                .seed(seed)
+                .planes(planes)
+                .transport(transport);
+            let mut w =
+                ShardedWorld::with_topology(spec, shards, 1, |id| DrsDaemon::new(id, n, cfg));
+            w.schedule_faults(plan.clone());
+            for &(at, src, dst) in &sends {
+                w.send_app(at, src, dst, 128);
+            }
+            w
+        };
+
+        let mut w = build();
+        let stopped_at = w.run_until_settled(deadline);
+        assert_eq!(stopped_at, w.now(), "{ctx}");
+        assert!(stopped_at <= deadline, "{ctx}");
+        let settled = w.flow_outcomes();
+        assert_eq!(
+            settled.len(),
+            sends.len(),
+            "{ctx}: stopped with a flow open"
+        );
+        assert_eq!(w.flows_in_flight(), 0, "{ctx}");
+        w.run_until(deadline);
+        assert_eq!(w.flow_outcomes(), settled, "{ctx}: an outcome changed");
+
+        let mut twin = build();
+        twin.run_until(deadline);
+        assert_eq!(
+            twin.flow_outcomes(),
+            settled,
+            "{ctx}: early stop changed an outcome"
+        );
+
+        early += u32::from(stopped_at < deadline);
+        for ((_, outcome), &(_, src, dst)) in settled.iter().zip(&sends) {
+            match outcome {
+                FlowOutcome::GaveUp => gave_up += 1,
+                FlowOutcome::Delivered(_) => {
+                    if w.host(src).routes.get(dst) == Some(Route::Direct(NetId::A)) {
+                        direct += 1;
+                    } else {
+                        rerouted += 1;
+                    }
+                }
+            }
+        }
+    }
+    assert!(
+        direct >= 20 && rerouted >= 20 && gave_up >= 5 && early >= 20,
+        "under-covered: {direct} direct, {rerouted} rerouted, {gave_up} abandoned, {early} early stops"
+    );
 }
 
 // ---------------------------------------------------------------------------

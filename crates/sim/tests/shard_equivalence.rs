@@ -268,6 +268,14 @@ impl Scenario {
     /// Loads the scenario into a freshly built world, runs it, and
     /// harvests the fingerprint.
     fn run(&self, w: &mut World<Chatter>, flight_cap: usize) -> Fingerprint {
+        self.load(w, flight_cap);
+        w.run_for(self.run);
+        fingerprint(w)
+    }
+
+    /// Recorders on, then the scenario's workload, faults, lossy links
+    /// and sends, with time still at zero.
+    fn load(&self, w: &mut World<Chatter>, flight_cap: usize) {
         w.enable_event_log();
         w.enable_flight(flight_cap);
         if let Some(ws) = &self.workload {
@@ -280,8 +288,6 @@ impl Scenario {
         for &(at, src, dst, bytes) in &self.sends {
             w.send_app(at, src, dst, bytes);
         }
-        w.run_for(self.run);
-        fingerprint(w)
     }
 }
 
@@ -478,6 +484,57 @@ fn one_shard_matches_the_drawn_shard_count_on_every_schedule() {
     }
     assert!(faulted >= 400, "only {faulted} faulted draws compared");
     assert!(lossy >= 200, "only {lossy} lossy draws compared");
+}
+
+/// `run_until_settled` is a loop of `run_until` strides, so it inherits
+/// the contract: on the corpus's first 300 draws (sends that deliver in
+/// microseconds, sends a fault leaves retrying past the deadline, and no
+/// sends at all), the stop instant, the clock, the flow outcomes and
+/// everything else the run leaves behind are byte-identical at 1 and 4
+/// threads, and equal — seq-free — between one shard and the drawn count.
+#[test]
+fn settled_stop_agrees_at_every_shard_and_thread_count() {
+    const CAP: usize = 1 << 14;
+    let (mut early, mut at_deadline) = (0u32, 0u32);
+    for seed in 0..300u64 {
+        let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
+        let sc = Scenario::draw(seed, &mut rng);
+        let deadline = SimTime::ZERO + sc.run;
+        let settle = |w: &mut World<Chatter>| {
+            sc.load(w, CAP);
+            let stopped_at = w.run_until_settled(deadline);
+            assert_eq!(stopped_at, w.now(), "seed {seed}: not the clock");
+            (stopped_at, w.flow_outcomes(), fingerprint(w))
+        };
+        let sharded =
+            |threads| ShardedWorld::with_topology(sc.spec, sc.shards, threads, sc.chatter());
+        let one = settle(&mut World::new(sc.spec, sc.chatter()));
+        let many = settle(&mut sharded(1));
+        let many_t4 = settle(&mut sharded(4));
+        let ctx = format!(
+            "seed {seed} (n={}, shards={}, sends={}, faults={})",
+            sc.spec.n,
+            sc.shards,
+            sc.sends.len(),
+            sc.faults.len()
+        );
+        assert!(many == many_t4, "{ctx}: 4 threads diverged from 1");
+        let (stopped_at, outcomes, print) = one;
+        assert!(stopped_at <= deadline, "{ctx}");
+        assert_eq!((stopped_at, &outcomes), (many.0, &many.1), "{ctx}");
+        assert!(
+            print.results() == many.2.results(),
+            "{ctx}: one shard diverged from the drawn count"
+        );
+        if !sc.sends.is_empty() {
+            early += u32::from(stopped_at < deadline);
+            at_deadline += u32::from(stopped_at == deadline);
+        }
+    }
+    assert!(
+        early >= 50 && at_deadline >= 20,
+        "under-covered: {early} early stops, {at_deadline} runs to the deadline"
+    );
 }
 
 /// Hub toggles exactly on transmission instants. Every chatter timer of
