@@ -8,7 +8,7 @@
 //! large f).
 //!
 //! Hot callers (Equation 1, the orbit counter, combination unranking, the
-//! sweep engine) share a process-wide memoized Pascal triangle
+//! sweep engine) share a process-wide cached Pascal triangle
 //! ([`shared_table`]) instead of re-running the multiplicative formula per
 //! call.
 
@@ -65,20 +65,7 @@ pub fn binom_f64(n: u64, k: u64) -> f64 {
     }
 }
 
-/// Ratio `C(an, ak) / C(bn, bk)` computed stably.
-///
-/// Prefers the exact integer path; falls back to `exp(ln C - ln C)` when
-/// either count overflows `u128`, which keeps the ratio accurate even when
-/// the individual counts are astronomically large.
-#[must_use]
-pub fn binom_ratio(an: u64, ak: u64, bn: u64, bk: u64) -> f64 {
-    match (binom(an, ak), binom(bn, bk)) {
-        (Some(a), Some(b)) if b != 0 => a as f64 / b as f64,
-        _ => (ln_binom(an, ak) - ln_binom(bn, bk)).exp(),
-    }
-}
-
-/// A memoized Pascal triangle of binomial coefficients.
+/// A cached Pascal triangle of binomial coefficients.
 ///
 /// Every hot path in this crate — Equation 1, the orbit counter, combination
 /// unranking, the sweep engine — needs the same `C(n, k)` values over and
@@ -245,13 +232,6 @@ mod tests {
                 "C({n},{k}): {exact} vs {via_ln}"
             );
         }
-    }
-
-    #[test]
-    fn ratio_handles_overflow() {
-        // Both overflow u128, but the ratio is representable.
-        let r = binom_ratio(1000, 500, 1002, 500);
-        assert!(r.is_finite() && r > 0.0 && r < 1.0);
     }
 
     #[test]

@@ -74,12 +74,6 @@ impl FleetSpec {
             rates: FailureRates::default(),
         }
     }
-
-    /// Total servers in the fleet.
-    #[must_use]
-    pub fn total_servers(&self) -> usize {
-        self.clusters * self.servers_per_cluster
-    }
 }
 
 /// One failure event in the trace.
@@ -220,7 +214,7 @@ mod tests {
         let expected = spec
             .rates
             .expected_per_server_year(spec.servers_per_cluster as f64)
-            * spec.total_servers() as f64;
+            * (spec.clusters * spec.servers_per_cluster) as f64;
         let mean = (0..200u64)
             .map(|s| generate_trace(&spec, s).len() as f64)
             .sum::<f64>()

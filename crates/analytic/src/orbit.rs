@@ -152,17 +152,6 @@ pub fn orbit_p_success(n: u64, f: u64) -> f64 {
     s as f64 / t as f64
 }
 
-/// Whether `P\[S\](n, f) > threshold_num / threshold_den`, decided in exact
-/// integer arithmetic (no floating-point rounding at the boundary):
-/// `success · den > threshold_num · total`.
-///
-/// Returns `None` when the counts (or the cross-products) overflow `u128`.
-#[must_use]
-pub fn orbit_exceeds(n: u64, f: u64, threshold_num: u128, threshold_den: u128) -> Option<bool> {
-    let (s, t) = orbit_pair_success(n, f)?;
-    Some(s.checked_mul(threshold_den)? > t.checked_mul(threshold_num)?)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -197,20 +186,6 @@ mod tests {
             let (s, t) = orbit_pair_success(n, f).unwrap();
             assert_eq!(s, success_count(n, f), "n={n} f={f}");
             assert_eq!(t, binom(component_count(n), f).unwrap());
-        }
-    }
-
-    #[test]
-    fn reproduces_paper_milestones_by_exact_counting() {
-        // P[S] first exceeds 0.99 at N = 18/32/45 for f = 2/3/4 — decided
-        // by integer cross-multiplication, no floats involved.
-        for (f, n_star) in [(2u64, 18u64), (3, 32), (4, 45)] {
-            assert_eq!(orbit_exceeds(n_star, f, 99, 100), Some(true), "f={f}");
-            assert_eq!(
-                orbit_exceeds(n_star - 1, f, 99, 100),
-                Some(false),
-                "f={f} one node early"
-            );
         }
     }
 

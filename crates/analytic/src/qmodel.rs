@@ -74,13 +74,6 @@ pub fn unconditional_survivability(n: u64, q: f64, weighting: FailureWeighting) 
         .sum()
 }
 
-/// Expected number of simultaneous failures under the binomial model
-/// (`m·q`) — a quick sanity scale for choosing `f` ranges in experiments.
-#[must_use]
-pub fn expected_failures(n: u64, q: f64) -> f64 {
-    component_count(n) as f64 * q
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,11 +132,6 @@ mod tests {
         let small = unconditional_survivability(4, 0.1, FailureWeighting::Geometric);
         let large = unconditional_survivability(64, 0.1, FailureWeighting::Geometric);
         assert!(large > small, "{large} !> {small}");
-    }
-
-    #[test]
-    fn expected_failures_scale() {
-        assert_eq!(expected_failures(10, 0.1), 2.2);
     }
 
     #[test]

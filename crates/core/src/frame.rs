@@ -115,12 +115,6 @@ impl<M> Frame<M> {
     pub fn is_control(&self) -> bool {
         matches!(self.kind, FrameKind::Control(_))
     }
-
-    /// True for application data/ack segments.
-    #[must_use]
-    pub fn is_data(&self) -> bool {
-        matches!(self.kind, FrameKind::Data(_))
-    }
 }
 
 #[cfg(test)]
@@ -153,7 +147,6 @@ mod tests {
             payload_bytes: 512,
             attempt: 1,
         };
-        assert!(frame(FrameKind::Data(seg)).is_data());
         assert!(!frame(FrameKind::Data(seg)).is_probe());
     }
 }

@@ -207,12 +207,6 @@ impl PeerTable {
             .filter(move |&p| p != owner)
     }
 
-    /// Number of monitored peers.
-    #[must_use]
-    pub fn peer_count(&self) -> usize {
-        self.peers.len().saturating_sub(1)
-    }
-
     /// Index of `(peer, net)` into the link records: `peer·K + net`.
     /// `None` for the owner itself, a peer outside the cluster or a
     /// plane the cluster does not have.
@@ -326,7 +320,7 @@ mod tests {
     #[test]
     fn starts_optimistic() {
         let t = table();
-        assert_eq!(t.peer_count(), 3);
+        assert_eq!(t.peers().count(), 3);
         for p in t.peers() {
             assert_eq!(t.state(p, NetId::A), Some(LinkState::Up));
             assert_eq!(t.state(p, NetId::B), Some(LinkState::Up));
@@ -476,7 +470,6 @@ mod tests {
         let unbooted = PeerTable::default();
         assert_eq!(unbooted.link(NodeId(1), NetId::A), None);
         assert_eq!(unbooted.peers().count(), 0);
-        assert_eq!(unbooted.peer_count(), 0);
     }
 
     #[test]

@@ -28,14 +28,18 @@
 //! * **cascade** redistributes a higher-level slot into the levels below
 //!   when the clock enters its window, exactly like a hardware timer
 //!   wheel.
-//! * **next_exact** — the sharded driver's idle-gap query, "when is the
-//!   next event, without moving the cursor" — is O(levels) amortized: it
-//!   remembers, per slot, how much of the bucket it has already examined
-//!   and the earliest due time found there, and looks only at what was
-//!   appended since. All exact queries of a wheel's lifetime together
-//!   examine each entry at most once per placement
-//!   ([`WheelStats::exact_scanned`] ≤ levels × pushes), so a far bucket
-//!   holding tens of thousands of session timers is never walked twice.
+//! * **next_hint** — the sharded driver's only query, "when is the next
+//!   event, without moving the cursor" — is six bit tests: the start of
+//!   the earliest occupied window of each level, a lower bound that is
+//!   good to a grain at level 0 and can undershoot by a window span
+//!   above it. The driver needs nothing tighter. A window opened at an
+//!   undershot hint `h` makes every shard call `peek_before(h + L)`;
+//!   that bound lies past `h`'s grain, so the fill loop takes the bucket
+//!   that produced `h` and places its entries at strictly lower levels
+//!   (or stages them, and a staged entry makes the hint exact). No push
+//!   happens in a window that popped nothing, so the level the hint
+//!   comes from falls with every empty window: at most `LEVELS` of them
+//!   per wheel before one pops, without ever walking a bucket.
 //!
 //! # Allocation discipline
 //!
@@ -61,7 +65,7 @@ const SLOT_BITS: u32 = 6;
 /// Slots per level.
 const SLOTS: usize = 1 << SLOT_BITS;
 /// Number of wheel levels; beyond `64^LEVELS` grains lies the overflow.
-pub(crate) const LEVELS: usize = 6;
+const LEVELS: usize = 6;
 
 /// Grains the wheel proper can represent ahead of the cursor.
 const HORIZON_GRAINS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
@@ -130,9 +134,6 @@ pub struct WheelStats {
     pub pool_misses: u64,
     /// High-water mark of queued entries.
     pub max_depth: u64,
-    /// Entries [`TimerWheel::next_exact`] examined — each at most once
-    /// per placement, so never more than levels × `pushes`.
-    pub exact_scanned: u64,
 }
 
 impl WheelStats {
@@ -150,28 +151,7 @@ impl WheelStats {
         self.pool_hits += other.pool_hits;
         self.pool_misses += other.pool_misses;
         self.max_depth = self.max_depth.max(other.max_depth);
-        self.exact_scanned += other.exact_scanned;
     }
-}
-
-/// What [`TimerWheel::next_exact`] already knows about one slot: its
-/// bucket's first `seen` entries have been examined and the earliest of
-/// them is due at `min_at`. A bucket only grows at the back until it is
-/// taken whole, so the memo is extended over the appended tail and
-/// forgotten where the bucket is taken (one bit of `TimerWheel::memoized`
-/// cleared beside the occupancy bit) — never inferred from the length,
-/// which a slot drained and refilled one rotation later can exceed again.
-#[derive(Debug, Clone, Copy)]
-struct Scanned {
-    seen: usize,
-    min_at: u64,
-}
-
-impl Scanned {
-    const NONE: Scanned = Scanned {
-        seen: 0,
-        min_at: u64::MAX,
-    };
 }
 
 /// A hierarchical timer wheel over `(SimTime, seq)`-keyed events.
@@ -184,12 +164,6 @@ impl Scanned {
 pub struct TimerWheel<T> {
     /// `levels[l][s]`: events due in slot `s` of level `l`.
     levels: Vec<Vec<Vec<Entry<T>>>>,
-    /// `scanned[l * SLOTS + s]`: the exact query's memo of that bucket,
-    /// meaningful only while the slot's bit in `memoized[l]` is set.
-    scanned: Vec<Scanned>,
-    /// One bit per slot, per level: the bucket has not been taken since
-    /// the exact query last wrote its memo.
-    memoized: [u64; LEVELS],
     /// One occupancy bit per slot, per level.
     occupancy: [u64; LEVELS],
     /// Cursor: the grain of the most recently popped entry.
@@ -241,8 +215,6 @@ impl<T> TimerWheel<T> {
             levels: (0..LEVELS)
                 .map(|_| (0..SLOTS).map(|_| Vec::new()).collect())
                 .collect(),
-            scanned: vec![Scanned::NONE; LEVELS * SLOTS],
-            memoized: [0; LEVELS],
             occupancy: [0; LEVELS],
             cur: 0,
             ready: Vec::new(),
@@ -375,10 +347,12 @@ impl<T> TimerWheel<T> {
     /// window's start, which can undershoot by up to the window span.
     ///
     /// The sharded kernel opens epoch windows at the global minimum of
-    /// these hints: a window opened on an undershot hint simply executes
-    /// zero events, and the coordinator escalates to
-    /// [`next_exact`](Self::next_exact) for the following window — so the hint's
-    /// looseness costs at most one empty epoch, never correctness.
+    /// these hints and asks nothing tighter: a window opened on an
+    /// undershot hint executes zero events, and its
+    /// [`peek_before`](Self::peek_before) takes the bucket the hint came
+    /// from, so the next hint comes from a lower level (module docs) —
+    /// the looseness costs a few empty epochs per idle gap, never
+    /// correctness.
     pub fn next_hint(&self) -> Option<SimTime> {
         if let Some(e) = self.ready.last() {
             return Some(SimTime(e.at));
@@ -400,54 +374,6 @@ impl<T> TimerWheel<T> {
             }
         }
         best.map(SimTime)
-    }
-
-    /// The exact time of the next event, without staging anything or
-    /// moving the cursor: the minimum over the ready buffer, the overflow
-    /// head and the earliest occupied bucket of every level (the global
-    /// minimum always lives in one of those). Each bucket's minimum comes
-    /// from its `Scanned` memo, extended over the entries appended
-    /// since the last query, so a call costs O(levels) plus the new
-    /// entries — the sharded coordinator calls it after an epoch
-    /// executed nothing, to jump the clock over an idle gap.
-    pub fn next_exact(&mut self) -> Option<SimTime> {
-        if self.is_empty() {
-            return None;
-        }
-        let mut best = self.ready.last().map_or(u64::MAX, |e| e.at);
-        for level in 0..LEVELS {
-            if let Some((_, slot)) = self.earliest_window(level) {
-                let bucket = &self.levels[level][slot];
-                let memo = &mut self.scanned[level * SLOTS + slot];
-                if self.memoized[level] & (1 << slot) == 0 {
-                    self.memoized[level] |= 1 << slot;
-                    *memo = Scanned::NONE;
-                }
-                for e in &bucket[memo.seen..] {
-                    memo.min_at = memo.min_at.min(e.at);
-                }
-                self.stats.exact_scanned += (bucket.len() - memo.seen) as u64;
-                memo.seen = bucket.len();
-                best = best.min(memo.min_at);
-            }
-        }
-        if let Some(head) = self.overflow.peek() {
-            best = best.min(head.0.at);
-        }
-        debug_assert_eq!(Some(best), self.scan_exact(), "stale next_exact memo");
-        Some(SimTime(best))
-    }
-
-    /// [`next_exact`](Self::next_exact) by walking every candidate bucket
-    /// in full — what the memo replaced, kept as its debug-build oracle.
-    fn scan_exact(&self) -> Option<u64> {
-        let buckets = (0..LEVELS).filter_map(|level| {
-            let (_, slot) = self.earliest_window(level)?;
-            self.levels[level][slot].iter().map(|e| e.at).min()
-        });
-        let staged = self.ready.last().map(|e| e.at);
-        let far = self.overflow.peek().map(|head| head.0.at);
-        buckets.chain(staged).chain(far).min()
     }
 
     /// Pops the earliest event as `(at, seq, payload)`.
@@ -544,7 +470,6 @@ impl<T> TimerWheel<T> {
             // that lands there adopts a spare buffer from the pool.
             let mut bucket = std::mem::take(&mut self.levels[level][slot]);
             self.occupancy[level] &= !(1 << slot);
-            self.memoized[level] &= !(1 << slot);
             if level == 0 {
                 // One grain's worth of entries: keep `ready` sorted
                 // descending so pops truncate from the back in ascending

@@ -35,6 +35,24 @@
 //! `≥ T_start + L ≥` every shard's cursor, so the wheels never see a
 //! past-time push.
 //!
+//! # How a window opens
+//!
+//! `T_start` is the minimum over the shards of
+//! [`TimerWheel::next_hint`](crate::wheel::TimerWheel::next_hint) — six
+//! bit tests per wheel, a lower bound that can undershoot by the span of
+//! a higher-level bucket — and the driver never asks for the exact
+//! minimum. A window opened on an undershot hint pops nothing, but it is
+//! not wasted: every shard ran `peek_before(T_start + L)`, that bound
+//! lies past the hint's grain, so the wheel that produced the hint took
+//! the bucket behind it and placed its entries at lower levels (or
+//! staged them, where the hint is exact). Nothing is pushed in a window
+//! that popped nothing, so each wheel's hint comes from a strictly lower
+//! level after every empty window it caused: at most `LEVELS` of them
+//! per wheel per idle gap, then one that pops. An exact minimum costs
+//! more per epoch than the empty windows it saves (ROADMAP 1(a) has the
+//! measurement). [`ShardStats::zero_pop_epochs`] counts the empty
+//! windows.
+//!
 //! # Why every shard and thread count agrees
 //!
 //! Everything that orders events is derived from virtual time and
@@ -194,8 +212,8 @@ struct Coordinator {
     /// Admitted intents whose destination shard differed from the
     /// sender's (broadcasts count every non-sender shard).
     cross_shard: u64,
-    /// Epochs whose window popped nothing anywhere, forcing an exact
-    /// reopen (the occupancy hint undershot).
+    /// Epochs whose window popped nothing anywhere: the occupancy hint
+    /// undershot, and the window tightened it (module docs).
     zero_pop_epochs: u64,
     /// Epochs that popped at least one event — the denominator of the
     /// kernel-track sampling below.
@@ -359,7 +377,7 @@ pub struct ShardStats {
     /// shard (a broadcast counts every non-sender shard once).
     pub cross_shard_frames: u64,
     /// Epochs in which no shard popped an event — the occupancy hint
-    /// undershot and the next window reopened at the exact minimum.
+    /// undershot; the empty window's bounded peek tightened the next one.
     pub zero_pop_epochs: u64,
     /// The conservative lookahead window, nanoseconds.
     pub lookahead_ns: u64,
@@ -595,7 +613,7 @@ impl<P: Protocol> World<P> {
             // admission has already done: construction precedes every
             // fault plan at every shard count.
             // SAFETY: no worker threads exist; access is exclusive.
-            unsafe { merge_and_min(&mut world.coord, &world.shards, &world.owner, false) };
+            unsafe { merge_and_min(&mut world.coord, &world.shards, &world.owner) };
         }
         world
     }
@@ -1175,12 +1193,11 @@ impl<P: Protocol> World<P> {
                     barrier.wait(); // done
                 });
             }
-            let mut exact = false;
             loop {
                 // Coordinator phase: every worker is parked at `go`, so
                 // shard access is unaliased.
                 // SAFETY: see above.
-                let next = unsafe { merge_and_min(coord, cells, owner, exact) };
+                let next = unsafe { merge_and_min(coord, cells, owner) };
                 let t_start = match next {
                     Some(t) if t <= until => t,
                     _ => {
@@ -1215,14 +1232,10 @@ impl<P: Protocol> World<P> {
                     barrier_ns += t0.elapsed().as_nanos() as u64;
                     popped += worker_pops.swap(0, Ordering::Relaxed);
                 }
-                // A window that executed nothing was opened on an
-                // undershot occupancy hint; reopen it from the exact
-                // global minimum.
-                exact = popped == 0;
                 // SAFETY: workers parked again after `done`; the
                 // coordinator phase runs in the same order for every
                 // thread count, so the kernel-track records match.
-                unsafe { close_epoch(coord, cells, epoch, t_start, &mut prev_stalls, exact) };
+                unsafe { close_epoch(coord, cells, epoch, t_start, &mut prev_stalls, popped == 0) };
             }
         });
 
@@ -1342,9 +1355,9 @@ unsafe fn close_epoch<P: Protocol>(
 /// intents onto the media in global `(at, seq)` order (applying hub
 /// toggles due by each instant first), distributes the arrivals into
 /// the destination shards' wheels, and returns a lower bound on the
-/// earliest pending event across all shards — exact when `exact` is
-/// set, otherwise each wheel's O(1) occupancy hint (never staging, so
-/// no cursor moves past the last epoch's bound).
+/// earliest pending event across all shards — the minimum of the wheels'
+/// O(1) occupancy hints (never staging, so no cursor moves past the last
+/// epoch's bound).
 ///
 /// # Safety
 /// The caller must guarantee exclusive access to every shard: either no
@@ -1353,7 +1366,6 @@ unsafe fn merge_and_min<P: Protocol>(
     coord: &mut Coordinator,
     cells: &[ShardCell<P>],
     owner: &[u32],
-    exact: bool,
 ) -> Option<SimTime> {
     let s = cells.len();
     // SAFETY: exclusive shard access is the function's contract; every
@@ -1466,25 +1478,14 @@ unsafe fn merge_and_min<P: Protocol>(
         }
     }
     // The next window's opening instant: a lower bound on the global
-    // minimum pending event. Neither query stages entries or moves a
-    // cursor — an exact `peek` here would advance idle shards' cursors
-    // past the next bound, and later arrivals would then violate the
-    // wheel's cursor invariant.
-    let mut min: Option<SimTime> = None;
-    for cell in cells {
-        let shard = &mut *cell.0.get();
-        let next = if exact {
-            shard.core.events.next_exact()
-        } else {
-            shard.core.events.next_hint()
-        };
-        if let Some(at) = next {
-            if min.is_none_or(|m| at < m) {
-                min = Some(at);
-            }
-        }
-    }
-    min
+    // minimum pending event. The hint stages nothing and moves no cursor
+    // — a `peek` here would advance idle shards' cursors past the next
+    // bound, and later arrivals would then violate the wheel's cursor
+    // invariant.
+    cells
+        .iter()
+        .filter_map(|cell| (*cell.0.get()).core.events.next_hint())
+        .min()
 }
 
 #[cfg(test)]
@@ -1752,13 +1753,13 @@ mod tests {
 
     /// The million-user cell scaled down (8 hosts × 2 000 closed-loop
     /// users holding Exp(60 s), 4 shards, a hub outage): the far buckets
-    /// hold thousands of close timers, and every zero-pop epoch asks
-    /// every shard for its exact minimum. All those queries together may
-    /// examine an entry once per level it is placed in on its way down —
-    /// not once per query, which is what the full bucket scan cost.
+    /// hold thousands of close timers, so many idle gaps open on a hint
+    /// that undershoots, and each empty window has to tighten it. A hint
+    /// that stopped tightening shows up here as epochs, without a clock
+    /// (PR 24: 3 257 empty windows of 18 938; reopening at an exact
+    /// minimum after each empty one, its parent ran 3 198 of 18 808).
     #[test]
-    fn exact_queries_examine_each_entry_at_most_once_per_level() {
-        use crate::wheel::LEVELS;
+    fn hint_windows_stay_few_on_a_wheel_full_of_far_timers() {
         use crate::workload::{ArrivalProcess, ClassSpec, HoldingDist};
         use drs_core::{DrsConfig, DrsDaemon};
 
@@ -1783,16 +1784,10 @@ mod tests {
             horizon: end,
         });
         w.run_until(end);
-        let (wheel, ss) = (w.kernel_stats().wheel, w.shard_stats());
-        assert!(ss.zero_pop_epochs > 0, "no exact query ran: {ss:?}");
-        assert!(wheel.exact_scanned > 0, "{wheel:?}");
-        assert!(
-            wheel.exact_scanned <= LEVELS as u64 * wheel.pushes,
-            "{} exact queries examined {} entries for {} pushes",
-            ss.zero_pop_epochs * ss.shards as u64,
-            wheel.exact_scanned,
-            wheel.pushes
-        );
+        let ss = w.shard_stats();
+        assert!(ss.zero_pop_epochs > 0, "no hint undershot: {ss:?}");
+        assert!(ss.zero_pop_epochs <= ss.epochs / 5, "{ss:?}");
+        assert!(ss.epochs <= 19_200, "{ss:?}");
     }
 
     #[test]
