@@ -56,6 +56,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             // nothing else is decided here.
             let at = self.now;
             let seq = self.next_seq();
+            let frame = self.boxed(frame);
             if let Fabric::Deferred { outbox, .. } = &mut self.fabric {
                 outbox.push(Intent { at, seq, frame });
             }
@@ -63,6 +64,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         }
         let (now, class) = (self.now, class_of(&frame));
         if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class) {
+            let frame = self.boxed(frame);
             self.schedule_at(arrive, EventKind::Arrive(frame));
         } else {
             // The dead hub ate the frame at admission.
@@ -179,7 +181,10 @@ impl<P: Protocol> Engine<'_, P> {
                 flow,
                 attempt,
             } => self.handle_rto(node, flow, attempt),
-            EventKind::Arrive(frame) => self.handle_arrival(frame),
+            EventKind::Arrive(frame) => {
+                self.handle_arrival(&frame);
+                self.core.recycle_frame(frame);
+            }
             EventKind::SessionOpen { host } => self.handle_session_open(host),
             EventKind::SessionClose { host, local } => self.handle_session_close(host, local),
         }
@@ -323,14 +328,14 @@ impl<P: Protocol> Engine<'_, P> {
         );
     }
 
-    pub(crate) fn handle_arrival(&mut self, frame: Frame<P::Msg>) {
+    pub(crate) fn handle_arrival(&mut self, frame: &Frame<P::Msg>) {
         // A hub that died while the frame was in flight eats it.
         if !self.core.hub_is_up(frame.net) {
-            self.core.flight_loss(&frame, loss_site::HUB_ARRIVAL);
+            self.core.flight_loss(frame, loss_site::HUB_ARRIVAL);
             return;
         }
         match frame.dst {
-            Destination::Node(dst) => self.deliver_to(dst, &frame),
+            Destination::Node(dst) => self.deliver_to(dst, frame),
             Destination::Broadcast => {
                 // Deliver across this engine's block only: every shard
                 // receives its own copy of a broadcast frame.
@@ -339,7 +344,7 @@ impl<P: Protocol> Engine<'_, P> {
                 for i in base..end {
                     let node = NodeId(i);
                     if node != frame.src {
-                        self.deliver_to(node, &frame);
+                        self.deliver_to(node, frame);
                     }
                 }
             }

@@ -33,8 +33,19 @@ use crate::workload::{Transition, WorkloadCore};
 use super::shard::HubTimeline;
 use super::FlowOutcome;
 
+/// What a queued event does when it fires.
+///
+/// `Arrive` carries its frame boxed. An enum is as large as its largest
+/// variant, and a frame (88 B for the DRS message type) is four times any
+/// other payload here; carried inline, it made every wheel entry 104 B,
+/// so each of the millions of timer events a probe cycle queues was
+/// moved, sorted and cascaded at a frame's size. Boxed, an event is 24 B
+/// and an entry 40 B, and a frame is written once: the box travels from
+/// the sender's [`Core::transmit`] through the merge into the receiver's
+/// wheel, and after dispatch it returns to the receiving core's spare
+/// list for the next transmission.
 pub(crate) enum EventKind<M> {
-    Arrive(Frame<M>),
+    Arrive(Box<Frame<M>>),
     ProtoTimer {
         node: NodeId,
         token: u64,
@@ -88,14 +99,20 @@ pub struct KernelStats {
 
 /// A transmission recorded by a shard for deferred medium admission: the
 /// instant the sending host put the frame on the wire, the sender's
-/// packed sequence number, and the frame itself. Outboxes are sorted by
+/// packed sequence number, and the frame itself (boxed: the merge moves
+/// the box into the receiver's wheel as is). Outboxes are sorted by
 /// `(at, seq)` by construction — `at` is the shard's non-decreasing
 /// clock and `seq` its increasing counter.
 pub(crate) struct Intent<M> {
     pub(crate) at: SimTime,
     pub(crate) seq: u64,
-    pub(crate) frame: Frame<M>,
+    pub(crate) frame: Box<Frame<M>>,
 }
+
+// A variant that carries a frame by value grows every queued event back
+// to a frame's size: fail the build, not the benchmark.
+const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 24);
+const _: () = assert!(std::mem::size_of::<Intent<drs_core::DrsMsg>>() <= 24);
 
 /// How transmitted frames reach the shared medium.
 pub(crate) enum Fabric<M> {
@@ -212,6 +229,15 @@ pub struct Core<M> {
     /// When `Some`, the fluid session generator: draws arrivals, logs
     /// workload transitions (see [`crate::workload`]).
     pub(crate) workload: Option<Box<WorkloadCore>>,
+    /// Frame boxes whose arrival has been dispatched, reused by
+    /// [`Self::boxed`] before it allocates. Filled lazily, never beyond
+    /// `spare_frame_cap`.
+    spare_frames: Vec<Box<Frame<M>>>,
+    /// The most boxes `spare_frames` keeps: one per (owned host, peer,
+    /// plane), what the hosts can have in flight when every one of them
+    /// probes every peer at once (the batched monitor's fan-out). The
+    /// bound keeps one-way traffic from growing a receiver's list forever.
+    spare_frame_cap: usize,
 }
 
 impl<M: Clone + std::fmt::Debug> Core<M> {
@@ -236,7 +262,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             now: SimTime::ZERO,
             seq_base: 0,
             seq_local: 0,
-            events: TimerWheel::with_spare_pool(buffers, 8),
+            events: TimerWheel::with_spare_pool(buffers, 16),
             hosts: Hosts::new_block(base, len, spec.n, spec.planes),
             media,
             link_loss: vec![0.0; spec.n * planes],
@@ -252,6 +278,28 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             cur_ev_seq: 0,
             cur_sub: 0,
             workload: None,
+            spare_frames: Vec::new(),
+            spare_frame_cap: len * spec.n * planes,
+        }
+    }
+
+    /// Boxes a frame for the queue, in a recycled box when one is spare.
+    #[inline]
+    pub(crate) fn boxed(&mut self, frame: Frame<M>) -> Box<Frame<M>> {
+        match self.spare_frames.pop() {
+            Some(mut spare) => {
+                *spare = frame;
+                spare
+            }
+            None => Box::new(frame),
+        }
+    }
+
+    /// Keeps a dispatched frame's box for [`Self::boxed`] (bounded).
+    #[inline]
+    pub(crate) fn recycle_frame(&mut self, frame: Box<Frame<M>>) {
+        if self.spare_frames.len() < self.spare_frame_cap {
+            self.spare_frames.push(frame);
         }
     }
 

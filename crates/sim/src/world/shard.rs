@@ -95,7 +95,7 @@ use std::sync::Barrier;
 use std::time::Instant;
 
 use drs_core::ids::FlowId;
-use drs_core::{Destination, NetId, NodeId, ProbeObs, SimDuration, SimTime};
+use drs_core::{Destination, Frame, NetId, NodeId, ProbeObs, SimDuration, SimTime};
 use drs_obs::flight::{loss_site, EventRef, FlightLog, FlightRecorder, TraceKind, TraceRecord};
 
 use crate::app::Workload;
@@ -1436,32 +1436,32 @@ unsafe fn merge_and_min<P: Protocol>(
                         Some(cause),
                     );
                 }
+                (*cells[i].0.get()).core.recycle_frame(frame);
                 continue;
             };
             // The arrival lands at ≥ epoch bound ≥ every shard's cursor,
             // so pushing straight into the wheels is safe; the intent's
-            // seq keeps the global order thread-count-independent.
+            // seq keeps the global order thread-count-independent. The
+            // sender's box moves into the (last) receiving wheel as is.
             match frame.dst {
                 Destination::Node(dst) => {
                     let dst_shard = owner[dst.idx()] as usize;
                     if dst_shard != i {
                         coord.cross_shard += 1;
                     }
-                    let shard = &mut *cells[dst_shard].0.get();
-                    shard
-                        .core
-                        .events
-                        .push(arrive, seq, EventKind::Arrive(frame));
+                    let core = &mut (*cells[dst_shard].0.get()).core;
+                    core.events.push(arrive, seq, EventKind::Arrive(frame));
                 }
                 Destination::Broadcast => {
                     coord.cross_shard += (s - 1) as u64;
-                    for cell in cells {
-                        let shard = &mut *cell.0.get();
-                        shard
-                            .core
-                            .events
-                            .push(arrive, seq, EventKind::Arrive(frame.clone()));
+                    let (last, rest) = cells.split_last().expect("several shards");
+                    for cell in rest {
+                        let core = &mut (*cell.0.get()).core;
+                        let copy = core.boxed(Frame::clone(&frame));
+                        core.events.push(arrive, seq, EventKind::Arrive(copy));
                     }
+                    let core = &mut (*last.0.get()).core;
+                    core.events.push(arrive, seq, EventKind::Arrive(frame));
                 }
             }
         }
@@ -1471,8 +1471,9 @@ unsafe fn merge_and_min<P: Protocol>(
         }
     } else {
         // An idle barrier gives the storage back instead: the N=1024
-        // burst's outboxes hold 2.1 M intents (187 MB) for one epoch and
-        // must not keep that reserved while the arrivals are served.
+        // burst's outboxes hold 2.1 M intents (50 MB at 24 B each; the
+        // boxed frames move on into the wheels) for one epoch and must
+        // not keep that reserved while the arrivals are served.
         for i in 0..s {
             outbox(i).shrink_to_fit();
         }
@@ -1491,6 +1492,7 @@ unsafe fn merge_and_min<P: Protocol>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::world::EventTag;
 
     struct Idle;
     impl Protocol for Idle {
@@ -1681,6 +1683,69 @@ mod tests {
         let one = run(1);
         assert_eq!((one.0.frames, one.0.dropped_hub_down, one.1), (6, 0, 0));
         assert_eq!(one, run(3));
+    }
+
+    /// The merge hands a broadcast's box to the last shard and clones the
+    /// frame for the others. Every host broadcasts twice on both planes:
+    /// at 1, 3 and 7 shards each shard dispatches one arrival per
+    /// broadcast, every other host hears each broadcast exactly once and
+    /// the sender never does, and one and four threads dispatch the same
+    /// events.
+    #[test]
+    fn a_broadcast_reaches_every_other_host_once_at_any_shard_count() {
+        struct Shout {
+            heard: Vec<(u32, u8, u8)>,
+        }
+        impl Protocol for Shout {
+            type Msg = u8;
+            fn on_start(&mut self, ctx: &mut Ctx<'_, u8>) {
+                ctx.set_timer(SimDuration::from_millis(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, u8>, round: u64) {
+                for net in NetId::planes(ctx.planes()) {
+                    ctx.broadcast_control(net, round as u8);
+                }
+                if round == 0 {
+                    ctx.set_timer(SimDuration::from_millis(3), 1);
+                }
+            }
+            fn on_control(&mut self, _ctx: &mut Ctx<'_, u8>, from: NodeId, net: NetId, r: &u8) {
+                self.heard.push((from.0, net.0, *r));
+            }
+        }
+        let n = 7u32;
+        for shards in [1usize, 3, 7] {
+            let logs: Vec<Vec<EventRecord>> = [1usize, 4]
+                .into_iter()
+                .map(|threads| {
+                    let spec = ClusterSpec::new(n as usize).seed(5);
+                    let mut w = ShardedWorld::with_topology(spec, shards, threads, |_| Shout {
+                        heard: Vec::new(),
+                    });
+                    w.enable_event_log();
+                    w.run_for(SimDuration::from_millis(10));
+                    for host in 0..n {
+                        let mut heard = w.protocol(NodeId(host)).heard.clone();
+                        heard.sort_unstable();
+                        let want: Vec<_> = (0..n)
+                            .filter(|&from| from != host)
+                            .flat_map(|from| {
+                                (0..2u8).flat_map(move |net| (0..2u8).map(move |r| (from, net, r)))
+                            })
+                            .collect();
+                        assert_eq!(heard, want, "shards={shards} threads={threads} host {host}");
+                    }
+                    w.event_log().expect("logging on")
+                })
+                .collect();
+            assert_eq!(
+                logs[0], logs[1],
+                "shards={shards}: thread count changed the events"
+            );
+            let arrivals = logs[0].iter().filter(|e| e.tag == EventTag::Arrive);
+            // 7 senders × 2 planes × 2 rounds, one copy per shard.
+            assert_eq!(arrivals.count(), 28 * shards, "shards={shards}");
+        }
     }
 
     /// A traced prober: every period it records a send, probes the next
