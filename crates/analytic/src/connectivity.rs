@@ -99,29 +99,53 @@ impl ClusterState {
         st
     }
 
-    /// Marks the component with dense index `idx` as failed — the
-    /// analytic layer's one spelling of the `K·N + K` layout.
-    pub fn fail_index(&mut self, idx: usize) {
+    /// The liveness bit behind dense index `idx` — the analytic layer's one
+    /// spelling of the `K·N + K` layout — or `None` past the universe.
+    fn locate(&self, idx: usize) -> Option<Slot> {
         let k = self.planes as usize;
         if idx < k {
-            self.bp &= !(1u8 << idx);
-        } else {
+            Some(Slot::Backplane(idx as u8))
+        } else if idx < k + k * self.n {
             let rel = idx - k;
-            self.nic[rel / self.n] &= !(1u128 << (rel % self.n));
+            Some(Slot::Nic {
+                plane: (rel / self.n) as u8,
+                node: (rel % self.n) as u8,
+            })
+        } else {
+            None
+        }
+    }
+
+    #[inline]
+    fn clear(&mut self, slot: Slot) {
+        match slot {
+            Slot::Backplane(p) => self.bp &= !(1u8 << p),
+            Slot::Nic { plane, node } => self.nic[plane as usize] &= !(1u128 << node),
+        }
+    }
+
+    #[inline]
+    fn set(&mut self, slot: Slot) {
+        match slot {
+            Slot::Backplane(p) => self.bp |= 1u8 << p,
+            Slot::Nic { plane, node } => self.nic[plane as usize] |= 1u128 << node,
+        }
+    }
+
+    /// Marks the component with dense index `idx` as failed. An index past
+    /// the universe names no component and changes nothing, whatever `K`.
+    pub fn fail_index(&mut self, idx: usize) {
+        if let Some(slot) = self.locate(idx) {
+            self.clear(slot);
         }
     }
 
     /// Marks the component with dense index `idx` as operational again —
-    /// the inverse of [`ClusterState::fail_index`], used by the
-    /// delta-update enumeration walk to step between adjacent failure
-    /// combinations without rebuilding the state.
+    /// the inverse of [`ClusterState::fail_index`], and like it a no-op
+    /// past the universe.
     pub fn restore_index(&mut self, idx: usize) {
-        let k = self.planes as usize;
-        if idx < k {
-            self.bp |= 1u8 << idx;
-        } else {
-            let rel = idx - k;
-            self.nic[rel / self.n] |= 1u128 << (rel % self.n);
+        if let Some(slot) = self.locate(idx) {
+            self.set(slot);
         }
     }
 
@@ -149,7 +173,21 @@ impl ClusterState {
     }
 }
 
+/// A liveness bit of [`ClusterState`]: one backplane, or one node's NIC on
+/// one plane.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Backplane(u8),
+    Nic { plane: u8, node: u8 },
+}
+
 /// Can nodes `s` and `t` communicate under DRS routing?
+///
+/// One pass over the planes: `s` reaches `t` iff the nodes sharing a live
+/// plane with `s` and those sharing one with `t` intersect. A node in both
+/// is a one-hop gateway, and a shared plane puts each endpoint in both
+/// sets, so the direct route needs no separate test; a detached endpoint
+/// contributes the empty set.
 ///
 /// # Panics
 /// Panics if `s` or `t` is out of range or `s == t`.
@@ -160,28 +198,17 @@ pub fn pair_connected_state(st: &ClusterState, s: usize, t: usize) -> bool {
         "invalid pair ({s},{t}) for n={}",
         st.n
     );
-    let (ms, mt) = (st.attachment(s), st.attachment(t));
-    if ms & mt != 0 {
-        return true; // a shared live plane carries a direct route
-    }
-    if ms == 0 || mt == 0 {
-        return false; // an endpoint is completely detached
-    }
-    // One-hop relay: some node attached to both a live plane of s and a
-    // live plane of t.
-    let k = st.planes as usize;
-    for p in 0..k {
-        if ms >> p & 1 == 0 {
-            continue;
-        }
+    let (mut reach_s, mut reach_t) = (0u128, 0u128);
+    for p in 0..st.planes as usize {
         let op = st.on(p);
-        for q in 0..k {
-            if mt >> q & 1 != 0 && op & st.on(q) != 0 {
-                return true;
-            }
+        if op >> s & 1 != 0 {
+            reach_s |= op;
+        }
+        if op >> t & 1 != 0 {
+            reach_t |= op;
         }
     }
-    false
+    reach_s & reach_t != 0
 }
 
 /// Can nodes `s` and `t` communicate, given a failure set over the
@@ -275,6 +302,9 @@ pub struct KPlane {
     pub(crate) state: ClusterState,
     /// The fully-operational state [`FailureModel::reset`] copies back.
     up: ClusterState,
+    /// The bit behind every index of the universe, located once here so
+    /// that a flip in the walk or the sampler costs no division.
+    slots: Box<[Slot]>,
     question: Question,
 }
 
@@ -289,9 +319,14 @@ impl KPlane {
     pub fn new(n: usize, planes: u8, question: Question) -> Self {
         assert!(n >= 2, "need a pair of nodes");
         let up = ClusterState::fully_up_k(n, planes);
+        let k = planes as usize;
+        let slots = (0..k * n + k)
+            .map(|idx| up.locate(idx).expect("index inside the universe"))
+            .collect();
         KPlane {
             state: up,
             up,
+            slots,
             question,
         }
     }
@@ -299,18 +334,17 @@ impl KPlane {
 
 impl FailureModel for KPlane {
     fn universe(&self) -> usize {
-        let k = self.state.planes as usize;
-        k * self.state.n + k
+        self.slots.len()
     }
 
     #[inline]
     fn fail(&mut self, idx: usize) {
-        self.state.fail_index(idx);
+        self.state.clear(self.slots[idx]);
     }
 
     #[inline]
     fn restore(&mut self, idx: usize) {
-        self.state.restore_index(idx);
+        self.state.set(self.slots[idx]);
     }
 
     #[inline]
@@ -546,6 +580,85 @@ mod tests {
         assert!(pair_connected_state(&st, 0, 3), "one hop via node 2");
         assert!(pair_connected_state(&st, 2, 3), "shared plane 1");
         assert!(!all_pairs_connected_state(&st));
+    }
+
+    /// The plane-pair formulation the O(K) predicate replaced: attachment
+    /// profiles first, then every (plane of `s`, plane of `t`) pair tested
+    /// for a common node — O(K²) mask intersections.
+    fn pair_connected_by_plane_pairs(st: &ClusterState, s: usize, t: usize) -> bool {
+        let (ms, mt) = (st.attachment(s), st.attachment(t));
+        if ms & mt != 0 {
+            return true;
+        }
+        if ms == 0 || mt == 0 {
+            return false;
+        }
+        let k = st.planes as usize;
+        for p in 0..k {
+            if ms >> p & 1 == 0 {
+                continue;
+            }
+            let op = st.on(p);
+            for q in 0..k {
+                if mt >> q & 1 != 0 && op & st.on(q) != 0 {
+                    return true;
+                }
+            }
+        }
+        false
+    }
+
+    #[test]
+    fn pair_predicate_matches_the_plane_pair_oracle() {
+        // Every liveness state of every n ≤ 4, K ≤ 4 cluster (bit `p` of
+        // `bits` is backplane `p`, then one n-bit NIC block per plane) and
+        // every ordered pair.
+        for planes in 2u8..=4 {
+            let k = planes as usize;
+            for n in 2..=4usize {
+                let full = (1u128 << n) - 1;
+                for bits in 0u128..1 << (k + k * n) {
+                    let mut st = ClusterState::fully_up_k(n, planes);
+                    st.bp = (bits & ((1 << k) - 1)) as u8;
+                    for p in 0..k {
+                        st.nic[p] = bits >> (k + p * n) & full;
+                    }
+                    for s in 0..n {
+                        for t in (0..n).filter(|&t| t != s) {
+                            assert_eq!(
+                                pair_connected_state(&st, s, t),
+                                pair_connected_by_plane_pairs(&st, s, t),
+                                "K={k} n={n} bits={bits:b} pair=({s},{t})"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn kplane_flips_equal_the_index_layout() {
+        // Fail every index in turn, then restore them in turn: the model's
+        // located slots and `fail_index`/`restore_index` agree at every
+        // step, at every plane count.
+        for (n, planes) in [(5usize, 2u8), (4, 3), (7, 5), (3, 8), (31, 8)] {
+            let mut model = KPlane::new(n, planes, Question::Pair);
+            let mut st = ClusterState::fully_up_k(n, planes);
+            let m = model.universe();
+            assert_eq!(m, planes as usize * (n + 1));
+            for idx in 0..m {
+                model.fail(idx);
+                st.fail_index(idx);
+                assert_eq!(model.state, st, "fail n={n} K={planes} idx={idx}");
+            }
+            for idx in 0..m {
+                model.restore(idx);
+                st.restore_index(idx);
+                assert_eq!(model.state, st, "restore n={n} K={planes} idx={idx}");
+            }
+            assert_eq!(st, ClusterState::fully_up_k(n, planes));
+        }
     }
 
     #[test]

@@ -10,17 +10,23 @@
 //! [`KPlane`] behind the `enumerate_*` entry points here, the graph-search
 //! [`crate::topo::GraphModel`] behind the `*_topo` ones — so a K-plane
 //! cluster and a fat-tree are counted by the same code and differ only in
-//! the predicate. Two things make it fast enough to be useful well beyond
+//! the predicate. Three things make it fast enough to be useful well beyond
 //! toy sizes:
 //!
 //! * **delta updates** — successive lexicographic combinations share a long
 //!   prefix, so the walk restores/fails only the indices that changed
 //!   instead of rebuilding the model and re-applying all `f` failures per
-//!   subset (amortized `O(1)` index flips per step);
-//! * **unranking** — [`unrank`] maps a lexicographic rank to its
-//!   combination in `O(n)`, which lets [`count_parallel`] split the full
-//!   walk into contiguous blocks and fan them across worker threads, each
-//!   block delta-walking its own clone of the model.
+//!   subset (2.6 index flips per subset on `C(34, 8)`, against 16);
+//! * **the last-index sweep** — most successors differ only in the last
+//!   index, so the walk runs that index to the end of the universe as
+//!   restore-one / fail-one and enters the general successor step only
+//!   when the run ends;
+//! * **fan-out** — [`unrank`] maps a lexicographic rank to its combination
+//!   in `O(n)`, which lets [`count_parallel`] split a walk into contiguous
+//!   blocks and fan them across worker threads, each block delta-walking
+//!   its own clone of the model. The `enumerate_*` entry points go through
+//!   it, so a walk of a million subsets or more uses every core; smaller
+//!   walks, and walks inside a worker, stay on their thread.
 //!
 //! For the symmetry-reduced counter that replaces the walk entirely with
 //! polynomially many weighted equivalence classes, see [`crate::orbit`].
@@ -30,43 +36,6 @@ use drs_harness::par;
 use crate::binom::shared_table;
 use crate::components::FailureModel;
 use crate::connectivity::{KPlane, Question};
-
-/// Cursor over the `k`-subsets of `0..n` in lexicographic order, stepped
-/// in place (no per-item allocation).
-struct Combinations {
-    n: usize,
-    k: usize,
-    idx: Vec<usize>,
-}
-
-impl Combinations {
-    /// A cursor on the combination of lexicographic rank `rank`, or `None`
-    /// if `rank` is out of range (`rank ≥ C(n, k)`; every rank when
-    /// `k > n`).
-    fn from_rank(n: usize, k: usize, rank: u128) -> Option<Self> {
-        unrank(n, k, rank).map(|idx| Combinations { n, k, idx })
-    }
-
-    /// The combination the cursor currently points at.
-    fn current(&self) -> &[usize] {
-        &self.idx
-    }
-
-    /// Steps to the lexicographic successor in place, returning the
-    /// leftmost position whose index changed (every position to its right
-    /// changed too), or `None` — leaving the cursor on the last
-    /// combination — when there is no successor.
-    fn advance(&mut self) -> Option<usize> {
-        // Find the rightmost index that can still be bumped.
-        let k = self.k;
-        let i = (0..k).rev().find(|&i| self.idx[i] < self.n - (k - i))?;
-        self.idx[i] += 1;
-        for j in i + 1..k {
-            self.idx[j] = self.idx[j - 1] + 1;
-        }
-        Some(i)
-    }
-}
 
 /// The `k`-subset of `{0, …, n-1}` with lexicographic rank `rank`
 /// (0-based), or `None` when `rank ≥ C(n, k)`.
@@ -116,6 +85,11 @@ pub fn unrank(n: usize, k: usize, rank: u128) -> Option<Vec<usize>> {
 /// when `limit` is `None`), invoking `visit` with the model — exactly the
 /// subset's components failed — and the subset's indices. `model` must
 /// come in with nothing failed. Returns the number of subsets visited.
+///
+/// Most lexicographic successors differ only in the last index, so the
+/// walk sweeps that index to the end of the universe in place — one
+/// `restore` and one `fail` per subset, no successor search — and steps
+/// the general cursor only when a sweep runs out.
 fn walk<M: FailureModel>(
     model: &mut M,
     f: usize,
@@ -123,38 +97,56 @@ fn walk<M: FailureModel>(
     limit: Option<u128>,
     mut visit: impl FnMut(&mut M, &[usize]),
 ) -> u128 {
-    if limit == Some(0) {
+    let budget = limit.unwrap_or(u128::MAX);
+    if budget == 0 {
         return 0;
     }
-    let Some(mut combos) = Combinations::from_rank(model.universe(), f, start_rank) else {
+    let m = model.universe();
+    let Some(mut idx) = unrank(m, f, start_rank) else {
         return 0;
     };
-    let mut cur = combos.current().to_vec();
-    for &i in &cur {
+    let mut left = budget;
+    if f == 0 {
+        visit(model, &idx);
+        return 1;
+    }
+    for &i in &idx {
         model.fail(i);
     }
-    let mut visited: u128 = 0;
+    let last = f - 1;
     loop {
-        visit(model, &cur);
-        visited += 1;
-        if limit == Some(visited) {
+        // The run of subsets that differ from this one only in the last
+        // index, cut short where the block ends.
+        let run = (m - idx[last]).min(usize::try_from(left).unwrap_or(usize::MAX));
+        visit(model, &idx);
+        for _ in 1..run {
+            model.restore(idx[last]);
+            idx[last] += 1;
+            model.fail(idx[last]);
+            visit(model, &idx);
+        }
+        left -= run as u128;
+        if left == 0 {
             break;
         }
-        let Some(pivot) = combos.advance() else {
+        // The rightmost position that can still move; every position to
+        // its right changes with it. Restore the old suffix before failing
+        // the new one: the two may overlap.
+        let Some(pivot) = (0..last).rev().find(|&i| idx[i] < m - (f - i)) else {
             break;
         };
-        // Only the suffix from `pivot` changed: restore the old indices,
-        // fail the new ones (the two suffixes may overlap, so restore
-        // everything first).
-        for &old in &cur[pivot..] {
+        for &old in &idx[pivot..] {
             model.restore(old);
         }
-        for (slot, &new) in cur[pivot..].iter_mut().zip(&combos.current()[pivot..]) {
+        idx[pivot] += 1;
+        for j in pivot + 1..f {
+            idx[j] = idx[j - 1] + 1;
+        }
+        for &new in &idx[pivot..] {
             model.fail(new);
-            *slot = new;
         }
     }
-    visited
+    budget - left
 }
 
 /// Counts, over the `f`-subsets of `model`'s universe with lexicographic
@@ -185,28 +177,45 @@ pub fn count<M: FailureModel>(model: M, f: usize) -> (u128, u128) {
     count_block(model, f, 0, None)
 }
 
+/// Below this many subsets [`count_parallel`] walks on the calling thread.
+///
+/// Measured on a 2-vCPU VM (release build, two-plane pair model): one
+/// split costs ≈ 80 µs of thread start-up, so in isolation it pays from
+/// ≈ 2¹⁴ subsets (a 0.3 ms walk) and saves ≈ 40 % of the wall time from
+/// 2¹⁷ on. But the artifact pipeline counts many cells of up to 300 000
+/// subsets each, and splitting those too cost `regen` ≈ 5 % in wall and
+/// CPU time. At 2²⁰ a serial walk takes ≈ 18 ms, and a split saves 8 ms.
+const PARALLEL_MIN_SUBSETS: u128 = 1 << 20;
+
 /// [`count`] fanned across [`par`] workers: the rank space is split into
 /// contiguous blocks (a few per worker thread) and each block delta-walks
 /// a clone of `model` from its unranked starting combination.
 /// Bit-identical counts to the sequential walk, in `~1/cores` the time for
-/// block counts ≫ thread count.
+/// block counts ≫ thread count. Below 2²⁰ subsets, and inside a [`par`]
+/// worker, it is the sequential walk: there a split costs more than it
+/// saves.
 ///
 /// # Panics
 /// Panics if `C(universe, f)` overflows `u128`.
 #[must_use]
 pub fn count_parallel<M: FailureModel + Clone + Sync>(model: &M, f: usize) -> (u128, u128) {
+    count_on(par::workers(), model, f)
+}
+
+/// [`count_parallel`] on an explicit worker count, so tests can split the
+/// walk on a one-CPU host.
+fn count_on<M: FailureModel + Clone + Sync>(workers: usize, model: &M, f: usize) -> (u128, u128) {
     let total = shared_table()
         .get(model.universe() as u64, f as u64)
         .expect("combination count overflows u128");
-    if total == 0 {
-        return (0, 0);
+    if workers <= 1 || total < PARALLEL_MIN_SUBSETS {
+        return count(model.clone(), f);
     }
     // A few blocks per thread keeps the workers busy even though block walk
     // times vary slightly (later blocks have cheaper delta steps).
-    let blocks = (par::workers() as u128 * 4).clamp(1, total);
-    let block_len = total.div_ceil(blocks);
+    let block_len = total.div_ceil(workers as u128 * 4);
     let n_blocks = total.div_ceil(block_len) as usize;
-    par::map(n_blocks, |b| {
+    par::map_on(workers, n_blocks, |b| {
         count_block(model.clone(), f, b as u128 * block_len, Some(block_len))
     })
     .into_iter()
@@ -215,8 +224,12 @@ pub fn count_parallel<M: FailureModel + Clone + Sync>(model: &M, f: usize) -> (u
 
 /// Counts, over **all** `f`-subsets of the `2n + 2` components, how many
 /// leave the pair `(0, 1)` connected. Returns `(successes, total)`.
-/// Practical to `n ≈ 10`; [`count_parallel`] serves mid sizes and
-/// [`crate::orbit::orbit_pair_success`] the full range.
+/// Walks through [`count_parallel`], so the cost is `C(2n + 2, f)` subsets
+/// spread over the cores; [`crate::orbit::orbit_pair_success`] answers
+/// the same question in polynomial time at any size.
+///
+/// # Panics
+/// Panics if `C(2n + 2, f)` overflows `u128`.
 #[must_use]
 pub fn enumerate_pair_success(n: usize, f: usize) -> (u128, u128) {
     enumerate_pair_success_k(n, 2, f)
@@ -225,16 +238,22 @@ pub fn enumerate_pair_success(n: usize, f: usize) -> (u128, u128) {
 /// [`enumerate_pair_success`] for a `planes`-plane cluster: counts, over
 /// all `f`-subsets of the `planes·n + planes` components, how many leave
 /// the pair `(0, 1)` connected.
+///
+/// # Panics
+/// Panics if `C(planes·n + planes, f)` overflows `u128`.
 #[must_use]
 pub fn enumerate_pair_success_k(n: usize, planes: u8, f: usize) -> (u128, u128) {
-    count(KPlane::new(n, planes, Question::Pair), f)
+    count_parallel(&KPlane::new(n, planes, Question::Pair), f)
 }
 
 /// Counts failure sets of the two-plane cluster preserving **all-pairs**
 /// connectivity. Returns `(successes, total)`.
+///
+/// # Panics
+/// Panics if `C(2n + 2, f)` overflows `u128`.
 #[must_use]
 pub fn enumerate_all_pairs_success(n: usize, f: usize) -> (u128, u128) {
-    count(KPlane::new(n, 2, Question::AllPairs), f)
+    count_parallel(&KPlane::new(n, 2, Question::AllPairs), f)
 }
 
 /// Exhaustive `P\[Success\]` for the pair model, as a float.
@@ -251,9 +270,14 @@ mod tests {
     use crate::topo::GraphModel;
     use drs_topology::generators::{fat_tree, kplane};
     use drs_topology::Reachability;
+    use std::cell::Cell;
+    use std::collections::HashSet;
+    use std::sync::{Condvar, Mutex};
+    use std::thread::{self, ThreadId};
+    use std::time::Duration;
 
     /// A universe with no state and no question: what the walk visits is
-    /// then exactly what [`Combinations`] yields.
+    /// then exactly the lexicographic order of the `k`-subsets.
     #[derive(Clone)]
     struct Universe(usize);
 
@@ -338,6 +362,99 @@ mod tests {
         );
     }
 
+    #[test]
+    fn a_limit_cuts_the_walk_order_at_any_rank() {
+        // Most of these blocks start and end inside a last-index sweep.
+        let (n, k) = (9, 4);
+        let all = subsets_from(n, k, 0);
+        for limit in [1usize, 3, 7, 64] {
+            for start in 0..all.len() {
+                let mut got = Vec::new();
+                let visited = walk(
+                    &mut Universe(n),
+                    k,
+                    start as u128,
+                    Some(limit as u128),
+                    |_, ix| got.push(ix.to_vec()),
+                );
+                let want = &all[start..all.len().min(start + limit)];
+                assert_eq!(got, want, "start={start} limit={limit}");
+                assert_eq!(visited, want.len() as u128);
+            }
+        }
+    }
+
+    /// Tallies what the walk asks of its model — predicate calls and index
+    /// flips, in counters the test keeps — and checks at every `holds`
+    /// that exactly `f` components are down.
+    struct Tally<'c> {
+        m: usize,
+        f: usize,
+        down: usize,
+        holds: &'c Cell<u128>,
+        flips: &'c Cell<u128>,
+    }
+
+    impl FailureModel for Tally<'_> {
+        fn universe(&self) -> usize {
+            self.m
+        }
+        fn fail(&mut self, _: usize) {
+            self.down += 1;
+            self.flips.set(self.flips.get() + 1);
+        }
+        fn restore(&mut self, _: usize) {
+            self.down -= 1;
+            self.flips.set(self.flips.get() + 1);
+        }
+        fn reset(&mut self) {
+            self.down = 0;
+        }
+        fn holds(&mut self) -> bool {
+            assert_eq!(self.down, self.f);
+            self.holds.set(self.holds.get() + 1);
+            true
+        }
+    }
+
+    #[test]
+    fn walk_cost_is_one_predicate_and_few_flips_per_subset() {
+        // The mechanisms: delta updates (only the indices that changed are
+        // flipped) and the last-index sweep (one restore and one fail per
+        // step of the last position; 2(f − pivot) flips when a sweep runs
+        // out and the cursor moves). On the benchmark's (34, 8) walk that
+        // measured 47 071 630 flips for 18 156 204 subsets, 2.59 per
+        // subset; rebuilding every subset would cost 2f = 16.
+        let (holds, flips) = (Cell::new(0), Cell::new(0));
+        let tally = |m, f| Tally {
+            m,
+            f,
+            down: 0,
+            holds: &holds,
+            flips: &flips,
+        };
+        let total = binom(34, 8).unwrap();
+        assert_eq!(count(tally(34, 8), 8), (total, total));
+        assert_eq!(holds.get(), total);
+        assert!(
+            flips.get() * 100 <= total * 260,
+            "{} flips for {total} subsets",
+            flips.get()
+        );
+        // Blocks of every length end mid-sweep and still visit each subset
+        // exactly once, with exactly `f` components down at each visit.
+        let (m, f) = (12, 4);
+        let total = binom(12, 4).unwrap();
+        for limit in [1u128, 3, 7, 64] {
+            holds.set(0);
+            let mut start = 0;
+            while count_block(tally(m, f), f, start, Some(limit)).1 == limit {
+                start += limit;
+            }
+            assert_eq!(holds.get(), total, "limit={limit}");
+        }
+    }
+
     /// Sums `count_block` over consecutive `block`-sized rank ranges until
     /// one comes back short.
     fn sum_of_blocks<M: FailureModel + Clone>(model: &M, f: usize, block: u128) -> (u128, u128) {
@@ -379,10 +496,127 @@ mod tests {
             for f in 0..=6usize {
                 assert_eq!(
                     count_parallel(&pair(n, 2), f),
-                    enumerate_pair_success(n, f),
+                    count(pair(n, 2), f),
                     "n={n} f={f}"
                 );
             }
+        }
+    }
+
+    /// Where the walked copies of a [`Traced`] model check in: each records
+    /// its thread, and the first `size` wait until `size` have checked in,
+    /// which only that many distinct threads can do (a minute at most, so
+    /// a walk with fewer threads fails the test instead of hanging it).
+    struct Gate {
+        size: usize,
+        threads: Mutex<Vec<ThreadId>>,
+        all_in: Condvar,
+    }
+
+    impl Gate {
+        fn check_in(&self) {
+            let mut threads = self.threads.lock().unwrap();
+            threads.push(thread::current().id());
+            if threads.len() <= self.size {
+                self.all_in.notify_all();
+                let wait = Duration::from_secs(60);
+                let _ = self
+                    .all_in
+                    .wait_timeout_while(threads, wait, |t| t.len() < self.size)
+                    .unwrap();
+            }
+        }
+    }
+
+    /// A [`KPlane`] that checks in at its [`Gate`] when a copy of it
+    /// starts to be walked.
+    #[derive(Clone)]
+    struct Traced<'a> {
+        inner: KPlane,
+        walked: bool,
+        gate: &'a Gate,
+    }
+
+    impl FailureModel for Traced<'_> {
+        fn universe(&self) -> usize {
+            self.inner.universe()
+        }
+        fn fail(&mut self, idx: usize) {
+            self.inner.fail(idx);
+        }
+        fn restore(&mut self, idx: usize) {
+            self.inner.restore(idx);
+        }
+        fn reset(&mut self) {
+            self.inner.reset();
+        }
+        fn holds(&mut self) -> bool {
+            if !self.walked {
+                self.walked = true;
+                self.gate.check_in();
+            }
+            self.inner.holds()
+        }
+    }
+
+    /// `C(34, 6) = 1 344 904` subsets: a walk above [`PARALLEL_MIN_SUBSETS`].
+    const ABOVE_CUTOFF: (usize, usize) = (16, 6);
+
+    /// Counts [`ABOVE_CUTOFF`] through `run` on a [`Traced`] model behind a
+    /// gate of `size`. Returns the counts and the thread of every walked
+    /// copy, in check-in order.
+    fn traced(
+        size: usize,
+        run: impl FnOnce(&Traced<'_>, usize) -> (u128, u128),
+    ) -> ((u128, u128), Vec<ThreadId>) {
+        let (n, f) = ABOVE_CUTOFF;
+        let gate = Gate {
+            size,
+            threads: Mutex::new(Vec::new()),
+            all_in: Condvar::new(),
+        };
+        let model = Traced {
+            inner: pair(n, 2),
+            walked: false,
+            gate: &gate,
+        };
+        let counts = run(&model, f);
+        (counts, gate.threads.into_inner().unwrap())
+    }
+
+    #[test]
+    fn a_walk_above_the_cutoff_splits_across_workers() {
+        let (n, f) = ABOVE_CUTOFF;
+        assert!(binom(2 * n as u64 + 2, f as u64).unwrap() >= PARALLEL_MIN_SUBSETS);
+        let serial = count(pair(n, 2), f);
+        let me = thread::current().id();
+        for workers in [1usize, 2, 3] {
+            let (counts, walked) = traced(workers, |model, f| count_on(workers, model, f));
+            assert_eq!(counts, serial, "workers={workers}");
+            if workers == 1 {
+                assert_eq!(walked, [me], "one walk, inline");
+            } else {
+                // Four blocks per worker, none of them on the caller, and
+                // the first `workers` met at the gate: one thread each.
+                assert_eq!(walked.len(), 4 * workers, "workers={workers}");
+                assert!(!walked.contains(&me));
+                let first: HashSet<_> = walked[..workers].iter().collect();
+                assert_eq!(first.len(), workers, "workers={workers}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_walk_inside_a_worker_stays_serial() {
+        let (n, f) = ABOVE_CUTOFF;
+        let serial = count(pair(n, 2), f);
+        let runs = par::map_on(2, 2, |_| {
+            let (counts, walked) = traced(1, |model, f| count_parallel(model, f));
+            (counts, walked, thread::current().id())
+        });
+        for (counts, walked, worker) in runs {
+            assert_eq!(counts, serial);
+            assert_eq!(walked, [worker], "one walk, on the worker itself");
         }
     }
 
@@ -419,7 +653,7 @@ mod tests {
             for f in 0..=4usize {
                 assert_eq!(
                     count_parallel(&pair(4, planes), f),
-                    enumerate_pair_success_k(4, planes, f),
+                    count(pair(4, planes), f),
                     "K={planes} f={f}"
                 );
             }

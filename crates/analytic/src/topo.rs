@@ -27,11 +27,12 @@
 //! [`crate::enumerate::enumerate_pair_success_k`] count-for-count and
 //! [`crate::montecarlo::MonteCarlo`] draw-for-draw — the tests pin both.
 //! Speed no longer separates them: on the same 34-component universe
-//! (`n = 16`, `K = 2`, `f = 7`) the graph model walks 108 M subsets/s
-//! against the bitmask predicate's 57 M and draws 10 M samples/s against
-//! 15 M (before the certificates: 12 M and 6 M). What does is that only
-//! the search can answer for a graph that is not K parallel planes, and
-//! only the bitmask model answers the all-pairs question.
+//! (`n = 16`, `K = 2`, `f = 7`, one thread of a 2-vCPU VM) the graph
+//! model walks ≈ 78 M subsets/s against the bitmask predicate's ≈ 65 M and
+//! draws ≈ 8.4 M samples/s against ≈ 15.5 M (before the certificates: 12 M
+//! and 6 M). What does is that only the search can answer for a graph
+//! that is not K parallel planes, and only the bitmask model answers the
+//! all-pairs question.
 //!
 //! [`KPlane`]: crate::connectivity::KPlane
 

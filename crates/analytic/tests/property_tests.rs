@@ -12,7 +12,7 @@ use drs_analytic::allpairs::{all_pairs_success_count, p_all_pairs};
 use drs_analytic::binom::{binom, binom_f64, ln_binom, shared_table};
 use drs_analytic::connectivity::{pair_connected_state, ClusterState, KPlane, Question};
 use drs_analytic::enumerate::{
-    count_block, count_parallel, enumerate_all_pairs_success, enumerate_pair_success,
+    count, count_block, count_parallel, enumerate_all_pairs_success, enumerate_pair_success,
     enumerate_pair_success_k, unrank,
 };
 use drs_analytic::exact::{component_count, disconnect_count, p_success, success_count};
@@ -361,7 +361,7 @@ fn orbit_matches_enumeration() {
         let f = rng.gen_range(0u64..7);
         let ctx = format!("case {case}: n={n} f={f}");
         let f = f.min(component_count(n));
-        let seq = enumerate_pair_success(n as usize, f as usize);
+        let seq = count(pair(n as usize), f as usize);
         let par = count_parallel(&pair(n as usize), f as usize);
         let orbit = orbit_pair_success(n, f).expect("no overflow at this size");
         assert_eq!(par, seq, "{ctx}");

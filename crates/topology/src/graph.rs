@@ -224,6 +224,7 @@ impl ComponentSet {
     ///
     /// # Panics
     /// Panics if `idx` is 256 or larger.
+    #[inline]
     pub fn insert(&mut self, idx: usize) {
         assert!(idx < 256, "component index {idx} exceeds bitset capacity");
         self.words[idx / 64] |= 1 << (idx % 64);
@@ -237,6 +238,7 @@ impl ComponentSet {
     }
 
     /// Whether universe index `idx` is in the set.
+    #[inline]
     #[must_use]
     pub fn contains(&self, idx: usize) -> bool {
         idx < 256 && self.words[idx / 64] & (1 << (idx % 64)) != 0

@@ -121,7 +121,7 @@ fn analytic_component(idx: usize, n: usize, planes: u8) -> (Option<usize>, usize
 fn topology_component_layout_locks_all_three_layers() {
     use drs::sim::fault::{try_index_to_component, SimComponent};
     use drs::topology::{generators, TopoComponent};
-    for (n, planes) in [(9usize, 2u8), (5, 3), (4, 4)] {
+    for (n, planes) in [(9usize, 2u8), (5, 3), (4, 4), (3, 8)] {
         let k = planes as usize;
         let topo = generators::kplane(n, k);
         let m = k * n + k;
@@ -153,13 +153,19 @@ fn topology_component_layout_locks_all_three_layers() {
         }
         // Boundary: one past the universe is None in the graph and the
         // simulator; the analytic model's universe ends there too, and
-        // the index does not wrap onto a real component.
+        // neither that index nor any further one wraps onto a real
+        // component (or panics) — whatever K, including a full 8 planes.
         assert_eq!(topo.component(m), None, "n={n} K={k}");
         assert!(try_index_to_component(m, n, planes).is_none());
         assert_eq!(KPlane::new(n, planes, Question::Pair).universe(), m);
-        let mut st = ClusterState::fully_up_k(n, planes);
-        st.fail_index(m);
-        assert_eq!(st, ClusterState::fully_up_k(n, planes), "n={n} K={k}");
+        let up = ClusterState::fully_up_k(n, planes);
+        for idx in [m, m + 1, k + 8 * n, 255, 256, usize::MAX] {
+            let mut st = up;
+            st.fail_index(idx);
+            assert_eq!(st, up, "fail n={n} K={k} idx={idx}");
+            st.restore_index(idx);
+            assert_eq!(st, up, "restore n={n} K={k} idx={idx}");
+        }
     }
 }
 
