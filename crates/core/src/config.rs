@@ -95,26 +95,30 @@ impl DrsConfig {
     /// timeout (a cycle must outlive its own probes).
     #[must_use]
     pub fn probe_interval(mut self, d: SimDuration) -> Self {
-        assert!(d > SimDuration::ZERO, "probe interval must be positive");
         self.probe_interval = d;
         self.validate();
         self
     }
 
     /// Sets the per-probe reply timeout.
+    ///
+    /// # Panics
+    /// Panics if the timeout is zero or not below the probe interval.
     #[must_use]
     pub fn probe_timeout(mut self, d: SimDuration) -> Self {
-        assert!(d > SimDuration::ZERO, "probe timeout must be positive");
         self.probe_timeout = d;
         self.validate();
         self
     }
 
     /// Sets the consecutive-miss threshold.
+    ///
+    /// # Panics
+    /// Panics if `k` is zero.
     #[must_use]
     pub fn miss_threshold(mut self, k: u32) -> Self {
-        assert!(k >= 1, "at least one miss is required to declare down");
         self.miss_threshold = k;
+        self.validate();
         self
     }
 
@@ -140,10 +144,13 @@ impl DrsConfig {
     }
 
     /// Sets the down-link probe backoff multiplier.
+    ///
+    /// # Panics
+    /// Panics if `k` is zero.
     #[must_use]
     pub fn down_probe_backoff(mut self, k: u64) -> Self {
-        assert!(k >= 1, "backoff multiplier must be at least 1");
         self.down_probe_backoff = k;
+        self.validate();
         self
     }
 
@@ -172,12 +179,36 @@ impl DrsConfig {
             + self.probe_timeout
     }
 
-    fn validate(&self) {
+    /// Every rule the builders enforce, checked at once: the daemon runs
+    /// it on the configuration it is handed, which a struct literal can
+    /// build without a builder. A zero backoff would underflow the
+    /// batched monitor's skip count, and a zero interval re-arm a down
+    /// link's probe at the same instant forever.
+    ///
+    /// # Panics
+    /// Panics naming the first rule `self` breaks.
+    pub(crate) fn validate(&self) {
+        assert!(
+            self.probe_interval > SimDuration::ZERO,
+            "probe interval must be positive"
+        );
+        assert!(
+            self.probe_timeout > SimDuration::ZERO,
+            "probe timeout must be positive"
+        );
         assert!(
             self.probe_interval > self.probe_timeout,
             "probe interval ({}) must exceed the probe timeout ({})",
             self.probe_interval,
             self.probe_timeout
+        );
+        assert!(
+            self.miss_threshold >= 1,
+            "at least one miss is required to declare down"
+        );
+        assert!(
+            self.down_probe_backoff >= 1,
+            "backoff multiplier must be at least 1"
         );
     }
 }

@@ -41,9 +41,9 @@ use crate::io::DrsIo;
 use crate::journal::{DaemonInput, DaemonJournal};
 use crate::messages::DrsMsg;
 use crate::metrics::{DrsEventKind, DrsMetrics};
-use crate::monitor::{DiscoveryRound, LinkState, PeerTable, Transition};
+use crate::monitor::{LinkState, PeerTable, Transition};
 use crate::routes::Route;
-use crate::time::{SimDuration, SimTime};
+use crate::time::{OptTime, SimDuration, SimTime};
 
 /// ICMP identifier used by all DRS probes.
 const ECHO_ID: u32 = 0x0D25;
@@ -106,11 +106,14 @@ impl DrsDaemon {
     ///
     /// # Panics
     /// Panics if the cluster has fewer than two hosts or more than the
-    /// 2²⁴ the timer-token encoding supports.
+    /// 2²⁴ the timer-token encoding supports, or if `cfg` holds a value
+    /// its builders reject (its fields are public, so a struct literal
+    /// skips them).
     #[must_use]
     pub fn new(id: NodeId, n: usize, cfg: DrsConfig) -> Self {
         assert!(n >= 2, "DRS monitors peers; a cluster needs two hosts");
         assert!(n < (1 << 24), "cluster size exceeds token encoding");
+        cfg.validate();
         DrsDaemon {
             id,
             n,
@@ -215,18 +218,15 @@ impl DrsDaemon {
                 let Some(slot) = self.table.slot(peer, net) else {
                     continue;
                 };
-                let link = self.table.link_at(slot);
-                if link.skip > 0 {
+                if self.table.skip_cycle(slot) {
                     // Down-link backoff: the per-pair driver stretches the
                     // re-arm delay; the batched driver skips whole cycles.
-                    link.skip -= 1;
                     continue;
                 }
                 let seq = self.send_probe(io, peer, net, slot);
                 self.cycle_probes.push((peer, net, seq));
-                let link = self.table.link_at(slot);
-                if link.state == LinkState::Down {
-                    link.skip = self.cfg.down_probe_backoff - 1;
+                if self.table.link_at(slot).state == LinkState::Down {
+                    self.table.set_skip(slot, self.cfg.down_probe_backoff - 1);
                 }
                 // Same retry hook as the per-pair driver: once per cycle
                 // per peer, keyed to an actually-sent plane-A probe.
@@ -302,7 +302,7 @@ impl DrsDaemon {
                 TraceKind::RerouteComplete,
                 None,
                 elapsed,
-                peer.repair_ref.take(),
+                self.table.take_repair_ref(dst),
             );
             // Session layer: exactly one notification per closed repair,
             // so the fluid workload engine can cross-check its
@@ -320,17 +320,20 @@ impl DrsDaemon {
         let Some(peer) = self.table.peer_mut(dst) else {
             return;
         };
-        if peer.repair_opened.is_none() {
-            peer.repair_opened = Some(io.now());
+        if peer.repair_opened.get().is_none() {
+            peer.repair_opened = OptTime::at(io.now());
             // Flight: one decision per repair, at the instant it opens —
             // mode says which repair path the daemon committed to.
             let mode = u64::from(direct.is_none());
-            peer.repair_ref = io.flight_record(
+            let decision = io.flight_record(
                 TraceKind::FailoverDecision,
                 None,
                 u64::from(dst.0) << 1 | mode,
                 cause,
             );
+            if let Some(decision) = decision {
+                self.table.set_repair_ref(dst, decision);
+            }
         }
         if let Some(net) = direct {
             let new = Route::Direct(net);
@@ -358,7 +361,7 @@ impl DrsDaemon {
         // link that never answered has no baseline and records nothing
         // (no samples, not a fake zero).
         let mut detect_ns = u64::MAX;
-        if let Some(ok) = self.table.link_at(slot).last_seen {
+        if let Some(ok) = self.table.link_at(slot).last_seen.get() {
             detect_ns = io.now().since(ok).as_nanos();
             io.probe_obs_mut().failover_detect.record(detect_ns);
         }
@@ -443,20 +446,20 @@ impl DrsDaemon {
         let Some(peer) = self.table.peer_mut(target) else {
             return;
         };
-        if let Some(last) = peer.last_discovery {
+        if let Some(last) = peer.last_discovery.get() {
             let round_active = peer.discovery.as_ref().is_some_and(|r| !r.decided);
             if round_active || now.since(last) < self.cfg.discovery_backoff {
                 return;
             }
         }
-        peer.last_discovery = Some(now);
+        peer.last_discovery = OptTime::at(now);
         self.next_req += 1;
         let req_id = self.next_req;
-        peer.discovery = Some(DiscoveryRound {
-            req_id,
-            offers: Vec::new(),
-            decided: false,
-        });
+        // A new round replaces the last one in its box.
+        let round = peer.discovery.get_or_insert_with(Box::default);
+        round.req_id = req_id;
+        round.offers.clear();
+        round.decided = false;
         self.metrics.discoveries += 1;
         self.metrics
             .log(now, DrsEventKind::DiscoveryStarted { target });
@@ -654,7 +657,7 @@ impl DrsDaemon {
         // Round-trip of the monitor cycle's probe, measured against the
         // most recent request on this (peer, net) — probes never overlap
         // on a link because the timeout is armed under the interval.
-        if let Some(sent) = link.last_probe {
+        if let Some(sent) = link.last_probe.get() {
             io.probe_obs_mut()
                 .probe_rtt
                 .record(now.since(sent).as_nanos());
@@ -712,6 +715,56 @@ mod tests {
     // *library* instance of `DrsDaemon`, not the test harness's copy, so
     // kernel-driven scenarios cannot compile here. Only backend-free
     // unit tests belong in this module.
+
+    /// A daemon built from a struct literal that skipped the builders.
+    fn daemon_with(cfg: DrsConfig) -> DrsDaemon {
+        DrsDaemon::new(NodeId(0), 4, cfg)
+    }
+
+    #[test]
+    #[should_panic(expected = "backoff multiplier must be at least 1")]
+    fn zero_backoff_rejected_at_construction() {
+        let _ = daemon_with(DrsConfig {
+            down_probe_backoff: 0,
+            ..DrsConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "probe interval must be positive")]
+    fn zero_interval_rejected_at_construction() {
+        let _ = daemon_with(DrsConfig {
+            probe_interval: SimDuration::ZERO,
+            ..DrsConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "probe timeout must be positive")]
+    fn zero_timeout_rejected_at_construction() {
+        let _ = daemon_with(DrsConfig {
+            probe_timeout: SimDuration::ZERO,
+            ..DrsConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "must exceed the probe timeout")]
+    fn interval_not_above_timeout_rejected_at_construction() {
+        let _ = daemon_with(DrsConfig {
+            probe_timeout: SimDuration::from_secs(1),
+            ..DrsConfig::default()
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one miss")]
+    fn zero_miss_threshold_rejected_at_construction() {
+        let _ = daemon_with(DrsConfig {
+            miss_threshold: 0,
+            ..DrsConfig::default()
+        });
+    }
 
     #[test]
     fn token_roundtrip() {

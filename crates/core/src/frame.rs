@@ -74,11 +74,20 @@ pub enum FrameKind<M> {
     },
     /// Routing-daemon control message (DRS, RIP, …).
     Control(M),
-    /// Application data carried by the reliable transport.
-    Data(Segment),
+    /// Application data carried by the reliable transport. Boxed: a
+    /// segment is 32 bytes, twice any other arm, and inline it would make
+    /// every probe frame carry room for one. Data frames are rare, and
+    /// the simulator recycles their boxes the way it recycles frames.
+    Data(Box<Segment>),
 }
 
 /// One frame in flight on one network segment.
+///
+/// The simulator queues every frame in its own heap box, and at
+/// N = 1024, K = 2 it holds two million probe frames at once, so the
+/// frame's size decides the malloc class of each: 48 bytes with the DRS
+/// message type, a 64-byte chunk (it was 88 bytes and a 96-byte chunk
+/// while the data segment and the flight identity were carried inline).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<M> {
     /// Transmitting host.
@@ -96,8 +105,11 @@ pub struct Frame<M> {
     /// frame (the probe's `ProbeSend`), carried so kernel loss sites and
     /// the echo auto-reply can name their cause. Pure metadata: never
     /// read by scheduling, routing or accounting, so traced and
-    /// untraced runs dispatch identical events.
-    pub flight: Option<EventRef>,
+    /// untraced runs dispatch identical events. Boxed, because it is
+    /// `None` unless the recorder is on: an untraced frame pays 8 bytes
+    /// for it, not the 32 of an inline `Option<EventRef>`, and allocates
+    /// nothing.
+    pub flight: Option<Box<EventRef>>,
 }
 
 impl<M> Frame<M> {
@@ -147,6 +159,6 @@ mod tests {
             payload_bytes: 512,
             attempt: 1,
         };
-        assert!(!frame(FrameKind::Data(seg)).is_probe());
+        assert!(!frame(FrameKind::Data(Box::new(seg))).is_probe());
     }
 }

@@ -57,7 +57,7 @@ pub struct DrsEvent {
 }
 
 /// Aggregate counters plus the event log of one daemon.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DrsMetrics {
     /// Probes transmitted.
     pub probes_sent: u64,

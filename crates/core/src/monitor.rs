@@ -11,13 +11,29 @@
 //!   threshold flips the link `Down`, and any answered probe resets the
 //!   count and flips it back `Up`. The same record carries the instants
 //!   the latency histograms are measured from (last probe out, last
-//!   reply in) and the batched monitor's backoff counter;
+//!   reply in);
 //! * one `Peer` per host — phase 2's repair state: the gateway-discovery
 //!   round, its rate limiter, and the open repair (failure observed, no
 //!   replacement route installed yet);
-//! * the three flight-recorder identities per link, in a side vector
-//!   that stays empty until a backend first hands back a record — a
-//!   daemon driven without a recorder pays nothing for them.
+//! * side vectors for what most runs never set, each empty until first
+//!   written: the batched monitor's down-link backoff counters (only a
+//!   backoff above 1 writes one), and the flight-recorder identities —
+//!   three per link, one per open repair — which stay empty until a
+//!   backend first hands back a record, so a daemon driven without a
+//!   recorder pays nothing for them.
+//!
+//! # Record sizes
+//!
+//! Every daemon holds `K·N` links and `N` peers, so the cluster holds
+//! `K·N²` and `N²`: at N = 1024, K = 2 that is 2.1 M links and 1.05 M
+//! peers, the largest state a run keeps besides the frames in flight. A
+//! `Link` is 32 bytes and a `Peer` 24 (`const` asserts below fail the
+//! build if either grows). They were 56 and 104 while they carried what
+//! almost never varies inline: each "never" instant as a 16-byte
+//! `Option<SimTime>` (now an 8-byte [`OptTime`]), a 40-byte discovery
+//! round that exists only while every direct link to the peer is down
+//! (now boxed), a 32-byte flight identity and an 8-byte backoff counter
+//! (now in the side vectors above).
 //!
 //! Ids reach the daemon off a real wire in the live backend, so every
 //! lookup by id returns `Option`: the owner itself, a peer outside the
@@ -28,7 +44,7 @@
 use drs_obs::flight::EventRef;
 
 use crate::ids::{NetId, NodeId};
-use crate::time::{SimDuration, SimTime};
+use crate::time::{OptTime, SimDuration, SimTime};
 
 /// The daemon's belief about one `(peer, network)` link.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,15 +75,19 @@ pub struct Link {
     pub misses: u32,
     /// Sequence number of the probe currently awaiting a reply, if any.
     pub pending_seq: Option<u32>,
-    /// When the last reply was heard (`None` before the first) — the
+    /// When the last reply was heard (never before the first) — the
     /// baseline of failure-detection latency.
-    pub last_seen: Option<SimTime>,
-    /// When the last probe left (`None` before the first) — the baseline
+    pub last_seen: OptTime,
+    /// When the last probe left (never before the first) — the baseline
     /// of the probe-gap and round-trip histograms.
-    pub last_probe: Option<SimTime>,
-    /// Batched-monitor down-link backoff: cycles left to skip.
-    pub skip: u64,
+    pub last_probe: OptTime,
 }
+
+// Bytes per (daemon, peer, plane): the N = 1024, K = 2 burst holds
+// 2.1 M of these, so every byte here is 2 MB of peak RSS.
+const _: () = assert!(std::mem::size_of::<Link>() <= 32);
+// Bytes per (daemon, peer): 1.05 M of these in the same burst.
+const _: () = assert!(std::mem::size_of::<Peer>() <= 24);
 
 impl Default for Link {
     fn default() -> Self {
@@ -75,9 +95,8 @@ impl Default for Link {
             state: LinkState::Up, // optimistic start, as deployed
             misses: 0,
             pending_seq: None,
-            last_seen: None,
-            last_probe: None,
-            skip: 0,
+            last_seen: OptTime::NEVER,
+            last_probe: OptTime::NEVER,
         }
     }
 }
@@ -96,7 +115,7 @@ impl Link {
     pub fn reply_received(&mut self, at: SimTime) -> Transition {
         self.pending_seq = None;
         self.misses = 0;
-        self.last_seen = Some(at);
+        self.last_seen = OptTime::at(at);
         if self.state == LinkState::Down {
             self.state = LinkState::Up;
             Transition::WentUp
@@ -124,7 +143,7 @@ impl Link {
 }
 
 /// One gateway-discovery round for an unreachable peer.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct DiscoveryRound {
     pub req_id: u64,
     pub offers: Vec<(NodeId, NetId)>,
@@ -134,16 +153,15 @@ pub(crate) struct DiscoveryRound {
 /// Everything the protocol tracks about one peer beyond its links.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct Peer {
-    /// The latest discovery round for this peer, decided or not.
-    pub discovery: Option<DiscoveryRound>,
+    /// The latest discovery round for this peer, decided or not. Boxed:
+    /// a round exists only once every direct link to the peer has been
+    /// down, and its box is reused by every later round.
+    pub discovery: Option<Box<DiscoveryRound>>,
     /// When that round's broadcast went out (the rate limiter's clock).
-    pub last_discovery: Option<SimTime>,
+    pub last_discovery: OptTime,
     /// When the open repair began: failure observed, no replacement
     /// route installed yet. The baseline of `reroute_complete`.
-    pub repair_opened: Option<SimTime>,
-    /// Flight: the open repair's `FailoverDecision`, consumed by the
-    /// `RerouteComplete` that closes it.
-    pub repair_ref: Option<EventRef>,
+    pub repair_opened: OptTime,
 }
 
 /// Flight-recorder identities of one link (all `None` while the recorder
@@ -171,8 +189,16 @@ pub struct PeerTable {
     links: Vec<Link>,
     /// Indexed by [`NodeId::idx`]; its length is the cluster size.
     peers: Vec<Peer>,
+    /// Batched-monitor down-link backoff, cycles each link has left to
+    /// sit out: parallel to `links` once any link first has to, else
+    /// empty.
+    skips: Vec<u32>,
     /// Parallel to `links` once any flight identity exists, else empty.
     refs: Vec<LinkRefs>,
+    /// Flight: each open repair's `FailoverDecision`, consumed by the
+    /// `RerouteComplete` that closes it. Parallel to `peers` once any
+    /// exists, else empty.
+    repair_refs: Vec<Option<EventRef>>,
 }
 
 impl PeerTable {
@@ -189,7 +215,9 @@ impl PeerTable {
             planes,
             links: vec![Link::default(); n * planes as usize],
             peers: vec![Peer::default(); n],
+            skips: Vec::new(),
             refs: Vec::new(),
+            repair_refs: Vec::new(),
         }
     }
 
@@ -276,7 +304,33 @@ impl PeerTable {
 
     /// The latest discovery round for `target`, if there ever was one.
     pub(crate) fn round_mut(&mut self, target: NodeId) -> Option<&mut DiscoveryRound> {
-        self.peer_mut(target)?.discovery.as_mut()
+        self.peer_mut(target)?.discovery.as_deref_mut()
+    }
+
+    /// Spends one batched cycle of the link in `slot`'s down-link
+    /// backoff: `true` if the link sits this cycle out.
+    pub(crate) fn skip_cycle(&mut self, slot: usize) -> bool {
+        match self.skips.get_mut(slot) {
+            Some(left) if *left > 0 => {
+                *left -= 1;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Makes the link in `slot` sit out its next `cycles` batched cycles,
+    /// saturating at `u32::MAX` (≈ 136 years of 1 s cycles), so no
+    /// backoff wraps to a short one. Zero on a table whose links never
+    /// skipped allocates nothing.
+    pub(crate) fn set_skip(&mut self, slot: usize, cycles: u64) {
+        if self.skips.is_empty() {
+            if cycles == 0 {
+                return;
+            }
+            self.skips.resize(self.links.len(), 0);
+        }
+        self.skips[slot] = u32::try_from(cycles).unwrap_or(u32::MAX);
     }
 
     /// The flight identities of the link in `slot` (all `None` until a
@@ -292,6 +346,21 @@ impl PeerTable {
             self.refs.resize(self.links.len(), LinkRefs::default());
         }
         &mut self.refs[slot]
+    }
+
+    /// Records `decision` as the open repair of `peer` (an index
+    /// [`Self::peer_mut`] accepted). The first call allocates the side
+    /// vector, so call it only with a record in hand.
+    pub(crate) fn set_repair_ref(&mut self, peer: NodeId, decision: EventRef) {
+        if self.repair_refs.is_empty() {
+            self.repair_refs.resize(self.peers.len(), None);
+        }
+        self.repair_refs[peer.idx()] = Some(decision);
+    }
+
+    /// Takes the open repair's decision record of `peer`, if one exists.
+    pub(crate) fn take_repair_ref(&mut self, peer: NodeId) -> Option<EventRef> {
+        self.repair_refs.get_mut(peer.idx())?.take()
     }
 
     /// How many links hold flight identities: zero for a daemon whose
@@ -362,7 +431,7 @@ mod tests {
         assert_eq!(l.reply_received(SimTime(5)), Transition::None);
         let l = t.link(NodeId(1), NetId::A).unwrap();
         assert_eq!(l.misses, 0);
-        assert_eq!(l.last_seen, Some(SimTime(5)));
+        assert_eq!(l.last_seen.get(), Some(SimTime(5)));
     }
 
     #[test]
@@ -375,7 +444,17 @@ mod tests {
             Some(SimDuration::ZERO),
             "a clock that stepped back saturates"
         );
-        assert_eq!(l.last_probe, Some(SimTime(300)));
+        assert_eq!(l.last_probe.get(), Some(SimTime(300)));
+    }
+
+    #[test]
+    fn a_probe_at_time_zero_is_a_baseline() {
+        let mut l = Link::default();
+        assert_eq!(l.probe_sent(1, SimTime::ZERO), None);
+        assert_eq!(l.last_probe.get(), Some(SimTime::ZERO), "zero is not never");
+        assert_eq!(l.probe_sent(2, SimTime(200)), Some(SimDuration(200)));
+        assert_eq!(l.reply_received(SimTime::ZERO), Transition::None);
+        assert_eq!(l.last_seen.get(), Some(SimTime::ZERO));
     }
 
     #[test]
@@ -473,8 +552,48 @@ mod tests {
     }
 
     #[test]
-    fn link_record_fits_a_cache_line() {
-        assert!(std::mem::size_of::<Link>() <= 64);
+    fn backoff_skips_cost_nothing_until_a_link_must_skip() {
+        let mut t = table();
+        let slot = t.slot(NodeId(2), NetId::A).unwrap();
+        t.set_skip(slot, 0);
+        assert!(t.skips.is_empty(), "a backoff of 1 never allocates");
+        assert!(!t.skip_cycle(slot));
+        t.set_skip(slot, 2);
+        assert_eq!(t.skips.len(), 8, "one per link once any skips");
+        assert!(t.skip_cycle(slot));
+        assert!(t.skip_cycle(slot));
+        assert!(!t.skip_cycle(slot), "probed again after two cycles");
+        assert!(!t.skip_cycle(t.slot(NodeId(1), NetId::B).unwrap()));
+    }
+
+    #[test]
+    fn a_backoff_beyond_u32_saturates_instead_of_wrapping() {
+        let mut t = table();
+        let slot = t.slot(NodeId(1), NetId::A).unwrap();
+        // 2³² + 1 cycles truncated would be one cycle; saturated, the
+        // link stays backed off as long as a u32 can count.
+        t.set_skip(slot, (1 << 32) + 1);
+        assert_eq!(t.skips[slot], u32::MAX);
+        t.set_skip(slot, u64::MAX);
+        assert_eq!(t.skips[slot], u32::MAX);
+    }
+
+    #[test]
+    fn repair_refs_cost_nothing_until_first_used() {
+        let mut t = table();
+        assert_eq!(t.take_repair_ref(NodeId(3)), None);
+        assert!(t.repair_refs.is_empty(), "reading allocates nothing");
+        let r = EventRef {
+            time_ns: 3,
+            seq: 4,
+            host: 0,
+            sub: 1,
+        };
+        t.set_repair_ref(NodeId(3), r);
+        assert_eq!(t.repair_refs.len(), 4, "one per peer once recording");
+        assert_eq!(t.take_repair_ref(NodeId(3)), Some(r));
+        assert_eq!(t.take_repair_ref(NodeId(3)), None, "taken once");
+        assert_eq!(t.take_repair_ref(NodeId(u32::MAX)), None);
     }
 
     #[test]

@@ -15,6 +15,61 @@ pub struct SimTime(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
+/// An `Option<SimTime>` in the 8 bytes of one instant: `u64::MAX` means
+/// "never". `Option<SimTime>` spends 16 bytes on its tag, and the
+/// daemon's per-link and per-peer tables hold millions of these.
+///
+/// The encoding gives up one instant: `SimTime(u64::MAX)` — 584 years of
+/// virtual time — is stored as `SimTime(u64::MAX - 1)`, one nanosecond
+/// earlier. Every other instant, `SimTime::ZERO` included, round-trips.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct OptTime(u64);
+
+impl OptTime {
+    /// No instant recorded.
+    pub const NEVER: OptTime = OptTime(u64::MAX);
+
+    /// The instant `t` (`SimTime(u64::MAX)` is stored one nanosecond
+    /// earlier, see the type docs).
+    #[must_use]
+    pub const fn at(t: SimTime) -> Self {
+        OptTime(if t.0 == u64::MAX { u64::MAX - 1 } else { t.0 })
+    }
+
+    /// The recorded instant, if any.
+    #[must_use]
+    pub const fn get(self) -> Option<SimTime> {
+        if self.0 == u64::MAX {
+            None
+        } else {
+            Some(SimTime(self.0))
+        }
+    }
+
+    /// Records `t`, returning the instant it replaces.
+    pub fn replace(&mut self, t: SimTime) -> Option<SimTime> {
+        std::mem::replace(self, OptTime::at(t)).get()
+    }
+
+    /// Clears the record, returning the instant it held.
+    pub fn take(&mut self) -> Option<SimTime> {
+        std::mem::replace(self, OptTime::NEVER).get()
+    }
+}
+
+impl Default for OptTime {
+    fn default() -> Self {
+        OptTime::NEVER
+    }
+}
+
+impl fmt::Debug for OptTime {
+    /// Prints as the `Option<SimTime>` it stands for.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        fmt::Debug::fmt(&self.get(), f)
+    }
+}
+
 impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);
@@ -211,6 +266,29 @@ mod tests {
     #[should_panic(expected = "invalid duration")]
     fn rejects_negative_float() {
         let _ = SimDuration::from_secs_f64(-1.0);
+    }
+
+    #[test]
+    fn opt_time_round_trips_every_instant_but_the_last() {
+        assert_eq!(OptTime::default().get(), None);
+        // The first unstaggered probe leaves at t = 0: zero is an instant,
+        // not "never".
+        for t in [0, 1, 1_000_000_000, u64::MAX - 1] {
+            assert_eq!(OptTime::at(SimTime(t)).get(), Some(SimTime(t)));
+        }
+        // The one instant given up lands one nanosecond early, never on
+        // "never".
+        assert_eq!(
+            OptTime::at(SimTime(u64::MAX)).get(),
+            Some(SimTime(u64::MAX - 1))
+        );
+        let mut slot = OptTime::NEVER;
+        assert_eq!(slot.replace(SimTime::ZERO), None);
+        assert_eq!(slot.replace(SimTime(7)), Some(SimTime::ZERO));
+        assert_eq!(slot.take(), Some(SimTime(7)));
+        assert_eq!(slot, OptTime::NEVER);
+        assert_eq!(format!("{slot:?}"), "None");
+        assert_eq!(std::mem::size_of::<OptTime>(), 8);
     }
 
     #[test]

@@ -133,7 +133,11 @@ fn echo_replies_from_nowhere_are_ignored() {
     io.step(&mut d, at, genuine);
     assert_eq!(d.metrics.replies_received, 1);
     assert_eq!(
-        d.peer_table().link(NodeId(1), NetId::B).unwrap().last_seen,
+        d.peer_table()
+            .link(NodeId(1), NetId::B)
+            .unwrap()
+            .last_seen
+            .get(),
         Some(at)
     );
 }

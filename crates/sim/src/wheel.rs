@@ -591,7 +591,12 @@ impl<T> TimerWheel<T> {
                 self.spare.give(bucket);
                 self.ready
                     .sort_unstable_by_key(|e| std::cmp::Reverse((e.at, e.seq)));
-                continue;
+                // The grain is complete. Level 0 won only because no
+                // higher window starts at or before it (ties go to the
+                // higher level), and overflow entries that fit the
+                // horizon were migrated at the top of this pass, so
+                // another pass would stage nothing.
+                return;
             }
             // Higher-level slot: redistribute into the levels below (and
             // into `ready` for entries due in the cursor grain itself).

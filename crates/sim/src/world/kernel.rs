@@ -47,6 +47,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
             self.flight_loss(&frame, loss_site::TX_NIC_DOWN);
+            self.salvage(frame);
             return false;
         }
         if matches!(self.fabric, Fabric::Deferred { .. }) {
@@ -69,6 +70,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         } else {
             // The dead hub ate the frame at admission.
             self.flight_loss(&frame, loss_site::HUB_ADMIT);
+            self.salvage(frame);
         }
         true
     }
@@ -79,7 +81,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// causing record's owner — so a prober's track shows its own
     /// probes' fates wherever in the kernel they die.
     pub(crate) fn flight_loss(&mut self, frame: &Frame<M>, site: u64) {
-        if let Some(cause) = frame.flight {
+        if let Some(&cause) = frame.flight.as_deref() {
             self.flight_record(
                 TraceKind::ProbeLoss,
                 cause.host,
@@ -100,7 +102,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             return false;
         };
         let (hop, net) = route.next_hop(os.dst);
-        let segment = Segment {
+        let kind = self.data(Segment {
             src: node,
             dst: os.dst,
             flow,
@@ -109,12 +111,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             ttl: self.spec.ttl,
             payload_bytes: os.payload_bytes,
             attempt: os.attempts,
-        };
+        });
         self.transmit(Frame {
             src: node,
             dst: Destination::Node(hop),
             net,
-            kind: FrameKind::Data(segment),
+            kind,
             wire_bytes: os.payload_bytes + self.spec.data_header_bytes,
             flight: None,
         });
@@ -131,11 +133,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             SegmentKind::Data => segment.payload_bytes + self.spec.data_header_bytes,
             SegmentKind::Ack => self.spec.data_header_bytes,
         };
+        let kind = self.data(segment);
         let sent = self.transmit(Frame {
             src: from,
             dst: Destination::Node(hop),
             net,
-            kind: FrameKind::Data(segment),
+            kind,
             wire_bytes: wire,
             flight: None,
         });
@@ -181,8 +184,8 @@ impl<P: Protocol> Engine<'_, P> {
                 flow,
                 attempt,
             } => self.handle_rto(node, flow, attempt),
-            EventKind::Arrive(frame) => {
-                self.handle_arrival(&frame);
+            EventKind::Arrive(mut frame) => {
+                self.handle_arrival(&mut frame);
                 self.core.recycle_frame(frame);
             }
             EventKind::SessionOpen { host } => self.handle_session_open(host),
@@ -328,7 +331,7 @@ impl<P: Protocol> Engine<'_, P> {
         );
     }
 
-    pub(crate) fn handle_arrival(&mut self, frame: &Frame<P::Msg>) {
+    pub(crate) fn handle_arrival(&mut self, frame: &mut Frame<P::Msg>) {
         // A hub that died while the frame was in flight eats it.
         if !self.core.hub_is_up(frame.net) {
             self.core.flight_loss(frame, loss_site::HUB_ARRIVAL);
@@ -351,7 +354,7 @@ impl<P: Protocol> Engine<'_, P> {
         }
     }
 
-    fn deliver_to(&mut self, node: NodeId, frame: &Frame<P::Msg>) {
+    fn deliver_to(&mut self, node: NodeId, frame: &mut Frame<P::Msg>) {
         if !self.core.hosts.nic_is_up(node, frame.net) {
             self.core.flight_loss(frame, loss_site::RX_NIC_DOWN);
             return;
@@ -381,8 +384,9 @@ impl<P: Protocol> Engine<'_, P> {
                     // The request's flight ref rides back on the reply,
                     // so a lost reply is blamed on the probe that asked
                     // for it and the prober's receive record can name
-                    // its own send as the cause.
-                    flight: frame.flight,
+                    // its own send as the cause. Moved, not copied: an
+                    // echo request is unicast and dies here.
+                    flight: frame.flight.take(),
                 };
                 self.core.transmit(reply);
             }
@@ -403,7 +407,7 @@ impl<P: Protocol> Engine<'_, P> {
                 };
                 self.protocols[idx].on_control(&mut ctx, frame.src, frame.net, msg);
             }
-            FrameKind::Data(segment) => self.handle_data(node, *segment),
+            FrameKind::Data(segment) => self.handle_data(node, **segment),
         }
     }
 

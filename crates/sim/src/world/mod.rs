@@ -216,6 +216,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         self.core.hosts.counters_mut(self.node).echo_sent += 1;
         let wire = self.core.spec.icmp_wire_bytes;
         self.core.hosts.obs_mut(self.node).probe_bytes += u64::from(wire);
+        let flight = self.core.flight_ref(flight);
         self.core.transmit(Frame {
             src: self.node,
             dst: Destination::Node(dst),

@@ -1425,7 +1425,7 @@ unsafe fn merge_and_min<P: Protocol>(
             else {
                 // Dead hub ate it. A traced frame's loss is charged to
                 // the prober that launched it, at the admit instant.
-                if let Some(cause) = frame.flight {
+                if let Some(&cause) = frame.flight.as_deref() {
                     coord.flight_record(
                         at,
                         seq,

@@ -11,7 +11,8 @@ use drs_core::{
 };
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::world::{FlowOutcome, World};
+use drs_sim::world::{FlowOutcome, TraceKind, World};
+use drs_sim::ShardedWorld;
 
 fn drs_world(n: usize, seed: u64, cfg: DrsConfig) -> World<DrsDaemon> {
     let spec = ClusterSpec::new(n).seed(seed);
@@ -537,6 +538,65 @@ fn daemon_state_machine_is_deterministic() {
             .collect::<Vec<_>>()
     };
     assert_eq!(run(42), run(42));
+}
+
+/// Recording is pure metadata: a traced run dispatches exactly the
+/// untraced run's events and ends in the same state. The flight identity
+/// travels on the frame itself (`Frame::flight`), so the scenario covers
+/// every frame it can ride or meet: probes and their echo replies, the
+/// data segments of two app flows, and frames the dead hub eats — one of
+/// them a data segment sent before any daemon saw the outage.
+#[test]
+fn the_flight_recorder_changes_no_dispatched_event() {
+    let n = 6;
+    for shards in [1usize, 3] {
+        let run = |traced: bool| {
+            let spec = ClusterSpec::new(n).seed(23);
+            let mut w = ShardedWorld::with_topology(spec, shards, 1, |id| {
+                DrsDaemon::new(id, n, fast_cfg())
+            });
+            w.enable_event_log();
+            if traced {
+                w.enable_flight(1 << 14);
+            }
+            w.schedule_faults(
+                FaultPlan::new()
+                    .fail_at(SimTime(1_000_000_000), SimComponent::Hub(NetId::A))
+                    .repair_at(SimTime(2_500_000_000), SimComponent::Hub(NetId::A)),
+            );
+            w.send_app(SimTime(1_010_000_000), NodeId(0), NodeId(4), 512);
+            w.send_app(SimTime(3_000_000_000), NodeId(5), NodeId(1), 256);
+            w.run_for(SimDuration::from_secs(5));
+            let media: Vec<_> = NetId::planes(2).map(|net| w.medium(net).stats).collect();
+            let metrics: Vec<_> = (0..n as u32)
+                .map(|i| w.protocol(NodeId(i)).metrics.clone())
+                .collect();
+            let losses = w.flight_log().map_or(0, |log| {
+                log.records
+                    .iter()
+                    .filter(|r| r.kind == TraceKind::ProbeLoss)
+                    .count()
+            });
+            (
+                w.event_log().expect("log enabled"),
+                w.app_stats(),
+                media,
+                metrics,
+                losses,
+            )
+        };
+        let (log, app, media, metrics, losses) = run(true);
+        assert!(losses > 0, "shards={shards}: traced probes died at the hub");
+        assert!(media[0].dropped_hub_down > 0, "shards={shards}");
+        assert_eq!(app.delivered, 2, "shards={shards}: both flows delivered");
+        assert!(app.retransmits > 0, "shards={shards}: a segment was lost");
+        let untraced = run(false);
+        assert_eq!(untraced.4, 0, "no recorder, no records");
+        assert!(log == untraced.0, "shards={shards}: event logs differ");
+        assert_eq!(app, untraced.1, "shards={shards}");
+        assert_eq!(media, untraced.2, "shards={shards}");
+        assert_eq!(metrics, untraced.3, "shards={shards}");
+    }
 }
 
 #[test]
