@@ -17,7 +17,7 @@
 
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::coord_seed;
-use drs_obs::{ObsArtifact, Row, Section};
+use drs_obs::{Fnv1a, ObsArtifact, Row, Section};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::{KernelStats, World};
 use drs_sim::{NetId, NodeId, ShardedWorld, SimDuration};
@@ -223,13 +223,6 @@ pub fn scaling_spec(n: usize, planes: u8) -> ClusterSpec {
         .propagation(SimDuration::from_micros(5))
 }
 
-fn fnv1a(h: &mut u64, word: u64) {
-    for b in word.to_le_bytes() {
-        *h ^= u64::from(b);
-        *h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-}
-
 /// Runs one `(n, planes, threads)` scaling cell on the sharded kernel
 /// and digests its merged end state.
 #[must_use]
@@ -241,7 +234,7 @@ pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
     });
     w.run_for(SCALING_RUN);
 
-    let mut digest = 0xCBF2_9CE4_8422_2325u64;
+    let mut digest = Fnv1a::default();
     let mut probes_sent = 0u64;
     for i in 0..n {
         let m = &w.protocol(NodeId(i as u32)).metrics;
@@ -254,7 +247,7 @@ pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
             m.link_up_events,
             m.route_changes,
         ] {
-            fnv1a(&mut digest, word);
+            digest.u64(word);
         }
     }
     let mut frames = 0u64;
@@ -262,12 +255,12 @@ pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
         let s = &w.medium(net).stats;
         frames += s.frames;
         for word in [s.frames, s.bytes, s.probe_bytes, s.dropped_hub_down] {
-            fnv1a(&mut digest, word);
+            digest.u64(word);
         }
     }
     let ks = w.kernel_stats();
-    fnv1a(&mut digest, ks.wheel.pushes);
-    fnv1a(&mut digest, ks.wheel.pops);
+    digest.u64(ks.wheel.pushes);
+    digest.u64(ks.wheel.pops);
 
     let ss = w.shard_stats();
     ScalingCell {
@@ -283,7 +276,7 @@ pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
         frames,
         clamped_past: ks.clamped_past,
         events_per_virtual_sec: drs_sim::kernel_obs::events_per_virtual_sec(&ks),
-        digest,
+        digest: digest.finish(),
     }
 }
 

@@ -157,16 +157,20 @@ impl SimDuration {
     }
 }
 
+// The additions saturate, like the constructors: a span that runs past
+// the last representable instant ends there instead of wrapping into
+// the past (which would fire a far-future timer at once in release
+// builds). The subtractions keep their checked panics.
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     fn add(self, rhs: SimDuration) -> SimTime {
-        SimTime(self.0 + rhs.0)
+        SimTime(self.0.saturating_add(rhs.0))
     }
 }
 
 impl AddAssign<SimDuration> for SimTime {
     fn add_assign(&mut self, rhs: SimDuration) {
-        self.0 += rhs.0;
+        *self = *self + rhs;
     }
 }
 
@@ -180,7 +184,7 @@ impl Sub<SimTime> for SimTime {
 impl Add for SimDuration {
     type Output = SimDuration;
     fn add(self, rhs: SimDuration) -> SimDuration {
-        SimDuration(self.0 + rhs.0)
+        SimDuration(self.0.saturating_add(rhs.0))
     }
 }
 
@@ -302,5 +306,28 @@ mod tests {
             SimDuration::from_secs(edge),
             SimDuration(edge * 1_000_000_000)
         );
+    }
+
+    #[test]
+    fn additions_saturate_instead_of_wrapping() {
+        let max = SimDuration(u64::MAX);
+        assert_eq!(SimTime(1) + max, SimTime(u64::MAX));
+        assert_eq!(SimTime(u64::MAX) + SimDuration(1), SimTime(u64::MAX));
+        assert_eq!(SimDuration(2) + max, max);
+        let mut t = SimTime(5);
+        t += max;
+        assert_eq!(t, SimTime(u64::MAX));
+        // Up to the edge every addition is exact.
+        assert_eq!(SimTime(1) + SimDuration(u64::MAX - 1), SimTime(u64::MAX));
+        assert_eq!(SimDuration(1) + SimDuration(u64::MAX - 1), max);
+        let mut u = SimTime(u64::MAX - 3);
+        u += SimDuration(2);
+        assert_eq!(u, SimTime(u64::MAX - 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "negative duration")]
+    fn duration_sub_still_panics_below_zero() {
+        let _ = SimDuration(1) - SimDuration(2);
     }
 }

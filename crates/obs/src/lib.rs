@@ -23,7 +23,9 @@
 //!   writer uses.
 //! * [`rng`] — not observability, but this is the crate every other one
 //!   already depends on: the SplitMix64 mixer and xoshiro256++ generator
-//!   behind every seed derivation and random draw in the tree.
+//!   behind every seed derivation and random draw in the tree. For the
+//!   same reason [`Fnv1a`] lives here: the one state fingerprint the
+//!   committed digests are computed with ([`fnv`]).
 //!
 //! # The clock rule
 //!
@@ -54,6 +56,7 @@
 pub mod artifact;
 pub mod causal;
 pub mod flight;
+pub mod fnv;
 pub mod hist;
 pub mod jsonfmt;
 pub mod rng;
@@ -61,4 +64,5 @@ pub mod rng;
 pub use artifact::{Field, FieldValue, ObsArtifact, Row, Section, SCHEMA};
 pub use causal::{build_post_mortems, Decomposition, PostMortem, PostMortemReport};
 pub use flight::{to_perfetto, EventRef, FlightLog, FlightRecorder, TraceKind, TraceRecord};
+pub use fnv::Fnv1a;
 pub use hist::{Histogram, HistogramSummary};

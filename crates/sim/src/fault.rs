@@ -156,6 +156,88 @@ impl FaultPlan {
     }
 }
 
+/// One hub failure (`up == false`) or repair of a [`HubSchedule`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct HubToggle {
+    pub(crate) at: SimTime,
+    pub(crate) net: NetId,
+    pub(crate) up: bool,
+}
+
+/// Hub liveness: every hub toggle scheduled so far, in one time-sorted
+/// list that keeps scheduling order at equal instants.
+///
+/// This is the only place hub transitions are stored and the only place
+/// the toggle rule is applied: a toggle at `t` takes effect before every
+/// other event at `t` (it is never dispatched as an event and consumes no
+/// sequence number), and between toggles the last one holds — before the
+/// first, every hub is up. The world owns one; the merge's admission and
+/// `component_is_up` ask it about an instant ([`Self::is_up`]), each
+/// core's admission and arrival check keep a cursor into it
+/// ([`Self::is_up_from`]), and the driver loops and the fluid engine walk
+/// it with cursors ([`Self::due`]). Toggles join at any instant at or
+/// after the present, so every toggle a cursor has passed stays where it
+/// is.
+#[derive(Debug)]
+pub(crate) struct HubSchedule {
+    toggles: Vec<HubToggle>,
+}
+
+impl HubSchedule {
+    /// No toggle scheduled: every hub is up at every instant.
+    pub(crate) const fn new() -> Self {
+        HubSchedule {
+            toggles: Vec::new(),
+        }
+    }
+
+    /// Adds a toggle behind every one scheduled at or before its instant.
+    pub(crate) fn insert(&mut self, toggle: HubToggle) {
+        let i = self.toggles.partition_point(|t| t.at <= toggle.at);
+        self.toggles.insert(i, toggle);
+    }
+
+    /// Whether the hub of `net` is up at `at`. A toggle *at* `at` has
+    /// already taken effect.
+    pub(crate) fn is_up(&self, net: NetId, at: SimTime) -> bool {
+        self.up_after(self.toggles.partition_point(|t| t.at <= at), net)
+    }
+
+    /// [`Self::is_up`] for a reader whose instants never go back: moves
+    /// its cursor `passed` over every toggle due by `at`, then reads the
+    /// answer behind it, with no search. The per-frame checks use this.
+    #[inline]
+    pub(crate) fn is_up_from(&self, passed: &mut usize, net: NetId, at: SimTime) -> bool {
+        while self.toggles.get(*passed).is_some_and(|t| t.at <= at) {
+            *passed += 1;
+        }
+        self.up_after(*passed, net)
+    }
+
+    /// Whether the hub of `net` is up once the first `passed` toggles
+    /// have taken effect: the last of them on `net` holds.
+    #[inline]
+    fn up_after(&self, passed: usize, net: NetId) -> bool {
+        self.toggles[..passed]
+            .iter()
+            .rev()
+            .find(|t| t.net == net)
+            .is_none_or(|t| t.up)
+    }
+
+    /// The toggles due at or before `t` that a cursor which has passed
+    /// the first `passed` has not reached yet, in schedule order.
+    pub(crate) fn due(&self, passed: usize, t: SimTime) -> &[HubToggle] {
+        let rest = &self.toggles[passed..];
+        &rest[..rest.partition_point(|x| x.at <= t)]
+    }
+
+    /// The instant of toggle `i`; `SimTime(u64::MAX)` past the last.
+    pub(crate) fn at(&self, i: usize) -> SimTime {
+        self.toggles.get(i).map_or(SimTime(u64::MAX), |t| t.at)
+    }
+}
+
 /// Maps a dense component index (the layout used by `drs-analytic`:
 /// `0..planes` = hubs in plane order, then plane-0 NICs, plane-1 NICs, …)
 /// to a simulator component.
@@ -319,6 +401,72 @@ mod tests {
             .repair_at(SimTime(300), SimComponent::Hub(NetId::B));
         let ev = plan.into_sorted_events();
         assert!(ev.windows(2).all(|w| w[0].at <= w[1].at));
+    }
+
+    fn toggle(at: u64, net: NetId, up: bool) -> HubToggle {
+        HubToggle {
+            at: SimTime(at),
+            net,
+            up,
+        }
+    }
+
+    #[test]
+    fn timeline_last_transition_wins_and_same_instant_applies() {
+        let mut hubs = HubSchedule::new();
+        hubs.insert(toggle(200, NetId::A, true));
+        hubs.insert(toggle(100, NetId::A, false));
+        assert!(hubs.is_up(NetId::A, SimTime(99)));
+        assert!(!hubs.is_up(NetId::A, SimTime(100))); // same-instant: applied
+        assert!(!hubs.is_up(NetId::A, SimTime(199)));
+        assert!(hubs.is_up(NetId::A, SimTime(200)));
+        assert!(hubs.is_up(NetId::B, SimTime(150))); // untouched plane
+    }
+
+    #[test]
+    fn equal_instants_keep_scheduling_order_and_the_last_wins() {
+        let mut hubs = HubSchedule::new();
+        hubs.insert(toggle(50, NetId::A, false));
+        hubs.insert(toggle(50, NetId::A, true));
+        hubs.insert(toggle(50, NetId::B, true));
+        hubs.insert(toggle(50, NetId::B, false));
+        hubs.insert(toggle(10, NetId::B, false));
+        assert!(hubs.is_up(NetId::A, SimTime(50)));
+        assert!(!hubs.is_up(NetId::B, SimTime(50)));
+        assert!(!hubs.is_up(NetId::B, SimTime(49)));
+        // A forward-only reader's cursor gives the same answers.
+        let mut passed = 0;
+        for (at, a, b) in [
+            (9, true, true),
+            (10, true, false),
+            (50, true, false),
+            (60, true, false),
+        ] {
+            assert!(
+                hubs.is_up_from(&mut passed, NetId::A, SimTime(at)) == a,
+                "{at}"
+            );
+            assert!(
+                hubs.is_up_from(&mut passed, NetId::B, SimTime(at)) == b,
+                "{at}"
+            );
+        }
+        assert_eq!(passed, 5);
+        // A cursor meets them in that order, each exactly once.
+        let first = hubs.due(0, SimTime(49));
+        assert_eq!(first, [toggle(10, NetId::B, false)]);
+        let rest = hubs.due(first.len(), SimTime(50));
+        assert_eq!(
+            rest,
+            [
+                toggle(50, NetId::A, false),
+                toggle(50, NetId::A, true),
+                toggle(50, NetId::B, true),
+                toggle(50, NetId::B, false),
+            ]
+        );
+        assert!(hubs.due(5, SimTime(u64::MAX)).is_empty());
+        assert_eq!((hubs.at(4), hubs.at(5)), (SimTime(50), SimTime(u64::MAX)));
     }
 
     #[test]

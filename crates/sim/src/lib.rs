@@ -87,6 +87,6 @@ pub use workload::{
     ArrivalProcess, ClassSpec, FluidEngine, HoldingDist, WorkloadSpec, WorkloadStats,
 };
 pub use world::{
-    threads_from_env, Ctx, EventRecord, EventTag, HubTimeline, Protocol, ShardStats, ShardedWorld,
+    threads_from_env, Ctx, EventRecord, EventTag, Protocol, ShardStats, ShardedWorld,
     TransportEvent, World,
 };

@@ -9,7 +9,9 @@
 //! Figure 1 trade-off.
 //!
 //! A failed hub (backplane failure, the paper's shared-component fault)
-//! silently discards everything submitted to or in flight on it.
+//! silently discards everything submitted to or in flight on it. The
+//! segment keeps no liveness of its own: admission is told whether the
+//! hub is up, and the driver's hub schedule answers for frames in flight.
 
 use drs_core::{NetId, SimDuration, SimTime};
 
@@ -51,7 +53,6 @@ pub struct SharedMedium {
     net: NetId,
     bandwidth_bps: u64,
     propagation: SimDuration,
-    up: bool,
     busy_until: SimTime,
     /// Cumulative statistics (reset-free; experiments snapshot and diff).
     pub stats: MediumStats,
@@ -69,7 +70,6 @@ impl SharedMedium {
             net,
             bandwidth_bps,
             propagation,
-            up: true,
             busy_until: SimTime::ZERO,
             stats: MediumStats::default(),
         }
@@ -81,18 +81,6 @@ impl SharedMedium {
         self.net
     }
 
-    /// Whether the hub is operational.
-    #[must_use]
-    pub fn is_up(&self) -> bool {
-        self.up
-    }
-
-    /// Fails or repairs the hub. Frames admitted while down are dropped;
-    /// a repair does not resurrect frames lost in flight.
-    pub fn set_up(&mut self, up: bool) {
-        self.up = up;
-    }
-
     /// Serialization time of `wire_bytes` at this segment's data rate.
     #[must_use]
     pub fn serialization(&self, wire_bytes: u32) -> SimDuration {
@@ -102,12 +90,20 @@ impl SharedMedium {
         SimDuration(ns as u64)
     }
 
-    /// Admits a frame for transmission at `now`.
+    /// Admits a frame for transmission at `now` onto a hub that is up at
+    /// that instant or not (`hub_up`).
     ///
     /// Returns the arrival instant at the receivers, or `None` if the hub
-    /// is down (the frame is lost, not queued).
-    pub fn admit(&mut self, now: SimTime, wire_bytes: u32, class: TrafficClass) -> Option<SimTime> {
-        if !self.up {
+    /// is down (the frame is lost, not queued, and counted in
+    /// [`MediumStats::dropped_hub_down`]).
+    pub fn admit(
+        &mut self,
+        now: SimTime,
+        wire_bytes: u32,
+        class: TrafficClass,
+        hub_up: bool,
+    ) -> Option<SimTime> {
+        if !hub_up {
             self.stats.dropped_hub_down += 1;
             return None;
         }
@@ -164,16 +160,22 @@ mod tests {
     #[test]
     fn uncontended_frame_arrives_after_ser_plus_prop() {
         let mut m = medium();
-        let arrive = m.admit(SimTime::ZERO, 1250, TrafficClass::Data).unwrap();
+        let arrive = m
+            .admit(SimTime::ZERO, 1250, TrafficClass::Data, true)
+            .unwrap();
         assert_eq!(arrive, SimTime(100_000 + 5_000));
     }
 
     #[test]
     fn contention_serializes_frames_fifo() {
         let mut m = medium();
-        let a = m.admit(SimTime::ZERO, 1250, TrafficClass::Data).unwrap();
+        let a = m
+            .admit(SimTime::ZERO, 1250, TrafficClass::Data, true)
+            .unwrap();
         // Second frame submitted at the same instant queues behind the first.
-        let b = m.admit(SimTime::ZERO, 1250, TrafficClass::Data).unwrap();
+        let b = m
+            .admit(SimTime::ZERO, 1250, TrafficClass::Data, true)
+            .unwrap();
         assert_eq!(b - a, SimDuration::from_micros(100));
         assert_eq!(m.stats.max_queue_delay, SimDuration::from_micros(100));
     }
@@ -181,29 +183,29 @@ mod tests {
     #[test]
     fn idle_gap_resets_queueing() {
         let mut m = medium();
-        let _ = m.admit(SimTime::ZERO, 1250, TrafficClass::Data);
+        let _ = m.admit(SimTime::ZERO, 1250, TrafficClass::Data, true);
         let later = SimTime(10_000_000); // long after the first frame
-        let arrive = m.admit(later, 1250, TrafficClass::Data).unwrap();
+        let arrive = m.admit(later, 1250, TrafficClass::Data, true).unwrap();
         assert_eq!(arrive, later + SimDuration::from_micros(105));
     }
 
     #[test]
     fn down_hub_drops() {
         let mut m = medium();
-        m.set_up(false);
-        assert_eq!(m.admit(SimTime::ZERO, 74, TrafficClass::Probe), None);
+        assert_eq!(m.admit(SimTime::ZERO, 74, TrafficClass::Probe, false), None);
         assert_eq!(m.stats.dropped_hub_down, 1);
         assert_eq!(m.stats.frames, 0);
-        m.set_up(true);
-        assert!(m.admit(SimTime::ZERO, 74, TrafficClass::Probe).is_some());
+        assert!(m
+            .admit(SimTime::ZERO, 74, TrafficClass::Probe, true)
+            .is_some());
     }
 
     #[test]
     fn class_accounting() {
         let mut m = medium();
-        m.admit(SimTime::ZERO, 74, TrafficClass::Probe);
-        m.admit(SimTime::ZERO, 96, TrafficClass::Control);
-        m.admit(SimTime::ZERO, 1000, TrafficClass::Data);
+        m.admit(SimTime::ZERO, 74, TrafficClass::Probe, true);
+        m.admit(SimTime::ZERO, 96, TrafficClass::Control, true);
+        m.admit(SimTime::ZERO, 1000, TrafficClass::Data, true);
         assert_eq!(m.stats.probe_bytes, 74);
         assert_eq!(m.stats.control_bytes, 96);
         assert_eq!(m.stats.data_bytes, 1000);
@@ -217,7 +219,7 @@ mod tests {
         let snap = m.stats;
         // Ten 1250-byte frames over 10 ms = 10 x 100 µs busy = 10 %.
         for i in 0..10u64 {
-            m.admit(SimTime(i * 1_000_000), 1250, TrafficClass::Data);
+            m.admit(SimTime(i * 1_000_000), 1250, TrafficClass::Data, true);
         }
         let u = m.utilization_since(&snap, SimTime::ZERO, SimTime(10_000_000));
         assert!((u - 0.10).abs() < 1e-9, "{u}");

@@ -58,9 +58,9 @@
 use std::collections::VecDeque;
 
 use drs_core::{NodeId, Route, SimTime};
-use drs_obs::Histogram;
+use drs_obs::{Fnv1a, Histogram};
 
-use crate::fault::{FaultEvent, SimComponent};
+use crate::fault::HubSchedule;
 
 use super::{Transition, TransitionRecord, WorkloadSpec};
 
@@ -234,10 +234,12 @@ pub struct FluidEngine {
     routes: Vec<Option<Route>>,
     /// NIC state mirror, `n × planes`.
     nic_up: Vec<bool>,
+    /// Hub state mirror, per plane, after the first `hubs_applied`
+    /// toggles of the world's hub schedule.
     hub_up: Vec<bool>,
-    /// Out-of-band hub toggle schedule, time-sorted.
-    hub_sched: Vec<FaultEvent>,
-    hub_applied: usize,
+    /// The engine's cursor into the world's hub schedule (which the
+    /// driver passes in): how many of its toggles are applied.
+    hubs_applied: usize,
     /// Crossing multiplicity per `(plane, class)` container.
     crossings: Vec<u64>,
     /// Water level per plane, bytes/s (`u64::MAX` = unconstrained).
@@ -302,8 +304,7 @@ impl FluidEngine {
             routes,
             nic_up: vec![true; n * planes],
             hub_up: vec![true; planes],
-            hub_sched: Vec::new(),
-            hub_applied: 0,
+            hubs_applied: 0,
             crossings: vec![0; planes * n_classes],
             lambda: vec![u64::MAX; planes],
             cum_good: vec![0; planes * n_classes],
@@ -339,24 +340,12 @@ impl FluidEngine {
         &self.stats
     }
 
-    /// Appends hub toggles to the out-of-band schedule (unapplied tail
-    /// is re-sorted stably by time, mirroring `HubTimeline`).
-    pub(crate) fn add_hub_toggles(&mut self, toggles: &[FaultEvent]) {
-        self.hub_sched.extend(
-            toggles
-                .iter()
-                .filter(|e| matches!(e.component, SimComponent::Hub(_)))
-                .copied(),
-        );
-        let tail = &mut self.hub_sched[self.hub_applied..];
-        tail.sort_by_key(|e| e.at);
-    }
-
-    /// Applies one transition; records must arrive in `(at, seq)` order.
-    /// Leaves the ledgers settled at the record's instant.
-    pub(crate) fn apply(&mut self, rec: &TransitionRecord) {
+    /// Applies one transition, after every toggle of `hubs` due by its
+    /// instant; records must arrive in `(at, seq)` order. Leaves the
+    /// ledgers settled at the record's instant.
+    pub(crate) fn apply(&mut self, rec: &TransitionRecord, hubs: &HubSchedule) {
         let t = rec.at.0;
-        self.apply_hub_through(t);
+        self.apply_hubs_through(hubs, rec.at);
         self.accrue_to(t);
         match rec.kind {
             Transition::Open {
@@ -381,29 +370,24 @@ impl FluidEngine {
         }
     }
 
-    /// Applies any pending hub toggles and integrates the ledgers up to
-    /// `until`. Idempotent; the driver calls it at the end of every
+    /// Applies any pending toggles of `hubs` and integrates the ledgers
+    /// up to `until`. Idempotent; the driver calls it at the end of every
     /// `run_until`.
-    pub(crate) fn settle(&mut self, until: SimTime) {
-        self.apply_hub_through(until.0);
+    pub(crate) fn settle(&mut self, until: SimTime, hubs: &HubSchedule) {
+        self.apply_hubs_through(hubs, until);
         self.accrue_to(until.0);
     }
 
-    fn apply_hub_through(&mut self, t: u64) {
-        while self.hub_applied < self.hub_sched.len() {
-            let ev = self.hub_sched[self.hub_applied];
-            if ev.at.0 > t {
-                break;
-            }
-            self.hub_applied += 1;
-            let SimComponent::Hub(net) = ev.component else {
-                continue;
-            };
-            self.accrue_to(ev.at.0);
-            if self.hub_up[net.idx()] != ev.up {
-                self.hub_up[net.idx()] = ev.up;
+    /// Walks the cursor over every toggle of `hubs` due at or before `t`,
+    /// applying each at its own instant.
+    fn apply_hubs_through(&mut self, hubs: &HubSchedule, t: SimTime) {
+        for toggle in hubs.due(self.hubs_applied, t) {
+            self.hubs_applied += 1;
+            self.accrue_to(toggle.at.0);
+            if self.hub_up[toggle.net.idx()] != toggle.up {
+                self.hub_up[toggle.net.idx()] = toggle.up;
                 self.stats.hub_transitions += 1;
-                self.refresh_liveness_all(ev.at.0);
+                self.refresh_liveness_all(toggle.at.0);
             }
         }
     }
@@ -955,7 +939,7 @@ impl FluidEngine {
     /// O(active + n²). Bit-identical across drivers and thread counts.
     #[must_use]
     pub fn digest(&self) -> u64 {
-        let mut f = Fnv::new();
+        let mut f = Fnv1a::default();
         f.u64(self.stats.opened);
         f.u64(self.stats.closed);
         f.u64(self.stats.dropped_arrivals);
@@ -1011,32 +995,15 @@ impl FluidEngine {
     }
 }
 
-struct Fnv(u64);
-
-impl Fnv {
-    fn new() -> Self {
-        Fnv(0xCBF2_9CE4_8422_2325)
-    }
-    fn u64(&mut self, v: u64) {
-        for b in v.to_le_bytes() {
-            self.0 ^= u64::from(b);
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
-    }
-    fn u128(&mut self, v: u128) {
-        self.u64(v as u64);
-        self.u64((v >> 64) as u64);
-    }
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::super::{ArrivalProcess, ClassSpec, HoldingDist};
     use super::*;
+    use crate::fault::HubToggle;
     use drs_core::{NetId, RouteTable, SimDuration};
+
+    /// No hub ever toggles.
+    static NO_HUBS: HubSchedule = HubSchedule::new();
 
     fn spec(classes: Vec<ClassSpec>) -> WorkloadSpec {
         WorkloadSpec {
@@ -1091,15 +1058,18 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)));
-        e.apply(&rec(
-            1_000_000_000,
-            1,
-            Transition::Close {
-                host: NodeId(0),
-                local: 0,
-            },
-        ));
+        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)), &NO_HUBS);
+        e.apply(
+            &rec(
+                1_000_000_000,
+                1,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
         let st = e.stats();
         assert_eq!(st.delivered_unit, 1_000_000 * 1_000_000_000u128);
         assert_eq!(st.shortfall_unit, 0);
@@ -1118,24 +1088,30 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)));
-        e.apply(&rec(0, 1, open(2, 0, 3, 0, 1_000_000_000)));
-        e.apply(&rec(
-            1_000_000_000,
-            2,
-            Transition::Close {
-                host: NodeId(0),
-                local: 0,
-            },
-        ));
-        e.apply(&rec(
-            1_000_000_000,
-            3,
-            Transition::Close {
-                host: NodeId(2),
-                local: 0,
-            },
-        ));
+        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)), &NO_HUBS);
+        e.apply(&rec(0, 1, open(2, 0, 3, 0, 1_000_000_000)), &NO_HUBS);
+        e.apply(
+            &rec(
+                1_000_000_000,
+                2,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
+        e.apply(
+            &rec(
+                1_000_000_000,
+                3,
+                Transition::Close {
+                    host: NodeId(2),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
         let st = e.stats();
         // Each session: demand 10 MB/s, fair share 6.25 MB/s.
         assert_eq!(st.delivered_unit, 2 * 6_250_000 * 1_000_000_000u128);
@@ -1162,24 +1138,30 @@ mod tests {
             ],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)));
-        e.apply(&rec(0, 1, open(2, 0, 3, 1, 1_000_000_000)));
-        e.apply(&rec(
-            1_000_000_000,
-            2,
-            Transition::Close {
-                host: NodeId(0),
-                local: 0,
-            },
-        ));
-        e.apply(&rec(
-            1_000_000_000,
-            3,
-            Transition::Close {
-                host: NodeId(2),
-                local: 0,
-            },
-        ));
+        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)), &NO_HUBS);
+        e.apply(&rec(0, 1, open(2, 0, 3, 1, 1_000_000_000)), &NO_HUBS);
+        e.apply(
+            &rec(
+                1_000_000_000,
+                2,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
+        e.apply(
+            &rec(
+                1_000_000_000,
+                3,
+                Transition::Close {
+                    host: NodeId(2),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
         let st = e.stats();
         assert_eq!(
             st.delivered_unit,
@@ -1197,38 +1179,48 @@ mod tests {
             }],
             100_000_000,
         );
-        e.add_hub_toggles(&[FaultEvent {
+        let mut hubs = HubSchedule::new();
+        hubs.insert(HubToggle {
             at: SimTime(500),
-            component: SimComponent::Hub(NetId::A),
+            net: NetId::A,
             up: false,
-        }]);
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 2_000)));
+        });
+        e.apply(&rec(0, 0, open(0, 0, 1, 0, 2_000)), &hubs);
         // Failover: the daemon moves the route to plane B at t=1500.
-        e.apply(&rec(
-            1_500,
-            1,
-            Transition::RouteSet {
-                host: NodeId(0),
-                dst: NodeId(1),
-                route: Route::Direct(NetId::B),
-            },
-        ));
-        e.apply(&rec(
-            1_500,
-            2,
-            Transition::Reroute {
-                host: NodeId(0),
-                dst: NodeId(1),
-            },
-        ));
-        e.apply(&rec(
-            2_000,
-            3,
-            Transition::Close {
-                host: NodeId(0),
-                local: 0,
-            },
-        ));
+        e.apply(
+            &rec(
+                1_500,
+                1,
+                Transition::RouteSet {
+                    host: NodeId(0),
+                    dst: NodeId(1),
+                    route: Route::Direct(NetId::B),
+                },
+            ),
+            &hubs,
+        );
+        e.apply(
+            &rec(
+                1_500,
+                2,
+                Transition::Reroute {
+                    host: NodeId(0),
+                    dst: NodeId(1),
+                },
+            ),
+            &hubs,
+        );
+        e.apply(
+            &rec(
+                2_000,
+                3,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ),
+            &hubs,
+        );
         let st = e.stats();
         assert_eq!(st.stall_windows, 1);
         assert_eq!(st.resumed_windows, 1);
@@ -1250,20 +1242,24 @@ mod tests {
             }],
             100_000_000,
         );
-        e.add_hub_toggles(&[FaultEvent {
+        let mut hubs = HubSchedule::new();
+        hubs.insert(HubToggle {
             at: SimTime(100),
-            component: SimComponent::Hub(NetId::A),
+            net: NetId::A,
             up: false,
-        }]);
-        e.apply(&rec(200, 0, open(0, 0, 1, 0, 1_000)));
-        e.apply(&rec(
-            1_200,
-            1,
-            Transition::Close {
-                host: NodeId(0),
-                local: 0,
-            },
-        ));
+        });
+        e.apply(&rec(200, 0, open(0, 0, 1, 0, 1_000)), &hubs);
+        e.apply(
+            &rec(
+                1_200,
+                1,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ),
+            &hubs,
+        );
         let st = e.stats();
         assert_eq!(st.dropped_arrivals, 1);
         assert_eq!(st.closed, 0);
@@ -1280,43 +1276,55 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 10_000)));
-        e.apply(&rec(0, 1, open(2, 0, 3, 0, 10_000)));
-        e.apply(&rec(
-            100,
-            2,
-            Transition::Nic {
-                node: NodeId(1),
-                net: NetId::A,
-                up: false,
-            },
-        ));
+        e.apply(&rec(0, 0, open(0, 0, 1, 0, 10_000)), &NO_HUBS);
+        e.apply(&rec(0, 1, open(2, 0, 3, 0, 10_000)), &NO_HUBS);
+        e.apply(
+            &rec(
+                100,
+                2,
+                Transition::Nic {
+                    node: NodeId(1),
+                    net: NetId::A,
+                    up: false,
+                },
+            ),
+            &NO_HUBS,
+        );
         assert_eq!(e.stats().stall_windows, 1, "only the 0->1 pair stalls");
-        e.apply(&rec(
-            600,
-            3,
-            Transition::Nic {
-                node: NodeId(1),
-                net: NetId::A,
-                up: true,
-            },
-        ));
-        e.apply(&rec(
-            10_000,
-            4,
-            Transition::Close {
-                host: NodeId(0),
-                local: 0,
-            },
-        ));
-        e.apply(&rec(
-            10_000,
-            5,
-            Transition::Close {
-                host: NodeId(2),
-                local: 0,
-            },
-        ));
+        e.apply(
+            &rec(
+                600,
+                3,
+                Transition::Nic {
+                    node: NodeId(1),
+                    net: NetId::A,
+                    up: true,
+                },
+            ),
+            &NO_HUBS,
+        );
+        e.apply(
+            &rec(
+                10_000,
+                4,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
+        e.apply(
+            &rec(
+                10_000,
+                5,
+                Transition::Close {
+                    host: NodeId(2),
+                    local: 0,
+                },
+            ),
+            &NO_HUBS,
+        );
         let st = e.stats();
         assert_eq!(st.resumed_windows, 1);
         assert_eq!(st.nic_transitions, 2);
@@ -1388,33 +1396,33 @@ mod tests {
         let pid = 1; // pair 0 -> 1 of a 4-host table
 
         // 0 -> 1 relays through host 2: plane A, then plane B.
-        e.apply(&rec(0, 0, route(2, 1, Route::Direct(NetId::B))));
-        e.apply(&rec(0, 1, route(0, 1, via(2, NetId::A))));
+        e.apply(&rec(0, 0, route(2, 1, Route::Direct(NetId::B))), &NO_HUBS);
+        e.apply(&rec(0, 1, route(0, 1, via(2, NetId::A))), &NO_HUBS);
         assert_watch_list_and_ledger(&e, &[]);
-        e.apply(&rec(0, 2, open(0, 0, 1, 0, 300)));
-        e.apply(&rec(0, 3, open(0, 1, 1, 0, 500)));
+        e.apply(&rec(0, 2, open(0, 0, 1, 0, 300)), &NO_HUBS);
+        e.apply(&rec(0, 3, open(0, 1, 1, 0, 500)), &NO_HUBS);
         assert_watch_list_and_ledger(&e, &[pid]);
         assert_eq!(e.pairs[pid as usize].bottleneck, 0, "tie goes to plane A");
         // A third session on plane B alone moves the bottleneck there.
-        e.apply(&rec(50, 4, open(2, 0, 1, 0, 450)));
+        e.apply(&rec(50, 4, open(2, 0, 1, 0, 450)), &NO_HUBS);
         assert_eq!(e.pairs[pid as usize].bottleneck, 1);
         assert_watch_list_and_ledger(&e, &[pid]);
         // Rerouted onto one plane, then onto two again through host 3.
-        e.apply(&rec(100, 5, route(0, 1, Route::Direct(NetId::B))));
+        e.apply(&rec(100, 5, route(0, 1, Route::Direct(NetId::B))), &NO_HUBS);
         assert_watch_list_and_ledger(&e, &[]);
-        e.apply(&rec(150, 6, route(0, 1, via(3, NetId::B))));
+        e.apply(&rec(150, 6, route(0, 1, via(3, NetId::B))), &NO_HUBS);
         assert_watch_list_and_ledger(&e, &[pid]);
         // The gateway's NIC fails: the pair stalls, a member closes
         // inside the window, the NIC returns and the rest resume.
-        e.apply(&rec(200, 7, nic(false)));
+        e.apply(&rec(200, 7, nic(false)), &NO_HUBS);
         assert_eq!(e.stats().stall_windows, 1);
-        e.apply(&rec(300, 8, close(0, 0)));
+        e.apply(&rec(300, 8, close(0, 0)), &NO_HUBS);
         assert_watch_list_and_ledger(&e, &[pid]);
-        e.apply(&rec(400, 9, nic(true)));
+        e.apply(&rec(400, 9, nic(true)), &NO_HUBS);
         assert_eq!(e.stats().resumed_windows, 1);
         assert_watch_list_and_ledger(&e, &[pid]);
-        e.apply(&rec(500, 10, close(0, 1)));
-        e.apply(&rec(500, 11, close(2, 0)));
+        e.apply(&rec(500, 10, close(0, 1)), &NO_HUBS);
+        e.apply(&rec(500, 11, close(2, 0)), &NO_HUBS);
         assert_watch_list_and_ledger(&e, &[]);
         let st = e.stats();
         assert_eq!((st.opened, st.closed, st.active), (3, 3, 0));
@@ -1435,9 +1443,9 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000)));
-        e.apply(&rec(100, 1, open(2, 0, 3, 0, 1_000_000)));
-        e.settle(SimTime(5_000));
+        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000)), &NO_HUBS);
+        e.apply(&rec(100, 1, open(2, 0, 3, 0, 1_000_000)), &NO_HUBS);
+        e.settle(SimTime(5_000), &NO_HUBS);
         let c = e.conservation();
         assert!(c.holds(), "{c:?}");
         assert_eq!(c.delivered_unit, 0, "nothing closed yet");
@@ -1454,16 +1462,19 @@ mod tests {
                 }],
                 100_000_000,
             );
-            e.apply(&rec(0, 0, open(0, 0, 1, 0, close_at)));
-            e.apply(&rec(
-                close_at,
-                1,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ));
-            e.settle(SimTime(10_000));
+            e.apply(&rec(0, 0, open(0, 0, 1, 0, close_at)), &NO_HUBS);
+            e.apply(
+                &rec(
+                    close_at,
+                    1,
+                    Transition::Close {
+                        host: NodeId(0),
+                        local: 0,
+                    },
+                ),
+                &NO_HUBS,
+            );
+            e.settle(SimTime(10_000), &NO_HUBS);
             e.digest()
         };
         assert_eq!(run(1_000), run(1_000));

@@ -134,10 +134,10 @@ pub struct TransitionRecord {
 }
 
 /// The transition vocabulary the fluid engine consumes. Hub toggles are
-/// deliberately absent: the driver hands the engine its hub schedule
-/// out-of-band (hub toggles are never dispatched as events), and the
-/// engine applies toggles at `t` before any transition at `t` — matching
-/// [`crate::world::HubTimeline`] semantics.
+/// deliberately absent: they are never dispatched as events, so the
+/// engine walks the world's hub schedule with a cursor of its own and
+/// applies the toggles at `t` before any transition at `t` — the rule
+/// every reader of that schedule applies.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
     /// A session opened on `host`.

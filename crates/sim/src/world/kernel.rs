@@ -12,6 +12,7 @@ use drs_core::ids::FlowId;
 use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimDuration};
 use drs_obs::flight::{loss_site, TraceKind};
 
+use crate::fault::HubSchedule;
 use crate::medium::TrafficClass;
 use crate::transport::{rto_for_attempt, OutstandingSend};
 use crate::workload::Transition;
@@ -42,8 +43,9 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// dropped *locally* because the sender's NIC is down (observable to
     /// the sender, like a device error from `sendmsg`). A dead hub eats
     /// the frame silently and still returns `true` — that loss is not
-    /// locally observable.
-    pub(crate) fn transmit(&mut self, frame: Frame<M>) -> bool {
+    /// locally observable. Direct admission asks `hubs` whether the hub
+    /// is up at this instant.
+    pub(crate) fn transmit(&mut self, frame: Frame<M>, hubs: &HubSchedule) -> bool {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
             self.flight_loss(&frame, loss_site::TX_NIC_DOWN);
@@ -53,18 +55,19 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         if matches!(self.fabric, Fabric::Deferred { .. }) {
             // Record the intent; the coordinator admits it onto the
             // medium at the next epoch barrier, in global (at, seq)
-            // order. Admission-time hub state is replayed there too, so
-            // nothing else is decided here.
+            // order, asking the hub schedule about the transmission
+            // instant there, so nothing else is decided here.
             let at = self.now;
             let seq = self.next_seq();
             let frame = self.boxed(frame);
-            if let Fabric::Deferred { outbox, .. } = &mut self.fabric {
+            if let Fabric::Deferred { outbox } = &mut self.fabric {
                 outbox.push(Intent { at, seq, frame });
             }
             return true;
         }
         let (now, class) = (self.now, class_of(&frame));
-        if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class) {
+        let up = hubs.is_up_from(&mut self.hubs_passed, frame.net, now);
+        if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class, up) {
             let frame = self.boxed(frame);
             self.schedule_at(arrive, EventKind::Arrive(frame));
         } else {
@@ -91,63 +94,6 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             );
         }
     }
-
-    /// (Re)transmits the payload segment of an outstanding flow. Returns
-    /// `false` when no route to the destination is installed.
-    pub(crate) fn transport_transmit(&mut self, node: NodeId, flow: FlowId) -> bool {
-        let Some(os) = self.hosts.transport(node).get(flow).copied() else {
-            return false;
-        };
-        let Some(route) = self.hosts.routes(node).get(os.dst) else {
-            return false;
-        };
-        let (hop, net) = route.next_hop(os.dst);
-        let kind = self.data(Segment {
-            src: node,
-            dst: os.dst,
-            flow,
-            seq: 0,
-            kind: SegmentKind::Data,
-            ttl: self.spec.ttl,
-            payload_bytes: os.payload_bytes,
-            attempt: os.attempts,
-        });
-        self.transmit(Frame {
-            src: node,
-            dst: Destination::Node(hop),
-            net,
-            kind,
-            wire_bytes: os.payload_bytes + self.spec.data_header_bytes,
-            flight: None,
-        });
-        true
-    }
-
-    /// Sends (or forwards) an existing segment along this host's route.
-    pub(crate) fn send_segment(&mut self, from: NodeId, segment: Segment) -> SendStatus {
-        let Some(route) = self.hosts.routes(from).get(segment.dst) else {
-            return SendStatus::NoRoute;
-        };
-        let (hop, net) = route.next_hop(segment.dst);
-        let wire = match segment.kind {
-            SegmentKind::Data => segment.payload_bytes + self.spec.data_header_bytes,
-            SegmentKind::Ack => self.spec.data_header_bytes,
-        };
-        let kind = self.data(segment);
-        let sent = self.transmit(Frame {
-            src: from,
-            dst: Destination::Node(hop),
-            net,
-            kind,
-            wire_bytes: wire,
-            flight: None,
-        });
-        if sent {
-            SendStatus::Sent
-        } else {
-            SendStatus::NicDown
-        }
-    }
 }
 
 /// One core plus the daemon instances of the hosts it owns: the unit of
@@ -157,6 +103,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
 pub(crate) struct Engine<'a, P: Protocol> {
     pub(crate) core: &'a mut Core<P::Msg>,
     pub(crate) protocols: &'a mut [P],
+    /// The world's hub schedule, asked at admission and at arrival.
+    pub(crate) hubs: &'a HubSchedule,
 }
 
 impl<P: Protocol> Engine<'_, P> {
@@ -170,6 +118,7 @@ impl<P: Protocol> Engine<'_, P> {
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
+                    hubs: self.hubs,
                 };
                 self.protocols[idx].on_timer(&mut ctx, token);
             }
@@ -250,8 +199,67 @@ impl<P: Protocol> Engine<'_, P> {
         let mut ctx = Ctx {
             core: &mut *self.core,
             node,
+            hubs: self.hubs,
         };
         self.protocols[idx].on_transport(&mut ctx, event);
+    }
+
+    /// (Re)transmits the payload segment of an outstanding flow. Returns
+    /// `false` when no route to the destination is installed.
+    fn transport_transmit(&mut self, node: NodeId, flow: FlowId) -> bool {
+        let Some(os) = self.core.hosts.transport(node).get(flow).copied() else {
+            return false;
+        };
+        let Some(route) = self.core.hosts.routes(node).get(os.dst) else {
+            return false;
+        };
+        let (hop, net) = route.next_hop(os.dst);
+        let kind = self.core.data(Segment {
+            src: node,
+            dst: os.dst,
+            flow,
+            seq: 0,
+            kind: SegmentKind::Data,
+            ttl: self.core.spec.ttl,
+            payload_bytes: os.payload_bytes,
+            attempt: os.attempts,
+        });
+        let frame = Frame {
+            src: node,
+            dst: Destination::Node(hop),
+            net,
+            kind,
+            wire_bytes: os.payload_bytes + self.core.spec.data_header_bytes,
+            flight: None,
+        };
+        self.core.transmit(frame, self.hubs);
+        true
+    }
+
+    /// Sends (or forwards) an existing segment along this host's route.
+    fn send_segment(&mut self, from: NodeId, segment: Segment) -> SendStatus {
+        let Some(route) = self.core.hosts.routes(from).get(segment.dst) else {
+            return SendStatus::NoRoute;
+        };
+        let (hop, net) = route.next_hop(segment.dst);
+        let wire = match segment.kind {
+            SegmentKind::Data => segment.payload_bytes + self.core.spec.data_header_bytes,
+            SegmentKind::Ack => self.core.spec.data_header_bytes,
+        };
+        let kind = self.core.data(segment);
+        let frame = Frame {
+            src: from,
+            dst: Destination::Node(hop),
+            net,
+            kind,
+            wire_bytes: wire,
+            flight: None,
+        };
+        if self.core.transmit(frame, self.hubs) {
+            SendStatus::Sent
+        } else {
+            SendStatus::NicDown
+        }
     }
 
     pub(crate) fn handle_app_send(
@@ -272,7 +280,7 @@ impl<P: Protocol> Engine<'_, P> {
                 attempts: 1,
             },
         );
-        let sent = self.core.transport_transmit(src, flow);
+        let sent = self.transport_transmit(src, flow);
         if !sent {
             self.core.app_stats.no_route += 1;
             self.notify_transport(src, TransportEvent::NoRoute { flow, dst });
@@ -314,7 +322,7 @@ impl<P: Protocol> Engine<'_, P> {
             .attempts = attempt + 1;
         self.core.app_stats.retransmits += 1;
         self.notify_transport(node, TransportEvent::Rto { flow, dst, attempt });
-        let sent = self.core.transport_transmit(node, flow);
+        let sent = self.transport_transmit(node, flow);
         if !sent {
             self.core.app_stats.no_route += 1;
             self.notify_transport(node, TransportEvent::NoRoute { flow, dst });
@@ -333,8 +341,9 @@ impl<P: Protocol> Engine<'_, P> {
 
     pub(crate) fn handle_arrival(&mut self, frame: &mut Frame<P::Msg>) {
         // A hub that died while the frame was in flight eats it.
-        if !self.core.hub_is_up(frame.net) {
-            self.core.flight_loss(frame, loss_site::HUB_ARRIVAL);
+        let (core, hubs) = (&mut *self.core, self.hubs);
+        if !hubs.is_up_from(&mut core.hubs_passed, frame.net, core.now) {
+            core.flight_loss(frame, loss_site::HUB_ARRIVAL);
             return;
         }
         match frame.dst {
@@ -388,13 +397,14 @@ impl<P: Protocol> Engine<'_, P> {
                     // echo request is unicast and dies here.
                     flight: frame.flight.take(),
                 };
-                self.core.transmit(reply);
+                self.core.transmit(reply, self.hubs);
             }
             FrameKind::EchoReply { id, seq } => {
                 let idx = self.core.hosts.local(node);
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
+                    hubs: self.hubs,
                 };
                 self.protocols[idx].on_echo_reply(&mut ctx, frame.src, frame.net, *id, *seq);
             }
@@ -404,6 +414,7 @@ impl<P: Protocol> Engine<'_, P> {
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
+                    hubs: self.hubs,
                 };
                 self.protocols[idx].on_control(&mut ctx, frame.src, frame.net, msg);
             }
@@ -430,7 +441,7 @@ impl<P: Protocol> Engine<'_, P> {
                     // route or a dead local NIC): surface it to the daemon
                     // so reactive protocols can repair the return path.
                     // The sender will retransmit either way.
-                    if self.core.send_segment(node, ack) != SendStatus::Sent {
+                    if self.send_segment(node, ack) != SendStatus::Sent {
                         self.notify_transport(
                             node,
                             TransportEvent::AckFailed {
@@ -476,7 +487,7 @@ impl<P: Protocol> Engine<'_, P> {
         }
         let mut fwd = segment;
         fwd.ttl -= 1;
-        match self.core.send_segment(node, fwd) {
+        match self.send_segment(node, fwd) {
             SendStatus::Sent => self.core.hosts.counters_mut(node).forwarded += 1,
             SendStatus::NoRoute => self.core.hosts.counters_mut(node).dropped_no_route += 1,
             SendStatus::NicDown => {} // tx_nic_down already counted

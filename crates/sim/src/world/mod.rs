@@ -21,7 +21,7 @@ mod queue;
 pub mod shard;
 
 pub use queue::{Core, EventRecord, EventTag, KernelStats};
-pub use shard::{threads_from_env, HubTimeline, ShardStats, ShardedWorld, World};
+pub use shard::{threads_from_env, ShardStats, ShardedWorld, World};
 
 /// The flight-recorder vocabulary, re-exported so protocols written
 /// against [`Ctx`] need not name `drs_obs` directly.
@@ -33,6 +33,7 @@ use drs_core::{
 };
 use drs_obs::rng::Rng;
 
+use crate::fault::HubSchedule;
 use crate::scenario::ClusterSpec;
 use crate::stats::HostCounters;
 use crate::workload::Transition;
@@ -155,6 +156,9 @@ pub enum FlowOutcome {
 pub struct Ctx<'a, M> {
     pub(crate) core: &'a mut Core<M>,
     pub(crate) node: NodeId,
+    /// The world's hub schedule: whether what this host sends now is
+    /// admitted.
+    pub(crate) hubs: &'a HubSchedule,
 }
 
 impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
@@ -217,14 +221,15 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         let wire = self.core.spec.icmp_wire_bytes;
         self.core.hosts.obs_mut(self.node).probe_bytes += u64::from(wire);
         let flight = self.core.flight_ref(flight);
-        self.core.transmit(Frame {
+        let frame = Frame {
             src: self.node,
             dst: Destination::Node(dst),
             net,
             kind: FrameKind::EchoRequest { id, seq },
             wire_bytes: wire,
             flight,
-        });
+        };
+        self.core.transmit(frame, self.hubs);
     }
 
     /// Sends a control message of the default control-frame size.
@@ -237,14 +242,15 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     /// table dump grows with the cluster).
     pub fn send_control_sized(&mut self, net: NetId, dst: NodeId, msg: M, wire_bytes: u32) {
         self.core.hosts.counters_mut(self.node).control_sent += 1;
-        self.core.transmit(Frame {
+        let frame = Frame {
             src: self.node,
             dst: Destination::Node(dst),
             net,
             kind: FrameKind::Control(msg),
             wire_bytes,
             flight: None,
-        });
+        };
+        self.core.transmit(frame, self.hubs);
     }
 
     /// Broadcasts a control message on `net` (every live NIC receives it).
@@ -256,14 +262,15 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     /// Broadcast with an explicit wire size.
     pub fn broadcast_control_sized(&mut self, net: NetId, msg: M, wire_bytes: u32) {
         self.core.hosts.counters_mut(self.node).control_sent += 1;
-        self.core.transmit(Frame {
+        let frame = Frame {
             src: self.node,
             dst: Destination::Broadcast,
             net,
             kind: FrameKind::Control(msg),
             wire_bytes,
             flight: None,
-        });
+        };
+        self.core.transmit(frame, self.hubs);
     }
 
     /// Arms a one-shot timer; `token` comes back in
@@ -645,6 +652,38 @@ mod tests {
         assert_eq!(w.now(), SimTime(5_000_000_000));
     }
 
+    /// A timer armed `u64::MAX` ns ahead saturates at the last instant
+    /// instead of wrapping into the past, where it would fire at once.
+    #[test]
+    fn a_timer_past_the_end_of_time_never_fires() {
+        #[derive(Default)]
+        struct Late {
+            fired: u32,
+        }
+        impl Protocol for Late {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(SimDuration::from_secs(1), 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
+                if token == 0 {
+                    ctx.set_timer(SimDuration(u64::MAX), 1);
+                } else {
+                    self.fired += 1;
+                }
+            }
+        }
+        let mut w = World::new(ClusterSpec::new(2).seed(1), |_| Late::default());
+        w.run_for(SimDuration::from_secs(2));
+        assert_eq!(w.now(), SimTime(2_000_000_000));
+        for i in 0..2 {
+            assert_eq!(w.protocol(NodeId(i)).fired, 0, "host {i}");
+        }
+        let ks = w.kernel_stats();
+        assert_eq!(ks.clamped_past, 0);
+        assert_eq!(ks.queue_depth, 2, "both timers still pending");
+    }
+
     #[test]
     fn determinism_same_seed_same_world() {
         let build = |seed| {
@@ -785,7 +824,6 @@ mod tests {
     fn three_plane_world_builds_media_per_plane() {
         let mut w = World::new(ClusterSpec::new(3).seed(2).planes(3), |_| Idle);
         for net in NetId::planes(3) {
-            assert!(w.medium(net).is_up());
             assert!(w.component_is_up(SimComponent::Hub(net)));
         }
         // Traffic still defaults to the primary plane.

@@ -31,7 +31,6 @@ use crate::stats::AppStats;
 use crate::wheel::{TimerWheel, WheelStats, MAX_USEFUL_SPARE};
 use crate::workload::{Transition, WorkloadCore};
 
-use super::shard::HubTimeline;
 use super::FlowOutcome;
 
 /// What a queued event does when it fires.
@@ -121,19 +120,15 @@ const _: () = assert!(std::mem::size_of::<Intent<drs_core::DrsMsg>>() <= 24);
 // pointer, not inline (see `Frame::flight` and `FrameKind::Data`).
 const _: () = assert!(std::mem::size_of::<Frame<drs_core::DrsMsg>>() <= 48);
 
-/// How transmitted frames reach the shared medium.
+/// How transmitted frames reach the shared medium. Neither fabric keeps
+/// hub state: admission and arrival ask the world's hub schedule about
+/// their own instant.
 pub(crate) enum Fabric<M> {
-    /// The only shard: admit onto `Core::media` immediately. The driver
-    /// flips those media before dispatching the first event at or after
-    /// each hub toggle, so live medium state *is* the hub timeline.
+    /// The only shard: admit onto `Core::media` immediately.
     Direct,
     /// One shard of several: log an [`Intent`]; the coordinator admits at
-    /// the next barrier. Hub liveness is read from the compiled timeline,
-    /// the media living at the coordinator.
-    Deferred {
-        outbox: Vec<Intent<M>>,
-        timeline: HubTimeline,
-    },
+    /// the next barrier, the media living there.
+    Deferred { outbox: Vec<Intent<M>> },
 }
 
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host
@@ -219,6 +214,9 @@ pub struct Core<M> {
     /// choice (no SipHash seeding anywhere near the summary path).
     pub(crate) flow_outcomes: Vec<Option<FlowOutcome>>,
     pub(crate) clamped_past: u64,
+    /// This core's cursor into the world's hub schedule: how many of its
+    /// toggles lie at or before the last instant this core asked about.
+    pub(crate) hubs_passed: usize,
     /// One seed-derived random stream per owned host (corruption rolls,
     /// daemon draws), indexed block-locally: draw order depends only on
     /// the host's own event sequence, never on shard layout or threads.
@@ -319,6 +317,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             app_stats: AppStats::default(),
             flow_outcomes: Vec::new(),
             clamped_past: 0,
+            hubs_passed: 0,
             rngs: (base..base + len as u32)
                 .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
                 .collect(),
@@ -411,17 +410,6 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         };
         let seq = self.next_seq();
         self.events.push(at, seq, kind);
-    }
-
-    /// Whether the hub of `net` is operational at `now` — live medium
-    /// state when this core admits directly, the compiled timeline when
-    /// the media live at the coordinator. Both answer the same rule: a
-    /// toggle at `t` precedes every event at `t`.
-    pub(crate) fn hub_is_up(&self, net: NetId) -> bool {
-        match &self.fabric {
-            Fabric::Direct => self.media[net.idx()].is_up(),
-            Fabric::Deferred { timeline, .. } => timeline.is_up(net, self.now),
-        }
     }
 
     /// The random stream of `node`, which this core must own.

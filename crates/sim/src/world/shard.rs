@@ -28,9 +28,9 @@
 //! parallel; transmissions are not admitted onto the medium immediately
 //! but logged as `Intent`s in per-shard outboxes (see
 //! `Fabric::Deferred`). At the epoch barrier the coordinator merges
-//! all outboxes in global `(at, seq)` order, applies any hub toggle due
-//! by each transmission instant, admits the frames onto the
-//! coordinator-owned media, and pushes the resulting arrivals directly
+//! all outboxes in global `(at, seq)` order, admits the frames onto the
+//! coordinator-owned media with the hub liveness of each transmission
+//! instant, and pushes the resulting arrivals directly
 //! into the destination shards' wheels. Arrivals land at
 //! `≥ T_start + L ≥` every shard's cursor, so the wheels never see a
 //! past-time push.
@@ -60,11 +60,14 @@
 //!
 //! * hub liveness is a schedule, not an event: a toggle at `t` takes
 //!   effect before every other event at `t` and consumes no sequence
-//!   number. One shard flips its media before dispatching the first
-//!   event at or after `t`; several read a compiled [`HubTimeline`], so
-//!   the toggle lands at the same virtual instant in every shard
-//!   regardless of which thread gets there first. Hub faults may be
-//!   scheduled at any `at >= now()`, before or between runs;
+//!   number. The world keeps every toggle in one time-sorted list, its
+//!   hub schedule, and nothing copies it: medium admission (the only
+//!   shard's or the merge's) and every shard's arrival check ask it
+//!   about their own instant, the shards through a cursor of their own,
+//!   and the loops and the fluid engine walk it with cursors too. So a toggle lands at the same virtual instant in
+//!   every shard, regardless of which thread gets there first. Hub
+//!   faults may be scheduled at any `at >= now()`, before or between
+//!   runs;
 //! * corruption rolls and daemon draws come from per-host RNG streams,
 //!   so draw order depends only on the host's own event sequence;
 //! * within an epoch a shard numbers its events
@@ -99,7 +102,7 @@ use drs_core::{Destination, Frame, NetId, NodeId, ProbeObs, SimDuration, SimTime
 use drs_obs::flight::{loss_site, EventRef, FlightLog, FlightRecorder, TraceKind, TraceRecord};
 
 use crate::app::Workload;
-use crate::fault::{FaultEvent, FaultPlan, SimComponent};
+use crate::fault::{FaultPlan, HubSchedule, HubToggle, SimComponent};
 use crate::host::HostView;
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
@@ -110,48 +113,6 @@ use crate::workload::{FluidEngine, TransitionRecord, WorkloadCore, WorkloadSpec,
 use super::kernel::{class_of, Engine};
 use super::queue::{Core, EventKind, EventRecord, Fabric, Intent, KernelStats};
 use super::{Ctx, FlowOutcome, Protocol};
-
-/// Compiled hub liveness: per plane, the sorted fault/repair transitions.
-/// Shards that defer admission read this instead of live medium state so
-/// that a hub failure takes effect at the same virtual instant on every
-/// thread.
-#[derive(Debug, Clone, Default)]
-pub struct HubTimeline {
-    /// Per plane (indexed by [`NetId::idx`]), `(instant, up)` transitions
-    /// sorted by instant; between transitions the last one holds, and
-    /// before the first the hub is up.
-    transitions: Vec<Vec<(SimTime, bool)>>,
-}
-
-impl HubTimeline {
-    pub(crate) fn new(planes: u8) -> Self {
-        HubTimeline {
-            transitions: vec![Vec::new(); planes as usize],
-        }
-    }
-
-    /// Compiles the hub events of a fault schedule (already time-sorted,
-    /// stable) into a timeline.
-    pub(crate) fn rebuild(planes: u8, hub_events: &[FaultEvent]) -> Self {
-        let mut t = HubTimeline::new(planes);
-        for ev in hub_events {
-            if let SimComponent::Hub(net) = ev.component {
-                t.transitions[net.idx()].push((ev.at, ev.up));
-            }
-        }
-        t
-    }
-
-    /// Whether the hub of `net` is up at instant `at`. A transition *at*
-    /// `at` has already taken effect: hub toggles precede every other
-    /// event at their instant.
-    #[must_use]
-    pub fn is_up(&self, net: NetId, at: SimTime) -> bool {
-        let v = &self.transitions[net.idx()];
-        let idx = v.partition_point(|&(t, _)| t <= at);
-        idx == 0 || v[idx - 1].1
-    }
-}
 
 /// One shard: a core over a contiguous host block plus those hosts'
 /// daemon instances.
@@ -168,7 +129,7 @@ impl<P: Protocol> Shard<P> {
     /// Pops and executes the next pending event, which the caller has
     /// peeked.
     #[inline]
-    fn step(&mut self) {
+    fn step(&mut self, hubs: &HubSchedule) {
         let (at, seq, kind) = self.core.events.pop().expect("peeked by the caller");
         debug_assert!(at >= self.core.now);
         self.core.now = at;
@@ -178,6 +139,7 @@ impl<P: Protocol> Shard<P> {
         Engine {
             core: &mut self.core,
             protocols: &mut self.protocols,
+            hubs,
         }
         .dispatch(kind);
     }
@@ -195,18 +157,17 @@ struct ShardCell<P: Protocol>(UnsafeCell<Shard<P>>);
 // its `Msg` are `Send`.
 unsafe impl<P: Protocol> Sync for ShardCell<P> {}
 
-/// Coordinator-side state: the hub schedule, and — when admission is
-/// deferred — the real media and merge counters. Deliberately not
-/// generic so the borrow can be split from the shard cells.
+/// Coordinator-side state: the cursor of the hub toggles' flight records,
+/// and — when admission is deferred — the real media and merge counters.
+/// Deliberately not generic so the borrow can be split from the shard
+/// cells.
 struct Coordinator {
     /// The segments under deferred admission; empty when the only shard
     /// owns them.
     media: Vec<SharedMedium>,
-    /// All hub toggles, time-sorted (stable: scheduling order at equal
-    /// instants).
-    hub_events: Vec<FaultEvent>,
-    /// How many of `hub_events` have been applied to the media.
-    hub_applied: usize,
+    /// How many of the hub schedule's toggles have their flight record
+    /// ([`record_hub_toggles`]).
+    hubs_recorded: usize,
     intents: u64,
     merges: u64,
     /// Admitted intents whose destination shard differed from the
@@ -259,73 +220,46 @@ fn record_coord(flight: &mut Option<FlightRecorder>, sub: &mut u32, rec: TraceRe
     }
 }
 
-/// Flips one hub and records its `Fault`/`Repair` into `flight`, stamped
-/// with the toggle's own instant and sequence number 0 — a toggle
-/// precedes every event at its instant and consumes no number.
-fn toggle_hub(
-    ev: FaultEvent,
-    media: &mut [SharedMedium],
+/// The one cursor walk over the hub schedule: records the `Fault` or
+/// `Repair` of every toggle due at or before `t` that `*recorded` has not
+/// passed yet into `flight`, stamped with the toggle's own instant and
+/// sequence number 0 (a toggle precedes every event at its instant and
+/// consumes no number), and returns the next toggle's instant. The only
+/// shard walks into its own ring before each dispatch, so the records
+/// land in dispatch order; the merge walks into the coordinator's before
+/// each admission, so their sub numbers interleave with its own records
+/// identically at every thread count.
+fn record_hub_toggles(
+    hubs: &HubSchedule,
+    recorded: &mut usize,
+    t: SimTime,
     flight: &mut Option<FlightRecorder>,
     sub: &mut u32,
-) {
-    let SimComponent::Hub(net) = ev.component else {
-        return;
-    };
-    media[net.idx()].set_up(ev.up);
-    let kind = if ev.up {
-        TraceKind::Repair
-    } else {
-        TraceKind::Fault
-    };
-    let rec = TraceRecord {
-        time_ns: ev.at.0,
-        seq: 0,
-        sub: 0,
-        kind,
-        host: u32::MAX,
-        plane: Some(net.0),
-        arg: 0,
-        cause: None,
-    };
-    record_coord(flight, sub, rec);
+) -> SimTime {
+    let due = hubs.due(*recorded, t);
+    *recorded += due.len();
+    for toggle in due {
+        let kind = if toggle.up {
+            TraceKind::Repair
+        } else {
+            TraceKind::Fault
+        };
+        let rec = TraceRecord {
+            time_ns: toggle.at.0,
+            seq: 0,
+            sub: 0,
+            kind,
+            host: u32::MAX,
+            plane: Some(toggle.net.0),
+            arg: 0,
+            cause: None,
+        };
+        record_coord(flight, sub, rec);
+    }
+    hubs.at(*recorded)
 }
 
 impl Coordinator {
-    /// Instant of the earliest hub toggle not yet applied.
-    fn next_toggle(&self) -> SimTime {
-        self.hub_events
-            .get(self.hub_applied)
-            .map_or(SimTime(u64::MAX), |ev| ev.at)
-    }
-
-    /// Marks the earliest pending hub toggle applied and returns it, if
-    /// it is due at or before `t`.
-    fn pop_due_toggle(&mut self, t: SimTime) -> Option<FaultEvent> {
-        let ev = *self.hub_events.get(self.hub_applied)?;
-        (ev.at <= t).then(|| {
-            self.hub_applied += 1;
-            ev
-        })
-    }
-
-    /// Deferred admission: applies every pending hub toggle due at or
-    /// before `t` to the coordinator's media.
-    fn apply_hub_through(&mut self, t: SimTime) {
-        while let Some(ev) = self.pop_due_toggle(t) {
-            toggle_hub(ev, &mut self.media, &mut self.flight, &mut self.flight_sub);
-        }
-    }
-
-    /// Direct admission: applies every pending hub toggle due at or
-    /// before `t` to the media and flight ring of the only shard's
-    /// `core`, and returns the next pending toggle's instant.
-    fn apply_hub_direct<M>(&mut self, core: &mut Core<M>, t: SimTime) -> SimTime {
-        while let Some(ev) = self.pop_due_toggle(t) {
-            toggle_hub(ev, &mut core.media, &mut core.flight, &mut self.flight_sub);
-        }
-        self.next_toggle()
-    }
-
     /// Appends a coordinator-side flight record, if recording is on.
     /// Coordinator phases run in the same order for every thread count,
     /// so the sub counter — and therefore the record identities — are
@@ -427,6 +361,10 @@ pub struct World<P: Protocol> {
     /// Host → shard index.
     owner: Vec<u32>,
     coord: Coordinator,
+    /// Every hub toggle scheduled so far, the one copy: the shards, the
+    /// merge, the fluid engine and [`Self::component_is_up`] read it by
+    /// reference.
+    hubs: HubSchedule,
     now: SimTime,
     /// Epochs executed so far; epoch ids start at 1 so the pre-run
     /// sequence space (`seq_base == 0`) is never reused.
@@ -554,8 +492,8 @@ impl<P: Protocol> World<P> {
             let (own_media, fabric) = if shards == 1 {
                 (std::mem::take(&mut media), Fabric::Direct)
             } else {
-                let (outbox, timeline) = (Vec::new(), HubTimeline::new(spec.planes));
-                (Vec::new(), Fabric::Deferred { outbox, timeline })
+                let outbox = Vec::new();
+                (Vec::new(), Fabric::Deferred { outbox })
             };
             let mut core = Core::new(spec, base, len, own_media, fabric);
             if let Some(t) = tspec {
@@ -579,8 +517,7 @@ impl<P: Protocol> World<P> {
             owner,
             coord: Coordinator {
                 media,
-                hub_events: Vec::new(),
-                hub_applied: 0,
+                hubs_recorded: 0,
                 intents: 0,
                 merges: 0,
                 cross_shard: 0,
@@ -589,6 +526,7 @@ impl<P: Protocol> World<P> {
                 flight: None,
                 flight_sub: COORD_SUB_BASE,
             },
+            hubs: HubSchedule::new(),
             now: SimTime::ZERO,
             epoch: 0,
             lookahead,
@@ -599,12 +537,12 @@ impl<P: Protocol> World<P> {
         };
         for i in 0..spec.n {
             let node = NodeId(i as u32);
-            let s = world.owner_of(node);
-            let shard = world.shard_mut(s);
+            let shard = world.shards[world.owner[i] as usize].0.get_mut();
             let local = shard.core.hosts.local(node);
             let mut ctx = Ctx {
                 core: &mut shard.core,
                 node,
+                hubs: &world.hubs,
             };
             shard.protocols[local].on_start(&mut ctx);
         }
@@ -613,7 +551,7 @@ impl<P: Protocol> World<P> {
             // admission has already done: construction precedes every
             // fault plan at every shard count.
             // SAFETY: no worker threads exist; access is exclusive.
-            unsafe { merge_and_min(&mut world.coord, &world.shards, &world.owner) };
+            unsafe { merge_and_min(&mut world.coord, &world.shards, &world.owner, &world.hubs) };
         }
         world
     }
@@ -810,14 +748,7 @@ impl<P: Protocol> World<P> {
         match c {
             SimComponent::Hub(net) => {
                 assert!(net.idx() < self.spec.planes as usize, "no such plane");
-                // The schedule is time-sorted, so the hub's last toggle
-                // at or before `now` is its state.
-                let due = |ev: &&FaultEvent| ev.at <= self.now && ev.component == c;
-                self.coord
-                    .hub_events
-                    .iter()
-                    .rfind(due)
-                    .is_none_or(|ev| ev.up)
+                self.hubs.is_up(net, self.now)
             }
             SimComponent::Nic(node, net) => self
                 .shard(self.owner_of(node))
@@ -839,7 +770,6 @@ impl<P: Protocol> World<P> {
     /// scenario's `planes`.
     pub fn schedule_faults(&mut self, plan: FaultPlan) {
         let planes = self.spec.planes as usize;
-        let mut any_hub = false;
         for ev in plan.into_sorted_events() {
             assert!(ev.at >= self.now, "fault scheduled in the past");
             let net = match ev.component {
@@ -850,15 +780,11 @@ impl<P: Protocol> World<P> {
                 "fault on plane {net} but the cluster has {planes} planes"
             );
             match ev.component {
-                SimComponent::Hub(_) => {
-                    // Hub toggles reach the fluid engine from this
-                    // schedule too, never as workload transitions.
-                    self.coord.hub_events.push(ev);
-                    if let Some(eng) = self.workload_engine.as_mut() {
-                        eng.add_hub_toggles(std::slice::from_ref(&ev));
-                    }
-                    any_hub = true;
-                }
+                SimComponent::Hub(net) => self.hubs.insert(HubToggle {
+                    at: ev.at,
+                    net,
+                    up: ev.up,
+                }),
                 SimComponent::Nic(node, net) => {
                     let s = self.owner_of(node);
                     let fault = EventKind::NicFault {
@@ -867,18 +793,6 @@ impl<P: Protocol> World<P> {
                         up: ev.up,
                     };
                     self.shard_mut(s).core.schedule_at(ev.at, fault);
-                }
-            }
-        }
-        if any_hub {
-            // Keep time-sorted across plans; the stable sort preserves
-            // scheduling order at equal instants and leaves the applied
-            // prefix (everything at or before `now`) in place.
-            self.coord.hub_events.sort_by_key(|ev| ev.at);
-            let compiled = HubTimeline::rebuild(self.spec.planes, &self.coord.hub_events);
-            for i in 0..self.shards.len() {
-                if let Fabric::Deferred { timeline, .. } = &mut self.shard_mut(i).core.fabric {
-                    *timeline = compiled.clone();
                 }
             }
         }
@@ -966,7 +880,7 @@ impl<P: Protocol> World<P> {
                 routes.push(table.get(NodeId(dst as u32)));
             }
         }
-        let mut engine = Box::new(FluidEngine::new(
+        let engine = Box::new(FluidEngine::new(
             &wspec,
             n,
             self.spec.planes,
@@ -974,7 +888,6 @@ impl<P: Protocol> World<P> {
             self.spec.bandwidth_bps,
             routes,
         ));
-        engine.add_hub_toggles(&self.coord.hub_events);
         let seed = self.spec.seed;
         for i in 0..self.shards.len() {
             let core = &mut self.shard_mut(i).core;
@@ -1036,9 +949,9 @@ impl<P: Protocol> World<P> {
         tagged.sort_by_key(|&(r, s)| (r.at, r.seq, s));
         let engine = self.workload_engine.as_mut().expect("checked above");
         for (rec, _) in &tagged {
-            engine.apply(rec);
+            engine.apply(rec, &self.hubs);
         }
-        engine.settle(until);
+        engine.settle(until, &self.hubs);
     }
 
     /// The flight timeline, if [`Self::enable_flight`] was called: the
@@ -1126,23 +1039,25 @@ impl<P: Protocol> World<P> {
         self.next_flow - resolved
     }
 
-    /// The one-shard loop: pop and dispatch until the horizon, flipping
+    /// The one-shard loop: pop and dispatch until the horizon, recording
     /// each hub toggle before the first event at or after its instant
     /// (so its flight record lands in dispatch order, at one compare per
     /// event).
     fn run_direct(&mut self, until: SimTime) {
         let shard = self.shards[0].0.get_mut();
-        let mut next_toggle = self.coord.next_toggle();
+        let (hubs, coord) = (&self.hubs, &mut self.coord);
+        let (recorded, sub) = (&mut coord.hubs_recorded, &mut coord.flight_sub);
+        let mut next_toggle = hubs.at(*recorded);
         while let Some((at, _)) = shard.core.events.peek() {
             if at > until {
                 break;
             }
             if at >= next_toggle {
-                next_toggle = self.coord.apply_hub_direct(&mut shard.core, at);
+                next_toggle = record_hub_toggles(hubs, recorded, at, &mut shard.core.flight, sub);
             }
-            shard.step();
+            shard.step(hubs);
         }
-        self.coord.apply_hub_direct(&mut shard.core, until);
+        record_hub_toggles(hubs, recorded, until, &mut shard.core.flight, sub);
     }
 
     /// The epoch loop: persistent scoped workers, two barriers per epoch
@@ -1154,6 +1069,7 @@ impl<P: Protocol> World<P> {
         let cells = &self.shards[..];
         let owner = &self.owner[..];
         let coord = &mut self.coord;
+        let hubs = &self.hubs;
         let lookahead = self.lookahead;
         let mut epoch = self.epoch;
         let mut barrier_ns = 0u64;
@@ -1187,7 +1103,7 @@ impl<P: Protocol> World<P> {
                         // SAFETY: worker `w` exclusively owns shards
                         // `i ≡ w (mod nthreads)` between the barriers.
                         let shard = unsafe { &mut *cells[i].0.get() };
-                        popped += run_shard_epoch(shard, e, bound);
+                        popped += run_shard_epoch(shard, e, bound, hubs);
                     }
                     worker_pops.fetch_add(popped, Ordering::Relaxed);
                     barrier.wait(); // done
@@ -1197,7 +1113,7 @@ impl<P: Protocol> World<P> {
                 // Coordinator phase: every worker is parked at `go`, so
                 // shard access is unaliased.
                 // SAFETY: see above.
-                let next = unsafe { merge_and_min(coord, cells, owner) };
+                let next = unsafe { merge_and_min(coord, cells, owner, hubs) };
                 let t_start = match next {
                     Some(t) if t <= until => t,
                     _ => {
@@ -1224,7 +1140,7 @@ impl<P: Protocol> World<P> {
                 for i in (0..cells.len()).step_by(nthreads) {
                     // SAFETY: the coordinator thread is worker 0.
                     let shard = unsafe { &mut *cells[i].0.get() };
-                    popped += run_shard_epoch(shard, epoch, bound);
+                    popped += run_shard_epoch(shard, epoch, bound, hubs);
                 }
                 if nthreads > 1 {
                     let t0 = Instant::now();
@@ -1240,9 +1156,15 @@ impl<P: Protocol> World<P> {
         });
 
         // Final outbox state is always empty (the loop merges before
-        // deciding to stop), so only the hub schedule needs settling to
-        // the horizon.
-        coord.apply_hub_through(until);
+        // deciding to stop), so only the hub toggles' records need
+        // settling to the horizon.
+        record_hub_toggles(
+            hubs,
+            &mut coord.hubs_recorded,
+            until,
+            &mut coord.flight,
+            &mut coord.flight_sub,
+        );
         self.epoch = epoch;
         self.barrier_wait_ns += barrier_ns;
     }
@@ -1262,7 +1184,12 @@ impl<P: Protocol> World<P> {
 /// exhausted — the epoch or shard id does not fit its field on entry, or
 /// the shard issued more than 2²⁴ sequence numbers by exit. Past either
 /// limit events would reorder silently.
-fn run_shard_epoch<P: Protocol>(shard: &mut Shard<P>, epoch: u64, bound: SimTime) -> u64 {
+fn run_shard_epoch<P: Protocol>(
+    shard: &mut Shard<P>,
+    epoch: u64,
+    bound: SimTime,
+    hubs: &HubSchedule,
+) -> u64 {
     assert!(
         shard.id < 1 << 8 && epoch > 0 && epoch < 1 << 32,
         "sequence space exhausted: epoch {epoch} / shard {} outside the packed 32/8-bit fields",
@@ -1275,7 +1202,7 @@ fn run_shard_epoch<P: Protocol>(shard: &mut Shard<P>, epoch: u64, bound: SimTime
         if at >= bound {
             break;
         }
-        shard.step();
+        shard.step(hubs);
         n += 1;
     }
     assert!(
@@ -1352,8 +1279,8 @@ unsafe fn close_epoch<P: Protocol>(
 }
 
 /// The barrier-time merge: drains every shard's outbox, admits the
-/// intents onto the media in global `(at, seq)` order (applying hub
-/// toggles due by each instant first), distributes the arrivals into
+/// intents onto the media in global `(at, seq)` order (each with the hub
+/// liveness of its instant), distributes the arrivals into
 /// the destination shards' wheels, and returns a lower bound on the
 /// earliest pending event across all shards — the minimum of the wheels'
 /// O(1) occupancy hints (never staging, so no cursor moves past the last
@@ -1366,12 +1293,13 @@ unsafe fn merge_and_min<P: Protocol>(
     coord: &mut Coordinator,
     cells: &[ShardCell<P>],
     owner: &[u32],
+    hubs: &HubSchedule,
 ) -> Option<SimTime> {
     let s = cells.len();
     // SAFETY: exclusive shard access is the function's contract; every
     // borrow this hands out ends before the shard is touched again.
     let outbox = |i: usize| match &mut (*cells[i].0.get()).core.fabric {
-        Fabric::Deferred { outbox, .. } => outbox,
+        Fabric::Deferred { outbox } => outbox,
         Fabric::Direct => unreachable!("several shards always defer"),
     };
     // Most epochs of a session workload transmit nothing: count first,
@@ -1415,13 +1343,19 @@ unsafe fn merge_and_min<P: Protocol>(
             if let Some(next) = boxes[i].last() {
                 heap.push(Reverse((next.at, next.seq, i)));
             }
-            // Hub toggles due by the transmission instant take effect
-            // first.
-            coord.apply_hub_through(at);
+            // Hub toggles due by the transmission instant take effect,
+            // and are recorded, first.
+            record_hub_toggles(
+                hubs,
+                &mut coord.hubs_recorded,
+                at,
+                &mut coord.flight,
+                &mut coord.flight_sub,
+            );
             let seq = intent.seq;
             let frame = intent.frame;
-            let class = class_of(&frame);
-            let Some(arrive) = coord.media[frame.net.idx()].admit(at, frame.wire_bytes, class)
+            let (class, up) = (class_of(&frame), hubs.is_up(frame.net, at));
+            let Some(arrive) = coord.media[frame.net.idx()].admit(at, frame.wire_bytes, class, up)
             else {
                 // Dead hub ate it. A traced frame's loss is charged to
                 // the prober that launched it, at the admit instant.
@@ -1510,28 +1444,6 @@ mod tests {
             let why = parse_threads(Some(mangled)).unwrap_err();
             assert!(why.contains(&format!("{mangled:?}")), "{why}");
         }
-    }
-
-    #[test]
-    fn timeline_last_transition_wins_and_same_instant_applies() {
-        let events = vec![
-            FaultEvent {
-                at: SimTime(100),
-                component: SimComponent::Hub(NetId::A),
-                up: false,
-            },
-            FaultEvent {
-                at: SimTime(200),
-                component: SimComponent::Hub(NetId::A),
-                up: true,
-            },
-        ];
-        let t = HubTimeline::rebuild(2, &events);
-        assert!(t.is_up(NetId::A, SimTime(99)));
-        assert!(!t.is_up(NetId::A, SimTime(100))); // same-instant: applied
-        assert!(!t.is_up(NetId::A, SimTime(199)));
-        assert!(t.is_up(NetId::A, SimTime(200)));
-        assert!(t.is_up(NetId::B, SimTime(150))); // untouched plane
     }
 
     #[test]
@@ -1859,7 +1771,7 @@ mod tests {
     #[should_panic(expected = "sequence space exhausted: epoch 4294967296")]
     fn epoch_id_past_its_field_is_a_hard_error() {
         let mut w = ShardedWorld::with_topology(ClusterSpec::new(4).seed(1), 2, 1, |_| Idle);
-        run_shard_epoch(w.shard_mut(0), 1 << 32, SimTime(1));
+        run_shard_epoch(w.shard_mut(0), 1 << 32, SimTime(1), &HubSchedule::new());
     }
 
     #[test]
@@ -1878,6 +1790,6 @@ mod tests {
             }
         }
         let mut w = ShardedWorld::with_topology(ClusterSpec::new(4).seed(1), 2, 1, |_| Burner);
-        run_shard_epoch(w.shard_mut(1), 1, SimTime(2_000_000));
+        run_shard_epoch(w.shard_mut(1), 1, SimTime(2_000_000), &HubSchedule::new());
     }
 }

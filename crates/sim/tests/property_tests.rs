@@ -48,7 +48,7 @@ fn medium_is_fifo_and_causal() {
         let mut last_arrival = SimTime::ZERO;
         for (size, gap) in sizes.iter().zip(&gaps) {
             now += SimDuration::from_nanos(*gap);
-            let arrive = m.admit(now, *size, TrafficClass::Data).unwrap();
+            let arrive = m.admit(now, *size, TrafficClass::Data, true).unwrap();
             assert!(arrive >= last_arrival, "{ctx}: FIFO violated");
             let min = now + m.serialization(*size) + SimDuration::from_micros(5);
             assert!(arrive >= min, "{ctx}: faster than physics");
@@ -70,7 +70,7 @@ fn medium_busy_accounting() {
         let mut expected = SimDuration::ZERO;
         for s in &sizes {
             expected = expected + m.serialization(*s);
-            let _ = m.admit(SimTime::ZERO, *s, TrafficClass::Control);
+            let _ = m.admit(SimTime::ZERO, *s, TrafficClass::Control, true);
         }
         assert_eq!(m.stats.busy, expected, "{ctx}");
         assert_eq!(m.stats.frames, sizes.len() as u64, "{ctx}");

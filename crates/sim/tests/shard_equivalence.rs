@@ -4,8 +4,9 @@
 //! and lossy links — the merged schedule is **byte-identical** at every
 //! worker-thread count, and the one-shard [`World::new`] reproduces the
 //! drawn shard count's simulated results event-for-event on every draw,
-//! faulted and lossy ones included. A last test puts hub toggles exactly
-//! on transmission instants, before and between runs.
+//! faulted and lossy ones included. Two last tests put hub toggles
+//! exactly on transmission instants, before and between runs, and
+//! schedule hub faults between runs with the fluid workload on.
 //!
 //! These are plain seeded loops, so a failing seed prints directly and
 //! reruns exactly.
@@ -609,4 +610,98 @@ fn hub_toggles_on_timer_instants_agree_at_every_shard_count() {
     }
     // When the plan was scheduled is invisible too.
     assert!(per_schedule[0] == per_schedule[1]);
+}
+
+/// Hub faults scheduled *between* runs, with the fluid workload on from
+/// the start: one at exactly `now()`, a same-instant down/up pair on one
+/// plane and an up/down pair on another (the last of each wins), and
+/// toggles on chatter timer instants, where events are dispatched at the
+/// toggle's own instant. At 1, 3 and 7 shards every reader of the hub
+/// schedule agrees: the dispatched events, the media's hub-down drops,
+/// the fluid engine's hub transitions, and `component_is_up` after every
+/// segment.
+#[test]
+fn hub_faults_scheduled_between_runs_agree_at_every_shard_count() {
+    const PERIOD: SimDuration = SimDuration(10_000_000);
+    let ms = |m: u64| SimTime(m * 1_000_000);
+    let hub = |p: u8| SimComponent::Hub(NetId(p));
+    let (n, planes) = (14u32, 3u8);
+    let spec = ClusterSpec::new(n as usize).seed(0x4B5).planes(planes);
+    // (schedule at, plan, run to). Chatter fires every 10 ms, on plane
+    // `firing % 3`: A at 10, 40, 70 ms, B at 20, 50, 80 ms, C at 30, 60,
+    // 90 ms.
+    let segments = || {
+        [
+            (ms(25), FaultPlan::new().fail_at(ms(25), hub(0)), ms(35)),
+            (
+                ms(35),
+                FaultPlan::new()
+                    .fail_at(ms(40), hub(1))
+                    .repair_at(ms(40), hub(1))
+                    .repair_at(ms(40), hub(2))
+                    .fail_at(ms(40), hub(2)),
+                ms(45),
+            ),
+            (
+                ms(45),
+                FaultPlan::new()
+                    .repair_at(ms(50), hub(0))
+                    .fail_at(ms(50), hub(1)),
+                ms(70),
+            ),
+            (ms(70), FaultPlan::new().repair_at(ms(70), hub(2)), ms(95)),
+        ]
+    };
+    let run = |shards: usize, threads: usize| {
+        let mut w =
+            ShardedWorld::with_topology(spec, shards, threads, |_| Chatter::new(n, planes, PERIOD));
+        w.enable_event_log();
+        w.enable_flight(1 << 14);
+        w.enable_workload(WorkloadSpec {
+            arrivals: ArrivalProcess::Closed {
+                per_host: 4,
+                think_mean_ns: 5_000_000,
+            },
+            holding: HoldingDist::Exponential {
+                mean_ns: 20_000_000,
+            },
+            classes: vec![ClassSpec {
+                rate_bps: 1_000_000,
+            }],
+            horizon: ms(95),
+        });
+        let mut hubs_up = Vec::new();
+        for (at, plan, until) in segments() {
+            w.run_until(at);
+            w.schedule_faults(plan);
+            w.run_until(until);
+            let up = NetId::planes(planes).map(|net| w.component_is_up(SimComponent::Hub(net)));
+            hubs_up.push(up.collect::<Vec<_>>());
+        }
+        (fingerprint(&w).results(), hubs_up)
+    };
+    let one = run(1, 1);
+    assert_eq!(
+        one.1,
+        [
+            [false, true, true],
+            [false, true, false],
+            [true, false, false],
+            [true, false, true],
+        ]
+    );
+    // A down, B down, B up, C down (its repair found it up), A up, B
+    // down, C up.
+    let (stats, _, _) = one.0.workload.as_ref().expect("workload on");
+    assert_eq!(stats.hub_transitions, 7);
+    // A drops its 40 ms firing, B its 50 and 80 ms ones, C its 60 ms one.
+    let drops: Vec<u64> = one.0.media.iter().map(|m| m.dropped_hub_down).collect();
+    assert!(drops.iter().all(|&d| d > 0), "{drops:?}");
+    for (shards, threads) in [(3, 1), (7, 1), (7, 2)] {
+        let many = run(shards, threads);
+        assert!(
+            one == many,
+            "{shards} shards on {threads} threads diverged\n one: {one:?}\nmany: {many:?}"
+        );
+    }
 }
