@@ -227,14 +227,24 @@ pub fn chain_stats(report: &PostMortemReport) -> ChainStats {
 }
 
 /// Asserts one run's full invariant set for a cell and returns its
-/// chain stats: nothing dropped, no orphaned refs, every chain complete,
-/// every decomposition exact, and the flight-derived histograms equal to
-/// the daemon's probe observability bucket-for-bucket.
+/// chain stats: nothing dropped, every cause sorting strictly below the
+/// record citing it (a chain walk stops at one that does not), no
+/// orphaned refs, every chain complete, every decomposition exact, and
+/// the flight-derived histograms equal to the daemon's probe
+/// observability bucket-for-bucket.
 fn check_driver(label: &str, driver: &str, run: &DriverRun) -> ChainStats {
     assert_eq!(
         run.log.dropped, 0,
         "{label}/{driver}: flight ring evicted records; raise FLIGHT_CAPACITY"
     );
+    for r in &run.log.records {
+        if let Some(c) = r.cause {
+            assert!(
+                (c.time_ns, c.seq, c.sub) < r.sort_key(),
+                "{label}/{driver}: {r:?} cites {c:?}, which does not sort below it"
+            );
+        }
+    }
     let s = chain_stats(&run.report);
     assert!(s.failovers > 0, "{label}/{driver}: no failovers traced");
     assert_eq!(s.orphan_refs, 0, "{label}/{driver}: orphaned cause refs");

@@ -12,9 +12,8 @@
 //! cross-check flight-derived latencies bucket-for-bucket against the
 //! histograms in the observability artifact.
 
-use crate::flight::{find_sorted, EventRef, FlightLog, TraceKind, TraceRecord};
+use crate::flight::{find_near, EventRef, FlightLog, TraceKind, TraceRecord};
 use std::borrow::Cow;
-use std::collections::BTreeMap;
 
 /// One failover's reconstructed causal chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,7 +26,8 @@ pub struct PostMortem {
     pub losses: Vec<TraceRecord>,
     /// True when the walk ended at a record with `cause: None`; false
     /// when a `cause` ref failed to resolve (evicted or never recorded)
-    /// — an *orphaned* chain.
+    /// — an *orphaned* chain — or did not sort strictly below the record
+    /// citing it (a cause cycle).
     pub complete: bool,
 }
 
@@ -140,9 +140,16 @@ impl PostMortemReport {
 /// log of a sharded world gives bit-identical reports at any thread
 /// count.
 ///
-/// Cause refs resolve by binary search over the log's own `(time, seq,
-/// sub)` order; a hand-built log that is not in that order is searched
-/// through a sorted copy instead.
+/// Each cause ref is found by galloping from a guess at its index,
+/// O(log distance) instead of a binary search of the whole log: the
+/// cause last found for a record of the same kind, the previous chain's
+/// hop at the same depth, or else the citing record itself (a cause
+/// sorts strictly below the record that cites it in every simulator
+/// log). A chain whose cause does not sort below its citer (a cycle, in
+/// a hand-built log) ends there, as incomplete. A hand-built log that is
+/// not in `(time, seq, sub)` order is searched through a sorted copy; the
+/// guesses are then only guesses, and the gallop finds the same record
+/// from any of them.
 #[must_use]
 pub fn build_post_mortems(log: &FlightLog) -> PostMortemReport {
     let mut sorted = Cow::Borrowed(log.records.as_slice());
@@ -150,50 +157,70 @@ pub fn build_post_mortems(log: &FlightLog) -> PostMortemReport {
     if !sorted.windows(2).all(in_order) {
         sorted.to_mut().sort_by_key(TraceRecord::sort_key);
     }
-    // Reverse edges: probe send ref -> loss records blaming it.
-    let mut losses_by_cause: BTreeMap<EventRef, Vec<&TraceRecord>> = BTreeMap::new();
+    // Reverse edges: (probe send ref, log index) of every loss record
+    // blaming it, sorted so that a send's losses are one run in log order.
+    let mut losses_by_cause: Vec<(EventRef, usize)> = Vec::new();
     let mut orphan_refs = 0;
-    for r in &log.records {
+    // Records of one kind cite causes that sit together — a round's probe
+    // sends cite the replies of the round before, which arrived together,
+    // and its replies cite one batch of sends — so each search starts at
+    // the cause last found for a record of the same kind.
+    let mut fingers = [None; TraceKind::ALL.len()];
+    for (i, r) in log.records.iter().enumerate() {
         if let Some(c) = r.cause {
-            if find_sorted(&sorted, c).is_none() {
-                orphan_refs += 1;
+            let finger = &mut fingers[r.kind as usize];
+            match find_near(&sorted, finger.unwrap_or(i), c) {
+                Some(j) => *finger = Some(j),
+                None => orphan_refs += 1,
             }
             if r.kind == TraceKind::ProbeLoss {
-                losses_by_cause.entry(c).or_default().push(r);
+                losses_by_cause.push((c, i));
             }
         }
     }
+    losses_by_cause.sort_unstable();
 
     let mut failovers = Vec::new();
-    for r in &log.records {
+    // The failovers of one outage walk back through the same probe
+    // rounds, so the previous chain's hop at the same depth is where this
+    // chain's hop usually sits; the citer's index is the fallback guess.
+    let (mut hops, mut prev_hops) = (Vec::new(), Vec::new());
+    for (i, r) in log.records.iter().enumerate() {
         if r.kind != TraceKind::RerouteComplete {
             continue;
         }
         let mut chain = vec![*r];
         let mut complete = true;
-        let mut cursor = r.cause;
-        while let Some(c) = cursor {
-            match find_sorted(&sorted, c) {
-                Some(rec) => {
-                    chain.push(*rec);
-                    cursor = rec.cause;
-                }
-                None => {
-                    complete = false;
-                    break;
-                }
-            }
+        hops.clear();
+        let (mut at, mut from) = (*r, i);
+        while let Some(c) = at.cause {
+            // A cause that does not sort below its citer closes a cycle.
+            let found = if c.sort_key() < at.sort_key() {
+                let near = prev_hops.get(hops.len()).copied().unwrap_or(from);
+                find_near(&sorted, near, c)
+            } else {
+                None
+            };
+            let Some(j) = found else {
+                complete = false;
+                break;
+            };
+            (at, from) = (sorted[j], j);
+            hops.push(j);
+            chain.push(at);
         }
+        std::mem::swap(&mut hops, &mut prev_hops);
         chain.reverse();
         let mut losses: Vec<TraceRecord> = chain
             .iter()
             .filter(|hop| hop.kind == TraceKind::ProbeSend)
             .flat_map(|hop| {
-                losses_by_cause
-                    .get(&hop.self_ref())
-                    .into_iter()
-                    .flatten()
-                    .map(|l| **l)
+                let send = hop.self_ref();
+                let run = losses_by_cause.partition_point(|&(c, _)| c < send);
+                losses_by_cause[run..]
+                    .iter()
+                    .take_while(move |&&(c, _)| c == send)
+                    .map(|&(_, i)| log.records[i])
             })
             .collect();
         losses.sort_by_key(TraceRecord::sort_key);
@@ -244,6 +271,7 @@ pub fn render_post_mortem(pm: &PostMortem) -> String {
 mod tests {
     use super::*;
     use crate::flight::loss_site;
+    use crate::flight::testkit::{drawn_log, returns_within_ten_seconds, shuffle};
 
     fn rec(t: u64, seq: u64, kind: TraceKind, cause: Option<EventRef>) -> TraceRecord {
         TraceRecord {
@@ -350,5 +378,138 @@ mod tests {
         assert!(text.contains("reroute_complete"));
         assert!(text.contains("(+1000 ns)"));
         assert!(text.contains("loss site 1"));
+    }
+
+    /// The builder before causes were searched from their citer: every
+    /// ref by binary search over the whole log, chains walked without a
+    /// cycle guard. The reference the builder must match on every log
+    /// without a cycle.
+    fn build_post_mortems_oracle(log: &FlightLog) -> PostMortemReport {
+        use crate::flight::find_sorted;
+        use std::collections::BTreeMap;
+        let mut sorted = Cow::Borrowed(log.records.as_slice());
+        let in_order = |w: &[TraceRecord]| w[0].sort_key() <= w[1].sort_key();
+        if !sorted.windows(2).all(in_order) {
+            sorted.to_mut().sort_by_key(TraceRecord::sort_key);
+        }
+        let mut losses_by_cause: BTreeMap<EventRef, Vec<&TraceRecord>> = BTreeMap::new();
+        let mut orphan_refs = 0;
+        for r in &log.records {
+            if let Some(c) = r.cause {
+                if find_sorted(&sorted, c).is_none() {
+                    orphan_refs += 1;
+                }
+                if r.kind == TraceKind::ProbeLoss {
+                    losses_by_cause.entry(c).or_default().push(r);
+                }
+            }
+        }
+
+        let mut failovers = Vec::new();
+        for r in &log.records {
+            if r.kind != TraceKind::RerouteComplete {
+                continue;
+            }
+            let mut chain = vec![*r];
+            let mut complete = true;
+            let mut cursor = r.cause;
+            while let Some(c) = cursor {
+                match find_sorted(&sorted, c) {
+                    Some(rec) => {
+                        chain.push(*rec);
+                        cursor = rec.cause;
+                    }
+                    None => {
+                        complete = false;
+                        break;
+                    }
+                }
+            }
+            chain.reverse();
+            let mut losses: Vec<TraceRecord> = chain
+                .iter()
+                .filter(|hop| hop.kind == TraceKind::ProbeSend)
+                .flat_map(|hop| {
+                    losses_by_cause
+                        .get(&hop.self_ref())
+                        .into_iter()
+                        .flatten()
+                        .map(|l| **l)
+                })
+                .collect();
+            losses.sort_by_key(TraceRecord::sort_key);
+            failovers.push(PostMortem {
+                chain,
+                losses,
+                complete,
+            });
+        }
+        PostMortemReport {
+            failovers,
+            orphan_refs,
+        }
+    }
+
+    #[test]
+    fn searching_from_the_citer_equals_the_whole_log_search_on_drawn_logs() {
+        let (mut failovers, mut orphaned, mut losses, mut long) = (0, 0, 0, 0);
+        for seed in 0..64 {
+            let log = drawn_log(seed, 600);
+            let report = build_post_mortems(&log);
+            assert_eq!(report, build_post_mortems_oracle(&log), "seed {seed}");
+            let mut shuffled = log.clone();
+            shuffle(&mut shuffled.records, seed);
+            let moved = build_post_mortems(&shuffled);
+            assert_eq!(moved, build_post_mortems_oracle(&shuffled), "seed {seed}");
+            failovers += report.failovers.len();
+            orphaned += report.failovers.iter().filter(|f| !f.complete).count();
+            losses += report
+                .failovers
+                .iter()
+                .map(|f| f.losses.len())
+                .sum::<usize>();
+            long += report.failovers.iter().filter(|f| f.len() > 4).count();
+        }
+        // The draws reach every branch: complete and orphaned chains,
+        // attached losses, and chains long enough to gallop.
+        assert!(
+            failovers > 500 && orphaned > 100,
+            "{failovers} / {orphaned}"
+        );
+        assert!(losses > 50 && long > 100, "{losses} / {long}");
+    }
+
+    #[test]
+    fn a_cause_cycle_ends_the_chain_incomplete() {
+        // A reroute citing itself.
+        let mut own = rec(1_000, 1, TraceKind::RerouteComplete, None);
+        own.cause = Some(own.self_ref());
+        // A reroute and a decision citing each other.
+        let mut decision = rec(2_000, 2, TraceKind::FailoverDecision, None);
+        let reroute = rec(
+            3_000,
+            3,
+            TraceKind::RerouteComplete,
+            Some(decision.self_ref()),
+        );
+        decision.cause = Some(reroute.self_ref());
+        let reports = returns_within_ten_seconds(move || {
+            [vec![own, decision, reroute], vec![reroute, own, decision]].map(|records| {
+                build_post_mortems(&FlightLog {
+                    records,
+                    dropped: 0,
+                })
+            })
+        });
+        for report in reports {
+            assert_eq!(report.orphan_refs, 0);
+            assert_eq!(report.complete_count(), 0);
+            let chains: Vec<_> = report.failovers.iter().map(|f| &f.chain).collect();
+            assert!(chains.contains(&&vec![own]), "the self-cause stops at once");
+            assert!(
+                chains.contains(&&vec![decision, reroute]),
+                "reroute <- decision, then stop"
+            );
+        }
     }
 }

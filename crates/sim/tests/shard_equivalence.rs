@@ -322,7 +322,7 @@ fn fingerprint(w: &World<Chatter>) -> Fingerprint {
                 (c.fired, c.replies, c.controls)
             })
             .collect(),
-        flight: w.flight_log(),
+        flight: w.flight_log().inspect(assert_causes_sort_below),
         workload: w.workload_stats().map(|s| {
             let eng = w.workload_engine().expect("stats imply an engine");
             assert!(
@@ -332,6 +332,20 @@ fn fingerprint(w: &World<Chatter>) -> Fingerprint {
             );
             (s.clone(), eng.digest(), w.workload_events())
         }),
+    }
+}
+
+/// Every cause sorts strictly below the record citing it. The chain walks
+/// of `build_post_mortems` and `FlightRecorder::pin_chain` stop at a
+/// cause that does not, which is how they survive a cause cycle.
+fn assert_causes_sort_below(log: &FlightLog) {
+    for r in &log.records {
+        if let Some(c) = r.cause {
+            assert!(
+                (c.time_ns, c.seq, c.sub) < r.sort_key(),
+                "{r:?} cites {c:?}, which does not sort below it"
+            );
+        }
     }
 }
 
