@@ -28,18 +28,21 @@
 //! * **cascade** redistributes a higher-level slot into the levels below
 //!   when the clock enters its window, exactly like a hardware timer
 //!   wheel.
-//! * **next_hint** — the sharded driver's only query, "when is the next
+//! * **next_hint** — the sharded driver's query, "when is the next
 //!   event, without moving the cursor" — is six bit tests: the start of
 //!   the earliest occupied window of each level, a lower bound that is
 //!   good to a grain at level 0 and can undershoot by a window span
 //!   above it. The driver needs nothing tighter. A window opened at an
-//!   undershot hint `h` makes every shard call `peek_before(h + L)`;
+//!   undershot hint `h` makes the wheel it came from (and every other
+//!   wheel whose hint lies inside the window) call `peek_before(h + L)`;
 //!   that bound lies past `h`'s grain, so the fill loop takes the bucket
 //!   that produced `h` and places its entries at strictly lower levels
 //!   (or stages them, and a staged entry makes the hint exact). No push
 //!   happens in a window that popped nothing, so the level the hint
 //!   comes from falls with every empty window: at most `LEVELS` of them
 //!   per wheel before one pops, without ever walking a bucket.
+//!   **skips_below_hint** tells the driver when a bounded peek at or
+//!   below the hint would change nothing, so it can skip the shard.
 //!
 //! # Allocation discipline
 //!
@@ -487,6 +490,26 @@ impl<T> TimerWheel<T> {
             }
         }
         best.map(SimTime)
+    }
+
+    /// Whether [`peek_before`](Self::peek_before) is a no-op for every
+    /// limit at or below [`next_hint`](Self::next_hint): it stages
+    /// nothing, moves no cursor, changes no counter and reports nothing
+    /// before the limit — so a caller holding the hint may skip the call.
+    ///
+    /// True unless the ready buffer is empty and the overflow heap is not.
+    /// A staged entry is the hint itself and the peek returns it without
+    /// filling. Otherwise the fill loop's first pass would migrate every
+    /// overflow entry the cursor has come within the horizon of, and with
+    /// an empty wheel jump the cursor to the head's grain — both whatever
+    /// the limit. Without an overflow entry, every window starts at or
+    /// after the cursor (see `earliest_window`), so the hint is the
+    /// earliest window's start, and a limit at or below it leaves every
+    /// window at or past the limit's ceiling grain: the loop returns
+    /// before it touches one.
+    #[must_use]
+    pub fn skips_below_hint(&self) -> bool {
+        !self.ready.is_empty() || self.overflow.is_empty()
     }
 
     /// Pops the earliest event as `(at, seq, payload)`. The emptied ready

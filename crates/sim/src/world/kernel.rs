@@ -61,7 +61,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             let seq = self.next_seq();
             let frame = self.boxed(frame);
             if let Fabric::Deferred { outbox } = &mut self.fabric {
-                outbox.push(Intent { at, seq, frame });
+                outbox.push(Some(Intent { at, seq, frame }));
             }
             return true;
         }

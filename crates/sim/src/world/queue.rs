@@ -110,9 +110,10 @@ pub(crate) struct Intent<M> {
 }
 
 // A variant that carries a frame by value grows every queued event back
-// to a frame's size: fail the build, not the benchmark.
+// to a frame's size: fail the build, not the benchmark. An outbox slot
+// is an `Option<Intent>`, as small as the intent: the box is its niche.
 const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 24);
-const _: () = assert!(std::mem::size_of::<Intent<drs_core::DrsMsg>>() <= 24);
+const _: () = assert!(std::mem::size_of::<Option<Intent<drs_core::DrsMsg>>>() <= 24);
 // The frame box itself, whose size sets its malloc class: glibc rounds a
 // request plus its 8 B header up to 16 B, so this 48 B frame takes a 64 B
 // chunk where the 88 B one took 96 B, and the N = 1024 burst holds two
@@ -127,8 +128,10 @@ pub(crate) enum Fabric<M> {
     /// The only shard: admit onto `Core::media` immediately.
     Direct,
     /// One shard of several: log an [`Intent`]; the coordinator admits at
-    /// the next barrier, the media living there.
-    Deferred { outbox: Vec<Intent<M>> },
+    /// the next barrier, the media living there. The merge takes the
+    /// intents from the front, leaving `None` behind, and clears the
+    /// outbox once it has taken the last.
+    Deferred { outbox: Vec<Option<Intent<M>>> },
 }
 
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host

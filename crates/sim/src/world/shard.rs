@@ -42,16 +42,31 @@
 //! bit tests per wheel, a lower bound that can undershoot by the span of
 //! a higher-level bucket — and the driver never asks for the exact
 //! minimum. A window opened on an undershot hint pops nothing, but it is
-//! not wasted: every shard ran `peek_before(T_start + L)`, that bound
-//! lies past the hint's grain, so the wheel that produced the hint took
-//! the bucket behind it and placed its entries at lower levels (or
-//! staged them, where the hint is exact). Nothing is pushed in a window
-//! that popped nothing, so each wheel's hint comes from a strictly lower
-//! level after every empty window it caused: at most `LEVELS` of them
-//! per wheel per idle gap, then one that pops. An exact minimum costs
-//! more per epoch than the empty windows it saves (ROADMAP 1(a) has the
-//! measurement). [`ShardStats::zero_pop_epochs`] counts the empty
-//! windows.
+//! not wasted: every shard whose hint lies inside the window ran
+//! `peek_before(T_start + L)`, that bound lies past the hint's grain, so
+//! the wheel that produced the hint took the bucket behind it and placed
+//! its entries at lower levels (or staged them, where the hint is exact).
+//! Nothing is pushed in a window that popped nothing, so each wheel's
+//! hint comes from a strictly lower level after every empty window it
+//! caused: at most `LEVELS` of them per wheel per idle gap, then one that
+//! pops. An exact minimum costs more per epoch than the empty windows it
+//! saves (ROADMAP 1(a) has the measurement). [`ShardStats::zero_pop_epochs`]
+//! counts the empty windows.
+//!
+//! # What an epoch costs
+//!
+//! The merge keeps every shard's hint, and a shard whose hint lies at or
+//! past the window's bound is not visited at all: its bounded peek would
+//! pop nothing and change nothing
+//! ([`TimerWheel::skips_below_hint`](crate::wheel::TimerWheel::skips_below_hint)
+//! says when that holds), so the skip counts its stall and moves on. On
+//! the N = 1024 burst 88 % of shard-epochs are such stalls. The merge
+//! admits each outbox's intents in runs: an outbox keeps the floor while
+//! its next intent sorts below every other outbox's head, so the heap
+//! does one operation per run, not per intent (98 % of the burst's
+//! intents follow one from the same outbox). The heap and the outboxes
+//! keep their storage between merges, so the loop allocates nothing in
+//! steady state (`tests/alloc_pin_sharded.rs`).
 //!
 //! # Why every shard and thread count agrees
 //!
@@ -76,7 +91,10 @@
 //!   all three identical for every thread count (exhausting a field is a
 //!   panic, checked once per shard-epoch);
 //! * the merge admits intents in `(at, seq)` order, so medium queueing
-//!   (FIFO per segment) is resolved identically for every thread count.
+//!   (FIFO per segment) is resolved identically for every thread count;
+//! * whether a shard is visited or skipped depends only on the hint the
+//!   merge stored for it and the window's bound, which every thread reads
+//!   the same.
 //!
 //! The result: `run_until` produces a bit-identical event schedule for
 //! any thread count, and the same simulated results — event projection,
@@ -120,9 +138,11 @@ pub(super) struct Shard<P: Protocol> {
     id: usize,
     pub(super) core: Core<P::Msg>,
     protocols: Vec<P>,
-    /// Epochs in which this shard had nothing to do — lookahead stalls:
-    /// the window opened but every local event lay beyond it.
-    stalls: u64,
+    /// Epochs in which this shard popped at least one event. Every other
+    /// epoch is one of its lookahead stalls — the window opened but every
+    /// local event lay beyond it — so the stalls are the world's epoch
+    /// count minus this, whether the shard was visited or skipped.
+    busy: u64,
 }
 
 impl<P: Protocol> Shard<P> {
@@ -157,14 +177,33 @@ struct ShardCell<P: Protocol>(UnsafeCell<Shard<P>>);
 // its `Msg` are `Send`.
 unsafe impl<P: Protocol> Sync for ShardCell<P> {}
 
+/// The merge heap's entry: an outbox head's `(at, seq)` and the outbox
+/// index, which breaks the ties of intents logged before the first epoch
+/// (numbered per shard from zero).
+type Head = ((SimTime, u64), usize);
+
 /// Coordinator-side state: the cursor of the hub toggles' flight records,
-/// and — when admission is deferred — the real media and merge counters.
-/// Deliberately not generic so the borrow can be split from the shard
-/// cells.
+/// and — when admission is deferred — the real media, the merge's
+/// reused storage and its counters. Deliberately not generic so the
+/// borrow can be split from the shard cells.
 struct Coordinator {
     /// The segments under deferred admission; empty when the only shard
     /// owns them.
     media: Vec<SharedMedium>,
+    /// The merge's min-heap of outbox heads, empty between merges and
+    /// kept for its storage.
+    heap: BinaryHeap<Reverse<Head>>,
+    /// Per outbox, how many intents the running merge has taken from
+    /// its front.
+    taken: Vec<usize>,
+    /// Per outbox, the two largest numbers of intents a merge found in
+    /// it. A drained outbox keeps storage for the second: a load seen
+    /// once, like the N = 1024 burst, is given back right after its
+    /// merge, and a load that recurs keeps its storage.
+    loads: Vec<[usize; 2]>,
+    /// Per shard, its stall count at the last sampled kernel-track mark
+    /// of this `run_until` call ([`close_epoch`]).
+    marked_stalls: Vec<u64>,
     /// How many of the hub schedule's toggles have their flight record
     /// ([`record_hub_toggles`]).
     hubs_recorded: usize,
@@ -312,12 +351,17 @@ pub struct ShardStats {
     pub cross_shard_frames: u64,
     /// Epochs in which no shard popped an event — the occupancy hint
     /// undershot; the empty window's bounded peek tightened the next one.
+    /// Counted whether the shards holding nothing inside the window were
+    /// visited or skipped on their hints.
     pub zero_pop_epochs: u64,
     /// The conservative lookahead window, nanoseconds.
     pub lookahead_ns: u64,
     /// Events dispatched per shard (load-balance view).
     pub events_per_shard: Vec<u64>,
-    /// Per shard, epochs in which it had no event inside the window.
+    /// Per shard, epochs in which it had no event inside the window. A
+    /// shard whose hint lies at or past the window's bound is not visited
+    /// and its stall is counted without a peek; the visit it replaces
+    /// would have popped nothing and changed nothing.
     pub stalls_per_shard: Vec<u64>,
     /// Wall-clock nanoseconds the coordinator spent waiting at `done`
     /// barriers. The only wall-clock (non-deterministic) field; never
@@ -361,6 +405,13 @@ pub struct World<P: Protocol> {
     /// Host → shard index.
     owner: Vec<u32>,
     coord: Coordinator,
+    /// Per shard, the bound at or past which its epoch visit is skipped:
+    /// its wheel's hint, as the last merge left it, or zero where the
+    /// wheel cannot skip ([`TimerWheel::skips_below_hint`]). Written by the
+    /// merge, read by every thread deciding whether to visit a shard.
+    ///
+    /// [`TimerWheel::skips_below_hint`]: crate::wheel::TimerWheel::skips_below_hint
+    hints: Vec<AtomicU64>,
     /// Every hub toggle scheduled so far, the one copy: the shards, the
     /// merge, the fluid engine and [`Self::component_is_up`] read it by
     /// reference.
@@ -506,7 +557,7 @@ impl<P: Protocol> World<P> {
                 id,
                 core,
                 protocols,
-                stalls: 0,
+                busy: 0,
             })));
             base += len as u32;
         }
@@ -517,6 +568,10 @@ impl<P: Protocol> World<P> {
             owner,
             coord: Coordinator {
                 media,
+                heap: BinaryHeap::with_capacity(shards),
+                taken: vec![0; shards],
+                loads: vec![[0; 2]; shards],
+                marked_stalls: Vec::with_capacity(shards),
                 hubs_recorded: 0,
                 intents: 0,
                 merges: 0,
@@ -526,6 +581,7 @@ impl<P: Protocol> World<P> {
                 flight: None,
                 flight_sub: COORD_SUB_BASE,
             },
+            hints: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             hubs: HubSchedule::new(),
             now: SimTime::ZERO,
             epoch: 0,
@@ -551,7 +607,15 @@ impl<P: Protocol> World<P> {
             // admission has already done: construction precedes every
             // fault plan at every shard count.
             // SAFETY: no worker threads exist; access is exclusive.
-            unsafe { merge_and_min(&mut world.coord, &world.shards, &world.owner, &world.hubs) };
+            unsafe {
+                merge_and_min(
+                    &mut world.coord,
+                    &world.shards,
+                    &world.owner,
+                    &world.hubs,
+                    &world.hints,
+                )
+            };
         }
         world
     }
@@ -702,7 +766,7 @@ impl<P: Protocol> World<P> {
     /// The partition and merge counters.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
-        let per_shard = |f: fn(&Shard<P>) -> u64| -> Vec<u64> {
+        let per_shard = |f: &dyn Fn(&Shard<P>) -> u64| -> Vec<u64> {
             (0..self.shards.len()).map(|i| f(self.shard(i))).collect()
         };
         ShardStats {
@@ -714,8 +778,8 @@ impl<P: Protocol> World<P> {
             cross_shard_frames: self.coord.cross_shard,
             zero_pop_epochs: self.coord.zero_pop_epochs,
             lookahead_ns: self.lookahead,
-            events_per_shard: per_shard(|s| s.core.events.stats().pops),
-            stalls_per_shard: per_shard(|s| s.stalls),
+            events_per_shard: per_shard(&|s| s.core.events.stats().pops),
+            stalls_per_shard: per_shard(&|s| self.epoch - s.busy),
             barrier_wait_ns: self.barrier_wait_ns,
         }
     }
@@ -1062,64 +1126,47 @@ impl<P: Protocol> World<P> {
 
     /// The epoch loop: persistent scoped workers, two barriers per epoch
     /// (`go` / `done`), coordinator phase in between with all workers
-    /// parked. One thread runs the same loop with no workers and no
-    /// barriers.
+    /// parked. One thread runs the same loop with no workers, no barriers
+    /// and no thread scope, so a warmed-up run allocates nothing.
     fn run_epochs(&mut self, until: SimTime) {
         let nthreads = self.threads.min(self.shards.len());
         let cells = &self.shards[..];
         let owner = &self.owner[..];
+        let hints = &self.hints[..];
         let coord = &mut self.coord;
         let hubs = &self.hubs;
         let lookahead = self.lookahead;
         let mut epoch = self.epoch;
-        let mut barrier_ns = 0u64;
         // SAFETY: no workers spawned yet; access is exclusive.
-        let mut prev_stalls: Vec<u64> = cells
-            .iter()
-            .map(|c| unsafe { (*c.0.get()).stalls })
-            .collect();
+        coord.marked_stalls.clear();
+        coord
+            .marked_stalls
+            .extend(cells.iter().map(|c| epoch - unsafe { (*c.0.get()).busy }));
 
-        let barrier = Barrier::new(nthreads);
-        let stop = AtomicBool::new(false);
-        let bound_ns = AtomicU64::new(0);
-        let epoch_id = AtomicU64::new(0);
-        // Events the workers popped this epoch. A plain count, ordered
-        // by the `done` barrier, so `Relaxed` suffices.
-        let worker_pops = AtomicU64::new(0);
+        let crew = Crew {
+            barrier: Barrier::new(nthreads),
+            stop: AtomicBool::new(false),
+            bound_ns: AtomicU64::new(0),
+            epoch_id: AtomicU64::new(0),
+            worker_pops: AtomicU64::new(0),
+        };
+        let crew = (nthreads > 1).then_some(&crew);
 
-        std::thread::scope(|scope| {
-            for w in 1..nthreads {
-                let (barrier, stop, worker_pops) = (&barrier, &stop, &worker_pops);
-                let (bound_ns, epoch_id) = (&bound_ns, &epoch_id);
-                scope.spawn(move || loop {
-                    barrier.wait(); // go
-                    if stop.load(Ordering::Acquire) {
-                        return;
-                    }
-                    let bound = SimTime(bound_ns.load(Ordering::Acquire));
-                    let e = epoch_id.load(Ordering::Acquire);
-                    let mut popped = 0u64;
-                    for i in (w..cells.len()).step_by(nthreads) {
-                        // SAFETY: worker `w` exclusively owns shards
-                        // `i ≡ w (mod nthreads)` between the barriers.
-                        let shard = unsafe { &mut *cells[i].0.get() };
-                        popped += run_shard_epoch(shard, e, bound, hubs);
-                    }
-                    worker_pops.fetch_add(popped, Ordering::Relaxed);
-                    barrier.wait(); // done
-                });
-            }
+        // The coordinator thread: worker 0 plus the merge. Returns the
+        // wall-clock nanoseconds it waited at `done` barriers.
+        let mut coordinate = || {
+            let mut barrier_ns = 0u64;
             loop {
                 // Coordinator phase: every worker is parked at `go`, so
                 // shard access is unaliased.
                 // SAFETY: see above.
-                let next = unsafe { merge_and_min(coord, cells, owner, hubs) };
+                let next = unsafe { merge_and_min(coord, cells, owner, hubs, hints) };
                 let t_start = match next {
                     Some(t) if t <= until => t,
                     _ => {
-                        if nthreads > 1 {
-                            stop.store(true, Ordering::Release);
-                            barrier.wait(); // release workers into the stop check
+                        if let Some(crew) = crew {
+                            crew.stop.store(true, Ordering::Release);
+                            crew.barrier.wait(); // release workers into the stop check
                         }
                         break;
                     }
@@ -1131,29 +1178,54 @@ impl<P: Protocol> World<P> {
                         .min(until.0.saturating_add(1)),
                 );
                 epoch += 1;
-                if nthreads > 1 {
-                    bound_ns.store(bound.0, Ordering::Release);
-                    epoch_id.store(epoch, Ordering::Release);
-                    barrier.wait(); // go
+                if let Some(crew) = crew {
+                    crew.bound_ns.store(bound.0, Ordering::Release);
+                    crew.epoch_id.store(epoch, Ordering::Release);
+                    crew.barrier.wait(); // go
                 }
                 let mut popped = 0u64;
                 for i in (0..cells.len()).step_by(nthreads) {
                     // SAFETY: the coordinator thread is worker 0.
-                    let shard = unsafe { &mut *cells[i].0.get() };
-                    popped += run_shard_epoch(shard, epoch, bound, hubs);
+                    popped += unsafe { visit(&cells[i], &hints[i], epoch, bound, hubs) };
                 }
-                if nthreads > 1 {
+                if let Some(crew) = crew {
                     let t0 = Instant::now();
-                    barrier.wait(); // done — time here is waiting on stragglers
+                    crew.barrier.wait(); // done — time here is waiting on stragglers
                     barrier_ns += t0.elapsed().as_nanos() as u64;
-                    popped += worker_pops.swap(0, Ordering::Relaxed);
+                    popped += crew.worker_pops.swap(0, Ordering::Relaxed);
                 }
                 // SAFETY: workers parked again after `done`; the
                 // coordinator phase runs in the same order for every
                 // thread count, so the kernel-track records match.
-                unsafe { close_epoch(coord, cells, epoch, t_start, &mut prev_stalls, popped == 0) };
+                unsafe { close_epoch(coord, cells, epoch, t_start, popped == 0) };
             }
-        });
+            barrier_ns
+        };
+
+        let barrier_ns = match crew {
+            None => coordinate(),
+            Some(crew) => std::thread::scope(|scope| {
+                for w in 1..nthreads {
+                    scope.spawn(move || loop {
+                        crew.barrier.wait(); // go
+                        if crew.stop.load(Ordering::Acquire) {
+                            return;
+                        }
+                        let bound = SimTime(crew.bound_ns.load(Ordering::Acquire));
+                        let e = crew.epoch_id.load(Ordering::Acquire);
+                        let mut popped = 0u64;
+                        for i in (w..cells.len()).step_by(nthreads) {
+                            // SAFETY: worker `w` exclusively owns shards
+                            // `i ≡ w (mod nthreads)` between the barriers.
+                            popped += unsafe { visit(&cells[i], &hints[i], e, bound, hubs) };
+                        }
+                        crew.worker_pops.fetch_add(popped, Ordering::Relaxed);
+                        crew.barrier.wait(); // done
+                    });
+                }
+                coordinate()
+            }),
+        };
 
         // Final outbox state is always empty (the loop merges before
         // deciding to stop), so only the hub toggles' records need
@@ -1165,9 +1237,70 @@ impl<P: Protocol> World<P> {
             &mut coord.flight,
             &mut coord.flight_sub,
         );
+        // A skip leaves a shard as its visit would, except for the
+        // sequence base the visit sets. Events scheduled between runs
+        // (faults, sends) are numbered from it, so every shard the last
+        // epoch skipped takes that epoch's base, as its visit would have.
+        for cell in &mut self.shards {
+            let shard = cell.0.get_mut();
+            if shard.core.seq_base >> 32 != epoch {
+                shard.core.seq_base = epoch << 32 | (shard.id as u64) << 24;
+                shard.core.seq_local = 0;
+            }
+        }
         self.epoch = epoch;
         self.barrier_wait_ns += barrier_ns;
     }
+}
+
+/// What the coordinator shares with its worker threads: the two
+/// barriers' rendezvous, the stop flag, the window of the epoch about to
+/// run and the events the workers popped in it (a plain count, ordered by
+/// the `done` barrier, so `Relaxed` suffices).
+struct Crew {
+    barrier: Barrier,
+    stop: AtomicBool,
+    bound_ns: AtomicU64,
+    epoch_id: AtomicU64,
+    worker_pops: AtomicU64,
+}
+
+/// Runs one shard's slice of an epoch, or skips it when its hint lies at
+/// or past `bound`: the skipped visit would have popped nothing and left
+/// the wheel as it is ([`TimerWheel::skips_below_hint`], checked against
+/// the peek in debug builds), so the shard is not touched at all and its
+/// stall is the epoch count minus its busy epochs. Returns the events
+/// executed.
+///
+/// # Safety
+/// The calling thread must have exclusive access to the shard for the
+/// epoch.
+///
+/// [`TimerWheel::skips_below_hint`]: crate::wheel::TimerWheel::skips_below_hint
+unsafe fn visit<P: Protocol>(
+    cell: &ShardCell<P>,
+    hint: &AtomicU64,
+    epoch: u64,
+    bound: SimTime,
+    hubs: &HubSchedule,
+) -> u64 {
+    let shard = cell.0.get();
+    if hint.load(Ordering::Relaxed) < bound.0 {
+        return run_shard_epoch(&mut *shard, epoch, bound, hubs);
+    }
+    if cfg!(debug_assertions) {
+        let wheel = &mut (*shard).core.events;
+        let (stats, next) = (*wheel.stats(), wheel.next_hint());
+        let staged = wheel.peek_before(bound);
+        debug_assert!(
+            staged.is_none_or(|(at, _)| at >= bound)
+                && *wheel.stats() == stats
+                && wheel.next_hint() == next,
+            "skipping shard {} at bound {bound:?} differs from visiting it",
+            (*shard).id
+        );
+    }
+    0
 }
 
 /// Executes one shard's slice of an epoch: every pending event strictly
@@ -1211,17 +1344,18 @@ fn run_shard_epoch<P: Protocol>(
         shard.id,
         shard.core.seq_local
     );
-    if n == 0 {
-        shard.stalls += 1;
+    if n > 0 {
+        shard.busy += 1;
     }
     n
 }
 
 /// Coordinator-phase bookkeeping after an epoch's windows ran: the
 /// zero-pop counter and, when the flight recorder is on, the kernel
-/// track's epoch mark plus a stall record for every shard whose window
-/// was empty. Runs in the same order for every thread count (workers
-/// are parked), so the records are thread-invariant.
+/// track's epoch mark plus a stall record for every shard whose stall
+/// count grew since the last mark. Runs in the same order for every
+/// thread count (workers are parked), so the records are
+/// thread-invariant.
 ///
 /// # Safety
 /// Same contract as [`merge_and_min`]: the caller must guarantee
@@ -1231,7 +1365,6 @@ unsafe fn close_epoch<P: Protocol>(
     cells: &[ShardCell<P>],
     epoch: u64,
     t_start: SimTime,
-    prev_stalls: &mut [u64],
     zero_pop: bool,
 ) {
     if zero_pop {
@@ -1262,8 +1395,8 @@ unsafe fn close_epoch<P: Protocol>(
         None,
     );
     for (i, cell) in cells.iter().enumerate() {
-        let stalls = (*cell.0.get()).stalls;
-        if stalls > prev_stalls[i] {
+        let stalls = epoch - (*cell.0.get()).busy;
+        if stalls > coord.marked_stalls[i] {
             coord.flight_record(
                 t_start,
                 epoch << 32 | (i as u64) << 24,
@@ -1274,17 +1407,18 @@ unsafe fn close_epoch<P: Protocol>(
                 None,
             );
         }
-        prev_stalls[i] = stalls;
+        coord.marked_stalls[i] = stalls;
     }
 }
 
 /// The barrier-time merge: drains every shard's outbox, admits the
 /// intents onto the media in global `(at, seq)` order (each with the hub
-/// liveness of its instant), distributes the arrivals into
-/// the destination shards' wheels, and returns a lower bound on the
-/// earliest pending event across all shards — the minimum of the wheels'
-/// O(1) occupancy hints (never staging, so no cursor moves past the last
-/// epoch's bound).
+/// liveness of its instant), distributes the arrivals into the
+/// destination shards' wheels, stores each shard's skip bound in `hints`
+/// and returns a lower bound on the earliest pending event across all
+/// shards — the minimum of the wheels' O(1) occupancy hints (never
+/// staging, so no cursor moves past the last epoch's bound). Allocates
+/// nothing once the outboxes hold their steady loads.
 ///
 /// # Safety
 /// The caller must guarantee exclusive access to every shard: either no
@@ -1294,39 +1428,43 @@ unsafe fn merge_and_min<P: Protocol>(
     cells: &[ShardCell<P>],
     owner: &[u32],
     hubs: &HubSchedule,
+    hints: &[AtomicU64],
 ) -> Option<SimTime> {
-    let s = cells.len();
     // SAFETY: exclusive shard access is the function's contract; every
     // borrow this hands out ends before the shard is touched again.
     let outbox = |i: usize| match &mut (*cells[i].0.get()).core.fabric {
         Fabric::Deferred { outbox } => outbox,
         Fabric::Direct => unreachable!("several shards always defer"),
     };
-    // Most epochs of a session workload transmit nothing: count first,
-    // so an intent-free barrier allocates nothing.
-    let total: usize = (0..s).map(|i| outbox(i).len()).sum();
-    if total > 0 {
-        // Drain the outboxes (each sorted by (at, seq) by construction:
-        // `at` is the shard's non-decreasing clock, `seq` its counter).
-        let mut boxes: Vec<Vec<Intent<P::Msg>>> =
-            (0..s).map(|i| std::mem::take(outbox(i))).collect();
-        coord.merges += 1;
-        coord.intents += total as u64;
-        // K-way merge by (at, seq) through a min-heap of outbox heads.
-        // Each box is reversed once so the next intent pops off the back.
-        let mut heap: BinaryHeap<Reverse<(SimTime, u64, usize)>> = BinaryHeap::with_capacity(s);
-        for (i, b) in boxes.iter_mut().enumerate() {
-            b.reverse();
-            if let Some(head) = b.last() {
-                heap.push(Reverse((head.at, head.seq, i)));
+    // Each outbox is sorted by (at, seq) by construction: `at` is the
+    // shard's non-decreasing clock, `seq` its counter. The heap holds the
+    // head of every non-empty one.
+    let mut heap = std::mem::take(&mut coord.heap);
+    let mut total = 0;
+    for i in 0..cells.len() {
+        let queue = outbox(i);
+        if let Some(Some(head)) = queue.first() {
+            heap.push(Reverse(((head.at, head.seq), i)));
+            coord.taken[i] = 0;
+            let load = queue.len();
+            total += load;
+            let [first, second] = &mut coord.loads[i];
+            if load > *first {
+                (*first, *second) = (load, *first);
+            } else if load > *second {
+                *second = load;
             }
         }
+    }
+    if total > 0 {
+        coord.merges += 1;
+        coord.intents += total as u64;
         // Kernel track: one merge mark per [`KERNEL_TRACK_SAMPLE`]
         // non-empty barrier phases, keyed by the earliest intent the
         // sampled phase admits. The non-empty-merge count is thread-count
         // invariant, so the sampled marks are too.
         if coord.merges % KERNEL_TRACK_SAMPLE == 1 {
-            if let Some(&Reverse((at0, seq0, _))) = heap.peek() {
+            if let Some(&Reverse(((at0, seq0), _))) = heap.peek() {
                 coord.flight_record(
                     at0,
                     seq0,
@@ -1338,80 +1476,27 @@ unsafe fn merge_and_min<P: Protocol>(
                 );
             }
         }
-        while let Some(Reverse((at, _, i))) = heap.pop() {
-            let intent = boxes[i].pop().expect("head tracked by the heap");
-            if let Some(next) = boxes[i].last() {
-                heap.push(Reverse((next.at, next.seq, i)));
-            }
-            // Hub toggles due by the transmission instant take effect,
-            // and are recorded, first.
-            record_hub_toggles(
-                hubs,
-                &mut coord.hubs_recorded,
-                at,
-                &mut coord.flight,
-                &mut coord.flight_sub,
-            );
-            let seq = intent.seq;
-            let frame = intent.frame;
-            let (class, up) = (class_of(&frame), hubs.is_up(frame.net, at));
-            let Some(arrive) = coord.media[frame.net.idx()].admit(at, frame.wire_bytes, class, up)
-            else {
-                // Dead hub ate it. A traced frame's loss is charged to
-                // the prober that launched it, at the admit instant.
-                if let Some(&cause) = frame.flight.as_deref() {
-                    coord.flight_record(
-                        at,
-                        seq,
-                        TraceKind::ProbeLoss,
-                        cause.host,
-                        Some(frame.net.0),
-                        loss_site::HUB_ADMIT,
-                        Some(cause),
-                    );
-                }
-                (*cells[i].0.get()).core.recycle_frame(frame);
-                continue;
-            };
-            // The arrival lands at ≥ epoch bound ≥ every shard's cursor,
-            // so pushing straight into the wheels is safe; the intent's
-            // seq keeps the global order thread-count-independent. The
-            // sender's box moves into the (last) receiving wheel as is.
-            match frame.dst {
-                Destination::Node(dst) => {
-                    let dst_shard = owner[dst.idx()] as usize;
-                    if dst_shard != i {
-                        coord.cross_shard += 1;
-                    }
-                    let core = &mut (*cells[dst_shard].0.get()).core;
-                    core.events.push(arrive, seq, EventKind::Arrive(frame));
-                }
-                Destination::Broadcast => {
-                    coord.cross_shard += (s - 1) as u64;
-                    let (last, rest) = cells.split_last().expect("several shards");
-                    for cell in rest {
-                        let core = &mut (*cell.0.get()).core;
-                        let copy = core.boxed(Frame::clone(&frame));
-                        core.events.push(arrive, seq, EventKind::Arrive(copy));
-                    }
-                    let core = &mut (*last.0.get()).core;
-                    core.events.push(arrive, seq, EventKind::Arrive(frame));
+        drain_runs(&mut heap, |i| {
+            let queue = outbox(i);
+            let k = coord.taken[i];
+            coord.taken[i] = k + 1;
+            let intent = queue[k].take().expect("head tracked by the heap");
+            let next = queue.get(k + 1).map(|next| {
+                let next = next.as_ref().expect("behind the head, not yet taken");
+                (next.at, next.seq)
+            });
+            if next.is_none() {
+                queue.clear();
+                let keep = coord.loads[i][1];
+                if queue.capacity() > keep {
+                    queue.shrink_to(keep);
                 }
             }
-        }
-        // Hand the drained (capacity-preserving) buffers back for reuse.
-        for (i, b) in boxes.into_iter().enumerate() {
-            *outbox(i) = b;
-        }
-    } else {
-        // An idle barrier gives the storage back instead: the N=1024
-        // burst's outboxes hold 2.1 M intents (50 MB at 24 B each; the
-        // boxed frames move on into the wheels) for one epoch and must
-        // not keep that reserved while the arrivals are served.
-        for i in 0..s {
-            outbox(i).shrink_to_fit();
-        }
+            admit(coord, cells, owner, hubs, intent, i);
+            next
+        });
     }
+    coord.heap = heap;
     // The next window's opening instant: a lower bound on the global
     // minimum pending event. The hint stages nothing and moves no cursor
     // — a `peek` here would advance idle shards' cursors past the next
@@ -1419,8 +1504,136 @@ unsafe fn merge_and_min<P: Protocol>(
     // invariant.
     cells
         .iter()
-        .filter_map(|cell| (*cell.0.get()).core.events.next_hint())
+        .zip(hints)
+        .filter_map(|(cell, skip_from)| {
+            let wheel = &(*cell.0.get()).core.events;
+            let hint = wheel.next_hint();
+            let from = match hint {
+                None => u64::MAX,
+                Some(h) if wheel.skips_below_hint() => h.0,
+                Some(_) => 0,
+            };
+            skip_from.store(from, Ordering::Relaxed);
+            hint
+        })
         .min()
+}
+
+/// Admits queued items in ascending `(key, queue)` order, one heap
+/// operation per run instead of per item. `heap` holds the head key of
+/// every non-empty queue; `take(i)` admits queue `i`'s head and returns
+/// the key of the one behind it. A queue keeps the floor while its next
+/// key sorts below the heap's top, and hands over by swapping its next
+/// key in for the top — one sift, no pop and push.
+fn drain_runs<K: Ord + Copy>(
+    heap: &mut BinaryHeap<Reverse<(K, usize)>>,
+    mut take: impl FnMut(usize) -> Option<K>,
+) {
+    let Some(Reverse((_, mut i))) = heap.pop() else {
+        return;
+    };
+    loop {
+        match take(i) {
+            Some(next) => {
+                if let Some(mut top) = heap.peek_mut() {
+                    if top.0 < (next, i) {
+                        let Reverse((_, j)) = std::mem::replace(&mut *top, Reverse((next, i)));
+                        i = j;
+                    }
+                }
+            }
+            None => match heap.pop() {
+                Some(Reverse((_, j))) => i = j,
+                None => return,
+            },
+        }
+    }
+}
+
+/// The per-item heap merge [`drain_runs`] replaced: a pop and a push
+/// for every item. The second oracle of the merge-order test.
+#[cfg(test)]
+fn drain_per_item<K: Ord + Copy>(
+    heap: &mut BinaryHeap<Reverse<(K, usize)>>,
+    mut take: impl FnMut(usize) -> Option<K>,
+) {
+    while let Some(Reverse((_, i))) = heap.pop() {
+        if let Some(next) = take(i) {
+            heap.push(Reverse((next, i)));
+        }
+    }
+}
+
+/// Admits one intent logged by shard `from` onto its segment, with the
+/// hub liveness of its transmission instant (recording the toggles due
+/// by then first), and pushes the arrival into the destination shards'
+/// wheels — or charges the loss to a traced frame's prober when the hub
+/// is down.
+///
+/// # Safety
+/// Same contract as [`merge_and_min`], and no borrow of any shard may be
+/// live.
+unsafe fn admit<P: Protocol>(
+    coord: &mut Coordinator,
+    cells: &[ShardCell<P>],
+    owner: &[u32],
+    hubs: &HubSchedule,
+    intent: Intent<P::Msg>,
+    from: usize,
+) {
+    let Intent { at, seq, frame } = intent;
+    // Hub toggles due by the transmission instant take effect, and are
+    // recorded, first.
+    record_hub_toggles(
+        hubs,
+        &mut coord.hubs_recorded,
+        at,
+        &mut coord.flight,
+        &mut coord.flight_sub,
+    );
+    let (class, up) = (class_of(&frame), hubs.is_up(frame.net, at));
+    let Some(arrive) = coord.media[frame.net.idx()].admit(at, frame.wire_bytes, class, up) else {
+        // Dead hub ate it. A traced frame's loss is charged to the
+        // prober that launched it, at the admit instant.
+        if let Some(&cause) = frame.flight.as_deref() {
+            coord.flight_record(
+                at,
+                seq,
+                TraceKind::ProbeLoss,
+                cause.host,
+                Some(frame.net.0),
+                loss_site::HUB_ADMIT,
+                Some(cause),
+            );
+        }
+        (*cells[from].0.get()).core.recycle_frame(frame);
+        return;
+    };
+    // The arrival lands at ≥ epoch bound ≥ every shard's cursor, so
+    // pushing straight into the wheels is safe; the intent's seq keeps
+    // the global order thread-count-independent. The sender's box moves
+    // into the (last) receiving wheel as is.
+    match frame.dst {
+        Destination::Node(dst) => {
+            let dst_shard = owner[dst.idx()] as usize;
+            if dst_shard != from {
+                coord.cross_shard += 1;
+            }
+            let core = &mut (*cells[dst_shard].0.get()).core;
+            core.events.push(arrive, seq, EventKind::Arrive(frame));
+        }
+        Destination::Broadcast => {
+            coord.cross_shard += (cells.len() - 1) as u64;
+            let (last, rest) = cells.split_last().expect("several shards");
+            for cell in rest {
+                let core = &mut (*cell.0.get()).core;
+                let copy = core.boxed(Frame::clone(&frame));
+                core.events.push(arrive, seq, EventKind::Arrive(copy));
+            }
+            let core = &mut (*last.0.get()).core;
+            core.events.push(arrive, seq, EventKind::Arrive(frame));
+        }
+    }
 }
 
 #[cfg(test)]
@@ -1765,6 +1978,101 @@ mod tests {
         assert!(ss.zero_pop_epochs > 0, "no hint undershot: {ss:?}");
         assert!(ss.zero_pop_epochs <= ss.epochs / 5, "{ss:?}");
         assert!(ss.epochs <= 19_200, "{ss:?}");
+    }
+
+    /// A skipped shard takes the sequence base its visit would have set.
+    /// Events scheduled between runs are numbered from it, so every shard
+    /// ends a run on the last epoch's base, visited in that epoch or not.
+    #[test]
+    fn every_shard_ends_a_run_on_the_last_epochs_sequence_base() {
+        let spec = ClusterSpec::new(6).seed(4);
+        let mut w = ShardedWorld::with_topology(spec, 3, 1, |_| Idle);
+        // Hosts 0 and 5 (shards 0 and 2) talk; shard 1 has no event.
+        w.send_app(SimTime(1000), NodeId(0), NodeId(5), 256);
+        w.run_for(SimDuration::from_millis(50));
+        let epoch = w.epoch;
+        assert!(epoch > 0 && w.shard_stats().stalls_per_shard[1] == epoch);
+        for i in 0..3 {
+            let core = &w.shard(i).core;
+            assert_eq!(core.seq_base, epoch << 32 | (i as u64) << 24, "shard {i}");
+        }
+        assert_eq!(w.shard(1).core.seq_local, 0);
+    }
+
+    /// Outboxes drawn the way the burst and the steady state fill them —
+    /// 1 to 64 of them, some empty, long runs from one shard, singletons
+    /// interleaved, equal instants across shards, and on some draws the
+    /// colliding seqs of intents logged before the first epoch — are
+    /// admitted by the run-draining merge in exactly the order of a full
+    /// sort by `(at, seq)` with the outbox index breaking ties, and of the
+    /// per-item heap merge it replaced.
+    #[test]
+    fn the_run_draining_merge_admits_in_full_sort_order() {
+        use drs_obs::rng::Rng;
+        type Key = (SimTime, u64);
+        fn order(boxes: &[Vec<Key>], runs: bool) -> Vec<(usize, usize)> {
+            let mut heap = BinaryHeap::new();
+            for (i, b) in boxes.iter().enumerate() {
+                if let Some(&head) = b.first() {
+                    heap.push(Reverse((head, i)));
+                }
+            }
+            let (mut pos, mut out) = (vec![0; boxes.len()], Vec::new());
+            let take = |i: usize| {
+                out.push((i, pos[i]));
+                pos[i] += 1;
+                boxes[i].get(pos[i]).copied()
+            };
+            if runs {
+                drain_runs(&mut heap, take);
+            } else {
+                drain_per_item(&mut heap, take);
+            }
+            assert!(heap.is_empty());
+            out
+        }
+        let (mut long_runs, mut colliding) = (0, 0);
+        for case in 0..1_000u64 {
+            let mut rng = Rng::seed_from_u64(0x4E26_E0DE ^ case);
+            let pre_run = case % 5 == 0;
+            let boxes: Vec<Vec<Key>> = (0..rng.gen_range(1usize..65))
+                .map(|i| {
+                    let len = match rng.gen_range(0u32..10) {
+                        0..=1 => 0,
+                        2 => rng.gen_range(100usize..600),
+                        _ => rng.gen_range(1usize..8),
+                    };
+                    let mut at = rng.gen_range(0u64..40);
+                    let mut seq = if pre_run {
+                        0
+                    } else {
+                        7 << 32 | (i as u64) << 24
+                    };
+                    (0..len)
+                        .map(|_| {
+                            at += rng.gen_range(0u64..3);
+                            seq += 1;
+                            (SimTime(at), seq)
+                        })
+                        .collect()
+                })
+                .collect();
+            let mut sorted: Vec<(Key, usize, usize)> = boxes
+                .iter()
+                .enumerate()
+                .flat_map(|(i, b)| b.iter().enumerate().map(move |(p, &k)| (k, i, p)))
+                .collect();
+            sorted.sort_unstable();
+            let want: Vec<(usize, usize)> = sorted.iter().map(|&(_, i, p)| (i, p)).collect();
+            assert_eq!(order(&boxes, true), want, "case {case}: run-draining merge");
+            assert_eq!(order(&boxes, false), want, "case {case}: per-item merge");
+            long_runs += usize::from(boxes.iter().any(|b| b.len() >= 100));
+            colliding += usize::from(sorted.windows(2).any(|w| w[0].0 == w[1].0));
+        }
+        assert!(
+            long_runs > 500 && colliding > 150,
+            "{long_runs} {colliding}"
+        );
     }
 
     #[test]

@@ -528,6 +528,95 @@ fn wheel_hint_is_a_lower_bound_and_hint_windows_reach_the_minimum() {
     }
 }
 
+/// The sharded driver does not visit a shard whose hint is at or past
+/// the window bound when the wheel reports the visit's
+/// `peek_before(bound)` a no-op (`skips_below_hint`); it counts a stall
+/// instead. Two wheels take the same random push / pop / bounded-peek
+/// schedule, reaching all six levels and the overflow heap with hints
+/// that undershoot. Before every step one of them peeks at a bound at or
+/// below its hint where the other skips, whenever the wheel allows the
+/// skip. Every `WheelStats` counter, the hint and the whole later pop
+/// sequence must stay equal. Where the wheel refuses (overflow entries
+/// and nothing staged), some of those peeks must move a counter, so the
+/// refusal is needed.
+#[test]
+fn a_skipped_peek_below_the_hint_leaves_the_wheel_as_the_peek_does() {
+    let (mut skipped, mut undershot, mut refused, mut refused_and_moved) = (0u32, 0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let steps = rng.gen_range(1usize..300);
+        let mut peeked: TimerWheel<u64> = TimerWheel::new();
+        let mut skipping: TimerWheel<u64> = TimerWheel::new();
+        let mut queued: Vec<u64> = Vec::new();
+        let (mut now, mut seq) = (0u64, 0u64);
+        for step in 0..steps {
+            let ctx = format!("case {case} step {step}");
+            if let Some(hint) = skipping.next_hint() {
+                // The hint itself, one tick below it, or up to a level-2
+                // span below it.
+                let below = [0, 1, rng.gen_range(0u64..1 << 24)][rng.gen_range(0usize..3)];
+                let bound = SimTime(hint.0.saturating_sub(below));
+                if skipping.skips_below_hint() {
+                    let got = peeked.peek_before(bound);
+                    assert!(
+                        got.is_none_or(|(at, _)| at >= bound),
+                        "{ctx}: staged {got:?} below {bound:?}"
+                    );
+                    skipped += 1;
+                    undershot += u32::from(queued.iter().min().is_some_and(|&m| m > hint.0));
+                } else {
+                    let before = *peeked.stats();
+                    peeked.peek_before(bound);
+                    skipping.peek_before(bound);
+                    refused += 1;
+                    refused_and_moved += u32::from(*peeked.stats() != before);
+                }
+                assert_eq!(peeked.stats(), skipping.stats(), "{ctx}");
+                assert_eq!(peeked.next_hint(), skipping.next_hint(), "{ctx}");
+            }
+            let bits = rng.gen_range(0u32..52);
+            let span = rng.gen_range(0u64..1 << bits);
+            match rng.gen_range(0u32..6) {
+                0 if !queued.is_empty() => {
+                    let popped = peeked.pop();
+                    assert_eq!(popped, skipping.pop(), "{ctx}: pop");
+                    let at = popped.expect("non-empty").0 .0;
+                    queued.swap_remove(queued.iter().position(|&q| q == at).expect("queued"));
+                    now = at;
+                }
+                1 => {
+                    let limit = SimTime(now + span);
+                    assert_eq!(
+                        peeked.peek_before(limit),
+                        skipping.peek_before(limit),
+                        "{ctx}: bounded peek"
+                    );
+                }
+                _ => {
+                    peeked.push(SimTime(now + span), seq, seq);
+                    skipping.push(SimTime(now + span), seq, seq);
+                    queued.push(now + span);
+                    seq += 1;
+                }
+            }
+        }
+        while let Some(popped) = peeked.pop() {
+            assert_eq!(Some(popped), skipping.pop(), "case {case}: drain");
+        }
+        assert!(skipping.is_empty(), "case {case}");
+        assert_eq!(peeked.stats(), skipping.stats(), "case {case}");
+    }
+    assert!(skipped > 10_000, "{skipped} skips");
+    assert!(
+        undershot > 500,
+        "{undershot} skips below an undershooting hint"
+    );
+    assert!(
+        refused_and_moved > 0,
+        "{refused_and_moved} of {refused} refusals moved a counter"
+    );
+}
+
 /// Degenerate burst: many entries on the exact same tick pop in pure
 /// sequence order.
 #[test]
