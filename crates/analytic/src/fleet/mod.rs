@@ -117,25 +117,19 @@ fn poisson_times(rate_per_year: f64, duration_days: f64, rng: &mut Rng) -> Vec<f
     }
 }
 
-/// The seed for replication `index` of a study derived from `master`:
-/// the workspace-wide SplitMix64 stream ([`drs_harness::stream_seed`]).
-///
-/// This replaces the old `master.wrapping_add(i).wrapping_mul(…)` scheme,
-/// whose consecutive outputs differed by a fixed constant and fed
-/// correlated states into the trace generator's `Rng` — a bias in
-/// the replicated fleet study.
-#[must_use]
-pub fn replication_seed(master: u64, index: u64) -> u64 {
-    drs_harness::stream_seed(master, index)
-}
-
 /// Generates the trace for replication `index` of a study seeded by
-/// `master` — [`generate_trace`] under [`replication_seed`], the exact
-/// per-trial seed [`study::replicate_study`] uses, so one
-/// replication can be reproduced without re-running the study.
+/// `master` — [`generate_trace`] under the workspace-wide SplitMix64
+/// stream ([`drs_harness::stream_seed`]), the exact per-trial seed
+/// [`study::replicate_study`] uses, so one replication can be
+/// reproduced without re-running the study.
+///
+/// The stream replaces the old `master.wrapping_add(i).wrapping_mul(…)`
+/// scheme, whose consecutive outputs differed by a fixed constant and fed
+/// correlated states into the trace generator's `Rng` — a bias in the
+/// replicated fleet study.
 #[must_use]
 pub fn generate_replication(spec: &FleetSpec, master: u64, index: u64) -> Vec<FailureRecord> {
-    generate_trace(spec, replication_seed(master, index))
+    generate_trace(spec, drs_harness::stream_seed(master, index))
 }
 
 /// Generates a complete, time-sorted failure trace for a fleet.
@@ -241,9 +235,10 @@ mod tests {
         // The stream must not reproduce the weak legacy derivation, whose
         // consecutive seeds were an affine sequence.
         let legacy = |seed: u64, i: u64| seed.wrapping_add(i).wrapping_mul(0x9E37_79B9);
-        assert_ne!(replication_seed(13, 0), legacy(13, 0));
-        let d0 = replication_seed(13, 1).wrapping_sub(replication_seed(13, 0));
-        let d1 = replication_seed(13, 2).wrapping_sub(replication_seed(13, 1));
+        let seed = drs_harness::stream_seed;
+        assert_ne!(seed(13, 0), legacy(13, 0));
+        let d0 = seed(13, 1).wrapping_sub(seed(13, 0));
+        let d1 = seed(13, 2).wrapping_sub(seed(13, 1));
         assert_ne!(d0, d1, "replication seeds form an affine sequence");
     }
 

@@ -49,7 +49,7 @@ pub struct StudySummary {
 /// trials of a [`drs_harness::Experiment`].
 ///
 /// Per-trial seeds come from the shared SplitMix64 stream
-/// ([`crate::fleet::replication_seed`]); trials fan out across the harness
+/// ([`drs_harness::stream_seed`]); trials fan out across the harness
 /// workers, and because each replication is an independent function of its
 /// seed the result is identical to a serial run. A study in which every
 /// replication yields an empty trace (zeroed failure rates, tiny windows)

@@ -61,6 +61,8 @@
 //! assert_eq!(first_n_exceeding(4, 0.99), Some(45));
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod allpairs;
 pub mod binom;
 pub mod components;

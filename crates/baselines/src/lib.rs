@@ -26,6 +26,8 @@
 //! [`compare`] runs identical fault/traffic scenarios over every protocol
 //! and reports the application-visible difference.
 
+#![forbid(unsafe_code)]
+
 pub mod compare;
 pub mod ospf;
 pub mod reactive;

@@ -23,8 +23,7 @@ pub enum Generator {
     /// Fans trials out through the harness; [`RunMode::Serial`] and
     /// [`RunMode::Parallel`] must produce identical bytes.
     Moded(fn(RunMode) -> String),
-    /// No run mode. (The sharded-driver artifacts among these take their
-    /// worker count from `DRS_SIM_THREADS` and must not depend on it.)
+    /// No run mode.
     Plain(fn() -> String),
 }
 

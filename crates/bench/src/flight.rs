@@ -4,8 +4,9 @@
 //!
 //! Every cell runs the same single-fault scenario — hub A dies at 1 s and
 //! recovers at 3 s — with the flight recorder on, at one shard and at
-//! [`FLIGHT_SHARDS`] (whose merged log is bit-identical at any
-//! `DRS_SIM_THREADS`, which is what lets the artifact into the repo).
+//! [`FLIGHT_SHARDS`] (whose merged log, kernel-track marks included, is
+//! a function of the seed alone, which is what lets the artifact into
+//! the repo).
 //! The cell then rebuilds every failover's causal chain
 //! ([`build_post_mortems`]) and proves, sample for sample:
 //!
@@ -21,18 +22,14 @@
 //!
 //! Nothing on this path draws a random number: worlds are seeded by
 //! [`coord_seed`] coordinate mixing and the fault schedule is fixed, so
-//! the committed `BENCH_flight.json` is byte-reproducible on any machine
-//! and thread count.
+//! the committed `BENCH_flight.json` is byte-reproducible on any machine.
 
 use drs_core::{DrsConfig, DrsDaemon, ProbeObs};
 use drs_harness::coord_seed;
 use drs_obs::causal::{build_post_mortems, PostMortemReport};
 use drs_obs::flight::{to_perfetto, FlightLog, TraceKind};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
-use drs_sim::{
-    threads_from_env, ClusterSpec, FaultPlan, NetId, ShardedWorld, SimComponent, SimDuration,
-    SimTime,
-};
+use drs_sim::{ClusterSpec, FaultPlan, NetId, ShardedWorld, SimComponent, SimDuration, SimTime};
 
 use crate::BENCH_SEED;
 
@@ -131,18 +128,15 @@ fn fault_plan() -> FaultPlan {
         .repair_at(REPAIR_AT, SimComponent::Hub(NetId::A))
 }
 
-/// Runs one cell at the given shard and worker-thread counts. The
-/// returned log is bit-identical for every `threads` — the invariant the
-/// shard-equivalence corpus pins and CI re-proves by regenerating the
-/// artifact at `DRS_SIM_THREADS` 1 and 4.
+/// Runs one cell at the given shard count.
 #[must_use]
-pub fn run(cell: &FlightCell, shards: usize, threads: usize) -> DriverRun {
+pub fn run(cell: &FlightCell, shards: usize) -> DriverRun {
     let n = cell.n;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n)
         .planes(cell.planes)
         .seed(cell_seed(cell));
-    let mut w = ShardedWorld::with_topology(spec, shards, threads, |id| DrsDaemon::new(id, n, cfg));
+    let mut w = ShardedWorld::with_topology(spec, shards, 1, |id| DrsDaemon::new(id, n, cfg));
     w.enable_flight(FLIGHT_CAPACITY);
     w.schedule_faults(fault_plan());
     w.run_for(RUN_FOR);
@@ -279,8 +273,8 @@ fn kind_count(log: &FlightLog, kind: TraceKind) -> u64 {
 
 /// Builds the full flight artifact, asserting every cell's invariants at
 /// both shard counts and their agreement with each other along the way.
-/// Rows are taken from the sharded run (the one with kernel-track records
-/// and the thread-invariance guarantee CI regenerates under).
+/// Rows are taken from the sharded run (the one with kernel-track
+/// records).
 #[must_use]
 pub fn flight_bench_artifact() -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
@@ -289,8 +283,8 @@ pub fn flight_bench_artifact() -> ObsArtifact {
     let mut decomp_sec = Section::new("latency_decomposition");
 
     for cell in flight_cells() {
-        let serial = run(&cell, 1, 1);
-        let sharded = run(&cell, FLIGHT_SHARDS, threads_from_env());
+        let serial = run(&cell, 1);
+        let sharded = run(&cell, FLIGHT_SHARDS);
         let _ = check_driver(cell.label, "serial", &serial);
         let s = check_driver(cell.label, "sharded", &sharded);
         // Both shard counts run the same protocol schedule, so the
@@ -402,7 +396,7 @@ pub fn flight_verdict() -> FlightVerdict {
         n: 8,
         planes: 2,
     };
-    let s = chain_stats(&run(&cell, FLIGHT_SHARDS, threads_from_env()).report);
+    let s = chain_stats(&run(&cell, FLIGHT_SHARDS).report);
     FlightVerdict {
         failovers: s.failovers,
         detect_chains: s.detect_chains,
@@ -426,20 +420,13 @@ mod tests {
 
     #[test]
     fn small_cell_passes_both_drivers_and_they_agree() {
-        let serial = run(&small(), 1, 1);
-        let sharded = run(&small(), FLIGHT_SHARDS, 1);
+        let serial = run(&small(), 1);
+        let sharded = run(&small(), FLIGHT_SHARDS);
         let a = check_driver("n8_k2", "serial", &serial);
         let b = check_driver("n8_k2", "sharded", &sharded);
         assert_eq!(a.failovers, b.failovers);
         assert_eq!(serial.obs.failover_detect, sharded.obs.failover_detect);
         assert_eq!(serial.obs.reroute_complete, sharded.obs.reroute_complete);
-    }
-
-    #[test]
-    fn sharded_flight_log_is_thread_invariant() {
-        let one = run(&small(), FLIGHT_SHARDS, 1);
-        let four = run(&small(), FLIGHT_SHARDS, 4);
-        assert_eq!(one.log, four.log, "merged flight log depends on threads");
     }
 
     #[test]

@@ -24,9 +24,10 @@ use drs_sim::{NetId, NodeId, ShardedWorld, SimDuration};
 
 use crate::BENCH_SEED;
 
-/// Schema tag written into the kernel artifact. `v2` added the
-/// `thread_scaling` section (sharded kernel, N up to 1024).
-pub const KERNEL_SCHEMA: &str = "drs-bench-kernel/v2";
+/// Schema tag written into the kernel artifact. `v2` added the sharded
+/// section (N up to 1024); `v3` dropped its worker-thread axis and named
+/// it `sharded_scaling`.
+pub const KERNEL_SCHEMA: &str = "drs-bench-kernel/v3";
 
 /// Cluster sizes measured — up to the paper's 90-node deployment.
 pub const KERNEL_GRID_N: [usize; 3] = [16, 64, 90];
@@ -37,15 +38,12 @@ pub const KERNEL_GRID_K: [u8; 2] = [2, 4];
 /// Virtual run length per cell: ten monitor cycles of steady state.
 pub const KERNEL_RUN: SimDuration = SimDuration::from_secs(2);
 
-/// Cluster sizes for the sharded thread-scaling grid — the sizes the
-/// single-threaded grid cannot reach in reasonable artifact-regen time.
+/// Cluster sizes for the sharded scaling grid — the sizes the one-shard
+/// grid cannot reach in reasonable artifact-regen time.
 pub const SCALING_GRID_N: [usize; 2] = [256, 1024];
 
-/// Plane counts for the thread-scaling grid.
+/// Plane counts for the sharded scaling grid.
 pub const SCALING_GRID_K: [u8; 2] = [2, 4];
-
-/// Worker-thread counts measured per `(N, K)` scaling cell.
-pub const SCALING_THREADS: [usize; 4] = [1, 2, 4, 8];
 
 /// Virtual run length per scaling cell: one unstaggered monitor burst
 /// (`K·N·(N−1)` probes at t=0) plus its replies and timeout sweeps —
@@ -157,16 +155,14 @@ pub fn run_cell(n: usize, planes: u8, batched: bool) -> KernelCell {
     }
 }
 
-/// One measured cell of the sharded thread-scaling grid.
+/// One measured cell of the sharded scaling grid.
 #[derive(Debug, Clone)]
 pub struct ScalingCell {
     /// Cluster size.
     pub n: usize,
     /// Plane count.
     pub planes: u8,
-    /// Worker threads the epochs ran on.
-    pub threads: usize,
-    /// Shard count (fixed per `(n, planes)`, independent of threads).
+    /// Shard count (one per ~16 hosts, capped at 64).
     pub shards: usize,
     /// Epochs executed.
     pub epochs: u64,
@@ -186,16 +182,15 @@ pub struct ScalingCell {
     /// sustains at this scale.
     pub events_per_virtual_sec: f64,
     /// FNV-1a digest of the merged end state (per-node DRS metrics +
-    /// per-plane medium counters + kernel push/pop totals). Must be
-    /// identical at every thread count of the same `(n, planes)`.
+    /// per-plane medium counters + kernel push/pop totals).
     pub digest: u64,
 }
 
 impl ScalingCell {
-    /// Row id, e.g. `n1024_k4_t8`.
+    /// Row id, e.g. `n1024_k4`.
     #[must_use]
     pub fn id(&self) -> String {
-        format!("n{}_k{}_t{}", self.n, self.planes, self.threads)
+        format!("n{}_k{}", self.n, self.planes)
     }
 }
 
@@ -223,13 +218,13 @@ pub fn scaling_spec(n: usize, planes: u8) -> ClusterSpec {
         .propagation(SimDuration::from_micros(5))
 }
 
-/// Runs one `(n, planes, threads)` scaling cell on the sharded kernel
-/// and digests its merged end state.
+/// Runs one `(n, planes)` scaling cell on the sharded kernel and digests
+/// its merged end state.
 #[must_use]
-pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
+pub fn run_scaling_cell(n: usize, planes: u8) -> ScalingCell {
     let cfg = scaling_cfg();
     let shards = (n / 16).clamp(1, 64);
-    let mut w = ShardedWorld::with_topology(scaling_spec(n, planes), shards, threads, |id| {
+    let mut w = ShardedWorld::with_topology(scaling_spec(n, planes), shards, 1, |id| {
         DrsDaemon::new(id, n, cfg)
     });
     w.run_for(SCALING_RUN);
@@ -266,7 +261,6 @@ pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
     ScalingCell {
         n,
         planes,
-        threads,
         shards: ss.shards,
         epochs: ss.epochs,
         events: ss.events_per_shard.iter().sum(),
@@ -280,48 +274,27 @@ pub fn run_scaling_cell(n: usize, planes: u8, threads: usize) -> ScalingCell {
     }
 }
 
-/// Runs the sharded scaling grid: every `(n, planes)` under every
-/// thread count, in grid order.
+/// Runs the sharded scaling grid: every `(n, planes)`, in grid order.
 #[must_use]
 pub fn run_scaling_grid() -> Vec<ScalingCell> {
     let mut cells = Vec::new();
     for &n in &SCALING_GRID_N {
         for &planes in &SCALING_GRID_K {
-            for &threads in &SCALING_THREADS {
-                cells.push(run_scaling_cell(n, planes, threads));
-            }
+            cells.push(run_scaling_cell(n, planes));
         }
     }
     cells
 }
 
-/// Builds the `thread_scaling` section from measured scaling cells.
-///
-/// # Panics
-/// Panics if two thread counts of the same `(n, planes)` cell disagree
-/// on the end-state digest — the determinism guarantee the sharded
-/// kernel exists to keep.
+/// Builds the `sharded_scaling` section from measured scaling cells.
 #[must_use]
 pub fn scaling_section(cells: &[ScalingCell]) -> Section {
-    for c in cells {
-        let reference = cells
-            .iter()
-            .find(|r| r.n == c.n && r.planes == c.planes)
-            .expect("cells is non-empty here");
-        assert_eq!(
-            c.digest, reference.digest,
-            "n={} k={}: threads={} diverged from threads={} — the \
-             sharded schedule is not deterministic",
-            c.n, c.planes, c.threads, reference.threads,
-        );
-    }
-    let mut scaling = Section::new("thread_scaling");
+    let mut scaling = Section::new("sharded_scaling");
     for c in cells {
         scaling.push(
             Row::new(c.id())
                 .count("n", c.n as u64)
                 .count("planes", u64::from(c.planes))
-                .count("threads", c.threads as u64)
                 .count("shards", c.shards as u64)
                 .count("epochs", c.epochs)
                 .count("events", c.events)
@@ -352,8 +325,8 @@ pub fn run_grid() -> Vec<KernelCell> {
     cells
 }
 
-/// Builds the `drs-bench-kernel/v2` artifact from measured monitor and
-/// thread-scaling cells.
+/// Builds the [`KERNEL_SCHEMA`] artifact from measured monitor and
+/// sharded scaling cells.
 #[must_use]
 pub fn kernel_artifact(cells: &[KernelCell], scaling: &[ScalingCell]) -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
@@ -492,29 +465,14 @@ mod tests {
     }
 
     #[test]
-    fn scaling_cells_are_thread_invariant() {
-        let t1 = run_scaling_cell(24, 2, 1);
-        let t4 = run_scaling_cell(24, 2, 4);
-        assert_eq!(t1.digest, t4.digest, "end state diverged across threads");
-        assert_eq!(t1.events, t4.events);
-        assert_eq!(t1.epochs, t4.epochs);
-        assert_eq!(t1.probes_sent, t4.probes_sent);
-        assert!(t1.probes_sent > 0, "burst never fired");
-        assert_eq!(t1.clamped_past, 0);
-        assert_eq!((t1.threads, t4.threads), (1, 4));
-        let sec = scaling_section(&[t1, t4]);
-        assert_eq!(sec.rows.len(), 2);
-        assert_eq!(sec.rows[0].id, "n24_k2_t1");
-    }
-
-    #[test]
-    #[should_panic(expected = "not deterministic")]
-    fn scaling_section_rejects_divergent_digests() {
-        let a = run_scaling_cell(8, 2, 1);
-        let mut b = a.clone();
-        b.threads = 2;
-        b.digest ^= 1;
-        let _ = scaling_section(&[a, b]);
+    fn scaling_cell_fires_its_burst_clamp_free() {
+        let c = run_scaling_cell(32, 2);
+        assert!(c.probes_sent > 0, "burst never fired");
+        assert!(c.shards == 2 && c.epochs > 0 && c.merges > 0, "{c:?}");
+        assert_eq!(c.clamped_past, 0);
+        let sec = scaling_section(&[c]);
+        assert_eq!(sec.rows.len(), 1);
+        assert_eq!(sec.rows[0].id, "n32_k2");
     }
 
     // The reduction section of `kernel_artifact` iterates the full grid;

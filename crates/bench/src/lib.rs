@@ -11,6 +11,8 @@
 //! generator modules plus the little table-printing and formatting
 //! helpers the reports share, so they read like experiment scripts.
 
+#![forbid(unsafe_code)]
+
 use drs_sim::SimDuration;
 
 pub mod artifacts;

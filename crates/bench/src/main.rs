@@ -19,12 +19,13 @@
 //!
 //! Run: `cargo run --release -p drs-bench -- <subcommand>`
 
+#![forbid(unsafe_code)]
+
 use std::process::ExitCode;
 use std::time::Instant;
 
 use drs_bench::artifacts::{self, Artifact, ARTIFACTS};
 use drs_bench::reports::{self, Check, Report, REPORTS};
-use drs_sim::world::threads_from_env;
 
 const USAGE: &str = "usage: drs-bench list | report <name> | repro [name…] | regen [name…] | live";
 
@@ -114,12 +115,10 @@ fn repro(selected: &[&Report]) -> bool {
     failed == 0
 }
 
-/// One status line per artifact: size, elapsed, the effective
-/// `DRS_SIM_THREADS`, and `unchanged` or `CHANGED` (with the first
-/// differing line). Where an artifact has a run mode it is generated
+/// One status line per artifact: size, elapsed, and `unchanged` or
+/// `CHANGED` (with the first differing line). Where an artifact has a run mode it is generated
 /// serially and in parallel and the two must agree.
 fn regen(selected: &[&Artifact]) -> bool {
-    let threads = threads_from_env();
     let mut unchanged = true;
     for artifact in selected {
         let started = Instant::now();
@@ -133,7 +132,7 @@ fn regen(selected: &[&Artifact]) -> bool {
             }
         };
         println!(
-            "{:<8} {:<30} {:>7} B {:>9.2?}  threads={threads}  {status}",
+            "{:<8} {:<30} {:>7} B {:>9.2?}  {status}",
             artifact.name,
             artifact.file,
             fresh.len(),

@@ -2,17 +2,18 @@
 //! daemon state transitions and route-table shape around a hub failure —
 //! the "what actually happens" view behind the outage numbers.
 //!
-//! The run is a single-trial [`drs_harness::Experiment`]: the cluster
-//! seed is the trial's derived seed, and the daemon's transition log
-//! comes back as a structured harness event trace — the same vocabulary
-//! the committed `BENCH_sim_survivability.json` rows use.
+//! One run: the cluster seed is [`stream_seed`]`(1, 0)`, trial 0's
+//! seed under master seed 1, and the daemon's transition log comes back
+//! as a structured harness event trace — the same vocabulary the
+//! committed `BENCH_sim_survivability.json` rows use.
 
 use drs_baselines::compare::drs_trace_event;
 use drs_core::{DrsConfig, DrsDaemon};
-use drs_harness::{Experiment, Metric, TraceEvent, TrialRecord};
+use drs_harness::{stream_seed, TraceEvent};
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
+use drs_sim::stats::AppStats;
 use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
@@ -31,8 +32,8 @@ struct SecondRow {
 }
 
 /// Runs the timeline trial: returns the table, the structured event
-/// trace, and the artifact row.
-fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, TrialRecord) {
+/// trace, and the cluster's application totals.
+fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, AppStats) {
     let n = 8;
     let cfg = DrsConfig::default()
         .probe_timeout(SimDuration::from_millis(100))
@@ -102,18 +103,11 @@ fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, TrialRecord) {
         .map(|e| drs_trace_event(e.at, &e.kind))
         .collect();
 
-    let s = w.app_stats();
-    let record = TrialRecord::new("hub_a_fail_and_repair", seed)
-        .metric(Metric::count("sent", s.sent))
-        .metric(Metric::count("delivered", s.delivered))
-        .metric(Metric::count("retransmits", s.retransmits))
-        .with_events(events.clone());
-    (table, events, record)
+    (table, events, w.app_stats())
 }
 
 pub(super) fn run() -> Vec<Check> {
-    let exp = Experiment::replications("failover-timeline", 1, 1);
-    let (table, events, record) = exp.run_serial(|ctx, ()| timeline_trial(ctx.seed)).remove(0);
+    let (table, events, totals) = timeline_trial(stream_seed(1, 0));
 
     println!("timeline: 8-host DRS cluster; hub A fails at t=5s, repaired at t=10s");
     println!("(500 ms probe sweeps, 2-miss threshold; all-to-all traffic at 2 rounds/s)");
@@ -136,19 +130,10 @@ pub(super) fn run() -> Vec<Check> {
         );
     }
 
-    let (delivered, sent, rtx) =
-        record
-            .metrics
-            .iter()
-            .fold((0, 0, 0), |acc, m| match (m.name, m.value) {
-                ("delivered", drs_harness::MetricValue::Count(c)) => (c, acc.1, acc.2),
-                ("sent", drs_harness::MetricValue::Count(c)) => (acc.0, c, acc.2),
-                ("retransmits", drs_harness::MetricValue::Count(c)) => (acc.0, acc.1, c),
-                _ => acc,
-            });
     println!();
     println!(
-        "totals: {delivered}/{sent} delivered, {rtx} retransmits — the fault window is visible in"
+        "totals: {}/{} delivered, {} retransmits — the fault window is visible in",
+        totals.delivered, totals.sent, totals.retransmits
     );
     println!("the utilization columns (traffic jumps from net A to net B and back).");
     Vec::new()

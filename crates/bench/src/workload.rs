@@ -2,7 +2,7 @@
 //! `BENCH_workload.json` artifact (schema [`WORKLOAD_SCHEMA`]).
 //!
 //! Three sections, all draw-free and sim-time-only, so the committed
-//! file is byte-reproducible on any machine at any `DRS_SIM_THREADS`:
+//! file is byte-reproducible on any machine:
 //!
 //! * **`slo`** — the paper's hub-failure scenario with a heavy-tailed
 //!   open-loop session workload riding on the DRS daemons: goodput,
@@ -28,8 +28,8 @@ use drs_harness::coord_seed;
 use drs_obs::{ObsArtifact, Row, Section};
 use drs_sim::workload::UNIT_PER_BYTE;
 use drs_sim::{
-    threads_from_env, ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId,
-    ShardedWorld, SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
+    ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId, ShardedWorld,
+    SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
 };
 
 use crate::BENCH_SEED;
@@ -128,16 +128,14 @@ impl WorkloadRun {
     }
 }
 
-/// Runs the SLO cell at the given shard and worker-thread counts.
-/// Bit-identical for every pair — across shard counts by the driver's
-/// construction, across `threads` the invariant CI re-proves by
-/// regenerating the artifact at `DRS_SIM_THREADS` 1 and 4.
+/// Runs the SLO cell at the given shard count. Bit-identical for every
+/// shard count, by the driver's construction.
 #[must_use]
-pub fn run_slo(shards: usize, threads: usize) -> WorkloadRun {
+pub fn run_slo(shards: usize) -> WorkloadRun {
     let n = SLO_HOSTS;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 1));
-    let mut w = ShardedWorld::with_topology(spec, shards, threads, |id| DrsDaemon::new(id, n, cfg));
+    let mut w = ShardedWorld::with_topology(spec, shards, 1, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(slo_plan());
     w.enable_workload(slo_spec());
     w.run_for(SLO_RUN);
@@ -153,9 +151,8 @@ pub fn run_scaling(m: u64) -> WorkloadRun {
     let n = 16usize;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 2));
-    let mut w = ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, threads_from_env(), |id| {
-        DrsDaemon::new(id, n, cfg)
-    });
+    let mut w =
+        ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, 1, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(
         FaultPlan::new()
             .fail_at(SimTime(2_000_000_123), SimComponent::Hub(NetId::A))
@@ -189,9 +186,8 @@ pub fn run_million() -> WorkloadRun {
     let n = MILLION_HOSTS;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 3));
-    let mut w = ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, threads_from_env(), |id| {
-        DrsDaemon::new(id, n, cfg)
-    });
+    let mut w =
+        ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, 1, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(
         FaultPlan::new()
             .fail_at(SimTime(1_000_000_123), SimComponent::Hub(NetId::A))
@@ -256,9 +252,9 @@ pub fn workload_bench_artifact() -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
 
     // SLO: both shard counts, bit-identical, then one section of rows
-    // from the sharded run (the one CI regenerates at two thread counts).
-    let serial = run_slo(1, 1);
-    let sharded = run_slo(WORKLOAD_SHARDS, threads_from_env());
+    // from the sharded run.
+    let serial = run_slo(1);
+    let sharded = run_slo(WORKLOAD_SHARDS);
     assert_eq!(serial, sharded, "slo: serial and sharded runs diverged");
     assert!(sharded.conserved, "slo: fluid ledger out of balance");
     assert!(sharded.stats.stall_windows > 0, "slo: no failover stalls");
@@ -438,7 +434,7 @@ impl SloVerdict {
 /// verdict.
 #[must_use]
 pub fn slo_verdict() -> SloVerdict {
-    let run = run_slo(WORKLOAD_SHARDS, threads_from_env());
+    let run = run_slo(WORKLOAD_SHARDS);
     SloVerdict {
         conserved: run.conserved,
         stall_windows: run.stats.stall_windows,
@@ -453,14 +449,12 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slo_cell_is_driver_and_thread_invariant() {
-        let serial = run_slo(1, 1);
-        let one = run_slo(WORKLOAD_SHARDS, 1);
-        let four = run_slo(WORKLOAD_SHARDS, 4);
-        assert_eq!(serial, one, "one shard vs 1-thread sharded");
-        assert_eq!(one, four, "1-thread vs 4-thread sharded");
-        assert!(one.conserved);
-        assert_eq!(one.stats.reroute_notifications, one.daemon_reroutes);
+    fn slo_cell_is_driver_invariant() {
+        let serial = run_slo(1);
+        let sharded = run_slo(WORKLOAD_SHARDS);
+        assert_eq!(serial, sharded, "one shard vs sharded");
+        assert!(sharded.conserved);
+        assert_eq!(sharded.stats.reroute_notifications, sharded.daemon_reroutes);
     }
 
     #[test]

@@ -55,6 +55,8 @@
 //! let _ = flow;
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod daemon;
 pub mod frame;

@@ -20,6 +20,8 @@
 //! Traces are collected through a seal-once [`TrialTrace`]. The harness
 //! takes no wall-clock readings: timing a run is `benchmark/`'s job.
 
+#![forbid(unsafe_code)]
+
 pub mod events;
 pub mod experiment;
 pub mod par;

@@ -21,6 +21,8 @@
 //! plain blocking sockets and threads, which keeps the crate buildable
 //! everywhere the toolchain runs.
 
+#![forbid(unsafe_code)]
+
 pub mod live;
 pub mod replay;
 pub mod wire;

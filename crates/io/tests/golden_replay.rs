@@ -13,16 +13,14 @@
 //!
 //! Any divergence means the daemon read state outside the `DrsIo`
 //! boundary — exactly the regression this suite exists to catch. The
-//! same goldens are checked at one shard and at two, which is what lets
-//! CI assert the replay contract at `DRS_SIM_THREADS=1` and `=4` with one
-//! test binary.
+//! same goldens are checked at one shard and at two.
 
 use drs_core::{
     DaemonJournal, DrsConfig, DrsDaemon, GatewayPolicy, NetId, NodeId, ProbeObs, Route, RouteTable,
     SimDuration, SimTime,
 };
 use drs_io::replay_journal;
-use drs_sim::{threads_from_env, ClusterSpec, FaultPlan, ShardedWorld, SimComponent};
+use drs_sim::{ClusterSpec, FaultPlan, ShardedWorld, SimComponent};
 
 /// Everything the DES run leaves behind for one node.
 struct Golden {
@@ -39,8 +37,7 @@ fn fast_cfg() -> DrsConfig {
         .record_journal(true)
 }
 
-/// Runs the DES at `shards` (and `DRS_SIM_THREADS` workers) and captures
-/// every node's golden.
+/// Runs the DES at `shards` and captures every node's golden.
 fn capture(
     n: usize,
     seed: u64,
@@ -50,9 +47,7 @@ fn capture(
     shards: usize,
 ) -> Vec<Golden> {
     let spec = ClusterSpec::new(n).seed(seed);
-    let mut w = ShardedWorld::with_topology(spec, shards, threads_from_env(), move |id| {
-        DrsDaemon::new(id, n, cfg)
-    });
+    let mut w = ShardedWorld::with_topology(spec, shards, 1, move |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(plan);
     w.run_for(SimDuration::from_secs(secs));
     (0..n as u32)
@@ -123,7 +118,7 @@ fn golden_replay_eight_nodes_hub_fault() {
 fn golden_replay_matches_sharded_kernel() {
     // Two shards must hand every daemon the same input stream one shard
     // does (that is the merge invariant), so their journals replay just
-    // as exactly — at whatever DRS_SIM_THREADS CI set for this process.
+    // as exactly.
     let n = 8;
     let cfg = fast_cfg();
     let goldens = capture(n, 42, cfg, hub_fault(), 3, 2);

@@ -136,9 +136,8 @@ impl PostMortemReport {
 
 /// Builds a post-mortem for every reroute completion in the log.
 ///
-/// The walk is pure: it only reads the log, so running it on the merged
-/// log of a sharded world gives bit-identical reports at any thread
-/// count.
+/// The walk is pure: it only reads the log, so the same merged log
+/// always gives bit-identical reports.
 ///
 /// Each cause ref is found by galloping from a guess at its index,
 /// O(log distance) instead of a binary search of the whole log: the

@@ -9,8 +9,7 @@
 //! a kind-specific argument, and an optional [`EventRef`] pointing at
 //! the record that caused it. The simulator records them in dispatch
 //! order, so a drained log is already sorted by `(time, seq, sub)` and
-//! merges across shards exactly like the kernel's own event log —
-//! bit-identical at any thread count.
+//! merges across shards exactly like the kernel's own event log.
 //!
 //! # Identity
 //!

@@ -12,8 +12,8 @@
 //!   across worker threads are exact and order-independent ([`hist`]).
 //! * [`FlightRecorder`] / [`TraceRecord`] — the causal flight recorder:
 //!   a bounded ring of sim-time trace records where each record can name
-//!   the record that caused it, merged across shards bit-identically at
-//!   any thread count ([`flight`]); [`causal`] walks the cause chains
+//!   the record that caused it, merged across shards in `(time, seq,
+//!   sub)` order ([`flight`]); [`causal`] walks the cause chains
 //!   back into per-failover post-mortems and [`to_perfetto`] renders the
 //!   merged timeline as Chrome `trace_event` JSON.
 //! * [`ObsArtifact`] — the versioned `drs-bench-observability/v2`
@@ -52,6 +52,8 @@
 //! assert_eq!(detect.count(), 2);
 //! assert_eq!(detect.max(), Some(450_000));
 //! ```
+
+#![forbid(unsafe_code)]
 
 pub mod artifact;
 pub mod causal;

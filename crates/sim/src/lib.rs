@@ -61,6 +61,8 @@
 //! assert_eq!(world.protocol(NodeId(0)).replies, 1);
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod app;
 pub mod drs;
 pub mod fault;
@@ -87,6 +89,5 @@ pub use workload::{
     ArrivalProcess, ClassSpec, FluidEngine, HoldingDist, WorkloadSpec, WorkloadStats,
 };
 pub use world::{
-    threads_from_env, Ctx, EventRecord, EventTag, Protocol, ShardStats, ShardedWorld,
-    TransportEvent, World,
+    Ctx, EventRecord, EventTag, Protocol, ShardStats, ShardedWorld, TransportEvent, World,
 };

@@ -1,8 +1,8 @@
 //! Deterministic, dependency-free samplers for the fluid session layer.
 //!
 //! The workload engine's whole value is that `BENCH_workload.json` is
-//! byte-identical on every machine and at every `DRS_SIM_THREADS`, so
-//! its randomness must not depend on any external RNG crate *or* on the
+//! byte-identical on every machine and at every shard count, so its
+//! randomness must not depend on any external RNG crate *or* on the
 //! platform's `libm` (whose `ln`/`exp` are not bit-specified). This
 //! module therefore carries:
 //!

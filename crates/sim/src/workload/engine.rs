@@ -936,7 +936,7 @@ impl FluidEngine {
 
     /// FNV-1a fingerprint of the full fluid state: counters, water
     /// levels, container integrals, and every live session's ledger.
-    /// O(active + n²). Bit-identical across drivers and thread counts.
+    /// O(active + n²). Bit-identical across drivers and shard counts.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut f = Fnv1a::default();

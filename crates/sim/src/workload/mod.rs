@@ -36,7 +36,7 @@
 //! Determinism: every draw comes from [`dist`]'s own SplitMix64 streams
 //! and software `ln`/`exp` — no external RNG crate, no libm — so the
 //! committed `BENCH_workload.json` is byte-identical on every machine
-//! and at every `DRS_SIM_THREADS`.
+//! and at every shard count.
 
 pub mod dist;
 mod engine;
@@ -122,7 +122,7 @@ impl WorkloadSpec {
 /// One recorded workload transition, stamped with the dispatch identity
 /// `(at, seq)` of the event that produced it — the same identity the
 /// flight recorder uses, so the driver's merged log orders transitions
-/// identically for every thread count.
+/// by dispatch identity, never by shard.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionRecord {
     /// Virtual instant of the transition.

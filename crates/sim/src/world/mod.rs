@@ -21,7 +21,7 @@ mod queue;
 pub mod shard;
 
 pub use queue::{Core, EventRecord, EventTag, KernelStats};
-pub use shard::{threads_from_env, ShardStats, ShardedWorld, World};
+pub use shard::{ShardStats, ShardedWorld, World};
 
 /// The flight-recorder vocabulary, re-exported so protocols written
 /// against [`Ctx`] need not name `drs_obs` directly.
@@ -48,10 +48,9 @@ use queue::EventKind;
 /// table, ICMP, and control-message I/O. A daemon cannot touch other
 /// hosts' state except by sending frames, exactly like the real thing.
 #[allow(unused_variables)]
-pub trait Protocol: Sized + Send {
+pub trait Protocol: Sized {
     /// The protocol's control-message type, carried opaquely in frames.
-    /// `Send`, like the daemon itself: shards run on worker threads.
-    type Msg: Clone + std::fmt::Debug + Send;
+    type Msg: Clone + std::fmt::Debug;
 
     /// Called once per host at simulation start.
     fn on_start(&mut self, ctx: &mut Ctx<'_, Self::Msg>) {}
@@ -194,7 +193,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
 
     /// Deterministic RNG stream for this host's daemon: every host has
     /// its own seed-derived stream, so draw order depends only on the
-    /// host's own event sequence — never on shard layout or thread count.
+    /// host's own event sequence — never on shard layout.
     pub fn rng(&mut self) -> &mut Rng {
         self.core.rng_for(self.node)
     }
@@ -997,17 +996,15 @@ mod tests {
         let t = TopologySpec::new(generators::bcube(4, 1)).seed(9);
         let failed = [1usize, 8]; // one switch, one link
         let plain = flood_reachability(&t, &failed);
-        for threads in [1usize, 3] {
-            let mut sw = ShardedWorld::from_topology(&t, 4, threads, |_| Flood {
-                origin: NodeId(0),
-                seen: false,
-            });
-            sw.schedule_faults(t.fault_plan(SimTime(0), &failed));
-            sw.run_for(SimDuration::from_secs(1));
-            let sharded: Vec<bool> = (0..t.nodes())
-                .map(|i| sw.protocol(NodeId(i as u32)).seen)
-                .collect();
-            assert_eq!(plain, sharded, "threads={threads}");
-        }
+        let mut sw = ShardedWorld::from_topology(&t, 4, |_| Flood {
+            origin: NodeId(0),
+            seen: false,
+        });
+        sw.schedule_faults(t.fault_plan(SimTime(0), &failed));
+        sw.run_for(SimDuration::from_secs(1));
+        let sharded: Vec<bool> = (0..t.nodes())
+            .map(|i| sw.protocol(NodeId(i as u32)).seen)
+            .collect();
+        assert_eq!(plain, sharded);
     }
 }

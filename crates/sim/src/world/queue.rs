@@ -13,9 +13,9 @@
 //! [`Fabric::Direct`] admits transmitted frames onto the shared segments
 //! immediately. With several, each core owns a *block* of hosts and a
 //! [`Fabric::Deferred`]: transmissions are logged as [`Intent`]s and
-//! admitted by the coordinator at the next epoch barrier, in global
-//! `(at, seq)` order — which is what makes the parallel schedule
-//! reproduce the one-shard one.
+//! admitted by the merge after the epoch, in global `(at, seq)` order —
+//! which is what makes the sharded schedule reproduce the one-shard
+//! one.
 
 use drs_obs::flight::{EventRef, FlightRecorder, TraceKind, TraceRecord};
 use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
@@ -135,7 +135,7 @@ pub(crate) enum Fabric<M> {
 }
 
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host
-/// streams, stable across shard layouts and thread counts.
+/// streams, stable across shard layouts.
 fn host_rng_seed(seed: u64, node: u32) -> u64 {
     mix64(seed ^ u64::from(node).wrapping_mul(GOLDEN_GAMMA))
 }
@@ -160,12 +160,12 @@ pub enum EventTag {
 }
 
 /// One dispatched event, recorded at pop time when event logging is on
-/// (equivalence tests compare these across drivers and thread counts).
+/// (equivalence tests compare these across drivers and reruns).
 ///
 /// `seq` depends on the shard count (one shard numbers events with one
 /// global counter, several with epoch-packed counters), so comparisons
 /// across shard counts use the `(at, tag, node, net, aux)` projection
-/// while thread-count comparisons include `seq`.
+/// while rerun comparisons include `seq`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventRecord {
     /// Virtual time the event fired.
@@ -190,8 +190,8 @@ pub struct Core<M> {
     /// High bits of issued sequence numbers. Zero with one shard (whose
     /// events are numbered by one global counter); set per epoch to
     /// `epoch << 32 | shard << 24` with several so that sequence numbers
-    /// are globally unique and ordered identically for every thread
-    /// count.
+    /// are globally unique and depend only on (epoch, shard,
+    /// order-in-shard).
     pub(crate) seq_base: u64,
     /// Low bits: events numbered since `seq_base` was last set.
     pub(crate) seq_local: u64,
@@ -222,7 +222,7 @@ pub struct Core<M> {
     pub(crate) hubs_passed: usize,
     /// One seed-derived random stream per owned host (corruption rolls,
     /// daemon draws), indexed block-locally: draw order depends only on
-    /// the host's own event sequence, never on shard layout or threads.
+    /// the host's own event sequence, never on shard layout.
     pub(crate) rngs: Vec<Rng>,
     /// When `Some`, every popped event is recorded here.
     pub(crate) event_log: Option<Vec<EventRecord>>,

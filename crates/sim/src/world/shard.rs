@@ -1,6 +1,6 @@
 //! The driver: one [`World`] over one or more shards, direct when there
 //! is one shard, conservative-lookahead epochs with a seed-deterministic
-//! merge when there are several.
+//! merge when there are several. Every shard runs on the calling thread.
 //!
 //! # One shard: the plain loop
 //!
@@ -8,9 +8,9 @@
 //! media. Transmissions are admitted onto the segments immediately
 //! (`Fabric::Direct`), events carry one global sequence counter, and
 //! `run_until` pops the wheel until the horizon — no epochs, no outbox,
-//! no merge, no barrier.
+//! no merge.
 //!
-//! # Several shards: how the parallelism works
+//! # Several shards: epochs and the merge
 //!
 //! The cluster's hosts are partitioned into contiguous blocks (shards),
 //! each owning its own [`Core`] — timer wheel, host state, per-host RNG
@@ -24,16 +24,19 @@
 //! receiving a frame dated inside that window from another shard —
 //! anything sent during the window arrives at `≥ T_start + L`.
 //!
-//! Each such window is an **epoch**. Workers run their shards' epochs in
-//! parallel; transmissions are not admitted onto the medium immediately
-//! but logged as `Intent`s in per-shard outboxes (see
-//! `Fabric::Deferred`). At the epoch barrier the coordinator merges
+//! Each such window is an **epoch**. The driver runs the shards' slices
+//! of it one after another; transmissions are not admitted onto the
+//! medium immediately but logged as `Intent`s in per-shard outboxes (see
+//! `Fabric::Deferred`). After the last shard's slice the merge takes
 //! all outboxes in global `(at, seq)` order, admits the frames onto the
-//! coordinator-owned media with the hub liveness of each transmission
+//! driver-owned media with the hub liveness of each transmission
 //! instant, and pushes the resulting arrivals directly
 //! into the destination shards' wheels. Arrivals land at
 //! `≥ T_start + L ≥` every shard's cursor, so the wheels never see a
-//! past-time push.
+//! past-time push. (A second thread never paid on this partition —
+//! ROADMAP, "Decided" — so the shards share the calling thread, and the
+//! borrow checker, not a barrier protocol, proves that each shard has one
+//! writer.)
 //!
 //! # How a window opens
 //!
@@ -68,10 +71,10 @@
 //! keep their storage between merges, so the loop allocates nothing in
 //! steady state (`tests/alloc_pin_sharded.rs`).
 //!
-//! # Why every shard and thread count agrees
+//! # Why every shard count agrees
 //!
 //! Everything that orders events is derived from virtual time and
-//! sequence numbers, never from thread interleaving or shard layout:
+//! sequence numbers, never from shard layout:
 //!
 //! * hub liveness is a schedule, not an event: a toggle at `t` takes
 //!   effect before every other event at `t` and consumes no sequence
@@ -79,41 +82,34 @@
 //!   hub schedule, and nothing copies it: medium admission (the only
 //!   shard's or the merge's) and every shard's arrival check ask it
 //!   about their own instant, the shards through a cursor of their own,
-//!   and the loops and the fluid engine walk it with cursors too. So a toggle lands at the same virtual instant in
-//!   every shard, regardless of which thread gets there first. Hub
+//!   and the loops and the fluid engine walk it with cursors too. So a
+//!   toggle lands at the same virtual instant in every shard. Hub
 //!   faults may be scheduled at any `at >= now()`, before or between
 //!   runs;
 //! * corruption rolls and daemon draws come from per-host RNG streams,
 //!   so draw order depends only on the host's own event sequence;
 //! * within an epoch a shard numbers its events
 //!   `epoch << 32 | shard << 24 | local`, so sequence numbers are
-//!   globally unique and depend only on (epoch, shard, order-in-shard) —
-//!   all three identical for every thread count (exhausting a field is a
-//!   panic, checked once per shard-epoch);
+//!   globally unique and depend only on (epoch, shard, order-in-shard)
+//!   (exhausting a field is a panic, checked once per shard-epoch);
 //! * the merge admits intents in `(at, seq)` order, so medium queueing
-//!   (FIFO per segment) is resolved identically for every thread count;
+//!   (FIFO per segment) is resolved in one global order;
 //! * whether a shard is visited or skipped depends only on the hint the
-//!   merge stored for it and the window's bound, which every thread reads
-//!   the same.
+//!   merge stored for it and the window's bound.
 //!
-//! The result: `run_until` produces a bit-identical event schedule for
-//! any thread count, and the same simulated results — event projection,
-//! medium totals, protocol history, workload ledger — for any shard
-//! count, which `tests/shard_equivalence.rs` checks on faulted, lossy
-//! and pristine schedules alike.
+//! The result: `run_until` produces the same simulated results — event
+//! projection, medium totals, protocol history, workload ledger — for
+//! any shard count, which `tests/shard_equivalence.rs` checks on
+//! faulted, lossy and pristine schedules alike.
 //!
 //! `run_until_settled` — stop once every application flow has its
 //! outcome — is built on top of that contract rather than into the
 //! loops: fixed strides of `run_until` with a look at the flow counters
 //! in between, so neither loop and no event pays for it.
 
-use std::cell::UnsafeCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::ops::{Deref, DerefMut};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Barrier;
-use std::time::Instant;
 
 use drs_core::ids::FlowId;
 use drs_core::{Destination, Frame, NetId, NodeId, ProbeObs, SimDuration, SimTime};
@@ -143,6 +139,12 @@ pub(super) struct Shard<P: Protocol> {
     /// local event lay beyond it — so the stalls are the world's epoch
     /// count minus this, whether the shard was visited or skipped.
     busy: u64,
+    /// The bound at or past which this shard's epoch visit is skipped:
+    /// its wheel's hint, as the last merge left it, or zero where the
+    /// wheel cannot skip ([`TimerWheel::skips_below_hint`]).
+    ///
+    /// [`TimerWheel::skips_below_hint`]: crate::wheel::TimerWheel::skips_below_hint
+    hint: u64,
 }
 
 impl<P: Protocol> Shard<P> {
@@ -165,18 +167,6 @@ impl<P: Protocol> Shard<P> {
     }
 }
 
-/// Interior-mutable shard slot, shared with worker threads.
-struct ShardCell<P: Protocol>(UnsafeCell<Shard<P>>);
-
-// SAFETY: a shard is touched by exactly one thread at a time. During an
-// epoch, worker `w` accesses only the shards `i ≡ w (mod threads)` it
-// owns (a disjoint partition); between the `done` and `go` barriers only
-// the coordinator touches shards, with every worker parked. The barriers
-// provide the happens-before edges for the hand-offs. Moving a shard's
-// daemons and frames between threads is sound because `Protocol` and
-// its `Msg` are `Send`.
-unsafe impl<P: Protocol> Sync for ShardCell<P> {}
-
 /// The merge heap's entry: an outbox head's `(at, seq)` and the outbox
 /// index, which breaks the ties of intents logged before the first epoch
 /// (numbered per shard from zero).
@@ -185,7 +175,7 @@ type Head = ((SimTime, u64), usize);
 /// Coordinator-side state: the cursor of the hub toggles' flight records,
 /// and — when admission is deferred — the real media, the merge's
 /// reused storage and its counters. Deliberately not generic so the
-/// borrow can be split from the shard cells.
+/// borrow can be split from the shards.
 struct Coordinator {
     /// The segments under deferred admission; empty when the only shard
     /// owns them.
@@ -238,9 +228,9 @@ const COORD_SUB_BASE: u32 = 1 << 31;
 /// merges. Fine-grained epochs outnumber protocol events by orders of
 /// magnitude on long runs; an unsampled track would flood the bounded
 /// ring and evict the causal records the recorder exists to keep. The
-/// stride counts over thread-count-invariant sequences (busy epochs,
-/// non-empty merges), so the sampled timeline is still bit-identical at
-/// any `DRS_SIM_THREADS`.
+/// stride counts over sequences the schedule alone decides (busy epochs,
+/// non-empty merges), so the sampled timeline is a function of the
+/// seed and the shard count.
 const KERNEL_TRACK_SAMPLE: u64 = 64;
 
 /// Virtual time [`World::run_until_settled`] advances between two looks
@@ -267,7 +257,7 @@ fn record_coord(flight: &mut Option<FlightRecorder>, sub: &mut u32, rec: TraceRe
 /// shard walks into its own ring before each dispatch, so the records
 /// land in dispatch order; the merge walks into the coordinator's before
 /// each admission, so their sub numbers interleave with its own records
-/// identically at every thread count.
+/// in admission order.
 fn record_hub_toggles(
     hubs: &HubSchedule,
     recorded: &mut usize,
@@ -300,9 +290,7 @@ fn record_hub_toggles(
 
 impl Coordinator {
     /// Appends a coordinator-side flight record, if recording is on.
-    /// Coordinator phases run in the same order for every thread count,
-    /// so the sub counter — and therefore the record identities — are
-    /// thread-invariant. (One argument per [`TraceRecord`] field.)
+    /// (One argument per [`TraceRecord`] field.)
     #[allow(clippy::too_many_arguments)]
     fn flight_record(
         &mut self,
@@ -329,17 +317,13 @@ impl Coordinator {
 }
 
 /// Deterministic counters of the driver's partition and merge machinery,
-/// complementing the merged [`KernelStats`]. Everything except
-/// `barrier_wait_ns` is thread-count-independent; with one shard there
-/// are no epochs, so only `shards`, `threads`, `lookahead_ns` and the
-/// single `events_per_shard` entry are non-zero.
+/// complementing the merged [`KernelStats`]. With one shard there are no
+/// epochs, so only `shards`, `lookahead_ns` and the single
+/// `events_per_shard` entry are non-zero.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Number of shards.
     pub shards: usize,
-    /// Configured worker thread count (effective count is capped at the
-    /// shard count).
-    pub threads: usize,
     /// Epochs executed.
     pub epochs: u64,
     /// Merge phases that had at least one intent to admit.
@@ -363,55 +347,20 @@ pub struct ShardStats {
     /// and its stall is counted without a peek; the visit it replaces
     /// would have popped nothing and changed nothing.
     pub stalls_per_shard: Vec<u64>,
-    /// Wall-clock nanoseconds the coordinator spent waiting at `done`
-    /// barriers. The only wall-clock (non-deterministic) field; never
-    /// committed to artifacts.
+    /// Always 0: no epoch waits at a barrier, every shard runs on the
+    /// calling thread. It stays only because `benchmark/` reads it;
+    /// ROADMAP items 5 and then 1 delete it along with `ShardedWorld`.
     pub barrier_wait_ns: u64,
-}
-
-/// The worker thread count a `DRS_SIM_THREADS` value asks for: 1 when the
-/// variable is unset, otherwise its integer clamped to `[1, 256]`; an
-/// error naming the value when it is anything else.
-fn parse_threads(value: Option<&str>) -> Result<usize, String> {
-    let Some(value) = value else {
-        return Ok(1);
-    };
-    value
-        .trim()
-        .parse::<usize>()
-        .map(|t| t.clamp(1, 256))
-        .map_err(|e| format!("DRS_SIM_THREADS={value:?} is not a thread count: {e}"))
-}
-
-/// Worker thread count from the `DRS_SIM_THREADS` environment knob
-/// (default 1, clamped to `[1, 256]`).
-///
-/// # Panics
-/// Panics, naming the value, if the variable is set to anything but a
-/// non-negative integer — a mangled setting must not quietly mean one
-/// thread.
-#[must_use]
-pub fn threads_from_env() -> usize {
-    let value = std::env::var_os("DRS_SIM_THREADS");
-    let value = value.as_ref().map(|v| v.to_string_lossy());
-    parse_threads(value.as_deref()).unwrap_or_else(|why| panic!("{why}"))
 }
 
 /// The simulated cluster: the event engine plus one protocol instance
 /// per host, partitioned into one or more shards.
 pub struct World<P: Protocol> {
     spec: ClusterSpec,
-    shards: Vec<ShardCell<P>>,
+    shards: Vec<Shard<P>>,
     /// Host → shard index.
     owner: Vec<u32>,
     coord: Coordinator,
-    /// Per shard, the bound at or past which its epoch visit is skipped:
-    /// its wheel's hint, as the last merge left it, or zero where the
-    /// wheel cannot skip ([`TimerWheel::skips_below_hint`]). Written by the
-    /// merge, read by every thread deciding whether to visit a shard.
-    ///
-    /// [`TimerWheel::skips_below_hint`]: crate::wheel::TimerWheel::skips_below_hint
-    hints: Vec<AtomicU64>,
     /// Every hub toggle scheduled so far, the one copy: the shards, the
     /// merge, the fluid engine and [`Self::component_is_up`] read it by
     /// reference.
@@ -422,30 +371,23 @@ pub struct World<P: Protocol> {
     epoch: u64,
     /// Conservative lookahead `serialization(1 byte) + propagation`, ns.
     lookahead: u64,
-    threads: usize,
     next_flow: u64,
-    barrier_wait_ns: u64,
     /// The fluid session accounting engine, when
     /// [`Self::enable_workload`] was called. Consumes the shards' merged
     /// transition logs at the end of every `run_until`.
     workload_engine: Option<Box<FluidEngine>>,
 }
 
-/// A [`World`] built with explicit (or host-count-derived) shard and
-/// worker-thread counts; everything else is [`World`]'s, through
-/// `Deref`.
+/// A [`World`] built with an explicit shard count; everything else is
+/// [`World`]'s, through `Deref`.
 pub struct ShardedWorld<P: Protocol>(World<P>);
 
 impl<P: Protocol> ShardedWorld<P> {
-    /// Builds a cluster with an automatic shard count (one shard per ~16
-    /// hosts, capped at 64) and the thread count from
-    /// [`threads_from_env`].
-    pub fn new(spec: ClusterSpec, factory: impl FnMut(NodeId) -> P) -> Self {
-        let shards = (spec.n / 16).clamp(1, 64);
-        Self::with_topology(spec, shards, threads_from_env(), factory)
-    }
-
-    /// Builds with explicit shard and worker-thread counts.
+    /// Builds with an explicit shard count.
+    ///
+    /// `threads` is unused: every shard runs on the calling thread. It
+    /// stays only because `benchmark/` passes it; ROADMAP items 5 and
+    /// then 1 delete it along with `ShardedWorld`. Callers pass 1.
     ///
     /// # Panics
     /// Panics if `shards` or `threads` is zero.
@@ -455,20 +397,20 @@ impl<P: Protocol> ShardedWorld<P> {
         threads: usize,
         factory: impl FnMut(NodeId) -> P,
     ) -> Self {
-        ShardedWorld(World::build(spec, shards, threads, None, factory))
+        assert!(threads >= 1, "at least one thread");
+        ShardedWorld(World::build(spec, shards, None, factory))
     }
 
-    /// [`World::from_topology`] with explicit shard and worker-thread
-    /// counts. The lookahead is the *minimum* over segments (the fastest
-    /// link bounds the earliest cross-shard interaction).
+    /// [`World::from_topology`] with an explicit shard count. The
+    /// lookahead is the *minimum* over segments (the fastest link bounds
+    /// the earliest cross-shard interaction).
     pub fn from_topology(
         tspec: &TopologySpec,
         shards: usize,
-        threads: usize,
         factory: impl FnMut(NodeId) -> P,
     ) -> Self {
         let spec = tspec.cluster_spec();
-        ShardedWorld(World::build(spec, shards, threads, Some(tspec), factory))
+        ShardedWorld(World::build(spec, shards, Some(tspec), factory))
     }
 }
 
@@ -486,10 +428,10 @@ impl<P: Protocol> DerefMut for ShardedWorld<P> {
 }
 
 impl<P: Protocol> World<P> {
-    /// Builds a one-shard, one-thread cluster and starts every daemon
-    /// (each gets `on_start` at time zero, in host order).
+    /// Builds a one-shard cluster and starts every daemon (each gets
+    /// `on_start` at time zero, in host order).
     pub fn new(spec: ClusterSpec, factory: impl FnMut(NodeId) -> P) -> Self {
-        Self::build(spec, 1, 1, None, factory)
+        Self::build(spec, 1, None, factory)
     }
 
     /// Builds a one-shard cluster over an explicit topology graph: one
@@ -499,20 +441,17 @@ impl<P: Protocol> World<P> {
     /// both applied before any `on_start`, so daemons observe the fabric
     /// from the first instant. See [`crate::topology`] for the mapping.
     pub fn from_topology(tspec: &TopologySpec, factory: impl FnMut(NodeId) -> P) -> Self {
-        Self::build(tspec.cluster_spec(), 1, 1, Some(tspec), factory)
+        Self::build(tspec.cluster_spec(), 1, Some(tspec), factory)
     }
 
     fn build(
         spec: ClusterSpec,
         shards: usize,
-        threads: usize,
         tspec: Option<&TopologySpec>,
         mut factory: impl FnMut(NodeId) -> P,
     ) -> Self {
         assert!(shards >= 1, "at least one shard");
-        assert!(threads >= 1, "at least one thread");
         let shards = shards.min(spec.n).min(256);
-        let threads = threads.min(256);
 
         let mut media: Vec<SharedMedium> = match tspec {
             Some(t) => t.media(),
@@ -532,7 +471,7 @@ impl<P: Protocol> World<P> {
             .max(1);
 
         let mut owner = vec![0u32; spec.n];
-        let mut cells = Vec::with_capacity(shards);
+        let mut blocks = Vec::with_capacity(shards);
         let (block, extra) = (spec.n / shards, spec.n % shards);
         let mut base = 0u32;
         for id in 0..shards {
@@ -553,18 +492,19 @@ impl<P: Protocol> World<P> {
             let protocols = (base..base + len as u32)
                 .map(|i| factory(NodeId(i)))
                 .collect();
-            cells.push(ShardCell(UnsafeCell::new(Shard {
+            blocks.push(Shard {
                 id,
                 core,
                 protocols,
                 busy: 0,
-            })));
+                hint: 0,
+            });
             base += len as u32;
         }
 
         let mut world = World {
             spec,
-            shards: cells,
+            shards: blocks,
             owner,
             coord: Coordinator {
                 media,
@@ -581,19 +521,16 @@ impl<P: Protocol> World<P> {
                 flight: None,
                 flight_sub: COORD_SUB_BASE,
             },
-            hints: (0..shards).map(|_| AtomicU64::new(0)).collect(),
             hubs: HubSchedule::new(),
             now: SimTime::ZERO,
             epoch: 0,
             lookahead,
-            threads,
             next_flow: 0,
-            barrier_wait_ns: 0,
             workload_engine: None,
         };
         for i in 0..spec.n {
             let node = NodeId(i as u32);
-            let shard = world.shards[world.owner[i] as usize].0.get_mut();
+            let shard = &mut world.shards[world.owner[i] as usize];
             let local = shard.core.hosts.local(node);
             let mut ctx = Ctx {
                 core: &mut shard.core,
@@ -606,41 +543,31 @@ impl<P: Protocol> World<P> {
             // Frames sent from `on_start` are admitted now, as direct
             // admission has already done: construction precedes every
             // fault plan at every shard count.
-            // SAFETY: no worker threads exist; access is exclusive.
-            unsafe {
-                merge_and_min(
-                    &mut world.coord,
-                    &world.shards,
-                    &world.owner,
-                    &world.hubs,
-                    &world.hints,
-                )
-            };
+            merge_and_min(
+                &mut world.coord,
+                &mut world.shards,
+                &world.owner,
+                &world.hubs,
+            );
         }
         world
     }
 
-    /// Read access to shard `i`.
-    ///
-    /// SAFETY of the deref: worker threads exist only inside
-    /// [`Self::run_until`], which takes `&mut self` — any `&self` method
-    /// therefore runs with no epoch in flight and no aliasing access.
-    fn shard(&self, i: usize) -> &Shard<P> {
-        unsafe { &*self.shards[i].0.get() }
+    fn shard(&self, node: NodeId) -> &Shard<P> {
+        &self.shards[self.owner[node.idx()] as usize]
     }
 
     pub(super) fn shard_mut(&mut self, i: usize) -> &mut Shard<P> {
-        self.shards[i].0.get_mut()
+        &mut self.shards[i]
     }
 
     fn owner_of(&self, node: NodeId) -> usize {
         self.owner[node.idx()] as usize
     }
 
-    /// Whether transmissions are deferred to the coordinator's barrier
-    /// merge (several shards, epoch loop) rather than admitted directly
-    /// by the only shard (plain loop) — the one thing the shard count
-    /// decides.
+    /// Whether transmissions are deferred to the merge between epochs
+    /// (several shards, epoch loop) rather than admitted directly by the
+    /// only shard (plain loop) — the one thing the shard count decides.
     fn deferred(&self) -> bool {
         self.shards.len() > 1
     }
@@ -663,16 +590,10 @@ impl<P: Protocol> World<P> {
         self.shards.len()
     }
 
-    /// Configured worker thread count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The daemon instance on `node`.
     #[must_use]
     pub fn protocol(&self, node: NodeId) -> &P {
-        let shard = self.shard(self.owner_of(node));
+        let shard = self.shard(node);
         &shard.protocols[shard.core.hosts.local(node)]
     }
 
@@ -687,7 +608,7 @@ impl<P: Protocol> World<P> {
     /// Read access to a host's simulated state.
     #[must_use]
     pub fn host(&self, node: NodeId) -> HostView<'_> {
-        self.shard(self.owner_of(node)).core.hosts.view(node)
+        self.shard(node).core.hosts.view(node)
     }
 
     /// Read access to a network segment. Medium state (busy horizon,
@@ -698,7 +619,7 @@ impl<P: Protocol> World<P> {
         if self.deferred() {
             &self.coord.media[net.idx()]
         } else {
-            &self.shard(0).core.media[net.idx()]
+            &self.shards[0].core.media[net.idx()]
         }
     }
 
@@ -706,8 +627,8 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn app_stats(&self) -> AppStats {
         let mut merged = AppStats::default();
-        for i in 0..self.shards.len() {
-            merged.merge(&self.shard(i).core.app_stats);
+        for shard in &self.shards {
+            merged.merge(&shard.core.app_stats);
         }
         merged
     }
@@ -719,8 +640,8 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn merged_probe_obs(&self) -> ProbeObs {
         let mut merged = ProbeObs::default();
-        for i in 0..self.shards.len() {
-            for obs in self.shard(i).core.hosts.obs_iter() {
+        for shard in &self.shards {
+            for obs in shard.core.hosts.obs_iter() {
                 merged.merge(obs);
             }
         }
@@ -732,8 +653,9 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn flow_outcome(&self, flow: FlowId) -> Option<FlowOutcome> {
         let idx = flow.0 as usize;
-        (0..self.shards.len())
-            .find_map(|i| self.shard(i).core.flow_outcomes.get(idx).copied().flatten())
+        self.shards
+            .iter()
+            .find_map(|s| s.core.flow_outcomes.get(idx).copied().flatten())
     }
 
     /// All completed flow outcomes in ascending [`FlowId`] order — the
@@ -754,8 +676,8 @@ impl<P: Protocol> World<P> {
             now_ns: self.now.0,
             ..KernelStats::default()
         };
-        for i in 0..self.shards.len() {
-            let ks = self.shard(i).core.kernel_stats();
+        for shard in &self.shards {
+            let ks = shard.core.kernel_stats();
             merged.wheel.merge(&ks.wheel);
             merged.clamped_past += ks.clamped_past;
             merged.queue_depth += ks.queue_depth;
@@ -766,12 +688,10 @@ impl<P: Protocol> World<P> {
     /// The partition and merge counters.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
-        let per_shard = |f: &dyn Fn(&Shard<P>) -> u64| -> Vec<u64> {
-            (0..self.shards.len()).map(|i| f(self.shard(i))).collect()
-        };
+        let per_shard =
+            |f: &dyn Fn(&Shard<P>) -> u64| -> Vec<u64> { self.shards.iter().map(f).collect() };
         ShardStats {
             shards: self.shards.len(),
-            threads: self.threads,
             epochs: self.epoch,
             merges: self.coord.merges,
             intents: self.coord.intents,
@@ -780,15 +700,16 @@ impl<P: Protocol> World<P> {
             lookahead_ns: self.lookahead,
             events_per_shard: per_shard(&|s| s.core.events.stats().pops),
             stalls_per_shard: per_shard(&|s| self.epoch - s.busy),
-            barrier_wait_ns: self.barrier_wait_ns,
+            barrier_wait_ns: 0,
         }
     }
 
     /// Number of flows still outstanding across the cluster.
     #[must_use]
     pub fn flows_in_flight(&self) -> usize {
-        (0..self.shards.len())
-            .map(|i| self.shard(i).core.hosts.flows_in_flight())
+        self.shards
+            .iter()
+            .map(|s| s.core.hosts.flows_in_flight())
             .sum()
     }
 
@@ -798,8 +719,8 @@ impl<P: Protocol> World<P> {
     /// loss, and the sender may live in another shard), so the change is
     /// broadcast to every shard.
     pub fn set_link_loss(&mut self, node: NodeId, net: NetId, p: f64) {
-        for i in 0..self.shards.len() {
-            self.shard_mut(i).core.set_link_loss(node, net, p);
+        for shard in &mut self.shards {
+            shard.core.set_link_loss(node, net, p);
         }
     }
 
@@ -814,11 +735,7 @@ impl<P: Protocol> World<P> {
                 assert!(net.idx() < self.spec.planes as usize, "no such plane");
                 self.hubs.is_up(net, self.now)
             }
-            SimComponent::Nic(node, net) => self
-                .shard(self.owner_of(node))
-                .core
-                .hosts
-                .nic_is_up(node, net),
+            SimComponent::Nic(node, net) => self.shard(node).core.hosts.nic_is_up(node, net),
         }
     }
 
@@ -899,8 +816,8 @@ impl<P: Protocol> World<P> {
 
     /// Starts recording every dispatched event (for equivalence tests).
     pub fn enable_event_log(&mut self) {
-        for i in 0..self.shards.len() {
-            self.shard_mut(i).core.event_log = Some(Vec::new());
+        for shard in &mut self.shards {
+            shard.core.event_log = Some(Vec::new());
         }
     }
 
@@ -914,8 +831,8 @@ impl<P: Protocol> World<P> {
     /// # Panics
     /// Panics if `capacity` is zero.
     pub fn enable_flight(&mut self, capacity: usize) {
-        for i in 0..self.shards.len() {
-            self.shard_mut(i).core.flight = Some(FlightRecorder::new(capacity));
+        for shard in &mut self.shards {
+            shard.core.flight = Some(FlightRecorder::new(capacity));
         }
         if self.deferred() {
             self.coord.flight = Some(FlightRecorder::new(capacity));
@@ -953,8 +870,8 @@ impl<P: Protocol> World<P> {
             routes,
         ));
         let seed = self.spec.seed;
-        for i in 0..self.shards.len() {
-            let core = &mut self.shard_mut(i).core;
+        for shard in &mut self.shards {
+            let core = &mut shard.core;
             let (base, len) = (core.hosts.base(), core.hosts.len());
             let (buffers, capacity) = wspec.pool_hint(len);
             core.events.reserve_spare(buffers, capacity);
@@ -986,8 +903,9 @@ impl<P: Protocol> World<P> {
     /// checks).
     #[must_use]
     pub fn workload_events(&self) -> u64 {
-        (0..self.shards.len())
-            .map(|i| self.shard(i).core.workload.as_ref().map_or(0, |w| w.events))
+        self.shards
+            .iter()
+            .map(|s| s.core.workload.as_ref().map_or(0, |w| w.events))
             .sum()
     }
 
@@ -1000,13 +918,15 @@ impl<P: Protocol> World<P> {
         if self.workload_engine.is_none() {
             return;
         }
-        let total = (0..self.shards.len())
-            .filter_map(|i| self.shard(i).core.workload.as_ref())
+        let total = self
+            .shards
+            .iter()
+            .filter_map(|s| s.core.workload.as_ref())
             .map(|w| w.log.len())
             .sum();
         let mut tagged: Vec<(TransitionRecord, usize)> = Vec::with_capacity(total);
-        for i in 0..self.shards.len() {
-            if let Some(w) = self.shard_mut(i).core.workload.as_mut() {
+        for (i, shard) in self.shards.iter_mut().enumerate() {
+            if let Some(w) = shard.core.workload.as_mut() {
                 tagged.extend(std::mem::take(&mut w.log).into_iter().map(|r| (r, i)));
             }
         }
@@ -1021,13 +941,12 @@ impl<P: Protocol> World<P> {
     /// The flight timeline, if [`Self::enable_flight`] was called: the
     /// per-shard logs plus the coordinator's, merged in `(time, seq,
     /// sub)` order with shard index breaking ties (coordinator last) —
-    /// with one shard, simply its drained ring. Bit-identical for every
-    /// thread count.
+    /// with one shard, simply its drained ring.
     #[must_use]
     pub fn flight_log(&self) -> Option<FlightLog> {
         let mut logs = Vec::with_capacity(self.shards.len() + 1);
-        for i in 0..self.shards.len() {
-            logs.push(self.shard(i).core.flight.as_ref()?.drain());
+        for shard in &self.shards {
+            logs.push(shard.core.flight.as_ref()?.drain());
         }
         logs.extend(self.coord.flight.as_ref().map(FlightRecorder::drain));
         Some(FlightLog::merge(logs))
@@ -1040,8 +959,8 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn event_log(&self) -> Option<Vec<EventRecord>> {
         let mut tagged: Vec<(EventRecord, usize)> = Vec::new();
-        for i in 0..self.shards.len() {
-            let log = self.shard(i).core.event_log.as_ref()?;
+        for (i, shard) in self.shards.iter().enumerate() {
+            let log = shard.core.event_log.as_ref()?;
             tagged.extend(log.iter().map(|r| (*r, i)));
         }
         tagged.sort_by_key(|&(r, s)| (r.at, r.seq, s));
@@ -1056,17 +975,15 @@ impl<P: Protocol> World<P> {
 
     /// Runs until every queue is drained or virtual time reaches
     /// `until`; afterwards `now() == until`. The simulated results are
-    /// the same for every shard count, and bit-identical (sequence
-    /// numbers included) for every thread count.
+    /// the same for every shard count.
     pub fn run_until(&mut self, until: SimTime) {
         if self.deferred() {
             self.run_epochs(until);
         } else {
             self.run_direct(until);
         }
-        for i in 0..self.shards.len() {
-            let core = &mut self.shard_mut(i).core;
-            core.now = core.now.max(until);
+        for shard in &mut self.shards {
+            shard.core.now = shard.core.now.max(until);
         }
         self.now = self.now.max(until);
         self.drain_workload(until);
@@ -1084,8 +1001,8 @@ impl<P: Protocol> World<P> {
     /// instant is the first multiple of a fixed stride past the entry
     /// `now()` at which the cluster was settled: each stride is an
     /// ordinary [`Self::run_until`] with the check in between, so the
-    /// shard- and thread-count contract is `run_until`'s own and the
-    /// event loops pay nothing for it.
+    /// shard-count contract is `run_until`'s own and the event loops pay
+    /// nothing for it.
     pub fn run_until_settled(&mut self, deadline: SimTime) -> SimTime {
         while self.now < deadline && self.flows_unresolved() > 0 {
             self.run_until((self.now + SETTLE_STRIDE).min(deadline));
@@ -1096,8 +1013,10 @@ impl<P: Protocol> World<P> {
     /// Flows issued by [`Self::send_app`] that have no outcome yet,
     /// whether their send event has fired or not.
     fn flows_unresolved(&self) -> u64 {
-        let resolved: u64 = (0..self.shards.len())
-            .map(|i| &self.shard(i).core.app_stats)
+        let resolved: u64 = self
+            .shards
+            .iter()
+            .map(|s| &s.core.app_stats)
             .map(|s| s.delivered + s.gave_up)
             .sum();
         self.next_flow - resolved
@@ -1108,7 +1027,7 @@ impl<P: Protocol> World<P> {
     /// (so its flight record lands in dispatch order, at one compare per
     /// event).
     fn run_direct(&mut self, until: SimTime) {
-        let shard = self.shards[0].0.get_mut();
+        let shard = &mut self.shards[0];
         let (hubs, coord) = (&self.hubs, &mut self.coord);
         let (recorded, sub) = (&mut coord.hubs_recorded, &mut coord.flight_sub);
         let mut next_toggle = hubs.at(*recorded);
@@ -1124,108 +1043,39 @@ impl<P: Protocol> World<P> {
         record_hub_toggles(hubs, recorded, until, &mut shard.core.flight, sub);
     }
 
-    /// The epoch loop: persistent scoped workers, two barriers per epoch
-    /// (`go` / `done`), coordinator phase in between with all workers
-    /// parked. One thread runs the same loop with no workers, no barriers
-    /// and no thread scope, so a warmed-up run allocates nothing.
+    /// The epoch loop: merge the last window's outboxes, open the next
+    /// window at the lowest hint, run every shard's slice of it in shard
+    /// order, close it; until no shard has an event due by `until`. A
+    /// warmed-up run allocates nothing.
     fn run_epochs(&mut self, until: SimTime) {
-        let nthreads = self.threads.min(self.shards.len());
-        let cells = &self.shards[..];
-        let owner = &self.owner[..];
-        let hints = &self.hints[..];
-        let coord = &mut self.coord;
-        let hubs = &self.hubs;
-        let lookahead = self.lookahead;
-        let mut epoch = self.epoch;
-        // SAFETY: no workers spawned yet; access is exclusive.
+        let World {
+            shards,
+            owner,
+            coord,
+            hubs,
+            lookahead,
+            epoch,
+            ..
+        } = self;
         coord.marked_stalls.clear();
         coord
             .marked_stalls
-            .extend(cells.iter().map(|c| epoch - unsafe { (*c.0.get()).busy }));
-
-        let crew = Crew {
-            barrier: Barrier::new(nthreads),
-            stop: AtomicBool::new(false),
-            bound_ns: AtomicU64::new(0),
-            epoch_id: AtomicU64::new(0),
-            worker_pops: AtomicU64::new(0),
-        };
-        let crew = (nthreads > 1).then_some(&crew);
-
-        // The coordinator thread: worker 0 plus the merge. Returns the
-        // wall-clock nanoseconds it waited at `done` barriers.
-        let mut coordinate = || {
-            let mut barrier_ns = 0u64;
-            loop {
-                // Coordinator phase: every worker is parked at `go`, so
-                // shard access is unaliased.
-                // SAFETY: see above.
-                let next = unsafe { merge_and_min(coord, cells, owner, hubs, hints) };
-                let t_start = match next {
-                    Some(t) if t <= until => t,
-                    _ => {
-                        if let Some(crew) = crew {
-                            crew.stop.store(true, Ordering::Release);
-                            crew.barrier.wait(); // release workers into the stop check
-                        }
-                        break;
-                    }
-                };
-                let bound = SimTime(
-                    t_start
-                        .0
-                        .saturating_add(lookahead)
-                        .min(until.0.saturating_add(1)),
-                );
-                epoch += 1;
-                if let Some(crew) = crew {
-                    crew.bound_ns.store(bound.0, Ordering::Release);
-                    crew.epoch_id.store(epoch, Ordering::Release);
-                    crew.barrier.wait(); // go
-                }
-                let mut popped = 0u64;
-                for i in (0..cells.len()).step_by(nthreads) {
-                    // SAFETY: the coordinator thread is worker 0.
-                    popped += unsafe { visit(&cells[i], &hints[i], epoch, bound, hubs) };
-                }
-                if let Some(crew) = crew {
-                    let t0 = Instant::now();
-                    crew.barrier.wait(); // done — time here is waiting on stragglers
-                    barrier_ns += t0.elapsed().as_nanos() as u64;
-                    popped += crew.worker_pops.swap(0, Ordering::Relaxed);
-                }
-                // SAFETY: workers parked again after `done`; the
-                // coordinator phase runs in the same order for every
-                // thread count, so the kernel-track records match.
-                unsafe { close_epoch(coord, cells, epoch, t_start, popped == 0) };
-            }
-            barrier_ns
-        };
-
-        let barrier_ns = match crew {
-            None => coordinate(),
-            Some(crew) => std::thread::scope(|scope| {
-                for w in 1..nthreads {
-                    scope.spawn(move || loop {
-                        crew.barrier.wait(); // go
-                        if crew.stop.load(Ordering::Acquire) {
-                            return;
-                        }
-                        let bound = SimTime(crew.bound_ns.load(Ordering::Acquire));
-                        let e = crew.epoch_id.load(Ordering::Acquire);
-                        let mut popped = 0u64;
-                        for i in (w..cells.len()).step_by(nthreads) {
-                            // SAFETY: worker `w` exclusively owns shards
-                            // `i ≡ w (mod nthreads)` between the barriers.
-                            popped += unsafe { visit(&cells[i], &hints[i], e, bound, hubs) };
-                        }
-                        crew.worker_pops.fetch_add(popped, Ordering::Relaxed);
-                        crew.barrier.wait(); // done
-                    });
-                }
-                coordinate()
-            }),
-        };
+            .extend(shards.iter().map(|s| *epoch - s.busy));
+        while let Some(t_start) = merge_and_min(coord, shards, owner, hubs).filter(|&t| t <= until)
+        {
+            let bound = SimTime(
+                t_start
+                    .0
+                    .saturating_add(*lookahead)
+                    .min(until.0.saturating_add(1)),
+            );
+            *epoch += 1;
+            let popped: u64 = shards
+                .iter_mut()
+                .map(|shard| visit(shard, *epoch, bound, hubs))
+                .sum();
+            close_epoch(coord, shards, *epoch, t_start, popped == 0);
+        }
 
         // Final outbox state is always empty (the loop merges before
         // deciding to stop), so only the hub toggles' records need
@@ -1241,28 +1091,13 @@ impl<P: Protocol> World<P> {
         // sequence base the visit sets. Events scheduled between runs
         // (faults, sends) are numbered from it, so every shard the last
         // epoch skipped takes that epoch's base, as its visit would have.
-        for cell in &mut self.shards {
-            let shard = cell.0.get_mut();
-            if shard.core.seq_base >> 32 != epoch {
-                shard.core.seq_base = epoch << 32 | (shard.id as u64) << 24;
+        for shard in shards {
+            if shard.core.seq_base >> 32 != *epoch {
+                shard.core.seq_base = *epoch << 32 | (shard.id as u64) << 24;
                 shard.core.seq_local = 0;
             }
         }
-        self.epoch = epoch;
-        self.barrier_wait_ns += barrier_ns;
     }
-}
-
-/// What the coordinator shares with its worker threads: the two
-/// barriers' rendezvous, the stop flag, the window of the epoch about to
-/// run and the events the workers popped in it (a plain count, ordered by
-/// the `done` barrier, so `Relaxed` suffices).
-struct Crew {
-    barrier: Barrier,
-    stop: AtomicBool,
-    bound_ns: AtomicU64,
-    epoch_id: AtomicU64,
-    worker_pops: AtomicU64,
 }
 
 /// Runs one shard's slice of an epoch, or skips it when its hint lies at
@@ -1272,24 +1107,13 @@ struct Crew {
 /// stall is the epoch count minus its busy epochs. Returns the events
 /// executed.
 ///
-/// # Safety
-/// The calling thread must have exclusive access to the shard for the
-/// epoch.
-///
 /// [`TimerWheel::skips_below_hint`]: crate::wheel::TimerWheel::skips_below_hint
-unsafe fn visit<P: Protocol>(
-    cell: &ShardCell<P>,
-    hint: &AtomicU64,
-    epoch: u64,
-    bound: SimTime,
-    hubs: &HubSchedule,
-) -> u64 {
-    let shard = cell.0.get();
-    if hint.load(Ordering::Relaxed) < bound.0 {
-        return run_shard_epoch(&mut *shard, epoch, bound, hubs);
+fn visit<P: Protocol>(shard: &mut Shard<P>, epoch: u64, bound: SimTime, hubs: &HubSchedule) -> u64 {
+    if shard.hint < bound.0 {
+        return run_shard_epoch(shard, epoch, bound, hubs);
     }
     if cfg!(debug_assertions) {
-        let wheel = &mut (*shard).core.events;
+        let wheel = &mut shard.core.events;
         let (stats, next) = (*wheel.stats(), wheel.next_hint());
         let staged = wheel.peek_before(bound);
         debug_assert!(
@@ -1297,7 +1121,7 @@ unsafe fn visit<P: Protocol>(
                 && *wheel.stats() == stats
                 && wheel.next_hint() == next,
             "skipping shard {} at bound {bound:?} differs from visiting it",
-            (*shard).id
+            shard.id
         );
     }
     0
@@ -1350,19 +1174,13 @@ fn run_shard_epoch<P: Protocol>(
     n
 }
 
-/// Coordinator-phase bookkeeping after an epoch's windows ran: the
-/// zero-pop counter and, when the flight recorder is on, the kernel
-/// track's epoch mark plus a stall record for every shard whose stall
-/// count grew since the last mark. Runs in the same order for every
-/// thread count (workers are parked), so the records are
-/// thread-invariant.
-///
-/// # Safety
-/// Same contract as [`merge_and_min`]: the caller must guarantee
-/// exclusive access to every shard.
-unsafe fn close_epoch<P: Protocol>(
+/// Bookkeeping after every shard ran an epoch's window: the zero-pop
+/// counter and, when the flight recorder is on, the kernel track's epoch
+/// mark plus a stall record for every shard whose stall count grew since
+/// the last mark.
+fn close_epoch<P: Protocol>(
     coord: &mut Coordinator,
-    cells: &[ShardCell<P>],
+    shards: &[Shard<P>],
     epoch: u64,
     t_start: SimTime,
     zero_pop: bool,
@@ -1377,9 +1195,7 @@ unsafe fn close_epoch<P: Protocol>(
     }
     // Sampled kernel track: every [`KERNEL_TRACK_SAMPLE`]-th busy epoch
     // gets an epoch mark plus one stall mark per shard whose stall count
-    // grew since the previous mark. Both the busy-epoch sequence and the
-    // per-shard stall totals are thread-count invariant, so the sampled
-    // timeline is bit-identical at any `DRS_SIM_THREADS`.
+    // grew since the previous mark.
     if coord.busy_epochs % KERNEL_TRACK_SAMPLE != 1 {
         return;
     }
@@ -1394,8 +1210,8 @@ unsafe fn close_epoch<P: Protocol>(
         epoch,
         None,
     );
-    for (i, cell) in cells.iter().enumerate() {
-        let stalls = epoch - (*cell.0.get()).busy;
+    for (i, shard) in shards.iter().enumerate() {
+        let stalls = epoch - shard.busy;
         if stalls > coord.marked_stalls[i] {
             coord.flight_record(
                 t_start,
@@ -1411,38 +1227,35 @@ unsafe fn close_epoch<P: Protocol>(
     }
 }
 
-/// The barrier-time merge: drains every shard's outbox, admits the
-/// intents onto the media in global `(at, seq)` order (each with the hub
-/// liveness of its instant), distributes the arrivals into the
-/// destination shards' wheels, stores each shard's skip bound in `hints`
-/// and returns a lower bound on the earliest pending event across all
-/// shards — the minimum of the wheels' O(1) occupancy hints (never
-/// staging, so no cursor moves past the last epoch's bound). Allocates
-/// nothing once the outboxes hold their steady loads.
-///
-/// # Safety
-/// The caller must guarantee exclusive access to every shard: either no
-/// worker threads exist, or all of them are parked at a barrier.
-unsafe fn merge_and_min<P: Protocol>(
-    coord: &mut Coordinator,
-    cells: &[ShardCell<P>],
-    owner: &[u32],
-    hubs: &HubSchedule,
-    hints: &[AtomicU64],
-) -> Option<SimTime> {
-    // SAFETY: exclusive shard access is the function's contract; every
-    // borrow this hands out ends before the shard is touched again.
-    let outbox = |i: usize| match &mut (*cells[i].0.get()).core.fabric {
+/// A deferring shard's outbox.
+fn outbox<M>(core: &mut Core<M>) -> &mut Vec<Option<Intent<M>>> {
+    match &mut core.fabric {
         Fabric::Deferred { outbox } => outbox,
         Fabric::Direct => unreachable!("several shards always defer"),
-    };
+    }
+}
+
+/// The merge between epochs: drains every shard's outbox, admits the
+/// intents onto the media in global `(at, seq)` order (each with the hub
+/// liveness of its instant), distributes the arrivals into the
+/// destination shards' wheels, stores each shard's skip bound in its
+/// `hint` and returns a lower bound on the earliest pending event across
+/// all shards — the minimum of the wheels' O(1) occupancy hints (never
+/// staging, so no cursor moves past the last epoch's bound). Allocates
+/// nothing once the outboxes hold their steady loads.
+fn merge_and_min<P: Protocol>(
+    coord: &mut Coordinator,
+    shards: &mut [Shard<P>],
+    owner: &[u32],
+    hubs: &HubSchedule,
+) -> Option<SimTime> {
     // Each outbox is sorted by (at, seq) by construction: `at` is the
     // shard's non-decreasing clock, `seq` its counter. The heap holds the
     // head of every non-empty one.
     let mut heap = std::mem::take(&mut coord.heap);
     let mut total = 0;
-    for i in 0..cells.len() {
-        let queue = outbox(i);
+    for (i, shard) in shards.iter_mut().enumerate() {
+        let queue = outbox(&mut shard.core);
         if let Some(Some(head)) = queue.first() {
             heap.push(Reverse(((head.at, head.seq), i)));
             coord.taken[i] = 0;
@@ -1460,9 +1273,8 @@ unsafe fn merge_and_min<P: Protocol>(
         coord.merges += 1;
         coord.intents += total as u64;
         // Kernel track: one merge mark per [`KERNEL_TRACK_SAMPLE`]
-        // non-empty barrier phases, keyed by the earliest intent the
-        // sampled phase admits. The non-empty-merge count is thread-count
-        // invariant, so the sampled marks are too.
+        // non-empty merges, keyed by the earliest intent the sampled
+        // merge admits.
         if coord.merges % KERNEL_TRACK_SAMPLE == 1 {
             if let Some(&Reverse(((at0, seq0), _))) = heap.peek() {
                 coord.flight_record(
@@ -1477,7 +1289,7 @@ unsafe fn merge_and_min<P: Protocol>(
             }
         }
         drain_runs(&mut heap, |i| {
-            let queue = outbox(i);
+            let queue = outbox(&mut shards[i].core);
             let k = coord.taken[i];
             coord.taken[i] = k + 1;
             let intent = queue[k].take().expect("head tracked by the heap");
@@ -1492,7 +1304,7 @@ unsafe fn merge_and_min<P: Protocol>(
                     queue.shrink_to(keep);
                 }
             }
-            admit(coord, cells, owner, hubs, intent, i);
+            admit(coord, shards, owner, hubs, intent, i);
             next
         });
     }
@@ -1502,18 +1314,16 @@ unsafe fn merge_and_min<P: Protocol>(
     // — a `peek` here would advance idle shards' cursors past the next
     // bound, and later arrivals would then violate the wheel's cursor
     // invariant.
-    cells
-        .iter()
-        .zip(hints)
-        .filter_map(|(cell, skip_from)| {
-            let wheel = &(*cell.0.get()).core.events;
+    shards
+        .iter_mut()
+        .filter_map(|shard| {
+            let wheel = &shard.core.events;
             let hint = wheel.next_hint();
-            let from = match hint {
+            shard.hint = match hint {
                 None => u64::MAX,
                 Some(h) if wheel.skips_below_hint() => h.0,
                 Some(_) => 0,
             };
-            skip_from.store(from, Ordering::Relaxed);
             hint
         })
         .min()
@@ -1569,13 +1379,9 @@ fn drain_per_item<K: Ord + Copy>(
 /// by then first), and pushes the arrival into the destination shards'
 /// wheels — or charges the loss to a traced frame's prober when the hub
 /// is down.
-///
-/// # Safety
-/// Same contract as [`merge_and_min`], and no borrow of any shard may be
-/// live.
-unsafe fn admit<P: Protocol>(
+fn admit<P: Protocol>(
     coord: &mut Coordinator,
-    cells: &[ShardCell<P>],
+    shards: &mut [Shard<P>],
     owner: &[u32],
     hubs: &HubSchedule,
     intent: Intent<P::Msg>,
@@ -1606,32 +1412,31 @@ unsafe fn admit<P: Protocol>(
                 Some(cause),
             );
         }
-        (*cells[from].0.get()).core.recycle_frame(frame);
+        shards[from].core.recycle_frame(frame);
         return;
     };
     // The arrival lands at ≥ epoch bound ≥ every shard's cursor, so
     // pushing straight into the wheels is safe; the intent's seq keeps
-    // the global order thread-count-independent. The sender's box moves
-    // into the (last) receiving wheel as is.
+    // the global order. The sender's box moves into the (last) receiving
+    // wheel as is.
     match frame.dst {
         Destination::Node(dst) => {
             let dst_shard = owner[dst.idx()] as usize;
             if dst_shard != from {
                 coord.cross_shard += 1;
             }
-            let core = &mut (*cells[dst_shard].0.get()).core;
+            let core = &mut shards[dst_shard].core;
             core.events.push(arrive, seq, EventKind::Arrive(frame));
         }
         Destination::Broadcast => {
-            coord.cross_shard += (cells.len() - 1) as u64;
-            let (last, rest) = cells.split_last().expect("several shards");
-            for cell in rest {
-                let core = &mut (*cell.0.get()).core;
+            coord.cross_shard += (shards.len() - 1) as u64;
+            let (last, rest) = shards.split_last_mut().expect("several shards");
+            for shard in rest {
+                let core = &mut shard.core;
                 let copy = core.boxed(Frame::clone(&frame));
                 core.events.push(arrive, seq, EventKind::Arrive(copy));
             }
-            let core = &mut (*last.0.get()).core;
-            core.events.push(arrive, seq, EventKind::Arrive(frame));
+            last.core.events.push(arrive, seq, EventKind::Arrive(frame));
         }
     }
 }
@@ -1644,19 +1449,6 @@ mod tests {
     struct Idle;
     impl Protocol for Idle {
         type Msg = ();
-    }
-
-    #[test]
-    fn thread_count_is_an_integer_or_an_error_never_a_silent_one() {
-        assert_eq!(parse_threads(None), Ok(1));
-        assert_eq!(parse_threads(Some("4")), Ok(4));
-        assert_eq!(parse_threads(Some(" 2\n")), Ok(2));
-        assert_eq!(parse_threads(Some("0")), Ok(1));
-        assert_eq!(parse_threads(Some("100000")), Ok(256));
-        for mangled in ["4x", "", "-1", "four"] {
-            let why = parse_threads(Some(mangled)).unwrap_err();
-            assert!(why.contains(&format!("{mangled:?}")), "{why}");
-        }
     }
 
     #[test]
@@ -1684,28 +1476,6 @@ mod tests {
             one.events_per_shard.iter().sum::<u64>(),
             three.events_per_shard.iter().sum::<u64>()
         );
-    }
-
-    #[test]
-    fn cross_shard_flow_survives_thread_counts() {
-        let spec = ClusterSpec::new(12).seed(3);
-        let run = |threads: usize| {
-            let mut sw = ShardedWorld::with_topology(spec, 4, threads, |_| Idle);
-            sw.enable_event_log();
-            for i in 0..6u32 {
-                sw.send_app(SimTime(i as u64 * 1000), NodeId(i), NodeId(11 - i), 256);
-            }
-            sw.run_for(SimDuration::from_secs(3));
-            (sw.app_stats(), sw.event_log().unwrap())
-        };
-        let (stats1, log1) = run(1);
-        let (stats2, log2) = run(2);
-        let (stats4, log4) = run(4);
-        assert_eq!(stats1.delivered, 6);
-        assert_eq!(stats1, stats2);
-        assert_eq!(stats1, stats4);
-        assert_eq!(log1, log2, "thread count changed the event schedule");
-        assert_eq!(log1, log4, "thread count changed the event schedule");
     }
 
     #[test]
@@ -1757,30 +1527,13 @@ mod tests {
     #[test]
     fn nic_fault_mid_run_is_fine() {
         let spec = ClusterSpec::new(6).seed(9);
-        let mut sw = ShardedWorld::with_topology(spec, 3, 2, |_| Idle);
+        let mut sw = ShardedWorld::with_topology(spec, 3, 1, |_| Idle);
         sw.run_for(SimDuration::from_millis(10));
         let at = sw.now() + SimDuration::from_millis(1);
         sw.schedule_faults(FaultPlan::new().fail_at(at, SimComponent::Nic(NodeId(2), NetId::A)));
         sw.run_for(SimDuration::from_millis(10));
         assert!(!sw.component_is_up(SimComponent::Nic(NodeId(2), NetId::A)));
         assert!(sw.component_is_up(SimComponent::Nic(NodeId(1), NetId::A)));
-    }
-
-    #[test]
-    fn stats_are_thread_count_independent() {
-        let spec = ClusterSpec::new(16).seed(21);
-        let run = |threads: usize| {
-            let mut sw = ShardedWorld::with_topology(spec, 8, threads, |_| Idle);
-            for i in 0..8u32 {
-                sw.send_app(SimTime(i as u64 * 7), NodeId(i), NodeId(15 - i), 128);
-            }
-            sw.run_for(SimDuration::from_secs(2));
-            let mut ss = sw.shard_stats();
-            ss.threads = 0; // normalize the knobs themselves
-            ss.barrier_wait_ns = 0; // the only wall-clock field
-            (sw.kernel_stats(), ss)
-        };
-        assert_eq!(run(1), run(4));
     }
 
     /// Broadcasts from `on_start` are admitted at construction at every
@@ -1814,8 +1567,7 @@ mod tests {
     /// frame for the others. Every host broadcasts twice on both planes:
     /// at 1, 3 and 7 shards each shard dispatches one arrival per
     /// broadcast, every other host hears each broadcast exactly once and
-    /// the sender never does, and one and four threads dispatch the same
-    /// events.
+    /// the sender never does.
     #[test]
     fn a_broadcast_reaches_every_other_host_once_at_any_shard_count() {
         struct Shout {
@@ -1840,34 +1592,24 @@ mod tests {
         }
         let n = 7u32;
         for shards in [1usize, 3, 7] {
-            let logs: Vec<Vec<EventRecord>> = [1usize, 4]
-                .into_iter()
-                .map(|threads| {
-                    let spec = ClusterSpec::new(n as usize).seed(5);
-                    let mut w = ShardedWorld::with_topology(spec, shards, threads, |_| Shout {
-                        heard: Vec::new(),
-                    });
-                    w.enable_event_log();
-                    w.run_for(SimDuration::from_millis(10));
-                    for host in 0..n {
-                        let mut heard = w.protocol(NodeId(host)).heard.clone();
-                        heard.sort_unstable();
-                        let want: Vec<_> = (0..n)
-                            .filter(|&from| from != host)
-                            .flat_map(|from| {
-                                (0..2u8).flat_map(move |net| (0..2u8).map(move |r| (from, net, r)))
-                            })
-                            .collect();
-                        assert_eq!(heard, want, "shards={shards} threads={threads} host {host}");
-                    }
-                    w.event_log().expect("logging on")
-                })
-                .collect();
-            assert_eq!(
-                logs[0], logs[1],
-                "shards={shards}: thread count changed the events"
-            );
-            let arrivals = logs[0].iter().filter(|e| e.tag == EventTag::Arrive);
+            let spec = ClusterSpec::new(n as usize).seed(5);
+            let mut w =
+                ShardedWorld::with_topology(spec, shards, 1, |_| Shout { heard: Vec::new() });
+            w.enable_event_log();
+            w.run_for(SimDuration::from_millis(10));
+            for host in 0..n {
+                let mut heard = w.protocol(NodeId(host)).heard.clone();
+                heard.sort_unstable();
+                let want: Vec<_> = (0..n)
+                    .filter(|&from| from != host)
+                    .flat_map(|from| {
+                        (0..2u8).flat_map(move |net| (0..2u8).map(move |r| (from, net, r)))
+                    })
+                    .collect();
+                assert_eq!(heard, want, "shards={shards} host {host}");
+            }
+            let log = w.event_log().expect("logging on");
+            let arrivals = log.iter().filter(|e| e.tag == EventTag::Arrive);
             // 7 senders × 2 planes × 2 rounds, one copy per shard.
             assert_eq!(arrivals.count(), 28 * shards, "shards={shards}");
         }
@@ -1934,7 +1676,7 @@ mod tests {
             assert_eq!(toggles(TraceKind::Repair), 2, "shards={shards}");
             assert!(toggles(TraceKind::ProbeLoss) > 0, "shards={shards}");
             for i in 0..w.shard_count() {
-                let ring = w.shard(i).core.flight.as_ref().expect("recorder on");
+                let ring = w.shards[i].core.flight.as_ref().expect("recorder on");
                 assert!(ring.is_ordered(), "shards={shards}: shard {i} ring");
             }
             assert_eq!(w.coord.flight.is_some(), shards > 1);
@@ -1993,10 +1735,10 @@ mod tests {
         let epoch = w.epoch;
         assert!(epoch > 0 && w.shard_stats().stalls_per_shard[1] == epoch);
         for i in 0..3 {
-            let core = &w.shard(i).core;
+            let core = &w.shards[i].core;
             assert_eq!(core.seq_base, epoch << 32 | (i as u64) << 24, "shard {i}");
         }
-        assert_eq!(w.shard(1).core.seq_local, 0);
+        assert_eq!(w.shards[1].core.seq_local, 0);
     }
 
     /// Outboxes drawn the way the burst and the steady state fill them —

@@ -1,5 +1,5 @@
 //! Allocation pin for the sharded epoch loop: once warmed up, a
-//! four-shard world on one thread allocates nothing. A counting global
+//! four-shard world allocates nothing. A counting global
 //! allocator over [`System`] counts every `alloc` and `realloc`; the
 //! paper's cluster (per-pair monitor, K = 2) warms up, and the next 2 s of
 //! virtual time must not allocate at all, at N ∈ {32, 90}.
@@ -10,14 +10,13 @@
 //!
 //! * the merge keeps its heap of outbox heads in the coordinator and
 //!   takes intents from the front of each outbox in place, where it used
-//!   to build a heap and a list of the drained outboxes at every barrier
+//!   to build a heap and a list of the drained outboxes at every merge
 //!   that had intents;
 //! * a drained outbox keeps storage for the second-largest load it has
 //!   held, so a load that recurs never reallocates, where every idle
-//!   barrier used to free every outbox and the next transmission
+//!   merge used to free every outbox and the next transmission
 //!   reallocate it;
-//! * one thread runs the epoch loop without a thread scope, whose shared
-//!   state is an allocation per `run_until` call.
+//! * the epoch loop builds nothing per `run_until` call.
 //!
 //! The warm-up is 12 s, not the 2 s of `alloc_pin.rs`: after 2 s the
 //! N = 90 cell's four wheels still grow five slot buffers in the window

@@ -376,6 +376,25 @@ mod wheel_vs_heap {
     use super::*;
     use drs_sim::naive_heap::NaiveHeap;
 
+    /// The wheel's level count (`wheel.rs` `LEVELS`).
+    const LEVELS: u64 = 6;
+
+    /// ROADMAP 12's cascade pin, `cascades ≤ (LEVELS − 1) · pushes`: a
+    /// cascaded slot holds at least one entry and places every entry
+    /// strictly below its own level, so an entry placed at level `l`
+    /// (overflow migrations included) rides at most `l ≤ LEVELS − 1`
+    /// cascades before level 0 drains it. Returns the cascades.
+    fn assert_cascade_bound(wheel: &TimerWheel<u64>, ctx: &str) -> u64 {
+        let s = wheel.stats();
+        assert!(
+            s.cascades <= (LEVELS - 1) * s.pushes,
+            "{ctx}: {} cascades for {} pushes",
+            s.cascades,
+            s.pushes
+        );
+        s.cascades
+    }
+
     /// Pushes the schedule into both structures and checks the full drain
     /// agrees triple-for-triple.
     fn assert_wheel_matches_heap(schedule: &[SimTime], ctx: &str) {
@@ -395,6 +414,7 @@ mod wheel_vs_heap {
             }
         }
         assert!(wheel.is_empty(), "{ctx}");
+        assert_cascade_bound(&wheel, ctx);
     }
 
     /// ISSUE acceptance: 1000+ seeded random schedules, including
@@ -425,6 +445,7 @@ mod wheel_vs_heap {
     /// that a push-all-then-drain test never reaches.
     #[test]
     fn wheel_matches_heap_under_interleaved_ops() {
+        let mut cascades = 0;
         for case in 0..CASES {
             let mut rng = case_rng(case);
             let seed = rng.next_u64();
@@ -457,7 +478,9 @@ mod wheel_vs_heap {
             }
             assert!(wheel.is_empty(), "{ctx}");
             assert_eq!(wheel.peek(), None, "{ctx}");
+            cascades += assert_cascade_bound(&wheel, &ctx);
         }
+        assert!(cascades > 0, "no drawn schedule cascaded");
     }
 }
 

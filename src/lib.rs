@@ -15,6 +15,8 @@
 //! See the repository README for a guided tour and `DESIGN.md` for the
 //! paper-to-module map.
 
+#![forbid(unsafe_code)]
+
 pub use drs_analytic as analytic;
 pub use drs_baselines as baselines;
 pub use drs_core as core;

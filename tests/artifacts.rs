@@ -13,7 +13,7 @@
 //!
 //! A failure names the artifact, the first differing line and the one
 //! command that rewrites the file: `cargo run --release -p drs-bench --bin
-//! regen -- <name>`. CI runs the same `regen` at 1 and 4 worker threads.
+//! regen -- <name>`. CI runs the same `regen`.
 
 use std::path::Path;
 

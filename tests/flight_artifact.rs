@@ -1,6 +1,6 @@
 //! Integration: the committed `BENCH_flight.json` artifact is exactly
-//! what the causal flight recorder regenerates — same bytes at any
-//! `DRS_SIM_THREADS` — and every reconstructed failover chain in it is
+//! what the causal flight recorder regenerates — same bytes — and every
+//! reconstructed failover chain in it is
 //! complete: no orphaned cause refs, no evicted ancestors, and a
 //! timestamp-only decomposition that reproduces the daemons'
 //! failover-latency histogram samples 100% matched.
@@ -8,7 +8,7 @@
 //! If an intentional change shifts the results, regenerate the artifact
 //! (`cargo run --release -p drs-bench -- regen flight`) and commit
 //! it alongside the change; this test then documents the new ground
-//! truth. CI runs `regen` at 1 and 4 worker threads.
+//! truth. CI runs the same `regen`.
 
 use std::sync::LazyLock;
 

@@ -9,7 +9,7 @@
 //! it alongside the change; CI runs the same `regen`.
 
 use drs_bench::artifacts::{find, pin};
-use drs_bench::kernel::{kernel_artifact, run_grid, SCALING_THREADS};
+use drs_bench::kernel::{kernel_artifact, run_grid};
 
 fn committed() -> String {
     find("kernel")
@@ -60,46 +60,20 @@ fn batched_queue_traffic_is_linear_in_n_across_the_grid() {
 #[test]
 fn committed_artifact_reports_clean_healthy_runs() {
     let json = committed();
-    assert!(json.contains("\"schema\": \"drs-bench-kernel/v2\""));
+    assert!(json.contains("\"schema\": \"drs-bench-kernel/v3\""));
     // Healthy clusters must never clamp a past-time schedule: all twelve
-    // wheel_ops rows plus all sixteen thread_scaling rows carry an exact
+    // wheel_ops rows plus all four sharded_scaling rows carry an exact
     // zero.
-    assert_eq!(json.matches("\"clamped_past\": 0").count(), 28);
+    assert_eq!(json.matches("\"clamped_past\": 0").count(), 16);
     for row_id in ["n90_k2_per_pair", "n90_k2_batched"] {
         assert!(
             json.contains(&format!("\"id\": \"{row_id}\"")),
             "headline 90-node cell {row_id} missing from the artifact"
         );
     }
-}
-
-#[test]
-fn committed_thread_scaling_is_thread_count_invariant() {
-    // Every (n, k) scaling cell appears once per thread count, and all
-    // of a cell's rows carry the same end-state digest — the committed
-    // proof that the sharded schedule is deterministic.
-    let json = committed();
+    // One sharded row per (n, k), no worker-thread axis.
     for (n, k) in [(256, 2), (256, 4), (1024, 2), (1024, 4)] {
-        let mut digests = Vec::new();
-        for t in SCALING_THREADS {
-            let id = format!("\"id\": \"n{n}_k{k}_t{t}\"");
-            let row_start = json
-                .find(&id)
-                .unwrap_or_else(|| panic!("scaling cell n{n}_k{k}_t{t} missing from the artifact"));
-            let row = &json[row_start..json[row_start..].find('}').unwrap() + row_start];
-            let tag = "\"state_digest\": ";
-            let at = row.find(tag).expect("state_digest field") + tag.len();
-            let digest: u64 = row[at..]
-                .split(|c: char| !c.is_ascii_digit())
-                .next()
-                .unwrap()
-                .parse()
-                .expect("digest parses");
-            digests.push(digest);
-        }
-        assert!(
-            digests.windows(2).all(|w| w[0] == w[1]),
-            "n{n}_k{k}: digests differ across thread counts: {digests:?}"
-        );
+        let id = format!("\"id\": \"n{n}_k{k}\"");
+        assert_eq!(json.matches(&id).count(), 1, "sharded cell n{n}_k{k}");
     }
 }

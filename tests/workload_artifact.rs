@@ -1,14 +1,13 @@
 //! Integration: the committed `BENCH_workload.json` artifact is exactly
-//! what the fluid-workload benchmark regenerates — same bytes at any
-//! `DRS_SIM_THREADS` — and the claims it pins hold structurally: the
-//! kernel paid exactly one event per session transition, the byte
-//! ledger balanced, and the million-session cell stayed inside its
-//! fixed event budget.
+//! what the fluid-workload benchmark regenerates — same bytes — and the
+//! claims it pins hold structurally: the kernel paid exactly one event
+//! per session transition, the byte ledger balanced, and the
+//! million-session cell stayed inside its fixed event budget.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
 //! (`cargo run --release -p drs-bench -- regen workload`) and
 //! commit it alongside the change; this test then documents the new
-//! ground truth. CI runs `regen` at 1 and 4 worker threads.
+//! ground truth. CI runs the same `regen`.
 
 use std::sync::LazyLock;
 
