@@ -1,5 +1,6 @@
 //! The fluid accounting engine: exact per-session byte integrals at
-//! O(1) amortized work per transition.
+//! O(classes · hops) work per transition, however many sessions ride the
+//! pairs it touches.
 //!
 //! # Model
 //!
@@ -18,16 +19,30 @@
 //! # Why this is O(transitions)
 //!
 //! Between transitions every rate is constant, so delivered/shortfall
-//! byte integrals advance analytically. The engine keeps one cumulative
-//! integral pair per `(plane, class)` *container* and each session only
-//! stores a snapshot of its bottleneck container taken when it last
-//! (re)joined it; settling a session is two subtractions. A transition
-//! therefore costs: the local pair update, one `O(K · C)` water-fill
-//! recompute, and a re-bucket sweep limited to the (normally empty) set
-//! of member-bearing pairs whose path crosses ≥ 2 distinct planes. No
-//! per-session work happens except at that session's own open/close or
-//! at a stall/resume edge of its pair — O(active transitions) total,
-//! independent of how many sessions sit in the background.
+//! byte integrals advance analytically. Every session of one
+//! `(pair, class)` — a *lane* — shares the same bottleneck and the same
+//! stalls while it is open, so no per-session state ever moves:
+//!
+//! - each `(plane, class)` *container* keeps a cumulative delivered and
+//!   shortfall integral, advanced by `min(r_c, λ_p) · dt` and the rest of
+//!   `r_c · dt`;
+//! - each lane keeps the delivered integral `G` and shortfall integral
+//!   `S` of one session that never closes. Before the pair's bottleneck
+//!   or the water levels change, `G` and `S` take the bottleneck
+//!   container's growth since the lane's snapshot; when a stalled pair
+//!   resumes, `S` takes `r_c · (t − stall_since)`;
+//! - a session stores its lane's `(G, S)` at its open and reads
+//!   `good = G − G₀`, `short = S − S₀` at its close: the sum of the
+//!   container deltas over exactly the intervals it was open, so every
+//!   ledger is the exact integer a per-session integrator gives (the
+//!   brute-force differential test checks it).
+//!
+//! A transition therefore costs the local lane update, one `O(K · C)`
+//! water-fill recompute, and a re-bucket sweep limited to the (normally
+//! empty) set of member-bearing pairs whose path crosses ≥ 2 distinct
+//! planes. A stall, resume, reroute or re-bucket costs O(C · hops) for
+//! its pair, whether one session rides it or ten thousand; a session's
+//! record is touched at its own open and close only.
 //!
 //! Finding a session at its close is an array index, not a hash: every
 //! host hands out dense local ids (`WorkloadCore::next_local`), so the
@@ -37,11 +52,15 @@
 //!
 //! # Stall semantics
 //!
-//! When a pair loses liveness (no route, a hop's NIC down, or a hub
-//! down), its members are settled and enter a **stall window**: demand
-//! accrues as shortfall until the daemons repair the route and the pair
-//! resumes. Arrivals on a non-live pair are **dropped** (their whole
-//! offered volume becomes `dropped_unit`). The
+//! When a pair with sessions attached loses liveness (no route, a hop's
+//! NIC down, or a hub down), its lanes are settled, their crossings
+//! leave the planes and the pair enters a **stall window**: `G` stands
+//! still and the whole demand accrues as shortfall until the daemons
+//! repair the route and the pair resumes. The resume bills the window to
+//! `S`, rejoins the planes and snapshots the new bottleneck; a session
+//! that closes inside the window reads `S` plus the window so far.
+//! Arrivals on a non-live pair are **dropped** (their whole offered
+//! volume becomes `dropped_unit`). The
 //! [`DrsIo::notify_reroute`](drs_core::io::DrsIo::notify_reroute)
 //! transition is counted 1:1 against the daemons' `reroute_complete`
 //! histogram as a cross-check; resumption itself is driven by the
@@ -62,6 +81,7 @@ use drs_obs::{Fnv1a, Histogram};
 
 use crate::fault::HubSchedule;
 
+use self::slab::Slab;
 use super::{Transition, TransitionRecord, WorkloadSpec};
 
 /// Ledger unit per byte: ledgers hold bytes/s · ns.
@@ -139,21 +159,25 @@ impl ConservationReport {
     }
 }
 
-#[derive(Debug, Clone)]
+/// One open session. What it has delivered and missed so far is not
+/// stored: it is its lane's growth since the open (module docs).
+#[derive(Debug, Clone, Copy)]
 struct Session {
-    pair: u32,
-    class: u8,
-    /// Demand, bytes/s.
-    rate: u64,
+    /// The lane's delivered integral `G` at the open, ledger units.
+    good0: u128,
+    /// The lane's shortfall integral `S` at the open, ledger units.
+    short0: u128,
     open_ns: u64,
     close_ns: u64,
-    /// Position in its pair's member list.
-    member_idx: u32,
-    settled_good: u128,
-    settled_short: u128,
-    snap_good: u128,
-    snap_short: u128,
+    pair: u32,
+    class: u8,
 }
+
+// Bytes per open session: `fluid_million` holds ≈ 1 M of them. Nothing
+// in the record changes after the open — the delivered and shortfall so
+// far live per lane — so it is two lane readings, two instants and the
+// lane's address; the rate is the class's.
+const _: () = assert!(std::mem::size_of::<Session>() <= 64);
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Hop {
@@ -167,16 +191,38 @@ struct Pair {
     hops: Vec<Hop>,
     /// Bitmask of planes crossed.
     plane_mask: u64,
-    has_path: bool,
-    live: bool,
-    /// Plane index whose container the members snapshot.
-    bottleneck: u8,
-    /// Active session slab indices on this pair.
-    members: Vec<u32>,
-    /// Whether the pair is on the engine's `multiplane` watch list.
-    watched: bool,
     stall_since: u64,
     dropped_in_window: u64,
+    /// Open sessions on this pair, all classes.
+    members: u32,
+    has_path: bool,
+    live: bool,
+    /// Plane index whose containers the lanes snapshot.
+    bottleneck: u8,
+    /// Whether the pair is on the engine's `multiplane` watch list.
+    watched: bool,
+}
+
+// Bytes per host pair, n² of them: the per-class state lives in the
+// engine's flat `lanes` table and the path behind a `Vec`, so a pair is
+// its path, its stall window and a member count whatever the class count.
+const _: () = assert!(std::mem::size_of::<Pair>() <= 56);
+
+/// The integrals every session of one `(pair, class)` shares while it is
+/// open (module docs). Row `pid · classes + class` of
+/// [`FluidEngine::lanes`].
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// Open sessions of this class on the pair.
+    members: u32,
+    /// `G`: one session's delivered integral up to the last settle.
+    good: u128,
+    /// `S`: one session's shortfall integral up to the last settle.
+    short: u128,
+    /// The bottleneck container's delivered integral at the snapshot.
+    snap_good: u128,
+    /// The bottleneck container's shortfall integral at the snapshot.
+    snap_short: u128,
 }
 
 /// Sentinel slab index for arrivals dropped at open.
@@ -216,6 +262,108 @@ impl IdWindow {
     }
 }
 
+mod slab {
+    use super::Session;
+
+    /// The open sessions' records, reused through a free list. The
+    /// fields are private to this module, so every touch of a record goes
+    /// through [`Slab::insert`], [`Slab::remove`] or [`Slab::iter`]; test
+    /// builds count the touches.
+    #[derive(Debug, Default)]
+    pub(super) struct Slab {
+        records: Vec<Session>,
+        alive: Vec<bool>,
+        free: Vec<u32>,
+        #[cfg(test)]
+        pub(super) touches: std::cell::Cell<u64>,
+    }
+
+    impl Slab {
+        pub(super) fn with_capacity(n: usize) -> Self {
+            Slab {
+                records: Vec::with_capacity(n),
+                alive: Vec::with_capacity(n),
+                ..Slab::default()
+            }
+        }
+
+        fn touch(&self) {
+            #[cfg(test)]
+            self.touches.set(self.touches.get() + 1);
+        }
+
+        /// Stores an opening session; returns its index.
+        pub(super) fn insert(&mut self, s: Session) -> u32 {
+            self.touch();
+            match self.free.pop() {
+                Some(i) => {
+                    self.records[i as usize] = s;
+                    self.alive[i as usize] = true;
+                    i
+                }
+                None => {
+                    self.records.push(s);
+                    self.alive.push(true);
+                    (self.records.len() - 1) as u32
+                }
+            }
+        }
+
+        /// Frees a closing session's slot; returns its record.
+        pub(super) fn remove(&mut self, idx: u32) -> Session {
+            self.touch();
+            self.alive[idx as usize] = false;
+            self.free.push(idx);
+            self.records[idx as usize]
+        }
+
+        /// The open sessions with their indices, in index order.
+        pub(super) fn iter(&self) -> impl Iterator<Item = (u32, &Session)> {
+            self.records
+                .iter()
+                .zip(&self.alive)
+                .enumerate()
+                .filter(|(_, (_, &alive))| alive)
+                .map(|(i, (s, _))| {
+                    self.touch();
+                    (i as u32, s)
+                })
+        }
+    }
+}
+
+/// Integer max-min water level of one plane of capacity `cap` crossed by
+/// `crossings[c]` sessions of class `c` (demand `rates[c]`): classes
+/// ascending by rate (`order`); a class is satisfied whole if granting
+/// every remaining crossing its rate still fits, otherwise the level is
+/// the floor split of what remains. `u64::MAX` when nothing is cut.
+fn water_level(cap: u64, crossings: &[u64], rates: &[u64], order: &[u8]) -> u64 {
+    let total: u128 = crossings
+        .iter()
+        .zip(rates)
+        .map(|(&m, &r)| u128::from(m) * u128::from(r))
+        .sum();
+    if total <= u128::from(cap) {
+        return u64::MAX;
+    }
+    let mut remaining = cap;
+    let mut left: u64 = crossings.iter().sum();
+    for &c in order {
+        let m = crossings[c as usize];
+        if m == 0 {
+            continue;
+        }
+        let r = rates[c as usize];
+        if u128::from(r) * u128::from(left) <= u128::from(remaining) {
+            remaining -= r * m;
+            left -= m;
+        } else {
+            return remaining / left;
+        }
+    }
+    u64::MAX
+}
+
 /// The driver-level fluid engine. Constructed by
 /// `World::enable_workload`; fed the merged transition log at the end of
 /// every `run_until`.
@@ -252,18 +400,21 @@ pub struct FluidEngine {
     accrued_ns: u64,
     /// `n × n` pair table (diagonal unused).
     pairs: Vec<Pair>,
+    /// `n × n × classes` lane table, row `pid · n_classes + class`.
+    lanes: Vec<Lane>,
     /// Member-bearing pairs whose path crosses ≥ 2 distinct planes —
     /// the only pairs whose bottleneck can move when `lambda` changes.
     multiplane: Vec<u32>,
-    sessions: Vec<Session>,
-    alive: Vec<bool>,
-    free: Vec<u32>,
+    slab: Slab,
     /// Per host, local id → slab index.
     index: Vec<IdWindow>,
-    /// Scratch: pairs whose members need a fresh snapshot after the
-    /// next water-fill recompute.
+    /// Scratch: pairs whose lanes need a fresh snapshot after the next
+    /// water-fill recompute.
     resnap: Vec<u32>,
     stats: WorkloadStats,
+    /// Every close's `(good, short)`, in close order.
+    #[cfg(test)]
+    closes: Vec<(u128, u128)>,
 }
 
 impl FluidEngine {
@@ -311,10 +462,9 @@ impl FluidEngine {
             cum_short: vec![0; planes * n_classes],
             accrued_ns: 0,
             pairs: vec![Pair::default(); n * n],
+            lanes: vec![Lane::default(); n * n * n_classes],
             multiplane: Vec::new(),
-            sessions: Vec::with_capacity(expected),
-            alive: Vec::with_capacity(expected),
-            free: Vec::new(),
+            slab: Slab::with_capacity(expected),
             index: (0..n)
                 .map(|_| IdWindow {
                     base: 0,
@@ -323,6 +473,8 @@ impl FluidEngine {
                 .collect(),
             resnap: Vec::new(),
             stats: WorkloadStats::default(),
+            #[cfg(test)]
+            closes: Vec::new(),
         };
         for src in 0..n {
             for dst in 0..n {
@@ -450,7 +602,7 @@ impl FluidEngine {
     /// Resolves a pair's path + liveness from scratch. Only valid while
     /// the pair has no members (no accounting to migrate).
     fn install_path(&mut self, pid: usize) {
-        debug_assert!(self.pairs[pid].members.is_empty());
+        debug_assert_eq!(self.pairs[pid].members, 0);
         let (src, dst) = (pid / self.n, pid % self.n);
         let hops = self.walk(src, dst);
         let pair = &mut self.pairs[pid];
@@ -471,42 +623,19 @@ impl FluidEngine {
     }
 
     // ------------------------------------------------------------------
-    // Water-filling and bucket maintenance
+    // Water-filling and lane maintenance
     // ------------------------------------------------------------------
 
-    /// Integer max-min water level per plane: classes ascending by rate;
-    /// a class is satisfied whole if granting every remaining crossing
-    /// its rate still fits, otherwise the level is the floor split of
-    /// what remains.
+    /// Recomputes every plane's water level ([`water_level`]).
     fn recompute_lambda(&mut self) {
+        let nc = self.n_classes;
         for p in 0..self.planes {
-            let cap = self.capacity[p];
-            let base = p * self.n_classes;
-            let total: u128 = (0..self.n_classes)
-                .map(|c| u128::from(self.crossings[base + c]) * u128::from(self.rates[c]))
-                .sum();
-            self.lambda[p] = if total <= u128::from(cap) {
-                u64::MAX
-            } else {
-                let mut remaining = cap;
-                let mut left: u64 = self.crossings[base..base + self.n_classes].iter().sum();
-                let mut lam = u64::MAX;
-                for &c in &self.class_order {
-                    let m = self.crossings[base + c as usize];
-                    if m == 0 {
-                        continue;
-                    }
-                    let r = self.rates[c as usize];
-                    if u128::from(r) * u128::from(left) <= u128::from(remaining) {
-                        remaining -= r * m;
-                        left -= m;
-                    } else {
-                        lam = remaining / left;
-                        break;
-                    }
-                }
-                lam
-            };
+            self.lambda[p] = water_level(
+                self.capacity[p],
+                &self.crossings[p * nc..(p + 1) * nc],
+                &self.rates,
+                &self.class_order,
+            );
         }
     }
 
@@ -527,56 +656,82 @@ impl FluidEngine {
         best
     }
 
-    /// Folds each member's integral deltas since its snapshot into its
-    /// settled totals. Must run *before* the pair's bottleneck or the
-    /// water levels change; leaves snapshots stale.
-    fn settle_members(&mut self, pid: usize) {
-        let b = self.pairs[pid].bottleneck as usize;
-        for k in 0..self.pairs[pid].members.len() {
-            let m = self.pairs[pid].members[k] as usize;
-            let s = &mut self.sessions[m];
-            let ci = b * self.n_classes + s.class as usize;
-            s.settled_good += self.cum_good[ci] - s.snap_good;
-            s.settled_short += self.cum_short[ci] - s.snap_short;
+    /// Folds the bottleneck containers' growth since the lanes' snapshots
+    /// into the pair's `G` and `S`. Must run *before* the pair's
+    /// bottleneck or the water levels change; leaves the snapshots stale.
+    /// O(C).
+    fn settle_pair(&mut self, pid: usize) {
+        let nc = self.n_classes;
+        let b = self.pairs[pid].bottleneck as usize * nc;
+        for (c, lane) in self.lanes[pid * nc..(pid + 1) * nc].iter_mut().enumerate() {
+            lane.good += self.cum_good[b + c] - lane.snap_good;
+            lane.short += self.cum_short[b + c] - lane.snap_short;
         }
     }
 
-    /// Re-snapshots every member at the pair's (already updated)
-    /// bottleneck container.
-    fn snap_members(&mut self, pid: usize) {
-        let b = self.pairs[pid].bottleneck as usize;
-        for k in 0..self.pairs[pid].members.len() {
-            let m = self.pairs[pid].members[k] as usize;
-            let s = &mut self.sessions[m];
-            let ci = b * self.n_classes + s.class as usize;
-            s.snap_good = self.cum_good[ci];
-            s.snap_short = self.cum_short[ci];
+    /// Re-snapshots the pair's lanes at its (already updated) bottleneck
+    /// containers. O(C).
+    fn snap_pair(&mut self, pid: usize) {
+        let nc = self.n_classes;
+        let b = self.pairs[pid].bottleneck as usize * nc;
+        for (c, lane) in self.lanes[pid * nc..(pid + 1) * nc].iter_mut().enumerate() {
+            lane.snap_good = self.cum_good[b + c];
+            lane.snap_short = self.cum_short[b + c];
         }
     }
 
-    /// Adds (`up = true`) or removes every member's crossings along the
-    /// pair's current hops.
-    fn member_crossings(&mut self, pid: usize, up: bool) {
-        for k in 0..self.pairs[pid].members.len() {
-            let m = self.pairs[pid].members[k] as usize;
-            let class = self.sessions[m].class as usize;
-            for h in 0..self.pairs[pid].hops.len() {
-                let plane = self.pairs[pid].hops[h].plane as usize;
-                let i = plane * self.n_classes + class;
+    /// Adds (`up = true`) or removes the crossings of every session on
+    /// the pair along its current hops, a lane at a time. O(C · hops).
+    fn pair_crossings(&mut self, pid: usize, up: bool) {
+        let nc = self.n_classes;
+        for c in 0..nc {
+            let m = u64::from(self.lanes[pid * nc + c].members);
+            if m == 0 {
+                continue;
+            }
+            for hop in &self.pairs[pid].hops {
+                let i = hop.plane as usize * nc + c;
                 if up {
-                    self.crossings[i] += 1;
+                    self.crossings[i] += m;
                 } else {
-                    self.crossings[i] -= 1;
+                    self.crossings[i] -= m;
                 }
             }
         }
+    }
+
+    /// A lane's `(G, S)` at the last accrued instant. Valid while the
+    /// pair has members and is not queued in `resnap`.
+    fn lane_integrals(&self, pid: usize, class: usize) -> (u128, u128) {
+        let pair = &self.pairs[pid];
+        let lane = &self.lanes[pid * self.n_classes + class];
+        if pair.live {
+            let ci = pair.bottleneck as usize * self.n_classes + class;
+            (
+                lane.good + self.cum_good[ci] - lane.snap_good,
+                lane.short + self.cum_short[ci] - lane.snap_short,
+            )
+        } else {
+            // Stalled: the window so far is pure shortfall.
+            let window = self.accrued_ns - pair.stall_since;
+            (
+                lane.good,
+                lane.short + u128::from(self.rates[class]) * u128::from(window),
+            )
+        }
+    }
+
+    /// What an open session has delivered and missed so far.
+    fn session_ledger(&self, s: &Session) -> (u128, u128) {
+        let (good, short) = self.lane_integrals(s.pair as usize, s.class as usize);
+        (good - s.good0, short - s.short0)
     }
 
     /// Keeps the multiplane watch list consistent with the pair's
     /// member/path state.
     fn update_multiplane(&mut self, pid: usize) {
         let pair = &mut self.pairs[pid];
-        let should = !pair.members.is_empty() && pair.plane_mask.count_ones() >= 2;
+        let should = pair.members > 0 && pair.plane_mask.count_ones() >= 2;
         if should == pair.watched {
             return;
         }
@@ -591,7 +746,7 @@ impl FluidEngine {
     }
 
     /// After a water-level change: moves any watched live pair whose
-    /// bottleneck shifted onto its new container (settle at the old,
+    /// bottleneck shifted onto its new containers (settle at the old,
     /// snap at the new). Pairs freshly snapped via `resnap` this round
     /// are already on the argmin container and no-op here.
     fn rebucket_multiplane(&mut self) {
@@ -602,22 +757,21 @@ impl FluidEngine {
             }
             let b = self.bottleneck_of(pid);
             if b != self.pairs[pid].bottleneck {
-                self.settle_members(pid);
+                self.settle_pair(pid);
                 self.pairs[pid].bottleneck = b;
-                self.snap_members(pid);
+                self.snap_pair(pid);
             }
         }
     }
 
-    /// Pairs queued in `resnap` were settled during the mutation phase;
-    /// now that `lambda` is current, point them at their argmin
-    /// container and take fresh snapshots.
+    /// Pairs queued in `resnap` were settled (or stalled) during the
+    /// mutation phase; now that `lambda` is current, point them at their
+    /// argmin containers and take fresh snapshots.
     fn finish_resnap(&mut self) {
         while let Some(pid) = self.resnap.pop() {
             let pid = pid as usize;
-            let b = self.bottleneck_of(pid);
-            self.pairs[pid].bottleneck = b;
-            self.snap_members(pid);
+            self.pairs[pid].bottleneck = self.bottleneck_of(pid);
+            self.snap_pair(pid);
         }
     }
 
@@ -625,33 +779,38 @@ impl FluidEngine {
     // Stall / resume
     // ------------------------------------------------------------------
 
-    /// The pair just lost liveness with members attached: settle them,
-    /// take their demand off the planes, and open the stall window.
+    /// The pair is about to lose liveness with members attached, its
+    /// hops still the old ones: settle its lanes, take their demand off
+    /// the planes, and open the stall window.
     fn stall_start(&mut self, pid: usize, t: u64) {
-        self.settle_members(pid);
-        self.member_crossings(pid, false);
-        let members = self.pairs[pid].members.len() as u64;
-        self.pairs[pid].stall_since = t;
-        self.pairs[pid].dropped_in_window = 0;
+        self.settle_pair(pid);
+        self.pair_crossings(pid, false);
+        let pair = &mut self.pairs[pid];
+        pair.stall_since = t;
+        pair.dropped_in_window = 0;
         self.stats.stall_windows += 1;
-        self.stats.stalled_per_failover.record(members);
+        self.stats
+            .stalled_per_failover
+            .record(u64::from(pair.members));
     }
 
-    /// The pair regained liveness: bill the whole window as shortfall,
-    /// rejoin the planes, and queue the members for a fresh snapshot.
+    /// The pair regained liveness: bill the whole window to every lane's
+    /// `S`, rejoin the planes, and queue the lanes for a fresh snapshot.
     fn resume(&mut self, pid: usize, t: u64) {
-        let since = self.pairs[pid].stall_since;
-        for k in 0..self.pairs[pid].members.len() {
-            let m = self.pairs[pid].members[k] as usize;
-            let s = &mut self.sessions[m];
-            s.settled_short += u128::from(s.rate) * u128::from(t - since);
+        let nc = self.n_classes;
+        let window = t - self.pairs[pid].stall_since;
+        for (lane, &r) in self.lanes[pid * nc..(pid + 1) * nc]
+            .iter_mut()
+            .zip(&self.rates)
+        {
+            lane.short += u128::from(r) * u128::from(window);
         }
-        self.member_crossings(pid, true);
-        let members = self.pairs[pid].members.len() as u64;
-        self.stats.interruption.record_n(t - since, members);
+        self.pair_crossings(pid, true);
+        let pair = &self.pairs[pid];
         self.stats
-            .dropped_per_stall
-            .record(self.pairs[pid].dropped_in_window);
+            .interruption
+            .record_n(window, u64::from(pair.members));
+        self.stats.dropped_per_stall.record(pair.dropped_in_window);
         self.stats.resumed_windows += 1;
         self.resnap.push(pid as u32);
     }
@@ -670,7 +829,7 @@ impl FluidEngine {
                 continue;
             }
             self.pairs[pid].live = live;
-            if self.pairs[pid].members.is_empty() {
+            if self.pairs[pid].members == 0 {
                 continue;
             }
             dirty = true;
@@ -702,8 +861,7 @@ impl FluidEngine {
     ) {
         self.stats.opened += 1;
         self.stats.transitions += 1;
-        let rate = self.rates[class as usize];
-        let offered = u128::from(rate) * u128::from(holding_ns);
+        let offered = u128::from(self.rates[class as usize]) * u128::from(holding_ns);
         self.stats.offered_unit += offered;
         let pid = host.idx() * self.n + dst.idx();
         if !self.pairs[pid].live {
@@ -714,42 +872,26 @@ impl FluidEngine {
             return;
         }
         self.stats.active += 1;
-        // Memberless pairs are not rebucketed on λ changes, so compute
-        // the bottleneck fresh before taking the first snapshot.
-        if self.pairs[pid].members.is_empty() {
-            let b = self.bottleneck_of(pid);
-            self.pairs[pid].bottleneck = b;
+        // Memberless pairs are neither settled nor rebucketed, so point
+        // the lanes at the current argmin containers before reading them.
+        if self.pairs[pid].members == 0 {
+            self.pairs[pid].bottleneck = self.bottleneck_of(pid);
+            self.snap_pair(pid);
         }
-        let ci = self.pairs[pid].bottleneck as usize * self.n_classes + class as usize;
-        let sess = Session {
-            pair: pid as u32,
-            class,
-            rate,
+        let (good0, short0) = self.lane_integrals(pid, class as usize);
+        let idx = self.slab.insert(Session {
+            good0,
+            short0,
             open_ns: t,
             close_ns: t + holding_ns,
-            member_idx: self.pairs[pid].members.len() as u32,
-            settled_good: 0,
-            settled_short: 0,
-            snap_good: self.cum_good[ci],
-            snap_short: self.cum_short[ci],
-        };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.sessions[i as usize] = sess;
-                self.alive[i as usize] = true;
-                i
-            }
-            None => {
-                self.sessions.push(sess);
-                self.alive.push(true);
-                (self.sessions.len() - 1) as u32
-            }
-        };
+            pair: pid as u32,
+            class,
+        });
         self.index[host.idx()].open(local, idx);
-        self.pairs[pid].members.push(idx);
-        for h in 0..self.pairs[pid].hops.len() {
-            let plane = self.pairs[pid].hops[h].plane as usize;
-            self.crossings[plane * self.n_classes + class as usize] += 1;
+        self.pairs[pid].members += 1;
+        self.lanes[pid * self.n_classes + class as usize].members += 1;
+        for hop in &self.pairs[pid].hops {
+            self.crossings[hop.plane as usize * self.n_classes + class as usize] += 1;
         }
         self.update_multiplane(pid);
         self.recompute_lambda();
@@ -767,47 +909,27 @@ impl FluidEngine {
         }
         self.stats.closed += 1;
         self.stats.active -= 1;
-        let s = self.sessions[idx as usize].clone();
-        self.alive[idx as usize] = false;
-        self.free.push(idx);
-        let pid = s.pair as usize;
+        let s = self.slab.remove(idx);
+        let (pid, class) = (s.pair as usize, s.class as usize);
         debug_assert_eq!(t, s.close_ns);
-        let live = self.pairs[pid].live;
-        let (good, short) = if live {
-            let ci = self.pairs[pid].bottleneck as usize * self.n_classes + s.class as usize;
-            (
-                s.settled_good + self.cum_good[ci] - s.snap_good,
-                s.settled_short + self.cum_short[ci] - s.snap_short,
-            )
-        } else {
-            // Stalled close: crossings already left at stall start; the
-            // window so far is pure shortfall.
-            let since = self.pairs[pid].stall_since;
-            (
-                s.settled_good,
-                s.settled_short + u128::from(s.rate) * u128::from(t - since),
-            )
-        };
+        let (good, short) = self.session_ledger(&s);
         debug_assert_eq!(
             good + short,
-            u128::from(s.rate) * u128::from(t - s.open_ns),
+            u128::from(self.rates[class]) * u128::from(t - s.open_ns),
             "per-session ledger identity"
         );
+        #[cfg(test)]
+        self.closes.push((good, short));
         self.stats.delivered_unit += good;
         self.stats.shortfall_unit += short;
         self.stats
             .goodput_bytes
             .record(u64::try_from(good / UNIT_PER_BYTE).unwrap_or(u64::MAX));
-        // Detach from the pair (swap-remove keeps member_idx dense).
-        let at = s.member_idx as usize;
-        self.pairs[pid].members.swap_remove(at);
-        if let Some(&moved) = self.pairs[pid].members.get(at) {
-            self.sessions[moved as usize].member_idx = at as u32;
-        }
-        if live {
-            for h in 0..self.pairs[pid].hops.len() {
-                let plane = self.pairs[pid].hops[h].plane as usize;
-                self.crossings[plane * self.n_classes + s.class as usize] -= 1;
+        self.pairs[pid].members -= 1;
+        self.lanes[pid * self.n_classes + class].members -= 1;
+        if self.pairs[pid].live {
+            for hop in &self.pairs[pid].hops {
+                self.crossings[hop.plane as usize * self.n_classes + class] -= 1;
             }
             self.recompute_lambda();
             self.rebucket_multiplane();
@@ -835,7 +957,7 @@ impl FluidEngine {
         }
     }
 
-    /// Re-walks one pair after a route change and migrates its members'
+    /// Re-walks one pair after a route change and migrates its lanes'
     /// accounting across the old→new (path, liveness) edge. Returns
     /// whether anything changed that affects the water levels.
     fn refresh_pair_path(&mut self, pid: usize, t: u64) -> bool {
@@ -864,30 +986,23 @@ impl FluidEngine {
             pair.has_path = new_has;
             pair.live = new_live;
         };
-        if self.pairs[pid].members.is_empty() {
+        if self.pairs[pid].members == 0 {
             install(&mut self.pairs[pid]);
             return false;
         }
-        let was_live = self.pairs[pid].live;
-        match (was_live, new_live) {
+        match (self.pairs[pid].live, new_live) {
             (true, true) => {
                 // Live path moved: settle on the old hops, re-cross on
                 // the new ones, snapshot after the λ recompute.
-                self.settle_members(pid);
-                self.member_crossings(pid, false);
+                self.settle_pair(pid);
+                self.pair_crossings(pid, false);
                 install(&mut self.pairs[pid]);
-                self.member_crossings(pid, true);
+                self.pair_crossings(pid, true);
                 self.resnap.push(pid as u32);
             }
             (true, false) => {
-                self.settle_members(pid);
-                self.member_crossings(pid, false);
+                self.stall_start(pid, t);
                 install(&mut self.pairs[pid]);
-                let members = self.pairs[pid].members.len() as u64;
-                self.pairs[pid].stall_since = t;
-                self.pairs[pid].dropped_in_window = 0;
-                self.stats.stall_windows += 1;
-                self.stats.stalled_per_failover.record(members);
             }
             (false, true) => {
                 install(&mut self.pairs[pid]);
@@ -906,24 +1021,17 @@ impl FluidEngine {
     // Verdicts
     // ------------------------------------------------------------------
 
-    /// Exact conservation snapshot at the last settled instant. O(active).
+    /// Exact conservation snapshot at the last settled instant: every
+    /// open session's delivered and shortfall so far (its lane's growth
+    /// since the open) plus its demand still to come. O(active).
     #[must_use]
     pub fn conservation(&self) -> ConservationReport {
         let mut in_flight = 0u128;
-        for (idx, s) in self.sessions.iter().enumerate() {
-            if !self.alive[idx] {
-                continue;
-            }
-            let pid = s.pair as usize;
-            let elapsed = if self.pairs[pid].live {
-                let ci = self.pairs[pid].bottleneck as usize * self.n_classes + s.class as usize;
-                (self.cum_good[ci] - s.snap_good) + (self.cum_short[ci] - s.snap_short)
-            } else {
-                u128::from(s.rate) * u128::from(self.accrued_ns - self.pairs[pid].stall_since)
-            };
-            let remaining =
-                u128::from(s.rate) * u128::from(s.close_ns.saturating_sub(self.accrued_ns));
-            in_flight += s.settled_good + s.settled_short + elapsed + remaining;
+        for (_, s) in self.slab.iter() {
+            let (good, short) = self.session_ledger(s);
+            let remaining = u128::from(self.rates[s.class as usize])
+                * u128::from(s.close_ns.saturating_sub(self.accrued_ns));
+            in_flight += good + short + remaining;
         }
         ConservationReport {
             offered_unit: self.stats.offered_unit,
@@ -935,8 +1043,9 @@ impl FluidEngine {
     }
 
     /// FNV-1a fingerprint of the full fluid state: counters, water
-    /// levels, container integrals, and every live session's ledger.
-    /// O(active + n²). Bit-identical across drivers and shard counts.
+    /// levels, container integrals, every open session's delivered and
+    /// shortfall so far, and every pair's state. O(active + n²).
+    /// Bit-identical across drivers and shard counts.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut f = Fnv1a::default();
@@ -968,27 +1077,22 @@ impl FluidEngine {
         for &s in &self.cum_short {
             f.u128(s);
         }
-        for (idx, s) in self.sessions.iter().enumerate() {
-            if !self.alive[idx] {
-                continue;
-            }
-            f.u64(idx as u64);
+        for (idx, s) in self.slab.iter() {
+            let (good, short) = self.session_ledger(s);
+            f.u64(u64::from(idx));
             f.u64(u64::from(s.pair));
             f.u64(u64::from(s.class));
-            f.u64(s.rate);
             f.u64(s.open_ns);
             f.u64(s.close_ns);
-            f.u128(s.settled_good);
-            f.u128(s.settled_short);
-            f.u128(s.snap_good);
-            f.u128(s.snap_short);
+            f.u128(good);
+            f.u128(short);
         }
         for pair in &self.pairs {
             f.u64(
                 u64::from(pair.live)
                     | u64::from(pair.has_path) << 1
                     | u64::from(pair.bottleneck) << 2
-                    | (pair.members.len() as u64) << 10,
+                    | u64::from(pair.members) << 10,
             );
         }
         f.finish()
@@ -1479,5 +1583,451 @@ mod tests {
         };
         assert_eq!(run(1_000), run(1_000));
         assert_ne!(run(1_000), run(2_000));
+    }
+
+    /// A hub fail and repair and a route flip on a pair holding `m`
+    /// sessions touch no session record (per-pair integrals, not
+    /// per-member settling); each open and each close touches exactly
+    /// its own.
+    #[test]
+    fn failover_edges_touch_no_session_record() {
+        for m in [1u64, 10_000] {
+            let mut e = engine(
+                4,
+                vec![
+                    ClassSpec { rate_bps: 8_000 },
+                    ClassSpec { rate_bps: 80_000 },
+                ],
+                100_000_000,
+            );
+            let mut hubs = HubSchedule::new();
+            for (at, up) in [(2_000, false), (3_000, true)] {
+                hubs.insert(HubToggle {
+                    at: SimTime(at),
+                    net: NetId::A,
+                    up,
+                });
+            }
+            let touches = |e: &FluidEngine| e.slab.touches.get();
+            for local in 0..m {
+                let class = (local % 2) as u8;
+                e.apply(&rec(1_000, local, open(0, local, 1, class, 10_000)), &hubs);
+                assert_eq!(touches(&e), local + 1, "an open touches its record");
+            }
+            e.settle(SimTime(2_500), &hubs);
+            assert_eq!(e.stats().stall_windows, 1, "the hub failure stalls 0->1");
+            e.settle(SimTime(3_500), &hubs);
+            assert_eq!(e.stats().resumed_windows, 1, "its repair resumes it");
+            let flip = Transition::RouteSet {
+                host: NodeId(0),
+                dst: NodeId(1),
+                route: Route::Direct(NetId::B),
+            };
+            e.apply(&rec(4_000, m, flip), &hubs);
+            assert_eq!(e.pairs[1].hops[0].plane, 1, "the pair moved to plane B");
+            assert_eq!(touches(&e), m, "m = {m}: edges touch no session");
+            for local in 0..m {
+                let close = Transition::Close {
+                    host: NodeId(0),
+                    local,
+                };
+                e.apply(&rec(11_000, m + 1 + local, close), &hubs);
+                assert_eq!(touches(&e), m + local + 1, "a close touches its record");
+            }
+            let st = e.stats();
+            assert_eq!(st.interruption.count(), m);
+            assert_eq!(
+                st.interruption.sum(),
+                u128::from(1_000 * m),
+                "stalled 2000..3000"
+            );
+            assert!(e.conservation().holds());
+        }
+    }
+
+    /// The brute-force reference the engine must equal: every session
+    /// carries its own ledger, and at every step each open session takes
+    /// `min(r_c, λ_b) · dt` delivered (`r_c · dt` shortfall while its pair
+    /// is stalled), with paths, liveness, crossings and water levels
+    /// recomputed from scratch.
+    struct Oracle {
+        n: usize,
+        ttl: u8,
+        cap: u64,
+        rates: Vec<u64>,
+        order: Vec<u8>,
+        routes: Vec<Option<Route>>,
+        nic_up: Vec<bool>,
+        hub_up: Vec<bool>,
+        /// Per pair: the planes of its path's hops (`None`: no path).
+        paths: Vec<Option<Vec<usize>>>,
+        live: Vec<bool>,
+        stall_since: Vec<u64>,
+        dropped_in_window: Vec<u64>,
+        lambda: Vec<u64>,
+        /// Open sessions by `(host, local)`: pair, class, good, short.
+        open: std::collections::BTreeMap<(u32, u64), (usize, usize, u128, u128)>,
+        dropped: std::collections::BTreeSet<(u32, u64)>,
+        now: u64,
+        stats: WorkloadStats,
+        closes: Vec<(u128, u128)>,
+        /// Closes on a stalled pair.
+        stalled_closes: u64,
+        /// Steps after which a live session's bottleneck plane moved
+        /// while its path stayed the same.
+        bottleneck_moves: u64,
+    }
+
+    impl Oracle {
+        fn new(e: &FluidEngine) -> Self {
+            let n = e.n;
+            let mut o = Oracle {
+                n,
+                ttl: e.ttl,
+                cap: e.capacity[0],
+                rates: e.rates.clone(),
+                order: e.class_order.clone(),
+                routes: e.routes.clone(),
+                nic_up: vec![true; n * e.planes],
+                hub_up: vec![true; e.planes],
+                paths: vec![None; n * n],
+                live: vec![false; n * n],
+                stall_since: vec![0; n * n],
+                dropped_in_window: vec![0; n * n],
+                lambda: vec![u64::MAX; e.planes],
+                open: Default::default(),
+                dropped: Default::default(),
+                now: 0,
+                stats: WorkloadStats::default(),
+                closes: Vec::new(),
+                stalled_closes: 0,
+                bottleneck_moves: 0,
+            };
+            o.refresh(0);
+            o
+        }
+
+        fn path(&self, src: usize, dst: usize) -> Option<Vec<(usize, usize, usize)>> {
+            let (mut cur, mut hops) = (src, Vec::new());
+            for _ in 0..=self.ttl {
+                let (next, net) = self.routes[cur * self.n + dst]?.next_hop(NodeId(dst as u32));
+                hops.push((cur, next.idx(), net.idx()));
+                if next.idx() == dst {
+                    return Some(hops);
+                }
+                cur = next.idx();
+            }
+            None
+        }
+
+        /// The plane a live pair's sessions are held to (lowest λ, then
+        /// lowest index).
+        fn bottleneck(&self, pid: usize) -> Option<usize> {
+            let planes = self.paths[pid].as_ref()?;
+            planes.iter().copied().min_by_key(|&p| (self.lambda[p], p))
+        }
+
+        fn advance(&mut self, t: u64) {
+            let dt = u128::from(t - self.now);
+            self.now = t;
+            for s in self.open.values_mut() {
+                let (pid, r) = (s.0, self.rates[s.1]);
+                if self.live[pid] {
+                    let planes = self.paths[pid].as_ref().expect("a live pair has a path");
+                    let lam = planes.iter().map(|&p| self.lambda[p]).min().unwrap();
+                    let v = r.min(lam);
+                    s.2 += u128::from(v) * dt;
+                    s.3 += u128::from(r - v) * dt;
+                } else {
+                    s.3 += u128::from(r) * dt;
+                }
+            }
+        }
+
+        /// Recomputes paths, liveness (with the stall and resume
+        /// bookkeeping), crossings and water levels.
+        fn refresh(&mut self, t: u64) {
+            let n = self.n;
+            let before: Vec<_> = (0..n * n)
+                .map(|pid| {
+                    (
+                        self.live[pid],
+                        self.paths[pid].clone(),
+                        self.bottleneck(pid),
+                    )
+                })
+                .collect();
+            let mut members = vec![0u64; n * n];
+            for &(pid, ..) in self.open.values() {
+                members[pid] += 1;
+            }
+            for (pid, &m) in members.iter().enumerate() {
+                let (src, dst) = (pid / n, pid % n);
+                if src == dst {
+                    continue;
+                }
+                let hops = self.path(src, dst);
+                let planes = self.nic_up.len() / n;
+                let live = hops.as_ref().is_some_and(|h| {
+                    h.iter().all(|&(a, b, p)| {
+                        self.hub_up[p] && self.nic_up[a * planes + p] && self.nic_up[b * planes + p]
+                    })
+                });
+                self.paths[pid] = hops.map(|h| h.iter().map(|&(_, _, p)| p).collect());
+                if live != self.live[pid] && m > 0 {
+                    if live {
+                        let window = t - self.stall_since[pid];
+                        self.stats.resumed_windows += 1;
+                        self.stats.interruption.record_n(window, m);
+                        self.stats
+                            .dropped_per_stall
+                            .record(self.dropped_in_window[pid]);
+                    } else {
+                        self.stall_since[pid] = t;
+                        self.dropped_in_window[pid] = 0;
+                        self.stats.stall_windows += 1;
+                        self.stats.stalled_per_failover.record(m);
+                    }
+                }
+                self.live[pid] = live;
+            }
+            let planes = self.hub_up.len();
+            let nc = self.rates.len();
+            let mut crossings = vec![0u64; planes * nc];
+            for &(pid, class, ..) in self.open.values() {
+                if self.live[pid] {
+                    for &p in self.paths[pid].as_ref().unwrap() {
+                        crossings[p * nc + class] += 1;
+                    }
+                }
+            }
+            for p in 0..planes {
+                self.lambda[p] = water_level(
+                    self.cap,
+                    &crossings[p * nc..(p + 1) * nc],
+                    &self.rates,
+                    &self.order,
+                );
+            }
+            for (pid, (was_live, path, b)) in before.iter().enumerate() {
+                if members[pid] > 0
+                    && *was_live
+                    && self.live[pid]
+                    && *path == self.paths[pid]
+                    && b.is_some_and(|b| Some(b) != self.bottleneck(pid))
+                {
+                    self.bottleneck_moves += 1;
+                }
+            }
+        }
+
+        fn step(&mut self, t: u64, kind: Transition) {
+            self.advance(t);
+            match kind {
+                Transition::Open {
+                    host,
+                    local,
+                    dst,
+                    class,
+                    holding_ns,
+                } => {
+                    let offered = u128::from(self.rates[class as usize]) * u128::from(holding_ns);
+                    let pid = host.idx() * self.n + dst.idx();
+                    self.stats.opened += 1;
+                    self.stats.transitions += 1;
+                    self.stats.offered_unit += offered;
+                    if self.live[pid] {
+                        self.stats.active += 1;
+                        self.open
+                            .insert((host.0, local), (pid, class as usize, 0, 0));
+                    } else {
+                        self.stats.dropped_arrivals += 1;
+                        self.stats.dropped_unit += offered;
+                        self.dropped_in_window[pid] += 1;
+                        self.dropped.insert((host.0, local));
+                    }
+                }
+                Transition::Close { host, local } => {
+                    self.stats.transitions += 1;
+                    if !self.dropped.remove(&(host.0, local)) {
+                        let (pid, _, good, short) = self.open.remove(&(host.0, local)).unwrap();
+                        self.stalled_closes += u64::from(!self.live[pid]);
+                        self.stats.closed += 1;
+                        self.stats.active -= 1;
+                        self.stats.delivered_unit += good;
+                        self.stats.shortfall_unit += short;
+                        self.stats
+                            .goodput_bytes
+                            .record(u64::try_from(good / UNIT_PER_BYTE).unwrap());
+                        self.closes.push((good, short));
+                    }
+                }
+                Transition::Nic { node, net, up } => {
+                    self.stats.nic_transitions += 1;
+                    self.nic_up[node.idx() * self.hub_up.len() + net.idx()] = up;
+                }
+                Transition::RouteSet { host, dst, route } => {
+                    self.stats.route_transitions += 1;
+                    self.routes[host.idx() * self.n + dst.idx()] = Some(route);
+                }
+                Transition::RouteDel { host, dst } => {
+                    self.stats.route_transitions += 1;
+                    self.routes[host.idx() * self.n + dst.idx()] = None;
+                }
+                Transition::Reroute { .. } => self.stats.reroute_notifications += 1,
+            }
+            self.refresh(t);
+        }
+
+        fn hub(&mut self, t: u64, net: NetId, up: bool) {
+            self.advance(t);
+            if self.hub_up[net.idx()] != up {
+                self.hub_up[net.idx()] = up;
+                self.stats.hub_transitions += 1;
+            }
+            self.refresh(t);
+        }
+    }
+
+    /// One drawn schedule: the engine, fed the records and the hub
+    /// schedule, against the oracle stepped through the same merged
+    /// timeline (hub toggles first at an equal instant, as the engine
+    /// applies them). Returns the oracle for the coverage counts.
+    fn differential(seed: u64) -> Oracle {
+        use drs_obs::rng::Rng;
+        const PLANES: u8 = 3;
+        let mut rng = Rng::seed_from_u64(seed);
+        let n = 5;
+        let classes: Vec<ClassSpec> = (0..rng.gen_range(2..4usize))
+            .map(|_| ClassSpec {
+                rate_bps: 8 * rng.gen_range(100..1_500),
+            })
+            .collect();
+        let mut e = FluidEngine::new(&spec(classes), n, PLANES, 4, 8 * 2_500, default_routes(n));
+        let mut oracle = Oracle::new(&e);
+        let host = |rng: &mut Rng| NodeId(rng.gen_range(0..n as u32));
+        let net = |rng: &mut Rng| NetId(rng.gen_range(0..PLANES));
+        let other = |rng: &mut Rng, not: &[NodeId]| loop {
+            let h = NodeId(rng.gen_range(0..n as u32));
+            if !not.contains(&h) {
+                return h;
+            }
+        };
+        let horizon = 1_000_000;
+        let mut hubs = HubSchedule::new();
+        let mut toggles = Vec::new();
+        for _ in 0..6 {
+            let toggle = HubToggle {
+                at: SimTime(rng.gen_range(0..horizon)),
+                net: net(&mut rng),
+                up: rng.gen_bool(0.5),
+            };
+            hubs.insert(toggle);
+            toggles.push(toggle);
+        }
+        toggles.sort_by_key(|t| t.at);
+        // (at, kind); opens carry a placeholder local id, assigned below
+        // in time order so each host's ids are dense.
+        let mut events: Vec<(u64, Transition)> = Vec::new();
+        for _ in 0..60 {
+            let (src, at) = (host(&mut rng), rng.gen_range(0..horizon));
+            let dst = other(&mut rng, &[src]);
+            let class = rng.gen_range(0..e.n_classes as u8);
+            events.push((at, open(src.0, 0, dst.0, class, rng.gen_range(1..300_000))));
+        }
+        for _ in 0..24 {
+            let at = rng.gen_range(0..horizon);
+            let src = host(&mut rng);
+            let dst = other(&mut rng, &[src]);
+            let kind = match rng.gen_range(0..10u32) {
+                0 => Transition::RouteDel { host: src, dst },
+                1..=4 => Transition::RouteSet {
+                    host: src,
+                    dst,
+                    route: Route::Direct(net(&mut rng)),
+                },
+                _ => Transition::RouteSet {
+                    host: src,
+                    dst,
+                    route: Route::Via {
+                        gateway: other(&mut rng, &[src, dst]),
+                        net: net(&mut rng),
+                    },
+                },
+            };
+            events.push((at, kind));
+        }
+        for _ in 0..10 {
+            let at = rng.gen_range(0..horizon);
+            let (node, net, up) = (host(&mut rng), net(&mut rng), rng.gen_bool(0.5));
+            events.push((at, Transition::Nic { node, net, up }));
+            events.push((
+                at + 1,
+                Transition::Reroute {
+                    host: node,
+                    dst: node,
+                },
+            ));
+        }
+        events.sort_by_key(|&(at, _)| at);
+        let mut next_local = vec![0u64; n];
+        let mut closes = Vec::new();
+        for (at, kind) in &mut events {
+            if let Transition::Open {
+                host,
+                local,
+                holding_ns,
+                ..
+            } = kind
+            {
+                *local = next_local[host.idx()];
+                next_local[host.idx()] += 1;
+                let close = Transition::Close {
+                    host: *host,
+                    local: *local,
+                };
+                closes.push((*at + *holding_ns, close));
+            }
+        }
+        events.extend(closes);
+        events.sort_by_key(|&(at, _)| at);
+        let end = events.last().expect("drawn").0 + 1;
+
+        let mut toggles = toggles.into_iter().peekable();
+        for (seq, &(at, kind)) in events.iter().enumerate() {
+            while let Some(t) = toggles.next_if(|t| t.at.0 <= at) {
+                oracle.hub(t.at.0, t.net, t.up);
+            }
+            oracle.step(at, kind);
+            e.apply(&rec(at, seq as u64, kind), &hubs);
+        }
+        for t in toggles {
+            oracle.hub(t.at.0, t.net, t.up);
+        }
+        oracle.advance(end);
+        e.settle(SimTime(end), &hubs);
+
+        assert_eq!(e.closes, oracle.closes, "seed {seed}: per-session ledgers");
+        assert_eq!(e.stats, oracle.stats, "seed {seed}: statistics");
+        assert_eq!(e.stats.active, 0, "seed {seed}: every session closed");
+        assert!(e.conservation().holds(), "seed {seed}");
+        oracle
+    }
+
+    #[test]
+    fn per_pair_integrals_equal_a_per_session_brute_force() {
+        let (mut stalled_closes, mut moves, mut resumes, mut congested) = (0, 0, 0, 0);
+        for seed in 0..64 {
+            let o = differential(seed);
+            stalled_closes += o.stalled_closes;
+            moves += o.bottleneck_moves;
+            resumes += o.stats.resumed_windows;
+            congested += u64::from(o.stats.shortfall_unit > 0);
+        }
+        // The drawn schedules reach every edge the integrals regroup.
+        assert!(stalled_closes > 0, "closes inside a stall window");
+        assert!(moves > 0, "a two-plane pair's bottleneck moved");
+        assert!(resumes > 0, "stalled pairs resumed");
+        assert!(congested > 32, "most schedules congest a plane");
     }
 }

@@ -910,32 +910,43 @@ impl<P: Protocol> World<P> {
     }
 
     /// Feeds the transitions each shard logged since the last drain to
-    /// the fluid engine, in the same `(at, seq, shard)` merge order as
-    /// [`Self::event_log`], then settles the ledgers at `until`. The
-    /// shard logs are moved into one exactly-sized vector, sorted there
-    /// and applied from it — a million-record log is never copied again.
+    /// the fluid engine, in the same `(at, seq, shard)` order as
+    /// [`Self::event_log`], then settles the ledgers at `until`. Each log
+    /// is already in dispatch order, so the engine reads them in place
+    /// through a k-way merge ([`drain_runs`]); they are then cleared and
+    /// keep their storage for the next run.
     fn drain_workload(&mut self, until: SimTime) {
-        if self.workload_engine.is_none() {
+        let Some(engine) = self.workload_engine.as_mut() else {
             return;
-        }
-        let total = self
+        };
+        let logs: Vec<&[TransitionRecord]> = self
             .shards
             .iter()
-            .filter_map(|s| s.core.workload.as_ref())
-            .map(|w| w.log.len())
-            .sum();
-        let mut tagged: Vec<(TransitionRecord, usize)> = Vec::with_capacity(total);
-        for (i, shard) in self.shards.iter_mut().enumerate() {
+            .map(|s| s.core.workload.as_ref().map_or(&[][..], |w| &w.log))
+            .collect();
+        debug_assert!(
+            logs.iter().all(|log| log
+                .windows(2)
+                .all(|w| (w[0].at, w[0].seq) <= (w[1].at, w[1].seq))),
+            "a shard logs transitions in dispatch order"
+        );
+        let mut heap: BinaryHeap<_> = logs
+            .iter()
+            .enumerate()
+            .filter_map(|(i, log)| log.first().map(|r| Reverse(((r.at, r.seq), i))))
+            .collect();
+        let mut taken = vec![0; logs.len()];
+        drain_runs(&mut heap, |i| {
+            engine.apply(&logs[i][taken[i]], &self.hubs);
+            taken[i] += 1;
+            logs[i].get(taken[i]).map(|r| (r.at, r.seq))
+        });
+        engine.settle(until, &self.hubs);
+        for shard in &mut self.shards {
             if let Some(w) = shard.core.workload.as_mut() {
-                tagged.extend(std::mem::take(&mut w.log).into_iter().map(|r| (r, i)));
+                w.log.clear();
             }
         }
-        tagged.sort_by_key(|&(r, s)| (r.at, r.seq, s));
-        let engine = self.workload_engine.as_mut().expect("checked above");
-        for (rec, _) in &tagged {
-            engine.apply(rec, &self.hubs);
-        }
-        engine.settle(until, &self.hubs);
     }
 
     /// The flight timeline, if [`Self::enable_flight`] was called: the
