@@ -3,10 +3,8 @@
 //! daemon's latency histograms.
 //!
 //! Every cell runs the same single-fault scenario — hub A dies at 1 s and
-//! recovers at 3 s — with the flight recorder on, at one shard and at
-//! [`FLIGHT_SHARDS`] (whose merged log, kernel-track marks included, is
-//! a function of the seed alone, which is what lets the artifact into
-//! the repo).
+//! recovers at 3 s — with the flight recorder on (its log is a function
+//! of the seed alone, which is what lets the artifact into the repo).
 //! The cell then rebuilds every failover's causal chain
 //! ([`build_post_mortems`]) and proves, sample for sample:
 //!
@@ -18,7 +16,7 @@
 //! * **flight == observability** — the histogram of `link_down` args
 //!   equals `ProbeObs::failover_detect` bucket-for-bucket, and the
 //!   histogram of `reroute_complete` args equals
-//!   `ProbeObs::reroute_complete`, at both shard counts.
+//!   `ProbeObs::reroute_complete`.
 //!
 //! Nothing on this path draws a random number: worlds are seeded by
 //! [`coord_seed`] coordinate mixing and the fault schedule is fixed, so
@@ -29,12 +27,14 @@ use drs_harness::coord_seed;
 use drs_obs::causal::{build_post_mortems, PostMortemReport};
 use drs_obs::flight::{to_perfetto, FlightLog, TraceKind};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
-use drs_sim::{ClusterSpec, FaultPlan, NetId, ShardedWorld, SimComponent, SimDuration, SimTime};
+use drs_sim::{ClusterSpec, FaultPlan, NetId, SimComponent, SimDuration, SimTime, World};
 
 use crate::BENCH_SEED;
 
-/// Schema tag written into every flight artifact.
-pub const FLIGHT_SCHEMA: &str = "drs-bench-flight/v1";
+/// Schema tag written into every flight artifact. `v2` dropped the
+/// multi-shard run's `shards`, `epoch`, `merge` and `stall` fields and
+/// the one-vs-several-shards `serial_matches`.
+pub const FLIGHT_SCHEMA: &str = "drs-bench-flight/v2";
 
 /// Cluster sizes of the K = 2 single-fault matrix.
 pub const FLIGHT_NS: [usize; 3] = [8, 16, 32];
@@ -42,10 +42,6 @@ pub const FLIGHT_NS: [usize; 3] = [8, 16, 32];
 /// Per-core flight ring capacity — large enough that no cell evicts
 /// (every cell asserts `dropped == 0`, so chains stay complete).
 pub const FLIGHT_CAPACITY: usize = 1 << 18;
-
-/// Shard count of the sharded runs: fixed (not host-derived) so even
-/// the N = 8 cell exercises cross-shard merge records.
-pub const FLIGHT_SHARDS: usize = 4;
 
 /// Hub A fails here.
 pub const FAULT_AT: SimTime = SimTime(1_000_000_000);
@@ -106,7 +102,7 @@ pub fn cell_seed(cell: &FlightCell) -> u64 {
 /// One run's complete take on a cell.
 #[derive(Debug, Clone)]
 pub struct DriverRun {
-    /// The merged flight log.
+    /// The flight log.
     pub log: FlightLog,
     /// Post-mortems built from that log.
     pub report: PostMortemReport,
@@ -128,15 +124,15 @@ fn fault_plan() -> FaultPlan {
         .repair_at(REPAIR_AT, SimComponent::Hub(NetId::A))
 }
 
-/// Runs one cell at the given shard count.
+/// Runs one cell.
 #[must_use]
-pub fn run(cell: &FlightCell, shards: usize) -> DriverRun {
+pub fn run(cell: &FlightCell) -> DriverRun {
     let n = cell.n;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n)
         .planes(cell.planes)
         .seed(cell_seed(cell));
-    let mut w = ShardedWorld::with_topology(spec, shards, 1, |id| DrsDaemon::new(id, n, cfg));
+    let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
     w.enable_flight(FLIGHT_CAPACITY);
     w.schedule_faults(fault_plan());
     w.run_for(RUN_FOR);
@@ -226,43 +222,40 @@ pub fn chain_stats(report: &PostMortemReport) -> ChainStats {
 /// orphaned refs, every chain complete, every decomposition exact, and
 /// the flight-derived histograms equal to the daemon's probe
 /// observability bucket-for-bucket.
-fn check_driver(label: &str, driver: &str, run: &DriverRun) -> ChainStats {
+fn check_run(label: &str, run: &DriverRun) -> ChainStats {
     assert_eq!(
         run.log.dropped, 0,
-        "{label}/{driver}: flight ring evicted records; raise FLIGHT_CAPACITY"
+        "{label}: flight ring evicted records; raise FLIGHT_CAPACITY"
     );
     for r in &run.log.records {
         if let Some(c) = r.cause {
             assert!(
                 (c.time_ns, c.seq, c.sub) < r.sort_key(),
-                "{label}/{driver}: {r:?} cites {c:?}, which does not sort below it"
+                "{label}: {r:?} cites {c:?}, which does not sort below it"
             );
         }
     }
     let s = chain_stats(&run.report);
-    assert!(s.failovers > 0, "{label}/{driver}: no failovers traced");
-    assert_eq!(s.orphan_refs, 0, "{label}/{driver}: orphaned cause refs");
-    assert_eq!(
-        s.complete, s.failovers,
-        "{label}/{driver}: incomplete causal chains"
-    );
+    assert!(s.failovers > 0, "{label}: no failovers traced");
+    assert_eq!(s.orphan_refs, 0, "{label}: orphaned cause refs");
+    assert_eq!(s.complete, s.failovers, "{label}: incomplete causal chains");
     assert_eq!(
         s.matched_reroute, s.failovers,
-        "{label}/{driver}: chain timestamps disagree with reroute args"
+        "{label}: chain timestamps disagree with reroute args"
     );
     assert_eq!(
         s.matched_detect, s.detect_chains,
-        "{label}/{driver}: chain timestamps disagree with detect args"
+        "{label}: chain timestamps disagree with detect args"
     );
     assert_eq!(
         flight_histogram(&run.log, TraceKind::LinkDown),
         run.obs.failover_detect,
-        "{label}/{driver}: link_down args != failover_detect histogram"
+        "{label}: link_down args != failover_detect histogram"
     );
     assert_eq!(
         flight_histogram(&run.log, TraceKind::RerouteComplete),
         run.obs.reroute_complete,
-        "{label}/{driver}: reroute args != reroute_complete histogram"
+        "{label}: reroute args != reroute_complete histogram"
     );
     s
 }
@@ -271,10 +264,8 @@ fn kind_count(log: &FlightLog, kind: TraceKind) -> u64 {
     log.records.iter().filter(|r| r.kind == kind).count() as u64
 }
 
-/// Builds the full flight artifact, asserting every cell's invariants at
-/// both shard counts and their agreement with each other along the way.
-/// Rows are taken from the sharded run (the one with kernel-track
-/// records).
+/// Builds the full flight artifact, asserting every cell's invariants
+/// along the way.
 #[must_use]
 pub fn flight_bench_artifact() -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
@@ -283,38 +274,17 @@ pub fn flight_bench_artifact() -> ObsArtifact {
     let mut decomp_sec = Section::new("latency_decomposition");
 
     for cell in flight_cells() {
-        let serial = run(&cell, 1);
-        let sharded = run(&cell, FLIGHT_SHARDS);
-        let _ = check_driver(cell.label, "serial", &serial);
-        let s = check_driver(cell.label, "sharded", &sharded);
-        // Both shard counts run the same protocol schedule, so the
-        // daemons must have told the same failover story.
-        assert_eq!(
-            serial.obs.failover_detect, sharded.obs.failover_detect,
-            "{}: serial and sharded detect histograms diverged",
-            cell.label
-        );
-        assert_eq!(
-            serial.obs.reroute_complete, sharded.obs.reroute_complete,
-            "{}: serial and sharded reroute histograms diverged",
-            cell.label
-        );
-        assert_eq!(
-            serial.report.failovers.len(),
-            sharded.report.failovers.len(),
-            "{}: shard counts reconstructed different failover counts",
-            cell.label
-        );
+        let cell_run = run(&cell);
+        let s = check_run(cell.label, &cell_run);
 
-        let k = |kind| kind_count(&sharded.log, kind);
+        let k = |kind| kind_count(&cell_run.log, kind);
         cells_sec.push(
             Row::new(cell.label)
                 .count("hosts", cell.n as u64)
                 .count("planes", u64::from(cell.planes))
-                .count("shards", FLIGHT_SHARDS as u64)
-                .count("records", sharded.log.records.len() as u64)
-                .count("dropped", sharded.log.dropped)
-                .count("perfetto_bytes", to_perfetto(&sharded.log).len() as u64)
+                .count("records", cell_run.log.records.len() as u64)
+                .count("dropped", cell_run.log.dropped)
+                .count("perfetto_bytes", to_perfetto(&cell_run.log).len() as u64)
                 .count("probe_send", k(TraceKind::ProbeSend))
                 .count("probe_recv", k(TraceKind::ProbeRecv))
                 .count("probe_loss", k(TraceKind::ProbeLoss))
@@ -324,10 +294,7 @@ pub fn flight_bench_artifact() -> ObsArtifact {
                 .count("failover_decision", k(TraceKind::FailoverDecision))
                 .count("reroute_complete", k(TraceKind::RerouteComplete))
                 .count("fault", k(TraceKind::Fault))
-                .count("repair", k(TraceKind::Repair))
-                .count("epoch", k(TraceKind::Epoch))
-                .count("merge", k(TraceKind::Merge))
-                .count("stall", k(TraceKind::Stall)),
+                .count("repair", k(TraceKind::Repair)),
         );
         chains_sec.push(
             Row::new(cell.label)
@@ -338,18 +305,17 @@ pub fn flight_bench_artifact() -> ObsArtifact {
                 .count("losses", s.losses)
                 .count("detect_chains", s.detect_chains)
                 .count("matched_detect", s.matched_detect)
-                .count("matched_reroute", s.matched_reroute)
-                .count("serial_matches", 1),
+                .count("matched_reroute", s.matched_reroute),
         );
         decomp_sec.push(
             Row::new(format!("{}/detect", cell.label))
                 .count("matches_probe_obs", 1)
-                .hist(&sharded.obs.failover_detect),
+                .hist(&cell_run.obs.failover_detect),
         );
         decomp_sec.push(
             Row::new(format!("{}/reroute", cell.label))
                 .count("matches_probe_obs", 1)
-                .hist(&sharded.obs.reroute_complete),
+                .hist(&cell_run.obs.reroute_complete),
         );
     }
 
@@ -387,8 +353,7 @@ impl FlightVerdict {
     }
 }
 
-/// Runs the smallest matrix cell at [`FLIGHT_SHARDS`] and folds it into
-/// the [`FlightVerdict`].
+/// Runs the smallest matrix cell and folds it into the [`FlightVerdict`].
 #[must_use]
 pub fn flight_verdict() -> FlightVerdict {
     let cell = FlightCell {
@@ -396,7 +361,7 @@ pub fn flight_verdict() -> FlightVerdict {
         n: 8,
         planes: 2,
     };
-    let s = chain_stats(&run(&cell, FLIGHT_SHARDS).report);
+    let s = chain_stats(&run(&cell).report);
     FlightVerdict {
         failovers: s.failovers,
         detect_chains: s.detect_chains,
@@ -419,14 +384,9 @@ mod tests {
     }
 
     #[test]
-    fn small_cell_passes_both_drivers_and_they_agree() {
-        let serial = run(&small(), 1);
-        let sharded = run(&small(), FLIGHT_SHARDS);
-        let a = check_driver("n8_k2", "serial", &serial);
-        let b = check_driver("n8_k2", "sharded", &sharded);
-        assert_eq!(a.failovers, b.failovers);
-        assert_eq!(serial.obs.failover_detect, sharded.obs.failover_detect);
-        assert_eq!(serial.obs.reroute_complete, sharded.obs.reroute_complete);
+    fn small_cell_passes_every_check() {
+        let s = check_run("n8_k2", &run(&small()));
+        assert!(s.failovers > 0);
     }
 
     #[test]

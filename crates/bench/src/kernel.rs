@@ -20,14 +20,15 @@ use drs_harness::coord_seed;
 use drs_obs::{Fnv1a, ObsArtifact, Row, Section};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::{KernelStats, World};
-use drs_sim::{NetId, NodeId, ShardedWorld, SimDuration};
+use drs_sim::{NetId, NodeId, SimDuration};
 
 use crate::BENCH_SEED;
 
 /// Schema tag written into the kernel artifact. `v2` added the sharded
 /// section (N up to 1024); `v3` dropped its worker-thread axis and named
-/// it `sharded_scaling`.
-pub const KERNEL_SCHEMA: &str = "drs-bench-kernel/v3";
+/// it `sharded_scaling`; `v4` dropped its shard, epoch, stall and merge
+/// counts with the multi-shard driver.
+pub const KERNEL_SCHEMA: &str = "drs-bench-kernel/v4";
 
 /// Cluster sizes measured — up to the paper's 90-node deployment.
 pub const KERNEL_GRID_N: [usize; 3] = [16, 64, 90];
@@ -38,11 +39,11 @@ pub const KERNEL_GRID_K: [u8; 2] = [2, 4];
 /// Virtual run length per cell: ten monitor cycles of steady state.
 pub const KERNEL_RUN: SimDuration = SimDuration::from_secs(2);
 
-/// Cluster sizes for the sharded scaling grid — the sizes the one-shard
-/// grid cannot reach in reasonable artifact-regen time.
+/// Cluster sizes for the scaling grid — one unstaggered burst each, the
+/// sizes a ten-cycle cell cannot reach in reasonable artifact-regen time.
 pub const SCALING_GRID_N: [usize; 2] = [256, 1024];
 
-/// Plane counts for the sharded scaling grid.
+/// Plane counts for the scaling grid.
 pub const SCALING_GRID_K: [u8; 2] = [2, 4];
 
 /// Virtual run length per scaling cell: one unstaggered monitor burst
@@ -155,33 +156,25 @@ pub fn run_cell(n: usize, planes: u8, batched: bool) -> KernelCell {
     }
 }
 
-/// One measured cell of the sharded scaling grid.
+/// One measured cell of the scaling grid.
 #[derive(Debug, Clone)]
 pub struct ScalingCell {
     /// Cluster size.
     pub n: usize,
     /// Plane count.
     pub planes: u8,
-    /// Shard count (one per ~16 hosts, capped at 64).
-    pub shards: usize,
-    /// Epochs executed.
-    pub epochs: u64,
-    /// Events dispatched, summed across shards.
+    /// Events dispatched.
     pub events: u64,
-    /// Empty shard-epochs (a shard woken with nothing in its window).
-    pub stalls: u64,
-    /// Cross-shard barrier merges performed.
-    pub merges: u64,
     /// Cluster-wide probes sent.
     pub probes_sent: u64,
     /// Frames admitted across all planes.
     pub frames: u64,
     /// Past-time schedule clamps (zero on a healthy run).
     pub clamped_past: u64,
-    /// Events per virtual second — the density the sharded kernel
-    /// sustains at this scale.
+    /// Events per virtual second — the density the kernel sustains at
+    /// this scale.
     pub events_per_virtual_sec: f64,
-    /// FNV-1a digest of the merged end state (per-node DRS metrics +
+    /// FNV-1a digest of the end state (per-node DRS metrics +
     /// per-plane medium counters + kernel push/pop totals).
     pub digest: u64,
 }
@@ -196,7 +189,7 @@ impl ScalingCell {
 
 /// The monitor configuration the scaling cells run: batched driver, one
 /// cycle per virtual second, no stagger — a single synchronized
-/// `K·N·(N−1)`-probe burst that every shard participates in.
+/// `K·N·(N−1)`-probe burst.
 #[must_use]
 pub fn scaling_cfg() -> DrsConfig {
     DrsConfig::default()
@@ -207,8 +200,7 @@ pub fn scaling_cfg() -> DrsConfig {
 }
 
 /// The cluster the scaling cells simulate: 25 Gb/s planes with 5 µs
-/// propagation, so the conservative lookahead window fits thousands of
-/// one-byte serializations and epochs stay coarse.
+/// propagation.
 #[must_use]
 pub fn scaling_spec(n: usize, planes: u8) -> ClusterSpec {
     ClusterSpec::new(n)
@@ -218,15 +210,11 @@ pub fn scaling_spec(n: usize, planes: u8) -> ClusterSpec {
         .propagation(SimDuration::from_micros(5))
 }
 
-/// Runs one `(n, planes)` scaling cell on the sharded kernel and digests
-/// its merged end state.
+/// Runs one `(n, planes)` scaling cell and digests its end state.
 #[must_use]
 pub fn run_scaling_cell(n: usize, planes: u8) -> ScalingCell {
     let cfg = scaling_cfg();
-    let shards = (n / 16).clamp(1, 64);
-    let mut w = ShardedWorld::with_topology(scaling_spec(n, planes), shards, 1, |id| {
-        DrsDaemon::new(id, n, cfg)
-    });
+    let mut w = World::new(scaling_spec(n, planes), |id| DrsDaemon::new(id, n, cfg));
     w.run_for(SCALING_RUN);
 
     let mut digest = Fnv1a::default();
@@ -257,15 +245,10 @@ pub fn run_scaling_cell(n: usize, planes: u8) -> ScalingCell {
     digest.u64(ks.wheel.pushes);
     digest.u64(ks.wheel.pops);
 
-    let ss = w.shard_stats();
     ScalingCell {
         n,
         planes,
-        shards: ss.shards,
-        epochs: ss.epochs,
-        events: ss.events_per_shard.iter().sum(),
-        stalls: ss.stalls_per_shard.iter().sum(),
-        merges: ss.merges,
+        events: ks.wheel.pops,
         probes_sent,
         frames,
         clamped_past: ks.clamped_past,
@@ -274,7 +257,7 @@ pub fn run_scaling_cell(n: usize, planes: u8) -> ScalingCell {
     }
 }
 
-/// Runs the sharded scaling grid: every `(n, planes)`, in grid order.
+/// Runs the scaling grid: every `(n, planes)`, in grid order.
 #[must_use]
 pub fn run_scaling_grid() -> Vec<ScalingCell> {
     let mut cells = Vec::new();
@@ -295,11 +278,7 @@ pub fn scaling_section(cells: &[ScalingCell]) -> Section {
             Row::new(c.id())
                 .count("n", c.n as u64)
                 .count("planes", u64::from(c.planes))
-                .count("shards", c.shards as u64)
-                .count("epochs", c.epochs)
                 .count("events", c.events)
-                .count("stalls", c.stalls)
-                .count("merges", c.merges)
                 .count("probes_sent", c.probes_sent)
                 .count("frames", c.frames)
                 .count("clamped_past", c.clamped_past)
@@ -326,7 +305,7 @@ pub fn run_grid() -> Vec<KernelCell> {
 }
 
 /// Builds the [`KERNEL_SCHEMA`] artifact from measured monitor and
-/// sharded scaling cells.
+/// scaling cells.
 #[must_use]
 pub fn kernel_artifact(cells: &[KernelCell], scaling: &[ScalingCell]) -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
@@ -416,6 +395,7 @@ pub fn kernel_artifact(cells: &[KernelCell], scaling: &[ScalingCell]) -> ObsArti
 #[cfg(test)]
 mod tests {
     use super::*;
+    use drs_sim::SimTime;
 
     #[test]
     fn batched_queue_traffic_is_linear_in_n() {
@@ -438,6 +418,30 @@ mod tests {
             "per-pair driver scheduled only {} timer events/cycle at n={n}",
             per_pair.timer_events_per_cycle()
         );
+    }
+
+    /// One steady-state monitor cycle of a healthy cluster pops exactly
+    /// 4·K·N(N−1) events with per-pair timers — a re-arm, a timeout, a
+    /// request and a reply arrival per (daemon, peer, plane) — and
+    /// 2N + 2·K·N(N−1) with the batched monitor: a fan-out and a sweep
+    /// per daemon plus the same frames. At the paper's N = 90, K = 2 that
+    /// is 64 080 and 32 220. The window runs mid-cycle to mid-cycle, so
+    /// it holds one cycle's sends, replies and timeouts.
+    #[test]
+    fn one_steady_cycle_pops_the_closed_form_per_driver() {
+        for (n, planes) in [(4usize, 2u8), (4, 3), (16, 2), (16, 3)] {
+            let pairs = u64::from(planes) * (n * (n - 1)) as u64;
+            for (batched, want) in [(false, 4 * pairs), (true, 2 * n as u64 + 2 * pairs)] {
+                let cfg = kernel_cfg(batched);
+                let spec = ClusterSpec::new(n).seed(7).planes(planes);
+                let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
+                w.run_until(SimTime(1_100_000_000));
+                let before = w.kernel_stats().wheel.pops;
+                w.run_until(SimTime(1_300_000_000));
+                let popped = w.kernel_stats().wheel.pops - before;
+                assert_eq!(popped, want, "n={n} k={planes} batched={batched}");
+            }
+        }
     }
 
     #[test]
@@ -468,7 +472,6 @@ mod tests {
     fn scaling_cell_fires_its_burst_clamp_free() {
         let c = run_scaling_cell(32, 2);
         assert!(c.probes_sent > 0, "burst never fired");
-        assert!(c.shards == 2 && c.epochs > 0 && c.merges > 0, "{c:?}");
         assert_eq!(c.clamped_past, 0);
         let sec = scaling_section(&[c]);
         assert_eq!(sec.rows.len(), 1);

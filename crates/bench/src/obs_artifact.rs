@@ -242,7 +242,7 @@ pub const OBS_GOODPUT_BUDGETS_PCT: [u64; 3] = [5, 10, 25];
 /// percentiles, and the exact delivered/shortfall byte ledger.
 ///
 /// Everything is draw-free except the workload's own per-host streams
-/// (deterministic SplitMix64, identical at every shard count), so the cells
+/// (deterministic SplitMix64), so the cells
 /// are byte-reproducible. The section asserts the monotone payoff:
 /// a bigger probe budget never lengthens the worst interruption.
 fn goodput_under_failover_section() -> Section {

@@ -7,16 +7,15 @@
 //! * **`slo`** — the paper's hub-failure scenario with a heavy-tailed
 //!   open-loop session workload riding on the DRS daemons: goodput,
 //!   interruption, stalled/dropped-per-failover histograms, the exact
-//!   conservation ledger, and the engine-vs-daemon reroute cross-check.
-//!   The cell runs at one shard and at [`WORKLOAD_SHARDS`] and asserts
-//!   bit-identical statistics before anything is written.
+//!   conservation ledger, and the engine-vs-daemon reroute cross-check,
+//!   each asserted before anything is written.
 //! * **`scaling`** — the O(transitions) pillar, measured: the same
 //!   arrival schedule at per-session rates ×1, ×16 and ×256 produces
 //!   *identical* kernel event and transition counts (the kernel never
 //!   touches a session between its transitions), while every fluid
 //!   ledger quantity scales exactly linearly.
 //! * **`million`** — a 1.04-million-user closed-loop population over a
-//!   hub failure, at [`WORKLOAD_SHARDS`]: the run fits a fixed kernel
+//!   hub failure: the run fits a fixed kernel
 //!   event budget because events are one per session transition, not
 //!   per byte or per packet, and the ledger still balances exactly.
 //!
@@ -28,8 +27,8 @@ use drs_harness::coord_seed;
 use drs_obs::{ObsArtifact, Row, Section};
 use drs_sim::workload::UNIT_PER_BYTE;
 use drs_sim::{
-    ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId, ShardedWorld,
-    SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
+    ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId, SimComponent,
+    SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
 };
 
 use crate::BENCH_SEED;
@@ -37,8 +36,9 @@ use crate::BENCH_SEED;
 /// Schema tag written into every workload artifact.
 pub const WORKLOAD_SCHEMA: &str = "drs-bench-workload/v1";
 
-/// Shard count for every sharded run: fixed (not host-derived) so even
-/// small cells exercise the cross-shard transition merge.
+/// The shard count `benchmark/` passes to `ShardedWorld::with_topology`,
+/// which ignores it. It stays only because `benchmark/` imports it;
+/// ROADMAP item 5 deletes it.
 pub const WORKLOAD_SHARDS: usize = 4;
 
 /// Sessions-per-host population of the million cell: 40 hosts ×
@@ -127,15 +127,13 @@ impl WorkloadRun {
         }
     }
 }
-
-/// Runs the SLO cell at the given shard count. Bit-identical for every
-/// shard count, by the driver's construction.
+/// Runs the SLO cell.
 #[must_use]
-pub fn run_slo(shards: usize) -> WorkloadRun {
+pub fn run_slo() -> WorkloadRun {
     let n = SLO_HOSTS;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 1));
-    let mut w = ShardedWorld::with_topology(spec, shards, 1, |id| DrsDaemon::new(id, n, cfg));
+    let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(slo_plan());
     w.enable_workload(slo_spec());
     w.run_for(SLO_RUN);
@@ -151,8 +149,7 @@ pub fn run_scaling(m: u64) -> WorkloadRun {
     let n = 16usize;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 2));
-    let mut w =
-        ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, 1, |id| DrsDaemon::new(id, n, cfg));
+    let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(
         FaultPlan::new()
             .fail_at(SimTime(2_000_000_123), SimComponent::Hub(NetId::A))
@@ -186,8 +183,7 @@ pub fn run_million() -> WorkloadRun {
     let n = MILLION_HOSTS;
     let cfg = daemon_config();
     let spec = ClusterSpec::new(n).seed(coord_seed(BENCH_SEED, n as u64, 3));
-    let mut w =
-        ShardedWorld::with_topology(spec, WORKLOAD_SHARDS, 1, |id| DrsDaemon::new(id, n, cfg));
+    let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(
         FaultPlan::new()
             .fail_at(SimTime(1_000_000_123), SimComponent::Hub(NetId::A))
@@ -244,38 +240,34 @@ fn stats_row(id: &str, run: &WorkloadRun) -> Row {
 }
 
 /// Builds the full workload artifact, asserting every invariant on the
-/// way: shard-count equivalence on the SLO cell, exact linearity and
+/// way: the SLO cell's ledger and cross-checks, exact linearity and
 /// transition invariance on the scaling ladder, and the million cell's
 /// population, budget and conservation bounds.
 #[must_use]
 pub fn workload_bench_artifact() -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
 
-    // SLO: both shard counts, bit-identical, then one section of rows
-    // from the sharded run.
-    let serial = run_slo(1);
-    let sharded = run_slo(WORKLOAD_SHARDS);
-    assert_eq!(serial, sharded, "slo: serial and sharded runs diverged");
-    assert!(sharded.conserved, "slo: fluid ledger out of balance");
-    assert!(sharded.stats.stall_windows > 0, "slo: no failover stalls");
+    let slo_run = run_slo();
+    assert!(slo_run.conserved, "slo: fluid ledger out of balance");
+    assert!(slo_run.stats.stall_windows > 0, "slo: no failover stalls");
     assert!(
-        sharded.stats.resumed_windows > 0,
+        slo_run.stats.resumed_windows > 0,
         "slo: failover never resumed a stalled session"
     );
     assert_eq!(
-        sharded.stats.reroute_notifications, sharded.daemon_reroutes,
+        slo_run.stats.reroute_notifications, slo_run.daemon_reroutes,
         "slo: engine reroute credits != daemon reroute_complete samples"
     );
     assert_eq!(
-        sharded.events, sharded.stats.transitions,
+        slo_run.events, slo_run.stats.transitions,
         "slo: kernel touched sessions outside their transitions"
     );
     let mut slo = Section::new("slo");
-    slo.push(stats_row("hub_failover_n24", &sharded));
-    slo.push(Row::new("goodput_bytes").hist(&sharded.stats.goodput_bytes));
-    slo.push(Row::new("interruption_ns").hist(&sharded.stats.interruption));
-    slo.push(Row::new("stalled_per_failover").hist(&sharded.stats.stalled_per_failover));
-    slo.push(Row::new("dropped_per_stall").hist(&sharded.stats.dropped_per_stall));
+    slo.push(stats_row("hub_failover_n24", &slo_run));
+    slo.push(Row::new("goodput_bytes").hist(&slo_run.stats.goodput_bytes));
+    slo.push(Row::new("interruption_ns").hist(&slo_run.stats.interruption));
+    slo.push(Row::new("stalled_per_failover").hist(&slo_run.stats.stalled_per_failover));
+    slo.push(Row::new("dropped_per_stall").hist(&slo_run.stats.dropped_per_stall));
     artifact.push(slo);
 
     // Scaling: the kernel's work is a function of the transition count
@@ -430,11 +422,10 @@ impl SloVerdict {
     }
 }
 
-/// Runs the SLO cell at [`WORKLOAD_SHARDS`] and folds it into its
-/// verdict.
+/// Runs the SLO cell and folds it into its verdict.
 #[must_use]
 pub fn slo_verdict() -> SloVerdict {
-    let run = run_slo(WORKLOAD_SHARDS);
+    let run = run_slo();
     SloVerdict {
         conserved: run.conserved,
         stall_windows: run.stats.stall_windows,
@@ -449,12 +440,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn slo_cell_is_driver_invariant() {
-        let serial = run_slo(1);
-        let sharded = run_slo(WORKLOAD_SHARDS);
-        assert_eq!(serial, sharded, "one shard vs sharded");
-        assert!(sharded.conserved);
-        assert_eq!(sharded.stats.reroute_notifications, sharded.daemon_reroutes);
+    fn slo_cell_conserves_and_matches_the_daemons() {
+        let run = run_slo();
+        assert!(run.conserved);
+        assert_eq!(run.stats.reroute_notifications, run.daemon_reroutes);
     }
 
     #[test]

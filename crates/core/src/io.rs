@@ -5,8 +5,8 @@
 //! that implements this trait. Three backends exist:
 //!
 //! * **DES** — `drs_sim` implements `DrsIo` for its `Ctx`, so the daemon
-//!   runs inside the deterministic discrete-event kernel (single-threaded
-//!   `World` or the sharded `ShardedWorld`, which merge byte-identically).
+//!   runs inside the deterministic discrete-event kernel, `World`: one
+//!   event loop on the calling thread.
 //! * **Live UDP** — `drs_io::live` runs the daemon over real loopback
 //!   sockets, one socket per plane, with wall-clock timers.
 //! * **Replay** — `drs_io::replay` feeds a recorded input journal (see

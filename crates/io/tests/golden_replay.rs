@@ -12,15 +12,14 @@
 //!   journalling must be a fixed point).
 //!
 //! Any divergence means the daemon read state outside the `DrsIo`
-//! boundary — exactly the regression this suite exists to catch. The
-//! same goldens are checked at one shard and at two.
+//! boundary — exactly the regression this suite exists to catch.
 
 use drs_core::{
     DaemonJournal, DrsConfig, DrsDaemon, GatewayPolicy, NetId, NodeId, ProbeObs, Route, RouteTable,
     SimDuration, SimTime,
 };
 use drs_io::replay_journal;
-use drs_sim::{ClusterSpec, FaultPlan, ShardedWorld, SimComponent};
+use drs_sim::{ClusterSpec, FaultPlan, SimComponent, World};
 
 /// Everything the DES run leaves behind for one node.
 struct Golden {
@@ -37,17 +36,10 @@ fn fast_cfg() -> DrsConfig {
         .record_journal(true)
 }
 
-/// Runs the DES at `shards` and captures every node's golden.
-fn capture(
-    n: usize,
-    seed: u64,
-    cfg: DrsConfig,
-    plan: FaultPlan,
-    secs: u64,
-    shards: usize,
-) -> Vec<Golden> {
+/// Runs the DES and captures every node's golden.
+fn capture(n: usize, seed: u64, cfg: DrsConfig, plan: FaultPlan, secs: u64) -> Vec<Golden> {
     let spec = ClusterSpec::new(n).seed(seed);
-    let mut w = ShardedWorld::with_topology(spec, shards, 1, move |id| DrsDaemon::new(id, n, cfg));
+    let mut w = World::new(spec, move |id| DrsDaemon::new(id, n, cfg));
     w.schedule_faults(plan);
     w.run_for(SimDuration::from_secs(secs));
     (0..n as u32)
@@ -101,7 +93,7 @@ fn hub_fault() -> FaultPlan {
 fn golden_replay_four_nodes_hub_fault() {
     let n = 4;
     let cfg = fast_cfg();
-    let goldens = capture(n, 41, cfg, hub_fault(), 3, 1);
+    let goldens = capture(n, 41, cfg, hub_fault(), 3);
     assert!(goldens[0].journal.len() > 50, "a real run was captured");
     assert_replay_reproduces(n, cfg, &goldens);
 }
@@ -110,18 +102,7 @@ fn golden_replay_four_nodes_hub_fault() {
 fn golden_replay_eight_nodes_hub_fault() {
     let n = 8;
     let cfg = fast_cfg();
-    let goldens = capture(n, 42, cfg, hub_fault(), 3, 1);
-    assert_replay_reproduces(n, cfg, &goldens);
-}
-
-#[test]
-fn golden_replay_matches_sharded_kernel() {
-    // Two shards must hand every daemon the same input stream one shard
-    // does (that is the merge invariant), so their journals replay just
-    // as exactly.
-    let n = 8;
-    let cfg = fast_cfg();
-    let goldens = capture(n, 42, cfg, hub_fault(), 3, 2);
+    let goldens = capture(n, 42, cfg, hub_fault(), 3);
     assert_replay_reproduces(n, cfg, &goldens);
 }
 
@@ -141,7 +122,7 @@ fn golden_replay_reproduces_random_gateway_draws() {
             SimTime(1_000_000_000),
             SimComponent::Nic(NodeId(1), NetId::A),
         );
-    let goldens = capture(n, 43, cfg, plan, 6, 1);
+    let goldens = capture(n, 43, cfg, plan, 6);
     assert!(
         goldens.iter().any(|g| !g.journal.picks.is_empty()),
         "discovery under Random policy must draw randomness"

@@ -1,4 +1,4 @@
-//! Post-mortem builder: turns a merged flight log back into the paper's
+//! Post-mortem builder: turns a flight log back into the paper's
 //! failover narrative.
 //!
 //! For every [`TraceKind::RerouteComplete`] in a [`FlightLog`], the
@@ -136,7 +136,7 @@ impl PostMortemReport {
 
 /// Builds a post-mortem for every reroute completion in the log.
 ///
-/// The walk is pure: it only reads the log, so the same merged log
+/// The walk is pure: it only reads the log, so the same log
 /// always gives bit-identical reports.
 ///
 /// Each cause ref is found by galloping from a guess at its index,
@@ -357,7 +357,7 @@ mod tests {
         let mut log = sample_log();
         log.records.reverse();
         assert_eq!(build_post_mortems(&log), expected);
-        // Two shards' records under one `(time, seq, sub)` key: the cause
+        // Two hosts' records under one `(time, seq, sub)` key: the cause
         // ref names the second of the pair.
         let mut log = sample_log();
         let mut twin = log.records[0];

@@ -8,8 +8,8 @@
 //! sim-time-stamped record with a [`TraceKind`], the acting host/plane,
 //! a kind-specific argument, and an optional [`EventRef`] pointing at
 //! the record that caused it. The simulator records them in dispatch
-//! order, so a drained log is already sorted by `(time, seq, sub)` and
-//! merges across shards exactly like the kernel's own event log.
+//! order, so a drained log is already sorted by `(time, seq, sub)`, the
+//! order of the kernel's own event log.
 //!
 //! # Identity
 //!
@@ -42,15 +42,14 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 /// Stable identity of one trace record: the sim-time and kernel event
 /// seq of the dispatch that produced it, the acting host, and the
 /// per-dispatch record sub-counter. Totally ordered by `(time, seq,
-/// host, sub)` — the same order the merged timeline is sorted in.
+/// host, sub)` — the same order the timeline is sorted in.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct EventRef {
     /// Simulation time of the producing dispatch, in nanoseconds.
     pub time_ns: u64,
-    /// Kernel event sequence number of the producing dispatch (the full
-    /// packed seq under a sharded kernel).
+    /// Kernel event sequence number of the producing dispatch.
     pub seq: u64,
-    /// Acting host (`u32::MAX` for coordinator/kernel records).
+    /// Acting host (`u32::MAX` for hub records).
     pub host: u32,
     /// Index of this record among those the dispatch emitted.
     pub sub: u32,
@@ -64,8 +63,7 @@ impl EventRef {
 }
 
 /// What a trace record describes. The daemon kinds mirror the paper's
-/// failover narrative; the kernel kinds give the Perfetto export its
-/// engine tracks.
+/// failover narrative.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TraceKind {
     /// A monitor probe left a host. `arg = (peer << 32) | probe_seq`;
@@ -101,14 +99,6 @@ pub enum TraceKind {
     Fault,
     /// A fault plan brought a component back. Fields as [`Self::Fault`].
     Repair,
-    /// Kernel track: a sharded epoch opened. `arg` = epoch index.
-    Epoch,
-    /// Kernel track: the barrier merged an epoch's outboxes. `arg` =
-    /// intents merged.
-    Merge,
-    /// Kernel track: a shard crossed an epoch without popping anything.
-    /// `host` = shard index.
-    Stall,
 }
 
 impl TraceKind {
@@ -126,14 +116,11 @@ impl TraceKind {
             Self::RerouteComplete => "reroute_complete",
             Self::Fault => "fault",
             Self::Repair => "repair",
-            Self::Epoch => "epoch",
-            Self::Merge => "merge",
-            Self::Stall => "stall",
         }
     }
 
     /// Every kind, in declaration order (artifact row iteration).
-    pub const ALL: [TraceKind; 13] = [
+    pub const ALL: [TraceKind; 10] = [
         Self::ProbeSend,
         Self::ProbeRecv,
         Self::ProbeLoss,
@@ -144,9 +131,6 @@ impl TraceKind {
         Self::RerouteComplete,
         Self::Fault,
         Self::Repair,
-        Self::Epoch,
-        Self::Merge,
-        Self::Stall,
     ];
 }
 
@@ -176,7 +160,7 @@ pub struct TraceRecord {
     pub sub: u32,
     /// What happened.
     pub kind: TraceKind,
-    /// Acting host (`u32::MAX` for coordinator/kernel records).
+    /// Acting host (`u32::MAX` for hub records).
     pub host: u32,
     /// Plane the record concerns, when it concerns one.
     pub plane: Option<u8>,
@@ -198,45 +182,21 @@ impl TraceRecord {
         }
     }
 
-    /// The merge key: records sort by `(time, seq, sub)` within a shard
-    /// and by shard index across shards at equal keys.
+    /// The sort key: records sort by `(time, seq, sub)`.
     #[must_use]
     pub fn sort_key(&self) -> (u64, u64, u32) {
         (self.time_ns, self.seq, self.sub)
     }
 }
 
-/// A drained, merged flight log: the sorted records plus how many were
-/// evicted unpreserved along the way.
+/// A drained flight log: the sorted records plus how many were evicted
+/// unpreserved along the way.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct FlightLog {
-    /// Records in `(time, seq, sub)` order (shard index breaking ties).
+    /// Records in `(time, seq, sub)` order.
     pub records: Vec<TraceRecord>,
     /// Records evicted without protection (see [`FlightRecorder`]).
     pub dropped: u64,
-}
-
-impl FlightLog {
-    /// Merges per-shard logs into one timeline. `logs` must be in shard
-    /// order; each shard's records must already be in dispatch order
-    /// (which [`FlightRecorder::drain`] guarantees). Drop counters add.
-    #[must_use]
-    pub fn merge(mut logs: Vec<FlightLog>) -> FlightLog {
-        if logs.len() == 1 {
-            // One shard's drained ring is already the whole timeline.
-            return logs.pop().expect("length checked");
-        }
-        let mut dropped = 0;
-        let mut records: Vec<TraceRecord> = Vec::new();
-        for log in logs {
-            dropped += log.dropped;
-            records.extend(log.records);
-        }
-        // Stable by construction: equal (time, seq, sub) keys keep
-        // shard order, the same tie-break the kernel event log uses.
-        records.sort_by_key(TraceRecord::sort_key);
-        FlightLog { records, dropped }
-    }
 }
 
 /// Bounded ring buffer of [`TraceRecord`]s with causal-ancestor
@@ -473,8 +433,9 @@ impl FlightRecorder {
 }
 
 /// Finds the first record identified by `r` in a slice sorted by
-/// [`TraceRecord::sort_key`]. Merged logs hold equal keys from different
-/// shards side by side, so the equal-key run is scanned for the host.
+/// [`TraceRecord::sort_key`]. A log assembled from several recorders can
+/// hold equal keys side by side, so the equal-key run is scanned for the
+/// host.
 pub(crate) fn find_sorted(sorted: &[TraceRecord], r: EventRef) -> Option<&TraceRecord> {
     let start = sorted.partition_point(|rec| rec.sort_key() < r.sort_key());
     find_in_run(sorted, start, r).map(|i| &sorted[i])
@@ -524,13 +485,13 @@ fn find_in_run(sorted: &[TraceRecord], start: usize, r: EventRef) -> Option<usiz
         .map(|i| start + i)
 }
 
-/// Renders a merged flight log as Chrome `trace_event` JSON for
-/// Perfetto / `chrome://tracing`.
+/// Renders a flight log as Chrome `trace_event` JSON for Perfetto /
+/// `chrome://tracing`.
 ///
-/// Layout: one *process* per host (`pid = host + 1`) with one *thread*
-/// track per plane (`tid = plane + 1`; plane-less records land on
-/// `tid = 0`), plus a kernel process (`pid = 0`) whose tracks carry the
-/// sharded engine's epochs, merges and stalls. Every record becomes an
+/// Layout: one *process* per host (`pid = host + 1`, saturating, so hub
+/// records land on `pid = u32::MAX`) with one *thread* track per plane
+/// (`tid = plane + 1`; plane-less records land on `tid = 0`). Every
+/// record becomes an
 /// instant event (`ph: "i"`) at its sim-time in microseconds; `args`
 /// carry the seq/sub identity, the kind-specific argument, and the
 /// cause ref, so a failover can be walked visually. Only simulation
@@ -551,20 +512,11 @@ pub fn to_perfetto(log: &FlightLog) -> String {
     String::from_utf8(out).expect("the trace writer emits ASCII only")
 }
 
-const KERNEL_PID: u32 = 0;
-
 /// The Perfetto `(pid, tid)` track a record is drawn on.
 fn pid_tid(rec: &TraceRecord) -> (u32, u32) {
-    match rec.kind {
-        TraceKind::Epoch => (KERNEL_PID, 1),
-        TraceKind::Merge => (KERNEL_PID, 2),
-        TraceKind::Stall => (KERNEL_PID, 3),
-        _ => {
-            let pid = rec.host.saturating_add(1);
-            let tid = rec.plane.map_or(0, |p| u32::from(p) + 1);
-            (pid, tid)
-        }
-    }
+    let pid = rec.host.saturating_add(1);
+    let tid = rec.plane.map_or(0, |p| u32::from(p) + 1);
+    (pid, tid)
 }
 
 /// The event lines of [`to_perfetto`]: the track metadata in `(pid, tid)`
@@ -590,17 +542,13 @@ fn write_events(out: &mut Vec<u8>, log: &FlightLog) {
             out.extend_from_slice(b", \"tid\": ");
             push_u64(out, u64::from(tid));
             out.extend_from_slice(b", \"args\": {\"name\": \"");
-            match (process, pid, tid) {
-                (true, KERNEL_PID, _) => out.extend_from_slice(b"kernel"),
-                (true, _, _) => {
+            match (process, tid) {
+                (true, _) => {
                     out.extend_from_slice(b"host");
                     push_u64(out, u64::from(pid - 1));
                 }
-                (false, KERNEL_PID, 1) => out.extend_from_slice(b"epochs"),
-                (false, KERNEL_PID, 2) => out.extend_from_slice(b"merges"),
-                (false, KERNEL_PID, _) => out.extend_from_slice(b"stalls"),
-                (false, _, 0) => out.extend_from_slice(b"host"),
-                (false, _, _) => {
+                (false, 0) => out.extend_from_slice(b"host"),
+                (false, _) => {
                     out.extend_from_slice(b"plane");
                     push_u64(out, u64::from(tid - 1));
                 }
@@ -705,7 +653,7 @@ fn push_ts(out: &mut Vec<u8>, time_ns: u64) {
 /// The set of `(pid, tid)` tracks a log draws on, gathered without a tree
 /// insert per record: a 4 KiB bitmap over the dense corner every
 /// simulator log lives in — pids below [`Tracks::PIDS`] (hosts below
-/// 2046) plus the saturated pid `u32::MAX` (the coordinator's host), on
+/// 2046) plus the saturated pid `u32::MAX` (the hub records' host), on
 /// tids below [`Tracks::TIDS`] (plane-less, or planes below 15; a
 /// cluster has at most eight) — and a tree for a track outside it.
 struct Tracks {
@@ -785,10 +733,10 @@ pub(crate) mod testkit {
         }
     }
 
-    /// A log of about `len` records in dispatch order, as a merged
-    /// simulator log looks: several dispatches per instant, several
-    /// records per dispatch, twins under one `(time, seq, sub)` key on
-    /// other hosts, every kind including kernel and loss records, causes
+    /// A log of about `len` records in dispatch order, as a simulator log
+    /// looks: several dispatches per instant, several records per
+    /// dispatch, twins under one `(time, seq, sub)` key on other hosts,
+    /// every kind including loss records, causes
     /// that name a recent record below the citer, none, or nothing held.
     pub(crate) fn drawn_log(seed: u64, len: usize) -> FlightLog {
         let mut rng = Rng::seed_from_u64(seed);
@@ -1000,40 +948,11 @@ mod tests {
     }
 
     #[test]
-    fn merge_is_a_stable_keyed_sort() {
-        let shard0 = FlightLog {
-            records: vec![rec(10, 5, TraceKind::ProbeSend, None), {
-                let mut r = rec(30, 7, TraceKind::ProbeRecv, None);
-                r.host = 2;
-                r
-            }],
-            dropped: 1,
-        };
-        let shard1 = FlightLog {
-            records: vec![{
-                let mut r = rec(10, 5, TraceKind::ProbeSend, None);
-                r.host = 9; // same key as shard0's first: shard order breaks the tie
-                r
-            }],
-            dropped: 2,
-        };
-        let merged = FlightLog::merge(vec![shard0, shard1]);
-        assert_eq!(merged.dropped, 3);
-        assert_eq!(merged.records.len(), 3);
-        assert_eq!(merged.records[0].host, 0);
-        assert_eq!(merged.records[1].host, 9);
-        assert_eq!(merged.records[2].host, 2);
-    }
-
-    #[test]
     fn perfetto_export_is_deterministic_and_sim_time_only() {
         let anchor = rec(1_000, 1, TraceKind::ProbeRecv, None);
         let sweep = rec(51_000, 2, TraceKind::TimeoutSweep, Some(anchor.self_ref()));
-        let mut epoch = rec(0, 0, TraceKind::Epoch, None);
-        epoch.host = u32::MAX;
-        epoch.plane = None;
         let log = FlightLog {
-            records: vec![epoch, anchor, sweep],
+            records: vec![anchor, sweep],
             dropped: 0,
         };
         let a = to_perfetto(&log);
@@ -1042,7 +961,6 @@ mod tests {
         assert!(a.contains("\"traceEvents\""));
         assert!(a.contains("\"timeout_sweep\""));
         assert!(a.contains("\"ts\": 51.0"), "microsecond timestamps: {a}");
-        assert!(a.contains("\"kernel\""));
         assert!(a.contains("\"host0\""));
         assert!(a.contains("\"cause\": \"1000:1:0:0\""));
     }
@@ -1203,8 +1121,7 @@ mod tests {
                 }
                 _ => {
                     // Advance the dispatch identity: the same key on
-                    // another host (coordinator records share `(time,
-                    // seq, sub)` with a shard's), the next sub of the same
+                    // another host, the next sub of the same
                     // dispatch, the next dispatch of the same instant, or
                     // a later instant.
                     match rng.below(4) {
@@ -1216,7 +1133,12 @@ mod tests {
                             (seq, sub, host_ix) = (seq + 1, 0, 0);
                         }
                     }
-                    let mut r = rec(time_ns, seq, TraceKind::ALL[rng.below(13) as usize], None);
+                    let mut r = rec(
+                        time_ns,
+                        seq,
+                        TraceKind::ALL[rng.below(TraceKind::ALL.len() as u64) as usize],
+                        None,
+                    );
                     r.sub = sub;
                     r.host = HOSTS[host_ix];
                     r.arg = step as u64;
@@ -1465,14 +1387,8 @@ mod tests {
         use crate::jsonfmt::{json_string, push_f64};
         use std::fmt::Write as _;
 
-        fn track_name(pid: u32, tid: u32) -> String {
-            if pid == KERNEL_PID {
-                match tid {
-                    1 => "epochs".to_string(),
-                    2 => "merges".to_string(),
-                    _ => "stalls".to_string(),
-                }
-            } else if tid == 0 {
+        fn track_name(tid: u32) -> String {
+            if tid == 0 {
                 "host".to_string()
             } else {
                 format!("plane{}", tid - 1)
@@ -1487,14 +1403,9 @@ mod tests {
         // Separator before each event line: none before the first.
         let mut sep = "    ";
         for &(pid, tid) in tracks.keys() {
-            let pname = if pid == KERNEL_PID {
-                "kernel".to_string()
-            } else {
-                format!("host{}", pid - 1)
-            };
             for (meta, name) in [
-                ("process_name", pname),
-                ("thread_name", track_name(pid, tid)),
+                ("process_name", format!("host{}", pid - 1)),
+                ("thread_name", track_name(tid)),
             ] {
                 out.push_str(std::mem::replace(&mut sep, ",\n    "));
                 write!(
@@ -1663,8 +1574,7 @@ mod tests {
         let text = to_perfetto(&log);
         assert_eq!(text, to_perfetto_oracle(&log));
         for needle in [
-            "\"kernel\"",
-            "\"stalls\"",
+            "\"plane255\"",
             "\"ts\": 1.5,",
             "\"ts\": 51.0,",
             "\"cause\": null",

@@ -12,10 +12,10 @@
 //!   across worker threads are exact and order-independent ([`hist`]).
 //! * [`FlightRecorder`] / [`TraceRecord`] — the causal flight recorder:
 //!   a bounded ring of sim-time trace records where each record can name
-//!   the record that caused it, merged across shards in `(time, seq,
-//!   sub)` order ([`flight`]); [`causal`] walks the cause chains
-//!   back into per-failover post-mortems and [`to_perfetto`] renders the
-//!   merged timeline as Chrome `trace_event` JSON.
+//!   the record that caused it, drained in `(time, seq, sub)` order
+//!   ([`flight`]); [`causal`] walks the cause chains back into
+//!   per-failover post-mortems and [`to_perfetto`] renders the timeline
+//!   as Chrome `trace_event` JSON.
 //! * [`ObsArtifact`] — the versioned `drs-bench-observability/v2`
 //!   serializer in the same deterministic hand-rolled JSON style as the
 //!   other committed artifacts ([`artifact`]), built on the shared

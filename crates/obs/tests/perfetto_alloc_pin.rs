@@ -1,8 +1,8 @@
 //! Allocation pin: `to_perfetto` allocates its output buffer and nothing
 //! else. A counting global allocator over [`System`] counts every `alloc`
 //! and `realloc` made while one 12 288-record log — 32 hosts on two
-//! planes and plane-less, the coordinator's fault records, and the three
-//! kernel tracks, 101 tracks in all — is exported.
+//! planes and plane-less, and the hub fault records on both planes, 98
+//! tracks in all — is exported.
 //!
 //! What it protects: the event lines are written as bytes into a buffer
 //! sized once (`128 + 192` B per record; the log averages 178 B), the
@@ -45,10 +45,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
-/// A probing cluster's log, 16 records per dispatch block: a kernel
-/// epoch, merge and stall mark, a plane-less timeout sweep, a coordinator
-/// hub fault, and eleven probe sends and replies, on a host that changes
-/// every block and a plane that changes every 32 blocks.
+/// A probing cluster's log, 16 records per dispatch block: a plane-less
+/// timeout sweep, a hub fault, and fourteen probe sends and replies, on a
+/// host that changes every block and a plane that changes every 32
+/// blocks.
 fn cluster_log(records: u64) -> FlightLog {
     let mut log = FlightLog::default();
     let mut prev: Option<EventRef> = None;
@@ -56,11 +56,8 @@ fn cluster_log(records: u64) -> FlightLog {
         let host = (i / 16 % 32) as u32;
         let plane = Some((i / 512 % 2) as u8);
         let (kind, host, plane) = match i % 16 {
-            0 => (TraceKind::Epoch, u32::MAX, None),
-            1 => (TraceKind::Merge, u32::MAX, None),
-            2 => (TraceKind::Stall, host % 4, None),
-            3 => (TraceKind::TimeoutSweep, host, None),
-            4 => (TraceKind::Fault, u32::MAX, plane),
+            0 => (TraceKind::TimeoutSweep, host, None),
+            2 => (TraceKind::Fault, u32::MAX, plane),
             k if k % 2 == 1 => (TraceKind::ProbeSend, host, plane),
             _ => (TraceKind::ProbeRecv, host, plane),
         };
@@ -87,10 +84,7 @@ fn the_perfetto_export_allocates_once() {
     let text = to_perfetto(&log);
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
     let tracks = text.matches("\"thread_name\"").count();
-    assert_eq!(
-        tracks, 101,
-        "the log spans 32 hosts × 3 tids + 2 + 3 tracks"
-    );
+    assert_eq!(tracks, 98, "the log spans 32 hosts × 3 tids + 2 tracks");
     assert!(text.len() > 150 * log.records.len(), "{} B", text.len());
     assert_eq!(
         allocations,

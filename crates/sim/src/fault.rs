@@ -171,11 +171,10 @@ pub(crate) struct HubToggle {
 /// the toggle rule is applied: a toggle at `t` takes effect before every
 /// other event at `t` (it is never dispatched as an event and consumes no
 /// sequence number), and between toggles the last one holds — before the
-/// first, every hub is up. The world owns one; the merge's admission and
-/// `component_is_up` ask it about an instant ([`Self::is_up`]), each
-/// core's admission and arrival check keep a cursor into it
-/// ([`Self::is_up_from`]), and the driver loops and the fluid engine walk
-/// it with cursors ([`Self::due`]). Toggles join at any instant at or
+/// first, every hub is up. The world owns one; `component_is_up` asks it
+/// about an instant ([`Self::is_up`]), the core's admission and arrival
+/// check keep a cursor into it ([`Self::is_up_from`]), and the driver
+/// loop and the fluid engine walk it with cursors ([`Self::due`]). Toggles join at any instant at or
 /// after the present, so every toggle a cursor has passed stays where it
 /// is.
 #[derive(Debug)]

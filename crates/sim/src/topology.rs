@@ -216,7 +216,7 @@ impl TopologySpec {
             .collect()
     }
 
-    /// Masks a host block's NICs down to topology membership: every
+    /// Masks every node's NICs down to topology membership: every
     /// `(node, segment)` cell goes down except the two endpoints of each
     /// link, and route tables start empty (a graph fabric has no
     /// meaningful "direct on the primary plane" default). Applied before
@@ -225,8 +225,7 @@ impl TopologySpec {
     pub(crate) fn apply_membership(&self, hosts: &mut Hosts) {
         let segments = self.segments();
         let n = self.nodes();
-        let block: Vec<NodeId> = hosts.nodes().collect();
-        for node in block {
+        for node in (0..n as u32).map(NodeId) {
             for s in 0..segments {
                 hosts.set_nic(node, NetId(s as u8), false);
             }

@@ -28,21 +28,6 @@
 //! * **cascade** redistributes a higher-level slot into the levels below
 //!   when the clock enters its window, exactly like a hardware timer
 //!   wheel.
-//! * **next_hint** — the sharded driver's query, "when is the next
-//!   event, without moving the cursor" — is six bit tests: the start of
-//!   the earliest occupied window of each level, a lower bound that is
-//!   good to a grain at level 0 and can undershoot by a window span
-//!   above it. The driver needs nothing tighter. A window opened at an
-//!   undershot hint `h` makes the wheel it came from (and every other
-//!   wheel whose hint lies inside the window) call `peek_before(h + L)`;
-//!   that bound lies past `h`'s grain, so the fill loop takes the bucket
-//!   that produced `h` and places its entries at strictly lower levels
-//!   (or stages them, and a staged entry makes the hint exact). No push
-//!   happens in a window that popped nothing, so the level the hint
-//!   comes from falls with every empty window: at most `LEVELS` of them
-//!   per wheel before one pops, without ever walking a bucket.
-//!   **skips_below_hint** tells the driver when a bounded peek at or
-//!   below the hint would change nothing, so it can skip the shard.
 //!
 //! # Allocation discipline
 //!
@@ -69,8 +54,6 @@ use drs_core::SimTime;
 
 /// log₂ of the level-0 grain in nanoseconds (4.096 µs).
 const GRAIN_BITS: u32 = 12;
-/// Low bits of a time within its grain.
-const GRAIN_MASK: u64 = (1 << GRAIN_BITS) - 1;
 /// log₂ of the slots per level.
 const SLOT_BITS: u32 = 6;
 /// Slots per level.
@@ -384,7 +367,7 @@ impl<T> TimerWheel<T> {
     /// cursor — [`peek`](Self::peek) stages the next occupied grain, which
     /// can lie past the caller's clock — and then merges into the ready
     /// buffer in `(at, seq)` order. `seq` must be unique and increasing
-    /// across pushes (the core's global counter).
+    /// across pushes (the core's counter).
     pub fn push(&mut self, at: SimTime, seq: u64, val: T) {
         let at = at.0;
         self.len += 1;
@@ -436,82 +419,6 @@ impl<T> TimerWheel<T> {
         self.ready.last().map(|e| (SimTime(e.at), e.seq))
     }
 
-    /// Like [`peek`](Self::peek), but never advances the cursor to a
-    /// grain at or past `limit`: only events strictly before `limit` are
-    /// staged. Entries already staged in the ready buffer are reported
-    /// regardless (the caller compares the returned time against its
-    /// bound).
-    ///
-    /// The sharded kernel's epoch loop pops through this so the cursor
-    /// stays within the epoch window and cross-shard arrivals pushed at
-    /// the next barrier — all at or after the window bound — land ahead
-    /// of the cursor in O(1), never in the sorted ready buffer.
-    pub fn peek_before(&mut self, limit: SimTime) -> Option<(SimTime, u64)> {
-        if self.ready.is_empty() {
-            // Ceiling grain: events < limit can live in limit's own
-            // grain when limit is not grain-aligned.
-            let limit_grain = (limit.0 >> GRAIN_BITS) + u64::from(limit.0 & GRAIN_MASK != 0);
-            self.fill_ready_bounded(limit_grain);
-        }
-        self.ready.last().map(|e| (SimTime(e.at), e.seq))
-    }
-
-    /// A lower bound on the next event's time, without staging anything
-    /// or moving the cursor. Exact when the next event is already staged
-    /// (ready buffer) or sits in the overflow heap or a level-0 slot
-    /// (grain resolution); for higher-level slots it is the occupied
-    /// window's start, which can undershoot by up to the window span.
-    ///
-    /// The sharded kernel opens epoch windows at the global minimum of
-    /// these hints and asks nothing tighter: a window opened on an
-    /// undershot hint executes zero events, and its
-    /// [`peek_before`](Self::peek_before) takes the bucket the hint came
-    /// from, so the next hint comes from a lower level (module docs) —
-    /// the looseness costs a few empty epochs per idle gap, never
-    /// correctness.
-    pub fn next_hint(&self) -> Option<SimTime> {
-        if let Some(e) = self.ready.last() {
-            return Some(SimTime(e.at));
-        }
-        let mut best: Option<u64> = None;
-        for level in 0..LEVELS {
-            if let Some((start, _)) = self.earliest_window(level) {
-                // A higher-level window can begin before the cursor
-                // (the cursor sits inside it); its entries cannot.
-                let floor = start.max(self.cur) << GRAIN_BITS;
-                if best.is_none_or(|b| floor < b) {
-                    best = Some(floor);
-                }
-            }
-        }
-        if let Some(head) = self.overflow.peek() {
-            if best.is_none_or(|b| head.0.at < b) {
-                best = Some(head.0.at);
-            }
-        }
-        best.map(SimTime)
-    }
-
-    /// Whether [`peek_before`](Self::peek_before) is a no-op for every
-    /// limit at or below [`next_hint`](Self::next_hint): it stages
-    /// nothing, moves no cursor, changes no counter and reports nothing
-    /// before the limit — so a caller holding the hint may skip the call.
-    ///
-    /// True unless the ready buffer is empty and the overflow heap is not.
-    /// A staged entry is the hint itself and the peek returns it without
-    /// filling. Otherwise the fill loop's first pass would migrate every
-    /// overflow entry the cursor has come within the horizon of, and with
-    /// an empty wheel jump the cursor to the head's grain — both whatever
-    /// the limit. Without an overflow entry, every window starts at or
-    /// after the cursor (see `earliest_window`), so the hint is the
-    /// earliest window's start, and a limit at or below it leaves every
-    /// window at or past the limit's ceiling grain: the loop returns
-    /// before it touches one.
-    #[must_use]
-    pub fn skips_below_hint(&self) -> bool {
-        !self.ready.is_empty() || self.overflow.is_empty()
-    }
-
     /// Pops the earliest event as `(at, seq, payload)`. The emptied ready
     /// buffer keeps its storage: the next push due in the cursor's grain
     /// lands there without allocating.
@@ -534,13 +441,6 @@ impl<T> TimerWheel<T> {
     /// loop keeps draining and cascading until every source whose window
     /// starts at the cursor grain has been merged into `ready`.
     fn fill_ready(&mut self) {
-        self.fill_ready_bounded(u64::MAX);
-    }
-
-    /// [`fill_ready`](Self::fill_ready) with a horizon: windows starting
-    /// at or past `limit_grain` are left untouched and the cursor never
-    /// reaches them. `u64::MAX` recovers the unbounded behaviour.
-    fn fill_ready_bounded(&mut self, limit_grain: u64) {
         loop {
             // Migrate overflow entries that now fit the wheel horizon, so
             // the wheel scan below always sees the true minimum.
@@ -575,20 +475,12 @@ impl<T> TimerWheel<T> {
                     // Wheel empty; far-future overflow only. Jump the
                     // cursor so the migration loop can admit the head.
                     if let Some(head) = self.overflow.peek() {
-                        let grain = head.0.at >> GRAIN_BITS;
-                        if grain >= limit_grain {
-                            return;
-                        }
-                        self.cur = grain;
+                        self.cur = head.0.at >> GRAIN_BITS;
                         continue;
                     }
                 }
                 return;
             };
-            if start >= limit_grain {
-                // Beyond the caller's horizon: leave it slotted.
-                return;
-            }
             if !self.ready.is_empty() && start > self.cur {
                 // The staged grain is complete; later windows wait.
                 return;

@@ -1,14 +1,13 @@
 //! Deterministic, dependency-free samplers for the fluid session layer.
 //!
 //! The workload engine's whole value is that `BENCH_workload.json` is
-//! byte-identical on every machine and at every shard count, so its
+//! byte-identical on every machine, so its
 //! randomness must not depend on any external RNG crate *or* on the
 //! platform's `libm` (whose `ln`/`exp` are not bit-specified). This
 //! module therefore carries:
 //!
 //! * [`Stream`] — a [`SplitMix64`] generator, one independent stream per
-//!   host, seeded from the scenario seed by [`stream_seed`] exactly the
-//!   same way at every shard count;
+//!   host, seeded from the scenario seed by [`stream_seed`];
 //! * software [`ln`]/[`exp`] built from IEEE-754 add/mul/div only
 //!   (atanh series and range-reduced Taylor) — every operation is
 //!   exact-rounded and Rust never contracts to FMA, so results are
@@ -29,8 +28,8 @@ const WORKLOAD_SALT: u64 = 0x5E55_1011_F10D_F10A;
 
 /// Derives host `node`'s workload stream seed from the scenario seed.
 ///
-/// Every shard calls this identically, so a host draws the exact same
-/// sequence whichever shard owns it.
+/// A host's stream depends only on the seed and the host, so a host
+/// draws the same sequence whatever the other hosts do.
 #[must_use]
 pub fn stream_seed(seed: u64, node: u32) -> u64 {
     mix64(

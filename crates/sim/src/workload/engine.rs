@@ -365,7 +365,7 @@ fn water_level(cap: u64, crossings: &[u64], rates: &[u64], order: &[u8]) -> u64 
 }
 
 /// The driver-level fluid engine. Constructed by
-/// `World::enable_workload`; fed the merged transition log at the end of
+/// `World::enable_workload`; fed the transition log at the end of
 /// every `run_until`.
 pub struct FluidEngine {
     n: usize,
@@ -1045,7 +1045,7 @@ impl FluidEngine {
     /// FNV-1a fingerprint of the full fluid state: counters, water
     /// levels, container integrals, every open session's delivered and
     /// shortfall so far, and every pair's state. O(active + n²).
-    /// Bit-identical across drivers and shard counts.
+    /// Bit-identical across reruns.
     #[must_use]
     pub fn digest(&self) -> u64 {
         let mut f = Fnv1a::default();

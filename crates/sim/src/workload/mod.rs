@@ -23,20 +23,18 @@
 //!
 //! The split of responsibilities:
 //!
-//! * [`WorkloadCore`] lives inside each shard's [`Core`](crate::world):
-//!   it draws arrivals/holding times from per-host [`dist::Stream`]s
-//!   (identical draws at every shard count), dispatches
-//!   `SessionOpen`/`SessionClose` events, and logs every
+//! * [`WorkloadCore`] lives inside the world's [`Core`](crate::world):
+//!   it draws arrivals/holding times from per-host [`dist::Stream`]s,
+//!   dispatches `SessionOpen`/`SessionClose` events, and logs every
 //!   [`TransitionRecord`];
-//! * [`FluidEngine`] consumes the merged, `(at, seq)`-ordered transition
-//!   log and maintains the fluid accounting: max-min fair shares per
+//! * [`FluidEngine`] consumes the `(at, seq)`-ordered transition log and
+//!   maintains the fluid accounting: max-min fair shares per
 //!   plane, per-session goodput/shortfall integrals (exact, in
 //!   byte·ns/s units), and the failover SLO histograms.
 //!
 //! Determinism: every draw comes from [`dist`]'s own SplitMix64 streams
 //! and software `ln`/`exp` — no external RNG crate, no libm — so the
-//! committed `BENCH_workload.json` is byte-identical on every machine
-//! and at every shard count.
+//! committed `BENCH_workload.json` is byte-identical on every machine.
 
 pub mod dist;
 mod engine;
@@ -121,8 +119,8 @@ impl WorkloadSpec {
 
 /// One recorded workload transition, stamped with the dispatch identity
 /// `(at, seq)` of the event that produced it — the same identity the
-/// flight recorder uses, so the driver's merged log orders transitions
-/// by dispatch identity, never by shard.
+/// flight recorder uses, so the log orders transitions by dispatch
+/// identity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionRecord {
     /// Virtual instant of the transition.
@@ -195,12 +193,12 @@ pub enum Transition {
     },
 }
 
-/// Kernel-side session generator: one per shard [`Core`](crate::world).
+/// Kernel-side session generator, owned by the world's
+/// [`Core`](crate::world).
 ///
-/// Owns the per-host arrival streams and the transition log. Each
-/// shard's instance only ever touches the streams of the hosts that
-/// shard owns, so draw sequences per host are identical at every shard
-/// count.
+/// Owns the per-host arrival streams and the transition log. Each host
+/// draws from its own stream, so a host's draws depend only on its own
+/// sessions.
 pub struct WorkloadCore {
     pub(crate) spec: WorkloadSpec,
     streams: Vec<Stream>,
@@ -231,21 +229,20 @@ impl WorkloadCore {
         }
     }
 
-    /// Draws the initial arrival schedule for hosts `[base, base+len)`:
-    /// `(host, instant)` pairs to feed the event queue. Open loop seeds
-    /// one Poisson arrival per host; closed loop seeds the whole user
-    /// population at exponential think-time offsets. Draw order is
-    /// per-host, so any block partition produces the same streams.
-    pub(crate) fn initial_opens(&mut self, base: u32, len: usize) -> Vec<(NodeId, SimTime)> {
+    /// Draws the initial arrival schedule: `(host, instant)` pairs to
+    /// feed the event queue, host by host. Open loop seeds one Poisson
+    /// arrival per host; closed loop seeds the whole user population at
+    /// exponential think-time offsets.
+    pub(crate) fn initial_opens(&mut self) -> Vec<(NodeId, SimTime)> {
         let horizon = self.spec.horizon;
         let mut out = Vec::new();
-        for h in base..base + len as u32 {
-            let s = &mut self.streams[h as usize];
+        for (h, s) in self.streams.iter_mut().enumerate() {
+            let host = NodeId(h as u32);
             match self.spec.arrivals {
                 ArrivalProcess::Open { mean_gap_ns } => {
                     let at = SimTime(s.exp_ns(mean_gap_ns));
                     if at < horizon {
-                        out.push((NodeId(h), at));
+                        out.push((host, at));
                     }
                 }
                 ArrivalProcess::Closed {
@@ -255,7 +252,7 @@ impl WorkloadCore {
                     for _ in 0..per_host {
                         let at = SimTime(s.exp_ns(think_mean_ns));
                         if at < horizon {
-                            out.push((NodeId(h), at));
+                            out.push((host, at));
                         }
                     }
                 }
@@ -364,17 +361,11 @@ mod tests {
     }
 
     #[test]
-    fn initial_opens_respect_horizon_and_block_partition() {
-        let mut whole = WorkloadCore::new(spec(), 6, 42);
-        let all = whole.initial_opens(0, 6);
-        let mut left = WorkloadCore::new(spec(), 6, 42);
-        let mut right = WorkloadCore::new(spec(), 6, 42);
-        let mut split = left.initial_opens(0, 2);
-        split.extend(right.initial_opens(2, 4));
-        assert_eq!(all, split, "block partition must not change draws");
-        for (_, at) in &all {
-            assert!(*at < spec().horizon);
-        }
+    fn initial_opens_respect_horizon_in_host_order() {
+        let all = WorkloadCore::new(spec(), 6, 42).initial_opens();
+        assert!(all.len() <= 6, "open loop: one arrival per host");
+        assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "host order");
+        assert!(all.iter().all(|&(_, at)| at < spec().horizon));
     }
 
     #[test]

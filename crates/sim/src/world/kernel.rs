@@ -2,10 +2,8 @@
 //! auto-reply, TTL forwarding, NIC faults, and the reliable transport
 //! (RTO timers, acknowledgements, flow completion).
 //!
-//! The behaviours are written once against [`Engine`] — a core plus the
-//! protocol instances of the hosts that core owns — and every shard of
-//! the driver runs them; the only thing the shard count changes is how
-//! transmitted frames reach the medium (see [`super::queue::Fabric`]).
+//! The behaviours are written against [`Engine`]: the core plus every
+//! host's protocol instance.
 
 use drs_core::frame::{Segment, SegmentKind};
 use drs_core::ids::FlowId;
@@ -17,7 +15,7 @@ use crate::medium::TrafficClass;
 use crate::transport::{rto_for_attempt, OutstandingSend};
 use crate::workload::Transition;
 
-use super::queue::{Core, EventKind, Fabric, Intent};
+use super::queue::{Core, EventKind};
 use super::{Ctx, FlowOutcome, Protocol, TransportEvent};
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -28,7 +26,7 @@ pub(crate) enum SendStatus {
 }
 
 /// The medium accounting class of a frame.
-pub(crate) fn class_of<M>(frame: &Frame<M>) -> TrafficClass {
+fn class_of<M>(frame: &Frame<M>) -> TrafficClass {
     if frame.is_probe() {
         TrafficClass::Probe
     } else if frame.is_control() {
@@ -43,27 +41,14 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// dropped *locally* because the sender's NIC is down (observable to
     /// the sender, like a device error from `sendmsg`). A dead hub eats
     /// the frame silently and still returns `true` — that loss is not
-    /// locally observable. Direct admission asks `hubs` whether the hub
-    /// is up at this instant.
+    /// locally observable. Admission asks `hubs` whether the hub is up at
+    /// this instant.
     pub(crate) fn transmit(&mut self, frame: Frame<M>, hubs: &HubSchedule) -> bool {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
             self.flight_loss(&frame, loss_site::TX_NIC_DOWN);
             self.salvage(frame);
             return false;
-        }
-        if matches!(self.fabric, Fabric::Deferred { .. }) {
-            // Record the intent; the coordinator admits it onto the
-            // medium at the next epoch barrier, in global (at, seq)
-            // order, asking the hub schedule about the transmission
-            // instant there, so nothing else is decided here.
-            let at = self.now;
-            let seq = self.next_seq();
-            let frame = self.boxed(frame);
-            if let Fabric::Deferred { outbox } = &mut self.fabric {
-                outbox.push(Some(Intent { at, seq, frame }));
-            }
-            return true;
         }
         let (now, class) = (self.now, class_of(&frame));
         let up = hubs.is_up_from(&mut self.hubs_passed, frame.net, now);
@@ -96,10 +81,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     }
 }
 
-/// One core plus the daemon instances of the hosts it owns: the unit of
-/// event execution of every shard (the only shard's engine spans the
-/// whole cluster). Protocol instances are indexed block-locally, in host
-/// order.
+/// The core plus every host's daemon instance, indexed by host: what
+/// one dispatch needs.
 pub(crate) struct Engine<'a, P: Protocol> {
     pub(crate) core: &'a mut Core<P::Msg>,
     pub(crate) protocols: &'a mut [P],
@@ -114,13 +97,12 @@ impl<P: Protocol> Engine<'_, P> {
         match kind {
             EventKind::NicFault { node, net, up } => self.apply_nic_fault(node, net, up),
             EventKind::ProtoTimer { node, token } => {
-                let idx = self.core.hosts.local(node);
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
                     hubs: self.hubs,
                 };
-                self.protocols[idx].on_timer(&mut ctx, token);
+                self.protocols[node.idx()].on_timer(&mut ctx, token);
             }
             EventKind::AppSend {
                 flow,
@@ -195,13 +177,12 @@ impl<P: Protocol> Engine<'_, P> {
     }
 
     pub(crate) fn notify_transport(&mut self, node: NodeId, event: TransportEvent) {
-        let idx = self.core.hosts.local(node);
         let mut ctx = Ctx {
             core: &mut *self.core,
             node,
             hubs: self.hubs,
         };
-        self.protocols[idx].on_transport(&mut ctx, event);
+        self.protocols[node.idx()].on_transport(&mut ctx, event);
     }
 
     /// (Re)transmits the payload segment of an outstanding flow. Returns
@@ -349,11 +330,7 @@ impl<P: Protocol> Engine<'_, P> {
         match frame.dst {
             Destination::Node(dst) => self.deliver_to(dst, frame),
             Destination::Broadcast => {
-                // Deliver across this engine's block only: every shard
-                // receives its own copy of a broadcast frame.
-                let base = self.core.hosts.base();
-                let end = base + self.core.hosts.len() as u32;
-                for i in base..end {
+                for i in 0..self.core.spec.n as u32 {
                     let node = NodeId(i);
                     if node != frame.src {
                         self.deliver_to(node, frame);
@@ -400,23 +377,21 @@ impl<P: Protocol> Engine<'_, P> {
                 self.core.transmit(reply, self.hubs);
             }
             FrameKind::EchoReply { id, seq } => {
-                let idx = self.core.hosts.local(node);
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
                     hubs: self.hubs,
                 };
-                self.protocols[idx].on_echo_reply(&mut ctx, frame.src, frame.net, *id, *seq);
+                self.protocols[node.idx()].on_echo_reply(&mut ctx, frame.src, frame.net, *id, *seq);
             }
             FrameKind::Control(msg) => {
                 self.core.hosts.counters_mut(node).control_received += 1;
-                let idx = self.core.hosts.local(node);
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
                     hubs: self.hubs,
                 };
-                self.protocols[idx].on_control(&mut ctx, frame.src, frame.net, msg);
+                self.protocols[node.idx()].on_control(&mut ctx, frame.src, frame.net, msg);
             }
             FrameKind::Data(segment) => self.handle_data(node, **segment),
         }

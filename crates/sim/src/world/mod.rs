@@ -3,25 +3,25 @@
 //!
 //! The engine is split by concern:
 //!
-//! * `queue` — the event queue and per-shard simulator state (`Core`):
-//!   clock, pending events, hosts, one
+//! * `queue` — the event queue and the simulator state (`Core`): clock,
+//!   pending events, hosts, one
 //!   [`SharedMedium`](crate::medium::SharedMedium) per network plane;
 //! * `kernel` — kernel-side stack behaviours: frame transmission and
 //!   delivery, ICMP auto-reply, TTL forwarding, NIC faults, the reliable
 //!   transport;
-//! * [`shard`] — the one driver: [`World`] over one shard (plain loop,
-//!   direct admission) or several (epoch loop, deferred admission).
+//! * `driver` — [`World`]: one core and every host's daemon, popped and
+//!   dispatched by one loop on the calling thread.
 //!
 //! The number of planes comes from [`ClusterSpec::planes`]; everything
 //! here is written against that `K`, with the paper's two-backplane
 //! cluster as the `K = 2` default.
 
+mod driver;
 mod kernel;
 mod queue;
-pub mod shard;
 
+pub use driver::{ShardStats, ShardedWorld, World};
 pub use queue::{Core, EventRecord, EventTag, KernelStats};
-pub use shard::{ShardStats, ShardedWorld, World};
 
 /// The flight-recorder vocabulary, re-exported so protocols written
 /// against [`Ctx`] need not name `drs_obs` directly.
@@ -193,7 +193,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
 
     /// Deterministic RNG stream for this host's daemon: every host has
     /// its own seed-derived stream, so draw order depends only on the
-    /// host's own event sequence — never on shard layout.
+    /// host's own event sequence.
     pub fn rng(&mut self) -> &mut Rng {
         self.core.rng_for(self.node)
     }
@@ -406,9 +406,9 @@ mod tests {
         World::new(ClusterSpec::new(n).seed(7), |_| Idle)
     }
 
-    /// The only shard's host state, for the hand-routed scenarios.
+    /// The host state, for the hand-routed scenarios.
     fn hosts(w: &mut World<Idle>) -> &mut crate::host::Hosts {
-        &mut w.shard_mut(0).core.hosts
+        &mut w.core.hosts
     }
 
     #[test]
@@ -989,22 +989,5 @@ mod tests {
         }
         assert!(!w.protocol(NodeId(0)).seen, "cut host misses the flood");
         assert!(w.protocol(NodeId(2)).seen);
-    }
-
-    #[test]
-    fn topology_flood_plain_vs_sharded_identical() {
-        let t = TopologySpec::new(generators::bcube(4, 1)).seed(9);
-        let failed = [1usize, 8]; // one switch, one link
-        let plain = flood_reachability(&t, &failed);
-        let mut sw = ShardedWorld::from_topology(&t, 4, |_| Flood {
-            origin: NodeId(0),
-            seen: false,
-        });
-        sw.schedule_faults(t.fault_plan(SimTime(0), &failed));
-        sw.run_for(SimDuration::from_secs(1));
-        let sharded: Vec<bool> = (0..t.nodes())
-            .map(|i| sw.protocol(NodeId(i as u32)).seen)
-            .collect();
-        assert_eq!(plain, sharded);
     }
 }

@@ -1,4 +1,4 @@
-//! The event queue and per-shard simulator core: virtual clock, pending
+//! The event queue and the simulator core: virtual clock, pending
 //! events, host and medium state. Everything that is *state* lives here;
 //! the kernel-side behaviours that act on it live in [`super::kernel`].
 //!
@@ -8,14 +8,9 @@
 //! as `crate::naive_heap` (behind the `bench-ref` feature) for benches
 //! and equivalence tests.
 //!
-//! There is one driver ([`super::World`]) and it owns one `Core` per
-//! shard. With a single shard the core spans the whole cluster and its
-//! [`Fabric::Direct`] admits transmitted frames onto the shared segments
-//! immediately. With several, each core owns a *block* of hosts and a
-//! [`Fabric::Deferred`]: transmissions are logged as [`Intent`]s and
-//! admitted by the merge after the epoch, in global `(at, seq)` order —
-//! which is what makes the sharded schedule reproduce the one-shard
-//! one.
+//! The driver ([`super::World`]) owns one `Core`, which spans the whole
+//! cluster and admits transmitted frames onto the shared segments the
+//! instant they are sent.
 
 use drs_obs::flight::{EventRef, FlightRecorder, TraceKind, TraceRecord};
 use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
@@ -41,9 +36,9 @@ use super::FlowOutcome;
 /// wheel entry 104 B, so each of the millions of timer events a probe
 /// cycle queues was moved, sorted and cascaded at a frame's size. Boxed,
 /// an event is 24 B and an entry 40 B, and a frame is written once: the
-/// box travels from the sender's [`Core::transmit`] through the merge
-/// into the receiver's wheel, and after dispatch it returns to the
-/// receiving core's spare list for the next transmission.
+/// box travels from the sender's [`Core::transmit`] through the wheel to
+/// the receiver, and after dispatch it returns to the core's spare list
+/// for the next transmission.
 pub(crate) enum EventKind<M> {
     Arrive(Box<Frame<M>>),
     ProtoTimer {
@@ -56,7 +51,7 @@ pub(crate) enum EventKind<M> {
         attempt: u32,
     },
     /// A NIC failure or repair. Hub toggles never travel as events: the
-    /// driver applies them from its hub schedule (see [`super::shard`]).
+    /// driver applies them from its hub schedule (see `super::driver`).
     NicFault {
         node: NodeId,
         net: NetId,
@@ -97,23 +92,9 @@ pub struct KernelStats {
     pub now_ns: u64,
 }
 
-/// A transmission recorded by a shard for deferred medium admission: the
-/// instant the sending host put the frame on the wire, the sender's
-/// packed sequence number, and the frame itself (boxed: the merge moves
-/// the box into the receiver's wheel as is). Outboxes are sorted by
-/// `(at, seq)` by construction — `at` is the shard's non-decreasing
-/// clock and `seq` its increasing counter.
-pub(crate) struct Intent<M> {
-    pub(crate) at: SimTime,
-    pub(crate) seq: u64,
-    pub(crate) frame: Box<Frame<M>>,
-}
-
 // A variant that carries a frame by value grows every queued event back
-// to a frame's size: fail the build, not the benchmark. An outbox slot
-// is an `Option<Intent>`, as small as the intent: the box is its niche.
+// to a frame's size: fail the build, not the benchmark.
 const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 24);
-const _: () = assert!(std::mem::size_of::<Option<Intent<drs_core::DrsMsg>>>() <= 24);
 // The frame box itself, whose size sets its malloc class: glibc rounds a
 // request plus its 8 B header up to 16 B, so this 48 B frame takes a 64 B
 // chunk where the 88 B one took 96 B, and the N = 1024 burst holds two
@@ -121,21 +102,8 @@ const _: () = assert!(std::mem::size_of::<Option<Intent<drs_core::DrsMsg>>>() <=
 // pointer, not inline (see `Frame::flight` and `FrameKind::Data`).
 const _: () = assert!(std::mem::size_of::<Frame<drs_core::DrsMsg>>() <= 48);
 
-/// How transmitted frames reach the shared medium. Neither fabric keeps
-/// hub state: admission and arrival ask the world's hub schedule about
-/// their own instant.
-pub(crate) enum Fabric<M> {
-    /// The only shard: admit onto `Core::media` immediately.
-    Direct,
-    /// One shard of several: log an [`Intent`]; the coordinator admits at
-    /// the next barrier, the media living there. The merge takes the
-    /// intents from the front, leaving `None` behind, and clears the
-    /// outbox once it has taken the last.
-    Deferred { outbox: Vec<Option<Intent<M>>> },
-}
-
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host
-/// streams, stable across shard layouts.
+/// streams.
 fn host_rng_seed(seed: u64, node: u32) -> u64 {
     mix64(seed ^ u64::from(node).wrapping_mul(GOLDEN_GAMMA))
 }
@@ -160,12 +128,7 @@ pub enum EventTag {
 }
 
 /// One dispatched event, recorded at pop time when event logging is on
-/// (equivalence tests compare these across drivers and reruns).
-///
-/// `seq` depends on the shard count (one shard numbers events with one
-/// global counter, several with epoch-packed counters), so comparisons
-/// across shard counts use the `(at, tag, node, net, aux)` projection
-/// while rerun comparisons include `seq`.
+/// (determinism tests compare these across reruns).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub struct EventRecord {
     /// Virtual time the event fired.
@@ -182,34 +145,21 @@ pub struct EventRecord {
     pub aux: u64,
 }
 
-/// One shard's simulator state (everything except the protocol
-/// instances).
+/// The simulator state (everything except the protocol instances).
 pub struct Core<M> {
     pub(crate) spec: ClusterSpec,
     pub(crate) now: SimTime,
-    /// High bits of issued sequence numbers. Zero with one shard (whose
-    /// events are numbered by one global counter); set per epoch to
-    /// `epoch << 32 | shard << 24` with several so that sequence numbers
-    /// are globally unique and depend only on (epoch, shard,
-    /// order-in-shard).
-    pub(crate) seq_base: u64,
-    /// Low bits: events numbered since `seq_base` was last set.
-    pub(crate) seq_local: u64,
+    /// The next tie-break sequence number: one counter over every event
+    /// the run schedules.
+    pub(crate) seq: u64,
     pub(crate) events: TimerWheel<EventKind<M>>,
-    /// This shard's contiguous block of hosts (the whole cluster when
-    /// it is the only shard).
     pub(crate) hosts: Hosts,
-    /// One shared segment per network plane, indexed by [`NetId::idx`],
-    /// under [`Fabric::Direct`]. Empty under [`Fabric::Deferred`] — the
-    /// media live at the coordinator there.
+    /// One shared segment per network plane, indexed by [`NetId::idx`].
     pub(crate) media: Vec<SharedMedium>,
     /// Per-frame corruption probability of each host's cabling,
-    /// `[node][plane]` over the *whole cluster*: a receiver's roll
-    /// compounds the sender's cabling, and the sender may live in
-    /// another shard, so every core carries the full (replicated,
-    /// run-constant) table.
+    /// `[node][plane]`: a receiver's roll compounds the sender's cabling
+    /// and its own.
     pub(crate) link_loss: Vec<f64>,
-    pub(crate) fabric: Fabric<M>,
     pub(crate) app_stats: AppStats,
     /// Outcome per flow, indexed by [`FlowId`] — flow ids are handed out
     /// sequentially by [`super::World::send_app`], so a dense vector is
@@ -220,17 +170,16 @@ pub struct Core<M> {
     /// This core's cursor into the world's hub schedule: how many of its
     /// toggles lie at or before the last instant this core asked about.
     pub(crate) hubs_passed: usize,
-    /// One seed-derived random stream per owned host (corruption rolls,
-    /// daemon draws), indexed block-locally: draw order depends only on
-    /// the host's own event sequence, never on shard layout.
+    /// One seed-derived random stream per host (corruption rolls, daemon
+    /// draws): draw order depends only on the host's own event sequence.
     pub(crate) rngs: Vec<Rng>,
     /// When `Some`, every popped event is recorded here.
     pub(crate) event_log: Option<Vec<EventRecord>>,
     /// When `Some`, protocol decision points and kernel loss sites
     /// append causal trace records here (the flight recorder).
     pub(crate) flight: Option<FlightRecorder>,
-    /// Full (packed) seq of the event currently being dispatched —
-    /// the flight-record identity of this dispatch.
+    /// Seq of the event currently being dispatched — the flight-record
+    /// identity of this dispatch.
     pub(crate) cur_ev_seq: u64,
     /// Trace records emitted so far by the current dispatch.
     pub(crate) cur_sub: u32,
@@ -250,9 +199,9 @@ pub struct Core<M> {
 
 /// Heap boxes kept for reuse, so a core's steady traffic allocates
 /// nothing: [`Self::boxed`] fills a spare before it allocates, and
-/// [`Self::keep`] stores a box, up to `cap` of them — one per (owned
-/// host, peer, plane), what the hosts can have in flight when every one
-/// of them probes every peer at once (the batched monitor's fan-out). The
+/// [`Self::keep`] stores a box, up to `cap` of them — one per (host,
+/// peer, plane), what the hosts can have in flight when every one of
+/// them probes every peer at once (the batched monitor's fan-out). The
 /// bound keeps one-way traffic from growing a receiver's list forever.
 struct SpareBoxes<T> {
     #[allow(clippy::vec_box)] // the boxes are what is kept
@@ -290,38 +239,29 @@ impl<T> SpareBoxes<T> {
 }
 
 impl<M: Clone + std::fmt::Debug> Core<M> {
-    /// A core owning hosts `[base, base + len)`. `media` holds the
-    /// segments under [`Fabric::Direct`] and is empty otherwise.
-    pub(crate) fn new(
-        spec: ClusterSpec,
-        base: u32,
-        len: usize,
-        media: Vec<SharedMedium>,
-        fabric: Fabric<M>,
-    ) -> Self {
-        let planes = spec.planes as usize;
+    /// A core over the whole cluster, transmitting onto `media`.
+    pub(crate) fn new(spec: ClusterSpec, media: Vec<SharedMedium>) -> Self {
+        let (n, planes) = (spec.n, spec.planes as usize);
         // Pre-size the wheel's slot-buffer pool from the workload shape:
         // the steady-state probe schedule keeps ~2 live timers per (host,
-        // plane), so 2·len·planes buffers (plus slack for transport and
+        // plane), so 2·n·planes buffers (plus slack for transport and
         // fault events) absorbs every cold slot without a pool miss. The
         // structural ceiling keeps huge clusters from over-allocating.
-        let buffers = (2 * len * planes + 64).min(MAX_USEFUL_SPARE);
-        let in_flight = len * spec.n * planes;
+        let buffers = (2 * n * planes + 64).min(MAX_USEFUL_SPARE);
+        let in_flight = n * n * planes;
         Core {
             spec,
             now: SimTime::ZERO,
-            seq_base: 0,
-            seq_local: 0,
+            seq: 0,
             events: TimerWheel::with_spare_pool(buffers, 16),
-            hosts: Hosts::new_block(base, len, spec.n, spec.planes),
+            hosts: Hosts::new(n, spec.planes),
             media,
-            link_loss: vec![0.0; spec.n * planes],
-            fabric,
+            link_loss: vec![0.0; n * planes],
             app_stats: AppStats::default(),
             flow_outcomes: Vec::new(),
             clamped_past: 0,
             hubs_passed: 0,
-            rngs: (base..base + len as u32)
+            rngs: (0..n as u32)
                 .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
                 .collect(),
             event_log: None,
@@ -389,16 +329,6 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         }
     }
 
-    /// Issues the next tie-break sequence number. The packed layout's
-    /// 24-bit budget is checked once per shard-epoch by the driver, not
-    /// here per event.
-    #[inline]
-    pub(crate) fn next_seq(&mut self) -> u64 {
-        let seq = self.seq_base + self.seq_local;
-        self.seq_local += 1;
-        seq
-    }
-
     pub(crate) fn schedule_at(&mut self, at: SimTime, kind: EventKind<M>) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let at = if at < self.now {
@@ -411,14 +341,14 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         } else {
             at
         };
-        let seq = self.next_seq();
-        self.events.push(at, seq, kind);
+        self.events.push(at, self.seq, kind);
+        self.seq += 1;
     }
 
-    /// The random stream of `node`, which this core must own.
+    /// The random stream of `node`.
     #[inline]
     pub(crate) fn rng_for(&mut self, node: NodeId) -> &mut Rng {
-        &mut self.rngs[self.hosts.local(node)]
+        &mut self.rngs[node.idx()]
     }
 
     /// Per-frame corruption probability of `node`'s cabling on `net`.

@@ -16,7 +16,7 @@ use drs_sim::scenario::{ClusterSpec, TransportConfig};
 use drs_sim::transport::{max_flow_lifetime, rto_for_attempt};
 use drs_sim::wheel::TimerWheel;
 use drs_sim::world::{FlowOutcome, Protocol, World};
-use drs_sim::{NetId, NodeId, ShardedWorld, SimDuration, SimTime};
+use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
 /// Draws per property.
 const CASES: u64 = 256;
@@ -246,7 +246,7 @@ fn flows_always_terminate() {
 }
 
 /// Outcomes are terminal, and stopping at resolution equals running the
-/// full horizon: over drawn DRS clusters (size, planes, shard count),
+/// full horizon: over drawn DRS clusters (size, planes),
 /// simultaneous fault sets and `send_app` batches sent before, during
 /// and after the repair — so flows are delivered direct, delivered over a
 /// repaired route, and abandoned — `run_until_settled(d)` stops with
@@ -270,7 +270,9 @@ fn settled_stop_reports_the_outcomes_of_the_full_horizon() {
         let mut rng = case_rng(case);
         let n = rng.gen_range(3usize..9);
         let planes = rng.gen_range(2u8..4);
-        let shards = rng.gen_range(1usize..4);
+        // The retired shard-count draw, kept so every case draws the
+        // cluster it always drew.
+        rng.gen_range(1usize..4);
         let f = rng.gen_range(0usize..5);
         let seed = rng.next_u64();
         let (plan, _) = FaultPlan::random_simultaneous(fault_at, n, planes, f, &mut rng);
@@ -282,14 +284,13 @@ fn settled_stop_reports_the_outcomes_of_the_full_horizon() {
                 (at, NodeId(src), NodeId(dst))
             })
             .collect();
-        let ctx = format!("case {case}: n={n} planes={planes} shards={shards} f={f} seed={seed}");
+        let ctx = format!("case {case}: n={n} planes={planes} f={f} seed={seed}");
         let build = || {
             let spec = ClusterSpec::new(n)
                 .seed(seed)
                 .planes(planes)
                 .transport(transport);
-            let mut w =
-                ShardedWorld::with_topology(spec, shards, 1, |id| DrsDaemon::new(id, n, cfg));
+            let mut w = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
             w.schedule_faults(plan.clone());
             for &(at, src, dst) in &sends {
                 w.send_app(at, src, dst, 128);
@@ -482,162 +483,6 @@ mod wheel_vs_heap {
         }
         assert!(cascades > 0, "no drawn schedule cascaded");
     }
-}
-
-/// The sharded driver opens every epoch window at `next_hint` and never
-/// asks for the exact minimum. After every step of a random push / pop /
-/// bounded-peek schedule whose due times reach all six levels and the
-/// overflow heap, the hint never overshoots the brute-force minimum; and
-/// the pop step is the driver's own loop — open a window of one lookahead
-/// at the hint, `peek_before` its bound, repeat until an event inside the
-/// window is staged — which must arrive at the minimum within
-/// `LEVELS + 1` windows, because each empty one cascades the bucket that
-/// fooled the hint one level down. The lookaheads are one tick, a
-/// fraction of a grain (the only regime where a level-0 hint
-/// undershoots) and `ClusterSpec`'s default 5 080 ns.
-#[test]
-fn wheel_hint_is_a_lower_bound_and_hint_windows_reach_the_minimum() {
-    const LEVELS: usize = 6;
-    for case in 0..CASES {
-        let mut rng = case_rng(case);
-        let steps = rng.gen_range(1usize..300);
-        let lookahead = [1u64, 500, 5_080][case as usize % 3];
-        let mut wheel: TimerWheel<u64> = TimerWheel::new();
-        let mut queued: Vec<u64> = Vec::new();
-        let (mut now, mut seq) = (0u64, 0u64);
-        for step in 0..steps {
-            let ctx = format!("case {case} step {step}");
-            // A span of up to 2^bits ns: bits < 12 stays inside a grain,
-            // each further 6 bits is one wheel level, 48 and up overflows.
-            let bits = rng.gen_range(0u32..52);
-            let span = rng.gen_range(0u64..1 << bits);
-            match rng.gen_range(0u32..6) {
-                0 if !queued.is_empty() => {
-                    let min = queued.iter().copied().min().expect("non-empty");
-                    let mut windows = 0;
-                    loop {
-                        windows += 1;
-                        let bound = wheel.next_hint().expect("non-empty").0 + lookahead;
-                        match wheel.peek_before(SimTime(bound)) {
-                            Some((at, _)) if at.0 < bound => break,
-                            _ => assert!(windows <= LEVELS, "{ctx}: hint stopped tightening"),
-                        }
-                    }
-                    let (at, _, _) = wheel.pop().expect("staged");
-                    assert_eq!(at.0, min, "{ctx}: pop order");
-                    queued.swap_remove(queued.iter().position(|&q| q == min).expect("min"));
-                    now = min;
-                }
-                1 => {
-                    // Stages at most the grains before the limit, like a
-                    // shard's epoch; whatever it reports is the minimum.
-                    let limit = now + span;
-                    let got = wheel.peek_before(SimTime(limit)).map(|(at, _)| at.0);
-                    let min = queued.iter().copied().min();
-                    assert!(got.is_none() || got == min, "{ctx}: staged {got:?}");
-                    assert!(got.is_some() || min.is_none_or(|m| m >= limit), "{ctx}");
-                }
-                _ => {
-                    wheel.push(SimTime(now + span), seq, seq);
-                    queued.push(now + span);
-                    seq += 1;
-                }
-            }
-            let min = queued.iter().min().map(|&at| SimTime(at));
-            let hint = wheel.next_hint();
-            assert_eq!(hint.is_some(), min.is_some(), "{ctx}");
-            assert!(hint <= min, "{ctx}: hint {hint:?} overshoots {min:?}");
-        }
-    }
-}
-
-/// The sharded driver does not visit a shard whose hint is at or past
-/// the window bound when the wheel reports the visit's
-/// `peek_before(bound)` a no-op (`skips_below_hint`); it counts a stall
-/// instead. Two wheels take the same random push / pop / bounded-peek
-/// schedule, reaching all six levels and the overflow heap with hints
-/// that undershoot. Before every step one of them peeks at a bound at or
-/// below its hint where the other skips, whenever the wheel allows the
-/// skip. Every `WheelStats` counter, the hint and the whole later pop
-/// sequence must stay equal. Where the wheel refuses (overflow entries
-/// and nothing staged), some of those peeks must move a counter, so the
-/// refusal is needed.
-#[test]
-fn a_skipped_peek_below_the_hint_leaves_the_wheel_as_the_peek_does() {
-    let (mut skipped, mut undershot, mut refused, mut refused_and_moved) = (0u32, 0, 0, 0);
-    for case in 0..CASES {
-        let mut rng = case_rng(case);
-        let steps = rng.gen_range(1usize..300);
-        let mut peeked: TimerWheel<u64> = TimerWheel::new();
-        let mut skipping: TimerWheel<u64> = TimerWheel::new();
-        let mut queued: Vec<u64> = Vec::new();
-        let (mut now, mut seq) = (0u64, 0u64);
-        for step in 0..steps {
-            let ctx = format!("case {case} step {step}");
-            if let Some(hint) = skipping.next_hint() {
-                // The hint itself, one tick below it, or up to a level-2
-                // span below it.
-                let below = [0, 1, rng.gen_range(0u64..1 << 24)][rng.gen_range(0usize..3)];
-                let bound = SimTime(hint.0.saturating_sub(below));
-                if skipping.skips_below_hint() {
-                    let got = peeked.peek_before(bound);
-                    assert!(
-                        got.is_none_or(|(at, _)| at >= bound),
-                        "{ctx}: staged {got:?} below {bound:?}"
-                    );
-                    skipped += 1;
-                    undershot += u32::from(queued.iter().min().is_some_and(|&m| m > hint.0));
-                } else {
-                    let before = *peeked.stats();
-                    peeked.peek_before(bound);
-                    skipping.peek_before(bound);
-                    refused += 1;
-                    refused_and_moved += u32::from(*peeked.stats() != before);
-                }
-                assert_eq!(peeked.stats(), skipping.stats(), "{ctx}");
-                assert_eq!(peeked.next_hint(), skipping.next_hint(), "{ctx}");
-            }
-            let bits = rng.gen_range(0u32..52);
-            let span = rng.gen_range(0u64..1 << bits);
-            match rng.gen_range(0u32..6) {
-                0 if !queued.is_empty() => {
-                    let popped = peeked.pop();
-                    assert_eq!(popped, skipping.pop(), "{ctx}: pop");
-                    let at = popped.expect("non-empty").0 .0;
-                    queued.swap_remove(queued.iter().position(|&q| q == at).expect("queued"));
-                    now = at;
-                }
-                1 => {
-                    let limit = SimTime(now + span);
-                    assert_eq!(
-                        peeked.peek_before(limit),
-                        skipping.peek_before(limit),
-                        "{ctx}: bounded peek"
-                    );
-                }
-                _ => {
-                    peeked.push(SimTime(now + span), seq, seq);
-                    skipping.push(SimTime(now + span), seq, seq);
-                    queued.push(now + span);
-                    seq += 1;
-                }
-            }
-        }
-        while let Some(popped) = peeked.pop() {
-            assert_eq!(Some(popped), skipping.pop(), "case {case}: drain");
-        }
-        assert!(skipping.is_empty(), "case {case}");
-        assert_eq!(peeked.stats(), skipping.stats(), "case {case}");
-    }
-    assert!(skipped > 10_000, "{skipped} skips");
-    assert!(
-        undershot > 500,
-        "{undershot} skips below an undershooting hint"
-    );
-    assert!(
-        refused_and_moved > 0,
-        "{refused_and_moved} of {refused} refusals moved a counter"
-    );
 }
 
 /// Degenerate burst: many entries on the exact same tick pop in pure

@@ -5,17 +5,16 @@
 //!   for *exactly* (no floating point, no epsilon): `offered ==
 //!   delivered + shortfall + dropped + in_flight`, across hub failures,
 //!   NIC faults, failover stalls, and mid-run settlement.
-//! * **Shard-count equivalence** — one shard and several produce
-//!   bit-identical workload statistics and engine digests, because
-//!   transitions carry the kernel's own
-//!   `(at, seq)` dispatch identity and all draws come from per-host
-//!   streams.
+//! * **Order independence** — scheduling the fault plan before or after
+//!   the workload is enabled gives bit-identical workload statistics and
+//!   engine digests: the engine reads the one hub schedule whenever the
+//!   toggles joined it.
 
 use drs_core::config::DrsConfig;
 use drs_core::daemon::DrsDaemon;
 use drs_sim::{
-    ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId, NodeId, ShardedWorld,
-    SimComponent, SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
+    ArrivalProcess, ClassSpec, ClusterSpec, FaultPlan, HoldingDist, NetId, NodeId, SimComponent,
+    SimDuration, SimTime, WorkloadSpec, WorkloadStats, World,
 };
 
 fn cfg() -> DrsConfig {
@@ -65,14 +64,12 @@ fn plan() -> FaultPlan {
 /// kernel events, and the daemons' reroute sample count.
 type Outcome = (WorkloadStats, u64, u64, u64);
 
-/// Runs the scenario at the given shard count, attaching the workload
-/// before or after the fault plan: the engine must pick up hub toggles
-/// whether they were scheduled before or after it existed.
-fn run(n: usize, secs: u64, shards: usize, faults_first: bool) -> Outcome {
+/// Runs the scenario, attaching the workload before or after the fault
+/// plan: the engine must pick up hub toggles whether they were scheduled
+/// before or after it existed.
+fn run(n: usize, secs: u64, faults_first: bool) -> Outcome {
     let c = cfg();
-    let mut w = ShardedWorld::with_topology(ClusterSpec::new(n).seed(71), shards, 1, |id| {
-        DrsDaemon::new(id, n, c)
-    });
+    let mut w = World::new(ClusterSpec::new(n).seed(71), |id| DrsDaemon::new(id, n, c));
     if faults_first {
         w.schedule_faults(plan());
     }
@@ -82,10 +79,7 @@ fn run(n: usize, secs: u64, shards: usize, faults_first: bool) -> Outcome {
     }
     w.run_for(SimDuration::from_secs(secs));
     let engine = w.workload_engine().expect("workload enabled");
-    assert!(
-        engine.conservation().holds(),
-        "conservation (shards={shards})"
-    );
+    assert!(engine.conservation().holds(), "conservation");
     (
         engine.stats().clone(),
         engine.digest(),
@@ -98,7 +92,7 @@ fn run(n: usize, secs: u64, shards: usize, faults_first: bool) -> Outcome {
 /// kernel touched exactly one event per session transition.
 #[test]
 fn conservation_is_exact_across_hub_and_nic_faults() {
-    let (stats, _, events, _) = run(10, 8, 1, true);
+    let (stats, _, events, _) = run(10, 8, true);
     assert!(stats.opened > 50, "a real workload ran: {}", stats.opened);
     assert!(stats.stall_windows >= 1, "the hub failure stalled sessions");
     assert!(
@@ -120,7 +114,7 @@ fn conservation_is_exact_across_hub_and_nic_faults() {
 /// observed: the count equals the probe-observability histogram's.
 #[test]
 fn reroute_credits_match_probe_observability() {
-    let (stats, _, _, reroutes) = run(10, 8, 1, true);
+    let (stats, _, _, reroutes) = run(10, 8, true);
     assert!(reroutes > 0, "the scenario exercised reroutes");
     assert_eq!(
         stats.reroute_notifications, reroutes,
@@ -128,12 +122,12 @@ fn reroute_credits_match_probe_observability() {
     );
 }
 
-/// The determinism claim: statistics, engine digest, event and reroute
-/// counts are bit-identical between one shard and three shards.
+/// Statistics, engine digest, event and reroute counts are bit-identical
+/// whether the faults were scheduled before or after the workload.
 #[test]
-fn serial_and_sharded_workloads_are_bit_identical() {
+fn faults_scheduled_before_or_after_the_workload_agree() {
     let (n, secs) = (12, 8);
-    assert_eq!(run(n, secs, 3, false), run(n, secs, 1, true));
+    assert_eq!(run(n, secs, false), run(n, secs, true));
 }
 
 /// Closed-loop mode: a fixed population cycles open → close → think;

@@ -60,7 +60,7 @@ fn batched_queue_traffic_is_linear_in_n_across_the_grid() {
 #[test]
 fn committed_artifact_reports_clean_healthy_runs() {
     let json = committed();
-    assert!(json.contains("\"schema\": \"drs-bench-kernel/v3\""));
+    assert!(json.contains("\"schema\": \"drs-bench-kernel/v4\""));
     // Healthy clusters must never clamp a past-time schedule: all twelve
     // wheel_ops rows plus all four sharded_scaling rows carry an exact
     // zero.
@@ -71,7 +71,7 @@ fn committed_artifact_reports_clean_healthy_runs() {
             "headline 90-node cell {row_id} missing from the artifact"
         );
     }
-    // One sharded row per (n, k), no worker-thread axis.
+    // One scaling row per (n, k), no worker-thread or shard axis.
     for (n, k) in [(256, 2), (256, 4), (1024, 2), (1024, 4)] {
         let id = format!("\"id\": \"n{n}_k{k}\"");
         assert_eq!(json.matches(&id).count(), 1, "sharded cell n{n}_k{k}");
