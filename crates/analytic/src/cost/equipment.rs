@@ -5,11 +5,11 @@
 //! second, capital axis: how much hardware each fabric buys its
 //! redundancy with. [`EquipmentCount::of`] tallies a
 //! [`drs_topology::Topology`]'s switches, cables and ports;
-//! [`EquipmentPrices`] turns the tally into deterministic *cost units*.
+//! [`cost_units`] prices the tally in deterministic *cost units*.
 //! Hosts are not priced — the paper's framing takes the communicating
 //! servers as given and asks what the fabric around them costs.
 //!
-//! Default prices are dyadic-rational unit weights (exact in `f64`, so
+//! The prices are dyadic-rational unit weights (exact in `f64`, so
 //! artifact cells never depend on summation order): a switch chassis is
 //! 10 units, a switch port 1, a host NIC port 1.5, a cable 0.5.
 
@@ -55,46 +55,19 @@ impl EquipmentCount {
     }
 }
 
-/// Unit prices for the equipment classes.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct EquipmentPrices {
-    /// Per switch chassis.
-    pub switch: f64,
-    /// Per switch port.
-    pub switch_port: f64,
-    /// Per host NIC port.
-    pub nic_port: f64,
-    /// Per cable.
-    pub link: f64,
-}
-
-impl Default for EquipmentPrices {
-    fn default() -> Self {
-        EquipmentPrices {
-            switch: 10.0,
-            switch_port: 1.0,
-            nic_port: 1.5,
-            link: 0.5,
-        }
-    }
-}
-
-impl EquipmentPrices {
-    /// Total cost units of a tally. With the dyadic default prices and
-    /// integer counts every term — and the sum — is exact in `f64`.
-    #[must_use]
-    pub fn cost_units(&self, count: &EquipmentCount) -> f64 {
-        self.switch * count.switches as f64
-            + self.switch_port * count.switch_ports as f64
-            + self.nic_port * count.nic_ports as f64
-            + self.link * count.links as f64
-    }
-}
-
-/// Cost units of a topology at the default prices.
+/// Cost units of a topology. With the dyadic prices and integer counts
+/// every term — and the sum — is exact in `f64`.
 #[must_use]
 pub fn cost_units(topo: &Topology) -> f64 {
-    EquipmentPrices::default().cost_units(&EquipmentCount::of(topo))
+    const SWITCH: f64 = 10.0;
+    const SWITCH_PORT: f64 = 1.0;
+    const NIC_PORT: f64 = 1.5;
+    const LINK: f64 = 0.5;
+    let count = EquipmentCount::of(topo);
+    SWITCH * count.switches as f64
+        + SWITCH_PORT * count.switch_ports as f64
+        + NIC_PORT * count.nic_ports as f64
+        + LINK * count.links as f64
 }
 
 #[cfg(test)]
@@ -144,18 +117,5 @@ mod tests {
         assert_eq!(cost_units(&t), 116.0);
         // fat_tree(4): 20·10 + 80·1 + 16·1.5 + 48·0.5 = 328 exactly.
         assert_eq!(cost_units(&generators::fat_tree(4)), 328.0);
-    }
-
-    #[test]
-    fn prices_scale_linearly() {
-        let t = generators::bcube(4, 1);
-        let c = EquipmentCount::of(&t);
-        let double = EquipmentPrices {
-            switch: 20.0,
-            switch_port: 2.0,
-            nic_port: 3.0,
-            link: 1.0,
-        };
-        assert_eq!(double.cost_units(&c), 2.0 * cost_units(&t));
     }
 }

@@ -30,7 +30,7 @@ pub mod figure1;
 pub mod model;
 pub mod planner;
 
-pub use equipment::{cost_units, EquipmentCount, EquipmentPrices};
+pub use equipment::{cost_units, EquipmentCount};
 pub use figure1::{figure1, CostSeries, PAPER_BUDGETS};
 pub use model::ProbeCostModel;
 pub use planner::{plan_cluster, ClusterPlan, PlanningRequirement};

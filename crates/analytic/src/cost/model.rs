@@ -5,9 +5,10 @@ use drs_core::SimDuration;
 /// Analytic model of DRS probe traffic on one shared network segment.
 ///
 /// Probing is per-plane: each host probes every peer on **each** of the
-/// cluster's `planes` networks, but each plane's probes ride on that
-/// plane's own segment. The per-segment load — and therefore Figure 1's
-/// response-time curves — is independent of `planes`.
+/// cluster's `K` networks, but each plane's probes ride on that plane's
+/// own segment. The per-segment load — and therefore Figure 1's
+/// response-time curves — is independent of `K`, so the model has no
+/// plane count.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProbeCostModel {
     /// Segment data rate in bits per second (paper: 100 Mb/s).
@@ -17,8 +18,6 @@ pub struct ProbeCostModel {
     /// Consecutive missed probes before a link is declared down
     /// (multiplies the response time; 1 reproduces the paper's curves).
     pub miss_threshold: u32,
-    /// Number of network planes being probed (paper: 2).
-    pub planes: u8,
 }
 
 impl Default for ProbeCostModel {
@@ -27,7 +26,6 @@ impl Default for ProbeCostModel {
             bandwidth_bps: 100_000_000,
             frame_bytes: 74,
             miss_threshold: 1,
-            planes: 2,
         }
     }
 }
@@ -118,22 +116,6 @@ mod tests {
         assert_eq!(m.frames_per_sweep(2), 4); // 2 requests + 2 replies
         assert_eq!(m.frames_per_sweep(90), 16_020);
         assert_eq!(m.bytes_per_sweep(90), 16_020 * 74);
-    }
-
-    #[test]
-    fn extra_planes_leave_per_segment_cost_alone() {
-        // Figure 1 is a per-segment statement: a K=4 cluster has the same
-        // response-time curves, because each plane carries only its own
-        // probes.
-        let two = ProbeCostModel::default();
-        let four = ProbeCostModel {
-            planes: 4,
-            ..ProbeCostModel::default()
-        };
-        for n in [2u64, 10, 90] {
-            assert_eq!(two.response_time(n, 0.10), four.response_time(n, 0.10));
-            assert_eq!(two.bytes_per_sweep(n), four.bytes_per_sweep(n));
-        }
     }
 
     #[test]

@@ -167,73 +167,41 @@ pub(crate) struct HubToggle {
 /// Hub liveness: every hub toggle scheduled so far, in one time-sorted
 /// list that keeps scheduling order at equal instants.
 ///
-/// This is the only place hub transitions are stored and the only place
-/// the toggle rule is applied: a toggle at `t` takes effect before every
-/// other event at `t` (it is never dispatched as an event and consumes no
-/// sequence number), and between toggles the last one holds — before the
-/// first, every hub is up. The world owns one; `component_is_up` asks it
-/// about an instant ([`Self::is_up`]), the core's admission and arrival
-/// check keep a cursor into it ([`Self::is_up_from`]), and the driver
-/// loop and the fluid engine walk it with cursors ([`Self::due`]). Toggles join at any instant at or
-/// after the present, so every toggle a cursor has passed stays where it
-/// is.
-#[derive(Debug)]
+/// This is the only place hub transitions are stored: a toggle at `t`
+/// takes effect before every other event at `t` (it is never dispatched
+/// as an event and consumes no sequence number), and between toggles the
+/// last one holds — before the first, every hub is up. The world's core
+/// owns it and walks it with its one cursor, applying each toggle once
+/// as the run loop reaches it; [`Self::is_up`] answers for an arbitrary
+/// instant, which `component_is_up` needs because a toggle may join at
+/// exactly `now()` between runs. Toggles join at any instant at or after
+/// the present, so every toggle the cursor has passed stays where it is.
+#[derive(Debug, Default)]
 pub(crate) struct HubSchedule {
     toggles: Vec<HubToggle>,
 }
 
 impl HubSchedule {
-    /// No toggle scheduled: every hub is up at every instant.
-    pub(crate) const fn new() -> Self {
-        HubSchedule {
-            toggles: Vec::new(),
-        }
-    }
-
     /// Adds a toggle behind every one scheduled at or before its instant.
     pub(crate) fn insert(&mut self, toggle: HubToggle) {
         let i = self.toggles.partition_point(|t| t.at <= toggle.at);
         self.toggles.insert(i, toggle);
     }
 
-    /// Whether the hub of `net` is up at `at`. A toggle *at* `at` has
-    /// already taken effect.
+    /// Whether the hub of `net` is up at `at`: the last toggle on `net`
+    /// at or before `at` holds. A toggle *at* `at` has already taken
+    /// effect.
     pub(crate) fn is_up(&self, net: NetId, at: SimTime) -> bool {
-        self.up_after(self.toggles.partition_point(|t| t.at <= at), net)
-    }
-
-    /// [`Self::is_up`] for a reader whose instants never go back: moves
-    /// its cursor `passed` over every toggle due by `at`, then reads the
-    /// answer behind it, with no search. The per-frame checks use this.
-    #[inline]
-    pub(crate) fn is_up_from(&self, passed: &mut usize, net: NetId, at: SimTime) -> bool {
-        while self.toggles.get(*passed).is_some_and(|t| t.at <= at) {
-            *passed += 1;
-        }
-        self.up_after(*passed, net)
-    }
-
-    /// Whether the hub of `net` is up once the first `passed` toggles
-    /// have taken effect: the last of them on `net` holds.
-    #[inline]
-    fn up_after(&self, passed: usize, net: NetId) -> bool {
-        self.toggles[..passed]
+        self.toggles[..self.toggles.partition_point(|t| t.at <= at)]
             .iter()
             .rev()
             .find(|t| t.net == net)
             .is_none_or(|t| t.up)
     }
 
-    /// The toggles due at or before `t` that a cursor which has passed
-    /// the first `passed` has not reached yet, in schedule order.
-    pub(crate) fn due(&self, passed: usize, t: SimTime) -> &[HubToggle] {
-        let rest = &self.toggles[passed..];
-        &rest[..rest.partition_point(|x| x.at <= t)]
-    }
-
-    /// The instant of toggle `i`; `SimTime(u64::MAX)` past the last.
-    pub(crate) fn at(&self, i: usize) -> SimTime {
-        self.toggles.get(i).map_or(SimTime(u64::MAX), |t| t.at)
+    /// Toggle `i` in schedule order, if there is one.
+    pub(crate) fn get(&self, i: usize) -> Option<HubToggle> {
+        self.toggles.get(i).copied()
     }
 }
 
@@ -412,7 +380,7 @@ mod tests {
 
     #[test]
     fn timeline_last_transition_wins_and_same_instant_applies() {
-        let mut hubs = HubSchedule::new();
+        let mut hubs = HubSchedule::default();
         hubs.insert(toggle(200, NetId::A, true));
         hubs.insert(toggle(100, NetId::A, false));
         assert!(hubs.is_up(NetId::A, SimTime(99)));
@@ -424,7 +392,7 @@ mod tests {
 
     #[test]
     fn equal_instants_keep_scheduling_order_and_the_last_wins() {
-        let mut hubs = HubSchedule::new();
+        let mut hubs = HubSchedule::default();
         hubs.insert(toggle(50, NetId::A, false));
         hubs.insert(toggle(50, NetId::A, true));
         hubs.insert(toggle(50, NetId::B, true));
@@ -433,39 +401,18 @@ mod tests {
         assert!(hubs.is_up(NetId::A, SimTime(50)));
         assert!(!hubs.is_up(NetId::B, SimTime(50)));
         assert!(!hubs.is_up(NetId::B, SimTime(49)));
-        // A forward-only reader's cursor gives the same answers.
-        let mut passed = 0;
-        for (at, a, b) in [
-            (9, true, true),
-            (10, true, false),
-            (50, true, false),
-            (60, true, false),
-        ] {
-            assert!(
-                hubs.is_up_from(&mut passed, NetId::A, SimTime(at)) == a,
-                "{at}"
-            );
-            assert!(
-                hubs.is_up_from(&mut passed, NetId::B, SimTime(at)) == b,
-                "{at}"
-            );
-        }
-        assert_eq!(passed, 5);
-        // A cursor meets them in that order, each exactly once.
-        let first = hubs.due(0, SimTime(49));
-        assert_eq!(first, [toggle(10, NetId::B, false)]);
-        let rest = hubs.due(first.len(), SimTime(50));
+        // Schedule order: time first, then the order they were added in.
+        let order: Vec<_> = (0..6).map_while(|i| hubs.get(i)).collect();
         assert_eq!(
-            rest,
+            order,
             [
+                toggle(10, NetId::B, false),
                 toggle(50, NetId::A, false),
                 toggle(50, NetId::A, true),
                 toggle(50, NetId::B, true),
                 toggle(50, NetId::B, false),
             ]
         );
-        assert!(hubs.due(5, SimTime(u64::MAX)).is_empty());
-        assert_eq!((hubs.at(4), hubs.at(5)), (SimTime(50), SimTime(u64::MAX)));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //!
 //! A failed hub (backplane failure, the paper's shared-component fault)
 //! silently discards everything submitted to or in flight on it. The
-//! segment keeps no liveness of its own: admission is told whether the
-//! hub is up, and the driver's hub schedule answers for frames in flight.
+//! segment keeps no liveness of its own: the core's per-segment `hub_up`
+//! flag, which the run loop sets from the hub schedule, is passed to
+//! admission and read again when a frame in flight arrives.
 
 use drs_core::{NetId, SimDuration, SimTime};
 

@@ -79,8 +79,6 @@ use std::collections::VecDeque;
 use drs_core::{NodeId, Route, SimTime};
 use drs_obs::{Fnv1a, Histogram};
 
-use crate::fault::HubSchedule;
-
 use self::slab::Slab;
 use super::{Transition, TransitionRecord, WorkloadSpec};
 
@@ -107,7 +105,7 @@ pub struct WorkloadStats {
     pub route_transitions: u64,
     /// NIC state flips observed.
     pub nic_transitions: u64,
-    /// Hub state flips applied from the out-of-band schedule.
+    /// Hub state flips observed.
     pub hub_transitions: u64,
     /// Daemon reroute-complete notifications (== the daemons'
     /// `reroute_complete` sample count).
@@ -382,12 +380,8 @@ pub struct FluidEngine {
     routes: Vec<Option<Route>>,
     /// NIC state mirror, `n × planes`.
     nic_up: Vec<bool>,
-    /// Hub state mirror, per plane, after the first `hubs_applied`
-    /// toggles of the world's hub schedule.
+    /// Hub state mirror, per plane.
     hub_up: Vec<bool>,
-    /// The engine's cursor into the world's hub schedule (which the
-    /// driver passes in): how many of its toggles are applied.
-    hubs_applied: usize,
     /// Crossing multiplicity per `(plane, class)` container.
     crossings: Vec<u64>,
     /// Water level per plane, bytes/s (`u64::MAX` = unconstrained).
@@ -420,7 +414,8 @@ pub struct FluidEngine {
 impl FluidEngine {
     /// Builds an engine over a mirror of the cluster's state. `routes`
     /// is the row-major `n × n` snapshot of the hosts' kernel route
-    /// tables at enable time; NICs and hubs start up.
+    /// tables at enable time and `hub_up` the hubs' state, per plane;
+    /// NICs start up.
     pub(crate) fn new(
         spec: &WorkloadSpec,
         n: usize,
@@ -428,9 +423,11 @@ impl FluidEngine {
         ttl: u8,
         bandwidth_bps: u64,
         routes: Vec<Option<Route>>,
+        hub_up: Vec<bool>,
     ) -> Self {
         assert!(planes >= 1 && planes as usize <= 64, "plane mask is u64");
         assert_eq!(routes.len(), n * n);
+        assert_eq!(hub_up.len(), planes as usize);
         let planes = planes as usize;
         let n_classes = spec.classes.len();
         let rates: Vec<u64> = spec
@@ -454,8 +451,7 @@ impl FluidEngine {
             class_order,
             routes,
             nic_up: vec![true; n * planes],
-            hub_up: vec![true; planes],
-            hubs_applied: 0,
+            hub_up,
             crossings: vec![0; planes * n_classes],
             lambda: vec![u64::MAX; planes],
             cum_good: vec![0; planes * n_classes],
@@ -492,12 +488,12 @@ impl FluidEngine {
         &self.stats
     }
 
-    /// Applies one transition, after every toggle of `hubs` due by its
-    /// instant; records must arrive in `(at, seq)` order. Leaves the
-    /// ledgers settled at the record's instant.
-    pub(crate) fn apply(&mut self, rec: &TransitionRecord, hubs: &HubSchedule) {
+    /// Applies one transition; records must arrive in the order the run
+    /// logged them, which is dispatch order (a hub toggle at `t` ahead
+    /// of every other transition at `t`). Leaves the ledgers settled at
+    /// the record's instant.
+    pub(crate) fn apply(&mut self, rec: &TransitionRecord) {
         let t = rec.at.0;
-        self.apply_hubs_through(hubs, rec.at);
         self.accrue_to(t);
         match rec.kind {
             Transition::Open {
@@ -508,6 +504,13 @@ impl FluidEngine {
                 holding_ns,
             } => self.on_open(t, host, local, dst, class, holding_ns),
             Transition::Close { host, local } => self.on_close(t, host, local),
+            Transition::Hub { net, up } => {
+                if self.hub_up[net.idx()] != up {
+                    self.hub_up[net.idx()] = up;
+                    self.stats.hub_transitions += 1;
+                    self.refresh_liveness_all(t);
+                }
+            }
             Transition::Nic { node, net, up } => {
                 self.stats.nic_transitions += 1;
                 let i = node.idx() * self.planes + net.idx();
@@ -522,26 +525,10 @@ impl FluidEngine {
         }
     }
 
-    /// Applies any pending toggles of `hubs` and integrates the ledgers
-    /// up to `until`. Idempotent; the driver calls it at the end of every
-    /// `run_until`.
-    pub(crate) fn settle(&mut self, until: SimTime, hubs: &HubSchedule) {
-        self.apply_hubs_through(hubs, until);
+    /// Integrates the ledgers up to `until`. Idempotent; the driver calls
+    /// it at the end of every `run_until`.
+    pub(crate) fn settle(&mut self, until: SimTime) {
         self.accrue_to(until.0);
-    }
-
-    /// Walks the cursor over every toggle of `hubs` due at or before `t`,
-    /// applying each at its own instant.
-    fn apply_hubs_through(&mut self, hubs: &HubSchedule, t: SimTime) {
-        for toggle in hubs.due(self.hubs_applied, t) {
-            self.hubs_applied += 1;
-            self.accrue_to(toggle.at.0);
-            if self.hub_up[toggle.net.idx()] != toggle.up {
-                self.hub_up[toggle.net.idx()] = toggle.up;
-                self.stats.hub_transitions += 1;
-                self.refresh_liveness_all(toggle.at.0);
-            }
-        }
     }
 
     /// Advances every container integral to `t`. O(K · C).
@@ -1103,11 +1090,7 @@ impl FluidEngine {
 mod tests {
     use super::super::{ArrivalProcess, ClassSpec, HoldingDist};
     use super::*;
-    use crate::fault::HubToggle;
     use drs_core::{NetId, RouteTable, SimDuration};
-
-    /// No hub ever toggles.
-    static NO_HUBS: HubSchedule = HubSchedule::new();
 
     fn spec(classes: Vec<ClassSpec>) -> WorkloadSpec {
         WorkloadSpec {
@@ -1131,7 +1114,7 @@ mod tests {
 
     fn engine(n: usize, classes: Vec<ClassSpec>, bw_bps: u64) -> FluidEngine {
         let s = spec(classes);
-        FluidEngine::new(&s, n, 2, 8, bw_bps, default_routes(n))
+        FluidEngine::new(&s, n, 2, 8, bw_bps, default_routes(n), vec![true; 2])
     }
 
     fn open(host: u32, local: u64, dst: u32, class: u8, holding: u64) -> Transition {
@@ -1144,10 +1127,9 @@ mod tests {
         }
     }
 
-    fn rec(at: u64, seq: u64, kind: Transition) -> TransitionRecord {
+    fn rec(at: u64, kind: Transition) -> TransitionRecord {
         TransitionRecord {
             at: SimTime(at),
-            seq,
             kind,
         }
     }
@@ -1162,18 +1144,14 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)), &NO_HUBS);
-        e.apply(
-            &rec(
-                1_000_000_000,
-                1,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
+        e.apply(&rec(0, open(0, 0, 1, 0, 1_000_000_000)));
+        e.apply(&rec(
+            1_000_000_000,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.delivered_unit, 1_000_000 * 1_000_000_000u128);
         assert_eq!(st.shortfall_unit, 0);
@@ -1192,30 +1170,22 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)), &NO_HUBS);
-        e.apply(&rec(0, 1, open(2, 0, 3, 0, 1_000_000_000)), &NO_HUBS);
-        e.apply(
-            &rec(
-                1_000_000_000,
-                2,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
-        e.apply(
-            &rec(
-                1_000_000_000,
-                3,
-                Transition::Close {
-                    host: NodeId(2),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
+        e.apply(&rec(0, open(0, 0, 1, 0, 1_000_000_000)));
+        e.apply(&rec(0, open(2, 0, 3, 0, 1_000_000_000)));
+        e.apply(&rec(
+            1_000_000_000,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
+        e.apply(&rec(
+            1_000_000_000,
+            Transition::Close {
+                host: NodeId(2),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         // Each session: demand 10 MB/s, fair share 6.25 MB/s.
         assert_eq!(st.delivered_unit, 2 * 6_250_000 * 1_000_000_000u128);
@@ -1242,30 +1212,22 @@ mod tests {
             ],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000_000)), &NO_HUBS);
-        e.apply(&rec(0, 1, open(2, 0, 3, 1, 1_000_000_000)), &NO_HUBS);
-        e.apply(
-            &rec(
-                1_000_000_000,
-                2,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
-        e.apply(
-            &rec(
-                1_000_000_000,
-                3,
-                Transition::Close {
-                    host: NodeId(2),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
+        e.apply(&rec(0, open(0, 0, 1, 0, 1_000_000_000)));
+        e.apply(&rec(0, open(2, 0, 3, 1, 1_000_000_000)));
+        e.apply(&rec(
+            1_000_000_000,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
+        e.apply(&rec(
+            1_000_000_000,
+            Transition::Close {
+                host: NodeId(2),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(
             st.delivered_unit,
@@ -1283,48 +1245,35 @@ mod tests {
             }],
             100_000_000,
         );
-        let mut hubs = HubSchedule::new();
-        hubs.insert(HubToggle {
-            at: SimTime(500),
+        e.apply(&rec(0, open(0, 0, 1, 0, 2_000)));
+        let hub_a_down = Transition::Hub {
             net: NetId::A,
             up: false,
-        });
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 2_000)), &hubs);
+        };
+        e.apply(&rec(500, hub_a_down));
         // Failover: the daemon moves the route to plane B at t=1500.
-        e.apply(
-            &rec(
-                1_500,
-                1,
-                Transition::RouteSet {
-                    host: NodeId(0),
-                    dst: NodeId(1),
-                    route: Route::Direct(NetId::B),
-                },
-            ),
-            &hubs,
-        );
-        e.apply(
-            &rec(
-                1_500,
-                2,
-                Transition::Reroute {
-                    host: NodeId(0),
-                    dst: NodeId(1),
-                },
-            ),
-            &hubs,
-        );
-        e.apply(
-            &rec(
-                2_000,
-                3,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ),
-            &hubs,
-        );
+        e.apply(&rec(
+            1_500,
+            Transition::RouteSet {
+                host: NodeId(0),
+                dst: NodeId(1),
+                route: Route::Direct(NetId::B),
+            },
+        ));
+        e.apply(&rec(
+            1_500,
+            Transition::Reroute {
+                host: NodeId(0),
+                dst: NodeId(1),
+            },
+        ));
+        e.apply(&rec(
+            2_000,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.stall_windows, 1);
         assert_eq!(st.resumed_windows, 1);
@@ -1346,24 +1295,19 @@ mod tests {
             }],
             100_000_000,
         );
-        let mut hubs = HubSchedule::new();
-        hubs.insert(HubToggle {
-            at: SimTime(100),
+        let hub_a_down = Transition::Hub {
             net: NetId::A,
             up: false,
-        });
-        e.apply(&rec(200, 0, open(0, 0, 1, 0, 1_000)), &hubs);
-        e.apply(
-            &rec(
-                1_200,
-                1,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ),
-            &hubs,
-        );
+        };
+        e.apply(&rec(100, hub_a_down));
+        e.apply(&rec(200, open(0, 0, 1, 0, 1_000)));
+        e.apply(&rec(
+            1_200,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.dropped_arrivals, 1);
         assert_eq!(st.closed, 0);
@@ -1380,55 +1324,39 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 10_000)), &NO_HUBS);
-        e.apply(&rec(0, 1, open(2, 0, 3, 0, 10_000)), &NO_HUBS);
-        e.apply(
-            &rec(
-                100,
-                2,
-                Transition::Nic {
-                    node: NodeId(1),
-                    net: NetId::A,
-                    up: false,
-                },
-            ),
-            &NO_HUBS,
-        );
+        e.apply(&rec(0, open(0, 0, 1, 0, 10_000)));
+        e.apply(&rec(0, open(2, 0, 3, 0, 10_000)));
+        e.apply(&rec(
+            100,
+            Transition::Nic {
+                node: NodeId(1),
+                net: NetId::A,
+                up: false,
+            },
+        ));
         assert_eq!(e.stats().stall_windows, 1, "only the 0->1 pair stalls");
-        e.apply(
-            &rec(
-                600,
-                3,
-                Transition::Nic {
-                    node: NodeId(1),
-                    net: NetId::A,
-                    up: true,
-                },
-            ),
-            &NO_HUBS,
-        );
-        e.apply(
-            &rec(
-                10_000,
-                4,
-                Transition::Close {
-                    host: NodeId(0),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
-        e.apply(
-            &rec(
-                10_000,
-                5,
-                Transition::Close {
-                    host: NodeId(2),
-                    local: 0,
-                },
-            ),
-            &NO_HUBS,
-        );
+        e.apply(&rec(
+            600,
+            Transition::Nic {
+                node: NodeId(1),
+                net: NetId::A,
+                up: true,
+            },
+        ));
+        e.apply(&rec(
+            10_000,
+            Transition::Close {
+                host: NodeId(0),
+                local: 0,
+            },
+        ));
+        e.apply(&rec(
+            10_000,
+            Transition::Close {
+                host: NodeId(2),
+                local: 0,
+            },
+        ));
         let st = e.stats();
         assert_eq!(st.resumed_windows, 1);
         assert_eq!(st.nic_transitions, 2);
@@ -1500,33 +1428,33 @@ mod tests {
         let pid = 1; // pair 0 -> 1 of a 4-host table
 
         // 0 -> 1 relays through host 2: plane A, then plane B.
-        e.apply(&rec(0, 0, route(2, 1, Route::Direct(NetId::B))), &NO_HUBS);
-        e.apply(&rec(0, 1, route(0, 1, via(2, NetId::A))), &NO_HUBS);
+        e.apply(&rec(0, route(2, 1, Route::Direct(NetId::B))));
+        e.apply(&rec(0, route(0, 1, via(2, NetId::A))));
         assert_watch_list_and_ledger(&e, &[]);
-        e.apply(&rec(0, 2, open(0, 0, 1, 0, 300)), &NO_HUBS);
-        e.apply(&rec(0, 3, open(0, 1, 1, 0, 500)), &NO_HUBS);
+        e.apply(&rec(0, open(0, 0, 1, 0, 300)));
+        e.apply(&rec(0, open(0, 1, 1, 0, 500)));
         assert_watch_list_and_ledger(&e, &[pid]);
         assert_eq!(e.pairs[pid as usize].bottleneck, 0, "tie goes to plane A");
         // A third session on plane B alone moves the bottleneck there.
-        e.apply(&rec(50, 4, open(2, 0, 1, 0, 450)), &NO_HUBS);
+        e.apply(&rec(50, open(2, 0, 1, 0, 450)));
         assert_eq!(e.pairs[pid as usize].bottleneck, 1);
         assert_watch_list_and_ledger(&e, &[pid]);
         // Rerouted onto one plane, then onto two again through host 3.
-        e.apply(&rec(100, 5, route(0, 1, Route::Direct(NetId::B))), &NO_HUBS);
+        e.apply(&rec(100, route(0, 1, Route::Direct(NetId::B))));
         assert_watch_list_and_ledger(&e, &[]);
-        e.apply(&rec(150, 6, route(0, 1, via(3, NetId::B))), &NO_HUBS);
+        e.apply(&rec(150, route(0, 1, via(3, NetId::B))));
         assert_watch_list_and_ledger(&e, &[pid]);
         // The gateway's NIC fails: the pair stalls, a member closes
         // inside the window, the NIC returns and the rest resume.
-        e.apply(&rec(200, 7, nic(false)), &NO_HUBS);
+        e.apply(&rec(200, nic(false)));
         assert_eq!(e.stats().stall_windows, 1);
-        e.apply(&rec(300, 8, close(0, 0)), &NO_HUBS);
+        e.apply(&rec(300, close(0, 0)));
         assert_watch_list_and_ledger(&e, &[pid]);
-        e.apply(&rec(400, 9, nic(true)), &NO_HUBS);
+        e.apply(&rec(400, nic(true)));
         assert_eq!(e.stats().resumed_windows, 1);
         assert_watch_list_and_ledger(&e, &[pid]);
-        e.apply(&rec(500, 10, close(0, 1)), &NO_HUBS);
-        e.apply(&rec(500, 11, close(2, 0)), &NO_HUBS);
+        e.apply(&rec(500, close(0, 1)));
+        e.apply(&rec(500, close(2, 0)));
         assert_watch_list_and_ledger(&e, &[]);
         let st = e.stats();
         assert_eq!((st.opened, st.closed, st.active), (3, 3, 0));
@@ -1547,9 +1475,9 @@ mod tests {
             }],
             100_000_000,
         );
-        e.apply(&rec(0, 0, open(0, 0, 1, 0, 1_000_000)), &NO_HUBS);
-        e.apply(&rec(100, 1, open(2, 0, 3, 0, 1_000_000)), &NO_HUBS);
-        e.settle(SimTime(5_000), &NO_HUBS);
+        e.apply(&rec(0, open(0, 0, 1, 0, 1_000_000)));
+        e.apply(&rec(100, open(2, 0, 3, 0, 1_000_000)));
+        e.settle(SimTime(5_000));
         let c = e.conservation();
         assert!(c.holds(), "{c:?}");
         assert_eq!(c.delivered_unit, 0, "nothing closed yet");
@@ -1566,19 +1494,15 @@ mod tests {
                 }],
                 100_000_000,
             );
-            e.apply(&rec(0, 0, open(0, 0, 1, 0, close_at)), &NO_HUBS);
-            e.apply(
-                &rec(
-                    close_at,
-                    1,
-                    Transition::Close {
-                        host: NodeId(0),
-                        local: 0,
-                    },
-                ),
-                &NO_HUBS,
-            );
-            e.settle(SimTime(10_000), &NO_HUBS);
+            e.apply(&rec(0, open(0, 0, 1, 0, close_at)));
+            e.apply(&rec(
+                close_at,
+                Transition::Close {
+                    host: NodeId(0),
+                    local: 0,
+                },
+            ));
+            e.settle(SimTime(10_000));
             e.digest()
         };
         assert_eq!(run(1_000), run(1_000));
@@ -1600,30 +1524,25 @@ mod tests {
                 ],
                 100_000_000,
             );
-            let mut hubs = HubSchedule::new();
-            for (at, up) in [(2_000, false), (3_000, true)] {
-                hubs.insert(HubToggle {
-                    at: SimTime(at),
-                    net: NetId::A,
-                    up,
-                });
-            }
+            let hub_a = |up| Transition::Hub { net: NetId::A, up };
             let touches = |e: &FluidEngine| e.slab.touches.get();
             for local in 0..m {
                 let class = (local % 2) as u8;
-                e.apply(&rec(1_000, local, open(0, local, 1, class, 10_000)), &hubs);
+                e.apply(&rec(1_000, open(0, local, 1, class, 10_000)));
                 assert_eq!(touches(&e), local + 1, "an open touches its record");
             }
-            e.settle(SimTime(2_500), &hubs);
+            e.apply(&rec(2_000, hub_a(false)));
+            e.settle(SimTime(2_500));
             assert_eq!(e.stats().stall_windows, 1, "the hub failure stalls 0->1");
-            e.settle(SimTime(3_500), &hubs);
+            e.apply(&rec(3_000, hub_a(true)));
+            e.settle(SimTime(3_500));
             assert_eq!(e.stats().resumed_windows, 1, "its repair resumes it");
             let flip = Transition::RouteSet {
                 host: NodeId(0),
                 dst: NodeId(1),
                 route: Route::Direct(NetId::B),
             };
-            e.apply(&rec(4_000, m, flip), &hubs);
+            e.apply(&rec(4_000, flip));
             assert_eq!(e.pairs[1].hops[0].plane, 1, "the pair moved to plane B");
             assert_eq!(touches(&e), m, "m = {m}: edges touch no session");
             for local in 0..m {
@@ -1631,7 +1550,7 @@ mod tests {
                     host: NodeId(0),
                     local,
                 };
-                e.apply(&rec(11_000, m + 1 + local, close), &hubs);
+                e.apply(&rec(11_000, close));
                 assert_eq!(touches(&e), m + local + 1, "a close touches its record");
             }
             let st = e.stats();
@@ -1875,24 +1794,21 @@ mod tests {
                     self.routes[host.idx() * self.n + dst.idx()] = None;
                 }
                 Transition::Reroute { .. } => self.stats.reroute_notifications += 1,
-            }
-            self.refresh(t);
-        }
-
-        fn hub(&mut self, t: u64, net: NetId, up: bool) {
-            self.advance(t);
-            if self.hub_up[net.idx()] != up {
-                self.hub_up[net.idx()] = up;
-                self.stats.hub_transitions += 1;
+                Transition::Hub { net, up } => {
+                    if self.hub_up[net.idx()] != up {
+                        self.hub_up[net.idx()] = up;
+                        self.stats.hub_transitions += 1;
+                    }
+                }
             }
             self.refresh(t);
         }
     }
 
-    /// One drawn schedule: the engine, fed the records and the hub
-    /// schedule, against the oracle stepped through the same merged
-    /// timeline (hub toggles first at an equal instant, as the engine
-    /// applies them). Returns the oracle for the coverage counts.
+    /// One drawn schedule: the engine, fed the records, against the
+    /// oracle stepped through the same timeline (hub toggles first at an
+    /// equal instant, as the run loop logs them). Returns the oracle for
+    /// the coverage counts.
     fn differential(seed: u64) -> Oracle {
         use drs_obs::rng::Rng;
         const PLANES: u8 = 3;
@@ -1903,7 +1819,9 @@ mod tests {
                 rate_bps: 8 * rng.gen_range(100..1_500),
             })
             .collect();
-        let mut e = FluidEngine::new(&spec(classes), n, PLANES, 4, 8 * 2_500, default_routes(n));
+        let routes = default_routes(n);
+        let hubs_up = vec![true; PLANES as usize];
+        let mut e = FluidEngine::new(&spec(classes), n, PLANES, 4, 8 * 2_500, routes, hubs_up);
         let mut oracle = Oracle::new(&e);
         let host = |rng: &mut Rng| NodeId(rng.gen_range(0..n as u32));
         let net = |rng: &mut Rng| NetId(rng.gen_range(0..PLANES));
@@ -1914,18 +1832,11 @@ mod tests {
             }
         };
         let horizon = 1_000_000;
-        let mut hubs = HubSchedule::new();
         let mut toggles = Vec::new();
         for _ in 0..6 {
-            let toggle = HubToggle {
-                at: SimTime(rng.gen_range(0..horizon)),
-                net: net(&mut rng),
-                up: rng.gen_bool(0.5),
-            };
-            hubs.insert(toggle);
-            toggles.push(toggle);
+            let (at, net, up) = (rng.gen_range(0..horizon), net(&mut rng), rng.gen_bool(0.5));
+            toggles.push((at, Transition::Hub { net, up }));
         }
-        toggles.sort_by_key(|t| t.at);
         // (at, kind); opens carry a placeholder local id, assigned below
         // in time order so each host's ids are dense.
         let mut events: Vec<(u64, Transition)> = Vec::new();
@@ -1990,22 +1901,18 @@ mod tests {
             }
         }
         events.extend(closes);
-        events.sort_by_key(|&(at, _)| at);
-        let end = events.last().expect("drawn").0 + 1;
+        let end = events.iter().map(|&(at, _)| at).max().expect("drawn") + 1;
+        // The toggles go in front, so the stable sort keeps each ahead of
+        // every transition at its instant.
+        toggles.extend(events);
+        toggles.sort_by_key(|&(at, _)| at);
 
-        let mut toggles = toggles.into_iter().peekable();
-        for (seq, &(at, kind)) in events.iter().enumerate() {
-            while let Some(t) = toggles.next_if(|t| t.at.0 <= at) {
-                oracle.hub(t.at.0, t.net, t.up);
-            }
+        for &(at, kind) in &toggles {
             oracle.step(at, kind);
-            e.apply(&rec(at, seq as u64, kind), &hubs);
-        }
-        for t in toggles {
-            oracle.hub(t.at.0, t.net, t.up);
+            e.apply(&rec(at, kind));
         }
         oracle.advance(end);
-        e.settle(SimTime(end), &hubs);
+        e.settle(SimTime(end));
 
         assert_eq!(e.closes, oracle.closes, "seed {seed}: per-session ledgers");
         assert_eq!(e.stats, oracle.stats, "seed {seed}: statistics");

@@ -9,8 +9,9 @@
 //!
 //! * session **open** / **close** (arrival-process driven, one timer
 //!   each),
-//! * **route** installs/removals and **NIC**/**hub** toggles (already
-//!   events), which re-shape the per-plane rate ledgers,
+//! * **route** installs/removals and **NIC**/**hub** toggles (NIC flips
+//!   are events; the run loop logs each hub toggle once as it passes
+//!   it), which re-shape the per-plane rate ledgers,
 //! * the daemon's **reroute-complete** notification
 //!   ([`drs_core::io::DrsIo::notify_reroute`]), which cross-checks the
 //!   stall/resume accounting 1:1 against `reroute_complete` samples.
@@ -27,7 +28,7 @@
 //!   it draws arrivals/holding times from per-host [`dist::Stream`]s,
 //!   dispatches `SessionOpen`/`SessionClose` events, and logs every
 //!   [`TransitionRecord`];
-//! * [`FluidEngine`] consumes the `(at, seq)`-ordered transition log and
+//! * [`FluidEngine`] consumes the dispatch-ordered transition log and
 //!   maintains the fluid accounting: max-min fair shares per
 //!   plane, per-session goodput/shortfall integrals (exact, in
 //!   byte·ns/s units), and the failover SLO histograms.
@@ -117,25 +118,21 @@ impl WorkloadSpec {
     }
 }
 
-/// One recorded workload transition, stamped with the dispatch identity
-/// `(at, seq)` of the event that produced it — the same identity the
-/// flight recorder uses, so the log orders transitions by dispatch
-/// identity.
+/// One recorded workload transition, stamped with its instant. The log
+/// holds records in the order the run produced them, which is dispatch
+/// order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransitionRecord {
     /// Virtual instant of the transition.
     pub at: SimTime,
-    /// Packed sequence number of the producing dispatch.
-    pub seq: u64,
     /// What changed.
     pub kind: Transition,
 }
 
-/// The transition vocabulary the fluid engine consumes. Hub toggles are
-/// deliberately absent: they are never dispatched as events, so the
-/// engine walks the world's hub schedule with a cursor of its own and
-/// applies the toggles at `t` before any transition at `t` — the rule
-/// every reader of that schedule applies.
+// One per logged transition: a million-session run drains millions.
+const _: () = assert!(std::mem::size_of::<TransitionRecord>() <= 40);
+
+/// The transition vocabulary the fluid engine consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
     /// A session opened on `host`.
@@ -157,6 +154,14 @@ pub enum Transition {
         host: NodeId,
         /// Host-local session id.
         local: u64,
+    },
+    /// A hub changed state. The run loop logs it when it passes the
+    /// toggle, before every event at the toggle's instant.
+    Hub {
+        /// The plane whose hub toggled.
+        net: NetId,
+        /// New state.
+        up: bool,
     },
     /// A NIC changed state.
     Nic {
@@ -266,13 +271,7 @@ impl WorkloadCore {
     /// `(local id, holding ns, next open-loop gap ns)` for the kernel to
     /// schedule. Draw order (dst, class, holding, gap) is part of the
     /// determinism contract.
-    pub(crate) fn open(
-        &mut self,
-        host: NodeId,
-        n: usize,
-        at: SimTime,
-        seq: u64,
-    ) -> (u64, u64, Option<u64>) {
+    pub(crate) fn open(&mut self, host: NodeId, n: usize, at: SimTime) -> (u64, u64, Option<u64>) {
         self.events += 1;
         let nclasses = self.spec.classes.len();
         let s = &mut self.streams[host.idx()];
@@ -292,7 +291,6 @@ impl WorkloadCore {
         self.next_local[host.idx()] += 1;
         self.log.push(TransitionRecord {
             at,
-            seq,
             kind: Transition::Open {
                 host,
                 local,
@@ -307,11 +305,10 @@ impl WorkloadCore {
     /// Executes one `SessionClose` dispatch: logs the close and returns
     /// the closed-loop think gap (ns) after which this host's user opens
     /// its next session, if any.
-    pub(crate) fn close(&mut self, host: NodeId, local: u64, at: SimTime, seq: u64) -> Option<u64> {
+    pub(crate) fn close(&mut self, host: NodeId, local: u64, at: SimTime) -> Option<u64> {
         self.events += 1;
         self.log.push(TransitionRecord {
             at,
-            seq,
             kind: Transition::Close { host, local },
         });
         match self.spec.arrivals {
@@ -323,8 +320,8 @@ impl WorkloadCore {
     }
 
     /// Appends a non-session transition observed by the kernel.
-    pub(crate) fn record(&mut self, at: SimTime, seq: u64, kind: Transition) {
-        self.log.push(TransitionRecord { at, seq, kind });
+    pub(crate) fn record(&mut self, at: SimTime, kind: Transition) {
+        self.log.push(TransitionRecord { at, kind });
     }
 }
 
@@ -373,8 +370,8 @@ mod tests {
         let mut a = WorkloadCore::new(spec(), 4, 7);
         let mut b = WorkloadCore::new(spec(), 4, 7);
         for i in 0..200u64 {
-            let (la, _, _) = a.open(NodeId(2), 4, SimTime(i), i);
-            let (lb, _, _) = b.open(NodeId(2), 4, SimTime(i), i);
+            let (la, _, _) = a.open(NodeId(2), 4, SimTime(i));
+            let (lb, _, _) = b.open(NodeId(2), 4, SimTime(i));
             assert_eq!(la, lb);
             assert_eq!(la, i, "dense per-host local ids");
         }
@@ -397,8 +394,8 @@ mod tests {
             ..spec()
         };
         let mut w = WorkloadCore::new(cl, 3, 1);
-        assert!(w.close(NodeId(0), 0, SimTime(5), 9).is_some());
+        assert!(w.close(NodeId(0), 0, SimTime(5)).is_some());
         let mut open = WorkloadCore::new(spec(), 3, 1);
-        assert!(open.close(NodeId(0), 0, SimTime(5), 9).is_none());
+        assert!(open.close(NodeId(0), 0, SimTime(5)).is_none());
     }
 }

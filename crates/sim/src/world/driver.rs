@@ -15,12 +15,12 @@
 //!
 //! * hub liveness is a schedule, not an event: a toggle at `t` takes
 //!   effect before every other event at `t` and consumes no sequence
-//!   number. The world keeps every toggle in one time-sorted list, its
-//!   hub schedule, and nothing copies it: medium admission and the
-//!   arrival check ask it about their own instant through the core's
-//!   cursor, and the loop and the fluid engine walk it with cursors too.
-//!   Hub faults may be scheduled at any `at >= now()`, before or between
-//!   runs;
+//!   number. The core keeps every toggle in one time-sorted list, its
+//!   hub schedule, and walks it with one cursor: when the loop reaches a
+//!   toggle, the core applies it once — the segment's `hub_up` flag that
+//!   admission and the arrival check read, the flight record, and a
+//!   `Transition::Hub` in the fluid engine's log. Hub faults may be
+//!   scheduled at any `at >= now()`, before or between runs;
 //! * corruption rolls and daemon draws come from per-host RNG streams,
 //!   so draw order depends only on the host's own event sequence;
 //! * equal instants pop in sequence order, and every event the run
@@ -35,10 +35,10 @@ use std::ops::{Deref, DerefMut};
 
 use drs_core::ids::FlowId;
 use drs_core::{NetId, NodeId, ProbeObs, SimDuration, SimTime};
-use drs_obs::flight::{FlightLog, FlightRecorder, TraceKind, TraceRecord};
+use drs_obs::flight::{FlightLog, FlightRecorder};
 
 use crate::app::Workload;
-use crate::fault::{FaultPlan, HubSchedule, HubToggle, SimComponent};
+use crate::fault::{FaultPlan, HubToggle, SimComponent};
 use crate::host::HostView;
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
@@ -49,14 +49,6 @@ use crate::workload::{FluidEngine, WorkloadCore, WorkloadSpec, WorkloadStats};
 use super::kernel::Engine;
 use super::queue::{Core, EventKind, EventRecord, KernelStats};
 use super::{Ctx, FlowOutcome, Protocol};
-
-/// First `sub` value of hub-toggle flight records. A toggle record is
-/// stamped with the toggle's instant and sequence number 0, which a
-/// dispatch at that instant may carry too; per-dispatch sub counters stay
-/// far below this, so the two never share an [`EventRef`].
-///
-/// [`EventRef`]: drs_obs::flight::EventRef
-const HUB_SUB_BASE: u32 = 1 << 31;
 
 /// Virtual time [`World::run_until_settled`] advances between two looks
 /// at the flow table. Short against what the caller saves (a resolved
@@ -99,14 +91,6 @@ pub struct World<P: Protocol> {
     pub(super) core: Core<P::Msg>,
     /// Every host's daemon, indexed by host.
     protocols: Vec<P>,
-    /// Every hub toggle scheduled so far, the one copy: the core, the
-    /// fluid engine and [`Self::component_is_up`] read it by reference.
-    hubs: HubSchedule,
-    /// How many of the hub schedule's toggles have their flight record
-    /// ([`record_hub_toggles`]).
-    hubs_recorded: usize,
-    /// Sub number of the next hub-toggle flight record.
-    hub_sub: u32,
     next_flow: u64,
     /// The fluid session accounting engine, when
     /// [`Self::enable_workload`] was called. Consumes the core's
@@ -145,43 +129,6 @@ impl<P: Protocol> DerefMut for ShardedWorld<P> {
     }
 }
 
-/// Records the `Fault` or `Repair` of every toggle due at or before `t`
-/// that `*recorded` has not passed yet into `flight`, stamped with the
-/// toggle's own instant and sequence number 0 (a toggle precedes every
-/// event at its instant and consumes no number), and returns the next
-/// toggle's instant. The loop walks it before each dispatch, so the
-/// records land in dispatch order.
-fn record_hub_toggles(
-    hubs: &HubSchedule,
-    recorded: &mut usize,
-    t: SimTime,
-    flight: &mut Option<FlightRecorder>,
-    sub: &mut u32,
-) -> SimTime {
-    let due = hubs.due(*recorded, t);
-    *recorded += due.len();
-    if let Some(flight) = flight {
-        for toggle in due {
-            flight.record(TraceRecord {
-                time_ns: toggle.at.0,
-                seq: 0,
-                sub: *sub,
-                kind: if toggle.up {
-                    TraceKind::Repair
-                } else {
-                    TraceKind::Fault
-                },
-                host: u32::MAX,
-                plane: Some(toggle.net.0),
-                arg: 0,
-                cause: None,
-            });
-            *sub += 1;
-        }
-    }
-    hubs.at(*recorded)
-}
-
 impl<P: Protocol> World<P> {
     /// Builds the cluster and starts every daemon (each gets `on_start`
     /// at time zero, in host order).
@@ -218,9 +165,6 @@ impl<P: Protocol> World<P> {
         let mut world = World {
             core,
             protocols: (0..spec.n as u32).map(NodeId).map(factory).collect(),
-            hubs: HubSchedule::new(),
-            hubs_recorded: 0,
-            hub_sub: HUB_SUB_BASE,
             next_flow: 0,
             workload_engine: None,
         };
@@ -228,7 +172,6 @@ impl<P: Protocol> World<P> {
             let mut ctx = Ctx {
                 core: &mut world.core,
                 node: NodeId(i as u32),
-                hubs: &world.hubs,
             };
             protocol.on_start(&mut ctx);
         }
@@ -350,7 +293,7 @@ impl<P: Protocol> World<P> {
         match c {
             SimComponent::Hub(net) => {
                 assert!(net.idx() < self.core.spec.planes as usize, "no such plane");
-                self.hubs.is_up(net, self.core.now)
+                self.core.hubs.is_up(net, self.core.now)
             }
             SimComponent::Nic(node, net) => self.core.hosts.nic_is_up(node, net),
         }
@@ -358,7 +301,7 @@ impl<P: Protocol> World<P> {
 
     /// Schedules every event of a fault plan.
     ///
-    /// NIC faults become ordinary events. Hub faults join the driver's
+    /// NIC faults become ordinary events. Hub faults join the core's
     /// hub schedule — a toggle at `t` takes effect before every other
     /// event at `t` — and may be added before or between runs like any
     /// other fault.
@@ -378,7 +321,7 @@ impl<P: Protocol> World<P> {
                 "fault on plane {net} but the cluster has {planes} planes"
             );
             match ev.component {
-                SimComponent::Hub(net) => self.hubs.insert(HubToggle {
+                SimComponent::Hub(net) => self.core.hubs.insert(HubToggle {
                     at: ev.at,
                     net,
                     up: ev.up,
@@ -449,7 +392,9 @@ impl<P: Protocol> World<P> {
     /// in the accounting engine that consumes the transition log, and a
     /// timer-wheel slot-buffer pool pre-sized from the expected
     /// transition rate. Must be called before time advances; composes
-    /// with [`Self::schedule_faults`] in either order.
+    /// with [`Self::schedule_faults`] in either order. The engine starts
+    /// from the hubs' current state, so a toggle at time zero that a
+    /// `run_until(SimTime::ZERO)` already applied is not lost.
     ///
     /// # Panics
     /// Panics if called after time has advanced, or twice.
@@ -472,6 +417,7 @@ impl<P: Protocol> World<P> {
             spec.ttl,
             spec.bandwidth_bps,
             routes,
+            self.core.hub_up.clone(),
         )));
         let (buffers, capacity) = wspec.pool_hint(n);
         self.core.events.reserve_spare(buffers, capacity);
@@ -512,9 +458,9 @@ impl<P: Protocol> World<P> {
             return;
         };
         for rec in &wl.log {
-            engine.apply(rec, &self.hubs);
+            engine.apply(rec);
         }
-        engine.settle(until, &self.hubs);
+        engine.settle(until);
         wl.log.clear();
     }
 
@@ -539,26 +485,20 @@ impl<P: Protocol> World<P> {
     }
 
     /// Pops and dispatches every event due by `until`; afterwards
-    /// `now() == until`. Each hub toggle is recorded before the first
-    /// event at or after its instant, so its flight record lands in
-    /// dispatch order, at one compare per event.
+    /// `now() == until`. Each hub toggle is applied before the first
+    /// event at or after its instant, at one compare per event.
     pub fn run_until(&mut self, until: SimTime) {
         let World {
-            core,
-            protocols,
-            hubs,
-            hubs_recorded,
-            hub_sub,
-            ..
+            core, protocols, ..
         } = self;
-        let mut next_toggle = hubs.at(*hubs_recorded);
+        // Zero: the first event looks up the next toggle.
+        let mut next_toggle = SimTime::ZERO;
         while let Some((at, _)) = core.events.peek() {
             if at > until {
                 break;
             }
             if at >= next_toggle {
-                next_toggle =
-                    record_hub_toggles(hubs, hubs_recorded, at, &mut core.flight, hub_sub);
+                next_toggle = core.pass_hub_toggles(at);
             }
             let (at, seq, kind) = core.events.pop().expect("peeked");
             debug_assert!(at >= core.now);
@@ -569,11 +509,10 @@ impl<P: Protocol> World<P> {
             Engine {
                 core: &mut *core,
                 protocols,
-                hubs,
             }
             .dispatch(kind);
         }
-        record_hub_toggles(hubs, hubs_recorded, until, &mut core.flight, hub_sub);
+        core.pass_hub_toggles(until);
         core.now = core.now.max(until);
         self.drain_workload(until);
     }
@@ -610,7 +549,7 @@ impl<P: Protocol> World<P> {
 mod tests {
     use super::*;
     use crate::world::EventTag;
-    use drs_obs::flight::EventRef;
+    use drs_obs::flight::{EventRef, TraceKind};
 
     struct Idle;
     impl Protocol for Idle {

@@ -10,7 +10,6 @@ use drs_core::ids::FlowId;
 use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimDuration};
 use drs_obs::flight::{loss_site, TraceKind};
 
-use crate::fault::HubSchedule;
 use crate::medium::TrafficClass;
 use crate::transport::{rto_for_attempt, OutstandingSend};
 use crate::workload::Transition;
@@ -41,17 +40,16 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// dropped *locally* because the sender's NIC is down (observable to
     /// the sender, like a device error from `sendmsg`). A dead hub eats
     /// the frame silently and still returns `true` — that loss is not
-    /// locally observable. Admission asks `hubs` whether the hub is up at
-    /// this instant.
-    pub(crate) fn transmit(&mut self, frame: Frame<M>, hubs: &HubSchedule) -> bool {
+    /// locally observable. Admission reads the segment's `hub_up`, which
+    /// the run loop has brought up to this instant.
+    pub(crate) fn transmit(&mut self, frame: Frame<M>) -> bool {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
             self.flight_loss(&frame, loss_site::TX_NIC_DOWN);
             self.salvage(frame);
             return false;
         }
-        let (now, class) = (self.now, class_of(&frame));
-        let up = hubs.is_up_from(&mut self.hubs_passed, frame.net, now);
+        let (now, class, up) = (self.now, class_of(&frame), self.hub_up[frame.net.idx()]);
         if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class, up) {
             let frame = self.boxed(frame);
             self.schedule_at(arrive, EventKind::Arrive(frame));
@@ -86,8 +84,6 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
 pub(crate) struct Engine<'a, P: Protocol> {
     pub(crate) core: &'a mut Core<P::Msg>,
     pub(crate) protocols: &'a mut [P],
-    /// The world's hub schedule, asked at admission and at arrival.
-    pub(crate) hubs: &'a HubSchedule,
 }
 
 impl<P: Protocol> Engine<'_, P> {
@@ -100,7 +96,6 @@ impl<P: Protocol> Engine<'_, P> {
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
-                    hubs: self.hubs,
                 };
                 self.protocols[node.idx()].on_timer(&mut ctx, token);
             }
@@ -141,12 +136,12 @@ impl<P: Protocol> Engine<'_, P> {
     /// the wheel. This dispatch and the close are the *only* kernel
     /// events a session ever costs.
     fn handle_session_open(&mut self, host: NodeId) {
-        let (now, seq, n) = (self.core.now, self.core.cur_ev_seq, self.core.spec.n);
+        let (now, n) = (self.core.now, self.core.spec.n);
         let Some(w) = self.core.workload.as_mut() else {
             return;
         };
         let horizon = w.spec.horizon;
-        let (local, holding_ns, gap) = w.open(host, n, now, seq);
+        let (local, holding_ns, gap) = w.open(host, n, now);
         self.core.schedule_at(
             now + SimDuration(holding_ns),
             EventKind::SessionClose { host, local },
@@ -162,12 +157,12 @@ impl<P: Protocol> Engine<'_, P> {
     /// A fluid session reached its holding time; closed-loop workloads
     /// draw the user's think gap and schedule the next arrival.
     fn handle_session_close(&mut self, host: NodeId, local: u64) {
-        let (now, seq) = (self.core.now, self.core.cur_ev_seq);
+        let now = self.core.now;
         let Some(w) = self.core.workload.as_mut() else {
             return;
         };
         let horizon = w.spec.horizon;
-        let think = w.close(host, local, now, seq);
+        let think = w.close(host, local, now);
         if let Some(think_ns) = think {
             let at = now + SimDuration(think_ns);
             if at < horizon {
@@ -180,7 +175,6 @@ impl<P: Protocol> Engine<'_, P> {
         let mut ctx = Ctx {
             core: &mut *self.core,
             node,
-            hubs: self.hubs,
         };
         self.protocols[node.idx()].on_transport(&mut ctx, event);
     }
@@ -213,7 +207,7 @@ impl<P: Protocol> Engine<'_, P> {
             wire_bytes: os.payload_bytes + self.core.spec.data_header_bytes,
             flight: None,
         };
-        self.core.transmit(frame, self.hubs);
+        self.core.transmit(frame);
         true
     }
 
@@ -236,7 +230,7 @@ impl<P: Protocol> Engine<'_, P> {
             wire_bytes: wire,
             flight: None,
         };
-        if self.core.transmit(frame, self.hubs) {
+        if self.core.transmit(frame) {
             SendStatus::Sent
         } else {
             SendStatus::NicDown
@@ -322,9 +316,8 @@ impl<P: Protocol> Engine<'_, P> {
 
     pub(crate) fn handle_arrival(&mut self, frame: &mut Frame<P::Msg>) {
         // A hub that died while the frame was in flight eats it.
-        let (core, hubs) = (&mut *self.core, self.hubs);
-        if !hubs.is_up_from(&mut core.hubs_passed, frame.net, core.now) {
-            core.flight_loss(frame, loss_site::HUB_ARRIVAL);
+        if !self.core.hub_up[frame.net.idx()] {
+            self.core.flight_loss(frame, loss_site::HUB_ARRIVAL);
             return;
         }
         match frame.dst {
@@ -374,13 +367,12 @@ impl<P: Protocol> Engine<'_, P> {
                     // echo request is unicast and dies here.
                     flight: frame.flight.take(),
                 };
-                self.core.transmit(reply, self.hubs);
+                self.core.transmit(reply);
             }
             FrameKind::EchoReply { id, seq } => {
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
-                    hubs: self.hubs,
                 };
                 self.protocols[node.idx()].on_echo_reply(&mut ctx, frame.src, frame.net, *id, *seq);
             }
@@ -389,7 +381,6 @@ impl<P: Protocol> Engine<'_, P> {
                 let mut ctx = Ctx {
                     core: &mut *self.core,
                     node,
-                    hubs: self.hubs,
                 };
                 self.protocols[node.idx()].on_control(&mut ctx, frame.src, frame.net, msg);
             }

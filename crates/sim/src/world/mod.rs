@@ -33,7 +33,6 @@ use drs_core::{
 };
 use drs_obs::rng::Rng;
 
-use crate::fault::HubSchedule;
 use crate::scenario::ClusterSpec;
 use crate::stats::HostCounters;
 use crate::workload::Transition;
@@ -155,9 +154,6 @@ pub enum FlowOutcome {
 pub struct Ctx<'a, M> {
     pub(crate) core: &'a mut Core<M>,
     pub(crate) node: NodeId,
-    /// The world's hub schedule: whether what this host sends now is
-    /// admitted.
-    pub(crate) hubs: &'a HubSchedule,
 }
 
 impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
@@ -228,7 +224,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
             wire_bytes: wire,
             flight,
         };
-        self.core.transmit(frame, self.hubs);
+        self.core.transmit(frame);
     }
 
     /// Sends a control message of the default control-frame size.
@@ -249,7 +245,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
             wire_bytes,
             flight: None,
         };
-        self.core.transmit(frame, self.hubs);
+        self.core.transmit(frame);
     }
 
     /// Broadcasts a control message on `net` (every live NIC receives it).
@@ -269,7 +265,7 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
             wire_bytes,
             flight: None,
         };
-        self.core.transmit(frame, self.hubs);
+        self.core.transmit(frame);
     }
 
     /// Arms a one-shot timer; `token` comes back in

@@ -19,6 +19,7 @@ use drs_core::frame::Segment;
 use drs_core::ids::FlowId;
 use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimTime};
 
+use crate::fault::{HubSchedule, HubToggle};
 use crate::host::Hosts;
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
@@ -27,6 +28,12 @@ use crate::wheel::{TimerWheel, WheelStats, MAX_USEFUL_SPARE};
 use crate::workload::{Transition, WorkloadCore};
 
 use super::FlowOutcome;
+
+/// First `sub` value of hub-toggle flight records. A toggle record is
+/// stamped with the toggle's instant and sequence number 0, which a
+/// dispatch at that instant may carry too; per-dispatch sub counters stay
+/// far below this, so the two never share an [`EventRef`].
+const HUB_SUB_BASE: u32 = 1 << 31;
 
 /// What a queued event does when it fires.
 ///
@@ -51,7 +58,8 @@ pub(crate) enum EventKind<M> {
         attempt: u32,
     },
     /// A NIC failure or repair. Hub toggles never travel as events: the
-    /// driver applies them from its hub schedule (see `super::driver`).
+    /// run loop applies them from the core's hub schedule
+    /// ([`Core::pass_hub_toggles`]).
     NicFault {
         node: NodeId,
         net: NetId,
@@ -167,9 +175,14 @@ pub struct Core<M> {
     /// choice (no SipHash seeding anywhere near the summary path).
     pub(crate) flow_outcomes: Vec<Option<FlowOutcome>>,
     pub(crate) clamped_past: u64,
-    /// This core's cursor into the world's hub schedule: how many of its
-    /// toggles lie at or before the last instant this core asked about.
-    pub(crate) hubs_passed: usize,
+    /// Every hub toggle scheduled so far, the one copy.
+    pub(crate) hubs: HubSchedule,
+    /// The one cursor into `hubs`: how many of its toggles the run loop
+    /// has applied ([`Self::pass_hub_toggles`]).
+    hubs_passed: usize,
+    /// Per segment, whether its hub is up once the passed toggles have
+    /// taken effect: what admission and the arrival check read.
+    pub(crate) hub_up: Vec<bool>,
     /// One seed-derived random stream per host (corruption rolls, daemon
     /// draws): draw order depends only on the host's own event sequence.
     pub(crate) rngs: Vec<Rng>,
@@ -260,7 +273,9 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             app_stats: AppStats::default(),
             flow_outcomes: Vec::new(),
             clamped_past: 0,
+            hubs: HubSchedule::default(),
             hubs_passed: 0,
+            hub_up: vec![true; planes],
             rngs: (0..n as u32)
                 .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
                 .collect(),
@@ -319,14 +334,54 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         self.spare_frames.keep(frame);
     }
 
-    /// Logs a non-session workload transition (route/NIC/reroute)
-    /// stamped with the current dispatch identity. No-op when the fluid
-    /// workload is not enabled.
+    /// Logs a non-session workload transition (route/NIC/reroute) at the
+    /// current instant. No-op when the fluid workload is not enabled.
     #[inline]
     pub(crate) fn record_workload(&mut self, kind: Transition) {
         if let Some(w) = self.workload.as_mut() {
-            w.record(self.now, self.cur_ev_seq, kind);
+            w.record(self.now, kind);
         }
+    }
+
+    /// Applies every hub toggle due at or before `t` that the cursor has
+    /// not passed, each exactly once and in schedule order: it sets the
+    /// segment's `hub_up`, writes the `Fault`/`Repair` flight record
+    /// (stamped with the toggle's own instant and sequence number 0, sub
+    /// [`HUB_SUB_BASE`] plus its schedule index) and logs a
+    /// [`Transition::Hub`] for the fluid engine. Returns the next toggle's
+    /// instant, `SimTime(u64::MAX)` past the last. The run loop calls it
+    /// before the first event at or after a toggle's instant, so the
+    /// toggle precedes every event at its instant and its records land in
+    /// dispatch order.
+    pub(crate) fn pass_hub_toggles(&mut self, t: SimTime) -> SimTime {
+        while let Some(HubToggle { at, net, up }) =
+            self.hubs.get(self.hubs_passed).filter(|x| x.at <= t)
+        {
+            self.hub_up[net.idx()] = up;
+            if let Some(flight) = self.flight.as_mut() {
+                flight.record(TraceRecord {
+                    time_ns: at.0,
+                    seq: 0,
+                    sub: HUB_SUB_BASE + self.hubs_passed as u32,
+                    kind: if up {
+                        TraceKind::Repair
+                    } else {
+                        TraceKind::Fault
+                    },
+                    host: u32::MAX,
+                    plane: Some(net.0),
+                    arg: 0,
+                    cause: None,
+                });
+            }
+            if let Some(w) = self.workload.as_mut() {
+                w.record(at, Transition::Hub { net, up });
+            }
+            self.hubs_passed += 1;
+        }
+        self.hubs
+            .get(self.hubs_passed)
+            .map_or(SimTime(u64::MAX), |t| t.at)
     }
 
     pub(crate) fn schedule_at(&mut self, at: SimTime, kind: EventKind<M>) {

@@ -5,9 +5,10 @@
 //! rerun of a draw; `run_until_settled` stops on a stride of `run_until`
 //! and leaves what a straight run leaves; and `ShardedWorld`, the name
 //! `benchmark/` builds the world by, is `World::new` at any shard count.
-//! Two last tests put hub toggles exactly on transmission instants,
-//! before and between runs, and schedule hub faults between runs with
-//! the fluid workload on.
+//! Three last tests put hub toggles exactly on transmission instants,
+//! before and between runs, schedule hub faults between runs with the
+//! fluid workload on, and enable the workload after a run to time zero
+//! has already applied a hub fault.
 //!
 //! These are plain seeded loops, so a failing seed prints directly and
 //! reruns exactly.
@@ -529,8 +530,7 @@ fn hub_toggles_on_timer_instants_take_effect_first() {
 /// the start: one at exactly `now()`, a same-instant down/up pair on one
 /// plane and an up/down pair on another (the last of each wins), and
 /// toggles on chatter timer instants, where events are dispatched at the
-/// toggle's own instant. Every reader of the hub schedule agrees with
-/// the plan: `component_is_up` after every segment, the media's hub-down
+/// toggle's own instant. Every view of hub state agrees with the plan: `component_is_up` after every segment, the media's hub-down
 /// drops and the fluid engine's hub transitions — whose time-order guard
 /// (`accrue_to`) a toggle read out of order would trip — and the run
 /// leaves the same bytes behind as one that scheduled every fault before
@@ -624,4 +624,61 @@ fn hub_faults_scheduled_between_runs_take_effect_in_order() {
         one.0 == run(false).0,
         "scheduling between runs changed the run"
     );
+}
+
+/// A hub fault at time zero that `run_until(SimTime::ZERO)` applies
+/// before `enable_workload` is in force for the fluid engine from its
+/// first transition: the engine starts from the hubs' state, not from
+/// "all up". With the default routes on plane A and no daemon to move
+/// them, every arrival while hub A is down is dropped and its repair and
+/// second failure stall the pairs holding sessions — the same stall
+/// windows and dropped arrivals as when the workload is enabled first.
+/// Only `hub_transitions` differs: the engine counts the flips it saw,
+/// and this one happened before it existed.
+#[test]
+fn a_hub_fault_applied_before_the_workload_is_enabled_stays_in_force() {
+    const PERIOD: SimDuration = SimDuration(10_000_000);
+    let ms = |m: u64| SimTime(m * 1_000_000);
+    let hub_a = SimComponent::Hub(NetId::A);
+    let spec = ClusterSpec::new(6).seed(0xA5);
+    let run = |enable_first: bool| {
+        let mut w = World::new(spec, |_| Chatter::new(6, 2, PERIOD));
+        let wspec = WorkloadSpec {
+            arrivals: ArrivalProcess::Closed {
+                per_host: 8,
+                think_mean_ns: 4_000_000,
+            },
+            holding: HoldingDist::Exponential {
+                mean_ns: 10_000_000,
+            },
+            classes: vec![ClassSpec {
+                rate_bps: 1_000_000,
+            }],
+            horizon: ms(60),
+        };
+        if enable_first {
+            w.enable_workload(wspec.clone());
+        }
+        w.schedule_faults(
+            FaultPlan::new()
+                .fail_at(SimTime::ZERO, hub_a)
+                .repair_at(ms(20), hub_a)
+                .fail_at(ms(40), hub_a),
+        );
+        w.run_until(SimTime::ZERO);
+        assert!(!w.component_is_up(hub_a));
+        if !enable_first {
+            w.enable_workload(wspec);
+        }
+        w.run_until(ms(80));
+        w.workload_stats().expect("workload on").clone()
+    };
+    let (late, early) = (run(false), run(true));
+    assert_eq!((late.dropped_arrivals, late.stall_windows), (152, 20));
+    assert_eq!((late.hub_transitions, early.hub_transitions), (2, 3));
+    let counted = WorkloadStats {
+        hub_transitions: 3,
+        ..late
+    };
+    assert!(counted == early, "{counted:?}\n{early:?}");
 }

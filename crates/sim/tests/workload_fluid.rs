@@ -7,8 +7,8 @@
 //!   NIC faults, failover stalls, and mid-run settlement.
 //! * **Order independence** — scheduling the fault plan before or after
 //!   the workload is enabled gives bit-identical workload statistics and
-//!   engine digests: the engine reads the one hub schedule whenever the
-//!   toggles joined it.
+//!   engine digests: the run loop logs each hub toggle for the engine
+//!   once, whenever the toggle joined the schedule.
 
 use drs_core::config::DrsConfig;
 use drs_core::daemon::DrsDaemon;
