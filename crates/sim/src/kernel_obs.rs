@@ -1,5 +1,5 @@
 //! Ratios over the driver's deterministic counters — workload density,
-//! wheel-pool hit rate — each a pure function of one [`KernelStats`]
+//! wheel chunk-pool hit rate — each a pure function of one [`KernelStats`]
 //! snapshot (no wall clock), so the kernel benchmark artifact and
 //! `benchmark/` can report kernel health from `World::kernel_stats()`
 //! directly.
@@ -30,8 +30,8 @@ pub fn events_per_virtual_sec(ks: &KernelStats) -> f64 {
     ks.wheel.pops as f64 * 1e9 / ks.now_ns as f64
 }
 
-/// Fraction of slot-buffer acquisitions served by the recycling pool.
-/// 1.0 means the steady-state probe path allocated nothing.
+/// Fraction of the wheel's slot-chunk takes served by its free list.
+/// 1.0 means no chunk was allocated.
 #[must_use]
 pub fn pool_hit_rate(ks: &KernelStats) -> f64 {
     let total = ks.wheel.pool_hits + ks.wheel.pool_misses;

@@ -102,20 +102,6 @@ impl WorkloadSpec {
             ArrivalProcess::Closed { per_host, .. } => n as u64 * u64::from(per_host),
         }
     }
-
-    /// Timer-wheel spare-pool hint derived from the expected transition
-    /// rate: `(buffers, per-buffer capacity)` for
-    /// [`crate::wheel::TimerWheel::reserve_spare`]. Every active session
-    /// keeps one close timer pending, so cold slots churn with the
-    /// session population; pre-sizing the pool absorbs that churn
-    /// without mid-run allocation.
-    #[must_use]
-    pub fn pool_hint(&self, n: usize) -> (usize, usize) {
-        let active = self.expected_active(n);
-        let buffers = (active / 64 + 2 * n as u64 + 8).min(4096) as usize;
-        let capacity = usize::try_from(active >> 12).unwrap_or(usize::MAX);
-        (buffers, capacity.clamp(8, 4096))
-    }
 }
 
 /// One recorded workload transition, stamped with its instant. The log

@@ -389,10 +389,9 @@ impl<P: Protocol> World<P> {
 
     /// Enables the fluid session workload (see [`crate::workload`]):
     /// per-host arrival streams, a snapshot of the current route tables
-    /// in the accounting engine that consumes the transition log, and a
-    /// timer-wheel slot-buffer pool pre-sized from the expected
-    /// transition rate. Must be called before time advances; composes
-    /// with [`Self::schedule_faults`] in either order. The engine starts
+    /// in the accounting engine that consumes the transition log. Must
+    /// be called before time advances; composes with
+    /// [`Self::schedule_faults`] in either order. The engine starts
     /// from the hubs' current state, so a toggle at time zero that a
     /// `run_until(SimTime::ZERO)` already applied is not lost.
     ///
@@ -419,8 +418,6 @@ impl<P: Protocol> World<P> {
             routes,
             self.core.hub_up.clone(),
         )));
-        let (buffers, capacity) = wspec.pool_hint(n);
-        self.core.events.reserve_spare(buffers, capacity);
         let mut wl = Box::new(WorkloadCore::new(wspec, n, spec.seed));
         for (host, at) in wl.initial_opens() {
             self.core.schedule_at(at, EventKind::SessionOpen { host });

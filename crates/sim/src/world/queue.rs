@@ -24,7 +24,7 @@ use crate::host::Hosts;
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
 use crate::stats::AppStats;
-use crate::wheel::{TimerWheel, WheelStats, MAX_USEFUL_SPARE};
+use crate::wheel::{TimerWheel, WheelStats};
 use crate::workload::{Transition, WorkloadCore};
 
 use super::FlowOutcome;
@@ -255,18 +255,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// A core over the whole cluster, transmitting onto `media`.
     pub(crate) fn new(spec: ClusterSpec, media: Vec<SharedMedium>) -> Self {
         let (n, planes) = (spec.n, spec.planes as usize);
-        // Pre-size the wheel's slot-buffer pool from the workload shape:
-        // the steady-state probe schedule keeps ~2 live timers per (host,
-        // plane), so 2·n·planes buffers (plus slack for transport and
-        // fault events) absorbs every cold slot without a pool miss. The
-        // structural ceiling keeps huge clusters from over-allocating.
-        let buffers = (2 * n * planes + 64).min(MAX_USEFUL_SPARE);
         let in_flight = n * n * planes;
         Core {
             spec,
             now: SimTime::ZERO,
             seq: 0,
-            events: TimerWheel::with_spare_pool(buffers, 16),
+            events: TimerWheel::new(),
             hosts: Hosts::new(n, spec.planes),
             media,
             link_loss: vec![0.0; n * planes],

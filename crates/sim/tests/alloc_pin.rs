@@ -1,8 +1,8 @@
-//! Allocation pin: once warmed up, the paper-size probe path allocates
-//! nothing. A counting global allocator over [`System`] counts every
-//! `alloc` and `realloc`; the paper's cluster runs 2 s of virtual time to
-//! warm up, and the next 2 s must not allocate at all, at N ∈ {16, 90}
-//! under both monitor drivers.
+//! Allocation pin: once warmed up, the probe path allocates nothing. A
+//! counting global allocator over [`System`] counts every `alloc` and
+//! `realloc`; the paper's cluster runs 2 s of virtual time to warm up,
+//! and the next 2 s must not allocate at all, at N ∈ {16, 24, 32, 48, 64,
+//! 90} under both monitor drivers.
 //!
 //! What it protects, with the window's count at (N = 90 per-pair,
 //! N = 90 batched) when that piece is missing:
@@ -12,21 +12,16 @@
 //!   boxed frames without the list: (320 400, 320 400), one per frame; a
 //!   list capped at a fixed 1 024 boxes: (0, 149 970), because the batched
 //!   fan-out has ~16 000 frames in flight at once;
-//! * the wheel's ready buffer keeps its storage and takes the larger of
-//!   itself and each drained slot, where the emptied buffer used to go
-//!   back to the pool and the next same-grain push start a fresh one —
-//!   that recycling put back: (4 139, 2 501);
-//! * slot buffers are pooled by size class, so a cold slot takes a small
-//!   spare and a full one trades up before it reallocates — a pool that
-//!   hands out its largest spare and never trades: (3, 139).
-//!
-//! Frames carried inline with a stack pool, as before all three:
-//! (13 772, 8 350), and 41 / 201 at N = 16.
-//!
-//! Only the two paper sizes are pinned. At other sizes a slot's load can
-//! still reach a new peak after 2 s (the 200 ms cycle drifts across the
-//! wheel's 16.8 ms level-2 windows): at N ∈ {24, 32, 48, 64} one cell
-//! each grows one to four slot buffers in the window.
+//! * the wheel's slot chunks come from, and go back to, one free list —
+//!   a fresh chunk for every take instead: (122 878, 59 728);
+//! * the wheel's ready buffer keeps its storage between grains — dropped
+//!   whenever it empties: (118 384, 58 586);
+//! * an empty free list gets an eighth more chunks than exist, at least
+//!   four, not one: a slot's last chunk is partly filled, so the chunks
+//!   in use wobble with how the probe cycle falls on the slots. One chunk
+//!   at a time still reads zero here, but in a 60 s run every batched
+//!   size allocates again at 4.8 s, and with 32-entry chunks every
+//!   batched size allocated once inside this window.
 //!
 //! The file holds one test, so no sibling test allocates inside the
 //! window.
@@ -69,7 +64,7 @@ const WINDOW_END: SimTime = SimTime(4_000_000_000);
 #[test]
 fn the_steady_state_probe_path_allocates_nothing() {
     let mut cells = Vec::new();
-    for n in [16usize, 90] {
+    for n in [16usize, 24, 32, 48, 64, 90] {
         for batched in [false, true] {
             // The paper's timers, as every committed artifact runs them.
             let cfg = DrsConfig::default()

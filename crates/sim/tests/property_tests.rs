@@ -14,7 +14,7 @@ use drs_sim::fault::{component_count, component_to_index, index_to_component, Fa
 use drs_sim::medium::{SharedMedium, TrafficClass};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
 use drs_sim::transport::{max_flow_lifetime, rto_for_attempt};
-use drs_sim::wheel::TimerWheel;
+use drs_sim::wheel::{TimerWheel, GRAIN_NS};
 use drs_sim::world::{FlowOutcome, Protocol, World};
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
@@ -358,8 +358,8 @@ fn random_schedule(seed: u64, len: usize) -> Vec<SimTime> {
             // Same-tick burst: duplicate an earlier timestamp exactly, so
             // ordering must fall back to the sequence number.
             0..=2 if !out.is_empty() => out[rng.gen_range(0usize..out.len())],
-            // Inside the first grain (4.096 us).
-            3 => SimTime(rng.gen_range(0u64..4_096)),
+            // Inside the first grain.
+            3 => SimTime(rng.gen_range(0u64..GRAIN_NS)),
             // Low wheel levels.
             4..=6 => SimTime(rng.gen_range(0u64..100_000_000)),
             // High wheel levels (hours of virtual time).
@@ -376,9 +376,13 @@ fn random_schedule(seed: u64, len: usize) -> Vec<SimTime> {
 mod wheel_vs_heap {
     use super::*;
     use drs_sim::naive_heap::NaiveHeap;
+    use drs_sim::wheel::{WheelStats, CHUNK};
 
     /// The wheel's level count (`wheel.rs` `LEVELS`).
     const LEVELS: u64 = 6;
+    /// Slots per level (`wheel.rs` `SLOTS`): a level-`k` slot spans
+    /// `SLOTS^k` grains, and deltas of `SLOTS^LEVELS` grains overflow.
+    const SLOTS: u64 = 64;
 
     /// ROADMAP 12's cascade pin, `cascades ≤ (LEVELS − 1) · pushes`: a
     /// cascaded slot holds at least one entry and places every entry
@@ -416,6 +420,184 @@ mod wheel_vs_heap {
         }
         assert!(wheel.is_empty(), "{ctx}");
         assert_cascade_bound(&wheel, ctx);
+    }
+
+    /// One step of a scripted schedule, timestamps in nanoseconds.
+    #[derive(Debug, Clone, Copy)]
+    enum Op {
+        Push(u64),
+        Pop,
+        Peek,
+    }
+    use Op::{Peek, Pop, Push};
+
+    /// Runs `ops` against the wheel and the reference heap, comparing
+    /// every pop and peek, then drains both; returns the wheel's stats.
+    /// Scripts keep the wheel's contract: no push before the last pop.
+    fn assert_ops_match_heap(ops: &[Op], ctx: &str) -> WheelStats {
+        let mut wheel: TimerWheel<u64> = TimerWheel::new();
+        let mut heap: NaiveHeap<u64> = NaiveHeap::new();
+        let (mut seq, mut last) = (0u64, 0u64);
+        for (i, &op) in ops.iter().enumerate() {
+            match op {
+                Push(at) => {
+                    assert!(at >= last, "{ctx}: op {i} pushes before the last pop");
+                    wheel.push(SimTime(at), seq, seq);
+                    heap.push(SimTime(at), seq, seq);
+                    seq += 1;
+                }
+                Pop => {
+                    let expect = heap.pop();
+                    assert_eq!(wheel.pop(), expect, "{ctx}: op {i}");
+                    last = expect.map_or(last, |e| e.0 .0);
+                }
+                Peek => assert_eq!(wheel.peek(), heap.peek(), "{ctx}: op {i}"),
+            }
+        }
+        while let Some(expect) = heap.pop() {
+            assert_eq!(wheel.pop(), Some(expect), "{ctx}: drain");
+        }
+        assert!(wheel.is_empty(), "{ctx}");
+        assert_cascade_bound(&wheel, ctx);
+        *wheel.stats()
+    }
+
+    /// Moves the cursor to grain `g`: one entry there, popped.
+    fn cursor_to(g: u64) -> [Op; 2] {
+        [Push(g * GRAIN_NS), Pop]
+    }
+
+    /// Slots holding several chunks at every level, and as many entries in
+    /// the overflow, from an aligned cursor and from ones part-way
+    /// through a rotation.
+    #[test]
+    fn wheel_matches_heap_with_several_chunks_per_slot_at_every_level() {
+        let per_slot = 3 * CHUNK as u64 + 5;
+        for cur in [0, 37, 4_100, 300_000] {
+            let mut ops = cursor_to(cur).to_vec();
+            for k in 0..LEVELS as u32 {
+                // A level-k window wholly between 64^k and 64^(k+1) grains
+                // ahead, so every entry lands in its one slot.
+                let span = SLOTS.pow(k);
+                let window = (cur / span + 2) * span * GRAIN_NS;
+                for i in 0..per_slot {
+                    ops.push(Push(window + i * 7_919 % (span * GRAIN_NS)));
+                }
+            }
+            let beyond = (cur + SLOTS.pow(LEVELS as u32) + 5) * GRAIN_NS;
+            ops.extend((0..per_slot).map(|i| Push(beyond + i * 7_919)));
+            let stats = assert_ops_match_heap(&ops, &format!("cursor at grain {cur}"));
+            assert_eq!(stats.overflow_migrations, per_slot, "{stats:?}");
+            assert!(stats.cascades >= LEVELS - 1, "{stats:?}");
+        }
+    }
+
+    /// Deltas of exactly `64^k` grains (the first of level k), one grain
+    /// and one nanosecond either side, up to the overflow's edge, from
+    /// cursors at, inside and at the end of a rotation.
+    #[test]
+    fn wheel_matches_heap_on_level_boundaries() {
+        for cur in [0, 1, 63, 64, 4_095, 4_096, 262_143] {
+            let mut ops = cursor_to(cur).to_vec();
+            for k in 0..=LEVELS as u32 {
+                let at = (cur + SLOTS.pow(k)) * GRAIN_NS;
+                for d in [at - GRAIN_NS, at - 1, at, at + 1, at + GRAIN_NS] {
+                    ops.push(Push(d));
+                }
+            }
+            // Drain half, then the same boundaries from the new cursor.
+            ops.extend([Pop; 17]);
+            ops.push(Peek);
+            assert_ops_match_heap(&ops, &format!("cursor at grain {cur}"));
+        }
+    }
+
+    /// A cascade leaves the cursor at its window's start, where lower
+    /// levels' windows can start too: a level-2 window, a level-1 window
+    /// and a level-0 slot all due from grain `S`. Every one of them must
+    /// drain before the next level-0 slot of the rotation, whether the
+    /// cascade staged an entry (grain `S` itself) or not.
+    #[test]
+    fn wheel_matches_heap_when_a_cascade_shares_its_window_start() {
+        const S: u64 = 4 * SLOTS * SLOTS; // level-2 aligned
+        for stage_one in [true, false] {
+            let mut ops = Vec::new();
+            if stage_one {
+                ops.push(Push(S * GRAIN_NS)); // level 2
+            }
+            ops.push(Push((S + 3 * SLOTS) * GRAIN_NS + 9)); // level 2
+            ops.extend(cursor_to(S - 100));
+            ops.push(Push((S + 1) * GRAIN_NS + 5)); // level 1
+            ops.extend(cursor_to(S - 10));
+            ops.push(Push((S + 5) * GRAIN_NS)); // level 0
+            ops.push(Push(S * GRAIN_NS + 1)); // level 0, grain S
+            ops.extend([Pop, Peek, Pop, Pop, Pop]);
+            assert_ops_match_heap(&ops, &format!("stage_one {stage_one}"));
+        }
+    }
+
+    /// The level-0 fast path at the end of a rotation: with the cursor in
+    /// slot 63 the rest of the rotation is empty, and the next grains sit
+    /// in slots 0, 1, … of the next one (or a level up).
+    #[test]
+    fn wheel_matches_heap_with_the_cursor_in_the_last_slot_of_a_rotation() {
+        for rotation in [0, 1, 63, 64, 4_095] {
+            let cur = rotation * SLOTS + SLOTS - 1;
+            let mut ops = cursor_to(cur).to_vec();
+            for d in [1, 2, 63, 64, 65, 127, 128, 4_096] {
+                ops.push(Push((cur + d) * GRAIN_NS + d));
+            }
+            for _ in 0..4 {
+                ops.extend([Pop, Peek]);
+                ops.push(Push((cur + 70) * GRAIN_NS));
+            }
+            assert_ops_match_heap(&ops, &format!("cursor at grain {cur}"));
+        }
+    }
+
+    /// `peek` stages the next occupied grain and moves the cursor there,
+    /// past the caller's clock; pushes between the last pop and that
+    /// grain (and into it, and at its exact instant) must still pop in
+    /// order.
+    #[test]
+    fn wheel_matches_heap_after_pushes_behind_a_peeked_cursor() {
+        for far in [5, 64, 100, 5_000, 300_000] {
+            let far_at = (1_000 + far) * GRAIN_NS + 77;
+            let mut ops = cursor_to(1_000).to_vec();
+            ops.extend([Push(far_at), Peek]);
+            for behind in [0, 1, far / 2, far - 1, far] {
+                ops.push(Push((1_000 + behind) * GRAIN_NS + 3));
+                ops.push(Peek);
+            }
+            ops.extend([Push(far_at), Push(far_at + 1), Pop, Push(far_at), Peek]);
+            assert_ops_match_heap(&ops, &format!("peeked {far} grains ahead"));
+        }
+    }
+
+    /// Far-future entries wait in the overflow heap and migrate as the
+    /// cursor comes within the horizon of them, including right at its
+    /// edge and past an entry pushed into the wheel meanwhile.
+    #[test]
+    fn wheel_matches_heap_while_migrating_from_the_overflow() {
+        let horizon = SLOTS.pow(LEVELS as u32);
+        let mut ops = Vec::new();
+        for d in [
+            horizon - 1,
+            horizon,
+            horizon + 1,
+            2 * horizon,
+            3 * horizon + 7,
+        ] {
+            ops.push(Push(d * GRAIN_NS));
+            ops.push(Push(d * GRAIN_NS + 1));
+        }
+        ops.extend(cursor_to(horizon / 2));
+        ops.push(Push((horizon / 2 + horizon) * GRAIN_NS)); // overflow again
+        ops.push(Push((horizon / 2 + 3) * GRAIN_NS)); // level 0
+        ops.extend([Pop, Pop, Peek, Pop]);
+        ops.push(Push(3 * horizon * GRAIN_NS));
+        let stats = assert_ops_match_heap(&ops, "overflow");
+        assert!(stats.overflow_migrations >= 8, "{stats:?}");
     }
 
     /// ISSUE acceptance: 1000+ seeded random schedules, including
