@@ -19,9 +19,7 @@
 //! `i = f`).
 
 use crate::binom::shared_table;
-use crate::connectivity::{KPlane, Question};
 use crate::exact::{component_count, p_success};
-use crate::montecarlo::{Estimator, MonteCarloEstimate};
 
 fn c(n: i64, k: i64) -> u128 {
     shared_table().c(n, k)
@@ -70,18 +68,6 @@ pub fn expected_disconnected_pairs(n: u64, f: u64) -> f64 {
     pairs * (1.0 - p_success(n, f))
 }
 
-/// Monte-Carlo estimate of the all-pairs survival probability
-/// (parallel, deterministic per seed) — the validation path for
-/// [`p_all_pairs`], mirroring the paper's Figure 3 methodology.
-///
-/// # Panics
-/// Panics if `f > 2n + 2` or `iterations` is 0.
-#[must_use]
-pub fn estimate_all_pairs(n: usize, f: usize, iterations: u64, seed: u64) -> MonteCarloEstimate {
-    Estimator::over(KPlane::new(n, 2, Question::AllPairs), f, seed)
-        .estimate_chunked(iterations, 1 << 12)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -89,13 +75,13 @@ mod tests {
 
     #[test]
     fn closed_form_matches_exhaustive_enumeration() {
-        for n in 2..=7u64 {
-            for f in 0..=component_count(n).min(7) {
-                let (succ, total) = enumerate_all_pairs_success(n as usize, f as usize);
-                assert_eq!(all_pairs_success_count(n, f), succ, "n={n} f={f}");
-                let p = succ as f64 / total as f64;
-                assert!((p_all_pairs(n, f) - p).abs() < 1e-12, "n={n} f={f}");
-            }
+        // Every small cell, then a few at the sizes Figure 2 plots.
+        let small = (2..=7u64).flat_map(|n| (0..=component_count(n).min(7)).map(move |f| (n, f)));
+        for (n, f) in small.chain([(8, 3), (16, 4), (32, 4)]) {
+            let (succ, total) = enumerate_all_pairs_success(n as usize, f as usize);
+            assert_eq!(all_pairs_success_count(n, f), succ, "n={n} f={f}");
+            let p = succ as f64 / total as f64;
+            assert!((p_all_pairs(n, f) - p).abs() < 1e-12, "n={n} f={f}");
         }
     }
 
@@ -140,37 +126,5 @@ mod tests {
         let e = expected_disconnected_pairs(18, 2);
         assert!((e - 153.0 * (1.0 - p_success(18, 2))).abs() < 1e-9);
         assert!(e > 1.0 && e < 2.0, "{e}");
-    }
-
-    #[test]
-    fn monte_carlo_validates_closed_form() {
-        for &(n, f) in &[(8usize, 3usize), (16, 4), (32, 6)] {
-            let est = estimate_all_pairs(n, f, 300_000, 17);
-            let exact = p_all_pairs(n as u64, f as u64);
-            assert!(
-                (est.p_hat - exact).abs() < 0.005,
-                "n={n} f={f}: {} vs {exact}",
-                est.p_hat
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "cannot fail 11 of 10 components")]
-    fn more_failures_than_components_panics_instead_of_spinning() {
-        let _ = estimate_all_pairs(4, 11, 10, 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one iteration")]
-    fn zero_iterations_panic_instead_of_estimating_nan() {
-        let _ = estimate_all_pairs(4, 3, 0, 1);
-    }
-
-    #[test]
-    fn estimate_is_deterministic() {
-        let a = estimate_all_pairs(10, 3, 50_000, 5);
-        let b = estimate_all_pairs(10, 3, 50_000, 5);
-        assert_eq!(a, b);
     }
 }

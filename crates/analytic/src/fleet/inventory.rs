@@ -131,29 +131,33 @@ impl FailureRates {
     /// of the cluster hubs (`servers_per_cluster` spreads hub events).
     #[must_use]
     pub fn expected_per_server_year(&self, servers_per_cluster: f64) -> f64 {
-        assert!(servers_per_cluster >= 1.0);
-        ComponentClass::ALL
-            .iter()
-            .map(|&c| {
-                self.rate(c)
-                    * (c.per_server() as f64 + c.per_cluster() as f64 / servers_per_cluster)
-            })
-            .sum()
+        self.per_server_year(servers_per_cluster, |_| true)
+    }
+
+    /// Expected *network* failures per server-year, hub share included.
+    #[must_use]
+    pub fn expected_network_per_server_year(&self, servers_per_cluster: f64) -> f64 {
+        self.per_server_year(servers_per_cluster, ComponentClass::is_network)
     }
 
     /// Expected *network* share of failures for the given cluster size —
     /// the analytic counterpart of the 13 % statistic.
     #[must_use]
     pub fn expected_network_fraction(&self, servers_per_cluster: f64) -> f64 {
-        let net: f64 = ComponentClass::ALL
-            .iter()
-            .filter(|c| c.is_network())
-            .map(|&c| {
+        self.expected_network_per_server_year(servers_per_cluster)
+            / self.expected_per_server_year(servers_per_cluster)
+    }
+
+    fn per_server_year(&self, servers_per_cluster: f64, keep: fn(ComponentClass) -> bool) -> f64 {
+        assert!(servers_per_cluster >= 1.0);
+        ComponentClass::ALL
+            .into_iter()
+            .filter(|&c| keep(c))
+            .map(|c| {
                 self.rate(c)
                     * (c.per_server() as f64 + c.per_cluster() as f64 / servers_per_cluster)
             })
-            .sum();
-        net / self.expected_per_server_year(servers_per_cluster)
+            .sum()
     }
 }
 

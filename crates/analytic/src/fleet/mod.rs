@@ -1,51 +1,40 @@
-//! The deployment motivation study, reproduced synthetically.
+//! The deployment motivation study, computed from the calibrated rates.
 //!
 //! The paper's opening claim: *"We evaluated one hundred deployed systems
 //! and found that over a one-year period, thirteen percent of the
 //! hardware failures were network related"* — NICs, hubs, cabling. That
-//! field data is proprietary and lost to time, so this module builds the
-//! closest synthetic equivalent (documented in DESIGN.md §4):
+//! field data is proprietary and lost to time, so this module models the
+//! closest synthetic equivalent (documented in DESIGN.md §4): a
+//! **hardware inventory** per server (disk, memory, PSU, fan, CPU,
+//! motherboard, two NICs, two cables) plus two shared hubs per cluster,
+//! with per-class annual failure rates calibrated from late-1990s
+//! availability folklore so that the *expected* network share is ≈13 %
+//! ([`inventory`]).
 //!
-//! * a **hardware inventory** per server (disk, memory, PSU, fan, CPU,
-//!   motherboard, two NICs, two cables) plus two shared hubs per cluster,
-//!   with per-class annual failure rates calibrated from late-1990s
-//!   availability folklore so that the *expected* network share is ≈13 %
-//!   ([`inventory`]);
-//! * a **Poisson trace generator** producing one-year failure logs for a
-//!   100-server fleet (this module): failures arrive as independent
-//!   Poisson processes per component instance; the generator walks every
-//!   instance in the fleet, samples its event times over the study
-//!   window, and emits a flat, time-sorted log — the synthetic stand-in
-//!   for the operations database behind the paper's field study;
-//! * the **classification pipeline** that computes the network-related
-//!   fraction from a trace, and the **masking analysis** estimating how
-//!   many of those network failures DRS would have hidden from
-//!   applications ([`study`]).
+//! Every component instance fails as an independent Poisson process, so
+//! each statistic of the study is a closed form of the rates:
 //!
-//! The headline number is a *model output* here, not field data — the
-//! point is to exercise the same pipeline and show the statistic's
-//! seed-to-seed spread.
-
-use drs_obs::rng::Rng;
+//! * the network share ([`FailureRates::expected_network_fraction`]) and
+//!   its spread from one study year to the next
+//!   ([`FleetSpec::network_share_std`]);
+//! * the share of network failures DRS masks from applications
+//!   ([`FleetSpec::masked_fraction`]);
+//! * network-attributable availability with and without DRS
+//!   ([`FleetSpec::network_availability`]).
+//!
+//! The headline number is a *model output* here, not field data.
 
 pub mod inventory;
-pub mod study;
 
 pub use inventory::{ComponentClass, FailureRates};
-pub use study::{
-    availability_gain, fmt_fraction_pct, masking_analysis, network_fraction, replicate_study,
-    AvailabilityReport, MaskingReport, StudySummary,
-};
 
-/// Description of a deployed fleet.
+/// Description of a deployed fleet, observed for one year.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetSpec {
     /// Number of clusters.
     pub clusters: usize,
     /// Servers in each cluster.
     pub servers_per_cluster: usize,
-    /// Study window in days.
-    pub duration_days: f64,
     /// Per-class failure intensities.
     pub rates: FailureRates,
 }
@@ -58,7 +47,6 @@ impl FleetSpec {
         FleetSpec {
             clusters: 10,
             servers_per_cluster: 10,
-            duration_days: 365.0,
             rates: FailureRates::default(),
         }
     }
@@ -70,181 +58,155 @@ impl FleetSpec {
         FleetSpec {
             clusters: 27,
             servers_per_cluster: 10,
-            duration_days: 365.0,
             rates: FailureRates::default(),
         }
     }
-}
 
-/// One failure event in the trace.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FailureRecord {
-    /// Days since the study began.
-    pub at_days: f64,
-    /// Which cluster the failed component belongs to.
-    pub cluster: usize,
-    /// Which server within the cluster (`None` for shared hubs).
-    pub server: Option<usize>,
-    /// The failed component class.
-    pub class: ComponentClass,
-}
-
-impl FailureRecord {
-    /// Whether this record counts as network related.
+    /// Expected hardware failures across the fleet in one year.
     #[must_use]
-    pub fn is_network(&self) -> bool {
-        self.class.is_network()
+    pub fn expected_failures_per_year(&self) -> f64 {
+        let s = self.servers_per_cluster as f64;
+        self.rates.expected_per_server_year(s) * self.clusters as f64 * s
+    }
+
+    /// Expected network failures per cluster-year, `λ_c`.
+    #[must_use]
+    pub fn network_failures_per_cluster_year(&self) -> f64 {
+        let s = self.servers_per_cluster as f64;
+        self.rates.expected_network_per_server_year(s) * s
+    }
+
+    /// Standard deviation of the network share one study year observes.
+    ///
+    /// Given `T ≥ 1` failures in the year, the network count is
+    /// Binomial(`T`, `p`), so the share has mean `p` and variance
+    /// `p(1 − p)/T`; with `T` ~ Poisson([`Self::expected_failures_per_year`]),
+    /// `σ² = p(1 − p) · E[1/T | T ≥ 1]`. A year without failures
+    /// classifies nothing and is left out.
+    #[must_use]
+    pub fn network_share_std(&self) -> f64 {
+        let p = self
+            .rates
+            .expected_network_fraction(self.servers_per_cluster as f64);
+        (p * (1.0 - p) * mean_inverse_poisson(self.expected_failures_per_year())).sqrt()
+    }
+
+    /// Share of network failures DRS hides from applications when each
+    /// takes `mttr_days` to repair: `exp(−2 · r · λ_c)`, the chance that no
+    /// other network failure in the same cluster lands within ±`r` of it.
+    /// Counting every such overlap as unmasked, even one the surviving
+    /// planes or a gateway would carry, makes this a lower bound.
+    #[must_use]
+    pub fn masked_fraction(&self, mttr_days: f64) -> f64 {
+        assert!(mttr_days >= 0.0, "repair time must be non-negative");
+        (-2.0 * mttr_days / 365.0 * self.network_failures_per_cluster_year()).exp()
+    }
+
+    /// Network-attributable availability of one cluster, `(without DRS,
+    /// with DRS)`: every network failure takes the cluster's
+    /// server-to-server traffic down for `mttr_days` without DRS
+    /// (`1 − λ_c · r`), only an unmasked one with it
+    /// (`1 − λ_c · r · (1 − P(masked))`).
+    #[must_use]
+    pub fn network_availability(&self, mttr_days: f64) -> (f64, f64) {
+        let down = self.network_failures_per_cluster_year() * mttr_days / 365.0;
+        (
+            1.0 - down,
+            1.0 - down * (1.0 - self.masked_fraction(mttr_days)),
+        )
     }
 }
 
-/// Samples event times of a Poisson process with `rate` events/year over
-/// `duration_days`, in days.
-fn poisson_times(rate_per_year: f64, duration_days: f64, rng: &mut Rng) -> Vec<f64> {
-    debug_assert!(rate_per_year >= 0.0);
-    let mut times = Vec::new();
-    let daily = rate_per_year / 365.0;
-    if daily <= 0.0 {
-        return times;
-    }
-    let mut t = 0.0;
+/// `E[1/T | T ≥ 1]` for `T` ~ Poisson(`mean`), summed term by term. The
+/// probabilities follow `P(t) = P(t − 1) · mean / t` in logs, so a large
+/// mean does not underflow `e^(−mean)`.
+fn mean_inverse_poisson(mean: f64) -> f64 {
+    assert!(mean > 0.0, "no failures expected: the share is undefined");
+    let (mut ln_p, mut sum, mut t) = (-mean, 0.0, 0.0);
     loop {
-        let u: f64 = rng.gen_range(f64::MIN_POSITIVE..1.0);
-        t += -u.ln() / daily;
-        if t >= duration_days {
-            return times;
-        }
-        times.push(t);
-    }
-}
-
-/// Generates the trace for replication `index` of a study seeded by
-/// `master` — [`generate_trace`] under the workspace-wide SplitMix64
-/// stream ([`drs_harness::stream_seed`]), the exact per-trial seed
-/// [`study::replicate_study`] uses, so one replication can be
-/// reproduced without re-running the study.
-///
-/// The stream replaces the old `master.wrapping_add(i).wrapping_mul(…)`
-/// scheme, whose consecutive outputs differed by a fixed constant and fed
-/// correlated states into the trace generator's `Rng` — a bias in the
-/// replicated fleet study.
-#[must_use]
-pub fn generate_replication(spec: &FleetSpec, master: u64, index: u64) -> Vec<FailureRecord> {
-    generate_trace(spec, drs_harness::stream_seed(master, index))
-}
-
-/// Generates a complete, time-sorted failure trace for a fleet.
-#[must_use]
-pub fn generate_trace(spec: &FleetSpec, seed: u64) -> Vec<FailureRecord> {
-    let mut rng = Rng::seed_from_u64(seed);
-    let mut records = Vec::new();
-    for cluster in 0..spec.clusters {
-        // Shared components.
-        for class in ComponentClass::ALL {
-            for _ in 0..class.per_cluster() {
-                for at_days in poisson_times(spec.rates.rate(class), spec.duration_days, &mut rng) {
-                    records.push(FailureRecord {
-                        at_days,
-                        cluster,
-                        server: None,
-                        class,
-                    });
-                }
-            }
-        }
-        // Per-server components.
-        for server in 0..spec.servers_per_cluster {
-            for class in ComponentClass::ALL {
-                for _ in 0..class.per_server() {
-                    for at_days in
-                        poisson_times(spec.rates.rate(class), spec.duration_days, &mut rng)
-                    {
-                        records.push(FailureRecord {
-                            at_days,
-                            cluster,
-                            server: Some(server),
-                            class,
-                        });
-                    }
-                }
-            }
+        t += 1.0;
+        ln_p += mean.ln() - f64::ln(t);
+        let term = ln_p.exp() / t;
+        sum += term;
+        if t > mean && term < 1e-17 * sum {
+            return sum / -(-mean).exp_m1();
         }
     }
-    records.sort_by(|a, b| a.at_days.total_cmp(&b.at_days));
-    records
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    #[test]
-    fn trace_is_sorted_and_in_window() {
-        let spec = FleetSpec::hundred_servers_one_year();
-        let trace = generate_trace(&spec, 1);
-        assert!(trace.windows(2).all(|w| w[0].at_days <= w[1].at_days));
-        assert!(trace
-            .iter()
-            .all(|r| r.at_days >= 0.0 && r.at_days < spec.duration_days));
-    }
-
-    #[test]
-    fn hub_records_have_no_server() {
-        let spec = FleetSpec::mci_deployment();
-        let trace = generate_trace(&spec, 2);
-        for r in &trace {
-            assert_eq!(r.server.is_none(), r.class == ComponentClass::Hub, "{r:?}");
-            assert!(r.cluster < spec.clusters);
-            if let Some(s) = r.server {
-                assert!(s < spec.servers_per_cluster);
+    /// The variance of the share by brute force: every `T` and every
+    /// network count `k`, weighted by their probabilities.
+    fn share_variance_by_enumeration(p: f64, mean: f64) -> f64 {
+        let mut ln_pt = -mean;
+        let mut var = 0.0;
+        for t in 1..400u32 {
+            ln_pt += mean.ln() - f64::from(t).ln();
+            let mut ln_binom = 0.0; // ln C(t, k)
+            for k in 0..=t {
+                if k > 0 {
+                    ln_binom += f64::from(t - k + 1).ln() - f64::from(k).ln();
+                }
+                let ln_pk = ln_binom + f64::from(k) * p.ln() + f64::from(t - k) * (1.0 - p).ln();
+                let d = f64::from(k) / f64::from(t) - p;
+                var += (ln_pt + ln_pk).exp() * d * d;
             }
         }
+        var / -(-mean).exp_m1()
     }
 
     #[test]
-    fn event_count_matches_expectation_over_seeds() {
-        // E[failures] per 100 server-years ≈ 14.8; average over seeds
-        // should land near it.
+    fn share_spread_equals_the_binomial_mixture() {
+        for (p, mean) in [(0.13, 14.84), (0.5, 0.3), (0.02, 60.0)] {
+            let closed = p * (1.0 - p) * mean_inverse_poisson(mean);
+            let brute = share_variance_by_enumeration(p, mean);
+            assert!(
+                (closed - brute).abs() < 1e-12,
+                "p={p} mean={mean}: {closed} vs {brute}"
+            );
+        }
+        // One expected failure or fewer: a classified year almost always
+        // holds exactly one, so E[1/T | T ≥ 1] → 1.
+        assert!((mean_inverse_poisson(1e-6) - 1.0).abs() < 1e-6);
+        // Far more: E[1/T] → 1/mean.
+        assert!((mean_inverse_poisson(1e5) * 1e5 - 1.0).abs() < 1e-4);
+    }
+
+    #[test]
+    fn paper_study_values() {
         let spec = FleetSpec::hundred_servers_one_year();
-        let expected = spec
-            .rates
-            .expected_per_server_year(spec.servers_per_cluster as f64)
-            * (spec.clusters * spec.servers_per_cluster) as f64;
-        let mean = (0..200u64)
-            .map(|s| generate_trace(&spec, s).len() as f64)
-            .sum::<f64>()
-            / 200.0;
-        assert!(
-            (mean - expected).abs() / expected < 0.10,
-            "mean {mean:.2} vs expected {expected:.2}"
-        );
+        assert!((spec.expected_failures_per_year() - 14.84).abs() < 1e-9);
+        let std = spec.network_share_std();
+        assert!((std - 0.0909).abs() < 0.0005, "σ {std}");
     }
 
     #[test]
-    fn deterministic_per_seed() {
-        let spec = FleetSpec::hundred_servers_one_year();
-        assert_eq!(generate_trace(&spec, 9), generate_trace(&spec, 9));
+    fn deployment_masking_and_availability() {
+        let spec = FleetSpec::mci_deployment();
+        let mttr = 4.0 / 24.0;
+        let lambda = spec.network_failures_per_cluster_year();
+        assert!((lambda - 0.194).abs() < 1e-12);
+        assert!((100.0 * spec.clusters as f64 * lambda - 523.8).abs() < 1e-9);
+        let masked = spec.masked_fraction(mttr);
+        assert!((masked - 0.99982).abs() < 1e-5, "{masked}");
+        assert_eq!(spec.masked_fraction(0.0), 1.0, "instant repair masks all");
+        let (without, with) = spec.network_availability(mttr);
+        let nines = |a: f64| -(1.0 - a).log10();
+        assert!((nines(without) - 4.05).abs() < 0.005, "{}", nines(without));
+        assert!(with > without && with < 1.0);
+        let ratio = (1.0 - with) / (1.0 - without);
+        assert!((ratio / (1.0 - masked) - 1.0).abs() < 1e-6, "{ratio}");
     }
 
     #[test]
-    fn replication_helper_uses_the_shared_stream() {
-        let spec = FleetSpec::hundred_servers_one_year();
-        assert_eq!(
-            generate_replication(&spec, 13, 4),
-            generate_trace(&spec, drs_harness::stream_seed(13, 4))
-        );
-        // The stream must not reproduce the weak legacy derivation, whose
-        // consecutive seeds were an affine sequence.
-        let legacy = |seed: u64, i: u64| seed.wrapping_add(i).wrapping_mul(0x9E37_79B9);
-        let seed = drs_harness::stream_seed;
-        assert_ne!(seed(13, 0), legacy(13, 0));
-        let d0 = seed(13, 1).wrapping_sub(seed(13, 0));
-        let d1 = seed(13, 2).wrapping_sub(seed(13, 1));
-        assert_ne!(d0, d1, "replication seeds form an affine sequence");
-    }
-
-    #[test]
-    fn zero_rate_means_no_events() {
-        let mut rng = Rng::seed_from_u64(1);
-        assert!(poisson_times(0.0, 365.0, &mut rng).is_empty());
+    fn longer_repairs_mask_less() {
+        let spec = FleetSpec::mci_deployment();
+        assert!(spec.masked_fraction(1.0) < spec.masked_fraction(4.0 / 24.0));
+        let (w1, d1) = spec.network_availability(1.0);
+        let (w4, d4) = spec.network_availability(4.0 / 24.0);
+        assert!(w1 < w4 && d1 < d4);
     }
 }

@@ -41,8 +41,9 @@
 //!   against error-resolution time — with the cluster-size planner that
 //!   joins it to Equation 1 and the equipment bill of a topology
 //!   ([`cost`]),
-//! * the synthetic **deployment failure study** behind the "13 % of
-//!   hardware failures were network related" statistic ([`fleet`]).
+//! * the **deployment failure study** behind the "13 % of hardware
+//!   failures were network related" statistic, in closed form from
+//!   calibrated component rates ([`fleet`]).
 //!
 //! # Quick start
 //!

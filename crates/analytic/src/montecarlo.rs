@@ -42,22 +42,6 @@ pub struct MonteCarloEstimate {
 }
 
 impl MonteCarloEstimate {
-    /// Wilson score interval at confidence level `z` standard normal
-    /// quantiles (1.96 ≈ 95 %). Well-behaved even when `p_hat` sits at 0
-    /// or 1, unlike the naive ±z·SE interval — relevant here because many
-    /// (N, f) cells have success probabilities extremely close to 1.
-    #[must_use]
-    pub fn wilson_interval(&self, z: f64) -> (f64, f64) {
-        assert!(z > 0.0, "z must be positive");
-        let n = self.iterations as f64;
-        let p = self.p_hat;
-        let z2 = z * z;
-        let denom = 1.0 + z2 / n;
-        let centre = (p + z2 / (2.0 * n)) / denom;
-        let half = (z / denom) * (p * (1.0 - p) / n + z2 / (4.0 * n * n)).sqrt();
-        ((centre - half).max(0.0), (centre + half).min(1.0))
-    }
-
     pub(crate) fn from_counts(successes: u64, iterations: u64) -> Self {
         assert!(iterations > 0, "at least one iteration required");
         let p = successes as f64 / iterations as f64;
@@ -125,20 +109,14 @@ impl<M: FailureModel + Clone + Sync> Estimator<M> {
         MonteCarloEstimate::from_counts(self.successes(&mut rng, iterations), iterations)
     }
 
-    /// Runs `iterations` samples split into parallel chunks, each with
-    /// its own derived RNG stream. Deterministic for a given `(seed,
-    /// iterations)` regardless of the number of worker threads.
+    /// Runs `iterations` samples split into 2¹⁴-sample chunks fanned
+    /// across [`par`] workers. Chunk `c` (the short tail included) draws
+    /// from its own `mix_stream(seed, c)` generator, so the total is
+    /// deterministic for a given `(seed, iterations)` regardless of the
+    /// number of worker threads.
     #[must_use]
     pub fn estimate_parallel(&self, iterations: u64) -> MonteCarloEstimate {
-        self.estimate_chunked(iterations, 1 << 14)
-    }
-
-    /// [`Estimator::estimate_parallel`] with an explicit chunk size: the
-    /// `iterations` samples are cut into `chunk`-sized pieces fanned across
-    /// [`par`] workers, and chunk `c` (the short tail included) draws from
-    /// its own [`mix_stream`]`(seed, c)` generator, so the total is
-    /// independent of the worker count — but not of `chunk`.
-    pub(crate) fn estimate_chunked(&self, iterations: u64, chunk: u64) -> MonteCarloEstimate {
+        let chunk: u64 = 1 << 14;
         let chunks = usize::try_from(iterations.div_ceil(chunk)).expect("chunk count fits usize");
         let successes = par::map(chunks, |c| {
             let c = c as u64;
@@ -351,20 +329,15 @@ mod tests {
     }
 
     #[test]
-    fn wilson_interval_covers_truth_and_handles_extremes() {
-        // Coverage: exact value inside the 95% interval for a sane cell.
-        let mc = MonteCarlo::new(16, 3, 4);
-        let est = mc.estimate(50_000);
-        let (lo, hi) = est.wilson_interval(1.96);
-        let exact = p_success(16, 3);
-        assert!(lo <= exact && exact <= hi, "[{lo}, {hi}] vs {exact}");
-        assert!(lo < hi);
-        // Degenerate all-success cell: interval stays inside [0,1] and
-        // is not collapsed to a point (the naive ±z·SE would be).
-        let all = MonteCarlo::new(4, 0, 1).estimate(100);
-        let (lo1, hi1) = all.wilson_interval(1.96);
-        assert!(hi1 > 1.0 - 1e-12, "{hi1}");
-        assert!(lo1 > 0.9 && lo1 < 1.0);
+    #[should_panic(expected = "cannot fail 11 of 10 components")]
+    fn more_failures_than_components_panics_instead_of_spinning() {
+        let _ = MonteCarlo::new(4, 11, 1);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one iteration")]
+    fn zero_iterations_panic_instead_of_estimating_nan() {
+        let _ = MonteCarlo::new(4, 3, 1).estimate(0);
     }
 
     #[test]

@@ -36,9 +36,6 @@ use crate::BENCH_SEED;
 /// the one-vs-several-shards `serial_matches`.
 pub const FLIGHT_SCHEMA: &str = "drs-bench-flight/v2";
 
-/// Cluster sizes of the K = 2 single-fault matrix.
-pub const FLIGHT_NS: [usize; 3] = [8, 16, 32];
-
 /// Per-core flight ring capacity — large enough that no cell evicts
 /// (every cell asserts `dropped == 0`, so chains stay complete).
 pub const FLIGHT_CAPACITY: usize = 1 << 18;

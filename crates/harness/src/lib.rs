@@ -13,9 +13,10 @@
 //!
 //! The crate is deliberately domain-free — it knows nothing about
 //! clusters, protocols, or fleets. `drs-baselines` runs its protocol
-//! shootout through it, `drs-analytic` its fleet replications, and
-//! `drs-bench` its end-to-end survivability grid; see EXPERIMENTS.md for
-//! the trial lifecycle and artifact schema.
+//! shootout through it, `drs-analytic` its parallel walks and sweeps
+//! ([`par`], [`coord_seed`]), and `drs-bench` its end-to-end
+//! survivability grid; see EXPERIMENTS.md for the trial lifecycle and
+//! artifact schema.
 //!
 //! Traces are collected through a seal-once [`TrialTrace`]. The harness
 //! takes no wall-clock readings: timing a run is `benchmark/`'s job.
@@ -27,10 +28,8 @@ pub mod experiment;
 pub mod par;
 pub mod record;
 pub mod seed;
-pub mod summary;
 
 pub use events::{sort_events, TraceEvent, TraceEventKind, TrialTrace};
 pub use experiment::{Experiment, RunMode, TrialCtx};
 pub use record::{ExperimentRecord, Metric, MetricValue, SimArtifact, TrialRecord, SCHEMA};
 pub use seed::{coord_seed, mix64, stream_seed};
-pub use summary::Summary;

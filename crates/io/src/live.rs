@@ -66,9 +66,11 @@ pub struct LiveReport {
     pub routes: Vec<RouteTable>,
     /// Per-node probe observations (RTTs, detection latencies).
     pub obs: Vec<ProbeObs>,
-    /// Per-node count of datagrams dropped at the socket because they
-    /// named a host outside the cluster (or the node itself) as sender,
-    /// or a host outside it as a control target.
+    /// Per-node count of datagrams dropped at the socket on a live plane:
+    /// ones that do not decode (unknown kind, or not exactly their
+    /// kind's size), ones that name another plane than the socket they
+    /// arrived on, and ones that name a host outside the cluster (or the
+    /// node itself) as sender, or a host outside it as a control target.
     pub rejected: Vec<u64>,
     /// Per-node count of socket errors that ended a plane's receive
     /// thread early (timeouts and interrupted calls are retried and not
@@ -421,7 +423,8 @@ fn run_node(
 /// What a receive thread (or, summed, a node) reports at shutdown.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct RecvCounts {
-    /// Datagrams dropped for the ids they carried.
+    /// Datagrams dropped as undecodable, mis-planed, or for the ids
+    /// they carried.
     rejected: u64,
     /// Socket errors that ended a receive thread.
     errors: u64,
@@ -439,8 +442,8 @@ fn recv_should_retry(kind: std::io::ErrorKind) -> bool {
 /// Per-plane receiver: drop datagrams on dead planes, answer echo
 /// requests in the stack (never waking the daemon), forward the rest.
 /// Exits on `stop`, a closed channel, or a hard socket error, returning
-/// how many datagrams it rejected for the ids they carried and whether
-/// such an error is why it stopped.
+/// how many datagrams it rejected (see [`LiveReport::rejected`]) and
+/// whether such an error is why it stopped.
 #[allow(clippy::too_many_arguments)]
 fn recv_loop(
     node: NodeId,
@@ -455,7 +458,9 @@ fn recv_loop(
     let mut counts = RecvCounts::default();
     sock.set_read_timeout(Some(Duration::from_millis(20)))
         .expect("read timeout");
-    let mut buf = [0u8; 64];
+    // One byte more than the largest datagram: a longer one is cut to
+    // this size by the read and so cannot decode.
+    let mut buf = [0u8; MAX_DATAGRAM + 1];
     while !stop.load(Ordering::SeqCst) {
         let len = match sock.recv_from(&mut buf) {
             Ok((len, _)) => len,
@@ -468,23 +473,20 @@ fn recv_loop(
         if !plane_up[net.idx()].load(Ordering::Relaxed) {
             continue; // dead plane: the wire eats everything
         }
-        let Some(d) = wire::decode(&buf[..len]) else {
-            continue;
-        };
-        if d.net != net {
-            continue; // mis-planed datagram: treat as corruption
-        }
         // Anyone can send to a bound socket, and these ids index `addrs`
-        // below and the daemon's tables later: the sender must be another
-        // host of the cluster, a control target any host of it.
-        let target_known = match d.payload {
-            Payload::Control(msg) => msg.target().idx() < addrs.len(),
-            Payload::EchoRequest { .. } | Payload::EchoReply { .. } => true,
-        };
-        if d.src == node || d.src.idx() >= addrs.len() || !target_known {
+        // below and the daemon's tables later: the datagram must decode,
+        // name this socket's plane, and come from another host of the
+        // cluster; a control target must be any host of it.
+        let Some(d) = wire::decode(&buf[..len]).filter(|d| {
+            let target_known = match d.payload {
+                Payload::Control(msg) => msg.target().idx() < addrs.len(),
+                Payload::EchoRequest { .. } | Payload::EchoReply { .. } => true,
+            };
+            d.net == net && d.src != node && d.src.idx() < addrs.len() && target_known
+        }) else {
             counts.rejected += 1;
             continue;
-        }
+        };
         match d.payload {
             Payload::EchoRequest { id, seq } => {
                 // Stack-level auto-reply, same plane, daemon asleep —
@@ -535,9 +537,12 @@ mod tests {
 
     /// Anyone can send to a bound socket. Every datagram kind, carrying
     /// every id that indexes past (or onto) the receiver's tables, is
-    /// queued on node 0's sockets before the cluster starts; the run must
-    /// drop and count them at the socket, and otherwise behave as if they
-    /// had never arrived.
+    /// queued on node 0's sockets before the cluster starts, and so are
+    /// malformed datagrams from a cluster host: a short one, a control
+    /// message with a trailing byte (19 B), a 100 B probe, an unknown
+    /// kind and a reply naming the other plane. The run must drop and
+    /// count them all at the socket, and otherwise behave as if they had
+    /// never arrived.
     #[test]
     fn stray_datagrams_are_dropped_and_counted_not_indexed_with() {
         let n = 3;
@@ -589,13 +594,44 @@ mod tests {
         // to the daemon, which has nothing to do for either message.
         let benign = control(node).map(|p| (NodeId(1), p));
 
+        let bytes = |src, net, payload| {
+            let mut buf = vec![0u8; MAX_DATAGRAM];
+            let len = wire::encode(&Datagram { src, net, payload }, &mut buf);
+            buf.truncate(len);
+            buf
+        };
+        let reply = Payload::EchoReply {
+            id: ECHO_ID,
+            seq: 1,
+        };
+        let malformed = |net: NetId| {
+            let mut short = bytes(NodeId(1), net, reply);
+            short.pop();
+            let mut trailing = bytes(NodeId(1), net, control(NodeId(2))[0]);
+            trailing.push(0);
+            let mut jumbo = bytes(
+                NodeId(1),
+                net,
+                Payload::EchoRequest {
+                    id: ECHO_ID,
+                    seq: 1,
+                },
+            );
+            jumbo.resize(100, 0);
+            let misplaned = bytes(NodeId(1), NetId(1 - net.0), reply);
+            [short, trailing, jumbo, vec![9; 14], misplaned]
+        };
+
         let sender = UdpSocket::bind("127.0.0.1:0").expect("bound a moment ago");
-        let mut buf = [0u8; MAX_DATAGRAM];
+        let mut malformed_sent = 0;
         for net in NetId::planes(2) {
-            for &(src, payload) in hostile.iter().chain(&benign) {
-                let len = wire::encode(&Datagram { src, net, payload }, &mut buf);
+            let well_formed = hostile.iter().chain(&benign);
+            let datagrams = well_formed.map(|&(src, payload)| bytes(src, net, payload));
+            let garbage = malformed(net);
+            malformed_sent += garbage.len() as u64;
+            for datagram in datagrams.chain(garbage) {
                 sender
-                    .send_to(&buf[..len], cluster.addrs[node.idx()][net.idx()])
+                    .send_to(&datagram, cluster.addrs[node.idx()][net.idx()])
                     .expect("loopback send");
             }
         }
@@ -603,7 +639,7 @@ mod tests {
         let report = cluster.run(Duration::from_millis(400), None, Duration::ZERO);
         assert_eq!(
             report.rejected,
-            [2 * hostile.len() as u64, 0, 0],
+            [2 * hostile.len() as u64 + malformed_sent, 0, 0],
             "every hostile datagram is counted, on the node it hit"
         );
         assert_eq!(report.recv_errors, [0, 0, 0], "no receiver died");

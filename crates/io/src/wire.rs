@@ -92,38 +92,42 @@ pub fn encode(d: &Datagram, buf: &mut [u8]) -> usize {
     }
 }
 
-/// Decodes one datagram; `None` for truncated or unknown frames (a live
-/// receiver drops garbage silently, like a real stack).
+/// Decodes one datagram; `None` for an unknown kind or a length other
+/// than the kind's exact size (14 B echo, 18 B control), so neither a
+/// truncated frame nor one with trailing bytes passes for a valid one.
+/// A live receiver counts what this refuses and drops it.
 #[must_use]
 pub fn decode(buf: &[u8]) -> Option<Datagram> {
-    if buf.len() < 14 {
+    let kind = *buf.first()?;
+    let size = match kind {
+        KIND_ECHO_REQUEST | KIND_ECHO_REPLY => 14,
+        KIND_ROUTE_REQUEST | KIND_ROUTE_OFFER => 18,
+        _ => return None,
+    };
+    if buf.len() != size {
         return None;
     }
-    let src = NodeId(u32::from_le_bytes(buf[1..5].try_into().ok()?));
+    let u32_at = |i: usize| Some(u32::from_le_bytes(buf[i..i + 4].try_into().ok()?));
+    let src = NodeId(u32_at(1)?);
     let net = NetId(buf[5]);
-    let payload = match buf[0] {
-        KIND_ECHO_REQUEST | KIND_ECHO_REPLY => {
-            let id = u32::from_le_bytes(buf[6..10].try_into().ok()?);
-            let seq = u32::from_le_bytes(buf[10..14].try_into().ok()?);
-            if buf[0] == KIND_ECHO_REQUEST {
-                Payload::EchoRequest { id, seq }
-            } else {
-                Payload::EchoReply { id, seq }
-            }
-        }
-        KIND_ROUTE_REQUEST | KIND_ROUTE_OFFER => {
-            if buf.len() < 18 {
-                return None;
-            }
-            let target = NodeId(u32::from_le_bytes(buf[6..10].try_into().ok()?));
+    let payload = match kind {
+        KIND_ECHO_REQUEST => Payload::EchoRequest {
+            id: u32_at(6)?,
+            seq: u32_at(10)?,
+        },
+        KIND_ECHO_REPLY => Payload::EchoReply {
+            id: u32_at(6)?,
+            seq: u32_at(10)?,
+        },
+        _ => {
+            let target = NodeId(u32_at(6)?);
             let req_id = u64::from_le_bytes(buf[10..18].try_into().ok()?);
-            Payload::Control(if buf[0] == KIND_ROUTE_REQUEST {
+            Payload::Control(if kind == KIND_ROUTE_REQUEST {
                 DrsMsg::RouteRequest { target, req_id }
             } else {
                 DrsMsg::RouteOffer { target, req_id }
             })
         }
-        _ => return None,
     };
     Some(Datagram { src, net, payload })
 }
@@ -178,5 +182,25 @@ mod tests {
         assert_eq!(decode(&[9; 14]), None, "unknown kind");
         assert_eq!(decode(&[1; 5]), None, "truncated echo");
         assert_eq!(decode(&[3; 14]), None, "truncated control");
+    }
+
+    #[test]
+    fn each_kind_decodes_only_at_its_exact_length() {
+        for (kind, size) in [(1u8, 14), (2, 14), (3, 18), (4, 18)] {
+            for len in 0..=64 {
+                let mut buf = [0u8; 64];
+                buf[0] = kind;
+                assert_eq!(
+                    decode(&buf[..len]).is_some(),
+                    len == size,
+                    "kind {kind}, {len} B"
+                );
+            }
+        }
+        for kind in [0u8, 5, 0xFF] {
+            for len in 0..=64 {
+                assert_eq!(decode(&[kind; 64][..len]), None, "kind {kind}, {len} B");
+            }
+        }
     }
 }

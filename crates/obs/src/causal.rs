@@ -53,28 +53,6 @@ impl PostMortem {
         self.chain.is_empty()
     }
 
-    /// Sim-time deltas between consecutive hops, oldest-first; one
-    /// shorter than the chain.
-    #[must_use]
-    pub fn hop_deltas_ns(&self) -> Vec<u64> {
-        self.chain
-            .windows(2)
-            .map(|w| w[1].time_ns - w[0].time_ns)
-            .collect()
-    }
-
-    /// Total sim-time the chain spans (first hop to head).
-    #[must_use]
-    pub fn total_ns(&self) -> u64 {
-        self.head().time_ns - self.chain[0].time_ns
-    }
-
-    /// First chain record of `kind`, oldest-first.
-    #[must_use]
-    pub fn first(&self, kind: TraceKind) -> Option<&TraceRecord> {
-        self.chain.iter().find(|r| r.kind == kind)
-    }
-
     /// Last chain record of `kind`, oldest-first.
     #[must_use]
     pub fn last(&self, kind: TraceKind) -> Option<&TraceRecord> {
@@ -235,37 +213,6 @@ pub fn build_post_mortems(log: &FlightLog) -> PostMortemReport {
     }
 }
 
-/// Renders one post-mortem as indented text for console reports: one
-/// line per hop with the sim-time delta to the previous hop, then the
-/// attached losses. Sim-time only, deterministic.
-#[must_use]
-pub fn render_post_mortem(pm: &PostMortem) -> String {
-    let mut out = String::new();
-    let mut prev: Option<u64> = None;
-    for hop in &pm.chain {
-        let delta = prev.map_or_else(String::new, |p| format!("  (+{} ns)", hop.time_ns - p));
-        out.push_str(&format!(
-            "  {:>12} ns  {:<17} host{} {}{}\n",
-            hop.time_ns,
-            hop.kind.label(),
-            hop.host,
-            hop.plane.map_or_else(String::new, |p| format!("plane{p}")),
-            delta,
-        ));
-        prev = Some(hop.time_ns);
-    }
-    for l in &pm.losses {
-        out.push_str(&format!(
-            "  {:>12} ns    loss site {} on host{}\n",
-            l.time_ns, l.arg, l.host
-        ));
-    }
-    if !pm.complete {
-        out.push_str("  [chain orphaned: a cause ref did not resolve]\n");
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -322,10 +269,7 @@ mod tests {
         assert_eq!(pm.chain[0].kind, TraceKind::ProbeRecv);
         assert_eq!(pm.head().kind, TraceKind::RerouteComplete);
         assert_eq!(pm.losses.len(), 1);
-        assert_eq!(pm.total_ns(), 5_000);
-        let deltas = pm.hop_deltas_ns();
-        assert_eq!(deltas.len(), 6);
-        assert_eq!(deltas.iter().sum::<u64>(), 5_000);
+        assert_eq!(pm.head().time_ns - pm.chain[0].time_ns, 5_000);
     }
 
     #[test]
@@ -367,16 +311,6 @@ mod tests {
         let report = build_post_mortems(&log);
         assert_eq!(report.orphan_refs, 0);
         assert_eq!(report.failovers[0].chain[0], twin);
-    }
-
-    #[test]
-    fn renderer_is_deterministic_and_carries_deltas() {
-        let report = build_post_mortems(&sample_log());
-        let text = render_post_mortem(&report.failovers[0]);
-        assert_eq!(text, render_post_mortem(&report.failovers[0]));
-        assert!(text.contains("reroute_complete"));
-        assert!(text.contains("(+1000 ns)"));
-        assert!(text.contains("loss site 1"));
     }
 
     /// The builder before causes were searched from their citer: every

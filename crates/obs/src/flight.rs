@@ -379,13 +379,6 @@ impl FlightRecorder {
         self.capacity
     }
 
-    /// Records held in the retained side buffer, which is unbounded: it
-    /// grows while chains stay pinned across ring wraps and never shrinks.
-    #[must_use]
-    pub fn retained_len(&self) -> usize {
-        self.retained.len()
-    }
-
     /// Whether every append so far arrived in non-decreasing
     /// [`TraceRecord::sort_key`] order, i.e. [`Self::lookup`] still
     /// binary-searches.
@@ -1189,7 +1182,7 @@ mod tests {
         }
         assert_eq!(fr.drain(), reference.drain(), "seed {seed}");
         assert_eq!(fr.ring, reference.ring, "seed {seed}");
-        (fr.ordered, fr.dropped(), fr.retained_len())
+        (fr.ordered, fr.dropped(), fr.retained.len())
     }
 
     #[test]
@@ -1272,7 +1265,7 @@ mod tests {
             fr.protected[&rec(0, 0, TraceKind::ProbeSend, None).self_ref()],
             32
         );
-        assert_eq!((fr.retained_len(), fr.dropped()), (1, 0));
+        assert_eq!((fr.retained.len(), fr.dropped()), (1, 0));
     }
 
     #[test]
@@ -1301,7 +1294,7 @@ mod tests {
             for i in 0..8 {
                 fr.record(rec(100 + i, 10 + i, TraceKind::ProbeRecv, None));
             }
-            fr.retained_len()
+            fr.retained.len()
         });
         assert_eq!(retained, 4, "every pinned record of the cycles survives");
     }
@@ -1332,10 +1325,10 @@ mod tests {
         }
         assert!(fr.dropped() > 0, "the ring wrapped");
         assert!(
-            fr.retained_len() > 0,
+            !fr.retained.is_empty(),
             "pinned ancestors moved to the side buffer"
         );
-        assert_eq!(fr.len(), fr.capacity() + fr.retained_len());
+        assert_eq!(fr.len(), fr.capacity() + fr.retained.len());
         assert_eq!(fr.dropped() + fr.len() as u64, appended);
 
         let unknown = EventRef {
@@ -1355,10 +1348,10 @@ mod tests {
         }
         assert!(fr.pins.is_empty(), "every head released");
         assert!(fr.protected.is_empty(), "no refcount outlives its pins");
-        let before = (fr.len(), fr.dropped(), fr.retained_len());
+        let before = (fr.len(), fr.dropped(), fr.retained.len());
         fr.release(heads[0]);
         fr.release(unknown);
-        assert_eq!((fr.len(), fr.dropped(), fr.retained_len()), before);
+        assert_eq!((fr.len(), fr.dropped(), fr.retained.len()), before);
         assert!(
             fr.protected.is_empty() && fr.pins.is_empty(),
             "double release is a no-op"
@@ -1369,7 +1362,7 @@ mod tests {
             fr.record(rec(100_000 + i, 10_000 + i, TraceKind::ProbeSend, None));
             appended += 1;
         }
-        assert_eq!(fr.retained_len(), before.2);
+        assert_eq!(fr.retained.len(), before.2);
         assert_eq!(fr.dropped() + fr.len() as u64, appended);
     }
 

@@ -186,14 +186,6 @@ impl TopologySpec {
         NodeId(self.topo.switch_node(s) as u32)
     }
 
-    /// Whether `node` is an endpoint of segment `net` (i.e. starts with
-    /// a live NIC there).
-    #[must_use]
-    pub fn is_member(&self, node: NodeId, net: NetId) -> bool {
-        let l = &self.topo.links()[net.idx()];
-        l.a == node.0 || l.b == node.0
-    }
-
     /// The effective data rate of segment `link`.
     #[must_use]
     pub fn segment_bandwidth(&self, link: usize) -> u64 {
@@ -300,18 +292,6 @@ mod tests {
         let spec = t.cluster_spec();
         assert_eq!(spec.n, 6);
         assert_eq!(spec.planes, 8);
-    }
-
-    #[test]
-    fn membership_follows_link_endpoints() {
-        let t = kplane42();
-        // kplane links are plane-major, host-minor: segment p*n + i wires
-        // host i to plane p's switch.
-        assert!(t.is_member(NodeId(0), NetId(0)));
-        assert!(t.is_member(t.switch_node(0), NetId(0)));
-        assert!(!t.is_member(NodeId(1), NetId(0)));
-        assert!(!t.is_member(t.switch_node(1), NetId(0)));
-        assert!(t.is_member(NodeId(1), NetId(4 + 1)), "plane 1, host 1");
     }
 
     #[test]

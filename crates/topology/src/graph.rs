@@ -166,16 +166,6 @@ impl Topology {
             None
         }
     }
-
-    /// The universe index of a component, or `None` if the switch/link
-    /// index is out of range for this topology.
-    #[must_use]
-    pub fn component_index(&self, c: TopoComponent) -> Option<usize> {
-        match c {
-            TopoComponent::Switch(s) => (s < self.switches).then_some(s),
-            TopoComponent::Link(l) => (l < self.links.len()).then(|| self.switches + l),
-        }
-    }
 }
 
 impl fmt::Display for Topology {
@@ -321,12 +311,6 @@ mod tests {
         assert_eq!(t.component(1), Some(TopoComponent::Link(0)));
         assert_eq!(t.component(3), Some(TopoComponent::Link(2)));
         assert_eq!(t.component(4), None, "one past the universe is None");
-        for idx in 0..t.component_count() {
-            let c = t.component(idx).unwrap();
-            assert_eq!(t.component_index(c), Some(idx));
-        }
-        assert_eq!(t.component_index(TopoComponent::Switch(1)), None);
-        assert_eq!(t.component_index(TopoComponent::Link(3)), None);
     }
 
     #[test]

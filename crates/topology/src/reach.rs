@@ -59,7 +59,7 @@
 //! the tests below evaluate both, exhaustively over small fabrics, against
 //! an independent union-find implementation kept for that purpose.
 
-use crate::graph::{ComponentSet, TopoComponent, Topology};
+use crate::graph::{ComponentSet, Topology};
 
 /// Which connectivity notion to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -331,17 +331,6 @@ pub fn pair_connected(
     policy: Reachability,
 ) -> bool {
     ReachEngine::new(topo).pair_connected(failed, s, t, policy)
-}
-
-/// Maps a failed component to the nodes it silences, for documentation
-/// and the simulator's fault bridge: a failed link silences nothing by
-/// itself (the segment dies), a failed switch removes its node.
-#[must_use]
-pub fn failed_node_of(topo: &Topology, c: TopoComponent) -> Option<usize> {
-    match c {
-        TopoComponent::Switch(s) => Some(topo.switch_node(s)),
-        TopoComponent::Link(_) => None,
-    }
 }
 
 /// The predicates as they were computed before the layered search: two
@@ -728,15 +717,5 @@ mod tests {
         assert!(!eng.pair_connected(&set(&[first_host_link]), s, t, Reachability::Transitive));
         // Host 0's edge switch down: also cut.
         assert!(!eng.pair_connected(&set(&[0]), s, t, Reachability::Transitive));
-    }
-
-    #[test]
-    fn failed_node_mapping() {
-        let topo = kplane(3, 2);
-        assert_eq!(
-            failed_node_of(&topo, TopoComponent::Switch(1)),
-            Some(topo.hosts() + 1)
-        );
-        assert_eq!(failed_node_of(&topo, TopoComponent::Link(0)), None);
     }
 }

@@ -4,8 +4,7 @@
 
 use drs::analytic::cost::model::ProbeCostModel;
 use drs::analytic::exact::p_success;
-use drs::analytic::fleet::study::replicate_study;
-use drs::analytic::fleet::FleetSpec;
+use drs::analytic::fleet::FailureRates;
 use drs::analytic::thresholds::first_n_exceeding;
 use drs::core::{DrsConfig, DrsDaemon};
 use drs::sim::fault::{FaultPlan, SimComponent};
@@ -36,6 +35,11 @@ fn claim_convergence_to_one() {
 
 /// "ninety hosts are supported in less than 1 second with only 10% of
 /// the bandwidth usage" (Figure 1's anchor).
+///
+/// This pins only the cost model's response time, T(90, 10 %) = 948 ms.
+/// The packet-level daemon's worst-case detection in that configuration
+/// is the probe interval plus the probe timeout, I + τ ≈ 1.18 s: the
+/// model leaves the timeout out (ROADMAP item 2).
 #[test]
 fn claim_ninety_hosts() {
     let model = ProbeCostModel::default();
@@ -44,17 +48,16 @@ fn claim_ninety_hosts() {
 }
 
 /// "over a one-year period, thirteen percent of the hardware failures
-/// for 100 compute servers were network related" (reproduced as the mean
-/// of the calibrated synthetic study).
+/// for 100 compute servers were network related" (reproduced as the
+/// exact expected share of the calibrated component rates, 10 servers per
+/// cluster; it must round to the paper's 13 %).
 #[test]
 fn claim_thirteen_percent_network_failures() {
-    let spec = FleetSpec::hundred_servers_one_year();
-    let s = replicate_study(&spec, 300, 13);
-    assert!(
-        (s.mean_network_fraction - 0.13).abs() < 0.02,
-        "mean network fraction {:.4}",
-        s.mean_network_fraction
-    );
+    let share = FailureRates::default().expected_network_fraction(10.0);
+    // NIC 2 × 0.005 + cable 2 × 0.003 + hub 2 × 0.017 / 10 = 0.0194 of
+    // 0.1484 failures per server-year.
+    assert!((share - 0.0194 / 0.1484).abs() < 1e-12, "share {share}");
+    assert!((share - 0.13).abs() < 0.005, "share {share:.4}");
 }
 
 /// "This new route is often found in the time of a TCP retransmit, so
