@@ -22,7 +22,6 @@ use drs_obs::Histogram;
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
-use drs_sim::transport::max_flow_lifetime;
 use drs_sim::world::{FlowOutcome, Protocol, World};
 use drs_sim::{NodeId, SimDuration, SimTime};
 
@@ -210,7 +209,7 @@ fn run_scenario_inner<P: Protocol>(
     // does after the last flow resolves is committed bytes, not idle
     // time.
     let horizon = spec.interval.saturating_mul(spec.count as u64 + 1)
-        + max_flow_lifetime(&spec.cluster.transport)
+        + spec.cluster.transport.max_flow_lifetime()
         + SimDuration::from_secs(1);
     world.run_for(horizon);
 

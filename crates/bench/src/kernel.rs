@@ -199,15 +199,14 @@ pub fn scaling_cfg() -> DrsConfig {
         .batched_monitor(true)
 }
 
-/// The cluster the scaling cells simulate: 25 Gb/s planes with 5 µs
-/// propagation.
+/// The cluster the scaling cells simulate: 25 Gb/s planes with the
+/// default 5 µs propagation.
 #[must_use]
 pub fn scaling_spec(n: usize, planes: u8) -> ClusterSpec {
     ClusterSpec::new(n)
         .seed(coord_seed(BENCH_SEED, n as u64, u64::from(planes)))
         .planes(planes)
         .bandwidth_bps(25_000_000_000)
-        .propagation(SimDuration::from_micros(5))
 }
 
 /// Runs one `(n, planes)` scaling cell and digests its end state.

@@ -35,7 +35,6 @@ use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::{TraceEvent, TraceEventKind};
 use drs_sim::fault::{index_to_component, FaultPlan};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
-use drs_sim::transport::max_flow_lifetime;
 use drs_sim::world::{FlowOutcome, World};
 use drs_sim::{NodeId, SimDuration, SimTime};
 use drs_topology::ComponentSet;
@@ -95,7 +94,7 @@ const TRANSPORT: TransportConfig = TransportConfig {
 /// exactly `send + max_flow_lifetime`; the margin only keeps the
 /// deadline off that instant.
 fn flow_budget() -> SimDuration {
-    max_flow_lifetime(&TRANSPORT) + SimDuration::from_secs(1)
+    TRANSPORT.max_flow_lifetime() + SimDuration::from_secs(1)
 }
 
 /// Runs one trial on an `n`-host, `planes`-plane DRS cluster: unrank the
@@ -261,7 +260,7 @@ mod tests {
     fn an_undelivered_trial_stops_where_the_transport_gives_up() {
         let (trial, stopped_at, _) = run_trial_within(16, 2, 2, 0, flow_budget());
         assert!(!trial.predicted && !trial.delivered, "{trial:?}");
-        let gave_up_at = SEND_AT + max_flow_lifetime(&TRANSPORT);
+        let gave_up_at = SEND_AT + TRANSPORT.max_flow_lifetime();
         assert!(
             gave_up_at <= stopped_at && stopped_at < gave_up_at + ONE_STRIDE,
             "gave up at {gave_up_at}, stopped at {stopped_at}"

@@ -88,6 +88,14 @@ impl fmt::Display for NetId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct FlowId(pub u64);
 
+impl FlowId {
+    /// The flow index as a `usize` (for indexing the flow table).
+    #[must_use]
+    pub fn idx(self) -> usize {
+        self.0 as usize
+    }
+}
+
 impl fmt::Display for FlowId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "flow{}", self.0)

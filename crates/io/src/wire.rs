@@ -184,6 +184,70 @@ mod tests {
         assert_eq!(decode(&[3; 14]), None, "truncated control");
     }
 
+    /// `decode` never panics, and whatever it accepts re-encodes to
+    /// exactly the bytes it was handed: the codec reads every byte, so a
+    /// datagram has one encoding.
+    /// Returns whether it accepted.
+    fn assert_canonical(buf: &[u8]) -> bool {
+        let Some(d) = decode(buf) else {
+            return false;
+        };
+        let mut out = [0u8; MAX_DATAGRAM];
+        let n = encode(&d, &mut out);
+        assert_eq!(&out[..n], buf, "{d:?}");
+        true
+    }
+
+    #[test]
+    fn drawn_bytes_decode_canonically_or_not_at_all() {
+        let mut rng = drs_obs::rng::Rng::seed_from_u64(0x0057_1DE5);
+        let mut accepted = 0;
+        for len in 0..=MAX_DATAGRAM + 1 {
+            for _ in 0..4096 {
+                let mut buf = [0u8; MAX_DATAGRAM + 1];
+                buf.iter_mut().for_each(|b| *b = rng.next_u64() as u8);
+                // Half the draws lead with a kind byte near the valid ones.
+                if rng.gen_bool(0.5) {
+                    buf[0] = rng.gen_range(0..6u8);
+                }
+                accepted += usize::from(assert_canonical(&buf[..len]));
+            }
+        }
+        // Lengths 14 and 18 each accept about a sixth of their draws.
+        assert!(accepted > 1_000, "{accepted} drawn datagrams accepted");
+        let kinds = [
+            Payload::EchoRequest { id: 0x0D25, seq: 7 },
+            Payload::EchoReply { id: 0x0D25, seq: 7 },
+            Payload::Control(DrsMsg::RouteRequest {
+                target: NodeId(2),
+                req_id: 9,
+            }),
+            Payload::Control(DrsMsg::RouteOffer {
+                target: NodeId(2),
+                req_id: 9,
+            }),
+        ];
+        for payload in kinds {
+            let d = Datagram {
+                src: NodeId(5),
+                net: NetId::B,
+                payload,
+            };
+            let mut buf = [0u8; MAX_DATAGRAM];
+            let n = encode(&d, &mut buf);
+            for i in 0..n {
+                for v in 0..=255u8 {
+                    let mut mutated = buf;
+                    mutated[i] = v;
+                    let kept = assert_canonical(&mutated[..n]);
+                    // Only a kind byte unknown or of another size refuses.
+                    let same_size = matches!((v, n), (1 | 2, 14) | (3 | 4, 18));
+                    assert_eq!(kept, i != 0 || same_size, "byte {i} = {v}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn each_kind_decodes_only_at_its_exact_length() {
         for (kind, size) in [(1u8, 14), (2, 14), (3, 18), (4, 18)] {

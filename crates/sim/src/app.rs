@@ -1,15 +1,69 @@
-//! Application workloads: the server-to-server traffic whose survival the
-//! experiments measure.
+//! Application traffic: the server-to-server messages whose survival the
+//! experiments measure, and the reliable transport that carries them.
 //!
 //! Workloads are pre-generated deterministic schedules of message sends
 //! (when, from whom, to whom, how big). The voice-mail clusters the paper
 //! describes exchanged modest request/response traffic between every pair
 //! of servers; [`Workload::all_to_all`] models that, and
 //! [`Workload::uniform_random`] gives a Poisson-like background load.
+//!
+//! One message is one flow carrying one payload segment, and one `Flow`
+//! record in the core's flow table, indexed by its
+//! [`FlowId`](drs_core::ids::FlowId). The sender retransmits on a
+//! timeout with exponential backoff
+//! ([`TransportConfig::rto_for_attempt`](crate::scenario::TransportConfig::rto_for_attempt))
+//! and gives up after a configured retry budget — the TCP stand-in that
+//! makes the paper's headline ("the new route is often found in the time
+//! of a TCP retransmit, so server applications are unaware that a network
+//! failure has occurred") measurable: if DRS repairs the route before the
+//! first RTO fires, the retransmit succeeds invisibly; a reactive protocol
+//! leaves the flow retrying until its own timeout machinery converges.
+//! The timers, sends and acks are kernel behaviours (`world::kernel`).
+//! The fluid session model ([`crate::workload`]) is a separate, coarser
+//! fidelity and keeps no flow records.
 
 use drs_obs::rng::Rng;
 
 use drs_core::{NodeId, SimDuration, SimTime};
+
+use crate::world::FlowOutcome;
+
+/// One application message's transport state: the row of the flow table
+/// for its [`FlowId`](drs_core::ids::FlowId).
+#[derive(Clone, Copy)]
+pub(crate) struct Flow {
+    /// Sending host: the one that retransmits and that the ack reaches.
+    pub(crate) src: NodeId,
+    /// Final destination.
+    pub(crate) dst: NodeId,
+    /// Payload size in bytes.
+    pub(crate) payload_bytes: u32,
+    /// Transmission attempts so far: 0 until the send event fires.
+    pub(crate) attempts: u32,
+    /// When the send event fired (the latency epoch).
+    pub(crate) first_sent: SimTime,
+    /// How the flow ended; `None` while pending or outstanding.
+    pub(crate) outcome: Option<FlowOutcome>,
+}
+
+impl Flow {
+    /// A flow scheduled but not yet sent.
+    pub(crate) fn new(src: NodeId, dst: NodeId, payload_bytes: u32) -> Self {
+        Flow {
+            src,
+            dst,
+            payload_bytes,
+            attempts: 0,
+            first_sent: SimTime::ZERO,
+            outcome: None,
+        }
+    }
+
+    /// Sent and awaiting its ack or its give-up.
+    pub(crate) fn outstanding(&self) -> bool {
+        self.attempts > 0 && self.outcome.is_none()
+    }
+}
 
 /// One scheduled application message.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -25,31 +79,12 @@ pub struct AppMessage {
 }
 
 /// A deterministic schedule of application messages.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Workload {
     messages: Vec<AppMessage>,
 }
 
 impl Workload {
-    /// An empty workload.
-    #[must_use]
-    pub fn new() -> Self {
-        Workload::default()
-    }
-
-    /// Adds one message.
-    #[must_use]
-    pub fn message(mut self, at: SimTime, src: NodeId, dst: NodeId, payload_bytes: u32) -> Self {
-        assert_ne!(src, dst, "a host does not message itself");
-        self.messages.push(AppMessage {
-            at,
-            src,
-            dst,
-            payload_bytes,
-        });
-        self
-    }
-
     /// A steady stream between one pair: `count` messages every `interval`
     /// starting at `start`.
     #[must_use]
@@ -135,13 +170,6 @@ impl Workload {
         Workload { messages }
     }
 
-    /// Concatenates another workload onto this one.
-    #[must_use]
-    pub fn merge(mut self, other: Workload) -> Self {
-        self.messages.extend(other.messages);
-        self
-    }
-
     /// The scheduled messages.
     #[must_use]
     pub fn messages(&self) -> &[AppMessage] {
@@ -220,18 +248,5 @@ mod tests {
         };
         assert_eq!(gen(1), gen(1));
         assert_ne!(gen(1), gen(2));
-    }
-
-    #[test]
-    fn merge_concatenates() {
-        let a = Workload::new().message(SimTime(1), NodeId(0), NodeId(1), 10);
-        let b = Workload::new().message(SimTime(2), NodeId(1), NodeId(0), 10);
-        assert_eq!(a.merge(b).len(), 2);
-    }
-
-    #[test]
-    #[should_panic(expected = "does not message itself")]
-    fn self_message_rejected() {
-        let _ = Workload::new().message(SimTime(0), NodeId(1), NodeId(1), 1);
     }
 }

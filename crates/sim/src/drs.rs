@@ -5,12 +5,11 @@
 //! This module is the whole sim side of the inverted dependency: the
 //! daemon state machine lives in `drs_core` and knows nothing about the
 //! simulator; the simulator provides `Ctx`, and this adapter says how
-//! each `DrsIo` operation maps onto it. Every method is a one-line
-//! delegation to the identically-named inherent `Ctx` method — except
-//! [`DrsIo::pick`], which draws `gen_range(0..n)` from the host's
-//! deterministic RNG stream, the exact draw the pre-trait daemon made,
-//! so seeded runs (and all committed BENCH artifacts) are byte-identical
-//! across the refactor.
+//! each `DrsIo` operation maps onto it: the operations other protocols
+//! share delegate to the inherent `Ctx` method of the same name, and the
+//! DRS-only ones (`pick`, `routes`, `probe_obs_mut`, `notify_reroute`)
+//! act on the host's state here. [`DrsIo::pick`] draws `gen_range(0..n)`
+//! from the host's own random stream.
 
 use drs_core::daemon::DrsDaemon;
 use drs_core::io::DrsIo;
@@ -20,6 +19,7 @@ use drs_core::stats::ProbeObs;
 use drs_core::{NetId, NodeId, SimDuration, SimTime};
 use drs_obs::flight::{EventRef, TraceKind};
 
+use crate::workload::Transition;
 use crate::world::{Ctx, Protocol};
 
 impl DrsIo for Ctx<'_, DrsMsg> {
@@ -32,7 +32,7 @@ impl DrsIo for Ctx<'_, DrsMsg> {
     }
 
     fn pick(&mut self, n: usize) -> usize {
-        self.rng().gen_range(0..n)
+        self.core.rng_for(self.node).gen_range(0..n)
     }
 
     fn send_echo_traced(
@@ -67,15 +67,20 @@ impl DrsIo for Ctx<'_, DrsMsg> {
     }
 
     fn routes(&self) -> &RouteTable {
-        Ctx::routes(self)
+        self.core.hosts.routes(self.node)
     }
 
     fn probe_obs_mut(&mut self) -> &mut ProbeObs {
-        Ctx::probe_obs_mut(self)
+        self.core.hosts.obs_mut(self.node)
     }
 
+    /// Counted 1:1 by the fluid workload engine against the daemon's
+    /// `reroute_complete` histogram: no events, draws or route changes.
     fn notify_reroute(&mut self, dst: NodeId) {
-        Ctx::notify_reroute(self, dst);
+        self.core.record_workload(Transition::Reroute {
+            host: self.node,
+            dst,
+        });
     }
 
     fn flight_record(
@@ -162,8 +167,8 @@ mod tests {
         }
     }
 
-    /// `pick` draws from the same per-host stream `ctx.rng()` exposes, so
-    /// Random-policy runs stay seed-reproducible through the trait.
+    /// `pick` draws from the host's own random stream, so Random-policy
+    /// runs stay seed-reproducible through the trait.
     #[test]
     fn random_policy_is_seed_reproducible_through_pick() {
         let run = || {

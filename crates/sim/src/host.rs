@@ -1,5 +1,5 @@
 //! Per-host state in struct-of-arrays layout: NIC liveness, kernel route
-//! tables, transport bookkeeping and counters.
+//! tables and counters.
 //!
 //! The simulator used to keep one `HostState` struct per host; [`Hosts`]
 //! keeps parallel arrays over the cluster's host ids instead. The hot
@@ -12,7 +12,6 @@
 //! struct had.
 
 use crate::stats::HostCounters;
-use crate::transport::TransportState;
 use drs_core::{NetId, NodeId, ProbeObs, RouteTable};
 
 /// Struct-of-arrays state for every host of a cluster, indexed by
@@ -25,8 +24,6 @@ pub struct Hosts {
     nic_up: Vec<bool>,
     /// Kernel route tables (dense `O(N)` per host).
     routes: Vec<RouteTable>,
-    /// Outstanding reliable-transport sends.
-    transport: Vec<TransportState>,
     /// Stack-level event counters.
     counters: Vec<HostCounters>,
     /// Probe-path observability recorded by the routing daemons.
@@ -48,7 +45,6 @@ impl Hosts {
             routes: (0..n)
                 .map(|i| RouteTable::new_default(NodeId(i as u32), n))
                 .collect(),
-            transport: vec![TransportState::default(); n],
             counters: vec![HostCounters::default(); n],
             obs: vec![ProbeObs::default(); n],
         }
@@ -98,17 +94,6 @@ impl Hosts {
         &mut self.routes[node.idx()]
     }
 
-    /// Read access to `node`'s transport state.
-    #[must_use]
-    pub fn transport(&self, node: NodeId) -> &TransportState {
-        &self.transport[node.idx()]
-    }
-
-    /// Mutable access to `node`'s transport state.
-    pub fn transport_mut(&mut self, node: NodeId) -> &mut TransportState {
-        &mut self.transport[node.idx()]
-    }
-
     /// Read access to `node`'s stack counters.
     #[must_use]
     pub fn counters(&self, node: NodeId) -> &HostCounters {
@@ -136,12 +121,6 @@ impl Hosts {
         self.obs.iter()
     }
 
-    /// Flows still outstanding across the cluster.
-    #[must_use]
-    pub fn flows_in_flight(&self) -> usize {
-        self.transport.iter().map(TransportState::in_flight).sum()
-    }
-
     /// A read view of one host, shaped like the old per-host struct.
     #[must_use]
     pub fn view(&self, node: NodeId) -> HostView<'_> {
@@ -150,7 +129,6 @@ impl Hosts {
         HostView {
             id: node,
             routes: &self.routes[l],
-            transport: &self.transport[l],
             counters: &self.counters[l],
             obs: &self.obs[l],
             nic_up: &self.nic_up[l * k..(l + 1) * k],
@@ -168,8 +146,6 @@ pub struct HostView<'a> {
     pub id: NodeId,
     /// The kernel route table routing daemons manipulate.
     pub routes: &'a RouteTable,
-    /// Outstanding reliable-transport sends.
-    pub transport: &'a TransportState,
     /// Stack-level event counters.
     pub counters: &'a HostCounters,
     /// Probe-path observability recorded by the routing daemon.

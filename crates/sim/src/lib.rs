@@ -13,11 +13,11 @@
 //! * a minimal in-host network stack: L2 frames, kernel-style **ICMP echo**
 //!   auto-reply, a per-host **route table** (direct or via-gateway routes)
 //!   with TTL-guarded forwarding ([`host`], [`drs_core::routes`]),
-//! * a simple **reliable transport** with retransmission timeouts and
-//!   exponential backoff, standing in for TCP so that experiments can
-//!   observe whether applications notice failures ([`transport`]),
+//! * application **workloads** carried by a simple **reliable transport**
+//!   with retransmission timeouts and exponential backoff, standing in
+//!   for TCP so that experiments can observe whether applications notice
+//!   failures ([`app`]), and their delivery statistics ([`stats`]),
 //! * **fault injection** for NICs and hubs, scheduled or random ([`fault`]),
-//! * application **workloads** and delivery statistics ([`app`], [`stats`]),
 //! * **explicit topology graphs** beyond the K-plane cluster: a
 //!   [`topology::TopologySpec`] maps any `drs-topology` graph (fat-tree,
 //!   BCube, DCell, …) onto the same kernel — one segment per link, NIC
@@ -76,7 +76,6 @@ pub mod naive_heap;
 pub mod scenario;
 pub mod stats;
 pub mod topology;
-pub mod transport;
 pub mod wheel;
 pub mod workload;
 pub mod world;

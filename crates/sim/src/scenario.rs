@@ -7,6 +7,18 @@
 
 use drs_core::SimDuration;
 
+/// On-wire size of an ICMP echo request/reply frame (64-byte ICMP
+/// payload in an Ethernet frame).
+pub(crate) const ICMP_WIRE_BYTES: u32 = 74;
+/// On-wire size of a routing-daemon control frame sent at the default
+/// size.
+pub(crate) const CONTROL_WIRE_BYTES: u32 = 96;
+/// Per-frame header overhead added to application payloads; an ack is
+/// this header alone.
+pub(crate) const DATA_HEADER_BYTES: u32 = 58;
+/// Initial TTL on data segments (routing-loop backstop).
+pub(crate) const TTL: u8 = 8;
+
 /// Reliable-transport tuning (the stand-in for TCP).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TransportConfig {
@@ -16,6 +28,33 @@ pub struct TransportConfig {
     pub backoff_factor: u32,
     /// Retransmissions before the transport gives up.
     pub max_retries: u32,
+}
+
+impl TransportConfig {
+    /// The retransmission timeout for a given attempt number (1-based),
+    /// with exponential backoff: `initial_rto × backoff^(attempt-1)`,
+    /// saturating.
+    ///
+    /// # Panics
+    /// Panics if `attempt` is zero.
+    #[must_use]
+    pub fn rto_for_attempt(&self, attempt: u32) -> SimDuration {
+        assert!(attempt >= 1, "attempts are 1-based");
+        let factor = (self.backoff_factor as u64).saturating_pow(attempt - 1);
+        self.initial_rto.saturating_mul(factor)
+    }
+
+    /// Worst-case time a flow can remain outstanding: the sum of all RTOs
+    /// through the final attempt. Experiments use this to size their
+    /// drain periods.
+    #[must_use]
+    pub fn max_flow_lifetime(&self) -> SimDuration {
+        let mut total = SimDuration::ZERO;
+        for attempt in 1..=self.max_retries + 1 {
+            total = total + self.rto_for_attempt(attempt);
+        }
+        total
+    }
 }
 
 impl Default for TransportConfig {
@@ -42,15 +81,6 @@ pub struct ClusterSpec {
     pub bandwidth_bps: u64,
     /// One-way propagation delay across a segment.
     pub propagation: SimDuration,
-    /// On-wire size of an ICMP echo request/reply frame.
-    pub icmp_wire_bytes: u32,
-    /// On-wire size of a routing-daemon control frame (beyond any
-    /// protocol-specified extra payload).
-    pub control_wire_bytes: u32,
-    /// Per-frame header overhead added to application payloads.
-    pub data_header_bytes: u32,
-    /// Initial TTL on data segments (routing-loop backstop).
-    pub ttl: u8,
     /// Transport tuning.
     pub transport: TransportConfig,
     /// Probability that any individual frame is corrupted on the wire
@@ -76,10 +106,6 @@ impl ClusterSpec {
             planes: 2,
             bandwidth_bps: 100_000_000,
             propagation: SimDuration::from_micros(5),
-            icmp_wire_bytes: 74,
-            control_wire_bytes: 96,
-            data_header_bytes: 58,
-            ttl: 8,
             transport: TransportConfig::default(),
             frame_loss_rate: 0.0,
             seed: 0,
@@ -134,14 +160,6 @@ impl ClusterSpec {
         self.frame_loss_rate = p;
         self
     }
-
-    /// Sets the data-segment TTL.
-    #[must_use]
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        assert!(ttl >= 1, "ttl must allow at least one hop");
-        self.ttl = ttl;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -153,8 +171,35 @@ mod tests {
         let s = ClusterSpec::new(8);
         assert_eq!(s.planes, 2, "the paper's cluster is two backplanes");
         assert_eq!(s.bandwidth_bps, 100_000_000);
-        assert_eq!(s.icmp_wire_bytes, 74);
         assert_eq!(s.transport.initial_rto, SimDuration::from_secs(1));
+    }
+
+    fn transport() -> TransportConfig {
+        TransportConfig {
+            initial_rto: SimDuration::from_secs(1),
+            backoff_factor: 2,
+            max_retries: 3,
+        }
+    }
+
+    #[test]
+    fn rto_backs_off_exponentially() {
+        let c = transport();
+        assert_eq!(c.rto_for_attempt(1), SimDuration::from_secs(1));
+        assert_eq!(c.rto_for_attempt(2), SimDuration::from_secs(2));
+        assert_eq!(c.rto_for_attempt(3), SimDuration::from_secs(4));
+    }
+
+    #[test]
+    fn lifetime_is_sum_of_rtos() {
+        // attempts 1..=4: 1 + 2 + 4 + 8 = 15 s.
+        assert_eq!(transport().max_flow_lifetime(), SimDuration::from_secs(15));
+    }
+
+    #[test]
+    fn huge_attempt_saturates() {
+        let d = transport().rto_for_attempt(200);
+        assert!(d > SimDuration::from_secs(1_000_000));
     }
 
     #[test]
@@ -162,11 +207,10 @@ mod tests {
         let s = ClusterSpec::new(4)
             .seed(9)
             .bandwidth_bps(10_000_000)
-            .ttl(3)
             .propagation(SimDuration::from_micros(1));
         assert_eq!(s.seed, 9);
         assert_eq!(s.bandwidth_bps, 10_000_000);
-        assert_eq!(s.ttl, 3);
+        assert_eq!(s.propagation, SimDuration::from_micros(1));
     }
 
     #[test]

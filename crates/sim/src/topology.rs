@@ -11,7 +11,8 @@
 //!   modelling them as protocol-running nodes matches a real fabric
 //!   where switch firmware floods/forwards frames;
 //! * every **link** becomes one two-endpoint shared segment (its own
-//!   [`SharedMedium`], [`NetId`] = link index). Only the link's two
+//!   [`SharedMedium`](crate::medium::SharedMedium), [`NetId`] = link
+//!   index). Only the link's two
 //!   endpoints have a live NIC on that segment; every other `(node,
 //!   segment)` NIC starts *down*, so the existing sender/receiver NIC
 //!   checks in the kernel enforce membership for free;
@@ -31,16 +32,15 @@
 //! analytic engines apply, so a topology that builds here is guaranteed
 //! to enumerate there.
 
-use drs_core::{NetId, NodeId, RouteTable, SimDuration, SimTime};
+use drs_core::{NetId, NodeId, RouteTable, SimTime};
 use drs_topology::{limits, TopoComponent, Topology};
 
 use crate::fault::{FaultPlan, SimComponent};
 use crate::host::Hosts;
-use crate::medium::SharedMedium;
-use crate::scenario::{ClusterSpec, TransportConfig};
+use crate::scenario::ClusterSpec;
 
 /// A simulation scenario over an explicit topology graph: the graph plus
-/// the physical-layer and transport knobs of [`ClusterSpec`].
+/// the [`ClusterSpec`] derived from it.
 ///
 /// Construction validates the shared capacity limits
 /// ([`drs_topology::limits::validate_components`]) and the simulator's
@@ -50,8 +50,6 @@ use crate::scenario::{ClusterSpec, TransportConfig};
 pub struct TopologySpec {
     topo: Topology,
     spec: ClusterSpec,
-    /// Sparse per-link bandwidth overrides, `(link index, bps)`.
-    link_bandwidth: Vec<(u32, u64)>,
 }
 
 impl TopologySpec {
@@ -77,72 +75,13 @@ impl TopologySpec {
             "{segments} links exceed the 255-segment NetId space"
         );
         let spec = ClusterSpec::new(topo.nodes()).planes(segments as u8);
-        TopologySpec {
-            topo,
-            spec,
-            link_bandwidth: Vec::new(),
-        }
+        TopologySpec { topo, spec }
     }
 
     /// Sets the master seed.
     #[must_use]
     pub fn seed(mut self, seed: u64) -> Self {
         self.spec = self.spec.seed(seed);
-        self
-    }
-
-    /// Sets the data rate of every segment (overridable per link via
-    /// [`Self::link_bandwidth`]).
-    #[must_use]
-    pub fn bandwidth_bps(mut self, bps: u64) -> Self {
-        self.spec = self.spec.bandwidth_bps(bps);
-        self
-    }
-
-    /// Overrides the data rate of one link's segment (e.g. a fat-tree
-    /// core link running at a higher rate than the edge).
-    ///
-    /// # Panics
-    /// Panics if `link` is out of range or `bps` is zero.
-    #[must_use]
-    pub fn link_bandwidth(mut self, link: usize, bps: u64) -> Self {
-        assert!(
-            link < self.topo.links().len(),
-            "link {link} out of range for {} links",
-            self.topo.links().len()
-        );
-        assert!(bps > 0, "bandwidth must be positive");
-        self.link_bandwidth.retain(|&(l, _)| l != link as u32);
-        self.link_bandwidth.push((link as u32, bps));
-        self.link_bandwidth.sort_unstable();
-        self
-    }
-
-    /// Sets the propagation delay of every segment.
-    #[must_use]
-    pub fn propagation(mut self, d: SimDuration) -> Self {
-        self.spec = self.spec.propagation(d);
-        self
-    }
-
-    /// Sets the transport tuning.
-    #[must_use]
-    pub fn transport(mut self, t: TransportConfig) -> Self {
-        self.spec = self.spec.transport(t);
-        self
-    }
-
-    /// Sets the per-receiver frame corruption probability.
-    #[must_use]
-    pub fn frame_loss_rate(mut self, p: f64) -> Self {
-        self.spec = self.spec.frame_loss_rate(p);
-        self
-    }
-
-    /// Sets the data-segment TTL.
-    #[must_use]
-    pub fn ttl(mut self, ttl: u8) -> Self {
-        self.spec = self.spec.ttl(ttl);
         self
     }
 
@@ -184,28 +123,6 @@ impl TopologySpec {
     #[must_use]
     pub fn switch_node(&self, s: usize) -> NodeId {
         NodeId(self.topo.switch_node(s) as u32)
-    }
-
-    /// The effective data rate of segment `link`.
-    #[must_use]
-    pub fn segment_bandwidth(&self, link: usize) -> u64 {
-        self.link_bandwidth
-            .iter()
-            .find(|&&(l, _)| l == link as u32)
-            .map_or(self.spec.bandwidth_bps, |&(_, bps)| bps)
-    }
-
-    /// Builds the per-segment media, honouring per-link overrides.
-    pub(crate) fn media(&self) -> Vec<SharedMedium> {
-        (0..self.segments())
-            .map(|l| {
-                SharedMedium::new(
-                    NetId(l as u8),
-                    self.segment_bandwidth(l),
-                    self.spec.propagation,
-                )
-            })
-            .collect()
     }
 
     /// Masks every node's NICs down to topology membership: every
@@ -322,17 +239,6 @@ mod tests {
             assert_eq!(ev.at, SimTime(5));
             assert!(!ev.up);
         }
-    }
-
-    #[test]
-    fn per_link_bandwidth_overrides_apply() {
-        let t = kplane42()
-            .bandwidth_bps(10_000_000)
-            .link_bandwidth(3, 1_000_000_000);
-        assert_eq!(t.segment_bandwidth(0), 10_000_000);
-        assert_eq!(t.segment_bandwidth(3), 1_000_000_000);
-        let media = t.media();
-        assert!(media[3].serialization(100) < media[0].serialization(100));
     }
 
     #[test]

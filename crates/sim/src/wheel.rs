@@ -83,7 +83,7 @@ const LEVELS: usize = 6;
 /// Grains the wheel proper can represent ahead of the cursor.
 const HORIZON_GRAINS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 
-/// Entries per slot chunk: 5 KiB of the simulator's 40 B events. Fewer,
+/// Entries per slot chunk: 4 KiB of the simulator's 32 B events. Fewer,
 /// larger chunks make filling a fresh wheel cheap (each is one
 /// allocation), at the cost of one partly filled chunk per occupied slot.
 pub const CHUNK: usize = 128;

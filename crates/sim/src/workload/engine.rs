@@ -81,6 +81,7 @@ use drs_obs::{Fnv1a, Histogram};
 
 use self::slab::Slab;
 use super::{Transition, TransitionRecord, WorkloadSpec};
+use crate::scenario::TTL;
 
 /// Ledger unit per byte: ledgers hold bytes/s · ns.
 pub const UNIT_PER_BYTE: u128 = 1_000_000_000;
@@ -362,13 +363,12 @@ fn water_level(cap: u64, crossings: &[u64], rates: &[u64], order: &[u8]) -> u64 
     u64::MAX
 }
 
-/// The driver-level fluid engine. Constructed by
-/// `World::enable_workload`; fed the transition log at the end of
-/// every `run_until`.
+/// The fluid accounting engine. Constructed by
+/// `World::enable_workload` and owned by the [`WorkloadCore`](super::WorkloadCore),
+/// whose transition log it consumes a batch at a time.
 pub struct FluidEngine {
     n: usize,
     planes: usize,
-    ttl: u8,
     n_classes: usize,
     /// Per-plane capacity, bytes/s.
     capacity: Vec<u64>,
@@ -420,7 +420,6 @@ impl FluidEngine {
         spec: &WorkloadSpec,
         n: usize,
         planes: u8,
-        ttl: u8,
         bandwidth_bps: u64,
         routes: Vec<Option<Route>>,
         hub_up: Vec<bool>,
@@ -444,7 +443,6 @@ impl FluidEngine {
         let mut eng = FluidEngine {
             n,
             planes,
-            ttl,
             n_classes,
             capacity: vec![(bandwidth_bps / 8).max(1); planes],
             rates,
@@ -562,7 +560,7 @@ impl FluidEngine {
     fn walk(&self, src: usize, dst: usize) -> Option<Vec<Hop>> {
         let mut hops = Vec::with_capacity(2);
         let mut cur = src;
-        for _ in 0..=self.ttl {
+        for _ in 0..=TTL {
             let route = self.routes[cur * self.n + dst]?;
             let (next, net) = route.next_hop(NodeId(dst as u32));
             hops.push(Hop {
@@ -1114,7 +1112,7 @@ mod tests {
 
     fn engine(n: usize, classes: Vec<ClassSpec>, bw_bps: u64) -> FluidEngine {
         let s = spec(classes);
-        FluidEngine::new(&s, n, 2, 8, bw_bps, default_routes(n), vec![true; 2])
+        FluidEngine::new(&s, n, 2, bw_bps, default_routes(n), vec![true; 2])
     }
 
     fn open(host: u32, local: u64, dst: u32, class: u8, holding: u64) -> Transition {
@@ -1571,7 +1569,6 @@ mod tests {
     /// recomputed from scratch.
     struct Oracle {
         n: usize,
-        ttl: u8,
         cap: u64,
         rates: Vec<u64>,
         order: Vec<u8>,
@@ -1602,7 +1599,6 @@ mod tests {
             let n = e.n;
             let mut o = Oracle {
                 n,
-                ttl: e.ttl,
                 cap: e.capacity[0],
                 rates: e.rates.clone(),
                 order: e.class_order.clone(),
@@ -1628,7 +1624,7 @@ mod tests {
 
         fn path(&self, src: usize, dst: usize) -> Option<Vec<(usize, usize, usize)>> {
             let (mut cur, mut hops) = (src, Vec::new());
-            for _ in 0..=self.ttl {
+            for _ in 0..=TTL {
                 let (next, net) = self.routes[cur * self.n + dst]?.next_hop(NodeId(dst as u32));
                 hops.push((cur, next.idx(), net.idx()));
                 if next.idx() == dst {
@@ -1821,7 +1817,7 @@ mod tests {
             .collect();
         let routes = default_routes(n);
         let hubs_up = vec![true; PLANES as usize];
-        let mut e = FluidEngine::new(&spec(classes), n, PLANES, 4, 8 * 2_500, routes, hubs_up);
+        let mut e = FluidEngine::new(&spec(classes), n, PLANES, 8 * 2_500, routes, hubs_up);
         let mut oracle = Oracle::new(&e);
         let host = |rng: &mut Rng| NodeId(rng.gen_range(0..n as u32));
         let net = |rng: &mut Rng| NetId(rng.gen_range(0..PLANES));

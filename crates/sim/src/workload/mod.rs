@@ -27,11 +27,13 @@
 //! * [`WorkloadCore`] lives inside the world's [`Core`](crate::world):
 //!   it draws arrivals/holding times from per-host [`dist::Stream`]s,
 //!   dispatches `SessionOpen`/`SessionClose` events, and logs every
-//!   [`TransitionRecord`];
-//! * [`FluidEngine`] consumes the dispatch-ordered transition log and
-//!   maintains the fluid accounting: max-min fair shares per
-//!   plane, per-session goodput/shortfall integrals (exact, in
-//!   byte·ns/s units), and the failover SLO histograms.
+//!   [`TransitionRecord`] into a fixed-capacity batch;
+//! * [`FluidEngine`], owned by the `WorkloadCore`, consumes the
+//!   dispatch-ordered log a full batch at a time (and the rest at the
+//!   end of every `run_until`) and maintains the fluid accounting:
+//!   max-min fair shares per plane, per-session goodput/shortfall
+//!   integrals (exact, in byte·ns/s units), and the failover SLO
+//!   histograms.
 //!
 //! Determinism: every draw comes from [`dist`]'s own SplitMix64 streams
 //! and software `ln`/`exp` — no external RNG crate, no libm — so the
@@ -118,6 +120,12 @@ pub struct TransitionRecord {
 // One per logged transition: a million-session run drains millions.
 const _: () = assert!(std::mem::size_of::<TransitionRecord>() <= 40);
 
+/// Records the log holds before it is drained into the engine: 640 KiB
+/// allocated once, so the log neither grows with the length of a
+/// `run_until` nor reallocates while it runs, and the engine still
+/// applies transitions in batches rather than one per dispatch.
+const LOG_BATCH: usize = 1 << 14;
+
 /// The transition vocabulary the fluid engine consumes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Transition {
@@ -187,15 +195,18 @@ pub enum Transition {
 /// Kernel-side session generator, owned by the world's
 /// [`Core`](crate::world).
 ///
-/// Owns the per-host arrival streams and the transition log. Each host
-/// draws from its own stream, so a host's draws depend only on its own
-/// sessions.
+/// Owns the per-host arrival streams, the transition log and the
+/// engine that consumes it. Each host draws from its own stream, so a
+/// host's draws depend only on its own sessions.
 pub struct WorkloadCore {
     pub(crate) spec: WorkloadSpec,
     streams: Vec<Stream>,
     next_local: Vec<u64>,
-    /// Transitions recorded since the last drain, in dispatch order.
+    /// Transitions recorded since the last drain, in dispatch order;
+    /// never more than [`LOG_BATCH`].
     pub(crate) log: Vec<TransitionRecord>,
+    /// The accounting engine the log drains into.
+    pub(crate) engine: FluidEngine,
     /// `SessionOpen`/`SessionClose` dispatches executed — the left-hand
     /// side of the `events == transitions` identity.
     pub(crate) events: u64,
@@ -203,9 +214,10 @@ pub struct WorkloadCore {
 
 impl WorkloadCore {
     /// A generator for an `n`-host cluster under `seed` (the scenario
-    /// seed; streams are domain-separated from the kernel's RNG).
+    /// seed; streams are domain-separated from the kernel's RNG) that
+    /// feeds `engine`.
     #[must_use]
-    pub(crate) fn new(spec: WorkloadSpec, n: usize, seed: u64) -> Self {
+    pub(crate) fn new(spec: WorkloadSpec, n: usize, seed: u64, engine: FluidEngine) -> Self {
         assert!(!spec.classes.is_empty(), "at least one traffic class");
         assert!(
             spec.classes.iter().all(|c| c.rate_bps >= 8),
@@ -215,25 +227,25 @@ impl WorkloadCore {
             spec,
             streams: (0..n).map(|i| Stream::for_host(seed, i as u32)).collect(),
             next_local: vec![0; n],
-            log: Vec::new(),
+            log: Vec::with_capacity(LOG_BATCH),
+            engine,
             events: 0,
         }
     }
 
-    /// Draws the initial arrival schedule: `(host, instant)` pairs to
-    /// feed the event queue, host by host. Open loop seeds one Poisson
+    /// Draws the initial arrival schedule host by host and hands each
+    /// `(host, instant)` to `schedule`. Open loop seeds one Poisson
     /// arrival per host; closed loop seeds the whole user population at
     /// exponential think-time offsets.
-    pub(crate) fn initial_opens(&mut self) -> Vec<(NodeId, SimTime)> {
+    pub(crate) fn initial_opens(&mut self, mut schedule: impl FnMut(NodeId, SimTime)) {
         let horizon = self.spec.horizon;
-        let mut out = Vec::new();
         for (h, s) in self.streams.iter_mut().enumerate() {
             let host = NodeId(h as u32);
             match self.spec.arrivals {
                 ArrivalProcess::Open { mean_gap_ns } => {
                     let at = SimTime(s.exp_ns(mean_gap_ns));
                     if at < horizon {
-                        out.push((host, at));
+                        schedule(host, at);
                     }
                 }
                 ArrivalProcess::Closed {
@@ -243,13 +255,12 @@ impl WorkloadCore {
                     for _ in 0..per_host {
                         let at = SimTime(s.exp_ns(think_mean_ns));
                         if at < horizon {
-                            out.push((host, at));
+                            schedule(host, at);
                         }
                     }
                 }
             }
         }
-        out
     }
 
     /// Executes one `SessionOpen` dispatch: draws destination, class and
@@ -275,16 +286,16 @@ impl WorkloadCore {
         };
         let local = self.next_local[host.idx()];
         self.next_local[host.idx()] += 1;
-        self.log.push(TransitionRecord {
+        self.record(
             at,
-            kind: Transition::Open {
+            Transition::Open {
                 host,
                 local,
                 dst,
                 class,
                 holding_ns,
             },
-        });
+        );
         (local, holding_ns, gap)
     }
 
@@ -293,10 +304,7 @@ impl WorkloadCore {
     /// its next session, if any.
     pub(crate) fn close(&mut self, host: NodeId, local: u64, at: SimTime) -> Option<u64> {
         self.events += 1;
-        self.log.push(TransitionRecord {
-            at,
-            kind: Transition::Close { host, local },
-        });
+        self.record(at, Transition::Close { host, local });
         match self.spec.arrivals {
             ArrivalProcess::Closed { think_mean_ns, .. } => {
                 Some(self.streams[host.idx()].exp_ns(think_mean_ns))
@@ -305,9 +313,23 @@ impl WorkloadCore {
         }
     }
 
-    /// Appends a non-session transition observed by the kernel.
+    /// Appends a transition to the log (the kernel's route, NIC, hub
+    /// and reroute observations come straight here); a full batch goes
+    /// to the engine at once.
     pub(crate) fn record(&mut self, at: SimTime, kind: Transition) {
         self.log.push(TransitionRecord { at, kind });
+        if self.log.len() == LOG_BATCH {
+            self.drain();
+        }
+    }
+
+    /// Feeds the logged transitions to the engine in dispatch order and
+    /// clears the log, which keeps its storage.
+    pub(crate) fn drain(&mut self) {
+        for rec in &self.log {
+            self.engine.apply(rec);
+        }
+        self.log.clear();
     }
 }
 
@@ -343,9 +365,16 @@ mod tests {
         assert_eq!(closed.expected_active(8), 8000);
     }
 
+    /// A generator over `n` hosts whose engine knows no routes.
+    fn generator(spec: WorkloadSpec, n: usize, seed: u64) -> WorkloadCore {
+        let engine = FluidEngine::new(&spec, n, 2, 1_000_000_000, vec![None; n * n], vec![true; 2]);
+        WorkloadCore::new(spec, n, seed, engine)
+    }
+
     #[test]
     fn initial_opens_respect_horizon_in_host_order() {
-        let all = WorkloadCore::new(spec(), 6, 42).initial_opens();
+        let mut all = Vec::new();
+        generator(spec(), 6, 42).initial_opens(|host, at| all.push((host, at)));
         assert!(all.len() <= 6, "open loop: one arrival per host");
         assert!(all.windows(2).all(|w| w[0].0 < w[1].0), "host order");
         assert!(all.iter().all(|&(_, at)| at < spec().horizon));
@@ -353,8 +382,8 @@ mod tests {
 
     #[test]
     fn open_never_picks_self_and_draws_are_reproducible() {
-        let mut a = WorkloadCore::new(spec(), 4, 7);
-        let mut b = WorkloadCore::new(spec(), 4, 7);
+        let mut a = generator(spec(), 4, 7);
+        let mut b = generator(spec(), 4, 7);
         for i in 0..200u64 {
             let (la, _, _) = a.open(NodeId(2), 4, SimTime(i));
             let (lb, _, _) = b.open(NodeId(2), 4, SimTime(i));
@@ -379,9 +408,9 @@ mod tests {
             },
             ..spec()
         };
-        let mut w = WorkloadCore::new(cl, 3, 1);
+        let mut w = generator(cl, 3, 1);
         assert!(w.close(NodeId(0), 0, SimTime(5)).is_some());
-        let mut open = WorkloadCore::new(spec(), 3, 1);
+        let mut open = generator(spec(), 3, 1);
         assert!(open.close(NodeId(0), 0, SimTime(5)).is_none());
     }
 }

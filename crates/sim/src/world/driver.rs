@@ -37,7 +37,7 @@ use drs_core::ids::FlowId;
 use drs_core::{NetId, NodeId, ProbeObs, SimDuration, SimTime};
 use drs_obs::flight::{FlightLog, FlightRecorder};
 
-use crate::app::Workload;
+use crate::app::{Flow, Workload};
 use crate::fault::{FaultPlan, HubToggle, SimComponent};
 use crate::host::HostView;
 use crate::medium::SharedMedium;
@@ -91,11 +91,6 @@ pub struct World<P: Protocol> {
     pub(super) core: Core<P::Msg>,
     /// Every host's daemon, indexed by host.
     protocols: Vec<P>,
-    next_flow: u64,
-    /// The fluid session accounting engine, when
-    /// [`Self::enable_workload`] was called. Consumes the core's
-    /// transition log at the end of every `run_until`.
-    workload_engine: Option<Box<FluidEngine>>,
 }
 
 /// [`World`] under the name `benchmark/` builds it by; everything is
@@ -151,22 +146,13 @@ impl<P: Protocol> World<P> {
         tspec: Option<&TopologySpec>,
         factory: impl FnMut(NodeId) -> P,
     ) -> Self {
-        let media: Vec<SharedMedium> = match tspec {
-            Some(t) => t.media(),
-            None => NetId::planes(spec.planes)
-                .map(|net| SharedMedium::new(net, spec.bandwidth_bps, spec.propagation))
-                .collect(),
-        };
-        assert_eq!(media.len(), spec.planes as usize, "one medium per segment");
-        let mut core = Core::new(spec, media);
+        let mut core = Core::new(spec);
         if let Some(t) = tspec {
             t.apply_membership(&mut core.hosts);
         }
         let mut world = World {
             core,
             protocols: (0..spec.n as u32).map(NodeId).map(factory).collect(),
-            next_flow: 0,
-            workload_engine: None,
         };
         for (i, protocol) in world.protocols.iter_mut().enumerate() {
             let mut ctx = Ctx {
@@ -236,19 +222,16 @@ impl<P: Protocol> World<P> {
     /// Outcome of a completed flow, if it has completed.
     #[must_use]
     pub fn flow_outcome(&self, flow: FlowId) -> Option<FlowOutcome> {
-        self.core
-            .flow_outcomes
-            .get(flow.0 as usize)
-            .copied()
-            .flatten()
+        self.core.flows.get(flow.idx()).and_then(|f| f.outcome)
     }
 
-    /// All completed flow outcomes in ascending [`FlowId`] order — the
-    /// order is structural (dense index), never hash-seeded.
+    /// All completed flow outcomes in ascending [`FlowId`] order.
     #[must_use]
     pub fn flow_outcomes(&self) -> Vec<(FlowId, FlowOutcome)> {
-        (0..self.next_flow)
-            .filter_map(|i| Some((FlowId(i), self.flow_outcome(FlowId(i))?)))
+        (0..)
+            .map(FlowId)
+            .zip(&self.core.flows)
+            .filter_map(|(id, f)| Some((id, f.outcome?)))
             .collect()
     }
 
@@ -271,10 +254,11 @@ impl<P: Protocol> World<P> {
         }
     }
 
-    /// Number of flows still outstanding across the cluster.
+    /// Number of flows sent and not yet delivered or given up.
     #[must_use]
     pub fn flows_in_flight(&self) -> usize {
-        self.core.hosts.flows_in_flight()
+        let s = &self.core.app_stats;
+        (s.sent - s.delivered - s.gave_up) as usize
     }
 
     /// Degrades (or restores) one host's cabling on one network: every
@@ -349,17 +333,9 @@ impl<P: Protocol> World<P> {
     ) -> FlowId {
         assert!(at >= self.core.now, "app send scheduled in the past");
         assert_ne!(src, dst, "a host does not message itself");
-        let flow = FlowId(self.next_flow);
-        self.next_flow += 1;
-        self.core.schedule_at(
-            at,
-            EventKind::AppSend {
-                flow,
-                src,
-                dst,
-                payload_bytes,
-            },
-        );
+        let flow = FlowId(self.core.flows.len() as u64);
+        self.core.flows.push(Flow::new(src, dst, payload_bytes));
+        self.core.schedule_at(at, EventKind::AppSend { flow });
         flow
     }
 
@@ -399,7 +375,7 @@ impl<P: Protocol> World<P> {
     /// Panics if called after time has advanced, or twice.
     pub fn enable_workload(&mut self, wspec: WorkloadSpec) {
         assert_eq!(self.core.now, SimTime::ZERO, "enable before time advances");
-        assert!(self.workload_engine.is_none(), "workload already enabled");
+        assert!(self.core.workload.is_none(), "workload already enabled");
         let spec = self.core.spec;
         let n = spec.n;
         let mut routes = Vec::with_capacity(n * n);
@@ -409,19 +385,16 @@ impl<P: Protocol> World<P> {
                 routes.push(table.get(NodeId(dst as u32)));
             }
         }
-        self.workload_engine = Some(Box::new(FluidEngine::new(
+        let engine = FluidEngine::new(
             &wspec,
             n,
             spec.planes,
-            spec.ttl,
             spec.bandwidth_bps,
             routes,
             self.core.hub_up.clone(),
-        )));
-        let mut wl = Box::new(WorkloadCore::new(wspec, n, spec.seed));
-        for (host, at) in wl.initial_opens() {
-            self.core.schedule_at(at, EventKind::SessionOpen { host });
-        }
+        );
+        let mut wl = Box::new(WorkloadCore::new(wspec, n, spec.seed, engine));
+        wl.initial_opens(|host, at| self.core.schedule_at(at, EventKind::SessionOpen { host }));
         self.core.workload = Some(wl);
     }
 
@@ -429,13 +402,13 @@ impl<P: Protocol> World<P> {
     /// last `run_until`. `None` unless [`Self::enable_workload`] ran.
     #[must_use]
     pub fn workload_stats(&self) -> Option<&WorkloadStats> {
-        self.workload_engine.as_ref().map(|e| e.stats())
+        self.workload_engine().map(FluidEngine::stats)
     }
 
     /// The fluid accounting engine (digest, conservation report).
     #[must_use]
     pub fn workload_engine(&self) -> Option<&FluidEngine> {
-        self.workload_engine.as_deref()
+        self.core.workload.as_ref().map(|w| &w.engine)
     }
 
     /// Kernel events dispatched on behalf of the fluid workload — by
@@ -447,18 +420,12 @@ impl<P: Protocol> World<P> {
     }
 
     /// Feeds the transitions logged since the last drain to the fluid
-    /// engine in dispatch order, then settles the ledgers at `until`. The
-    /// log is cleared and keeps its storage for the next run.
+    /// engine in dispatch order, then settles the ledgers at `until`.
     fn drain_workload(&mut self, until: SimTime) {
-        let (Some(engine), Some(wl)) = (self.workload_engine.as_mut(), self.core.workload.as_mut())
-        else {
-            return;
-        };
-        for rec in &wl.log {
-            engine.apply(rec);
+        if let Some(wl) = self.core.workload.as_mut() {
+            wl.drain();
+            wl.engine.settle(until);
         }
-        engine.settle(until);
-        wl.log.clear();
     }
 
     /// The flight timeline in `(time, seq, sub)` order, if
@@ -538,7 +505,7 @@ impl<P: Protocol> World<P> {
     /// whether their send event has fired or not.
     fn flows_unresolved(&self) -> u64 {
         let s = &self.core.app_stats;
-        self.next_flow - (s.delivered + s.gave_up)
+        self.core.flows.len() as u64 - (s.delivered + s.gave_up)
     }
 }
 

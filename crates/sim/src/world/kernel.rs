@@ -11,7 +11,7 @@ use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimDuration};
 use drs_obs::flight::{loss_site, TraceKind};
 
 use crate::medium::TrafficClass;
-use crate::transport::{rto_for_attempt, OutstandingSend};
+use crate::scenario::{DATA_HEADER_BYTES, ICMP_WIRE_BYTES, TTL};
 use crate::workload::Transition;
 
 use super::queue::{Core, EventKind};
@@ -99,17 +99,8 @@ impl<P: Protocol> Engine<'_, P> {
                 };
                 self.protocols[node.idx()].on_timer(&mut ctx, token);
             }
-            EventKind::AppSend {
-                flow,
-                src,
-                dst,
-                payload_bytes,
-            } => self.handle_app_send(flow, src, dst, payload_bytes),
-            EventKind::Rto {
-                node,
-                flow,
-                attempt,
-            } => self.handle_rto(node, flow, attempt),
+            EventKind::AppSend { flow } => self.handle_app_send(flow),
+            EventKind::Rto { flow, attempt } => self.handle_rto(flow, attempt),
             EventKind::Arrive(mut frame) => {
                 self.handle_arrival(&mut frame);
                 self.core.recycle_frame(frame);
@@ -179,32 +170,31 @@ impl<P: Protocol> Engine<'_, P> {
         self.protocols[node.idx()].on_transport(&mut ctx, event);
     }
 
-    /// (Re)transmits the payload segment of an outstanding flow. Returns
-    /// `false` when no route to the destination is installed.
-    fn transport_transmit(&mut self, node: NodeId, flow: FlowId) -> bool {
-        let Some(os) = self.core.hosts.transport(node).get(flow).copied() else {
+    /// (Re)transmits the payload segment of an outstanding flow from its
+    /// source. Returns `false` when no route to the destination is
+    /// installed.
+    fn transport_transmit(&mut self, flow: FlowId) -> bool {
+        let f = self.core.flows[flow.idx()];
+        let Some(route) = self.core.hosts.routes(f.src).get(f.dst) else {
             return false;
         };
-        let Some(route) = self.core.hosts.routes(node).get(os.dst) else {
-            return false;
-        };
-        let (hop, net) = route.next_hop(os.dst);
+        let (hop, net) = route.next_hop(f.dst);
         let kind = self.core.data(Segment {
-            src: node,
-            dst: os.dst,
+            src: f.src,
+            dst: f.dst,
             flow,
             seq: 0,
             kind: SegmentKind::Data,
-            ttl: self.core.spec.ttl,
-            payload_bytes: os.payload_bytes,
-            attempt: os.attempts,
+            ttl: TTL,
+            payload_bytes: f.payload_bytes,
+            attempt: f.attempts,
         });
         let frame = Frame {
-            src: node,
+            src: f.src,
             dst: Destination::Node(hop),
             net,
             kind,
-            wire_bytes: os.payload_bytes + self.core.spec.data_header_bytes,
+            wire_bytes: f.payload_bytes + DATA_HEADER_BYTES,
             flight: None,
         };
         self.core.transmit(frame);
@@ -218,8 +208,8 @@ impl<P: Protocol> Engine<'_, P> {
         };
         let (hop, net) = route.next_hop(segment.dst);
         let wire = match segment.kind {
-            SegmentKind::Data => segment.payload_bytes + self.core.spec.data_header_bytes,
-            SegmentKind::Ack => self.core.spec.data_header_bytes,
+            SegmentKind::Data => segment.payload_bytes + DATA_HEADER_BYTES,
+            SegmentKind::Ack => DATA_HEADER_BYTES,
         };
         let kind = self.core.data(segment);
         let frame = Frame {
@@ -237,77 +227,47 @@ impl<P: Protocol> Engine<'_, P> {
         }
     }
 
-    pub(crate) fn handle_app_send(
-        &mut self,
-        flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
-    ) {
+    pub(crate) fn handle_app_send(&mut self, flow: FlowId) {
         self.core.app_stats.sent += 1;
         let now = self.core.now;
-        self.core.hosts.transport_mut(src).begin(
-            flow,
-            OutstandingSend {
-                dst,
-                payload_bytes,
-                first_sent: now,
-                attempts: 1,
-            },
-        );
-        let sent = self.transport_transmit(src, flow);
-        if !sent {
+        let f = &mut self.core.flows[flow.idx()];
+        f.first_sent = now;
+        f.attempts = 1;
+        let (src, dst) = (f.src, f.dst);
+        if !self.transport_transmit(flow) {
             self.core.app_stats.no_route += 1;
             self.notify_transport(src, TransportEvent::NoRoute { flow, dst });
         }
         // The RTO runs whether or not the first transmission went out: the
         // transport keeps retrying while routing daemons repair routes.
-        let rto = rto_for_attempt(&self.core.spec.transport, 1);
-        let at = self.core.now + rto;
-        self.core.schedule_at(
-            at,
-            EventKind::Rto {
-                node: src,
-                flow,
-                attempt: 1,
-            },
-        );
+        let at = now + self.core.spec.transport.rto_for_attempt(1);
+        self.core
+            .schedule_at(at, EventKind::Rto { flow, attempt: 1 });
     }
 
-    pub(crate) fn handle_rto(&mut self, node: NodeId, flow: FlowId, attempt: u32) {
-        let Some(os) = self.core.hosts.transport(node).get(flow).copied() else {
-            return; // already delivered
-        };
-        if os.attempts != attempt {
-            return; // stale timer from a superseded attempt
+    pub(crate) fn handle_rto(&mut self, flow: FlowId, attempt: u32) {
+        let f = &mut self.core.flows[flow.idx()];
+        if !f.outstanding() || f.attempts != attempt {
+            return; // already resolved, or a stale timer from a superseded attempt
         }
-        let dst = os.dst;
+        let (node, dst) = (f.src, f.dst);
         if attempt > self.core.spec.transport.max_retries {
-            self.core.hosts.transport_mut(node).complete(flow);
+            f.outcome = Some(FlowOutcome::GaveUp);
             self.core.app_stats.gave_up += 1;
-            self.core.record_outcome(flow, FlowOutcome::GaveUp);
             self.notify_transport(node, TransportEvent::GaveUp { flow, dst });
             return;
         }
-        self.core
-            .hosts
-            .transport_mut(node)
-            .get_mut(flow)
-            .expect("checked above")
-            .attempts = attempt + 1;
+        f.attempts = attempt + 1;
         self.core.app_stats.retransmits += 1;
         self.notify_transport(node, TransportEvent::Rto { flow, dst, attempt });
-        let sent = self.transport_transmit(node, flow);
-        if !sent {
+        if !self.transport_transmit(flow) {
             self.core.app_stats.no_route += 1;
             self.notify_transport(node, TransportEvent::NoRoute { flow, dst });
         }
-        let rto = rto_for_attempt(&self.core.spec.transport, attempt + 1);
-        let at = self.core.now + rto;
+        let at = self.core.now + self.core.spec.transport.rto_for_attempt(attempt + 1);
         self.core.schedule_at(
             at,
             EventKind::Rto {
-                node,
                 flow,
                 attempt: attempt + 1,
             },
@@ -359,7 +319,7 @@ impl<P: Protocol> Engine<'_, P> {
                     dst: Destination::Node(frame.src),
                     net: frame.net,
                     kind: FrameKind::EchoReply { id: *id, seq: *seq },
-                    wire_bytes: self.core.spec.icmp_wire_bytes,
+                    wire_bytes: ICMP_WIRE_BYTES,
                     // The request's flight ref rides back on the reply,
                     // so a lost reply is blamed on the probe that asked
                     // for it and the prober's receive record can name
@@ -399,7 +359,7 @@ impl<P: Protocol> Engine<'_, P> {
                         flow: segment.flow,
                         seq: segment.seq,
                         kind: SegmentKind::Ack,
-                        ttl: self.core.spec.ttl,
+                        ttl: TTL,
                         payload_bytes: 0,
                         attempt: segment.attempt,
                     };
@@ -427,17 +387,22 @@ impl<P: Protocol> Engine<'_, P> {
                     }
                 }
                 SegmentKind::Ack => {
-                    if let Some(os) = self.core.hosts.transport_mut(node).complete(segment.flow) {
-                        let rtt = self.core.now - os.first_sent;
+                    // An ack is addressed to the data segment's source,
+                    // which is always the flow's.
+                    let now = self.core.now;
+                    let f = &mut self.core.flows[segment.flow.idx()];
+                    debug_assert_eq!(f.src, node);
+                    if f.outstanding() {
+                        let rtt = now - f.first_sent;
+                        f.outcome = Some(FlowOutcome::Delivered(rtt));
+                        let dst = f.dst;
                         self.core.app_stats.delivered += 1;
                         self.core.app_stats.latency.record(rtt.as_nanos());
-                        self.core
-                            .record_outcome(segment.flow, FlowOutcome::Delivered(rtt));
                         self.notify_transport(
                             node,
                             TransportEvent::Delivered {
                                 flow: segment.flow,
-                                dst: os.dst,
+                                dst,
                                 rtt,
                             },
                         );

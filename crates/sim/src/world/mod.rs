@@ -12,7 +12,8 @@
 //! * `driver` — [`World`]: one core and every host's daemon, popped and
 //!   dispatched by one loop on the calling thread.
 //!
-//! The number of planes comes from [`ClusterSpec::planes`]; everything
+//! The number of planes comes from
+//! [`ClusterSpec::planes`](crate::scenario::ClusterSpec::planes); everything
 //! here is written against that `K`, with the paper's two-backplane
 //! cluster as the `K = 2` default.
 
@@ -28,13 +29,9 @@ pub use queue::{Core, EventRecord, EventTag, KernelStats};
 pub use drs_obs::flight::{EventRef, FlightLog, TraceKind, TraceRecord};
 
 use drs_core::ids::FlowId;
-use drs_core::{
-    Destination, Frame, FrameKind, NetId, NodeId, ProbeObs, Route, RouteTable, SimDuration, SimTime,
-};
-use drs_obs::rng::Rng;
+use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, Route, SimDuration, SimTime};
 
-use crate::scenario::ClusterSpec;
-use crate::stats::HostCounters;
+use crate::scenario::{CONTROL_WIRE_BYTES, ICMP_WIRE_BYTES};
 use crate::workload::Transition;
 
 use queue::EventKind;
@@ -181,19 +178,6 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         self.core.spec.planes
     }
 
-    /// The cluster configuration.
-    #[must_use]
-    pub fn spec(&self) -> &ClusterSpec {
-        &self.core.spec
-    }
-
-    /// Deterministic RNG stream for this host's daemon: every host has
-    /// its own seed-derived stream, so draw order depends only on the
-    /// host's own event sequence.
-    pub fn rng(&mut self) -> &mut Rng {
-        self.core.rng_for(self.node)
-    }
-
     /// Sends an ICMP echo request to `dst` on `net`.
     pub fn send_echo(&mut self, net: NetId, dst: NodeId, id: u32, seq: u32) {
         self.send_echo_traced(net, dst, id, seq, None);
@@ -213,15 +197,14 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         flight: Option<EventRef>,
     ) {
         self.core.hosts.counters_mut(self.node).echo_sent += 1;
-        let wire = self.core.spec.icmp_wire_bytes;
-        self.core.hosts.obs_mut(self.node).probe_bytes += u64::from(wire);
+        self.core.hosts.obs_mut(self.node).probe_bytes += u64::from(ICMP_WIRE_BYTES);
         let flight = self.core.flight_ref(flight);
         let frame = Frame {
             src: self.node,
             dst: Destination::Node(dst),
             net,
             kind: FrameKind::EchoRequest { id, seq },
-            wire_bytes: wire,
+            wire_bytes: ICMP_WIRE_BYTES,
             flight,
         };
         self.core.transmit(frame);
@@ -229,20 +212,13 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
 
     /// Sends a control message of the default control-frame size.
     pub fn send_control(&mut self, net: NetId, dst: NodeId, msg: M) {
-        let wire = self.core.spec.control_wire_bytes;
-        self.send_control_sized(net, dst, msg, wire);
-    }
-
-    /// Sends a control message with an explicit wire size (e.g. a RIP full
-    /// table dump grows with the cluster).
-    pub fn send_control_sized(&mut self, net: NetId, dst: NodeId, msg: M, wire_bytes: u32) {
         self.core.hosts.counters_mut(self.node).control_sent += 1;
         let frame = Frame {
             src: self.node,
             dst: Destination::Node(dst),
             net,
             kind: FrameKind::Control(msg),
-            wire_bytes,
+            wire_bytes: CONTROL_WIRE_BYTES,
             flight: None,
         };
         self.core.transmit(frame);
@@ -250,11 +226,11 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
 
     /// Broadcasts a control message on `net` (every live NIC receives it).
     pub fn broadcast_control(&mut self, net: NetId, msg: M) {
-        let wire = self.core.spec.control_wire_bytes;
-        self.broadcast_control_sized(net, msg, wire);
+        self.broadcast_control_sized(net, msg, CONTROL_WIRE_BYTES);
     }
 
-    /// Broadcast with an explicit wire size.
+    /// Broadcast with an explicit wire size (e.g. a RIP full table dump
+    /// grows with the cluster).
     pub fn broadcast_control_sized(&mut self, net: NetId, msg: M, wire_bytes: u32) {
         self.core.hosts.counters_mut(self.node).control_sent += 1;
         let frame = Frame {
@@ -302,28 +278,10 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         }
     }
 
-    /// Forwards a daemon's reroute-complete notification
-    /// ([`drs_core::io::DrsIo::notify_reroute`]) to the fluid workload
-    /// engine, which counts it 1:1 against the daemon's
-    /// `reroute_complete` histogram. Pure bookkeeping — no events, no
-    /// draws, no route changes.
-    pub fn notify_reroute(&mut self, dst: NodeId) {
-        self.core.record_workload(Transition::Reroute {
-            host: self.node,
-            dst,
-        });
-    }
-
     /// The current route to `dst`.
     #[must_use]
     pub fn route(&self, dst: NodeId) -> Option<Route> {
         self.core.hosts.routes(self.node).get(dst)
-    }
-
-    /// Read access to the whole local route table.
-    #[must_use]
-    pub fn routes(&self) -> &RouteTable {
-        self.core.hosts.routes(self.node)
     }
 
     /// Local NIC driver status (available to daemons, though DRS
@@ -333,34 +291,12 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
         self.core.hosts.nic_is_up(self.node, net)
     }
 
-    /// The local stack counters.
-    #[must_use]
-    pub fn counters(&self) -> &HostCounters {
-        self.core.hosts.counters(self.node)
-    }
-
-    /// The local probe-path observability record.
-    #[must_use]
-    pub fn probe_obs(&self) -> &ProbeObs {
-        self.core.hosts.obs(self.node)
-    }
-
-    /// Mutable access to the local probe-path observability record, for
-    /// daemons recording probe gaps, RTTs, detection and reroute latency.
-    /// Recording is pure bookkeeping: it never schedules events, draws
-    /// randomness or touches routes, so instrumented runs stay
-    /// event-for-event identical to uninstrumented ones.
-    pub fn probe_obs_mut(&mut self) -> &mut ProbeObs {
-        self.core.hosts.obs_mut(self.node)
-    }
-
     /// Appends a causal flight record attributed to this host, stamped
     /// with the current dispatch's `(time, seq)` identity, and returns
     /// its [`EventRef`] for threading into later records. `None` when
-    /// the world's flight recorder is off — like [`Self::probe_obs_mut`]
-    /// this is pure bookkeeping: it never schedules events, draws
-    /// randomness or touches routes, so traced runs stay event-for-event
-    /// identical to untraced ones.
+    /// the world's flight recorder is off. Pure bookkeeping: it never
+    /// schedules events, draws randomness or touches routes, so traced
+    /// runs stay event-for-event identical to untraced ones.
     pub fn flight_record(
         &mut self,
         kind: TraceKind,
@@ -390,7 +326,8 @@ mod tests {
     use super::*;
     use crate::app::Workload;
     use crate::fault::{FaultPlan, SimComponent};
-    use crate::scenario::TransportConfig;
+    use crate::scenario::{ClusterSpec, TransportConfig};
+    use drs_obs::rng::Rng;
 
     /// A protocol that does nothing: the kernel behaviours alone.
     struct Idle;

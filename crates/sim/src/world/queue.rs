@@ -19,6 +19,8 @@ use drs_core::frame::Segment;
 use drs_core::ids::FlowId;
 use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimTime};
 
+use crate::app::Flow;
+
 use crate::fault::{HubSchedule, HubToggle};
 use crate::host::Hosts;
 use crate::medium::SharedMedium;
@@ -26,8 +28,6 @@ use crate::scenario::ClusterSpec;
 use crate::stats::AppStats;
 use crate::wheel::{TimerWheel, WheelStats};
 use crate::workload::{Transition, WorkloadCore};
-
-use super::FlowOutcome;
 
 /// First `sub` value of hub-toggle flight records. A toggle record is
 /// stamped with the toggle's instant and sequence number 0, which a
@@ -42,7 +42,7 @@ const HUB_SUB_BASE: u32 = 1 << 31;
 /// other payload here; carried inline when it was 88 B, it made every
 /// wheel entry 104 B, so each of the millions of timer events a probe
 /// cycle queues was moved, sorted and cascaded at a frame's size. Boxed,
-/// an event is 24 B and an entry 40 B, and a frame is written once: the
+/// an event is 16 B and an entry 32 B, and a frame is written once: the
 /// box travels from the sender's [`Core::transmit`] through the wheel to
 /// the receiver, and after dispatch it returns to the core's spare list
 /// for the next transmission.
@@ -53,7 +53,6 @@ pub(crate) enum EventKind<M> {
         token: u64,
     },
     Rto {
-        node: NodeId,
         flow: FlowId,
         attempt: u32,
     },
@@ -67,9 +66,6 @@ pub(crate) enum EventKind<M> {
     },
     AppSend {
         flow: FlowId,
-        src: NodeId,
-        dst: NodeId,
-        payload_bytes: u32,
     },
     /// A fluid-workload session arrival on `host` (draws destination,
     /// class and holding time from the host's own stream).
@@ -101,8 +97,9 @@ pub struct KernelStats {
 }
 
 // A variant that carries a frame by value grows every queued event back
-// to a frame's size: fail the build, not the benchmark.
-const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 24);
+// to a frame's size: fail the build, not the benchmark. The flow events
+// carry only the flow id; the rest of a flow lives in its table record.
+const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 16);
 // The frame box itself, whose size sets its malloc class: glibc rounds a
 // request plus its 8 B header up to 16 B, so this 48 B frame takes a 64 B
 // chunk where the 88 B one took 96 B, and the N = 1024 burst holds two
@@ -169,11 +166,9 @@ pub struct Core<M> {
     /// and its own.
     pub(crate) link_loss: Vec<f64>,
     pub(crate) app_stats: AppStats,
-    /// Outcome per flow, indexed by [`FlowId`] — flow ids are handed out
-    /// sequentially by [`super::World::send_app`], so a dense vector is
-    /// both the fastest and the only iteration-order-deterministic
-    /// choice (no SipHash seeding anywhere near the summary path).
-    pub(crate) flow_outcomes: Vec<Option<FlowOutcome>>,
+    /// Every application message, indexed by its [`FlowId`]:
+    /// [`super::World::send_app`] hands ids out in push order.
+    pub(crate) flows: Vec<Flow>,
     pub(crate) clamped_past: u64,
     /// Every hub toggle scheduled so far, the one copy.
     pub(crate) hubs: HubSchedule,
@@ -252,8 +247,8 @@ impl<T> SpareBoxes<T> {
 }
 
 impl<M: Clone + std::fmt::Debug> Core<M> {
-    /// A core over the whole cluster, transmitting onto `media`.
-    pub(crate) fn new(spec: ClusterSpec, media: Vec<SharedMedium>) -> Self {
+    /// A core over the whole cluster: one segment per plane.
+    pub(crate) fn new(spec: ClusterSpec) -> Self {
         let (n, planes) = (spec.n, spec.planes as usize);
         let in_flight = n * n * planes;
         Core {
@@ -262,10 +257,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             seq: 0,
             events: TimerWheel::new(),
             hosts: Hosts::new(n, spec.planes),
-            media,
+            media: NetId::planes(spec.planes)
+                .map(|net| SharedMedium::new(net, spec.bandwidth_bps, spec.propagation))
+                .collect(),
             link_loss: vec![0.0; n * planes],
             app_stats: AppStats::default(),
-            flow_outcomes: Vec::new(),
+            flows: Vec::new(),
             clamped_past: 0,
             hubs: HubSchedule::default(),
             hubs_passed: 0,
@@ -415,15 +412,6 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         self.link_loss[node.idx() * self.spec.planes as usize + net.idx()] = p;
     }
 
-    /// Records the final outcome of `flow` (dense, grow-on-demand).
-    pub(crate) fn record_outcome(&mut self, flow: FlowId, outcome: FlowOutcome) {
-        let idx = flow.0 as usize;
-        if idx >= self.flow_outcomes.len() {
-            self.flow_outcomes.resize(idx + 1, None);
-        }
-        self.flow_outcomes[idx] = Some(outcome);
-    }
-
     /// Appends a record for a just-popped event, if logging is enabled.
     pub(crate) fn log_event(&mut self, at: SimTime, seq: u64, kind: &EventKind<M>) {
         let Some(log) = self.event_log.as_mut() else {
@@ -449,15 +437,15 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
                 )
             }
             EventKind::ProtoTimer { node, token } => (EventTag::Timer, node.0, 0, *token),
-            EventKind::Rto {
-                node,
-                flow,
-                attempt,
-            } => (EventTag::Rto, node.0, 0, flow.0 << 32 | u64::from(*attempt)),
+            EventKind::Rto { flow, attempt } => {
+                let src = self.flows[flow.idx()].src;
+                (EventTag::Rto, src.0, 0, flow.0 << 32 | u64::from(*attempt))
+            }
             EventKind::NicFault { node, net, up } => {
                 (EventTag::Fault, node.0, net.idx() as u8, u64::from(*up))
             }
-            EventKind::AppSend { flow, src, dst, .. } => {
+            EventKind::AppSend { flow } => {
+                let Flow { src, dst, .. } = self.flows[flow.idx()];
                 (EventTag::AppSend, src.0, 0, flow.0 << 32 | u64::from(dst.0))
             }
             EventKind::SessionOpen { host } => (EventTag::SessionOpen, host.0, 0, 0),

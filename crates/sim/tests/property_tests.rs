@@ -1,6 +1,7 @@
 //! Property tests for the simulator substrate: medium timing
 //! invariants, histogram correctness, workload structure, transport
-//! arithmetic, and whole-world conservation laws under random scenarios.
+//! arithmetic, whole-world conservation laws under random scenarios, and
+//! the application statistics against the transport notifications.
 //!
 //! Each property is a loop over [`CASES`] seeded parameter draws; every
 //! assertion prints the failing case, and `case_rng(index)` reruns it.
@@ -13,9 +14,8 @@ use drs_sim::app::Workload;
 use drs_sim::fault::{component_count, component_to_index, index_to_component, FaultPlan};
 use drs_sim::medium::{SharedMedium, TrafficClass};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
-use drs_sim::transport::{max_flow_lifetime, rto_for_attempt};
 use drs_sim::wheel::{TimerWheel, GRAIN_NS};
-use drs_sim::world::{FlowOutcome, Protocol, World};
+use drs_sim::world::{Ctx, FlowOutcome, Protocol, TransportEvent, World};
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 
 /// Draws per property.
@@ -125,12 +125,12 @@ fn transport_timing_identities() {
         let mut sum = SimDuration::ZERO;
         let mut prev = SimDuration::ZERO;
         for attempt in 1..=retries + 1 {
-            let rto = rto_for_attempt(&cfg, attempt);
+            let rto = cfg.rto_for_attempt(attempt);
             assert!(rto >= prev, "{ctx}");
             prev = rto;
             sum = sum + rto;
         }
-        assert_eq!(sum, max_flow_lifetime(&cfg), "{ctx}");
+        assert_eq!(sum, cfg.max_flow_lifetime(), "{ctx}");
     }
 }
 
@@ -242,6 +242,7 @@ fn flows_always_terminate() {
         let s = w.app_stats();
         assert_eq!(s.delivered + s.gave_up, s.sent, "{ctx}");
         assert_eq!(w.flows_in_flight(), 0, "{ctx}");
+        assert_eq!(w.flow_outcomes().len(), n, "{ctx}: a flow has no outcome");
     }
 }
 
@@ -264,7 +265,7 @@ fn settled_stop_reports_the_outcomes_of_the_full_horizon() {
         .probe_interval(SimDuration::from_millis(100));
     let fault_at = SimTime(500_000_000);
     let last_send = SimDuration::from_secs(2);
-    let deadline = SimTime::ZERO + last_send + max_flow_lifetime(&transport);
+    let deadline = SimTime::ZERO + last_send + transport.max_flow_lifetime();
     let (mut direct, mut rerouted, mut gave_up, mut early) = (0u32, 0u32, 0u32, 0u32);
     for case in 0..64 {
         let mut rng = case_rng(case);
@@ -337,6 +338,154 @@ fn settled_stop_reports_the_outcomes_of_the_full_horizon() {
     assert!(
         direct >= 20 && rerouted >= 20 && gave_up >= 5 && early >= 20,
         "under-covered: {direct} direct, {rerouted} rerouted, {gave_up} abandoned, {early} early stops"
+    );
+}
+
+/// Records every transport notification its host receives, and flaps its
+/// own routes on a drawn schedule (delete, or reinstall direct on a drawn
+/// plane) so sends and retransmissions meet missing routes.
+struct Recorder {
+    events: Vec<TransportEvent>,
+    flaps: Vec<(SimDuration, NodeId, Option<Route>)>,
+}
+
+impl Protocol for Recorder {
+    type Msg = ();
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        for (token, &(after, ..)) in self.flaps.iter().enumerate() {
+            ctx.set_timer(after, token as u64);
+        }
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, token: u64) {
+        match self.flaps[token as usize] {
+            (_, dst, Some(route)) => ctx.set_route(dst, route),
+            (_, dst, None) => ctx.del_route(dst),
+        }
+    }
+    fn on_transport(&mut self, _ctx: &mut Ctx<'_, ()>, event: TransportEvent) {
+        self.events.push(event);
+    }
+}
+
+/// The aggregate `AppStats` agrees with the notifications: over drawn
+/// clusters, fault sets, route flaps, retry budgets and sends, every
+/// counter equals the number of `TransportEvent`s of its kind, the
+/// latency histogram holds exactly the delivered rtts, each notified
+/// outcome is the flow's recorded outcome, and nothing is in flight once
+/// the last retry budget has run out.
+#[test]
+fn app_stats_agree_with_the_transport_events() {
+    let (mut rtos, mut delivered, mut gave_up, mut no_route) = (0u64, 0u64, 0u64, 0u64);
+    for case in 0..CASES {
+        let mut rng = case_rng(case);
+        let n = rng.gen_range(2usize..8);
+        let planes = rng.gen_range(2u8..4);
+        let f = rng.gen_range(0usize..5).min(n * planes as usize);
+        let seed = rng.next_u64();
+        let transport = TransportConfig {
+            initial_rto: SimDuration::from_millis(rng.gen_range(20u64..200)),
+            backoff_factor: rng.gen_range(1u32..4),
+            max_retries: rng.gen_range(0u32..5),
+        };
+        let span = SimDuration::from_secs(2);
+        let (plan, _) = FaultPlan::random_simultaneous(
+            SimTime(rng.gen_range(0..span.as_nanos())),
+            n,
+            planes,
+            f,
+            &mut rng,
+        );
+        let flaps: Vec<Vec<_>> = (0..n)
+            .map(|host| {
+                (0..rng.gen_range(0usize..4))
+                    .map(|_| {
+                        let dst = (host + rng.gen_range(1..n)) % n;
+                        let route = (rng.gen_range(0u32..2) == 0)
+                            .then(|| Route::Direct(NetId(rng.gen_range(0..planes))));
+                        let after = SimDuration(rng.gen_range(0..span.as_nanos()));
+                        (after, NodeId(dst as u32), route)
+                    })
+                    .collect()
+            })
+            .collect();
+        let ctx = format!("case {case}: n={n} planes={planes} f={f} seed={seed} {transport:?}");
+        let spec = ClusterSpec::new(n)
+            .seed(seed)
+            .planes(planes)
+            .transport(transport);
+        let mut w = World::new(spec, |id| Recorder {
+            events: Vec::new(),
+            flaps: flaps[id.idx()].clone(),
+        });
+        w.schedule_faults(plan);
+        let mut wl_rng = Rng::seed_from_u64(seed);
+        let count = rng.gen_range(1usize..40);
+        let wl = Workload::uniform_random(n, SimTime::ZERO, span, count, 64, &mut wl_rng);
+        let flows = w.schedule_workload(&wl);
+        w.run_for(span + transport.max_flow_lifetime() + SimDuration::from_secs(1));
+
+        let events: Vec<TransportEvent> = (0..n as u32)
+            .flat_map(|i| w.protocol(NodeId(i)).events.clone())
+            .collect();
+        let kind =
+            |pick: fn(&TransportEvent) -> bool| events.iter().filter(|e| pick(e)).count() as u64;
+        let s = w.app_stats();
+        assert_eq!(s.sent, flows.len() as u64, "{ctx}");
+        assert_eq!(
+            s.retransmits,
+            kind(|e| matches!(e, TransportEvent::Rto { .. })),
+            "{ctx}"
+        );
+        assert_eq!(
+            s.delivered,
+            kind(|e| matches!(e, TransportEvent::Delivered { .. })),
+            "{ctx}"
+        );
+        assert_eq!(s.delivered, s.latency.count(), "{ctx}");
+        assert_eq!(
+            s.gave_up,
+            kind(|e| matches!(e, TransportEvent::GaveUp { .. })),
+            "{ctx}"
+        );
+        assert_eq!(
+            s.no_route,
+            kind(|e| matches!(e, TransportEvent::NoRoute { .. })),
+            "{ctx}"
+        );
+        let rtts: Vec<u64> = events
+            .iter()
+            .filter_map(|e| match *e {
+                TransportEvent::Delivered { flow, rtt, .. } => {
+                    assert_eq!(
+                        w.flow_outcome(flow),
+                        Some(FlowOutcome::Delivered(rtt)),
+                        "{ctx}"
+                    );
+                    Some(rtt.as_nanos())
+                }
+                TransportEvent::GaveUp { flow, .. } => {
+                    assert_eq!(w.flow_outcome(flow), Some(FlowOutcome::GaveUp), "{ctx}");
+                    None
+                }
+                _ => None,
+            })
+            .collect();
+        assert_eq!(s.latency.max(), rtts.iter().copied().max(), "{ctx}");
+        assert_eq!(
+            s.latency.sum(),
+            rtts.iter().map(|&r| u128::from(r)).sum::<u128>(),
+            "{ctx}"
+        );
+        assert_eq!(w.flows_in_flight(), 0, "{ctx}");
+        assert_eq!(w.flow_outcomes().len(), flows.len(), "{ctx}");
+        rtos += s.retransmits;
+        delivered += s.delivered;
+        gave_up += s.gave_up;
+        no_route += s.no_route;
+    }
+    assert!(
+        rtos >= 1000 && delivered >= 1000 && gave_up >= 500 && no_route >= 500,
+        "under-covered: {rtos} rtos, {delivered} delivered, {gave_up} abandoned, {no_route} no-route"
     );
 }
 
