@@ -19,7 +19,7 @@
 //! counting methods, so the artifact involves no random draw at all.
 
 use drs_harness::par;
-use drs_obs::jsonfmt::{finish, json_f64, preamble};
+use drs_obs::artifact::{write, Field};
 
 use crate::binom::shared_table;
 use crate::connectivity::{KPlane, Question};
@@ -215,40 +215,30 @@ impl SweepResult {
         out
     }
 
-    /// Serializes to the `BENCH_survivability.json` schema: deterministic
-    /// field order and float formatting (shortest round-trip), `u128`
-    /// counts as decimal strings, no dependence on a JSON library.
+    /// Serializes to the `BENCH_survivability.json` schema: one flat
+    /// `cells` row per cell, `u128` counts as quoted decimals (exact
+    /// counts routinely exceed 2^53 and would be silently rounded by
+    /// double-based JSON parsers), laid out by
+    /// [`drs_obs::artifact::write`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = preamble(
-            "drs-bench-survivability/v1",
-            self.seed,
-            "cells",
-            128 + self.cells.len() * 128,
-        );
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"n\": {}, \"f\": {}, \"method\": \"{}\", \"p_success\": {}, \
-                 \"successes\": {}, \"total\": {}, \"seed\": {}}}{}\n",
-                c.n,
-                c.f,
-                c.method,
-                json_f64(c.p_success),
-                json_count(c.successes),
-                json_count(c.total),
-                c.seed,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        finish(&mut out);
-        out
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                vec![
+                    Field::new("n", c.n),
+                    Field::new("f", c.f),
+                    Field::new("method", c.method),
+                    Field::new("p_success", c.p_success),
+                    Field::new("successes", c.successes),
+                    Field::new("total", c.total),
+                    Field::new("seed", c.seed),
+                ]
+            })
+            .collect();
+        write("drs-bench-survivability/v1", self.seed, "cells", cells)
     }
-}
-
-fn json_count(v: Option<u128>) -> String {
-    // Decimal strings: exact counts routinely exceed 2^53 and would be
-    // silently rounded by double-based JSON parsers.
-    v.map_or_else(|| "null".to_string(), |v| format!("\"{v}\""))
 }
 
 /// `successes / total` with the empty space mapping to 0.0 rather than

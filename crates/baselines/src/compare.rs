@@ -15,8 +15,7 @@
 use drs_core::ids::FlowId;
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, ProbeObs};
 use drs_harness::{
-    Experiment, ExperimentRecord, Metric, RunMode, TraceEvent, TraceEventKind, TrialRecord,
-    TrialTrace,
+    Experiment, ExperimentRecord, RunMode, TraceEvent, TraceEventKind, TrialRecord, TrialTrace,
 };
 use drs_obs::Histogram;
 use drs_sim::app::Workload;
@@ -515,22 +514,15 @@ pub fn shootout_record(master_seed: u64, rows: &[ShootoutRow]) -> ExperimentReco
         .iter()
         .map(|row| {
             let r = &row.result;
-            let mut rec =
-                TrialRecord::new(format!("{}/{}", row.scenario, row.label.key()), row.seed)
-                    .metric(Metric::count("sent", r.sent))
-                    .metric(Metric::count("delivered", r.delivered))
-                    .metric(Metric::count("retransmits", r.retransmits))
-                    .metric(Metric::count("gave_up", r.gave_up))
-                    .metric(Metric::real("delivery_ratio", r.delivery_ratio()));
-            rec = rec.metric(match r.max_latency {
-                Some(d) => Metric::count("max_latency_ns", d.0),
-                None => Metric::missing("max_latency_ns"),
-            });
-            rec = rec.metric(match r.outage {
-                Some(d) => Metric::count("outage_ns", d.0),
-                None => Metric::missing("outage_ns"),
-            });
-            rec.with_events(row.events.clone())
+            TrialRecord::new(format!("{}/{}", row.scenario, row.label.key()), row.seed)
+                .metric("sent", r.sent)
+                .metric("delivered", r.delivered)
+                .metric("retransmits", r.retransmits)
+                .metric("gave_up", r.gave_up)
+                .metric("delivery_ratio", r.delivery_ratio())
+                .metric("max_latency_ns", r.max_latency.map(|d| d.0))
+                .metric("outage_ns", r.outage.map(|d| d.0))
+                .with_events(row.events.clone())
         })
         .collect();
     ExperimentRecord {

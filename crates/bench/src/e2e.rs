@@ -7,7 +7,7 @@
 //! fan-out and the record shape that carries the trials into the
 //! committed `BENCH_sim_survivability.json`.
 
-use drs_harness::{Experiment, ExperimentRecord, Metric, RunMode, TrialRecord};
+use drs_harness::{Experiment, ExperimentRecord, RunMode, TrialRecord};
 
 use crate::trial::{run_trial, Trial};
 
@@ -30,9 +30,9 @@ pub fn cell_record(n: usize, f: usize, master_seed: u64, rows: &[Trial]) -> Expe
         .enumerate()
         .map(|(i, t)| {
             TrialRecord::new(format!("t{i:02}"), t.seed)
-                .metric(Metric::count("predicted", u64::from(t.predicted)))
-                .metric(Metric::count("delivered", u64::from(t.delivered)))
-                .metric(Metric::count("agree", u64::from(t.agrees())))
+                .metric("predicted", u64::from(t.predicted))
+                .metric("delivered", u64::from(t.delivered))
+                .metric("agree", u64::from(t.agrees()))
                 .with_events(t.events.clone())
         })
         .collect();

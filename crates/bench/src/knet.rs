@@ -17,7 +17,7 @@
 
 use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
-use drs_obs::jsonfmt::{finish, json_f64, preamble};
+use drs_obs::artifact::{write, Field};
 
 use crate::trial::{run_trial, Trial};
 
@@ -78,33 +78,30 @@ impl KnetArtifact {
             .find(|c| c.planes == planes && c.n == n && c.f == f)
     }
 
-    /// Serializes to the `drs-bench-knet-survivability/v1` schema in the
-    /// shared artifact dialect ([`drs_obs::jsonfmt`]): `u128` counts
-    /// as decimal strings, floats shortest-round-trip — byte-identical
-    /// across runs, thread counts and machines.
+    /// Serializes to the `drs-bench-knet-survivability/v1` schema: one
+    /// flat `cells` row per cell, `u128` counts as quoted decimals, laid
+    /// out by [`drs_obs::artifact::write`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = preamble(SCHEMA, self.seed, "cells", 128 + self.cells.len() * 192);
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"k\": {}, \"n\": {}, \"f\": {}, \"p_exact\": {}, \
-                 \"successes\": \"{}\", \"total\": \"{}\", \"trials\": {}, \
-                 \"delivered\": {}, \"agree\": {}, \"seed\": {}}}{}\n",
-                c.planes,
-                c.n,
-                c.f,
-                json_f64(c.p_exact),
-                c.successes,
-                c.total,
-                c.trials,
-                c.delivered,
-                c.agree,
-                c.seed,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        finish(&mut out);
-        out
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                vec![
+                    Field::new("k", u64::from(c.planes)),
+                    Field::new("n", c.n as u64),
+                    Field::new("f", c.f as u64),
+                    Field::new("p_exact", c.p_exact),
+                    Field::new("successes", c.successes),
+                    Field::new("total", c.total),
+                    Field::new("trials", c.trials),
+                    Field::new("delivered", c.delivered),
+                    Field::new("agree", c.agree),
+                    Field::new("seed", c.seed),
+                ]
+            })
+            .collect();
+        write(SCHEMA, self.seed, "cells", cells)
     }
 }
 

@@ -105,24 +105,24 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
     artifact.push(goodput_under_failover_section());
 
     // Event-count breakdown over both committed experiment families.
-    let mut shootout_counts = [0u64; 9];
+    let mut shootout_counts = [0u64; TraceEventKind::ALL.len()];
     for row in &rows {
         for e in &row.events {
-            shootout_counts[kind_index(e.kind)] += 1;
+            shootout_counts[e.kind as usize] += 1;
         }
     }
-    let mut e2e_counts = [0u64; 9];
+    let mut e2e_counts = [0u64; TraceEventKind::ALL.len()];
     for &(n, f) in &E2E_GRID {
         let master = coord_seed(BENCH_SEED, n as u64, f as u64);
         for trial in run_cell(n, f, E2E_TRIALS_PER_CELL, master, mode) {
             for e in &trial.events {
-                e2e_counts[kind_index(e.kind)] += 1;
+                e2e_counts[e.kind as usize] += 1;
             }
         }
     }
     let mut counts = Section::new("event_counts");
-    for kind in ALL_KINDS {
-        let i = kind_index(kind);
+    for kind in TraceEventKind::ALL {
+        let i = kind as usize;
         counts.push(
             Row::new(kind.label())
                 .count("shootout", shootout_counts[i])
@@ -133,26 +133,6 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
     artifact.push(counts);
 
     artifact
-}
-
-/// Every trace-event kind, in artifact row order.
-const ALL_KINDS: [TraceEventKind; 9] = [
-    TraceEventKind::FaultInjected,
-    TraceEventKind::Repaired,
-    TraceEventKind::LinkDown,
-    TraceEventKind::LinkUp,
-    TraceEventKind::RouteChanged,
-    TraceEventKind::DiscoveryStarted,
-    TraceEventKind::DiscoveryFailed,
-    TraceEventKind::FlowDelivered,
-    TraceEventKind::FlowGaveUp,
-];
-
-fn kind_index(kind: TraceEventKind) -> usize {
-    ALL_KINDS
-        .iter()
-        .position(|&k| k == kind)
-        .expect("known kind")
 }
 
 /// Runs the probe-overhead grid: for each `(n, budget)` cell a healthy

@@ -1,5 +1,6 @@
 //! The committed simulation benchmark: builds the
-//! `BENCH_sim_survivability.json` artifact ([`drs_harness::SCHEMA`]).
+//! `BENCH_sim_survivability.json` artifact ([`SimArtifact`], schema
+//! [`drs_harness::SCHEMA`], laid out by [`drs_obs::artifact::write`]).
 //!
 //! Two experiment families run through the harness under the fixed master
 //! seed [`crate::BENCH_SEED`]:

@@ -36,7 +36,7 @@ use drs_analytic::topo::{
     enumerate_pair_success_topo, enumerate_pair_success_topo_parallel, TopoMonteCarlo,
 };
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
-use drs_obs::jsonfmt::{finish, json_f64, preamble};
+use drs_obs::artifact::{write, Field};
 use drs_sim::topology::TopologySpec;
 use drs_sim::world::{Ctx, Protocol, World};
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
@@ -195,43 +195,37 @@ impl ZooArtifact {
             .find(|c| c.topology == topology && c.f == f)
     }
 
-    /// Serializes to the `drs-bench-topology/v1` schema in the shared
-    /// artifact dialect ([`drs_obs::jsonfmt`]): `u128` counts as
-    /// decimal strings, floats shortest-round-trip — byte-identical
-    /// across runs, thread counts and machines.
+    /// Serializes to the `drs-bench-topology/v1` schema: one flat
+    /// `cells` row per cell, `u128` counts as quoted decimals, laid out
+    /// by [`drs_obs::artifact::write`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let mut out = preamble(SCHEMA, self.seed, "cells", 128 + self.cells.len() * 288);
-        for (i, c) in self.cells.iter().enumerate() {
-            out.push_str(&format!(
-                "    {{\"topology\": \"{}\", \"hosts\": {}, \"switches\": {}, \
-                 \"links\": {}, \"components\": {}, \"cost_units\": {}, \
-                 \"f\": {}, \"src\": {}, \"dst\": {}, \"method\": \"{}\", \
-                 \"successes\": \"{}\", \"total\": \"{}\", \"p\": {}, \
-                 \"trials\": {}, \"delivered\": {}, \"agree\": {}, \
-                 \"seed\": {}}}{}\n",
-                c.topology,
-                c.hosts,
-                c.switches,
-                c.links,
-                c.components,
-                json_f64(c.cost_units),
-                c.f,
-                c.pair.0,
-                c.pair.1,
-                c.method.as_str(),
-                c.successes,
-                c.total,
-                json_f64(c.p),
-                c.trials,
-                c.delivered,
-                c.agree,
-                c.seed,
-                if i + 1 < self.cells.len() { "," } else { "" },
-            ));
-        }
-        finish(&mut out);
-        out
+        let cells = self
+            .cells
+            .iter()
+            .map(|c| {
+                vec![
+                    Field::new("topology", c.topology.as_str()),
+                    Field::new("hosts", c.hosts as u64),
+                    Field::new("switches", c.switches as u64),
+                    Field::new("links", c.links as u64),
+                    Field::new("components", c.components as u64),
+                    Field::new("cost_units", c.cost_units),
+                    Field::new("f", c.f as u64),
+                    Field::new("src", c.pair.0 as u64),
+                    Field::new("dst", c.pair.1 as u64),
+                    Field::new("method", c.method.as_str()),
+                    Field::new("successes", c.successes),
+                    Field::new("total", c.total),
+                    Field::new("p", c.p),
+                    Field::new("trials", c.trials),
+                    Field::new("delivered", c.delivered),
+                    Field::new("agree", c.agree),
+                    Field::new("seed", c.seed),
+                ]
+            })
+            .collect();
+        write(SCHEMA, self.seed, "cells", cells)
     }
 }
 

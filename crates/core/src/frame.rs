@@ -10,7 +10,7 @@ use drs_obs::flight::EventRef;
 use crate::ids::{FlowId, NetId, NodeId};
 
 /// L2 destination of a frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Destination {
     /// Addressed to a single host's NIC on the segment.
     Node(NodeId),
@@ -20,7 +20,7 @@ pub enum Destination {
 }
 
 /// Whether a data segment carries payload or acknowledges one.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SegmentKind {
     /// Payload segment travelling source → destination.
     Data,
@@ -32,7 +32,7 @@ pub enum SegmentKind {
 ///
 /// `src`/`dst` are the *end-to-end* endpoints; the enclosing [`Frame`]
 /// carries the L2 hop (which may be a gateway when the route is indirect).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Segment {
     /// Originating host.
     pub src: NodeId,

@@ -85,7 +85,7 @@ impl fmt::Display for NetId {
 }
 
 /// Identifier of one application-level flow (one request/response exchange).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FlowId(pub u64);
 
 impl FlowId {

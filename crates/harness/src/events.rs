@@ -31,6 +31,20 @@ pub enum TraceEventKind {
 }
 
 impl TraceEventKind {
+    /// Every kind, in declaration order (artifact row order; `kind as
+    /// usize` indexes it).
+    pub const ALL: [TraceEventKind; 9] = [
+        Self::FaultInjected,
+        Self::Repaired,
+        Self::LinkDown,
+        Self::LinkUp,
+        Self::RouteChanged,
+        Self::DiscoveryStarted,
+        Self::DiscoveryFailed,
+        Self::FlowDelivered,
+        Self::FlowGaveUp,
+    ];
+
     /// Stable label used in JSON and table output.
     #[must_use]
     pub fn label(&self) -> &'static str {
@@ -71,21 +85,13 @@ impl TraceEvent {
     }
 }
 
-/// Sorts events by timestamp, preserving recording order within a
-/// timestamp — merged traces from multiple observers stay deterministic.
-pub fn sort_events(events: &mut [TraceEvent]) {
-    events.sort_by_key(|e| e.at_ns);
-}
-
 /// A trial's trace under construction: observers append in any order,
 /// and [`TrialTrace::seal`] sorts exactly once at the end.
 ///
-/// Producers used to call [`sort_events`] ad hoc — some before merging
-/// observer streams, some after, some not at all — which made "is this
-/// trace sorted?" a per-call-site question. The collector centralizes
-/// the answer: record through a `TrialTrace`, seal when the trial ends,
-/// and hand the sealed events to [`crate::TrialRecord::with_events`]
-/// (which debug-asserts the order it is given).
+/// Record through a `TrialTrace`, seal when the trial ends, and hand the
+/// sealed events to [`crate::TrialRecord::with_events`] (which
+/// debug-asserts the order it is given): "is this trace sorted?" is then
+/// never a per-call-site question.
 #[derive(Debug, Clone, Default)]
 pub struct TrialTrace {
     events: Vec<TraceEvent>,
@@ -98,8 +104,7 @@ impl TrialTrace {
         TrialTrace::default()
     }
 
-    /// Appends one event (any timestamp order).
-    pub fn push(&mut self, event: TraceEvent) {
+    fn push(&mut self, event: TraceEvent) {
         self.events.push(event);
     }
 
@@ -113,24 +118,13 @@ impl TrialTrace {
         self.events.extend(events);
     }
 
-    /// Number of recorded events.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.events.len()
-    }
-
-    /// Whether nothing was recorded.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.events.is_empty()
-    }
-
     /// Finishes the trace: sorts by timestamp (stable — recording order
-    /// is preserved within a timestamp) and returns the events. This is
-    /// the single place a trace gets sorted.
+    /// is preserved within a timestamp, so merged traces from several
+    /// observers stay deterministic) and returns the events. This is the
+    /// single place a trace gets sorted.
     #[must_use]
     pub fn seal(mut self) -> Vec<TraceEvent> {
-        sort_events(&mut self.events);
+        self.events.sort_by_key(|e| e.at_ns);
         self.events
     }
 }
@@ -141,17 +135,10 @@ mod tests {
 
     #[test]
     fn labels_are_unique_and_snake_case() {
-        let kinds = [
-            TraceEventKind::FaultInjected,
-            TraceEventKind::Repaired,
-            TraceEventKind::LinkDown,
-            TraceEventKind::LinkUp,
-            TraceEventKind::RouteChanged,
-            TraceEventKind::DiscoveryStarted,
-            TraceEventKind::DiscoveryFailed,
-            TraceEventKind::FlowDelivered,
-            TraceEventKind::FlowGaveUp,
-        ];
+        let kinds = TraceEventKind::ALL;
+        for (i, kind) in kinds.iter().enumerate() {
+            assert_eq!(*kind as usize, i, "ALL is in declaration order");
+        }
         let mut labels: Vec<&str> = kinds.iter().map(TraceEventKind::label).collect();
         assert!(labels
             .iter()
@@ -170,8 +157,6 @@ mod tests {
             TraceEvent::new(5, TraceEventKind::RouteChanged, "mid"),
             TraceEvent::new(1, TraceEventKind::LinkDown, "early-second"),
         ]);
-        assert_eq!(trace.len(), 4);
-        assert!(!trace.is_empty());
         let events = trace.seal();
         let times: Vec<u64> = events.iter().map(|e| e.at_ns).collect();
         assert_eq!(times, [1, 1, 5, 9]);
@@ -183,18 +168,5 @@ mod tests {
     #[test]
     fn empty_trace_seals_to_nothing() {
         assert!(TrialTrace::new().seal().is_empty());
-    }
-
-    #[test]
-    fn sort_is_stable_within_a_timestamp() {
-        let mut events = vec![
-            TraceEvent::new(5, TraceEventKind::LinkDown, "b"),
-            TraceEvent::new(1, TraceEventKind::FaultInjected, "a"),
-            TraceEvent::new(5, TraceEventKind::RouteChanged, "c"),
-        ];
-        sort_events(&mut events);
-        assert_eq!(events[0].detail, "a");
-        assert_eq!(events[1].detail, "b");
-        assert_eq!(events[2].detail, "c");
     }
 }

@@ -7,9 +7,11 @@
 //! discipline `analytic::sweep` uses for its cells), and the runner fans
 //! trials across scoped worker threads ([`par`]) with results
 //! bit-identical to the serial path. Trials record structured
-//! [`events::TraceEvent`] logs and named [`record::Metric`]s into the
-//! versioned `drs-bench-sim-survivability/v1` JSON artifact ([`record::SCHEMA`]),
-//! the simulation-side sibling of `BENCH_survivability.json`.
+//! [`events::TraceEvent`] logs and named metrics ([`drs_obs::Field`]s)
+//! into [`TrialRecord`]s, which [`SimArtifact`] writes as the versioned
+//! `drs-bench-sim-survivability/v1` JSON artifact ([`SCHEMA`]) through the
+//! one artifact writer, [`drs_obs::artifact::write`] — the
+//! simulation-side sibling of `BENCH_survivability.json`.
 //!
 //! The crate is deliberately domain-free — it knows nothing about
 //! clusters, protocols, or fleets. `drs-baselines` runs its protocol
@@ -26,10 +28,10 @@
 pub mod events;
 pub mod experiment;
 pub mod par;
-pub mod record;
 pub mod seed;
 
-pub use events::{sort_events, TraceEvent, TraceEventKind, TrialTrace};
-pub use experiment::{Experiment, RunMode, TrialCtx};
-pub use record::{ExperimentRecord, Metric, MetricValue, SimArtifact, TrialRecord, SCHEMA};
+pub use events::{TraceEvent, TraceEventKind, TrialTrace};
+pub use experiment::{
+    Experiment, ExperimentRecord, RunMode, SimArtifact, TrialCtx, TrialRecord, SCHEMA,
+};
 pub use seed::{coord_seed, mix64, stream_seed};

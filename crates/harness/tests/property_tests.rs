@@ -9,8 +9,8 @@
 use drs_obs::rng::Rng;
 
 use drs_harness::{
-    stream_seed, Experiment, ExperimentRecord, Metric, RunMode, SimArtifact, TraceEvent,
-    TraceEventKind, TrialCtx, TrialRecord,
+    stream_seed, Experiment, ExperimentRecord, RunMode, SimArtifact, TraceEvent, TraceEventKind,
+    TrialCtx, TrialRecord,
 };
 
 /// A deterministic trial body with enough structure to notice ordering
@@ -18,8 +18,8 @@ use drs_harness::{
 fn trial_record(ctx: TrialCtx, spec: &u64) -> TrialRecord {
     let mixed = ctx.seed ^ spec;
     TrialRecord::new(format!("trial-{}", ctx.index), ctx.seed)
-        .metric(Metric::count("spec", *spec))
-        .metric(Metric::real("mixed", mixed as f64 / u64::MAX as f64))
+        .metric("spec", *spec)
+        .metric("mixed", mixed as f64 / u64::MAX as f64)
         .with_events(vec![TraceEvent::new(
             mixed % 1_000,
             TraceEventKind::RouteChanged,

@@ -2,39 +2,19 @@
 //!
 //! All of the repo's committed `BENCH_*.json` files are hand-serialized —
 //! no JSON library — so that the bytes are reproducible on any machine,
-//! thread count, or compiler. That only works if every writer agrees on
-//! the details, so they live here once:
+//! thread count, or compiler. That only works if every number and string
+//! is spelled one way, so the two token rules live here once:
 //!
-//! * the **preamble**: `{`, the `schema` tag, the master `seed`, and the
-//!   opening of the artifact's single top-level list;
-//! * the **closer**: list terminator, `}` and the trailing newline;
 //! * **float formatting**: shortest-round-trip `Display`, with integral
 //!   values pinned to one decimal (consumers parse a uniform type) and
 //!   non-finite values as `null` (`NaN` is not a JSON token);
 //! * **string escaping**: quotes, backslashes and control characters.
 //!
-//! Every writer — [`crate::artifact`] here, the harness's `SimArtifact`,
-//! `drs_analytic::sweep` and `drs-bench`'s K-plane and topology sweeps —
-//! imports this module directly.
-
-/// Opens an artifact object: schema tag, master seed, and the top-level
-/// list under `list_key`, leaving the list open for rows. `capacity` is a
-/// buffer size hint (artifacts know roughly how many rows they carry).
-#[must_use]
-pub fn preamble(schema: &str, seed: u64, list_key: &str, capacity: usize) -> String {
-    let mut out = String::with_capacity(capacity);
-    out.push_str("{\n");
-    out.push_str(&format!("  \"schema\": \"{schema}\",\n"));
-    out.push_str(&format!("  \"seed\": {seed},\n"));
-    out.push_str(&format!("  \"{list_key}\": [\n"));
-    out
-}
-
-/// Closes the top-level list and the artifact object, with the trailing
-/// newline every committed artifact ends in.
-pub fn finish(out: &mut String) {
-    out.push_str("  ]\n}\n");
-}
+//! The layout around those tokens — braces, indentation, separators —
+//! is [`crate::artifact::write`]'s, the one writer every committed
+//! artifact goes through. The flight recorder's Perfetto export
+//! ([`crate::flight::to_perfetto`]) formats its timestamps by the same
+//! float rule.
 
 /// Canonical float formatting: integral values pinned to one decimal,
 /// non-finite values as `null`, everything else shortest-round-trip.
@@ -63,6 +43,13 @@ pub fn push_f64(out: &mut String, v: f64) {
 #[must_use]
 pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
+    push_string(&mut out, s);
+    out
+}
+
+/// [`json_string`] appended to `out`.
+pub fn push_string(out: &mut String, s: &str) {
+    use std::fmt::Write as _;
     out.push('"');
     for c in s.chars() {
         match c {
@@ -71,27 +58,18 @@ pub fn json_string(s: &str) -> String {
             '\n' => out.push_str("\\n"),
             '\r' => out.push_str("\\r"),
             '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+            c if (c as u32) < 0x20 => {
+                write!(out, "\\u{:04x}", c as u32).expect("fmt::Write for String never fails");
+            }
             c => out.push(c),
         }
     }
     out.push('"');
-    out
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn preamble_and_finish_bracket_an_empty_artifact() {
-        let mut out = preamble("demo/v1", 42, "rows", 64);
-        finish(&mut out);
-        assert_eq!(
-            out,
-            "{\n  \"schema\": \"demo/v1\",\n  \"seed\": 42,\n  \"rows\": [\n  ]\n}\n"
-        );
-    }
 
     #[test]
     fn floats_follow_house_rules() {

@@ -16,11 +16,11 @@
 //!   ([`flight`]); [`causal`] walks the cause chains back into
 //!   per-failover post-mortems and [`to_perfetto`] renders the timeline
 //!   as Chrome `trace_event` JSON.
-//! * [`ObsArtifact`] — the versioned `drs-bench-observability/v2`
-//!   serializer in the same deterministic hand-rolled JSON style as the
-//!   other committed artifacts ([`artifact`]), built on the shared
-//!   artifact JSON dialect ([`jsonfmt`]) every committed `BENCH_*.json`
-//!   writer uses.
+//! * [`artifact::write`] — the one writer every committed `BENCH_*.json`
+//!   is laid out by, over one field-value type ([`FieldValue`]), with
+//!   its tokens spelled by the shared JSON dialect ([`jsonfmt`]);
+//!   [`ObsArtifact`] is its `drs-bench-observability/v2` section form
+//!   ([`artifact`]).
 //! * [`rng`] — not observability, but this is the crate every other one
 //!   already depends on: the SplitMix64 mixer and xoshiro256++ generator
 //!   behind every seed derivation and random draw in the tree. For the

@@ -44,7 +44,7 @@ fn artifact_traces_tell_a_complete_story() {
             .iter()
             .find(|m| m.name == "sent")
             .and_then(|m| match m.value {
-                drs::harness::MetricValue::Count(c) => Some(c),
+                drs::obs::FieldValue::Count(c) => Some(c),
                 _ => None,
             })
             .expect("sent metric");
