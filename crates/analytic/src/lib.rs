@@ -32,7 +32,7 @@
 //!   the two oracles that share no code with the core,
 //!   plus the all-pairs closed form ([`allpairs`]),
 //! * a **parallel sweep engine** fanning `(N, f)` grids of
-//!   exact/enumerated/Monte-Carlo cells across worker threads with
+//!   closed-form/orbit/enumerated cells across worker threads with
 //!   deterministic seeds and a machine-readable JSON artifact ([`sweep`]),
 //! * the **threshold finder** for the `P\[S\] > 0.99` milestones
 //!   ([`thresholds`]),

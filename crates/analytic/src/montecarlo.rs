@@ -16,12 +16,11 @@
 //! equal universes the two estimators see the same failure sets and any
 //! difference in their counts is a difference between the predicates.
 //!
-//! Determinism: every estimator takes an explicit seed. The parallel path
-//! derives one independent stream per chunk with SplitMix64-style
-//! mixing, so results are reproducible regardless of thread scheduling.
+//! Determinism: every estimator takes an explicit seed and draws every
+//! sample from the one generator it seeds, so a `(seed, iterations)` pair
+//! names one estimate.
 
-use drs_harness::par;
-use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
+use drs_obs::rng::Rng;
 use drs_topology::ComponentSet;
 
 use crate::components::FailureModel;
@@ -90,7 +89,7 @@ impl MonteCarlo {
     }
 }
 
-impl<M: FailureModel + Clone + Sync> Estimator<M> {
+impl<M: FailureModel + Clone> Estimator<M> {
     /// An estimator for exactly `f` failures of `model`, which must come in
     /// with nothing failed.
     ///
@@ -107,25 +106,6 @@ impl<M: FailureModel + Clone + Sync> Estimator<M> {
     pub fn estimate(&self, iterations: u64) -> MonteCarloEstimate {
         let mut rng = Rng::seed_from_u64(self.seed);
         MonteCarloEstimate::from_counts(self.successes(&mut rng, iterations), iterations)
-    }
-
-    /// Runs `iterations` samples split into 2¹⁴-sample chunks fanned
-    /// across [`par`] workers. Chunk `c` (the short tail included) draws
-    /// from its own `mix_stream(seed, c)` generator, so the total is
-    /// deterministic for a given `(seed, iterations)` regardless of the
-    /// number of worker threads.
-    #[must_use]
-    pub fn estimate_parallel(&self, iterations: u64) -> MonteCarloEstimate {
-        let chunk: u64 = 1 << 14;
-        let chunks = usize::try_from(iterations.div_ceil(chunk)).expect("chunk count fits usize");
-        let successes = par::map(chunks, |c| {
-            let c = c as u64;
-            let mut rng = Rng::seed_from_u64(mix_stream(self.seed, c));
-            self.successes(&mut rng, chunk.min(iterations - c * chunk))
-        })
-        .into_iter()
-        .sum();
-        MonteCarloEstimate::from_counts(successes, iterations)
     }
 
     /// The Monte-Carlo loop: draws `count` failure scenarios from `rng`
@@ -177,12 +157,6 @@ fn draw_failures(m: usize, f: usize, rng: &mut Rng, mut fail: impl FnMut(usize))
     drawn
 }
 
-/// The seed of chunk `stream` under `seed`: [`mix64`] over `seed ^ stream·γ`.
-#[must_use]
-fn mix_stream(seed: u64, stream: u64) -> u64 {
-    mix64(seed ^ stream.wrapping_mul(GOLDEN_GAMMA))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,37 +179,6 @@ mod tests {
     }
 
     #[test]
-    fn mix_stream_equals_the_body_it_replaced() {
-        fn reference(seed: u64, stream: u64) -> u64 {
-            let mut z = seed ^ stream.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^ (z >> 31)
-        }
-        let mut corpus = Rng::seed_from_u64(0x57EA);
-        for stream in 0..2_000u64 {
-            let seed = corpus.next_u64();
-            assert_eq!(mix_stream(seed, stream), reference(seed, stream));
-            assert_eq!(mix_stream(seed, seed), reference(seed, seed));
-        }
-        assert_eq!(mix_stream(0, 0), reference(0, 0));
-    }
-
-    #[test]
-    fn parallel_estimate_is_the_sum_of_its_chunk_streams() {
-        // One full chunk plus a short tail, recomputed by hand from the
-        // per-chunk generators: pins chunk size, stream indices and the
-        // tail's stream, whatever the worker count.
-        let mc = MonteCarlo::new(10, 3, 77);
-        let iterations = (1u64 << 14) + 1_000;
-        let by_hand: u64 = [(0u64, 1u64 << 14), (1, 1_000)]
-            .into_iter()
-            .map(|(c, count)| mc.successes(&mut Rng::seed_from_u64(mix_stream(77, c)), count))
-            .sum();
-        assert_eq!(mc.estimate_parallel(iterations).successes, by_hand);
-    }
-
-    #[test]
     fn deterministic_for_fixed_seed() {
         let mc = MonteCarlo::new(12, 3, 7);
         assert_eq!(mc.estimate(10_000), mc.estimate(10_000));
@@ -246,16 +189,6 @@ mod tests {
         let a = MonteCarlo::new(12, 3, 1).estimate(10_000);
         let b = MonteCarlo::new(12, 3, 2).estimate(10_000);
         assert_ne!(a.successes, b.successes);
-    }
-
-    #[test]
-    fn parallel_matches_itself_and_is_sane() {
-        let mc = MonteCarlo::new(16, 4, 99);
-        let a = mc.estimate_parallel(100_000);
-        let b = mc.estimate_parallel(100_000);
-        assert_eq!(a, b, "parallel estimate must be deterministic");
-        let exact = p_success(16, 4);
-        assert!((a.p_hat - exact).abs() < 0.01);
     }
 
     #[test]

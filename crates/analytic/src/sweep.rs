@@ -12,11 +12,9 @@
 //!
 //! Determinism: for a fixed `(config, master seed)` the result — including
 //! its JSON form — is byte-identical regardless of thread count or
-//! scheduling. Exact cells carry their `u128` counts (as decimal strings
-//! in JSON: the values exceed what consumers can hold in a double);
-//! Monte-Carlo cells carry success/iteration counts. The committed
-//! benchmark grid ([`SweepConfig::bench_grid`]) uses only the
-//! counting methods, so the artifact involves no random draw at all.
+//! scheduling. Cells carry their exact `u128` counts (as decimal strings
+//! in JSON: the values exceed what consumers can hold in a double); every
+//! method counts, so a sweep involves no random draw at all.
 
 use drs_harness::par;
 use drs_obs::artifact::{write, Field};
@@ -25,7 +23,6 @@ use crate::binom::shared_table;
 use crate::connectivity::{KPlane, Question};
 use crate::enumerate::{count_parallel, enumerate_pair_success};
 use crate::exact::{component_count, p_success_f64, success_count};
-use crate::montecarlo::MonteCarlo;
 use crate::orbit::orbit_pair_success;
 
 /// How one `(N, f)` cell is evaluated.
@@ -40,11 +37,6 @@ pub enum Method {
     Enumerate,
     /// Block-split parallel subset enumeration.
     EnumerateParallel,
-    /// Monte-Carlo estimation with this many iterations.
-    MonteCarlo {
-        /// Random failure draws for the cell.
-        iterations: u64,
-    },
 }
 
 impl Method {
@@ -56,7 +48,6 @@ impl Method {
             Method::Orbit => "orbit",
             Method::Enumerate => "enumerate",
             Method::EnumerateParallel => "enumerate_parallel",
-            Method::MonteCarlo { .. } => "monte_carlo",
         }
     }
 }
@@ -83,13 +74,13 @@ pub struct CellResult {
     pub method: &'static str,
     /// The survivability value the cell produced.
     pub p_success: f64,
-    /// Exact success count (or Monte-Carlo success count); `None` for
-    /// closed-form cells outside the `u128` range.
+    /// Exact success count; `None` for closed-form cells outside the
+    /// `u128` range.
     pub successes: Option<u128>,
-    /// Exact combination count (or Monte-Carlo iteration count).
+    /// Exact combination count.
     pub total: Option<u128>,
-    /// The derived per-cell seed (only consumed by Monte-Carlo cells, but
-    /// recorded everywhere for reproducibility).
+    /// The derived per-cell seed ([`cell_seed`]), recorded in the
+    /// artifact; no counting method draws from it.
     pub seed: u64,
 }
 
@@ -279,14 +270,6 @@ pub fn run_cell(master_seed: u64, spec: &CellSpec) -> CellResult {
             let (s, t) = count_parallel(&KPlane::new(n as usize, 2, Question::Pair), f as usize);
             (ratio(s, t), Some(s), Some(t))
         }
-        Method::MonteCarlo { iterations } => {
-            let est = MonteCarlo::new(n as usize, f as usize, seed).estimate(iterations);
-            (
-                ratio(u128::from(est.successes), u128::from(est.iterations)),
-                Some(u128::from(est.successes)),
-                Some(u128::from(est.iterations)),
-            )
-        }
     };
     CellResult {
         n,
@@ -312,7 +295,6 @@ pub fn run_sweep(cfg: &SweepConfig) -> SweepResult {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exact::p_success;
 
     #[test]
     fn deterministic_across_runs() {
@@ -352,22 +334,6 @@ mod tests {
             let (s, t) = (before.successes.unwrap(), before.total.unwrap());
             assert!(s * 100 <= t * 99, "f={f} at N={}", n_star - 1);
         }
-    }
-
-    #[test]
-    fn monte_carlo_cells_are_seeded_deterministically() {
-        let mut cfg = SweepConfig::new(7);
-        cfg.push(12, 3, Method::MonteCarlo { iterations: 20_000 });
-        cfg.push(12, 4, Method::MonteCarlo { iterations: 20_000 });
-        let a = run_sweep(&cfg);
-        let b = run_sweep(&cfg);
-        assert_eq!(a, b);
-        assert_ne!(
-            a.cells[0].successes, a.cells[1].successes,
-            "distinct cells draw distinct streams"
-        );
-        let exact = p_success(12, 3);
-        assert!((a.cells[0].p_success - exact).abs() < 0.02);
     }
 
     #[test]

@@ -211,7 +211,7 @@ pub fn enumerate_pair_success_topo_parallel(
 
 /// Monte-Carlo estimator of pair survivability over an arbitrary topology
 /// — the [`crate::montecarlo::MonteCarlo`] sibling for universes too large
-/// to enumerate (e.g. Fat-Tree cells in the topology-zoo artifact).
+/// to enumerate.
 pub type TopoMonteCarlo<'a> = Estimator<GraphModel<'a>>;
 
 impl<'a> TopoMonteCarlo<'a> {
@@ -287,7 +287,7 @@ mod tests {
     }
 
     #[test]
-    fn kplane_monte_carlo_is_draw_identical_to_the_k_estimator() {
+    fn kplane_estimate_is_draw_identical_to_the_k_estimator() {
         // Same universe size, same rejection sampler, same seed: the
         // topology estimator must reproduce the K-plane estimator's counts
         // exactly (not statistically).
@@ -368,10 +368,6 @@ mod tests {
         assert!(walk_keeping(&mut model, 2) > 0 && model.searches() > 0);
         let warm = Estimator::over(model, 5, 9);
         assert_eq!(warm.estimate(30_000), cold.estimate(30_000));
-        assert_eq!(
-            warm.estimate_parallel(30_000),
-            cold.estimate_parallel(30_000)
-        );
     }
 
     /// Walks every `f`-subset and returns `(subsets, full searches)`.
@@ -419,11 +415,11 @@ mod tests {
     }
 
     #[test]
-    fn parallel_estimate_is_deterministic_and_sane() {
+    fn estimate_is_deterministic_and_sane() {
         let topo = bcube(4, 1);
         let mc = TopoMonteCarlo::new(&topo, 3, 0, 15, Reachability::Transitive, 7);
-        let a = mc.estimate_parallel(50_000);
-        assert_eq!(a, mc.estimate_parallel(50_000));
+        let a = mc.estimate(50_000);
+        assert_eq!(a, mc.estimate(50_000));
         // Exhaustive cross-check: C(40, 3) = 9880 subsets.
         let (s, t) = enumerate_pair_success_topo(&topo, 3, 0, 15, Reachability::Transitive);
         let exact = s as f64 / t as f64;

@@ -26,8 +26,9 @@
 //!   bigger budget) detects the failure sooner, so sessions stall for
 //!   less time and the exact shortfall ledger shrinks — the section
 //!   pins that ordering cell-for-cell.
-//! * **`event_counts`** — how many structured trace events of each
-//!   [`TraceEventKind`] the shootout and the end-to-end grid produced.
+//!
+//! Trace events are not tallied here: `BENCH_sim_survivability.json`
+//! commits every one of them, trial by trial.
 //!
 //! Wall-clock is deliberately absent here: `benchmark/run.sh` times the
 //! same runs from outside, and its nondeterministic numbers go to its
@@ -36,14 +37,13 @@
 use drs_analytic::cost::ProbeCostModel;
 use drs_baselines::compare::ProtocolLabel;
 use drs_core::{DrsConfig, DrsDaemon};
-use drs_harness::{coord_seed, RunMode, TraceEventKind};
+use drs_harness::{coord_seed, RunMode};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration};
 
-use crate::e2e::{run_cell, E2E_GRID};
-use crate::sim_artifact::{bench_shootout, E2E_TRIALS_PER_CELL};
+use crate::sim_artifact::bench_shootout;
 use crate::BENCH_SEED;
 
 /// Cluster sizes of the probe-overhead grid.
@@ -103,34 +103,6 @@ pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
 
     artifact.push(probe_overhead_section());
     artifact.push(goodput_under_failover_section());
-
-    // Event-count breakdown over both committed experiment families.
-    let mut shootout_counts = [0u64; TraceEventKind::ALL.len()];
-    for row in &rows {
-        for e in &row.events {
-            shootout_counts[e.kind as usize] += 1;
-        }
-    }
-    let mut e2e_counts = [0u64; TraceEventKind::ALL.len()];
-    for &(n, f) in &E2E_GRID {
-        let master = coord_seed(BENCH_SEED, n as u64, f as u64);
-        for trial in run_cell(n, f, E2E_TRIALS_PER_CELL, master, mode) {
-            for e in &trial.events {
-                e2e_counts[e.kind as usize] += 1;
-            }
-        }
-    }
-    let mut counts = Section::new("event_counts");
-    for kind in TraceEventKind::ALL {
-        let i = kind as usize;
-        counts.push(
-            Row::new(kind.label())
-                .count("shootout", shootout_counts[i])
-                .count("e2e", e2e_counts[i])
-                .count("total", shootout_counts[i] + e2e_counts[i]),
-        );
-    }
-    artifact.push(counts);
 
     artifact
 }

@@ -3,10 +3,10 @@
 //!
 //! Every cell is a `(topology, f)` pair. The analytic side computes
 //! `P[pair survives f component failures]` over the topology's explicit
-//! component universe — exhaustively when `C(m, f)` is small enough
-//! ([`drs_analytic::topo::enumerate_pair_success_topo`]), by chunked
-//! deterministic Monte Carlo otherwise
-//! ([`drs_analytic::topo::TopoMonteCarlo`]). The simulation side replays
+//! component universe by walking every failure subset
+//! ([`drs_analytic::topo::enumerate_pair_success_topo`]): each committed
+//! probability is an exact count, the largest cell (`fat_tree(k=4)`,
+//! `f = 4`) a walk of `C(68, 4) = 814 385` subsets. The simulation side replays
 //! deterministically unranked failure sets against a live packet-level
 //! world built from the same graph ([`drs_sim::topology::TopologySpec`])
 //! and checks what the DES observes against the reachability predicate:
@@ -23,18 +23,13 @@
 //! ([`drs_analytic::cost::equipment`]), making the artifact a survivability-vs-cost
 //! frontier rather than a survivability table.
 //!
-//! Failure sets come from combinadic unranking of trial seeds, and the
-//! one sampled cell's Monte Carlo estimator draws from fixed per-chunk
-//! streams of the in-tree generator ([`drs_obs::rng`]) — so the committed
-//! `BENCH_topology.json` is byte-reproducible on any machine and thread
-//! count.
+//! Failure sets come from combinadic unranking of trial seeds, so the
+//! committed `BENCH_topology.json` is byte-reproducible on any machine
+//! and thread count.
 
-use drs_analytic::binom::shared_table;
 use drs_analytic::cost::equipment::{cost_units, EquipmentCount};
 use drs_analytic::enumerate::enumerate_pair_success_k;
-use drs_analytic::topo::{
-    enumerate_pair_success_topo, enumerate_pair_success_topo_parallel, TopoMonteCarlo,
-};
+use drs_analytic::topo::enumerate_pair_success_topo;
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
 use drs_obs::artifact::{write, Field};
 use drs_sim::topology::TopologySpec;
@@ -45,40 +40,13 @@ use drs_topology::{generators, pair_connected, ComponentSet, Reachability, Topol
 use crate::trial::{run_trial, unrank_for_seed, Trial};
 
 /// Schema tag written into every topology-zoo artifact.
-pub const SCHEMA: &str = "drs-bench-topology/v1";
+pub const SCHEMA: &str = "drs-bench-topology/v2";
 
 /// Simultaneous component failures swept per topology.
 pub const ZOO_FAILURES: [usize; 4] = [1, 2, 3, 4];
 
-/// Cells with `C(m, f)` at or below this are enumerated exhaustively;
-/// larger universes fall back to Monte Carlo.
-pub const EXACT_SUBSET_CAP: u128 = 300_000;
-
-/// Monte Carlo samples for cells beyond [`EXACT_SUBSET_CAP`].
-pub const MC_ITERATIONS: u64 = 1 << 17;
-
 /// Simulation replications per `(topology, f)` cell.
 pub const ZOO_TRIALS_PER_CELL: usize = 6;
-
-/// How a cell's survival probability was computed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Method {
-    /// Exhaustive enumeration of all `C(m, f)` failure subsets.
-    Exact,
-    /// Deterministic chunked Monte Carlo over [`MC_ITERATIONS`] samples.
-    MonteCarlo,
-}
-
-impl Method {
-    /// The schema string for the `method` field.
-    #[must_use]
-    pub fn as_str(self) -> &'static str {
-        match self {
-            Method::Exact => "exact",
-            Method::MonteCarlo => "monte_carlo",
-        }
-    }
-}
 
 /// One zoo member: its graph plus, for K-plane entries, the `(n, K)`
 /// parameters that route its simulation trials through the DRS-daemon
@@ -140,7 +108,7 @@ pub fn zoo() -> Vec<ZooEntry> {
 }
 
 /// One artifact row: a `(topology, f)` cell with its equipment bill, its
-/// exact-or-sampled survival probability, and its DES cross-check tallies.
+/// exact survival probability, and its DES cross-check tallies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ZooCellResult {
     /// Row label, `"name(params)"`.
@@ -159,11 +127,9 @@ pub struct ZooCellResult {
     pub f: usize,
     /// The `(src, dst)` host pair measured.
     pub pair: (usize, usize),
-    /// How `p` was computed.
-    pub method: Method,
-    /// Surviving subsets (exact) or surviving samples (Monte Carlo).
+    /// Failure subsets the pair survives.
     pub successes: u128,
-    /// `C(m, f)` (exact) or [`MC_ITERATIONS`] (Monte Carlo).
+    /// `C(m, f)`: every failure subset.
     pub total: u128,
     /// `successes / total`.
     pub p: f64,
@@ -195,7 +161,7 @@ impl ZooArtifact {
             .find(|c| c.topology == topology && c.f == f)
     }
 
-    /// Serializes to the `drs-bench-topology/v1` schema: one flat
+    /// Serializes to the `drs-bench-topology/v2` schema: one flat
     /// `cells` row per cell, `u128` counts as quoted decimals, laid out
     /// by [`drs_obs::artifact::write`].
     #[must_use]
@@ -214,7 +180,6 @@ impl ZooArtifact {
                     Field::new("f", c.f as u64),
                     Field::new("src", c.pair.0 as u64),
                     Field::new("dst", c.pair.1 as u64),
-                    Field::new("method", c.method.as_str()),
                     Field::new("successes", c.successes),
                     Field::new("total", c.total),
                     Field::new("p", c.p),
@@ -339,83 +304,38 @@ pub fn run_cell(
     }
 }
 
-/// Computes one cell's survival probability: exact enumeration under the
-/// entry's reachability policy when the universe fits under
-/// [`EXACT_SUBSET_CAP`], deterministic Monte Carlo otherwise.
+/// Counts one cell exactly: `(successes, total)` over every `f`-subset
+/// of the entry's components, under the one-hop-gateway policy on
+/// K-plane entries and transitive reachability on the fabrics.
 ///
-/// On K-plane entries the exact count is taken from the generalized
-/// K-engine ([`enumerate_pair_success_k`]) and asserted equal to the
-/// graph enumeration under the one-hop-gateway policy — the committed
+/// On K-plane entries the graph count is asserted equal to the
+/// generalized K-engine's ([`enumerate_pair_success_k`]) — the committed
 /// proof that the degenerate topology *is* the K-plane model.
 #[must_use]
-pub fn cell_probability(
-    entry: &ZooEntry,
-    f: usize,
-    seed: u64,
-    mode: RunMode,
-) -> (Method, u128, u128, f64) {
-    let m = entry.topo.component_count();
+pub fn cell_probability(entry: &ZooEntry, f: usize) -> (u128, u128) {
     let (src, dst) = entry.pair();
+    let policy = match entry.kplane {
+        Some(_) => Reachability::OneHostRelay,
+        None => Reachability::Transitive,
+    };
+    let counts = enumerate_pair_success_topo(&entry.topo, f, src, dst, policy);
     if let Some((n, planes)) = entry.kplane {
-        let (successes, total) = enumerate_pair_success_k(n, planes, f);
-        let graph =
-            enumerate_pair_success_topo(&entry.topo, f, src, dst, Reachability::OneHostRelay);
         assert_eq!(
-            (successes, total),
-            graph,
+            counts,
+            enumerate_pair_success_k(n, planes, f),
             "{}: graph one-hop enumeration diverged from the K-engine at f={f}",
             entry.label()
         );
-        let p = successes as f64 / total as f64;
-        return (Method::Exact, successes, total, p);
     }
-    let total = shared_table()
-        .get(m as u64, f as u64)
-        .expect("zoo cells stay within the shared binomial table");
-    if total <= EXACT_SUBSET_CAP {
-        // Serial and parallel enumeration count the same exact subsets;
-        // pick by mode purely for wall-clock.
-        let (successes, total) = match mode {
-            RunMode::Serial => {
-                enumerate_pair_success_topo(&entry.topo, f, src, dst, Reachability::Transitive)
-            }
-            RunMode::Parallel => enumerate_pair_success_topo_parallel(
-                &entry.topo,
-                f,
-                src,
-                dst,
-                Reachability::Transitive,
-            ),
-        };
-        let p = successes as f64 / total as f64;
-        (Method::Exact, successes, total, p)
-    } else {
-        // Always the chunked estimator: its per-chunk SplitMix64 streams
-        // make the count a pure function of (seed, iterations), so both
-        // run modes produce the identical artifact.
-        let mc = TopoMonteCarlo::new(&entry.topo, f, src, dst, Reachability::Transitive, seed);
-        let est = mc.estimate_parallel(MC_ITERATIONS);
-        (
-            Method::MonteCarlo,
-            u128::from(est.successes),
-            u128::from(est.iterations),
-            est.p_hat,
-        )
-    }
+    counts
 }
 
-/// Folds one cell: equipment bill, exact-or-sampled probability, and the
-/// simulation tallies.
+/// Folds one cell: equipment bill, exact probability, and the simulation
+/// tallies.
 #[must_use]
-pub fn cell_result(
-    entry: &ZooEntry,
-    f: usize,
-    master_seed: u64,
-    mode: RunMode,
-    rows: &[Trial],
-) -> ZooCellResult {
+pub fn cell_result(entry: &ZooEntry, f: usize, master_seed: u64, rows: &[Trial]) -> ZooCellResult {
     let count = EquipmentCount::of(&entry.topo);
-    let (method, successes, total, p) = cell_probability(entry, f, master_seed, mode);
+    let (successes, total) = cell_probability(entry, f);
     ZooCellResult {
         topology: entry.label(),
         hosts: count.hosts,
@@ -425,10 +345,9 @@ pub fn cell_result(
         cost_units: cost_units(&entry.topo),
         f,
         pair: entry.pair(),
-        method,
         successes,
         total,
-        p,
+        p: successes as f64 / total as f64,
         trials: rows.len() as u64,
         delivered: rows.iter().filter(|t| t.delivered).count() as u64,
         agree: rows.iter().filter(|t| t.agrees()).count() as u64,
@@ -448,7 +367,7 @@ pub fn bench_artifact(master_seed: u64, mode: RunMode) -> ZooArtifact {
         for &f in &ZOO_FAILURES {
             let seed = zoo_cell_seed(master_seed, i, entry.topo.component_count(), f);
             let rows = run_cell(entry, f, ZOO_TRIALS_PER_CELL, seed, mode);
-            cells.push(cell_result(entry, f, seed, mode, &rows));
+            cells.push(cell_result(entry, f, seed, &rows));
         }
     }
     ZooArtifact {
@@ -505,42 +424,15 @@ mod tests {
     }
 
     #[test]
-    fn exact_probability_is_mode_independent() {
-        let entry = ZooEntry {
-            topo: generators::bcube(4, 1),
-            kplane: None,
-        };
-        let s = cell_probability(&entry, 2, 42, RunMode::Serial);
-        let p = cell_probability(&entry, 2, 42, RunMode::Parallel);
-        assert_eq!(s, p);
-        assert_eq!(s.0, Method::Exact);
-    }
-
-    #[test]
-    fn monte_carlo_kicks_in_past_the_cap_and_is_deterministic() {
-        let entry = ZooEntry {
-            topo: generators::fat_tree(4),
-            kplane: None,
-        };
-        // C(68, 4) = 814 385 > 300 000.
-        let total = shared_table().get(68, 4).unwrap();
-        assert!(total > EXACT_SUBSET_CAP);
-        let a = cell_probability(&entry, 4, 42, RunMode::Serial);
-        let b = cell_probability(&entry, 4, 42, RunMode::Parallel);
-        assert_eq!(a, b);
-        assert_eq!(a.0, Method::MonteCarlo);
-        assert_eq!(a.2, u128::from(MC_ITERATIONS));
-    }
-
-    #[test]
     fn kplane_cell_probability_matches_the_k_engine() {
         let entry = ZooEntry {
             topo: generators::kplane(5, 2),
             kplane: Some((5, 2)),
         };
-        let (method, s, t, _) = cell_probability(&entry, 2, 1, RunMode::Serial);
-        assert_eq!(method, Method::Exact);
-        assert_eq!((s, t), enumerate_pair_success_k(5, 2, 2));
+        assert_eq!(
+            cell_probability(&entry, 2),
+            enumerate_pair_success_k(5, 2, 2)
+        );
     }
 
     #[test]
@@ -552,14 +444,14 @@ mod tests {
         let rows = vec![run_flood_trial(&entry.topo, 2, 3)];
         let artifact = ZooArtifact {
             seed: 42,
-            cells: vec![cell_result(&entry, 2, 77, RunMode::Serial, &rows)],
+            cells: vec![cell_result(&entry, 2, 77, &rows)],
         };
         let json = artifact.to_json();
         assert!(json.starts_with("{\n"));
         assert!(json.ends_with("  ]\n}\n"));
         assert!(json.contains(&format!("\"schema\": \"{SCHEMA}\"")));
         assert!(json.contains("\"topology\": \"bcube(n=4,l=1)\""));
-        assert!(json.contains("\"method\": \"exact\""));
+        assert!(!json.contains("\"method\""));
         assert!(json.contains("\"total\": \""));
         assert_eq!(json, artifact.to_json());
     }

@@ -28,8 +28,6 @@ pub struct TrialCtx {
     pub index: usize,
     /// The trial's derived seed ([`stream_seed`] of the master seed).
     pub seed: u64,
-    /// The experiment's master seed, for bodies that derive sub-streams.
-    pub master_seed: u64,
 }
 
 /// Whether to run trials on the calling thread or across worker threads.
@@ -70,16 +68,6 @@ impl Experiment<()> {
 }
 
 impl<S> Experiment<S> {
-    /// An empty experiment; add trials with [`Experiment::push`].
-    #[must_use]
-    pub fn new(name: &str, master_seed: u64) -> Self {
-        Experiment {
-            name: name.to_string(),
-            master_seed,
-            trials: Vec::new(),
-        }
-    }
-
     /// An experiment over an explicit trial list.
     #[must_use]
     pub fn with_trials(name: &str, master_seed: u64, trials: Vec<S>) -> Self {
@@ -90,38 +78,17 @@ impl<S> Experiment<S> {
         }
     }
 
-    /// Adds one trial specification.
-    pub fn push(&mut self, spec: S) {
-        self.trials.push(spec);
-    }
-
-    /// Number of trials.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.trials.len()
-    }
-
-    /// Whether the experiment has no trials.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.trials.is_empty()
-    }
-
-    /// The derived seed for trial `index` — the same value the trial's
-    /// [`TrialCtx`] carries, exposed so callers can reproduce a single
-    /// trial without re-running the experiment.
-    #[must_use]
-    pub fn trial_seed(&self, index: usize) -> u64 {
+    /// The derived seed for trial `index` — the value its [`TrialCtx`]
+    /// carries.
+    fn trial_seed(&self, index: usize) -> u64 {
         stream_seed(self.master_seed, index as u64)
     }
 
     /// The context trial `index` runs under.
-    #[must_use]
-    pub fn trial_ctx(&self, index: usize) -> TrialCtx {
+    fn trial_ctx(&self, index: usize) -> TrialCtx {
         TrialCtx {
             index,
             seed: self.trial_seed(index),
-            master_seed: self.master_seed,
         }
     }
 
@@ -349,14 +316,6 @@ mod tests {
     }
 
     #[test]
-    fn contexts_carry_the_master_seed() {
-        let exp = Experiment::replications("ctx", 9, 2);
-        for ctx in exp.run_serial(|ctx, ()| ctx) {
-            assert_eq!(ctx.master_seed, 9);
-        }
-    }
-
-    #[test]
     fn serial_accepts_fnmut_bodies() {
         let exp = Experiment::replications("fold", 1, 5);
         let mut total = 0usize;
@@ -366,9 +325,7 @@ mod tests {
 
     #[test]
     fn empty_experiment_runs_to_empty() {
-        let exp: Experiment<u32> = Experiment::new("empty", 0);
-        assert!(exp.is_empty());
-        assert_eq!(exp.len(), 0);
+        let exp: Experiment<u32> = Experiment::with_trials("empty", 0, Vec::new());
         let out: Vec<u64> = exp.run(RunMode::Parallel, |ctx, _| ctx.seed);
         assert!(out.is_empty());
     }

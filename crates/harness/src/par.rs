@@ -1,6 +1,6 @@
 //! Order-preserving parallel map over `0..len` on scoped threads — the
 //! one fan-out primitive behind [`crate::RunMode::Parallel`], the
-//! analytic sweeps and the chunked Monte-Carlo estimators.
+//! analytic sweeps, the block-split enumerators and the convergence study.
 //!
 //! Workers claim indices one at a time from a shared counter (cells of a
 //! sweep differ in cost by orders of magnitude, so a static split would

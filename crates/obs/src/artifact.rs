@@ -1,4 +1,4 @@
-//! The one artifact writer, and the `drs-bench-observability/v2` artifact.
+//! The one artifact writer, and the `drs-bench-observability/v3` artifact.
 //!
 //! Every committed `BENCH_*.json` is laid out by [`write()`]: a schema tag,
 //! the master seed, and one top-level list with one item per line, built
@@ -27,7 +27,7 @@ use crate::hist::Histogram;
 use crate::jsonfmt::{push_f64, push_string};
 
 /// Schema tag written into every observability artifact.
-pub const SCHEMA: &str = "drs-bench-observability/v2";
+pub const SCHEMA: &str = "drs-bench-observability/v3";
 
 /// One field value in an artifact row.
 #[derive(Debug, Clone, PartialEq)]
@@ -326,7 +326,7 @@ impl ObsArtifact {
         self.sections.iter().find(|s| s.name == name)
     }
 
-    /// Serializes to the `drs-bench-observability/v2` schema —
+    /// Serializes to the `drs-bench-observability/v3` schema —
     /// byte-identical across runs, thread counts and machines for a
     /// fixed artifact.
     #[must_use]

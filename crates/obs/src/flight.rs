@@ -522,7 +522,7 @@ fn write_events(out: &mut Vec<u8>, log: &FlightLog) {
     }
 
     // Track names, kind labels and numbers are ASCII with nothing to
-    // escape, so nothing goes through `json_string`. Separator before each
+    // escape, so nothing goes through `push_string`. Separator before each
     // event line: none before the first.
     let mut sep: &[u8] = b"    ";
     tracks.for_each(|pid, tid| {
@@ -1377,7 +1377,7 @@ mod tests {
     }
 
     fn write_trace_events(out: &mut String, log: &FlightLog) -> std::fmt::Result {
-        use crate::jsonfmt::{json_string, push_f64};
+        use crate::jsonfmt::{push_f64, push_string};
         use std::fmt::Write as _;
 
         fn track_name(tid: u32) -> String {
@@ -1404,9 +1404,10 @@ mod tests {
                 write!(
                     out,
                     "{{\"name\": \"{meta}\", \"ph\": \"M\", \"pid\": {pid}, \"tid\": {tid}, \
-                     \"args\": {{\"name\": {}}}}}",
-                    json_string(&name)
+                     \"args\": {{\"name\": "
                 )?;
+                push_string(out, &name);
+                out.push_str("}}");
             }
         }
 

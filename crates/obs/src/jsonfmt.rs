@@ -16,17 +16,9 @@
 //! ([`crate::flight::to_perfetto`]) formats its timestamps by the same
 //! float rule.
 
-/// Canonical float formatting: integral values pinned to one decimal,
-/// non-finite values as `null`, everything else shortest-round-trip.
-#[must_use]
-pub fn json_f64(v: f64) -> String {
-    let mut out = String::new();
-    push_f64(&mut out, v);
-    out
-}
-
-/// [`json_f64`] appended to `out`, for writers with too many numbers to
-/// afford a `String` each.
+/// Canonical float formatting, appended to `out`: integral values pinned
+/// to one decimal, non-finite values as `null`, everything else
+/// shortest-round-trip.
 pub fn push_f64(out: &mut String, v: f64) {
     use std::fmt::Write as _;
     if !v.is_finite() {
@@ -39,15 +31,8 @@ pub fn push_f64(out: &mut String, v: f64) {
 }
 
 /// Minimal JSON string escaping for the identifiers and event details the
-/// artifacts carry (quotes, backslashes, and control characters).
-#[must_use]
-pub fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    push_string(&mut out, s);
-    out
-}
-
-/// [`json_string`] appended to `out`.
+/// artifacts carry (quotes, backslashes, and control characters),
+/// appended to `out` with its quotes.
 pub fn push_string(out: &mut String, s: &str) {
     use std::fmt::Write as _;
     out.push('"');
@@ -71,21 +56,33 @@ pub fn push_string(out: &mut String, s: &str) {
 mod tests {
     use super::*;
 
+    fn f64_token(v: f64) -> String {
+        let mut out = String::new();
+        push_f64(&mut out, v);
+        out
+    }
+
+    fn string_token(s: &str) -> String {
+        let mut out = String::new();
+        push_string(&mut out, s);
+        out
+    }
+
     #[test]
     fn floats_follow_house_rules() {
-        assert_eq!(json_f64(2.0), "2.0");
-        assert_eq!(json_f64(0.125), "0.125");
-        assert_eq!(json_f64(-0.0), "-0.0");
-        assert_eq!(json_f64(f64::NAN), "null");
-        assert_eq!(json_f64(f64::INFINITY), "null");
-        assert_eq!(json_f64(f64::NEG_INFINITY), "null");
+        assert_eq!(f64_token(2.0), "2.0");
+        assert_eq!(f64_token(0.125), "0.125");
+        assert_eq!(f64_token(-0.0), "-0.0");
+        assert_eq!(f64_token(f64::NAN), "null");
+        assert_eq!(f64_token(f64::INFINITY), "null");
+        assert_eq!(f64_token(f64::NEG_INFINITY), "null");
     }
 
     #[test]
     fn strings_are_escaped() {
-        assert_eq!(json_string("plain"), "\"plain\"");
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_string("\t\r"), "\"\\t\\r\"");
-        assert_eq!(json_string("\u{2}"), "\"\\u0002\"");
+        assert_eq!(string_token("plain"), "\"plain\"");
+        assert_eq!(string_token("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        assert_eq!(string_token("\t\r"), "\"\\t\\r\"");
+        assert_eq!(string_token("\u{2}"), "\"\\u0002\"");
     }
 }

@@ -5,7 +5,7 @@
 //! tree is a function of this module and nothing outside it.
 //!
 //! * [`mix64`] — the SplitMix64 output finalizer, the one mixer every
-//!   seed derivation goes through (`harness::seed`, per-chunk and
+//!   seed derivation goes through (`harness::seed`, per-cell and
 //!   per-host streams, the workload streams).
 //! * [`SplitMix64`] — the counter generator built on it: seed expansion
 //!   for [`Rng`], the workload layer's per-host streams, the live

@@ -48,18 +48,6 @@ pub struct AppStats {
 }
 
 impl AppStats {
-    /// Folds another statistics block into this one (exact: counters add,
-    /// histograms merge bucket-wise). Used to combine per-shard stats into
-    /// the cluster-wide view.
-    pub fn merge(&mut self, other: &AppStats) {
-        self.sent += other.sent;
-        self.delivered += other.delivered;
-        self.retransmits += other.retransmits;
-        self.gave_up += other.gave_up;
-        self.no_route += other.no_route;
-        self.latency.merge(&other.latency);
-    }
-
     /// Delivered fraction of sent messages (1.0 when nothing was sent).
     #[must_use]
     pub fn delivery_ratio(&self) -> f64 {

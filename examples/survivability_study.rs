@@ -33,7 +33,7 @@ fn main() {
     println!("  Equation 1 (closed form):       {exact:.6}");
     let brute = exhaustive_p_success(n as usize, f as usize);
     println!("  exhaustive enumeration:         {brute:.6}");
-    let mc = MonteCarlo::new(n as usize, f as usize, 42).estimate_parallel(2_000_000);
+    let mc = MonteCarlo::new(n as usize, f as usize, 42).estimate(2_000_000);
     println!(
         "  Monte Carlo (2M draws):         {:.6} ± {:.6}",
         mc.p_hat, mc.std_error

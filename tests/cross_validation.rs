@@ -32,7 +32,7 @@ fn closed_form_equals_enumeration_everywhere_feasible() {
 #[test]
 fn monte_carlo_converges_to_closed_form() {
     for &(n, f) in &[(10usize, 2usize), (20, 4), (40, 6), (63, 10)] {
-        let est = MonteCarlo::new(n, f, 7).estimate_parallel(500_000);
+        let est = MonteCarlo::new(n, f, 7).estimate(500_000);
         let exact = p_success(n as u64, f as u64);
         assert!(
             (est.p_hat - exact).abs() < 6.0 * est.std_error.max(5e-5),

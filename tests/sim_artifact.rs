@@ -82,3 +82,27 @@ fn artifact_traces_tell_a_complete_story() {
         }
     }
 }
+
+#[test]
+fn artifact_traces_cover_the_event_vocabulary() {
+    // The trace-event tallies live here, trial by trial: every kind the
+    // shootout or the e2e grid is known to produce must appear.
+    use drs::harness::TraceEventKind as K;
+    let seen: Vec<K> = ARTIFACT
+        .experiments
+        .iter()
+        .flat_map(|exp| &exp.trials)
+        .flat_map(|t| &t.events)
+        .map(|e| e.kind)
+        .collect();
+    for kind in [
+        K::FaultInjected,
+        K::LinkDown,
+        K::RouteChanged,
+        K::DiscoveryStarted,
+        K::FlowDelivered,
+        K::FlowGaveUp,
+    ] {
+        assert!(seen.contains(&kind), "no {} event committed", kind.label());
+    }
+}

@@ -45,11 +45,11 @@ fn committed_knet_artifact_still_carries_the_pinned_counts() {
         .committed()
         .expect("committed file");
     for &(k, n, f, successes, total) in &KNET_CELLS {
-        let row = format!(
-            "\"k\": {k}, \"n\": {n}, \"f\": {f}, \"p_exact\": {}, \
-             \"successes\": \"{successes}\", \"total\": \"{total}\"",
-            drs::obs::jsonfmt::json_f64(successes as f64 / total as f64),
-        );
+        let mut row = format!("\"k\": {k}, \"n\": {n}, \"f\": {f}, \"p_exact\": ");
+        drs::obs::jsonfmt::push_f64(&mut row, successes as f64 / total as f64);
+        row.push_str(&format!(
+            ", \"successes\": \"{successes}\", \"total\": \"{total}\""
+        ));
         assert!(
             json.contains(&row),
             "K={k} n={n} f={f}: committed knet artifact lost its pinned row"
