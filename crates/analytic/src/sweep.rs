@@ -228,7 +228,7 @@ impl SweepResult {
                 ]
             })
             .collect();
-        write("drs-bench-survivability/v1", self.seed, "cells", cells)
+        write("drs-bench-survivability/v1", self.seed, [("cells", cells)])
     }
 }
 

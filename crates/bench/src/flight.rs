@@ -25,7 +25,7 @@
 use drs_core::{DrsConfig, DrsDaemon, ProbeObs};
 use drs_harness::coord_seed;
 use drs_obs::causal::{build_post_mortems, PostMortemReport};
-use drs_obs::flight::{to_perfetto, FlightLog, TraceKind};
+use drs_obs::flight::{perfetto_len, FlightLog, TraceKind};
 use drs_obs::{Histogram, ObsArtifact, Row, Section};
 use drs_sim::{ClusterSpec, FaultPlan, NetId, SimComponent, SimDuration, SimTime, World};
 
@@ -281,7 +281,7 @@ pub fn flight_bench_artifact() -> ObsArtifact {
                 .count("planes", u64::from(cell.planes))
                 .count("records", cell_run.log.records.len() as u64)
                 .count("dropped", cell_run.log.dropped)
-                .count("perfetto_bytes", to_perfetto(&cell_run.log).len() as u64)
+                .count("perfetto_bytes", perfetto_len(&cell_run.log) as u64)
                 .count("probe_send", k(TraceKind::ProbeSend))
                 .count("probe_recv", k(TraceKind::ProbeRecv))
                 .count("probe_loss", k(TraceKind::ProbeLoss))

@@ -19,7 +19,7 @@ use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
 use drs_obs::artifact::{write, Field};
 
-use crate::trial::{run_trial, Trial};
+use crate::trial::{Trial, TrialBases};
 
 /// Schema tag written into every K-plane sweep artifact.
 pub const SCHEMA: &str = "drs-bench-knet-survivability/v1";
@@ -101,7 +101,7 @@ impl KnetArtifact {
                 ]
             })
             .collect();
-        write(SCHEMA, self.seed, "cells", cells)
+        write(SCHEMA, self.seed, [("cells", cells)])
     }
 }
 
@@ -113,10 +113,12 @@ pub fn knet_cell_seed(master: u64, planes: u8, n: usize, f: usize) -> u64 {
     coord_seed(stream_seed(master, u64::from(planes)), n as u64, f as u64)
 }
 
-/// Runs one `(K, n, f)` cell's simulation trials under `master_seed`;
-/// trial order is stable across run modes.
+/// Runs one `(K, n, f)` cell's simulation trials under `master_seed`,
+/// each on a fork of the `(n, K)` base in `bases`; trial order is stable
+/// across run modes.
 #[must_use]
 pub fn run_cell(
+    bases: &mut TrialBases,
     n: usize,
     planes: u8,
     f: usize,
@@ -125,7 +127,8 @@ pub fn run_cell(
     mode: RunMode,
 ) -> Vec<Trial> {
     let exp = Experiment::replications(&format!("knet/k{planes}_n{n}_f{f}"), master_seed, trials);
-    exp.run(mode, |ctx, ()| run_trial(n, planes, f, ctx.seed))
+    let base = bases.get(n, planes);
+    exp.run(mode, |ctx, ()| base.run(f, ctx.seed))
 }
 
 /// Folds one cell: exact enumeration over the generalized universe plus
@@ -160,10 +163,11 @@ pub fn cell_result(
 #[must_use]
 pub fn bench_artifact(master_seed: u64, mode: RunMode) -> KnetArtifact {
     let mut cells = Vec::with_capacity(KNET_PLANES.len() * KNET_GRID.len());
+    let mut bases = TrialBases::default();
     for &planes in &KNET_PLANES {
         for &(n, f) in &KNET_GRID {
             let seed = knet_cell_seed(master_seed, planes, n, f);
-            let rows = run_cell(n, planes, f, KNET_TRIALS_PER_CELL, seed, mode);
+            let rows = run_cell(&mut bases, n, planes, f, KNET_TRIALS_PER_CELL, seed, mode);
             cells.push(cell_result(n, planes, f, seed, &rows));
         }
     }
@@ -176,10 +180,19 @@ pub fn bench_artifact(master_seed: u64, mode: RunMode) -> KnetArtifact {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::trial::run_trial;
 
     #[test]
     fn three_plane_trials_agree_with_the_predicate() {
-        let rows = run_cell(5, 3, 2, 6, 42, RunMode::Parallel);
+        let rows = run_cell(
+            &mut TrialBases::default(),
+            5,
+            3,
+            2,
+            6,
+            42,
+            RunMode::Parallel,
+        );
         assert_eq!(rows.len(), 6);
         for t in &rows {
             assert!(t.agrees(), "seed {} disagreed: {t:?}", t.seed);
@@ -188,8 +201,9 @@ mod tests {
 
     #[test]
     fn cell_runs_are_mode_independent() {
-        let serial = run_cell(5, 3, 2, 4, 7, RunMode::Serial);
-        let parallel = run_cell(5, 3, 2, 4, 7, RunMode::Parallel);
+        let mut bases = TrialBases::default();
+        let serial = run_cell(&mut bases, 5, 3, 2, 4, 7, RunMode::Serial);
+        let parallel = run_cell(&mut bases, 5, 3, 2, 4, 7, RunMode::Parallel);
         assert_eq!(serial, parallel);
     }
 

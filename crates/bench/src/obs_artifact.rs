@@ -1,20 +1,10 @@
 //! The committed observability benchmark: builds the
 //! `BENCH_observability.json` artifact ([`drs_obs::SCHEMA`]).
 //!
-//! Four sections, all regenerated from the same draw-free paths as the
+//! Two sections, both regenerated from the same draw-free paths as the
 //! other committed artifacts and therefore byte-reproducible on any
 //! machine, any thread count:
 //!
-//! * **`failover_latency`** — the protocol shootout re-run with the
-//!   instrumentation harvested: per-protocol delivered-latency
-//!   histograms merged across the three standard failure scenarios.
-//!   Static routing delivers nothing in these scenarios, so its row is
-//!   the committed regression for the "no samples ≠ 0 ns" rule: count 0
-//!   and `null` quantiles.
-//! * **`drs_probe_path`** — the DRS daemon's probe-path histograms
-//!   (probe gap, probe RTT, failover detection, reroute completion)
-//!   merged across every host of every DRS shootout trial, plus the
-//!   probe bytes those hosts originated.
 //! * **`probe_overhead`** — healthy `n`-host clusters probing at the
 //!   fastest sweep period Figure 1's cost model allows for each
 //!   bandwidth budget, with measured per-segment probe bytes checked
@@ -27,23 +17,22 @@
 //!   less time and the exact shortfall ledger shrinks — the section
 //!   pins that ordering cell-for-cell.
 //!
-//! Trace events are not tallied here: `BENCH_sim_survivability.json`
-//! commits every one of them, trial by trial.
+//! The shootout's histograms (`failover_latency`, `drs_probe_path`) and
+//! its trace events are committed with its trials, in
+//! `BENCH_sim_survivability.json`.
 //!
 //! Wall-clock is deliberately absent here: `benchmark/run.sh` times the
 //! same runs from outside, and its nondeterministic numbers go to its
 //! own report, never into this committed file.
 
 use drs_analytic::cost::ProbeCostModel;
-use drs_baselines::compare::ProtocolLabel;
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_harness::{coord_seed, RunMode};
-use drs_obs::{Histogram, ObsArtifact, Row, Section};
+use drs_obs::{ObsArtifact, Row, Section};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration};
 
-use crate::sim_artifact::bench_shootout;
 use crate::BENCH_SEED;
 
 /// Cluster sizes of the probe-overhead grid.
@@ -56,50 +45,12 @@ pub const OBS_OVERHEAD_BUDGETS_PCT: [u64; 4] = [5, 10, 15, 25];
 /// Measured sweeps per probe-overhead cell (after a two-period warmup).
 pub const OBS_OVERHEAD_SWEEPS: u64 = 8;
 
-/// Builds the full observability artifact under `mode`.
-///
-/// [`RunMode::Serial`] and [`RunMode::Parallel`] produce identical
-/// artifacts; `regen` asserts this on every run before writing the file.
+/// Builds the full observability artifact. Nothing in it fans out
+/// through the harness, so `_mode` changes no byte; the parameter stays
+/// for the callers that pass one (`benchmark/` among them).
 #[must_use]
-pub fn obs_bench_artifact(mode: RunMode) -> ObsArtifact {
+pub fn obs_bench_artifact(_mode: RunMode) -> ObsArtifact {
     let mut artifact = ObsArtifact::new(BENCH_SEED);
-
-    // The instrumented shootout: same scenarios, seeds and configs as
-    // the `BENCH_sim_survivability.json` shootout, so the latency
-    // histograms here describe exactly the trials committed there.
-    let rows = bench_shootout(mode);
-
-    let mut failover = Section::new("failover_latency");
-    for label in ProtocolLabel::ALL {
-        let mut delivered = 0;
-        let mut latency = Histogram::new();
-        for row in rows.iter().filter(|r| r.label == label) {
-            delivered += row.result.delivered;
-            latency.merge(&row.result.latency);
-        }
-        failover.push(
-            Row::new(label.key())
-                .count("delivered", delivered)
-                .hist(&latency),
-        );
-    }
-    artifact.push(failover);
-
-    let mut drs_obs = drs_core::ProbeObs::default();
-    for row in rows.iter().filter(|r| r.label == ProtocolLabel::Drs) {
-        drs_obs.merge(&row.probe_obs);
-    }
-    let mut probe_path = Section::new("drs_probe_path");
-    for (id, h) in [
-        ("probe_gap", &drs_obs.probe_gap),
-        ("probe_rtt", &drs_obs.probe_rtt),
-        ("failover_detect", &drs_obs.failover_detect),
-        ("reroute_complete", &drs_obs.reroute_complete),
-    ] {
-        probe_path.push(Row::new(id).hist(h));
-    }
-    probe_path.push(Row::new("probe_bytes").count("bytes", drs_obs.probe_bytes));
-    artifact.push(probe_path);
 
     artifact.push(probe_overhead_section());
     artifact.push(goodput_under_failover_section());

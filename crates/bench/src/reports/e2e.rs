@@ -13,6 +13,7 @@ use drs_harness::{coord_seed, RunMode};
 
 use super::Check;
 use crate::e2e::{run_cell, E2E_GRID};
+use crate::trial::TrialBases;
 use crate::{fmt_p, section, BENCH_SEED};
 
 /// Trials per `(n, f)` configuration.
@@ -25,9 +26,10 @@ pub(super) fn run() -> Vec<Check> {
     section("agreement per configuration");
     println!("   n   f   P[S] exact   DES rate   predicate rate   per-trial mismatches");
     let mut total_mismatches = 0u64;
+    let mut bases = TrialBases::default();
     for &(n, f) in &E2E_GRID {
         let master = coord_seed(BENCH_SEED, n as u64, f as u64);
-        let rows = run_cell(n, f, TRIALS, master, RunMode::Parallel);
+        let rows = run_cell(&mut bases, n, f, TRIALS, master, RunMode::Parallel);
         let des_ok = rows.iter().filter(|t| t.delivered).count();
         let pred_ok = rows.iter().filter(|t| t.predicted).count();
         let mismatches = rows.iter().filter(|t| !t.agrees()).count() as u64;

@@ -37,7 +37,7 @@ use drs_sim::world::{Ctx, Protocol, World};
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
 use drs_topology::{generators, pair_connected, ComponentSet, Reachability, Topology};
 
-use crate::trial::{run_trial, unrank_for_seed, Trial};
+use crate::trial::{unrank_for_seed, Trial, TrialBases};
 
 /// Schema tag written into every topology-zoo artifact.
 pub const SCHEMA: &str = "drs-bench-topology/v2";
@@ -190,7 +190,7 @@ impl ZooArtifact {
                 ]
             })
             .collect();
-        write(SCHEMA, self.seed, "cells", cells)
+        write(SCHEMA, self.seed, [("cells", cells)])
     }
 }
 
@@ -287,10 +287,11 @@ pub fn run_flood_trial(topo: &Topology, f: usize, seed: u64) -> Trial {
 
 /// Runs one cell's simulation trials under `master_seed`; trial order is
 /// stable across run modes. K-plane entries go through the DRS-daemon
-/// cluster ([`crate::trial::run_trial`]); zoo entries flood the graph
-/// world.
+/// cluster ([`crate::trial::run_trial`]), forked from its base in
+/// `bases`; zoo entries flood the graph world.
 #[must_use]
 pub fn run_cell(
+    bases: &mut TrialBases,
     entry: &ZooEntry,
     f: usize,
     trials: usize,
@@ -299,7 +300,10 @@ pub fn run_cell(
 ) -> Vec<Trial> {
     let exp = Experiment::replications(&format!("zoo/{}_f{f}", entry.label()), master_seed, trials);
     match entry.kplane {
-        Some((n, planes)) => exp.run(mode, |ctx, ()| run_trial(n, planes, f, ctx.seed)),
+        Some((n, planes)) => {
+            let base = bases.get(n, planes);
+            exp.run(mode, |ctx, ()| base.run(f, ctx.seed))
+        }
         None => exp.run(mode, |ctx, ()| run_flood_trial(&entry.topo, f, ctx.seed)),
     }
 }
@@ -363,10 +367,11 @@ pub fn cell_result(entry: &ZooEntry, f: usize, master_seed: u64, rows: &[Trial])
 pub fn bench_artifact(master_seed: u64, mode: RunMode) -> ZooArtifact {
     let entries = zoo();
     let mut cells = Vec::with_capacity(entries.len() * ZOO_FAILURES.len());
+    let mut bases = TrialBases::default();
     for (i, entry) in entries.iter().enumerate() {
         for &f in &ZOO_FAILURES {
             let seed = zoo_cell_seed(master_seed, i, entry.topo.component_count(), f);
-            let rows = run_cell(entry, f, ZOO_TRIALS_PER_CELL, seed, mode);
+            let rows = run_cell(&mut bases, entry, f, ZOO_TRIALS_PER_CELL, seed, mode);
             cells.push(cell_result(entry, f, seed, &rows));
         }
     }
@@ -418,8 +423,9 @@ mod tests {
             topo: generators::dcell(4, 1),
             kplane: None,
         };
-        let serial = run_cell(&entry, 2, 4, 7, RunMode::Serial);
-        let parallel = run_cell(&entry, 2, 4, 7, RunMode::Parallel);
+        let mut bases = TrialBases::default();
+        let serial = run_cell(&mut bases, &entry, 2, 4, 7, RunMode::Serial);
+        let parallel = run_cell(&mut bases, &entry, 2, 4, 7, RunMode::Parallel);
         assert_eq!(serial, parallel);
     }
 

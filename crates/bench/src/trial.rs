@@ -10,7 +10,9 @@
 //! the pair is connected. Because neither the failure-set choice nor the
 //! simulation consumes a random stream, trials are reproducible by
 //! arithmetic alone — which is what lets them into the committed
-//! artifacts.
+//! artifacts. It is also why the grids simulate the healthy prefix once:
+//! a [`TrialBase`] converges one cluster per `(n, K)`, and each trial
+//! runs on a fork of it ([`TrialBase::run`]).
 //!
 //! # Timeline
 //!
@@ -81,6 +83,23 @@ const FAULT_AT: SimTime = SimTime(1_000_000_000);
 /// several probe cycles and discovery rounds — past the fault.
 const SEND_AT: SimTime = SimTime(6_000_000_000);
 
+/// The probe cycle of every trial's daemons.
+const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// Where a [`TrialBase`] stops and its trials fork: one probe interval
+/// before [`FAULT_AT`], less a nanosecond.
+///
+/// An unforked trial ([`run_trial`]) schedules its faults at time zero,
+/// so they carry lower sequence numbers than anything the run queues and
+/// pop first among the events at [`FAULT_AT`]. A forked trial schedules
+/// them here; they still pop first only if nothing due at [`FAULT_AT`]
+/// is queued yet. The longest delay a healthy cluster schedules anything
+/// at is a probe timer's re-arm, one interval, so nothing dispatched up
+/// to this instant lands at [`FAULT_AT`]. The fork oracle in this
+/// module's tests checks every committed grid trial against
+/// [`run_trial`].
+const FORK_AT: SimTime = SimTime(FAULT_AT.0 - PROBE_INTERVAL.as_nanos() - 1);
+
 /// A fast transport (100 ms initial RTO) so each trial resolves in
 /// seconds of virtual time; the outcome only depends on connectivity.
 const TRANSPORT: TransportConfig = TransportConfig {
@@ -97,10 +116,26 @@ fn flow_budget() -> SimDuration {
     TRANSPORT.max_flow_lifetime() + SimDuration::from_secs(1)
 }
 
+/// A healthy `n`-host, `planes`-plane trial cluster under `seed`, at
+/// time zero.
+fn cluster(n: usize, planes: u8, seed: u64) -> World<DrsDaemon> {
+    let cfg = DrsConfig::default()
+        .probe_timeout(SimDuration::from_millis(50))
+        .probe_interval(PROBE_INTERVAL);
+    let spec = ClusterSpec::new(n)
+        .seed(seed)
+        .planes(planes)
+        .transport(TRANSPORT);
+    World::new(spec, |id| DrsDaemon::new(id, n, cfg))
+}
+
 /// Runs one trial on an `n`-host, `planes`-plane DRS cluster: unrank the
 /// failure set over the `K·N + K` component universe, predict
 /// connectivity of the pair `0 -> 1` analytically, then replay it against
 /// live daemons.
+///
+/// This is the reference the grids' forked trials ([`TrialBase::run`])
+/// are checked against: it simulates the healthy prefix itself.
 ///
 /// # Panics
 /// Panics, naming the trial, if the flow has no outcome when its budget
@@ -108,32 +143,79 @@ fn flow_budget() -> SimDuration {
 /// lifetime, so that is a simulator bug, never a give-up.
 #[must_use]
 pub fn run_trial(n: usize, planes: u8, f: usize, seed: u64) -> Trial {
-    run_trial_within(n, planes, f, seed, flow_budget()).0
+    finish(cluster(n, planes, seed), planes, f, seed, flow_budget()).0
 }
 
-/// [`run_trial`] with the time the flow is given to resolve after
-/// [`SEND_AT`] as a parameter. Returns, next to the trial, what the pins
-/// in this module's tests read: the instant the simulation stopped at
-/// and the timer-wheel pops of the whole run.
-fn run_trial_within(
-    n: usize,
+/// A trial cluster converged to 0.8 s − 1 ns, one probe interval before
+/// its faults strike: the healthy, draw-free prefix every trial of one
+/// `(n, K)` shares, simulated once. A trial
+/// forks it ([`drs_sim::world::World::fork`]) and injects its own
+/// failure set on the fork.
+///
+/// The base runs under cluster seed 0 whatever the trial's seed: a trial
+/// draws no random number (pinned by this module's tests), so the seed
+/// reaches nothing a trial reports.
+pub struct TrialBase {
+    planes: u8,
+    world: World<DrsDaemon>,
+}
+
+impl TrialBase {
+    /// Simulates the healthy `n`-host, `planes`-plane cluster to the fork
+    /// instant.
+    #[must_use]
+    pub fn converge(n: usize, planes: u8) -> Self {
+        let mut world = cluster(n, planes, 0);
+        world.run_until(FORK_AT);
+        TrialBase { planes, world }
+    }
+
+    /// [`run_trial`] on a fork of the converged cluster: the same
+    /// [`Trial`] and the same timer-wheel pops.
+    ///
+    /// # Panics
+    /// As [`run_trial`].
+    #[must_use]
+    pub fn run(&self, f: usize, seed: u64) -> Trial {
+        finish(self.world.fork(), self.planes, f, seed, flow_budget()).0
+    }
+}
+
+/// The converged [`TrialBase`] of every `(n, K)` an artifact build has
+/// asked for, each built on first use and shared by all its cells.
+#[derive(Default)]
+pub struct TrialBases(Vec<TrialBase>);
+
+impl TrialBases {
+    /// The base of the `n`-host, `planes`-plane cluster.
+    pub fn get(&mut self, n: usize, planes: u8) -> &TrialBase {
+        let found = self
+            .0
+            .iter()
+            .position(|b| (b.world.spec().n, b.planes) == (n, planes));
+        let i = found.unwrap_or_else(|| {
+            self.0.push(TrialBase::converge(n, planes));
+            self.0.len() - 1
+        });
+        &self.0[i]
+    }
+}
+
+/// The trial from `world` (a cluster at or before [`FORK_AT`]) on: the
+/// failure set goes in, the message is sent at [`SEND_AT`], and the run
+/// stops where the flow resolves or, a panic, `budget` after the send.
+/// Returns the world as it stopped, for the pins in this module's tests.
+fn finish(
+    mut world: World<DrsDaemon>,
     planes: u8,
     f: usize,
     seed: u64,
     budget: SimDuration,
-) -> (Trial, SimTime, u64) {
+) -> (Trial, World<DrsDaemon>) {
+    let n = world.spec().n;
     let k = usize::from(planes);
     let failures = ComponentSet::from_indices(&unrank_for_seed(k * n + k, f, seed));
     let predicted = pair_connected_k(n, planes, &failures, 0, 1);
-
-    let cfg = DrsConfig::default()
-        .probe_timeout(SimDuration::from_millis(50))
-        .probe_interval(SimDuration::from_millis(200));
-    let spec = ClusterSpec::new(n)
-        .seed(seed)
-        .planes(planes)
-        .transport(TRANSPORT);
-    let mut world = World::new(spec, |id| DrsDaemon::new(id, n, cfg));
 
     let mut events = Vec::new();
     let mut plan = FaultPlan::new();
@@ -183,12 +265,18 @@ fn run_trial_within(
         delivered,
         events,
     };
-    (trial, stopped_at, world.kernel_stats().wheel.pops)
+    (trial, world)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::e2e::E2E_GRID;
+    use crate::knet::{knet_cell_seed, KNET_GRID, KNET_PLANES, KNET_TRIALS_PER_CELL};
+    use crate::sim_artifact::E2E_TRIALS_PER_CELL;
+    use crate::topology_zoo::{zoo, zoo_cell_seed, ZOO_FAILURES, ZOO_TRIALS_PER_CELL};
+    use crate::BENCH_SEED;
+    use drs_harness::{coord_seed, stream_seed};
 
     #[test]
     fn unranked_sets_are_deterministic_sized_and_in_range() {
@@ -222,6 +310,18 @@ mod tests {
             .all(|e| e.kind == TraceEventKind::FaultInjected));
     }
 
+    /// [`run_trial`] with the flow's budget as a parameter, returning the
+    /// world as it stopped.
+    fn run_trial_within(
+        n: usize,
+        planes: u8,
+        f: usize,
+        seed: u64,
+        budget: SimDuration,
+    ) -> (Trial, World<DrsDaemon>) {
+        finish(cluster(n, planes, seed), planes, f, seed, budget)
+    }
+
     /// `drs_sim`'s settle stride (private there): how far past the
     /// flow's resolution `run_until_settled` may stop.
     const ONE_STRIDE: SimDuration = SimDuration::from_millis(20);
@@ -238,9 +338,10 @@ mod tests {
     #[test]
     fn a_delivered_trial_costs_six_seconds_of_probing_not_twenty_six() {
         let (n, planes) = (16u64, 2u64);
-        let (trial, stopped_at, pops) = run_trial_within(16, 2, 2, 1, flow_budget());
+        let (trial, world) = run_trial_within(16, 2, 2, 1, flow_budget());
+        let (stopped_at, pops) = (world.now(), world.kernel_stats().wheel.pops);
         assert!(trial.predicted && trial.delivered, "{trial:?}");
-        let probe_interval = SimDuration::from_millis(200).as_nanos();
+        let probe_interval = PROBE_INTERVAL.as_nanos();
         let cycles = (SEND_AT + ONE_STRIDE).0.div_ceil(probe_interval);
         let bound = cycles * 4 * planes * n * (n - 1);
         assert!(
@@ -258,7 +359,8 @@ mod tests {
     /// transport's retry lifetime and not the margin on top of it.
     #[test]
     fn an_undelivered_trial_stops_where_the_transport_gives_up() {
-        let (trial, stopped_at, _) = run_trial_within(16, 2, 2, 0, flow_budget());
+        let (trial, world) = run_trial_within(16, 2, 2, 0, flow_budget());
+        let stopped_at = world.now();
         assert!(!trial.predicted && !trial.delivered, "{trial:?}");
         let gave_up_at = SEND_AT + TRANSPORT.max_flow_lifetime();
         assert!(
@@ -278,5 +380,130 @@ mod tests {
     )]
     fn a_pending_flow_is_an_error_not_a_give_up() {
         let _ = run_trial_within(16, 2, 2, 0, SimDuration::from_secs(1));
+    }
+
+    /// Every trial of the committed grids as `(n, K, f, seed)`: the e2e
+    /// grid, the K-plane sweep and the zoo's K-plane rows, with the cell
+    /// and trial seeds their artifact builders derive.
+    fn committed_grid_trials() -> Vec<(usize, u8, usize, u64)> {
+        let mut cells = Vec::new();
+        for (n, f) in E2E_GRID {
+            let master = coord_seed(BENCH_SEED, n as u64, f as u64);
+            cells.push((n, 2, f, master, E2E_TRIALS_PER_CELL));
+        }
+        for planes in KNET_PLANES {
+            for (n, f) in KNET_GRID {
+                let master = knet_cell_seed(BENCH_SEED, planes, n, f);
+                cells.push((n, planes, f, master, KNET_TRIALS_PER_CELL));
+            }
+        }
+        for (i, entry) in zoo().iter().enumerate() {
+            let Some((n, planes)) = entry.kplane else {
+                continue;
+            };
+            for f in ZOO_FAILURES {
+                let master = zoo_cell_seed(BENCH_SEED, i, entry.topo.component_count(), f);
+                cells.push((n, planes, f, master, ZOO_TRIALS_PER_CELL));
+            }
+        }
+        cells
+            .into_iter()
+            .flat_map(|(n, planes, f, master, trials)| {
+                (0..trials as u64).map(move |t| (n, planes, f, stream_seed(master, t)))
+            })
+            .collect()
+    }
+
+    /// A trial draws no random number: after a whole trial every host's
+    /// stream is still where a freshly built cluster's is. This is what
+    /// lets [`TrialBase`] converge under one seed for every trial. One
+    /// trial per committed grid: the e2e grid's largest cell, the K-plane
+    /// sweep at K = 2, 3 and 4, and a zoo K-plane row.
+    #[test]
+    fn a_trial_draws_no_random_number() {
+        struct Idle;
+        impl drs_sim::world::Protocol for Idle {
+            type Msg = ();
+        }
+        let trials = committed_grid_trials();
+        let first = |n: usize, planes: u8, f: usize| {
+            *trials
+                .iter()
+                .find(|t| (t.0, t.1, t.2) == (n, planes, f))
+                .expect("a committed cell")
+        };
+        for (n, planes, f, seed) in [
+            first(12, 2, 5),
+            first(6, 2, 3),
+            first(6, 3, 3),
+            first(6, 4, 3),
+            first(16, 3, 4),
+        ] {
+            let (trial, world) = run_trial_within(n, planes, f, seed, flow_budget());
+            let fresh = World::new(*world.spec(), |_| Idle);
+            for i in 0..n as u32 {
+                assert!(
+                    world.rng(NodeId(i)) == fresh.rng(NodeId(i)),
+                    "trial (n = {n}, planes = {planes}, f = {f}, seed = {seed}) drew \
+                     on host {i}: {trial:?}"
+                );
+            }
+        }
+    }
+
+    /// The fork oracle: every committed grid trial, run on a fork of its
+    /// `(n, K)` base, ends in the same [`Trial`] after the same
+    /// timer-wheel pops as the unforked [`run_trial`], having dispatched
+    /// the same events in the same order. Sequence numbers are left out
+    /// of the comparison: the unforked run numbers its faults at time
+    /// zero, the fork at [`FORK_AT`].
+    #[test]
+    fn every_committed_grid_trial_forks_to_the_unforked_result() {
+        let trials = committed_grid_trials();
+        assert_eq!(trials.len(), 80 + 108 + 48);
+        let logged = |mut world: World<DrsDaemon>| {
+            world.enable_event_log();
+            world
+        };
+        let events = |world: &World<DrsDaemon>| -> Vec<_> {
+            let log = world.event_log().expect("logging on");
+            log.iter()
+                .map(|e| (e.at, e.tag, e.node, e.net, e.aux))
+                .collect()
+        };
+        let mut bases: Vec<TrialBase> = Vec::new();
+        for (n, planes, f, seed) in trials {
+            let i = bases
+                .iter()
+                .position(|b| (b.world.spec().n, b.planes) == (n, planes))
+                .unwrap_or_else(|| {
+                    let mut world = logged(cluster(n, planes, 0));
+                    world.run_until(FORK_AT);
+                    bases.push(TrialBase { planes, world });
+                    bases.len() - 1
+                });
+            let forked = finish(bases[i].world.fork(), planes, f, seed, flow_budget());
+            let straight = finish(
+                logged(cluster(n, planes, seed)),
+                planes,
+                f,
+                seed,
+                flow_budget(),
+            );
+            let ctx = format!("trial (n = {n}, planes = {planes}, f = {f}, seed = {seed})");
+            assert_eq!(forked.0, straight.0, "{ctx}");
+            assert_eq!(
+                forked.1.kernel_stats().wheel.pops,
+                straight.1.kernel_stats().wheel.pops,
+                "{ctx}"
+            );
+            assert!(
+                events(&forked.1) == events(&straight.1),
+                "{ctx}: the schedules differ"
+            );
+        }
+        // e2e n ∈ {6, 8, 10, 12}; the K-plane sweep's five others (its
+        // (6, 2) is e2e's); the zoo's (16, 2) and (16, 3).
+        assert_eq!(bases.len(), 4 + 5 + 2);
     }
 }

@@ -11,11 +11,12 @@
 //! and results are collected back in trial order.
 //!
 //! A completed experiment is an [`ExperimentRecord`] of [`TrialRecord`]s;
-//! [`SimArtifact`] collects them into the versioned
-//! `drs-bench-sim-survivability/v1` JSON artifact ([`SCHEMA`]), laid out
-//! by the one artifact writer, [`drs_obs::artifact::write`].
+//! [`SimArtifact`] collects them, with any sections of rows that
+//! summarise them, into the versioned `drs-bench-sim-survivability/v2`
+//! JSON artifact ([`SCHEMA`]), laid out by the one artifact writer,
+//! [`drs_obs::artifact::write`].
 
-use drs_obs::artifact::{write, Field, FieldValue};
+use drs_obs::artifact::{section_items, write, Field, FieldValue, Section};
 
 use crate::events::TraceEvent;
 use crate::par;
@@ -147,7 +148,7 @@ impl<S> Experiment<S> {
 }
 
 /// Schema tag written into every simulation artifact.
-pub const SCHEMA: &str = "drs-bench-sim-survivability/v1";
+pub const SCHEMA: &str = "drs-bench-sim-survivability/v2";
 
 /// The artifact row for one completed trial.
 #[derive(Debug, Clone, PartialEq)]
@@ -214,28 +215,43 @@ pub struct ExperimentRecord {
     pub trials: Vec<TrialRecord>,
 }
 
-/// The whole artifact: every experiment of one benchmark run.
+/// The whole artifact: every experiment of one benchmark run, and
+/// sections of rows summarising them.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SimArtifact {
     /// The benchmark master seed the experiments derived theirs from.
     pub seed: u64,
     /// Experiment records, in run order.
     pub experiments: Vec<ExperimentRecord>,
+    /// Summaries across trials (e.g. merged histograms), in push order.
+    pub sections: Vec<Section>,
 }
 
 impl SimArtifact {
-    /// An artifact with no experiments yet.
+    /// An artifact with no experiments or sections yet.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         SimArtifact {
             seed,
             experiments: Vec::new(),
+            sections: Vec::new(),
         }
     }
 
     /// Appends one experiment record.
     pub fn push(&mut self, record: ExperimentRecord) {
         self.experiments.push(record);
+    }
+
+    /// Appends one section.
+    pub fn push_section(&mut self, section: Section) {
+        self.sections.push(section);
+    }
+
+    /// The first section with this name, if any.
+    #[must_use]
+    pub fn section(&self, name: &str) -> Option<&Section> {
+        self.sections.iter().find(|s| s.name == name)
     }
 
     /// The first experiment with this name, if any.
@@ -246,7 +262,8 @@ impl SimArtifact {
 
     /// Serializes to the [`SCHEMA`] layout: each experiment's `name`,
     /// `master_seed` and one `trials` row per line, each row an `id`, a
-    /// `seed`, a `metrics` object and an `events` list — byte-identical
+    /// `seed`, a `metrics` object and an `events` list; then the
+    /// `sections`, as in the observability artifact — byte-identical
     /// across runs, thread counts and machines for a fixed artifact.
     #[must_use]
     pub fn to_json(&self) -> String {
@@ -262,7 +279,14 @@ impl SimArtifact {
                 ]
             })
             .collect();
-        write(SCHEMA, self.seed, "experiments", experiments)
+        write(
+            SCHEMA,
+            self.seed,
+            [
+                ("experiments", experiments),
+                ("sections", section_items(&self.sections)),
+            ],
+        )
     }
 }
 

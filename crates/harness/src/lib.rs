@@ -9,7 +9,7 @@
 //! bit-identical to the serial path. Trials record structured
 //! [`events::TraceEvent`] logs and named metrics ([`drs_obs::Field`]s)
 //! into [`TrialRecord`]s, which [`SimArtifact`] writes as the versioned
-//! `drs-bench-sim-survivability/v1` JSON artifact ([`SCHEMA`]) through the
+//! `drs-bench-sim-survivability/v2` JSON artifact ([`SCHEMA`]) through the
 //! one artifact writer, [`drs_obs::artifact::write`] — the
 //! simulation-side sibling of `BENCH_survivability.json`.
 //!

@@ -1,14 +1,15 @@
-//! The one artifact writer, and the `drs-bench-observability/v3` artifact.
+//! The one artifact writer, and the `drs-bench-observability/v4` artifact.
 //!
 //! Every committed `BENCH_*.json` is laid out by [`write()`]: a schema tag,
-//! the master seed, and one top-level list with one item per line, built
-//! from one value type ([`FieldValue`]). The files use three shapes of
-//! item, all written by the same rule:
+//! the master seed, and one or more top-level lists with one item per
+//! line, built from one value type ([`FieldValue`]). The files use three
+//! shapes of item, all written by the same rule:
 //!
 //! * flat `cells` rows — the analytic sweep, the K-plane and topology
 //!   sweeps: one inline object per line;
-//! * named `sections` of `{"id", "fields"}` rows — [`ObsArtifact`], also
-//!   behind the kernel, flight and workload artifacts;
+//! * named `sections` of `{"id", "fields"}` rows ([`section_items`]) —
+//!   [`ObsArtifact`], also behind the kernel, flight and workload
+//!   artifacts, and the simulation artifact's second list;
 //! * named `experiments` whose trial rows nest a `metrics` object and an
 //!   `events` list — the harness's simulation artifact.
 //!
@@ -27,7 +28,7 @@ use crate::hist::Histogram;
 use crate::jsonfmt::{push_f64, push_string};
 
 /// Schema tag written into every observability artifact.
-pub const SCHEMA: &str = "drs-bench-observability/v3";
+pub const SCHEMA: &str = "drs-bench-observability/v4";
 
 /// One field value in an artifact row.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,16 +101,21 @@ impl Field {
     }
 }
 
-/// Lays out one artifact: `{"schema", "seed", "<key>": [...]}` with one
-/// item of `items` per line and the trailing newline every committed
-/// artifact ends in.
+/// Lays out one artifact: `{"schema", "seed", "<key>": [...], …}` with
+/// one list per `(key, items)` of `lists`, in order, one item per line,
+/// and the trailing newline every committed artifact ends in.
 #[must_use]
-pub fn write(schema: &str, seed: u64, key: &'static str, items: Vec<Vec<Field>>) -> String {
-    let top = [
-        Field::new("schema", schema),
-        Field::new("seed", seed),
-        Field::new(key, FieldValue::Rows(items)),
-    ];
+pub fn write(
+    schema: &str,
+    seed: u64,
+    lists: impl IntoIterator<Item = (&'static str, Vec<Vec<Field>>)>,
+) -> String {
+    let mut top = vec![Field::new("schema", schema), Field::new("seed", seed)];
+    top.extend(
+        lists
+            .into_iter()
+            .map(|(key, items)| Field::new(key, FieldValue::Rows(items))),
+    );
     let mut out = String::with_capacity(4096);
     push_object(&mut out, &top, 0);
     out.push('\n');
@@ -326,7 +332,7 @@ impl ObsArtifact {
         self.sections.iter().find(|s| s.name == name)
     }
 
-    /// Serializes to the `drs-bench-observability/v3` schema —
+    /// Serializes to the `drs-bench-observability/v4` schema —
     /// byte-identical across runs, thread counts and machines for a
     /// fixed artifact.
     #[must_use]
@@ -339,28 +345,37 @@ impl ObsArtifact {
     /// `drs-bench-kernel/v1`) that reuse this container format.
     #[must_use]
     pub fn to_json_with_schema(&self, schema: &str) -> String {
-        let sections = self
-            .sections
-            .iter()
-            .map(|sec| {
-                let rows = sec
-                    .rows
-                    .iter()
-                    .map(|row| {
-                        vec![
-                            Field::new("id", row.id.as_str()),
-                            Field::new("fields", row.fields.clone()),
-                        ]
-                    })
-                    .collect();
-                vec![
-                    Field::new("name", sec.name.as_str()),
-                    Field::new("rows", FieldValue::Rows(rows)),
-                ]
-            })
-            .collect();
-        write(schema, self.seed, "sections", sections)
+        write(
+            schema,
+            self.seed,
+            [("sections", section_items(&self.sections))],
+        )
     }
+}
+
+/// The items of a `sections` list: per section its `name` and one
+/// `{"id", "fields"}` row per line.
+#[must_use]
+pub fn section_items(sections: &[Section]) -> Vec<Vec<Field>> {
+    sections
+        .iter()
+        .map(|sec| {
+            let rows = sec
+                .rows
+                .iter()
+                .map(|row| {
+                    vec![
+                        Field::new("id", row.id.as_str()),
+                        Field::new("fields", row.fields.clone()),
+                    ]
+                })
+                .collect();
+            vec![
+                Field::new("name", sec.name.as_str()),
+                Field::new("rows", FieldValue::Rows(rows)),
+            ]
+        })
+        .collect()
 }
 
 #[cfg(test)]
@@ -405,7 +420,7 @@ mod tests {
             vec![Field::new("n", 8_u64), Field::new("p", 1.0)],
         ];
         assert_eq!(
-            write("demo/v1", 42, "cells", cells),
+            write("demo/v1", 42, [("cells", cells)]),
             "{\n  \"schema\": \"demo/v1\",\n  \"seed\": 42,\n  \"cells\": [\n    \
              {\"n\": 4, \"method\": \"say \\\"hi\\\" \\\\ bye\", \"p\": 0.5, \
              \"successes\": \"12\", \"total\": null},\n    \
@@ -466,7 +481,7 @@ mod tests {
             ),
         ];
         assert_eq!(
-            write("demo/v3", 42, "experiments", vec![experiment]),
+            write("demo/v3", 42, [("experiments", vec![experiment])]),
             "{\n  \"schema\": \"demo/v3\",\n  \"seed\": 42,\n  \"experiments\": [\n    {\n      \
              \"name\": \"shootout\",\n      \"master_seed\": 42,\n      \"trials\": [\n        \
              {\"id\": \"hub/drs\", \"seed\": 9, \"metrics\": {\"sent\": 40, \"outage_ns\": null}, \

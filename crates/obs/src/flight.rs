@@ -499,10 +499,47 @@ pub fn to_perfetto(log: &FlightLog) -> String {
     // 175 B per record on the benchmark's `flight32` log; the headroom
     // covers longer runs' wider timestamps without a second allocation.
     let mut out = Vec::with_capacity(128 + log.records.len() * 192);
-    out.extend_from_slice(b"{\n  \"traceEvents\": [\n");
-    write_events(&mut out, log);
-    out.extend_from_slice(b"\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n");
+    write_trace(&mut out, log);
     String::from_utf8(out).expect("the trace writer emits ASCII only")
+}
+
+/// `to_perfetto(log).len()`, counted by the same writer without keeping
+/// the text.
+#[must_use]
+pub fn perfetto_len(log: &FlightLog) -> usize {
+    let mut len = ByteCount(0);
+    write_trace(&mut len, log);
+    len.0
+}
+
+/// Where the Perfetto writer puts its bytes: the text itself, or only
+/// how long it is.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+}
+
+impl Sink for Vec<u8> {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+}
+
+/// A [`Sink`] that keeps only the byte count.
+struct ByteCount(usize);
+
+impl Sink for ByteCount {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+/// The whole [`to_perfetto`] document.
+fn write_trace(out: &mut impl Sink, log: &FlightLog) {
+    out.put(b"{\n  \"traceEvents\": [\n");
+    write_events(out, log);
+    out.put(b"\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n");
 }
 
 /// The Perfetto `(pid, tid)` track a record is drawn on.
@@ -514,7 +551,7 @@ fn pid_tid(rec: &TraceRecord) -> (u32, u32) {
 
 /// The event lines of [`to_perfetto`]: the track metadata in `(pid, tid)`
 /// order, then one instant event per record.
-fn write_events(out: &mut Vec<u8>, log: &FlightLog) {
+fn write_events(out: &mut impl Sink, log: &FlightLog) {
     let mut tracks = Tracks::new();
     for rec in &log.records {
         let (pid, tid) = pid_tid(rec);
@@ -527,66 +564,66 @@ fn write_events(out: &mut Vec<u8>, log: &FlightLog) {
     let mut sep: &[u8] = b"    ";
     tracks.for_each(|pid, tid| {
         for (meta, process) in [("process_name", true), ("thread_name", false)] {
-            out.extend_from_slice(std::mem::replace(&mut sep, b",\n    "));
-            out.extend_from_slice(b"{\"name\": \"");
-            out.extend_from_slice(meta.as_bytes());
-            out.extend_from_slice(b"\", \"ph\": \"M\", \"pid\": ");
+            out.put(std::mem::replace(&mut sep, b",\n    "));
+            out.put(b"{\"name\": \"");
+            out.put(meta.as_bytes());
+            out.put(b"\", \"ph\": \"M\", \"pid\": ");
             push_u64(out, u64::from(pid));
-            out.extend_from_slice(b", \"tid\": ");
+            out.put(b", \"tid\": ");
             push_u64(out, u64::from(tid));
-            out.extend_from_slice(b", \"args\": {\"name\": \"");
+            out.put(b", \"args\": {\"name\": \"");
             match (process, tid) {
                 (true, _) => {
-                    out.extend_from_slice(b"host");
+                    out.put(b"host");
                     push_u64(out, u64::from(pid - 1));
                 }
-                (false, 0) => out.extend_from_slice(b"host"),
+                (false, 0) => out.put(b"host"),
                 (false, _) => {
-                    out.extend_from_slice(b"plane");
+                    out.put(b"plane");
                     push_u64(out, u64::from(tid - 1));
                 }
             }
-            out.extend_from_slice(b"\"}}");
+            out.put(b"\"}}");
         }
     });
 
     for rec in &log.records {
         let (pid, tid) = pid_tid(rec);
-        out.extend_from_slice(std::mem::replace(&mut sep, b",\n    "));
-        out.extend_from_slice(b"{\"name\": \"");
-        out.extend_from_slice(rec.kind.label().as_bytes());
-        out.extend_from_slice(b"\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
+        out.put(std::mem::replace(&mut sep, b",\n    "));
+        out.put(b"{\"name\": \"");
+        out.put(rec.kind.label().as_bytes());
+        out.put(b"\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
         push_ts(out, rec.time_ns);
-        out.extend_from_slice(b", \"pid\": ");
+        out.put(b", \"pid\": ");
         push_u64(out, u64::from(pid));
-        out.extend_from_slice(b", \"tid\": ");
+        out.put(b", \"tid\": ");
         push_u64(out, u64::from(tid));
-        out.extend_from_slice(b", \"args\": {\"seq\": ");
+        out.put(b", \"args\": {\"seq\": ");
         push_u64(out, rec.seq);
-        out.extend_from_slice(b", \"sub\": ");
+        out.put(b", \"sub\": ");
         push_u64(out, u64::from(rec.sub));
-        out.extend_from_slice(b", \"arg\": ");
+        out.put(b", \"arg\": ");
         push_u64(out, rec.arg);
-        out.extend_from_slice(b", \"cause\": ");
+        out.put(b", \"cause\": ");
         match rec.cause {
             Some(c) => {
-                out.push(b'"');
+                out.put(b"\"");
                 push_u64(out, c.time_ns);
-                out.push(b':');
+                out.put(b":");
                 push_u64(out, c.seq);
-                out.push(b':');
+                out.put(b":");
                 push_u64(out, u64::from(c.host));
-                out.push(b':');
+                out.put(b":");
                 push_u64(out, u64::from(c.sub));
-                out.extend_from_slice(b"\"}}");
+                out.put(b"\"}}");
             }
-            None => out.extend_from_slice(b"null}}"),
+            None => out.put(b"null}}"),
         }
     }
 }
 
 /// `v` in decimal, two digits per division.
-fn push_u64(out: &mut Vec<u8>, mut v: u64) {
+fn push_u64(out: &mut impl Sink, mut v: u64) {
     /// `"00" "01" … "99"`.
     const PAIRS: [u8; 200] = {
         let mut pairs = [0; 200];
@@ -611,7 +648,7 @@ fn push_u64(out: &mut Vec<u8>, mut v: u64) {
         i -= 1;
         buf[i] = b'0' + v as u8;
     }
-    out.extend_from_slice(&buf[i..]);
+    out.put(&buf[i..]);
 }
 
 /// Timestamps below this many microseconds are written from the integer
@@ -627,20 +664,20 @@ const EXACT_TS_US: u64 = 1 << 43;
 /// round-trip form is the exact quotient: whole microseconds, then the
 /// remainder's digits with trailing zeros trimmed (`.0` when there is
 /// none). Beyond that the float formatter decides.
-fn push_ts(out: &mut Vec<u8>, time_ns: u64) {
+fn push_ts(out: &mut impl Sink, time_ns: u64) {
     let (us, ns) = (time_ns / 1000, time_ns % 1000);
     if us >= EXACT_TS_US {
         let mut text = String::new();
         crate::jsonfmt::push_f64(&mut text, time_ns as f64 / 1e3);
-        out.extend_from_slice(text.as_bytes());
+        out.put(text.as_bytes());
         return;
     }
     push_u64(out, us);
-    out.push(b'.');
+    out.put(b".");
     let digits = [ns / 100, ns / 10 % 10, ns % 10].map(|d| b'0' + d as u8);
     // Trailing zeros trimmed down to one digit: `.0` when exact.
     let len = digits.iter().rposition(|&d| d != b'0').map_or(1, |i| i + 1);
-    out.extend_from_slice(&digits[..len]);
+    out.put(&digits[..len]);
 }
 
 /// The set of `(pid, tid)` tracks a log draws on, gathered without a tree
@@ -1510,6 +1547,27 @@ mod tests {
             dropped: 0,
         };
         assert_eq!(to_perfetto(&log), to_perfetto_oracle(&log));
+    }
+
+    /// `perfetto_len` runs the writer into a counter: it must count
+    /// exactly the bytes `to_perfetto` writes, through every branch —
+    /// drawn logs, an empty one, timestamps past the exact range (the
+    /// float formatter's branch), hosts outside the dense track corner
+    /// and records with and without a cause.
+    #[test]
+    fn the_byte_count_is_the_length_of_the_text() {
+        let mut logs: Vec<FlightLog> = (0..64).map(|seed| drawn_log(seed, 400)).collect();
+        logs.push(FlightLog::default());
+        let mut far = rec(u64::MAX - 7, 3, TraceKind::Repair, None);
+        far.host = u32::MAX - 1;
+        let caused = rec(1 << 60, 4, TraceKind::LinkDown, Some(far.self_ref()));
+        logs.push(FlightLog {
+            records: vec![caused, far],
+            dropped: 2,
+        });
+        for (i, log) in logs.iter().enumerate() {
+            assert_eq!(perfetto_len(log), to_perfetto(log).len(), "log {i}");
+        }
     }
 
     #[test]

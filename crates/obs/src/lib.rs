@@ -19,7 +19,7 @@
 //! * [`artifact::write`] — the one writer every committed `BENCH_*.json`
 //!   is laid out by, over one field-value type ([`FieldValue`]), with
 //!   its tokens spelled by the shared JSON dialect ([`jsonfmt`]);
-//!   [`ObsArtifact`] is its `drs-bench-observability/v3` section form
+//!   [`ObsArtifact`] is its `drs-bench-observability/v4` section form
 //!   ([`artifact`]).
 //! * [`rng`] — not observability, but this is the crate every other one
 //!   already depends on: the SplitMix64 mixer and xoshiro256++ generator

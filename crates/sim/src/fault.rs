@@ -176,7 +176,7 @@ pub(crate) struct HubToggle {
 /// instant, which `component_is_up` needs because a toggle may join at
 /// exactly `now()` between runs. Toggles join at any instant at or after
 /// the present, so every toggle the cursor has passed stays where it is.
-#[derive(Debug, Default)]
+#[derive(Debug, Default, Clone)]
 pub(crate) struct HubSchedule {
     toggles: Vec<HubToggle>,
 }

@@ -92,7 +92,7 @@ const NIL: u32 = u32::MAX;
 
 /// One queued event: its due time, the global tie-break sequence number,
 /// and the payload.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct Entry<T> {
     at: u64,
     seq: u64,
@@ -100,7 +100,7 @@ struct Entry<T> {
 }
 
 /// Overflow-heap wrapper ordering entries as a min-heap on `(at, seq)`.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct OverflowEntry<T>(Entry<T>);
 
 impl<T> PartialEq for OverflowEntry<T> {
@@ -501,6 +501,55 @@ impl<T> TimerWheel<T> {
     }
 }
 
+impl<T: Clone> TimerWheel<T> {
+    /// A copy holding the same entries in the same slots, so it pops,
+    /// cascades and drains exactly as this wheel would from here on: each
+    /// slot's chunk list is copied chunk for chunk into fresh chunks, the
+    /// cursor, ready buffer and overflow are copied, and the counters
+    /// carry over. The free list starts empty, so the copy allocates only
+    /// what its live entries fill; its first chunk take past them counts
+    /// as a pool miss where this wheel may count a hit.
+    #[must_use]
+    pub fn fork(&self) -> Self {
+        let mut heads = [[NIL; SLOTS]; LEVELS];
+        let mut tails = [[NIL; SLOTS]; LEVELS];
+        let mut chunks: Vec<Chunk<T>> = Vec::new();
+        for level in 0..LEVELS {
+            let mut occ = self.occupancy[level];
+            while occ != 0 {
+                let slot = occ.trailing_zeros() as usize;
+                occ &= occ - 1;
+                let mut id = self.heads[level][slot];
+                while id != NIL {
+                    let src = &self.chunks[id as usize];
+                    let mut entries = Vec::with_capacity(CHUNK);
+                    entries.extend_from_slice(&src.entries);
+                    let copy = chunks.len() as u32;
+                    chunks.push(Chunk { entries, next: NIL });
+                    match tails[level][slot] {
+                        NIL => heads[level][slot] = copy,
+                        tail => chunks[tail as usize].next = copy,
+                    }
+                    tails[level][slot] = copy;
+                    id = src.next;
+                }
+            }
+        }
+        TimerWheel {
+            heads,
+            tails,
+            occupancy: self.occupancy,
+            chunks,
+            free: NIL,
+            cur: self.cur,
+            ready: self.ready.clone(),
+            overflow: self.overflow.clone(),
+            len: self.len,
+            stats: self.stats,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -724,5 +773,52 @@ mod tests {
             }
         }
         assert!(w.is_empty());
+    }
+
+    /// A fork pops, cascades and drains as its parent does. The fork is
+    /// taken behind a peeked cursor, with entries staged in the ready
+    /// buffer, chunk lists several chunks long on higher levels and
+    /// far-future entries in the overflow; then both copies get the same
+    /// pushes and pops. Only the chunk takes may split differently
+    /// between free-list hits and misses: the fork's free list starts
+    /// empty.
+    #[test]
+    fn a_fork_pops_and_counts_as_its_parent_does() {
+        let mut w = TimerWheel::new();
+        let mut seq = 0u64;
+        for i in 0..3 * CHUNK as u64 {
+            w.push(SimTime(i * 7_919 % 900_000_000), seq, i as u32);
+            seq += 1;
+        }
+        w.push(SimTime(1 << 55), seq, 0);
+        seq += 1;
+        for _ in 0..40 {
+            w.pop();
+        }
+        assert!(w.peek().is_some() && !w.ready.is_empty());
+        let mut fork = w.fork();
+        let drive = |w: &mut TimerWheel<u32>| {
+            let mut seq = seq;
+            let mut out = Vec::new();
+            while let Some((at, s, v)) = w.pop() {
+                out.push((at.0, s, v));
+                if out.len() < 2_000 {
+                    w.push(SimTime(at.0 + 11_000), seq, 1);
+                    w.push(SimTime(at.0 + 200_000_000), seq + 1, 2);
+                    seq += 2;
+                }
+            }
+            out
+        };
+        assert_eq!(drive(&mut fork), drive(&mut w));
+        let (a, b) = (*w.stats(), *fork.stats());
+        assert_eq!(a.pool_hits + a.pool_misses, b.pool_hits + b.pool_misses);
+        let no_pool = |s: WheelStats| WheelStats {
+            pool_hits: 0,
+            pool_misses: 0,
+            ..s
+        };
+        assert_eq!(no_pool(a), no_pool(b));
+        assert!(a.cascades > 0 && a.overflow_migrations > 0, "{a:?}");
     }
 }

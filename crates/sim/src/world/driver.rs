@@ -36,6 +36,7 @@ use std::ops::{Deref, DerefMut};
 use drs_core::ids::FlowId;
 use drs_core::{NetId, NodeId, ProbeObs, SimDuration, SimTime};
 use drs_obs::flight::{FlightLog, FlightRecorder};
+use drs_obs::rng::Rng;
 
 use crate::app::{Flow, Workload};
 use crate::fault::{FaultPlan, HubToggle, SimComponent};
@@ -191,6 +192,13 @@ impl<P: Protocol> World<P> {
     #[must_use]
     pub fn host(&self, node: NodeId) -> HostView<'_> {
         self.core.hosts.view(node)
+    }
+
+    /// The random stream of `node` (corruption rolls, daemon draws), as
+    /// far as the run has drawn from it.
+    #[must_use]
+    pub fn rng(&self, node: NodeId) -> &Rng {
+        &self.core.rngs[node.idx()]
     }
 
     /// Read access to a network segment: busy horizon and cumulative
@@ -506,6 +514,29 @@ impl<P: Protocol> World<P> {
     fn flows_unresolved(&self) -> u64 {
         let s = &self.core.app_stats;
         self.core.flows.len() as u64 - (s.delivered + s.gave_up)
+    }
+}
+
+impl<P: Protocol + Clone> World<P> {
+    /// An independent copy of the world at `now()`: run on, it
+    /// dispatches exactly the events, and draws exactly the numbers, the
+    /// original would, and scheduling on one copy leaves the other as it
+    /// is. Live state is copied — the core (clock, sequence counter,
+    /// hosts, media, flows, hub schedule and cursor, random streams, event
+    /// log and flight recorder), the queue's live entries in their wheel
+    /// slots with its counters, and every daemon. The reuse pools start
+    /// empty: the wheel's spare chunks and the core's spare frame boxes.
+    /// So a fork costs O(live state), and only the wheel's
+    /// `pool_hits`/`pool_misses` split can tell it from the original.
+    ///
+    /// # Panics
+    /// Panics if the fluid workload is enabled.
+    #[must_use]
+    pub fn fork(&self) -> Self {
+        World {
+            core: self.core.fork(),
+            protocols: self.protocols.clone(),
+        }
     }
 }
 

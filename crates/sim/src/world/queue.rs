@@ -46,6 +46,7 @@ const HUB_SUB_BASE: u32 = 1 << 31;
 /// box travels from the sender's [`Core::transmit`] through the wheel to
 /// the receiver, and after dispatch it returns to the core's spare list
 /// for the next transmission.
+#[derive(Clone)]
 pub(crate) enum EventKind<M> {
     Arrive(Box<Frame<M>>),
     ProtoTimer {
@@ -278,6 +279,44 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             spare_frames: SpareBoxes::new(in_flight),
             spare_segments: SpareBoxes::new(in_flight),
             spare_refs: SpareBoxes::new(in_flight),
+        }
+    }
+
+    /// A copy of the simulator state for [`super::World::fork`]: the
+    /// clock, the sequence counter, the queue ([`TimerWheel::fork`]), the
+    /// hosts, media, flows, hub schedule and cursor, random streams and
+    /// the recorders, field for field. The spare box lists start empty.
+    ///
+    /// # Panics
+    /// Panics if the fluid workload is enabled.
+    pub(crate) fn fork(&self) -> Self {
+        assert!(
+            self.workload.is_none(),
+            "a world running the fluid workload cannot be forked"
+        );
+        Core {
+            spec: self.spec,
+            now: self.now,
+            seq: self.seq,
+            events: self.events.fork(),
+            hosts: self.hosts.clone(),
+            media: self.media.clone(),
+            link_loss: self.link_loss.clone(),
+            app_stats: self.app_stats.clone(),
+            flows: self.flows.clone(),
+            clamped_past: self.clamped_past,
+            hubs: self.hubs.clone(),
+            hubs_passed: self.hubs_passed,
+            hub_up: self.hub_up.clone(),
+            rngs: self.rngs.clone(),
+            event_log: self.event_log.clone(),
+            flight: self.flight.clone(),
+            cur_ev_seq: self.cur_ev_seq,
+            cur_sub: self.cur_sub,
+            workload: None,
+            spare_frames: SpareBoxes::new(self.spare_frames.cap),
+            spare_segments: SpareBoxes::new(self.spare_segments.cap),
+            spare_refs: SpareBoxes::new(self.spare_refs.cap),
         }
     }
 

@@ -5,10 +5,12 @@
 //! rerun of a draw; `run_until_settled` stops on a stride of `run_until`
 //! and leaves what a straight run leaves; and `ShardedWorld`, the name
 //! `benchmark/` builds the world by, is `World::new` at any shard count.
-//! Three last tests put hub toggles exactly on transmission instants,
+//! Three tests put hub toggles exactly on transmission instants,
 //! before and between runs, schedule hub faults between runs with the
 //! fluid workload on, and enable the workload after a run to time zero
-//! has already applied a hub fault.
+//! has already applied a hub fault. The last two fork a run in flight
+//! (`World::fork`) and schedule faults on the copies: each copy runs on
+//! exactly as an unforked world does.
 //!
 //! These are plain seeded loops, so a failing seed prints directly and
 //! reruns exactly.
@@ -32,6 +34,7 @@ use drs_sim::{
 /// firing, probes a rotating peer on a rotating plane, mixing in control
 /// messages — steady traffic on every plane without pulling in the real
 /// daemon (sim cannot depend on drs-core).
+#[derive(Clone)]
 struct Chatter {
     n: u32,
     planes: u8,
@@ -681,4 +684,98 @@ fn a_hub_fault_applied_before_the_workload_is_enabled_stays_in_force() {
         ..late
     };
     assert!(counted == early, "{counted:?}\n{early:?}");
+}
+
+/// `fp` with the wheel's chunk takes counted together, whether the free
+/// list served them or not: a fork's free list starts empty, so that
+/// split is the one thing it may not share with the world it copies.
+fn pool_blind(mut fp: Fingerprint) -> Fingerprint {
+    let wheel = &mut fp.kernel.wheel;
+    wheel.pool_hits += wheel.pool_misses;
+    wheel.pool_misses = 0;
+    fp
+}
+
+/// `World::fork` copies a run in flight. On the corpus's first 300
+/// draws that carry no fluid workload (a fork refuses one), the world
+/// runs to a drawn instant `t` and forks. Both copies then get the same
+/// plan, scheduled at `t`: a hub failure exactly on the first chatter
+/// timer instant past `t` and its repair two periods later, a NIC
+/// failure at a drawn instant and its repair on a later timer instant.
+/// Run on to the end, the fork and the world it was forked from each
+/// leave what an unforked world given the same plan at `t` leaves: the
+/// schedule with its sequence numbers, every counter, the flight
+/// timeline, and whatever the random streams decided on lossy links.
+#[test]
+fn a_fork_runs_on_exactly_as_the_world_it_was_forked_from() {
+    let mut forked = 0u32;
+    for seed in 0..300u64 {
+        let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
+        let sc = Scenario::draw(seed, &mut rng);
+        if sc.workload.is_some() {
+            continue;
+        }
+        let mut draw = Rng::seed_from_u64(0xF0_4B ^ seed);
+        let end = SimTime::ZERO + sc.run;
+        let t = SimTime(draw.gen_range(0..end.0));
+        let period = sc.period.as_nanos();
+        let timer = |k: u64| SimTime((t.0 / period + k) * period);
+        let hub = SimComponent::Hub(NetId(draw.gen_range(0..sc.spec.planes)));
+        let nic = SimComponent::Nic(
+            NodeId(draw.gen_range(0..sc.spec.n as u32)),
+            NetId(draw.gen_range(0..sc.spec.planes)),
+        );
+        let nic_down = SimTime(draw.gen_range(t.0..end.0));
+        let plan = || {
+            FaultPlan::new()
+                .fail_at(timer(1), hub)
+                .repair_at(timer(3), hub)
+                .fail_at(nic_down, nic)
+                .repair_at(SimTime((nic_down.0 / period + 2) * period), nic)
+        };
+        let run_on = |w: &mut World<Chatter>| {
+            w.schedule_faults(plan());
+            w.run_until(end);
+            pool_blind(fingerprint(w))
+        };
+        let started = || {
+            let mut w = World::new(sc.spec, sc.chatter());
+            sc.load(&mut w, FLIGHT_CAP);
+            w.run_until(t);
+            w
+        };
+        let want = run_on(&mut started());
+        let mut original = started();
+        let mut fork = original.fork();
+        let ctx = format!("seed {seed}: fork at {t}");
+        assert!(run_on(&mut fork) == want, "{ctx}: the fork diverged");
+        assert!(
+            run_on(&mut original) == want,
+            "{ctx}: the original diverged"
+        );
+        forked += 1;
+    }
+    assert!(forked >= 100, "under-covered: {forked} forks");
+}
+
+/// The fluid engine's state is not copied, so a world running the
+/// workload refuses to fork rather than fork without it.
+#[test]
+#[should_panic(expected = "a world running the fluid workload cannot be forked")]
+fn a_world_running_the_fluid_workload_does_not_fork() {
+    let mut w = World::new(ClusterSpec::new(4).seed(1), |_| {
+        Chatter::new(4, 2, SimDuration(10_000_000))
+    });
+    w.enable_workload(WorkloadSpec {
+        arrivals: ArrivalProcess::Open {
+            mean_gap_ns: 10_000_000,
+        },
+        holding: HoldingDist::Exponential {
+            mean_ns: 10_000_000,
+        },
+        classes: vec![ClassSpec { rate_bps: 100_000 }],
+        horizon: SimTime(50_000_000),
+    });
+    w.run_until(SimTime(20_000_000));
+    let _ = w.fork();
 }

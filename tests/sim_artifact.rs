@@ -1,5 +1,7 @@
 //! Integration: the committed `BENCH_sim_survivability.json` artifact is
-//! exactly what the harness regenerates — same bytes, serial or parallel.
+//! exactly what the harness regenerates — same bytes, serial or parallel
+//! — its traces tell complete stories, and its shootout sections write
+//! an empty histogram as `null`, not 0.
 //!
 //! If an intentional change shifts the simulation results, regenerate the
 //! artifact (`cargo run --release -p drs-bench -- regen sim`) and
@@ -105,4 +107,38 @@ fn artifact_traces_cover_the_event_vocabulary() {
     ] {
         assert!(seen.contains(&kind), "no {} event committed", kind.label());
     }
+}
+
+#[test]
+fn empty_histograms_serialize_as_null_not_zero() {
+    // The static protocol never fails over, so its failover-latency
+    // histogram is empty — the committed artifact must carry `null`
+    // quantiles for it, never a fabricated 0 ns. The section's typed
+    // value agrees.
+    let section = ARTIFACT
+        .section("failover_latency")
+        .expect("latency section");
+    let row = section
+        .rows
+        .iter()
+        .find(|r| r.id == "static")
+        .expect("static row");
+    assert_eq!(row.get_count("count"), Some(0));
+    assert_eq!(row.get_count("p50_ns"), None);
+    let json = entry().committed().expect("committed file");
+    let static_row = json
+        .lines()
+        .find(|l| l.contains("\"id\": \"static\""))
+        .expect("static protocol row present");
+    assert!(static_row.contains("\"count\": 0"));
+    for q in ["mean_ns", "min_ns", "max_ns", "p50_ns", "p99_ns", "p999_ns"] {
+        assert!(
+            static_row.contains(&format!("\"{q}\": null")),
+            "static row must report {q} as null, got: {static_row}"
+        );
+    }
+    assert!(
+        !static_row.contains("_ns\": 0"),
+        "no quantile of an empty histogram may print as 0"
+    );
 }
