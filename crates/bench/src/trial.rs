@@ -16,19 +16,30 @@
 //!
 //! # Timeline
 //!
-//! The failure set strikes at 1 s; the message is sent at 6 s, several
-//! probe cycles and discovery rounds later; the simulation stops where
-//! the flow resolves (`World::run_until_settled`) — within a round trip
-//! of the send when the pair is connected, at the transport's give-up
-//! 12.7 s later when it is not. The budget is the transport's retry
-//! lifetime (`max_flow_lifetime`) plus a one-second margin; a flow with
-//! no outcome by then is a panic naming the trial, never a give-up. A
-//! [`Trial`] holds the failure set, the predicate and the flow's terminal
-//! outcome and nothing the cluster does afterwards, so stopping early
-//! moves no committed byte. The protocol shootout
-//! (`drs_baselines::compare`) keeps its fixed horizon instead: it
-//! harvests probe histograms and daemon logs from the world after the
-//! run, so its tail is part of what it commits.
+//! The failure set strikes at 1 s. The message is sent once the protocol
+//! has provably settled: at the fault plus [`DrsConfig::settle_bound`]
+//! (detection, m·I + τ = 450 ms, then one `discovery_backoff` after a
+//! stale first gateway offer, then one `offer_window`: 1.46 s) plus one
+//! margin, a probe timeout rounded up to the next probe-cycle boundary —
+//! at 2.6 s. The transport does not retransmit: a settled route delivers
+//! the first transmission, and a cut pair gives up one RTO (100 ms) after
+//! the send. The simulation stops where the flow resolves
+//! (`World::run_until_settled`). The budget is the transport's lifetime
+//! (`max_flow_lifetime`) plus a one-second margin; a flow with no outcome
+//! by then is a panic naming the trial, never a give-up. A [`Trial`]
+//! holds the failure set, the predicate and the flow's terminal outcome
+//! and nothing the cluster does afterwards, so stopping early moves no
+//! committed byte.
+//!
+//! The send instant is measured as well as derived. Every failure set of
+//! n ∈ {3, …, 6} at K = 2, n ∈ {3, 4} at K = 3 and n = 3 at K = 4 agrees
+//! with the predicate for any send from fault + 1.44 s on. The six
+//! stale-offer sets at n = 4, K = 3 still disagree at fault + 1.40 s,
+//! just under the bound; this module's tests pin them.
+//!
+//! The protocol shootout (`drs_baselines::compare`) keeps its fixed
+//! horizon instead: it harvests probe histograms and daemon logs from the
+//! world after the run, so its tail is part of what it commits.
 
 use drs_analytic::binom::shared_table;
 use drs_analytic::connectivity::pair_connected_k;
@@ -79,12 +90,28 @@ pub fn unrank_for_seed(m: usize, f: usize, seed: u64) -> Vec<usize> {
 /// monitor table warm.
 const FAULT_AT: SimTime = SimTime(1_000_000_000);
 
-/// When the measurement pair's one message is sent: five seconds —
-/// several probe cycles and discovery rounds — past the fault.
-const SEND_AT: SimTime = SimTime(6_000_000_000);
-
 /// The probe cycle of every trial's daemons.
 const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(200);
+
+/// Every trial daemon's configuration: a 200 ms probe cycle, a 50 ms
+/// probe timeout, the rest the defaults.
+fn daemon_config() -> DrsConfig {
+    DrsConfig::default()
+        .probe_timeout(SimDuration::from_millis(50))
+        .probe_interval(PROBE_INTERVAL)
+}
+
+/// When the measurement pair's one message is sent: once the protocol
+/// has provably settled after [`FAULT_AT`]
+/// ([`DrsConfig::settle_bound`]), plus one margin — a probe timeout for
+/// the last discovery exchange's frames to land, rounded up to the next
+/// probe-cycle boundary so that the send keeps its phase in the probe
+/// cycle. 2.6 s for the trial configuration: 1 s + 1.46 s + 140 ms.
+fn send_at() -> SimTime {
+    let cfg = daemon_config();
+    let earliest = FAULT_AT + cfg.settle_bound() + cfg.probe_timeout;
+    SimTime(earliest.0.next_multiple_of(cfg.probe_interval.as_nanos()))
+}
 
 /// Where a [`TrialBase`] stops and its trials fork: one probe interval
 /// before [`FAULT_AT`], less a nanosecond.
@@ -100,15 +127,17 @@ const PROBE_INTERVAL: SimDuration = SimDuration::from_millis(200);
 /// [`run_trial`].
 const FORK_AT: SimTime = SimTime(FAULT_AT.0 - PROBE_INTERVAL.as_nanos() - 1);
 
-/// A fast transport (100 ms initial RTO) so each trial resolves in
-/// seconds of virtual time; the outcome only depends on connectivity.
+/// A fast transport (100 ms initial RTO) that never retransmits: the
+/// message goes out once the routes have settled ([`send_at`]), so a
+/// connected pair delivers the first transmission and a cut pair gives
+/// up one RTO after the send. The outcome only depends on connectivity.
 const TRANSPORT: TransportConfig = TransportConfig {
     initial_rto: SimDuration::from_millis(100),
     backoff_factor: 2,
-    max_retries: 6,
+    max_retries: 0,
 };
 
-/// The time a trial's flow is given to resolve after [`SEND_AT`]: the
+/// The time a trial's flow is given to resolve after [`send_at`]: the
 /// transport's retry lifetime plus a second. The give-up fires at
 /// exactly `send + max_flow_lifetime`; the margin only keeps the
 /// deadline off that instant.
@@ -119,9 +148,7 @@ fn flow_budget() -> SimDuration {
 /// A healthy `n`-host, `planes`-plane trial cluster under `seed`, at
 /// time zero.
 fn cluster(n: usize, planes: u8, seed: u64) -> World<DrsDaemon> {
-    let cfg = DrsConfig::default()
-        .probe_timeout(SimDuration::from_millis(50))
-        .probe_interval(PROBE_INTERVAL);
+    let cfg = daemon_config();
     let spec = ClusterSpec::new(n)
         .seed(seed)
         .planes(planes)
@@ -143,7 +170,15 @@ fn cluster(n: usize, planes: u8, seed: u64) -> World<DrsDaemon> {
 /// lifetime, so that is a simulator bug, never a give-up.
 #[must_use]
 pub fn run_trial(n: usize, planes: u8, f: usize, seed: u64) -> Trial {
-    finish(cluster(n, planes, seed), planes, f, seed, flow_budget()).0
+    finish(
+        cluster(n, planes, seed),
+        planes,
+        f,
+        seed,
+        send_at(),
+        flow_budget(),
+    )
+    .0
 }
 
 /// A trial cluster converged to 0.8 s − 1 ns, one probe interval before
@@ -177,7 +212,15 @@ impl TrialBase {
     /// As [`run_trial`].
     #[must_use]
     pub fn run(&self, f: usize, seed: u64) -> Trial {
-        finish(self.world.fork(), self.planes, f, seed, flow_budget()).0
+        finish(
+            self.world.fork(),
+            self.planes,
+            f,
+            seed,
+            send_at(),
+            flow_budget(),
+        )
+        .0
     }
 }
 
@@ -202,14 +245,16 @@ impl TrialBases {
 }
 
 /// The trial from `world` (a cluster at or before [`FORK_AT`]) on: the
-/// failure set goes in, the message is sent at [`SEND_AT`], and the run
-/// stops where the flow resolves or, a panic, `budget` after the send.
-/// Returns the world as it stopped, for the pins in this module's tests.
+/// failure set goes in, the message is sent at `send` ([`send_at`] in
+/// every trial but the stale-offer pin's), and the run stops where the
+/// flow resolves or, a panic, `budget` after the send. Returns the world
+/// as it stopped, for the pins in this module's tests.
 fn finish(
     mut world: World<DrsDaemon>,
     planes: u8,
     f: usize,
     seed: u64,
+    send: SimTime,
     budget: SimDuration,
 ) -> (Trial, World<DrsDaemon>) {
     let n = world.spec().n;
@@ -230,16 +275,16 @@ fn finish(
     }
     world.schedule_faults(plan);
 
-    world.run_until(SEND_AT);
-    let flow = world.send_app(SEND_AT, NodeId(0), NodeId(1), 256);
+    world.run_until(send);
+    let flow = world.send_app(send, NodeId(0), NodeId(1), 256);
     // The trial asks one question — did the pair communicate? — and an
     // outcome never changes once set, so the run ends where the flow
     // resolves instead of simulating the rest of the retry budget.
-    let stopped_at = world.run_until_settled(SEND_AT + budget);
+    let stopped_at = world.run_until_settled(send + budget);
     let delivered = match world.flow_outcome(flow) {
         Some(FlowOutcome::Delivered(rtt)) => {
             events.push(TraceEvent::new(
-                (SEND_AT + rtt).0,
+                (send + rtt).0,
                 TraceEventKind::FlowDelivered,
                 format!("0 -> 1 rtt {rtt}"),
             ));
@@ -247,7 +292,7 @@ fn finish(
         }
         Some(FlowOutcome::GaveUp) => {
             events.push(TraceEvent::new(
-                SEND_AT.0,
+                send.0,
                 TraceEventKind::FlowGaveUp,
                 "0 -> 1".to_string(),
             ));
@@ -319,7 +364,7 @@ mod tests {
         seed: u64,
         budget: SimDuration,
     ) -> (Trial, World<DrsDaemon>) {
-        finish(cluster(n, planes, seed), planes, f, seed, budget)
+        finish(cluster(n, planes, seed), planes, f, seed, send_at(), budget)
     }
 
     /// `drs_sim`'s settle stride (private there): how far past the
@@ -330,19 +375,21 @@ mod tests {
     /// flow's resolution, not the whole retry budget. A delivered
     /// N = 16, K = 2 trial stops within one stride of the ack, and its
     /// timer-wheel pops stay under the per-pair monitor's closed form for
-    /// `SEND_AT + stride` of a *healthy* cluster — per probe cycle, each
-    /// of the `K·N·(N−1)` monitored links pops a probe timer, a timeout
-    /// timer, the request's arrival and the reply's. Counts only, no
-    /// clock: simulating the remaining 20 s, as every trial did before
-    /// PR 23, overshoots the bound more than three times over.
+    /// `send_at() + stride` of a *healthy* cluster — per probe cycle,
+    /// each of the `K·N·(N−1)` monitored links pops a probe timer, a
+    /// timeout timer, the request's arrival and the reply's. Counts only,
+    /// no clock: sending at 6 s, as trials did before the send followed
+    /// [`DrsConfig::settle_bound`], takes more than twice the bound's
+    /// cycles, and simulating on to 26 s, the whole old retry budget, ten
+    /// times as many.
     #[test]
-    fn a_delivered_trial_costs_six_seconds_of_probing_not_twenty_six() {
+    fn a_delivered_trial_costs_probing_to_its_settle_bound_not_six_seconds() {
         let (n, planes) = (16u64, 2u64);
         let (trial, world) = run_trial_within(16, 2, 2, 1, flow_budget());
         let (stopped_at, pops) = (world.now(), world.kernel_stats().wheel.pops);
         assert!(trial.predicted && trial.delivered, "{trial:?}");
         let probe_interval = PROBE_INTERVAL.as_nanos();
-        let cycles = (SEND_AT + ONE_STRIDE).0.div_ceil(probe_interval);
+        let cycles = (send_at() + ONE_STRIDE).0.div_ceil(probe_interval);
         let bound = cycles * 4 * planes * n * (n - 1);
         assert!(
             pops <= bound,
@@ -362,7 +409,7 @@ mod tests {
         let (trial, world) = run_trial_within(16, 2, 2, 0, flow_budget());
         let stopped_at = world.now();
         assert!(!trial.predicted && !trial.delivered, "{trial:?}");
-        let gave_up_at = SEND_AT + TRANSPORT.max_flow_lifetime();
+        let gave_up_at = send_at() + TRANSPORT.max_flow_lifetime();
         assert!(
             gave_up_at <= stopped_at && stopped_at < gave_up_at + ONE_STRIDE,
             "gave up at {gave_up_at}, stopped at {stopped_at}"
@@ -371,15 +418,79 @@ mod tests {
         assert_eq!(last.kind, TraceEventKind::FlowGaveUp);
     }
 
-    /// A flow still retrying when its budget ends is not a give-up: the
-    /// same unreachable trial, cut off after one second, must not come
-    /// back as `delivered: false`.
+    /// A flow still in flight when its budget ends is not a give-up: the
+    /// same unreachable trial, cut off halfway through the transport's
+    /// lifetime, must not come back as `delivered: false`.
     #[test]
     #[should_panic(
         expected = "trial (n = 16, planes = 2, f = 2, seed = 0): flow 0 -> 1 still in flight"
     )]
     fn a_pending_flow_is_an_error_not_a_give_up() {
-        let _ = run_trial_within(16, 2, 2, 0, SimDuration::from_secs(1));
+        let half = SimDuration::from_nanos(TRANSPORT.max_flow_lifetime().as_nanos() / 2);
+        let _ = run_trial_within(16, 2, 2, 0, half);
+    }
+
+    /// The stale-offer sets at n = 4, K = 3: the only failure sets of
+    /// that cell whose pair is still cut 600 ms after the fault though
+    /// the predicate says it is connected. Each needs a one-hop gateway,
+    /// and node 0's first offer comes from a host whose own link to the
+    /// target has failed but is not yet declared down. That dead route
+    /// stands until the rate-limited rediscovery one `discovery_backoff`
+    /// after the first broadcast, which is why the send waits for
+    /// [`DrsConfig::settle_bound`]; at [`send_at`] all six agree.
+    #[test]
+    fn a_stale_first_offer_costs_one_discovery_backoff() {
+        const STALE: [[usize; 6]; 6] = [
+            [3, 5, 8, 10, 12, 13],
+            [3, 6, 8, 9, 12, 14],
+            [4, 5, 7, 10, 12, 14],
+            [4, 5, 8, 10, 11, 14],
+            [4, 6, 7, 9, 12, 13],
+            [4, 6, 8, 9, 11, 13],
+        ];
+        let (n, planes, f) = (4, 3, 6);
+        let m = usize::from(planes) * n + usize::from(planes);
+        let base = TrialBase::converge(n, planes);
+        let early = FAULT_AT + SimDuration::from_millis(600);
+        for set in STALE {
+            let seed = (0..)
+                .find(|&s| unrank_for_seed(m, f, s) == set)
+                .expect("every 6-subset has a rank");
+            let run = |send| finish(base.world.fork(), planes, f, seed, send, flow_budget()).0;
+            let at_600ms = run(early);
+            assert!(
+                at_600ms.predicted && !at_600ms.delivered,
+                "{set:?}: {at_600ms:?}"
+            );
+            let settled = run(send_at());
+            assert!(settled.agrees(), "{set:?}: {settled:?}");
+        }
+    }
+
+    /// Exhaustive conformance on the smallest cells: every failure set of
+    /// every size at n = 3 for K = 2 (256 sets) and K = 3 (4 096), each
+    /// on a fork of one base, delivers exactly when the predicate says
+    /// the pair is connected.
+    #[test]
+    fn every_failure_set_of_the_smallest_cells_agrees() {
+        for planes in [2, 3] {
+            let n = 3;
+            let m = usize::from(planes) * n + usize::from(planes);
+            let base = TrialBase::converge(n, planes);
+            let mut trials = 0;
+            for f in 0..=m {
+                let total = shared_table().get(m as u64, f as u64).expect("small");
+                for seed in 0..total as u64 {
+                    let trial = base.run(f, seed);
+                    assert!(
+                        trial.agrees(),
+                        "(n = {n}, planes = {planes}, f = {f}): {trial:?}"
+                    );
+                    trials += 1;
+                }
+            }
+            assert_eq!(trials, 1 << m);
+        }
     }
 
     /// Every trial of the committed grids as `(n, K, f, seed)`: the e2e
@@ -482,12 +593,20 @@ mod tests {
                     bases.push(TrialBase { planes, world });
                     bases.len() - 1
                 });
-            let forked = finish(bases[i].world.fork(), planes, f, seed, flow_budget());
+            let forked = finish(
+                bases[i].world.fork(),
+                planes,
+                f,
+                seed,
+                send_at(),
+                flow_budget(),
+            );
             let straight = finish(
                 logged(cluster(n, planes, seed)),
                 planes,
                 f,
                 seed,
+                send_at(),
                 flow_budget(),
             );
             let ctx = format!("trial (n = {n}, planes = {planes}, f = {f}, seed = {seed})");

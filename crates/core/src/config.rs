@@ -179,6 +179,21 @@ impl DrsConfig {
             + self.probe_timeout
     }
 
+    /// An upper bound on the time from a fault to every daemon holding a
+    /// working route to each peer it can still reach: detection
+    /// ([`Self::worst_case_detection`]), then one `discovery_backoff` —
+    /// the first gateway offer may be *stale*, from a host whose own link
+    /// to the target has failed but is not yet declared down, and the
+    /// rediscovery that replaces it is rate-limited to one backoff after
+    /// the first broadcast — then one `offer_window` to collect the fresh
+    /// offers. Frame transit times are not in it. A closed-form law of
+    /// detection and reroute as a function of the fault's phase in the
+    /// probe cycle (ROADMAP item 2) tightens it later.
+    #[must_use]
+    pub fn settle_bound(&self) -> SimDuration {
+        self.worst_case_detection() + self.discovery_backoff + self.offer_window
+    }
+
     /// Every rule the builders enforce, checked at once: the daemon runs
     /// it on the configuration it is handed, which a struct literal can
     /// build without a builder. A zero backoff would underflow the
@@ -227,6 +242,23 @@ mod tests {
             SimDuration::from_millis(2200),
             "2 cycles + timeout"
         );
+    }
+
+    #[test]
+    fn settle_bound_is_detection_then_one_rediscovery() {
+        let trial = DrsConfig::default()
+            .probe_timeout(SimDuration::from_millis(50))
+            .probe_interval(SimDuration::from_millis(200));
+        for (c, bound) in [
+            (DrsConfig::default(), SimDuration::from_millis(3210)),
+            (trial, SimDuration::from_millis(1460)),
+        ] {
+            assert_eq!(
+                c.settle_bound(),
+                c.worst_case_detection() + c.discovery_backoff + c.offer_window
+            );
+            assert_eq!(c.settle_bound(), bound);
+        }
     }
 
     #[test]
