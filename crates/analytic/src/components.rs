@@ -21,7 +21,9 @@
 //! and in general: indices `0..K` are the backplanes in plane order,
 //! followed by one block of `N` NICs per plane (`K + p·N + i` is node
 //! `i`'s NIC on plane `p`). The analytic spelling of this layout is
-//! [`crate::connectivity::ClusterState::fail_index`]; the simulator's
+//! [`crate::connectivity::ClusterState::fail_index`], which maps backplane
+//! `p` to bit 127 of plane `p`'s `u128` word and node `i`'s NIC on plane
+//! `p` to bit `i` of the same word; the simulator's
 //! (`drs_sim::fault`) and the graph layer's
 //! ([`drs_topology::generators::kplane`]) are locked to it by the
 //! workspace's cross-validation tests. A general [`drs_topology::Topology`]

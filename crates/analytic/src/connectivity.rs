@@ -17,18 +17,22 @@
 //! communicate — the predicate mirrors the deployed protocol, not graph
 //! reachability.
 //!
-//! The predicate is evaluated on a compact [`ClusterState`] (one 128-bit
-//! node mask per plane plus a backplane bitmask) so the Monte-Carlo
-//! estimator can test millions of failure draws per second without
-//! allocating. [`KPlane`] wraps a state and the [`Question`] asked of it
-//! as the bitmask [`FailureModel`] of the counting core; the graph-search
-//! [`crate::topo::GraphModel`] is the other model, and on a
-//! [`drs_topology::generators::kplane`] topology each is the other's
-//! oracle.
+//! The predicate is evaluated on a compact [`ClusterState`]: one `u128`
+//! word per plane, whose bits `0..n` are the plane's NICs and whose bit
+//! 127 is its backplane (free because `n ≤ MAX_NODES = 127`). Failing or
+//! restoring a component is one AND or one OR of a precomputed mask into
+//! one word, a dead backplane zeroes its plane with one arithmetic shift,
+//! and the pair question is a branch-free pass over the words — so the
+//! subset walk and the Monte-Carlo estimator test tens of millions of
+//! failure sets per second without allocating. [`KPlane`] wraps a state and the
+//! [`Question`] asked of it as the bitmask [`FailureModel`] of the
+//! counting core; the graph-search [`crate::topo::GraphModel`] is the
+//! other model, and on a [`drs_topology::generators::kplane`] topology
+//! each is the other's oracle.
 
 use drs_topology::ComponentSet;
 
-use crate::components::FailureModel;
+use crate::components::{FailureModel, MAX_NODES};
 
 /// Maximum number of network planes the fixed-width [`ClusterState`]
 /// supports. Bounded well under the [`ComponentSet`] bitset capacity
@@ -36,24 +40,34 @@ use crate::components::FailureModel;
 /// bitset-backed engine via [`drs_topology::limits`].
 pub use drs_topology::limits::MAX_PLANES;
 
-/// Liveness snapshot of a cluster: which NICs and backplanes are up.
+// A plane's backplane is bit 127 of its word, above every node's NIC.
+const _: () = assert!(MAX_NODES < 128);
+
+/// Liveness snapshot of a cluster: which NICs and backplanes are up, one
+/// word per plane.
 ///
-/// Bit `i` of `nic[p]` is set iff node `i`'s NIC on plane `p` is
-/// operational (regardless of backplane state); bit `p` of `bp` is set iff
-/// plane `p`'s backplane is operational.
+/// Bit `i < n` of `words[p]` is set iff node `i`'s NIC on plane `p` is
+/// operational (regardless of backplane state), and bit 127
+/// ([`ClusterState::BACKPLANE`]) iff plane `p`'s backplane is. Bits
+/// `n..127`, and the words of planes `planes..MAX_PLANES`, are zero.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ClusterState {
     /// Number of nodes.
     pub n: usize,
     /// Number of network planes (`2` for the paper's cluster).
     pub planes: u8,
-    /// Backplane (hub) liveness bitmask, bit `p` = plane `p` up.
-    pub bp: u8,
-    /// Per-node NIC liveness per plane.
-    pub nic: [u128; MAX_PLANES],
+    /// Per-plane liveness: NICs in bits `0..n`, the backplane in bit 127.
+    pub words: [u128; MAX_PLANES],
 }
 
+/// A liveness bit of [`ClusterState`]: `(plane, mask)`, the index of its
+/// word and the word with only that bit set.
+type Bit = (usize, u128);
+
 impl ClusterState {
+    /// The backplane bit of a plane's word.
+    pub const BACKPLANE: u128 = 1 << 127;
+
     /// A fully-operational `planes`-plane cluster of `n` nodes (`planes`
     /// is 2 for the paper's configuration).
     ///
@@ -64,27 +78,14 @@ impl ClusterState {
     /// the [`ComponentSet`] index space (256).
     #[must_use]
     pub fn fully_up_k(n: usize, planes: u8) -> Self {
-        let k = planes as usize;
         // The shared validation's Display strings are byte-compatible with
         // the asserts that used to live here.
-        if let Err(e) = drs_topology::limits::validate_kplane(n, k) {
+        if let Err(e) = drs_topology::limits::validate_kplane(n, planes as usize) {
             panic!("{e}");
         }
-        let full = if n == 128 {
-            u128::MAX
-        } else {
-            (1u128 << n) - 1
-        };
-        let mut nic = [0u128; MAX_PLANES];
-        for plane in &mut nic[..k] {
-            *plane = full;
-        }
-        ClusterState {
-            n,
-            planes,
-            bp: if k == 8 { u8::MAX } else { (1u8 << k) - 1 },
-            nic,
-        }
+        let mut words = [0u128; MAX_PLANES];
+        words[..planes as usize].fill(Self::BACKPLANE | ((1u128 << n) - 1));
+        ClusterState { n, planes, words }
     }
 
     /// Applies a failure set (indexed per [`crate::components`]:
@@ -101,42 +102,33 @@ impl ClusterState {
 
     /// The liveness bit behind dense index `idx` — the analytic layer's one
     /// spelling of the `K·N + K` layout — or `None` past the universe.
-    fn locate(&self, idx: usize) -> Option<Slot> {
+    fn locate(&self, idx: usize) -> Option<Bit> {
         let k = self.planes as usize;
         if idx < k {
-            Some(Slot::Backplane(idx as u8))
+            Some((idx, Self::BACKPLANE))
         } else if idx < k + k * self.n {
             let rel = idx - k;
-            Some(Slot::Nic {
-                plane: (rel / self.n) as u8,
-                node: (rel % self.n) as u8,
-            })
+            Some((rel / self.n, 1 << (rel % self.n)))
         } else {
             None
         }
     }
 
     #[inline]
-    fn clear(&mut self, slot: Slot) {
-        match slot {
-            Slot::Backplane(p) => self.bp &= !(1u8 << p),
-            Slot::Nic { plane, node } => self.nic[plane as usize] &= !(1u128 << node),
-        }
+    fn clear(&mut self, (plane, mask): Bit) {
+        self.words[plane] &= !mask;
     }
 
     #[inline]
-    fn set(&mut self, slot: Slot) {
-        match slot {
-            Slot::Backplane(p) => self.bp |= 1u8 << p,
-            Slot::Nic { plane, node } => self.nic[plane as usize] |= 1u128 << node,
-        }
+    fn set(&mut self, (plane, mask): Bit) {
+        self.words[plane] |= mask;
     }
 
     /// Marks the component with dense index `idx` as failed. An index past
     /// the universe names no component and changes nothing, whatever `K`.
     pub fn fail_index(&mut self, idx: usize) {
-        if let Some(slot) = self.locate(idx) {
-            self.clear(slot);
+        if let Some(bit) = self.locate(idx) {
+            self.clear(bit);
         }
     }
 
@@ -144,8 +136,8 @@ impl ClusterState {
     /// the inverse of [`ClusterState::fail_index`], and like it a no-op
     /// past the universe.
     pub fn restore_index(&mut self, idx: usize) {
-        if let Some(slot) = self.locate(idx) {
-            self.set(slot);
+        if let Some(bit) = self.locate(idx) {
+            self.set(bit);
         }
     }
 
@@ -154,11 +146,7 @@ impl ClusterState {
     #[inline]
     #[must_use]
     pub fn on(&self, p: usize) -> u128 {
-        if self.bp >> p & 1 != 0 {
-            self.nic[p]
-        } else {
-            0
-        }
+        live(self.words[p]) & !Self::BACKPLANE
     }
 
     /// Bitmask of planes node `i` is attached to.
@@ -173,12 +161,11 @@ impl ClusterState {
     }
 }
 
-/// A liveness bit of [`ClusterState`]: one backplane, or one node's NIC on
-/// one plane.
-#[derive(Debug, Clone, Copy)]
-enum Slot {
-    Backplane(u8),
-    Nic { plane: u8, node: u8 },
+/// A plane's word if its backplane is up, else zero: bit 127 is the sign
+/// bit, and the arithmetic shift spreads it over the whole word.
+#[inline]
+fn live(word: u128) -> u128 {
+    word & ((word as i128) >> 127) as u128
 }
 
 /// Can nodes `s` and `t` communicate under DRS routing?
@@ -198,17 +185,22 @@ pub fn pair_connected_state(st: &ClusterState, s: usize, t: usize) -> bool {
         "invalid pair ({s},{t}) for n={}",
         st.n
     );
+    reaches(&st.words[..st.planes as usize], s, t)
+}
+
+/// [`pair_connected_state`]'s pass over the plane words, without a
+/// branch: a live plane joins `s`'s reach set iff `s`'s bit is in it.
+#[inline]
+fn reaches(words: &[u128], s: usize, t: usize) -> bool {
     let (mut reach_s, mut reach_t) = (0u128, 0u128);
-    for p in 0..st.planes as usize {
-        let op = st.on(p);
-        if op >> s & 1 != 0 {
-            reach_s |= op;
-        }
-        if op >> t & 1 != 0 {
-            reach_t |= op;
-        }
+    for &word in words {
+        let op = live(word);
+        reach_s |= op & (op >> s & 1).wrapping_neg();
+        reach_t |= op & (op >> t & 1).wrapping_neg();
     }
-    reach_s & reach_t != 0
+    // Both sets hold bit 127 once each endpoint sits on a live plane;
+    // only a node's bit is a gateway.
+    (reach_s & reach_t) << 1 != 0
 }
 
 /// Can nodes `s` and `t` communicate, given a failure set over the
@@ -225,17 +217,9 @@ pub fn pair_connected_k(n: usize, planes: u8, failures: &ComponentSet, s: usize,
 /// — directly (shared plane) or by a one-hop relay.
 #[must_use]
 pub fn all_pairs_connected_state(st: &ClusterState) -> bool {
-    let full = if st.n == 128 {
-        u128::MAX
-    } else {
-        (1u128 << st.n) - 1
-    };
     let k = st.planes as usize;
-    let mut union = 0u128;
-    for p in 0..k {
-        union |= st.on(p);
-    }
-    if union != full {
+    let on: [u128; MAX_PLANES] = std::array::from_fn(|p| st.on(p));
+    if on.iter().fold(0, |union, &op| union | op) != (1u128 << st.n) - 1 {
         return false; // some node is completely detached
     }
     // reach[p]: planes q such that some node is attached to both p and q
@@ -243,27 +227,24 @@ pub fn all_pairs_connected_state(st: &ClusterState) -> bool {
     // attachment profiles are connected iff one's reach meets the other.
     let mut reach = [0u8; MAX_PLANES];
     for (p, reach_p) in reach.iter_mut().enumerate().take(k) {
-        let op = st.on(p);
-        if op == 0 {
-            continue;
-        }
         for q in 0..k {
-            if op & st.on(q) != 0 {
-                *reach_p |= 1u8 << q;
-            }
+            *reach_p |= u8::from(on[p] & on[q] != 0) << q;
         }
     }
     // The distinct attachment profiles present among the nodes (at most
-    // 2^k − 1 of them; coverage above rules out 0).
+    // 2^k − 1 of them; coverage above rules out 0), in fixed arrays.
     let mut present = [false; 1 << MAX_PLANES];
-    let mut profiles: Vec<u8> = Vec::new();
+    let mut profiles = [0u8; 1 << MAX_PLANES];
+    let mut len = 0;
     for i in 0..st.n {
-        let m = st.attachment(i);
+        let m = (0..k).fold(0u8, |m, p| m | ((on[p] >> i & 1) as u8) << p);
         if !present[m as usize] {
             present[m as usize] = true;
-            profiles.push(m);
+            profiles[len] = m;
+            len += 1;
         }
     }
+    let profiles = &profiles[..len];
     for (i, &ma) in profiles.iter().enumerate() {
         let ra = (0..k)
             .filter(|&p| ma >> p & 1 != 0)
@@ -300,11 +281,16 @@ pub enum Question {
 #[derive(Debug, Clone)]
 pub struct KPlane {
     pub(crate) state: ClusterState,
-    /// The fully-operational state [`FailureModel::reset`] copies back.
+    /// The fully-operational state whose words [`FailureModel::reset`]
+    /// copies back.
     up: ClusterState,
-    /// The bit behind every index of the universe, located once here so
-    /// that a flip in the walk or the sampler costs no division.
-    slots: Box<[Slot]>,
+    /// The `(plane, mask)` behind every index of the universe, located
+    /// once here so that a flip in the walk or the sampler is one AND or OR
+    /// with a loaded mask. A mask rather than a bit number: the compiler
+    /// narrows `word &= !(1 << bit)` to a one- or four-byte store, which
+    /// the predicate's eight-byte loads of the same word must then wait
+    /// out (walk steps and draws measured 5–10 % slower that way).
+    bits: Box<[Bit]>,
     question: Question,
 }
 
@@ -320,13 +306,13 @@ impl KPlane {
         assert!(n >= 2, "need a pair of nodes");
         let up = ClusterState::fully_up_k(n, planes);
         let k = planes as usize;
-        let slots = (0..k * n + k)
+        let bits = (0..k * n + k)
             .map(|idx| up.locate(idx).expect("index inside the universe"))
             .collect();
         KPlane {
             state: up,
             up,
-            slots,
+            bits,
             question,
         }
     }
@@ -334,28 +320,28 @@ impl KPlane {
 
 impl FailureModel for KPlane {
     fn universe(&self) -> usize {
-        self.slots.len()
+        self.bits.len()
     }
 
     #[inline]
     fn fail(&mut self, idx: usize) {
-        self.state.clear(self.slots[idx]);
+        self.state.clear(self.bits[idx]);
     }
 
     #[inline]
     fn restore(&mut self, idx: usize) {
-        self.state.set(self.slots[idx]);
+        self.state.set(self.bits[idx]);
     }
 
     #[inline]
     fn reset(&mut self) {
-        self.state = self.up;
+        self.state.words = self.up.words;
     }
 
     #[inline]
     fn holds(&mut self) -> bool {
         match self.question {
-            Question::Pair => pair_connected_state(&self.state, 0, 1),
+            Question::Pair => reaches(&self.state.words[..self.state.planes as usize], 0, 1),
             Question::AllPairs => all_pairs_connected_state(&self.state),
         }
     }
@@ -490,24 +476,32 @@ mod tests {
     fn fail_index_layout_matches_doc() {
         // The table in `crate::components`, read off the state: backplanes
         // first, then one block of `n` NICs per plane.
+        // Each plane's word holds its NICs in bits `0..n` and its
+        // backplane in bit 127.
         let n = 5;
         let up = ClusterState::fully_up_k(n, 2);
+        assert_eq!(up.words[..2], [ClusterState::BACKPLANE | 0b1_1111; 2]);
+        assert!(up.words[2..].iter().all(|&w| w == 0));
         let after = |idx: usize| {
             let mut st = up;
             st.fail_index(idx);
-            st
+            st.words
         };
-        assert_eq!(after(0).bp, 0b10);
-        assert_eq!(after(1).bp, 0b01);
+        let bp = ClusterState::BACKPLANE;
+        assert_eq!(after(0)[..2], [up.words[0] & !bp, up.words[1]]);
+        assert_eq!(after(1)[..2], [up.words[0], up.words[1] & !bp]);
         for i in 0..n {
-            assert_eq!(after(2 + i).nic[0], up.nic[0] & !(1 << i), "node {i} net A");
+            let nic = 1u128 << i;
             assert_eq!(
-                after(2 + n + i).nic[1],
-                up.nic[1] & !(1 << i),
+                after(2 + i)[..2],
+                [up.words[0] & !nic, up.words[1]],
+                "node {i} net A"
+            );
+            assert_eq!(
+                after(2 + n + i)[..2],
+                [up.words[0], up.words[1] & !nic],
                 "node {i} net B"
             );
-            assert_eq!(after(2 + i).nic[1], up.nic[1]);
-            assert_eq!(after(2 + n + i).bp, up.bp);
         }
     }
 
@@ -582,56 +576,113 @@ mod tests {
         assert!(!all_pairs_connected_state(&st));
     }
 
-    /// The plane-pair formulation the O(K) predicate replaced: attachment
-    /// profiles first, then every (plane of `s`, plane of `t`) pair tested
-    /// for a common node — O(K²) mask intersections.
-    fn pair_connected_by_plane_pairs(st: &ClusterState, s: usize, t: usize) -> bool {
-        let (ms, mt) = (st.attachment(s), st.attachment(t));
-        if ms & mt != 0 {
-            return true;
+    /// The layout the packed words replaced, kept as the oracles'
+    /// independent spelling: a backplane mask (bit `p` is plane `p`) and one
+    /// NIC mask per plane, with its own reading of the index layout.
+    #[derive(Debug, Clone, Copy)]
+    struct Unpacked {
+        n: usize,
+        k: usize,
+        bp: u8,
+        nic: [u128; MAX_PLANES],
+    }
+
+    impl Unpacked {
+        fn up(n: usize, planes: u8) -> Self {
+            let k = planes as usize;
+            let mut nic = [0; MAX_PLANES];
+            nic[..k].fill((1u128 << n) - 1);
+            let bp = ((1u16 << k) - 1) as u8;
+            Unpacked { n, k, bp, nic }
         }
-        if ms == 0 || mt == 0 {
-            return false;
-        }
-        let k = st.planes as usize;
-        for p in 0..k {
-            if ms >> p & 1 == 0 {
-                continue;
+
+        /// Sets component `idx` to `alive`: backplanes first, then one
+        /// block of `n` NICs per plane.
+        fn set(&mut self, idx: usize, alive: bool) {
+            if idx < self.k {
+                self.bp = self.bp & !(1 << idx) | u8::from(alive) << idx;
+            } else {
+                let (p, i) = ((idx - self.k) / self.n, (idx - self.k) % self.n);
+                self.nic[p] = self.nic[p] & !(1 << i) | u128::from(alive) << i;
             }
-            let op = st.on(p);
-            for q in 0..k {
-                if mt >> q & 1 != 0 && op & st.on(q) != 0 {
-                    return true;
-                }
+        }
+
+        fn packed(&self) -> ClusterState {
+            let mut words = [0; MAX_PLANES];
+            for (p, word) in words.iter_mut().enumerate().take(self.k) {
+                let bp = if self.bp >> p & 1 != 0 {
+                    ClusterState::BACKPLANE
+                } else {
+                    0
+                };
+                *word = self.nic[p] | bp;
+            }
+            ClusterState {
+                n: self.n,
+                planes: self.k as u8,
+                words,
             }
         }
-        false
+
+        fn on(&self, p: usize) -> u128 {
+            if self.bp >> p & 1 != 0 {
+                self.nic[p]
+            } else {
+                0
+            }
+        }
+
+        /// The plane-pair formulation the O(K) predicate replaced:
+        /// attachment profiles first, then every (plane of `s`, plane of
+        /// `t`) pair tested for a common node — O(K²) mask intersections.
+        fn pair(&self, s: usize, t: usize) -> bool {
+            let attachment = |i: usize| (0..self.k).filter(move |&p| self.on(p) >> i & 1 != 0);
+            attachment(s).any(|p| attachment(t).any(|q| p == q || self.on(p) & self.on(q) != 0))
+        }
+
+        /// Every pair, one at a time.
+        fn all_pairs(&self) -> bool {
+            (0..self.n).all(|s| (s + 1..self.n).all(|t| self.pair(s, t)))
+        }
+
+        fn answer(&self, question: Question) -> bool {
+            match question {
+                Question::Pair => self.pair(0, 1),
+                Question::AllPairs => self.all_pairs(),
+            }
+        }
     }
 
     #[test]
     fn pair_predicate_matches_the_plane_pair_oracle() {
         // Every liveness state of every n ≤ 4, K ≤ 4 cluster (bit `p` of
-        // `bits` is backplane `p`, then one n-bit NIC block per plane) and
-        // every ordered pair.
+        // `bits` is backplane `p`, then one n-bit NIC block per plane),
+        // packed into plane words: every ordered pair, and all pairs.
         for planes in 2u8..=4 {
             let k = planes as usize;
             for n in 2..=4usize {
                 let full = (1u128 << n) - 1;
                 for bits in 0u128..1 << (k + k * n) {
-                    let mut st = ClusterState::fully_up_k(n, planes);
-                    st.bp = (bits & ((1 << k) - 1)) as u8;
+                    let mut old = Unpacked::up(n, planes);
+                    old.bp = (bits & ((1 << k) - 1)) as u8;
                     for p in 0..k {
-                        st.nic[p] = bits >> (k + p * n) & full;
+                        old.nic[p] = bits >> (k + p * n) & full;
                     }
+                    let st = old.packed();
                     for s in 0..n {
                         for t in (0..n).filter(|&t| t != s) {
                             assert_eq!(
                                 pair_connected_state(&st, s, t),
-                                pair_connected_by_plane_pairs(&st, s, t),
+                                old.pair(s, t),
                                 "K={k} n={n} bits={bits:b} pair=({s},{t})"
                             );
                         }
                     }
+                    assert_eq!(
+                        all_pairs_connected_state(&st),
+                        old.all_pairs(),
+                        "K={k} n={n} bits={bits:b} all pairs"
+                    );
                 }
             }
         }
@@ -640,43 +691,100 @@ mod tests {
     #[test]
     fn kplane_flips_equal_the_index_layout() {
         // Fail every index in turn, then restore them in turn: the model's
-        // located slots and `fail_index`/`restore_index` agree at every
-        // step, at every plane count.
-        for (n, planes) in [(5usize, 2u8), (4, 3), (7, 5), (3, 8), (31, 8)] {
-            let mut model = KPlane::new(n, planes, Question::Pair);
-            let mut st = ClusterState::fully_up_k(n, planes);
-            let m = model.universe();
-            assert_eq!(m, planes as usize * (n + 1));
-            for idx in 0..m {
-                model.fail(idx);
-                st.fail_index(idx);
-                assert_eq!(model.state, st, "fail n={n} K={planes} idx={idx}");
+        // located bits, `fail_index`/`restore_index` and the unpacked
+        // layout agree at every step, at every plane count up to the
+        // 256-component universes (31, 8) and (127, 2), and so do both
+        // questions' answers.
+        for (n, planes) in [(5usize, 2u8), (4, 3), (7, 5), (3, 8), (31, 8), (127, 2)] {
+            for question in [Question::Pair, Question::AllPairs] {
+                let mut model = KPlane::new(n, planes, question);
+                let mut st = ClusterState::fully_up_k(n, planes);
+                let mut old = Unpacked::up(n, planes);
+                let m = model.universe();
+                assert_eq!(m, planes as usize * (n + 1));
+                let steps = (0..m)
+                    .map(|idx| (idx, false))
+                    .chain((0..m).map(|idx| (idx, true)));
+                for (idx, alive) in steps {
+                    if alive {
+                        model.restore(idx);
+                        st.restore_index(idx);
+                    } else {
+                        model.fail(idx);
+                        st.fail_index(idx);
+                    }
+                    old.set(idx, alive);
+                    let at = format!("n={n} K={planes} idx={idx} alive={alive}");
+                    assert_eq!(model.state, st, "{at}");
+                    assert_eq!(st, old.packed(), "{at}");
+                    assert_eq!(model.holds(), old.answer(question), "{question:?} {at}");
+                }
+                assert_eq!(st, ClusterState::fully_up_k(n, planes));
             }
-            for idx in 0..m {
-                model.restore(idx);
-                st.restore_index(idx);
-                assert_eq!(model.state, st, "restore n={n} K={planes} idx={idx}");
+        }
+    }
+
+    #[test]
+    fn kplane_answers_the_oracle_on_drawn_failure_sets() {
+        // The Monte-Carlo path (fail the drawn set, ask, reset) on the
+        // largest clusters, where the walk above only sees nested prefixes
+        // of the universe.
+        let mut rng = drs_obs::rng::Rng::seed_from_u64(42);
+        for (n, planes) in [(127usize, 2u8), (31, 8), (9, 5)] {
+            for question in [Question::Pair, Question::AllPairs] {
+                let mut model = KPlane::new(n, planes, question);
+                let m = model.universe();
+                for f in 1..=8 {
+                    for _ in 0..40 {
+                        let mut old = Unpacked::up(n, planes);
+                        for idx in crate::montecarlo::sample_failures(m, f, &mut rng).iter() {
+                            model.fail(idx);
+                            old.set(idx, false);
+                        }
+                        assert_eq!(model.state, old.packed(), "n={n} K={planes} f={f}");
+                        assert_eq!(
+                            model.holds(),
+                            old.answer(question),
+                            "{question:?} n={n} K={planes} f={f}"
+                        );
+                        model.reset();
+                    }
+                }
             }
-            assert_eq!(st, ClusterState::fully_up_k(n, planes));
         }
     }
 
     #[test]
     fn generalized_predicates_match_legacy_at_k2() {
         // Exhaustive over every failure subset of a small cluster: the
-        // K-general code path at planes=2 must agree with the paper's
-        // two-network formulation, expressed directly.
+        // K-general code path at planes=2 — the packed state built by
+        // `fail_index`, and the model flipped through its located bits —
+        // must agree with the paper's two-network formulation, expressed
+        // directly on the subset's bits.
         let n = 3;
         let m = 2 * n + 2;
+        let full = (1u128 << n) - 1;
+        let mut pair_model = KPlane::new(n, 2, Question::Pair);
+        let mut all_model = KPlane::new(n, 2, Question::AllPairs);
         for bits in 0u32..1 << m {
             let mut st = ClusterState::fully_up_k(n, 2);
-            for idx in 0..m {
-                if bits >> idx & 1 != 0 {
-                    st.fail_index(idx);
-                }
+            for idx in (0..m).filter(|&idx| bits >> idx & 1 != 0) {
+                st.fail_index(idx);
+                pair_model.fail(idx);
+                all_model.fail(idx);
             }
-            let full = (1u128 << n) - 1;
-            let (a, b) = (st.on(0), st.on(1));
+            // Networks A and B: a node is on a network iff its hub and its
+            // NIC there are both up.
+            let net = |p: u32| {
+                let hub_up = bits >> p & 1 == 0;
+                let nics_up = !u128::from(bits >> (2 + p as usize * n)) & full;
+                if hub_up {
+                    nics_up
+                } else {
+                    0
+                }
+            };
+            let (a, b) = (net(0), net(1));
             let legacy_pair = |s: usize, t: usize| {
                 let (sa, sb) = (a >> s & 1 != 0, b >> s & 1 != 0);
                 let (ta, tb) = (a >> t & 1 != 0, b >> t & 1 != 0);
@@ -695,6 +803,10 @@ mod tests {
             }
             let legacy_all = (a | b == full) && (a & b != 0 || a == full || b == full);
             assert_eq!(all_pairs_connected_state(&st), legacy_all, "bits={bits:b}");
+            assert_eq!(pair_model.holds(), legacy_pair(0, 1), "model bits={bits:b}");
+            assert_eq!(all_model.holds(), legacy_all, "model bits={bits:b}");
+            pair_model.reset();
+            all_model.reset();
         }
     }
 }

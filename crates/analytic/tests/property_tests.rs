@@ -121,15 +121,19 @@ fn predicate_matches_reference_reachability() {
         let bp_b = rng.gen_bool(0.5);
         let nic_bits = rng.next_u64();
         let ctx = format!("case {case}: n={n} bp_a={bp_a} bp_b={bp_b} nic_bits={nic_bits}");
+        let nic = [
+            (nic_bits & 0xFFFF_FFFF) as u128 & ((1u128 << n) - 1),
+            (nic_bits >> 32) as u128 & ((1u128 << n) - 1),
+        ];
+        let hub = |up: bool| if up { ClusterState::BACKPLANE } else { 0 };
         let mut st = ClusterState::fully_up_k(n, 2);
-        st.bp = u8::from(bp_a) | u8::from(bp_b) << 1;
-        st.nic[0] = (nic_bits & 0xFFFF_FFFF) as u128 & ((1u128 << n) - 1);
-        st.nic[1] = (nic_bits >> 32) as u128 & ((1u128 << n) - 1);
+        st.words[0] = nic[0] | hub(bp_a);
+        st.words[1] = nic[1] | hub(bp_b);
 
         // Reference: BFS over nodes + hub vertices.
         let reference = |s: usize, t: usize| -> bool {
-            let on_a = |i: usize| bp_a && st.nic[0] >> i & 1 == 1;
-            let on_b = |i: usize| bp_b && st.nic[1] >> i & 1 == 1;
+            let on_a = |i: usize| bp_a && nic[0] >> i & 1 == 1;
+            let on_b = |i: usize| bp_b && nic[1] >> i & 1 == 1;
             // vertices: 0..n nodes, n = hubA, n+1 = hubB
             let mut seen = vec![false; n + 2];
             let mut stack = vec![s];
@@ -207,9 +211,7 @@ fn component_index_bijection() {
         let k = planes as usize;
         let n = rng.gen_range(1usize..256 / k);
         let ctx = format!("case {case}: n={n} planes={planes}");
-        let bits = |st: &ClusterState| {
-            st.bp.count_ones() + st.nic.iter().map(|w| w.count_ones()).sum::<u32>()
-        };
+        let bits = |st: &ClusterState| st.words.iter().map(|w| w.count_ones()).sum::<u32>();
         let mut st = ClusterState::fully_up_k(n, planes);
         for idx in 0..k * n + k {
             let before = st;

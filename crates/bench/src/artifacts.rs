@@ -64,7 +64,7 @@ pub const ARTIFACTS: &[Artifact] = &[
     Artifact {
         name: "obs",
         file: OBS_BENCH_JSON,
-        generator: Generator::Plain(|| obs_artifact::obs_bench_artifact(RunMode::Serial).to_json()),
+        generator: Generator::Moded(|mode| obs_artifact::obs_bench_artifact(mode).to_json()),
     },
     Artifact {
         name: "kernel",

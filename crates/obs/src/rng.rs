@@ -71,6 +71,7 @@ impl Rng {
     }
 
     /// The next 64-bit draw.
+    #[inline]
     pub fn next_u64(&mut self) -> u64 {
         let s = &mut self.s;
         let result = s[0].wrapping_add(s[3]).rotate_left(23).wrapping_add(s[0]);
@@ -117,6 +118,7 @@ fn scale(word: u64, span: u64) -> u64 {
 macro_rules! int_range {
     ($($t:ty),*) => {$(
         impl SampleRange for $t {
+            #[inline]
             fn sample(range: Range<Self>, rng: &mut Rng) -> Self {
                 assert!(range.start < range.end, "gen_range: empty range");
                 let span = (range.end - range.start) as u64;

@@ -192,6 +192,7 @@ pub struct ComponentSet {
 
 impl ComponentSet {
     /// The empty set.
+    #[inline]
     #[must_use]
     pub fn new() -> Self {
         ComponentSet::default()

@@ -6,7 +6,7 @@
 
 use drs::obs::rng::Rng;
 
-use drs::analytic::connectivity::{pair_connected_k, ClusterState, KPlane, Question};
+use drs::analytic::connectivity::{pair_connected_k, ClusterState, KPlane, Question, MAX_PLANES};
 use drs::analytic::enumerate::{enumerate_pair_success, exhaustive_p_success};
 use drs::analytic::exact::{component_count, p_success, success_count};
 use drs::analytic::montecarlo::{sample_failures, MonteCarlo};
@@ -101,14 +101,16 @@ fn analytic_component(idx: usize, n: usize, planes: u8) -> (Option<usize>, usize
     let up = ClusterState::fully_up_k(n, planes);
     let mut st = up;
     st.fail_index(idx);
-    let bp = up.bp ^ st.bp;
-    let nics: Vec<(usize, u128)> = (0..planes as usize)
-        .map(|p| (p, up.nic[p] ^ st.nic[p]))
+    // One word per plane: NICs in bits 0..n, the backplane in bit 127.
+    let cleared: Vec<(usize, u128)> = (0..MAX_PLANES)
+        .map(|p| (p, up.words[p] ^ st.words[p]))
         .filter(|&(_, diff)| diff != 0)
         .collect();
-    match (bp.count_ones(), nics.as_slice()) {
-        (1, []) => (None, bp.trailing_zeros() as usize),
-        (0, [(p, diff)]) if diff.count_ones() == 1 => (Some(diff.trailing_zeros() as usize), *p),
+    match cleared.as_slice() {
+        [(p, ClusterState::BACKPLANE)] => (None, *p),
+        [(p, diff)] if diff.count_ones() == 1 && diff.trailing_zeros() < n as u32 => {
+            (Some(diff.trailing_zeros() as usize), *p)
+        }
         other => panic!("idx {idx} did not clear exactly one bit: {other:?}"),
     }
 }

@@ -1,8 +1,8 @@
 //! Integration: the committed `BENCH_observability.json` artifact is
 //! exactly what the instrumented suite regenerates, its probe-overhead
 //! section stays within the Figure 1 bandwidth budget in every cell, and
-//! its goodput cells pay off in budget order. The generator has no run
-//! mode, so there is no serial/parallel pin here.
+//! its goodput cells pay off in budget order, and a serial run writes the
+//! same bytes as a parallel one.
 //!
 //! If an intentional change shifts the results, regenerate the artifact
 //! (`cargo run --release -p drs-bench -- regen obs`) and commit it
@@ -28,6 +28,16 @@ fn committed_artifact_regenerates_byte_for_byte() {
     entry()
         .check(&entry().render(RunMode::Parallel))
         .unwrap_or_else(|why| panic!("{why}"));
+}
+
+#[test]
+fn serial_and_parallel_artifacts_are_byte_identical() {
+    // Serial runs every cell on the calling thread, Parallel claims them
+    // from `par` workers; the rows come back in cell order either way.
+    assert_eq!(
+        obs_bench_artifact(RunMode::Serial).to_json(),
+        ARTIFACT.to_json()
+    );
 }
 
 #[test]
