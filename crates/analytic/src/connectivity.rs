@@ -148,17 +148,6 @@ impl ClusterState {
     pub fn on(&self, p: usize) -> u128 {
         live(self.words[p]) & !Self::BACKPLANE
     }
-
-    /// Bitmask of planes node `i` is attached to.
-    #[inline]
-    #[must_use]
-    pub fn attachment(&self, i: usize) -> u8 {
-        let mut m = 0u8;
-        for p in 0..self.planes as usize {
-            m |= (((self.on(p) >> i) & 1) as u8) << p;
-        }
-        m
-    }
 }
 
 /// A plane's word if its backplane is up, else zero: bit 127 is the sign
@@ -281,9 +270,8 @@ pub enum Question {
 #[derive(Debug, Clone)]
 pub struct KPlane {
     pub(crate) state: ClusterState,
-    /// The fully-operational state whose words [`FailureModel::reset`]
-    /// copies back.
-    up: ClusterState,
+    /// The fully-operational words [`FailureModel::reset`] copies back.
+    up: [u128; MAX_PLANES],
     /// The `(plane, mask)` behind every index of the universe, located
     /// once here so that a flip in the walk or the sampler is one AND or OR
     /// with a loaded mask. A mask rather than a bit number: the compiler
@@ -311,7 +299,7 @@ impl KPlane {
             .collect();
         KPlane {
             state: up,
-            up,
+            up: up.words,
             bits,
             question,
         }
@@ -335,7 +323,7 @@ impl FailureModel for KPlane {
 
     #[inline]
     fn reset(&mut self) {
-        self.state.words = self.up.words;
+        self.state.words = self.up;
     }
 
     #[inline]
@@ -566,10 +554,11 @@ mod tests {
         st.fail_index(nic(1, 1));
         st.fail_index(nic(2, 2));
         st.fail_index(nic(3, 0));
-        assert_eq!(st.attachment(0), 0b001);
-        assert_eq!(st.attachment(1), 0b100);
-        assert_eq!(st.attachment(2), 0b011);
-        assert_eq!(st.attachment(3), 0b110);
+        let attachment = |i: usize| (0..k).fold(0, |m, p| m | (st.on(p) >> i & 1) << p);
+        assert_eq!(attachment(0), 0b001);
+        assert_eq!(attachment(1), 0b100);
+        assert_eq!(attachment(2), 0b011);
+        assert_eq!(attachment(3), 0b110);
         assert!(!pair_connected_state(&st, 0, 1), "needs two hops");
         assert!(pair_connected_state(&st, 0, 3), "one hop via node 2");
         assert!(pair_connected_state(&st, 2, 3), "shared plane 1");
