@@ -83,11 +83,11 @@ pub enum FrameKind<M> {
 
 /// One frame in flight on one network segment.
 ///
-/// The simulator queues every frame in its own heap box, and at
-/// N = 1024, K = 2 it holds two million probe frames at once, so the
-/// frame's size decides the malloc class of each: 48 bytes with the DRS
-/// message type, a 64-byte chunk (it was 88 bytes and a 96-byte chunk
-/// while the data segment and the flight identity were carried inline).
+/// The simulator queues an untraced echo inside its 16-byte event and
+/// every other frame in its own heap box, so the frame's size decides
+/// the malloc class of each box: 48 bytes with the DRS message type, a
+/// 64-byte chunk (it was 88 bytes and a 96-byte chunk while the data
+/// segment and the flight identity were carried inline).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<M> {
     /// Transmitting host.

@@ -55,6 +55,10 @@ pub struct SharedMedium {
     bandwidth_bps: u64,
     propagation: SimDuration,
     busy_until: SimTime,
+    /// The last admitted frame's wire size and serialization time: nearly
+    /// every frame is a 74 B probe, so admission divides once per size
+    /// change, not once per frame. `(0, 0)` at first, which is exact.
+    last_ser: (u32, SimDuration),
     /// Cumulative statistics (reset-free; experiments snapshot and diff).
     pub stats: MediumStats,
 }
@@ -72,6 +76,7 @@ impl SharedMedium {
             bandwidth_bps,
             propagation,
             busy_until: SimTime::ZERO,
+            last_ser: (0, SimDuration::ZERO),
             stats: MediumStats::default(),
         }
     }
@@ -110,7 +115,10 @@ impl SharedMedium {
         }
         let tx_start = self.busy_until.max(now);
         let queue_delay = tx_start - now;
-        let ser = self.serialization(wire_bytes);
+        if wire_bytes != self.last_ser.0 {
+            self.last_ser = (wire_bytes, self.serialization(wire_bytes));
+        }
+        let ser = self.last_ser.1;
         self.busy_until = tx_start + ser;
 
         self.stats.frames += 1;
@@ -224,6 +232,24 @@ mod tests {
         }
         let u = m.utilization_since(&snap, SimTime::ZERO, SimTime(10_000_000));
         assert!((u - 0.10).abs() < 1e-9, "{u}");
+    }
+
+    /// The memo of the last size answers what a fresh division would, on
+    /// repeats, on size changes and on a zero-byte frame first.
+    #[test]
+    fn admission_serializes_every_size_as_the_division_does() {
+        let mut m = SharedMedium::new(NetId::A, 3_000_000_007, SimDuration::ZERO);
+        let mut busy = SimDuration::ZERO;
+        for (i, bytes) in [0u32, 74, 74, 96, 74, 1, 1250, 0, 74]
+            .into_iter()
+            .enumerate()
+        {
+            let at = SimTime(i as u64 * 1_000_000);
+            let arrive = m.admit(at, bytes, TrafficClass::Probe, true).unwrap();
+            assert_eq!(arrive - at, m.serialization(bytes), "{bytes} B");
+            busy = busy + m.serialization(bytes);
+        }
+        assert_eq!(m.stats.busy, busy);
     }
 
     #[test]

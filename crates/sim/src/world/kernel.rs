@@ -35,13 +35,57 @@ fn class_of<M>(frame: &Frame<M>) -> TrafficClass {
     }
 }
 
+/// The inline event of an untraced echo whose id fits 16 bits, or `None`
+/// for a frame that rides the wheel boxed.
+fn inline_echo<M>(frame: &Frame<M>) -> Option<EventKind<M>> {
+    let Destination::Node(dst) = frame.dst else {
+        return None;
+    };
+    if frame.flight.is_some() {
+        return None;
+    }
+    let (src, net) = (frame.src, frame.net);
+    match frame.kind {
+        FrameKind::EchoRequest { id, seq } => Some(EventKind::EchoRequest {
+            src,
+            dst,
+            seq,
+            id: u16::try_from(id).ok()?,
+            net,
+        }),
+        FrameKind::EchoReply { id, seq } => Some(EventKind::EchoReply {
+            src,
+            dst,
+            seq,
+            id: u16::try_from(id).ok()?,
+            net,
+        }),
+        _ => None,
+    }
+}
+
+/// The frame an inline echo event stands for (every echo is sent at
+/// [`ICMP_WIRE_BYTES`]).
+fn echo_frame<M>(src: NodeId, dst: NodeId, net: NetId, kind: FrameKind<M>) -> Frame<M> {
+    Frame {
+        src,
+        dst: Destination::Node(dst),
+        net,
+        kind,
+        wire_bytes: ICMP_WIRE_BYTES,
+        flight: None,
+    }
+}
+
 impl<M: Clone + std::fmt::Debug> Core<M> {
     /// Puts a frame on its segment. Returns `false` when the frame was
     /// dropped *locally* because the sender's NIC is down (observable to
     /// the sender, like a device error from `sendmsg`). A dead hub eats
     /// the frame silently and still returns `true` — that loss is not
     /// locally observable. Admission reads the segment's `hub_up`, which
-    /// the run loop has brought up to this instant.
+    /// the run loop has brought up to this instant. An admitted untraced
+    /// echo is queued inline ([`EventKind::EchoRequest`] /
+    /// [`EventKind::EchoReply`]), any other frame in a box.
     pub(crate) fn transmit(&mut self, frame: Frame<M>) -> bool {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
@@ -51,8 +95,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         }
         let (now, class, up) = (self.now, class_of(&frame), self.hub_up[frame.net.idx()]);
         if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class, up) {
-            let frame = self.boxed(frame);
-            self.schedule_at(arrive, EventKind::Arrive(frame));
+            let event = inline_echo(&frame).unwrap_or_else(|| EventKind::Arrive(self.boxed(frame)));
+            self.schedule_at(arrive, event);
         } else {
             // The dead hub ate the frame at admission.
             self.flight_loss(&frame, loss_site::HUB_ADMIT);
@@ -104,6 +148,26 @@ impl<P: Protocol> Engine<'_, P> {
             EventKind::Arrive(mut frame) => {
                 self.handle_arrival(&mut frame);
                 self.core.recycle_frame(frame);
+            }
+            EventKind::EchoRequest {
+                src,
+                dst,
+                seq,
+                id,
+                net,
+            } => {
+                let kind = FrameKind::EchoRequest { id: id.into(), seq };
+                self.handle_arrival(&mut echo_frame(src, dst, net, kind));
+            }
+            EventKind::EchoReply {
+                src,
+                dst,
+                seq,
+                id,
+                net,
+            } => {
+                let kind = FrameKind::EchoReply { id: id.into(), seq };
+                self.handle_arrival(&mut echo_frame(src, dst, net, kind));
             }
             EventKind::SessionOpen { host } => self.handle_session_open(host),
             EventKind::SessionClose { host, local } => self.handle_session_close(host, local),

@@ -527,6 +527,58 @@ mod tests {
         assert_eq!(w.host(NodeId(0)).counters.echo_sent, 1);
     }
 
+    /// An echo id wider than the inline event's 16 bits takes the boxed
+    /// form, and is sent, answered, delivered and logged exactly as an
+    /// id of `0xFFFF`, which rides inline.
+    #[test]
+    fn an_echo_id_above_16_bits_rides_boxed_and_reads_the_same() {
+        struct Pinger {
+            id: u32,
+            got: Vec<(NodeId, NetId, u32, u32)>,
+        }
+        impl Protocol for Pinger {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                if ctx.self_id() == NodeId(2) {
+                    ctx.send_echo(NetId::B, NodeId(0), self.id, 9);
+                }
+            }
+            fn on_echo_reply(
+                &mut self,
+                _ctx: &mut Ctx<'_, ()>,
+                from: NodeId,
+                net: NetId,
+                id: u32,
+                seq: u32,
+            ) {
+                self.got.push((from, net, id, seq));
+            }
+        }
+        let run = |id: u32| {
+            let mut w = World::new(ClusterSpec::new(3).seed(1), |_| Pinger { id, got: vec![] });
+            w.enable_event_log();
+            w.run_for(SimDuration::from_millis(5));
+            assert_eq!(w.protocol(NodeId(2)).got, [(NodeId(0), NetId::B, id, 9)]);
+            assert!(w.protocol(NodeId(0)).got.is_empty());
+            assert_eq!(w.host(NodeId(0)).counters.echo_answered, 1);
+            (w.event_log().expect("log enabled"), w.core.spare_frames())
+        };
+        let (inline, inline_spares) = run(u32::from(u16::MAX));
+        let (boxed, boxed_spares) = run(u32::from(u16::MAX) + 1);
+        assert_eq!(inline, boxed);
+        // Request 2 -> 0 (discriminant 0, destination 0 + 1), then reply
+        // 0 -> 2 (discriminant 1, destination 2 + 1), both on plane B.
+        let arrivals: Vec<_> = inline
+            .iter()
+            .filter(|r| r.tag == EventTag::Arrive)
+            .map(|r| (r.node, r.net, r.aux))
+            .collect();
+        assert_eq!(arrivals, [(2, 1, 1), (0, 1, 1 << 32 | 3)]);
+        // Only the wide id took boxes: the request's and the reply's (sent
+        // while the request's was still in use), both back on the list.
+        assert_eq!((inline_spares, boxed_spares), (0, 2));
+    }
+
     #[test]
     fn broadcast_reaches_all_but_sender() {
         #[derive(Default)]

@@ -38,17 +38,42 @@ const HUB_SUB_BASE: u32 = 1 << 31;
 /// What a queued event does when it fires.
 ///
 /// `Arrive` carries its frame boxed. An enum is as large as its largest
-/// variant, and a frame (48 B for the DRS message type) is twice any
-/// other payload here; carried inline when it was 88 B, it made every
+/// variant, and a frame (48 B for the DRS message type) is three times
+/// any other payload here; carried inline when it was 88 B, it made every
 /// wheel entry 104 B, so each of the millions of timer events a probe
 /// cycle queues was moved, sorted and cascaded at a frame's size. Boxed,
 /// an event is 16 B and an entry 32 B, and a frame is written once: the
 /// box travels from the sender's [`Core::transmit`] through the wheel to
 /// the receiver, and after dispatch it returns to the core's spare list
 /// for the next transmission.
+///
+/// The probes themselves ride without a box. An untraced echo whose id
+/// fits 16 bits is all fixed fields — two hosts, the plane, the sequence
+/// number and the id, 15 B — so `EchoRequest` and `EchoReply` carry it
+/// inside the 16-byte event, and dispatch rebuilds the frame on the stack
+/// for the one arrival path. Probes are nearly all of a run's frames: the
+/// N = 1024 burst held two million boxes at once, 43 % of its resident
+/// memory. Control and data frames, traced echoes (the flight identity
+/// is a box of its own) and echoes with a wider id keep `Arrive`.
 #[derive(Clone)]
 pub(crate) enum EventKind<M> {
     Arrive(Box<Frame<M>>),
+    /// An untraced echo request on `net` from `src` to `dst`.
+    EchoRequest {
+        src: NodeId,
+        dst: NodeId,
+        seq: u32,
+        id: u16,
+        net: NetId,
+    },
+    /// An untraced echo reply on `net` from `src` to `dst`.
+    EchoReply {
+        src: NodeId,
+        dst: NodeId,
+        seq: u32,
+        id: u16,
+        net: NetId,
+    },
     ProtoTimer {
         node: NodeId,
         token: u64,
@@ -101,11 +126,22 @@ pub struct KernelStats {
 // to a frame's size: fail the build, not the benchmark. The flow events
 // carry only the flow id; the rest of a flow lives in its table record.
 const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 16);
+// The inline echo variants' fields, 15 B, leave the tag one byte of the
+// 16: the sim API's `u32` echo id, carried whole, would grow every event
+// to 24 B. Wider ids take the boxed form instead.
+const _: () = assert!(
+    2 * std::mem::size_of::<NodeId>()
+        + std::mem::size_of::<u32>()
+        + std::mem::size_of::<u16>()
+        + std::mem::size_of::<NetId>()
+        <= 15
+);
 // The frame box itself, whose size sets its malloc class: glibc rounds a
 // request plus its 8 B header up to 16 B, so this 48 B frame takes a 64 B
-// chunk where the 88 B one took 96 B, and the N = 1024 burst holds two
-// million boxes at once. A field the run almost never fills goes behind a
-// pointer, not inline (see `Frame::flight` and `FrameKind::Data`).
+// chunk where the 88 B one took 96 B. Every control and data frame and
+// every traced echo still takes one. A field the run almost never fills
+// goes behind a pointer, not inline (see `Frame::flight` and
+// `FrameKind::Data`).
 const _: () = assert!(std::mem::size_of::<Frame<drs_core::DrsMsg>>() <= 48);
 
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host
@@ -196,7 +232,8 @@ pub struct Core<M> {
     /// workload transitions (see [`crate::workload`]).
     pub(crate) workload: Option<Box<WorkloadCore>>,
     /// Frame boxes whose arrival has been dispatched (or whose frame
-    /// died at the sender), reused by [`Self::boxed`].
+    /// died at the sender), reused by [`Self::boxed`]. Only control,
+    /// data and traced frames take one; untraced echoes ride inline.
     spare_frames: SpareBoxes<Frame<M>>,
     /// The boxes of data frames' segments, reused by [`Self::data`].
     spare_segments: SpareBoxes<Segment>,
@@ -324,6 +361,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     #[inline]
     pub(crate) fn boxed(&mut self, frame: Frame<M>) -> Box<Frame<M>> {
         self.spare_frames.boxed(frame)
+    }
+
+    /// How many frame boxes the spare list holds.
+    #[cfg(test)]
+    pub(crate) fn spare_frames(&self) -> usize {
+        self.spare_frames.boxes.len()
     }
 
     /// The `Data` arm for `segment`, in a recycled box when one is spare.
@@ -456,9 +499,13 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         let Some(log) = self.event_log.as_mut() else {
             return;
         };
+        // Both forms of an arrival log the same record.
+        let arrival = |src: NodeId, net: NetId, disc: u64, dst: u64| {
+            (EventTag::Arrive, src.0, net.idx() as u8, disc << 32 | dst)
+        };
         let (tag, node, net, aux) = match kind {
             EventKind::Arrive(f) => {
-                let disc: u64 = match &f.kind {
+                let disc = match &f.kind {
                     FrameKind::EchoRequest { .. } => 0,
                     FrameKind::EchoReply { .. } => 1,
                     FrameKind::Control(_) => 2,
@@ -468,12 +515,13 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
                     Destination::Broadcast => 0,
                     Destination::Node(n) => u64::from(n.0) + 1,
                 };
-                (
-                    EventTag::Arrive,
-                    f.src.0,
-                    f.net.idx() as u8,
-                    disc << 32 | dst,
-                )
+                arrival(f.src, f.net, disc, dst)
+            }
+            EventKind::EchoRequest { src, dst, net, .. } => {
+                arrival(*src, *net, 0, u64::from(dst.0) + 1)
+            }
+            EventKind::EchoReply { src, dst, net, .. } => {
+                arrival(*src, *net, 1, u64::from(dst.0) + 1)
             }
             EventKind::ProtoTimer { node, token } => (EventTag::Timer, node.0, 0, *token),
             EventKind::Rto { flow, attempt } => {

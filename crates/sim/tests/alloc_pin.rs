@@ -2,16 +2,21 @@
 //! counting global allocator over [`System`] counts every `alloc` and
 //! `realloc`; the paper's cluster runs 2 s of virtual time to warm up,
 //! and the next 4 s must not allocate at all, at N ∈ {16, 24, 32, 48, 64,
-//! 90} under both monitor drivers.
+//! 90} under both monitor drivers, with the flight recorder off and on.
+//! Untraced probes ride inside their wheel events and take no box;
+//! traced ones carry a flight identity, so they and their identities
+//! ride boxed, and the traced cells are the ones that keep the spare box
+//! lists working.
 //!
 //! What it protects, with the window's count at (N = 90 per-pair,
 //! N = 90 batched) when that piece is missing:
 //!
 //! * frame boxes ride the event wheel and go back to the receiving core's
 //!   spare list after dispatch (`Core::boxed` / `Core::recycle_frame`) —
-//!   boxed frames without the list: (320 400, 320 400), one per frame; a
-//!   list capped at a fixed 1 024 boxes: (0, 149 970), because the batched
-//!   fan-out has ~16 000 frames in flight at once;
+//!   boxed frames without the list: (640 800, 640 800) traced, one per
+//!   request and reply, and (0, 0) untraced; a list capped at a fixed
+//!   1 024 boxes: (0, 299 940) traced, because the batched fan-out has
+//!   ~16 000 frames in flight at once;
 //! * the wheel's slot chunks come from, and go back to, one free list —
 //!   a fresh chunk for every take instead: (122 878, 59 728);
 //! * the wheel's ready buffer keeps its storage between grains — dropped
@@ -20,9 +25,12 @@
 //!   four, not one: a slot's last chunk is partly filled, so the chunks
 //!   in use wobble with how the probe cycle falls on the slots. Growing
 //!   one chunk at a time allocates again at 4.8 s in every batched cell,
-//!   which is why the window runs to 6 s (a 60 s run of the default rule
-//!   reads zero from 139 ms on); with 32-entry chunks every batched size
-//!   allocated once inside the window.
+//!   traced or not, which is why the window runs to 6 s (a 60 s run of
+//!   the default rule reads zero from 139 ms on); with 32-entry chunks
+//!   every batched size allocated once inside the window.
+//!
+//! The two wheel counts are the untraced cells'; tracing changes no
+//! event, so the traced cells queue the same schedule.
 //!
 //! The file holds one test, so no sibling test allocates inside the
 //! window.
@@ -61,34 +69,45 @@ static GLOBAL: Counting = Counting;
 
 const WARM_UP: SimTime = SimTime(2_000_000_000);
 const WINDOW_END: SimTime = SimTime(6_000_000_000);
+/// The flight ring's capacity in the traced cells: the recorder reserves
+/// up to 4 096 records up front, so a ring this size never grows.
+const FLIGHT_CAP: usize = 4096;
 
 #[test]
 fn the_steady_state_probe_path_allocates_nothing() {
     let mut cells = Vec::new();
     for n in [16usize, 24, 32, 48, 64, 90] {
         for batched in [false, true] {
-            // The paper's timers, as every committed artifact runs them.
-            let cfg = DrsConfig::default()
-                .probe_timeout(SimDuration::from_millis(50))
-                .probe_interval(SimDuration::from_millis(200))
-                .batched_monitor(batched);
-            let mut w = World::new(ClusterSpec::new(n).seed(42), |id| {
-                DrsDaemon::new(id, n, cfg)
-            });
-            w.run_until(WARM_UP);
-            let pops = w.kernel_stats().wheel.pops;
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            w.run_until(WINDOW_END);
-            let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
-            let events = w.kernel_stats().wheel.pops - pops;
-            cells.push((n, batched, allocations, events));
+            for traced in [false, true] {
+                // The paper's timers, as every committed artifact runs them.
+                let cfg = DrsConfig::default()
+                    .probe_timeout(SimDuration::from_millis(50))
+                    .probe_interval(SimDuration::from_millis(200))
+                    .batched_monitor(batched);
+                let mut w = World::new(ClusterSpec::new(n).seed(42), |id| {
+                    DrsDaemon::new(id, n, cfg)
+                });
+                if traced {
+                    w.enable_flight(FLIGHT_CAP);
+                }
+                w.run_until(WARM_UP);
+                let pops = w.kernel_stats().wheel.pops;
+                let before = ALLOCATIONS.load(Ordering::Relaxed);
+                w.run_until(WINDOW_END);
+                let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                let events = w.kernel_stats().wheel.pops - pops;
+                cells.push((n, batched, traced, allocations, events));
+            }
         }
     }
-    for &(n, batched, _, events) in &cells {
-        assert!(events > 0, "n={n} batched={batched}: nothing ran");
+    for &(n, batched, traced, _, events) in &cells {
+        assert!(
+            events > 0,
+            "n={n} batched={batched} traced={traced}: nothing ran"
+        );
     }
     assert!(
         cells.iter().all(|&(.., allocations, _)| allocations == 0),
-        "allocations in 4 steady seconds, (n, batched, allocations, events): {cells:?}"
+        "allocations in 4 steady seconds, (n, batched, traced, allocations, events): {cells:?}"
     );
 }

@@ -2,7 +2,9 @@
 //! of 1000 seeded random schedules — mixed cluster sizes, plane counts,
 //! app traffic, hub failures and repairs, NIC fault plans, lossy links
 //! and fluid workloads — the schedule is **byte-identical** on every
-//! rerun of a draw; `run_until_settled` stops on a stride of `run_until`
+//! rerun of a draw, and every tenth draw run untraced dispatches the
+//! same events as traced (traced echoes ride the wheel boxed, untraced
+//! ones inline); `run_until_settled` stops on a stride of `run_until`
 //! and leaves what a straight run leaves; and `ShardedWorld`, the name
 //! `benchmark/` builds the world by, is `World::new` at any shard count.
 //! Three tests put hub toggles exactly on transmission instants,
@@ -273,24 +275,28 @@ impl Scenario {
         move |_| Chatter::new(n, planes, period)
     }
 
-    /// The scenario on a fresh `World::new`.
-    fn world(&self, flight_cap: usize) -> Fingerprint {
+    /// The scenario on a fresh `World::new`; the flight recorder stays
+    /// off when `flight_cap` is `None`.
+    fn world(&self, flight_cap: Option<usize>) -> Fingerprint {
         self.run(&mut World::new(self.spec, self.chatter()), flight_cap)
     }
 
     /// Loads the scenario into a freshly built world, runs it, and
     /// harvests the fingerprint.
-    fn run(&self, w: &mut World<Chatter>, flight_cap: usize) -> Fingerprint {
+    fn run(&self, w: &mut World<Chatter>, flight_cap: Option<usize>) -> Fingerprint {
         self.load(w, flight_cap);
         w.run_for(self.run);
         fingerprint(w)
     }
 
-    /// Recorders on, then the scenario's workload, faults, lossy links
-    /// and sends, with time still at zero.
-    fn load(&self, w: &mut World<Chatter>, flight_cap: usize) {
+    /// The event log on, and the flight recorder when `flight_cap` is
+    /// given, then the scenario's workload, faults, lossy links and
+    /// sends, with time still at zero.
+    fn load(&self, w: &mut World<Chatter>, flight_cap: Option<usize>) {
         w.enable_event_log();
-        w.enable_flight(flight_cap);
+        if let Some(cap) = flight_cap {
+            w.enable_flight(cap);
+        }
         if let Some(ws) = &self.workload {
             w.enable_workload(ws.clone());
         }
@@ -350,13 +356,17 @@ fn assert_causes_sort_below(log: &FlightLog) {
 fn corpus_of_1000_schedules_reruns_byte_identically() {
     // Every seed runs with a ring small enough to evict; every tenth seed
     // runs a second time and must leave the same bytes behind, seqs and
-    // evictions included.
+    // evictions included. It also runs a third time with the recorder
+    // off, which must dispatch the same events and leave the same
+    // counters: traced echoes ride the wheel boxed, untraced ones inline
+    // in the event, so the two forms meet here under hub and NIC faults,
+    // lossy links, app traffic and the fluid workload.
     let mut evicting = 0u32;
     let mut faulted_lossy = 0u32;
     for seed in 0..1000u64 {
         let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
-        let oracle = sc.world(FLIGHT_CAP);
+        let oracle = sc.world(Some(FLIGHT_CAP));
         assert!(
             !oracle.log.is_empty(),
             "seed {seed}: a chatty cluster cannot have an empty schedule"
@@ -374,12 +384,28 @@ fn corpus_of_1000_schedules_reruns_byte_identically() {
         }
         if seed % 10 == 0 {
             assert!(
-                oracle == sc.world(FLIGHT_CAP),
+                oracle == sc.world(Some(FLIGHT_CAP)),
                 "seed {seed}: a rerun diverged (n={}, planes={}, faults={}, lossy={})",
                 sc.spec.n,
                 sc.spec.planes,
                 sc.faults.len(),
                 !sc.loss.is_empty(),
+            );
+            let plain = sc.world(None);
+            assert!(plain.flight.is_none());
+            assert!(
+                plain.log == oracle.log,
+                "seed {seed}: the untraced run dispatched other events"
+            );
+            assert_eq!(
+                (&plain.app, &plain.kernel, &plain.media),
+                (&oracle.app, &oracle.kernel, &oracle.media),
+                "seed {seed}: untraced"
+            );
+            assert_eq!(plain.chatter, oracle.chatter, "seed {seed}: untraced");
+            assert!(
+                plain.workload == oracle.workload,
+                "seed {seed}: the untraced run's workload differs"
             );
         }
     }
@@ -407,10 +433,10 @@ fn the_sharded_world_stub_is_world_new_at_any_shard_count() {
     for seed in 0..50u64 {
         let mut rng = Rng::seed_from_u64(0x5EED_C0DE ^ seed);
         let sc = Scenario::draw(seed, &mut rng);
-        let want = sc.world(FLIGHT_CAP);
+        let want = sc.world(Some(FLIGHT_CAP));
         for shards in [1usize, 4, 64] {
             let mut w = ShardedWorld::with_topology(sc.spec, shards, 1, sc.chatter());
-            let got = sc.run(&mut w, FLIGHT_CAP);
+            let got = sc.run(&mut w, Some(FLIGHT_CAP));
             assert!(got == want, "seed {seed}: {shards} shards diverged");
             let ss = &got.shard;
             assert_eq!((ss.shards, ss.epochs), (1, 0), "seed {seed}");
@@ -446,7 +472,7 @@ fn a_settled_stop_then_the_rest_equals_a_straight_run() {
             sc.faults.len()
         );
         let mut w = World::new(sc.spec, sc.chatter());
-        sc.load(&mut w, CAP);
+        sc.load(&mut w, Some(CAP));
         let stopped_at = w.run_until_settled(deadline);
         assert_eq!(stopped_at, w.now(), "{ctx}: not the clock");
         assert!(stopped_at <= deadline, "{ctx}");
@@ -462,7 +488,7 @@ fn a_settled_stop_then_the_rest_equals_a_straight_run() {
             "{ctx}: an outcome changed"
         );
         let mut twin = World::new(sc.spec, sc.chatter());
-        sc.load(&mut twin, CAP);
+        sc.load(&mut twin, Some(CAP));
         twin.run_until(deadline);
         assert!(
             fingerprint(&w) == fingerprint(&twin),
@@ -740,7 +766,7 @@ fn a_fork_runs_on_exactly_as_the_world_it_was_forked_from() {
         };
         let started = || {
             let mut w = World::new(sc.spec, sc.chatter());
-            sc.load(&mut w, FLIGHT_CAP);
+            sc.load(&mut w, Some(FLIGHT_CAP));
             w.run_until(t);
             w
         };
