@@ -113,19 +113,16 @@ fn send_at() -> SimTime {
     SimTime(earliest.0.next_multiple_of(cfg.probe_interval.as_nanos()))
 }
 
-/// Where a [`TrialBase`] stops and its trials fork: one probe interval
-/// before [`FAULT_AT`], less a nanosecond.
+/// Where a [`TrialBase`] stops and its trials fork: the last instant
+/// before [`FAULT_AT`].
 ///
-/// An unforked trial ([`run_trial`]) schedules its faults at time zero,
-/// so they carry lower sequence numbers than anything the run queues and
-/// pop first among the events at [`FAULT_AT`]. A forked trial schedules
-/// them here; they still pop first only if nothing due at [`FAULT_AT`]
-/// is queued yet. The longest delay a healthy cluster schedules anything
-/// at is a probe timer's re-arm, one interval, so nothing dispatched up
-/// to this instant lands at [`FAULT_AT`]. The fork oracle in this
-/// module's tests checks every committed grid trial against
-/// [`run_trial`].
-const FORK_AT: SimTime = SimTime(FAULT_AT.0 - PROBE_INTERVAL.as_nanos() - 1);
+/// A fault takes effect before every event at its instant, whenever it
+/// was scheduled, and consumes no sequence number. So the faults an
+/// unforked trial ([`run_trial`]) schedules at time zero and the ones a
+/// forked trial schedules here act alike, and the fork shares the whole
+/// healthy prefix. The fork oracle in this module's tests checks every
+/// committed grid trial against [`run_trial`].
+const FORK_AT: SimTime = SimTime(FAULT_AT.0 - 1);
 
 /// A fast transport (100 ms initial RTO) that never retransmits: the
 /// message goes out once the routes have settled ([`send_at`]), so a
@@ -181,8 +178,8 @@ pub fn run_trial(n: usize, planes: u8, f: usize, seed: u64) -> Trial {
     .0
 }
 
-/// A trial cluster converged to 0.8 s − 1 ns, one probe interval before
-/// its faults strike: the healthy, draw-free prefix every trial of one
+/// A trial cluster converged to 1 s − 1 ns, just before its faults
+/// strike: the healthy, draw-free prefix every trial of one
 /// `(n, K)` shares, simulated once. A trial
 /// forks it ([`drs_sim::world::World::fork`]) and injects its own
 /// failure set on the fork.
@@ -565,9 +562,7 @@ mod tests {
     /// The fork oracle: every committed grid trial, run on a fork of its
     /// `(n, K)` base, ends in the same [`Trial`] after the same
     /// timer-wheel pops as the unforked [`run_trial`], having dispatched
-    /// the same events in the same order. Sequence numbers are left out
-    /// of the comparison: the unforked run numbers its faults at time
-    /// zero, the fork at [`FORK_AT`].
+    /// the same events, sequence numbers included, in the same order.
     #[test]
     fn every_committed_grid_trial_forks_to_the_unforked_result() {
         let trials = committed_grid_trials();
@@ -576,12 +571,7 @@ mod tests {
             world.enable_event_log();
             world
         };
-        let events = |world: &World<DrsDaemon>| -> Vec<_> {
-            let log = world.event_log().expect("logging on");
-            log.iter()
-                .map(|e| (e.at, e.tag, e.node, e.net, e.aux))
-                .collect()
-        };
+        let events = |world: &World<DrsDaemon>| world.event_log().expect("logging on");
         let mut bases: Vec<TrialBase> = Vec::new();
         for (n, planes, f, seed) in trials {
             let i = bases

@@ -156,52 +156,45 @@ impl FaultPlan {
     }
 }
 
-/// One hub failure (`up == false`) or repair of a [`HubSchedule`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct HubToggle {
-    pub(crate) at: SimTime,
-    pub(crate) net: NetId,
-    pub(crate) up: bool,
-}
-
-/// Hub liveness: every hub toggle scheduled so far, in one time-sorted
-/// list that keeps scheduling order at equal instants.
+/// Component liveness: every fault and repair scheduled so far, hubs
+/// and NICs alike, in one time-sorted list that keeps scheduling order at
+/// equal instants.
 ///
-/// This is the only place hub transitions are stored: a toggle at `t`
-/// takes effect before every other event at `t` (it is never dispatched
-/// as an event and consumes no sequence number), and between toggles the
-/// last one holds — before the first, every hub is up. The world's core
-/// owns it and walks it with its one cursor, applying each toggle once
-/// as the run loop reaches it; [`Self::is_up`] answers for an arbitrary
-/// instant, which `component_is_up` needs because a toggle may join at
-/// exactly `now()` between runs. Toggles join at any instant at or after
-/// the present, so every toggle the cursor has passed stays where it is.
+/// An entry at `t` takes effect before every event at `t` (it is never
+/// dispatched as an event and consumes no sequence number), and between
+/// entries the last one on a component holds. The world's core owns the
+/// schedule and walks it with its one cursor, applying each entry once as
+/// the run loop reaches it; [`Self::state_at`] answers for an arbitrary
+/// instant, which `component_is_up` needs because an entry may join at
+/// exactly `now()` between runs. Entries join at any instant at or after
+/// the present, so every entry the cursor has passed stays where it is.
 #[derive(Debug, Default, Clone)]
-pub(crate) struct HubSchedule {
-    toggles: Vec<HubToggle>,
+pub(crate) struct ComponentSchedule {
+    entries: Vec<FaultEvent>,
 }
 
-impl HubSchedule {
-    /// Adds a toggle behind every one scheduled at or before its instant.
-    pub(crate) fn insert(&mut self, toggle: HubToggle) {
-        let i = self.toggles.partition_point(|t| t.at <= toggle.at);
-        self.toggles.insert(i, toggle);
+impl ComponentSchedule {
+    /// Adds an entry behind every one scheduled at or before its instant.
+    pub(crate) fn insert(&mut self, entry: FaultEvent) {
+        let i = self.entries.partition_point(|e| e.at <= entry.at);
+        self.entries.insert(i, entry);
     }
 
-    /// Whether the hub of `net` is up at `at`: the last toggle on `net`
-    /// at or before `at` holds. A toggle *at* `at` has already taken
-    /// effect.
-    pub(crate) fn is_up(&self, net: NetId, at: SimTime) -> bool {
-        self.toggles[..self.toggles.partition_point(|t| t.at <= at)]
+    /// Whether `component` is up at `at` by the last entry on it at or
+    /// before `at` (an entry *at* `at` has already taken effect); `None`
+    /// when there is no such entry and the component keeps the state it
+    /// was built with.
+    pub(crate) fn state_at(&self, component: SimComponent, at: SimTime) -> Option<bool> {
+        self.entries[..self.entries.partition_point(|e| e.at <= at)]
             .iter()
             .rev()
-            .find(|t| t.net == net)
-            .is_none_or(|t| t.up)
+            .find(|e| e.component == component)
+            .map(|e| e.up)
     }
 
-    /// Toggle `i` in schedule order, if there is one.
-    pub(crate) fn get(&self, i: usize) -> Option<HubToggle> {
-        self.toggles.get(i).copied()
+    /// Entry `i` in schedule order, if there is one.
+    pub(crate) fn get(&self, i: usize) -> Option<FaultEvent> {
+        self.entries.get(i).copied()
     }
 }
 
@@ -370,47 +363,59 @@ mod tests {
         assert!(ev.windows(2).all(|w| w[0].at <= w[1].at));
     }
 
-    fn toggle(at: u64, net: NetId, up: bool) -> HubToggle {
-        HubToggle {
+    fn entry(at: u64, component: SimComponent, up: bool) -> FaultEvent {
+        FaultEvent {
             at: SimTime(at),
-            net,
+            component,
             up,
         }
     }
 
     #[test]
     fn timeline_last_transition_wins_and_same_instant_applies() {
-        let mut hubs = HubSchedule::default();
-        hubs.insert(toggle(200, NetId::A, true));
-        hubs.insert(toggle(100, NetId::A, false));
-        assert!(hubs.is_up(NetId::A, SimTime(99)));
-        assert!(!hubs.is_up(NetId::A, SimTime(100))); // same-instant: applied
-        assert!(!hubs.is_up(NetId::A, SimTime(199)));
-        assert!(hubs.is_up(NetId::A, SimTime(200)));
-        assert!(hubs.is_up(NetId::B, SimTime(150))); // untouched plane
+        let (a, b) = (SimComponent::Hub(NetId::A), SimComponent::Hub(NetId::B));
+        let nic = SimComponent::Nic(NodeId(3), NetId::A);
+        let mut schedule = ComponentSchedule::default();
+        schedule.insert(entry(200, a, true));
+        schedule.insert(entry(100, a, false));
+        schedule.insert(entry(150, nic, false));
+        assert_eq!(schedule.state_at(a, SimTime(99)), None);
+        assert_eq!(schedule.state_at(a, SimTime(100)), Some(false)); // same-instant: applied
+        assert_eq!(schedule.state_at(a, SimTime(199)), Some(false));
+        assert_eq!(schedule.state_at(a, SimTime(200)), Some(true));
+        assert_eq!(schedule.state_at(b, SimTime(150)), None); // untouched plane
+        assert_eq!(schedule.state_at(nic, SimTime(149)), None);
+        assert_eq!(schedule.state_at(nic, SimTime(150)), Some(false));
+        // Another NIC on the same host or plane is another component.
+        let other = SimComponent::Nic(NodeId(3), NetId::B);
+        assert_eq!(schedule.state_at(other, SimTime(150)), None);
     }
 
     #[test]
     fn equal_instants_keep_scheduling_order_and_the_last_wins() {
-        let mut hubs = HubSchedule::default();
-        hubs.insert(toggle(50, NetId::A, false));
-        hubs.insert(toggle(50, NetId::A, true));
-        hubs.insert(toggle(50, NetId::B, true));
-        hubs.insert(toggle(50, NetId::B, false));
-        hubs.insert(toggle(10, NetId::B, false));
-        assert!(hubs.is_up(NetId::A, SimTime(50)));
-        assert!(!hubs.is_up(NetId::B, SimTime(50)));
-        assert!(!hubs.is_up(NetId::B, SimTime(49)));
+        let (a, b) = (SimComponent::Hub(NetId::A), SimComponent::Hub(NetId::B));
+        let nic = SimComponent::Nic(NodeId(0), NetId::B);
+        let mut schedule = ComponentSchedule::default();
+        schedule.insert(entry(50, a, false));
+        schedule.insert(entry(50, nic, false));
+        schedule.insert(entry(50, a, true));
+        schedule.insert(entry(50, b, true));
+        schedule.insert(entry(50, b, false));
+        schedule.insert(entry(10, b, false));
+        assert_eq!(schedule.state_at(a, SimTime(50)), Some(true));
+        assert_eq!(schedule.state_at(b, SimTime(50)), Some(false));
+        assert_eq!(schedule.state_at(b, SimTime(49)), Some(false));
         // Schedule order: time first, then the order they were added in.
-        let order: Vec<_> = (0..6).map_while(|i| hubs.get(i)).collect();
+        let order: Vec<_> = (0..7).map_while(|i| schedule.get(i)).collect();
         assert_eq!(
             order,
             [
-                toggle(10, NetId::B, false),
-                toggle(50, NetId::A, false),
-                toggle(50, NetId::A, true),
-                toggle(50, NetId::B, true),
-                toggle(50, NetId::B, false),
+                entry(10, b, false),
+                entry(50, a, false),
+                entry(50, nic, false),
+                entry(50, a, true),
+                entry(50, b, true),
+                entry(50, b, false),
             ]
         );
     }

@@ -11,7 +11,7 @@
 //! A failed hub (backplane failure, the paper's shared-component fault)
 //! silently discards everything submitted to or in flight on it. The
 //! segment keeps no liveness of its own: the core's per-segment `hub_up`
-//! flag, which the run loop sets from the hub schedule, is passed to
+//! flag, which the run loop sets from the component schedule, is passed to
 //! admission and read again when a frame in flight arrives.
 
 use drs_core::{NetId, SimDuration, SimTime};

@@ -487,8 +487,8 @@ impl FluidEngine {
     }
 
     /// Applies one transition; records must arrive in the order the run
-    /// logged them, which is dispatch order (a hub toggle at `t` ahead
-    /// of every other transition at `t`). Leaves the ledgers settled at
+    /// logged them, which is dispatch order (a hub or NIC fault at `t`
+    /// ahead of every other transition at `t`). Leaves the ledgers settled at
     /// the record's instant.
     pub(crate) fn apply(&mut self, rec: &TransitionRecord) {
         let t = rec.at.0;

@@ -9,9 +9,9 @@
 //!
 //! * session **open** / **close** (arrival-process driven, one timer
 //!   each),
-//! * **route** installs/removals and **NIC**/**hub** toggles (NIC flips
-//!   are events; the run loop logs each hub toggle once as it passes
-//!   it), which re-shape the per-plane rate ledgers,
+//! * **route** installs/removals and **NIC**/**hub** toggles (the run
+//!   loop logs each scheduled fault or repair once as it passes it),
+//!   which re-shape the per-plane rate ledgers,
 //! * the daemon's **reroute-complete** notification
 //!   ([`drs_core::io::DrsIo::notify_reroute`]), which cross-checks the
 //!   stall/resume accounting 1:1 against `reroute_complete` samples.
@@ -157,7 +157,7 @@ pub enum Transition {
         /// New state.
         up: bool,
     },
-    /// A NIC changed state.
+    /// A NIC changed state. Logged as [`Self::Hub`] is.
     Nic {
         /// The host whose NIC toggled.
         node: NodeId,

@@ -6,21 +6,24 @@
 //! Transmissions are admitted onto the segments the instant they are
 //! sent, events carry one sequence counter, and `run_until` pops the
 //! wheel until the horizon: peek, one compare against the next pending
-//! hub toggle, pop, dispatch.
+//! fault or repair, pop, dispatch.
 //!
 //! # What orders a run
 //!
 //! Everything that orders events is derived from virtual time and
 //! sequence numbers:
 //!
-//! * hub liveness is a schedule, not an event: a toggle at `t` takes
-//!   effect before every other event at `t` and consumes no sequence
-//!   number. The core keeps every toggle in one time-sorted list, its
-//!   hub schedule, and walks it with one cursor: when the loop reaches a
-//!   toggle, the core applies it once — the segment's `hub_up` flag that
-//!   admission and the arrival check read, the flight record, and a
-//!   `Transition::Hub` in the fluid engine's log. Hub faults may be
-//!   scheduled at any `at >= now()`, before or between runs;
+//! * component liveness is a schedule, not events: a fault or repair at
+//!   `t`, of a hub or a NIC alike, takes effect before every event at `t`
+//!   and consumes no sequence number. The core keeps every entry in one
+//!   time-sorted list, its component schedule, and walks it with one
+//!   cursor: when the loop reaches an entry, the core applies it once —
+//!   the segment's `hub_up` flag that admission and the arrival check
+//!   read, or the host's NIC flag — writes its flight record and logs a
+//!   `Transition::Hub` or `Transition::Nic` in the fluid engine's log.
+//!   Faults may be scheduled at any `at >= now()`, before or between
+//!   runs; one whose instant no dispatched event has reached acts as if
+//!   it had been scheduled before the run;
 //! * corruption rolls and daemon draws come from per-host RNG streams,
 //!   so draw order depends only on the host's own event sequence;
 //! * equal instants pop in sequence order, and every event the run
@@ -39,7 +42,7 @@ use drs_obs::flight::{FlightLog, FlightRecorder};
 use drs_obs::rng::Rng;
 
 use crate::app::{Flow, Workload};
-use crate::fault::{FaultPlan, HubToggle, SimComponent};
+use crate::fault::{FaultPlan, SimComponent};
 use crate::host::HostView;
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
@@ -276,58 +279,55 @@ impl<P: Protocol> World<P> {
         self.core.set_link_loss(node, net, p);
     }
 
-    /// Whether a hardware component is currently operational.
+    /// Whether a hardware component is currently operational: the last
+    /// fault or repair scheduled on it at or before `now()`, even one
+    /// scheduled at exactly `now()` that no run has applied yet, or the
+    /// state it was built with (topology worlds start unused NIC slots
+    /// down).
     ///
     /// # Panics
-    /// Panics if the component names a plane the scenario does not have.
+    /// Panics if the component names a host or plane the scenario does
+    /// not have.
     #[must_use]
     pub fn component_is_up(&self, c: SimComponent) -> bool {
-        match c {
-            SimComponent::Hub(net) => {
-                assert!(net.idx() < self.core.spec.planes as usize, "no such plane");
-                self.core.hubs.is_up(net, self.core.now)
-            }
+        self.check_component(c);
+        let scheduled = self.core.faults.state_at(c, self.core.now);
+        scheduled.unwrap_or_else(|| match c {
+            SimComponent::Hub(net) => self.core.hub_up[net.idx()],
             SimComponent::Nic(node, net) => self.core.hosts.nic_is_up(node, net),
+        })
+    }
+
+    /// Schedules every event of a fault plan. Each joins the core's
+    /// component schedule: a fault or repair at `t` takes effect before
+    /// every event at `t`, whether it was added before the run or between
+    /// runs.
+    ///
+    /// # Panics
+    /// Panics if an event lies in the past or names a host or plane the
+    /// scenario does not have.
+    pub fn schedule_faults(&mut self, plan: FaultPlan) {
+        for ev in plan.into_sorted_events() {
+            assert!(ev.at >= self.core.now, "fault scheduled in the past");
+            self.check_component(ev.component);
+            self.core.faults.insert(ev);
         }
     }
 
-    /// Schedules every event of a fault plan.
-    ///
-    /// NIC faults become ordinary events. Hub faults join the core's
-    /// hub schedule — a toggle at `t` takes effect before every other
-    /// event at `t` — and may be added before or between runs like any
-    /// other fault.
-    ///
-    /// # Panics
-    /// Panics if an event lies in the past or names a plane outside the
-    /// scenario's `planes`.
-    pub fn schedule_faults(&mut self, plan: FaultPlan) {
-        let planes = self.core.spec.planes as usize;
-        for ev in plan.into_sorted_events() {
-            assert!(ev.at >= self.core.now, "fault scheduled in the past");
-            let net = match ev.component {
-                SimComponent::Hub(net) | SimComponent::Nic(_, net) => net,
-            };
-            assert!(
-                net.idx() < planes,
-                "fault on plane {net} but the cluster has {planes} planes"
-            );
-            match ev.component {
-                SimComponent::Hub(net) => self.core.hubs.insert(HubToggle {
-                    at: ev.at,
-                    net,
-                    up: ev.up,
-                }),
-                SimComponent::Nic(node, net) => {
-                    let fault = EventKind::NicFault {
-                        node,
-                        net,
-                        up: ev.up,
-                    };
-                    self.core.schedule_at(ev.at, fault);
-                }
+    /// Panics unless `c` names one of the scenario's hosts and planes.
+    fn check_component(&self, c: SimComponent) {
+        let ClusterSpec { n, planes, .. } = self.core.spec;
+        let net = match c {
+            SimComponent::Hub(net) => net,
+            SimComponent::Nic(node, net) => {
+                assert!(node.idx() < n, "no host {node}: the cluster has {n} hosts");
+                net
             }
-        }
+        };
+        assert!(
+            net.idx() < usize::from(planes),
+            "no plane {net}: the cluster has {planes} planes"
+        );
     }
 
     /// Schedules one application message; returns its flow id. Flow ids
@@ -362,7 +362,7 @@ impl<P: Protocol> World<P> {
 
     /// Starts the causal flight recorder: one bounded ring of `capacity`
     /// records (protocol decision points via [`Ctx::flight_record`],
-    /// kernel loss sites, hub toggles). Enabling the recorder never
+    /// kernel loss sites, faults and repairs). Enabling the recorder never
     /// changes the event schedule.
     ///
     /// # Panics
@@ -376,7 +376,7 @@ impl<P: Protocol> World<P> {
     /// in the accounting engine that consumes the transition log. Must
     /// be called before time advances; composes with
     /// [`Self::schedule_faults`] in either order. The engine starts
-    /// from the hubs' current state, so a toggle at time zero that a
+    /// from the hubs' current state, so a hub fault at time zero that a
     /// `run_until(SimTime::ZERO)` already applied is not lost.
     ///
     /// # Panics
@@ -457,20 +457,20 @@ impl<P: Protocol> World<P> {
     }
 
     /// Pops and dispatches every event due by `until`; afterwards
-    /// `now() == until`. Each hub toggle is applied before the first
-    /// event at or after its instant, at one compare per event.
+    /// `now() == until`. Each scheduled fault or repair is applied before
+    /// the first event at or after its instant, at one compare per event.
     pub fn run_until(&mut self, until: SimTime) {
         let World {
             core, protocols, ..
         } = self;
-        // Zero: the first event looks up the next toggle.
-        let mut next_toggle = SimTime::ZERO;
+        // Zero: the first event looks up the next fault.
+        let mut next_fault = SimTime::ZERO;
         while let Some((at, _)) = core.events.peek() {
             if at > until {
                 break;
             }
-            if at >= next_toggle {
-                next_toggle = core.pass_hub_toggles(at);
+            if at >= next_fault {
+                next_fault = core.pass_faults(at);
             }
             let (at, seq, kind) = core.events.pop().expect("peeked");
             debug_assert!(at >= core.now);
@@ -484,7 +484,7 @@ impl<P: Protocol> World<P> {
             }
             .dispatch(kind);
         }
-        core.pass_hub_toggles(until);
+        core.pass_faults(until);
         core.now = core.now.max(until);
         self.drain_workload(until);
     }
@@ -521,13 +521,17 @@ impl<P: Protocol + Clone> World<P> {
     /// An independent copy of the world at `now()`: run on, it
     /// dispatches exactly the events, and draws exactly the numbers, the
     /// original would, and scheduling on one copy leaves the other as it
-    /// is. Live state is copied — the core (clock, sequence counter,
-    /// hosts, media, flows, hub schedule and cursor, random streams, event
-    /// log and flight recorder), the queue's live entries in their wheel
-    /// slots with its counters, and every daemon. The reuse pools start
-    /// empty: the wheel's spare chunks and the core's spare frame boxes.
-    /// So a fork costs O(live state), and only the wheel's
-    /// `pool_hits`/`pool_misses` split can tell it from the original.
+    /// is. A fault scheduled on a copy, even one at the next nanosecond,
+    /// acts as it would have on the original before the fork: faults take
+    /// effect before every event at their instant and take no sequence
+    /// number. Live state is copied — the core (clock, sequence counter,
+    /// hosts, media, flows, component schedule and cursor, random
+    /// streams, event log and flight recorder), the queue's live entries
+    /// in their wheel slots with its counters, and every daemon. The
+    /// reuse pools start empty: the wheel's spare chunks and the core's
+    /// spare frame boxes. So a fork costs O(live state), and only the
+    /// wheel's `pool_hits`/`pool_misses` split can tell it from the
+    /// original.
     ///
     /// # Panics
     /// Panics if the fluid workload is enabled.
@@ -702,11 +706,11 @@ mod tests {
     }
 
     /// The indexed `lookup` needs the ring it searches in `(time, seq,
-    /// sub)` order. Hub `Fault`/`Repair` records are stamped with the
-    /// toggle instant, so the loop must append them before any
-    /// later-keyed record — including toggles sitting exactly on the
-    /// probers' timer instants and toggles in windows where nothing
-    /// transmits.
+    /// sub)` order. `Fault`/`Repair` records are stamped with their
+    /// entry's instant, so the loop must append them before any
+    /// later-keyed record — including hub and NIC faults sitting exactly
+    /// on the probers' timer instants and hub toggles in windows where
+    /// nothing transmits.
     #[test]
     fn hub_toggles_keep_the_flight_ring_ordered() {
         let spec = ClusterSpec::new(8).seed(17);
@@ -721,14 +725,17 @@ mod tests {
                 .fail_at(SimTime(20_000_000), SimComponent::Hub(NetId::A))
                 .repair_at(SimTime(40_000_000), SimComponent::Hub(NetId::A))
                 .fail_at(SimTime(44_500_000), SimComponent::Hub(NetId::B))
-                .repair_at(SimTime(46_500_000), SimComponent::Hub(NetId::B)),
+                .repair_at(SimTime(46_500_000), SimComponent::Hub(NetId::B))
+                .fail_at(SimTime(30_000_000), SimComponent::Nic(NodeId(3), NetId::A))
+                .fail_at(SimTime(50_000_000), SimComponent::Nic(NodeId(5), NetId::B))
+                .repair_at(SimTime(70_000_000), SimComponent::Nic(NodeId(3), NetId::A)),
         );
         w.run_for(SimDuration::from_millis(35));
         w.run_for(SimDuration::from_millis(65));
         let log = w.flight_log().expect("recorder on");
         let toggles = |k| log.records.iter().filter(|r| r.kind == k).count();
-        assert_eq!(toggles(TraceKind::Fault), 2);
-        assert_eq!(toggles(TraceKind::Repair), 2);
+        assert_eq!(toggles(TraceKind::Fault), 4);
+        assert_eq!(toggles(TraceKind::Repair), 3);
         assert!(toggles(TraceKind::ProbeLoss) > 0);
         assert!(w.core.flight.as_ref().expect("recorder on").is_ordered());
     }

@@ -1,6 +1,6 @@
 //! Kernel-side stack behaviours: frame transmission and delivery, ICMP
-//! auto-reply, TTL forwarding, NIC faults, and the reliable transport
-//! (RTO timers, acknowledgements, flow completion).
+//! auto-reply, TTL forwarding, and the reliable transport (RTO timers,
+//! acknowledgements, flow completion).
 //!
 //! The behaviours are written against [`Engine`]: the core plus every
 //! host's protocol instance.
@@ -12,7 +12,6 @@ use drs_obs::flight::{loss_site, TraceKind};
 
 use crate::medium::TrafficClass;
 use crate::scenario::{DATA_HEADER_BYTES, ICMP_WIRE_BYTES, TTL};
-use crate::workload::Transition;
 
 use super::queue::{Core, EventKind};
 use super::{Ctx, FlowOutcome, Protocol, TransportEvent};
@@ -135,7 +134,6 @@ impl<P: Protocol> Engine<'_, P> {
     /// `core.now` to the event's instant and logged it.
     pub(crate) fn dispatch(&mut self, kind: EventKind<P::Msg>) {
         match kind {
-            EventKind::NicFault { node, net, up } => self.apply_nic_fault(node, net, up),
             EventKind::ProtoTimer { node, token } => {
                 let mut ctx = Ctx {
                     core: &mut *self.core,
@@ -172,17 +170,6 @@ impl<P: Protocol> Engine<'_, P> {
             EventKind::SessionOpen { host } => self.handle_session_open(host),
             EventKind::SessionClose { host, local } => self.handle_session_close(host, local),
         }
-    }
-
-    fn apply_nic_fault(&mut self, node: NodeId, net: NetId, up: bool) {
-        let kind = if up {
-            TraceKind::Repair
-        } else {
-            TraceKind::Fault
-        };
-        self.core.flight_record(kind, node.0, Some(net.0), 1, None);
-        self.core.hosts.set_nic(node, net, up);
-        self.core.record_workload(Transition::Nic { node, net, up });
     }
 
     /// One fluid-session arrival: the host's stream draws destination,

@@ -848,6 +848,16 @@ mod tests {
         w.schedule_faults(FaultPlan::new().fail_at(SimTime(0), SimComponent::Hub(NetId(2))));
     }
 
+    /// A NIC on a host the cluster does not have is refused when it is
+    /// scheduled, not when the run reaches it.
+    #[test]
+    #[should_panic(expected = "no host n2: the cluster has 2 hosts")]
+    fn fault_on_missing_host_rejected() {
+        let mut w = idle_world(2);
+        let nic = SimComponent::Nic(NodeId(2), NetId::A);
+        w.schedule_faults(FaultPlan::new().fail_at(SimTime(0), nic));
+    }
+
     // ---- topology worlds -------------------------------------------------
 
     use crate::topology::TopologySpec;
@@ -910,6 +920,21 @@ mod tests {
                 assert_eq!(w.host(sw).nic_is_up(NetId(s as u8)), s / 4 == p);
             }
         }
+        // `component_is_up` reads the built state of every slot with no
+        // fault or repair on it so far: an unused slot is down, even with
+        // a repair of it scheduled later.
+        let mut w = w;
+        let unused = SimComponent::Nic(NodeId(0), NetId(1));
+        w.schedule_faults(FaultPlan::new().repair_at(SimTime(1_000), unused));
+        for i in 0..4u32 {
+            for s in 0..8u8 {
+                let member = s as u32 % 4 == i;
+                let nic = SimComponent::Nic(NodeId(i), NetId(s));
+                assert_eq!(w.component_is_up(nic), member, "{nic:?}");
+            }
+        }
+        w.run_until(SimTime(1_000));
+        assert!(w.component_is_up(unused));
     }
 
     /// Runs the flood from host 0 on a topology with the given failed

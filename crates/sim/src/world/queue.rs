@@ -21,7 +21,7 @@ use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimTime};
 
 use crate::app::Flow;
 
-use crate::fault::{HubSchedule, HubToggle};
+use crate::fault::{ComponentSchedule, FaultEvent, SimComponent};
 use crate::host::Hosts;
 use crate::medium::SharedMedium;
 use crate::scenario::ClusterSpec;
@@ -29,11 +29,11 @@ use crate::stats::AppStats;
 use crate::wheel::{TimerWheel, WheelStats};
 use crate::workload::{Transition, WorkloadCore};
 
-/// First `sub` value of hub-toggle flight records. A toggle record is
-/// stamped with the toggle's instant and sequence number 0, which a
+/// First `sub` value of fault and repair flight records. Such a record is
+/// stamped with its entry's instant and sequence number 0, which a
 /// dispatch at that instant may carry too; per-dispatch sub counters stay
 /// far below this, so the two never share an [`EventRef`].
-const HUB_SUB_BASE: u32 = 1 << 31;
+const FAULT_SUB_BASE: u32 = 1 << 31;
 
 /// What a queued event does when it fires.
 ///
@@ -81,14 +81,6 @@ pub(crate) enum EventKind<M> {
     Rto {
         flow: FlowId,
         attempt: u32,
-    },
-    /// A NIC failure or repair. Hub toggles never travel as events: the
-    /// run loop applies them from the core's hub schedule
-    /// ([`Core::pass_hub_toggles`]).
-    NicFault {
-        node: NodeId,
-        net: NetId,
-        up: bool,
     },
     AppSend {
         flow: FlowId,
@@ -159,8 +151,6 @@ pub enum EventTag {
     Timer,
     /// A retransmission timeout.
     Rto,
-    /// A NIC fault or repair (hub toggles are not events).
-    Fault,
     /// An application send.
     AppSend,
     /// A fluid-workload session arrival.
@@ -207,12 +197,13 @@ pub struct Core<M> {
     /// [`super::World::send_app`] hands ids out in push order.
     pub(crate) flows: Vec<Flow>,
     pub(crate) clamped_past: u64,
-    /// Every hub toggle scheduled so far, the one copy.
-    pub(crate) hubs: HubSchedule,
-    /// The one cursor into `hubs`: how many of its toggles the run loop
-    /// has applied ([`Self::pass_hub_toggles`]).
-    hubs_passed: usize,
-    /// Per segment, whether its hub is up once the passed toggles have
+    /// Every fault and repair scheduled so far, hubs and NICs, the one
+    /// copy. None of them is ever an event.
+    pub(crate) faults: ComponentSchedule,
+    /// The one cursor into `faults`: how many of its entries the run loop
+    /// has applied ([`Self::pass_faults`]).
+    faults_passed: usize,
+    /// Per segment, whether its hub is up once the passed entries have
     /// taken effect: what admission and the arrival check read.
     pub(crate) hub_up: Vec<bool>,
     /// One seed-derived random stream per host (corruption rolls, daemon
@@ -302,8 +293,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             app_stats: AppStats::default(),
             flows: Vec::new(),
             clamped_past: 0,
-            hubs: HubSchedule::default(),
-            hubs_passed: 0,
+            faults: ComponentSchedule::default(),
+            faults_passed: 0,
             hub_up: vec![true; planes],
             rngs: (0..n as u32)
                 .map(|i| Rng::seed_from_u64(host_rng_seed(spec.seed, i)))
@@ -321,7 +312,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
 
     /// A copy of the simulator state for [`super::World::fork`]: the
     /// clock, the sequence counter, the queue ([`TimerWheel::fork`]), the
-    /// hosts, media, flows, hub schedule and cursor, random streams and
+    /// hosts, media, flows, component schedule and cursor, random streams and
     /// the recorders, field for field. The spare box lists start empty.
     ///
     /// # Panics
@@ -342,8 +333,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             app_stats: self.app_stats.clone(),
             flows: self.flows.clone(),
             clamped_past: self.clamped_past,
-            hubs: self.hubs.clone(),
-            hubs_passed: self.hubs_passed,
+            faults: self.faults.clone(),
+            faults_passed: self.faults_passed,
             hub_up: self.hub_up.clone(),
             rngs: self.rngs.clone(),
             event_log: self.event_log.clone(),
@@ -416,45 +407,55 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         }
     }
 
-    /// Applies every hub toggle due at or before `t` that the cursor has
-    /// not passed, each exactly once and in schedule order: it sets the
-    /// segment's `hub_up`, writes the `Fault`/`Repair` flight record
-    /// (stamped with the toggle's own instant and sequence number 0, sub
-    /// [`HUB_SUB_BASE`] plus its schedule index) and logs a
-    /// [`Transition::Hub`] for the fluid engine. Returns the next toggle's
+    /// Applies every scheduled fault or repair due at or before `t` that
+    /// the cursor has not passed, each exactly once and in schedule order:
+    /// it sets the segment's `hub_up` or the host's NIC flag, writes the
+    /// `Fault`/`Repair` flight record (stamped with the entry's own
+    /// instant and sequence number 0, sub [`FAULT_SUB_BASE`] plus its
+    /// schedule index) and logs a [`Transition::Hub`] or
+    /// [`Transition::Nic`] for the fluid engine. Returns the next entry's
     /// instant, `SimTime(u64::MAX)` past the last. The run loop calls it
-    /// before the first event at or after a toggle's instant, so the
-    /// toggle precedes every event at its instant and its records land in
+    /// before the first event at or after an entry's instant, so the entry
+    /// precedes every event at its instant and its records land in
     /// dispatch order.
-    pub(crate) fn pass_hub_toggles(&mut self, t: SimTime) -> SimTime {
-        while let Some(HubToggle { at, net, up }) =
-            self.hubs.get(self.hubs_passed).filter(|x| x.at <= t)
+    pub(crate) fn pass_faults(&mut self, t: SimTime) -> SimTime {
+        while let Some(FaultEvent { at, component, up }) =
+            self.faults.get(self.faults_passed).filter(|e| e.at <= t)
         {
-            self.hub_up[net.idx()] = up;
+            let (host, net, code, transition) = match component {
+                SimComponent::Hub(net) => {
+                    self.hub_up[net.idx()] = up;
+                    (u32::MAX, net, 0, Transition::Hub { net, up })
+                }
+                SimComponent::Nic(node, net) => {
+                    self.hosts.set_nic(node, net, up);
+                    (node.0, net, 1, Transition::Nic { node, net, up })
+                }
+            };
             if let Some(flight) = self.flight.as_mut() {
                 flight.record(TraceRecord {
                     time_ns: at.0,
                     seq: 0,
-                    sub: HUB_SUB_BASE + self.hubs_passed as u32,
+                    sub: FAULT_SUB_BASE + self.faults_passed as u32,
                     kind: if up {
                         TraceKind::Repair
                     } else {
                         TraceKind::Fault
                     },
-                    host: u32::MAX,
+                    host,
                     plane: Some(net.0),
-                    arg: 0,
+                    arg: code,
                     cause: None,
                 });
             }
             if let Some(w) = self.workload.as_mut() {
-                w.record(at, Transition::Hub { net, up });
+                w.record(at, transition);
             }
-            self.hubs_passed += 1;
+            self.faults_passed += 1;
         }
-        self.hubs
-            .get(self.hubs_passed)
-            .map_or(SimTime(u64::MAX), |t| t.at)
+        self.faults
+            .get(self.faults_passed)
+            .map_or(SimTime(u64::MAX), |e| e.at)
     }
 
     pub(crate) fn schedule_at(&mut self, at: SimTime, kind: EventKind<M>) {
@@ -527,9 +528,6 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             EventKind::Rto { flow, attempt } => {
                 let src = self.flows[flow.idx()].src;
                 (EventTag::Rto, src.0, 0, flow.0 << 32 | u64::from(*attempt))
-            }
-            EventKind::NicFault { node, net, up } => {
-                (EventTag::Fault, node.0, net.idx() as u8, u64::from(*up))
             }
             EventKind::AppSend { flow } => {
                 let Flow { src, dst, .. } = self.flows[flow.idx()];

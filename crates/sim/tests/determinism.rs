@@ -8,9 +8,9 @@
 //! and leaves what a straight run leaves; and `ShardedWorld`, the name
 //! `benchmark/` builds the world by, is `World::new` at any shard count.
 //! Three tests put hub toggles exactly on transmission instants,
-//! before and between runs, schedule hub faults between runs with the
-//! fluid workload on, and enable the workload after a run to time zero
-//! has already applied a hub fault. The last two fork a run in flight
+//! before and between runs, schedule hub and NIC faults between runs
+//! with the fluid workload on, and enable the workload after a run to
+//! time zero has already applied a hub fault. The last two fork a run in flight
 //! (`World::fork`) and schedule faults on the copies: each copy runs on
 //! exactly as an unforked world does.
 //!
@@ -555,28 +555,38 @@ fn hub_toggles_on_timer_instants_take_effect_first() {
     assert!(per_schedule[0] == per_schedule[1]);
 }
 
-/// Hub faults scheduled *between* runs, with the fluid workload on from
-/// the start: one at exactly `now()`, a same-instant down/up pair on one
-/// plane and an up/down pair on another (the last of each wins), and
-/// toggles on chatter timer instants, where events are dispatched at the
-/// toggle's own instant. Every view of hub state agrees with the plan: `component_is_up` after every segment, the media's hub-down
-/// drops and the fluid engine's hub transitions — whose time-order guard
-/// (`accrue_to`) a toggle read out of order would trip — and the run
-/// leaves the same bytes behind as one that scheduled every fault before
-/// it started.
+/// Hub and NIC faults scheduled *between* runs, with the fluid workload
+/// on from the start: a hub and a NIC fault at exactly `now()`, a
+/// same-instant down/up pair on one hub and an up/down pair on another
+/// (the last of each wins), a NIC and a hub fault at one instant, and
+/// faults on chatter timer instants whose timers are already queued,
+/// where events are dispatched at the fault's own instant. Every view of
+/// component state agrees with the plan: `component_is_up` after every
+/// segment, the media's hub-down drops and the fluid engine's hub and
+/// NIC transitions — whose time-order guard (`accrue_to`) a fault read
+/// out of order would trip — and the run leaves the same bytes behind as
+/// one that scheduled every fault before it started.
 #[test]
 fn hub_faults_scheduled_between_runs_take_effect_in_order() {
     const PERIOD: SimDuration = SimDuration(10_000_000);
     let ms = |m: u64| SimTime(m * 1_000_000);
     let hub = |p: u8| SimComponent::Hub(NetId(p));
+    let nic = |h: u32, p: u8| SimComponent::Nic(NodeId(h), NetId(p));
     let (n, planes) = (14u32, 3u8);
     let spec = ClusterSpec::new(n as usize).seed(0x4B5).planes(planes);
     // (schedule at, plan, run to). Chatter fires every 10 ms, on plane
     // `firing % 3`: A at 10, 40, 70 ms, B at 20, 50, 80 ms, C at 30, 60,
-    // 90 ms.
+    // 90 ms. Each firing queues the next, so the timers at 50 ms are
+    // queued when the third segment schedules its faults there.
     let segments = || {
         [
-            (ms(25), FaultPlan::new().fail_at(ms(25), hub(0)), ms(35)),
+            (
+                ms(25),
+                FaultPlan::new()
+                    .fail_at(ms(25), hub(0))
+                    .fail_at(ms(25), nic(3, 2)),
+                ms(35),
+            ),
             (
                 ms(35),
                 FaultPlan::new()
@@ -590,10 +600,17 @@ fn hub_faults_scheduled_between_runs_take_effect_in_order() {
                 ms(45),
                 FaultPlan::new()
                     .repair_at(ms(50), hub(0))
+                    .fail_at(ms(50), nic(8, 1))
                     .fail_at(ms(50), hub(1)),
                 ms(70),
             ),
-            (ms(70), FaultPlan::new().repair_at(ms(70), hub(2)), ms(95)),
+            (
+                ms(70),
+                FaultPlan::new()
+                    .repair_at(ms(70), hub(2))
+                    .repair_at(ms(90), nic(3, 2)),
+                ms(95),
+            ),
         ]
     };
     let run = |between: bool| {
@@ -618,32 +635,36 @@ fn hub_faults_scheduled_between_runs_take_effect_in_order() {
                 w.schedule_faults(plan);
             }
         }
-        let mut hubs_up = Vec::new();
+        let mut up = Vec::new();
         for (at, plan, until) in segments() {
             w.run_until(at);
             if between {
                 w.schedule_faults(plan);
+                // A fault at `now()` is in force before the next run.
+                if at == ms(25) {
+                    assert!(!w.component_is_up(hub(0)) && !w.component_is_up(nic(3, 2)));
+                }
             }
             w.run_until(until);
-            let up = NetId::planes(planes).map(|net| w.component_is_up(SimComponent::Hub(net)));
-            hubs_up.push(up.collect::<Vec<_>>());
+            let watched = [hub(0), hub(1), hub(2), nic(3, 2), nic(8, 1)];
+            up.push(watched.map(|c| w.component_is_up(c)));
         }
-        (fingerprint(&w), hubs_up)
+        (fingerprint(&w), up)
     };
     let one = run(true);
     assert_eq!(
         one.1,
         [
-            [false, true, true],
-            [false, true, false],
-            [true, false, false],
-            [true, false, true],
+            [false, true, true, false, true],
+            [false, true, false, false, true],
+            [true, false, false, false, false],
+            [true, false, true, true, false],
         ]
     );
     // A down, B down, B up, C down (its repair found it up), A up, B
-    // down, C up.
+    // down, C up; NIC 3 on C down and up again, NIC 8 on B down.
     let (stats, _, _) = one.0.workload.as_ref().expect("workload on");
-    assert_eq!(stats.hub_transitions, 7);
+    assert_eq!((stats.hub_transitions, stats.nic_transitions), (7, 3));
     // A drops its 40 ms firing, B its 50 and 80 ms ones, C its 60 ms one.
     let drops: Vec<u64> = one.0.media.iter().map(|m| m.dropped_hub_down).collect();
     assert!(drops.iter().all(|&d| d > 0), "{drops:?}");

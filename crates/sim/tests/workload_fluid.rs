@@ -7,8 +7,8 @@
 //!   NIC faults, failover stalls, and mid-run settlement.
 //! * **Order independence** — scheduling the fault plan before or after
 //!   the workload is enabled gives bit-identical workload statistics and
-//!   engine digests: the run loop logs each hub toggle for the engine
-//!   once, whenever the toggle joined the schedule.
+//!   engine digests: the run loop logs each hub and NIC fault for the
+//!   engine once, whenever the fault joined the schedule.
 
 use drs_core::config::DrsConfig;
 use drs_core::daemon::DrsDaemon;
@@ -65,7 +65,7 @@ fn plan() -> FaultPlan {
 type Outcome = (WorkloadStats, u64, u64, u64);
 
 /// Runs the scenario, attaching the workload before or after the fault
-/// plan: the engine must pick up hub toggles whether they were scheduled
+/// plan: the engine must pick up faults whether they were scheduled
 /// before or after it existed.
 fn run(n: usize, secs: u64, faults_first: bool) -> Outcome {
     let c = cfg();
