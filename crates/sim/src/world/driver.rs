@@ -728,13 +728,14 @@ mod tests {
                 .repair_at(SimTime(46_500_000), SimComponent::Hub(NetId::B))
                 .fail_at(SimTime(30_000_000), SimComponent::Nic(NodeId(3), NetId::A))
                 .fail_at(SimTime(50_000_000), SimComponent::Nic(NodeId(5), NetId::B))
-                .repair_at(SimTime(70_000_000), SimComponent::Nic(NodeId(3), NetId::A)),
+                .repair_at(SimTime(70_000_000), SimComponent::Nic(NodeId(3), NetId::A))
+                .fail_at(SimTime(10_000_000), SimComponent::Nic(NodeId(6), NetId::A)),
         );
         w.run_for(SimDuration::from_millis(35));
         w.run_for(SimDuration::from_millis(65));
         let log = w.flight_log().expect("recorder on");
         let toggles = |k| log.records.iter().filter(|r| r.kind == k).count();
-        assert_eq!(toggles(TraceKind::Fault), 4);
+        assert_eq!(toggles(TraceKind::Fault), 5);
         assert_eq!(toggles(TraceKind::Repair), 3);
         assert!(toggles(TraceKind::ProbeLoss) > 0);
         assert!(w.core.flight.as_ref().expect("recorder on").is_ordered());

@@ -29,12 +29,6 @@ use crate::stats::AppStats;
 use crate::wheel::{TimerWheel, WheelStats};
 use crate::workload::{Transition, WorkloadCore};
 
-/// First `sub` value of fault and repair flight records. Such a record is
-/// stamped with its entry's instant and sequence number 0, which a
-/// dispatch at that instant may carry too; per-dispatch sub counters stay
-/// far below this, so the two never share an [`EventRef`].
-const FAULT_SUB_BASE: u32 = 1 << 31;
-
 /// What a queued event does when it fires.
 ///
 /// `Arrive` carries its frame boxed. An enum is as large as its largest
@@ -182,7 +176,9 @@ pub struct Core<M> {
     pub(crate) spec: ClusterSpec,
     pub(crate) now: SimTime,
     /// The next tie-break sequence number: one counter over every event
-    /// the run schedules.
+    /// the run schedules. It starts at 1: sequence number 0 belongs to
+    /// fault and repair flight records ([`Self::pass_faults`]), so they
+    /// sort before every dispatch at their instant.
     pub(crate) seq: u64,
     pub(crate) events: TimerWheel<EventKind<M>>,
     pub(crate) hosts: Hosts,
@@ -283,7 +279,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
         Core {
             spec,
             now: SimTime::ZERO,
-            seq: 0,
+            seq: 1,
             events: TimerWheel::new(),
             hosts: Hosts::new(n, spec.planes),
             media: NetId::planes(spec.planes)
@@ -411,8 +407,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// the cursor has not passed, each exactly once and in schedule order:
     /// it sets the segment's `hub_up` or the host's NIC flag, writes the
     /// `Fault`/`Repair` flight record (stamped with the entry's own
-    /// instant and sequence number 0, sub [`FAULT_SUB_BASE`] plus its
-    /// schedule index) and logs a [`Transition::Hub`] or
+    /// instant, the sequence number 0 that no event takes, and its
+    /// schedule index as sub) and logs a [`Transition::Hub`] or
     /// [`Transition::Nic`] for the fluid engine. Returns the next entry's
     /// instant, `SimTime(u64::MAX)` past the last. The run loop calls it
     /// before the first event at or after an entry's instant, so the entry
@@ -436,7 +432,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
                 flight.record(TraceRecord {
                     time_ns: at.0,
                     seq: 0,
-                    sub: FAULT_SUB_BASE + self.faults_passed as u32,
+                    sub: self.faults_passed as u32,
                     kind: if up {
                         TraceKind::Repair
                     } else {
