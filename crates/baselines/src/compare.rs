@@ -12,11 +12,11 @@
 //! well under the transport's first retransmission timeout — i.e. the
 //! application never noticed).
 
+use std::fmt;
+
 use drs_core::ids::FlowId;
 use drs_core::{DrsConfig, DrsDaemon, DrsEventKind, ProbeObs};
-use drs_harness::{
-    Experiment, ExperimentRecord, RunMode, TraceEvent, TraceEventKind, TrialRecord, TrialTrace,
-};
+use drs_harness::{Experiment, RunMode};
 use drs_obs::Histogram;
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
@@ -159,14 +159,96 @@ impl ScenarioResult {
     }
 }
 
+/// Which flow a [`TrialEvent`] is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FlowTag {
+    /// Message `i` of a scenario's measurement stream.
+    Msg(usize),
+    /// A cross-check trial's one flow between two hosts.
+    Pair(NodeId, NodeId),
+}
+
+impl fmt::Display for FlowTag {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            FlowTag::Msg(i) => write!(f, "msg {i}"),
+            FlowTag::Pair(src, dst) => write!(f, "{} -> {}", src.0, dst.0),
+        }
+    }
+}
+
+/// One step of a trial's failure story — fault, the daemon's reaction,
+/// the flow's end. A trace is a `Vec<(SimTime, TrialEvent)>`, sorted once
+/// by time (stably, so same-instant events keep their recording order)
+/// before anything reads it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TrialEvent {
+    /// The fault plan took this component down.
+    Fault(SimComponent),
+    /// The DRS daemon logged this transition.
+    Drs(DrsEventKind),
+    /// The flow was delivered `rtt` after its send; `late` when that was
+    /// not prompt ([`ScenarioSpec::prompt_threshold`]).
+    Delivered {
+        /// The flow.
+        flow: FlowTag,
+        /// Send to acknowledgement.
+        rtt: SimDuration,
+        /// Whether the application noticed the wait.
+        late: bool,
+    },
+    /// The flow exhausted its retries (stamped at its send).
+    GaveUp(FlowTag),
+}
+
+impl TrialEvent {
+    /// Stable label used in JSON and table output.
+    #[must_use]
+    pub fn label(&self) -> &'static str {
+        match self {
+            TrialEvent::Fault(_) => "fault_injected",
+            TrialEvent::Drs(DrsEventKind::LinkDown { .. }) => "link_down",
+            TrialEvent::Drs(DrsEventKind::LinkUp { .. }) => "link_up",
+            TrialEvent::Drs(DrsEventKind::RouteChanged { .. }) => "route_changed",
+            TrialEvent::Drs(DrsEventKind::DiscoveryStarted { .. }) => "discovery_started",
+            TrialEvent::Drs(DrsEventKind::DiscoveryFailed { .. }) => "discovery_failed",
+            TrialEvent::Delivered { .. } => "flow_delivered",
+            TrialEvent::GaveUp(_) => "flow_gave_up",
+        }
+    }
+}
+
+/// The detail the artifacts and tables print next to the label.
+impl fmt::Display for TrialEvent {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            TrialEvent::Fault(c) => write!(f, "{c:?}"),
+            TrialEvent::Drs(
+                DrsEventKind::LinkDown { peer, net } | DrsEventKind::LinkUp { peer, net },
+            ) => write!(f, "peer {peer} net {net}"),
+            TrialEvent::Drs(DrsEventKind::RouteChanged { dst, route }) => {
+                write!(f, "{dst} -> {route:?}")
+            }
+            TrialEvent::Drs(
+                DrsEventKind::DiscoveryStarted { target }
+                | DrsEventKind::DiscoveryFailed { target },
+            ) => write!(f, "target {target}"),
+            TrialEvent::Delivered { flow, rtt, late } => {
+                write!(f, "{flow} rtt {rtt}{}", if *late { " (late)" } else { "" })
+            }
+            TrialEvent::GaveUp(flow) => write!(f, "{flow}"),
+        }
+    }
+}
+
 /// A finished scenario run before the world is torn down: the result row,
-/// the flow-level event trace (still unsealed — more producers may append
+/// the flow-level event trace (still unsorted — more producers may append
 /// before it is sorted exactly once), and the world itself so
 /// protocol-specific observers (the DRS daemon event log, the probe-path
 /// histograms) can be harvested.
 struct ScenarioRun<P: Protocol> {
     result: ScenarioResult,
-    trace: TrialTrace,
+    trace: Vec<(SimTime, TrialEvent)>,
     world: World<P>,
     t0: SimTime,
 }
@@ -181,11 +263,11 @@ fn run_scenario_inner<P: Protocol>(
     world.run_for(spec.warmup);
     let t0 = world.now();
 
-    let mut trace = TrialTrace::new();
+    let mut trace = Vec::new();
     let mut plan = FaultPlan::new();
     for &c in &spec.faults {
         plan = plan.fail_at(t0, c);
-        trace.record(t0.0, TraceEventKind::FaultInjected, format!("{c:?}"));
+        trace.push((t0, TrialEvent::Fault(c)));
     }
     world.schedule_faults(plan);
 
@@ -220,29 +302,19 @@ fn run_scenario_inner<P: Protocol>(
     let mut outage_end: Option<SimTime> = None;
     let mut stabilized = true;
     for (i, outcome) in outcomes.iter().enumerate() {
-        match outcome {
-            Some(FlowOutcome::Delivered(rtt)) if *rtt < spec.prompt_threshold => {
-                trace.record(
-                    (send_times[i] + *rtt).0,
-                    TraceEventKind::FlowDelivered,
-                    format!("msg {i} rtt {rtt}"),
-                );
-            }
+        let flow = FlowTag::Msg(i);
+        match *outcome {
             Some(FlowOutcome::Delivered(rtt)) => {
-                outage_end = Some(send_times[i] + *rtt);
-                trace.record(
-                    (send_times[i] + *rtt).0,
-                    TraceEventKind::FlowDelivered,
-                    format!("msg {i} rtt {rtt} (late)"),
-                );
+                let done = send_times[i] + rtt;
+                let late = rtt >= spec.prompt_threshold;
+                if late {
+                    outage_end = Some(done);
+                }
+                trace.push((done, TrialEvent::Delivered { flow, rtt, late }));
             }
             Some(FlowOutcome::GaveUp) | None => {
                 stabilized = false;
-                trace.record(
-                    send_times[i].0,
-                    TraceEventKind::FlowGaveUp,
-                    format!("msg {i}"),
-                );
+                trace.push((send_times[i], TrialEvent::GaveUp(flow)));
             }
         }
     }
@@ -320,11 +392,10 @@ impl ProtocolConfigs {
 pub struct ProtocolObservation {
     /// What the application saw.
     pub result: ScenarioResult,
-    /// The sealed (time-sorted) structured event trace: fault injections
-    /// and flow outcomes for every protocol, and for DRS also the source
-    /// daemon's internal transitions (link state, route changes,
-    /// discovery) translated into the harness vocabulary.
-    pub events: Vec<TraceEvent>,
+    /// The time-sorted event trace: fault injections and flow outcomes
+    /// for every protocol, and for DRS also the source daemon's own
+    /// transitions (link state, route changes, discovery) from `t₀` on.
+    pub events: Vec<(SimTime, TrialEvent)>,
     /// The cluster-merged probe-path record: probe gaps, RTTs, detection
     /// and reroute latencies, and originated probe bytes. The world
     /// charges probe bytes for any echo-using protocol; the latency
@@ -335,13 +406,14 @@ pub struct ProtocolObservation {
 }
 
 impl<P: Protocol> ScenarioRun<P> {
-    /// Harvests the probe-path record and seals the trace. Event
+    /// Harvests the probe-path record and sorts the trace. Event
     /// producers append in whatever order is natural to them; the trace
-    /// is sorted exactly once, here.
-    fn observation(self) -> ProtocolObservation {
+    /// is sorted exactly once, here, stably by time.
+    fn observation(mut self) -> ProtocolObservation {
+        self.trace.sort_by_key(|&(at, _)| at);
         ProtocolObservation {
             result: self.result,
-            events: self.trace.seal(),
+            events: self.trace,
             probe_obs: self.world.merged_probe_obs(),
         }
     }
@@ -365,7 +437,7 @@ pub fn run_protocol(
                 daemon_log
                     .iter()
                     .filter(|e| e.at >= run.t0)
-                    .map(|e| drs_trace_event(e.at, &e.kind)),
+                    .map(|e| (e.at, TrialEvent::Drs(e.kind))),
             );
             run.observation()
         }
@@ -380,38 +452,6 @@ pub fn run_protocol(
             run_scenario_inner(label, spec, |id| RipDaemon::new(id, cfgs.rip)).observation()
         }
         ProtocolLabel::Static => run_scenario_inner(label, spec, |_| StaticRouting).observation(),
-    }
-}
-
-/// Translates one DRS daemon event into the harness trace vocabulary.
-#[must_use]
-pub fn drs_trace_event(at: SimTime, kind: &DrsEventKind) -> TraceEvent {
-    match kind {
-        DrsEventKind::LinkDown { peer, net } => TraceEvent::new(
-            at.0,
-            TraceEventKind::LinkDown,
-            format!("peer {peer} net {net}"),
-        ),
-        DrsEventKind::LinkUp { peer, net } => TraceEvent::new(
-            at.0,
-            TraceEventKind::LinkUp,
-            format!("peer {peer} net {net}"),
-        ),
-        DrsEventKind::RouteChanged { dst, route } => TraceEvent::new(
-            at.0,
-            TraceEventKind::RouteChanged,
-            format!("{dst} -> {route:?}"),
-        ),
-        DrsEventKind::DiscoveryStarted { target } => TraceEvent::new(
-            at.0,
-            TraceEventKind::DiscoveryStarted,
-            format!("target {target}"),
-        ),
-        DrsEventKind::DiscoveryFailed { target } => TraceEvent::new(
-            at.0,
-            TraceEventKind::DiscoveryFailed,
-            format!("target {target}"),
-        ),
     }
 }
 
@@ -465,8 +505,8 @@ pub struct ShootoutRow {
     pub seed: u64,
     /// What the application saw.
     pub result: ScenarioResult,
-    /// The trial's structured event trace.
-    pub events: Vec<TraceEvent>,
+    /// The trial's time-sorted event trace.
+    pub events: Vec<(SimTime, TrialEvent)>,
     /// The trial's cluster-merged probe-path observability record.
     pub probe_obs: ProbeObs,
 }
@@ -503,33 +543,6 @@ pub fn run_shootout(
             probe_obs: o.probe_obs,
         }
     })
-}
-
-/// Folds shootout rows into the artifact form: one
-/// [`TrialRecord`] per row, id `scenario/protocol`, with the application
-/// counters as metrics and the event trace attached.
-#[must_use]
-pub fn shootout_record(master_seed: u64, rows: &[ShootoutRow]) -> ExperimentRecord {
-    let trials = rows
-        .iter()
-        .map(|row| {
-            let r = &row.result;
-            TrialRecord::new(format!("{}/{}", row.scenario, row.label.key()), row.seed)
-                .metric("sent", r.sent)
-                .metric("delivered", r.delivered)
-                .metric("retransmits", r.retransmits)
-                .metric("gave_up", r.gave_up)
-                .metric("delivery_ratio", r.delivery_ratio())
-                .metric("max_latency_ns", r.max_latency.map(|d| d.0))
-                .metric("outage_ns", r.outage.map(|d| d.0))
-                .with_events(row.events.clone())
-        })
-        .collect();
-    ExperimentRecord {
-        name: "protocol-shootout".to_string(),
-        master_seed,
-        trials,
-    }
 }
 
 #[cfg(test)]
@@ -631,18 +644,17 @@ mod tests {
             result: r, events, ..
         } = run_protocol(ProtocolLabel::Drs, &spec, &cfgs);
         assert_eq!(r.delivery_ratio(), 1.0, "{r:?}");
-        let kind_count =
-            |k: drs_harness::TraceEventKind| events.iter().filter(|e| e.kind == k).count();
-        assert_eq!(kind_count(drs_harness::TraceEventKind::FaultInjected), 1);
+        let count = |is: fn(&TrialEvent) -> bool| events.iter().filter(|(_, e)| is(e)).count();
+        assert_eq!(count(|e| matches!(e, TrialEvent::Fault(_))), 1);
         assert!(
-            kind_count(drs_harness::TraceEventKind::RouteChanged) >= 1,
+            count(|e| matches!(e, TrialEvent::Drs(DrsEventKind::RouteChanged { .. }))) >= 1,
             "DRS must reroute after the hub failure"
         );
         assert_eq!(
-            kind_count(drs_harness::TraceEventKind::FlowDelivered) as u64,
+            count(|e| matches!(e, TrialEvent::Delivered { .. })) as u64,
             r.delivered
         );
-        assert!(events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        assert!(events.windows(2).all(|w| w[0].0 <= w[1].0));
     }
 
     #[test]
@@ -669,7 +681,7 @@ mod tests {
             drs.result.latency.max().map(SimDuration),
             drs.result.max_latency
         );
-        assert!(drs.events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns));
+        assert!(drs.events.windows(2).all(|w| w[0].0 <= w[1].0));
 
         // Static routing probes nothing and (here) delivers nothing, so
         // every channel is empty and quantiles honestly report None.
@@ -678,30 +690,6 @@ mod tests {
         assert_eq!(st.probe_obs.probe_rtt.count(), 0);
         assert_eq!(st.result.latency.count(), 0);
         assert_eq!(st.result.latency.quantile_upper_bound(0.5), None);
-    }
-
-    #[test]
-    fn shootout_is_mode_independent_and_grid_ordered() {
-        let scenarios = vec![NamedScenario {
-            name: "hub_a",
-            spec: hub_a_failure(4, 0),
-        }];
-        let labels = [ProtocolLabel::Drs, ProtocolLabel::Static];
-        let cfgs = ProtocolConfigs {
-            drs: fast_drs(),
-            ..ProtocolConfigs::bench_defaults()
-        };
-        let serial = run_shootout(3, &scenarios, &labels, &cfgs, RunMode::Serial);
-        let parallel = run_shootout(3, &scenarios, &labels, &cfgs, RunMode::Parallel);
-        assert_eq!(serial.len(), 2);
-        assert_eq!(serial[0].label, ProtocolLabel::Drs);
-        assert_eq!(serial[1].label, ProtocolLabel::Static);
-        assert_eq!(
-            shootout_record(3, &serial).trials,
-            shootout_record(3, &parallel).trials
-        );
-        // Different trials run under different derived seeds.
-        assert_ne!(serial[0].seed, serial[1].seed);
     }
 
     #[test]
@@ -725,5 +713,87 @@ mod tests {
         );
         assert!(d < re, "DRS {d} !< reactive {re}");
         assert!(re < ri, "reactive {re} !< RIP {ri}");
+    }
+
+    /// Every variant's label and detail, against the strings the
+    /// committed artifact and the failover timeline print. The artifact
+    /// pins only the kinds it holds; `link_up`, `discovery_failed` and a
+    /// late delivery are pinned here alone.
+    #[test]
+    fn every_trial_event_renders_its_label_and_detail() {
+        use drs_core::Route;
+        let (n1, pair) = (NodeId(1), FlowTag::Pair(NodeId(0), NodeId(1)));
+        let cases = [
+            (
+                TrialEvent::Fault(SimComponent::Nic(n1, NetId::A)),
+                "fault_injected",
+                "Nic(NodeId(1), A)",
+            ),
+            (
+                TrialEvent::Fault(SimComponent::Hub(NetId::B)),
+                "fault_injected",
+                "Hub(B)",
+            ),
+            (
+                TrialEvent::Drs(DrsEventKind::LinkDown {
+                    peer: n1,
+                    net: NetId::A,
+                }),
+                "link_down",
+                "peer n1 net netA",
+            ),
+            (
+                TrialEvent::Drs(DrsEventKind::LinkUp {
+                    peer: n1,
+                    net: NetId::A,
+                }),
+                "link_up",
+                "peer n1 net netA",
+            ),
+            (
+                TrialEvent::Drs(DrsEventKind::RouteChanged {
+                    dst: n1,
+                    route: Route::Via {
+                        gateway: NodeId(2),
+                        net: NetId::A,
+                    },
+                }),
+                "route_changed",
+                "n1 -> Via { gateway: NodeId(2), net: A }",
+            ),
+            (
+                TrialEvent::Drs(DrsEventKind::DiscoveryStarted { target: n1 }),
+                "discovery_started",
+                "target n1",
+            ),
+            (
+                TrialEvent::Drs(DrsEventKind::DiscoveryFailed { target: n1 }),
+                "discovery_failed",
+                "target n1",
+            ),
+            (
+                TrialEvent::Delivered {
+                    flow: pair,
+                    rtt: SimDuration::from_nanos(39_760),
+                    late: false,
+                },
+                "flow_delivered",
+                "0 -> 1 rtt 39.760µs",
+            ),
+            (TrialEvent::GaveUp(pair), "flow_gave_up", "0 -> 1"),
+            (
+                TrialEvent::Delivered {
+                    flow: FlowTag::Msg(3),
+                    rtt: SimDuration::from_secs(1),
+                    late: true,
+                },
+                "flow_delivered",
+                "msg 3 rtt 1.000s (late)",
+            ),
+            (TrialEvent::GaveUp(FlowTag::Msg(3)), "flow_gave_up", "msg 3"),
+        ];
+        for (event, label, detail) in cases {
+            assert_eq!((event.label(), event.to_string().as_str()), (label, detail));
+        }
     }
 }

@@ -35,9 +35,9 @@ pub mod rip;
 pub mod static_route;
 
 pub use compare::{
-    drs_trace_event, run_protocol, run_scenario, run_shootout, shootout_record,
-    standard_shootout_scenarios, NamedScenario, ProtocolConfigs, ProtocolLabel,
-    ProtocolObservation, ScenarioResult, ScenarioSpec, ShootoutRow,
+    run_protocol, run_scenario, run_shootout, standard_shootout_scenarios, FlowTag, NamedScenario,
+    ProtocolConfigs, ProtocolLabel, ProtocolObservation, ScenarioResult, ScenarioSpec, ShootoutRow,
+    TrialEvent,
 };
 pub use ospf::{OspfConfig, OspfDaemon, OspfMsg};
 pub use reactive::{ReactiveConfig, ReactiveDaemon, ReactiveMsg};

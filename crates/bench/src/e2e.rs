@@ -4,11 +4,11 @@
 //!
 //! The trial itself is [`crate::trial::run_trial`] at `K = 2` — the
 //! paper's cluster, run on forks of one converged cluster per `n`
-//! ([`crate::trial::TrialBases`]); this module holds the `(n, f)` grid, the harness
-//! fan-out and the record shape that carries the trials into the
-//! committed `BENCH_sim_survivability.json`.
+//! ([`crate::trial::TrialBases`]); this module holds the `(n, f)` grid and
+//! the harness fan-out. [`crate::sim_artifact::cell_record`] carries the
+//! trials into the committed `BENCH_sim_survivability.json`.
 
-use drs_harness::{Experiment, ExperimentRecord, RunMode, TrialRecord};
+use drs_harness::{Experiment, RunMode};
 
 use crate::trial::{Trial, TrialBases};
 
@@ -32,30 +32,10 @@ pub fn run_cell(
     exp.run(mode, |ctx, ()| base.run(f, ctx.seed))
 }
 
-/// Folds a cell's trials into the artifact form.
-#[must_use]
-pub fn cell_record(n: usize, f: usize, master_seed: u64, rows: &[Trial]) -> ExperimentRecord {
-    let trials = rows
-        .iter()
-        .enumerate()
-        .map(|(i, t)| {
-            TrialRecord::new(format!("t{i:02}"), t.seed)
-                .metric("predicted", u64::from(t.predicted))
-                .metric("delivered", u64::from(t.delivered))
-                .metric("agree", u64::from(t.agrees()))
-                .with_events(t.events.clone())
-        })
-        .collect();
-    ExperimentRecord {
-        name: format!("e2e/n{n}_f{f}"),
-        master_seed,
-        trials,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sim_artifact::cell_record;
 
     #[test]
     fn trial_agrees_with_the_predicate() {

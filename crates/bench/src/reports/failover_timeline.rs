@@ -3,13 +3,13 @@
 //! the "what actually happens" view behind the outage numbers.
 //!
 //! One run: the cluster seed is [`stream_seed`]`(1, 0)`, trial 0's
-//! seed under master seed 1, and the daemon's transition log comes back
-//! as a structured harness event trace — the same vocabulary the
-//! committed `BENCH_sim_survivability.json` rows use.
+//! seed under master seed 1, and the daemon's transition log prints as
+//! [`TrialEvent`]s — the labels and details the committed
+//! `BENCH_sim_survivability.json` rows carry.
 
-use drs_baselines::compare::drs_trace_event;
+use drs_baselines::compare::TrialEvent;
 use drs_core::{DrsConfig, DrsDaemon};
-use drs_harness::{stream_seed, TraceEvent};
+use drs_harness::stream_seed;
 use drs_sim::app::Workload;
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
@@ -31,9 +31,9 @@ struct SecondRow {
     rtx: u64,
 }
 
-/// Runs the timeline trial: returns the table, the structured event
+/// Runs the timeline trial: returns the table, the observer's event
 /// trace, and the cluster's application totals.
-fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, AppStats) {
+fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<(SimTime, TrialEvent)>, AppStats) {
     let n = 8;
     let cfg = DrsConfig::default()
         .probe_timeout(SimDuration::from_millis(100))
@@ -94,13 +94,13 @@ fn timeline_trial(seed: u64) -> (Vec<SecondRow>, Vec<TraceEvent>, AppStats) {
         last_rtx = s.retransmits;
     }
 
-    // The observer node's transition log, in the harness vocabulary.
-    let events: Vec<TraceEvent> = w
+    // The observer node's transition log.
+    let events = w
         .protocol(NodeId(0))
         .metrics
         .events
         .iter()
-        .map(|e| drs_trace_event(e.at, &e.kind))
+        .map(|e| (e.at, TrialEvent::Drs(e.kind)))
         .collect();
 
     (table, events, w.app_stats())
@@ -120,14 +120,9 @@ pub(super) fn run() -> Vec<Check> {
         );
     }
 
-    section("daemon event log (node 0, harness trace vocabulary)");
-    for e in &events {
-        println!(
-            "  {}  {:<17} {}",
-            SimTime(e.at_ns),
-            e.kind.label(),
-            e.detail
-        );
+    section("daemon event log (node 0, trial event labels)");
+    for (at, e) in &events {
+        println!("  {at}  {:<17} {e}", e.label());
     }
 
     println!();

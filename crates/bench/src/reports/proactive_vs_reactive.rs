@@ -10,8 +10,9 @@
 //! SplitMix64 stream and trials fan out across the harness workers.
 //! The application-visible outage column is the paper's claim, quantified.
 
-use drs_baselines::compare::{ProtocolLabel, ShootoutRow};
-use drs_harness::{RunMode, TraceEventKind};
+use drs_baselines::compare::{ProtocolLabel, ShootoutRow, TrialEvent};
+use drs_core::DrsEventKind;
+use drs_harness::RunMode;
 
 use super::Check;
 use crate::sim_artifact::bench_shootout;
@@ -21,7 +22,7 @@ fn print_row(r: &ShootoutRow) {
     let route_changes = r
         .events
         .iter()
-        .filter(|e| e.kind == TraceEventKind::RouteChanged)
+        .filter(|(_, e)| matches!(e, TrialEvent::Drs(DrsEventKind::RouteChanged { .. })))
         .count();
     println!(
         "  {:<20}  delivered {:>3}/{:<3}  retransmits {:>4}  gave-up {:>3}  outage {:>10}{}",

@@ -1,6 +1,6 @@
 //! The committed simulation benchmark: builds the
 //! `BENCH_sim_survivability.json` artifact ([`SimArtifact`], schema
-//! [`drs_harness::SCHEMA`], laid out by [`drs_obs::artifact::write`]).
+//! [`SCHEMA`], laid out by [`drs_obs::artifact::write`]).
 //!
 //! Two experiment families run through the harness under the fixed master
 //! seed [`crate::BENCH_SEED`]:
@@ -10,6 +10,10 @@
 //!   reactive), and
 //! * the **end-to-end survivability grid** — [`crate::e2e::E2E_GRID`]
 //!   cells of DES-vs-Equation-1 cross-check trials.
+//!
+//! Each trial becomes one [`TrialRecord`]: its id, seed, named metrics
+//! and its trace of typed `(SimTime, TrialEvent)` pairs, which
+//! [`SimArtifact::to_json`] renders — label and detail — exactly once.
 //!
 //! Two sections summarise the shootout's instrumentation across its
 //! trials:
@@ -29,16 +33,135 @@
 //! artifact is therefore byte-reproducible on any machine and any thread
 //! count — the property CI enforces by regenerating and diffing it.
 
-use drs_baselines::compare::{
-    run_shootout, shootout_record, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel,
-    ShootoutRow,
-};
-use drs_harness::{coord_seed, RunMode, SimArtifact};
-use drs_obs::{Histogram, Row, Section};
+use std::fmt::Write as _;
 
-use crate::e2e::{cell_record, run_cell, E2E_GRID};
-use crate::trial::TrialBases;
+use drs_baselines::compare::{
+    run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel, ShootoutRow,
+    TrialEvent,
+};
+use drs_harness::{coord_seed, RunMode};
+use drs_obs::artifact::{section_items, write, Field, FieldValue};
+use drs_obs::{Histogram, Row, Section};
+use drs_sim::SimTime;
+
+use crate::e2e::{run_cell, E2E_GRID};
+use crate::trial::{Trial, TrialBases};
 use crate::BENCH_SEED;
+
+/// Schema tag written into the simulation artifact.
+pub const SCHEMA: &str = "drs-bench-sim-survivability/v2";
+
+/// The artifact row for one completed trial.
+#[derive(Debug, Clone, PartialEq)]
+pub struct TrialRecord {
+    /// Trial identity (`scenario/protocol` or `tNN`), unique within its
+    /// experiment.
+    pub id: String,
+    /// The derived per-trial seed the trial ran under.
+    pub seed: u64,
+    /// Named measurements, serialized as a JSON object in this order; a
+    /// measurement the trial could not produce is
+    /// [`FieldValue::Missing`].
+    pub metrics: Vec<Field>,
+    /// The trial's trace, sorted by time (may be empty).
+    pub events: Vec<(SimTime, TrialEvent)>,
+}
+
+/// A completed experiment: its trials in trial order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ExperimentRecord {
+    /// Experiment name.
+    pub name: String,
+    /// The experiment's master seed.
+    pub master_seed: u64,
+    /// Per-trial rows, in trial order.
+    pub trials: Vec<TrialRecord>,
+}
+
+/// The whole artifact: every experiment of one benchmark run, and
+/// sections of rows summarising them.
+#[derive(Debug, Clone, PartialEq)]
+pub struct SimArtifact {
+    /// The benchmark master seed the experiments derived theirs from.
+    pub seed: u64,
+    /// Experiment records, in run order.
+    pub experiments: Vec<ExperimentRecord>,
+    /// Summaries across trials (merged histograms), in order.
+    pub sections: Vec<Section>,
+}
+
+impl SimArtifact {
+    /// The first section with this name, if any.
+    #[must_use]
+    pub fn section(&self, name: &str) -> Option<&Section> {
+        self.sections.iter().find(|s| s.name == name)
+    }
+
+    /// The first experiment with this name, if any.
+    #[must_use]
+    pub fn get(&self, name: &str) -> Option<&ExperimentRecord> {
+        self.experiments.iter().find(|e| e.name == name)
+    }
+
+    /// Serializes to the [`SCHEMA`] layout: each experiment's `name`,
+    /// `master_seed` and one `trials` row per line, each row an `id`, a
+    /// `seed`, a `metrics` object and an `events` list of `at_ns`, `kind`
+    /// ([`TrialEvent::label`]) and `detail` (its `Display`); then the
+    /// `sections`, as in the observability artifact — byte-identical
+    /// across runs, thread counts and machines for a fixed artifact.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let experiments = self
+            .experiments
+            .iter()
+            .map(|exp| {
+                let trials = exp.trials.iter().map(trial_fields).collect();
+                vec![
+                    Field::new("name", exp.name.as_str()),
+                    Field::new("master_seed", exp.master_seed),
+                    Field::new("trials", FieldValue::Rows(trials)),
+                ]
+            })
+            .collect();
+        write(
+            SCHEMA,
+            self.seed,
+            [
+                ("experiments", experiments),
+                ("sections", section_items(&self.sections)),
+            ],
+        )
+    }
+}
+
+fn trial_fields(t: &TrialRecord) -> Vec<Field> {
+    debug_assert!(
+        t.events.is_sorted_by_key(|&(at, _)| at),
+        "trial {}: events must be sorted by time before serialization",
+        t.id
+    );
+    let events = t
+        .events
+        .iter()
+        .map(|(at, e)| {
+            // Sized for the longest detail (a gateway route, ~45 B), so
+            // rendering allocates once instead of growing by doubling.
+            let mut detail = String::with_capacity(48);
+            write!(detail, "{e}").expect("a String accepts every write");
+            vec![
+                Field::new("at_ns", at.0),
+                Field::new("kind", e.label()),
+                Field::new("detail", detail),
+            ]
+        })
+        .collect();
+    vec![
+        Field::new("id", t.id.as_str()),
+        Field::new("seed", t.seed),
+        Field::new("metrics", t.metrics.clone()),
+        Field::new("events", FieldValue::List(events)),
+    ]
+}
 
 /// Hosts in the shootout clusters.
 pub const SHOOTOUT_HOSTS: usize = 8;
@@ -68,10 +191,8 @@ pub fn bench_shootout(mode: RunMode) -> Vec<ShootoutRow> {
 /// artifacts; `regen` asserts this on every run before writing the file.
 #[must_use]
 pub fn bench_artifact(mode: RunMode) -> SimArtifact {
-    let mut artifact = SimArtifact::new(BENCH_SEED);
-
     let shootout = bench_shootout(mode);
-    artifact.push(shootout_record(BENCH_SEED, &shootout));
+    let mut experiments = vec![shootout_record(BENCH_SEED, &shootout)];
 
     let mut bases = TrialBases::default();
     for &(n, f) in &E2E_GRID {
@@ -79,12 +200,73 @@ pub fn bench_artifact(mode: RunMode) -> SimArtifact {
         // sweep's cells, so any single cell reproduces in isolation.
         let master = coord_seed(BENCH_SEED, n as u64, f as u64);
         let cell = run_cell(&mut bases, n, f, E2E_TRIALS_PER_CELL, master, mode);
-        artifact.push(cell_record(n, f, master, &cell));
+        experiments.push(cell_record(n, f, master, &cell));
     }
 
-    artifact.push_section(failover_latency_section(&shootout));
-    artifact.push_section(drs_probe_path_section(&shootout));
-    artifact
+    SimArtifact {
+        seed: BENCH_SEED,
+        experiments,
+        sections: vec![
+            failover_latency_section(&shootout),
+            drs_probe_path_section(&shootout),
+        ],
+    }
+}
+
+/// Folds shootout rows into the artifact form: one [`TrialRecord`] per
+/// row, id `scenario/protocol`, with the application counters as metrics
+/// and the event trace attached.
+#[must_use]
+pub fn shootout_record(master_seed: u64, rows: &[ShootoutRow]) -> ExperimentRecord {
+    let trials = rows
+        .iter()
+        .map(|row| {
+            let r = &row.result;
+            TrialRecord {
+                id: format!("{}/{}", row.scenario, row.label.key()),
+                seed: row.seed,
+                metrics: vec![
+                    Field::new("sent", r.sent),
+                    Field::new("delivered", r.delivered),
+                    Field::new("retransmits", r.retransmits),
+                    Field::new("gave_up", r.gave_up),
+                    Field::new("delivery_ratio", r.delivery_ratio()),
+                    Field::new("max_latency_ns", r.max_latency.map(|d| d.0)),
+                    Field::new("outage_ns", r.outage.map(|d| d.0)),
+                ],
+                events: row.events.clone(),
+            }
+        })
+        .collect();
+    ExperimentRecord {
+        name: "protocol-shootout".to_string(),
+        master_seed,
+        trials,
+    }
+}
+
+/// Folds one end-to-end `(n, f)` cell's trials into the artifact form.
+#[must_use]
+pub fn cell_record(n: usize, f: usize, master_seed: u64, rows: &[Trial]) -> ExperimentRecord {
+    let trials = rows
+        .iter()
+        .enumerate()
+        .map(|(i, t)| TrialRecord {
+            id: format!("t{i:02}"),
+            seed: t.seed,
+            metrics: vec![
+                Field::new("predicted", u64::from(t.predicted)),
+                Field::new("delivered", u64::from(t.delivered)),
+                Field::new("agree", u64::from(t.agrees())),
+            ],
+            events: t.events.clone(),
+        })
+        .collect();
+    ExperimentRecord {
+        name: format!("e2e/n{n}_f{f}"),
+        master_seed,
+        trials,
+    }
 }
 
 /// Per protocol, the flows delivered and their latency histogram, merged
@@ -150,5 +332,91 @@ mod tests {
         let json = a.to_json();
         assert!(json.contains("\"schema\": \"drs-bench-sim-survivability/v2\""));
         assert!(!json.contains("NaN") && !json.contains("inf"));
+        assert!(a.get("absent").is_none());
+    }
+
+    #[test]
+    fn shootout_is_mode_independent_and_grid_ordered() {
+        use drs_baselines::compare::{NamedScenario, ScenarioSpec};
+        use drs_core::DrsConfig;
+        use drs_sim::fault::SimComponent;
+        use drs_sim::{NetId, SimDuration};
+
+        let scenarios = vec![NamedScenario {
+            name: "hub_a",
+            spec: ScenarioSpec::standard(4, 0, vec![SimComponent::Hub(NetId::A)]),
+        }];
+        let labels = [ProtocolLabel::Drs, ProtocolLabel::Static];
+        let cfgs = ProtocolConfigs {
+            drs: DrsConfig::default()
+                .probe_timeout(SimDuration::from_millis(50))
+                .probe_interval(SimDuration::from_millis(200)),
+            ..ProtocolConfigs::bench_defaults()
+        };
+        let serial = run_shootout(3, &scenarios, &labels, &cfgs, RunMode::Serial);
+        let parallel = run_shootout(3, &scenarios, &labels, &cfgs, RunMode::Parallel);
+        assert_eq!(serial.len(), 2);
+        assert_eq!(serial[0].label, ProtocolLabel::Drs);
+        assert_eq!(serial[1].label, ProtocolLabel::Static);
+        assert_eq!(
+            shootout_record(3, &serial).trials,
+            shootout_record(3, &parallel).trials
+        );
+        // Different trials run under different derived seeds.
+        assert_ne!(serial[0].seed, serial[1].seed);
+    }
+
+    /// The writer's JSON is deterministic and structurally sane for any
+    /// experiment run through the harness: one row per trial, no NaN/inf
+    /// tokens, the same bytes serial and on four workers.
+    #[test]
+    fn artifact_json_is_deterministic_and_well_formed() {
+        use drs_core::{DrsEventKind, Route};
+        use drs_harness::{Experiment, TrialCtx};
+        use drs_obs::rng::Rng;
+        use drs_sim::{NetId, NodeId};
+
+        let body = |ctx: TrialCtx, spec: &u64| {
+            let mixed = ctx.seed ^ spec;
+            let route = DrsEventKind::RouteChanged {
+                dst: NodeId((mixed % 7) as u32),
+                route: Route::Direct(NetId::B),
+            };
+            TrialRecord {
+                id: format!("trial-{}", ctx.index),
+                seed: ctx.seed,
+                metrics: vec![
+                    Field::new("spec", *spec),
+                    Field::new("mixed", mixed as f64 / u64::MAX as f64),
+                ],
+                events: vec![(SimTime(mixed % 1_000), TrialEvent::Drs(route))],
+            }
+        };
+        for case in 0..256 {
+            let mut rng = Rng::seed_from_u64(0x4A12_0E55 ^ case);
+            let master = rng.next_u64();
+            let specs: Vec<u64> = (0..rng.gen_range(0usize..20))
+                .map(|_| rng.next_u64())
+                .collect();
+            let ctx = format!("case {case}: master={master} specs={specs:?}");
+            let exp = Experiment::with_trials("json", master, specs);
+            let json = |trials| {
+                SimArtifact {
+                    seed: master,
+                    experiments: vec![ExperimentRecord {
+                        name: exp.name.clone(),
+                        master_seed: master,
+                        trials,
+                    }],
+                    sections: Vec::new(),
+                }
+                .to_json()
+            };
+            let serial = json(exp.run(RunMode::Serial, body));
+            assert_eq!(serial, json(exp.run_parallel_on(4, body)), "{ctx}");
+            let rows = serial.matches("\"id\": \"trial-").count();
+            assert_eq!(rows, exp.trials.len(), "{ctx}");
+            assert!(!serial.contains("NaN") && !serial.contains("inf"), "{ctx}");
+        }
     }
 }

@@ -44,8 +44,8 @@
 use drs_analytic::binom::shared_table;
 use drs_analytic::connectivity::pair_connected_k;
 use drs_analytic::enumerate::unrank;
+use drs_baselines::compare::{FlowTag, TrialEvent};
 use drs_core::{DrsConfig, DrsDaemon};
-use drs_harness::{TraceEvent, TraceEventKind};
 use drs_sim::fault::{index_to_component, FaultPlan};
 use drs_sim::scenario::{ClusterSpec, TransportConfig};
 use drs_sim::world::{FlowOutcome, World};
@@ -63,7 +63,7 @@ pub struct Trial {
     pub delivered: bool,
     /// Fault injections and the probe flow's outcome (empty for trials
     /// that record no trace, e.g. the zoo's flood trials).
-    pub events: Vec<TraceEvent>,
+    pub events: Vec<(SimTime, TrialEvent)>,
 }
 
 impl Trial {
@@ -264,11 +264,7 @@ fn finish(
     for idx in failures.iter() {
         let component = index_to_component(idx, n, planes);
         plan = plan.fail_at(FAULT_AT, component);
-        events.push(TraceEvent::new(
-            FAULT_AT.0,
-            TraceEventKind::FaultInjected,
-            format!("{component:?}"),
-        ));
+        events.push((FAULT_AT, TrialEvent::Fault(component)));
     }
     world.schedule_faults(plan);
 
@@ -278,21 +274,19 @@ fn finish(
     // outcome never changes once set, so the run ends where the flow
     // resolves instead of simulating the rest of the retry budget.
     let stopped_at = world.run_until_settled(send + budget);
+    let pair = FlowTag::Pair(NodeId(0), NodeId(1));
     let delivered = match world.flow_outcome(flow) {
         Some(FlowOutcome::Delivered(rtt)) => {
-            events.push(TraceEvent::new(
-                (send + rtt).0,
-                TraceEventKind::FlowDelivered,
-                format!("0 -> 1 rtt {rtt}"),
-            ));
+            let delivered = TrialEvent::Delivered {
+                flow: pair,
+                rtt,
+                late: false,
+            };
+            events.push((send + rtt, delivered));
             true
         }
         Some(FlowOutcome::GaveUp) => {
-            events.push(TraceEvent::new(
-                send.0,
-                TraceEventKind::FlowGaveUp,
-                "0 -> 1".to_string(),
-            ));
+            events.push((send, TrialEvent::GaveUp(pair)));
             false
         }
         None => panic!(
@@ -349,7 +343,7 @@ mod tests {
         assert_eq!(t.events.len(), 3);
         assert!(t.events[..2]
             .iter()
-            .all(|e| e.kind == TraceEventKind::FaultInjected));
+            .all(|(_, e)| matches!(e, TrialEvent::Fault(_))));
     }
 
     /// [`run_trial`] with the flow's budget as a parameter, returning the
@@ -392,7 +386,7 @@ mod tests {
             pops <= bound,
             "{pops} pops for a {stopped_at} run, over {bound}"
         );
-        let acked_at = SimTime(trial.events.last().expect("terminal event").at_ns);
+        let (acked_at, _) = *trial.events.last().expect("terminal event");
         assert!(
             acked_at <= stopped_at && stopped_at < acked_at + ONE_STRIDE,
             "acked at {acked_at}, stopped at {stopped_at}"
@@ -411,8 +405,8 @@ mod tests {
             gave_up_at <= stopped_at && stopped_at < gave_up_at + ONE_STRIDE,
             "gave up at {gave_up_at}, stopped at {stopped_at}"
         );
-        let last = trial.events.last().expect("terminal event");
-        assert_eq!(last.kind, TraceEventKind::FlowGaveUp);
+        let (_, last) = trial.events.last().expect("terminal event");
+        assert!(matches!(last, TrialEvent::GaveUp(_)), "{last:?}");
     }
 
     /// A flow still in flight when its budget ends is not a give-up: the

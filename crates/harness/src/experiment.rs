@@ -10,15 +10,11 @@
 //! path trivially equal to the serial one: trials share no mutable state,
 //! and results are collected back in trial order.
 //!
-//! A completed experiment is an [`ExperimentRecord`] of [`TrialRecord`]s;
-//! [`SimArtifact`] collects them, with any sections of rows that
-//! summarise them, into the versioned `drs-bench-sim-survivability/v2`
-//! JSON artifact ([`SCHEMA`]), laid out by the one artifact writer,
-//! [`drs_obs::artifact::write`].
+//! The runner hands back the bodies' results in trial order and nothing
+//! more: what a trial records, and how it is written out, belongs to the
+//! domain crate that runs it (`drs_bench::sim_artifact` turns the
+//! shootout and end-to-end trials into the simulation artifact).
 
-use drs_obs::artifact::{section_items, write, Field, FieldValue, Section};
-
-use crate::events::TraceEvent;
 use crate::par;
 use crate::seed::stream_seed;
 
@@ -47,7 +43,7 @@ pub enum RunMode {
 /// A named grid of trials under one master seed.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Experiment<S = ()> {
-    /// Experiment name, carried into artifacts.
+    /// Experiment name.
     pub name: String,
     /// Master seed; per-trial seeds are derived from it.
     pub master_seed: u64,
@@ -147,169 +143,6 @@ impl<S> Experiment<S> {
     }
 }
 
-/// Schema tag written into every simulation artifact.
-pub const SCHEMA: &str = "drs-bench-sim-survivability/v2";
-
-/// The artifact row for one completed trial.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TrialRecord {
-    /// Human-readable trial identity (scenario × protocol, `(n, f)` cell,
-    /// replication index, …). Unique within its experiment.
-    pub id: String,
-    /// The derived per-trial seed the trial ran under.
-    pub seed: u64,
-    /// Named measurements, serialized as a JSON object in this order; a
-    /// measurement the trial could not produce is
-    /// [`FieldValue::Missing`].
-    pub metrics: Vec<Field>,
-    /// The trial's event trace (may be empty).
-    pub events: Vec<TraceEvent>,
-}
-
-impl TrialRecord {
-    /// An empty record for a trial.
-    #[must_use]
-    pub fn new(id: impl Into<String>, seed: u64) -> Self {
-        TrialRecord {
-            id: id.into(),
-            seed,
-            metrics: Vec::new(),
-            events: Vec::new(),
-        }
-    }
-
-    /// Appends one metric and returns `self` (builder style).
-    #[must_use]
-    pub fn metric(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
-        self.metrics.push(Field::new(name, value));
-        self
-    }
-
-    /// Attaches an event trace and returns `self` (builder style).
-    ///
-    /// The trace must already be sealed — sorted by timestamp, as
-    /// [`crate::TrialTrace::seal`] produces — because the serializer
-    /// writes events verbatim and a misordered committed artifact would
-    /// silently change bytes between producers. Debug builds assert it.
-    #[must_use]
-    pub fn with_events(mut self, events: Vec<TraceEvent>) -> Self {
-        debug_assert!(
-            events.windows(2).all(|w| w[0].at_ns <= w[1].at_ns),
-            "trial {}: event trace must be sealed (time-sorted) before \
-             serialization — build it in a TrialTrace and seal() it",
-            self.id
-        );
-        self.events = events;
-        self
-    }
-}
-
-/// A completed experiment: its trials in trial order.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ExperimentRecord {
-    /// Experiment name ([`Experiment::name`]).
-    pub name: String,
-    /// The experiment's master seed.
-    pub master_seed: u64,
-    /// Per-trial rows, in trial order.
-    pub trials: Vec<TrialRecord>,
-}
-
-/// The whole artifact: every experiment of one benchmark run, and
-/// sections of rows summarising them.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SimArtifact {
-    /// The benchmark master seed the experiments derived theirs from.
-    pub seed: u64,
-    /// Experiment records, in run order.
-    pub experiments: Vec<ExperimentRecord>,
-    /// Summaries across trials (e.g. merged histograms), in push order.
-    pub sections: Vec<Section>,
-}
-
-impl SimArtifact {
-    /// An artifact with no experiments or sections yet.
-    #[must_use]
-    pub fn new(seed: u64) -> Self {
-        SimArtifact {
-            seed,
-            experiments: Vec::new(),
-            sections: Vec::new(),
-        }
-    }
-
-    /// Appends one experiment record.
-    pub fn push(&mut self, record: ExperimentRecord) {
-        self.experiments.push(record);
-    }
-
-    /// Appends one section.
-    pub fn push_section(&mut self, section: Section) {
-        self.sections.push(section);
-    }
-
-    /// The first section with this name, if any.
-    #[must_use]
-    pub fn section(&self, name: &str) -> Option<&Section> {
-        self.sections.iter().find(|s| s.name == name)
-    }
-
-    /// The first experiment with this name, if any.
-    #[must_use]
-    pub fn get(&self, name: &str) -> Option<&ExperimentRecord> {
-        self.experiments.iter().find(|e| e.name == name)
-    }
-
-    /// Serializes to the [`SCHEMA`] layout: each experiment's `name`,
-    /// `master_seed` and one `trials` row per line, each row an `id`, a
-    /// `seed`, a `metrics` object and an `events` list; then the
-    /// `sections`, as in the observability artifact — byte-identical
-    /// across runs, thread counts and machines for a fixed artifact.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let experiments = self
-            .experiments
-            .iter()
-            .map(|exp| {
-                let trials = exp.trials.iter().map(trial_fields).collect();
-                vec![
-                    Field::new("name", exp.name.as_str()),
-                    Field::new("master_seed", exp.master_seed),
-                    Field::new("trials", FieldValue::Rows(trials)),
-                ]
-            })
-            .collect();
-        write(
-            SCHEMA,
-            self.seed,
-            [
-                ("experiments", experiments),
-                ("sections", section_items(&self.sections)),
-            ],
-        )
-    }
-}
-
-fn trial_fields(t: &TrialRecord) -> Vec<Field> {
-    let events = t
-        .events
-        .iter()
-        .map(|e| {
-            vec![
-                Field::new("at_ns", e.at_ns),
-                Field::new("kind", e.kind.label()),
-                Field::new("detail", e.detail.as_str()),
-            ]
-        })
-        .collect();
-    vec![
-        Field::new("id", t.id.as_str()),
-        Field::new("seed", t.seed),
-        Field::new("metrics", t.metrics.clone()),
-        Field::new("events", FieldValue::List(events)),
-    ]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -352,17 +185,5 @@ mod tests {
         let exp: Experiment<u32> = Experiment::with_trials("empty", 0, Vec::new());
         let out: Vec<u64> = exp.run(RunMode::Parallel, |ctx, _| ctx.seed);
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn get_finds_experiments_by_name() {
-        let mut artifact = SimArtifact::new(42);
-        artifact.push(ExperimentRecord {
-            name: "shootout".to_string(),
-            master_seed: 42,
-            trials: vec![TrialRecord::new("hub/drs", 7).metric("sent", 40_u64)],
-        });
-        assert!(artifact.get("shootout").is_some());
-        assert!(artifact.get("absent").is_none());
     }
 }

@@ -1,30 +1,25 @@
 //! Property tests for the experiment harness: the serial and parallel
-//! trial paths must be indistinguishable — result-for-result and
-//! artifact-byte-for-byte — for every experiment shape, and the seed
-//! stream must behave like an injective hash of `(master, index)`.
+//! trial paths must be indistinguishable — result-for-result — for every
+//! experiment shape, and the seed stream must behave like an injective
+//! hash of `(master, index)`.
 //!
 //! Each property is a loop over [`CASES`] seeded parameter draws; every
 //! assertion prints the failing case, and `case_rng(index)` reruns it.
 
 use drs_obs::rng::Rng;
 
-use drs_harness::{
-    stream_seed, Experiment, ExperimentRecord, RunMode, SimArtifact, TraceEvent, TraceEventKind,
-    TrialCtx, TrialRecord,
-};
+use drs_harness::{stream_seed, Experiment, RunMode, TrialCtx};
 
 /// A deterministic trial body with enough structure to notice ordering
-/// bugs: the record depends on the trial's index, seed, and spec.
-fn trial_record(ctx: TrialCtx, spec: &u64) -> TrialRecord {
+/// bugs: the result depends on the trial's index, seed, and spec.
+fn trial_body(ctx: TrialCtx, spec: &u64) -> (String, u64, u64, f64) {
     let mixed = ctx.seed ^ spec;
-    TrialRecord::new(format!("trial-{}", ctx.index), ctx.seed)
-        .metric("spec", *spec)
-        .metric("mixed", mixed as f64 / u64::MAX as f64)
-        .with_events(vec![TraceEvent::new(
-            mixed % 1_000,
-            TraceEventKind::RouteChanged,
-            format!("via {}", mixed % 7),
-        )])
+    (
+        format!("trial-{}", ctx.index),
+        ctx.seed,
+        mixed % 1_000,
+        mixed as f64 / u64::MAX as f64,
+    )
 }
 
 /// Draws per property.
@@ -34,26 +29,12 @@ fn case_rng(case: u64) -> Rng {
     Rng::seed_from_u64(0x4A12_0E55 ^ case)
 }
 
-fn artifact(exp: &Experiment<u64>, mode: RunMode) -> SimArtifact {
-    artifact_of(exp, exp.run(mode, trial_record))
-}
-
-fn artifact_of(exp: &Experiment<u64>, trials: Vec<TrialRecord>) -> SimArtifact {
-    let mut a = SimArtifact::new(exp.master_seed);
-    a.push(ExperimentRecord {
-        name: exp.name.clone(),
-        master_seed: exp.master_seed,
-        trials,
-    });
-    a
-}
-
 /// `Experiment::run` with the serial path and the threaded path produce
-/// identical artifacts — the tentpole determinism guarantee. The forced
-/// four-worker run keeps real threads in play on a one-CPU host, where
-/// `RunMode::Parallel` alone would run inline.
+/// identical results in trial order — the tentpole determinism
+/// guarantee. The forced four-worker run keeps real threads in play on a
+/// one-CPU host, where `RunMode::Parallel` alone would run inline.
 #[test]
-fn serial_and_parallel_artifacts_are_identical() {
+fn serial_and_parallel_results_are_identical() {
     for case in 0..CASES {
         let mut rng = case_rng(case);
         let master = rng.next_u64();
@@ -62,12 +43,14 @@ fn serial_and_parallel_artifacts_are_identical() {
             .collect();
         let ctx = format!("case {case}: master={master} specs={specs:?}");
         let exp = Experiment::with_trials("prop", master, specs);
-        let serial = artifact(&exp, RunMode::Serial);
-        let parallel = artifact(&exp, RunMode::Parallel);
-        assert_eq!(&serial, &parallel, "{ctx}");
-        assert_eq!(serial.to_json(), parallel.to_json(), "{ctx}");
-        let forced = artifact_of(&exp, exp.run_parallel_on(4, trial_record));
-        assert_eq!(serial.to_json(), forced.to_json(), "{ctx}: 4 workers");
+        let serial = exp.run(RunMode::Serial, trial_body);
+        assert_eq!(serial.len(), exp.trials.len(), "{ctx}");
+        assert_eq!(serial, exp.run(RunMode::Parallel, trial_body), "{ctx}");
+        assert_eq!(
+            serial,
+            exp.run_parallel_on(4, trial_body),
+            "{ctx}: 4 workers"
+        );
     }
 }
 
@@ -89,34 +72,6 @@ fn trial_seeds_are_stable_and_distinct() {
         dedup.sort_unstable();
         dedup.dedup();
         assert_eq!(dedup.len(), count, "{ctx}: seed collision");
-    }
-}
-
-/// Artifact JSON is deterministic and structurally sane for any
-/// experiment: one row per trial, no NaN/inf tokens.
-#[test]
-fn artifact_json_is_deterministic_and_well_formed() {
-    for case in 0..CASES {
-        let mut rng = case_rng(case);
-        let master = rng.next_u64();
-        let specs: Vec<_> = (0..rng.gen_range(0usize..20))
-            .map(|_| rng.next_u64())
-            .collect();
-        let ctx = format!("case {case}: master={master} specs={specs:?}");
-        let exp = Experiment::with_trials("json", master, specs.clone());
-        let a = artifact(&exp, RunMode::Parallel);
-        let json = a.to_json();
-        assert_eq!(
-            json.clone(),
-            artifact(&exp, RunMode::Parallel).to_json(),
-            "{ctx}"
-        );
-        assert_eq!(
-            json.matches("\"id\": \"trial-").count(),
-            specs.len(),
-            "{ctx}"
-        );
-        assert!(!json.contains("NaN") && !json.contains("inf"), "{ctx}");
     }
 }
 

@@ -1,5 +1,5 @@
 //! Integration: the committed `BENCH_sim_survivability.json` artifact is
-//! exactly what the harness regenerates — same bytes, serial or parallel
+//! exactly what `drs_bench::sim_artifact` regenerates — same bytes, serial or parallel
 //! — its traces tell complete stories, and its shootout sections write
 //! an empty histogram as `null`, not 0.
 //!
@@ -10,9 +10,11 @@
 
 use std::sync::LazyLock;
 
-use drs::harness::{RunMode, SimArtifact};
+use drs::baselines::TrialEvent;
+use drs::core::DrsEventKind;
+use drs::harness::RunMode;
 use drs_bench::artifacts::{find, Artifact};
-use drs_bench::sim_artifact::bench_artifact;
+use drs_bench::sim_artifact::{bench_artifact, SimArtifact};
 
 fn entry() -> &'static Artifact {
     find("sim").expect("table entry")
@@ -53,13 +55,7 @@ fn artifact_traces_tell_a_complete_story() {
         let terminal = t
             .events
             .iter()
-            .filter(|e| {
-                matches!(
-                    e.kind,
-                    drs::harness::TraceEventKind::FlowDelivered
-                        | drs::harness::TraceEventKind::FlowGaveUp
-                )
-            })
+            .filter(|(_, e)| matches!(e, TrialEvent::Delivered { .. } | TrialEvent::GaveUp(_)))
             .count() as u64;
         assert_eq!(
             terminal, sent,
@@ -78,7 +74,7 @@ fn artifact_traces_tell_a_complete_story() {
             let faults = t
                 .events
                 .iter()
-                .filter(|e| e.kind == drs::harness::TraceEventKind::FaultInjected)
+                .filter(|(_, e)| matches!(e, TrialEvent::Fault(_)))
                 .count();
             assert!(faults > 0, "{}/{}: fault trace recorded", exp.name, t.id);
         }
@@ -88,25 +84,32 @@ fn artifact_traces_tell_a_complete_story() {
 #[test]
 fn artifact_traces_cover_the_event_vocabulary() {
     // The trace-event tallies live here, trial by trial: every kind the
-    // shootout or the e2e grid is known to produce must appear.
-    use drs::harness::TraceEventKind as K;
-    let seen: Vec<K> = ARTIFACT
+    // shootout or the e2e grid is known to produce must appear. The kinds
+    // no committed trial holds (`link_up`, `discovery_failed`, a late
+    // delivery) are pinned by `drs-baselines`' rendering table.
+    let seen: Vec<TrialEvent> = ARTIFACT
         .experiments
         .iter()
         .flat_map(|exp| &exp.trials)
         .flat_map(|t| &t.events)
-        .map(|e| e.kind)
+        .map(|&(_, e)| e)
         .collect();
-    for kind in [
-        K::FaultInjected,
-        K::LinkDown,
-        K::RouteChanged,
-        K::DiscoveryStarted,
-        K::FlowDelivered,
-        K::FlowGaveUp,
-    ] {
-        assert!(seen.contains(&kind), "no {} event committed", kind.label());
-    }
+    let committed = |is: fn(&TrialEvent) -> bool| seen.iter().any(is);
+    assert!(committed(|e| matches!(e, TrialEvent::Fault(_))));
+    assert!(committed(|e| matches!(
+        e,
+        TrialEvent::Drs(DrsEventKind::LinkDown { .. })
+    )));
+    assert!(committed(|e| matches!(
+        e,
+        TrialEvent::Drs(DrsEventKind::RouteChanged { .. })
+    )));
+    assert!(committed(|e| matches!(
+        e,
+        TrialEvent::Drs(DrsEventKind::DiscoveryStarted { .. })
+    )));
+    assert!(committed(|e| matches!(e, TrialEvent::Delivered { .. })));
+    assert!(committed(|e| matches!(e, TrialEvent::GaveUp(_))));
 }
 
 #[test]
