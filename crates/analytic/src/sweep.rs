@@ -17,7 +17,7 @@
 //! method counts, so a sweep involves no random draw at all.
 
 use drs_harness::par;
-use drs_obs::artifact::{write, Field};
+use drs_obs::artifact::write;
 
 use crate::binom::shared_table;
 use crate::connectivity::{KPlane, Question};
@@ -209,26 +209,23 @@ impl SweepResult {
     /// Serializes to the `BENCH_survivability.json` schema: one flat
     /// `cells` row per cell, `u128` counts as quoted decimals (exact
     /// counts routinely exceed 2^53 and would be silently rounded by
-    /// double-based JSON parsers), laid out by
+    /// double-based JSON parsers), streamed from the cells by
     /// [`drs_obs::artifact::write`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    Field::new("n", c.n),
-                    Field::new("f", c.f),
-                    Field::new("method", c.method),
-                    Field::new("p_success", c.p_success),
-                    Field::new("successes", c.successes),
-                    Field::new("total", c.total),
-                    Field::new("seed", c.seed),
-                ]
-            })
-            .collect();
-        write("drs-bench-survivability/v1", self.seed, [("cells", cells)])
+        // A cell line is at most ~165 B (the committed grid).
+        let capacity = 128 + 192 * self.cells.len();
+        write("drs-bench-survivability/v1", self.seed, capacity, |top| {
+            top.list("cells", &self.cells, |o, c| {
+                o.field("n", c.n)
+                    .field("f", c.f)
+                    .field("method", c.method)
+                    .field("p_success", c.p_success)
+                    .field("successes", c.successes)
+                    .field("total", c.total)
+                    .field("seed", c.seed);
+            });
+        })
     }
 }
 

@@ -17,7 +17,7 @@
 
 use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
-use drs_obs::artifact::{write, Field};
+use drs_obs::artifact::write;
 
 use crate::trial::{Trial, TrialBases};
 
@@ -79,29 +79,25 @@ impl KnetArtifact {
     }
 
     /// Serializes to the `drs-bench-knet-survivability/v1` schema: one
-    /// flat `cells` row per cell, `u128` counts as quoted decimals, laid
-    /// out by [`drs_obs::artifact::write`].
+    /// flat `cells` row per cell, `u128` counts as quoted decimals,
+    /// streamed from the cells by [`drs_obs::artifact::write`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    Field::new("k", u64::from(c.planes)),
-                    Field::new("n", c.n as u64),
-                    Field::new("f", c.f as u64),
-                    Field::new("p_exact", c.p_exact),
-                    Field::new("successes", c.successes),
-                    Field::new("total", c.total),
-                    Field::new("trials", c.trials),
-                    Field::new("delivered", c.delivered),
-                    Field::new("agree", c.agree),
-                    Field::new("seed", c.seed),
-                ]
-            })
-            .collect();
-        write(SCHEMA, self.seed, [("cells", cells)])
+        // A cell line is at most ~175 B (the committed grid).
+        write(SCHEMA, self.seed, 128 + 256 * self.cells.len(), |top| {
+            top.list("cells", &self.cells, |o, c| {
+                o.field("k", u64::from(c.planes))
+                    .field("n", c.n as u64)
+                    .field("f", c.f as u64)
+                    .field("p_exact", c.p_exact)
+                    .field("successes", c.successes)
+                    .field("total", c.total)
+                    .field("trials", c.trials)
+                    .field("delivered", c.delivered)
+                    .field("agree", c.agree)
+                    .field("seed", c.seed);
+            });
+        })
     }
 }
 

@@ -256,17 +256,9 @@ mod tests {
             .iter()
             .flat_map(|&n| OBS_OVERHEAD_BUDGETS_PCT.map(|pct| probe_overhead_cell(n, pct)))
         {
-            let get = |name: &str| {
-                row.fields
-                    .iter()
-                    .find(|f| f.name == name)
-                    .unwrap_or_else(|| panic!("{}: missing {name}", row.id))
-                    .value
-                    .clone()
-            };
-            let count = |name: &str| match get(name) {
-                drs_obs::FieldValue::Count(c) => c,
-                v => panic!("{}: {name} not a count: {v:?}", row.id),
+            let count = |name: &str| {
+                row.get_count(name)
+                    .unwrap_or_else(|| panic!("{}: no count {name}", row.id))
             };
             assert_eq!(count("within_budget"), 1, "{} over budget", row.id);
             assert!(count("probe_bytes_a") > 0, "{} measured nothing", row.id);

@@ -1,6 +1,7 @@
 //! The committed simulation benchmark: builds the
 //! `BENCH_sim_survivability.json` artifact ([`SimArtifact`], schema
-//! [`SCHEMA`], laid out by [`drs_obs::artifact::write`]).
+//! [`SCHEMA`], streamed from its records by
+//! [`drs_obs::artifact::write`]).
 //!
 //! Two experiment families run through the harness under the fixed master
 //! seed [`crate::BENCH_SEED`]:
@@ -13,7 +14,8 @@
 //!
 //! Each trial becomes one [`TrialRecord`]: its id, seed, named metrics
 //! and its trace of typed `(SimTime, TrialEvent)` pairs, which
-//! [`SimArtifact::to_json`] renders — label and detail — exactly once.
+//! [`SimArtifact::to_json`] renders — label and detail — exactly once,
+//! straight into the output.
 //!
 //! Two sections summarise the shootout's instrumentation across its
 //! trials:
@@ -33,14 +35,12 @@
 //! artifact is therefore byte-reproducible on any machine and any thread
 //! count — the property CI enforces by regenerating and diffing it.
 
-use std::fmt::Write as _;
-
 use drs_baselines::compare::{
     run_shootout, standard_shootout_scenarios, ProtocolConfigs, ProtocolLabel, ShootoutRow,
     TrialEvent,
 };
 use drs_harness::{coord_seed, RunMode};
-use drs_obs::artifact::{section_items, write, Field, FieldValue};
+use drs_obs::artifact::{sections_capacity, write, Field, FIELD_BYTES};
 use drs_obs::{Histogram, Row, Section};
 use drs_sim::SimTime;
 
@@ -61,7 +61,8 @@ pub struct TrialRecord {
     pub seed: u64,
     /// Named measurements, serialized as a JSON object in this order; a
     /// measurement the trial could not produce is
-    /// [`FieldValue::Missing`].
+    /// [`drs_obs::FieldValue::Missing`]; read them with
+    /// [`drs_obs::artifact::get_count`].
     pub metrics: Vec<Field>,
     /// The trial's trace, sorted by time (may be empty).
     pub events: Vec<(SimTime, TrialEvent)>,
@@ -111,56 +112,40 @@ impl SimArtifact {
     /// across runs, thread counts and machines for a fixed artifact.
     #[must_use]
     pub fn to_json(&self) -> String {
-        let experiments = self
-            .experiments
-            .iter()
-            .map(|exp| {
-                let trials = exp.trials.iter().map(trial_fields).collect();
-                vec![
-                    Field::new("name", exp.name.as_str()),
-                    Field::new("master_seed", exp.master_seed),
-                    Field::new("trials", FieldValue::Rows(trials)),
-                ]
-            })
-            .collect();
-        write(
-            SCHEMA,
-            self.seed,
-            [
-                ("experiments", experiments),
-                ("sections", section_items(&self.sections)),
-            ],
-        )
-    }
-}
-
-fn trial_fields(t: &TrialRecord) -> Vec<Field> {
-    debug_assert!(
-        t.events.is_sorted_by_key(|&(at, _)| at),
-        "trial {}: events must be sorted by time before serialization",
-        t.id
-    );
-    let events = t
-        .events
-        .iter()
-        .map(|(at, e)| {
-            // Sized for the longest detail (a gateway route, ~45 B), so
-            // rendering allocates once instead of growing by doubling.
-            let mut detail = String::with_capacity(48);
-            write!(detail, "{e}").expect("a String accepts every write");
-            vec![
-                Field::new("at_ns", at.0),
-                Field::new("kind", e.label()),
-                Field::new("detail", detail),
-            ]
+        // An event is at most ~100 B (a gateway route's detail).
+        let trial = |t: &TrialRecord| {
+            96 + t.id.len() + FIELD_BYTES * t.metrics.len() + 128 * t.events.len()
+        };
+        let capacity = sections_capacity(&self.sections)
+            + self
+                .experiments
+                .iter()
+                .map(|exp| 128 + exp.name.len() + exp.trials.iter().map(trial).sum::<usize>())
+                .sum::<usize>();
+        write(SCHEMA, self.seed, capacity, |top| {
+            top.blocks("experiments", &self.experiments, |block, exp| {
+                block
+                    .field("name", exp.name.as_str())
+                    .field("master_seed", exp.master_seed)
+                    .list("trials", &exp.trials, |o, t| {
+                        debug_assert!(
+                            t.events.is_sorted_by_key(|&(at, _)| at),
+                            "trial {}: events must be sorted by time before serialization",
+                            t.id
+                        );
+                        o.field("id", t.id.as_str())
+                            .field("seed", t.seed)
+                            .fields("metrics", &t.metrics)
+                            .list("events", &t.events, |o, (at, e)| {
+                                o.field("at_ns", at.0)
+                                    .field("kind", e.label())
+                                    .display("detail", e);
+                            });
+                    });
+            });
+            top.sections(&self.sections);
         })
-        .collect();
-    vec![
-        Field::new("id", t.id.as_str()),
-        Field::new("seed", t.seed),
-        Field::new("metrics", t.metrics.clone()),
-        Field::new("events", FieldValue::List(events)),
-    ]
+    }
 }
 
 /// Hosts in the shootout clusters.

@@ -31,7 +31,7 @@ use drs_analytic::cost::equipment::{cost_units, EquipmentCount};
 use drs_analytic::enumerate::enumerate_pair_success_k;
 use drs_analytic::topo::enumerate_pair_success_topo;
 use drs_harness::{coord_seed, stream_seed, Experiment, RunMode};
-use drs_obs::artifact::{write, Field};
+use drs_obs::artifact::write;
 use drs_sim::topology::TopologySpec;
 use drs_sim::world::{Ctx, Protocol, World};
 use drs_sim::{NetId, NodeId, SimDuration, SimTime};
@@ -162,35 +162,31 @@ impl ZooArtifact {
     }
 
     /// Serializes to the `drs-bench-topology/v2` schema: one flat
-    /// `cells` row per cell, `u128` counts as quoted decimals, laid out
-    /// by [`drs_obs::artifact::write`].
+    /// `cells` row per cell, `u128` counts as quoted decimals, streamed
+    /// from the cells by [`drs_obs::artifact::write`].
     #[must_use]
     pub fn to_json(&self) -> String {
-        let cells = self
-            .cells
-            .iter()
-            .map(|c| {
-                vec![
-                    Field::new("topology", c.topology.as_str()),
-                    Field::new("hosts", c.hosts as u64),
-                    Field::new("switches", c.switches as u64),
-                    Field::new("links", c.links as u64),
-                    Field::new("components", c.components as u64),
-                    Field::new("cost_units", c.cost_units),
-                    Field::new("f", c.f as u64),
-                    Field::new("src", c.pair.0 as u64),
-                    Field::new("dst", c.pair.1 as u64),
-                    Field::new("successes", c.successes),
-                    Field::new("total", c.total),
-                    Field::new("p", c.p),
-                    Field::new("trials", c.trials),
-                    Field::new("delivered", c.delivered),
-                    Field::new("agree", c.agree),
-                    Field::new("seed", c.seed),
-                ]
-            })
-            .collect();
-        write(SCHEMA, self.seed, [("cells", cells)])
+        // A cell line is at most ~285 B (the committed grid).
+        write(SCHEMA, self.seed, 128 + 384 * self.cells.len(), |top| {
+            top.list("cells", &self.cells, |o, c| {
+                o.field("topology", c.topology.as_str())
+                    .field("hosts", c.hosts as u64)
+                    .field("switches", c.switches as u64)
+                    .field("links", c.links as u64)
+                    .field("components", c.components as u64)
+                    .field("cost_units", c.cost_units)
+                    .field("f", c.f as u64)
+                    .field("src", c.pair.0 as u64)
+                    .field("dst", c.pair.1 as u64)
+                    .field("successes", c.successes)
+                    .field("total", c.total)
+                    .field("p", c.p)
+                    .field("trials", c.trials)
+                    .field("delivered", c.delivered)
+                    .field("agree", c.agree)
+                    .field("seed", c.seed);
+            });
+        })
     }
 }
 

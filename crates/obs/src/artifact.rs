@@ -1,28 +1,31 @@
 //! The one artifact writer, and the `drs-bench-observability/v4` artifact.
 //!
-//! Every committed `BENCH_*.json` is laid out by [`write()`]: a schema tag,
-//! the master seed, and one or more top-level lists with one item per
-//! line, built from one value type ([`FieldValue`]). The files use three
-//! shapes of item, all written by the same rule:
+//! Every committed `BENCH_*.json` is laid out by [`write()`], which
+//! streams the data each artifact already holds into one `String` sized
+//! up front: a schema tag, the master seed, and one or more top-level
+//! lists with one item per line. The files use three shapes of item:
 //!
 //! * flat `cells` rows — the analytic sweep, the K-plane and topology
-//!   sweeps: one inline object per line;
-//! * named `sections` of `{"id", "fields"}` rows ([`section_items`]) —
+//!   sweeps: one inline object per line ([`Object::list`] on the top
+//!   block);
+//! * named `sections` of `{"id", "fields"}` rows ([`Object::sections`]) —
 //!   [`ObsArtifact`], also behind the kernel, flight and workload
 //!   artifacts, and the simulation artifact's second list;
-//! * named `experiments` whose trial rows nest a `metrics` object and an
-//!   `events` list — the harness's simulation artifact.
+//! * named `experiments` ([`Object::blocks`]) whose trial rows nest a
+//!   `metrics` object ([`Object::fields`]) and an inline `events` list —
+//!   the simulation artifact.
 //!
-//! The rule: an object that holds a [`FieldValue::Rows`] list is written
-//! one field per line and its rows one per line, indented two spaces per
-//! level; every other object or list is written inline. Tokens follow
-//! [`crate::jsonfmt`]. No JSON library is involved, so the bytes are the
-//! same on every machine, thread count and compiler.
+//! The layout is the writer's entry points: the artifact and each item of
+//! a [`Object::blocks`] list are blocks, written one field per line, and
+//! a block's lists hold one item per line, indented two spaces per level;
+//! every other object, and everything inside it, is written inline.
+//! Tokens follow [`crate::jsonfmt`]. No JSON library is involved, so the
+//! bytes are the same on every machine, thread count and compiler.
 //!
 //! `Missing` is a first-class field value precisely so summaries can
 //! distinguish "no samples" (`null`) from a measured zero (`0`).
 
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 use crate::hist::Histogram;
 use crate::jsonfmt::{push_f64, push_string};
@@ -30,9 +33,10 @@ use crate::jsonfmt::{push_f64, push_string};
 /// Schema tag written into every observability artifact.
 pub const SCHEMA: &str = "drs-bench-observability/v4";
 
-/// One field value in an artifact row.
-#[derive(Debug, Clone, PartialEq)]
-pub enum FieldValue {
+/// One field value: what a [`Row`] stores (with `'static` text) and what
+/// the writer takes, borrowed from the data it writes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum FieldValue<'a> {
     /// An exact count.
     Count(u64),
     /// An exact count too wide for a double (subset and success counts),
@@ -41,24 +45,17 @@ pub enum FieldValue {
     /// A real measurement; non-finite serializes as `null`.
     Real(f64),
     /// A short label.
-    Text(String),
+    Text(&'a str),
     /// A value the row could not produce (empty histogram, no samples) —
     /// serializes as `null`, never as a fake zero.
     Missing,
-    /// A nested object, written inline.
-    Object(Vec<Field>),
-    /// A list of objects, written inline.
-    List(Vec<Vec<Field>>),
-    /// A list of objects written one per line; the object holding it is
-    /// written one field per line.
-    Rows(Vec<Vec<Field>>),
 }
 
 /// `From` for each Rust type that maps onto one variant, so call sites
-/// write `Field::new("n", n)`.
+/// write `Field::new("n", n)` and `o.field("n", n)`.
 macro_rules! from_value {
     ($($t:ty => $variant:ident),*) => {$(
-        impl From<$t> for FieldValue {
+        impl<'a> From<$t> for FieldValue<'a> {
             fn from(v: $t) -> Self {
                 FieldValue::$variant(v)
             }
@@ -66,16 +63,10 @@ macro_rules! from_value {
     )*};
 }
 
-from_value!(u64 => Count, u128 => Decimal, f64 => Real, String => Text, Vec<Field> => Object);
-
-impl From<&str> for FieldValue {
-    fn from(v: &str) -> Self {
-        FieldValue::Text(v.to_string())
-    }
-}
+from_value!(u64 => Count, u128 => Decimal, f64 => Real, &'a str => Text);
 
 /// `None` is [`FieldValue::Missing`].
-impl<T: Into<FieldValue>> From<Option<T>> for FieldValue {
+impl<'a, T: Into<FieldValue<'a>>> From<Option<T>> for FieldValue<'a> {
     fn from(v: Option<T>) -> Self {
         v.map_or(FieldValue::Missing, Into::into)
     }
@@ -87,13 +78,13 @@ pub struct Field {
     /// Stable field name used as the JSON key.
     pub name: &'static str,
     /// The value.
-    pub value: FieldValue,
+    pub value: FieldValue<'static>,
 }
 
 impl Field {
     /// A field from anything that converts to a [`FieldValue`].
     #[must_use]
-    pub fn new(name: &'static str, value: impl Into<FieldValue>) -> Self {
+    pub fn new(name: &'static str, value: impl Into<FieldValue<'static>>) -> Self {
         Field {
             name,
             value: value.into(),
@@ -101,85 +92,143 @@ impl Field {
     }
 }
 
-/// Lays out one artifact: `{"schema", "seed", "<key>": [...], …}` with
-/// one list per `(key, items)` of `lists`, in order, one item per line,
-/// and the trailing newline every committed artifact ends in.
+/// The exact count stored under `name`; `None` when the field is absent,
+/// [`FieldValue::Missing`], or not a count.
 #[must_use]
-pub fn write(
-    schema: &str,
-    seed: u64,
-    lists: impl IntoIterator<Item = (&'static str, Vec<Vec<Field>>)>,
-) -> String {
-    let mut top = vec![Field::new("schema", schema), Field::new("seed", seed)];
-    top.extend(
-        lists
-            .into_iter()
-            .map(|(key, items)| Field::new(key, FieldValue::Rows(items))),
-    );
-    let mut out = String::with_capacity(4096);
-    push_object(&mut out, &top, 0);
+pub fn get_count(fields: &[Field], name: &str) -> Option<u64> {
+    match fields.iter().find(|f| f.name == name)?.value {
+        FieldValue::Count(c) => Some(c),
+        _ => None,
+    }
+}
+
+/// Bytes [`write()`]'s callers reserve per field written inline: its
+/// name, a value of up to 20 characters (a `u64` has at most 20 digits,
+/// a label is short) and the quotes, colon and separator around them.
+pub const FIELD_BYTES: usize = 48;
+
+/// Lays out one artifact: `{"schema", "seed", …}` as a block that `body`
+/// appends its lists to, and the trailing newline every committed
+/// artifact ends in. The output is one `String` of `capacity` bytes; it
+/// grows only when the artifact is larger.
+#[must_use]
+pub fn write(schema: &str, seed: u64, capacity: usize, body: impl FnOnce(&mut Object)) -> String {
+    let mut out = String::with_capacity(capacity);
+    Object::write(&mut out, Some(0), |top| {
+        top.field("schema", schema).field("seed", seed);
+        body(top);
+    });
     out.push('\n');
     out
 }
 
-fn indent(out: &mut String, depth: usize) {
-    out.extend(std::iter::repeat_n(' ', 2 * depth));
+/// An object being written: a block (its depth is known; one field per
+/// line, its lists one item per line) or an inline object.
+pub struct Object<'a> {
+    out: &'a mut String,
+    depth: Option<usize>,
 }
 
-fn push_object(out: &mut String, fields: &[Field], depth: usize) {
-    let multiline = fields
-        .iter()
-        .any(|f| matches!(f.value, FieldValue::Rows(_)));
-    out.push('{');
-    for (i, f) in fields.iter().enumerate() {
-        if multiline {
-            out.push_str(if i == 0 { "\n" } else { ",\n" });
-            indent(out, depth + 1);
-        } else if i > 0 {
-            out.push_str(", ");
-        }
-        out.push('"');
-        out.push_str(f.name);
-        out.push_str("\": ");
-        push_value(out, &f.value, depth + 1);
-    }
-    if multiline {
+/// Starts a new line at `line`'s indent in a block; nothing inline.
+fn newline(out: &mut String, line: Option<usize>) {
+    if let Some(depth) = line {
         out.push('\n');
-        indent(out, depth);
+        out.extend(std::iter::repeat_n(' ', 2 * depth));
     }
-    out.push('}');
 }
 
-fn push_value(out: &mut String, value: &FieldValue, depth: usize) {
-    match value {
-        FieldValue::Count(c) => write!(out, "{c}").expect("fmt::Write for String never fails"),
-        FieldValue::Decimal(d) => {
-            write!(out, "\"{d}\"").expect("fmt::Write for String never fails");
+/// The separator before a field or list item, on its own line in a
+/// block. The first one directly follows its open bracket; a later one
+/// follows a value, and no value ends in `{` or `[` (a string ends in
+/// its quote).
+fn separate(out: &mut String, line: Option<usize>) {
+    if !out.ends_with(['{', '[']) {
+        out.push_str(if line.is_some() { "," } else { ", " });
+    }
+    newline(out, line);
+}
+
+impl Object<'_> {
+    fn write(out: &mut String, depth: Option<usize>, body: impl FnOnce(&mut Object)) {
+        out.push('{');
+        let mut object = Object { out, depth };
+        body(&mut object);
+        // `body` may have made an inline item a block (`blocks`).
+        newline(object.out, object.depth);
+        object.out.push('}');
+    }
+
+    fn key(&mut self, name: &str) -> &mut String {
+        separate(self.out, self.depth.map(|d| d + 1));
+        for part in ["\"", name, "\": "] {
+            self.out.push_str(part);
         }
-        FieldValue::Real(r) => push_f64(out, *r),
-        FieldValue::Text(s) => push_string(out, s),
-        FieldValue::Missing => out.push_str("null"),
-        FieldValue::Object(fields) => push_object(out, fields, depth),
-        FieldValue::List(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push_str(", ");
-                }
-                push_object(out, item, depth);
+        self.out
+    }
+
+    /// Appends one scalar field.
+    pub fn field<'v>(&mut self, name: &str, value: impl Into<FieldValue<'v>>) -> &mut Self {
+        let out = self.key(name);
+        match value.into() {
+            FieldValue::Count(c) => write!(out, "{c}").expect("fmt::Write for String never fails"),
+            FieldValue::Decimal(d) => push_string(out, d),
+            FieldValue::Real(r) => push_f64(out, r),
+            FieldValue::Text(s) => push_string(out, s),
+            FieldValue::Missing => out.push_str("null"),
+        }
+        self
+    }
+
+    /// Appends `value`'s `Display` as a string, rendered straight into
+    /// the output ([`push_string`]).
+    pub fn display(&mut self, name: &str, value: impl fmt::Display) -> &mut Self {
+        push_string(self.key(name), value);
+        self
+    }
+
+    /// Appends `fields` as an inline object.
+    pub fn fields(&mut self, name: &str, fields: &[Field]) -> &mut Self {
+        Object::write(self.key(name), None, |o| {
+            for f in fields {
+                o.field(f.name, f.value);
             }
-            out.push(']');
+        });
+        self
+    }
+
+    /// Appends a list of inline objects, each written by `f` from one of
+    /// `items`: one per line in a block, inline otherwise.
+    pub fn list<T>(&mut self, name: &str, items: &[T], mut f: impl FnMut(&mut Object, &T)) {
+        let line = self.depth.map(|d| d + 1);
+        self.key(name).push('[');
+        for item in items {
+            separate(self.out, line.map(|d| d + 1));
+            Object::write(self.out, None, |o| f(o, item));
         }
-        FieldValue::Rows(items) => {
-            out.push_str("[\n");
-            for (i, item) in items.iter().enumerate() {
-                indent(out, depth + 1);
-                push_object(out, item, depth + 1);
-                out.push_str(if i + 1 < items.len() { ",\n" } else { "\n" });
-            }
-            indent(out, depth);
-            out.push(']');
-        }
+        newline(self.out, line);
+        self.out.push(']');
+    }
+
+    /// Appends a list of blocks, one per line, each written by `f` from
+    /// one of `items`.
+    pub fn blocks<T>(&mut self, name: &str, items: &[T], mut f: impl FnMut(&mut Object, &T)) {
+        let depth = self.depth.map(|d| d + 2);
+        self.list(name, items, |o, item| {
+            o.depth = depth;
+            f(o, item);
+        });
+    }
+
+    /// Appends the `sections` list: per section its `name` and one
+    /// `{"id", "fields"}` row per line.
+    pub fn sections(&mut self, sections: &[Section]) {
+        self.blocks("sections", sections, |block, sec| {
+            block
+                .field("name", sec.name.as_str())
+                .list("rows", &sec.rows, |o, row| {
+                    o.field("id", row.id.as_str()).fields("fields", &row.fields);
+                });
+        });
     }
 }
 
@@ -202,7 +251,7 @@ impl Row {
         }
     }
 
-    fn field(mut self, name: &'static str, value: impl Into<FieldValue>) -> Self {
+    fn field(mut self, name: &'static str, value: impl Into<FieldValue<'static>>) -> Self {
         self.fields.push(Field::new(name, value));
         self
     }
@@ -219,10 +268,11 @@ impl Row {
         self.field(name, v)
     }
 
-    /// Appends a text field (builder style).
+    /// Appends a label field (builder style); rows hold `'static`
+    /// labels, so one costs no allocation.
     #[must_use]
-    pub fn text(self, name: &'static str, v: impl Into<String>) -> Self {
-        self.field(name, v.into())
+    pub fn text(self, name: &'static str, v: &'static str) -> Self {
+        self.field(name, v)
     }
 
     /// Appends an optional count: `None` serializes as `null`.
@@ -249,29 +299,18 @@ impl Row {
             .opt_count("p999_ns", s.p999)
     }
 
-    fn get(&self, name: &str) -> Option<&FieldValue> {
-        self.fields
-            .iter()
-            .find(|f| f.name == name)
-            .map(|f| &f.value)
-    }
-
-    /// The exact count stored under `name`; `None` when the field is
-    /// absent, [`FieldValue::Missing`], or not a count.
+    /// The exact count stored under `name` ([`get_count`]).
     #[must_use]
     pub fn get_count(&self, name: &str) -> Option<u64> {
-        match self.get(name) {
-            Some(&FieldValue::Count(c)) => Some(c),
-            _ => None,
-        }
+        get_count(&self.fields, name)
     }
 
     /// The real value stored under `name`; `None` when the field is
     /// absent, [`FieldValue::Missing`], or not a real.
     #[must_use]
     pub fn get_real(&self, name: &str) -> Option<f64> {
-        match self.get(name) {
-            Some(&FieldValue::Real(r)) => Some(r),
+        match self.fields.iter().find(|f| f.name == name)?.value {
+            FieldValue::Real(r) => Some(r),
             _ => None,
         }
     }
@@ -348,34 +387,21 @@ impl ObsArtifact {
         write(
             schema,
             self.seed,
-            [("sections", section_items(&self.sections))],
+            sections_capacity(&self.sections),
+            |top| top.sections(&self.sections),
         )
     }
 }
 
-/// The items of a `sections` list: per section its `name` and one
-/// `{"id", "fields"}` row per line.
+/// Bytes to reserve for [`Object::sections`] on `sections`:
+/// [`FIELD_BYTES`] per field, and the ids, names and brackets.
 #[must_use]
-pub fn section_items(sections: &[Section]) -> Vec<Vec<Field>> {
-    sections
-        .iter()
-        .map(|sec| {
-            let rows = sec
-                .rows
-                .iter()
-                .map(|row| {
-                    vec![
-                        Field::new("id", row.id.as_str()),
-                        Field::new("fields", row.fields.clone()),
-                    ]
-                })
-                .collect();
-            vec![
-                Field::new("name", sec.name.as_str()),
-                Field::new("rows", FieldValue::Rows(rows)),
-            ]
-        })
-        .collect()
+pub fn sections_capacity(sections: &[Section]) -> usize {
+    let rows = sections.iter().flat_map(|s| &s.rows);
+    let rows: usize = rows
+        .map(|r| 32 + r.id.len() + FIELD_BYTES * r.fields.len())
+        .sum();
+    128 + 64 * sections.len() + rows
 }
 
 #[cfg(test)]
@@ -409,18 +435,21 @@ mod tests {
 
     #[test]
     fn cells_layout_is_pinned() {
-        let cells = vec![
-            vec![
-                Field::new("n", 4_u64),
-                Field::new("method", "say \"hi\" \\ bye"),
-                Field::new("p", 0.5),
-                Field::new("successes", Some(12_u128)),
-                Field::new("total", None::<u128>),
-            ],
-            vec![Field::new("n", 8_u64), Field::new("p", 1.0)],
-        ];
+        let json = write("demo/v1", 42, 0, |top| {
+            top.list("cells", &[4_u64, 8], |o, &n| {
+                o.field("n", n);
+                if n == 4 {
+                    o.field("method", "say \"hi\" \\ bye")
+                        .field("p", 0.5)
+                        .field("successes", Some(12_u128))
+                        .field("total", None::<u128>);
+                } else {
+                    o.field("p", 1.0);
+                }
+            });
+        });
         assert_eq!(
-            write("demo/v1", 42, [("cells", cells)]),
+            json,
             "{\n  \"schema\": \"demo/v1\",\n  \"seed\": 42,\n  \"cells\": [\n    \
              {\"n\": 4, \"method\": \"say \\\"hi\\\" \\\\ bye\", \"p\": 0.5, \
              \"successes\": \"12\", \"total\": null},\n    \
@@ -448,40 +477,31 @@ mod tests {
 
     #[test]
     fn experiments_layout_is_pinned() {
-        let event = |at: u64, detail: &str| {
-            vec![
-                Field::new("at_ns", at),
-                Field::new("kind", "fault_injected"),
-                Field::new("detail", detail),
-            ]
-        };
-        let trial = |id: &str, events: Vec<Vec<Field>>| {
-            vec![
-                Field::new("id", id),
-                Field::new("seed", 9_u64),
-                Field::new(
-                    "metrics",
-                    vec![
-                        Field::new("sent", 40_u64),
-                        Field::new("outage_ns", None::<u64>),
-                    ],
-                ),
-                Field::new("events", FieldValue::List(events)),
-            ]
-        };
-        let experiment = vec![
-            Field::new("name", "shootout"),
-            Field::new("master_seed", 42_u64),
-            Field::new(
-                "trials",
-                FieldValue::Rows(vec![
-                    trial("hub/drs", vec![event(5, "Hub(A)"), event(6, "Hub(B)")]),
-                    trial("hub/rip", Vec::new()),
-                ]),
-            ),
+        let metrics = [
+            Field::new("sent", 40_u64),
+            Field::new("outage_ns", None::<u64>),
         ];
+        let trials = [("hub/drs", &[(5_u64, 'A'), (6, 'B')][..]), ("hub/rip", &[])];
+        let json = write("demo/v3", 42, 0, |top| {
+            top.blocks("experiments", &["shootout"], |block, name| {
+                let trial = |o: &mut Object, &(id, events): &(&str, &[(u64, char)])| {
+                    o.field("id", id)
+                        .field("seed", 9_u64)
+                        .fields("metrics", &metrics)
+                        .list("events", events, |e, &(at, hub)| {
+                            e.field("at_ns", at)
+                                .field("kind", "fault_injected")
+                                .display("detail", format_args!("Hub({hub})"));
+                        });
+                };
+                block
+                    .field("name", *name)
+                    .field("master_seed", 42_u64)
+                    .list("trials", &trials, trial);
+            });
+        });
         assert_eq!(
-            write("demo/v3", 42, [("experiments", vec![experiment])]),
+            json,
             "{\n  \"schema\": \"demo/v3\",\n  \"seed\": 42,\n  \"experiments\": [\n    {\n      \
              \"name\": \"shootout\",\n      \"master_seed\": 42,\n      \"trials\": [\n        \
              {\"id\": \"hub/drs\", \"seed\": 9, \"metrics\": {\"sent\": 40, \"outage_ns\": null}, \

@@ -8,19 +8,23 @@
 //! * **float formatting**: shortest-round-trip `Display`, with integral
 //!   values pinned to one decimal (consumers parse a uniform type) and
 //!   non-finite values as `null` (`NaN` is not a JSON token);
-//! * **string escaping**: quotes, backslashes and control characters.
+//! * **string escaping**: quotes, backslashes and control characters, in
+//!   one loop, a `fmt::Write` adapter that a `&str` and a `Display` value
+//!   written straight into the output (a trial event's detail) both go
+//!   through ([`push_string`]).
 //!
 //! The layout around those tokens — braces, indentation, separators —
-//! is [`crate::artifact::write`]'s, the one writer every committed
-//! artifact goes through. The flight recorder's Perfetto export
+//! is [`crate::artifact::write`]'s, the one streaming writer every
+//! committed artifact goes through. The flight recorder's Perfetto export
 //! ([`crate::flight::to_perfetto`]) formats its timestamps by the same
 //! float rule.
+
+use std::fmt::{self, Write as _};
 
 /// Canonical float formatting, appended to `out`: integral values pinned
 /// to one decimal, non-finite values as `null`, everything else
 /// shortest-round-trip.
 pub fn push_f64(out: &mut String, v: f64) {
-    use std::fmt::Write as _;
     if !v.is_finite() {
         out.push_str("null");
     } else if v.fract() == 0.0 {
@@ -30,25 +34,35 @@ pub fn push_f64(out: &mut String, v: f64) {
     }
 }
 
-/// Minimal JSON string escaping for the identifiers and event details the
-/// artifacts carry (quotes, backslashes, and control characters),
-/// appended to `out` with its quotes.
-pub fn push_string(out: &mut String, s: &str) {
-    use std::fmt::Write as _;
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                write!(out, "\\u{:04x}", c as u32).expect("fmt::Write for String never fails");
+/// A [`fmt::Write`] that appends JSON-escaped text to a `String`:
+/// quotes, backslashes and control characters. It writes no quotes of
+/// its own.
+struct Escape<'a>(&'a mut String);
+
+impl fmt::Write for Escape<'_> {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        for c in s.chars() {
+            match c {
+                '"' => self.0.push_str("\\\""),
+                '\\' => self.0.push_str("\\\\"),
+                '\n' => self.0.push_str("\\n"),
+                '\r' => self.0.push_str("\\r"),
+                '\t' => self.0.push_str("\\t"),
+                c if (c as u32) < 0x20 => write!(self.0, "\\u{:04x}", c as u32)?,
+                c => self.0.push(c),
             }
-            c => out.push(c),
         }
+        Ok(())
     }
+}
+
+/// Minimal JSON string escaping for the identifiers, labels and event
+/// details the artifacts carry: `s`'s `Display` — a `&str`, or a value
+/// rendered straight into `out` — appended through the escaping adapter,
+/// with its quotes.
+pub fn push_string(out: &mut String, s: impl fmt::Display) {
+    out.push('"');
+    write!(Escape(out), "{s}").expect("fmt::Write for String never fails");
     out.push('"');
 }
 
@@ -84,5 +98,13 @@ mod tests {
         assert_eq!(string_token("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
         assert_eq!(string_token("\t\r"), "\"\\t\\r\"");
         assert_eq!(string_token("\u{2}"), "\"\\u0002\"");
+        assert_eq!(string_token("µs \u{1f}x"), "\"µs \\u001fx\"");
+    }
+
+    #[test]
+    fn displayed_values_are_escaped_by_the_same_loop() {
+        let mut out = String::new();
+        push_string(&mut out, format_args!("{} \"{}\"", 7, "a\\b"));
+        assert_eq!(out, "\"7 \\\"a\\\\b\\\"\"");
     }
 }

@@ -16,11 +16,12 @@
 //!   ([`flight`]); [`causal`] walks the cause chains back into
 //!   per-failover post-mortems and [`to_perfetto`] renders the timeline
 //!   as Chrome `trace_event` JSON.
-//! * [`artifact::write`] — the one writer every committed `BENCH_*.json`
-//!   is laid out by, over one field-value type ([`FieldValue`]), with
-//!   its tokens spelled by the shared JSON dialect ([`jsonfmt`]);
-//!   [`ObsArtifact`] is its `drs-bench-observability/v4` section form
-//!   ([`artifact`]).
+//! * [`artifact::write`] — the one streaming writer every committed
+//!   `BENCH_*.json` is laid out by: each artifact writes the rows it
+//!   holds straight into one buffer, with its tokens spelled by the
+//!   shared JSON dialect ([`jsonfmt`]); [`ObsArtifact`] — sections of
+//!   [`Row`]s of scalar [`FieldValue`]s — is its
+//!   `drs-bench-observability/v4` section form ([`artifact`]).
 //! * [`rng`] — not observability, but this is the crate every other one
 //!   already depends on: the SplitMix64 mixer and xoshiro256++ generator
 //!   behind every seed derivation and random draw in the tree. For the

@@ -1,8 +1,8 @@
 //! Allocation pin: `to_perfetto` allocates its output buffer and nothing
-//! else. A counting global allocator over [`System`] counts every `alloc`
-//! and `realloc` made while one 12 288-record log — 32 hosts on two
-//! planes and plane-less, and the hub fault records on both planes, 98
-//! tracks in all — is exported.
+//! else. The counting global allocator (`support/counting_alloc.rs`)
+//! counts every `alloc` and `realloc` the test thread makes while one
+//! 12 288-record log — 32 hosts on two planes and plane-less, and the hub
+//! fault records on both planes, 98 tracks in all — is exported.
 //!
 //! What it protects: the event lines are written as bytes into a buffer
 //! sized once (`128 + 192` B per record; the log averages 178 B), the
@@ -10,40 +10,11 @@
 //! written without `format!` / `json_string` temporaries. The writer
 //! this one replaced (`core::fmt` lines, a `BTreeMap` of tracks and four
 //! `String`s per track) made 418 allocations on this log.
-//!
-//! The file holds one test, so no sibling test allocates inside the
-//! window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "support/counting_alloc.rs"]
+mod counting_alloc;
 
 use drs_obs::flight::{to_perfetto, EventRef, FlightLog, TraceKind, TraceRecord};
-
-/// Every `alloc` and `realloc` since the process started.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: forwards every call to `System` unchanged; the counter is a
-// side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 /// A probing cluster's log, 16 records per dispatch block: a plane-less
 /// timeout sweep, a hub fault, and fourteen probe sends and replies, on a
@@ -80,9 +51,7 @@ fn cluster_log(records: u64) -> FlightLog {
 #[test]
 fn the_perfetto_export_allocates_once() {
     let log = cluster_log(12_288);
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let text = to_perfetto(&log);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (text, allocations) = counting_alloc::count(|| to_perfetto(&log));
     let tracks = text.matches("\"thread_name\"").count();
     assert_eq!(tracks, 98, "the log spans 32 hosts × 3 tids + 2 tracks");
     assert!(text.len() > 150 * log.records.len(), "{} B", text.len());

@@ -1,8 +1,9 @@
-//! Allocation pin: once warmed up, the probe path allocates nothing. A
-//! counting global allocator over [`System`] counts every `alloc` and
-//! `realloc`; the paper's cluster runs 2 s of virtual time to warm up,
-//! and the next 4 s must not allocate at all, at N ∈ {16, 24, 32, 48, 64,
-//! 90} under both monitor drivers, with the flight recorder off and on.
+//! Allocation pin: once warmed up, the probe path allocates nothing. The
+//! counting global allocator (`crates/obs/tests/support/counting_alloc.rs`)
+//! counts every `alloc` and `realloc` the test thread makes; the paper's
+//! cluster runs 2 s of virtual time to warm up, and the next 4 s must
+//! not allocate at all, at N ∈ {16, 24, 32, 48, 64, 90} under both
+//! monitor drivers, with the flight recorder off and on.
 //! Untraced probes ride inside their wheel events and take no box;
 //! traced ones carry a flight identity, so they and their identities
 //! ride boxed, and the traced cells are the ones that keep the spare box
@@ -31,41 +32,12 @@
 //!
 //! The two wheel counts are the untraced cells'; tracing changes no
 //! event, so the traced cells queue the same schedule.
-//!
-//! The file holds one test, so no sibling test allocates inside the
-//! window.
 
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+#[path = "../../obs/tests/support/counting_alloc.rs"]
+mod counting_alloc;
 
 use drs_core::{DrsConfig, DrsDaemon};
 use drs_sim::{ClusterSpec, SimDuration, SimTime, World};
-
-/// Every `alloc` and `realloc` since the process started.
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-struct Counting;
-
-// SAFETY: forwards every call to `System` unchanged; the counter is a
-// side effect only.
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.alloc(layout)
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        System.dealloc(ptr, layout);
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        System.realloc(ptr, layout, new_size)
-    }
-}
-
-#[global_allocator]
-static GLOBAL: Counting = Counting;
 
 const WARM_UP: SimTime = SimTime(2_000_000_000);
 const WINDOW_END: SimTime = SimTime(6_000_000_000);
@@ -92,9 +64,7 @@ fn the_steady_state_probe_path_allocates_nothing() {
                 }
                 w.run_until(WARM_UP);
                 let pops = w.kernel_stats().wheel.pops;
-                let before = ALLOCATIONS.load(Ordering::Relaxed);
-                w.run_until(WINDOW_END);
-                let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+                let ((), allocations) = counting_alloc::count(|| w.run_until(WINDOW_END));
                 let events = w.kernel_stats().wheel.pops - pops;
                 cells.push((n, batched, traced, allocations, events));
             }

@@ -6,18 +6,21 @@
 #
 # Each of the `pairs` rounds (default 10) runs the parent binary, then the
 # change's, as `--workload <workload> --seed $SEED --seconds <seconds>
-# --trace 0` (SEED defaults to 42, seconds to 10), from the repository
-# root and under benchmark/run.sh's malloc settings. It prints, per metric,
-# each side's median and quartiles, the change's median over the parent's
-# and the number of pairs in which the change read lower (all four
-# end-to-end metrics are lower-is-better), then every distinct
-# `result_digest`, `correct` and `failed` value of each side.
+# --trace 0` (SEED defaults to 42, seconds to 10), each from its own
+# checkout's root (artifact_regen byte-checks the BENCH_*.json it finds
+# there) and under benchmark/run.sh's malloc settings. It prints, per
+# metric, each side's median and quartiles, the change's median over the
+# parent's, the number of pairs in which the change read lower (all four
+# end-to-end metrics are lower-is-better) and every run's value in run
+# order; then every distinct `result_digest`, `correct` and `failed`
+# value of each side.
 #
 # Build the binaries first, e.g. for a checkout in $DIR:
 #   cargo build --release --offline --manifest-path $DIR/benchmark/Cargo.toml \
 #       --target-dir $DIR/benchmark/target
-# and pass $DIR/benchmark/target/release/drs-perfbench. The runs' output
-# goes to a temporary directory that is removed on exit.
+# and pass $DIR/benchmark/target/release/drs-perfbench; a binary at any
+# other path is refused. The runs' output goes to a temporary directory
+# that is removed on exit.
 set -euo pipefail
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -30,9 +33,20 @@ workload=$3
 pairs=${4:-10}
 seconds=${5:-10}
 seed=${SEED:-42}
+# The checkout a binary was built from: <root>/benchmark/target/release/drs-perfbench.
+root_of() {
+    local root=${1%/benchmark/target/release/drs-perfbench}
+    if [ "$root" = "$1" ] || [ ! -d "$root/benchmark" ]; then
+        echo "not <checkout>/benchmark/target/release/drs-perfbench: $1" >&2
+        exit 2
+    fi
+    echo "$root"
+}
 for bin in "$parent" "$change"; do
     [ -x "$bin" ] || { echo "not an executable: $bin" >&2; exit 2; }
 done
+parent_root=$(root_of "$parent")
+change_root=$(root_of "$change")
 
 # Same reasons as in benchmark/run.sh: the timed repetitions reuse freed
 # memory instead of paying first-touch page faults.
@@ -40,16 +54,15 @@ export MALLOC_MMAP_THRESHOLD_=4294967295
 export MALLOC_TRIM_THRESHOLD_=18446744073709551615
 export MALLOC_ARENA_MAX=1
 
-# artifact_regen reads the committed BENCH_*.json from the working directory.
-cd "$(dirname "${BASH_SOURCE[0]}")/.."
 out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 for i in $(seq 1 "$pairs"); do
     for side in parent change; do
-        bin=$parent
-        [ "$side" = change ] && bin=$change
-        "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0 \
+        bin=$parent root=$parent_root
+        [ "$side" = change ] && bin=$change root=$change_root
+        # artifact_regen reads the committed BENCH_*.json from the working directory.
+        (cd "$root" && "$bin" --workload "$workload" --seed "$seed" --seconds "$seconds" --trace 0) \
             > "$out/$side.$i" 2> "$out/$side.$i.err" || {
             echo "$side run $i failed:" >&2
             tail -5 "$out/$side.$i.err" >&2
@@ -88,6 +101,7 @@ for name in runs["parent"][0]["metrics"]:
     ratio = f"{cm / pm - 1:+.1%}" if pm else "n/a"
     print(f"  {name:12s} {pm:.6g} [{pq1:.6g}, {pq3:.6g}] -> {cm:.6g} [{cq1:.6g}, {cq3:.6g}] {unit}"
           f"  {ratio}, change lower in {wins}/{pairs}")
+    print(f"  {'':12s} runs: parent {' '.join(f'{x:.6g}' for x in p)}; change {' '.join(f'{x:.6g}' for x in c)}")
 for side in runs:
     correct = sorted({r["correct"] for r in runs[side]})
     failed = sorted({r["failed"] for r in runs[side]})

@@ -13,6 +13,7 @@ use std::sync::LazyLock;
 use drs::baselines::TrialEvent;
 use drs::core::DrsEventKind;
 use drs::harness::RunMode;
+use drs::obs::artifact::get_count;
 use drs_bench::artifacts::{find, Artifact};
 use drs_bench::sim_artifact::{bench_artifact, SimArtifact};
 
@@ -43,15 +44,7 @@ fn artifact_traces_tell_a_complete_story() {
     // event, and every e2e trial records its fault injections.
     let shootout = ARTIFACT.get("protocol-shootout").expect("shootout runs");
     for t in &shootout.trials {
-        let sent = t
-            .metrics
-            .iter()
-            .find(|m| m.name == "sent")
-            .and_then(|m| match m.value {
-                drs::obs::FieldValue::Count(c) => Some(c),
-                _ => None,
-            })
-            .expect("sent metric");
+        let sent = get_count(&t.metrics, "sent").expect("sent metric");
         let terminal = t
             .events
             .iter()
