@@ -91,25 +91,40 @@ pub fn orbit_pair_success(n: u64, f: u64) -> Option<(u128, u128)> {
 /// `k_ab` lost both (2 failures each), `k_a + k_b + 2·k_ab = rest` —
 /// summed over every such orbit, and over those that leave at least one
 /// candidate with both NICs: `(all, with_intact_gateway)`. `None` on
-/// `u128` overflow; every term and partial sum is at most `C(2n+2, f)`.
+/// `u128` overflow; every term and partial product is at most
+/// `C(2n+2, f)`.
+///
+/// An orbit's weight `C(m, k_a)·C(m−k_a, k_b)·C(m−k_a−k_b, k_ab)` is
+/// `C(m, k)·C(k, k_ab)·C(k−k_ab, k_a)` with `k = rest − k_ab` candidates
+/// touched, and summed over `k_a` it is `C(m, k)·C(k, k_ab)·2^(k−k_ab)`:
+/// one term per `k_ab`. Only `C(m, k)` can lie beyond the binomial table
+/// (`m > 300`), so it is looked up once and stepped as `k` grows.
 fn gateway_weights(m: u64, rest: u64) -> Option<(u128, u128)> {
     let table = shared_table();
+    // The orbits touch `k = rest − k_ab` candidates, with `k ≤ m`,
+    // `k_ab ≤ k` (so `2·k_ab ≤ rest`) and `k_ab ≤ m`; there is none when
+    // those bounds cross.
+    let (k_lo, k_hi) = (rest - (rest / 2).min(m), rest.min(m));
+    if k_lo > k_hi {
+        return Some((0, 0));
+    }
     let (mut all, mut with_intact_gateway) = (0u128, 0u128);
-    for k_ab in 0..=(rest / 2).min(m) {
-        let nic_rest = rest - 2 * k_ab;
-        for k_a in 0..=nic_rest.min(m - k_ab) {
-            let k_b = nic_rest - k_a;
-            if k_a + k_b + k_ab > m {
-                continue;
-            }
-            let weight = table
-                .get(m, k_a)?
-                .checked_mul(table.get(m - k_a, k_b)?)?
-                .checked_mul(table.get(m - k_a - k_b, k_ab)?)?;
-            all = all.checked_add(weight)?;
-            if m - k_a - k_b - k_ab > 0 {
-                with_intact_gateway = with_intact_gateway.checked_add(weight)?;
-            }
+    let mut c_mk = table.get(m, k_lo)?;
+    for k in k_lo..=k_hi {
+        if k > k_lo {
+            // C(m, k) = C(m, k−1)·(m−k+1)/k, split at the quotient so no
+            // intermediate exceeds the result.
+            let (q, r) = (c_mk / u128::from(k), c_mk % u128::from(k));
+            let step = u128::from(m - k + 1);
+            c_mk = q.checked_mul(step)?.checked_add(r * step / u128::from(k))?;
+        }
+        let k_ab = rest - k;
+        let weight = c_mk
+            .checked_mul(table.get(k, k_ab)?)?
+            .checked_mul(1u128.checked_shl(u32::try_from(k - k_ab).ok()?)?)?;
+        all = all.checked_add(weight)?;
+        if k < m {
+            with_intact_gateway = with_intact_gateway.checked_add(weight)?;
         }
     }
     Some((all, with_intact_gateway))
@@ -212,16 +227,66 @@ mod tests {
         }
     }
 
+    /// The gateway weights as first written: one term per `(k_ab, k_a)`
+    /// orbit, three binomial lookups each.
+    fn gateway_weights_by_orbit(m: u64, rest: u64) -> Option<(u128, u128)> {
+        let table = shared_table();
+        let (mut all, mut with_intact_gateway) = (0u128, 0u128);
+        for k_ab in 0..=(rest / 2).min(m) {
+            let nic_rest = rest - 2 * k_ab;
+            for k_a in 0..=nic_rest.min(m - k_ab) {
+                let k_b = nic_rest - k_a;
+                if k_a + k_b + k_ab > m {
+                    continue;
+                }
+                let weight = table
+                    .get(m, k_a)?
+                    .checked_mul(table.get(m - k_a, k_b)?)?
+                    .checked_mul(table.get(m - k_a - k_b, k_ab)?)?;
+                all = all.checked_add(weight)?;
+                if m - k_a - k_b - k_ab > 0 {
+                    with_intact_gateway = with_intact_gateway.checked_add(weight)?;
+                }
+            }
+        }
+        Some((all, with_intact_gateway))
+    }
+
+    #[test]
+    fn gateway_weights_match_the_per_orbit_sum() {
+        // Every budget the benchmark's orbit grid (n ≤ 400, f ≤ 20) asks
+        // for, `Some` value and `None`-ness alike, plus budgets that use
+        // up every gateway NIC and more.
+        for m in 0..=398u64 {
+            for rest in 0..=20u64 {
+                assert_eq!(
+                    gateway_weights(m, rest),
+                    gateway_weights_by_orbit(m, rest),
+                    "m={m} rest={rest}"
+                );
+            }
+        }
+        for m in 0..=12u64 {
+            for rest in 0..=2 * m + 3 {
+                assert_eq!(
+                    gateway_weights(m, rest),
+                    gateway_weights_by_orbit(m, rest),
+                    "m={m} rest={rest}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn none_exactly_when_the_total_overflows() {
-        // The corner of the benchmark's grid where `C(2n+2, f)` crosses
-        // `u128`: a cell is `None` iff its total is, and every other cell
-        // carries the closed form's count — no partial product or partial
-        // sum of the per-budget gateway weights overflows before the total
-        // does.
+        // Past the binomial table and across the sizes where `C(2n+2, f)`
+        // crosses `u128`: a cell is `None` iff its total is, and every
+        // other cell carries the closed form's count — no partial product
+        // or partial sum of the per-budget gateway weights overflows
+        // before the total does.
         let (mut overflowed, mut counted) = (0, 0);
-        for n in 300..=400u64 {
-            for f in 12..=24u64 {
+        for n in 2..=512u64 {
+            for f in 0..=24u64.min(component_count(n)) {
                 let expected = binom(component_count(n), f).map(|t| (success_count(n, f), t));
                 assert_eq!(orbit_pair_success(n, f), expected, "n={n} f={f}");
                 overflowed += usize::from(expected.is_none());

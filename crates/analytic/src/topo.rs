@@ -240,7 +240,7 @@ impl<'a> TopoMonteCarlo<'a> {
 mod tests {
     use super::*;
     use crate::enumerate::enumerate_pair_success_k;
-    use crate::montecarlo::MonteCarlo;
+    use crate::montecarlo::{MonteCarlo, BLOCK};
     use crate::orbit::orbit_pair_success;
     use drs_topology::generators::{bcube, fat_tree, kplane};
 
@@ -291,14 +291,24 @@ mod tests {
     fn kplane_estimate_is_draw_identical_to_the_k_estimator() {
         // Same universe size, same rejection sampler, same seed: the
         // topology estimator must reproduce the K-plane estimator's counts
-        // exactly (not statistically).
+        // exactly (not statistically), across the blocks of a long run.
+        let iterations = BLOCK + 20_000;
         for (n, planes, f) in [(8usize, 2u8, 3usize), (5, 3, 4)] {
             let topo = kplane(n, planes as usize);
             let a = TopoMonteCarlo::new(&topo, f, 0, 1, Reachability::OneHostRelay, 42)
-                .estimate(20_000);
-            let b = MonteCarlo::new_k(n, planes, f, 42).estimate(20_000);
+                .estimate(iterations);
+            let b = MonteCarlo::new_k(n, planes, f, 42).estimate(iterations);
             assert_eq!(a, b, "n={n} K={planes} f={f}");
         }
+    }
+
+    #[test]
+    fn one_block_graph_estimate_draws_from_the_seed_alone() {
+        // The count from before the estimator split its samples into
+        // blocks, on the benchmark's fat-tree cell.
+        let topo = fat_tree(4);
+        let mc = TopoMonteCarlo::new(&topo, 4, 0, 15, Reachability::Transitive, 7);
+        assert_eq!(mc.estimate(BLOCK).successes, 99_596);
     }
 
     /// A model walked through `&mut`, so the test still has it — cache,

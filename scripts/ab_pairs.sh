@@ -4,9 +4,11 @@
 #
 #   scripts/ab_pairs.sh <parent-bin> <change-bin> <workload> [pairs] [seconds]
 #
-# Each of the `pairs` rounds (default 10) runs the parent binary, then the
-# change's, as `--workload <workload> --seed $SEED --seconds <seconds>
-# --trace 0` (SEED defaults to 42, seconds to 10), each from its own
+# Each of the `pairs` rounds (default 10) runs both binaries, odd rounds
+# the parent first and even rounds the change first, so a first-run-of-a-
+# pair effect falls on each side equally; each runs as `--workload
+# <workload> --seed $SEED --seconds <seconds> --trace 0` (SEED defaults
+# to 42, seconds to 10), each from its own
 # checkout's root (artifact_regen byte-checks the BENCH_*.json it finds
 # there) and under benchmark/run.sh's malloc settings. It prints, per
 # metric, each side's median and quartiles, the change's median over the
@@ -58,7 +60,9 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 for i in $(seq 1 "$pairs"); do
-    for side in parent change; do
+    order="parent change"
+    [ $((i % 2)) -eq 0 ] && order="change parent"
+    for side in $order; do
         bin=$parent root=$parent_root
         [ "$side" = change ] && bin=$change root=$change_root
         # artifact_regen reads the committed BENCH_*.json from the working directory.
@@ -69,7 +73,7 @@ for i in $(seq 1 "$pairs"); do
             exit 1
         }
     done
-    echo "pair $i/$pairs done" >&2
+    echo "pair $i/$pairs done (${order/ / first, then })" >&2
 done
 
 python3 - "$out" "$pairs" "$workload" <<'PY'
