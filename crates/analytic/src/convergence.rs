@@ -7,7 +7,7 @@
 //! With 1 000 iterations the deviation is already small and it converges to
 //! zero as iterations grow.
 
-use drs_harness::par;
+use drs_obs::par;
 
 use crate::exact::p_success;
 use crate::montecarlo::MonteCarlo;

@@ -31,7 +31,7 @@
 //! For the symmetry-reduced counter that replaces the walk entirely with
 //! polynomially many weighted equivalence classes, see [`crate::orbit`].
 
-use drs_harness::par;
+use drs_obs::par;
 
 use crate::binom::shared_table;
 use crate::components::FailureModel;

@@ -25,8 +25,8 @@
 //! block order. An estimate of at most 2¹⁷ iterations is one block, drawn
 //! from `seed` alone on the calling thread.
 
-use drs_harness::{par, stream_seed};
-use drs_obs::rng::Rng;
+use drs_harness::stream_seed;
+use drs_obs::{par, rng::Rng};
 use drs_topology::ComponentSet;
 
 use crate::components::FailureModel;

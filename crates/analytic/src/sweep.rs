@@ -16,8 +16,8 @@
 //! in JSON: the values exceed what consumers can hold in a double); every
 //! method counts, so a sweep involves no random draw at all.
 
-use drs_harness::par;
 use drs_obs::artifact::write;
+use drs_obs::par;
 
 use crate::binom::shared_table;
 use crate::connectivity::{KPlane, Question};

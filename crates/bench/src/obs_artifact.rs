@@ -27,8 +27,8 @@
 
 use drs_analytic::cost::ProbeCostModel;
 use drs_core::{DrsConfig, DrsDaemon};
-use drs_harness::{coord_seed, par, RunMode};
-use drs_obs::{ObsArtifact, Row, Section};
+use drs_harness::{coord_seed, RunMode};
+use drs_obs::{par, ObsArtifact, Row, Section};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::World;
 use drs_sim::{NetId, NodeId, SimDuration};

@@ -1,6 +1,6 @@
 //! The trial lifecycle: an [`Experiment`] names a grid of trial
 //! specifications, derives one seed per trial from its master seed, and
-//! runs the trials either serially or across [`crate::par`] worker
+//! runs the trials either serially or across [`drs_obs::par`] worker
 //! threads with bit-identical results.
 //!
 //! The runner is deliberately domain-free: a trial specification is any
@@ -15,7 +15,8 @@
 //! domain crate that runs it (`drs_bench::sim_artifact` turns the
 //! shootout and end-to-end trials into the simulation artifact).
 
-use crate::par;
+use drs_obs::par;
+
 use crate::seed::stream_seed;
 
 /// Everything a trial body is given about its own identity.

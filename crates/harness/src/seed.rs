@@ -10,6 +10,13 @@
 //! derive with [`coord_seed`] (the exact function `analytic::sweep` has
 //! always used, so committed artifacts are unchanged), and
 //! replication-shaped experiments derive with [`stream_seed`].
+//!
+//! One derivation stays outside: `analytic::convergence`'s Figure 3 cells
+//! seed `seed·γ + (n << 8) + f`, unmixed. `Rng::seed_from_u64` expands
+//! each through SplitMix64, so the cells' streams start apart, and moving
+//! the cells to [`coord_seed`] would move every sampled Figure 3 number
+//! (`report fig3`, EXPERIMENTS.md's convergence table) for no gain in
+//! what they show.
 
 pub use drs_obs::rng::{mix64, GOLDEN_GAMMA};
 

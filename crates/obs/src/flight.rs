@@ -39,6 +39,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use crate::par;
+
 /// Stable identity of one trace record: the sim-time and kernel event
 /// seq of the dispatch that produced it, the acting host, and the
 /// per-dispatch record sub-counter. Totally ordered by `(time, seq,
@@ -490,32 +492,88 @@ fn find_in_run(sorted: &[TraceRecord], start: usize, r: EventRef) -> Option<usiz
 /// cause ref, so a failover can be walked visually. Only simulation
 /// time is exported — the clock rule holds.
 ///
-/// The text is written as bytes into one buffer sized up front. That
-/// buffer is the only allocation when every host is below 2046 or is
-/// `u32::MAX`, every plane below 15 (true of every simulator log), and
-/// the lines average under 192 B.
+/// The text goes into one `String` sized up front on the calling thread.
+/// A log longer than [`PERFETTO_SERIAL`] records fans out over
+/// [`par::workers`] threads: they format blocks of [`PERFETTO_BLOCK`]
+/// records, each into one buffer it reuses, and append them in block
+/// order ([`par::concat_on`]), so the bytes are the same at any worker
+/// count. Each line is built on the stack and copied out whole.
+///
+/// Up to [`PERFETTO_SERIAL`] records the output is the only allocation
+/// when every host is below 2046 or is `u32::MAX`, every plane below 15
+/// (true of every simulator log), and the lines average under 192 B.
+/// Above it the calling thread adds the few it takes to start the
+/// workers, however long the log, and each worker allocates its buffer
+/// once.
 #[must_use]
 pub fn to_perfetto(log: &FlightLog) -> String {
+    let workers = if log.records.len() > PERFETTO_SERIAL {
+        par::workers()
+    } else {
+        1
+    };
+    to_perfetto_on(workers, PERFETTO_BLOCK, log)
+}
+
+/// Records per block of a fanned-out [`to_perfetto`]: about 700 KB of
+/// text, so each worker's buffer stays under 1 MB.
+pub const PERFETTO_BLOCK: usize = 1 << 12;
+
+/// The longest log [`to_perfetto`] writes on the calling thread alone.
+pub const PERFETTO_SERIAL: usize = 3 * PERFETTO_BLOCK;
+
+/// [`to_perfetto`] on `workers` threads, in blocks of `block` records.
+fn to_perfetto_on(workers: usize, block: usize, log: &FlightLog) -> String {
+    let records = &log.records;
     // 175 B per record on the benchmark's `flight32` log; the headroom
     // covers longer runs' wider timestamps without a second allocation.
-    let mut out = Vec::with_capacity(128 + log.records.len() * 192);
-    write_trace(&mut out, log);
-    String::from_utf8(out).expect("the trace writer emits ASCII only")
+    let mut head = Vec::with_capacity(128 + records.len() * 192);
+    write_tracks(&mut head, log);
+    let mut out = String::from_utf8(head).expect("the trace writer emits ASCII only");
+    par::concat_on(
+        workers,
+        records.len().div_ceil(block),
+        &mut out,
+        |b, buf| {
+            let mut line = Line::new();
+            for rec in &records[b * block..records.len().min((b + 1) * block)] {
+                line.len = 0;
+                write_record(&mut line, rec);
+                buf.extend_from_slice(&line.bytes[..line.len]);
+            }
+        },
+    );
+    out.push_str(TRACE_FOOT);
+    out
 }
 
 /// `to_perfetto(log).len()`, counted by the same writer without keeping
-/// the text.
+/// the text: numbers add their digit counts and are never formatted.
 #[must_use]
 pub fn perfetto_len(log: &FlightLog) -> usize {
     let mut len = ByteCount(0);
-    write_trace(&mut len, log);
-    len.0
+    write_tracks(&mut len, log);
+    for rec in &log.records {
+        write_record(&mut len, rec);
+    }
+    len.0 + TRACE_FOOT.len()
 }
+
+/// The text after the last event line.
+const TRACE_FOOT: &str = "\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n";
 
 /// Where the Perfetto writer puts its bytes: the text itself, or only
 /// how long it is.
 trait Sink {
     fn put(&mut self, bytes: &[u8]);
+
+    /// `v` in decimal.
+    fn put_u64(&mut self, v: u64) {
+        let mut buf = [0; 20];
+        let digits = &mut buf[..decimal_len(v)];
+        write_decimal(digits, v);
+        self.put(digits);
+    }
 }
 
 impl Sink for Vec<u8> {
@@ -533,25 +591,50 @@ impl Sink for ByteCount {
     fn put(&mut self, bytes: &[u8]) {
         self.0 += bytes.len();
     }
+
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
+        self.0 += decimal_len(v);
+    }
 }
 
-/// The whole [`to_perfetto`] document.
-fn write_trace(out: &mut impl Sink, log: &FlightLog) {
+/// One event line, built on the stack: the longest a record can write is
+/// under 300 B (every number at its widest, the label `failover_decision`
+/// and a float timestamp), and a longer one would panic on the bounds
+/// check, never write past the line.
+struct Line {
+    bytes: [u8; 320],
+    len: usize,
+}
+
+impl Line {
+    fn new() -> Self {
+        Line {
+            bytes: [0; 320],
+            len: 0,
+        }
+    }
+}
+
+impl Sink for Line {
+    #[inline]
+    fn put(&mut self, bytes: &[u8]) {
+        self.bytes[self.len..self.len + bytes.len()].copy_from_slice(bytes);
+        self.len += bytes.len();
+    }
+
+    #[inline]
+    fn put_u64(&mut self, v: u64) {
+        let end = self.len + decimal_len(v);
+        write_decimal(&mut self.bytes[self.len..end], v);
+        self.len = end;
+    }
+}
+
+/// The head of [`to_perfetto`]'s document: the opening and the track
+/// metadata lines in `(pid, tid)` order.
+fn write_tracks(out: &mut impl Sink, log: &FlightLog) {
     out.put(b"{\n  \"traceEvents\": [\n");
-    write_events(out, log);
-    out.put(b"\n  ],\n  \"displayTimeUnit\": \"ns\"\n}\n");
-}
-
-/// The Perfetto `(pid, tid)` track a record is drawn on.
-fn pid_tid(rec: &TraceRecord) -> (u32, u32) {
-    let pid = rec.host.saturating_add(1);
-    let tid = rec.plane.map_or(0, |p| u32::from(p) + 1);
-    (pid, tid)
-}
-
-/// The event lines of [`to_perfetto`]: the track metadata in `(pid, tid)`
-/// order, then one instant event per record.
-fn write_events(out: &mut impl Sink, log: &FlightLog) {
     let mut tracks = Tracks::new();
     for rec in &log.records {
         let (pid, tid) = pid_tid(rec);
@@ -568,62 +651,92 @@ fn write_events(out: &mut impl Sink, log: &FlightLog) {
             out.put(b"{\"name\": \"");
             out.put(meta.as_bytes());
             out.put(b"\", \"ph\": \"M\", \"pid\": ");
-            push_u64(out, u64::from(pid));
+            out.put_u64(u64::from(pid));
             out.put(b", \"tid\": ");
-            push_u64(out, u64::from(tid));
+            out.put_u64(u64::from(tid));
             out.put(b", \"args\": {\"name\": \"");
             match (process, tid) {
                 (true, _) => {
                     out.put(b"host");
-                    push_u64(out, u64::from(pid - 1));
+                    out.put_u64(u64::from(pid - 1));
                 }
                 (false, 0) => out.put(b"host"),
                 (false, _) => {
                     out.put(b"plane");
-                    push_u64(out, u64::from(tid - 1));
+                    out.put_u64(u64::from(tid - 1));
                 }
             }
             out.put(b"\"}}");
         }
     });
+}
 
-    for rec in &log.records {
-        let (pid, tid) = pid_tid(rec);
-        out.put(std::mem::replace(&mut sep, b",\n    "));
-        out.put(b"{\"name\": \"");
-        out.put(rec.kind.label().as_bytes());
-        out.put(b"\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
-        push_ts(out, rec.time_ns);
-        out.put(b", \"pid\": ");
-        push_u64(out, u64::from(pid));
-        out.put(b", \"tid\": ");
-        push_u64(out, u64::from(tid));
-        out.put(b", \"args\": {\"seq\": ");
-        push_u64(out, rec.seq);
-        out.put(b", \"sub\": ");
-        push_u64(out, u64::from(rec.sub));
-        out.put(b", \"arg\": ");
-        push_u64(out, rec.arg);
-        out.put(b", \"cause\": ");
-        match rec.cause {
-            Some(c) => {
-                out.put(b"\"");
-                push_u64(out, c.time_ns);
-                out.put(b":");
-                push_u64(out, c.seq);
-                out.put(b":");
-                push_u64(out, u64::from(c.host));
-                out.put(b":");
-                push_u64(out, u64::from(c.sub));
-                out.put(b"\"}}");
-            }
-            None => out.put(b"null}}"),
+/// The Perfetto `(pid, tid)` track a record is drawn on.
+fn pid_tid(rec: &TraceRecord) -> (u32, u32) {
+    let pid = rec.host.saturating_add(1);
+    let tid = rec.plane.map_or(0, |p| u32::from(p) + 1);
+    (pid, tid)
+}
+
+/// One record's instant event, with the separator before it: a record
+/// draws on a track, so a metadata line always comes first.
+fn write_record(out: &mut impl Sink, rec: &TraceRecord) {
+    let (pid, tid) = pid_tid(rec);
+    out.put(b",\n    {\"name\": \"");
+    out.put(rec.kind.label().as_bytes());
+    out.put(b"\", \"ph\": \"i\", \"s\": \"t\", \"ts\": ");
+    push_ts(out, rec.time_ns);
+    out.put(b", \"pid\": ");
+    out.put_u64(u64::from(pid));
+    out.put(b", \"tid\": ");
+    out.put_u64(u64::from(tid));
+    out.put(b", \"args\": {\"seq\": ");
+    out.put_u64(rec.seq);
+    out.put(b", \"sub\": ");
+    out.put_u64(u64::from(rec.sub));
+    out.put(b", \"arg\": ");
+    out.put_u64(rec.arg);
+    out.put(b", \"cause\": ");
+    match rec.cause {
+        Some(c) => {
+            out.put(b"\"");
+            out.put_u64(c.time_ns);
+            out.put(b":");
+            out.put_u64(c.seq);
+            out.put(b":");
+            out.put_u64(u64::from(c.host));
+            out.put(b":");
+            out.put_u64(u64::from(c.sub));
+            out.put(b"\"}}");
         }
+        None => out.put(b"null}}"),
     }
 }
 
-/// `v` in decimal, two digits per division.
-fn push_u64(out: &mut impl Sink, mut v: u64) {
+/// The number of decimal digits of `v`: `bits · 1233 / 4096` (≈ `bits ·
+/// log₁₀ 2`, from the bit length) is that count or one less, and one
+/// comparison with a power of ten decides.
+#[inline]
+fn decimal_len(v: u64) -> usize {
+    /// `10⁰ … 10¹⁹`.
+    const POW10: [u64; 20] = {
+        let mut pow = [1; 20];
+        let mut i = 1;
+        while i < 20 {
+            pow[i] = pow[i - 1] * 10;
+            i += 1;
+        }
+        pow
+    };
+    let v = v | 1;
+    let log = (((64 - v.leading_zeros()) * 1233) >> 12) as usize;
+    log + usize::from(v >= POW10[log])
+}
+
+/// `v` in decimal into `digits`, which is exactly [`decimal_len`]`(v)`
+/// long, two digits per division.
+#[inline]
+fn write_decimal(digits: &mut [u8], mut v: u64) {
     /// `"00" "01" … "99"`.
     const PAIRS: [u8; 200] = {
         let mut pairs = [0; 200];
@@ -635,20 +748,17 @@ fn push_u64(out: &mut impl Sink, mut v: u64) {
         }
         pairs
     };
-    let mut buf = [0u8; 20];
-    let mut i = buf.len();
+    let mut i = digits.len();
     while v >= 10 {
         let pair = 2 * (v % 100) as usize;
         i -= 2;
-        buf[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
+        digits[i..i + 2].copy_from_slice(&PAIRS[pair..pair + 2]);
         v /= 100;
     }
     // An odd digit count's leading digit, or the `0` of zero.
-    if v > 0 || i == buf.len() {
-        i -= 1;
-        buf[i] = b'0' + v as u8;
+    if i > 0 {
+        digits[0] = b'0' + v as u8;
     }
-    out.put(&buf[i..]);
 }
 
 /// Timestamps below this many microseconds are written from the integer
@@ -672,7 +782,7 @@ fn push_ts(out: &mut impl Sink, time_ns: u64) {
         out.put(text.as_bytes());
         return;
     }
-    push_u64(out, us);
+    out.put_u64(us);
     out.put(b".");
     let digits = [ns / 100, ns / 10 % 10, ns % 10].map(|d| b'0' + d as u8);
     // Trailing zeros trimmed down to one digit: `.0` when exact.
@@ -834,7 +944,8 @@ pub(crate) mod testkit {
     }
 
     /// Runs `f` on a worker thread and fails if it has not returned within
-    /// ten seconds: a walk trapped in a cause cycle never returns.
+    /// ten seconds: a walk trapped in a cause cycle never returns, nor
+    /// does a fan-out whose workers wait for a block that never comes.
     pub(crate) fn returns_within_ten_seconds<T: Send + 'static>(
         f: impl FnOnce() -> T + Send + 'static,
     ) -> T {
@@ -851,7 +962,7 @@ pub(crate) mod testkit {
                 walk.join().unwrap_or_else(|e| std::panic::resume_unwind(e))
             }
             Err(RecvTimeoutError::Timeout) => {
-                panic!("the walk did not return in 10 s: a cause cycle trapped it")
+                panic!("the call did not return in 10 s: a cause cycle or an unwoken wait")
             }
         }
     }
@@ -1472,6 +1583,22 @@ mod tests {
     }
 
     #[test]
+    fn decimal_len_counts_the_digits_at_every_edge() {
+        let tens = std::iter::successors(Some(1u64), |p| p.checked_mul(10));
+        let twos = (0..64).map(|b| 1u64 << b);
+        for v in tens
+            .chain(twos)
+            .flat_map(|p| [p - 1, p, p + 1])
+            .chain([u64::MAX])
+        {
+            assert_eq!(decimal_len(v), v.to_string().len(), "{v}");
+            let mut line = Line::new();
+            line.put_u64(v);
+            assert_eq!(&line.bytes[..line.len], v.to_string().as_bytes());
+        }
+    }
+
+    #[test]
     fn the_ts_writer_equals_the_float_formatter() {
         use crate::rng::Rng;
         let mut rng = Rng::seed_from_u64(0x7157);
@@ -1547,6 +1674,50 @@ mod tests {
             dropped: 0,
         };
         assert_eq!(to_perfetto(&log), to_perfetto_oracle(&log));
+    }
+
+    /// The fanned-out export equals the serial writer and the `core::fmt`
+    /// reference at every worker count and block size: drawn logs several
+    /// blocks long, an empty log, a log of exactly one block, and hosts
+    /// and planes outside the dense track corner.
+    #[test]
+    fn the_fanned_out_export_equals_the_serial_writer() {
+        let mut logs: Vec<FlightLog> = (0..3).map(|seed| drawn_log(seed, 13_000)).collect();
+        logs.push(FlightLog::default());
+        logs.push(FlightLog {
+            records: drawn_log(7, 5_000).records[..PERFETTO_BLOCK].to_vec(),
+            dropped: 0,
+        });
+        let mut corner = Vec::new();
+        for (i, host) in [2045, 2046, 9_999, u32::MAX - 1, u32::MAX]
+            .into_iter()
+            .enumerate()
+        {
+            for plane in [None, Some(14), Some(15), Some(255)] {
+                let mut r = rec(i as u64 * 1_001, i as u64, TraceKind::Fault, None);
+                (r.host, r.plane) = (host, plane);
+                corner.push(r);
+            }
+        }
+        logs.push(FlightLog {
+            records: corner,
+            dropped: 0,
+        });
+        for (i, log) in logs.iter().enumerate() {
+            let serial = to_perfetto_on(1, log.records.len().max(1), log);
+            assert_eq!(serial, to_perfetto_oracle(log), "log {i}");
+            assert_eq!(to_perfetto(log), serial, "log {i}");
+            assert_eq!(perfetto_len(log), serial.len(), "log {i}");
+            for workers in 1..=4 {
+                for block in [1, 7, PERFETTO_BLOCK] {
+                    let fanned = to_perfetto_on(workers, block, log);
+                    assert!(
+                        fanned == serial,
+                        "log {i}, {workers} workers, block {block}"
+                    );
+                }
+            }
+        }
     }
 
     /// `perfetto_len` runs the writer into a counter: it must count

@@ -26,7 +26,9 @@
 //!   already depends on: the SplitMix64 mixer and xoshiro256++ generator
 //!   behind every seed derivation and random draw in the tree. For the
 //!   same reason [`Fnv1a`] lives here: the one state fingerprint the
-//!   committed digests are computed with ([`fnv`]).
+//!   committed digests are computed with ([`fnv`]); and so does [`par`],
+//!   the one thread fan-out — an order-preserving map on scoped threads,
+//!   and its ordered text form, which [`to_perfetto`] writes through.
 //!
 //! # The clock rule
 //!
@@ -62,6 +64,7 @@ pub mod flight;
 pub mod fnv;
 pub mod hist;
 pub mod jsonfmt;
+pub mod par;
 pub mod rng;
 
 pub use artifact::{Field, FieldValue, ObsArtifact, Row, Section, SCHEMA};

@@ -17,7 +17,7 @@
 
 use std::path::Path;
 
-use drs::harness::par;
+use drs::obs::par;
 use drs_bench::artifacts::{find, Artifact, ARTIFACTS};
 
 /// The source of `artifact`'s own suite, if it has one.
