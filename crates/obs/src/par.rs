@@ -17,7 +17,7 @@
 
 use std::cell::Cell;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Condvar, Mutex, PoisonError};
+use std::sync::{Condvar, Mutex, OnceLock, PoisonError};
 use std::thread;
 
 thread_local! {
@@ -26,12 +26,17 @@ thread_local! {
 
 /// How many workers [`map`] would use for a large input: the host's
 /// available parallelism, or 1 when called from inside a worker.
+///
+/// The count is read once per process: asking the OS reads the cgroup
+/// files and allocates, and every estimate, walk, export and pipelined
+/// run asks again.
 #[must_use]
 pub fn workers() -> usize {
+    static CPUS: OnceLock<usize> = OnceLock::new();
     if IN_WORKER.get() {
         1
     } else {
-        thread::available_parallelism().map_or(1, usize::from)
+        *CPUS.get_or_init(|| thread::available_parallelism().map_or(1, usize::from))
     }
 }
 

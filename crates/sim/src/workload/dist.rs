@@ -111,30 +111,45 @@ fn clamp_ns(v: f64) -> u64 {
 /// Natural log over positive finite normal `f64`s, from IEEE basics only.
 ///
 /// Decomposes `x = m·2^e` with `m ∈ [√½, √2)` and sums the atanh series
-/// `ln m = 2·(t + t³/3 + …)`, `t = (m−1)/(m+1)` (|t| < 0.172, sixteen
-/// terms reach full precision).
+/// `ln m = 2·(t + t³/3 + …)`, `t = (m−1)/(m+1)`: |t| < 0.172, so ten
+/// terms give the full sixteen-term sum bit for bit.
 #[must_use]
 pub fn ln(x: f64) -> f64 {
     debug_assert!(x > 0.0 && x.is_finite(), "ln domain: {x}");
-    use std::f64::consts::{LN_2 as LN2, SQRT_2 as SQRT2};
-    let bits = x.to_bits();
-    let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
-    let mut m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
-    if m > SQRT2 {
-        m *= 0.5;
-        e += 1;
-    }
-    let t = (m - 1.0) / (m + 1.0);
+    let (t, e) = reduce(x);
     let t2 = t * t;
     let mut term = t;
     let mut sum = 0.0;
     let mut k = 1.0;
-    for _ in 0..16 {
+    for _ in 0..LN_TERMS {
         sum += term / k;
         term *= t2;
         k += 2.0;
     }
-    2.0f64.mul_add(sum, 0.0) + e as f64 * LN2
+    // Doubling is exact.
+    2.0 * sum + e as f64 * std::f64::consts::LN_2
+}
+
+/// Terms [`ln`] sums. Every term after the tenth is below `|t|·2⁻⁵⁴`:
+/// at the largest `|t| = (√2−1)/(√2+1)` the eleventh's share is
+/// `t²⁰/21 < 2.4·10⁻¹⁷`, under `2⁻⁵⁴ ≈ 5.6·10⁻¹⁷`. That is under half an
+/// ulp of the sum (which has `t`'s sign and at least its magnitude), and
+/// the terms only shrink, so under round-to-nearest none of them can
+/// change it: the sum has the bits of the sixteen terms it took before
+/// (nine terms do not). The count is fixed, not found per call: a
+/// branch on each term's size ran at half the throughput.
+const LN_TERMS: usize = 10;
+
+/// `x = m·2^e` with `m ∈ [√½, √2)`, as `(t, e)` with `t = (m−1)/(m+1)`.
+fn reduce(x: f64) -> (f64, i64) {
+    let bits = x.to_bits();
+    let mut e = ((bits >> 52) & 0x7ff) as i64 - 1023;
+    let mut m = f64::from_bits((bits & 0x000F_FFFF_FFFF_FFFF) | (1023u64 << 52));
+    if m > std::f64::consts::SQRT_2 {
+        m *= 0.5;
+        e += 1;
+    }
+    ((m - 1.0) / (m + 1.0), e)
 }
 
 /// `2^k` for `k` in the normal-exponent range, by bit assembly.
@@ -278,6 +293,61 @@ mod tests {
                 assert_eq!(s.next_u64(), finalize(state));
             }
         }
+    }
+
+    /// [`ln`] as it summed before [`LN_TERMS`]: all sixteen terms, the
+    /// doubling as a fused multiply-add.
+    fn ln_sixteen_terms(x: f64) -> f64 {
+        let (t, e) = reduce(x);
+        let t2 = t * t;
+        let mut term = t;
+        let mut sum = 0.0;
+        let mut k = 1.0;
+        for _ in 0..16 {
+            sum += term / k;
+            term *= t2;
+            k += 2.0;
+        }
+        2.0f64.mul_add(sum, 0.0) + e as f64 * std::f64::consts::LN_2
+    }
+
+    /// 10⁷ drawn inputs — half the samplers' own `u01` draws, half any
+    /// positive normal `f64` — and the 200 000 neighbours of each point
+    /// where the reduction switches or the series is shortest or longest.
+    #[test]
+    fn ln_in_ten_terms_has_the_sixteen_term_bits() {
+        use std::f64::consts::{FRAC_1_SQRT_2, SQRT_2};
+        let t = (SQRT_2 - 1.0) / (SQRT_2 + 1.0);
+        assert!(
+            t.powi(20) / 21.0 < 2f64.powi(-54),
+            "the eleventh term counts"
+        );
+        let check = |x: f64| {
+            let (got, want) = (ln(x), ln_sixteen_terms(x));
+            assert_eq!(
+                got.to_bits(),
+                want.to_bits(),
+                "ln({x:e}): {got:e} vs {want:e}"
+            );
+        };
+        let mut s = Stream::new(0x1D);
+        for i in 0..10_000_000u32 {
+            if i % 2 == 0 {
+                check(s.u01());
+            } else {
+                // Exponent fields 1..=0x7FE: positive, normal and finite.
+                check(f64::from_bits(s.next_u64() % (0x7FE << 52) + (1 << 52)));
+            }
+        }
+        for c in [1.0, SQRT_2, 0.5, 2.0, FRAC_1_SQRT_2] {
+            let b = f64::to_bits(c);
+            for d in 1..=100_000 {
+                check(f64::from_bits(b + d));
+                check(f64::from_bits(b - d));
+            }
+            check(c);
+        }
+        assert_eq!(ln(1.0).to_bits(), 0, "+0, not -0");
     }
 
     #[test]

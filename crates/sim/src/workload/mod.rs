@@ -35,15 +35,29 @@
 //!   integrals (exact, in byte·ns/s units), and the failover SLO
 //!   histograms.
 //!
+//! The engine only reads the log, so on a host with a spare CPU it
+//! runs beside the kernel: for the length of a `run_until` it moves to
+//! one worker thread (`BatchWorker`), which applies each full batch in
+//! order while the kernel fills the next into the other of two buffers.
+//! The run hands over its last, partial batch, joins the worker and
+//! takes the engine back, so every reader sees the same engine as a run
+//! that applied each batch inline.
+//!
 //! Determinism: every draw comes from [`dist`]'s own SplitMix64 streams
 //! and software `ln`/`exp` — no external RNG crate, no libm — so the
 //! committed `BENCH_workload.json` is byte-identical on every machine.
 
 pub mod dist;
 mod engine;
+#[cfg(test)]
+mod pipeline_tests;
 
 pub use dist::{HoldingDist, Stream};
 pub use engine::{ConservationReport, FluidEngine, WorkloadStats, UNIT_PER_BYTE};
+
+use std::mem;
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Mutex, PoisonError};
 
 use drs_core::{NetId, NodeId, Route, SimTime};
 
@@ -121,9 +135,10 @@ pub struct TransitionRecord {
 const _: () = assert!(std::mem::size_of::<TransitionRecord>() <= 40);
 
 /// Records the log holds before it is drained into the engine: 640 KiB
-/// allocated once, so the log neither grows with the length of a
-/// `run_until` nor reallocates while it runs, and the engine still
-/// applies transitions in batches rather than one per dispatch.
+/// allocated once (and a second buffer for the first pipelined run), so
+/// the log neither grows with the length of a `run_until` nor
+/// reallocates while it runs, and the engine still applies transitions
+/// in batches rather than one per dispatch.
 const LOG_BATCH: usize = 1 << 14;
 
 /// The transition vocabulary the fluid engine consumes.
@@ -205,11 +220,69 @@ pub struct WorkloadCore {
     /// Transitions recorded since the last drain, in dispatch order;
     /// never more than [`LOG_BATCH`].
     pub(crate) log: Vec<TransitionRecord>,
-    /// The accounting engine the log drains into.
-    pub(crate) engine: FluidEngine,
+    /// The second batch buffer, empty: allocated by the first
+    /// [`Self::detach_engine`], then swapped with `log` batch by batch.
+    spare: Vec<TransitionRecord>,
+    /// The accounting engine the log drains into; `None` while a
+    /// [`BatchWorker`] holds it.
+    engine: Option<FluidEngine>,
+    /// While a worker holds the engine: the way to it.
+    pipe: Option<Pipe>,
     /// `SessionOpen`/`SessionClose` dispatches executed — the left-hand
     /// side of the `events == transitions` identity.
     pub(crate) events: u64,
+}
+
+/// The kernel's ends of a detached engine's two channels. Exactly two
+/// buffers circulate, so neither channel ever holds more than two and
+/// no send blocks; the kernel waits only for an empty buffer, i.e. for
+/// the worker to finish the batch before the one it just sent.
+struct Pipe {
+    /// Full batches, in dispatch order.
+    full: SyncSender<Vec<TransitionRecord>>,
+    /// Applied batches' buffers, cleared. Never locked (the kernel
+    /// reaches it through `&mut`): the `Mutex` only keeps a `World`
+    /// `Sync`, which a bare `Receiver` is not.
+    empty: Mutex<Receiver<Vec<TransitionRecord>>>,
+}
+
+impl Pipe {
+    /// Sends the full `log` to the worker and replaces it with the other
+    /// buffer, once the worker is done with it.
+    fn swap(&mut self, log: &mut Vec<TransitionRecord>) {
+        self.full.send(mem::take(log)).expect(WORKER_GONE);
+        let empty = self.empty.get_mut().unwrap_or_else(PoisonError::into_inner);
+        *log = empty.recv().expect(WORKER_GONE);
+    }
+}
+
+/// The kernel's `expect` when the worker is gone mid-run: the worker's
+/// own panic is what the run re-raises once it joins it.
+const WORKER_GONE: &str = "the fluid batch worker stopped";
+
+/// The engine of a pipelined run with the worker's ends of the channels
+/// ([`WorkloadCore::detach_engine`]); [`Self::run`] is the worker.
+pub(crate) struct BatchWorker {
+    engine: FluidEngine,
+    full: Receiver<Vec<TransitionRecord>>,
+    empty: SyncSender<Vec<TransitionRecord>>,
+}
+
+impl BatchWorker {
+    /// Applies every batch the kernel sends, in order, returning each
+    /// buffer cleared, until the kernel hangs up; then hands the engine
+    /// back.
+    pub(crate) fn run(mut self) -> FluidEngine {
+        for mut batch in self.full {
+            for rec in &batch {
+                self.engine.apply(rec);
+            }
+            batch.clear();
+            // The kernel holds its receiver until after the join.
+            let _ = self.empty.send(batch);
+        }
+        self.engine
+    }
 }
 
 impl WorkloadCore {
@@ -228,7 +301,9 @@ impl WorkloadCore {
             streams: (0..n).map(|i| Stream::for_host(seed, i as u32)).collect(),
             next_local: vec![0; n],
             log: Vec::with_capacity(LOG_BATCH),
-            engine,
+            spare: Vec::new(),
+            engine: Some(engine),
+            pipe: None,
             events: 0,
         }
     }
@@ -315,23 +390,102 @@ impl WorkloadCore {
 
     /// Appends a transition to the log (the kernel's route, NIC, hub
     /// and reroute observations come straight here); a full batch goes
-    /// to the engine at once.
+    /// to the engine at once: to the worker if one holds the engine,
+    /// swapped for the other buffer, else applied here.
     pub(crate) fn record(&mut self, at: SimTime, kind: Transition) {
         self.log.push(TransitionRecord { at, kind });
         if self.log.len() == LOG_BATCH {
-            self.drain();
+            match &mut self.pipe {
+                Some(pipe) => pipe.swap(&mut self.log),
+                None => self.drain(),
+            }
         }
     }
 
     /// Feeds the logged transitions to the engine in dispatch order and
     /// clears the log, which keeps its storage.
-    pub(crate) fn drain(&mut self) {
+    ///
+    /// # Panics
+    /// Panics while a worker holds the engine.
+    fn drain(&mut self) {
+        let engine = self.engine.as_mut().expect(ENGINE_HOME);
         for rec in &self.log {
-            self.engine.apply(rec);
+            engine.apply(rec);
         }
         self.log.clear();
     }
+
+    /// The accounting engine.
+    ///
+    /// # Panics
+    /// Panics while a worker holds the engine.
+    pub(crate) fn engine(&self) -> &FluidEngine {
+        self.engine.as_ref().expect(ENGINE_HOME)
+    }
+
+    /// Feeds the rest of the log to the engine, then settles its
+    /// ledgers at `until`.
+    ///
+    /// # Panics
+    /// Panics while a worker holds the engine.
+    pub(crate) fn settle(&mut self, until: SimTime) {
+        self.drain();
+        self.engine.as_mut().expect(ENGINE_HOME).settle(until);
+    }
+
+    /// Moves the engine to a [`BatchWorker`]: from here until
+    /// [`Self::reattach_engine`], full batches go to it over a channel.
+    /// The log is empty (every `run_until` ends with it drained), and
+    /// the second buffer waits on the return channel for the first full
+    /// batch.
+    ///
+    /// # Panics
+    /// Panics if a worker already holds the engine.
+    pub(crate) fn detach_engine(&mut self) -> BatchWorker {
+        let engine = self.engine.take().expect(ENGINE_HOME);
+        debug_assert!(self.log.is_empty(), "detached with a batch pending");
+        if self.spare.capacity() == 0 {
+            self.spare = Vec::with_capacity(LOG_BATCH);
+        }
+        let (full_tx, full_rx) = sync_channel(2);
+        let (empty_tx, empty_rx) = sync_channel(2);
+        empty_tx
+            .send(mem::take(&mut self.spare))
+            .expect("a fresh channel");
+        self.pipe = Some(Pipe {
+            full: full_tx,
+            empty: Mutex::new(empty_rx),
+        });
+        BatchWorker {
+            engine,
+            full: full_rx,
+            empty: empty_tx,
+        }
+    }
+
+    /// Ends a pipelined stretch: sends the partial batch, hangs up, so
+    /// the worker stops once it has applied everything, and takes back
+    /// the engine from `join` and both buffers, empty. A kernel that
+    /// panicked mid-run must still call this: the hang-up is what lets
+    /// the worker finish.
+    ///
+    /// # Panics
+    /// Panics if no worker holds the engine, and with whatever `join`
+    /// panics with.
+    pub(crate) fn reattach_engine(&mut self, join: impl FnOnce() -> FluidEngine) {
+        let Pipe { full, empty } = self.pipe.take().expect("a worker holds the engine");
+        // A dead worker drops the batch; its panic comes out of `join`.
+        let _ = full.send(mem::take(&mut self.log));
+        drop(full);
+        self.engine = Some(join());
+        let empty = empty.into_inner().unwrap_or_else(PoisonError::into_inner);
+        self.log = empty.try_recv().expect("both buffers are back");
+        self.spare = empty.try_recv().expect("both buffers are back");
+    }
 }
+
+/// The `expect` of every engine access outside a pipelined run.
+const ENGINE_HOME: &str = "the engine is back from its worker between runs";
 
 #[cfg(test)]
 mod tests {

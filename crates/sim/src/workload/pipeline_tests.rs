@@ -1,0 +1,200 @@
+//! The pipelined run equals the inline one: `World::run_until_on` at 2
+//! workers hands full batches to the engine's worker thread, at 1 applies
+//! them on the kernel's thread, and both must leave the same engine
+//! digest, statistics, conservation report and session event count,
+//! whatever the host's CPU count.
+
+use std::sync::mpsc;
+use std::time::Duration;
+
+use drs_core::config::DrsConfig;
+use drs_core::daemon::DrsDaemon;
+use drs_core::{NetId, NodeId, Route, SimDuration, SimTime};
+
+use super::{
+    ArrivalProcess, ClassSpec, ConservationReport, HoldingDist, WorkloadSpec, WorkloadStats,
+    LOG_BATCH,
+};
+use crate::fault::{FaultPlan, SimComponent};
+use crate::scenario::ClusterSpec;
+use crate::world::{Ctx, Protocol, World};
+
+/// Everything a reader of a finished run sees of the fluid layer.
+type Outcome = (u64, WorkloadStats, ConservationReport, u64);
+
+fn outcome<P: Protocol>(w: &World<P>) -> Outcome {
+    let engine = w.workload_engine().expect("workload enabled");
+    (
+        engine.digest(),
+        engine.stats().clone(),
+        engine.conservation(),
+        w.workload_events(),
+    )
+}
+
+const END: SimTime = SimTime(2_000_000_000);
+
+/// The million cell shrunk to 8 hosts × `per_host` users: closed loop,
+/// 250 ms think and 500 ms holding times (shorter than the cell's 60 s,
+/// so each user cycles and the log fills several batches), under the
+/// cell's 0.5 s outage of hub A when `outage` is set.
+fn cell(per_host: u32, outage: bool) -> World<DrsDaemon> {
+    let n = 8;
+    let cfg = DrsConfig::default()
+        .probe_timeout(SimDuration::from_millis(50))
+        .probe_interval(SimDuration::from_millis(200));
+    let mut w = World::new(ClusterSpec::new(n).seed(31), |id| {
+        DrsDaemon::new(id, n, cfg)
+    });
+    if outage {
+        w.schedule_faults(
+            FaultPlan::new()
+                .fail_at(SimTime(1_000_000_123), SimComponent::Hub(NetId::A))
+                .repair_at(SimTime(1_500_000_123), SimComponent::Hub(NetId::A)),
+        );
+    }
+    w.enable_workload(users(per_host));
+    w
+}
+
+/// [`cell`]'s workload.
+fn users(per_host: u32) -> WorkloadSpec {
+    WorkloadSpec {
+        arrivals: ArrivalProcess::Closed {
+            per_host,
+            think_mean_ns: 250_000_000,
+        },
+        holding: HoldingDist::Exponential {
+            mean_ns: 500_000_000,
+        },
+        classes: vec![ClassSpec { rate_bps: 64_000 }],
+        horizon: END,
+    }
+}
+
+/// Runs `w` through every stop in `stops` on `workers`.
+fn run(mut w: World<DrsDaemon>, workers: usize, stops: &[SimTime]) -> Outcome {
+    for &stop in stops {
+        w.run_until_on(workers, stop);
+    }
+    outcome(&w)
+}
+
+#[test]
+fn a_pipelined_workload_run_equals_the_inline_one() {
+    let inline = run(cell(4_000, true), 1, &[END]);
+    assert!(
+        inline.1.transitions >= 4 * LOG_BATCH as u64,
+        "{} transitions fill fewer than four batches",
+        inline.1.transitions
+    );
+    assert!(inline.1.stall_windows > 0, "the outage stalled sessions");
+    assert!(inline.2.holds(), "conservation: {:?}", inline.2);
+    assert_eq!(run(cell(4_000, true), 2, &[END]), inline);
+}
+
+/// Uneven stops, so batches straddle `run_until` calls and some calls
+/// fill none: each call hands its partial batch over and takes the
+/// engine back before the next.
+#[test]
+fn a_workload_run_in_uneven_steps_pipelines_like_the_inline_one() {
+    let stops: Vec<SimTime> = [0, 1, 137_000_000, 137_000_001, 610_000_000, 1_333_333_333]
+        .into_iter()
+        .map(SimTime)
+        .chain([END])
+        .collect();
+    let inline = run(cell(4_000, true), 1, &stops);
+    assert_eq!(run(cell(4_000, true), 2, &stops), inline);
+}
+
+#[test]
+fn a_workload_run_that_never_fills_a_batch_pipelines_like_the_inline_one() {
+    let inline = run(cell(20, true), 1, &[END]);
+    assert!(inline.1.transitions > 0, "sessions ran");
+    assert!(inline.1.transitions < LOG_BATCH as u64, "one partial batch");
+    assert_eq!(run(cell(20, true), 2, &[END]), inline);
+}
+
+/// A hub fault and repair scheduled between runs, each mid-batch.
+#[test]
+fn a_hub_fault_mid_workload_run_pipelines_like_the_inline_one() {
+    let run_with_fault = |workers| {
+        let mut w = cell(4_000, false);
+        w.run_until_on(workers, SimTime(700_000_000));
+        let at = w.now() + SimDuration::from_millis(150);
+        w.schedule_faults(FaultPlan::new().fail_at(at, SimComponent::Hub(NetId::A)));
+        w.run_until_on(workers, SimTime(1_200_000_000));
+        let at = w.now();
+        w.schedule_faults(FaultPlan::new().repair_at(at, SimComponent::Hub(NetId::A)));
+        w.run_until_on(workers, END);
+        outcome(&w)
+    };
+    let inline = run_with_fault(1);
+    assert_eq!(inline.1.hub_transitions, 2);
+    assert!(inline.1.stall_windows > 0, "the fault stalled sessions");
+    assert_eq!(run_with_fault(2), inline);
+}
+
+/// Runs `f` on a thread of its own and returns its panic message, or
+/// fails the test if it returns or has not panicked within a minute (a
+/// kernel that hung up too late would leave the worker, and the run,
+/// blocked).
+fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+        let message = caught.err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+                .unwrap_or_default()
+        });
+        let _ = tx.send(message);
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the run ended within a minute")
+        .expect("the run panicked")
+}
+
+/// A daemon whose first timer, at 1 s, panics on every host, or on host
+/// 0 installs a route on plane 200 of a two-plane cluster, which the
+/// engine's path walk indexes past its hub table.
+struct Saboteur {
+    kernel_panics: bool,
+}
+
+impl Protocol for Saboteur {
+    type Msg = ();
+    fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+        ctx.set_timer(SimDuration::from_secs(1), 0);
+    }
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _token: u64) {
+        assert!(!self.kernel_panics, "the kernel exploded");
+        if ctx.self_id() == NodeId(0) {
+            ctx.set_route(NodeId(1), Route::Direct(NetId(200)));
+        }
+    }
+}
+
+/// Runs the shrunk cell's users for 3 s under [`Saboteur`]s, pipelined.
+fn sabotaged(kernel_panics: bool) {
+    let mut w = World::new(ClusterSpec::new(8).seed(3), |_| Saboteur { kernel_panics });
+    w.enable_workload(users(4_000));
+    w.run_until_on(2, SimTime(3_000_000_000));
+}
+
+/// The kernel panics with batches in flight: it hangs up before it
+/// joins, so the worker stops and the kernel's own payload comes out.
+#[test]
+fn a_kernel_panic_mid_workload_run_stops_the_worker_and_propagates() {
+    assert_eq!(panic_message(|| sabotaged(true)), "the kernel exploded");
+}
+
+/// The engine's worker panics mid-run: its payload, not the kernel's
+/// failed hand-over, reaches the caller.
+#[test]
+fn a_workload_worker_panic_propagates_with_its_payload() {
+    let message = panic_message(|| sabotaged(false));
+    assert!(message.contains("index out of bounds"), "{message}");
+}

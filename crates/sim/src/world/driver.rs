@@ -35,10 +35,13 @@
 //! between, so no event pays for it.
 
 use std::ops::{Deref, DerefMut};
+use std::panic::{self, AssertUnwindSafe};
+use std::thread;
 
 use drs_core::ids::FlowId;
 use drs_core::{NetId, NodeId, ProbeObs, SimDuration, SimTime};
 use drs_obs::flight::{FlightLog, FlightRecorder};
+use drs_obs::par;
 use drs_obs::rng::Rng;
 
 use crate::app::{Flow, Workload};
@@ -416,7 +419,7 @@ impl<P: Protocol> World<P> {
     /// The fluid accounting engine (digest, conservation report).
     #[must_use]
     pub fn workload_engine(&self) -> Option<&FluidEngine> {
-        self.core.workload.as_ref().map(|w| &w.engine)
+        self.core.workload.as_ref().map(|w| w.engine())
     }
 
     /// Kernel events dispatched on behalf of the fluid workload — by
@@ -431,8 +434,7 @@ impl<P: Protocol> World<P> {
     /// engine in dispatch order, then settles the ledgers at `until`.
     fn drain_workload(&mut self, until: SimTime) {
         if let Some(wl) = self.core.workload.as_mut() {
-            wl.drain();
-            wl.engine.settle(until);
+            wl.settle(until);
         }
     }
 
@@ -459,7 +461,48 @@ impl<P: Protocol> World<P> {
     /// Pops and dispatches every event due by `until`; afterwards
     /// `now() == until`. Each scheduled fault or repair is applied before
     /// the first event at or after its instant, at one compare per event.
+    ///
+    /// With the fluid workload enabled and a spare CPU ([`par::workers`]
+    /// above 1, so never inside a `par` worker), the engine applies the
+    /// transition log's full batches on a second thread while this one
+    /// dispatches and fills the next batch; the run joins it before it
+    /// returns, so the engine, its statistics and digest are exactly
+    /// those of applying each batch on this thread.
     pub fn run_until(&mut self, until: SimTime) {
+        self.run_until_on(par::workers(), until);
+    }
+
+    /// [`Self::run_until`], pipelining the fluid engine on a second
+    /// thread when `workers` is above 1, so tests can take either path
+    /// on any host.
+    ///
+    /// # Panics
+    /// Re-raises a panic of the engine's worker with its payload, or else
+    /// one of the dispatch loop once the worker has stopped.
+    pub(crate) fn run_until_on(&mut self, workers: usize, until: SimTime) {
+        match self.core.workload.as_mut() {
+            Some(wl) if workers > 1 => {
+                let worker = wl.detach_engine();
+                thread::scope(|scope| {
+                    let worker = scope.spawn(|| worker.run());
+                    let ran = panic::catch_unwind(AssertUnwindSafe(|| self.dispatch_until(until)));
+                    let wl = self.core.workload.as_mut().expect("enabled above");
+                    wl.reattach_engine(|| {
+                        worker.join().unwrap_or_else(|e| panic::resume_unwind(e))
+                    });
+                    if let Err(payload) = ran {
+                        panic::resume_unwind(payload);
+                    }
+                });
+            }
+            _ => self.dispatch_until(until),
+        }
+        self.drain_workload(until);
+    }
+
+    /// The dispatch loop of [`Self::run_until`]: every event due by
+    /// `until`, then every fault due by it; `now()` ends at `until`.
+    fn dispatch_until(&mut self, until: SimTime) {
         let World {
             core, protocols, ..
         } = self;
@@ -486,7 +529,6 @@ impl<P: Protocol> World<P> {
         }
         core.pass_faults(until);
         core.now = core.now.max(until);
-        self.drain_workload(until);
     }
 
     /// Runs until every flow handed to [`Self::send_app`] has its outcome

@@ -81,3 +81,58 @@ fn the_steady_state_probe_path_allocates_nothing() {
         "allocations in 4 steady seconds, (n, batched, traced, allocations, events): {cells:?}"
     );
 }
+
+/// A pipelined fluid run recycles its two batch buffers: the kernel's
+/// thread allocates what starting the engine's worker takes (the
+/// channels, the thread), the same for a 1 s run as for a 2 s one,
+/// however many batches each hands over. A shrunk million cell — 8 hosts
+/// × 4 000 closed-loop users, 250 ms think and 500 ms holding times, so
+/// about 4 batches of transitions a second — runs 2 s first, so the
+/// probe path, the wheel and the second buffer are grown and every
+/// session has one pending event, then both windows are counted on the
+/// test's thread alone. With one CPU `run_until` applies the batches on
+/// this thread, where the engine's own growth counts, so there is
+/// nothing to pin.
+#[test]
+fn a_pipelined_fluid_run_allocates_the_same_at_any_length() {
+    use drs_sim::{ArrivalProcess, ClassSpec, HoldingDist, WorkloadSpec};
+    if drs_obs::par::workers() < 2 {
+        eprintln!("one CPU: the fluid batches are applied inline, no pipeline to pin");
+        return;
+    }
+    let window = |secs: u64| {
+        let n = 8;
+        let cfg = DrsConfig::default()
+            .probe_timeout(SimDuration::from_millis(50))
+            .probe_interval(SimDuration::from_millis(200));
+        let mut w = World::new(ClusterSpec::new(n).seed(31), |id| {
+            DrsDaemon::new(id, n, cfg)
+        });
+        w.enable_workload(WorkloadSpec {
+            arrivals: ArrivalProcess::Closed {
+                per_host: 4_000,
+                think_mean_ns: 250_000_000,
+            },
+            holding: HoldingDist::Exponential {
+                mean_ns: 500_000_000,
+            },
+            classes: vec![ClassSpec { rate_bps: 64_000 }],
+            horizon: SimTime(10_000_000_000),
+        });
+        w.run_until(WARM_UP);
+        let before = w.workload_events();
+        let end = WARM_UP + SimDuration::from_secs(secs);
+        let ((), allocations) = counting_alloc::count(|| w.run_until(end));
+        (allocations, w.workload_events() - before)
+    };
+    let (short, long) = (window(1), window(2));
+    eprintln!("kernel-thread (allocations, session events) in 1 s and 2 s: {short:?} {long:?}");
+    assert!(
+        long.1 > short.1 + 4 * (1 << 14),
+        "the longer run hands over more batches"
+    );
+    assert_eq!(
+        short.0, long.0,
+        "allocations in a 1 s and a 2 s pipelined run"
+    );
+}
