@@ -41,7 +41,7 @@ use crate::io::DrsIo;
 use crate::journal::{DaemonInput, DaemonJournal};
 use crate::messages::DrsMsg;
 use crate::metrics::{DrsEventKind, DrsMetrics};
-use crate::monitor::{LinkState, PeerTable, Transition};
+use crate::monitor::{Link, LinkState, PeerTable, Transition};
 use crate::routes::Route;
 use crate::time::{OptTime, SimDuration, SimTime};
 
@@ -74,6 +74,10 @@ fn untoken(t: u64) -> (u64, NodeId, NetId, u64) {
 /// Every per-link and per-peer record lives in the daemon's one
 /// [`PeerTable`]; the daemon itself keeps only scalars, its
 /// configuration and what it reports (metrics, the optional journal).
+/// A healthy daemon's state is its `K·N` 24-byte links: the table
+/// writes repair records only once a repair begins, the host's route
+/// table stays the implicit default until the first route change, and
+/// the batched monitor keeps no list of the probes a cycle sent.
 /// The latency histograms and flight records are clocked on
 /// [`DrsIo::now`] alone, and recording into them never arms a timer or
 /// draws randomness, so an observed daemon is event-for-event identical
@@ -93,10 +97,9 @@ pub struct DrsDaemon {
     /// [`DrsConfig::record_journal`] is on. Recording never changes what
     /// the daemon does.
     journal: Option<DaemonJournal>,
-    /// Probes sent by the current batched monitor cycle, awaiting the
-    /// cycle's single timeout sweep. Recycled between cycles: the batched
-    /// probe path performs no steady-state heap allocation.
-    cycle_probes: Vec<(NodeId, NetId, u32)>,
+    /// Probes sent by the current batched monitor cycle, all counted in
+    /// [`DrsMetrics::timeouts`] by the cycle's one timeout sweep.
+    cycle_sent: u64,
 }
 
 impl DrsDaemon {
@@ -123,7 +126,7 @@ impl DrsDaemon {
             next_req: 0,
             metrics: DrsMetrics::default(),
             journal: cfg.record_journal.then(DaemonJournal::default),
-            cycle_probes: Vec::new(),
+            cycle_sent: 0,
         }
     }
 
@@ -171,7 +174,7 @@ impl DrsDaemon {
     }
 
     fn alloc_seq(&mut self) -> u32 {
-        self.next_seq = (self.next_seq + 1) & 0xFF_FFFF;
+        self.next_seq = (self.next_seq + 1) & Link::SEQ_MAX;
         self.next_seq
     }
 
@@ -210,9 +213,11 @@ impl DrsDaemon {
     /// inline — peers in id order, planes in order within each peer,
     /// exactly the per-pair timers' firing order — then arm a single
     /// timeout sweep and the next cycle. Two queue entries per cycle per
-    /// daemon, against `2·K·(N-1)` for the per-pair driver.
+    /// daemon, against `2·K·(N-1)` for the per-pair driver. Only the
+    /// number of probes sent is kept: the sweep finds them again as the
+    /// links whose probe is still pending.
     fn run_monitor_cycle(&mut self, io: &mut impl DrsIo) {
-        self.cycle_probes.clear();
+        self.cycle_sent = 0;
         for peer in self.table.peers() {
             for net in NetId::planes(self.table.planes()) {
                 let Some(slot) = self.table.slot(peer, net) else {
@@ -223,9 +228,9 @@ impl DrsDaemon {
                     // re-arm delay; the batched driver skips whole cycles.
                     continue;
                 }
-                let seq = self.send_probe(io, peer, net, slot);
-                self.cycle_probes.push((peer, net, seq));
-                if self.table.link_at(slot).state == LinkState::Down {
+                self.send_probe(io, peer, net, slot);
+                self.cycle_sent += 1;
+                if self.table.link_at(slot).state() == LinkState::Down {
                     self.table.set_skip(slot, self.cfg.down_probe_backoff - 1);
                 }
                 // Same retry hook as the per-pair driver: once per cycle
@@ -245,22 +250,27 @@ impl DrsDaemon {
         );
     }
 
-    /// The batched cycle's single timeout sweep, covering every probe the
-    /// cycle sent in the same pair order. Sound because the config
-    /// guarantees `probe_timeout < probe_interval`: the sweep always
-    /// fires before the next fan-out reuses the buffer.
+    /// The batched cycle's single timeout sweep: times out every link
+    /// whose probe is still pending, in the cycle's send order. Each is
+    /// this cycle's probe: a batched daemon sends from
+    /// [`Self::run_monitor_cycle`] only, and `probe_timeout <
+    /// probe_interval` let the previous sweep close the previous cycle's.
+    /// Every probe the cycle sent counts as one timeout processed,
+    /// answered ones included.
     fn sweep_cycle_timeouts(&mut self, io: &mut impl DrsIo) {
-        let probes = std::mem::take(&mut self.cycle_probes);
-        for &(peer, net, seq) in &probes {
-            self.probe_timed_out(io, peer, net, seq);
+        self.metrics.timeouts += std::mem::take(&mut self.cycle_sent);
+        for peer in self.table.peers() {
+            for net in NetId::planes(self.table.planes()) {
+                if let Some(seq) = self.table.link(peer, net).and_then(Link::pending_seq) {
+                    self.probe_timed_out(io, peer, net, seq);
+                }
+            }
         }
-        self.cycle_probes = probes;
     }
 
     /// The reply window of probe `seq` on `(peer, net)` closed — one
-    /// per-pair timeout timer, or one entry of the batched sweep.
+    /// per-pair timeout timer, or one pending probe of the batched sweep.
     fn probe_timed_out(&mut self, io: &mut impl DrsIo, peer: NodeId, net: NetId, seq: u32) {
-        self.metrics.timeouts += 1;
         let Some(slot) = self.table.slot(peer, net) else {
             return;
         };
@@ -290,7 +300,7 @@ impl DrsDaemon {
         // route change after the failure — if discovery had to wait for
         // the peer to recover, the recorded latency honestly covers the
         // whole outage.
-        let Some(peer) = self.table.peer_mut(dst) else {
+        let Some(peer) = self.table.written_peer_mut(dst) else {
             return;
         };
         if let Some(opened) = peer.repair_opened.take() {
@@ -381,13 +391,12 @@ impl DrsDaemon {
             self.repair_route(io, peer, down);
         }
         // ...and so may any route relaying through this peer on this net.
+        let via = Route::Via { gateway: peer, net };
         let broken: Vec<NodeId> = io
             .routes()
             .iter()
-            .filter_map(|(dst, route)| match route {
-                Route::Via { gateway, net: gnet } if gateway == peer && gnet == net => Some(dst),
-                _ => None,
-            })
+            .filter(|&(_, r)| r == via)
+            .map(|(dst, _)| dst)
             .collect();
         for dst in broken {
             self.repair_route(io, dst, down);
@@ -519,11 +528,10 @@ impl DrsDaemon {
         }
         // Offer only with a live *direct* route to the target: one-hop
         // relays cannot form loops.
-        let usable = match io.route(target) {
-            Some(Route::Direct(tnet)) => self.table.state(target, tnet) == Some(LinkState::Up),
-            _ => false,
+        let Some(Route::Direct(tnet)) = io.route(target) else {
+            return;
         };
-        if !usable {
+        if self.table.state(target, tnet) != Some(LinkState::Up) {
             return;
         }
         self.metrics.offers_sent += 1;
@@ -578,14 +586,12 @@ impl DrsDaemon {
         // Arm one repeating probe timer per (peer, net) pair, staggered
         // across the first cycle so the shared medium never sees a burst.
         let pair_count = u64::from(planes) * (self.n - 1) as u64;
+        // Without stagger every pair's first probe goes out at once.
+        let spread = self.cfg.probe_interval.as_nanos() * u64::from(self.cfg.stagger);
         let mut k = 0u64;
         for peer in self.table.peers() {
             for net in NetId::planes(planes) {
-                let offset = if self.cfg.stagger {
-                    SimDuration(self.cfg.probe_interval.as_nanos() * k / pair_count)
-                } else {
-                    SimDuration::ZERO
-                };
+                let offset = SimDuration(spread * k / pair_count);
                 io.set_timer(offset, token(KIND_PROBE, peer, net, 0));
                 k += 1;
             }
@@ -609,13 +615,9 @@ impl DrsDaemon {
                 // Links believed down are re-probed at a (configurably)
                 // relaxed rate: the outage is already being routed
                 // around, so only recovery detection is at stake.
-                let interval = if self.table.link_at(slot).state == LinkState::Down {
-                    self.cfg
-                        .probe_interval
-                        .saturating_mul(self.cfg.down_probe_backoff)
-                } else {
-                    self.cfg.probe_interval
-                };
+                let down = self.table.link_at(slot).state() == LinkState::Down;
+                let backoff = if down { self.cfg.down_probe_backoff } else { 1 };
+                let interval = self.cfg.probe_interval.saturating_mul(backoff);
                 io.set_timer(interval, token(KIND_PROBE, peer, net, 0));
 
                 // Retry loop for persistently unreachable peers: while both
@@ -626,7 +628,10 @@ impl DrsDaemon {
                     self.start_discovery(io, peer);
                 }
             }
-            KIND_TIMEOUT => self.probe_timed_out(io, peer, net, payload as u32),
+            KIND_TIMEOUT => {
+                self.metrics.timeouts += 1;
+                self.probe_timed_out(io, peer, net, payload as u32);
+            }
             KIND_OFFER_WINDOW => self.handle_offer_window(io, peer, payload),
             KIND_CYCLE => self.run_monitor_cycle(io),
             KIND_CYCLE_TIMEOUT => self.sweep_cycle_timeouts(io),
@@ -682,14 +687,8 @@ impl DrsDaemon {
 
     /// A DRS control message arrived from `from` on `net`.
     pub fn handle_control(&mut self, io: &mut impl DrsIo, from: NodeId, net: NetId, msg: &DrsMsg) {
-        self.journal_input(
-            io.now(),
-            DaemonInput::Control {
-                from,
-                net,
-                msg: *msg,
-            },
-        );
+        let msg = *msg;
+        self.journal_input(io.now(), DaemonInput::Control { from, net, msg });
         let (target, req_id) = (msg.target(), msg.req_id());
         // The sender must be a monitored peer on a plane this cluster
         // has, the target a host of the cluster other than the sender (a

@@ -95,7 +95,9 @@ pub trait DrsIo {
     fn set_route(&mut self, dst: NodeId, route: Route);
 
     /// The current route to `dst`, if any.
-    fn route(&self, dst: NodeId) -> Option<Route>;
+    fn route(&self, dst: NodeId) -> Option<Route> {
+        self.routes().get(dst)
+    }
 
     /// The whole kernel route table of this host.
     fn routes(&self) -> &RouteTable;
@@ -116,18 +118,21 @@ pub trait DrsIo {
     fn notify_reroute(&mut self, _dst: NodeId) {}
 
     /// Appends a causal flight record; `None` when nothing was recorded
-    /// (recorder off). Must not affect behavior.
+    /// (recorder off, or a backend without one: the default). Must not
+    /// affect behavior.
     fn flight_record(
         &mut self,
-        kind: TraceKind,
-        plane: Option<NetId>,
-        arg: u64,
-        cause: Option<EventRef>,
-    ) -> Option<EventRef>;
+        _kind: TraceKind,
+        _plane: Option<NetId>,
+        _arg: u64,
+        _cause: Option<EventRef>,
+    ) -> Option<EventRef> {
+        None
+    }
 
     /// Pins a flight record against ring eviction.
-    fn flight_pin(&mut self, r: EventRef);
+    fn flight_pin(&mut self, _r: EventRef) {}
 
     /// Releases a previously pinned flight record.
-    fn flight_release(&mut self, r: EventRef);
+    fn flight_release(&mut self, _r: EventRef) {}
 }

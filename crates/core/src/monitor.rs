@@ -14,7 +14,9 @@
 //!   reply in);
 //! * one `Peer` per host — phase 2's repair state: the gateway-discovery
 //!   round, its rate limiter, and the open repair (failure observed, no
-//!   replacement route installed yet);
+//!   replacement route installed yet). The records appear on first
+//!   write: a table holds none until some peer's repair or discovery
+//!   begins, then one per host;
 //! * side vectors for what most runs never set, each empty until first
 //!   written: the batched monitor's down-link backoff counters (only a
 //!   backoff above 1 writes one), and the flight-recorder identities —
@@ -24,16 +26,21 @@
 //!
 //! # Record sizes
 //!
-//! Every daemon holds `K·N` links and `N` peers, so the cluster holds
-//! `K·N²` and `N²`: at N = 1024, K = 2 that is 2.1 M links and 1.05 M
-//! peers, the largest state a run keeps besides the frames in flight. A
-//! `Link` is 32 bytes and a `Peer` 24 (`const` asserts below fail the
-//! build if either grows). They were 56 and 104 while they carried what
-//! almost never varies inline: each "never" instant as a 16-byte
-//! `Option<SimTime>` (now an 8-byte [`OptTime`]), a 40-byte discovery
-//! round that exists only while every direct link to the peer is down
-//! (now boxed), a 32-byte flight identity and an 8-byte backoff counter
-//! (now in the side vectors above).
+//! Every daemon holds `K·N` links, so the cluster holds `K·N²`: at
+//! N = 1024, K = 2 that is 2.1 M links, the largest state a run keeps
+//! besides the events in flight. A `Link` is 24 bytes: the link state
+//! shares one word with the 24-bit pending sequence number. A `Peer` is
+//! 24 bytes, and only a daemon that has had to repair a route holds its
+//! N of them. `const` asserts below fail the build if either grows. They
+//! were 56 and 104 bytes while they carried what almost never varies
+//! inline: each "never" instant as a 16-byte `Option<SimTime>` (now an
+//! 8-byte [`OptTime`]), a 40-byte discovery round that exists only while
+//! every direct link to the peer is down (now boxed), a 32-byte flight
+//! identity and an 8-byte backoff counter (now in the side vectors
+//! above). Measured on the N = 1024 burst (`shard1024`), each byte of
+//! `Link` costs 2.0 MB of peak RSS, so the links hold ≈ 48 MB of its
+//! ≈ 122; a 32-byte `Link` cost 16 MB more, and a `Peer` per host from
+//! boot 24 MB more.
 //!
 //! Ids reach the daemon off a real wire in the live backend, so every
 //! lookup by id returns `Option`: the owner itself, a peer outside the
@@ -67,14 +74,17 @@ pub enum Transition {
 }
 
 /// Everything the protocol tracks about one `(peer, network)` link.
+///
+/// The believed state and the pending probe share one word: bit 31 is
+/// set while the link is `Down`, and the low 25 bits hold the 24-bit
+/// ICMP sequence number of the probe awaiting a reply, or 2²⁴ for none.
+/// `misses` stays a full `u32`, so no threshold saturates it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Link {
-    /// Current believed state.
-    pub state: LinkState,
+    /// `Down` flag and pending sequence number (see the type docs).
+    word: u32,
     /// Consecutive unanswered probes.
     pub misses: u32,
-    /// Sequence number of the probe currently awaiting a reply, if any.
-    pub pending_seq: Option<u32>,
     /// When the last reply was heard (never before the first) — the
     /// baseline of failure-detection latency.
     pub last_seen: OptTime,
@@ -85,16 +95,15 @@ pub struct Link {
 
 // Bytes per (daemon, peer, plane): the N = 1024, K = 2 burst holds
 // 2.1 M of these, so every byte here is 2 MB of peak RSS.
-const _: () = assert!(std::mem::size_of::<Link>() <= 32);
-// Bytes per (daemon, peer): 1.05 M of these in the same burst.
+const _: () = assert!(std::mem::size_of::<Link>() <= 24);
+// Bytes per (daemon, peer) that has needed a repair record.
 const _: () = assert!(std::mem::size_of::<Peer>() <= 24);
 
 impl Default for Link {
     fn default() -> Self {
         Link {
-            state: LinkState::Up, // optimistic start, as deployed
+            word: Link::NO_PROBE, // optimistic start (`Up`), as deployed
             misses: 0,
-            pending_seq: None,
             last_seen: OptTime::NEVER,
             last_probe: OptTime::NEVER,
         }
@@ -102,10 +111,39 @@ impl Default for Link {
 }
 
 impl Link {
-    /// Records that a probe with `seq` left at `now`. Returns the gap
-    /// since the previous probe on this link — the realized sweep period.
+    /// The largest probe sequence number: the daemon allocates them
+    /// modulo 2²⁴.
+    pub const SEQ_MAX: u32 = 0xFF_FFFF;
+    /// The pending-probe field's "none", one above every sequence number.
+    const NO_PROBE: u32 = Link::SEQ_MAX + 1;
+    const DOWN: u32 = 1 << 31;
+
+    /// Current believed state.
+    #[must_use]
+    pub fn state(&self) -> LinkState {
+        if self.word & Self::DOWN == 0 {
+            LinkState::Up
+        } else {
+            LinkState::Down
+        }
+    }
+
+    /// Sequence number of the probe currently awaiting a reply, if any.
+    #[must_use]
+    pub fn pending_seq(&self) -> Option<u32> {
+        Some(self.word & !Self::DOWN).filter(|&seq| seq != Self::NO_PROBE)
+    }
+
+    fn set_pending(&mut self, seq: u32) {
+        self.word = self.word & Self::DOWN | seq;
+    }
+
+    /// Records that a probe with `seq` (at most [`Self::SEQ_MAX`]) left
+    /// at `now`. Returns the gap since the previous probe on this link —
+    /// the realized sweep period.
     pub fn probe_sent(&mut self, seq: u32, now: SimTime) -> Option<SimDuration> {
-        self.pending_seq = Some(seq);
+        debug_assert!(seq <= Self::SEQ_MAX, "probe seq {seq} exceeds 24 bits");
+        self.set_pending(seq & Self::SEQ_MAX);
         self.last_probe.replace(now).map(|prev| now.since(prev))
     }
 
@@ -113,11 +151,11 @@ impl Link {
     /// (stale or duplicate) still prove liveness and are treated as
     /// successes — ICMP is idempotent evidence.
     pub fn reply_received(&mut self, at: SimTime) -> Transition {
-        self.pending_seq = None;
+        self.set_pending(Self::NO_PROBE);
         self.misses = 0;
         self.last_seen = OptTime::at(at);
-        if self.state == LinkState::Down {
-            self.state = LinkState::Up;
+        if self.state() == LinkState::Down {
+            self.word &= !Self::DOWN;
             Transition::WentUp
         } else {
             Transition::None
@@ -128,13 +166,13 @@ impl Link {
     /// transition; a timeout for anything but the currently pending probe
     /// is stale and ignored.
     pub fn probe_timed_out(&mut self, seq: u32, miss_threshold: u32) -> Transition {
-        if self.pending_seq != Some(seq) {
+        if self.pending_seq() != Some(seq) {
             return Transition::None; // answered in the meantime, or stale
         }
-        self.pending_seq = None;
+        self.set_pending(Self::NO_PROBE);
         self.misses += 1;
-        if self.state == LinkState::Up && self.misses >= miss_threshold {
-            self.state = LinkState::Down;
+        if self.state() == LinkState::Up && self.misses >= miss_threshold {
+            self.word |= Self::DOWN;
             Transition::WentDown
         } else {
             Transition::None
@@ -185,9 +223,12 @@ pub(crate) struct LinkRefs {
 pub struct PeerTable {
     owner: NodeId,
     planes: u8,
+    /// The cluster size: peers are the ids below it, owner excepted.
+    n: usize,
     /// Indexed by [`Self::slot`]. The owner's own row is never touched.
     links: Vec<Link>,
-    /// Indexed by [`NodeId::idx`]; its length is the cluster size.
+    /// Repair records, indexed by [`NodeId::idx`]: one per host once
+    /// any peer first needs one, else empty.
     peers: Vec<Peer>,
     /// Batched-monitor down-link backoff, cycles each link has left to
     /// sit out: parallel to `links` once any link first has to, else
@@ -213,11 +254,9 @@ impl PeerTable {
         PeerTable {
             owner,
             planes,
+            n,
             links: vec![Link::default(); n * planes as usize],
-            peers: vec![Peer::default(); n],
-            skips: Vec::new(),
-            refs: Vec::new(),
-            repair_refs: Vec::new(),
+            ..PeerTable::default()
         }
     }
 
@@ -230,16 +269,14 @@ impl PeerTable {
     /// The monitored peers, in id order (everyone but the owner).
     pub fn peers(&self) -> impl Iterator<Item = NodeId> {
         let owner = self.owner;
-        (0..self.peers.len() as u32)
-            .map(NodeId)
-            .filter(move |&p| p != owner)
+        (0..self.n as u32).map(NodeId).filter(move |&p| p != owner)
     }
 
     /// Index of `(peer, net)` into the link records: `peer·K + net`.
     /// `None` for the owner itself, a peer outside the cluster or a
     /// plane the cluster does not have.
     pub(crate) fn slot(&self, peer: NodeId, net: NetId) -> Option<usize> {
-        (peer != self.owner && peer.idx() < self.peers.len() && net.0 < self.planes)
+        (peer != self.owner && peer.idx() < self.n && net.0 < self.planes)
             .then(|| peer.idx() * self.planes as usize + net.idx())
     }
 
@@ -257,7 +294,7 @@ impl PeerTable {
     /// Convenience: the believed state of `(peer, net)`.
     #[must_use]
     pub fn state(&self, peer: NodeId, net: NetId) -> Option<LinkState> {
-        self.link(peer, net).map(|l| l.state)
+        self.link(peer, net).map(Link::state)
     }
 
     /// Every plane's link to `peer`, primary first.
@@ -271,7 +308,7 @@ impl PeerTable {
     #[must_use]
     pub fn peer_unreachable_direct(&self, peer: NodeId) -> bool {
         self.links_of(peer)
-            .is_some_and(|links| links.iter().all(|l| l.state == LinkState::Down))
+            .is_some_and(|links| links.iter().all(|l| l.state() == LinkState::Down))
     }
 
     /// The lowest-numbered plane whose link to `peer` is believed up —
@@ -281,7 +318,7 @@ impl PeerTable {
     pub fn first_up(&self, peer: NodeId) -> Option<NetId> {
         self.links_of(peer)?
             .iter()
-            .position(|l| l.state == LinkState::Up)
+            .position(|l| l.state() == LinkState::Up)
             .map(NetId::from_idx)
     }
 
@@ -290,21 +327,27 @@ impl PeerTable {
     pub fn down_count(&self) -> usize {
         self.links
             .iter()
-            .filter(|l| l.state == LinkState::Down)
+            .filter(|l| l.state() == LinkState::Down)
             .count()
     }
 
-    /// The repair record of `peer`, if this table monitors it.
+    /// The repair record of `peer`, if this table monitors it. The
+    /// first call allocates the side vector, so call it only to write.
     pub(crate) fn peer_mut(&mut self, peer: NodeId) -> Option<&mut Peer> {
-        if peer == self.owner {
-            return None;
-        }
-        self.peers.get_mut(peer.idx())
+        (peer != self.owner && peer.idx() < self.n)
+            .then(|| side_entry(&mut self.peers, self.n, peer.idx()))
+    }
+
+    /// The repair record of `peer`, if one has been written; allocates
+    /// nothing.
+    pub(crate) fn written_peer_mut(&mut self, peer: NodeId) -> Option<&mut Peer> {
+        let owner = self.owner;
+        self.peers.get_mut(peer.idx()).filter(|_| peer != owner)
     }
 
     /// The latest discovery round for `target`, if there ever was one.
     pub(crate) fn round_mut(&mut self, target: NodeId) -> Option<&mut DiscoveryRound> {
-        self.peer_mut(target)?.discovery.as_deref_mut()
+        self.written_peer_mut(target)?.discovery.as_deref_mut()
     }
 
     /// Spends one batched cycle of the link in `slot`'s down-link
@@ -324,13 +367,10 @@ impl PeerTable {
     /// backoff wraps to a short one. Zero on a table whose links never
     /// skipped allocates nothing.
     pub(crate) fn set_skip(&mut self, slot: usize, cycles: u64) {
-        if self.skips.is_empty() {
-            if cycles == 0 {
-                return;
-            }
-            self.skips.resize(self.links.len(), 0);
+        if cycles > 0 || !self.skips.is_empty() {
+            let left = u32::try_from(cycles).unwrap_or(u32::MAX);
+            *side_entry(&mut self.skips, self.links.len(), slot) = left;
         }
-        self.skips[slot] = u32::try_from(cycles).unwrap_or(u32::MAX);
     }
 
     /// The flight identities of the link in `slot` (all `None` until a
@@ -342,20 +382,14 @@ impl PeerTable {
     /// Mutable flight identities of the link in `slot`. The first call
     /// allocates the side vector, so call it only with a record in hand.
     pub(crate) fn refs_mut(&mut self, slot: usize) -> &mut LinkRefs {
-        if self.refs.is_empty() {
-            self.refs.resize(self.links.len(), LinkRefs::default());
-        }
-        &mut self.refs[slot]
+        side_entry(&mut self.refs, self.links.len(), slot)
     }
 
     /// Records `decision` as the open repair of `peer` (an index
     /// [`Self::peer_mut`] accepted). The first call allocates the side
     /// vector, so call it only with a record in hand.
     pub(crate) fn set_repair_ref(&mut self, peer: NodeId, decision: EventRef) {
-        if self.repair_refs.is_empty() {
-            self.repair_refs.resize(self.peers.len(), None);
-        }
-        self.repair_refs[peer.idx()] = Some(decision);
+        *side_entry(&mut self.repair_refs, self.n, peer.idx()) = Some(decision);
     }
 
     /// Takes the open repair's decision record of `peer`, if one exists.
@@ -369,6 +403,22 @@ impl PeerTable {
     pub fn flight_slots(&self) -> usize {
         self.refs.len()
     }
+
+    /// How many peers hold repair records: zero for a daemon that never
+    /// had to repair or discover a route, the cluster size after that.
+    #[must_use]
+    pub fn peer_slots(&self) -> usize {
+        self.peers.len()
+    }
+}
+
+/// Entry `i` of a side vector that stays empty until first written; the
+/// first write sizes it to `len` default entries.
+fn side_entry<T: Clone + Default>(v: &mut Vec<T>, len: usize, i: usize) -> &mut T {
+    if v.is_empty() {
+        v.resize(len, T::default());
+    }
+    &mut v[i]
 }
 
 #[cfg(test)]
@@ -465,7 +515,7 @@ mod tests {
             l.probe_sent(seq, T0);
             let _ = l.probe_timed_out(seq, 2);
         }
-        assert_eq!(l.state, LinkState::Down);
+        assert_eq!(l.state(), LinkState::Down);
         assert_eq!(l.reply_received(SimTime(9)), Transition::WentUp);
         assert_eq!(t.state(NodeId(3), NetId::B), Some(LinkState::Up));
     }
@@ -485,7 +535,41 @@ mod tests {
         let mut l = Link::default();
         l.probe_sent(8, T0);
         assert_eq!(l.probe_timed_out(7, 1), Transition::None);
-        assert_eq!(l.pending_seq, Some(8));
+        assert_eq!(l.pending_seq(), Some(8));
+    }
+
+    #[test]
+    fn state_and_pending_seq_share_a_word_without_mixing() {
+        for seq in [0, 1, Link::SEQ_MAX] {
+            let mut l = Link::default();
+            assert_eq!(l.pending_seq(), None);
+            l.probe_sent(seq, T0);
+            assert_eq!(l.pending_seq(), Some(seq), "seq {seq}");
+            assert_eq!(l.state(), LinkState::Up);
+            assert_eq!(l.probe_timed_out(seq, 1), Transition::WentDown);
+            assert_eq!((l.state(), l.pending_seq()), (LinkState::Down, None));
+            l.probe_sent(seq, T0);
+            assert_eq!((l.state(), l.pending_seq()), (LinkState::Down, Some(seq)));
+            assert_eq!(l.reply_received(T0), Transition::WentUp);
+            assert_eq!((l.state(), l.pending_seq()), (LinkState::Up, None));
+        }
+    }
+
+    #[test]
+    fn repair_records_appear_on_first_write() {
+        let mut t = table();
+        assert!(t.round_mut(NodeId(2)).is_none());
+        assert!(t.written_peer_mut(NodeId(2)).is_none());
+        assert_eq!(t.peer_slots(), 0, "reading allocates nothing");
+        assert!(t.peer_mut(NodeId(0)).is_none(), "the owner has no record");
+        assert!(t.peer_mut(NodeId(4)).is_none(), "nor does an outsider");
+        assert_eq!(t.peer_slots(), 0, "a rejected id allocates nothing");
+        t.peer_mut(NodeId(2)).unwrap().repair_opened = OptTime::at(T0);
+        assert_eq!(t.peer_slots(), 4, "one per host once any is written");
+        assert_eq!(t.peers().count(), 3, "peers() does not read the records");
+        let p = t.written_peer_mut(NodeId(2)).unwrap();
+        assert_eq!(p.repair_opened.get(), Some(T0));
+        assert!(t.written_peer_mut(NodeId(0)).is_none());
     }
 
     #[test]

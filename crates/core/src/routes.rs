@@ -40,10 +40,17 @@ impl Route {
     }
 }
 
-/// The route table of one host: `dst → route`, dense over the cluster.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// The route table of one host: `dst → route` over the cluster. It
+/// keeps its constructor's fill implicit until the first [`Self::set`]
+/// or [`Self::remove`] builds one entry per host, and two tables are
+/// equal when [`Self::get`] agrees on every id, however each is stored.
+#[derive(Debug, Clone)]
 pub struct RouteTable {
     owner: NodeId,
+    n: usize,
+    /// The route to every host but the owner while `routes` is empty.
+    fill: Option<Route>,
+    /// One entry per host once written, else empty.
     routes: Vec<Option<Route>>,
 }
 
@@ -52,9 +59,10 @@ impl RouteTable {
     /// default: a direct route on the primary network to every other host.
     #[must_use]
     pub fn new_default(owner: NodeId, n: usize) -> Self {
-        let mut routes = vec![Some(Route::Direct(NetId::A)); n];
-        routes[owner.idx()] = None; // no route to self
-        RouteTable { owner, routes }
+        RouteTable {
+            fill: Some(Route::Direct(NetId::A)),
+            ..Self::new_empty(owner, n)
+        }
     }
 
     /// A table with no routes at all (used by baselines that must first
@@ -63,14 +71,28 @@ impl RouteTable {
     pub fn new_empty(owner: NodeId, n: usize) -> Self {
         RouteTable {
             owner,
-            routes: vec![None; n],
+            n,
+            fill: None,
+            routes: Vec::new(),
         }
     }
 
     /// The current route to `dst`, if any.
     #[must_use]
     pub fn get(&self, dst: NodeId) -> Option<Route> {
-        self.routes.get(dst.idx()).copied().flatten()
+        if self.routes.is_empty() {
+            (dst != self.owner && dst.idx() < self.n).then_some(self.fill?)
+        } else {
+            self.routes.get(dst.idx()).copied().flatten()
+        }
+    }
+
+    /// Every entry, built from the fill on the first write.
+    fn entries_mut(&mut self) -> &mut [Option<Route>] {
+        if self.routes.is_empty() {
+            self.routes = (0..self.n as u32).map(|i| self.get(NodeId(i))).collect();
+        }
+        &mut self.routes
     }
 
     /// Installs (or replaces) the route to `dst`.
@@ -85,26 +107,25 @@ impl RouteTable {
             assert_ne!(gateway, dst, "gateway must differ from destination");
             assert_ne!(gateway, self.owner, "gateway must differ from owner");
         }
-        self.routes[dst.idx()] = Some(route);
+        self.entries_mut()[dst.idx()] = Some(route);
     }
 
     /// Removes the route to `dst`, returning the old entry.
     pub fn remove(&mut self, dst: NodeId) -> Option<Route> {
-        self.routes[dst.idx()].take()
+        self.entries_mut()[dst.idx()].take()
     }
 
-    /// Iterates `(dst, route)` over installed routes.
+    /// Iterates `(dst, route)` over installed routes, in id order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, Route)> + '_ {
-        self.routes
-            .iter()
-            .enumerate()
-            .filter_map(|(i, r)| r.map(|r| (NodeId(i as u32), r)))
+        (0..self.n as u32)
+            .map(NodeId)
+            .filter_map(|dst| self.get(dst).map(|r| (dst, r)))
     }
 
     /// Number of installed routes.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.routes.iter().flatten().count()
+        self.iter().count()
     }
 
     /// Whether no route is installed.
@@ -113,17 +134,28 @@ impl RouteTable {
         self.len() == 0
     }
 
+    /// How many entries the table stores: zero until the first write,
+    /// one per host after it.
+    #[must_use]
+    pub fn entry_slots(&self) -> usize {
+        self.routes.len()
+    }
+
     /// Number of indirect (via-gateway) routes — a health indicator used by
     /// experiments.
     #[must_use]
     pub fn indirect_count(&self) -> usize {
-        self.routes
-            .iter()
-            .flatten()
-            .filter(|r| r.is_indirect())
-            .count()
+        self.iter().filter(|(_, r)| r.is_indirect()).count()
     }
 }
+
+impl PartialEq for RouteTable {
+    fn eq(&self, other: &Self) -> bool {
+        (self.owner, self.n) == (other.owner, other.n) && self.iter().eq(other.iter())
+    }
+}
+
+impl Eq for RouteTable {}
 
 #[cfg(test)]
 mod tests {
@@ -185,6 +217,78 @@ mod tests {
                 net: NetId::A,
             },
         );
+    }
+
+    /// `t` with every entry built, as after a first write.
+    fn eager(t: &RouteTable) -> RouteTable {
+        let mut e = t.clone();
+        e.entries_mut();
+        e
+    }
+
+    /// Asserts that `a` and `b` answer every query alike, ids past the
+    /// cluster included.
+    fn assert_same(a: &RouteTable, b: &RouteTable) {
+        assert_eq!(a, b);
+        assert_eq!(b, a);
+        for dst in 0..a.n as u32 + 2 {
+            assert_eq!(a.get(NodeId(dst)), b.get(NodeId(dst)), "dst {dst}");
+        }
+        assert!(a.iter().eq(b.iter()));
+        assert_eq!(a.len(), b.len());
+        assert_eq!(a.is_empty(), b.is_empty());
+        assert_eq!(a.indirect_count(), b.indirect_count());
+    }
+
+    #[test]
+    fn a_lazy_table_equals_its_eager_form() {
+        for lazy in [
+            RouteTable::new_default(NodeId(1), 5),
+            RouteTable::new_empty(NodeId(1), 5),
+        ] {
+            let built = eager(&lazy);
+            assert_eq!(lazy.entry_slots(), 0, "no entry before a write");
+            assert_eq!(built.entry_slots(), 5);
+            assert_same(&lazy, &built);
+        }
+        let default = RouteTable::new_default(NodeId(1), 5);
+        assert_eq!(default.len(), 4);
+        assert_ne!(default, RouteTable::new_empty(NodeId(1), 5));
+        assert_ne!(default, RouteTable::new_default(NodeId(2), 5));
+        assert_ne!(default, RouteTable::new_default(NodeId(1), 6));
+    }
+
+    #[test]
+    fn a_write_that_restores_the_fill_leaves_an_equal_table() {
+        let via = Route::Via {
+            gateway: NodeId(1),
+            net: NetId::B,
+        };
+        let empty = RouteTable::new_empty(NodeId(0), 4);
+        let mut t = empty.clone();
+        t.set(NodeId(2), via);
+        assert_ne!(t, empty);
+        assert_eq!((t.len(), t.indirect_count()), (1, 1));
+        assert_eq!(t.remove(NodeId(2)), Some(via));
+        assert_eq!(t.entry_slots(), 4, "built by the first write");
+        assert_same(&t, &empty);
+
+        let default = RouteTable::new_default(NodeId(0), 4);
+        let mut t = default.clone();
+        t.set(NodeId(3), via);
+        assert_eq!((t.len(), t.indirect_count()), (3, 1));
+        assert_eq!(t.remove(NodeId(3)), Some(via));
+        assert_ne!(t, default, "removed, not restored");
+        assert_eq!(t.len(), 2);
+        t.set(NodeId(3), Route::Direct(NetId::A));
+        assert_same(&t, &default);
+    }
+
+    #[test]
+    #[should_panic(expected = "route to self")]
+    fn self_route_rejected_before_the_first_write() {
+        let mut t = RouteTable::new_default(NodeId(2), 4);
+        t.set(NodeId(2), Route::Direct(NetId::B));
     }
 
     #[test]

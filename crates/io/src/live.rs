@@ -40,7 +40,7 @@ use drs_core::routes::{Route, RouteTable};
 use drs_core::stats::ProbeObs;
 use drs_core::time::{SimDuration, SimTime};
 use drs_core::{DrsDaemon, NetId, NodeId};
-use drs_obs::flight::{EventRef, TraceKind};
+use drs_obs::flight::EventRef;
 use drs_obs::rng::SplitMix64;
 
 use crate::wire::{self, Datagram, Payload, MAX_DATAGRAM};
@@ -305,10 +305,6 @@ impl DrsIo for LiveIo {
         self.routes.set(dst, route);
     }
 
-    fn route(&self, dst: NodeId) -> Option<Route> {
-        self.routes.get(dst)
-    }
-
     fn routes(&self) -> &RouteTable {
         &self.routes
     }
@@ -316,20 +312,6 @@ impl DrsIo for LiveIo {
     fn probe_obs_mut(&mut self) -> &mut ProbeObs {
         &mut self.obs
     }
-
-    fn flight_record(
-        &mut self,
-        _kind: TraceKind,
-        _plane: Option<NetId>,
-        _arg: u64,
-        _cause: Option<EventRef>,
-    ) -> Option<EventRef> {
-        None // no flight ring in the live backend (yet)
-    }
-
-    fn flight_pin(&mut self, _r: EventRef) {}
-
-    fn flight_release(&mut self, _r: EventRef) {}
 }
 
 /// One node: spawn per-plane receivers, boot the daemon, multiplex

@@ -29,7 +29,7 @@ use drs_core::routes::{Route, RouteTable};
 use drs_core::stats::ProbeObs;
 use drs_core::time::{SimDuration, SimTime};
 use drs_core::{DrsDaemon, NetId, NodeId};
-use drs_obs::flight::{EventRef, TraceKind};
+use drs_obs::flight::EventRef;
 
 /// `DrsIo` over a recorded journal. Build one with [`ReplayIo::new`],
 /// then run the daemon through the whole journal with
@@ -161,10 +161,6 @@ impl DrsIo for ReplayIo {
         self.routes.set(dst, route);
     }
 
-    fn route(&self, dst: NodeId) -> Option<Route> {
-        self.routes.get(dst)
-    }
-
     fn routes(&self) -> &RouteTable {
         &self.routes
     }
@@ -172,20 +168,6 @@ impl DrsIo for ReplayIo {
     fn probe_obs_mut(&mut self) -> &mut ProbeObs {
         &mut self.obs
     }
-
-    fn flight_record(
-        &mut self,
-        _kind: TraceKind,
-        _plane: Option<NetId>,
-        _arg: u64,
-        _cause: Option<EventRef>,
-    ) -> Option<EventRef> {
-        None
-    }
-
-    fn flight_pin(&mut self, _r: EventRef) {}
-
-    fn flight_release(&mut self, _r: EventRef) {}
 }
 
 /// Replays a complete journal through a **fresh** daemon and returns the

@@ -8,8 +8,9 @@
 //! each `DrsIo` operation maps onto it: the operations other protocols
 //! share delegate to the inherent `Ctx` method of the same name, and the
 //! DRS-only ones (`pick`, `routes`, `probe_obs_mut`, `notify_reroute`)
-//! act on the host's state here. [`DrsIo::pick`] draws `gen_range(0..n)`
-//! from the host's own random stream.
+//! act on the host's state here (`route` is the trait's default, a
+//! lookup in `routes`). [`DrsIo::pick`] draws `gen_range(0..n)` from the
+//! host's own random stream.
 
 use drs_core::daemon::DrsDaemon;
 use drs_core::io::DrsIo;
@@ -60,10 +61,6 @@ impl DrsIo for Ctx<'_, DrsMsg> {
 
     fn set_route(&mut self, dst: NodeId, route: Route) {
         Ctx::set_route(self, dst, route);
-    }
-
-    fn route(&self, dst: NodeId) -> Option<Route> {
-        Ctx::route(self, dst)
     }
 
     fn routes(&self) -> &RouteTable {

@@ -22,7 +22,8 @@ pub struct Hosts {
     planes: u8,
     /// NIC liveness, row-major: `[host][plane]`.
     nic_up: Vec<bool>,
-    /// Kernel route tables (dense `O(N)` per host).
+    /// Kernel route tables: the implicit default per host until its
+    /// daemon first changes a route, `O(N)` entries after that.
     routes: Vec<RouteTable>,
     /// Stack-level event counters.
     counters: Vec<HostCounters>,

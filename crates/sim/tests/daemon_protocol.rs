@@ -7,8 +7,9 @@
 
 use drs_core::{
     DaemonInput, DrsConfig, DrsDaemon, DrsEventKind, GatewayPolicy, NetId, NodeId, Route,
-    SimDuration, SimTime,
+    RouteTable, SimDuration, SimTime,
 };
+use drs_obs::fnv::Fnv1a;
 use drs_sim::fault::{FaultPlan, SimComponent};
 use drs_sim::scenario::ClusterSpec;
 use drs_sim::world::{FlowOutcome, TraceKind, World};
@@ -629,4 +630,230 @@ fn journal_records_inputs_and_replays_draws() {
         .any(|r| matches!(r.input, DaemonInput::EchoReply { .. })));
     // FirstOffer policy never draws randomness.
     assert!(j.picks.is_empty());
+}
+
+// ---- The batched timeout sweep, pinned ------------------------------
+//
+// The batched monitor's timeout sweep times out every link that still
+// has a probe pending, in slot order. The scenarios below are the ones
+// where a list of the probes the cycle sent and a walk over the link
+// table could disagree: links that skip cycles, replies that land after
+// their timeout, a host left with one plane, a hub outage and its
+// repair. Each pins every daemon's whole `DrsMetrics` and the kernel's
+// event log.
+
+/// FNV-1a over the `Debug` rendering of `v`: one word for a whole
+/// metrics record or event log.
+fn debug_digest(v: &impl std::fmt::Debug) -> u64 {
+    let mut h = Fnv1a::default();
+    for b in format!("{v:?}").bytes() {
+        h.u64(u64::from(b));
+    }
+    h.finish()
+}
+
+/// What a sweep pin compares: the cluster's summed probes, replies,
+/// timeouts, link-down and link-up counts, the digest of every daemon's
+/// `DrsMetrics` (counters and event log), and the kernel event log's
+/// length and digest.
+#[derive(Debug, PartialEq, Eq)]
+struct SweepPin {
+    counts: [u64; 5],
+    metrics: u64,
+    events: usize,
+    log: u64,
+}
+
+fn sweep_pin(w: &World<DrsDaemon>, n: usize) -> SweepPin {
+    let metrics: Vec<_> = (0..n as u32)
+        .map(|i| w.protocol(NodeId(i)).metrics.clone())
+        .collect();
+    let mut counts = [0u64; 5];
+    for m in &metrics {
+        let row = [
+            m.probes_sent,
+            m.replies_received,
+            m.timeouts,
+            m.link_down_events,
+            m.link_up_events,
+        ];
+        for (c, v) in counts.iter_mut().zip(row) {
+            *c += v;
+        }
+    }
+    let log = w.event_log().expect("log enabled");
+    SweepPin {
+        counts,
+        metrics: debug_digest(&metrics),
+        events: log.len(),
+        log: debug_digest(&log),
+    }
+}
+
+fn batched_world(spec: ClusterSpec, cfg: DrsConfig) -> World<DrsDaemon> {
+    let n = spec.n;
+    let cfg = cfg.batched_monitor(true);
+    let mut w = World::new(spec, move |id| DrsDaemon::new(id, n, cfg));
+    w.enable_event_log();
+    w
+}
+
+#[test]
+fn batched_sweep_pin_down_link_backoff() {
+    // Links to the dead NIC sit out two cycles of every three, so the
+    // cycles send different probe sets while the outage lasts.
+    let n = 6;
+    let mut w = batched_world(
+        ClusterSpec::new(n).seed(61),
+        fast_cfg().down_probe_backoff(3),
+    );
+    w.schedule_faults(
+        FaultPlan::new()
+            .fail_at(
+                SimTime(1_000_000_000),
+                SimComponent::Nic(NodeId(1), NetId::A),
+            )
+            .repair_at(
+                SimTime(3_100_000_000),
+                SimComponent::Nic(NodeId(1), NetId::A),
+            ),
+    );
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(
+        sweep_pin(&w, n),
+        SweepPin {
+            counts: [1480, 1370, 1420, 10, 10],
+            metrics: 9663070257586309620,
+            events: 3071,
+            log: 7134546664397887554,
+        }
+    );
+}
+
+#[test]
+fn batched_sweep_pin_late_replies() {
+    // A 2 ms timeout under a whole-cluster burst: 16 daemons put 480
+    // probes on each hub at once, so the queue pushes many replies past
+    // their timeout, and the late ones arrive after the sweep has
+    // counted the miss.
+    let n = 16;
+    let cfg = fast_cfg()
+        .probe_timeout(SimDuration::from_millis(2))
+        .miss_threshold(1);
+    let mut w = batched_world(ClusterSpec::new(n).seed(62), cfg);
+    w.run_for(SimDuration::from_secs(2));
+    let late = (0..n as u32)
+        .filter(|&i| {
+            w.host(NodeId(i))
+                .obs
+                .probe_rtt
+                .max()
+                .is_some_and(|rtt| SimDuration(rtt) > cfg.probe_timeout)
+        })
+        .count();
+    assert!(late > 0, "some reply landed after its timeout");
+    assert_eq!(
+        sweep_pin(&w, n),
+        SweepPin {
+            counts: [5280, 4800, 4800, 2880, 2880],
+            metrics: 15258834080744097154,
+            events: 18864,
+            log: 10470531262606543270,
+        }
+    );
+}
+
+#[test]
+fn batched_sweep_pin_nic_fault_leaves_one_plane() {
+    // K = 3 and host 2 loses two NICs: its peers fail over to the last
+    // plane, and host 2 itself times out two planes of every peer.
+    let n = 5;
+    let spec = ClusterSpec::new(n).seed(63).planes(3);
+    let mut w = batched_world(spec, fast_cfg());
+    w.schedule_faults(
+        FaultPlan::new()
+            .fail_at(SimTime(700_000_000), SimComponent::Nic(NodeId(2), NetId::A))
+            .fail_at(
+                SimTime(1_300_000_000),
+                SimComponent::Nic(NodeId(2), NetId::B),
+            ),
+    );
+    w.run_for(SimDuration::from_secs(4));
+    assert_eq!(
+        sweep_pin(&w, n),
+        SweepPin {
+            counts: [1260, 968, 1200, 16, 0],
+            metrics: 10150447562434075552,
+            events: 2257,
+            log: 11405451522191720182,
+        }
+    );
+}
+
+#[test]
+fn batched_sweep_pin_hub_outage_and_repair() {
+    let n = 6;
+    let mut w = batched_world(ClusterSpec::new(n).seed(64), fast_cfg());
+    w.schedule_faults(
+        FaultPlan::new()
+            .fail_at(SimTime(1_000_000_000), SimComponent::Hub(NetId::A))
+            .repair_at(SimTime(2_500_000_000), SimComponent::Hub(NetId::A)),
+    );
+    w.run_for(SimDuration::from_secs(5));
+    assert_eq!(
+        sweep_pin(&w, n),
+        SweepPin {
+            counts: [1560, 1260, 1500, 30, 30],
+            metrics: 9516053844458877839,
+            events: 2826,
+            log: 7251485355648143345,
+        }
+    );
+}
+
+/// The per-peer repair records and the route tables appear on first
+/// write: a healthy cluster never writes them, under either driver, and
+/// once a hub outage has made every daemon repair and revert, each host
+/// answers exactly as an eagerly built table of the same routes would.
+#[test]
+fn repair_records_and_route_tables_appear_on_first_write() {
+    let n = 64;
+    for batched in [false, true] {
+        let cfg = fast_cfg().batched_monitor(batched);
+        let mut w = drs_world(n, 65, cfg);
+        w.run_for(cfg.probe_interval.saturating_mul(5));
+        for i in 0..n as u32 {
+            let d = w.protocol(NodeId(i));
+            assert!(d.metrics.replies_received > 0, "node {i} probed");
+            assert_eq!(
+                d.peer_table().peer_slots(),
+                0,
+                "node {i}, batched {batched}"
+            );
+            assert_eq!(w.host(NodeId(i)).routes.entry_slots(), 0, "node {i}");
+        }
+        let t0 = w.now() + SimDuration::from_millis(100);
+        w.schedule_faults(
+            FaultPlan::new()
+                .fail_at(t0, SimComponent::Hub(NetId::A))
+                .repair_at(t0 + SimDuration::from_secs(1), SimComponent::Hub(NetId::A)),
+        );
+        w.run_for(SimDuration::from_secs(3));
+        for i in 0..n as u32 {
+            let owner = NodeId(i);
+            let d = w.protocol(owner);
+            assert!(d.metrics.reverts > 0, "node {i} failed over and back");
+            assert_eq!(d.peer_table().peer_slots(), n, "node {i}");
+            let routes = w.host(owner).routes;
+            assert_eq!(routes.entry_slots(), n, "node {i}");
+            let mut eager = RouteTable::new_empty(owner, n);
+            for dst in (0..n as u32).map(NodeId).filter(|&dst| dst != owner) {
+                eager.set(dst, Route::Direct(NetId::A));
+            }
+            for dst in (0..=n as u32).map(NodeId) {
+                assert_eq!(routes.get(dst), eager.get(dst), "node {i} -> {dst}");
+            }
+            assert_eq!(*routes, eager, "node {i}");
+        }
+    }
 }

@@ -14,8 +14,11 @@
 # metric, each side's median and quartiles, the change's median over the
 # parent's, the number of pairs in which the change read lower (all four
 # end-to-end metrics are lower-is-better) and every run's value in run
-# order; then every distinct `result_digest`, `correct` and `failed`
-# value of each side.
+# order; then each run's `cpu_user_s / wall_s`, which reads about 1 for a
+# run whose threads shared one CPU and above 1 for one that got two (the
+# host can take a vCPU away for minutes at a time, so a two-thread gain
+# is only comparable between runs whose ratios agree); then every
+# distinct `result_digest`, `correct` and `failed` value of each side.
 #
 # Build the binaries first, e.g. for a checkout in $DIR:
 #   cargo build --release --offline --manifest-path $DIR/benchmark/Cargo.toml \
@@ -106,6 +109,14 @@ for name in runs["parent"][0]["metrics"]:
     print(f"  {name:12s} {pm:.6g} [{pq1:.6g}, {pq3:.6g}] -> {cm:.6g} [{cq1:.6g}, {cq3:.6g}] {unit}"
           f"  {ratio}, change lower in {wins}/{pairs}")
     print(f"  {'':12s} runs: parent {' '.join(f'{x:.6g}' for x in p)}; change {' '.join(f'{x:.6g}' for x in c)}")
+metrics = runs["parent"][0]["metrics"]
+if "cpu_user_s" in metrics and "wall_s" in metrics:
+    def cpu_per_wall(r):
+        m = r["metrics"]
+        wall = m["wall_s"]["value"]
+        return f"{m['cpu_user_s']['value'] / wall:.2f}" if wall else "n/a"
+    print(f"  cpu_user_s / wall_s per run: parent {' '.join(cpu_per_wall(r) for r in runs['parent'])};"
+          f" change {' '.join(cpu_per_wall(r) for r in runs['change'])}")
 for side in runs:
     correct = sorted({r["correct"] for r in runs[side]})
     failed = sorted({r["failed"] for r in runs[side]})
