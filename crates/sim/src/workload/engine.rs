@@ -267,14 +267,15 @@ mod slab {
     /// The open sessions' records, reused through a free list. The
     /// fields are private to this module, so every touch of a record goes
     /// through [`Slab::insert`], [`Slab::remove`] or [`Slab::iter`]; test
-    /// builds count the touches.
+    /// builds count the touches (atomically, so a test build's `World`
+    /// stays `Sync`).
     #[derive(Debug, Default)]
     pub(super) struct Slab {
         records: Vec<Session>,
         alive: Vec<bool>,
         free: Vec<u32>,
         #[cfg(test)]
-        pub(super) touches: std::cell::Cell<u64>,
+        pub(super) touches: std::sync::atomic::AtomicU64,
     }
 
     impl Slab {
@@ -288,7 +289,8 @@ mod slab {
 
         fn touch(&self) {
             #[cfg(test)]
-            self.touches.set(self.touches.get() + 1);
+            self.touches
+                .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
         }
 
         /// Stores an opening session; returns its index.
@@ -1089,6 +1091,7 @@ mod tests {
     use super::super::{ArrivalProcess, ClassSpec, HoldingDist};
     use super::*;
     use drs_core::{NetId, RouteTable, SimDuration};
+    use std::sync::atomic::Ordering;
 
     fn spec(classes: Vec<ClassSpec>) -> WorkloadSpec {
         WorkloadSpec {
@@ -1523,7 +1526,7 @@ mod tests {
                 100_000_000,
             );
             let hub_a = |up| Transition::Hub { net: NetId::A, up };
-            let touches = |e: &FluidEngine| e.slab.touches.get();
+            let touches = |e: &FluidEngine| e.slab.touches.load(Ordering::Relaxed);
             for local in 0..m {
                 let class = (local % 2) as u8;
                 e.apply(&rec(1_000, open(0, local, 1, class, 10_000)));

@@ -39,9 +39,11 @@
 //! runs beside the kernel: for the length of a `run_until` it moves to
 //! one worker thread (`BatchWorker`), which applies each full batch in
 //! order while the kernel fills the next into the other of two buffers.
-//! The run hands over its last, partial batch, joins the worker and
-//! takes the engine back, so every reader sees the same engine as a run
-//! that applied each batch inline.
+//! The buffers trade hands through one slot behind a lock (`Slot`),
+//! which the `WorkloadCore` keeps for its lifetime. The run hands over
+//! its last, partial batch, joins the worker and takes the engine back,
+//! so every reader sees the same engine as a run that applied each
+//! batch inline.
 //!
 //! Determinism: every draw comes from [`dist`]'s own SplitMix64 streams
 //! and software `ln`/`exp` — no external RNG crate, no libm — so the
@@ -56,8 +58,7 @@ pub use dist::{HoldingDist, Stream};
 pub use engine::{ConservationReport, FluidEngine, WorkloadStats, UNIT_PER_BYTE};
 
 use std::mem;
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
-use std::sync::{Mutex, PoisonError};
+use std::sync::{Arc, Condvar, Mutex};
 
 use drs_core::{NetId, NodeId, Route, SimTime};
 
@@ -220,70 +221,70 @@ pub struct WorkloadCore {
     /// Transitions recorded since the last drain, in dispatch order;
     /// never more than [`LOG_BATCH`].
     pub(crate) log: Vec<TransitionRecord>,
-    /// The second batch buffer, empty: allocated by the first
-    /// [`Self::detach_engine`], then swapped with `log` batch by batch.
-    spare: Vec<TransitionRecord>,
     /// The accounting engine the log drains into; `None` while a
-    /// [`BatchWorker`] holds it.
+    /// [`BatchWorker`] holds it, and full batches go to the slot then.
     engine: Option<FluidEngine>,
-    /// While a worker holds the engine: the way to it.
-    pipe: Option<Pipe>,
+    /// Where the kernel and a worker trade the two batch buffers. Between
+    /// runs it keeps the second buffer, allocated by the first
+    /// [`Self::detach_engine`].
+    slot: Arc<(Mutex<Slot>, Condvar)>,
     /// `SessionOpen`/`SessionClose` dispatches executed — the left-hand
     /// side of the `events == transitions` identity.
     pub(crate) events: u64,
 }
 
-/// The kernel's ends of a detached engine's two channels. Exactly two
-/// buffers circulate, so neither channel ever holds more than two and
-/// no send blocks; the kernel waits only for an empty buffer, i.e. for
-/// the worker to finish the batch before the one it just sent.
-struct Pipe {
-    /// Full batches, in dispatch order.
-    full: SyncSender<Vec<TransitionRecord>>,
-    /// Applied batches' buffers, cleared. Never locked (the kernel
-    /// reaches it through `&mut`): the `Mutex` only keeps a `World`
-    /// `Sync`, which a bare `Receiver` is not.
-    empty: Mutex<Receiver<Vec<TransitionRecord>>>,
-}
-
-impl Pipe {
-    /// Sends the full `log` to the worker and replaces it with the other
-    /// buffer, once the worker is done with it.
-    fn swap(&mut self, log: &mut Vec<TransitionRecord>) {
-        self.full.send(mem::take(log)).expect(WORKER_GONE);
-        let empty = self.empty.get_mut().unwrap_or_else(PoisonError::into_inner);
-        *log = empty.recv().expect(WORKER_GONE);
-    }
+/// The batch buffer the kernel is not filling. The kernel waits for it
+/// to be empty and trades its full log for it; the worker waits for it
+/// to be full, applies it under the lock and clears it.
+#[derive(Default)]
+struct Slot {
+    /// While `full`, a batch to apply; else the spare buffer, empty.
+    buf: Vec<TransitionRecord>,
+    /// `buf` holds a batch the worker has not applied.
+    full: bool,
+    /// `buf`'s batch is the run's last: the worker returns after it.
+    last: bool,
 }
 
 /// The kernel's `expect` when the worker is gone mid-run: the worker's
 /// own panic is what the run re-raises once it joins it.
 const WORKER_GONE: &str = "the fluid batch worker stopped";
 
-/// The engine of a pipelined run with the worker's ends of the channels
+/// The engine of a pipelined run and its way to the slot
 /// ([`WorkloadCore::detach_engine`]); [`Self::run`] is the worker.
 pub(crate) struct BatchWorker {
     engine: FluidEngine,
-    full: Receiver<Vec<TransitionRecord>>,
-    empty: SyncSender<Vec<TransitionRecord>>,
+    slot: Arc<(Mutex<Slot>, Condvar)>,
 }
 
 impl BatchWorker {
-    /// Applies every batch the kernel sends, in order, returning each
-    /// buffer cleared, until the kernel hangs up; then hands the engine
-    /// back.
-    pub(crate) fn run(mut self) -> FluidEngine {
-        for mut batch in self.full {
-            for rec in &batch {
-                self.engine.apply(rec);
+    /// Applies every batch the kernel hands over, in order, up to the
+    /// last; then hands the engine back. A panic while it applies one
+    /// poisons the slot's lock, which is how the kernel learns of it.
+    pub(crate) fn run(self) -> FluidEngine {
+        let BatchWorker { mut engine, slot } = self;
+        let (lock, turn) = &*slot;
+        let mut slot = lock.lock().expect(SLOT_SOUND);
+        loop {
+            slot = turn.wait_while(slot, |s| !s.full).expect(SLOT_SOUND);
+            // A kernel waiting for this buffer now waits for the lock,
+            // which a panic below poisons, instead of for a wake-up.
+            turn.notify_one();
+            for rec in &slot.buf {
+                engine.apply(rec);
             }
-            batch.clear();
-            // The kernel holds its receiver until after the join.
-            let _ = self.empty.send(batch);
+            slot.buf.clear();
+            slot.full = false;
+            if slot.last {
+                return engine;
+            }
         }
-        self.engine
     }
 }
+
+/// The `expect` on the slot's lock where only a worker's panic could
+/// have poisoned it and none has: the kernel never panics holding it.
+const SLOT_SOUND: &str = "no panic while holding the batch slot";
 
 impl WorkloadCore {
     /// A generator for an `n`-host cluster under `seed` (the scenario
@@ -301,9 +302,8 @@ impl WorkloadCore {
             streams: (0..n).map(|i| Stream::for_host(seed, i as u32)).collect(),
             next_local: vec![0; n],
             log: Vec::with_capacity(LOG_BATCH),
-            spare: Vec::new(),
             engine: Some(engine),
-            pipe: None,
+            slot: Arc::default(),
             events: 0,
         }
     }
@@ -390,16 +390,30 @@ impl WorkloadCore {
 
     /// Appends a transition to the log (the kernel's route, NIC, hub
     /// and reroute observations come straight here); a full batch goes
-    /// to the engine at once: to the worker if one holds the engine,
-    /// swapped for the other buffer, else applied here.
+    /// to the engine at once: applied here, or handed to the worker if
+    /// one holds the engine.
     pub(crate) fn record(&mut self, at: SimTime, kind: Transition) {
         self.log.push(TransitionRecord { at, kind });
         if self.log.len() == LOG_BATCH {
-            match &mut self.pipe {
-                Some(pipe) => pipe.swap(&mut self.log),
-                None => self.drain(),
+            if self.engine.is_some() {
+                self.drain();
+            } else {
+                self.hand_over(false).expect(WORKER_GONE);
             }
         }
+    }
+
+    /// Trades the log for the slot's buffer once the worker has applied
+    /// the batch that buffer held, and wakes the worker; `None` if the
+    /// worker panicked.
+    fn hand_over(&mut self, last: bool) -> Option<()> {
+        let (lock, turn) = &*self.slot;
+        let mut slot = turn.wait_while(lock.lock().ok()?, |s| s.full).ok()?;
+        mem::swap(&mut self.log, &mut slot.buf);
+        slot.full = true;
+        slot.last = last;
+        turn.notify_one();
+        Some(())
     }
 
     /// Feeds the logged transitions to the engine in dispatch order and
@@ -434,53 +448,35 @@ impl WorkloadCore {
     }
 
     /// Moves the engine to a [`BatchWorker`]: from here until
-    /// [`Self::reattach_engine`], full batches go to it over a channel.
-    /// The log is empty (every `run_until` ends with it drained), and
-    /// the second buffer waits on the return channel for the first full
-    /// batch.
+    /// [`Self::reattach_engine`], full batches go to it through the slot.
+    /// The log is empty (every `run_until` ends with it drained), and so
+    /// is the slot's buffer, which the first call allocates.
     ///
     /// # Panics
     /// Panics if a worker already holds the engine.
     pub(crate) fn detach_engine(&mut self) -> BatchWorker {
         let engine = self.engine.take().expect(ENGINE_HOME);
         debug_assert!(self.log.is_empty(), "detached with a batch pending");
-        if self.spare.capacity() == 0 {
-            self.spare = Vec::with_capacity(LOG_BATCH);
-        }
-        let (full_tx, full_rx) = sync_channel(2);
-        let (empty_tx, empty_rx) = sync_channel(2);
-        empty_tx
-            .send(mem::take(&mut self.spare))
-            .expect("a fresh channel");
-        self.pipe = Some(Pipe {
-            full: full_tx,
-            empty: Mutex::new(empty_rx),
-        });
+        let (lock, _) = &*self.slot;
+        lock.lock().expect(SLOT_SOUND).buf.reserve_exact(LOG_BATCH);
         BatchWorker {
             engine,
-            full: full_rx,
-            empty: empty_tx,
+            slot: Arc::clone(&self.slot),
         }
     }
 
-    /// Ends a pipelined stretch: sends the partial batch, hangs up, so
-    /// the worker stops once it has applied everything, and takes back
-    /// the engine from `join` and both buffers, empty. A kernel that
-    /// panicked mid-run must still call this: the hang-up is what lets
-    /// the worker finish.
+    /// Ends a pipelined stretch: hands over the partial batch as the
+    /// last, so the worker returns once it has applied it, and takes the
+    /// engine back from `join`; the second buffer stays in the slot. A
+    /// kernel that panicked mid-run must still call this: the last batch
+    /// is what lets the worker finish.
     ///
     /// # Panics
-    /// Panics if no worker holds the engine, and with whatever `join`
-    /// panics with.
+    /// Panics with whatever `join` panics with.
     pub(crate) fn reattach_engine(&mut self, join: impl FnOnce() -> FluidEngine) {
-        let Pipe { full, empty } = self.pipe.take().expect("a worker holds the engine");
-        // A dead worker drops the batch; its panic comes out of `join`.
-        let _ = full.send(mem::take(&mut self.log));
-        drop(full);
+        // A dead worker poisoned the slot; its panic comes out of `join`.
+        let _ = self.hand_over(true);
         self.engine = Some(join());
-        let empty = empty.into_inner().unwrap_or_else(PoisonError::into_inner);
-        self.log = empty.try_recv().expect("both buffers are back");
-        self.spare = empty.try_recv().expect("both buffers are back");
     }
 }
 
@@ -551,6 +547,39 @@ mod tests {
             }
         }
         assert_eq!(a.events, 200);
+    }
+
+    /// The kernel hands over one batch, fills the next and finds the slot
+    /// still full: it waits for a worker that starts only 100 ms later,
+    /// and the worker, once it takes the first batch, wakes it. Fails
+    /// after a minute instead of hanging.
+    #[test]
+    fn a_kernel_waiting_on_a_full_slot_is_woken_by_a_late_worker() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let mut wl = generator(spec(), 4, 7);
+            let worker = wl.detach_engine();
+            let wl = std::thread::scope(|s| {
+                let kernel = s.spawn(move || {
+                    for i in 0..2 * LOG_BATCH as u64 {
+                        wl.open(NodeId(0), 4, SimTime(i));
+                    }
+                    wl
+                });
+                std::thread::sleep(std::time::Duration::from_millis(100));
+                let worker = s.spawn(move || worker.run());
+                let mut wl = kernel.join().expect("the kernel ran");
+                wl.reattach_engine(|| worker.join().expect("the worker ran"));
+                wl
+            });
+            let _ = tx.send(wl.engine().stats().transitions);
+        });
+        let applied = rx.recv_timeout(std::time::Duration::from_secs(60));
+        assert_eq!(
+            applied,
+            Ok(2 * LOG_BATCH as u64),
+            "both batches within a minute"
+        );
     }
 
     #[test]

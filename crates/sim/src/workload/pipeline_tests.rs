@@ -19,6 +19,13 @@ use crate::fault::{FaultPlan, SimComponent};
 use crate::scenario::ClusterSpec;
 use crate::world::{Ctx, Protocol, World};
 
+// `drs-bench` shares its converged trial bases between threads by
+// reference, so the engine's hand-over must keep a `World` `Sync`.
+const _: () = {
+    const fn sync<T: Sync>() {}
+    sync::<World<DrsDaemon>>();
+};
+
 /// Everything a reader of a finished run sees of the fluid layer.
 type Outcome = (u64, WorkloadStats, ConservationReport, u64);
 
@@ -115,6 +122,19 @@ fn a_workload_run_that_never_fills_a_batch_pipelines_like_the_inline_one() {
     assert_eq!(run(cell(20, true), 2, &[END]), inline);
 }
 
+/// Pipelined and inline steps alternate, so the second buffer waits in
+/// the slot across an inline `run_until` and serves the next pipelined
+/// one.
+#[test]
+fn a_workload_run_alternating_pipelined_and_inline_steps_equals_the_inline_one() {
+    let stops = [500_000_000, 1_000_000_000, 1_500_000_000, END.0].map(SimTime);
+    let mut w = cell(4_000, true);
+    for (workers, stop) in [2, 1, 2, 1].into_iter().zip(stops) {
+        w.run_until_on(workers, stop);
+    }
+    assert_eq!(outcome(&w), run(cell(4_000, true), 1, &stops));
+}
+
 /// A hub fault and repair scheduled between runs, each mid-batch.
 #[test]
 fn a_hub_fault_mid_workload_run_pipelines_like_the_inline_one() {
@@ -137,8 +157,8 @@ fn a_hub_fault_mid_workload_run_pipelines_like_the_inline_one() {
 
 /// Runs `f` on a thread of its own and returns its panic message, or
 /// fails the test if it returns or has not panicked within a minute (a
-/// kernel that hung up too late would leave the worker, and the run,
-/// blocked).
+/// kernel that never handed over its last batch, or missed a worker's
+/// panic, would leave the run blocked).
 fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
@@ -184,15 +204,16 @@ fn sabotaged(kernel_panics: bool) {
     w.run_until_on(2, SimTime(3_000_000_000));
 }
 
-/// The kernel panics with batches in flight: it hangs up before it
-/// joins, so the worker stops and the kernel's own payload comes out.
+/// The kernel panics with batches in flight: it hands over its last
+/// batch before it joins, so the worker stops and the kernel's own
+/// payload comes out.
 #[test]
 fn a_kernel_panic_mid_workload_run_stops_the_worker_and_propagates() {
     assert_eq!(panic_message(|| sabotaged(true)), "the kernel exploded");
 }
 
-/// The engine's worker panics mid-run: its payload, not the kernel's
-/// failed hand-over, reaches the caller.
+/// The engine's worker panics mid-run, poisoning the slot: its payload,
+/// not the kernel's failed hand-over, reaches the caller.
 #[test]
 fn a_workload_worker_panic_propagates_with_its_payload() {
     let message = panic_message(|| sabotaged(false));

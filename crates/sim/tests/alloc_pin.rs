@@ -83,13 +83,14 @@ fn the_steady_state_probe_path_allocates_nothing() {
 }
 
 /// A pipelined fluid run recycles its two batch buffers: the kernel's
-/// thread allocates what starting the engine's worker takes (the
-/// channels, the thread), the same for a 1 s run as for a 2 s one,
-/// however many batches each hands over. A shrunk million cell — 8 hosts
+/// thread allocates what starting the engine's worker takes (the scoped
+/// thread), the same for a 1 ms run that hands over no full batch as for
+/// a 1 s and a 2 s one, however many batches each hands over, and
+/// whether or not the worker kept up. A shrunk million cell — 8 hosts
 /// × 4 000 closed-loop users, 250 ms think and 500 ms holding times, so
 /// about 4 batches of transitions a second — runs 2 s first, so the
 /// probe path, the wheel and the second buffer are grown and every
-/// session has one pending event, then both windows are counted on the
+/// session has one pending event, then each window is counted on the
 /// test's thread alone. With one CPU `run_until` applies the batches on
 /// this thread, where the engine's own growth counts, so there is
 /// nothing to pin.
@@ -100,7 +101,7 @@ fn a_pipelined_fluid_run_allocates_the_same_at_any_length() {
         eprintln!("one CPU: the fluid batches are applied inline, no pipeline to pin");
         return;
     }
-    let window = |secs: u64| {
+    let window = |span: SimDuration| {
         let n = 8;
         let cfg = DrsConfig::default()
             .probe_timeout(SimDuration::from_millis(50))
@@ -121,12 +122,19 @@ fn a_pipelined_fluid_run_allocates_the_same_at_any_length() {
         });
         w.run_until(WARM_UP);
         let before = w.workload_events();
-        let end = WARM_UP + SimDuration::from_secs(secs);
+        let end = WARM_UP + span;
         let ((), allocations) = counting_alloc::count(|| w.run_until(end));
         (allocations, w.workload_events() - before)
     };
-    let (short, long) = (window(1), window(2));
-    eprintln!("kernel-thread (allocations, session events) in 1 s and 2 s: {short:?} {long:?}");
+    let none = window(SimDuration::from_millis(1));
+    let (short, long) = (
+        window(SimDuration::from_secs(1)),
+        window(SimDuration::from_secs(2)),
+    );
+    eprintln!(
+        "kernel-thread (allocations, session events) in 1 ms, 1 s and 2 s: {none:?} {short:?} {long:?}"
+    );
+    assert!(none.1 < 1 << 14, "the 1 ms run fills no batch");
     assert!(
         long.1 > short.1 + 4 * (1 << 14),
         "the longer run hands over more batches"
@@ -134,5 +142,9 @@ fn a_pipelined_fluid_run_allocates_the_same_at_any_length() {
     assert_eq!(
         short.0, long.0,
         "allocations in a 1 s and a 2 s pipelined run"
+    );
+    assert_eq!(
+        none.0, short.0,
+        "allocations in a pipelined run that hands over no full batch and in a 1 s one"
     );
 }
