@@ -47,12 +47,30 @@
 //!   when the clock enters its window, exactly like a hardware timer
 //!   wheel.
 //!
+//! # FIFO lanes
+//!
+//! Beside the levels the wheel keeps *lanes*: FIFO queues, one per
+//! caller-chosen index, for event classes whose pushes already come in
+//! ascending `(at, seq)` order. The simulator gives each network segment
+//! one and pushes every frame arrival onto its segment's lane
+//! ([`TimerWheel::push_lane`]): a segment transmits one frame at a time
+//! with a fixed propagation delay, so arrivals leave it in send order.
+//! A lane push is an append and a lane pop takes the front, so arrivals
+//! — nearly all of a batched probe run's events — are never placed,
+//! cascaded or sorted. [`TimerWheel::pop`] and [`TimerWheel::pop_due`]
+//! return the least `(at, seq)` across the ready buffer and the lane
+//! fronts. A lane push that does not come after that lane's last push
+//! goes into the wheel instead, so pop order holds by construction, not
+//! by the caller's promise. The levels keep everything else: protocol
+//! timers, timeouts, retransmissions, application sends and sessions.
+//!
 //! # Allocation discipline
 //!
-//! A slot holds a linked list of fixed-size chunks of [`CHUNK`] entries,
-//! all taken from one free list and returned to it when the slot drains
-//! or cascades: storage one burst used serves the next in any slot at any
-//! level, and nothing is reallocated or copied to grow. Chunks are
+//! A slot or lane holds a linked list of fixed-size chunks of [`CHUNK`]
+//! entries, all taken from one free list and returned to it when the slot
+//! drains or cascades, or the lane is read past them: storage one burst
+//! used serves the next in any slot at any level and in any lane, and
+//! nothing is reallocated or copied to grow. Chunks are
 //! allocated only when the free list is empty, an eighth more than exist
 //! (at least four) at a time, so once the queue has reached its usual
 //! peak depth a later peak a few partly filled chunks higher finds them
@@ -89,6 +107,9 @@ const HORIZON_GRAINS: u64 = 1 << (SLOT_BITS * LEVELS as u32);
 pub const CHUNK: usize = 128;
 /// End of a chunk list.
 const NIL: u32 = u32::MAX;
+/// The `(at, seq)` key an empty lane's front reads as: above every
+/// entry's (sequence numbers never reach `u64::MAX`).
+const NONE: (u64, u64) = (u64::MAX, u64::MAX);
 
 /// One queued event: its due time, the global tie-break sequence number,
 /// and the payload.
@@ -160,6 +181,38 @@ struct Chunk<T> {
     next: u32,
 }
 
+/// One FIFO lane: entries in ascending `(at, seq)` order. The front
+/// ones sit in the lane's own buffer, reversed so the lane pops from its
+/// back; the rest in a chunk list that pushes append to. When the buffer
+/// runs dry it trades storage with the list's first chunk, reverses it,
+/// and the emptied chunk goes back to the free list.
+#[derive(Debug, Clone)]
+struct Lane<T> {
+    /// The front entries, last first: empty only when the lane is.
+    /// Its capacity, once the lane has been pushed to, is a chunk's.
+    out: Vec<Entry<T>>,
+    /// The oldest chunk after `out`, or [`NIL`].
+    head: u32,
+    /// The newest chunk, the one being filled, or [`NIL`] with `head`.
+    tail: u32,
+    /// The key of the lane's front entry, or [`NONE`].
+    front: (u64, u64),
+    /// The key of the lane's last push: a later push must exceed it.
+    last: (u64, u64),
+}
+
+impl<T> Lane<T> {
+    fn new() -> Self {
+        Lane {
+            out: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            front: NONE,
+            last: (0, 0),
+        }
+    }
+}
+
 /// A hierarchical timer wheel over `(SimTime, seq)`-keyed events.
 ///
 /// Pop order is exactly ascending `(at, seq)` — bit-identical to a
@@ -187,8 +240,13 @@ pub struct TimerWheel<T> {
     ready: Vec<Entry<T>>,
     /// Far-future entries (≥ `HORIZON_GRAINS` ahead of the cursor).
     overflow: BinaryHeap<OverflowEntry<T>>,
-    /// Queued entries (wheel + ready + overflow).
+    /// The FIFO lanes, indexed as [`Self::push_lane`] names them; grown
+    /// on a lane's first push.
+    lanes: Vec<Lane<T>>,
+    /// Queued entries (wheel + ready + overflow + lanes).
     len: usize,
+    /// Queued entries in the lanes.
+    in_lanes: usize,
     /// Deterministic operation counters.
     stats: WheelStats,
 }
@@ -212,7 +270,9 @@ impl<T> TimerWheel<T> {
             cur: 0,
             ready: Vec::new(),
             overflow: BinaryHeap::new(),
+            lanes: Vec::new(),
             len: 0,
+            in_lanes: 0,
             stats: WheelStats::default(),
         }
     }
@@ -244,12 +304,54 @@ impl<T> TimerWheel<T> {
     /// buffer in `(at, seq)` order. `seq` must be unique and increasing
     /// across pushes (the core's counter).
     pub fn push(&mut self, at: SimTime, seq: u64, val: T) {
-        let at = at.0;
+        self.count_push();
+        self.place(Entry { at: at.0, seq, val });
+    }
+
+    fn count_push(&mut self) {
         self.len += 1;
         self.stats.pushes += 1;
         self.stats.max_depth = self.stats.max_depth.max(self.len as u64);
-        let entry = Entry { at, seq, val };
-        self.place(entry);
+    }
+
+    /// Appends an event to FIFO lane `lane`, under [`Self::push`]'s
+    /// contract; it counts as a push. An event that does not come after
+    /// the lane's last push in `(at, seq)` order goes into the wheel
+    /// instead, so it still pops in order.
+    pub fn push_lane(&mut self, lane: usize, at: SimTime, seq: u64, val: T) {
+        if lane >= self.lanes.len() {
+            self.lanes.resize_with(lane + 1, Lane::new);
+        }
+        self.count_push();
+        let (key, entry) = ((at.0, seq), Entry { at: at.0, seq, val });
+        if key < self.lanes[lane].last {
+            self.place(entry);
+            return;
+        }
+        self.in_lanes += 1;
+        let l = &mut self.lanes[lane];
+        l.last = key;
+        if l.out.is_empty() {
+            // An empty lane: the entry is its whole front.
+            l.out.reserve_exact(CHUNK);
+            l.out.push(entry);
+            l.front = key;
+            return;
+        }
+        let tail = l.tail;
+        let tail = if tail != NIL && self.chunks[tail as usize].entries.len() < CHUNK {
+            tail
+        } else {
+            let id = self.take_chunk();
+            let l = &mut self.lanes[lane];
+            match tail {
+                NIL => l.head = id,
+                tail => self.chunks[tail as usize].next = id,
+            }
+            l.tail = id;
+            id
+        };
+        self.chunks[tail as usize].entries.push(entry);
     }
 
     /// Routes an entry to the ready buffer, a wheel slot, or overflow.
@@ -333,23 +435,71 @@ impl<T> TimerWheel<T> {
 
     /// The `(at, seq)` key of the next event, without popping it.
     pub fn peek(&mut self) -> Option<(SimTime, u64)> {
-        if self.ready.is_empty() {
-            self.fill_ready();
-        }
-        self.ready.last().map(|e| (SimTime(e.at), e.seq))
+        let (key, _) = self.front();
+        (key != NONE).then_some((SimTime(key.0), key.1))
     }
 
     /// Pops the earliest event as `(at, seq, payload)`. The emptied ready
     /// buffer keeps its storage: the next push due in the cursor's grain
     /// lands there without allocating.
     pub fn pop(&mut self) -> Option<(SimTime, u64, T)> {
-        if self.ready.is_empty() {
-            self.fill_ready();
+        self.pop_due(SimTime(u64::MAX))
+    }
+
+    /// Pops the earliest event if it is due at or before `until`: one
+    /// pass for what a [`Self::peek`], a compare and a [`Self::pop`]
+    /// would do.
+    pub fn pop_due(&mut self, until: SimTime) -> Option<(SimTime, u64, T)> {
+        let (key, lane) = self.front();
+        if key == NONE || key.0 > until.0 {
+            return None;
         }
-        let entry = self.ready.pop()?;
+        let entry = match lane {
+            None => self.ready.pop().expect("the ready buffer's back"),
+            Some(lane) => self.pop_lane(lane),
+        };
         self.len -= 1;
         self.stats.pops += 1;
         Some((SimTime(entry.at), entry.seq, entry.val))
+    }
+
+    /// The least key across the ready buffer and the lane fronts, or
+    /// [`NONE`], and the lane that holds it (`None`: the ready buffer).
+    /// Stages the wheel's next grain first if the ready buffer is empty.
+    #[inline]
+    fn front(&mut self) -> ((u64, u64), Option<usize>) {
+        if self.ready.is_empty() && self.len > self.in_lanes {
+            self.fill_ready();
+        }
+        let mut best = (self.ready.last().map_or(NONE, |e| (e.at, e.seq)), None);
+        for (i, lane) in self.lanes.iter().enumerate() {
+            if lane.front < best.0 {
+                best = (lane.front, Some(i));
+            }
+        }
+        best
+    }
+
+    /// Takes lane `lane`'s front entry, which exists. When that empties
+    /// the lane's buffer, the buffer trades storage with the lane's next
+    /// chunk, reversed, and the chunk goes back to the free list.
+    fn pop_lane(&mut self, lane: usize) -> Entry<T> {
+        self.in_lanes -= 1;
+        let l = &mut self.lanes[lane];
+        let entry = l.out.pop().expect("a lane's buffer holds its front");
+        if l.out.is_empty() && l.head != NIL {
+            let id = l.head;
+            let chunk = &mut self.chunks[id as usize];
+            std::mem::swap(&mut l.out, &mut chunk.entries);
+            l.head = std::mem::replace(&mut chunk.next, self.free);
+            self.free = id;
+            if l.head == NIL {
+                l.tail = NIL;
+            }
+            l.out.reverse();
+        }
+        l.front = l.out.last().map_or(NONE, |e| (e.at, e.seq));
+        entry
     }
 
     /// Advances the cursor to the next occupied grain and stages that
@@ -502,13 +652,14 @@ impl<T> TimerWheel<T> {
 }
 
 impl<T: Clone> TimerWheel<T> {
-    /// A copy holding the same entries in the same slots, so it pops,
-    /// cascades and drains exactly as this wheel would from here on: each
-    /// slot's chunk list is copied chunk for chunk into fresh chunks, the
-    /// cursor, ready buffer and overflow are copied, and the counters
-    /// carry over. The free list starts empty, so the copy allocates only
-    /// what its live entries fill; its first chunk take past them counts
-    /// as a pool miss where this wheel may count a hit.
+    /// A copy holding the same entries in the same slots and lanes, so it
+    /// pops, cascades and drains exactly as this wheel would from here
+    /// on: each slot's and each lane's chunk lists are copied chunk for
+    /// chunk into fresh chunks, each lane's front buffer as it stands,
+    /// partly popped or not, the cursor, ready buffer and overflow are
+    /// copied, and the counters carry over. The free list starts empty, so the copy
+    /// allocates only what its live entries fill; its first chunk take
+    /// past them counts as a pool miss where this wheel may count a hit.
     #[must_use]
     pub fn fork(&self) -> Self {
         let mut heads = [[NIL; SLOTS]; LEVELS];
@@ -519,22 +670,25 @@ impl<T: Clone> TimerWheel<T> {
             while occ != 0 {
                 let slot = occ.trailing_zeros() as usize;
                 occ &= occ - 1;
-                let mut id = self.heads[level][slot];
-                while id != NIL {
-                    let src = &self.chunks[id as usize];
-                    let mut entries = Vec::with_capacity(CHUNK);
-                    entries.extend_from_slice(&src.entries);
-                    let copy = chunks.len() as u32;
-                    chunks.push(Chunk { entries, next: NIL });
-                    match tails[level][slot] {
-                        NIL => heads[level][slot] = copy,
-                        tail => chunks[tail as usize].next = copy,
-                    }
-                    tails[level][slot] = copy;
-                    id = src.next;
-                }
+                (heads[level][slot], tails[level][slot]) =
+                    self.copy_list(self.heads[level][slot], &mut chunks);
             }
         }
+        let lanes = self
+            .lanes
+            .iter()
+            .map(|lane| {
+                let mut out = Vec::with_capacity(lane.out.capacity());
+                out.extend_from_slice(&lane.out);
+                let (head, tail) = self.copy_list(lane.head, &mut chunks);
+                Lane {
+                    out,
+                    head,
+                    tail,
+                    ..*lane
+                }
+            })
+            .collect();
         TimerWheel {
             heads,
             tails,
@@ -544,9 +698,31 @@ impl<T: Clone> TimerWheel<T> {
             cur: self.cur,
             ready: self.ready.clone(),
             overflow: self.overflow.clone(),
+            lanes,
             len: self.len,
+            in_lanes: self.in_lanes,
             stats: self.stats,
         }
+    }
+
+    /// Copies the chunk list that starts at `id` into fresh chunks
+    /// appended to `into`; returns the copy's first and last chunk.
+    fn copy_list(&self, mut id: u32, into: &mut Vec<Chunk<T>>) -> (u32, u32) {
+        let (mut head, mut tail) = (NIL, NIL);
+        while id != NIL {
+            let src = &self.chunks[id as usize];
+            let mut entries = Vec::with_capacity(CHUNK);
+            entries.extend_from_slice(&src.entries);
+            let copy = into.len() as u32;
+            into.push(Chunk { entries, next: NIL });
+            match tail {
+                NIL => head = copy,
+                tail => into[tail as usize].next = copy,
+            }
+            tail = copy;
+            id = src.next;
+        }
+        (head, tail)
     }
 }
 
@@ -677,13 +853,26 @@ mod tests {
         n
     }
 
-    /// Chunks linked into slots, and chunks on the free list; together
-    /// they must account for every chunk ever allocated.
+    /// Chunks linked into slots or lanes, and chunks on the free list;
+    /// together they must account for every chunk ever allocated. Each
+    /// lane's `tail` must end its list, and its front buffer must be
+    /// empty only when the lane is.
     fn chunk_census(w: &TimerWheel<u32>) -> (usize, usize) {
-        let linked = w.heads.iter().flatten().map(|&h| list_len(w, h)).sum();
+        let slots: usize = w.heads.iter().flatten().map(|&h| list_len(w, h)).sum();
+        let mut lanes = 0;
+        for lane in &w.lanes {
+            let n = list_len(w, lane.head);
+            let mut last = lane.head;
+            for _ in 1..n {
+                last = w.chunks[last as usize].next;
+            }
+            assert_eq!(last, lane.tail, "a lane's tail is not its last chunk");
+            assert!(n == 0 || !lane.out.is_empty(), "a lane without a front");
+            lanes += n;
+        }
         let free = list_len(w, w.free);
-        assert_eq!(linked + free, w.chunks.len(), "a chunk leaked");
-        (linked, free)
+        assert_eq!(slots + lanes + free, w.chunks.len(), "a chunk leaked");
+        (slots + lanes, free)
     }
 
     #[test]
@@ -747,6 +936,59 @@ mod tests {
         assert_eq!((linked, free), (0, w.chunks.len()));
     }
 
+    /// Lanes merge with the levels in `(at, seq)` order at every pop;
+    /// a lane push that does not come after the lane's last push rides
+    /// the wheel; `pop_due` stops at its bound; and a lane several
+    /// chunks long hands every chunk back as it is read.
+    #[test]
+    fn lanes_merge_with_the_levels_and_take_no_push_out_of_order() {
+        let mut w = TimerWheel::new();
+        let mut seq = 0;
+        let mut push = |w: &mut TimerWheel<u32>, lane: Option<usize>, at: u64| {
+            match lane {
+                Some(lane) => w.push_lane(lane, SimTime(at), seq, seq as u32),
+                None => w.push(SimTime(at), seq, seq as u32),
+            }
+            seq += 1;
+        };
+        for i in 0..3 * CHUNK as u64 {
+            push(&mut w, Some(0), 1_000 + i * 2_000);
+            push(&mut w, Some(2), 2_000 + i * 2_000);
+            if i % 50 == 0 {
+                push(&mut w, None, 1_500 + i * 2_000);
+            }
+        }
+        assert!(w.lanes[1].out.is_empty() && w.lanes[1].head == NIL);
+        // Before lane 0's last push: into the wheel, not the lane.
+        let lane0 = (w.lanes[0].last, w.in_lanes);
+        push(&mut w, Some(0), 3_000);
+        assert_eq!((w.lanes[0].last, w.in_lanes), lane0);
+        assert_eq!((w.len(), w.in_lanes), (6 * CHUNK + 9, 6 * CHUNK));
+        assert_eq!(list_len(&w, w.lanes[0].head), 3);
+        chunk_census(&w);
+        assert_eq!(w.pop_due(SimTime(999)), None);
+        let mut out = Vec::new();
+        while let Some((at, s, _)) = w.pop_due(SimTime(400_000)) {
+            out.push((at.0, s));
+        }
+        assert!(out.last().unwrap().0 <= 400_000);
+        assert_eq!(w.peek().map(|(at, _)| at.0), Some(401_000));
+        while let Some((at, s, _)) = w.pop() {
+            out.push((at.0, s));
+            chunk_census(&w);
+        }
+        assert!(out.windows(2).all(|p| p[0] < p[1]), "out of order");
+        assert_eq!(out.len(), 6 * CHUNK + 8 + 1);
+        let (linked, free) = chunk_census(&w);
+        assert_eq!((linked, free), (0, w.chunks.len()));
+        assert_eq!((w.len(), w.in_lanes), (0, 0));
+        let s = w.stats();
+        assert_eq!(
+            (s.pushes, s.pops, s.max_depth),
+            (6 * 128 + 9, 6 * 128 + 9, 6 * 128 + 9)
+        );
+    }
+
     #[test]
     fn interleaved_push_pop_keeps_global_order() {
         // Mimics the simulator: every pop schedules a few near-future
@@ -777,18 +1019,21 @@ mod tests {
 
     /// A fork pops, cascades and drains as its parent does. The fork is
     /// taken behind a peeked cursor, with entries staged in the ready
-    /// buffer, chunk lists several chunks long on higher levels and
-    /// far-future entries in the overflow; then both copies get the same
-    /// pushes and pops. Only the chunk takes may split differently
-    /// between free-list hits and misses: the fork's free list starts
-    /// empty.
+    /// buffer, chunk lists several chunks long on higher levels and in
+    /// two lanes, one lane's front buffer partly popped, and far-future
+    /// entries in the overflow; then both copies get the same pushes
+    /// (onto the levels and the lanes) and pops. Only the chunk takes may
+    /// split differently between free-list hits and misses: the fork's
+    /// free list starts empty.
     #[test]
     fn a_fork_pops_and_counts_as_its_parent_does() {
         let mut w = TimerWheel::new();
         let mut seq = 0u64;
         for i in 0..3 * CHUNK as u64 {
             w.push(SimTime(i * 7_919 % 900_000_000), seq, i as u32);
-            seq += 1;
+            w.push_lane(0, SimTime(i * 1_000), seq + 1, 3);
+            w.push_lane(1, SimTime(500 + i * 3_000), seq + 2, 4);
+            seq += 3;
         }
         w.push(SimTime(1 << 55), seq, 0);
         seq += 1;
@@ -796,18 +1041,26 @@ mod tests {
             w.pop();
         }
         assert!(w.peek().is_some() && !w.ready.is_empty());
+        let lane = &w.lanes[0];
+        assert!(
+            lane.out.len() < CHUNK && list_len(&w, lane.head) == 2,
+            "{lane:?}"
+        );
+        assert!(list_len(&w, w.lanes[1].head) == 2);
         let mut fork = w.fork();
+        chunk_census(&fork);
         let drive = |w: &mut TimerWheel<u32>| {
             let mut seq = seq;
             let mut out = Vec::new();
             while let Some((at, s, v)) = w.pop() {
                 out.push((at.0, s, v));
                 if out.len() < 2_000 {
-                    w.push(SimTime(at.0 + 11_000), seq, 1);
+                    w.push_lane(s as usize % 2, SimTime(at.0 + 11_000), seq, 1);
                     w.push(SimTime(at.0 + 200_000_000), seq + 1, 2);
                     seq += 2;
                 }
             }
+            chunk_census(w);
             out
         };
         assert_eq!(drive(&mut fork), drive(&mut w));

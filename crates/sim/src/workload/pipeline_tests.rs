@@ -2,9 +2,13 @@
 //! workers hands full batches to the engine's worker thread, at 1 applies
 //! them on the kernel's thread, and both must leave the same engine
 //! digest, statistics, conservation report and session event count,
-//! whatever the host's CPU count.
+//! whatever the host's CPU count. Every run goes through
+//! [`within_a_minute`], so a hand-over that deadlocks fails its test
+//! instead of hanging it.
 
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc;
+use std::thread;
 use std::time::Duration;
 
 use drs_core::config::DrsConfig;
@@ -79,12 +83,33 @@ fn users(per_host: u32) -> WorkloadSpec {
     }
 }
 
-/// Runs `w` through every stop in `stops` on `workers`.
+/// Runs `f` on a thread of its own and returns what it returned, or
+/// the payload it panicked with; fails the test if it has not ended
+/// within a minute (a kernel that never handed over its last batch, or
+/// missed a worker's panic, would leave the run blocked).
+fn within_a_minute<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> thread::Result<R> {
+    let (tx, rx) = mpsc::channel();
+    thread::spawn(move || {
+        let _ = tx.send(panic::catch_unwind(AssertUnwindSafe(f)));
+    });
+    rx.recv_timeout(Duration::from_secs(60))
+        .expect("the run ended within a minute")
+}
+
+/// [`within_a_minute`], re-raising a panic of `f` here.
+fn guarded<R: Send + 'static>(f: impl FnOnce() -> R + Send + 'static) -> R {
+    within_a_minute(f).unwrap_or_else(|payload| panic::resume_unwind(payload))
+}
+
+/// Runs `w` through every stop in `stops` on `workers`, guarded.
 fn run(mut w: World<DrsDaemon>, workers: usize, stops: &[SimTime]) -> Outcome {
-    for &stop in stops {
-        w.run_until_on(workers, stop);
-    }
-    outcome(&w)
+    let stops = stops.to_vec();
+    guarded(move || {
+        for stop in stops {
+            w.run_until_on(workers, stop);
+        }
+        outcome(&w)
+    })
 }
 
 #[test]
@@ -128,11 +153,14 @@ fn a_workload_run_that_never_fills_a_batch_pipelines_like_the_inline_one() {
 #[test]
 fn a_workload_run_alternating_pipelined_and_inline_steps_equals_the_inline_one() {
     let stops = [500_000_000, 1_000_000_000, 1_500_000_000, END.0].map(SimTime);
-    let mut w = cell(4_000, true);
-    for (workers, stop) in [2, 1, 2, 1].into_iter().zip(stops) {
-        w.run_until_on(workers, stop);
-    }
-    assert_eq!(outcome(&w), run(cell(4_000, true), 1, &stops));
+    let alternating = guarded(move || {
+        let mut w = cell(4_000, true);
+        for (workers, stop) in [2, 1, 2, 1].into_iter().zip(stops) {
+            w.run_until_on(workers, stop);
+        }
+        outcome(&w)
+    });
+    assert_eq!(alternating, run(cell(4_000, true), 1, &stops));
 }
 
 /// A hub fault and repair scheduled between runs, each mid-batch.
@@ -149,32 +177,21 @@ fn a_hub_fault_mid_workload_run_pipelines_like_the_inline_one() {
         w.run_until_on(workers, END);
         outcome(&w)
     };
-    let inline = run_with_fault(1);
+    let inline = guarded(move || run_with_fault(1));
     assert_eq!(inline.1.hub_transitions, 2);
     assert!(inline.1.stall_windows > 0, "the fault stalled sessions");
-    assert_eq!(run_with_fault(2), inline);
+    assert_eq!(guarded(move || run_with_fault(2)), inline);
 }
 
-/// Runs `f` on a thread of its own and returns its panic message, or
-/// fails the test if it returns or has not panicked within a minute (a
-/// kernel that never handed over its last batch, or missed a worker's
-/// panic, would leave the run blocked).
+/// Runs `f` under [`within_a_minute`] and returns its panic message, or
+/// fails the test if it returns.
 fn panic_message(f: impl FnOnce() + Send + 'static) -> String {
-    let (tx, rx) = mpsc::channel();
-    std::thread::spawn(move || {
-        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
-        let message = caught.err().map(|payload| {
-            payload
-                .downcast_ref::<String>()
-                .cloned()
-                .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
-                .unwrap_or_default()
-        });
-        let _ = tx.send(message);
-    });
-    rx.recv_timeout(Duration::from_secs(60))
-        .expect("the run ended within a minute")
-        .expect("the run panicked")
+    let payload = within_a_minute(f).expect_err("the run panicked");
+    payload
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| payload.downcast_ref::<&str>().map(|s| (*s).to_string()))
+        .unwrap_or_default()
 }
 
 /// A daemon whose first timer, at 1 s, panics on every host, or on host

@@ -5,8 +5,9 @@
 //!
 //! Transmissions are admitted onto the segments the instant they are
 //! sent, events carry one sequence counter, and `run_until` pops the
-//! wheel until the horizon: peek, one compare against the next pending
-//! fault or repair, pop, dispatch.
+//! queue until the horizon: one `pop_due` that takes the least event
+//! across the wheel and the segments' arrival lanes if it is due, one
+//! compare against the next pending fault or repair, dispatch.
 //!
 //! # What orders a run
 //!
@@ -502,20 +503,19 @@ impl<P: Protocol> World<P> {
 
     /// The dispatch loop of [`Self::run_until`]: every event due by
     /// `until`, then every fault due by it; `now()` ends at `until`.
+    /// Each event is popped before the faults at its instant are applied,
+    /// which is the same as applying them first: applying a fault touches
+    /// no queued event.
     fn dispatch_until(&mut self, until: SimTime) {
         let World {
             core, protocols, ..
         } = self;
         // Zero: the first event looks up the next fault.
         let mut next_fault = SimTime::ZERO;
-        while let Some((at, _)) = core.events.peek() {
-            if at > until {
-                break;
-            }
+        while let Some((at, seq, kind)) = core.events.pop_due(until) {
             if at >= next_fault {
                 next_fault = core.pass_faults(at);
             }
-            let (at, seq, kind) = core.events.pop().expect("peeked");
             debug_assert!(at >= core.now);
             core.now = at;
             core.cur_ev_seq = seq;

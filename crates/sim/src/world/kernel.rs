@@ -82,9 +82,14 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// the sender, like a device error from `sendmsg`). A dead hub eats
     /// the frame silently and still returns `true` — that loss is not
     /// locally observable. Admission reads the segment's `hub_up`, which
-    /// the run loop has brought up to this instant. An admitted untraced
-    /// echo is queued inline ([`EventKind::EchoRequest`] /
-    /// [`EventKind::EchoReply`]), any other frame in a box.
+    /// the run loop has brought up to this instant. An admitted frame's
+    /// arrival joins its segment's FIFO lane of the queue
+    /// ([`crate::wheel::TimerWheel::push_lane`]) with the next sequence
+    /// number: the segment sends one frame at a time over a fixed
+    /// propagation delay, so its arrivals come in order and never enter
+    /// the wheel's levels. An untraced echo is queued inline
+    /// ([`EventKind::EchoRequest`] / [`EventKind::EchoReply`]), any other
+    /// frame in a box.
     pub(crate) fn transmit(&mut self, frame: Frame<M>) -> bool {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
@@ -92,10 +97,12 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             self.salvage(frame);
             return false;
         }
-        let (now, class, up) = (self.now, class_of(&frame), self.hub_up[frame.net.idx()]);
-        if let Some(arrive) = self.media[frame.net.idx()].admit(now, frame.wire_bytes, class, up) {
+        let frame_net = frame.net.idx();
+        let (now, class, up) = (self.now, class_of(&frame), self.hub_up[frame_net]);
+        if let Some(arrive) = self.media[frame_net].admit(now, frame.wire_bytes, class, up) {
             let event = inline_echo(&frame).unwrap_or_else(|| EventKind::Arrive(self.boxed(frame)));
-            self.schedule_at(arrive, event);
+            self.events.push_lane(frame_net, arrive, self.seq, event);
+            self.seq += 1;
         } else {
             // The dead hub ate the frame at admission.
             self.flight_loss(&frame, loss_site::HUB_ADMIT);

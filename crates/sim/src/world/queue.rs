@@ -4,9 +4,10 @@
 //!
 //! The queue itself is a hierarchical timer wheel ([`crate::wheel`]) —
 //! O(1) push against the former `BinaryHeap`'s O(log n) — with pop order
-//! bit-identical to the heap's ascending `(at, seq)`. The heap survives
-//! as `crate::naive_heap` (behind the `bench-ref` feature) for benches
-//! and equivalence tests.
+//! bit-identical to the heap's ascending `(at, seq)`. Frame arrivals ride
+//! its FIFO lanes, one per segment, and every other event its levels.
+//! The heap survives as `crate::naive_heap` (behind the `bench-ref`
+//! feature) for benches and equivalence tests.
 //!
 //! The driver ([`super::World`]) owns one `Core`, which spans the whole
 //! cluster and admits transmitted frames onto the shared segments the
@@ -37,9 +38,9 @@ use crate::workload::{Transition, WorkloadCore};
 /// wheel entry 104 B, so each of the millions of timer events a probe
 /// cycle queues was moved, sorted and cascaded at a frame's size. Boxed,
 /// an event is 16 B and an entry 32 B, and a frame is written once: the
-/// box travels from the sender's [`Core::transmit`] through the wheel to
-/// the receiver, and after dispatch it returns to the core's spare list
-/// for the next transmission.
+/// box travels from the sender's [`Core::transmit`] through its segment's
+/// lane of the queue to the receiver, and after dispatch it returns to
+/// the core's spare list for the next transmission.
 ///
 /// The probes themselves ride without a box. An untraced echo whose id
 /// fits 16 bits is all fixed fields — two hosts, the plane, the sequence

@@ -814,6 +814,95 @@ mod wheel_vs_heap {
         }
         assert!(cascades > 0, "no drawn schedule cascaded");
     }
+
+    /// FIFO lanes beside the levels: 1 200 seeded schedules mix wheel
+    /// pushes (same grain, low levels, hours ahead) with pushes onto 1–4
+    /// lanes, one at a time or in bursts of up to three chunks, and take
+    /// pops through `pop`, `pop_due` and `peek`. A lane push usually
+    /// comes after the lane's last push; one in six lands before it when
+    /// it can, and must ride the wheel instead. Every result matches the
+    /// reference heap.
+    #[test]
+    fn wheel_with_lanes_matches_heap_under_interleaved_ops() {
+        let (mut fallbacks, mut lane_pushes, mut cascades) = (0, 0, 0);
+        for seed in 0..1_200u64 {
+            let mut rng = Rng::seed_from_u64(seed ^ 0x1A_7E5);
+            let ctx = format!("seed {seed}");
+            let mut wheel: TimerWheel<u64> = TimerWheel::new();
+            let mut heap: NaiveHeap<u64> = NaiveHeap::new();
+            let mut last = vec![(0u64, 0u64); rng.gen_range(1usize..5)];
+            let (mut now, mut seq) = (0u64, 0u64);
+            for i in 0..rng.gen_range(1usize..300) {
+                let ctx = format!("{ctx}, op {i}");
+                match rng.gen_range(0u32..12) {
+                    0 | 1 => {
+                        let expect = heap.pop();
+                        assert_eq!(wheel.pop(), expect, "{ctx}: pop");
+                        now = expect.map_or(now, |e| e.0 .0);
+                    }
+                    2 => assert_eq!(wheel.peek(), heap.peek(), "{ctx}: peek"),
+                    3 | 4 => {
+                        let until = SimTime(now + rng.gen_range(0u64..2_000_000));
+                        let expect = heap.peek().filter(|&(at, _)| at <= until);
+                        let expect = expect.and_then(|_| heap.pop());
+                        assert_eq!(wheel.pop_due(until), expect, "{ctx}: pop_due");
+                        now = expect.map_or(now, |e| e.0 .0);
+                    }
+                    5 | 6 => {
+                        let at = SimTime(
+                            now + match rng.gen_range(0u32..3) {
+                                0 => rng.gen_range(0..GRAIN_NS),
+                                1 => rng.gen_range(0u64..100_000_000),
+                                _ => rng.gen_range(0u64..10_000_000_000_000),
+                            },
+                        );
+                        wheel.push(at, seq, seq);
+                        heap.push(at, seq, seq);
+                        seq += 1;
+                    }
+                    op => {
+                        let lane = rng.gen_range(0..last.len());
+                        let burst = if op == 7 {
+                            rng.gen_range(1..3 * CHUNK as u64)
+                        } else {
+                            1
+                        };
+                        for _ in 0..burst {
+                            let tail = last[lane].0.max(now);
+                            let at = if last[lane].0 > now && rng.gen_range(0u32..6) == 0 {
+                                rng.gen_range(now..last[lane].0)
+                            } else {
+                                tail + rng.gen_range(0u64..20_000)
+                            };
+                            if (at, seq) < last[lane] {
+                                fallbacks += 1;
+                            } else {
+                                last[lane] = (at, seq);
+                            }
+                            lane_pushes += 1;
+                            wheel.push_lane(lane, SimTime(at), seq, seq);
+                            heap.push(SimTime(at), seq, seq);
+                            seq += 1;
+                        }
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len(), "{ctx}");
+            }
+            while let Some(expect) = heap.pop() {
+                assert_eq!(wheel.pop(), Some(expect), "{ctx}: drain");
+            }
+            assert!(wheel.is_empty(), "{ctx}");
+            assert_eq!(wheel.peek(), None, "{ctx}");
+            let s = wheel.stats();
+            assert_eq!((s.pushes, s.pops), (seq, seq), "{ctx}");
+            cascades += assert_cascade_bound(&wheel, &ctx);
+        }
+        assert!(
+            fallbacks > 1_000 && fallbacks < lane_pushes / 4,
+            "{fallbacks} of {lane_pushes}"
+        );
+        assert!(cascades > 0, "no drawn schedule cascaded");
+    }
 }
 
 /// Degenerate burst: many entries on the exact same tick pop in pure
