@@ -38,7 +38,7 @@ pub const WORKLOAD_SCHEMA: &str = "drs-bench-workload/v1";
 
 /// The shard count `benchmark/` passes to `ShardedWorld::with_topology`,
 /// which ignores it. It stays only because `benchmark/` imports it;
-/// ROADMAP item 5 deletes it.
+/// ROADMAP item 7 deletes it.
 pub const WORKLOAD_SHARDS: usize = 4;
 
 /// Sessions-per-host population of the million cell: 40 hosts ×

@@ -9,7 +9,7 @@ use crate::ShardStats;
 
 /// Busiest shard's event count over the per-shard mean: 1.0 for the one
 /// shard [`ShardStats`] reports. It stays only because `benchmark/`
-/// reads it; ROADMAP item 5 deletes it with [`ShardStats`].
+/// reads it; ROADMAP item 7 deletes it with [`ShardStats`].
 #[must_use]
 pub fn shard_balance(ss: &ShardStats) -> f64 {
     let total: u64 = ss.events_per_shard.iter().sum();

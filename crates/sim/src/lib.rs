@@ -69,10 +69,6 @@ pub mod fault;
 pub mod host;
 pub mod kernel_obs;
 pub mod medium;
-/// Reference `BinaryHeap` event queue, kept only as a bench/equivalence
-/// oracle for the timer wheel. Enable with `--features bench-ref`.
-#[cfg(feature = "bench-ref")]
-pub mod naive_heap;
 pub mod scenario;
 pub mod stats;
 pub mod topology;

@@ -6,8 +6,8 @@
 //! timing wheels beat an `O(log n)` binary heap. This wheel replaces the
 //! former global `BinaryHeap` while keeping pop order **bit-identical**:
 //! entries pop in strictly ascending `(at, seq)` order, the same total
-//! order the heap used (see `naive_heap` for the retained reference
-//! implementation and the property tests that prove the equivalence on
+//! order the heap used (the property tests keep that heap as a reference,
+//! `tests/support/naive_heap.rs`, and check the equivalence on
 //! randomized schedules).
 //!
 //! # Structure

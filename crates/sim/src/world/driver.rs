@@ -68,7 +68,7 @@ const SETTLE_STRIDE: SimDuration = SimDuration::from_millis(20);
 /// Counters of the retired multi-shard driver, reported for the one shard
 /// there is: `shards == 1`, every epoch, merge, intent and stall counter
 /// 0, and `events_per_shard == [pops]`. It stays only because
-/// `benchmark/` reads it; ROADMAP item 5 deletes it.
+/// `benchmark/` reads it; ROADMAP item 7 deletes it.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ShardStats {
     /// Always 1.
@@ -102,13 +102,13 @@ pub struct World<P: Protocol> {
 }
 
 /// [`World`] under the name `benchmark/` builds it by; everything is
-/// [`World`]'s, through `Deref`. ROADMAP item 5 deletes it.
+/// [`World`]'s, through `Deref`. ROADMAP item 7 deletes it.
 pub struct ShardedWorld<P: Protocol>(World<P>);
 
 impl<P: Protocol> ShardedWorld<P> {
     /// [`World::new`]. `shards` and `threads` are ignored: there is one
     /// shard and it runs on the calling thread. Both stay only because
-    /// `benchmark/` passes them; ROADMAP item 5 deletes this constructor.
+    /// `benchmark/` passes them; ROADMAP item 7 deletes this constructor.
     pub fn with_topology(
         spec: ClusterSpec,
         _shards: usize,
@@ -258,7 +258,7 @@ impl<P: Protocol> World<P> {
     }
 
     /// The retired multi-shard driver's counters, for the one shard there
-    /// is (see [`ShardStats`]). ROADMAP item 5 deletes it.
+    /// is (see [`ShardStats`]). ROADMAP item 7 deletes it.
     #[must_use]
     pub fn shard_stats(&self) -> ShardStats {
         ShardStats {
@@ -569,9 +569,9 @@ impl<P: Protocol + Clone> World<P> {
     /// number. Live state is copied — the core (clock, sequence counter,
     /// hosts, media, flows, component schedule and cursor, random
     /// streams, event log and flight recorder), the queue's live entries
-    /// in their wheel slots with its counters, and every daemon. The
-    /// reuse pools start empty: the wheel's spare chunks and the core's
-    /// spare frame boxes. So a fork costs O(live state), and only the
+    /// in their wheel slots with its counters, the frames in flight, and
+    /// every daemon. The one reuse pool, the wheel's spare chunks, starts
+    /// empty. So a fork costs O(live state), and only the
     /// wheel's `pool_hits`/`pool_misses` split can tell it from the
     /// original.
     ///

@@ -35,8 +35,8 @@ fn class_of<M>(frame: &Frame<M>) -> TrafficClass {
 }
 
 /// The inline event of an untraced echo whose id fits 16 bits, or `None`
-/// for a frame that rides the wheel boxed.
-fn inline_echo<M>(frame: &Frame<M>) -> Option<EventKind<M>> {
+/// for a frame that waits in its segment's FIFO.
+fn inline_echo<M>(frame: &Frame<M>) -> Option<EventKind> {
     let Destination::Node(dst) = frame.dst else {
         return None;
     };
@@ -88,25 +88,27 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// number: the segment sends one frame at a time over a fixed
     /// propagation delay, so its arrivals come in order and never enter
     /// the wheel's levels. An untraced echo is queued inline
-    /// ([`EventKind::EchoRequest`] / [`EventKind::EchoReply`]), any other
-    /// frame in a box.
+    /// ([`EventKind::EchoRequest`] / [`EventKind::EchoReply`]); any other
+    /// frame joins the segment's FIFO of frames in flight, with the same
+    /// sequence number, behind an [`EventKind::Arrive`].
     pub(crate) fn transmit(&mut self, frame: Frame<M>) -> bool {
         if !self.hosts.nic_is_up(frame.src, frame.net) {
             self.hosts.counters_mut(frame.src).tx_nic_down += 1;
             self.flight_loss(&frame, loss_site::TX_NIC_DOWN);
-            self.salvage(frame);
             return false;
         }
-        let frame_net = frame.net.idx();
-        let (now, class, up) = (self.now, class_of(&frame), self.hub_up[frame_net]);
-        if let Some(arrive) = self.media[frame_net].admit(now, frame.wire_bytes, class, up) {
-            let event = inline_echo(&frame).unwrap_or_else(|| EventKind::Arrive(self.boxed(frame)));
-            self.events.push_lane(frame_net, arrive, self.seq, event);
+        let net = frame.net;
+        let (now, class, up) = (self.now, class_of(&frame), self.hub_up[net.idx()]);
+        if let Some(arrive) = self.media[net.idx()].admit(now, frame.wire_bytes, class, up) {
+            let event = inline_echo(&frame).unwrap_or_else(|| {
+                self.frames[net.idx()].push_back((self.seq, frame));
+                EventKind::Arrive { net }
+            });
+            self.events.push_lane(net.idx(), arrive, self.seq, event);
             self.seq += 1;
         } else {
             // The dead hub ate the frame at admission.
             self.flight_loss(&frame, loss_site::HUB_ADMIT);
-            self.salvage(frame);
         }
         true
     }
@@ -117,7 +119,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     /// causing record's owner — so a prober's track shows its own
     /// probes' fates wherever in the kernel they die.
     pub(crate) fn flight_loss(&mut self, frame: &Frame<M>, site: u64) {
-        if let Some(&cause) = frame.flight.as_deref() {
+        if let Some(cause) = frame.flight {
             self.flight_record(
                 TraceKind::ProbeLoss,
                 cause.host,
@@ -139,7 +141,12 @@ pub(crate) struct Engine<'a, P: Protocol> {
 impl<P: Protocol> Engine<'_, P> {
     /// Executes one popped event. The caller has already advanced
     /// `core.now` to the event's instant and logged it.
-    pub(crate) fn dispatch(&mut self, kind: EventKind<P::Msg>) {
+    ///
+    /// # Panics
+    /// Panics if an [`EventKind::Arrive`] finds at its segment's front a
+    /// frame sent with another sequence number: a segment whose frames
+    /// overtook one another.
+    pub(crate) fn dispatch(&mut self, kind: EventKind) {
         match kind {
             EventKind::ProtoTimer { node, token } => {
                 let mut ctx = Ctx {
@@ -150,9 +157,12 @@ impl<P: Protocol> Engine<'_, P> {
             }
             EventKind::AppSend { flow } => self.handle_app_send(flow),
             EventKind::Rto { flow, attempt } => self.handle_rto(flow, attempt),
-            EventKind::Arrive(mut frame) => {
-                self.handle_arrival(&mut frame);
-                self.core.recycle_frame(frame);
+            EventKind::Arrive { net } => {
+                let (seq, frame) = self.core.frames[net.idx()]
+                    .pop_front()
+                    .expect("an arrival's frame waits in its segment's FIFO");
+                assert_eq!(seq, self.core.cur_ev_seq, "frames overtook on {net:?}");
+                self.handle_arrival(&frame);
             }
             EventKind::EchoRequest {
                 src,
@@ -162,7 +172,7 @@ impl<P: Protocol> Engine<'_, P> {
                 net,
             } => {
                 let kind = FrameKind::EchoRequest { id: id.into(), seq };
-                self.handle_arrival(&mut echo_frame(src, dst, net, kind));
+                self.handle_arrival(&echo_frame(src, dst, net, kind));
             }
             EventKind::EchoReply {
                 src,
@@ -172,7 +182,7 @@ impl<P: Protocol> Engine<'_, P> {
                 net,
             } => {
                 let kind = FrameKind::EchoReply { id: id.into(), seq };
-                self.handle_arrival(&mut echo_frame(src, dst, net, kind));
+                self.handle_arrival(&echo_frame(src, dst, net, kind));
             }
             EventKind::SessionOpen { host } => self.handle_session_open(host),
             EventKind::SessionClose { host, local } => self.handle_session_close(host, local),
@@ -237,7 +247,7 @@ impl<P: Protocol> Engine<'_, P> {
             return false;
         };
         let (hop, net) = route.next_hop(f.dst);
-        let kind = self.core.data(Segment {
+        let kind = FrameKind::Data(Segment {
             src: f.src,
             dst: f.dst,
             flow,
@@ -269,12 +279,11 @@ impl<P: Protocol> Engine<'_, P> {
             SegmentKind::Data => segment.payload_bytes + DATA_HEADER_BYTES,
             SegmentKind::Ack => DATA_HEADER_BYTES,
         };
-        let kind = self.core.data(segment);
         let frame = Frame {
             src: from,
             dst: Destination::Node(hop),
             net,
-            kind,
+            kind: FrameKind::Data(segment),
             wire_bytes: wire,
             flight: None,
         };
@@ -332,7 +341,7 @@ impl<P: Protocol> Engine<'_, P> {
         );
     }
 
-    pub(crate) fn handle_arrival(&mut self, frame: &mut Frame<P::Msg>) {
+    pub(crate) fn handle_arrival(&mut self, frame: &Frame<P::Msg>) {
         // A hub that died while the frame was in flight eats it.
         if !self.core.hub_up[frame.net.idx()] {
             self.core.flight_loss(frame, loss_site::HUB_ARRIVAL);
@@ -351,7 +360,7 @@ impl<P: Protocol> Engine<'_, P> {
         }
     }
 
-    fn deliver_to(&mut self, node: NodeId, frame: &mut Frame<P::Msg>) {
+    fn deliver_to(&mut self, node: NodeId, frame: &Frame<P::Msg>) {
         if !self.core.hosts.nic_is_up(node, frame.net) {
             self.core.flight_loss(frame, loss_site::RX_NIC_DOWN);
             return;
@@ -381,9 +390,8 @@ impl<P: Protocol> Engine<'_, P> {
                     // The request's flight ref rides back on the reply,
                     // so a lost reply is blamed on the probe that asked
                     // for it and the prober's receive record can name
-                    // its own send as the cause. Moved, not copied: an
-                    // echo request is unicast and dies here.
-                    flight: frame.flight.take(),
+                    // its own send as the cause.
+                    flight: frame.flight,
                 };
                 self.core.transmit(reply);
             }
@@ -402,7 +410,7 @@ impl<P: Protocol> Engine<'_, P> {
                 };
                 self.protocols[node.idx()].on_control(&mut ctx, frame.src, frame.net, msg);
             }
-            FrameKind::Data(segment) => self.handle_data(node, **segment),
+            FrameKind::Data(segment) => self.handle_data(node, *segment),
         }
     }
 

@@ -198,7 +198,6 @@ impl<'a, M: Clone + std::fmt::Debug> Ctx<'a, M> {
     ) {
         self.core.hosts.counters_mut(self.node).echo_sent += 1;
         self.core.hosts.obs_mut(self.node).probe_bytes += u64::from(ICMP_WIRE_BYTES);
-        let flight = self.core.flight_ref(flight);
         let frame = Frame {
             src: self.node,
             dst: Destination::Node(dst),
@@ -327,7 +326,9 @@ mod tests {
     use crate::app::Workload;
     use crate::fault::{FaultPlan, SimComponent};
     use crate::scenario::{ClusterSpec, TransportConfig};
+    use drs_obs::flight::loss_site;
     use drs_obs::rng::Rng;
+    use std::collections::VecDeque;
 
     /// A protocol that does nothing: the kernel behaviours alone.
     struct Idle;
@@ -527,11 +528,11 @@ mod tests {
         assert_eq!(w.host(NodeId(0)).counters.echo_sent, 1);
     }
 
-    /// An echo id wider than the inline event's 16 bits takes the boxed
-    /// form, and is sent, answered, delivered and logged exactly as an
-    /// id of `0xFFFF`, which rides inline.
+    /// An echo id wider than the inline event's 16 bits waits in its
+    /// segment's FIFO, and is sent, answered, delivered and logged exactly
+    /// as an id of `0xFFFF`, which rides inline.
     #[test]
-    fn an_echo_id_above_16_bits_rides_boxed_and_reads_the_same() {
+    fn an_echo_id_above_16_bits_waits_in_the_fifo_and_reads_the_same() {
         struct Pinger {
             id: u32,
             got: Vec<(NodeId, NetId, u32, u32)>,
@@ -557,15 +558,19 @@ mod tests {
         let run = |id: u32| {
             let mut w = World::new(ClusterSpec::new(3).seed(1), |_| Pinger { id, got: vec![] });
             w.enable_event_log();
+            // The request is on the wire for its first microsecond.
+            w.run_for(SimDuration::from_micros(1));
+            let waiting = w.core.frames[NetId::B.idx()].len();
             w.run_for(SimDuration::from_millis(5));
             assert_eq!(w.protocol(NodeId(2)).got, [(NodeId(0), NetId::B, id, 9)]);
             assert!(w.protocol(NodeId(0)).got.is_empty());
             assert_eq!(w.host(NodeId(0)).counters.echo_answered, 1);
-            (w.event_log().expect("log enabled"), w.core.spare_frames())
+            assert!(w.core.frames.iter().all(VecDeque::is_empty));
+            (w.event_log().expect("log enabled"), waiting)
         };
-        let (inline, inline_spares) = run(u32::from(u16::MAX));
-        let (boxed, boxed_spares) = run(u32::from(u16::MAX) + 1);
-        assert_eq!(inline, boxed);
+        let (inline, inline_waiting) = run(u32::from(u16::MAX));
+        let (wide, wide_waiting) = run(u32::from(u16::MAX) + 1);
+        assert_eq!(inline, wide);
         // Request 2 -> 0 (discriminant 0, destination 0 + 1), then reply
         // 0 -> 2 (discriminant 1, destination 2 + 1), both on plane B.
         let arrivals: Vec<_> = inline
@@ -574,9 +579,101 @@ mod tests {
             .map(|r| (r.node, r.net, r.aux))
             .collect();
         assert_eq!(arrivals, [(2, 1, 1), (0, 1, 1 << 32 | 3)]);
-        // Only the wide id took boxes: the request's and the reply's (sent
-        // while the request's was still in use), both back on the list.
-        assert_eq!((inline_spares, boxed_spares), (0, 2));
+        // Only the wide id's request waited in the FIFO.
+        assert_eq!((inline_waiting, wide_waiting), (0, 1));
+    }
+
+    /// A frame that dies at its sender — a dead NIC, or a dead hub at
+    /// admission — never enters its segment's FIFO, and one whose hub
+    /// dies while it is in flight leaves the FIFO at its arrival, where
+    /// it dies. Host 0 sends a traced echo, a control frame and a data
+    /// segment on plane A at 1 ms with its NIC there down, host 1 a traced
+    /// echo and a control frame on plane B with hub B down, and host 2 the
+    /// three kinds on plane A at 5 ms, 2 µs before hub A fails; a data
+    /// segment from host 1 at 6 ms meets hub A down at admission. Every
+    /// flow is delivered by its retransmission once the faults are
+    /// repaired.
+    #[test]
+    fn dead_frames_never_enter_a_fifo() {
+        struct Doomed {
+            net: NetId,
+            at: SimDuration,
+        }
+        impl Protocol for Doomed {
+            type Msg = ();
+            fn on_start(&mut self, ctx: &mut Ctx<'_, ()>) {
+                ctx.set_timer(self.at, 0);
+            }
+            fn on_timer(&mut self, ctx: &mut Ctx<'_, ()>, _token: u64) {
+                let peer = NodeId((ctx.self_id().0 + 1) % 3);
+                let sent = ctx.flight_record(TraceKind::ProbeSend, Some(self.net), 0, None);
+                ctx.send_echo_traced(self.net, peer, 0, 0, sent);
+                ctx.send_control(self.net, peer, ());
+            }
+        }
+        let (a, b) = (NetId::A.idx(), NetId::B.idx());
+        let ms = |t: u64| SimTime(t * 1_000_000);
+        let mut w = World::new(ClusterSpec::new(3).seed(7), |id| match id.0 {
+            0 => Doomed {
+                net: NetId::A,
+                at: SimDuration::from_millis(1),
+            },
+            1 => Doomed {
+                net: NetId::B,
+                at: SimDuration::from_millis(1),
+            },
+            _ => Doomed {
+                net: NetId::A,
+                at: SimDuration::from_millis(5),
+            },
+        });
+        w.enable_flight(1 << 10);
+        w.schedule_faults(
+            FaultPlan::new()
+                .fail_at(SimTime(0), SimComponent::Nic(NodeId(0), NetId::A))
+                .repair_at(ms(2), SimComponent::Nic(NodeId(0), NetId::A))
+                .fail_at(SimTime(0), SimComponent::Hub(NetId::B))
+                .repair_at(ms(3), SimComponent::Hub(NetId::B))
+                .fail_at(
+                    ms(5) + SimDuration::from_micros(2),
+                    SimComponent::Hub(NetId::A),
+                )
+                .repair_at(ms(10), SimComponent::Hub(NetId::A)),
+        );
+        w.send_app(ms(1), NodeId(0), NodeId(1), 64);
+        w.send_app(ms(5), NodeId(2), NodeId(0), 64);
+        w.send_app(ms(6), NodeId(1), NodeId(2), 64);
+        w.run_until(ms(1));
+        assert!(w.core.frames.iter().all(VecDeque::is_empty));
+        w.run_until(ms(5));
+        assert_eq!((w.core.frames[a].len(), w.core.frames[b].len()), (3, 0));
+        w.run_until(ms(6));
+        assert!(w.core.frames.iter().all(VecDeque::is_empty));
+        w.run_for(SimDuration::from_secs(200));
+        assert!(w.core.frames.iter().all(VecDeque::is_empty));
+        assert_eq!(w.core.events.len(), 0);
+
+        assert_eq!(w.host(NodeId(0)).counters.tx_nic_down, 3);
+        let dropped = |net| w.medium(net).stats.dropped_hub_down;
+        assert_eq!((dropped(NetId::A), dropped(NetId::B)), (1, 2));
+        let s = w.app_stats();
+        assert_eq!((s.delivered, s.retransmits, s.gave_up), (3, 3, 0));
+        let log = w.flight_log().expect("recorder on");
+        let losses: Vec<_> = log
+            .records
+            .iter()
+            .filter(|r| r.kind == TraceKind::ProbeLoss)
+            .map(|r| (r.time_ns, r.host, r.arg))
+            .collect();
+        assert_eq!(
+            losses,
+            [
+                (ms(1).0, 0, loss_site::TX_NIC_DOWN),
+                (ms(1).0, 1, loss_site::HUB_ADMIT),
+                (losses[2].0, 2, loss_site::HUB_ARRIVAL),
+            ]
+        );
+        assert!(losses[2].0 > ms(5).0 + 2_000);
     }
 
     #[test]

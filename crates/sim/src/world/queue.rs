@@ -6,17 +6,18 @@
 //! O(1) push against the former `BinaryHeap`'s O(log n) — with pop order
 //! bit-identical to the heap's ascending `(at, seq)`. Frame arrivals ride
 //! its FIFO lanes, one per segment, and every other event its levels.
-//! The heap survives as `crate::naive_heap` (behind the `bench-ref`
-//! feature) for benches and equivalence tests.
+//! A frame that does not fit its event waits in its segment's FIFO of
+//! frames in flight ([`Core::frames`]), which pops in step with the lane.
 //!
 //! The driver ([`super::World`]) owns one `Core`, which spans the whole
 //! cluster and admits transmitted frames onto the shared segments the
 //! instant they are sent.
 
+use std::collections::VecDeque;
+
 use drs_obs::flight::{EventRef, FlightRecorder, TraceKind, TraceRecord};
 use drs_obs::rng::{mix64, Rng, GOLDEN_GAMMA};
 
-use drs_core::frame::Segment;
 use drs_core::ids::FlowId;
 use drs_core::{Destination, Frame, FrameKind, NetId, NodeId, SimTime};
 
@@ -32,27 +33,27 @@ use crate::workload::{Transition, WorkloadCore};
 
 /// What a queued event does when it fires.
 ///
-/// `Arrive` carries its frame boxed. An enum is as large as its largest
-/// variant, and a frame (48 B for the DRS message type) is three times
-/// any other payload here; carried inline when it was 88 B, it made every
-/// wheel entry 104 B, so each of the millions of timer events a probe
-/// cycle queues was moved, sorted and cascaded at a frame's size. Boxed,
-/// an event is 16 B and an entry 32 B, and a frame is written once: the
-/// box travels from the sender's [`Core::transmit`] through its segment's
-/// lane of the queue to the receiver, and after dispatch it returns to
-/// the core's spare list for the next transmission.
+/// An event is 16 B and a wheel entry 32 B: each of the millions of timer
+/// events a probe cycle queues is moved, sorted and cascaded at that size,
+/// so no variant carries a frame (an enum is as large as its largest
+/// variant). `Arrive { net }` stands for the frame at the front of
+/// segment `net`'s FIFO ([`Core::frames`]): the segment sends one frame
+/// at a time over a fixed propagation delay, so its frames arrive in the
+/// order they were sent, and its lane of the queue pops their arrivals in
+/// that order.
 ///
-/// The probes themselves ride without a box. An untraced echo whose id
-/// fits 16 bits is all fixed fields — two hosts, the plane, the sequence
-/// number and the id, 15 B — so `EchoRequest` and `EchoReply` carry it
-/// inside the 16-byte event, and dispatch rebuilds the frame on the stack
-/// for the one arrival path. Probes are nearly all of a run's frames: the
-/// N = 1024 burst held two million boxes at once, 43 % of its resident
-/// memory. Control and data frames, traced echoes (the flight identity
-/// is a box of its own) and echoes with a wider id keep `Arrive`.
+/// An untraced echo whose id fits 16 bits is all fixed fields — two
+/// hosts, the plane, the sequence number and the id, 15 B — so
+/// `EchoRequest` and `EchoReply` carry it inside the event, and dispatch
+/// rebuilds the frame on the stack. Probes are nearly all of a run's
+/// frames: the N = 1024 burst keeps two million in flight at once.
+/// Control and data frames, traced echoes and echoes with a wider id take
+/// `Arrive`.
 #[derive(Clone)]
-pub(crate) enum EventKind<M> {
-    Arrive(Box<Frame<M>>),
+pub(crate) enum EventKind {
+    Arrive {
+        net: NetId,
+    },
     /// An untraced echo request on `net` from `src` to `dst`.
     EchoRequest {
         src: NodeId,
@@ -112,10 +113,10 @@ pub struct KernelStats {
 // A variant that carries a frame by value grows every queued event back
 // to a frame's size: fail the build, not the benchmark. The flow events
 // carry only the flow id; the rest of a flow lives in its table record.
-const _: () = assert!(std::mem::size_of::<EventKind<drs_core::DrsMsg>>() <= 16);
+const _: () = assert!(std::mem::size_of::<EventKind>() <= 16);
 // The inline echo variants' fields, 15 B, leave the tag one byte of the
 // 16: the sim API's `u32` echo id, carried whole, would grow every event
-// to 24 B. Wider ids take the boxed form instead.
+// to 24 B. Wider ids wait in the segment's FIFO instead.
 const _: () = assert!(
     2 * std::mem::size_of::<NodeId>()
         + std::mem::size_of::<u32>()
@@ -123,13 +124,6 @@ const _: () = assert!(
         + std::mem::size_of::<NetId>()
         <= 15
 );
-// The frame box itself, whose size sets its malloc class: glibc rounds a
-// request plus its 8 B header up to 16 B, so this 48 B frame takes a 64 B
-// chunk where the 88 B one took 96 B. Every control and data frame and
-// every traced echo still takes one. A field the run almost never fills
-// goes behind a pointer, not inline (see `Frame::flight` and
-// `FrameKind::Data`).
-const _: () = assert!(std::mem::size_of::<Frame<drs_core::DrsMsg>>() <= 48);
 
 /// [`mix64`] keyed by the host id: cheap independent seeds for per-host
 /// streams.
@@ -181,7 +175,12 @@ pub struct Core<M> {
     /// fault and repair flight records ([`Self::pass_faults`]), so they
     /// sort before every dispatch at their instant.
     pub(crate) seq: u64,
-    pub(crate) events: TimerWheel<EventKind<M>>,
+    pub(crate) events: TimerWheel<EventKind>,
+    /// Per segment, indexed by [`NetId::idx`], the frames in flight that
+    /// do not ride inside their event, in send order, each with its
+    /// arrival's sequence number: the front one is the frame of that
+    /// segment's next [`EventKind::Arrive`].
+    pub(crate) frames: Vec<VecDeque<(u64, Frame<M>)>>,
     pub(crate) hosts: Hosts,
     /// One shared segment per network plane, indexed by [`NetId::idx`].
     pub(crate) media: Vec<SharedMedium>,
@@ -219,69 +218,18 @@ pub struct Core<M> {
     /// When `Some`, the fluid session generator: draws arrivals, logs
     /// workload transitions (see [`crate::workload`]).
     pub(crate) workload: Option<Box<WorkloadCore>>,
-    /// Frame boxes whose arrival has been dispatched (or whose frame
-    /// died at the sender), reused by [`Self::boxed`]. Only control,
-    /// data and traced frames take one; untraced echoes ride inline.
-    spare_frames: SpareBoxes<Frame<M>>,
-    /// The boxes of data frames' segments, reused by [`Self::data`].
-    spare_segments: SpareBoxes<Segment>,
-    /// The boxes of traced frames' flight identities, reused by
-    /// [`Self::flight_ref`]. An echo reply carries its request's box back
-    /// to the prober's core, which boxes that prober's next send.
-    spare_refs: SpareBoxes<EventRef>,
-}
-
-/// Heap boxes kept for reuse, so a core's steady traffic allocates
-/// nothing: [`Self::boxed`] fills a spare before it allocates, and
-/// [`Self::keep`] stores a box, up to `cap` of them — one per (host,
-/// peer, plane), what the hosts can have in flight when every one of
-/// them probes every peer at once (the batched monitor's fan-out). The
-/// bound keeps one-way traffic from growing a receiver's list forever.
-struct SpareBoxes<T> {
-    #[allow(clippy::vec_box)] // the boxes are what is kept
-    boxes: Vec<Box<T>>,
-    cap: usize,
-}
-
-impl<T> SpareBoxes<T> {
-    fn new(cap: usize) -> Self {
-        SpareBoxes {
-            boxes: Vec::new(),
-            cap,
-        }
-    }
-
-    /// `value` in a recycled box when one is spare.
-    #[inline]
-    fn boxed(&mut self, value: T) -> Box<T> {
-        match self.boxes.pop() {
-            Some(mut spare) => {
-                *spare = value;
-                spare
-            }
-            None => Box::new(value),
-        }
-    }
-
-    /// Keeps `spare` for [`Self::boxed`] (bounded).
-    #[inline]
-    fn keep(&mut self, spare: Box<T>) {
-        if self.boxes.len() < self.cap {
-            self.boxes.push(spare);
-        }
-    }
 }
 
 impl<M: Clone + std::fmt::Debug> Core<M> {
     /// A core over the whole cluster: one segment per plane.
     pub(crate) fn new(spec: ClusterSpec) -> Self {
         let (n, planes) = (spec.n, spec.planes as usize);
-        let in_flight = n * n * planes;
         Core {
             spec,
             now: SimTime::ZERO,
             seq: 1,
             events: TimerWheel::new(),
+            frames: vec![VecDeque::new(); planes],
             hosts: Hosts::new(n, spec.planes),
             media: NetId::planes(spec.planes)
                 .map(|net| SharedMedium::new(net, spec.bandwidth_bps, spec.propagation))
@@ -301,16 +249,13 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             cur_ev_seq: 0,
             cur_sub: 0,
             workload: None,
-            spare_frames: SpareBoxes::new(in_flight),
-            spare_segments: SpareBoxes::new(in_flight),
-            spare_refs: SpareBoxes::new(in_flight),
         }
     }
 
     /// A copy of the simulator state for [`super::World::fork`]: the
-    /// clock, the sequence counter, the queue ([`TimerWheel::fork`]), the
-    /// hosts, media, flows, component schedule and cursor, random streams and
-    /// the recorders, field for field. The spare box lists start empty.
+    /// clock, the sequence counter, the queue ([`TimerWheel::fork`]) and
+    /// the frames in flight, the hosts, media, flows, component schedule
+    /// and cursor, random streams and the recorders, field for field.
     ///
     /// # Panics
     /// Panics if the fluid workload is enabled.
@@ -324,6 +269,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             now: self.now,
             seq: self.seq,
             events: self.events.fork(),
+            frames: self.frames.clone(),
             hosts: self.hosts.clone(),
             media: self.media.clone(),
             link_loss: self.link_loss.clone(),
@@ -339,60 +285,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             cur_ev_seq: self.cur_ev_seq,
             cur_sub: self.cur_sub,
             workload: None,
-            spare_frames: SpareBoxes::new(self.spare_frames.cap),
-            spare_segments: SpareBoxes::new(self.spare_segments.cap),
-            spare_refs: SpareBoxes::new(self.spare_refs.cap),
         }
-    }
-
-    /// Boxes a frame for the queue, in a recycled box when one is spare.
-    #[inline]
-    pub(crate) fn boxed(&mut self, frame: Frame<M>) -> Box<Frame<M>> {
-        self.spare_frames.boxed(frame)
-    }
-
-    /// How many frame boxes the spare list holds.
-    #[cfg(test)]
-    pub(crate) fn spare_frames(&self) -> usize {
-        self.spare_frames.boxes.len()
-    }
-
-    /// The `Data` arm for `segment`, in a recycled box when one is spare.
-    pub(crate) fn data(&mut self, segment: Segment) -> FrameKind<M> {
-        FrameKind::Data(self.spare_segments.boxed(segment))
-    }
-
-    /// A traced frame's flight identity, in a recycled box when one is
-    /// spare (`None`, allocating nothing, for an untraced frame).
-    pub(crate) fn flight_ref(&mut self, cause: Option<EventRef>) -> Option<Box<EventRef>> {
-        cause.map(|cause| self.spare_refs.boxed(cause))
-    }
-
-    /// Keeps the segment box of a data frame that dies before it is
-    /// queued, so losses do not make the data path allocate. On a 2-vCPU
-    /// VM, the traced probe path ran 8 % slower when every frame was
-    /// boxed up front to be recycled whole, and 1.5 % slower when a dead
-    /// frame's flight box was kept too; the allocator takes that back.
-    pub(crate) fn salvage(&mut self, frame: Frame<M>) {
-        if let FrameKind::Data(segment) = frame.kind {
-            self.spare_segments.keep(segment);
-        }
-    }
-
-    /// Keeps a frame's box, and the boxes it points to, for reuse once
-    /// the frame is dispatched or dead.
-    #[inline]
-    pub(crate) fn recycle_frame(&mut self, mut frame: Box<Frame<M>>) {
-        if let Some(cause) = frame.flight.take() {
-            self.spare_refs.keep(cause);
-        }
-        if matches!(frame.kind, FrameKind::Data(_)) {
-            let kind = std::mem::replace(&mut frame.kind, FrameKind::EchoReply { id: 0, seq: 0 });
-            if let FrameKind::Data(segment) = kind {
-                self.spare_segments.keep(segment);
-            }
-        }
-        self.spare_frames.keep(frame);
     }
 
     /// Logs a non-session workload transition (route/NIC/reroute) at the
@@ -455,7 +348,7 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             .map_or(SimTime(u64::MAX), |e| e.at)
     }
 
-    pub(crate) fn schedule_at(&mut self, at: SimTime, kind: EventKind<M>) {
+    pub(crate) fn schedule_at(&mut self, at: SimTime, kind: EventKind) {
         debug_assert!(at >= self.now, "scheduling into the past");
         let at = if at < self.now {
             // Release-build guard: a past due time would corrupt the
@@ -493,7 +386,9 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
     }
 
     /// Appends a record for a just-popped event, if logging is enabled.
-    pub(crate) fn log_event(&mut self, at: SimTime, seq: u64, kind: &EventKind<M>) {
+    /// An [`EventKind::Arrive`] reads its frame at the front of the
+    /// segment's FIFO, where dispatch takes it from.
+    pub(crate) fn log_event(&mut self, at: SimTime, seq: u64, kind: &EventKind) {
         let Some(log) = self.event_log.as_mut() else {
             return;
         };
@@ -502,7 +397,8 @@ impl<M: Clone + std::fmt::Debug> Core<M> {
             (EventTag::Arrive, src.0, net.idx() as u8, disc << 32 | dst)
         };
         let (tag, node, net, aux) = match kind {
-            EventKind::Arrive(f) => {
+            EventKind::Arrive { net } => {
+                let (_, f) = &self.frames[net.idx()][0];
                 let disc = match &f.kind {
                     FrameKind::EchoRequest { .. } => 0,
                     FrameKind::EchoReply { .. } => 1,

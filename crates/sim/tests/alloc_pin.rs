@@ -4,20 +4,18 @@
 //! cluster runs 2 s of virtual time to warm up, and the next 4 s must
 //! not allocate at all, at N ∈ {16, 24, 32, 48, 64, 90} under both
 //! monitor drivers, with the flight recorder off and on.
-//! Untraced probes ride inside their wheel events and take no box;
-//! traced ones carry a flight identity, so they and their identities
-//! ride boxed, and the traced cells are the ones that keep the spare box
-//! lists working.
+//! Untraced probes ride inside their wheel events; traced ones carry a
+//! flight identity, so they wait in their segment's FIFO of frames in
+//! flight, and the traced cells are the ones that keep those FIFOs from
+//! allocating.
 //!
 //! What it protects, with the window's count at (N = 90 per-pair,
 //! N = 90 batched) when that piece is missing:
 //!
-//! * frame boxes ride the event wheel and go back to the receiving core's
-//!   spare list after dispatch (`Core::boxed` / `Core::recycle_frame`) —
-//!   boxed frames without the list: (640 800, 640 800) traced, one per
-//!   request and reply, and (0, 0) untraced; a list capped at a fixed
-//!   1 024 boxes: (0, 299 940) traced, because the batched fan-out has
-//!   ~16 000 frames in flight at once;
+//! * each segment's FIFO of frames in flight (`Core::frames`) keeps the
+//!   storage it grew to in the warm-up — shrunk to fit after every pop
+//!   instead: (979 000, 961 640) traced, where the window carries
+//!   640 800 requests and replies, and (0, 0) untraced;
 //! * the wheel's slot chunks come from, and go back to, one free list —
 //!   a fresh chunk for every take instead: (122 878, 59 728);
 //! * the wheel's ready buffer keeps its storage between grains — dropped

@@ -3,16 +3,16 @@
 //! app traffic, hub failures and repairs, NIC fault plans, lossy links
 //! and fluid workloads — the schedule is **byte-identical** on every
 //! rerun of a draw, and every tenth draw run untraced dispatches the
-//! same events as traced (traced echoes ride the wheel boxed, untraced
-//! ones inline); `run_until_settled` stops on a stride of `run_until`
+//! same events as traced (traced echoes wait in their segment's FIFO,
+//! untraced ones ride inline); `run_until_settled` stops on a stride of `run_until`
 //! and leaves what a straight run leaves; and `ShardedWorld`, the name
 //! `benchmark/` builds the world by, is `World::new` at any shard count.
 //! Three tests put hub toggles exactly on transmission instants,
 //! before and between runs, schedule hub and NIC faults between runs
 //! with the fluid workload on, and enable the workload after a run to
-//! time zero has already applied a hub fault. The last two fork a run in flight
-//! (`World::fork`) and schedule faults on the copies: each copy runs on
-//! exactly as an unforked world does.
+//! time zero has already applied a hub fault. The last three fork a run in flight
+//! (`World::fork`), one of them mid-burst, and schedule faults on the
+//! copies: each copy runs on exactly as an unforked world does.
 //!
 //! These are plain seeded loops, so a failing seed prints directly and
 //! reruns exactly.
@@ -310,7 +310,18 @@ impl Scenario {
     }
 }
 
-fn fingerprint(w: &World<Chatter>) -> Fingerprint {
+/// A protocol's own counters, for the fingerprint.
+trait Tally {
+    fn tally(&self) -> (u32, u32, u32);
+}
+
+impl Tally for Chatter {
+    fn tally(&self) -> (u32, u32, u32) {
+        (self.fired, self.replies, self.controls)
+    }
+}
+
+fn fingerprint<P: Protocol + Tally>(w: &World<P>) -> Fingerprint {
     Fingerprint {
         log: w.event_log().expect("log enabled"),
         app: w.app_stats(),
@@ -320,10 +331,7 @@ fn fingerprint(w: &World<Chatter>) -> Fingerprint {
             .map(|net| w.medium(net).stats)
             .collect(),
         chatter: (0..w.spec().n)
-            .map(|i| {
-                let c = w.protocol(NodeId(i as u32));
-                (c.fired, c.replies, c.controls)
-            })
+            .map(|i| w.protocol(NodeId(i as u32)).tally())
             .collect(),
         flight: w.flight_log().inspect(assert_causes_sort_below),
         workload: w.workload_stats().map(|s| {
@@ -358,8 +366,8 @@ fn corpus_of_1000_schedules_reruns_byte_identically() {
     // runs a second time and must leave the same bytes behind, seqs and
     // evictions included. It also runs a third time with the recorder
     // off, which must dispatch the same events and leave the same
-    // counters: traced echoes ride the wheel boxed, untraced ones inline
-    // in the event, so the two forms meet here under hub and NIC faults,
+    // counters: traced echoes wait in their segment's FIFO, untraced ones
+    // ride inline in the event, so the two forms meet here under hub and NIC faults,
     // lossy links, app traffic and the fluid workload.
     let mut evicting = 0u32;
     let mut faulted_lossy = 0u32;
@@ -803,6 +811,135 @@ fn a_fork_runs_on_exactly_as_the_world_it_was_forked_from() {
         forked += 1;
     }
     assert!(forked >= 100, "under-covered: {forked} forks");
+}
+
+/// Every host probes every peer on every plane at once each period, a
+/// traced echo per (peer, plane) and a control frame on a third of them:
+/// the batched monitor's fan-out, which leaves each segment's lane of the
+/// queue and its FIFO of frames in flight several chunks deep for
+/// milliseconds after every firing.
+#[derive(Clone)]
+struct Burst {
+    n: u32,
+    planes: u8,
+    period: SimDuration,
+    fired: u32,
+    replies: u32,
+    controls: u32,
+}
+
+impl Tally for Burst {
+    fn tally(&self) -> (u32, u32, u32) {
+        (self.fired, self.replies, self.controls)
+    }
+}
+
+impl Protocol for Burst {
+    type Msg = u32;
+
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        ctx.set_timer(self.period, 0);
+    }
+
+    fn on_timer(&mut self, ctx: &mut Ctx<'_, u32>, token: u64) {
+        let me = ctx.self_id().0;
+        for peer in (0..self.n).filter(|&p| p != me) {
+            for net in NetId::planes(self.planes) {
+                let arg = u64::from(peer) << 32 | u64::from(self.fired);
+                let sref = ctx.flight_record(TraceKind::ProbeSend, Some(net), arg, None);
+                ctx.send_echo_traced(net, NodeId(peer), me, self.fired, sref);
+                if (me + peer + u32::from(net.0)).is_multiple_of(3) {
+                    ctx.send_control(net, NodeId(peer), me);
+                }
+            }
+        }
+        self.fired += 1;
+        ctx.set_timer(self.period, token + 1);
+    }
+
+    fn on_echo_reply(
+        &mut self,
+        ctx: &mut Ctx<'_, u32>,
+        from: NodeId,
+        net: NetId,
+        _id: u32,
+        seq: u32,
+    ) {
+        self.replies += 1;
+        let arg = u64::from(from.0) << 32 | u64::from(seq);
+        ctx.flight_record(TraceKind::ProbeRecv, Some(net), arg, None);
+    }
+
+    fn on_control(&mut self, _ctx: &mut Ctx<'_, u32>, _from: NodeId, _net: NetId, _msg: &u32) {
+        self.controls += 1;
+    }
+}
+
+/// A fork taken mid-burst runs on as the unforked world does. An N = 24
+/// cluster of [`Burst`] hosts puts 552 traced probes and 184 control
+/// frames on each plane at once every 20 ms, a backlog of about 4 ms per
+/// segment before the replies join it. The world forks 1 ns after the
+/// first firing, when every lane and FIFO holds the whole burst, and
+/// 50 µs into the second, when their fronts have been popped. Both
+/// copies then get a hub failure 1 ms later, which kills the frames in
+/// flight on that plane at arrival and refuses new ones, and its repair
+/// 2 ms into the next period; the fork must leave what an unforked world
+/// given the same plan leaves: the schedule with its sequence numbers,
+/// the kernel's counters (the wheel's chunk takes counted together), the
+/// flight timeline, the media and the application and protocol counts.
+#[test]
+fn a_fork_taken_mid_burst_runs_on_as_the_unforked_world() {
+    let (n, planes) = (24, 2);
+    let period = SimDuration::from_millis(20);
+    let spec = ClusterSpec::new(n).seed(7).planes(planes);
+    let end = SimTime(5 * period.0);
+    let started = |t: SimTime| {
+        let mut w = World::new(spec, |_| Burst {
+            n: n as u32,
+            planes,
+            period,
+            fired: 0,
+            replies: 0,
+            controls: 0,
+        });
+        w.enable_event_log();
+        w.enable_flight(1 << 16);
+        w.run_until(t);
+        w
+    };
+    for t in [
+        SimTime(period.0 + 1),
+        SimTime(2 * period.0) + SimDuration::from_micros(50),
+    ] {
+        let hub = SimComponent::Hub(NetId::B);
+        let plan = FaultPlan::new()
+            .fail_at(t + SimDuration::from_millis(1), hub)
+            .repair_at(t + period + SimDuration::from_millis(2), hub);
+        let run_on = |w: &mut World<Burst>| {
+            w.schedule_faults(plan.clone());
+            w.run_until(end);
+            pool_blind(fingerprint(w))
+        };
+        let want = run_on(&mut started(t));
+        let mut original = started(t);
+        let mut fork = original.fork();
+        assert!(run_on(&mut fork) == want, "fork at {t}: the fork diverged");
+        assert!(
+            run_on(&mut original) == want,
+            "fork at {t}: the original diverged"
+        );
+        // The burst reached every host, and the hub failure cost frames.
+        let (_, replies, controls) = want.chatter[0];
+        assert!(
+            replies > 0 && controls > 0,
+            "fork at {t}: {:?}",
+            want.chatter[0]
+        );
+        assert!(
+            want.media[1].dropped_hub_down > 0,
+            "fork at {t}: the dead hub refused nothing"
+        );
+    }
 }
 
 /// The fluid engine's state is not copied, so a world running the

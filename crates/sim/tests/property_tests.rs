@@ -491,9 +491,8 @@ fn app_stats_agree_with_the_transport_events() {
 
 // ---------------------------------------------------------------------------
 // Timer-wheel kernel: pop order must be indistinguishable from the
-// reference binary heap ordered on `(at, seq)`. The heap itself lives
-// behind the `bench-ref` feature; the direct comparisons are gated in
-// `wheel_vs_heap` below, the heap-free invariants run unconditionally.
+// reference binary heap ordered on `(at, seq)` (`support/naive_heap.rs`);
+// the direct comparisons are in `wheel_vs_heap` below.
 // ---------------------------------------------------------------------------
 
 /// One random schedule mixing every regime the wheel handles differently:
@@ -521,10 +520,12 @@ fn random_schedule(seed: u64, len: usize) -> Vec<SimTime> {
     out
 }
 
-#[cfg(feature = "bench-ref")]
+#[path = "support/naive_heap.rs"]
+mod naive_heap;
+
 mod wheel_vs_heap {
+    use super::naive_heap::NaiveHeap;
     use super::*;
-    use drs_sim::naive_heap::NaiveHeap;
     use drs_sim::wheel::{WheelStats, CHUNK};
 
     /// The wheel's level count (`wheel.rs` `LEVELS`).

@@ -1,15 +1,13 @@
-//! The event kernel's *previous* priority queue, kept as a reference.
+//! The event kernel's *previous* priority queue, kept as the reference
+//! the timer wheel is tested against: the plain `BinaryHeap` min-queue
+//! over `(at, seq)` that `drs_sim::wheel::TimerWheel` replaced. On any
+//! schedule the wheel must pop the exact sequence this heap pops.
+//! `property_tests.rs` declares it as a module:
 //!
-//! This is the plain `BinaryHeap` min-queue over `(at, seq)` that
-//! [`crate::wheel::TimerWheel`] replaced. It stays in-tree for two jobs:
-//!
-//! 1. **Ground truth** for the wheel's ordering property tests — on any
-//!    schedule, the wheel must pop the exact sequence this heap pops.
-//! 2. **Baseline** for timing the wheel, so its speedup stays measurable
-//!    against the original implementation instead of drifting into
-//!    folklore.
-//!
-//! It is not used on any simulation path.
+//! ```ignore
+//! #[path = "support/naive_heap.rs"]
+//! mod naive_heap;
+//! ```
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
